@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json build vet test race bench-smoke bench bench-baseline bench-baseline-delta bench-baseline-wg bench-baseline-closure bench-baseline-interp bench-gate
+.PHONY: check fmt-check lint lint-json build vet test race bench-smoke bench loc
 
 # The fast CI gate: formatting, build, vet, tests, kernel lint, benchmark
 # smoke. The race-detector suite is deliberately NOT in here — it reruns
@@ -47,37 +47,10 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem -benchtime=3x -run '^$$' .
 
-# Regenerate the BENCH_05.json wall-clock baseline (quick scale, wg backend
-# with region fusion on — its default — which is what the bench gate now
-# tracks; sparse -jsonout format, zero counters omitted). BENCH_01.json
-# (interpreter era), BENCH_02.json (closure era), BENCH_03.json (wg era,
-# pre-planner) and BENCH_04.json (delta-refresh era, pre-fusion) are the
-# historical baselines each successive engine was measured against;
-# regenerate them with the variants below on intentional changes to those
-# engines.
-bench-baseline:
-	$(GO) run ./cmd/fluidibench -quick -backend=wg -jsonout BENCH_05.json all >/dev/null
-	@cat BENCH_05.json
-
-bench-baseline-delta:
-	$(GO) run ./cmd/fluidibench -quick -backend=wg -wgfuse off -jsonout BENCH_04.json all >/dev/null
-	@cat BENCH_04.json
-
-bench-baseline-wg:
-	$(GO) run ./cmd/fluidibench -quick -backend=wg -jsonout BENCH_03.json all >/dev/null
-	@cat BENCH_03.json
-
-bench-baseline-closure:
-	$(GO) run ./cmd/fluidibench -quick -backend=closure -jsonout BENCH_02.json all >/dev/null
-	@cat BENCH_02.json
-
-bench-baseline-interp:
-	$(GO) run ./cmd/fluidibench -quick -backend=interp -jsonout BENCH_01.json all >/dev/null
-	@cat BENCH_01.json
-
-# Compare a fresh quick-scale wg-backend run against the committed
-# BENCH_04.json wall clock baseline; fails on regression past tolerance
-# (BENCH_GATE_TOL_PCT, default 25%). Non-blocking in CI — wall clock is
-# noisy.
-bench-gate:
-	./scripts/bench_gate.sh
+# Non-test Go lines per package under internal/ and cmd/ — the number the
+# design-simplification ROADMAP items are judged by. (Performance is measured
+# with `bash bench/run.sh`, see bench/README.md.)
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
+	done

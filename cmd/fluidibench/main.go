@@ -14,11 +14,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,22 +41,12 @@ func main() {
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
 	dist := flag.Bool("dist", false, "print the per-benchmark CPU/GPU work-distribution table (paper §5.5)")
 	backend := flag.String("backend", "", "work-group execution backend: interp, closure, or wg (default closure, or $FLUIDICL_BACKEND)")
-	wgfuse := flag.String("wgfuse", "", "fused wg block execution: on or off (default on, or $FLUIDICL_WG_FUSE)")
 	topology := flag.String("topology", "", "N-device topology for -trace, -dist and hash, e.g. cpu+gpu, 2cpu+2gpu, 4gpu-bus (default: the paper's cpu+gpu machine)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
 
 	vm.SetWorkers(*workers)
-	switch *wgfuse {
-	case "":
-	case "on":
-		vm.SetWGFuse(true)
-	case "off":
-		vm.SetWGFuse(false)
-	default:
-		fatal(fmt.Errorf("-wgfuse: want on or off, got %q", *wgfuse))
-	}
 	if *backend != "" {
 		b, err := vm.ParseBackend(*backend)
 		if err != nil {
@@ -69,13 +59,7 @@ func main() {
 		if len(args) != 1 {
 			fatal(fmt.Errorf("usage: fluidibench -trace out.json [-quick] [-topology T] <benchmark>"))
 		}
-		var err error
-		if *topology != "" {
-			err = chromeTraceTopology(args[0], *quick, *traceOut, *topology)
-		} else {
-			err = chromeTrace(args[0], *quick, *traceOut)
-		}
-		if err != nil {
+		if err := chromeTrace(args[0], *quick, *traceOut, *topology); err != nil {
 			fatal(err)
 		}
 		return
@@ -124,33 +108,24 @@ func main() {
 		ids := append(append([]string{}, harness.ExperimentIDs...), harness.ExtraExperimentIDs...)
 		var walls []wallEntry
 		for _, id := range ids {
-			before := core.CounterSnapshot()
-			beforeS := trace.GlobalSnapshot()
-			start := time.Now()
-			t, err := r.Run(id)
-			wall := time.Since(start)
+			e, err := runExperiment(r, id, *csv)
 			if err != nil {
 				writeWalls(*jsonOut, walls)
 				fatal(err)
 			}
-			emit(t, *csv)
-			fmt.Printf("[%s: %.2fs wall]\n\n", t.ID, wall.Seconds())
-			walls = append(walls, newWallEntry(t.ID, wall.Seconds(),
-				core.CounterSnapshot().Sub(before), trace.GlobalSnapshot().Sub(beforeS)))
+			fmt.Println()
+			walls = append(walls, e)
 		}
 		writeWalls(*jsonOut, walls)
 		return
 	case "hash":
 		// Stdout stays pure "NAME HASH" lines (the CI matrix diffs them
 		// verbatim across topologies); counters go to -jsonout only.
-		before := core.CounterSnapshot()
-		beforeS := trace.GlobalSnapshot()
-		start := time.Now()
-		if err := runHash(*quick, *topology); err != nil {
+		e, err := measured("hash", func() error { return runHash(os.Stdout, *quick, *topology) })
+		if err != nil {
 			fatal(err)
 		}
-		writeWalls(*jsonOut, []wallEntry{newWallEntry("hash", time.Since(start).Seconds(),
-			core.CounterSnapshot().Sub(before), trace.GlobalSnapshot().Sub(beforeS))})
+		writeWalls(*jsonOut, []wallEntry{e})
 		return
 	case "run":
 		if len(args) < 2 {
@@ -177,126 +152,89 @@ func main() {
 		}
 		return
 	default:
-		before := core.CounterSnapshot()
-		beforeS := trace.GlobalSnapshot()
-		start := time.Now()
-		t, err := r.Run(args[0])
-		wall := time.Since(start)
+		e, err := runExperiment(r, args[0], *csv)
 		if err != nil {
 			fatal(err)
 		}
-		emit(t, *csv)
-		fmt.Printf("[%s: %.2fs wall]\n", t.ID, wall.Seconds())
-		writeWalls(*jsonOut, []wallEntry{newWallEntry(t.ID, wall.Seconds(),
-			core.CounterSnapshot().Sub(before), trace.GlobalSnapshot().Sub(beforeS))})
+		writeWalls(*jsonOut, []wallEntry{e})
 	}
+}
+
+// runExperiment runs and prints one experiment table with its wall trailer.
+func runExperiment(r *harness.Runner, id string, csv bool) (wallEntry, error) {
+	var t *harness.Table
+	e, err := measured(id, func() (err error) {
+		t, err = r.Run(id)
+		return err
+	})
+	if err != nil {
+		return e, err
+	}
+	e.id = t.ID // the canonical id, whatever alias was asked for
+	emit(t, csv)
+	fmt.Printf("[%s: %.2fs wall]\n", t.ID, e.wall)
+	return e, nil
 }
 
 // wallEntry is one experiment's host wall-clock cost (not virtual time)
-// plus what its FluidiCL runs accumulated: the summary-driven elision
-// counters and the trace-meter work distribution (virtual busy times,
-// work-group split, link traffic, compute overlap). Everything except
-// wall_seconds is virtual and therefore deterministic.
+// plus what its FluidiCL runs accumulated: the runtime and VM counters and
+// the trace-meter work distribution (virtual busy times, work-group split,
+// link traffic, compute overlap). Everything except wall_seconds is virtual
+// and therefore deterministic.
 type wallEntry struct {
-	ID                string  `json:"id"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	UploadsSkipped    int64   `json:"uploads_skipped,omitempty"`
-	PrimeCopiesElided int64   `json:"prime_copies_elided,omitempty"`
-	ShipBytesSkipped  int64   `json:"ship_bytes_skipped,omitempty"`
-	MergeWordsElided  int64   `json:"merge_words_elided,omitempty"`
-	// Delta-refresh planner activity (N-way topology runs): bytes the
-	// planner did not rebroadcast relative to a full per-device refresh,
-	// delta scatter-writes enqueued, and the H2D bytes those deltas carried.
-	RefreshBytesSkipped int64   `json:"refresh_bytes_skipped,omitempty"`
-	RefreshDeltas       int64   `json:"refresh_deltas,omitempty"`
-	BytesRefresh        int64   `json:"bytes_refresh,omitempty"`
-	FluidiCLRuns        int64   `json:"fluidicl_runs,omitempty"`
-	CPUBusySeconds      float64 `json:"cpu_busy_seconds,omitempty"`
-	GPUBusySeconds      float64 `json:"gpu_busy_seconds,omitempty"`
-	BothBusySeconds     float64 `json:"both_busy_seconds,omitempty"`
-	CPUWGs              int64   `json:"cpu_wgs,omitempty"`
-	GPUWGs              int64   `json:"gpu_wgs,omitempty"`
-	LinkBusySeconds     float64 `json:"link_busy_seconds,omitempty"`
-	BytesH2D            int64   `json:"bytes_h2d,omitempty"`
-	BytesD2H            int64   `json:"bytes_d2h,omitempty"`
-	OverlapFrac         float64 `json:"overlap_frac,omitempty"`
-	// VM backend activity: work-groups per execution engine and static
-	// superinstruction coverage of the kernels compiled during the run.
-	ClosureWGs  int64 `json:"closure_wgs,omitempty"`
-	InterpWGs   int64 `json:"interp_wgs,omitempty"`
-	FusedInstrs int64 `json:"fused_instrs,omitempty"`
-	TotalInstrs int64 `json:"total_instrs,omitempty"`
-	// Whole-work-group compilation coverage: work-groups run by the
-	// lockstep engine vs fallen back, and how many kernels/regions the
-	// compilation pass produced.
-	WGLoopWGs     int64 `json:"wg_loop_wgs,omitempty"`
-	WGFallbackWGs int64 `json:"wg_fallback_wgs,omitempty"`
-	WGKernels     int64 `json:"wg_kernels,omitempty"`
-	WGRegions     int64 `json:"wg_regions,omitempty"`
-	// Region-fusion coverage (DESIGN.md S20): fused blocks and the compiled
-	// instructions they absorbed vs instructions left on per-step dispatch.
-	WGFusedBlocks       int64 `json:"wg_fused_blocks,omitempty"`
-	WGFusedSteps        int64 `json:"wg_fused_steps,omitempty"`
-	WGFuseFallbackSteps int64 `json:"wg_fuse_fallback_steps,omitempty"`
-	// Strided-certificate activity: launches whose CPU work-group splitting
-	// was un-vetoed by the disjointness certificate, work-groups the
-	// certificate admitted to the lockstep engine, and the per-reason
-	// attribution of every wg-backend fallback.
-	SplitsUnvetoed    int64 `json:"splits_unvetoed,omitempty"`
-	WGStridedWGs      int64 `json:"wg_strided_wgs,omitempty"`
-	WGCertRejShape    int64 `json:"wg_cert_reject_shape,omitempty"`
-	WGCertRejAlias    int64 `json:"wg_cert_reject_alias,omitempty"`
-	WGCertRejNoSum    int64 `json:"wg_cert_reject_no_summary,omitempty"`
-	WGCertRejLocal    int64 `json:"wg_cert_reject_local_store,omitempty"`
-	WGCertRejUnkStore int64 `json:"wg_cert_reject_unknown_store,omitempty"`
-	WGCertRejUnkRead  int64 `json:"wg_cert_reject_unknown_read,omitempty"`
-	WGCertRejOverlap  int64 `json:"wg_cert_reject_overlap,omitempty"`
-	WGCertRejBudget   int64 `json:"wg_cert_reject_budget,omitempty"`
+	id   string
+	wall float64
+	ctr  core.Counters
+	sum  trace.GlobalSummary
 }
 
-func newWallEntry(id string, wall float64, c core.Counters, s trace.GlobalSummary) wallEntry {
+// measured runs f and reports its wall clock plus the counter and
+// work-distribution deltas it caused.
+func measured(id string, f func() error) (wallEntry, error) {
+	ctr, sum, start := core.CounterSnapshot(), trace.GlobalSnapshot(), time.Now()
+	err := f()
 	return wallEntry{
-		ID:                  id,
-		WallSeconds:         wall,
-		UploadsSkipped:      c.UploadsSkipped,
-		PrimeCopiesElided:   c.PrimeCopiesElided,
-		ShipBytesSkipped:    c.ShipBytesSkipped,
-		MergeWordsElided:    c.MergeWordsElided,
-		RefreshBytesSkipped: c.RefreshBytesSkipped,
-		RefreshDeltas:       c.RefreshDeltas,
-		BytesRefresh:        s.BytesRefresh,
-		FluidiCLRuns:        s.Runs,
-		CPUBusySeconds:      s.CPUBusy,
-		GPUBusySeconds:      s.GPUBusy,
-		BothBusySeconds:     s.BothBusy,
-		CPUWGs:              s.CPUWGs,
-		GPUWGs:              s.GPUWGs,
-		LinkBusySeconds:     s.LinkBusy,
-		BytesH2D:            s.BytesH2D,
-		BytesD2H:            s.BytesD2H,
-		OverlapFrac:         s.OverlapFrac(),
-		ClosureWGs:          c.ClosureWGs,
-		InterpWGs:           c.InterpWGs,
-		FusedInstrs:         c.FusedInstrs,
-		TotalInstrs:         c.TotalInstrs,
-		WGLoopWGs:           c.WGLoopWGs,
-		WGFallbackWGs:       c.WGFallbackWGs,
-		WGKernels:           c.WGKernels,
-		WGRegions:           c.WGRegions,
-		WGFusedBlocks:       c.WGFusedBlocks,
-		WGFusedSteps:        c.WGFusedSteps,
-		WGFuseFallbackSteps: c.WGFuseFallbackSteps,
-		SplitsUnvetoed:      c.SplitsUnvetoed,
-		WGStridedWGs:        c.WGStridedWGs,
-		WGCertRejShape:      c.WGCertRejShape,
-		WGCertRejAlias:      c.WGCertRejAlias,
-		WGCertRejNoSum:      c.WGCertRejNoSum,
-		WGCertRejLocal:      c.WGCertRejLocal,
-		WGCertRejUnkStore:   c.WGCertRejUnkStore,
-		WGCertRejUnkRead:    c.WGCertRejUnkRead,
-		WGCertRejOverlap:    c.WGCertRejOverlap,
-		WGCertRejBudget:     c.WGCertRejBudget,
+		id:   id,
+		wall: time.Since(start).Seconds(),
+		ctr:  core.CounterSnapshot().Sub(ctr),
+		sum:  trace.GlobalSnapshot().Sub(sum),
+	}, err
+}
+
+// MarshalJSON emits one flat object: id and wall_seconds always, then every
+// non-zero counter under the name core.Counters gives it, then every
+// non-zero work-distribution figure (the format is sparse).
+func (e wallEntry) MarshalJSON() ([]byte, error) {
+	head, err := json.Marshal(struct {
+		ID   string  `json:"id"`
+		Wall float64 `json:"wall_seconds"`
+	}{e.id, e.wall})
+	if err != nil {
+		return nil, err
 	}
+	b := bytes.NewBuffer(head[:len(head)-1]) // reopen the object
+	put := func(key string, v any) {
+		if v == int64(0) || v == float64(0) {
+			return
+		}
+		val, _ := json.Marshal(v) // int64s and finite float64s always marshal
+		fmt.Fprintf(b, ",%q:%s", key, val)
+	}
+	e.ctr.Each(func(name string, v int64) { put(name, v) })
+	s := e.sum
+	put("bytes_refresh", s.BytesRefresh)
+	put("fluidicl_runs", s.Runs)
+	put("cpu_busy_seconds", s.CPUBusy)
+	put("gpu_busy_seconds", s.GPUBusy)
+	put("both_busy_seconds", s.BothBusy)
+	put("cpu_wgs", s.CPUWGs)
+	put("gpu_wgs", s.GPUWGs)
+	put("link_busy_seconds", s.LinkBusy)
+	put("bytes_h2d", s.BytesH2D)
+	put("bytes_d2h", s.BytesD2H)
+	put("overlap_frac", s.OverlapFrac())
+	b.WriteByte('}')
+	return b.Bytes(), nil
 }
 
 func writeWalls(path string, walls []wallEntry) {
@@ -387,45 +325,6 @@ func benchFor(name string, quick bool) (*polybench.Benchmark, error) {
 	return polybench.ByName(n)
 }
 
-// chromeTrace runs one benchmark under FluidiCL with the event recorder
-// attached and writes the recording as Chrome trace_event JSON: one track
-// per simulated device, one per link, one for the FluidiCL runtime's
-// scheduling decisions. The file loads in chrome://tracing and Perfetto.
-func chromeTrace(name string, quick bool, out string) error {
-	b, err := benchFor(name, quick)
-	if err != nil {
-		return err
-	}
-	rec := trace.NewRecorder()
-	res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec)
-	if err != nil {
-		return err
-	}
-	if err := b.Verify(res.Outputs); err != nil {
-		return fmt.Errorf("wrong results: %w", err)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	cpu := res.Summary.ByKind("CPU")
-	gpu := res.Summary.ByKind("GPU")
-	fmt.Printf("wrote %s: %d events on %d tracks (open in chrome://tracing or ui.perfetto.dev)\n",
-		out, len(rec.Events()), len(rec.Tracks()))
-	fmt.Printf("%s %s: %.3f ms virtual; CPU busy %.3f ms (%d wgs), GPU busy %.3f ms (%d wgs), overlap %.0f%%\n",
-		b.Name, b.InputDesc, res.Time*1e3,
-		cpu.Busy*1e3, cpu.WGsExecuted, gpu.Busy*1e3, gpu.WGsExecuted,
-		res.Summary.OverlapFrac()*100)
-	return nil
-}
-
 // runDist reproduces the paper's §5.5 work-distribution reporting: for every
 // Polybench benchmark, one FluidiCL run's CPU-vs-GPU work-group split,
 // per-device busy time, link traffic and overhead, and the fraction of the
@@ -500,34 +399,20 @@ func fuseCoverage(c core.Counters) string {
 // in a counter delta, or "-" when nothing fell back (e.g. under a
 // non-lockstep backend, where no certificate runs at all).
 func dominantReject(c core.Counters) string {
-	type rc struct {
-		name string
-		n    int64
-	}
-	all := []rc{
-		{"shape", c.WGCertRejShape},
-		{"alias", c.WGCertRejAlias},
-		{"no_summary", c.WGCertRejNoSum},
-		{"local_store", c.WGCertRejLocal},
-		{"unknown_store", c.WGCertRejUnkStore},
-		{"unknown_read", c.WGCertRejUnkRead},
-		{"overlap", c.WGCertRejOverlap},
-		{"budget", c.WGCertRejBudget},
-	}
-	best := rc{name: "-"}
-	for _, r := range all {
-		if r.n > best.n {
-			best = r
+	best, n := "-", int64(0)
+	for i, name := range vm.WGRejectNames() {
+		if c.WGRejects[i] > n {
+			best, n = name, c.WGRejects[i]
 		}
 	}
-	return best.name
+	return best
 }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `fluidibench — regenerate the FluidiCL paper's tables and figures
 
 usage:
-  fluidibench [-csv] [-quick] [-workers N] [-parallel N] [-backend interp|closure|wg] [-wgfuse on|off] [-jsonout F] <experiment>|all
+  fluidibench [-csv] [-quick] [-workers N] [-parallel N] [-backend interp|closure|wg] [-jsonout F] <experiment>|all
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
   fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)
@@ -556,6 +441,7 @@ func dumpOne(name string) error {
 	}
 	env := sim.NewEnv()
 	m := sched.DefaultMachine()
+	// core.New's device order: 0 is the CPU, 1 the GPU.
 	rt, err := core.New(env, device.New(env, m.CPU), device.New(env, m.GPU), core.Options{})
 	if err != nil {
 		return err
@@ -577,7 +463,7 @@ func dumpOne(name string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("==== GPU bytecode: %s ====\n%s\n", l.Kernel, k.DisasmGPU())
+		fmt.Printf("==== GPU bytecode: %s ====\n%s\n", l.Kernel, k.Disasm(1))
 	}
 	return nil
 }
@@ -589,66 +475,10 @@ func traceOne(name string) error {
 	if err != nil {
 		return err
 	}
-	env := sim.NewEnv()
-	m := sched.DefaultMachine()
-	rt, err := core.New(env, device.New(env, m.CPU), device.New(env, m.GPU), core.Options{})
+	_, tl, err := sched.RunFluidiCLTimeline(sched.DefaultMachine(), b.App, core.Options{})
 	if err != nil {
 		return err
 	}
-	tr := rt.EnableTrace()
-	prog, err := rt.BuildProgram(b.App.Source)
-	if err != nil {
-		return err
-	}
-	bufNames := make([]string, 0, len(b.App.Buffers))
-	for bn := range b.App.Buffers {
-		bufNames = append(bufNames, bn)
-	}
-	sort.Strings(bufNames)
-	bufs := map[string]*core.Buffer{}
-	for _, bn := range bufNames {
-		bufs[bn] = rt.CreateBuffer(b.App.Buffers[bn])
-	}
-	kernels := map[string]*core.Kernel{}
-	var runErr error
-	env.Go("app", func(p *sim.Proc) {
-		for _, bn := range bufNames {
-			data := b.App.Inputs[bn]
-			if data == nil {
-				data = make([]byte, b.App.Buffers[bn])
-			}
-			rt.EnqueueWriteBuffer(p, bufs[bn], data)
-		}
-		for _, l := range b.App.Launches {
-			k := kernels[l.Kernel]
-			if k == nil {
-				k = prog.MustKernel(l.Kernel)
-				kernels[l.Kernel] = k
-			}
-			args := make([]core.Arg, len(l.Args))
-			for i, a := range l.Args {
-				switch a.Kind {
-				case sched.ArgBuf:
-					args[i] = core.BufArg(bufs[a.Name])
-				case sched.ArgInt:
-					args[i] = core.IntArg(a.I)
-				default:
-					args[i] = core.FloatArg(a.F)
-				}
-			}
-			if err := rt.EnqueueNDRangeKernel(p, k, l.ND, args); err != nil {
-				runErr = err
-				return
-			}
-		}
-		for _, bn := range b.App.Outputs {
-			rt.EnqueueReadBuffer(p, bufs[bn])
-		}
-	})
-	env.Run()
-	if runErr != nil {
-		return runErr
-	}
-	fmt.Printf("cooperative-execution timeline for %s %s:\n\n%s", b.Name, b.InputDesc, tr)
+	fmt.Printf("cooperative-execution timeline for %s %s:\n\n%s", b.Name, b.InputDesc, tl)
 	return nil
 }

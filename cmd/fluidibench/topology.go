@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -34,12 +35,12 @@ func outputHash(outputs map[string][]byte) string {
 }
 
 // runHash runs every benchmark under FluidiCL on the given topology, twice
-// each, and prints one "NAME HASH" line per benchmark. Each run is verified
-// bit-exactly against the benchmark's single-device reference outputs, and
-// the two runs must agree on output hash and virtual time; any failure exits
-// nonzero. Because outputs are reference-verified, the printed hashes are
+// each, and writes one "NAME HASH" line per benchmark to w. Each run is
+// verified bit-exactly against the benchmark's single-device reference
+// outputs, and the two runs must agree on output hash and virtual time; any
+// failure exits nonzero. Because outputs are reference-verified, the printed hashes are
 // identical across every topology — the CI matrix diffs them to prove it.
-func runHash(quick bool, topoSpec string) error {
+func runHash(w io.Writer, quick bool, topoSpec string) error {
 	if topoSpec == "" {
 		topoSpec = "cpu+gpu"
 	}
@@ -70,21 +71,28 @@ func runHash(quick bool, topoSpec string) error {
 		if first.Time != again.Time {
 			return fmt.Errorf("%s on %s: virtual time not deterministic (%v vs %v)", b.Name, topoSpec, first.Time, again.Time)
 		}
-		fmt.Printf("%s %s\n", b.Name, h1)
+		fmt.Fprintf(w, "%s %s\n", b.Name, h1)
 	}
 	return nil
 }
 
-// chromeTraceTopology is chromeTrace on an N-device topology: one compute
-// and one link track per device, shared-bus contention visible as link-wait
-// spans. The degenerate cpu+gpu topology produces the exact bytes of the
-// default chromeTrace path.
-func chromeTraceTopology(name string, quick bool, out, topoSpec string) error {
+// chromeTrace runs one benchmark under FluidiCL with the event recorder
+// attached and writes the recording as Chrome trace_event JSON: one compute
+// and one link track per simulated device (shared-bus contention visible as
+// link-wait spans) and, under the twin protocol, one for the runtime's
+// scheduling decisions. The file loads in chrome://tracing and Perfetto. An
+// empty topoSpec means the paper's cpu+gpu machine, which the degenerate
+// `-topology cpu+gpu` reproduces byte for byte.
+func chromeTrace(name string, quick bool, out, topoSpec string) error {
 	b, err := benchFor(name, quick)
 	if err != nil {
 		return err
 	}
-	topo, err := device.ParseTopology(topoSpec)
+	spec := topoSpec
+	if spec == "" {
+		spec = "cpu+gpu"
+	}
+	topo, err := device.ParseTopology(spec)
 	if err != nil {
 		return err
 	}
@@ -109,6 +117,14 @@ func chromeTraceTopology(name string, quick bool, out, topoSpec string) error {
 	}
 	fmt.Printf("wrote %s: %d events on %d tracks (open in chrome://tracing or ui.perfetto.dev)\n",
 		out, len(rec.Events()), len(rec.Tracks()))
+	if topoSpec == "" {
+		cpu, gpu := res.Summary.ByKind("CPU"), res.Summary.ByKind("GPU")
+		fmt.Printf("%s %s: %.3f ms virtual; CPU busy %.3f ms (%d wgs), GPU busy %.3f ms (%d wgs), overlap %.0f%%\n",
+			b.Name, b.InputDesc, res.Time*1e3,
+			cpu.Busy*1e3, cpu.WGsExecuted, gpu.Busy*1e3, gpu.WGsExecuted,
+			res.Summary.OverlapFrac()*100)
+		return nil
+	}
 	// OverlapFrac's pairwise ratio (BothBusy over the less-busy device) can
 	// exceed 1 on more than two devices; report co-execution as the fraction
 	// of wall time with at least two devices computing instead.
@@ -147,12 +163,10 @@ func runDistTopology(quick, csv bool, topoSpec string) error {
 		Columns: []string{"Benchmark", "Device", "WGs", "share", "busy", "link-busy", "link-wait", "H2D-KB", "rf-KB", "D2H-KB", "rf-skip-KB", "time-ms"},
 	}
 	for _, b := range benches {
-		before := core.CounterSnapshot()
 		res, err := sched.RunTopology(topo, b.App, core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		delta := core.CounterSnapshot().Sub(before)
 		if err := b.Verify(res.Outputs); err != nil {
 			return fmt.Errorf("%s: wrong results: %w", b.Name, err)
 		}
@@ -191,7 +205,7 @@ func runDistTopology(quick, csv bool, topoSpec string) error {
 				timeCol = fmt.Sprintf("%.3f", res.Time*1e3)
 				// rf-skip is benchmark-level (the planner books skips per
 				// buffer and device, not per link), so it rides the first row.
-				rfSkipCol = fmt.Sprintf("%.1f", float64(delta.RefreshBytesSkipped)/1024)
+				rfSkipCol = fmt.Sprintf("%.1f", float64(res.Counters.RefreshBytesSkipped)/1024)
 			}
 			t.AddRow(name,
 				d.Name,

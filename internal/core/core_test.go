@@ -300,7 +300,8 @@ func TestBufferPoolReuse(t *testing.T) {
 		}
 	})
 	env.Run()
-	created, reused := rt.PoolStats()
+	pool := rt.proto.(*twin).pool
+	created, reused := pool.Created, pool.Reused
 	// 5 kernels × 2 scratch buffers = 10 acquisitions; the pool must serve
 	// most from reuse (releases land asynchronously, so up to two kernels'
 	// worth of scratch can exist at once).
@@ -601,7 +602,7 @@ func TestDisasmGPUMentionsTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := prog.MustKernel("scale")
-	d := k.DisasmGPU()
+	d := k.Disasm(twinGPU)
 	for _, frag := range []string{"kernel scale", "fcl_status", "ret"} {
 		if !contains(d, frag) {
 			t.Fatalf("disassembly missing %q:\n%s", frag, d)
@@ -698,7 +699,7 @@ func TestFinishDrainsAllQueues(t *testing.T) {
 		t.Fatal("Finish went backwards")
 	}
 	// After Finish, the DH transfer must have completed: a read is free.
-	if bufOut.receivedVersion != bufOut.expectedVersion {
+	if bufOut.twin().receivedVersion != bufOut.twin().expectedVersion {
 		t.Fatal("Finish returned with DH still pending")
 	}
 }

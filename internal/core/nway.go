@@ -2,268 +2,120 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
-	"sync/atomic"
 
-	"fluidicl/internal/analysis"
-	"fluidicl/internal/clc"
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
-	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
 
-// TopoRuntime generalizes the FluidiCL twin protocol to an N-device
-// topology. Where the twin runtime races one full-range GPU launch against a
-// CPU scheduler stealing from the tail, the N-way runtime treats the
-// flattened work-group range as a shared pool with two claim fronts:
+// This file is the N-way protocol: the twin protocol generalized to an
+// N-device topology. Where the twin protocol races one full-range GPU launch
+// against a CPU scheduler stealing from the tail, the N-way protocol treats
+// the flattened work-group range as a shared pool with two claim fronts:
 // GPU-class devices claim chunks ascending from the grid head, CPU-class
 // devices steal descending from the shared tail, and the fronts meet
-// somewhere in the middle. Every device runs the range-guarded CPU-transformed
-// kernel over its chunks with per-device adaptive chunk sizing (§5.1
-// generalized); chunk results ship over each device's interconnect link to
-// the host root, narrowed by the same slot-exact / strided write
-// certificates the twin runtime uses; the host diff-merges shipped bytes
-// against a pre-kernel snapshot (§4.3's merge, rooted at the host instead of
-// the GPU) and rebroadcasts the merged result so every device holds current
-// data for the next kernel.
+// somewhere in the middle. Every device runs the range-guarded
+// CPU-transformed kernel over its chunks with per-device adaptive chunk
+// sizing (§5.1 generalized) — chunks are claimed, not raced, so no device
+// needs the GPU abort-check transformation; chunk results ship over each
+// device's interconnect link to the host root, narrowed by the launch's
+// certified ship windows; the host diff-merges shipped bytes against a
+// pre-kernel snapshot (§4.3's merge, rooted at the host instead of the GPU)
+// and the delta-refresh planner (planner.go) brings device copies current
+// for the next kernel.
 //
-// The degenerate two-device machine does not go through this path at all:
-// package sched routes Topology.Pair() machines to the original twin runtime
-// so their results and virtual timings stay bit-identical.
-type TopoRuntime struct {
-	Env  *sim.Env
-	devs []*device.Device
-	ctxs []*ocl.Context
-	qs   []*ocl.CommandQueue
+// The degenerate two-device machine does not go through this protocol at
+// all: package sched routes Topology.Pair() machines to the twin protocol so
+// their results and virtual timings stay bit-identical.
 
-	opts        Options
-	kernelSeq   int
-	deferredErr error
-	ctr         Counters
+// nway is the protocol state of a NewTopo runtime: one application queue
+// per device plus the merge-path pools (all touched only inside the
+// cooperative engine): bp recycles per-chunk ship buffers, per-kernel orig
+// snapshots and flush snapshots; sp recycles the span slices detached into
+// in-flight scatter refreshes; outFree recycles nwayOut bookkeeping; cargs
+// keeps one reusable ocl arg slice per device (chunk launches bind args at
+// enqueue time, so the slice may be rewritten between launches).
+type nway struct {
+	r  *Runtime
+	qs []*ocl.CommandQueue // per device
 
-	// Merge-path pools (all touched only inside the cooperative engine):
-	// bp recycles per-chunk ship buffers, per-kernel orig snapshots and
-	// flush snapshots; sp recycles the span slices detached into in-flight
-	// scatter refreshes; outFree recycles topoOut bookkeeping; cargs keeps
-	// one reusable ocl arg slice per device (chunk launches bind args at
-	// enqueue time, so the slice may be rewritten between launches).
 	bp      bytePool
 	sp      spanPool
-	outFree []*topoOut
+	outFree []*nwayOut
 	cargs   [][]ocl.Arg
-
-	Reports []*KernelReport
 }
 
-// NewTopo creates an N-way runtime over an already-built device list (see
-// device.Topology.Build). Device order fixes worker spawn order and
-// therefore claim tie-breaking, so runs are deterministic.
-func NewTopo(env *sim.Env, devs []*device.Device, opts Options) (*TopoRuntime, error) {
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("core: topology runtime needs at least one device")
+func newNway(r *Runtime) *nway {
+	n := &nway{r: r, qs: make([]*ocl.CommandQueue, len(r.ctxs)), cargs: make([][]ocl.Arg, len(r.ctxs))}
+	for di := range r.ctxs {
+		n.qs[di] = r.createQueue(di, "app")
 	}
-	r := &TopoRuntime{Env: env, devs: devs, opts: opts.withDefaults()}
-	for _, d := range devs {
-		ctx := ocl.NewContext(env, d)
-		r.ctxs = append(r.ctxs, ctx)
-		r.qs = append(r.qs, ctx.CreateQueue("app"))
-	}
-	r.cargs = make([][]ocl.Arg, len(devs))
-	return r, nil
+	return n
 }
 
-// MustNewTopo is NewTopo for known-good configurations.
-func MustNewTopo(env *sim.Env, devs []*device.Device, opts Options) *TopoRuntime {
-	r, err := NewTopo(env, devs, opts)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
+func (n *nway) source(e *transformEntry, di int) string { return e.cpuSrc }
 
-// Err returns any deferred error (a certificate violation noticed after a
-// kernel call returned).
-func (r *TopoRuntime) Err() error { return r.deferredErr }
+func (n *nway) variantContext() *ocl.Context { return nil }
 
-// TopoBuffer is an N-way memory object: one buffer per device plus the host
-// shadow the merge is rooted at. The host shadow is always the latest data
-// once a kernel call returns; device copies are allowed to go stale and are
-// brought current lazily by the delta-refresh planner: ver counts host-shadow
-// versions, devVer[di] is the version device di's copy last fully matched
-// (the per-device residency table), and pend[di] is the exact byte set device
-// di's copy is missing. The invariant maintained by every mutation below is
-// that a device copy differs from the host shadow only inside pend[di].
-type TopoBuffer struct {
-	rt   *TopoRuntime
-	Size int
-	bufs []*ocl.Buffer
-	host []byte
-
+// nwayResidency is the per-device residency table of one buffer. The host
+// shadow is always the latest data once a kernel call returns; device copies
+// are allowed to go stale and are brought current lazily by the
+// delta-refresh planner: ver counts host-shadow versions, devVer[di] is the
+// version device di's copy last fully matched, and pend[di] is the exact
+// byte set device di's copy is missing. The invariant maintained by every
+// mutation below is that a device copy differs from the host shadow only
+// inside pend[di].
+type nwayResidency struct {
 	ver    int
 	devVer []int
 	pend   []intervalSet
 }
 
-// CreateBuffer creates a buffer on every device. Host shadow and device
-// copies start zero-filled and therefore identical: every pending set is
-// empty.
-func (r *TopoRuntime) CreateBuffer(size int) *TopoBuffer {
-	b := &TopoBuffer{
-		rt: r, Size: size, host: make([]byte, size),
-		devVer: make([]int, len(r.ctxs)),
-		pend:   make([]intervalSet, len(r.ctxs)),
+func (b *Buffer) nway() *nwayResidency { return b.res.(*nwayResidency) }
+
+// attach: device copies start identical to the host shadow, so every pending
+// set is empty.
+func (n *nway) attach(b *Buffer) {
+	b.res = &nwayResidency{
+		devVer: make([]int, len(n.qs)),
+		pend:   make([]intervalSet, len(n.qs)),
 	}
-	for _, ctx := range r.ctxs {
-		b.bufs = append(b.bufs, ctx.CreateBuffer(size))
-	}
-	return b
 }
 
-// EnqueueWriteBuffer broadcasts host data to every device. The call
-// snapshots the data and returns immediately; each device's in-order queue
+// write broadcasts snap to every device; each device's in-order queue
 // sequences its copy before any later kernel chunk there. The written range
 // becomes current everywhere, so it leaves every pending set.
-func (r *TopoRuntime) EnqueueWriteBuffer(p *sim.Proc, b *TopoBuffer, data []byte) {
-	if len(data) > b.Size {
-		panic("core: write larger than buffer")
+func (n *nway) write(b *Buffer, snap []byte) {
+	st := b.nway()
+	if len(snap) > 0 {
+		st.ver++
 	}
-	copy(b.host, data)
-	if len(data) > 0 {
-		b.ver++
-	}
-	snap := append([]byte(nil), data...)
-	for i, q := range r.qs {
+	for i, q := range n.qs {
 		q.EnqueueWriteBuffer(b.bufs[i], snap)
-		b.pend[i].subtractRange(0, len(data))
-		if b.pend[i].empty() {
-			b.devVer[i] = b.ver
+		st.pend[i].subtractRange(0, len(snap))
+		if st.pend[i].empty() {
+			st.devVer[i] = st.ver
 		}
 	}
 }
 
-// EnqueueReadBuffer returns the buffer's current contents. Kernel calls
-// block until the host-rooted merge completes, so the host shadow is always
-// current; the device-to-host transfer cost was already paid by the chunk
-// result ships.
-func (r *TopoRuntime) EnqueueReadBuffer(p *sim.Proc, b *TopoBuffer) []byte {
-	out := make([]byte, b.Size)
-	copy(out, b.host)
-	return out
-}
+// awaitHost drains every device queue. Kernel calls block until the
+// host-rooted merge completes, so the host shadow is already current (the
+// device-to-host cost was paid by the chunk ships); the drain makes a
+// readback additionally wait for input broadcasts no kernel consumed.
+func (n *nway) awaitHost(p *sim.Proc, b *Buffer) { n.r.Finish(p) }
 
-// Finish drains every device queue.
-func (r *TopoRuntime) Finish(p *sim.Proc) {
-	for _, q := range r.qs {
-		p.Wait(q.EnqueueMarker())
-	}
-}
-
-// TopoProgram is a program compiled for every device in the topology. All
-// devices run the range-guarded CPU transformation of the source: N-way
-// chunks are claimed, not raced, so no device needs the GPU abort-check
-// transformation — a chunk once claimed is never redundantly recomputed.
-type TopoProgram struct {
-	rt      *TopoRuntime
-	Source  string
-	info    *clc.ProgramInfo
-	Summary *analysis.ProgramSummary
-	progs   []*ocl.Program
-	CPUSrc  string
-}
-
-// BuildProgram compiles src for every device, applying the CPU range-guard
-// transformation once (memoized with the twin runtime's cache) and building
-// the result in each device context.
-func (r *TopoRuntime) BuildProgram(src string) (*TopoProgram, error) {
-	gopt := passes.GPUOptions{
-		AbortInLoops: !r.opts.NoAbortInLoops,
-		Unroll:       !r.opts.NoAbortInLoops && !r.opts.NoUnroll,
-		UnrollFactor: r.opts.UnrollFactor,
-	}
-	e, err := transformProgram(src, gopt)
-	if err != nil {
-		return nil, err
-	}
-	p := &TopoProgram{rt: r, Source: src, info: e.info, Summary: e.sum, CPUSrc: e.cpuSrc}
-	for i, ctx := range r.ctxs {
-		prog, err := ctx.BuildProgram(e.cpuSrc)
-		if err != nil {
-			return nil, fmt.Errorf("core: build for device %d: %w", i, err)
-		}
-		p.progs = append(p.progs, prog)
-	}
-	return p, nil
-}
-
-// TopoKernel is a kernel bound to every device in the topology.
-type TopoKernel struct {
-	prog *TopoProgram
-	Name string
-	Info *clc.KernelInfo
-	Sum  *analysis.KernelSummary
-	ks   []*ocl.Kernel
-
-	splitOK           bool
-	chkRead, chkWrite uint64
-}
-
-// CreateKernel creates a kernel object by name.
-func (p *TopoProgram) CreateKernel(name string) (*TopoKernel, error) {
-	info, ok := p.info.Kernels[name]
-	if !ok {
-		return nil, fmt.Errorf("core: kernel %q not found", name)
-	}
-	sum := p.Summary.Kernels[name]
-	k := &TopoKernel{
-		prog: p, Name: name, Info: info, Sum: sum,
-		splitOK: passes.CanSplitWithSummary(info, sum),
-	}
-	k.chkRead, k.chkWrite = accessMasks(sum)
-	for _, prog := range p.progs {
-		dk, err := prog.CreateKernel(name)
-		if err != nil {
-			return nil, err
-		}
-		k.ks = append(k.ks, dk)
-	}
-	return k, nil
-}
-
-// MustKernel is CreateKernel for known-good names.
-func (p *TopoProgram) MustKernel(name string) *TopoKernel {
-	k, err := p.CreateKernel(name)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
-// topo lowers a FluidiCL arg to device di's ocl arg.
-func (a Arg) topo(di int) ocl.Arg {
-	switch a.Kind {
-	case ArgBuf:
-		return ocl.BufArg(a.TBuf.bufs[di])
-	case ArgInt:
-		return ocl.IntArg(a.I)
-	default:
-		return ocl.FloatArg(a.F)
-	}
-}
-
-// topoOut is the merge bookkeeping for one written buffer of one launch.
-// Instances and their interval sets are pooled on the runtime; orig comes
+// nwayOut is the merge bookkeeping for one written buffer of one launch.
+// Instances and their interval sets are pooled on the protocol; orig comes
 // from the byte pool. Merges write directly into the buffer's host shadow
 // (diffing against orig), so there is no separate res copy to commit — on a
 // hard certificate error the shadow may hold a partial merge, but every
 // later call observes the deferred error, so the partial state is
 // unobservable.
-type topoOut struct {
-	b   *TopoBuffer
+type nwayOut struct {
+	b   *Buffer
 	idx int // original parameter index
-	el  elision
 	// exact: the strided footprint proves the chunk writes every byte of
 	// its ship window (MustCover + Monotone ⇒ each chunk hull is exactly
 	// tiled by its groups' must-write spans), enabling the compare-free
@@ -272,8 +124,7 @@ type topoOut struct {
 	// staleShip: at least one device ran this kernel with a stale copy of
 	// the buffer because the full-overwrite certificate elided its delta
 	// flush; the post-join cross-check must then verify the dynamic write
-	// hull covered the whole buffer (mirroring the twin runtime's
-	// uploadSkipped check).
+	// hull covered the whole buffer.
 	staleShip bool
 	orig      []byte // pooled pre-kernel host snapshot; merges diff against it
 	dirty     intervalSet
@@ -281,18 +132,18 @@ type topoOut struct {
 }
 
 // getOut acquires pooled merge bookkeeping for one written buffer.
-func (r *TopoRuntime) getOut(b *TopoBuffer, idx int, el elision) *topoOut {
-	var o *topoOut
-	if n := len(r.outFree); n > 0 {
-		o = r.outFree[n-1]
-		r.outFree = r.outFree[:n-1]
+func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
+	var o *nwayOut
+	if f := len(n.outFree); f > 0 {
+		o = n.outFree[f-1]
+		n.outFree = n.outFree[:f-1]
 	} else {
-		o = &topoOut{own: make([]intervalSet, len(r.devs))}
+		o = &nwayOut{own: make([]intervalSet, len(n.qs))}
 	}
-	o.b, o.idx, o.el = b, idx, el
+	o.b, o.idx = b, idx
 	o.exact = el.writes != nil && el.writes.MustCover && el.writes.Monotone()
 	o.staleShip = false
-	o.orig = r.bp.get(b.Size)
+	o.orig = n.bp.get(b.Size)
 	copy(o.orig, b.host)
 	o.dirty.reset()
 	for i := range o.own {
@@ -302,12 +153,12 @@ func (r *TopoRuntime) getOut(b *TopoBuffer, idx int, el elision) *topoOut {
 }
 
 // putOut releases o's pooled resources after the post-join commit.
-func (r *TopoRuntime) putOut(o *topoOut) {
-	r.bp.put(o.orig)
+func (n *nway) putOut(o *nwayOut) {
+	n.bp.put(o.orig)
 	o.orig = nil
 	o.b = nil
-	if len(r.outFree) < maxPooledBufs {
-		r.outFree = append(r.outFree, o)
+	if len(n.outFree) < maxPooledBufs {
+		n.outFree = append(n.outFree, o)
 	}
 }
 
@@ -318,141 +169,93 @@ func (r *TopoRuntime) putOut(o *topoOut) {
 // against other devices' transfers and compute. The pending set's span
 // array and a pooled host snapshot travel with the transfer and return to
 // their pools when the last refresh retires.
-func (r *TopoRuntime) flushPend(b *TopoBuffer, rep *KernelReport) {
+func (n *nway) flushPend(b *Buffer, rep *KernelReport) {
+	st := b.nway()
 	need := 0
-	for di := range b.pend {
-		if !b.pend[di].empty() {
+	for di := range st.pend {
+		if !st.pend[di].empty() {
 			need++
 		}
 	}
 	if need == 0 {
 		return
 	}
-	snap := r.bp.get(b.Size)
-	for di := range b.pend {
-		for _, s := range b.pend[di].spans {
+	snap := n.bp.get(b.Size)
+	for di := range st.pend {
+		for _, s := range st.pend[di].spans {
 			copy(snap[s.Off:s.End], b.host[s.Off:s.End])
 		}
 	}
 	left := need
-	for di := range b.pend {
-		ps := &b.pend[di]
+	for di := range st.pend {
+		ps := &st.pend[di]
 		if ps.empty() {
 			continue
 		}
 		// Detach the span array into the transfer; the set continues with a
 		// pooled replacement.
 		spans := ps.spans
-		ps.spans = r.sp.get()
+		ps.spans = n.sp.get()
 		ps.scratch = ps.scratch[:0]
-		r.qs[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, snap, "refresh")
-		r.qs[di].EnqueueCall(func() {
-			r.sp.put(spans)
+		n.qs[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, snap, "refresh")
+		n.qs[di].EnqueueCall(func() {
+			n.sp.put(spans)
 			if left--; left == 0 {
-				r.bp.put(snap)
+				n.bp.put(snap)
 			}
 		})
-		b.devVer[di] = b.ver
-		r.countRefreshDelta()
+		st.devVer[di] = st.ver
+		n.r.ctr.RefreshDeltas++
 		rep.RefreshDeltas++
 	}
 }
 
-// shipRange returns the [off, end) byte window of o that chunk [lo, hi] must
-// ship, narrowed by the launch's elision certificate: slot-exact buffers
-// ship exactly the chunk's slot range, strided buffers ship the hull of the
-// chunk's group spans, everything else ships in full.
-func (o *topoOut) shipRange(nd vm.NDRange, lo, hi int) (off, end int) {
-	off, end = 0, o.b.Size
-	switch {
-	case o.el.slotExact:
-		ls := nd.WorkItemsPerGroup()
-		off = 4 * ls * lo
-		end = 4 * ls * (hi + 1)
-	case o.el.writes != nil:
-		h := o.el.writes.HullRange(int64(lo), int64(hi)+1)
-		if h.Empty() {
-			return 0, 0
-		}
-		off = 4 * int(h.Lo)
-		end = 4 * int(h.Hi)
-	default:
-		return
-	}
-	if end > o.b.Size {
-		end = o.b.Size
-	}
-	if off > end {
-		off = end
-	}
-	return
+// skipRefresh books n bytes the planner did not rebroadcast.
+func (n *nway) skipRefresh(rep *KernelReport, bytes int64) {
+	n.r.ctr.RefreshBytesSkipped += bytes
+	rep.RefreshBytesSkipped += bytes
 }
 
-// EnqueueNDRangeKernel executes the kernel cooperatively on every device of
-// the topology and blocks until the merged result is on the host and every
-// device's refresh has been enqueued. The claim protocol is deterministic:
-// workers run one at a time inside the cooperative engine, so claim
-// interleavings are a pure function of virtual launch timings, which are
-// themselves a pure function of the VM's deterministic stats.
-func (r *TopoRuntime) EnqueueNDRangeKernel(p *sim.Proc, k *TopoKernel, nd vm.NDRange, args []Arg) error {
-	if r.deferredErr != nil {
-		return r.deferredErr
-	}
-	if len(args) != len(k.Info.Kernel.Params) {
-		return fmt.Errorf("core: kernel %q expects %d args, got %d", k.Name, len(k.Info.Kernel.Params), len(args))
-	}
-	r.kernelSeq++
-	kid := r.kernelSeq
-	total := nd.TotalGroups()
-	rep := &KernelReport{
-		KID: kid, Name: k.Name, TotalWGs: total, Start: p.Now(),
-		DeviceWGs: make([]int, len(r.devs)),
-	}
-	r.Reports = append(r.Reports, rep)
-
-	el := planElisions(k.Info, k.Sum, nd, args)
-
-	// Launch-time split un-veto, exactly as in the twin runtime.
-	split := k.splitOK
-	if !split && !r.opts.NoWorkGroupSplit &&
-		passes.CanSplitWithCertificate(k.Info, k.Sum, launchShape(nd), intParams(args), stridedPlanBudget) {
-		split = true
-		r.countSplitUnvetoed()
-	}
+// run executes one launch on every device of the topology and blocks until
+// the merged result is on the host and every device's pending delta is
+// booked. The claim protocol is deterministic: workers run one at a time
+// inside the cooperative engine, so claim interleavings are a pure function
+// of virtual launch timings, which are themselves a pure function of the
+// VM's deterministic stats.
+func (n *nway) run(p *sim.Proc, l *launch) error {
+	r, k, rep := n.r, l.k, l.rep
+	total := l.nd.TotalGroups()
+	rep.DeviceWGs = make([]int, len(n.qs))
 
 	// Plan the launch's transfers: for every buffer argument, first decide
 	// whether stale device copies must be flushed current (the delta
 	// refresh), then set up merge bookkeeping for written buffers. A
 	// write-only argument whose certificate proves the launch overwrites
 	// the whole buffer needs no flush — the generalized N-device form of
-	// the twin runtime's stale-upload elision; its pending bytes persist
+	// the twin protocol's stale-upload elision; its pending bytes persist
 	// (they may well be overwritten equal and stay stale) and the post-join
 	// cross-check verifies the overwrite actually covered the buffer.
-	var outs []*topoOut
+	var outs []*nwayOut
 	for i, param := range k.Info.Kernel.Params {
-		if !param.Ty.Ptr {
+		if !param.Ty.Ptr || total == 0 {
 			continue
 		}
-		if args[i].Kind != ArgBuf || args[i].TBuf == nil {
-			return fmt.Errorf("core: kernel %q arg %d (%s) must be a topology buffer", k.Name, i, param.Name)
-		}
-		b := args[i].TBuf
+		b := l.args[i].Buf
 		written := k.Info.ParamAccess[param.Name].Written
 		stale := false
-		if written && el[i].fullOverwrite && total > 0 {
-			for di := range b.pend {
-				if !b.pend[di].empty() {
+		if written && l.el[i].fullOverwrite {
+			for _, ps := range b.nway().pend {
+				if !ps.empty() {
 					stale = true
-					r.countRefreshBytesSkipped(int64(b.pend[di].bytes()))
-					rep.RefreshBytesSkipped += int64(b.pend[di].bytes())
-					r.countUploadSkipped()
+					n.skipRefresh(rep, int64(ps.bytes()))
+					r.ctr.UploadsSkipped++
 				}
 			}
-		} else if total > 0 {
-			r.flushPend(b, rep)
+		} else {
+			n.flushPend(b, rep)
 		}
-		if written && total > 0 {
-			o := r.getOut(b, i, el[i])
+		if written {
+			o := n.getOut(b, i, l.el[i])
 			o.staleShip = stale
 			outs = append(outs, o)
 		}
@@ -473,21 +276,21 @@ func (r *TopoRuntime) EnqueueNDRangeKernel(p *sim.Proc, k *TopoKernel, nd vm.NDR
 		if lo > hi {
 			return 0, 0, false
 		}
-		n := want
-		if n < 1 {
-			n = 1
+		c := want
+		if c < 1 {
+			c = 1
 		}
-		if rem := hi - lo + 1; n > rem {
-			n = rem
+		if rem := hi - lo + 1; c > rem {
+			c = rem
 		}
 		if kind == device.GPU {
 			c0 := lo
-			lo += n
-			return c0, c0 + n - 1, true
+			lo += c
+			return c0, c0 + c - 1, true
 		}
 		c1 := hi
-		hi -= n
-		return c1 - n + 1, c1, true
+		hi -= c
+		return c1 - c + 1, c1, true
 	}
 
 	wg := r.Env.NewWaitGroup()
@@ -495,48 +298,26 @@ func (r *TopoRuntime) EnqueueNDRangeKernel(p *sim.Proc, k *TopoKernel, nd vm.NDR
 	var dyn vm.Stats // aggregate dynamic stats across every chunk launch
 	subkernels := 0
 
-	for di := range r.devs {
+	for di := range n.qs {
 		di := di
-		dev := r.devs[di]
+		cfg := &r.ctxs[di].Dev.Cfg
 		wg.Add(1)
-		r.Env.Go(fmt.Sprintf("topo-dev%d-k%d", di, kid), func(sp *sim.Proc) {
+		r.Env.Go(fmt.Sprintf("topo-dev%d-k%d", di, l.kid), func(sp *sim.Proc) {
 			defer wg.Done()
-			cus := dev.Cfg.ComputeUnits
-			chunk := int(math.Round(float64(total) * r.opts.InitialChunkPct / 100))
-			if chunk < 1 {
-				chunk = 1
-			}
-			if chunk < cus && total >= cus {
-				chunk = cus
-			}
-			step := int(math.Round(float64(total) * r.opts.StepPct / 100))
-			if step < 1 && r.opts.StepPct > 0 {
-				step = 1
-			}
-			prevAvg := math.MaxFloat64
+			sizer := r.newChunkSizer(total, cfg.ComputeUnits)
 			for firstErr == nil {
-				// Launch whole waves (§5.1's resource-utilization concern).
-				launchChunk := chunk
-				if launchChunk > cus {
-					launchChunk = (launchChunk / cus) * cus
-				}
-				clo, chi, ok := claim(dev.Cfg.Kind, launchChunk)
+				clo, chi, ok := claim(cfg.Kind, sizer.next())
 				if !ok {
 					return
 				}
-				ndSlice := nd.Slice(clo, chi)
 				// One reusable arg slice per device: the launch binds args
 				// synchronously at enqueue time, so rewriting it for the
 				// next chunk is safe.
-				cargs := r.cargs[di][:0]
-				for _, a := range args {
-					cargs = append(cargs, a.topo(di))
-				}
-				cargs = append(cargs, ocl.IntArg(int64(clo)), ocl.IntArg(int64(chi)))
-				r.cargs[di] = cargs
+				cargs := lowerChunkArgs(n.cargs[di][:0], l.args, di, clo, chi)
+				n.cargs[di] = cargs
 				t0 := sp.Now()
-				ev, res := r.qs[di].EnqueueNDRangeKernel(k.ks[di], ndSlice, cargs, ocl.LaunchOpts{
-					Split:   dev.Cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && split,
+				ev, res := n.qs[di].EnqueueNDRangeKernel(k.ks[di], l.nd.Slice(clo, chi), cargs, ocl.LaunchOpts{
+					Split:   cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && l.split,
 					Backend: r.opts.Backend,
 				})
 				sp.Wait(ev)
@@ -547,81 +328,47 @@ func (r *TopoRuntime) EnqueueNDRangeKernel(p *sim.Proc, k *TopoKernel, nd vm.NDR
 					return
 				}
 				dyn.Add(res.Stats)
-				n := chi - clo + 1
-				rep.DeviceWGs[di] += n
-				if dev.Cfg.Kind == device.CPU {
-					rep.CPUWGs += n
+				c := chi - clo + 1
+				rep.DeviceWGs[di] += c
+				if cfg.Kind == device.CPU {
+					rep.CPUWGs += c
 				} else {
-					rep.GPUExecuted += n
+					rep.GPUExecuted += c
 				}
 				subkernels++
 
 				// Validate the chunk's dynamic writes against the certificate
 				// windows its ships rely on, then ship each out buffer's
 				// window over this device's link to the host root.
-				if err := r.shipChunk(di, kid, clo, chi, nd, k, outs, res.Stats, wg); err != nil {
+				if err := n.shipChunk(l, di, clo, chi, outs, &res.Stats, wg); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
 					return
 				}
-
-				// Adaptive chunk sizing (§5.1): grow while time per
-				// work-group keeps improving on this device.
-				avg := (sp.Now() - t0) / float64(n)
-				if avg < prevAvg {
-					chunk += step
-				}
-				prevAvg = avg
+				sizer.observe((sp.Now() - t0) / float64(c))
 			}
 		})
 	}
 
 	// Blocking kernel call: join every worker and every in-flight ship, then
-	// commit the host-rooted merge and rebroadcast.
+	// cross-check and commit the host-rooted merge.
 	wg.Wait(p)
 	rep.Subkernels = subkernels
 	rep.CPUDidAll = rep.GPUExecuted == 0
+	if firstErr == nil {
+		// The per-chunk window checks ran in shipChunk; the access masks and
+		// full-overwrite coverage are launch-level facts.
+		firstErr = l.checkAccessMasks(&dyn)
+	}
+	for _, o := range outs {
+		if firstErr == nil && o.staleShip {
+			firstErr = l.checkFullOverwrite(o.idx, &dyn)
+		}
+	}
 	if firstErr != nil {
 		r.deferredErr = firstErr
 		return firstErr
-	}
-
-	// Global dynamic-access cross-check against the static summary every
-	// elision relied on (the per-chunk window checks ran in shipChunk).
-	if k.Sum != nil {
-		origMask := ^uint64(0)
-		if n := len(k.Info.Kernel.Params); n < 64 {
-			origMask = (1 << uint(n)) - 1
-		}
-		if bad := dyn.ParamReadMask & origMask &^ k.chkRead; bad != 0 {
-			r.deferredErr = fmt.Errorf("core: kernel %q: dynamic read of parameter %d outside the static access summary",
-				k.Name, bits.TrailingZeros64(bad))
-			return r.deferredErr
-		}
-		if bad := dyn.ParamWriteMask & origMask &^ k.chkWrite; bad != 0 {
-			r.deferredErr = fmt.Errorf("core: kernel %q: dynamic write of parameter %d outside the static access summary",
-				k.Name, bits.TrailingZeros64(bad))
-			return r.deferredErr
-		}
-	}
-
-	// A launch that trusted stale device copies under a full-overwrite
-	// certificate must additionally prove the overwrite happened: any
-	// unwritten byte would have let stale device data masquerade as
-	// computed results through the diff-merge. The dynamic write hull must
-	// cover the whole buffer (the same post-hoc check the twin runtime
-	// applies to its stale-upload elision).
-	for _, o := range outs {
-		if !o.staleShip || o.idx >= len(dyn.WrLo) {
-			continue
-		}
-		if dyn.ParamWriteMask&(1<<uint(o.idx)) == 0 ||
-			int(dyn.WrLo[o.idx]) != 0 || int(dyn.WrHi[o.idx]) < o.b.Size {
-			r.deferredErr = fmt.Errorf("core: kernel %q: buffer %q: full-overwrite certificate elided a delta refresh but the dynamic writes covered only bytes [%d,%d) of %d",
-				k.Name, k.Info.Kernel.Params[o.idx].Name, dyn.WrLo[o.idx], dyn.WrHi[o.idx], o.b.Size)
-			return r.deferredErr
-		}
 	}
 
 	// Commit: the merges already folded every changed run into the host
@@ -634,22 +381,20 @@ func (r *TopoRuntime) EnqueueNDRangeKernel(p *sim.Proc, k *TopoKernel, nd vm.NDR
 	// that touches the buffer on that device, pipelined on its in-order
 	// queue ahead of the chunk launches (§5.5 generalized).
 	for _, o := range outs {
-		b := o.b
+		b, st := o.b, o.b.nway()
 		if !o.dirty.empty() {
-			b.ver++
+			st.ver++
 		}
-		for di := range r.devs {
-			b.pend[di].subtract(&o.own[di])
-			added := b.pend[di].addSetMinus(&o.dirty, &o.own[di])
-			b.pend[di].capSpans()
-			skipped := int64(b.Size - added)
-			r.countRefreshBytesSkipped(skipped)
-			rep.RefreshBytesSkipped += skipped
-			if b.pend[di].empty() {
-				b.devVer[di] = b.ver
+		for di := range n.qs {
+			st.pend[di].subtract(&o.own[di])
+			added := st.pend[di].addSetMinus(&o.dirty, &o.own[di])
+			st.pend[di].capSpans()
+			n.skipRefresh(rep, int64(b.Size-added))
+			if st.pend[di].empty() {
+				st.devVer[di] = st.ver
 			}
 		}
-		r.putOut(o)
+		n.putOut(o)
 	}
 	rep.End = p.Now()
 	return nil
@@ -662,33 +407,29 @@ func (r *TopoRuntime) EnqueueNDRangeKernel(p *sim.Proc, k *TopoKernel, nd vm.NDR
 // data); a helper process joins the transfer and merges, so the worker never
 // blocks on its own ships. wg tracks each in-flight ship so the kernel call
 // can join them all.
-func (r *TopoRuntime) shipChunk(di, kid, lo, hi int, nd vm.NDRange, k *TopoKernel,
-	outs []*topoOut, stats vm.Stats, wg *sim.WaitGroup) error {
-
+func (n *nway) shipChunk(l *launch, di, lo, hi int, outs []*nwayOut, stats *vm.Stats, wg *sim.WaitGroup) error {
+	r := n.r
 	for _, o := range outs {
-		off, end := o.shipRange(nd, lo, hi)
-		if o.el.slotExact || o.el.writes != nil {
-			// The ship was narrowed on a static promise; a dynamic write
-			// outside the window means merged results may be silently wrong,
-			// which must be a hard error.
-			if o.idx < len(stats.WrLo) && stats.ParamWriteMask&(1<<uint(o.idx)) != 0 {
-				if int(stats.WrLo[o.idx]) < off || int(stats.WrHi[o.idx]) > end {
-					return fmt.Errorf("core: kernel %q: chunk [%d,%d] on device %d wrote buffer %q outside its certified window (bytes [%d,%d) vs [%d,%d))",
-						k.Name, lo, hi, di, k.Info.Kernel.Params[o.idx].Name,
-						stats.WrLo[o.idx], stats.WrHi[o.idx], off, end)
-				}
+		el := l.el[o.idx]
+		off, end := shipWindow(el, o.b.Size, l.nd, lo, hi)
+		if el.narrowed() {
+			// A dynamic write outside a narrowed window means merged results
+			// may be silently wrong: hard error before anything ships.
+			if err := l.checkWindow(o.idx, stats, lo, hi, off, end); err != nil {
+				return err
 			}
-			r.countShipBytesSkipped(int64(o.b.Size - (end - off)))
-			r.countMergeWordsElided(int64(o.b.Size-(end-off)) / 4)
+			skipped := int64(o.b.Size - (end - off))
+			r.ctr.ShipBytesSkipped += skipped
+			r.ctr.MergeWordsElided += skipped / 4
 		}
 		if end == off {
 			continue
 		}
 		o := o
-		data := r.bp.get(end - off)
-		ev := r.qs[di].EnqueueReadBufferAtTagged(o.b.bufs[di], off, data, "ship")
+		data := n.bp.get(end - off)
+		ev := n.qs[di].EnqueueReadBufferAtTagged(o.b.bufs[di], off, data, "ship")
 		wg.Add(1)
-		r.Env.Go(fmt.Sprintf("topo-ship-d%d-k%d-lo%d", di, kid, lo), func(mp *sim.Proc) {
+		r.Env.Go(fmt.Sprintf("topo-ship-d%d-k%d-lo%d", di, l.kid, lo), func(mp *sim.Proc) {
 			defer wg.Done()
 			mp.Wait(ev)
 			// Host-rooted diff-merge (§4.3): a word differing from the
@@ -702,52 +443,8 @@ func (r *TopoRuntime) shipChunk(di, kid, lo, hi int, nd vm.NDRange, k *TopoKerne
 			// merge procs run one at a time in the cooperative engine, so no
 			// locking is needed and the merge order is deterministic.
 			diffMergeChunk(data, o.orig, o.b.host, off, o.exact, &o.dirty, &o.own[di])
-			r.bp.put(data)
+			n.bp.put(data)
 		})
 	}
 	return nil
-}
-
-// ---- counters ----
-
-// Counters returns this runtime's elision counters.
-func (r *TopoRuntime) Counters() Counters {
-	return Counters{
-		UploadsSkipped:      atomic.LoadInt64(&r.ctr.UploadsSkipped),
-		ShipBytesSkipped:    atomic.LoadInt64(&r.ctr.ShipBytesSkipped),
-		MergeWordsElided:    atomic.LoadInt64(&r.ctr.MergeWordsElided),
-		SplitsUnvetoed:      atomic.LoadInt64(&r.ctr.SplitsUnvetoed),
-		RefreshBytesSkipped: atomic.LoadInt64(&r.ctr.RefreshBytesSkipped),
-		RefreshDeltas:       atomic.LoadInt64(&r.ctr.RefreshDeltas),
-	}
-}
-
-func (r *TopoRuntime) countUploadSkipped() {
-	atomic.AddInt64(&r.ctr.UploadsSkipped, 1)
-	atomic.AddInt64(&globalCounters.UploadsSkipped, 1)
-}
-
-func (r *TopoRuntime) countRefreshBytesSkipped(n int64) {
-	atomic.AddInt64(&r.ctr.RefreshBytesSkipped, n)
-	atomic.AddInt64(&globalCounters.RefreshBytesSkipped, n)
-}
-
-func (r *TopoRuntime) countRefreshDelta() {
-	atomic.AddInt64(&r.ctr.RefreshDeltas, 1)
-	atomic.AddInt64(&globalCounters.RefreshDeltas, 1)
-}
-
-func (r *TopoRuntime) countShipBytesSkipped(n int64) {
-	atomic.AddInt64(&r.ctr.ShipBytesSkipped, n)
-	atomic.AddInt64(&globalCounters.ShipBytesSkipped, n)
-}
-
-func (r *TopoRuntime) countMergeWordsElided(n int64) {
-	atomic.AddInt64(&r.ctr.MergeWordsElided, n)
-	atomic.AddInt64(&globalCounters.MergeWordsElided, n)
-}
-
-func (r *TopoRuntime) countSplitUnvetoed() {
-	atomic.AddInt64(&r.ctr.SplitsUnvetoed, 1)
-	atomic.AddInt64(&globalCounters.SplitsUnvetoed, 1)
 }

@@ -10,16 +10,19 @@ import (
 	"fluidicl/internal/vm"
 )
 
-// topoScale builds a 1..N-device TopoRuntime with the scale kernel compiled
+// topoScale builds a 1..N-device N-way runtime with the scale kernel compiled
 // everywhere.
-func topoScale(t *testing.T, cfgs ...device.Config) (*sim.Env, *TopoRuntime, *TopoKernel) {
+func topoScale(t *testing.T, cfgs ...device.Config) (*sim.Env, *Runtime, *Kernel) {
 	t.Helper()
 	env := sim.NewEnv()
 	var devs []*device.Device
 	for _, cfg := range cfgs {
 		devs = append(devs, device.New(env, cfg))
 	}
-	rt := MustNewTopo(env, devs, Options{})
+	rt, err := NewTopo(env, devs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prog, err := rt.BuildProgram(scaleSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -46,14 +49,14 @@ func TestPlannerOwnerSkipSingleDevice(t *testing.T) {
 		rt.EnqueueWriteBuffer(p, bufA, f32buf(a...))
 		nd := vm.NewNDRange1D(n, 16)
 		if err := rt.EnqueueNDRangeKernel(p, k, nd,
-			[]Arg{TopoBufArg(bufA), TopoBufArg(bufB), IntArg(n), IntArg(m)}); err != nil {
+			[]Arg{BufArg(bufA), BufArg(bufB), IntArg(n), IntArg(m)}); err != nil {
 			t.Error(err)
 			return
 		}
 		// Second kernel reads the first's output: with one device there is
 		// nothing pending, so no flush may be enqueued.
 		if err := rt.EnqueueNDRangeKernel(p, k, nd,
-			[]Arg{TopoBufArg(bufB), TopoBufArg(bufC), IntArg(n), IntArg(m)}); err != nil {
+			[]Arg{BufArg(bufB), BufArg(bufC), IntArg(n), IntArg(m)}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -99,7 +102,7 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 		// claims nothing.
 		nd := vm.NewNDRange1D(n, n)
 		if err := rt.EnqueueNDRangeKernel(p, k, nd,
-			[]Arg{TopoBufArg(bufA), TopoBufArg(bufB), IntArg(n), IntArg(m)}); err != nil {
+			[]Arg{BufArg(bufA), BufArg(bufB), IntArg(n), IntArg(m)}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -114,20 +117,20 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 			t.Error("expected one device to claim zero work-groups")
 			return
 		}
-		if bufB.pend[loser].empty() {
+		if bufB.nway().pend[loser].empty() {
 			t.Errorf("zero-chunk device %d has an empty pending set after the kernel", loser)
 			return
 		}
 		// Every word the kernel wrote is non-zero over a zero-initialized
 		// buffer, so the dirty delta is the whole buffer and the zero-chunk
 		// device must be pending all of it.
-		if got := bufB.pend[loser].bytes(); got != bufB.Size {
+		if got := bufB.nway().pend[loser].bytes(); got != bufB.Size {
 			t.Errorf("zero-chunk device pending %d bytes, want the full dirty delta %d", got, bufB.Size)
 		}
 		// Kernel 2 reads bufB: the planner must flush the loser's delta
 		// before its chunks may run.
 		if err := rt.EnqueueNDRangeKernel(p, k, vm.NewNDRange1D(n, 4),
-			[]Arg{TopoBufArg(bufB), TopoBufArg(bufC), IntArg(n), IntArg(m)}); err != nil {
+			[]Arg{BufArg(bufB), BufArg(bufC), IntArg(n), IntArg(m)}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -135,8 +138,8 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 		if rep2.RefreshDeltas == 0 {
 			t.Error("kernel 2 enqueued no delta refresh for the stale device")
 		}
-		if !bufB.pend[loser].empty() {
-			t.Errorf("pending set still non-empty after flush: %v", bufB.pend[loser].spans)
+		if !bufB.nway().pend[loser].empty() {
+			t.Errorf("pending set still non-empty after flush: %v", bufB.nway().pend[loser].spans)
 		}
 		devCopy = make([]byte, bufB.Size)
 		p.Wait(rt.qs[loser].EnqueueReadBuffer(bufB.bufs[loser], devCopy))
@@ -159,13 +162,16 @@ func TestPlannerWindowViolationBlocksRefresh(t *testing.T) {
 	env, rt, k := topoScale(t, device.XeonW3550())
 	b := rt.CreateBuffer(4 * n)
 	nd := vm.NewNDRange1D(n, 16)
-	o := rt.getOut(b, 1, elision{slotExact: true})
+	l := &launch{k: k, kid: 1, nd: nd, el: []elision{{}, {slotExact: true}},
+		args: []Arg{{}, BufArg(b)}}
+	nw := rt.proto.(*nway)
+	o := nw.getOut(b, 1, l.el[1])
 	var stats vm.Stats
 	stats.ParamWriteMask = 1 << 1
 	stats.WrLo[1] = 0
 	stats.WrHi[1] = int32(b.Size) // way past chunk [0,0]'s 64-byte slot window
 	wg := env.NewWaitGroup()
-	err := rt.shipChunk(0, 1, 0, 0, nd, k, []*topoOut{o}, stats, wg)
+	err := nw.shipChunk(l, 0, 0, 0, []*nwayOut{o}, &stats, wg)
 	if err == nil {
 		t.Fatal("out-of-window dynamic write did not hard-error")
 	}

@@ -1,11 +1,17 @@
 // Package core implements FluidiCL, the paper's contribution: an OpenCL-like
 // runtime that takes a program written for a single device and executes each
-// kernel cooperatively on both the CPU and the GPU (Pandit & Govindarajan,
-// "Fluidic Kernels", CGO 2014).
+// kernel cooperatively on several (Pandit & Govindarajan, "Fluidic Kernels",
+// CGO 2014).
 //
-// The runtime sits above two vendor-runtime-shaped contexts (package ocl),
-// one per device, exactly as the paper's Figure 4 shows. For every kernel
-// enqueue it:
+// The runtime sits above vendor-runtime-shaped contexts (package ocl), one
+// per device, exactly as the paper's Figure 4 shows. One substrate — a
+// buffer on every device plus a host shadow, programs and kernels compiled
+// per device, the launch prologue, §5.1 chunk sizing, certified ship windows
+// and dynamic-vs-static cross-checks (runtime.go, launch.go) — serves two
+// cooperation protocols, chosen by the constructor.
+//
+// New selects the paper's twin protocol (twin.go). For every kernel enqueue
+// it:
 //
 //   - launches the transformed kernel over the full NDRange on the GPU,
 //     whose work-groups abort when the CPU's completion status covers them;
@@ -18,6 +24,10 @@
 //     host on a dedicated device-to-host thread (§5.6);
 //   - tracks buffer versions and data location so multi-kernel programs
 //     stay coherent without programmer effort (§5.3, §6.2).
+//
+// NewTopo selects the N-way generalization for any device list (nway.go,
+// planner.go): devices claim chunks from both ends of the flattened range,
+// results merge at the host, and stale device copies are refreshed by delta.
 package core
 
 import (
@@ -93,9 +103,9 @@ type KernelReport struct {
 	CPUDidAll   bool
 	VariantUsed int
 	// DeviceWGs is the per-device work-group count, indexed by topology
-	// device position (N-way runtime only; nil for the twin runtime).
+	// device position (N-way protocol only; nil under the twin protocol).
 	DeviceWGs []int
-	// Delta-refresh planner activity (N-way runtime only): RefreshDeltas
+	// Delta-refresh planner activity (N-way protocol only): RefreshDeltas
 	// counts the delta flushes this kernel's prologue enqueued to bring
 	// stale device copies current; RefreshBytesSkipped counts the bytes its
 	// commit did not rebroadcast relative to a full per-device refresh.
@@ -104,61 +114,83 @@ type KernelReport struct {
 	Start, End          sim.Time
 }
 
-// Runtime is a FluidiCL instance bound to one CPU and one GPU device.
+// Runtime is a FluidiCL instance over a device list. The substrate — one
+// buffer per device plus a host shadow, programs and kernels compiled for
+// every device, the launch prologue, certified ship windows and the
+// dynamic-vs-static cross-checks — is shared; the constructor picks the
+// cooperation protocol that decides who computes which work-groups and how
+// results meet (New: the paper's twin protocol, NewTopo: N-way claims).
 type Runtime struct {
-	Env *sim.Env
-	cpu *ocl.Context
-	gpu *ocl.Context
+	Env  *sim.Env
+	ctxs []*ocl.Context
+	qs   []*ocl.CommandQueue // every runtime queue, in creation order
 
-	gpuApp *ocl.CommandQueue // application GPU queue: kernels + merges
-	gpuHD  *ocl.CommandQueue // host-to-device queue: CPU data + status (§5.4)
-	gpuDH  *ocl.CommandQueue // device-to-host queue: merged results (§5.4)
-	cpuQ   *ocl.CommandQueue // CPU device queue
+	opts  Options
+	proto protocol
 
-	opts      Options
-	mergeProg *ocl.Program
-	mergeK    *ocl.Kernel
-	statusBuf *ocl.Buffer
-
-	pool        *bufferPool
 	kernelSeq   int
-	deferredErr error // CPU-side failure noticed after a kernel call returned
+	deferredErr error // failure noticed after a kernel call returned
 	trace       *Trace
-	fclTrk      int      // recorder track id + 1 for runtime instants (0 = unregistered)
-	ctr         Counters // analyzer-enabled elision counters (atomic)
+	// narrate: the protocol reports its scheduling decisions on the text
+	// timeline and the recorder's runtime track (twin only).
+	narrate bool
+	fclTrk  int // recorder track id + 1 for runtime instants (0 = unregistered)
+	ctr     Counters
 
 	Reports []*KernelReport
 }
 
+// protocol is one cooperation policy over the shared substrate. Everything
+// outside this interface is protocol-agnostic.
+type protocol interface {
+	// attach gives a new buffer its protocol-private residency state.
+	attach(b *Buffer)
+	// write sequences snap — already copied into the host shadow — onto
+	// the devices.
+	write(b *Buffer, snap []byte)
+	// awaitHost blocks until the host shadow holds b's latest contents.
+	awaitHost(p *sim.Proc, b *Buffer)
+	// source picks the transformed source device di compiles.
+	source(e *transformEntry, di int) string
+	// variantContext is where alternate CPU kernel versions (§6.6) are
+	// built, or nil when the protocol runs the original kernel everywhere.
+	variantContext() *ocl.Context
+	// run executes one validated launch cooperatively and blocks until the
+	// kernel call may return.
+	run(p *sim.Proc, l *launch) error
+}
+
 // Err returns any deferred error noticed after a kernel call returned: a
-// late CPU/GPU-side failure, or a dynamic access that violated the static
+// late device-side failure, or a dynamic access that violated the static
 // kernel summary an elision relied on. Callers should check it after the
 // final kernel completes.
 func (r *Runtime) Err() error { return r.deferredErr }
 
-// New creates a FluidiCL runtime over the given devices.
+// New creates a twin-protocol runtime over one CPU and one GPU device (the
+// paper's machine): device 0 is the CPU, device 1 the GPU.
 func New(env *sim.Env, cpuDev, gpuDev *device.Device, opts Options) (*Runtime, error) {
-	r := &Runtime{
-		Env:  env,
-		cpu:  ocl.NewContext(env, cpuDev),
-		gpu:  ocl.NewContext(env, gpuDev),
-		opts: opts.withDefaults(),
-	}
-	r.gpuApp = r.gpu.CreateQueue("app")
-	r.gpuHD = r.gpu.CreateQueue("hd")
-	r.gpuDH = r.gpu.CreateQueue("dh")
-	r.cpuQ = r.cpu.CreateQueue("app")
-	var err error
-	r.mergeProg, err = r.gpu.BuildProgram(passes.MergeKernelSource)
-	if err != nil {
-		return nil, fmt.Errorf("core: building merge kernel: %w", err)
-	}
-	r.mergeK, err = r.mergeProg.CreateKernel(passes.MergeKernelName)
+	r := &Runtime{Env: env, opts: opts.withDefaults(), narrate: true}
+	r.ctxs = []*ocl.Context{ocl.NewContext(env, cpuDev), ocl.NewContext(env, gpuDev)}
+	t, err := newTwin(r)
 	if err != nil {
 		return nil, err
 	}
-	r.statusBuf = r.gpu.CreateBuffer(4 * passes.StatusWords)
-	r.pool = &bufferPool{ctx: r.gpu}
+	r.proto = t
+	return r, nil
+}
+
+// NewTopo creates an N-way runtime over an already-built device list (see
+// device.Topology.Build). Device order fixes worker spawn order and
+// therefore claim tie-breaking, so runs are deterministic.
+func NewTopo(env *sim.Env, devs []*device.Device, opts Options) (*Runtime, error) {
+	if len(devs) == 0 {
+		return nil, fmt.Errorf("core: topology runtime needs at least one device")
+	}
+	r := &Runtime{Env: env, opts: opts.withDefaults(), ctxs: make([]*ocl.Context, len(devs))}
+	for di, d := range devs {
+		r.ctxs[di] = ocl.NewContext(env, d)
+	}
+	r.proto = newNway(r)
 	return r, nil
 }
 
@@ -171,78 +203,55 @@ func MustNew(env *sim.Env, cpuDev, gpuDev *device.Device, opts Options) *Runtime
 	return r
 }
 
+// createQueue creates a named queue on device di and registers it for Finish.
+func (r *Runtime) createQueue(di int, name string) *ocl.CommandQueue {
+	q := r.ctxs[di].CreateQueue(name)
+	r.qs = append(r.qs, q)
+	return q
+}
+
 // ---- buffers ----
 
 // Buffer is a FluidiCL memory object: one buffer per device plus a host
-// shadow, with version and location tracking (§5.3, §6.2).
+// shadow (§4.1), with the protocol's residency tracking (§5.3, §6.2).
 type Buffer struct {
 	rt   *Runtime
 	Size int
-
-	gpuBuf *ocl.Buffer
-	cpuBuf *ocl.Buffer
-	host   []byte // host shadow: valid when receivedVersion == expectedVersion
-
-	expectedVersion int // kernel ID expected to produce the next contents
-	receivedVersion int // version present in the host shadow / CPU buffer
-	gpuVersion      int // version present on the GPU
-
-	locCPU bool // most recent data available on the CPU side
-	locGPU bool // most recent data available on the GPU
-
-	cpuReady *sim.Event // fires when receivedVersion reaches expectedVersion
+	bufs []*ocl.Buffer // per device
+	host []byte        // host shadow
+	res  any           // protocol-private residency (*twinResidency or *nwayResidency)
 }
 
-// CreateBuffer creates a buffer on both devices (paper §4.1: clCreateBuffer
-// is translated into buffer creation on both the CPU and the GPU).
+// CreateBuffer creates a buffer on every device (paper §4.1: clCreateBuffer
+// is translated into buffer creation on both the CPU and the GPU). Host
+// shadow and device copies start zero-filled and therefore identical.
 func (r *Runtime) CreateBuffer(size int) *Buffer {
-	b := &Buffer{
-		rt:     r,
-		Size:   size,
-		gpuBuf: r.gpu.CreateBuffer(size),
-		cpuBuf: r.cpu.CreateBuffer(size),
-		host:   make([]byte, size),
-		locCPU: true,
-		locGPU: true,
+	b := &Buffer{rt: r, Size: size, host: make([]byte, size), bufs: make([]*ocl.Buffer, len(r.ctxs))}
+	for di, ctx := range r.ctxs {
+		b.bufs[di] = ctx.CreateBuffer(size)
 	}
-	b.cpuReady = r.Env.NewEvent()
-	b.cpuReady.Fire()
+	r.proto.attach(b)
 	return b
 }
 
-// EnqueueWriteBuffer writes host data to both devices (§4.1: every
-// clEnqueueWriteBuffer becomes two writes). The call snapshots the data and
-// returns immediately; the in-order device queues sequence the transfers
-// before any later kernel on that device, so each device starts as soon as
-// its own copy lands (§5.5's overlap of communication with execution).
+// EnqueueWriteBuffer writes host data to every device (§4.1: every
+// clEnqueueWriteBuffer becomes one write per device). The call snapshots
+// the data and returns immediately; the in-order device queues sequence the
+// transfers before any later kernel on that device, so each device starts as
+// soon as its own copy lands (§5.5's overlap of communication with
+// execution).
 func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	if len(data) > b.Size {
 		panic("core: write larger than buffer")
 	}
 	copy(b.host, data)
-	snap := append([]byte(nil), data...)
-	r.gpuApp.EnqueueWriteBuffer(b.gpuBuf, snap)
-	r.cpuQ.EnqueueWriteBuffer(b.cpuBuf, snap)
-	b.locCPU, b.locGPU = true, true
-	b.receivedVersion = b.expectedVersion
-	if !b.cpuReady.Fired() {
-		b.cpuReady.Fire()
-	}
+	r.proto.write(b, append([]byte(nil), data...))
 }
 
-// EnqueueReadBuffer returns the buffer's current contents. Data location
-// tracking (§6.2) avoids a device-to-host transfer when the most recent
-// data is already on the CPU side.
+// EnqueueReadBuffer returns the buffer's current contents once the host
+// shadow holds them; when they already do, no transfer happens (§6.2).
 func (r *Runtime) EnqueueReadBuffer(p *sim.Proc, b *Buffer) []byte {
-	if b.receivedVersion == b.expectedVersion && b.locCPU {
-		// Already on the host: no transfer needed.
-		out := make([]byte, b.Size)
-		copy(out, b.host)
-		return out
-	}
-	// A device-to-host transfer for this version is in flight (or the data
-	// lives only on the GPU): wait for readiness.
-	p.Wait(b.cpuReady)
+	r.proto.awaitHost(p, b)
 	out := make([]byte, b.Size)
 	copy(out, b.host)
 	return out
@@ -250,25 +259,24 @@ func (r *Runtime) EnqueueReadBuffer(p *sim.Proc, b *Buffer) []byte {
 
 // Finish drains all runtime queues.
 func (r *Runtime) Finish(p *sim.Proc) {
-	p.Wait(r.gpuApp.EnqueueMarker())
-	p.Wait(r.gpuHD.EnqueueMarker())
-	p.Wait(r.gpuDH.EnqueueMarker())
-	p.Wait(r.cpuQ.EnqueueMarker())
+	for _, q := range r.qs {
+		p.Wait(q.EnqueueMarker())
+	}
 }
 
 // ---- programs and kernels ----
 
-// Program is a FluidiCL program: the original source compiled twice, once
-// per device, each through its transformation pipeline.
+// Program is a FluidiCL program: the original source compiled once per
+// device, each through the transformation pipeline its protocol role calls
+// for.
 type Program struct {
 	rt      *Runtime
 	Source  string
 	info    *clc.ProgramInfo         // analysis of the original source
 	Summary *analysis.ProgramSummary // static kernel analyzer results
-	gpuProg *ocl.Program
-	cpuProg *ocl.Program
-	GPUSrc  string // transformed GPU source (for inspection)
-	CPUSrc  string // transformed CPU source
+	progs   []*ocl.Program           // per device
+	GPUSrc  string                   // abort-checked GPU transformation (for inspection)
+	CPUSrc  string                   // range-guarded CPU transformation
 }
 
 // transformEntry is one cached run of the twin transformation pipelines:
@@ -341,7 +349,7 @@ func transformProgram(src string, gopt passes.GPUOptions) (*transformEntry, erro
 	return e, nil
 }
 
-// BuildProgram compiles src for both devices (§4.1: clBuildProgram results
+// BuildProgram compiles src for every device (§4.1: clBuildProgram results
 // in kernel compilation for both devices), applying the GPU abort-check and
 // CPU range-guard transformations. Transformation and compilation are
 // memoized by (source, options) across runtimes.
@@ -355,31 +363,27 @@ func (r *Runtime) BuildProgram(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	gpuProg, err := r.gpu.BuildProgram(e.gpuSrc)
-	if err != nil {
-		return nil, fmt.Errorf("core: GPU build: %w", err)
+	p := &Program{rt: r, Source: src, info: e.info, Summary: e.sum, GPUSrc: e.gpuSrc, CPUSrc: e.cpuSrc}
+	p.progs = make([]*ocl.Program, len(r.ctxs))
+	for di, ctx := range r.ctxs {
+		if p.progs[di], err = ctx.BuildProgram(r.proto.source(e, di)); err != nil {
+			return nil, fmt.Errorf("core: build for device %d: %w", di, err)
+		}
 	}
-	cpuProg, err := r.cpu.BuildProgram(e.cpuSrc)
-	if err != nil {
-		return nil, fmt.Errorf("core: CPU build: %w", err)
-	}
-
-	return &Program{
-		rt: r, Source: src, info: e.info, Summary: e.sum,
-		gpuProg: gpuProg, cpuProg: cpuProg,
-		GPUSrc: e.gpuSrc, CPUSrc: e.cpuSrc,
-	}, nil
+	return p, nil
 }
 
-// Kernel is a FluidiCL kernel: a transformed GPU kernel plus one or more
-// CPU subkernel variants (§6.6 allows alternate CPU implementations).
+// Kernel is a FluidiCL kernel bound to every device, plus any alternate
+// CPU implementations (§6.6).
 type Kernel struct {
 	prog *Program
 	Name string
 	Info *clc.KernelInfo         // original-source analysis (out/inout params)
 	Sum  *analysis.KernelSummary // static analyzer summary of the original
-	gpu  *ocl.Kernel
-	cpu  []*ocl.Kernel // variant 0 is the original kernel
+	ks   []*ocl.Kernel           // per device
+	// variants are the alternate CPU versions registered with AddCPUVariant;
+	// the twin protocol numbers them from 1 (version 0 is the original).
+	variants []*ocl.Kernel
 
 	// splitOK gates CPU work-group splitting on analyzer facts (no divergent
 	// barriers, no inter-work-item race findings) on top of the syntactic
@@ -401,21 +405,19 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: kernel %q not found", name)
 	}
-	gk, err := p.gpuProg.CreateKernel(name)
-	if err != nil {
-		return nil, err
-	}
-	ck, err := p.cpuProg.CreateKernel(name)
-	if err != nil {
-		return nil, err
-	}
 	sum := p.Summary.Kernels[name]
 	k := &Kernel{
 		prog: p, Name: name, Info: info, Sum: sum,
-		gpu: gk, cpu: []*ocl.Kernel{ck},
 		splitOK: passes.CanSplitWithSummary(info, sum),
 	}
 	k.chkRead, k.chkWrite = accessMasks(sum)
+	k.ks = make([]*ocl.Kernel, len(p.progs))
+	for di, prog := range p.progs {
+		var err error
+		if k.ks[di], err = prog.CreateKernel(name); err != nil {
+			return nil, err
+		}
+	}
 	return k, nil
 }
 
@@ -450,15 +452,21 @@ func (p *Program) MustKernel(name string) *Kernel {
 	return k
 }
 
-// DisasmGPU returns the transformed GPU kernel's bytecode disassembly (a
-// debugging aid for inspecting what the passes and compiler produced).
-func (k *Kernel) DisasmGPU() string { return k.gpu.VM.Disasm() }
+// Disasm returns the bytecode disassembly of device di's transformed kernel
+// (a debugging aid for inspecting what the passes and compiler produced).
+func (k *Kernel) Disasm(di int) string { return k.ks[di].VM.Disasm() }
 
 // AddCPUVariant registers an alternate CPU implementation of the kernel
 // (§6.6). The variant must take the same arguments and be functionally
 // identical in terms of output buffers modified; this is validated against
-// the original kernel's signature and access analysis.
+// the original kernel's signature and access analysis. A protocol that runs
+// the original kernel on every device (N-way) ignores variants: they are
+// functionally identical by contract, so results never depend on them.
 func (k *Kernel) AddCPUVariant(src, name string) error {
+	ctx := k.prog.rt.proto.variantContext()
+	if ctx == nil {
+		return nil
+	}
 	vinfo, err := clc.FindKernelInfo(src, name)
 	if err != nil {
 		return err
@@ -482,7 +490,7 @@ func (k *Kernel) AddCPUVariant(src, name string) error {
 	if err := passes.TransformCPUWithSummary(vk, vsum); err != nil {
 		return err
 	}
-	prog, err := k.prog.rt.cpu.BuildProgram(clc.Print(ast))
+	prog, err := ctx.BuildProgram(clc.Print(ast))
 	if err != nil {
 		return err
 	}
@@ -490,7 +498,7 @@ func (k *Kernel) AddCPUVariant(src, name string) error {
 	if err != nil {
 		return err
 	}
-	k.cpu = append(k.cpu, ck)
+	k.variants = append(k.variants, ck)
 	k.profiled = false
 	return nil
 }
@@ -538,13 +546,10 @@ const (
 	ArgFloat
 )
 
-// Arg is a FluidiCL kernel argument. Buffer arguments carry either a twin
-// Buffer (the two-device runtime) or a TopoBuffer (the N-way runtime) —
-// scalar arguments are shared between both.
+// Arg is a FluidiCL kernel argument.
 type Arg struct {
 	Kind ArgKind
 	Buf  *Buffer
-	TBuf *TopoBuffer
 	I    int64
 	F    float64
 }
@@ -552,33 +557,17 @@ type Arg struct {
 // BufArg makes a buffer argument.
 func BufArg(b *Buffer) Arg { return Arg{Kind: ArgBuf, Buf: b} }
 
-// TopoBufArg makes a buffer argument for the N-way runtime.
-func TopoBufArg(b *TopoBuffer) Arg { return Arg{Kind: ArgBuf, TBuf: b} }
-
-// argBufSize returns the byte size of a buffer argument's backing object,
-// whichever runtime it belongs to, or -1 for a non-buffer / unbound arg.
-func argBufSize(a Arg) int {
-	switch {
-	case a.Kind != ArgBuf:
-		return -1
-	case a.Buf != nil:
-		return a.Buf.Size
-	case a.TBuf != nil:
-		return a.TBuf.Size
-	}
-	return -1
-}
-
 // IntArg makes an int argument.
 func IntArg(v int64) Arg { return Arg{Kind: ArgInt, I: v} }
 
 // FloatArg makes a float argument.
 func FloatArg(v float64) Arg { return Arg{Kind: ArgFloat, F: v} }
 
-func (a Arg) gpu() ocl.Arg {
+// lower binds the argument to device di's copy of its buffer.
+func (a Arg) lower(di int) ocl.Arg {
 	switch a.Kind {
 	case ArgBuf:
-		return ocl.BufArg(a.Buf.gpuBuf)
+		return ocl.BufArg(a.Buf.bufs[di])
 	case ArgInt:
 		return ocl.IntArg(a.I)
 	default:
@@ -586,55 +575,29 @@ func (a Arg) gpu() ocl.Arg {
 	}
 }
 
-func (a Arg) cpu() ocl.Arg {
-	switch a.Kind {
-	case ArgBuf:
-		return ocl.BufArg(a.Buf.cpuBuf)
-	case ArgInt:
-		return ocl.IntArg(a.I)
-	default:
-		return ocl.FloatArg(a.F)
+// lowerChunkArgs appends to dst the arguments of a range-guarded subkernel
+// over the flat work-groups [lo, hi] on device di: args bound to that
+// device, then the two bound arguments the CPU transformation added.
+func lowerChunkArgs(dst []ocl.Arg, args []Arg, di, lo, hi int) []ocl.Arg {
+	for _, a := range args {
+		dst = append(dst, a.lower(di))
 	}
+	return append(dst, ocl.IntArg(int64(lo)), ocl.IntArg(int64(hi)))
 }
 
-// ---- GPU scratch-buffer pool (§6.1) ----
+// The pre-unification names of the N-way types, kept so the bench/ module
+// keeps compiling.
+//
+// Deprecated: use Runtime, Program, Kernel, Buffer and BufArg. The next
+// benchmark PR drops these.
+type (
+	TopoRuntime = Runtime
+	TopoProgram = Program
+	TopoKernel  = Kernel
+	TopoBuffer  = Buffer
+)
 
-type bufferPool struct {
-	ctx     *ocl.Context
-	free    []*ocl.Buffer
-	Created int
-	Reused  int
-}
-
-// acquire returns a free buffer of at least size bytes, creating one if
-// necessary (smallest adequate buffer first).
-func (p *bufferPool) acquire(size int) *ocl.Buffer {
-	best := -1
-	for i, b := range p.free {
-		if b.Size >= size && (best < 0 || b.Size < p.free[best].Size) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		b := p.free[best]
-		p.free = append(p.free[:best], p.free[best+1:]...)
-		p.Reused++
-		return b
-	}
-	p.Created++
-	return p.ctx.CreateBuffer(size)
-}
-
-func (p *bufferPool) release(b *ocl.Buffer) {
-	p.free = append(p.free, b)
-	// Trim: keep the pool bounded (older unused buffers are freed, §6.1).
-	const maxPooled = 16
-	if len(p.free) > maxPooled {
-		p.free = p.free[len(p.free)-maxPooled:]
-	}
-}
-
-// PoolStats reports scratch-buffer pool behaviour (created vs reused).
-func (r *Runtime) PoolStats() (created, reused int) {
-	return r.pool.Created, r.pool.Reused
-}
+// TopoBufArg is BufArg.
+//
+// Deprecated: see TopoRuntime.
+func TopoBufArg(b *Buffer) Arg { return BufArg(b) }

@@ -25,6 +25,8 @@ type Trace struct {
 }
 
 // EnableTrace turns on event recording for subsequent kernel executions.
+// Only the twin protocol narrates its decisions; an N-way runtime's timeline
+// stays empty.
 func (r *Runtime) EnableTrace() *Trace {
 	r.trace = &Trace{}
 	return r.trace
@@ -32,7 +34,7 @@ func (r *Runtime) EnableTrace() *Trace {
 
 func (r *Runtime) tracef(kid int, format string, args ...interface{}) {
 	rec := r.Env.Trace
-	if r.trace == nil && rec == nil {
+	if !r.narrate || (r.trace == nil && rec == nil) {
 		return
 	}
 	what := fmt.Sprintf(format, args...)

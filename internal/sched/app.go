@@ -125,7 +125,7 @@ func RunFluidiCL(m Machine, app *App, opts core.Options) (*Result, error) {
 // first run, §8 — which is also when online profiling learns which kernel
 // version is fastest, §6.6).
 func RunFluidiCLRepeat(m Machine, app *App, opts core.Options, times int) (*Result, error) {
-	return runFluidiCL(m, app, opts, times, nil)
+	return runCooperative(app, times, nil, twinRuntime(m, opts))
 }
 
 // RunFluidiCLTraced is RunFluidiCL with an event recorder attached to the
@@ -134,13 +134,47 @@ func RunFluidiCLRepeat(m Machine, app *App, opts core.Options, times int) (*Resu
 // Recording does not perturb the simulation, so Result is identical to an
 // untraced run.
 func RunFluidiCLTraced(m Machine, app *App, opts core.Options, rec *trace.Recorder) (*Result, error) {
-	return runFluidiCL(m, app, opts, 1, rec)
+	return runCooperative(app, 1, rec, twinRuntime(m, opts))
 }
 
-func runFluidiCL(m Machine, app *App, opts core.Options, times int, rec *trace.Recorder) (*Result, error) {
+// RunFluidiCLTimeline is RunFluidiCL with the runtime's plain-text
+// cooperative-execution timeline enabled; the timeline is returned even when
+// the run fails.
+func RunFluidiCLTimeline(m Machine, app *App, opts core.Options) (*Result, *core.Trace, error) {
+	var tl *core.Trace
+	twin := twinRuntime(m, opts)
+	res, err := runCooperative(app, 1, nil, func(env *sim.Env) (*core.Runtime, error) {
+		rt, err := twin(env)
+		if err == nil {
+			tl = rt.EnableTrace()
+		}
+		return rt, err
+	})
+	return res, tl, err
+}
+
+// newRuntime builds the cooperative runtime for one run on a fresh
+// simulation; it is the only thing the strategies above and RunTopology
+// choose.
+type newRuntime func(env *sim.Env) (*core.Runtime, error)
+
+// twinRuntime selects the paper's twin protocol on machine m.
+func twinRuntime(m Machine, opts core.Options) newRuntime {
+	return func(env *sim.Env) (*core.Runtime, error) {
+		return core.New(env, device.New(env, m.CPU), device.New(env, m.GPU), opts)
+	}
+}
+
+// runCooperative is the host program every cooperative run executes: build
+// the program and kernels, create the buffers, then — `times` times, timing
+// the last — write the inputs, enqueue the launches in program order and
+// read the outputs back. It never drains the queues itself: the paper's host
+// program reads its outputs while later transfers are still in flight, and
+// a protocol that needs a drain before readback performs it inside the read.
+func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) (*Result, error) {
 	env := sim.NewEnv()
-	env.Trace = rec // before device.New, so devices register their tracks
-	rt, err := core.New(env, device.New(env, m.CPU), device.New(env, m.GPU), opts)
+	env.Trace = rec // before device creation, so devices register their tracks
+	rt, err := newRT(env)
 	if err != nil {
 		return nil, err
 	}
@@ -182,12 +216,11 @@ func runFluidiCL(m Machine, app *App, opts core.Options, times int, rec *trace.R
 		for iter := 0; iter < times; iter++ {
 			start := p.Now()
 			for _, name := range bufNames {
-				b := bufs[name]
 				data := app.Inputs[name]
 				if data == nil {
 					data = make([]byte, app.Buffers[name])
 				}
-				rt.EnqueueWriteBuffer(p, b, data)
+				rt.EnqueueWriteBuffer(p, bufs[name], data)
 			}
 			for _, l := range app.Launches {
 				args := make([]core.Arg, len(l.Args))
@@ -227,6 +260,7 @@ func runFluidiCL(m Machine, app *App, opts core.Options, times int, rec *trace.R
 	res.Reports = rt.Reports
 	res.Counters = rt.Counters()
 	res.Summary = env.Meter.Summary()
+	core.AccumulateGlobal(res.Counters)
 	trace.AccumulateGlobal(res.Summary)
 	return res, nil
 }

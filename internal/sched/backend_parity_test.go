@@ -38,10 +38,8 @@ func TestCorrFullyCertifiedWG(t *testing.T) {
 	}
 	delta := core.CounterSnapshot().Sub(before)
 	if delta.WGFallbackWGs != 0 {
-		t.Errorf("WGFallbackWGs = %d, want 0: CORR must run fully certified under the wg backend (rejects: shape=%d alias=%d no_sum=%d local=%d unk_store=%d unk_read=%d overlap=%d budget=%d)",
-			delta.WGFallbackWGs, delta.WGCertRejShape, delta.WGCertRejAlias, delta.WGCertRejNoSum,
-			delta.WGCertRejLocal, delta.WGCertRejUnkStore, delta.WGCertRejUnkRead,
-			delta.WGCertRejOverlap, delta.WGCertRejBudget)
+		t.Errorf("WGFallbackWGs = %d, want 0: CORR must run fully certified under the wg backend (rejects by %v: %v)",
+			delta.WGFallbackWGs, vm.WGRejectNames(), delta.WGRejects)
 	}
 	if delta.WGStridedWGs == 0 {
 		t.Error("WGStridedWGs = 0: no work-group was admitted by the strided disjointness certificate")

@@ -12,12 +12,14 @@ import (
 // RunTopology executes the app under FluidiCL on an N-device topology.
 //
 // The degenerate two-device machine — exactly one CPU and one GPU on
-// dedicated, config-default links — runs through the original twin-execution
-// protocol, so its results, virtual timings and traces are bit-identical to
-// RunFluidiCL on the equivalent Machine. Every other topology runs the N-way
-// work-stealing runtime (core.TopoRuntime).
+// dedicated, config-default links — runs the original twin protocol, so its
+// results, virtual timings and traces are bit-identical to RunFluidiCL on
+// the equivalent Machine. Every other topology runs the N-way work-stealing
+// protocol (core.NewTopo), which runs the original kernel on every device:
+// CPU kernel variants (§6.6) are functionally identical by contract, so
+// ignoring them never changes results, only (potentially) CPU-side timing.
 func RunTopology(topo device.Topology, app *App, opts core.Options) (*Result, error) {
-	return runTopology(topo, app, opts, nil)
+	return RunTopologyTraced(topo, app, opts, nil)
 }
 
 // RunTopologyTraced is RunTopology with an event recorder attached: every
@@ -25,94 +27,13 @@ func RunTopology(topo device.Topology, app *App, opts core.Options) (*Result, er
 // and refresh lands in rec for export. Recording does not perturb the
 // simulation, so Result is identical to an untraced run.
 func RunTopologyTraced(topo device.Topology, app *App, opts core.Options, rec *trace.Recorder) (*Result, error) {
-	return runTopology(topo, app, opts, rec)
-}
-
-func runTopology(topo device.Topology, app *App, opts core.Options, rec *trace.Recorder) (*Result, error) {
 	if cpu, gpu, ok := topo.Pair(); ok {
-		return runFluidiCL(Machine{CPU: cpu, GPU: gpu}, app, opts, 1, rec)
+		return runCooperative(app, 1, rec, twinRuntime(Machine{CPU: cpu, GPU: gpu}, opts))
 	}
 	if len(topo.Devices) == 0 {
 		return nil, fmt.Errorf("sched: topology %q has no devices", topo.String())
 	}
-	env := sim.NewEnv()
-	env.Trace = rec // before Build, so devices register their tracks
-	rt, err := core.NewTopo(env, topo.Build(env), opts)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := rt.BuildProgram(app.Source)
-	if err != nil {
-		return nil, err
-	}
-	kernels := map[string]*core.TopoKernel{}
-	for _, l := range app.Launches {
-		if _, ok := kernels[l.Kernel]; ok {
-			continue
-		}
-		k, err := prog.CreateKernel(l.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		kernels[l.Kernel] = k
-	}
-	// CPU kernel variants (§6.6) are a twin-protocol feature: the N-way
-	// runtime runs the original kernel on every device. Variants are
-	// functionally identical by contract, so ignoring them never changes
-	// results, only (potentially) CPU-side timing.
-	bufNames := sortedBufferNames(app.Buffers)
-	bufs := map[string]*core.TopoBuffer{}
-	for _, name := range bufNames {
-		bufs[name] = rt.CreateBuffer(app.Buffers[name])
-	}
-	res := &Result{Outputs: map[string][]byte{}}
-	var runErr error
-	env.Go("app", func(p *sim.Proc) {
-		start := p.Now()
-		for _, name := range bufNames {
-			b := bufs[name]
-			data := app.Inputs[name]
-			if data == nil {
-				data = make([]byte, app.Buffers[name])
-			}
-			rt.EnqueueWriteBuffer(p, b, data)
-		}
-		for _, l := range app.Launches {
-			args := make([]core.Arg, len(l.Args))
-			for i, a := range l.Args {
-				switch a.Kind {
-				case ArgBuf:
-					args[i] = core.TopoBufArg(bufs[a.Name])
-				case ArgInt:
-					args[i] = core.IntArg(a.I)
-				default:
-					args[i] = core.FloatArg(a.F)
-				}
-			}
-			if err := rt.EnqueueNDRangeKernel(p, kernels[l.Kernel], l.ND, args); err != nil {
-				runErr = err
-				return
-			}
-		}
-		rt.Finish(p)
-		for _, name := range app.Outputs {
-			res.Outputs[name] = rt.EnqueueReadBuffer(p, bufs[name])
-		}
-		res.Time = p.Now() - start
+	return runCooperative(app, 1, rec, func(env *sim.Env) (*core.Runtime, error) {
+		return core.NewTopo(env, topo.Build(env), opts)
 	})
-	env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := rt.Err(); err != nil {
-		return nil, err
-	}
-	if res.Time == 0 && len(app.Launches) > 0 {
-		return nil, fmt.Errorf("sched: topology run of %s did not complete", app.Name)
-	}
-	res.Reports = rt.Reports
-	res.Counters = rt.Counters()
-	res.Summary = env.Meter.Summary()
-	trace.AccumulateGlobal(res.Summary)
-	return res, nil
 }

@@ -105,7 +105,7 @@ type wmach struct {
 	colBuf  []int32
 
 	// fuse selects the fused block closures (wgfuse.go) for this group;
-	// resolved once at group entry from the FLUIDICL_WG_FUSE knob.
+	// resolved once at group entry from SetWGFuse.
 	fuse bool
 
 	parked    int

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 )
 
@@ -47,22 +46,15 @@ import (
 // Blocks that fail the shape match, the operand wiring checks, or the
 // liveness requirement fall back per-step, mirroring the wg->closure
 // fallback taxonomy; wg_fused_blocks / wg_fused_steps /
-// wg_fuse_fallback_steps attribute the coverage. The FLUIDICL_WG_FUSE
-// environment variable and the fluidibench -wgfuse flag keep the unfused
-// path selectable for differential testing; the fused lists are always
-// compiled so the knob can be flipped between launches.
+// wg_fuse_fallback_steps attribute the coverage. SetWGFuse keeps the
+// unfused path selectable for the fused-vs-unfused differential tests; the
+// fused lists are always compiled so it can be flipped between launches.
 
-// wgFuseFlag holds the process-wide fused-execution knob (default on).
+// wgFuseFlag holds the process-wide fused-execution switch (on unless a
+// differential test turns it off).
 var wgFuseFlag atomic.Bool
 
-func init() {
-	on := true
-	switch os.Getenv("FLUIDICL_WG_FUSE") {
-	case "off", "0", "false", "no":
-		on = false
-	}
-	wgFuseFlag.Store(on)
-}
+func init() { wgFuseFlag.Store(true) }
 
 // WGFuseEnabled reports whether the lockstep engine dispatches the fused
 // block closures (the default) or the per-step lists.
