@@ -340,7 +340,7 @@ func runDist(quick, csv bool) error {
 		Title: "FluidiCL work distribution and overhead breakdown (paper §5.5)",
 		Note: "per-benchmark FluidiCL run: work-groups executed per device (app kernels only),\n" +
 			"virtual busy and link time, bytes over the links, and compute overlap",
-		Columns: []string{"Benchmark", "CPU-WGs", "GPU-WGs", "CPU-share", "CPU-busy", "GPU-busy", "link-busy", "link-wait", "H2D-KB", "D2H-KB", "overlap", "wg-fb", "wg-reject", "wg-fused", "fuse-cov", "time-ms"},
+		Columns: []string{"Benchmark", "CPU-WGs", "GPU-WGs", "CPU-share", "CPU-busy", "GPU-busy", "link-busy", "link-wait", "H2D-KB", "D2H-KB", "overlap", "wg-fb", "wg-reject", "wg-fused", "fuse-cov", "fuse-dyn", "time-ms"},
 	}
 	for _, b := range benches {
 		before := core.CounterSnapshot()
@@ -377,22 +377,25 @@ func runDist(quick, csv bool) error {
 			fmt.Sprintf("%d", delta.WGFallbackWGs),
 			dominantReject(delta),
 			fmt.Sprintf("%d", delta.WGFusedBlocks),
-			fuseCoverage(delta),
+			fusedShare(delta.WGFusedSteps, delta.WGFuseFallbackSteps),
+			fusedShare(delta.WGFusedInstrsDyn, delta.WGStepInstrsDyn),
 			fmt.Sprintf("%.3f", res.Time*1e3))
 	}
 	emit(t, csv)
 	return nil
 }
 
-// fuseCoverage formats the fraction of wg-compiled instructions absorbed
-// into fused block closures, or "-" when the run compiled none (e.g. under
+// fusedShare formats fused/(fused+stepped) for the two fusion columns: fuse-cov
+// is the fraction of wg-compiled instructions absorbed into fused block
+// closures, fuse-dyn the fraction of executed block-body instructions that
+// ran through them (0% whenever launches carry a deferred-write log, i.e.
+// with more than one worker). "-" when the run counted neither (e.g. under
 // a non-lockstep backend).
-func fuseCoverage(c core.Counters) string {
-	tot := c.WGFusedSteps + c.WGFuseFallbackSteps
-	if tot == 0 {
+func fusedShare(fused, stepped int64) string {
+	if fused+stepped == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.0f%%", float64(c.WGFusedSteps)/float64(tot)*100)
+	return fmt.Sprintf("%.0f%%", float64(fused)/float64(fused+stepped)*100)
 }
 
 // dominantReject names the most frequent wg-backend certificate rejection
@@ -418,7 +421,7 @@ usage:
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)
   fluidibench run <benchmark>     # one benchmark under every strategy
   fluidibench trace <benchmark>   # cooperative-execution timeline (plain text)
-  fluidibench dump <benchmark>    # transformed sources + bytecode disassembly
+  fluidibench dump <benchmark>    # transformed sources + GPU- and CPU-variant bytecode disassembly
   fluidibench list
 
 experiments: %v
@@ -433,7 +436,9 @@ func fatal(err error) {
 
 // dumpOne shows what FluidiCL's compilation pipeline produces for a
 // benchmark: the transformed GPU and CPU sources (the source-to-source
-// passes' output) and the GPU bytecode disassembly of each kernel.
+// passes' output) and the bytecode disassembly of both variants of each
+// kernel: the GPU variant runs on the twin protocol's GPU, the CPU variant
+// on the twin CPU and on every N-way device.
 func dumpOne(name string) error {
 	b, err := polybench.ByName(name)
 	if err != nil {
@@ -464,6 +469,7 @@ func dumpOne(name string) error {
 			return err
 		}
 		fmt.Printf("==== GPU bytecode: %s ====\n%s\n", l.Kernel, k.Disasm(1))
+		fmt.Printf("==== CPU bytecode: %s ====\n%s\n", l.Kernel, k.Disasm(0))
 	}
 	return nil
 }

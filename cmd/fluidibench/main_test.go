@@ -14,10 +14,14 @@ import (
 //
 //	fluidibench -quick -backend=wg -topology 2cpu+2gpu -jsonout F hash
 //
-// (the CI topology-matrix invocation, whose refresh_deltas and
-// wg_fused_blocks keys CI greps) against the file the last commit before the
-// counter consolidation wrote: same key set, same values, wall_seconds
-// excluded. Everything else in the record is virtual and deterministic.
+// (the CI topology-matrix invocation, whose refresh_deltas key CI greps)
+// against the file the last commit before the counter consolidation wrote,
+// plus the keys added since (PR 14: wg_step_instrs_dyn, wg_fuse_reject_*,
+// and the wg_fused_* coverage the reduction jam raised): same key set, same
+// values, wall_seconds excluded. Everything else in the record is virtual
+// and deterministic — for a given worker count: the speculative launch
+// engine runs (and counts) a few work-groups more with more workers, so the
+// test pins the 2 the golden was written with.
 func TestJSONOutMatchesPreUnificationOutput(t *testing.T) {
 	if vm.BackendSnapshot() != (vm.BackendCounters{}) {
 		t.Skip("needs a fresh process: the compile-coverage counters count each kernel once per process")
@@ -33,6 +37,8 @@ func TestJSONOutMatchesPreUnificationOutput(t *testing.T) {
 
 	defer vm.SetBackend(vm.DefaultBackend())
 	vm.SetBackend(vm.BackendWG)
+	defer vm.SetWorkers(0)
+	vm.SetWorkers(2)
 	e, err := measured("hash", func() error { return runHash(io.Discard, true, "2cpu+2gpu") })
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/vm"
 )
 
@@ -34,7 +35,11 @@ import (
 //
 // Each kernel also runs under the wg backend and must produce the same
 // bytes and Stats as the interpreter, whether the certificate admits it to
-// the lockstep engine or it falls back.
+// the lockstep engine or it falls back — as generated and after
+// passes.TransformGPU, the form the twin protocol's GPU executes. The
+// generated kernels open with a multiply-accumulate loop over the read-only
+// input, so the wg engine's reduction jam (one inc per body as generated,
+// two once the GPU pass has unrolled the loop) runs under both certificates.
 
 const (
 	genGlobal = 32 // 1-D launch: 4 groups of 8
@@ -82,6 +87,7 @@ type genStore struct {
 
 type genKernel struct {
 	src      string
+	gpuSrc   string // src after passes.TransformGPU
 	stores   []genStore
 	outReads []genTerm // reads of out (unguarded, g-affine)
 	guarded  bool
@@ -121,6 +127,9 @@ func genStrided(r *rand.Rand) genKernel {
 		k.guarded = true
 		k.gcut = int64(4 + r.Intn(genGlobal))
 	}
+	// The reduction loop reads only in[], below word 32*16+9, so it leaves
+	// the ground-truth access model of out[] alone.
+	redStride, redTrip, redTwoTerms := 8+r.Intn(9), 3+r.Intn(7), r.Intn(2) == 0
 
 	var b strings.Builder
 	b.WriteString("__kernel void gen(__global float* out, __global float* in, int n) {\n")
@@ -128,6 +137,13 @@ func genStrided(r *rand.Rand) genKernel {
 	b.WriteString("    int l = get_local_id(0);\n")
 	b.WriteString("    int w = get_group_id(0);\n")
 	b.WriteString("    float acc = in[g];\n")
+	fmt.Fprintf(&b, "    int rs = %d;\n", redStride)
+	fmt.Fprintf(&b, "    for (int k = 0; k < %d; k++) {\n", redTrip)
+	b.WriteString("        acc += in[g * rs + k] * in[k];\n")
+	if redTwoTerms {
+		b.WriteString("        acc += in[k * rs + l];\n")
+	}
+	b.WriteString("    }\n")
 	for _, rd := range k.outReads {
 		fmt.Fprintf(&b, "    acc = acc + out[%s];\n", rd.expr(false))
 	}
@@ -156,6 +172,15 @@ func genStrided(r *rand.Rand) genKernel {
 	}
 	b.WriteString("}\n")
 	k.src = b.String()
+
+	prog, err := clc.Parse(k.src)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := passes.TransformGPU(prog.Kernels[0], passes.GPUOptions{AbortInLoops: true, Unroll: true}); err != nil {
+		panic(err)
+	}
+	k.gpuSrc = clc.Print(prog)
 	return k
 }
 
@@ -229,6 +254,11 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 	params := []int64{0, 0, genWords}
 	sh := genShape()
 	exactAgreed := 0
+	// One worker: a parallel launch hands every work-group a deferred-write
+	// log, and the fused closures never run under one.
+	defer vm.SetWorkers(0)
+	vm.SetWorkers(1)
+	fusedBefore := vm.BackendSnapshot().WGFusedInstrsDyn
 	for seed := 0; seed < trials; seed++ {
 		r := rand.New(rand.NewSource(int64(7000 + seed)))
 		gk := genStrided(r)
@@ -350,35 +380,53 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 		// with region fusion on (the default; runs first, so the fused jams
 		// see the kernel's cold scratch state) and off. The interpreter is
 		// the referee: both wg modes must reproduce its bytes and Stats
-		// exactly, which also pins fused vs unfused against each other.
-		argsW := mkArgs()
-		vm.SetWGFuse(true)
-		stW, err := kc.ExecLaunch(nd, argsW, vm.ExecOpts{Backend: vm.BackendWG})
+		// exactly, which also pins fused vs unfused against each other. The
+		// GPU-transformed kernel, its abort buffer present but never firing,
+		// must write the same bytes as the original.
+		gpuKI, err := clc.FindKernelInfo(gk.gpuSrc, "gen")
 		if err != nil {
-			t.Fatalf("seed %d: wg exec: %v\n%s", seed, err, gk.src)
+			t.Fatalf("seed %d: %v\n%s", seed, err, gk.gpuSrc)
 		}
-		if !bytes.Equal(argsI[0].Buf, argsW[0].Buf) {
-			t.Fatalf("seed %d: wg backend produced different bytes\n%s", seed, gk.src)
-		}
-		if stI != stW {
-			t.Fatalf("seed %d: wg backend produced different Stats\n%s", seed, gk.src)
-		}
-		argsU := mkArgs()
-		vm.SetWGFuse(false)
-		stU, err := kc.ExecLaunch(nd, argsU, vm.ExecOpts{Backend: vm.BackendWG})
-		vm.SetWGFuse(true)
+		gpuKC, err := vm.Compile(gpuKI)
 		if err != nil {
-			t.Fatalf("seed %d: wg unfused exec: %v\n%s", seed, err, gk.src)
+			t.Fatalf("seed %d: %v\n%s", seed, err, gk.gpuSrc)
 		}
-		if !bytes.Equal(argsI[0].Buf, argsU[0].Buf) {
-			t.Fatalf("seed %d: unfused wg backend produced different bytes\n%s", seed, gk.src)
-		}
-		if stI != stU {
-			t.Fatalf("seed %d: unfused wg backend produced different Stats\n  interp %+v\n  unfused %+v\n%s",
-				seed, stI, stU, gk.src)
+		status := make([]byte, 4*passes.StatusWords)
+		binary.LittleEndian.PutUint32(status[4*passes.StatusKernelID:], 1)
+		binary.LittleEndian.PutUint32(status[4*passes.StatusDoneFrom:], uint32(passes.NoCPUWork))
+		for _, v := range []struct {
+			name  string
+			k     *vm.Kernel
+			extra []vm.Arg
+		}{{"original", kc, nil}, {"gpu variant", gpuKC, []vm.Arg{vm.BufArg(status), vm.IntArg(1)}}} {
+			var ref vm.Stats
+			for i, mode := range []struct {
+				be   vm.Backend
+				fuse bool
+			}{{vm.BackendInterp, true}, {vm.BackendWG, true}, {vm.BackendWG, false}} {
+				args := append(mkArgs(), v.extra...)
+				vm.SetWGFuse(mode.fuse)
+				st, err := v.k.ExecLaunch(nd, args, vm.ExecOpts{Backend: mode.be})
+				vm.SetWGFuse(true)
+				if err != nil {
+					t.Fatalf("seed %d: %s, %v fuse=%v: %v\n%s", seed, v.name, mode.be, mode.fuse, err, gk.src)
+				}
+				if !bytes.Equal(argsI[0].Buf, args[0].Buf) {
+					t.Fatalf("seed %d: %s, %v fuse=%v produced different bytes\n%s", seed, v.name, mode.be, mode.fuse, gk.src)
+				}
+				if i == 0 {
+					ref = st
+				} else if st != ref {
+					t.Fatalf("seed %d: %s, %v fuse=%v produced different Stats\n  interp %+v\n  got    %+v\n%s",
+						seed, v.name, mode.be, mode.fuse, ref, st, gk.src)
+				}
+			}
 		}
 	}
 	if exactAgreed == 0 {
 		t.Error("no trial exercised the exact subclass; generator drifted")
+	}
+	if vm.BackendSnapshot().WGFusedInstrsDyn == fusedBefore {
+		t.Error("no trial ran a fused closure; generator drifted")
 	}
 }

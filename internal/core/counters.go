@@ -51,7 +51,7 @@ type counterRef struct {
 
 // refs lists every counter of c in emission order. It is the single field
 // list behind Each, Sub and AccumulateGlobal.
-func (c *Counters) refs() [27]counterRef {
+func (c *Counters) refs() [35]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
 		{"prime_copies_elided", &c.PrimeCopiesElided},
@@ -71,6 +71,8 @@ func (c *Counters) refs() [27]counterRef {
 		{"wg_fused_blocks", &c.WGFusedBlocks},
 		{"wg_fused_steps", &c.WGFusedSteps},
 		{"wg_fuse_fallback_steps", &c.WGFuseFallbackSteps},
+		{"wg_fused_instrs_dyn", &c.WGFusedInstrsDyn},
+		{"wg_step_instrs_dyn", &c.WGStepInstrsDyn},
 		{"wg_strided_wgs", &c.WGStridedWGs},
 		{"wg_cert_reject_shape", &c.WGRejects[vm.WGRejShape]},
 		{"wg_cert_reject_alias", &c.WGRejects[vm.WGRejAlias]},
@@ -80,6 +82,12 @@ func (c *Counters) refs() [27]counterRef {
 		{"wg_cert_reject_unknown_read", &c.WGRejects[vm.WGRejUnknownRead]},
 		{"wg_cert_reject_overlap", &c.WGRejects[vm.WGRejOverlap]},
 		{"wg_cert_reject_budget", &c.WGRejects[vm.WGRejBudget]},
+		{"wg_fuse_reject_shape", &c.WGFuseRejects[vm.WGFuseRejShape]},
+		{"wg_fuse_reject_wiring", &c.WGFuseRejects[vm.WGFuseRejWiring]},
+		{"wg_fuse_reject_live_scratch", &c.WGFuseRejects[vm.WGFuseRejLiveScratch]},
+		{"wg_fuse_reject_cap", &c.WGFuseRejects[vm.WGFuseRejCap]},
+		{"wg_fuse_reject_wide_regs", &c.WGFuseRejects[vm.WGFuseRejWideRegs]},
+		{"wg_fuse_reject_cond_terminator", &c.WGFuseRejects[vm.WGFuseRejCondTerm]},
 	}
 }
 

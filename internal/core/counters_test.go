@@ -2,25 +2,29 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"fluidicl/internal/vm"
 )
 
 // TestCounterNamesPinned pins every -jsonout counter key: CI greps
-// refresh_deltas, wg_fused_blocks and wg_cert_reject_*, and the sparse JSON
-// omits zero counters, so only this list catches a renamed key whose counter
-// happens to be zero in the pinned runs.
+// refresh_deltas, wg_fused_instrs_dyn and wg_fuse_reject_*, and the sparse
+// JSON omits zero counters, so only this list catches a renamed key whose
+// counter happens to be zero in the pinned runs.
 func TestCounterNamesPinned(t *testing.T) {
 	want := []string{
 		"uploads_skipped", "prime_copies_elided", "ship_bytes_skipped", "merge_words_elided",
 		"splits_unvetoed", "refresh_bytes_skipped", "refresh_deltas",
 		"closure_wgs", "interp_wgs", "fused_instrs", "total_instrs",
 		"wg_loop_wgs", "wg_fallback_wgs", "wg_kernels", "wg_regions",
-		"wg_fused_blocks", "wg_fused_steps", "wg_fuse_fallback_steps", "wg_strided_wgs",
+		"wg_fused_blocks", "wg_fused_steps", "wg_fuse_fallback_steps",
+		"wg_fused_instrs_dyn", "wg_step_instrs_dyn", "wg_strided_wgs",
 		"wg_cert_reject_shape", "wg_cert_reject_alias", "wg_cert_reject_no_summary",
 		"wg_cert_reject_local_store", "wg_cert_reject_unknown_store",
 		"wg_cert_reject_unknown_read", "wg_cert_reject_overlap", "wg_cert_reject_budget",
+		"wg_fuse_reject_shape", "wg_fuse_reject_wiring", "wg_fuse_reject_live_scratch",
+		"wg_fuse_reject_cap", "wg_fuse_reject_wide_regs", "wg_fuse_reject_cond_terminator",
 	}
 	var got []string
 	var c Counters
@@ -33,15 +37,24 @@ func TestCounterNamesPinned(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("counter keys\n got %v\nwant %v", got, want)
 	}
-	// One key per wg reject reason the VM knows, under the VM's name for it.
-	names := vm.WGRejectNames()
-	for r := int(vm.WGRejNone) + 1; r < len(names); r++ {
-		if key := want[19+r-1]; key != "wg_cert_reject_"+names[r] {
-			t.Errorf("reject reason %d (%s) is emitted as %q", r, names[r], key)
+	// One key per wg certificate reject reason and per fusion reject reason
+	// the VM knows, under the VM's name for it (the disassembly's hyphens
+	// become underscores).
+	certs, fuses := vm.WGRejectNames(), vm.WGFuseRejectNames()
+	const firstCert = 21
+	firstFuse := firstCert + len(certs) - 1
+	for r := int(vm.WGRejNone) + 1; r < len(certs); r++ {
+		if key := want[firstCert+r-1]; key != "wg_cert_reject_"+certs[r] {
+			t.Errorf("reject reason %d (%s) is emitted as %q", r, certs[r], key)
 		}
 	}
-	if len(want) != 19+len(names)-1 {
-		t.Errorf("%d counters for %d reject reasons", len(want), len(names)-1)
+	for r := int(vm.WGFuseRejNone) + 1; r < len(fuses); r++ {
+		if key := want[firstFuse+r-1]; key != "wg_fuse_reject_"+strings.ReplaceAll(fuses[r], "-", "_") {
+			t.Errorf("fuse reject reason %d (%s) is emitted as %q", r, fuses[r], key)
+		}
+	}
+	if len(want) != firstFuse+len(fuses)-1 {
+		t.Errorf("%d counters for %d+%d reject reasons", len(want), len(certs)-1, len(fuses)-1)
 	}
 	if d := c.Sub(c); d != (Counters{}) {
 		t.Errorf("c.Sub(c) = %+v, want zero", d)

@@ -99,9 +99,14 @@ func TestBackendParityFluidiCL(t *testing.T) {
 // quick-scale Polybench app must produce the same output bytes, the same
 // virtual time, and byte-identical Chrome traces. Fused runs first so the
 // jams execute against cold per-kernel scratch pools, the state in which
-// a mis-reserved columnar log historically diverged.
+// a mis-reserved columnar log historically diverged. One worker: with more,
+// every launch runs on the speculative engine, whose deferred-write logs
+// keep the fused closures from ever being dispatched — the fused run would
+// silently be a second per-step run.
 func TestWGFuseParityFluidiCL(t *testing.T) {
 	defer vm.SetWGFuse(true)
+	defer vm.SetWorkers(0)
+	vm.SetWorkers(1)
 	for _, b := range polybench.AllQuick() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -123,7 +128,11 @@ func TestWGFuseParityFluidiCL(t *testing.T) {
 				}
 				return runOut{res, buf.Bytes()}
 			}
+			fusedBefore := vm.BackendSnapshot().WGFusedInstrsDyn
 			rf := run(true)
+			if b.Name != "2DCONV" && vm.BackendSnapshot().WGFusedInstrsDyn == fusedBefore {
+				t.Error("the fused run executed no fused closure") // 2DCONV has no jam-shaped block
+			}
 			ru := run(false)
 			if rf.res.Time != ru.res.Time {
 				t.Errorf("virtual time diverges: fused=%v unfused=%v", rf.res.Time, ru.res.Time)

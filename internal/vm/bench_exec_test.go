@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fluidicl/internal/clc"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/vm"
@@ -22,14 +23,24 @@ type benchLaunch struct {
 
 // benchApp lowers a quick-scale Polybench app to direct vm.ExecLaunch calls,
 // bypassing the device/scheduler layers so the benchmark isolates work-group
-// execution itself.
-func benchApp(b *testing.B, name string) []benchLaunch {
+// execution itself. With gpuVar it compiles what the twin protocol's GPU
+// device runs instead of the programmer's source: the passes.TransformGPU
+// output, with an abort buffer that is present but never fires.
+func benchApp(b testing.TB, name string, gpuVar bool) []benchLaunch {
 	b.Helper()
 	bm, err := polybench.ByNameQuick(name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	app := bm.App
+	src := app.Source
+	var extra []vm.Arg
+	if gpuVar {
+		if src, _, err = vm.TransformedSources(src); err != nil {
+			b.Fatal(err)
+		}
+		extra = vm.GPUAbortArgs(1, passes.NoCPUWork)
+	}
 	bufs := make(map[string][]byte, len(app.Buffers))
 	for bn, size := range app.Buffers {
 		buf := make([]byte, size)
@@ -41,7 +52,7 @@ func benchApp(b *testing.B, name string) []benchLaunch {
 	for _, l := range app.Launches {
 		k, ok := kernels[l.Kernel]
 		if !ok {
-			ki, err := clc.FindKernelInfo(app.Source, l.Kernel)
+			ki, err := clc.FindKernelInfo(src, l.Kernel)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -50,7 +61,7 @@ func benchApp(b *testing.B, name string) []benchLaunch {
 			}
 			kernels[l.Kernel] = k
 		}
-		args := make([]vm.Arg, len(l.Args))
+		args := make([]vm.Arg, len(l.Args), len(l.Args)+len(extra))
 		for i, a := range l.Args {
 			switch a.Kind {
 			case sched.ArgBuf:
@@ -61,7 +72,7 @@ func benchApp(b *testing.B, name string) []benchLaunch {
 				args[i] = vm.FloatArg(a.F)
 			}
 		}
-		launches = append(launches, benchLaunch{k: k, nd: l.ND, args: args})
+		launches = append(launches, benchLaunch{k: k, nd: l.ND, args: append(args, extra...)})
 	}
 	return launches
 }
@@ -101,19 +112,24 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
 // backend. Sequential workers so the numbers measure the execution engine,
 // not goroutine scheduling; the acceptance bar is closure >= 1.5x interp on
-// at least two kernels.
+// at least two kernels. The NAME/gpuvar/BACKEND rows run the GPU-transformed
+// kernels (see benchApp) next to the original-source ones.
 func BenchmarkExecLaunch(b *testing.B) {
 	vm.SetWorkers(1)
 	defer vm.SetWorkers(0)
-	for _, name := range []string{"SYRK", "GESUMMV", "2MM", "CORR", "SCATTER"} {
-		var launches []benchLaunch
-		if name == "SCATTER" {
-			launches = benchScatter(b)
-		} else {
-			launches = benchApp(b, name)
-		}
+	type row struct {
+		name     string
+		launches []benchLaunch
+	}
+	var rows []row
+	for _, name := range []string{"SYRK", "SYR2K", "GESUMMV", "2MM", "CORR"} {
+		rows = append(rows, row{name, benchApp(b, name, false)}, row{name + "/gpuvar", benchApp(b, name, true)})
+	}
+	rows = append(rows, row{"SCATTER", benchScatter(b)})
+	for _, r := range rows {
+		launches := r.launches
 		for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendClosure, vm.BackendWG} {
-			b.Run(name+"/"+be.String(), func(b *testing.B) {
+			b.Run(r.name+"/"+be.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				// Warm the scratch/engine pools before measuring.
 				for _, l := range launches {

@@ -136,6 +136,14 @@ var backendCtr struct {
 	wgFusedBlocks       atomic.Int64
 	wgFusedSteps        atomic.Int64
 	wgFuseFallbackSteps atomic.Int64
+	// wgFuseRej counts the unfused block bodies per WGFuseReject reason.
+	wgFuseRej [wgFuseRejCount]atomic.Int64
+
+	// Dynamic fusion accounting, folded in once per work-group: body
+	// instructions (per work-item) executed through fused closures vs
+	// through per-step lists.
+	wgFusedInstrsDyn atomic.Int64
+	wgStepInstrsDyn  atomic.Int64
 }
 
 // BackendCounters is a snapshot of process-wide backend activity.
@@ -175,10 +183,25 @@ type BackendCounters struct {
 	WGFusedBlocks       int64
 	WGFusedSteps        int64
 	WGFuseFallbackSteps int64
+	// WGFuseRejects attributes every unfused block body to one
+	// WGFuseReject reason, indexed by that enum (index WGFuseRejNone is
+	// always zero).
+	WGFuseRejects [wgFuseRejCount]int64
+
+	// WGFusedInstrsDyn / WGStepInstrsDyn count the block-body instructions
+	// the lockstep engine executed, per work-item, through fused closures
+	// vs through per-step lists (a fused block dispatched to a partial set
+	// or under a deferred-write log counts as per-step). Exact functions
+	// of the input, unlike the compile-time counts above.
+	WGFusedInstrsDyn int64
+	WGStepInstrsDyn  int64
 }
 
 // WGRejectNames returns the reason name for each WGRejects index.
 func WGRejectNames() [wgRejCount]string { return wgRejectNames }
+
+// WGFuseRejectNames returns the reason name for each WGFuseRejects index.
+func WGFuseRejectNames() [wgFuseRejCount]string { return wgFuseRejectNames }
 
 // BackendSnapshot returns the process-wide backend counters.
 func BackendSnapshot() BackendCounters {
@@ -196,9 +219,15 @@ func BackendSnapshot() BackendCounters {
 		WGFusedBlocks:       backendCtr.wgFusedBlocks.Load(),
 		WGFusedSteps:        backendCtr.wgFusedSteps.Load(),
 		WGFuseFallbackSteps: backendCtr.wgFuseFallbackSteps.Load(),
+
+		WGFusedInstrsDyn: backendCtr.wgFusedInstrsDyn.Load(),
+		WGStepInstrsDyn:  backendCtr.wgStepInstrsDyn.Load(),
 	}
 	for i := range bc.WGRejects {
 		bc.WGRejects[i] = backendCtr.wgRej[i].Load()
+	}
+	for i := range bc.WGFuseRejects {
+		bc.WGFuseRejects[i] = backendCtr.wgFuseRej[i].Load()
 	}
 	return bc
 }

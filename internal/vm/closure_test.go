@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fluidicl/internal/passes"
 )
 
 // fusedTestSrc is a SYRK-shaped kernel whose inner loop exercises the main
@@ -225,28 +227,47 @@ func TestClosureErrorParity(t *testing.T) {
 // TestExecLaunchAllocs guards the scratch/engine pooling: after warm-up,
 // repeated sequential launches must not allocate per work-group (wiState,
 // memTracker, locals and the closure context all come from the kernel's
-// scratch pool).
+// scratch pool). It runs the SYRK-shaped kernel as written and as the twin
+// GPU sees it (passes.TransformGPU); in both, the wg engine must execute the
+// loop body through the reduction jam, whose plan lives in fixed arrays.
 func TestExecLaunchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	k := MustCompile(fusedTestSrc, "syrk_like")
+	gpuSrc, _, err := TransformedSources(fusedTestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const m, n = 8, 8
 	a := make([]byte, 4*m*n)
 	c := make([]byte, 4*n*n)
 	args := []Arg{BufArg(a), BufArg(c), FloatArg(1.5), IntArg(m), IntArg(n)}
 	nd := NewNDRange2D(n, n, 4, 4)
 	defer SetWorkers(0)
-	for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
-		SetWorkers(1) // sequential path: the parallel engine's goroutines allocate by design
-		run := func() {
-			if _, err := k.ExecLaunch(nd, args, ExecOpts{Backend: be}); err != nil {
-				t.Fatal(err)
+	SetWorkers(1) // sequential path: the parallel engine's goroutines allocate by design
+	for _, v := range []struct {
+		name string
+		src  string
+		args []Arg
+	}{
+		{"source", fusedTestSrc, args},
+		{"gpuvar", gpuSrc, append(args[:len(args):len(args)], GPUAbortArgs(1, passes.NoCPUWork)...)},
+	} {
+		k := MustCompile(v.src, "syrk_like")
+		for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+			run := func() {
+				if _, err := k.ExecLaunch(nd, v.args, ExecOpts{Backend: be}); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		run() // warm the pools
-		if avg := testing.AllocsPerRun(20, run); avg >= 1 {
-			t.Errorf("%v: ExecLaunch allocates %.1f allocs/op after warm-up", be, avg)
+			fusedBefore := BackendSnapshot().WGFusedInstrsDyn
+			run() // warm the pools
+			if be == BackendWG && BackendSnapshot().WGFusedInstrsDyn == fusedBefore {
+				t.Errorf("%s: the wg launch ran no fused closure", v.name)
+			}
+			if avg := testing.AllocsPerRun(20, run); avg >= 1 {
+				t.Errorf("%s/%v: ExecLaunch allocates %.1f allocs/op after warm-up", v.name, be, avg)
+			}
 		}
 	}
 }

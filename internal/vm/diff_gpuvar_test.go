@@ -1,0 +1,202 @@
+package vm
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"fluidicl/internal/clc"
+)
+
+// The differential suite of diff_test.go, run on what the twin protocol's
+// GPU device actually executes: kernels after passes.TransformGPU (abort
+// check at entry and inside innermost loops, those loops unrolled by four
+// around the check) with a live abort buffer, so some work-groups return at
+// the check and the rest run to completion. Five executors — the AST
+// reference, the switch interpreter, the closure engine, and the lockstep
+// engine with region fusion on and off — must agree bit for bit on every
+// buffer; the four VM executors also on Stats, on undo-log rollback, and on
+// deferred-write commit. Work-groups execute one at a time, because a
+// parallel launch hands every group a deferred-write log and fused closures
+// never run under one.
+
+// diffMode selects how diffExec applies a work-group's stores.
+type diffMode int
+
+const (
+	diffPlain    diffMode = iota
+	diffUndo              // log every store, roll back after the group, require restoration
+	diffDeferred          // buffer stores in a DeferredWrites, commit after the group
+)
+
+// diffExec runs every group of the launch on one executor and returns the
+// concatenated buffer arguments (for diffUndo: as they were before each
+// group's rollback) and the summed Stats.
+func diffExec(t *testing.T, label string, k *Kernel, nd NDRange, args []Arg, be Backend, fuse bool, mode diffMode) (string, Stats, error) {
+	t.Helper()
+	defer SetWGFuse(true)
+	SetWGFuse(fuse)
+	snap := func() string {
+		var s string
+		for _, a := range args {
+			if a.Kind == ArgBuffer {
+				s += string(a.Buf)
+			}
+		}
+		return s
+	}
+	var total Stats
+	var applied string
+	for g := 0; g < nd.LaunchGroups(); g++ {
+		opts := ExecOpts{Backend: be}
+		before := snap()
+		var undo UndoLog
+		var def DeferredWrites
+		switch mode {
+		case diffUndo:
+			opts.Undo = &undo
+		case diffDeferred:
+			def.begin(len(args))
+			opts.Def = &def
+		}
+		st, err := k.ExecWorkGroup(nd, nd.GroupAt(g), args, opts)
+		total.Add(st)
+		if err != nil {
+			return "", total, err
+		}
+		switch mode {
+		case diffUndo:
+			applied += snap()
+			undo.Rollback()
+			if snap() != before {
+				t.Fatalf("%s (%v fuse=%v): rollback of group %d did not restore the buffers", label, be, fuse, g)
+			}
+		case diffDeferred:
+			if snap() != before {
+				t.Fatalf("%s (%v fuse=%v): group %d stored in place under a deferred-write log", label, be, fuse, g)
+			}
+			def.commit(args, nil)
+		}
+	}
+	if mode != diffUndo {
+		applied = snap()
+	}
+	return applied, total, nil
+}
+
+// diffFiveWay holds one launch of src's kernel to the agreement described
+// at the top of the file. mkArgs must return fresh, identical arguments on
+// every call.
+func diffFiveWay(t *testing.T, label, src, name string, nd NDRange, mkArgs func() []Arg) {
+	t.Helper()
+	ki, err := clc.FindKernelInfo(src, name)
+	if err != nil {
+		t.Fatalf("%s: transformed program does not check: %v\n%s", label, err, src)
+	}
+	k, err := Compile(ki)
+	if err != nil {
+		t.Fatalf("%s: compile: %v\n%s", label, err, src)
+	}
+	ref, err := NewRefExec(ki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refArgs := mkArgs()
+	var refErr error
+	for g := 0; g < nd.LaunchGroups() && refErr == nil; g++ {
+		refErr = ref.ExecWorkGroup(nd, nd.GroupAt(g), refArgs)
+	}
+	var refBufs string
+	for _, a := range refArgs {
+		if a.Kind == ArgBuffer {
+			refBufs += string(a.Buf)
+		}
+	}
+
+	type exec struct {
+		be   Backend
+		fuse bool
+	}
+	execs := []exec{{BackendInterp, true}, {BackendClosure, true}, {BackendWG, true}, {BackendWG, false}}
+	for _, mode := range []diffMode{diffPlain, diffUndo, diffDeferred} {
+		var bufs0 string
+		var st0 Stats
+		for i, e := range execs {
+			bufs, st, err := diffExec(t, label, k, nd, mkArgs(), e.be, e.fuse, mode)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s mode %d: error disagreement: %v fuse=%v: %v, ref: %v\n%s", label, mode, e.be, e.fuse, err, refErr, src)
+			}
+			if err != nil {
+				continue
+			}
+			if i == 0 {
+				bufs0, st0 = bufs, st
+				if mode != diffUndo && bufs != refBufs {
+					t.Fatalf("%s mode %d: interpreter buffers differ from the AST reference\n%s", label, mode, src)
+				}
+				continue
+			}
+			if bufs != bufs0 {
+				t.Fatalf("%s mode %d: %v fuse=%v buffers differ from the interpreter\n%s", label, mode, e.be, e.fuse, src)
+			}
+			if st != st0 {
+				t.Fatalf("%s mode %d: Stats diverge\ninterp:        %+v\n%v fuse=%v: %+v\n%s", label, mode, st0, e.be, e.fuse, st, src)
+			}
+		}
+	}
+}
+
+func TestDifferentialGPUVariant(t *testing.T) {
+	before := BackendSnapshot()
+	// Four groups; the CPU "has completed" groups 2 and 3, so they abort at
+	// the entry check while 0 and 1 poll the buffer in their loops and run on.
+	abort := func() []Arg { return GPUAbortArgs(7, 2) }
+
+	const n = 32
+	for seed := 0; seed < 40; seed++ {
+		src, _, err := TransformedSources(GenProgram(rand.New(rand.NewSource(int64(5000 + seed)))))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		diffFiveWay(t, fmt.Sprintf("GenProgram seed %d", seed), src, "diff", NewNDRange1D(n, 8), func() []Arg {
+			fb := make([]byte, 4*n)
+			ib := make([]byte, 4*n)
+			r := rand.New(rand.NewSource(int64(seed) * 7))
+			for i := 0; i < n; i++ {
+				binary.LittleEndian.PutUint32(fb[4*i:], math.Float32bits(float32(r.Float64()*16-8)))
+				binary.LittleEndian.PutUint32(ib[4*i:], uint32(int32(r.Intn(41)-20)))
+			}
+			return append([]Arg{BufArg(fb), BufArg(ib), IntArg(n), IntArg(int64(seed%13 - 6)), FloatArg(float64(seed%17)/3 - 2)}, abort()...)
+		})
+	}
+	mid := BackendSnapshot()
+
+	// Reduction chains, both as written (one inc per body — also what the
+	// CPU variant's body looks like) and GPU-transformed (two).
+	for seed := 0; seed < 60; seed++ {
+		r := rand.New(rand.NewSource(int64(6000 + seed)))
+		orig := GenReduction(r)
+		gpu, _, err := TransformedSources(orig)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		m := 5 + r.Intn(8) // mostly not a multiple of the unroll factor: the break path runs
+		mkArgs := func() []Arg {
+			fr := rand.New(rand.NewSource(int64(seed) * 13))
+			mk := func() []byte { return floatBuf(n*m, func(int) float32 { return float32(fr.Float64()*4 - 2) }) }
+			return []Arg{BufArg(make([]byte, 4*2*n)), BufArg(mk()), BufArg(mk()), IntArg(n), IntArg(int64(m)), FloatArg(1.25)}
+		}
+		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d", seed), orig, "red", NewNDRange1D(n, 8), mkArgs)
+		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d (gpu)", seed), gpu, "red", NewNDRange1D(n, 8),
+			func() []Arg { return append(mkArgs(), abort()...) })
+	}
+	after := BackendSnapshot()
+	if after.WGFusedInstrsDyn == mid.WGFusedInstrsDyn {
+		t.Error("no generated reduction ran through a fused closure")
+	}
+	if after.WGFuseRejects[WGFuseRejCap] == before.WGFuseRejects[WGFuseRejCap] {
+		t.Error("no generated reduction crossed the jam's plan capacity; generator drifted")
+	}
+}

@@ -56,10 +56,13 @@ func (k *Kernel) Disasm() string {
 		fuseAt[s.Start] = s
 	}
 	// Whole-work-group compilation annotations: a marker line at every
-	// barrier-region entry and a wg-loop suffix at every block the lockstep
-	// engine dispatches as a single banked step sequence.
+	// barrier-region entry, a wg-loop suffix at every block the lockstep
+	// engine dispatches as a single banked step sequence, and the fusion
+	// pass's verdict on each non-empty block body (wg.fuse, or wg.nofuse
+	// with the reason).
 	wgLoopAt := map[int]FusedSpan{}
 	wgFuseAt := map[int]FusedSpan{}
+	wgNoFuseAt := map[int]FusedSpan{}
 	regionAt := map[int]int{}
 	if k.wg != nil {
 		for _, s := range k.wg.spans {
@@ -67,6 +70,9 @@ func (k *Kernel) Disasm() string {
 		}
 		for _, s := range k.wg.fused {
 			wgFuseAt[s.Start] = s
+		}
+		for _, s := range k.wg.nofuse {
+			wgNoFuseAt[s.Start] = s
 		}
 		for ri := range k.wg.regions {
 			regionAt[k.wg.regions[ri].entry] = ri
@@ -86,6 +92,9 @@ func (k *Kernel) Disasm() string {
 		}
 		if s, ok := wgFuseAt[pc]; ok {
 			line = fmt.Sprintf("%s  ; wg.fuse (%d instrs)", line, s.Len)
+		}
+		if s, ok := wgNoFuseAt[pc]; ok {
+			line = fmt.Sprintf("%s  ; wg.nofuse (%s)", line, s.Name)
 		}
 		fmt.Fprintf(&b, "%4d  %s\n", pc, line)
 	}

@@ -1,0 +1,89 @@
+package vm
+
+import (
+	"encoding/binary"
+
+	"fluidicl/internal/analysis"
+	"fluidicl/internal/clc"
+	"fluidicl/internal/passes"
+)
+
+// Test-only exports shared by the in-package and the external (vm_test)
+// test files.
+
+// TransformedSources runs src through FluidiCL's source passes with the
+// runtime's default options (core.transformProgram): the GPU variant gets
+// the abort checks, unrolled inside innermost loops, and two extra
+// parameters (fcl_status, fcl_kid); the CPU variant the subkernel range
+// guard (unless the summary drops it) and fcl_lo, fcl_hi. These are the
+// kernels the cooperative runtimes execute — the twin GPU runs the first,
+// every other device the second.
+func TransformedSources(src string) (gpu, cpu string, err error) {
+	orig, err := clc.Parse(src)
+	if err != nil {
+		return "", "", err
+	}
+	sum := analysis.AnalyzeProgram(orig, "")
+	g, err := clc.Parse(src)
+	if err != nil {
+		return "", "", err
+	}
+	for _, k := range g.Kernels {
+		if _, err := passes.TransformGPU(k, passes.GPUOptions{AbortInLoops: true, Unroll: true}); err != nil {
+			return "", "", err
+		}
+	}
+	c, err := clc.Parse(src)
+	if err != nil {
+		return "", "", err
+	}
+	for _, k := range c.Kernels {
+		if err := passes.TransformCPUWithSummary(k, sum.Kernels[k.Name]); err != nil {
+			return "", "", err
+		}
+	}
+	return clc.Print(g), clc.Print(c), nil
+}
+
+// GPUAbortArgs returns the two arguments TransformGPU appends: a status
+// buffer naming kernel kid with CPU completion from flattened group
+// doneFrom upward (passes.NoCPUWork: the abort never fires), and kid.
+func GPUAbortArgs(kid, doneFrom int32) []Arg {
+	status := make([]byte, 4*passes.StatusWords)
+	binary.LittleEndian.PutUint32(status[4*passes.StatusKernelID:], uint32(kid))
+	binary.LittleEndian.PutUint32(status[4*passes.StatusDoneFrom:], uint32(doneFrom))
+	return []Arg{BufArg(status), IntArg(int64(kid))}
+}
+
+// WGFuseSpans returns the fusion pass's verdict per non-empty block body:
+// the fused spans, and the unfused ones named by their reject reason.
+func (k *Kernel) WGFuseSpans() (fused, nofuse []FusedSpan) {
+	if k.wg == nil {
+		return nil, nil
+	}
+	return k.wg.fused, k.wg.nofuse
+}
+
+// ReductionBodies returns the start pc of every loop-body block that loads
+// and accumulates: a block ending in a backward jump whose body holds both
+// an ldgf and an fadd.
+func (k *Kernel) ReductionBodies() []int {
+	if k.wg == nil {
+		return nil
+	}
+	var out []int
+	for _, blk := range k.wg.blocks {
+		if blk == nil || blk.term.kind != wtJmp || blk.term.tgt > blk.start {
+			continue
+		}
+		var ld, add bool
+		for _, in := range k.Code[blk.start:blk.body] {
+			ld = ld || in.Op == opLDGF
+			add = add || in.Op == opFADD
+		}
+		if ld && add {
+			out = append(out, blk.start)
+		}
+	}
+	return out
+}

@@ -228,3 +228,42 @@ func (g *progGen) generate() string {
 	g.w("}")
 	return g.b.String()
 }
+
+// GenReduction returns a random multiply-accumulate kernel named "red" over
+// the fixed signature (__global float* out, __global float* a,
+// __global float* b, int n, int m, float alpha): one counted loop whose body
+// is a chain of `acc += [alpha *] x[..] * y[..] ...` statements — the shape
+// the wg engine's reduction jam matches (1–5 terms of 1–4 factors, so the
+// plan's caps are crossed too), seeded or not, indices affine (i*m + k,
+// k*n + i) or direct (k) — followed by one store per accumulator. Every
+// index stays below n*m for a launch of n work-items, so a and b need n*m
+// floats and out 2*n.
+func GenReduction(r *rand.Rand) string {
+	var b strings.Builder
+	b.WriteString("__kernel void red(__global float* out, __global float* a, __global float* b, int n, int m, float alpha) {\n")
+	b.WriteString("    int i = get_global_id(0);\n")
+	b.WriteString("    if (i < n) {\n")
+	nAcc := 1 + r.Intn(2)
+	for j := 0; j < nAcc; j++ {
+		fmt.Fprintf(&b, "        float acc%d = %d.5f;\n", j, j)
+	}
+	b.WriteString("        for (int k = 0; k < m; k++) {\n")
+	for t, nt := 0, 1+r.Intn(5); t < nt; t++ {
+		var fs []string
+		if r.Intn(2) == 0 {
+			fs = append(fs, "alpha")
+		}
+		for f, nf := 0, 1+r.Intn(4); f < nf; f++ {
+			buf := []string{"a", "b"}[r.Intn(2)]
+			idx := []string{"i * m + k", "k * n + i", "k"}[r.Intn(3)]
+			fs = append(fs, fmt.Sprintf("%s[%s]", buf, idx))
+		}
+		fmt.Fprintf(&b, "            acc%d += %s;\n", r.Intn(nAcc), strings.Join(fs, " * "))
+	}
+	b.WriteString("        }\n")
+	for j := 0; j < nAcc; j++ {
+		fmt.Fprintf(&b, "        out[%d * n + i] = acc%d;\n", j, j)
+	}
+	b.WriteString("    }\n}\n")
+	return b.String()
+}

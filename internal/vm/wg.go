@@ -41,11 +41,12 @@ type wblock struct {
 	body   int   // end of the block body (terminator excluded)
 	nInstr int64 // step-budget charge per work-item
 	steps  []wstep
-	// fsteps, when non-nil, is the region-fused lowering of steps
+	// fused, when non-nil, is the region-fused lowering of steps
 	// (wgfuse.go): the whole body jammed into one loop over the work-items.
-	// Dispatched instead of steps while WGFuseEnabled.
-	fsteps []wstep
-	term   wgTerm
+	// Dispatched instead of steps while WGFuseEnabled, for full-group
+	// dispatches without a deferred-write log.
+	fused wfused
+	term  wgTerm
 }
 
 // wgAccess is one static global- or local-memory access inside a region,
@@ -74,8 +75,11 @@ type wgProgram struct {
 	regions []wgRegion
 	// spans lists each block as a wg-loop span for disassembly annotation.
 	spans []FusedSpan
-	// fused lists each region-fused block body (wgfuse.go) for disassembly.
-	fused []FusedSpan
+	// fused lists each region-fused block body (wgfuse.go) for disassembly;
+	// nofuse lists every other non-empty body, named by its WGFuseReject
+	// reason (plus the offending register or pc).
+	fused  []FusedSpan
+	nofuse []FusedSpan
 }
 
 // buildWG compiles the whole-work-group program. It requires the closure

@@ -45,6 +45,10 @@ type wgSet struct {
 // set. It returns false when execution failed; the error is in wmach.err.
 type wstep func(m *wmach, set []int32) bool
 
+// wfused executes a whole block body for the full group in ascending item
+// order (wgfuse.go). Same failure convention as wstep.
+type wfused func(m *wmach) bool
+
 // wmach is the lockstep engine's execution context: SoA register banks plus
 // the per-group state the other backends keep in cmach.
 type wmach struct {
@@ -105,8 +109,12 @@ type wmach struct {
 	colBuf  []int32
 
 	// fuse selects the fused block closures (wgfuse.go) for this group;
-	// resolved once at group entry from SetWGFuse.
-	fuse bool
+	// resolved once at group entry from SetWGFuse. dynFused / dynStep tally
+	// the body instructions (per work-item) this group executed through
+	// fused closures vs per-step lists; folded into backendCtr at group end.
+	fuse     bool
+	dynFused int64
+	dynStep  int64
 
 	parked    int
 	done      int
@@ -302,12 +310,26 @@ func (m *wmach) colFor(id int32) []int32 {
 	return m.colBuf[j*n : (j+1)*n]
 }
 
-// colFor2 reserves two columns atomically so both subslices stay valid.
-func (m *wmach) colFor2(id1, id2 int32) ([]int32, []int32) {
+// colsFor is colFor for a jam that fills several columns in one pass over
+// the work-items: it reserves one column per non-negative id, all in a
+// single growth step so every subslice stays valid (see colReserve), and
+// returns them in cols, leaving nil where the access records nothing.
+func (m *wmach) colsFor(ids []int32, cols [][]int32) {
 	n := m.n
-	j := m.colReserve(2)
-	m.colIDs = append(m.colIDs, id1, id2)
-	return m.colBuf[j*n : (j+1)*n], m.colBuf[(j+1)*n : (j+2)*n]
+	k := 0
+	for _, id := range ids {
+		if id >= 0 {
+			k++
+		}
+	}
+	j := m.colReserve(k)
+	for i, id := range ids {
+		if id >= 0 {
+			m.colIDs = append(m.colIDs, id)
+			cols[i] = m.colBuf[j*n : (j+1)*n]
+			j++
+		}
+	}
 }
 
 // colFlush transposes the columnar log into the per-item rec streams and
@@ -479,8 +501,11 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.def, m.undo = opts.Def, opts.Undo
 	m.maxSteps = maxSteps
 	m.fuse = WGFuseEnabled()
+	m.dynFused, m.dynStep = 0, 0
 
 	err := m.runGroup()
+	backendCtr.wgFusedInstrsDyn.Add(m.dynFused)
+	backendCtr.wgStepInstrsDyn.Add(m.dynStep)
 	st := m.stat
 	m.release()
 	return st, err
@@ -557,14 +582,23 @@ func (m *wmach) runGroup() error {
 					}
 				}
 			}
-			steps := blk.steps
-			if m.fuse && blk.fsteps != nil {
-				steps = blk.fsteps
-			}
-			for _, stp := range steps {
-				if !stp(m, s.items) {
+			// A fused closure runs item-major over the whole group with
+			// no deferred-write probes; any other dispatch takes the
+			// per-step list.
+			body := int64(blk.body - blk.start)
+			if m.fuse && blk.fused != nil && m.full && m.def == nil {
+				m.dynFused += body * int64(n)
+				if !blk.fused(m) {
 					m.freeSet(s)
 					return m.err
+				}
+			} else {
+				m.dynStep += body * int64(len(s.items))
+				for _, stp := range blk.steps {
+					if !stp(m, s.items) {
+						m.freeSet(s)
+						return m.err
+					}
 				}
 			}
 			switch blk.term.kind {

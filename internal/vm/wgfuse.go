@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -13,7 +14,8 @@ import (
 // own pass over the work-item set, so a k-step block traverses the SoA
 // banks k times per dispatch and pays k indirect calls. This pass runs at
 // wg-compile time and lowers whole block bodies into a single fused
-// closure that loops over the work-items once, with every touched bank
+// closure that loops over the work-items once (once per accumulate term
+// for the reduction jam), with every touched bank
 // hoisted into a subslice (one up-front length assertion, bounds checks
 // eliminated inside the loop), the ld/fmadd/st sequences jammed into one
 // wide inner loop, and pattern-internal scratch registers kept in scalars
@@ -26,7 +28,8 @@ import (
 //     engine only runs launches the noninterference certificate
 //     (wgcert.go/wgreject.go) admitted, so cross-item global/local
 //     interference inside a region is already excluded. Switching a block
-//     from step-major to item-major order therefore cannot change any
+//     from step-major to item-major order — or any other order that keeps
+//     each work-item's own program order — therefore cannot change any
 //     buffer byte or register trajectory on error-free runs; on error
 //     runs, parity is by presence, not text, exactly as documented for
 //     the engine itself (wgexec.go).
@@ -43,12 +46,13 @@ import (
 //     terminator does not read it (the matchers reject conditional
 //     terminators outright).
 //
-// Blocks that fail the shape match, the operand wiring checks, or the
-// liveness requirement fall back per-step, mirroring the wg->closure
-// fallback taxonomy; wg_fused_blocks / wg_fused_steps /
-// wg_fuse_fallback_steps attribute the coverage. SetWGFuse keeps the
-// unfused path selectable for the fused-vs-unfused differential tests; the
-// fused lists are always compiled so it can be flipped between launches.
+// Every block that stays per-step carries exactly one WGFuseReject reason
+// (counted per reason and annotated in the disassembly); wg_fused_blocks /
+// wg_fused_steps / wg_fuse_fallback_steps attribute the static coverage and
+// wg_fused_instrs_dyn / wg_step_instrs_dyn the executed one. SetWGFuse keeps
+// the unfused path selectable for the fused-vs-unfused differential tests;
+// the fused closures are always compiled so it can be flipped between
+// launches.
 
 // wgFuseFlag holds the process-wide fused-execution switch (on unless a
 // differential test turns it off).
@@ -65,15 +69,73 @@ func WGFuseEnabled() bool { return wgFuseFlag.Load() }
 // keep the mode they resolved at entry.
 func SetWGFuse(on bool) { wgFuseFlag.Store(on) }
 
-// runSteps drives a per-step list; fused closures use it as their fallback
-// when a dispatch does not meet the fused fast-path preconditions.
-func runSteps(m *wmach, set []int32, steps []wstep) bool {
-	for _, s := range steps {
-		if !s(m, set) {
-			return false
-		}
+// WGFuseReject enumerates the reasons the fusion pass left a block body on
+// the per-step path. Every unfused block carries exactly one; the per-reason
+// counters surface through BackendSnapshot → core.CounterSnapshot →
+// fluidibench, and the disassembly names the reason per block.
+type WGFuseReject uint8
+
+const (
+	// WGFuseRejNone: not rejected (the block fused).
+	WGFuseRejNone WGFuseReject = iota
+	// WGFuseRejShape: the body's opcode sequence matches no jam shape.
+	WGFuseRejShape
+	// WGFuseRejWiring: the opcodes match a shape but the operands are not
+	// wired like it (a source redefined earlier in the jam, an accumulator
+	// aliased with a scratch register, a clobbered running product).
+	WGFuseRejWiring
+	// WGFuseRejLiveScratch: a register the jam would keep in a scalar is
+	// live at the block exit.
+	WGFuseRejLiveScratch
+	// WGFuseRejCap: a reduction chain beyond the compile-time plan capacity.
+	WGFuseRejCap
+	// WGFuseRejWideRegs: the kernel's register files do not fit the 64-bit
+	// liveness masks.
+	WGFuseRejWideRegs
+	// WGFuseRejCondTerm: the block ends in a conditional branch, which reads
+	// a register the body defines.
+	WGFuseRejCondTerm
+
+	wgFuseRejCount = int(WGFuseRejCondTerm) + 1
+)
+
+var wgFuseRejectNames = [wgFuseRejCount]string{
+	"none", "shape", "wiring", "live-scratch", "cap", "wide-regs", "cond-terminator",
+}
+
+func (r WGFuseReject) String() string {
+	if int(r) < wgFuseRejCount {
+		return wgFuseRejectNames[r]
 	}
-	return true
+	return "unknown"
+}
+
+// wgNoFuse is a matcher's verdict on a block it did not fuse: the reason,
+// plus the offending register or pc for the disassembly ("" when the reason
+// says it all).
+type wgNoFuse struct {
+	why WGFuseReject
+	at  string
+}
+
+func (r wgNoFuse) String() string {
+	if r.at == "" {
+		return r.why.String()
+	}
+	return r.why.String() + " " + r.at
+}
+
+// wgLiveScratch is the dead-scratch proof: it names the lowest-numbered
+// scratch register that is live at the block exit, or returns the zero
+// verdict (WGFuseRejNone) when there is none.
+func wgLiveScratch(scratchI, liveI, scratchF, liveF uint64) wgNoFuse {
+	if v := scratchI & liveI; v != 0 {
+		return wgNoFuse{WGFuseRejLiveScratch, fmt.Sprintf("r%d", bits.TrailingZeros64(v))}
+	}
+	if v := scratchF & liveF; v != 0 {
+		return wgNoFuse{WGFuseRejLiveScratch, fmt.Sprintf("f%d", bits.TrailingZeros64(v))}
+	}
+	return wgNoFuse{}
 }
 
 // ---------------------------------------------------------------------------
@@ -193,13 +255,25 @@ func (k *Kernel) wgLiveness(wg *wgProgram) (iOut, fOut map[int]uint64) {
 // Fusion pass
 // ---------------------------------------------------------------------------
 
-// fuseWG partitions each block's step list into fusible whole-body jams:
-// every block body is matched against the jam shapes below and, when the
-// shape, the operand wiring, and the dead-scratch proof all hold, replaced
-// by a single fused closure. Blocks that fail any check fall back to the
-// per-step list. Counters attribute the outcome per compiled instruction.
+// wgJams lists the jam shapes in match order. Their opcode patterns are
+// mutually exclusive, so the first matcher that gets past its opcode match
+// decides the block's verdict.
+var wgJams = [...]func(*Kernel, *wblock, uint64, uint64) (wfused, wgNoFuse){
+	(*Kernel).wgfuseReduce,
+	(*Kernel).wgfuseScatter,
+	(*Kernel).wgfuseStoreTail,
+}
+
+// fuseWG matches every block body against the jam shapes and, when the
+// shape, the operand wiring, and the dead-scratch proof all hold, attaches
+// a single fused closure to the block. The engine dispatches it in place of
+// the per-step list whenever the whole group arrives at the block together
+// and no deferred-write log is active (runGroup); every other block, and
+// every other dispatch, runs per-step. Counters attribute the outcome per
+// compiled instruction and per reject reason.
 func (k *Kernel) fuseWG(wg *wgProgram) {
 	var nBlocks, nSteps, nFallback int64
+	var nRej [wgFuseRejCount]int64
 	wide := k.NumI > 64 || k.NumF > 64
 	var iOut, fOut map[int]uint64
 	if !wide {
@@ -213,39 +287,47 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 		if body <= 0 {
 			continue
 		}
-		var fs wstep
+		rej := wgNoFuse{why: WGFuseRejWideRegs}
 		if !wide {
-			liveI, liveF := iOut[blk.start], fOut[blk.start]
-			if fs == nil {
-				fs = k.wgfuseMacBody(blk, liveI, liveF)
-			}
-			if fs == nil {
-				fs = k.wgfuseDotPair(blk, liveI, liveF)
-			}
-			if fs == nil {
-				fs = k.wgfuseScatter(blk, liveI, liveF)
-			}
-			if fs == nil {
-				fs = k.wgfuseStoreTail(blk, liveI, liveF)
+			for _, jam := range wgJams {
+				if blk.fused, rej = jam(k, blk, iOut[blk.start], fOut[blk.start]); rej.why != WGFuseRejShape {
+					break
+				}
 			}
 		}
-		if fs != nil {
-			blk.fsteps = []wstep{fs}
+		if blk.fused != nil {
 			wg.fused = append(wg.fused, FusedSpan{Start: blk.start, Len: body, Name: "wg.fuse"})
 			nBlocks++
 			nSteps += int64(body)
 		} else {
+			wg.nofuse = append(wg.nofuse, FusedSpan{Start: blk.start, Len: body, Name: rej.String()})
+			nRej[rej.why]++
 			nFallback += int64(body)
 		}
 	}
 	backendCtr.wgFusedBlocks.Add(nBlocks)
 	backendCtr.wgFusedSteps.Add(nSteps)
 	backendCtr.wgFuseFallbackSteps.Add(nFallback)
+	for i, n := range nRej {
+		backendCtr.wgFuseRej[i].Add(n)
+	}
 }
 
-// wgAff is one parsed affine index group (imov, imov, imul, imov, iadd):
-// idx = ib[x]*ib[y] + ib[z], with the five scratch defs recorded.
+var (
+	wgAffOps = []Op{opIMOV, opIMOV, opIMUL, opIMOV, opIADD}
+	wgIncOps = []Op{opIMOV, opLDI, opIADD, opIMOV}
+)
+
+func wgBit(r int32) uint64 { return 1 << uint(r) }
+
+// wgWiring is the verdict for an operand-wiring failure at pc.
+func wgWiring(pc int) wgNoFuse { return wgNoFuse{WGFuseRejWiring, fmt.Sprintf("@%d", pc)} }
+
+// wgAff is one parsed index: idx = ib[x]*ib[y] + ib[z] for the affine group
+// (imov, imov, imul, imov, iadd), or idx = ib[z] for a plain imov (aff
+// false).
 type wgAff struct {
+	aff     bool
 	x, y, z int
 }
 
@@ -255,37 +337,36 @@ type wgAff struct {
 // returns the pristine source registers of idx = x*y + z.
 func parseWAff(code []Instr, pc int, defs *uint64) (wgAff, bool) {
 	i0, i1, mul, i3, add := code[pc], code[pc+1], code[pc+2], code[pc+3], code[pc+4]
-	if mul.B != i0.A || mul.C != i1.A || add.B != mul.A || add.C != i3.A {
+	if mul.B != i0.A || mul.C != i1.A || add.B != mul.A || add.C != i3.A ||
+		i1.A == i0.A || i3.A == mul.A {
 		return wgAff{}, false
 	}
-	b := func(r int32) uint64 { return 1 << uint(r) }
-	if *defs&b(i0.B) != 0 {
+	if *defs&wgBit(i0.B) != 0 {
 		return wgAff{}, false
 	}
-	*defs |= b(i0.A)
-	if *defs&b(i1.B) != 0 {
+	*defs |= wgBit(i0.A)
+	if *defs&wgBit(i1.B) != 0 {
 		return wgAff{}, false
 	}
-	*defs |= b(i1.A) | b(mul.A)
-	if *defs&b(i3.B) != 0 {
+	*defs |= wgBit(i1.A) | wgBit(mul.A)
+	if *defs&wgBit(i3.B) != 0 {
 		return wgAff{}, false
 	}
-	*defs |= b(i3.A) | b(add.A)
-	return wgAff{x: int(i0.B), y: int(i1.B), z: int(i3.B)}, true
+	*defs |= wgBit(i3.A) | wgBit(add.A)
+	return wgAff{aff: true, x: int(i0.B), y: int(i1.B), z: int(i3.B)}, true
 }
 
 // parseWInc validates the loop-increment group (imov, ldi, iadd, imov):
 // ctr += imm, where ctr is the only bank-visible def.
 func parseWInc(code []Instr, pc int, defs *uint64) (ctr int, imm int64, ok bool) {
 	i0, ldi, add, i3 := code[pc], code[pc+1], code[pc+2], code[pc+3]
-	if add.B != i0.A || add.C != ldi.A || i3.B != add.A || i0.B != i3.A {
+	if add.B != i0.A || add.C != ldi.A || ldi.A == i0.A || i3.B != add.A || i0.B != i3.A {
 		return 0, 0, false
 	}
-	b := func(r int32) uint64 { return 1 << uint(r) }
-	if *defs&b(i0.B) != 0 {
+	if *defs&wgBit(i0.B) != 0 {
 		return 0, 0, false
 	}
-	*defs |= b(i0.A) | b(ldi.A) | b(add.A) | b(i3.A)
+	*defs |= wgBit(i0.A) | wgBit(ldi.A) | wgBit(add.A) | wgBit(i3.A)
 	return int(i3.A), ldi.IImm, true
 }
 
@@ -295,363 +376,390 @@ func wgLoadErr(kname string, pc int, name string, idx int64, bufLen int) *execEr
 	return &execError{kname, pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, bufLen)}
 }
 
-// wgfuseMacBody jams the multiply-accumulate loop body of the dense matmul
-// kernels (SYRK, 2MM, GEMM shapes):
-//
-//	fmov f, seed
-//	aff idx1; ldgf v1; fmul f = f*v1
-//	aff idx2; ldgf v2; fmul f = f*v2; fadd acc += f
-//	inc ctr
-//
-// into one loop over the work-items with f, the indices and the loaded
-// values held in scalars (dead at block exit by the liveness proof) and
-// only acc and ctr written back to their banks.
-func (k *Kernel) wgfuseMacBody(blk *wblock, liveI, liveF uint64) wstep {
-	pc, end := blk.start, blk.body
-	if end-pc != 20 || blk.term.kind != wtJmp {
-		return nil
-	}
-	if !k.opsAt(pc, end,
-		opFMOV,
-		opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opFMUL,
-		opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opFMUL, opFADD,
-		opIMOV, opLDI, opIADD, opIMOV) {
-		return nil
-	}
-	code := k.Code
-	b := func(r int32) uint64 { return 1 << uint(r) }
-	fmv := code[pc]
-	var defsI, defsF uint64
-	defsF |= b(fmv.A)
-	a1, ok := parseWAff(code, pc+1, &defsI)
-	if !ok {
-		return nil
-	}
-	ld1, fm1 := code[pc+6], code[pc+7]
-	if ld1.C != code[pc+5].A || fm1.B != fmv.A || fm1.C != ld1.A {
-		return nil
-	}
-	defsF |= b(ld1.A) | b(fm1.A)
-	a2, ok := parseWAff(code, pc+8, &defsI)
-	if !ok {
-		return nil
-	}
-	ld2, fm2, fad := code[pc+13], code[pc+14], code[pc+15]
-	if ld2.C != code[pc+12].A || fm2.B != fm1.A || fm2.C != ld2.A {
-		return nil
-	}
-	defsF |= b(ld2.A) | b(fm2.A)
-	if fad.A != fad.B || fad.C != fm2.A || defsF&b(fad.B) != 0 {
-		return nil
-	}
-	ctr, incImm, ok := parseWInc(code, pc+16, &defsI)
-	if !ok {
-		return nil
-	}
-	// Dead-scratch proof: everything but acc and ctr stays in scalars.
-	scratchI := defsI &^ b(int32(ctr))
-	scratchF := (defsF | b(fad.A)) &^ b(fad.A)
-	if scratchI&liveI != 0 || scratchF&liveF != 0 {
-		return nil
-	}
+// Plan capacity of the reduction-chain jam. The parsed chain lives in
+// fixed-size arrays inside the closure's captured plan, so a dispatch
+// allocates nothing; bodies beyond the cap stay per-step (reason cap).
+const (
+	wgMaxTerms   = 4
+	wgMaxFactors = 3
+	wgMaxIncs    = 4
+	wgMaxLoads   = wgMaxTerms * wgMaxFactors
+)
 
-	slot1, mem1, ldPC1 := ld1.B, ld1.D, pc+6
-	slot2, mem2, ldPC2 := ld2.B, ld2.D, pc+13
-	name1, name2 := k.Params[slot1].Name, k.Params[slot2].Name
-	kname := k.Name
-	var mask uint64
-	if slot1 < 64 {
-		mask |= 1 << uint(slot1)
-	}
-	if slot2 < 64 {
-		mask |= 1 << uint(slot2)
-	}
-	seed, accR := int(fmv.B), int(fad.A)
-	unfused := blk.steps
-	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
-			return runSteps(m, set, unfused)
-		}
-		n := m.n
-		ib, fb := m.ib, m.fb
-		buf1, buf2 := m.args[slot1].Buf, m.args[slot2].Buf
-		xs1, ys1, zs1 := ib[a1.x*n:a1.x*n+n], ib[a1.y*n:a1.y*n+n], ib[a1.z*n:a1.z*n+n]
-		xs2, ys2, zs2 := ib[a2.x*n:a2.x*n+n], ib[a2.y*n:a2.y*n+n], ib[a2.z*n:a2.z*n+n]
-		sd := fb[seed*n : seed*n+n]
-		acc := fb[accR*n : accR*n+n]
-		cb := ib[ctr*n : ctr*n+n]
-		var col1, col2 []int32
-		rec := m.rec
-		if m.colMode {
-			// Both columns must be reserved in one step: a second colFor
-			// growth could reallocate the log and orphan the first subslice.
-			switch {
-			case mem1 >= 0 && mem2 >= 0:
-				col1, col2 = m.colFor2(mem1, mem2)
-			case mem1 >= 0:
-				col1 = m.colFor(mem1)
-			case mem2 >= 0:
-				col2 = m.colFor(mem2)
-			}
-		}
-		for t := 0; t < n; t++ {
-			f := sd[t]
-			idx1 := xs1[t]*ys1[t] + zs1[t]
-			off1 := idx1 * 4
-			if idx1 < 0 || off1+4 > int64(len(buf1)) {
-				m.err = wgLoadErr(kname, ldPC1, name1, idx1, len(buf1))
-				return false
-			}
-			v := float64(math.Float32frombits(binary.LittleEndian.Uint32(buf1[off1:])))
-			f = float64(float32(f) * float32(v))
-			idx2 := xs2[t]*ys2[t] + zs2[t]
-			off2 := idx2 * 4
-			if idx2 < 0 || off2+4 > int64(len(buf2)) {
-				m.err = wgLoadErr(kname, ldPC2, name2, idx2, len(buf2))
-				return false
-			}
-			w := float64(math.Float32frombits(binary.LittleEndian.Uint32(buf2[off2:])))
-			f = float64(float32(f) * float32(w))
-			acc[t] = float64(float32(acc[t]) + float32(f))
-			cb[t] += incImm
-			if col1 != nil {
-				col1[t] = int32(off1)
-			} else if mem1 >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: mem1, off: int32(off1)})
-			}
-			if col2 != nil {
-				col2[t] = int32(off2)
-			} else if mem2 >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: mem2, off: int32(off2)})
-			}
-		}
-		cnt := int64(n)
-		st := m.st
-		st.IntOps += 5 * cnt
-		st.FloatOps += 3 * cnt
-		st.ParamReadMask |= mask
-		st.GlobalLoads += 2 * cnt
-		st.GlobalLoadBytes += 8 * cnt
-		return true
-	}
+// wgFactor is one load of a reduction term: v = buf[idx].
+type wgFactor struct {
+	idx  wgAff
+	slot int32
+	mem  int32 // static mem-op id; < 0 records nothing
+	pc   int   // of the ldgf, for the out-of-range error
+	name string
 }
 
-// wgfuseDotPair jams the two-dot-product loop body of GESUMMV-shaped
-// kernels:
+// wgRedTerm is one multiply-accumulate term: acc += [seed *] v0 * v1 * ...
+type wgRedTerm struct {
+	seed int // float register the product starts from; -1 when seedless
+	acc  int
+	nf   int
+	f    [wgMaxFactors]wgFactor
+}
+
+// wgReduce is the parsed plan of one reduction-chain body.
+type wgReduce struct {
+	kname string
+	nt    int
+	terms [wgMaxTerms]wgRedTerm
+	ni    int
+	ctrs  [wgMaxIncs]int
+	imms  [wgMaxIncs]int64
+	// Loads in program order: their columnar-log ids and, batched per
+	// dispatch, the order-independent Stats of the whole body.
+	nLoads   int
+	memIDs   [wgMaxLoads]int32
+	intOps   int64
+	floatOps int64
+	mask     uint64
+}
+
+// wgfuseReduce jams the multiply-accumulate loop bodies of the dense
+// linear-algebra kernels. One grammar over the block body covers them all:
 //
-//	aff idxA; ldgf vA; j = x-index; ldgf vx; fmul p = vA*vx; fadd acc1 += p
-//	aff idxB; ldgf vB; j = x-index; ldgf vx; fmul p = vB*vx; fadd acc2 += p
-//	inc ctr
-func (k *Kernel) wgfuseDotPair(blk *wblock, liveI, liveF uint64) wstep {
-	pc, end := blk.start, blk.body
-	if end-pc != 24 || blk.term.kind != wtJmp {
-		return nil
-	}
-	half := []Op{opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opIMOV, opLDGF, opFMUL, opFADD}
-	ops := append(append(append([]Op{}, half...), half...), opIMOV, opLDI, opIADD, opIMOV)
-	if !k.opsAt(pc, end, ops...) {
-		return nil
-	}
+//	body   := term+ inc+
+//	term   := [fmov f, seed] factor+ fadd acc, acc, f
+//	factor := index ldgf v, [slot + idx] [fmul f, f, v]
+//	index  := aff(imov, imov, imul, imov, iadd) | imov
+//	inc    := imov, ldi, iadd, imov
+//
+// where the fmul is absent exactly on the first factor of a seedless term
+// (its loaded value starts the product). SYRK/2MM/GEMM are one seeded term
+// of two factors, SYR2K two of them, GESUMMV two seedless terms with a
+// direct second index, BICG and corr_kernel4 one seedless term, corr_mean
+// a single load; the GPU variant's unroll counter (passes.TransformGPU) is
+// just a second inc. Execution is term-major: each term makes one pass over
+// the work-items with the running product in a scalar, so only accumulators
+// and counters are written back to their banks — per item that is still
+// program order, which is all the reordering proof needs.
+func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
 	code := k.Code
-	b := func(r int32) uint64 { return 1 << uint(r) }
-	type dot struct {
-		aff          wgAff
-		j            int // pristine index register of the x-load
-		slotA, slotX int32
-		memA, memX   int32
-		ldPCA, ldPCX int
-		nameA, nameX string
-		acc          int
-	}
-	var defsI, defsF uint64
-	parseHalf := func(p int) (dot, bool) {
-		var d dot
-		aff, ok := parseWAff(code, p, &defsI)
-		if !ok {
-			return d, false
-		}
-		ldA, mv, ldX, fm, fa := code[p+5], code[p+6], code[p+7], code[p+8], code[p+9]
-		if ldA.C != code[p+4].A || ldX.C != mv.A {
-			return d, false
-		}
-		if defsI&b(mv.B) != 0 {
-			return d, false
-		}
-		defsI |= b(mv.A)
-		if fm.B != ldA.A || fm.C != ldX.A {
-			return d, false
-		}
-		defsF |= b(ldA.A) | b(ldX.A) | b(fm.A)
-		if fa.A != fa.B || fa.C != fm.A || defsF&b(fa.B) != 0 {
-			return d, false
-		}
-		d.aff, d.j = aff, int(mv.B)
-		d.slotA, d.memA, d.ldPCA, d.nameA = ldA.B, ldA.D, p+5, k.Params[ldA.B].Name
-		d.slotX, d.memX, d.ldPCX, d.nameX = ldX.B, ldX.D, p+7, k.Params[ldX.B].Name
-		d.acc = int(fa.A)
-		return d, true
-	}
-	d1, ok := parseHalf(pc)
-	if !ok {
-		return nil
-	}
-	d2, ok := parseHalf(pc + 10)
-	if !ok {
-		return nil
-	}
-	ctr, incImm, ok := parseWInc(code, pc+20, &defsI)
-	if !ok {
-		return nil
-	}
-	scratchI := defsI &^ b(int32(ctr))
-	scratchF := defsF &^ (b(int32(d1.acc)) | b(int32(d2.acc)))
-	if scratchI&liveI != 0 || scratchF&liveF != 0 {
-		return nil
-	}
-	var mask uint64
-	for _, s := range []int32{d1.slotA, d1.slotX, d2.slotA, d2.slotX} {
-		if s < 64 {
-			mask |= 1 << uint(s)
+	pc, end := blk.start, blk.body
+	shape := wgNoFuse{why: WGFuseRejShape}
+	p := &wgReduce{kname: k.Name}
+
+	// One walk tokenizes the opcodes and checks the operands. A body that is
+	// not a reduction chain at all reports shape wherever the walk stops;
+	// the first operand-wiring failure is only remembered, and an oversized
+	// chain only counted, so that both are reported for in-shape bodies only.
+	//
+	// Operand rules: int sources must be pristine (parseWAff/parseWInc), the
+	// running product must thread through the fmuls unclobbered, and the
+	// three float roles — seeds (read from their banks), scratch (kept in
+	// scalars) and accumulators (written back) — must not overlap.
+	var bad wgNoFuse
+	wired := func(ok bool, at int) {
+		if !ok && bad.why == WGFuseRejNone {
+			bad = wgWiring(at)
 		}
 	}
-	kname := k.Name
-	unfused := blk.steps
-	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
-			return runSteps(m, set, unfused)
+	overCap := false
+	var defsI, seedsF, scratchF, accF uint64
+	scratch := func(r int32) bool { // r becomes a scalar-only def
+		scratchF |= wgBit(r)
+		return (seedsF|accF)&wgBit(r) == 0
+	}
+	for pc < end && !k.opsAt(pc, end, wgIncOps...) {
+		tm := wgRedTerm{seed: -1}
+		cur := int32(-1) // register holding the running product
+		if fmv := code[pc]; fmv.Op == opFMOV {
+			wired((scratchF|accF)&wgBit(fmv.B) == 0, pc)
+			seedsF |= wgBit(fmv.B)
+			wired(scratch(fmv.A), pc)
+			tm.seed, cur = int(fmv.B), fmv.A
+			pc++
 		}
-		n := m.n
-		ib, fb := m.ib, m.fb
-		bufA1, bufX1 := m.args[d1.slotA].Buf, m.args[d1.slotX].Buf
-		bufA2, bufX2 := m.args[d2.slotA].Buf, m.args[d2.slotX].Buf
-		xs1, ys1, zs1 := ib[d1.aff.x*n:d1.aff.x*n+n], ib[d1.aff.y*n:d1.aff.y*n+n], ib[d1.aff.z*n:d1.aff.z*n+n]
-		xs2, ys2, zs2 := ib[d2.aff.x*n:d2.aff.x*n+n], ib[d2.aff.y*n:d2.aff.y*n+n], ib[d2.aff.z*n:d2.aff.z*n+n]
-		js1 := ib[d1.j*n : d1.j*n+n]
-		js2 := ib[d2.j*n : d2.j*n+n]
-		acc1 := fb[d1.acc*n : d1.acc*n+n]
-		acc2 := fb[d2.acc*n : d2.acc*n+n]
-		cb := ib[ctr*n : ctr*n+n]
-		var colA1, colX1, colA2, colX2 []int32
-		rec := m.rec
-		if m.colMode {
-			// Reserve all four columns in one growth step; incremental
-			// colFor calls could reallocate the log and orphan earlier
-			// subslices.
-			nCols := 0
-			for _, id := range [4]int32{d1.memA, d1.memX, d2.memA, d2.memX} {
-				if id >= 0 {
-					nCols++
+		for {
+			var f wgFactor
+			var idxReg int32
+			switch {
+			case k.opsAt(pc, end, wgAffOps...) && k.opsAt(pc+5, end, opLDGF):
+				aff, ok := parseWAff(code, pc, &defsI)
+				wired(ok, pc)
+				f.idx, idxReg = aff, code[pc+4].A
+				p.intOps += 2
+				pc += 5
+			case k.opsAt(pc, end, opIMOV, opLDGF):
+				mv := code[pc]
+				wired(defsI&wgBit(mv.B) == 0, pc)
+				defsI |= wgBit(mv.A)
+				f.idx, idxReg = wgAff{z: int(mv.B)}, mv.A
+				pc++
+			default:
+				return nil, shape
+			}
+			ld := code[pc]
+			wired(ld.C == idxReg && ld.A != cur && scratch(ld.A), pc)
+			f.slot, f.mem, f.pc, f.name = ld.B, ld.D, pc, k.Params[ld.B].Name
+			if ld.B < 64 {
+				p.mask |= 1 << uint(ld.B)
+			}
+			pc++
+			if tm.seed >= 0 || tm.nf > 0 {
+				if !k.opsAt(pc, end, opFMUL) {
+					return nil, shape
 				}
+				fm := code[pc]
+				wired(fm.B == cur && fm.C == ld.A && scratch(fm.A), pc)
+				cur = fm.A
+				p.floatOps++
+				pc++
+			} else {
+				cur = ld.A
 			}
-			j := m.colReserve(nCols)
-			take := func(id int32) []int32 {
-				m.colIDs = append(m.colIDs, id)
-				c := m.colBuf[j*n : (j+1)*n]
-				j++
-				return c
+			if tm.nf < wgMaxFactors && p.nLoads < wgMaxLoads {
+				tm.f[tm.nf] = f
+				p.memIDs[p.nLoads] = f.mem
+				p.nLoads++
+			} else {
+				overCap = true
 			}
-			if d1.memA >= 0 {
-				colA1 = take(d1.memA)
-			}
-			if d1.memX >= 0 {
-				colX1 = take(d1.memX)
-			}
-			if d2.memA >= 0 {
-				colA2 = take(d2.memA)
-			}
-			if d2.memX >= 0 {
-				colX2 = take(d2.memX)
+			tm.nf++
+			if k.opsAt(pc, end, opFADD) {
+				fad := code[pc]
+				wired(fad.A == fad.B && fad.C == cur && (seedsF|scratchF)&wgBit(fad.A) == 0, pc)
+				accF |= wgBit(fad.A)
+				tm.acc = int(fad.A)
+				p.floatOps++
+				pc++
+				break
 			}
 		}
-		half := func(t int, xs, ys, zs, js []int64, bufA, bufX []byte, d *dot, acc []float64, colA, colX []int32) bool {
-			idx := xs[t]*ys[t] + zs[t]
-			offA := idx * 4
-			if idx < 0 || offA+4 > int64(len(bufA)) {
-				m.err = wgLoadErr(kname, d.ldPCA, d.nameA, idx, len(bufA))
-				return false
-			}
-			vA := float64(math.Float32frombits(binary.LittleEndian.Uint32(bufA[offA:])))
-			j := js[t]
-			offX := j * 4
-			if j < 0 || offX+4 > int64(len(bufX)) {
-				m.err = wgLoadErr(kname, d.ldPCX, d.nameX, j, len(bufX))
-				return false
-			}
-			vX := float64(math.Float32frombits(binary.LittleEndian.Uint32(bufX[offX:])))
-			p := float64(float32(vA) * float32(vX))
-			acc[t] = float64(float32(acc[t]) + float32(p))
-			if colA != nil {
-				colA[t] = int32(offA)
-			} else if d.memA >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: d.memA, off: int32(offA)})
-			}
-			if colX != nil {
-				colX[t] = int32(offX)
-			} else if d.memX >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: d.memX, off: int32(offX)})
-			}
-			return true
+		if p.nt < wgMaxTerms {
+			p.terms[p.nt] = tm
+			p.nt++
+		} else {
+			overCap = true
 		}
-		for t := 0; t < n; t++ {
-			if !half(t, xs1, ys1, zs1, js1, bufA1, bufX1, &d1, acc1, colA1, colX1) {
-				return false
-			}
-			if !half(t, xs2, ys2, zs2, js2, bufA2, bufX2, &d2, acc2, colA2, colX2) {
-				return false
-			}
-			cb[t] += incImm
-		}
-		cnt := int64(n)
-		st := m.st
-		st.IntOps += 5 * cnt
-		st.FloatOps += 4 * cnt
-		st.ParamReadMask |= mask
-		st.GlobalLoads += 4 * cnt
-		st.GlobalLoadBytes += 16 * cnt
-		return true
 	}
+	var ctrsI uint64
+	for ; pc < end; pc += len(wgIncOps) {
+		if !k.opsAt(pc, end, wgIncOps...) {
+			return nil, shape
+		}
+		ctr, imm, ok := parseWInc(code, pc, &defsI)
+		wired(ok, pc)
+		if p.ni < wgMaxIncs {
+			p.ctrs[p.ni], p.imms[p.ni] = ctr, imm
+			p.ni++
+		} else {
+			overCap = true
+		}
+		ctrsI |= wgBit(int32(ctr))
+		p.intOps++
+	}
+	switch {
+	case p.nt == 0 || p.ni == 0:
+		return nil, shape
+	case blk.term.kind == wtCond:
+		return nil, wgNoFuse{why: WGFuseRejCondTerm}
+	case overCap:
+		return nil, wgNoFuse{why: WGFuseRejCap}
+	case bad.why != WGFuseRejNone:
+		return nil, bad
+	}
+	// Dead-scratch proof: everything but the accumulators and the counters
+	// stays in scalars.
+	if rej := wgLiveScratch(defsI&^ctrsI, liveI, scratchF, liveF); rej.why != WGFuseRejNone {
+		return nil, rej
+	}
+	return p.run, wgNoFuse{}
+}
+
+// run executes the whole reduction body for a full group.
+func (p *wgReduce) run(m *wmach) bool {
+	n := m.n
+	var cols [wgMaxLoads][]int32
+	if m.colMode {
+		m.colsFor(p.memIDs[:p.nLoads], cols[:p.nLoads])
+	}
+	c := 0
+	for ti := 0; ti < p.nt; ti++ {
+		tm := &p.terms[ti]
+		if !tm.run(m, p.kname, cols[c:c+tm.nf]) {
+			return false
+		}
+		c += tm.nf
+	}
+	for i := 0; i < p.ni; i++ {
+		imm := p.imms[i]
+		cb := m.ib[p.ctrs[i]*n : p.ctrs[i]*n+n]
+		for t := range cb {
+			cb[t] += imm
+		}
+	}
+	cnt := int64(n)
+	st := m.st
+	st.IntOps += p.intOps * cnt
+	st.FloatOps += p.floatOps * cnt
+	st.ParamReadMask |= p.mask
+	st.GlobalLoads += int64(p.nLoads) * cnt
+	st.GlobalLoadBytes += 4 * int64(p.nLoads) * cnt
+	return true
+}
+
+// run makes the term's pass over the work-items: cols[i] is factor i's
+// access column (nil outside columnar mode or when the load records
+// nothing). Two-factor terms — every multiply-accumulate body of the paper
+// apps — take run2; other arities take the factor loop below.
+func (tm *wgRedTerm) run(m *wmach, kname string, cols [][]int32) bool {
+	if tm.nf == 2 {
+		return tm.run2(m, kname, cols[0], cols[1])
+	}
+	n := m.n
+	ib, fb := m.ib, m.fb
+	acc := fb[tm.acc*n : tm.acc*n+n]
+	seeded := tm.seed >= 0
+	sd := acc
+	if seeded {
+		sd = fb[tm.seed*n : tm.seed*n+n]
+	}
+	rec := m.rec
+	for t := 0; t < n; t++ {
+		var p float32
+		if seeded {
+			p = float32(sd[t])
+		}
+		for fi := 0; fi < tm.nf; fi++ {
+			f := &tm.f[fi]
+			idx := ib[f.idx.z*n+t]
+			if f.idx.aff {
+				idx += ib[f.idx.x*n+t] * ib[f.idx.y*n+t]
+			}
+			buf := m.args[f.slot].Buf
+			off := idx * 4
+			if idx < 0 || off+4 > int64(len(buf)) {
+				m.err = wgLoadErr(kname, f.pc, f.name, idx, len(buf))
+				return false
+			}
+			v := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
+			if seeded || fi > 0 {
+				p = float32(p * v)
+			} else {
+				p = v
+			}
+			if col := cols[fi]; col != nil {
+				col[t] = int32(off)
+			} else if f.mem >= 0 {
+				rec[t] = append(rec[t], wgAcc{id: f.mem, off: int32(off)})
+			}
+		}
+		acc[t] = float64(float32(acc[t]) + p)
+	}
+	return true
+}
+
+// run2 is run for a term of exactly two factors, with every bank, buffer
+// and column hoisted into a local subslice so the item loop carries no
+// bounds checks on them. A direct index aliases its x/y slices to z; they
+// are never read.
+func (tm *wgRedTerm) run2(m *wmach, kname string, col0, col1 []int32) bool {
+	n := m.n
+	ib, fb := m.ib, m.fb
+	f0, f1 := &tm.f[0], &tm.f[1]
+	buf0, buf1 := m.args[f0.slot].Buf, m.args[f1.slot].Buf
+	zs0, zs1 := ib[f0.idx.z*n:f0.idx.z*n+n], ib[f1.idx.z*n:f1.idx.z*n+n]
+	xs0, ys0, xs1, ys1 := zs0, zs0, zs1, zs1
+	aff0, aff1 := f0.idx.aff, f1.idx.aff
+	if aff0 {
+		xs0, ys0 = ib[f0.idx.x*n:f0.idx.x*n+n], ib[f0.idx.y*n:f0.idx.y*n+n]
+	}
+	if aff1 {
+		xs1, ys1 = ib[f1.idx.x*n:f1.idx.x*n+n], ib[f1.idx.y*n:f1.idx.y*n+n]
+	}
+	acc := fb[tm.acc*n : tm.acc*n+n]
+	seeded := tm.seed >= 0
+	sd := acc
+	if seeded {
+		sd = fb[tm.seed*n : tm.seed*n+n]
+	}
+	if col0 != nil {
+		col0 = col0[:n]
+	}
+	if col1 != nil {
+		col1 = col1[:n]
+	}
+	mem0, mem1 := f0.mem, f1.mem
+	rec := m.rec
+	for t := 0; t < n; t++ {
+		idx0 := zs0[t]
+		if aff0 {
+			idx0 += xs0[t] * ys0[t]
+		}
+		off0 := idx0 * 4
+		if idx0 < 0 || off0+4 > int64(len(buf0)) {
+			m.err = wgLoadErr(kname, f0.pc, f0.name, idx0, len(buf0))
+			return false
+		}
+		p := math.Float32frombits(binary.LittleEndian.Uint32(buf0[off0:]))
+		if seeded {
+			p = float32(float32(sd[t]) * p)
+		}
+		idx1 := zs1[t]
+		if aff1 {
+			idx1 += xs1[t] * ys1[t]
+		}
+		off1 := idx1 * 4
+		if idx1 < 0 || off1+4 > int64(len(buf1)) {
+			m.err = wgLoadErr(kname, f1.pc, f1.name, idx1, len(buf1))
+			return false
+		}
+		v := math.Float32frombits(binary.LittleEndian.Uint32(buf1[off1:]))
+		acc[t] = float64(float32(acc[t]) + float32(p*v))
+		if col0 != nil {
+			col0[t] = int32(off0)
+		} else if mem0 >= 0 {
+			rec[t] = append(rec[t], wgAcc{id: mem0, off: int32(off0)})
+		}
+		if col1 != nil {
+			col1[t] = int32(off1)
+		} else if mem1 >= 0 {
+			rec[t] = append(rec[t], wgAcc{id: mem1, off: int32(off1)})
+		}
+	}
+	return true
 }
 
 // wgfuseScatter jams the strided scatter loop body (scatter_columns shape):
 //
 //	aff idx; ldf c; stgf buf[idx] = c; inc ctr
-func (k *Kernel) wgfuseScatter(blk *wblock, liveI, liveF uint64) wstep {
+func (k *Kernel) wgfuseScatter(blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
 	pc, end := blk.start, blk.body
-	if end-pc != 11 || blk.term.kind != wtJmp {
-		return nil
-	}
-	if !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDF, opSTGF,
+	if end-pc != 11 || !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDF, opSTGF,
 		opIMOV, opLDI, opIADD, opIMOV) {
-		return nil
+		return nil, wgNoFuse{why: WGFuseRejShape}
+	}
+	if blk.term.kind == wtCond {
+		return nil, wgNoFuse{why: WGFuseRejCondTerm}
 	}
 	code := k.Code
-	b := func(r int32) uint64 { return 1 << uint(r) }
-	var defsI, defsF uint64
+	var defsI uint64
 	aff, ok := parseWAff(code, pc, &defsI)
 	if !ok {
-		return nil
+		return nil, wgWiring(pc)
 	}
 	ldf, stg := code[pc+5], code[pc+6]
 	if stg.C != code[pc+4].A || stg.A != ldf.A {
-		return nil
+		return nil, wgWiring(pc + 6)
 	}
-	defsF |= b(ldf.A)
 	ctr, incImm, ok := parseWInc(code, pc+7, &defsI)
 	if !ok {
-		return nil
+		return nil, wgWiring(pc + 7)
 	}
-	if (defsI&^b(int32(ctr)))&liveI != 0 || defsF&liveF != 0 {
-		return nil
+	if rej := wgLiveScratch(defsI&^wgBit(int32(ctr)), liveI, wgBit(ldf.A), liveF); rej.why != WGFuseRejNone {
+		return nil, rej
 	}
 	slot, mem, stPC := stg.B, stg.D, pc+6
 	name := k.Params[slot].Name
 	kname := k.Name
 	bits := math.Float32bits(float32(ldf.FImm))
-	unfused := blk.steps
-	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
-			return runSteps(m, set, unfused)
-		}
+	return func(m *wmach) bool {
 		n := m.n
 		ib := m.ib
 		buf := m.args[slot].Buf
@@ -690,43 +798,38 @@ func (k *Kernel) wgfuseScatter(blk *wblock, liveI, liveF uint64) wstep {
 		st.GlobalStores += cnt
 		st.GlobalStoreBytes += 4 * cnt
 		return true
-	}
+	}, wgNoFuse{}
 }
 
 // wgfuseStoreTail jams the result write-back tail of the matmul kernels:
 //
 //	aff idx; fmov v, acc; stgf buf[idx] = v
-func (k *Kernel) wgfuseStoreTail(blk *wblock, liveI, liveF uint64) wstep {
+func (k *Kernel) wgfuseStoreTail(blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
 	pc, end := blk.start, blk.body
-	if end-pc != 7 || blk.term.kind == wtCond {
-		return nil
+	if end-pc != 7 || !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opFMOV, opSTGF) {
+		return nil, wgNoFuse{why: WGFuseRejShape}
 	}
-	if !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opFMOV, opSTGF) {
-		return nil
+	if blk.term.kind == wtCond {
+		return nil, wgNoFuse{why: WGFuseRejCondTerm}
 	}
 	code := k.Code
-	b := func(r int32) uint64 { return 1 << uint(r) }
 	var defsI uint64
 	aff, ok := parseWAff(code, pc, &defsI)
 	if !ok {
-		return nil
+		return nil, wgWiring(pc)
 	}
 	fmv, stg := code[pc+5], code[pc+6]
 	if stg.C != code[pc+4].A || stg.A != fmv.A {
-		return nil
+		return nil, wgWiring(pc + 6)
 	}
-	if defsI&liveI != 0 || b(fmv.A)&liveF != 0 {
-		return nil
+	if rej := wgLiveScratch(defsI, liveI, wgBit(fmv.A), liveF); rej.why != WGFuseRejNone {
+		return nil, rej
 	}
 	slot, mem, stPC := stg.B, stg.D, pc+6
 	name := k.Params[slot].Name
 	kname := k.Name
 	src := int(fmv.B)
-	unfused := blk.steps
-	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
-			return runSteps(m, set, unfused)
-		}
+	return func(m *wmach) bool {
 		n := m.n
 		ib, fb := m.ib, m.fb
 		buf := m.args[slot].Buf
@@ -765,5 +868,5 @@ func (k *Kernel) wgfuseStoreTail(blk *wblock, liveI, liveF uint64) wstep {
 		st.GlobalStores += cnt
 		st.GlobalStoreBytes += 4 * cnt
 		return true
-	}
+	}, wgNoFuse{}
 }

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"strings"
 	"testing"
 
 	"fluidicl/internal/clc"
@@ -8,41 +9,101 @@ import (
 	"fluidicl/internal/vm"
 )
 
-// TestWGFuseCountersOnHotKernels pins the region-fusion pass to the hot
-// Polybench kernels: compiling each one must attribute at least one fused
-// block (and its covered instructions) to the backend counters. Coverage
-// regressions — a matcher change that silently stops fusing SYRK's inner
-// product, say — show up here as a zero delta rather than as an unexplained
-// benchmark slowdown. Fallback steps are allowed (not every block matches a
-// jam shape); fused coverage is what must not vanish.
+// TestWGFuseCountersOnHotKernels pins the region-fusion pass to the kernels
+// the cooperative runtimes actually run: the six paper apps after
+// passes.TransformGPU (what the twin GPU executes for the whole NDRange) and
+// after passes.TransformCPUWithSummary (the twin CPU and every N-way
+// device). In both variants the innermost-loop body of each
+// multiply-accumulate kernel — 8 kernels, 16 bodies — must lie inside a
+// fused span; corr_std's body (fsub + squaring) is known to stay per-step
+// and must say why. The compile's backend-counter deltas must attribute
+// exactly the spans the kernel reports. A matcher change that stops fusing
+// SYR2K's GPU variant, say, shows up here by name rather than as an
+// unexplained benchmark slowdown.
 func TestWGFuseCountersOnHotKernels(t *testing.T) {
-	for _, name := range []string{"SYRK", "GESUMMV", "2MM", "GEMM"} {
-		bm, err := polybench.ByNameQuick(name)
+	mustFuse := map[string]bool{
+		"mm2_kernel1": true, "mm2_kernel2": true, "syrk_kernel": true, "syr2k_kernel": true,
+		"gesummv": true, "bicgKernel1": true, "bicgKernel2": true, "corr_kernel4": true,
+	}
+	spanAt := func(spans []vm.FusedSpan, pc int) *vm.FusedSpan {
+		for i := range spans {
+			if spans[i].Start <= pc && pc < spans[i].Start+spans[i].Len {
+				return &spans[i]
+			}
+		}
+		return nil
+	}
+	fusedBodies := 0
+	for _, bm := range polybench.All() {
+		gpu, cpu, err := vm.TransformedSources(bm.App.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := bm.App
-		compiled := map[string]bool{}
-		for _, l := range app.Launches {
-			if compiled[l.Kernel] {
-				continue
-			}
-			compiled[l.Kernel] = true
-			ki, err := clc.FindKernelInfo(app.Source, l.Kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := vm.BackendSnapshot()
-			if _, err := vm.Compile(ki); err != nil {
-				t.Fatal(err)
-			}
-			after := vm.BackendSnapshot()
-			blocks := after.WGFusedBlocks - before.WGFusedBlocks
-			steps := after.WGFusedSteps - before.WGFusedSteps
-			if blocks <= 0 || steps <= 0 {
-				t.Errorf("%s %s: compile attributed wg_fused_blocks=%d wg_fused_steps=%d; want both > 0",
-					name, l.Kernel, blocks, steps)
+		for _, variant := range []struct{ name, src string }{{"gpu", gpu}, {"cpu", cpu}} {
+			compiled := map[string]bool{}
+			for _, l := range bm.App.Launches {
+				if compiled[l.Kernel] {
+					continue
+				}
+				compiled[l.Kernel] = true
+				ki, err := clc.FindKernelInfo(variant.src, l.Kernel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := vm.BackendSnapshot()
+				k, err := vm.Compile(ki)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := vm.BackendSnapshot()
+				fused, nofuse := k.WGFuseSpans()
+				var steps, rejects int64
+				for _, s := range fused {
+					steps += int64(s.Len)
+				}
+				for i := range after.WGFuseRejects {
+					rejects += after.WGFuseRejects[i] - before.WGFuseRejects[i]
+				}
+				if got := after.WGFusedBlocks - before.WGFusedBlocks; got != int64(len(fused)) {
+					t.Errorf("%s/%s: wg_fused_blocks advanced by %d for %d fused spans", variant.name, l.Kernel, got, len(fused))
+				}
+				if got := after.WGFusedSteps - before.WGFusedSteps; got != steps {
+					t.Errorf("%s/%s: wg_fused_steps advanced by %d for %d fused instructions", variant.name, l.Kernel, got, steps)
+				}
+				if rejects != int64(len(nofuse)) {
+					t.Errorf("%s/%s: wg_fuse_reject_* advanced by %d for %d unfused spans", variant.name, l.Kernel, rejects, len(nofuse))
+				}
+
+				bodies := k.ReductionBodies()
+				switch {
+				case mustFuse[l.Kernel]:
+					if len(bodies) != 1 {
+						t.Errorf("%s/%s: %d reduction loop bodies, want 1", variant.name, l.Kernel, len(bodies))
+					}
+					for _, pc := range bodies {
+						if spanAt(fused, pc) != nil {
+							fusedBodies++
+						} else if s := spanAt(nofuse, pc); s != nil {
+							t.Errorf("%s/%s: loop body @%d is not fused: %s", variant.name, l.Kernel, pc, s.Name)
+						} else {
+							t.Errorf("%s/%s: loop body @%d carries no fusion verdict", variant.name, l.Kernel, pc)
+						}
+					}
+				case l.Kernel == "corr_std":
+					if len(bodies) != 1 {
+						t.Fatalf("%s/corr_std: %d reduction loop bodies, want 1", variant.name, len(bodies))
+					}
+					if s := spanAt(nofuse, bodies[0]); s == nil || s.Name != "shape" {
+						t.Errorf("%s/corr_std: loop body verdict %+v, want an unfused span with reason shape", variant.name, s)
+					}
+					if !strings.Contains(k.Disasm(), "; wg.nofuse (shape)") {
+						t.Errorf("%s/corr_std: disassembly does not annotate the unfused body", variant.name)
+					}
+				}
 			}
 		}
+	}
+	if fusedBodies != 16 {
+		t.Errorf("%d multiply-accumulate loop bodies fused, want 16 (8 kernels x 2 variants)", fusedBodies)
 	}
 }
