@@ -17,7 +17,8 @@ import (
 // (the CI topology-matrix invocation, whose refresh_deltas key CI greps)
 // against the file the last commit before the counter consolidation wrote,
 // plus the keys added since (PR 14: wg_step_instrs_dyn, wg_fuse_reject_*,
-// and the wg_fused_* coverage the reduction jam raised): same key set, same
+// and the wg_fused_* coverage the reduction jam raised; PR 15:
+// wg_loop_fused): same key set, same
 // values, wall_seconds excluded. Everything else in the record is virtual
 // and deterministic — for a given worker count: the speculative launch
 // engine runs (and counts) a few work-groups more with more workers, so the

@@ -39,7 +39,9 @@ import (
 // passes.TransformGPU, the form the twin protocol's GPU executes. The
 // generated kernels open with a multiply-accumulate loop over the read-only
 // input, so the wg engine's reduction jam (one inc per body as generated,
-// two once the GPU pass has unrolled the loop) runs under both certificates.
+// two once the GPU pass has unrolled the loop) and its loop closure — whole
+// loops where the control is lane-uniform, one trip per dispatch where the
+// generator made it lane-varying — run under both certificates.
 
 const (
 	genGlobal = 32 // 1-D launch: 4 groups of 8
@@ -130,6 +132,22 @@ func genStrided(r *rand.Rand) genKernel {
 	// The reduction loop reads only in[], below word 32*16+9, so it leaves
 	// the ground-truth access model of out[] alone.
 	redStride, redTrip, redTwoTerms := 8+r.Intn(9), 3+r.Intn(7), r.Intn(2) == 0
+	// Against the wg engine's loop closure: trip counts 0 and 1, a start or a
+	// bound that varies from lane to lane (the uniformity precheck fails and
+	// the lanes leave the loop at different trips; k stays below 10), and a
+	// second induction variable that only feeds an index.
+	redStart, redBound := "0", fmt.Sprint(redTrip)
+	switch r.Intn(8) {
+	case 0:
+		redBound = "0"
+	case 1:
+		redBound = "1"
+	case 2:
+		redStart = "l % 3"
+	case 3:
+		redBound = "l + 3"
+	}
+	redSecondIV := r.Intn(3) == 0
 
 	var b strings.Builder
 	b.WriteString("__kernel void gen(__global float* out, __global float* in, int n) {\n")
@@ -138,10 +156,14 @@ func genStrided(r *rand.Rand) genKernel {
 	b.WriteString("    int w = get_group_id(0);\n")
 	b.WriteString("    float acc = in[g];\n")
 	fmt.Fprintf(&b, "    int rs = %d;\n", redStride)
-	fmt.Fprintf(&b, "    for (int k = 0; k < %d; k++) {\n", redTrip)
+	b.WriteString("    int p = g;\n")
+	fmt.Fprintf(&b, "    for (int k = %s; k < %s; k++) {\n", redStart, redBound)
 	b.WriteString("        acc += in[g * rs + k] * in[k];\n")
 	if redTwoTerms {
 		b.WriteString("        acc += in[k * rs + l];\n")
+	}
+	if redSecondIV {
+		b.WriteString("        acc += in[p];\n        p = p + 3;\n")
 	}
 	b.WriteString("    }\n")
 	for _, rd := range k.outReads {
@@ -258,7 +280,7 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 	// log, and the fused closures never run under one.
 	defer vm.SetWorkers(0)
 	vm.SetWorkers(1)
-	fusedBefore := vm.BackendSnapshot().WGFusedInstrsDyn
+	before := vm.BackendSnapshot()
 	for seed := 0; seed < trials; seed++ {
 		r := rand.New(rand.NewSource(int64(7000 + seed)))
 		gk := genStrided(r)
@@ -426,7 +448,12 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 	if exactAgreed == 0 {
 		t.Error("no trial exercised the exact subclass; generator drifted")
 	}
-	if vm.BackendSnapshot().WGFusedInstrsDyn == fusedBefore {
+	after := vm.BackendSnapshot()
+	if after.WGFusedInstrsDyn == before.WGFusedInstrsDyn {
 		t.Error("no trial ran a fused closure; generator drifted")
+	}
+	if after.WGLoopBatchesDyn == before.WGLoopBatchesDyn || after.WGLoopNonuniformDyn == before.WGLoopNonuniformDyn {
+		t.Errorf("loop closure: %d whole-loop dispatches, %d failed uniformity prechecks; want both; generator drifted",
+			after.WGLoopBatchesDyn-before.WGLoopBatchesDyn, after.WGLoopNonuniformDyn-before.WGLoopNonuniformDyn)
 	}
 }

@@ -51,7 +51,7 @@ type counterRef struct {
 
 // refs lists every counter of c in emission order. It is the single field
 // list behind Each, Sub and AccumulateGlobal.
-func (c *Counters) refs() [35]counterRef {
+func (c *Counters) refs() [42]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
 		{"prime_copies_elided", &c.PrimeCopiesElided},
@@ -88,6 +88,13 @@ func (c *Counters) refs() [35]counterRef {
 		{"wg_fuse_reject_cap", &c.WGFuseRejects[vm.WGFuseRejCap]},
 		{"wg_fuse_reject_wide_regs", &c.WGFuseRejects[vm.WGFuseRejWideRegs]},
 		{"wg_fuse_reject_cond_terminator", &c.WGFuseRejects[vm.WGFuseRejCondTerm]},
+		{"wg_loop_fused", &c.WGLoopVerdicts[vm.WGLoopRejNone]},
+		{"wg_loop_reject_no_cycle", &c.WGLoopVerdicts[vm.WGLoopRejNoCycle]},
+		{"wg_loop_reject_index_not_linear", &c.WGLoopVerdicts[vm.WGLoopRejIndexNotLinear]},
+		{"wg_loop_reject_counter_redefined", &c.WGLoopVerdicts[vm.WGLoopRejCounterRedefined]},
+		{"wg_loop_batches_dyn", &c.WGLoopBatchesDyn},
+		{"wg_loop_trips_dyn", &c.WGLoopTripsDyn},
+		{"wg_loop_nonuniform_dyn", &c.WGLoopNonuniformDyn},
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestCounterNamesPinned pins every -jsonout counter key: CI greps
-// refresh_deltas, wg_fused_instrs_dyn and wg_fuse_reject_*, and the sparse
+// refresh_deltas, wg_fused_instrs_dyn, wg_fuse_reject_* and wg_loop_*, and the sparse
 // JSON omits zero counters, so only this list catches a renamed key whose
 // counter happens to be zero in the pinned runs.
 func TestCounterNamesPinned(t *testing.T) {
@@ -25,6 +25,9 @@ func TestCounterNamesPinned(t *testing.T) {
 		"wg_cert_reject_unknown_read", "wg_cert_reject_overlap", "wg_cert_reject_budget",
 		"wg_fuse_reject_shape", "wg_fuse_reject_wiring", "wg_fuse_reject_live_scratch",
 		"wg_fuse_reject_cap", "wg_fuse_reject_wide_regs", "wg_fuse_reject_cond_terminator",
+		"wg_loop_fused", "wg_loop_reject_no_cycle", "wg_loop_reject_index_not_linear",
+		"wg_loop_reject_counter_redefined",
+		"wg_loop_batches_dyn", "wg_loop_trips_dyn", "wg_loop_nonuniform_dyn",
 	}
 	var got []string
 	var c Counters
@@ -53,8 +56,15 @@ func TestCounterNamesPinned(t *testing.T) {
 			t.Errorf("fuse reject reason %d (%s) is emitted as %q", r, fuses[r], key)
 		}
 	}
-	if len(want) != firstFuse+len(fuses)-1 {
-		t.Errorf("%d counters for %d+%d reject reasons", len(want), len(certs)-1, len(fuses)-1)
+	loops := vm.WGLoopRejectNames()
+	firstLoop := firstFuse + len(fuses) - 1 // wg_loop_fused, then one key per reason
+	for r := int(vm.WGLoopRejNone) + 1; r < len(loops); r++ {
+		if key := want[firstLoop+r]; key != "wg_loop_reject_"+strings.ReplaceAll(loops[r], "-", "_") {
+			t.Errorf("loop reject reason %d (%s) is emitted as %q", r, loops[r], key)
+		}
+	}
+	if len(want) != firstLoop+len(loops)+3 {
+		t.Errorf("%d counters for %d+%d+%d reject reasons", len(want), len(certs)-1, len(fuses)-1, len(loops)-1)
 	}
 	if d := c.Sub(c); d != (Counters{}) {
 		t.Errorf("c.Sub(c) = %+v, want zero", d)

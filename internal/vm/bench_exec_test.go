@@ -4,6 +4,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"fluidicl/internal/clc"
@@ -109,11 +110,26 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 	}}
 }
 
+// benchSYRKTrips is SYRK's GPU variant at its quick-scale NDRange with the
+// inner dimension — the reduction loop's trip count — set to m, so that the
+// wg engine's cost per loop entry (uniformity precheck, skeleton walk
+// set-up, write-back) and per trip can be read apart.
+func benchSYRKTrips(b testing.TB, m int) []benchLaunch {
+	launches := benchApp(b, "SYRK", true)
+	for _, l := range launches {
+		n := l.args[2].I // syrk_kernel(A, C, n, m, alpha, beta, ...)
+		l.args[0] = vm.BufArg(make([]byte, 4*n*int64(m)))
+		l.args[3] = vm.IntArg(int64(m))
+	}
+	return launches
+}
+
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
 // backend. Sequential workers so the numbers measure the execution engine,
 // not goroutine scheduling; the acceptance bar is closure >= 1.5x interp on
 // at least two kernels. The NAME/gpuvar/BACKEND rows run the GPU-transformed
-// kernels (see benchApp) next to the original-source ones.
+// kernels (see benchApp) next to the original-source ones, the
+// SYRK/gpuvar/m=M rows the trip-count sweep (see benchSYRKTrips).
 func BenchmarkExecLaunch(b *testing.B) {
 	vm.SetWorkers(1)
 	defer vm.SetWorkers(0)
@@ -124,6 +140,9 @@ func BenchmarkExecLaunch(b *testing.B) {
 	var rows []row
 	for _, name := range []string{"SYRK", "SYR2K", "GESUMMV", "2MM", "CORR"} {
 		rows = append(rows, row{name, benchApp(b, name, false)}, row{name + "/gpuvar", benchApp(b, name, true)})
+	}
+	for _, m := range []int{4, 64, 1024} {
+		rows = append(rows, row{fmt.Sprintf("SYRK/gpuvar/m=%d", m), benchSYRKTrips(b, m)})
 	}
 	rows = append(rows, row{"SCATTER", benchScatter(b)})
 	for _, r := range rows {

@@ -144,6 +144,12 @@ var backendCtr struct {
 	// through per-step lists.
 	wgFusedInstrsDyn atomic.Int64
 	wgStepInstrsDyn  atomic.Int64
+
+	// Loop-level fusion (wgloop.go), see BackendCounters.
+	wgLoopVerdicts      [wgLoopRejCount]atomic.Int64
+	wgLoopBatchesDyn    atomic.Int64
+	wgLoopTripsDyn      atomic.Int64
+	wgLoopNonuniformDyn atomic.Int64
 }
 
 // BackendCounters is a snapshot of process-wide backend activity.
@@ -195,6 +201,18 @@ type BackendCounters struct {
 	// of the input, unlike the compile-time counts above.
 	WGFusedInstrsDyn int64
 	WGStepInstrsDyn  int64
+
+	// WGLoopVerdicts counts the loop verdict of every fused reduction body
+	// compiled: index WGLoopRejNone the loops fused, the others the bodies
+	// left on one trip per dispatch, by WGLoopReject reason.
+	WGLoopVerdicts [wgLoopRejCount]int64
+	// WGLoopBatchesDyn counts fused-body dispatches that ran their whole
+	// loop, WGLoopTripsDyn the trips those covered, WGLoopNonuniformDyn the
+	// dispatches of a loop-fused body that ran one trip because the
+	// uniformity precheck failed (registers, or already-diverged budgets).
+	WGLoopBatchesDyn    int64
+	WGLoopTripsDyn      int64
+	WGLoopNonuniformDyn int64
 }
 
 // WGRejectNames returns the reason name for each WGRejects index.
@@ -202,6 +220,9 @@ func WGRejectNames() [wgRejCount]string { return wgRejectNames }
 
 // WGFuseRejectNames returns the reason name for each WGFuseRejects index.
 func WGFuseRejectNames() [wgFuseRejCount]string { return wgFuseRejectNames }
+
+// WGLoopRejectNames returns the reason name for each WGLoopVerdicts index.
+func WGLoopRejectNames() [wgLoopRejCount]string { return wgLoopRejectNames }
 
 // BackendSnapshot returns the process-wide backend counters.
 func BackendSnapshot() BackendCounters {
@@ -222,12 +243,19 @@ func BackendSnapshot() BackendCounters {
 
 		WGFusedInstrsDyn: backendCtr.wgFusedInstrsDyn.Load(),
 		WGStepInstrsDyn:  backendCtr.wgStepInstrsDyn.Load(),
+
+		WGLoopBatchesDyn:    backendCtr.wgLoopBatchesDyn.Load(),
+		WGLoopTripsDyn:      backendCtr.wgLoopTripsDyn.Load(),
+		WGLoopNonuniformDyn: backendCtr.wgLoopNonuniformDyn.Load(),
 	}
 	for i := range bc.WGRejects {
 		bc.WGRejects[i] = backendCtr.wgRej[i].Load()
 	}
 	for i := range bc.WGFuseRejects {
 		bc.WGFuseRejects[i] = backendCtr.wgFuseRej[i].Load()
+	}
+	for i := range bc.WGLoopVerdicts {
+		bc.WGLoopVerdicts[i] = backendCtr.wgLoopVerdicts[i].Load()
 	}
 	return bc
 }

@@ -229,7 +229,8 @@ func TestClosureErrorParity(t *testing.T) {
 // memTracker, locals and the closure context all come from the kernel's
 // scratch pool). It runs the SYRK-shaped kernel as written and as the twin
 // GPU sees it (passes.TransformGPU); in both, the wg engine must execute the
-// loop body through the reduction jam, whose plan lives in fixed arrays.
+// loop through the reduction jam's loop closure, whose plans live in fixed
+// arrays and whose scalar register file lives on the stack.
 func TestExecLaunchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -260,10 +261,10 @@ func TestExecLaunchAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fusedBefore := BackendSnapshot().WGFusedInstrsDyn
+			loopsBefore := BackendSnapshot().WGLoopBatchesDyn
 			run() // warm the pools
-			if be == BackendWG && BackendSnapshot().WGFusedInstrsDyn == fusedBefore {
-				t.Errorf("%s: the wg launch ran no fused closure", v.name)
+			if be == BackendWG && BackendSnapshot().WGLoopBatchesDyn == loopsBefore {
+				t.Errorf("%s: the wg launch ran no loop closure", v.name)
 			}
 			if avg := testing.AllocsPerRun(20, run); avg >= 1 {
 				t.Errorf("%s/%v: ExecLaunch allocates %.1f allocs/op after warm-up", v.name, be, avg)

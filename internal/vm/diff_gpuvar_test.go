@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fluidicl/internal/clc"
@@ -199,4 +200,88 @@ func TestDifferentialGPUVariant(t *testing.T) {
 	if after.WGFuseRejects[WGFuseRejCap] == before.WGFuseRejects[WGFuseRejCap] {
 		t.Error("no generated reduction crossed the jam's plan capacity; generator drifted")
 	}
+
+	// Loops built against the loop closure (wgloop.go), as written and
+	// GPU-transformed. Every sixth seed's inputs end inside the last
+	// work-items' rows: where an index then leaves its buffer at a trip
+	// j > 0, every executor, the AST reference included, must fail.
+	for seed := 0; seed < 90; seed++ {
+		r := rand.New(rand.NewSource(int64(8000 + seed)))
+		orig := genLoopAdversary(r)
+		gpu, _, err := TransformedSources(orig)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, orig)
+		}
+		m := 5 + r.Intn(8)
+		words := 1024
+		if seed%6 == 5 {
+			words = n*m - 2
+		}
+		mkArgs := func() []Arg {
+			fr := rand.New(rand.NewSource(int64(seed) * 17))
+			mk := func() []byte { return floatBuf(words, func(int) float32 { return float32(fr.Float64()*4 - 2) }) }
+			return []Arg{BufArg(make([]byte, 4*2*n)), BufArg(mk()), BufArg(mk()), IntArg(n), IntArg(int64(m)), FloatArg(0.75)}
+		}
+		diffFiveWay(t, fmt.Sprintf("genLoopAdversary seed %d", seed), orig, "red", NewNDRange1D(n, 8), mkArgs)
+		diffFiveWay(t, fmt.Sprintf("genLoopAdversary seed %d (gpu)", seed), gpu, "red", NewNDRange1D(n, 8),
+			func() []Arg { return append(mkArgs(), abort()...) })
+	}
+	adv := BackendSnapshot()
+	if adv.WGLoopBatchesDyn == after.WGLoopBatchesDyn || adv.WGLoopNonuniformDyn == after.WGLoopNonuniformDyn {
+		t.Errorf("adversarial loops: %d whole-loop dispatches, %d failed prechecks; want both",
+			adv.WGLoopBatchesDyn-after.WGLoopBatchesDyn, adv.WGLoopNonuniformDyn-after.WGLoopNonuniformDyn)
+	}
+	for r := WGLoopRejNone; int(r) < wgLoopRejCount; r++ {
+		if r != WGLoopRejNoCycle && adv.WGLoopVerdicts[r] == after.WGLoopVerdicts[r] {
+			t.Errorf("no adversarial loop compiled with loop verdict %v; generator drifted", r)
+		}
+	}
+}
+
+// genLoopAdversary returns a multiply-accumulate kernel named "red" over
+// GenReduction's signature whose loop is picked to stress the wg engine's
+// loop closure: starts and bounds that vary from lane to lane (the
+// uniformity precheck fails and the lanes leave at different trips), trip
+// counts 0 and 1, a second induction variable p used only in an index, an
+// index whose two factors both count (k * q), and, under an int-only outer
+// loop the control skeleton swallows, indices that read the outer counter
+// or the inner one the skeleton resets. Every index stays below 1024.
+func genLoopAdversary(r *rand.Rand) string {
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	nested := r.Intn(4) == 0
+	idx := []string{"i * m + k", "k * n + i", "k", "p", "k * q + i", "q * n + i"}
+	if nested {
+		idx = append(idx, "o * m + k", "o")
+	}
+	var b strings.Builder
+	b.WriteString("__kernel void red(__global float* out, __global float* a, __global float* b, int n, int m, float alpha) {\n")
+	b.WriteString("    int i = get_global_id(0);\n    int l = get_local_id(0);\n")
+	b.WriteString("    if (i < n) {\n        float acc = 0.5f;\n")
+	fmt.Fprintf(&b, "        int p = %s;\n        int q = 1;\n", pick("i", "l", "0"))
+	if nested {
+		b.WriteString("        for (int o = 0; o < 2; o++) {\n")
+	}
+	fmt.Fprintf(&b, "        for (int k = %s; k < %s; k++) {\n", pick("0", "0", "l", "l % 3"), pick("m", "m", "l + 3", "0", "1", "min(m, l + 2)"))
+	for t, nt := 0, 1+r.Intn(2); t < nt; t++ {
+		var fs []string
+		if r.Intn(2) == 0 {
+			fs = append(fs, "alpha")
+		}
+		for f, nf := 0, 1+r.Intn(2); f < nf; f++ {
+			fs = append(fs, fmt.Sprintf("%s[%s]", pick("a", "b"), idx[r.Intn(len(idx))]))
+		}
+		fmt.Fprintf(&b, "            acc += %s;\n", strings.Join(fs, " * "))
+	}
+	if r.Intn(2) == 0 {
+		b.WriteString("            p = p + 2;\n")
+	}
+	if r.Intn(2) == 0 {
+		b.WriteString("            q = q + 1;\n")
+	}
+	b.WriteString("        }\n")
+	if nested {
+		b.WriteString("        }\n")
+	}
+	b.WriteString("        out[i] = acc;\n        out[n + i] = (float)(p + q);\n    }\n}\n")
+	return b.String()
 }

@@ -59,10 +59,13 @@ func (k *Kernel) Disasm() string {
 	// barrier-region entry, a wg-loop suffix at every block the lockstep
 	// engine dispatches as a single banked step sequence, and the fusion
 	// pass's verdict on each non-empty block body (wg.fuse, or wg.nofuse
-	// with the reason).
+	// with the reason) and on the loop around each fused reduction body
+	// (wg.loop-fuse with the skeleton size and the registers prechecked
+	// uniform, or wg.loop-nofuse with the reason).
 	wgLoopAt := map[int]FusedSpan{}
 	wgFuseAt := map[int]FusedSpan{}
 	wgNoFuseAt := map[int]FusedSpan{}
+	wgLoopFuseAt := map[int]FusedSpan{}
 	regionAt := map[int]int{}
 	if k.wg != nil {
 		for _, s := range k.wg.spans {
@@ -73,6 +76,9 @@ func (k *Kernel) Disasm() string {
 		}
 		for _, s := range k.wg.nofuse {
 			wgNoFuseAt[s.Start] = s
+		}
+		for _, s := range k.wg.loops {
+			wgLoopFuseAt[s.Start] = s
 		}
 		for ri := range k.wg.regions {
 			regionAt[k.wg.regions[ri].entry] = ri
@@ -95,6 +101,9 @@ func (k *Kernel) Disasm() string {
 		}
 		if s, ok := wgNoFuseAt[pc]; ok {
 			line = fmt.Sprintf("%s  ; wg.nofuse (%s)", line, s.Name)
+		}
+		if s, ok := wgLoopFuseAt[pc]; ok {
+			line = fmt.Sprintf("%s  ; %s", line, s.Name)
 		}
 		fmt.Fprintf(&b, "%4d  %s\n", pc, line)
 	}

@@ -64,6 +64,16 @@ func (k *Kernel) WGFuseSpans() (fused, nofuse []FusedSpan) {
 	return k.wg.fused, k.wg.nofuse
 }
 
+// WGLoopVerdicts returns the loop verdict of every fused reduction body:
+// Start is the body's pc, Name the disassembly annotation ("wg.loop-fuse
+// (...)" or "wg.loop-nofuse (reason)").
+func (k *Kernel) WGLoopVerdicts() []FusedSpan {
+	if k.wg == nil {
+		return nil
+	}
+	return k.wg.loops
+}
+
 // ReductionBodies returns the start pc of every loop-body block that loads
 // and accumulates: a block ending in a backward jump whose body holds both
 // an ldgf and an fadd.

@@ -80,6 +80,9 @@ type wgProgram struct {
 	// reason (plus the offending register or pc).
 	fused  []FusedSpan
 	nofuse []FusedSpan
+	// loops lists the loop verdict of every fused reduction body (wgloop.go),
+	// spanning the body; Name is the whole disassembly annotation.
+	loops []FusedSpan
 }
 
 // buildWG compiles the whole-work-group program. It requires the closure

@@ -116,6 +116,17 @@ type wmach struct {
 	dynFused int64
 	dynStep  int64
 
+	// Loop-level fusion (wgloop.go). A fused closure that ran its block's
+	// whole loop sets next (-1 before the call) to the exit pc, and the
+	// dispatcher skips the terminator; booked marks a phase whose reduction
+	// sites went into lastB/seenB in closed form (see replay). The loop*
+	// tallies are folded into backendCtr at group end.
+	next           int
+	booked         bool
+	loopBatches    int64
+	loopTrips      int64
+	loopNonuniform int64
+
 	parked    int
 	done      int
 	barrierPC int
@@ -281,15 +292,32 @@ func (m *wmach) recAcc(t int32, id, off int32) {
 	}
 }
 
-// colReserve grows the columnar log by k columns in one step and returns
-// the index of the first. A caller holding several column subslices MUST
-// reserve them all in one call: a later growth can reallocate the backing
-// array, silently orphaning subslices taken before it (their writes would
-// land in the dead array and the live columns would replay as zeros).
-func (m *wmach) colReserve(k int) int {
+// recUniform records one global access all n work-items made at the same
+// offset (a load in a loop's control skeleton, wgloop.go): one column while
+// the phase is columnar, one append per item stream after.
+func (m *wmach) recUniform(id, off int32) {
+	switch {
+	case id < 0:
+	case m.colMode:
+		col := m.colFor(id)
+		for t := range col {
+			col[t] = off
+		}
+	default:
+		for t := range m.rec {
+			m.rec[t] = append(m.rec[t], wgAcc{id: id, off: off})
+		}
+	}
+}
+
+// colFor appends a new access column for one dynamic global access of
+// memID id and returns its n-offset slice. Caller fills col[t] for every
+// item before taking any further column (growing the log can reallocate it
+// and orphan the subslice); only valid while colMode.
+func (m *wmach) colFor(id int32) []int32 {
 	n := m.n
 	j := len(m.colIDs)
-	need := (j + k) * n
+	need := (j + 1) * n
 	if cap(m.colBuf) < need {
 		grown := make([]int32, need, need*2)
 		copy(grown, m.colBuf)
@@ -297,39 +325,8 @@ func (m *wmach) colReserve(k int) int {
 	} else {
 		m.colBuf = m.colBuf[:need]
 	}
-	return j
-}
-
-// colFor appends a new access column for one dynamic global access of
-// memID id and returns its n-offset slice. Caller fills col[t] for every
-// item before reserving any further column; only valid while colMode.
-func (m *wmach) colFor(id int32) []int32 {
-	n := m.n
-	j := m.colReserve(1)
 	m.colIDs = append(m.colIDs, id)
-	return m.colBuf[j*n : (j+1)*n]
-}
-
-// colsFor is colFor for a jam that fills several columns in one pass over
-// the work-items: it reserves one column per non-negative id, all in a
-// single growth step so every subslice stays valid (see colReserve), and
-// returns them in cols, leaving nil where the access records nothing.
-func (m *wmach) colsFor(ids []int32, cols [][]int32) {
-	n := m.n
-	k := 0
-	for _, id := range ids {
-		if id >= 0 {
-			k++
-		}
-	}
-	j := m.colReserve(k)
-	for i, id := range ids {
-		if id >= 0 {
-			m.colIDs = append(m.colIDs, id)
-			cols[i] = m.colBuf[j*n : (j+1)*n]
-			j++
-		}
-	}
+	return m.colBuf[j*n : need]
 }
 
 // colFlush transposes the columnar log into the per-item rec streams and
@@ -351,72 +348,93 @@ func (m *wmach) colFlush() {
 
 // replay drives the recorded access streams through the memTracker in the
 // interpreter's exact order: items ascending, each opening a warp slot,
-// each stream in program order.
+// each stream in program order. Sites the phase booked in closed form while
+// it was still uniform (wgReduce.trips) are missing from the streams, in
+// every item by the same number of occurrences, so the warp comparison stays
+// aligned; their stride state carries over from lastB/seenB so each site
+// keeps one state machine for the whole phase.
 func (m *wmach) replay() {
-	for t := 0; t < m.n; t++ {
+	n := m.n
+	for t := 0; t < n; t++ {
 		first := t%warpSize == 0
 		m.tr.nextWI(first)
+		if m.booked {
+			for id := range m.tr.seen {
+				if m.seenB[id*n+t] {
+					m.tr.seen[id], m.tr.last[id] = true, m.lastB[id*n+t]
+				}
+			}
+		}
 		for _, a := range m.rec[t] {
 			m.tr.access(a.id, a.off, first, m.st)
 		}
 		m.rec[t] = m.rec[t][:0]
 	}
+	if m.booked {
+		clear(m.seenB)
+	}
 }
 
-// replayFast is the transposed replay for phases that never partitioned:
-// every item recorded the same static access sequence, so the j-th access
-// of every stream shares one memID and one occurrence index. The CPU
-// stride stats depend only on each item's own stream (banked last/seen
-// state), and the warp comparison of item t's occ-th access against item
-// t-1's reduces to comparing the j-th offsets of adjacent streams — so one
-// column-major pass computes the memTracker's exact totals with no
-// occurrence bookkeeping and no per-memID offset lists.
-func (m *wmach) replayFast() {
+// bookCol books one access column — the offsets at which the n work-items
+// made the same dynamic access of memID id — into the transposed tracker.
+// In a phase that never partitioned every item records the same static
+// access sequence, so the j-th access of every stream shares one memID and
+// one occurrence index. The CPU stride stats depend only on each item's own
+// stream (banked last/seen state), and the warp comparison of item t's
+// access against item t-1's is one of adjacent offsets of the column — so a
+// column-major pass computes the memTracker's exact totals.
+func (m *wmach) bookCol(id int, col []int32) {
 	n := m.n
-	if n == 0 {
-		return
-	}
-	stream0 := m.rec[0]
-	for j := range stream0 {
-		id := int(stream0[j].id)
-		base := id * n
-		lastB := m.lastB[base : base+n]
-		seenB := m.seenB[base : base+n]
-		var seq, rand, warp int64
-		var prevOff int32
-		for t := 0; t < n; t++ {
-			off := m.rec[t][j].off
-			if seenB[t] {
-				d := off - lastB[t]
-				if d < 0 {
-					d = -d
-				}
-				if d <= cacheLineBytes {
-					seq++
-				} else {
-					rand++
-				}
+	lastB := m.lastB[id*n : id*n+n]
+	seenB := m.seenB[id*n : id*n+n]
+	var seq, rand, warp int64
+	var prevOff int32
+	for t, off := range col[:n] {
+		if seenB[t] {
+			d := off - lastB[t]
+			if d < 0 {
+				d = -d
+			}
+			if d <= cacheLineBytes {
+				seq++
 			} else {
 				rand++
-				seenB[t] = true
 			}
-			lastB[t] = off
-			if t%warpSize == 0 {
-				warp++
-			} else {
-				d := off - prevOff
-				if d < 0 {
-					d = -d
-				}
-				if d > 4 {
-					warp++
-				}
-			}
-			prevOff = off
+		} else {
+			rand++
+			seenB[t] = true
 		}
-		m.st.SeqBytes += 4 * seq
-		m.st.RandBytes += 4 * rand
-		m.st.WarpTransactions += warp
+		lastB[t] = off
+		if t%warpSize == 0 {
+			warp++
+		} else {
+			d := off - prevOff
+			if d < 0 {
+				d = -d
+			}
+			if d > 4 {
+				warp++
+			}
+		}
+		prevOff = off
+	}
+	m.st.SeqBytes += 4 * seq
+	m.st.RandBytes += 4 * rand
+	m.st.WarpTransactions += warp
+}
+
+// replayFast is the transposed replay for phases that never partitioned but
+// left columnar mode: it gathers the j-th access of every per-item stream
+// into a column (the column log is empty by then and lends its buffer).
+func (m *wmach) replayFast() {
+	n := m.n
+	col := growI32(m.colBuf, n)
+	m.colBuf = col[:0]
+	for j, a := range m.rec[0] {
+		for t := range col {
+			col[t] = m.rec[t][j].off
+		}
+		m.bookCol(int(a.id), col)
 	}
 	for t := 0; t < n; t++ {
 		m.rec[t] = m.rec[t][:0]
@@ -426,56 +444,12 @@ func (m *wmach) replayFast() {
 	clear(m.seenB)
 }
 
-// replayCols is replayFast over the columnar log: the phase never left
-// columnar mode, so the j-th column already is the j-th access of every
-// item's (identical, static) sequence — the transposed walk runs over the
-// contiguous column instead of indirecting through n per-item slices.
+// replayCols is the transposed replay for phases that never left columnar
+// mode: the j-th column already is the j-th access of every item.
 func (m *wmach) replayCols() {
 	n := m.n
-	if n == 0 {
-		return
-	}
-	for j, idv := range m.colIDs {
-		id := int(idv)
-		base := id * n
-		lastB := m.lastB[base : base+n]
-		seenB := m.seenB[base : base+n]
-		col := m.colBuf[j*n : j*n+n]
-		var seq, rand, warp int64
-		var prevOff int32
-		for t := 0; t < n; t++ {
-			off := col[t]
-			if seenB[t] {
-				d := off - lastB[t]
-				if d < 0 {
-					d = -d
-				}
-				if d <= cacheLineBytes {
-					seq++
-				} else {
-					rand++
-				}
-			} else {
-				rand++
-				seenB[t] = true
-			}
-			lastB[t] = off
-			if t%warpSize == 0 {
-				warp++
-			} else {
-				d := off - prevOff
-				if d < 0 {
-					d = -d
-				}
-				if d > 4 {
-					warp++
-				}
-			}
-			prevOff = off
-		}
-		m.st.SeqBytes += 4 * seq
-		m.st.RandBytes += 4 * rand
-		m.st.WarpTransactions += warp
+	for j, id := range m.colIDs {
+		m.bookCol(int(id), m.colBuf[j*n:j*n+n])
 	}
 	m.colIDs = m.colIDs[:0]
 	m.colBuf = m.colBuf[:0]
@@ -502,13 +476,27 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.maxSteps = maxSteps
 	m.fuse = WGFuseEnabled()
 	m.dynFused, m.dynStep = 0, 0
+	m.loopBatches, m.loopTrips, m.loopNonuniform = 0, 0, 0
 
 	err := m.runGroup()
 	backendCtr.wgFusedInstrsDyn.Add(m.dynFused)
 	backendCtr.wgStepInstrsDyn.Add(m.dynStep)
+	backendCtr.wgLoopBatchesDyn.Add(m.loopBatches)
+	backendCtr.wgLoopTripsDyn.Add(m.loopTrips)
+	backendCtr.wgLoopNonuniformDyn.Add(m.loopNonuniform)
 	st := m.stat
 	m.release()
 	return st, err
+}
+
+// charge adds blk to the step budget the group shares until it first
+// diverges (budgetScalar), leaving the overrun error in m.err.
+func (m *wmach) charge(blk *wblock) bool {
+	if m.stepsAll += blk.nInstr; m.stepsAll > m.maxSteps {
+		m.err = &execError{m.k.Name, blk.start, "instruction budget exceeded (possible infinite loop)"}
+		return false
+	}
+	return true
 }
 
 // runGroup runs the whole group phase by phase until every item returns.
@@ -544,6 +532,7 @@ func (m *wmach) runGroup() error {
 	for {
 		m.parked, m.barrierPC = 0, -1
 		m.uniform = true
+		m.booked = false
 		m.colMode = true
 		m.colIDs = m.colIDs[:0]
 		m.colBuf = m.colBuf[:0]
@@ -559,8 +548,7 @@ func (m *wmach) runGroup() error {
 			m.full = m.uniform && len(s.items) == n
 			if m.budgetScalar {
 				if m.full {
-					if m.stepsAll += blk.nInstr; m.stepsAll > m.maxSteps {
-						m.err = &execError{k.Name, blk.start, "instruction budget exceeded (possible infinite loop)"}
+					if !m.charge(blk) {
 						m.freeSet(s)
 						return m.err
 					}
@@ -588,9 +576,15 @@ func (m *wmach) runGroup() error {
 			body := int64(blk.body - blk.start)
 			if m.fuse && blk.fused != nil && m.full && m.def == nil {
 				m.dynFused += body * int64(n)
+				m.next = -1
 				if !blk.fused(m) {
 					m.freeSet(s)
 					return m.err
+				}
+				if m.next >= 0 {
+					s.pc = m.next
+					m.push(s)
+					continue
 				}
 			} else {
 				m.dynStep += body * int64(len(s.items))

@@ -14,13 +14,14 @@ import (
 // own pass over the work-item set, so a k-step block traverses the SoA
 // banks k times per dispatch and pays k indirect calls. This pass runs at
 // wg-compile time and lowers whole block bodies into a single fused
-// closure that loops over the work-items once (once per accumulate term
-// for the reduction jam), with every touched bank
+// closure that loops over the work-items once, with every touched bank
 // hoisted into a subslice (one up-front length assertion, bounds checks
 // eliminated inside the loop), the ld/fmadd/st sequences jammed into one
 // wide inner loop, and pattern-internal scratch registers kept in scalars
 // instead of bank slabs when the block-level liveness analysis proves them
-// dead at the block exit.
+// dead at the block exit. The reduction jam goes one level further
+// (wgloop.go): when the loop control around its body is lane-uniform it
+// runs all T trips of the loop per work-item in one dispatch.
 //
 // Fusibility proof, in three parts:
 //
@@ -39,7 +40,10 @@ import (
 //     locality tracker is fed through the same recording machinery as the
 //     unfused steps (per-item streams in program order, or the columnar
 //     log while the phase is uniform), so the phase-end replay sees
-//     identical streams.
+//     identical streams — except for the reduction jam's own load sites,
+//     which are booked in closed form against the same transposed state
+//     the replay uses, one state machine per site and phase (DESIGN.md
+//     S20, "Loop-level fusion").
 //  3. Scalar elision: a scratch register's bank write may be dropped only
 //     when the register is provably dead at the block exit (wgLiveness, a
 //     standard backward dataflow over the bytecode CFG) and the block
@@ -188,67 +192,41 @@ func wgUseDef(in Instr) (iu, fu, id, fd uint64) {
 	return
 }
 
-// wgLiveness computes per-block live-out register masks (int and float) by
-// backward dataflow over the bytecode CFG, keyed by block leader pc. Only
-// called when NumI and NumF both fit a 64-bit mask.
-func (k *Kernel) wgLiveness(wg *wgProgram) (iOut, fOut map[int]uint64) {
-	code := k.Code
-	n := len(code)
-	type lblock struct {
-		s, e  int
-		succs []int
-	}
-	var blocks []lblock
-	for s := 0; s < n; {
-		e := s + 1
-		for e < n && !wg.leader[e] {
-			e++
-		}
-		b := lblock{s: s, e: e}
-		switch last := code[e-1]; last.Op {
-		case opJMP:
-			b.succs = []int{int(last.A)}
-		case opJZ, opJNZ:
-			b.succs = []int{int(last.A)}
-			if e < n {
-				b.succs = append(b.succs, e)
-			}
-		case opRET:
-		default: // fallthrough and barrier resume at e
-			if e < n {
-				b.succs = append(b.succs, e)
-			}
-		}
-		blocks = append(blocks, b)
-		s = e
-	}
-	iIn := make(map[int]uint64, len(blocks))
-	fIn := make(map[int]uint64, len(blocks))
-	iOut = make(map[int]uint64, len(blocks))
-	fOut = make(map[int]uint64, len(blocks))
+// wgLiveness computes per-block live-in (int) and live-out (int and float)
+// register masks by backward dataflow over the bytecode CFG, keyed by block
+// leader pc. A non-nil only restricts the dataflow to the blocks it marks:
+// every other block is a sink with nothing live, which turns the int live-in
+// of a block into its upward-exposed uses within that subgraph (wgloop.go).
+// Only called when NumI and NumF both fit a 64-bit mask.
+func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, iOut, fOut map[int]uint64) {
+	iIn, fIn := map[int]uint64{}, map[int]uint64{}
+	iOut, fOut = map[int]uint64{}, map[int]uint64{}
 	for changed := true; changed; {
 		changed = false
-		for bi := len(blocks) - 1; bi >= 0; bi-- {
-			b := blocks[bi]
+		for s := len(k.Code) - 1; s >= 0; s-- {
+			b := wg.blocks[s]
+			if b == nil || only != nil && !only[s] {
+				continue
+			}
 			var io, fo uint64
-			for _, sp := range b.succs {
+			for _, sp := range b.term.succs() { // -1 and the end of the code look up as nothing live
 				io |= iIn[sp]
 				fo |= fIn[sp]
 			}
 			li, lf := io, fo
-			for pc := b.e - 1; pc >= b.s; pc-- {
-				iu, fu, id, fd := wgUseDef(code[pc])
+			for pc := s + int(b.nInstr) - 1; pc >= s; pc-- {
+				iu, fu, id, fd := wgUseDef(k.Code[pc])
 				li = (li &^ id) | iu
 				lf = (lf &^ fd) | fu
 			}
-			if io != iOut[b.s] || fo != fOut[b.s] || li != iIn[b.s] || lf != fIn[b.s] {
+			if io != iOut[s] || fo != fOut[s] || li != iIn[s] || lf != fIn[s] {
 				changed = true
-				iOut[b.s], fOut[b.s] = io, fo
-				iIn[b.s], fIn[b.s] = li, lf
+				iOut[s], fOut[s] = io, fo
+				iIn[s], fIn[s] = li, lf
 			}
 		}
 	}
-	return iOut, fOut
+	return iIn, iOut, fOut
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +236,7 @@ func (k *Kernel) wgLiveness(wg *wgProgram) (iOut, fOut map[int]uint64) {
 // wgJams lists the jam shapes in match order. Their opcode patterns are
 // mutually exclusive, so the first matcher that gets past its opcode match
 // decides the block's verdict.
-var wgJams = [...]func(*Kernel, *wblock, uint64, uint64) (wfused, wgNoFuse){
+var wgJams = [...]func(*Kernel, *wgProgram, *wblock, uint64, uint64) (wfused, wgNoFuse){
 	(*Kernel).wgfuseReduce,
 	(*Kernel).wgfuseScatter,
 	(*Kernel).wgfuseStoreTail,
@@ -277,7 +255,7 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 	wide := k.NumI > 64 || k.NumF > 64
 	var iOut, fOut map[int]uint64
 	if !wide {
-		iOut, fOut = k.wgLiveness(wg)
+		_, iOut, fOut = k.wgLiveness(wg, nil)
 	}
 	for _, blk := range wg.blocks {
 		if blk == nil {
@@ -290,7 +268,7 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 		rej := wgNoFuse{why: WGFuseRejWideRegs}
 		if !wide {
 			for _, jam := range wgJams {
-				if blk.fused, rej = jam(k, blk, iOut[blk.start], fOut[blk.start]); rej.why != WGFuseRejShape {
+				if blk.fused, rej = jam(k, wg, blk, iOut[blk.start], fOut[blk.start]); rej.why != WGFuseRejShape {
 					break
 				}
 			}
@@ -325,7 +303,7 @@ func wgWiring(pc int) wgNoFuse { return wgNoFuse{WGFuseRejWiring, fmt.Sprintf("@
 
 // wgAff is one parsed index: idx = ib[x]*ib[y] + ib[z] for the affine group
 // (imov, imov, imul, imov, iadd), or idx = ib[z] for a plain imov (aff
-// false).
+// false; x and y alias z).
 type wgAff struct {
 	aff     bool
 	x, y, z int
@@ -372,8 +350,8 @@ func parseWInc(code []Instr, pc int, defs *uint64) (ctr int, imm int64, ok bool)
 
 // wgLoadErr formats the fused loads' out-of-range error exactly like the
 // unfused superinstructions do.
-func wgLoadErr(kname string, pc int, name string, idx int64, bufLen int) *execError {
-	return &execError{kname, pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, bufLen)}
+func wgLoadErr(kname string, f *wgFactor, idx int64, bufLen int) *execError {
+	return &execError{kname, f.pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", f.name, idx, bufLen)}
 }
 
 // Plan capacity of the reduction-chain jam. The parsed chain lives in
@@ -386,21 +364,25 @@ const (
 	wgMaxLoads   = wgMaxTerms * wgMaxFactors
 )
 
-// wgFactor is one load of a reduction term: v = buf[idx].
+// wgFactor is one load of a reduction term: v = buf[idx]. sx, sy and sz are
+// the per-trip increments of the index sources (the immediate of the body's
+// own inc for a source that is one of its counters, zero otherwise), so over
+// consecutive trips idx advances by the constant sx*y + x*sy + sz.
 type wgFactor struct {
-	idx  wgAff
-	slot int32
-	mem  int32 // static mem-op id; < 0 records nothing
-	pc   int   // of the ldgf, for the out-of-range error
-	name string
+	idx        wgAff
+	sx, sy, sz int64
+	slot       int32
+	mem        int32 // static mem-op id; < 0 records nothing
+	pc         int   // of the ldgf, for the out-of-range error
+	name       string
 }
 
-// wgRedTerm is one multiply-accumulate term: acc += [seed *] v0 * v1 * ...
+// wgRedTerm is one multiply-accumulate term over the next nf loads of the
+// plan: accs[acc] += [seed *] v0 * v1 * ...
 type wgRedTerm struct {
 	seed int // float register the product starts from; -1 when seedless
-	acc  int
+	acc  int // index into wgReduce.accs (terms may share an accumulator)
 	nf   int
-	f    [wgMaxFactors]wgFactor
 }
 
 // wgReduce is the parsed plan of one reduction-chain body.
@@ -408,16 +390,20 @@ type wgReduce struct {
 	kname string
 	nt    int
 	terms [wgMaxTerms]wgRedTerm
+	nAcc  int
+	accs  [wgMaxTerms]int // distinct accumulator registers
 	ni    int
 	ctrs  [wgMaxIncs]int
 	imms  [wgMaxIncs]int64
-	// Loads in program order: their columnar-log ids and, batched per
-	// dispatch, the order-independent Stats of the whole body.
+	// Loads in program order, and the order-independent Stats of one trip.
 	nLoads   int
-	memIDs   [wgMaxLoads]int32
+	loads    [wgMaxLoads]wgFactor
 	intOps   int64
 	floatOps int64
 	mask     uint64
+	// loop is the loop-level plan (wgloop.go); nil keeps the body on one trip
+	// per dispatch.
+	loop *wgLoop
 }
 
 // wgfuseReduce jams the multiply-accumulate loop bodies of the dense
@@ -434,11 +420,11 @@ type wgReduce struct {
 // of two factors, SYR2K two of them, GESUMMV two seedless terms with a
 // direct second index, BICG and corr_kernel4 one seedless term, corr_mean
 // a single load; the GPU variant's unroll counter (passes.TransformGPU) is
-// just a second inc. Execution is term-major: each term makes one pass over
-// the work-items with the running product in a scalar, so only accumulators
-// and counters are written back to their banks — per item that is still
-// program order, which is all the reordering proof needs.
-func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
+// just a second inc. Execution is item-major (trips): per work-item the
+// terms run in program order inside the trip loop — they may share an
+// accumulator — with products and accumulators in scalars, so only
+// accumulators and counters are written back to their banks.
+func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
 	code := k.Code
 	pc, end := blk.start, blk.body
 	shape := wgNoFuse{why: WGFuseRejShape}
@@ -489,7 +475,7 @@ func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFus
 				mv := code[pc]
 				wired(defsI&wgBit(mv.B) == 0, pc)
 				defsI |= wgBit(mv.A)
-				f.idx, idxReg = wgAff{z: int(mv.B)}, mv.A
+				f.idx, idxReg = wgAff{x: int(mv.B), y: int(mv.B), z: int(mv.B)}, mv.A
 				pc++
 			default:
 				return nil, shape
@@ -514,8 +500,7 @@ func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFus
 				cur = ld.A
 			}
 			if tm.nf < wgMaxFactors && p.nLoads < wgMaxLoads {
-				tm.f[tm.nf] = f
-				p.memIDs[p.nLoads] = f.mem
+				p.loads[p.nLoads] = f
 				p.nLoads++
 			} else {
 				overCap = true
@@ -525,7 +510,12 @@ func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFus
 				fad := code[pc]
 				wired(fad.A == fad.B && fad.C == cur && (seedsF|scratchF)&wgBit(fad.A) == 0, pc)
 				accF |= wgBit(fad.A)
-				tm.acc = int(fad.A)
+				for tm.acc = 0; tm.acc < p.nAcc && p.accs[tm.acc] != int(fad.A); tm.acc++ {
+				}
+				if tm.acc == p.nAcc && p.nAcc < wgMaxTerms {
+					p.accs[p.nAcc] = int(fad.A)
+					p.nAcc++
+				}
 				p.floatOps++
 				pc++
 				break
@@ -539,6 +529,7 @@ func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFus
 		}
 	}
 	var ctrsI uint64
+	var inc [64]int64 // per-trip advance of each int register: its inc's immediate
 	for ; pc < end; pc += len(wgIncOps) {
 		if !k.opsAt(pc, end, wgIncOps...) {
 			return nil, shape
@@ -552,6 +543,7 @@ func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFus
 			overCap = true
 		}
 		ctrsI |= wgBit(int32(ctr))
+		inc[ctr] = imm
 		p.intOps++
 	}
 	switch {
@@ -569,167 +561,221 @@ func (k *Kernel) wgfuseReduce(blk *wblock, liveI, liveF uint64) (wfused, wgNoFus
 	if rej := wgLiveScratch(defsI&^ctrsI, liveI, scratchF, liveF); rej.why != WGFuseRejNone {
 		return nil, rej
 	}
+	for i := 0; i < p.nLoads; i++ {
+		f := &p.loads[i]
+		if f.sz = inc[f.idx.z]; f.idx.aff {
+			f.sx, f.sy = inc[f.idx.x], inc[f.idx.y]
+		}
+	}
+	p.loop = k.wgLoopFor(wg, blk, p, ctrsI)
 	return p.run, wgNoFuse{}
 }
 
-// run executes the whole reduction body for a full group.
+// run dispatches the body for a full group: every trip the loop makes from
+// here when the loop-level plan's uniformity precheck holds (the walk of
+// wgloop.go then supplies the trip count and the exit, and its register
+// definitions are broadcast once the trips have run), one trip otherwise.
 func (p *wgReduce) run(m *wmach) bool {
-	n := m.n
-	var cols [wgMaxLoads][]int32
-	if m.colMode {
-		m.colsFor(p.memIDs[:p.nLoads], cols[:p.nLoads])
+	lp := p.loop
+	if lp == nil {
+		return p.trips(m, 1)
 	}
-	c := 0
-	for ti := 0; ti < p.nt; ti++ {
-		tm := &p.terms[ti]
-		if !tm.run(m, p.kname, cols[c:c+tm.nf]) {
-			return false
+	var r [64]int64
+	if !m.budgetScalar || !lp.uniform(m, &r) {
+		m.loopNonuniform++
+		return p.trips(m, 1)
+	}
+	trips, exit, defd, ok := lp.walk(m, &r, p.ctrs[:p.ni], p.imms[:p.ni])
+	if !ok || !p.trips(m, trips) {
+		return false
+	}
+	n := m.n
+	for ; defd != 0; defd &= defd - 1 {
+		reg := bits.TrailingZeros64(defd)
+		bank := m.ib[reg*n : reg*n+n]
+		for t := range bank {
+			bank[t] = r[reg]
 		}
-		c += tm.nf
+	}
+	m.loopBatches++
+	m.loopTrips += trips
+	m.next = exit
+	return true
+}
+
+// trips executes T consecutive trips of the body for the whole group,
+// item-major: per work-item every index is strength-reduced to base +
+// j*stride (bounds-checked on every access all the same), the trips run in
+// program order with the explicit float32 roundings of the per-step path,
+// and the locality of each access site is booked in closed form against the
+// transposed tracker state. With T = 1 it is the plain fused body.
+func (p *wgReduce) trips(m *wmach, T int64) bool {
+	n, nl := m.n, p.nLoads
+	ib, fb := m.ib, m.fb
+	var bufs [wgMaxLoads][]byte
+	for li := 0; li < nl; li++ {
+		bufs[li] = m.args[p.loads[li].slot].Buf
+	}
+	pair := p.nt == 1 && nl == 2 // SYRK, 2MM, BICG, corr_kernel4: a hoisted inner loop
+	var seq, rnd, warp int64
+	var base, stride, pbase, pstride [wgMaxLoads]int64
+	var seeds, acc [wgMaxTerms]float32
+	for t := 0; t < n; t++ {
+		for li := 0; li < nl; li++ {
+			f := &p.loads[li]
+			b, s := ib[f.idx.z*n+t], f.sz
+			if f.idx.aff {
+				x, y := ib[f.idx.x*n+t], ib[f.idx.y*n+t]
+				b += x * y
+				s += f.sx*y + x*f.sy
+			}
+			base[li], stride[li] = b, s
+		}
+		for ti := 0; ti < p.nt; ti++ {
+			if sd := p.terms[ti].seed; sd >= 0 {
+				seeds[ti] = float32(fb[sd*n+t])
+			}
+		}
+		for a := 0; a < p.nAcc; a++ {
+			acc[a] = float32(fb[p.accs[a]*n+t])
+		}
+		if pair {
+			buf0, buf1 := bufs[0], bufs[1]
+			i0, i1, s0, s1 := base[0], base[1], stride[0], stride[1]
+			seeded, sd, a := p.terms[0].seed >= 0, seeds[0], acc[0]
+			for j := int64(0); j < T; j++ {
+				off0 := i0 * 4
+				if i0 < 0 || off0+4 > int64(len(buf0)) {
+					m.err = wgLoadErr(p.kname, &p.loads[0], i0, len(buf0))
+					return false
+				}
+				pr := math.Float32frombits(binary.LittleEndian.Uint32(buf0[off0:]))
+				if seeded {
+					pr = float32(sd * pr)
+				}
+				off1 := i1 * 4
+				if i1 < 0 || off1+4 > int64(len(buf1)) {
+					m.err = wgLoadErr(p.kname, &p.loads[1], i1, len(buf1))
+					return false
+				}
+				v := math.Float32frombits(binary.LittleEndian.Uint32(buf1[off1:]))
+				a = float32(a + float32(pr*v))
+				i0 += s0
+				i1 += s1
+			}
+			acc[0] = a
+		} else {
+			cur := base
+			for j := int64(0); j < T; j++ {
+				li := 0
+				for ti := 0; ti < p.nt; ti++ {
+					tm := &p.terms[ti]
+					seeded, pr := tm.seed >= 0, seeds[ti]
+					for fi := 0; fi < tm.nf; fi++ {
+						idx, buf := cur[li], bufs[li]
+						off := idx * 4
+						if idx < 0 || off+4 > int64(len(buf)) {
+							m.err = wgLoadErr(p.kname, &p.loads[li], idx, len(buf))
+							return false
+						}
+						v := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
+						if seeded || fi > 0 {
+							pr = float32(pr * v)
+						} else {
+							pr = v
+						}
+						cur[li] = idx + stride[li]
+						li++
+					}
+					acc[tm.acc] = float32(acc[tm.acc] + pr)
+				}
+			}
+		}
+		for a := 0; a < p.nAcc; a++ {
+			fb[p.accs[a]*n+t] = float64(acc[a])
+		}
+		// Closed-form locality (DESIGN.md S20): every access succeeded, so
+		// consecutive offsets of one site differ by exactly 4*stride.
+		for li := 0; li < nl; li++ {
+			id := p.loads[li].mem
+			if id < 0 {
+				continue
+			}
+			b, s := base[li], stride[li]
+			at := int(id)*n + t
+			if m.seenB[at] {
+				d := int32(b*4) - m.lastB[at]
+				if d < 0 {
+					d = -d
+				}
+				if d <= cacheLineBytes {
+					seq++
+				} else {
+					rnd++
+				}
+			} else {
+				rnd++
+				m.seenB[at] = true
+			}
+			if -cacheLineBytes/4 <= s && s <= cacheLineBytes/4 {
+				seq += T - 1
+			} else {
+				rnd += T - 1
+			}
+			m.lastB[at] = int32((b + (T-1)*s) * 4)
+			warp += T
+			if t%warpSize != 0 {
+				warp -= wgCoalesced(b-pbase[li], s-pstride[li], T)
+			}
+		}
+		pbase, pstride = base, stride
 	}
 	for i := 0; i < p.ni; i++ {
-		imm := p.imms[i]
-		cb := m.ib[p.ctrs[i]*n : p.ctrs[i]*n+n]
+		step := p.imms[i] * T
+		cb := ib[p.ctrs[i]*n : p.ctrs[i]*n+n]
 		for t := range cb {
-			cb[t] += imm
+			cb[t] += step
 		}
 	}
-	cnt := int64(n)
+	m.booked = true
+	cnt := int64(n) * T
 	st := m.st
 	st.IntOps += p.intOps * cnt
 	st.FloatOps += p.floatOps * cnt
 	st.ParamReadMask |= p.mask
-	st.GlobalLoads += int64(p.nLoads) * cnt
-	st.GlobalLoadBytes += 4 * int64(p.nLoads) * cnt
+	st.GlobalLoads += int64(nl) * cnt
+	st.GlobalLoadBytes += 4 * int64(nl) * cnt
+	st.SeqBytes += 4 * seq
+	st.RandBytes += 4 * rnd
+	st.WarpTransactions += warp
 	return true
 }
 
-// run makes the term's pass over the work-items: cols[i] is factor i's
-// access column (nil outside columnar mode or when the load records
-// nothing). Two-factor terms — every multiply-accumulate body of the paper
-// apps — take run2; other arities take the factor loop below.
-func (tm *wgRedTerm) run(m *wmach, kname string, cols [][]int32) bool {
-	if tm.nf == 2 {
-		return tm.run2(m, kname, cols[0], cols[1])
-	}
-	n := m.n
-	ib, fb := m.ib, m.fb
-	acc := fb[tm.acc*n : tm.acc*n+n]
-	seeded := tm.seed >= 0
-	sd := acc
-	if seeded {
-		sd = fb[tm.seed*n : tm.seed*n+n]
-	}
-	rec := m.rec
-	for t := 0; t < n; t++ {
-		var p float32
-		if seeded {
-			p = float32(sd[t])
+// wgCoalesced counts the trips j in [0, T) on which two adjacent lanes'
+// accesses of one site coalesce: their word distance db + j*ds is at most
+// one (the tracker's |byte distance| <= 4).
+func wgCoalesced(db, ds, T int64) int64 {
+	if ds == 0 {
+		if -1 <= db && db <= 1 {
+			return T
 		}
-		for fi := 0; fi < tm.nf; fi++ {
-			f := &tm.f[fi]
-			idx := ib[f.idx.z*n+t]
-			if f.idx.aff {
-				idx += ib[f.idx.x*n+t] * ib[f.idx.y*n+t]
-			}
-			buf := m.args[f.slot].Buf
-			off := idx * 4
-			if idx < 0 || off+4 > int64(len(buf)) {
-				m.err = wgLoadErr(kname, f.pc, f.name, idx, len(buf))
-				return false
-			}
-			v := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-			if seeded || fi > 0 {
-				p = float32(p * v)
-			} else {
-				p = v
-			}
-			if col := cols[fi]; col != nil {
-				col[t] = int32(off)
-			} else if f.mem >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: f.mem, off: int32(off)})
+		return 0
+	}
+	var c int64
+	for v := int64(-1); v <= 1; v++ {
+		if q := v - db; q%ds == 0 {
+			if j := q / ds; 0 <= j && j < T {
+				c++
 			}
 		}
-		acc[t] = float64(float32(acc[t]) + p)
 	}
-	return true
-}
-
-// run2 is run for a term of exactly two factors, with every bank, buffer
-// and column hoisted into a local subslice so the item loop carries no
-// bounds checks on them. A direct index aliases its x/y slices to z; they
-// are never read.
-func (tm *wgRedTerm) run2(m *wmach, kname string, col0, col1 []int32) bool {
-	n := m.n
-	ib, fb := m.ib, m.fb
-	f0, f1 := &tm.f[0], &tm.f[1]
-	buf0, buf1 := m.args[f0.slot].Buf, m.args[f1.slot].Buf
-	zs0, zs1 := ib[f0.idx.z*n:f0.idx.z*n+n], ib[f1.idx.z*n:f1.idx.z*n+n]
-	xs0, ys0, xs1, ys1 := zs0, zs0, zs1, zs1
-	aff0, aff1 := f0.idx.aff, f1.idx.aff
-	if aff0 {
-		xs0, ys0 = ib[f0.idx.x*n:f0.idx.x*n+n], ib[f0.idx.y*n:f0.idx.y*n+n]
-	}
-	if aff1 {
-		xs1, ys1 = ib[f1.idx.x*n:f1.idx.x*n+n], ib[f1.idx.y*n:f1.idx.y*n+n]
-	}
-	acc := fb[tm.acc*n : tm.acc*n+n]
-	seeded := tm.seed >= 0
-	sd := acc
-	if seeded {
-		sd = fb[tm.seed*n : tm.seed*n+n]
-	}
-	if col0 != nil {
-		col0 = col0[:n]
-	}
-	if col1 != nil {
-		col1 = col1[:n]
-	}
-	mem0, mem1 := f0.mem, f1.mem
-	rec := m.rec
-	for t := 0; t < n; t++ {
-		idx0 := zs0[t]
-		if aff0 {
-			idx0 += xs0[t] * ys0[t]
-		}
-		off0 := idx0 * 4
-		if idx0 < 0 || off0+4 > int64(len(buf0)) {
-			m.err = wgLoadErr(kname, f0.pc, f0.name, idx0, len(buf0))
-			return false
-		}
-		p := math.Float32frombits(binary.LittleEndian.Uint32(buf0[off0:]))
-		if seeded {
-			p = float32(float32(sd[t]) * p)
-		}
-		idx1 := zs1[t]
-		if aff1 {
-			idx1 += xs1[t] * ys1[t]
-		}
-		off1 := idx1 * 4
-		if idx1 < 0 || off1+4 > int64(len(buf1)) {
-			m.err = wgLoadErr(kname, f1.pc, f1.name, idx1, len(buf1))
-			return false
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(buf1[off1:]))
-		acc[t] = float64(float32(acc[t]) + float32(p*v))
-		if col0 != nil {
-			col0[t] = int32(off0)
-		} else if mem0 >= 0 {
-			rec[t] = append(rec[t], wgAcc{id: mem0, off: int32(off0)})
-		}
-		if col1 != nil {
-			col1[t] = int32(off1)
-		} else if mem1 >= 0 {
-			rec[t] = append(rec[t], wgAcc{id: mem1, off: int32(off1)})
-		}
-	}
-	return true
+	return c
 }
 
 // wgfuseScatter jams the strided scatter loop body (scatter_columns shape):
 //
 //	aff idx; ldf c; stgf buf[idx] = c; inc ctr
-func (k *Kernel) wgfuseScatter(blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
+func (k *Kernel) wgfuseScatter(_ *wgProgram, blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
 	pc, end := blk.start, blk.body
 	if end-pc != 11 || !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDF, opSTGF,
 		opIMOV, opLDI, opIADD, opIMOV) {
@@ -804,7 +850,7 @@ func (k *Kernel) wgfuseScatter(blk *wblock, liveI, liveF uint64) (wfused, wgNoFu
 // wgfuseStoreTail jams the result write-back tail of the matmul kernels:
 //
 //	aff idx; fmov v, acc; stgf buf[idx] = v
-func (k *Kernel) wgfuseStoreTail(blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
+func (k *Kernel) wgfuseStoreTail(_ *wgProgram, blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
 	pc, end := blk.start, blk.body
 	if end-pc != 7 || !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opFMOV, opSTGF) {
 		return nil, wgNoFuse{why: WGFuseRejShape}

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"testing"
 
+	"fluidicl/internal/clc"
 	"fluidicl/internal/vm"
 )
 
@@ -49,6 +50,75 @@ func TestWGFuseColdScratchStats(t *testing.T) {
 						name, gpuVar, g, stF[g], stU[g])
 				}
 			}
+		}
+	}
+}
+
+// coldLoopSrc polls a status buffer inside its loop, in the shape
+// passes.TransformGPU gives the twin GPU's kernels, but loads nothing before
+// the loop: a work-group's only access columns are the uniform loads of the
+// loop's control skeleton (one or two per four trips), which the loop
+// closure fills while it walks the skeleton.
+const coldLoopSrc = `
+__kernel void cold(__global float* out, __global float* in, __global int* st, int m) {
+    int g = get_global_id(0);
+    float acc = 0.5f;
+    for (int k = 0; (k < m); )
+    {
+        if (((st[0] == 1) && (k >= st[1])))
+        {
+            return;
+        }
+        for (int u = 0; (u < 4); u = (u + 1))
+        {
+            if ((!(k < m)))
+            {
+                break;
+            }
+            acc += in[g * m + k] * in[k];
+            k = (k + 1);
+        }
+    }
+    out[g] = acc;
+}`
+
+// TestWGLoopColdScratchUniformLoads is the cold-scratch guard for the loop
+// closure: the first work-group a fresh scratch machine executes grows the
+// column log from nothing, one skeleton load at a time, while the closure
+// holds no other column — for a few trips and for enough of them that the
+// log reallocates several times. Stats must match the interpreter's.
+func TestWGLoopColdScratchUniformLoads(t *testing.T) {
+	defer vm.SetWorkers(0)
+	vm.SetWorkers(1)
+	const n = 64
+	nd := vm.NewNDRange1D(n, 32)
+	for _, m := range []int{3, 40, 1000} {
+		run := func(be vm.Backend) vm.Stats {
+			ki, err := clc.FindKernelInfo(coldLoopSrc, "cold")
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := vm.Compile(ki) // a fresh kernel: cold scratch pool
+			if err != nil {
+				t.Fatal(err)
+			}
+			status := make([]byte, 8)
+			status[0] = 1 // st[0] == 1 sends every check on to st[1] = 1<<24, which k never reaches
+			status[7] = 1
+			args := []vm.Arg{vm.BufArg(make([]byte, 4*n)), vm.BufArg(make([]byte, 4*n*m)), vm.BufArg(status), vm.IntArg(int64(m))}
+			st, err := k.ExecLaunch(nd, args, vm.ExecOpts{Backend: be})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		before := vm.BackendSnapshot().WGLoopBatchesDyn
+		stW := run(vm.BackendWG)
+		if vm.BackendSnapshot().WGLoopBatchesDyn == before {
+			t.Errorf("m=%d: the wg pass ran no loop closure", m)
+		}
+		if stI := run(vm.BackendInterp); stW != stI {
+			t.Errorf("m=%d: stats diverge on cold scratch:\n  wg     %+v\n  interp %+v", m, stW, stI)
 		}
 	}
 }

@@ -15,9 +15,11 @@ import (
 // after passes.TransformCPUWithSummary (the twin CPU and every N-way
 // device). In both variants the innermost-loop body of each
 // multiply-accumulate kernel — 8 kernels, 16 bodies — must lie inside a
-// fused span; corr_std's body (fsub + squaring) is known to stay per-step
-// and must say why. The compile's backend-counter deltas must attribute
-// exactly the spans the kernel reports. A matcher change that stops fusing
+// fused span and carry the loop verdict fused (wg.loop-fuse: the loop
+// closure may run all its trips in one dispatch); corr_std's body (fsub +
+// squaring) is known to stay per-step and must say why. The compile's
+// backend-counter deltas must attribute exactly the spans and loop verdicts
+// the kernel reports. A matcher change that stops fusing
 // SYR2K's GPU variant, say, shows up here by name rather than as an
 // unexplained benchmark slowdown.
 func TestWGFuseCountersOnHotKernels(t *testing.T) {
@@ -73,6 +75,10 @@ func TestWGFuseCountersOnHotKernels(t *testing.T) {
 				if rejects != int64(len(nofuse)) {
 					t.Errorf("%s/%s: wg_fuse_reject_* advanced by %d for %d unfused spans", variant.name, l.Kernel, rejects, len(nofuse))
 				}
+				loops := k.WGLoopVerdicts()
+				if got := after.WGLoopVerdicts[vm.WGLoopRejNone] - before.WGLoopVerdicts[vm.WGLoopRejNone]; got != int64(len(loops)) {
+					t.Errorf("%s/%s: wg_loop_fused advanced by %d for %d loop verdicts %v", variant.name, l.Kernel, got, len(loops), loops)
+				}
 
 				bodies := k.ReductionBodies()
 				switch {
@@ -81,6 +87,9 @@ func TestWGFuseCountersOnHotKernels(t *testing.T) {
 						t.Errorf("%s/%s: %d reduction loop bodies, want 1", variant.name, l.Kernel, len(bodies))
 					}
 					for _, pc := range bodies {
+						if lv := spanAt(loops, pc); lv == nil || !strings.HasPrefix(lv.Name, "wg.loop-fuse (") {
+							t.Errorf("%s/%s: loop around the body @%d is not fused: %+v", variant.name, l.Kernel, pc, lv)
+						}
 						if spanAt(fused, pc) != nil {
 							fusedBodies++
 						} else if s := spanAt(nofuse, pc); s != nil {

@@ -189,9 +189,11 @@ func TestWGFuseCap(t *testing.T) {
 // TestWGFuseDynamicAccounting pins the dynamic fusion counters, which are
 // exact functions of the input: for one launch of the GPU-transformed red2
 // kernel the fused count is the 32-instruction loop body times m
-// iterations times n work-items, the per-step count everything else, and
-// the total does not depend on whether fusion is on. Dispatches that carry
-// a deferred-write log count as per-step even for a fused block.
+// iterations times n work-items plus the 62 control-skeleton instructions
+// the loop closure walks per work-item (7 around each trip, 17 more for the
+// abort check after the fourth, 3 to leave), the per-step count everything
+// else, and the total does not depend on whether fusion is on. Dispatches
+// that carry a deferred-write log count as per-step even for a fused block.
 func TestWGFuseDynamicAccounting(t *testing.T) {
 	gpuSrc, _, err := TransformedSources(redTestSrc)
 	if err != nil {
@@ -220,7 +222,7 @@ func TestWGFuseDynamicAccounting(t *testing.T) {
 		after := BackendSnapshot()
 		return after.WGFusedInstrsDyn - before.WGFusedInstrsDyn, after.WGStepInstrsDyn - before.WGStepInstrsDyn
 	}
-	const wantFused, wantStepped = 32 * m * n, 1984
+	const wantFused, wantStepped = (32*m + 62) * n, 1984 - 62*n
 	if f, s := run(true, false); f != wantFused || s != wantStepped {
 		t.Errorf("fused run: wg_fused_instrs_dyn=%d wg_step_instrs_dyn=%d, want %d and %d", f, s, wantFused, wantStepped)
 	}

@@ -1,0 +1,323 @@
+package vm
+
+import (
+	"strings"
+	"testing"
+)
+
+// Tests for loop-level fusion (wgloop.go): the one-state-machine rule of the
+// closed-form locality booking, the loop verdicts, and the walk's error and
+// exit paths. The interpreter is the referee throughout: bytes and full
+// Stats, so Seq/Rand/WarpTransactions pin the tracker state.
+
+// loopCase is one kernel over (out, in, ib, n), launched as 32 work-items in
+// groups of 8 with in[] holding 1024 floats and ib[] 128 ints.
+type loopCase struct {
+	name string
+	src  string
+	// batched: the loop closure must run whole loops (wg_loop_batches_dyn);
+	// single: it must fall back to one trip per dispatch at least once
+	// (wg_loop_nonuniform_dyn).
+	batched, single bool
+	// verdict, when set, must appear in the disassembly of both variants.
+	verdict string
+	noGPU   bool // passes.TransformGPU does not take the kernel
+}
+
+// The strides live in variables: the jam's affine index group multiplies two
+// registers.
+const loopSig = "__kernel void t(__global float* out, __global float* in, __global int* ib, int n) {\n" +
+	"    int g = get_global_id(0);\n    int l = get_local_id(0);\n    int rs = 9;\n    int rt = 33;\n"
+
+// runLoopCase holds both variants of c to the interpreter and checks the
+// dynamic loop counters moved the way the case says.
+func runLoopCase(t *testing.T, c loopCase) {
+	t.Helper()
+	gpuSrc, _, err := TransformedSources(c.src)
+	if err != nil && !c.noGPU {
+		t.Fatalf("%s: TransformGPU: %v", c.name, err)
+	}
+	mk := func(extra []Arg) func() []Arg {
+		return func() []Arg {
+			ints := make([]byte, 4*128)
+			for i := 0; i < len(ints); i += 4 {
+				ints[i] = byte(i % 7) // small non-negative ints
+			}
+			return append([]Arg{
+				BufArg(make([]byte, 4*256)),
+				BufArg(floatBuf(1024, func(i int) float32 { return float32(i%13)*0.25 - 1 })),
+				BufArg(ints), IntArg(32),
+			}, extra...)
+		}
+	}
+	type variant struct {
+		name, src string
+		extra     []Arg
+	}
+	variants := []variant{{"original", c.src, nil}}
+	if !c.noGPU {
+		variants = append(variants, variant{"gpu variant", gpuSrc, GPUAbortArgs(1, 3)}) // group 3 aborts at entry, 0..2 poll and run on
+	}
+	for _, v := range variants {
+		t.Run(c.name+"/"+v.name, func(t *testing.T) {
+			k := MustCompile(v.src, "t")
+			if c.verdict != "" && !strings.Contains(k.Disasm(), c.verdict) {
+				t.Errorf("disassembly lacks %q\n%s", c.verdict, k.Disasm())
+			}
+			before := BackendSnapshot()
+			if err := runWGParity(t, k, NewNDRange1D(32, 8), mk(v.extra)); err != nil {
+				t.Error(err)
+			}
+			after := BackendSnapshot()
+			if c.batched && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
+				t.Errorf("no dispatch ran a whole loop\n%s", k.Disasm())
+			}
+			if c.single && after.WGLoopNonuniformDyn == before.WGLoopNonuniformDyn {
+				t.Errorf("the uniformity precheck never failed\n%s", k.Disasm())
+			}
+			if !c.single && after.WGLoopNonuniformDyn != before.WGLoopNonuniformDyn {
+				t.Errorf("the uniformity precheck failed %d times", after.WGLoopNonuniformDyn-before.WGLoopNonuniformDyn)
+			}
+		})
+	}
+}
+
+// TestWGLoopTrackerState pins the rule that an access site has exactly one
+// locality state machine per phase. The sizing prototype of the loop
+// closure drained the column log into lastB/seenB when it booked a loop;
+// a later lane-divergent branch then sent the rest of the phase through the
+// per-item memTracker, which started every site at "never seen", and the
+// generative strided differential (seed 68: a reduction loop followed by
+// `if (g < 17)`) classified 16 accesses Rand instead of Seq. The cases: that
+// shape; a loop whose site is booked in closed form and then, after the
+// group diverged, recorded per item in the same phase (the tracker must be
+// seeded from lastB/seenB); a loop entered twice in one uniform phase; the
+// same across a barrier, where a divergent phase with bookings must still
+// reset the state; and a phase that is uniform but left columnar mode
+// before the loop, so the skeleton's uniform loads append per item.
+func TestWGLoopTrackerState(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1) // a parallel launch never reaches the fused closures
+	for _, c := range []loopCase{
+		{name: "loop, then a lane-divergent guard", batched: true, src: loopSig + `
+    float acc = in[g];
+    for (int k = 0; k < 7; k++) { acc += in[g * rs + k] * in[k]; }
+    acc = acc + in[g + 3];
+    if (g < 13) { out[g] = acc + in[g + 1]; }
+    out[g + 64] = acc;
+}`},
+		{name: "booked, diverged, then recorded per item", batched: true, src: loopSig + `
+    float acc = in[g];
+    for (int o = 0; o < 3; o++) {
+        acc = acc * 0.5f;
+        for (int k = 0; k < 5; k++) { acc += in[g * rs + k] * in[k]; }
+        acc = acc + 1.0f;
+        if (g < 13 + o) { out[g * 4 + o] = acc; }
+    }
+    out[g + 160] = acc;
+}`},
+		{name: "lanes leave the loop at different trips", single: true, src: loopSig + `
+    float acc = in[g];
+    for (int k = l % 3; k < l + 2; k++) { acc += in[g * rs + k] * in[k]; }
+    out[g] = acc;
+}`},
+		{name: "loop entered twice in one phase", batched: true, src: loopSig + `
+    for (int o = 0; o < 3; o++) {
+        float acc = 0.25f;
+        for (int k = 0; k < 6; k++) { acc += in[k * rt + g] * in[o]; }
+        out[g * 4 + o] = acc;
+    }
+}`},
+		// Every phase diverges, so from the second on the group's step
+		// budgets are per item and the closure runs one trip per dispatch —
+		// against state the previous phase's replay() must have cleared.
+		{name: "loop after a barrier", batched: true, single: true, noGPU: true, src: `
+__kernel void t(__global float* out, __global float* in, __global int* ib, int n) {
+    __local float tmp[8];
+    int g = get_global_id(0);
+    int l = get_local_id(0);
+    int rs = 9;
+    for (int o = 0; o < 3; o++) {
+        float acc = 0.25f;
+        for (int k = 0; k < 6; k++) { acc += in[g * rs + k] * in[k]; }
+        if (l < 3 + o) { acc = acc + in[l]; }
+        tmp[l] = acc;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        out[g] = tmp[l] + 1.0f;
+    }
+}`},
+		{name: "uniform phase that left columnar mode", batched: true, src: loopSig + `
+    int s = ib[l * rs + l];
+    float acc = in[g];
+    for (int k = 0; k < 9; k++) { acc += in[g * rs + k] * in[k]; }
+    out[g] = acc + (float)s;
+}`},
+	} {
+		runLoopCase(t, c)
+	}
+}
+
+// TestWGLoopVerdicts: every way a fused reduction body is kept off the loop
+// closure names its reason and still matches the interpreter one trip at a
+// time; trip counts 0 and 1, a second induction variable used only in an
+// index and a stride that differs from lane to lane take the closure.
+func TestWGLoopVerdicts(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	before := BackendSnapshot()
+	for _, c := range []loopCase{
+		{name: "float compare in the loop control", verdict: "wg.loop-nofuse (no-cycle)", src: loopSig + `
+    float acc = in[g];
+    float lim = (float)n * 0.25f;
+    for (int k = 0; (float)k < lim; k++) { acc += in[g * rs + k] * in[k]; }
+    out[g] = acc;
+}`},
+		{name: "both index factors are counters", verdict: "wg.loop-nofuse (index-not-linear r", src: loopSig + `
+    float acc = in[g];
+    int q = 1;
+    for (int k = 0; k < 6; k++) { acc += in[k * q + g]; q = q + 2; }
+    out[g] = acc + (float)q;
+}`},
+		{name: "the skeleton redefines an index source", verdict: "wg.loop-nofuse (index-not-linear r", src: loopSig + `
+    float acc = in[g];
+    for (int o = 0; o < 3; o++) {
+        for (int k = 0; k < 5; k++) { acc += in[o * rt + k] * in[g]; }
+    }
+    out[g] = acc;
+}`},
+		{name: "the skeleton redefines an index counter", verdict: "wg.loop-nofuse (counter-redefined r", src: loopSig + `
+    float acc = in[g];
+    for (int o = 0; o < 3; o++) {
+        for (int k = 0; k < 5; k++) { acc += in[k] * in[g]; }
+    }
+    out[g] = acc;
+}`},
+		{name: "zero trips", verdict: "wg.loop-fuse (", src: loopSig + `
+    float acc = in[g];
+    for (int k = 0; k < n - 32; k++) { acc += in[g * rs + k] * in[k]; }
+    out[g] = acc;
+}`},
+		{name: "one trip", verdict: "wg.loop-fuse (", batched: true, src: loopSig + `
+    float acc = in[g];
+    for (int k = 0; k < n - 31; k++) { acc += in[g * rs + k] * in[k]; }
+    out[g] = acc;
+}`},
+		{name: "second induction variable, lane-varying, only in an index", verdict: "wg.loop-fuse (", batched: true, src: loopSig + `
+    float acc = in[g];
+    int p = g;
+    for (int k = 0; k < 7; k++) { acc += in[p] * in[k * rt + g]; p = p + 5; }
+    out[g] = acc + (float)p;
+}`},
+		// 16 words are exactly one cache line: Seq; 17 are Rand.
+		{name: "strides at the cache-line boundary", verdict: "wg.loop-fuse (", batched: true, src: loopSig + `
+    float acc = in[g];
+    int ra = 16;
+    int rb = 17;
+    for (int k = 0; k < 7; k++) { acc += in[k * ra + g] * in[k * rb + g]; }
+    out[g] = acc;
+}`},
+		// Adjacent lanes' accesses start one word apart and drift by one more
+		// per trip, so they coalesce on the first trips only.
+		{name: "lane-varying stride", verdict: "wg.loop-fuse (", batched: true, src: loopSig + `
+    float acc = in[g];
+    for (int k = 0; k < 7; k++) { acc += in[k * l + g] * in[l * rs + k]; }
+    out[g] = acc;
+}`},
+	} {
+		runLoopCase(t, c)
+	}
+	after := BackendSnapshot()
+	for r := WGLoopRejNone; int(r) < wgLoopRejCount; r++ {
+		if after.WGLoopVerdicts[r] == before.WGLoopVerdicts[r] {
+			t.Errorf("no kernel compiled with loop verdict %v", r)
+		}
+	}
+}
+
+// loopAbortSrc is a loop in the shape passes.TransformGPU produces, except
+// that its in-loop check depends on the counter, so it fires after some
+// trips: the walk must leave the skeleton at the ret block with exactly the
+// completed trips booked.
+const loopAbortSrc = `
+__kernel void t(__global float* out, __global float* in, __global int* st, int m) {
+    int g = get_global_id(0);
+    int rs = 20;
+    float acc = in[g];
+    for (int k = 0; (k < m); )
+    {
+        if (((st[0] == 1) && (k >= st[1])))
+        {
+            out[g + 64] = 1.0f;
+            return;
+        }
+        for (int u = 0; (u < 4); u = (u + 1))
+        {
+            if ((!(k < m)))
+            {
+                break;
+            }
+            acc += in[g * rs + k] * in[k];
+            k = (k + 1);
+        }
+    }
+    out[g] = acc;
+}`
+
+// TestWGLoopWalkExits drives the walk's three ways out other than the loop
+// bound: the in-loop abort check firing after some trips, an index leaving
+// its buffer at a trip j > 0 (same error as the per-step load, from every
+// engine), and the step budget running out inside the walk at every
+// possible block (same error presence as the interpreter's exact count).
+func TestWGLoopWalkExits(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	nd := NewNDRange1D(32, 8)
+	args := func(inWords int, st ...int32) func() []Arg {
+		return func() []Arg {
+			return []Arg{BufArg(make([]byte, 4*128)),
+				BufArg(floatBuf(inWords, func(i int) float32 { return float32(i%11)*0.5 - 2 })),
+				BufArg(i32buf(st...)), IntArg(18)}
+		}
+	}
+	k := MustCompile(loopAbortSrc, "t")
+	if !strings.Contains(k.Disasm(), "wg.loop-fuse (") {
+		t.Fatalf("the hand-unrolled loop did not loop-fuse\n%s", k.Disasm())
+	}
+	before := BackendSnapshot()
+	for _, abortAt := range []int32{0, 4, 8, 16, 99} {
+		diffFiveWay(t, "abort mid-loop", loopAbortSrc, "t", nd, args(1024, 1, abortAt))
+	}
+	if d := BackendSnapshot().WGLoopBatchesDyn - before.WGLoopBatchesDyn; d == 0 {
+		t.Error("no abort run went through the loop closure")
+	}
+
+	// in[] ends inside the last work-items' rows: g*20+k leaves it at k > 0.
+	for _, words := range []int{31*20 + 5, 31*20 + 17, 30 * 20} {
+		err := runWGParity(t, k, nd, args(words, 0, 0))
+		if err == nil || !strings.Contains(err.Error(), "load in: index") {
+			t.Errorf("in[%d]: want the out-of-range load error, got %v", words, err)
+		}
+	}
+
+	// One group needs 1100-odd steps per item; sweep the budget across the
+	// whole loop so the overrun lands on every block of the skeleton.
+	for budget := int64(40); budget < 1300; budget += 3 {
+		var errs [2]error
+		var sts [2]Stats
+		var outs [2]string
+		for i, be := range []Backend{BackendInterp, BackendWG} {
+			a := args(1024, 0, 0)()
+			sts[i], errs[i] = k.ExecWorkGroup(nd, [3]int{0, 0, 0}, a, ExecOpts{Backend: be, MaxSteps: budget})
+			outs[i] = string(a[0].Buf)
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("MaxSteps %d: interp %v, wg %v", budget, errs[0], errs[1])
+		}
+		if errs[1] != nil && !strings.Contains(errs[1].Error(), "instruction budget exceeded") {
+			t.Fatalf("MaxSteps %d: %v", budget, errs[1])
+		}
+		if errs[0] == nil && (sts[0] != sts[1] || outs[0] != outs[1]) {
+			t.Fatalf("MaxSteps %d: results diverge\ninterp %+v\nwg     %+v", budget, sts[0], sts[1])
+		}
+	}
+}
