@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json build vet test race bench-smoke bench loc
+.PHONY: check fmt-check lint lint-json build vet test race bench-smoke bench loc loc-check
 
-# The fast CI gate: formatting, build, vet, tests, kernel lint, benchmark
-# smoke. The race-detector suite is deliberately NOT in here — it reruns
-# every experiment and takes many minutes, so CI runs `make race` as a
-# separate parallel job instead of serializing it behind these fast gates.
-# Run `make check race` locally for the full gate.
-check: fmt-check build vet test lint lint-json bench-smoke
+# The fast CI gate: formatting, the internal/vm line ceiling, build, vet,
+# tests, kernel lint, benchmark smoke. The race-detector suite is
+# deliberately NOT in here — it reruns every experiment and takes many
+# minutes, so CI runs `make race` as a separate parallel job instead of
+# serializing it behind these fast gates. Run `make check race` locally for
+# the full gate.
+check: fmt-check loc-check build vet test lint lint-json bench-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -54,3 +55,12 @@ loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
 	done
+
+# internal/vm may not grow: the ceiling is its non-test line count as of the
+# last PR that shrank it. Lower it when you delete code; a PR that has to
+# raise it says why in its description.
+VM_LOC_MAX = 8921
+loc-check:
+	@n=$$(find internal/vm -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	if [ $$n -gt $(VM_LOC_MAX) ]; then \
+		echo "loc-check: internal/vm has $$n non-test lines, ceiling is $(VM_LOC_MAX)"; exit 1; fi

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"fluidicl/internal/core"
@@ -35,7 +34,6 @@ import (
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
-	workers := flag.Int("workers", 0, "host threads per kernel launch for work-group execution (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 0, "concurrent experiment table cells (0 = GOMAXPROCS)")
 	jsonOut := flag.String("jsonout", "", "write per-table wall-clock times as JSON to this file")
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
@@ -46,7 +44,6 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 
-	vm.SetWorkers(*workers)
 	if *backend != "" {
 		b, err := vm.ParseBackend(*backend)
 		if err != nil {
@@ -315,14 +312,13 @@ func didAll(b bool) string {
 	return ""
 }
 
-// benchFor resolves a benchmark name case-insensitively, at full scale or at
-// the harness quick scale.
+// benchFor resolves a benchmark name at full scale or at the harness quick
+// scale.
 func benchFor(name string, quick bool) (*polybench.Benchmark, error) {
-	n := strings.ToUpper(name)
 	if quick {
-		return polybench.ByNameQuick(n)
+		return polybench.ByNameQuick(name)
 	}
-	return polybench.ByName(n)
+	return polybench.ByName(name)
 }
 
 // runDist reproduces the paper's §5.5 work-distribution reporting: for every
@@ -415,7 +411,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `fluidibench — regenerate the FluidiCL paper's tables and figures
 
 usage:
-  fluidibench [-csv] [-quick] [-workers N] [-parallel N] [-backend interp|closure|wg] [-jsonout F] <experiment>|all
+  fluidibench [-csv] [-quick] [-parallel N] [-backend interp|closure|wg] [-jsonout F] <experiment>|all
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
   fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)

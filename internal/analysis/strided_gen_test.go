@@ -276,10 +276,6 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 	params := []int64{0, 0, genWords}
 	sh := genShape()
 	exactAgreed := 0
-	// One worker: a parallel launch hands every work-group a deferred-write
-	// log, and the fused closures never run under one.
-	defer vm.SetWorkers(0)
-	vm.SetWorkers(1)
 	before := vm.BackendSnapshot()
 	for seed := 0; seed < trials; seed++ {
 		r := rand.New(rand.NewSource(int64(7000 + seed)))

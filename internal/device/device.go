@@ -200,15 +200,6 @@ type Device struct {
 	Cfg  Config
 	link *sim.Resource
 
-	// memEpoch counts externally visible buffer mutations performed by this
-	// device's queues outside work-group execution (transfer Apply hooks and
-	// Call functions — the only places the runtime mutates buffers while a
-	// launch is in progress). The speculative launch engine samples it to
-	// detect that buffered results may have read stale memory. Plain field:
-	// the simulation is cooperative, so queue processes never run while a
-	// launch process is between samples.
-	memEpoch uint64
-
 	// Observability handles: mi is this device's index in env.Meter; trk and
 	// linkTrk are recorder track ids for the device's compute lane and its
 	// host link (-1 until registered).
@@ -242,9 +233,6 @@ func NewOnBus(env *sim.Env, cfg Config, bus *sim.Resource) *Device {
 	}
 	return d
 }
-
-// MemEpoch returns the device's external-mutation counter; see Device.memEpoch.
-func (d *Device) MemEpoch() uint64 { return d.memEpoch }
 
 // AbortQuery lets the GPU launch executor ask whether a work-group has
 // already been completed by the other device (FluidiCL supplies this; it is
@@ -393,7 +381,6 @@ func (q *Queue) serve(p *sim.Proc) {
 			p.Sleep(q.dev.Cfg.Link.TransferTime(c.Bytes))
 			if c.Apply != nil {
 				c.Apply()
-				q.dev.memEpoch++
 			}
 			q.dev.link.Release()
 			t2 := p.Now()
@@ -420,7 +407,6 @@ func (q *Queue) serve(p *sim.Proc) {
 			}
 			if c.Fn != nil {
 				c.Fn()
-				q.dev.memEpoch++
 			}
 			if rec := q.dev.Env.Trace; rec != nil && c.Label != "" {
 				q.dev.recordCall(rec, c, t0, p.Now())

@@ -86,19 +86,6 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 	var fly []inflightWG
 	next := 0
 
-	// Host-parallel speculative execution: a worker pool interprets waves of
-	// upcoming work-groups concurrently, and the loop below consumes their
-	// buffered results in issue order, so every virtual time and every byte
-	// of memory is identical to the sequential path. eng is nil when the
-	// launch is too small to benefit, the worker knob is 1, or the argument
-	// list aliases (see vm.NewLaunchEngine).
-	var eng *vm.LaunchEngine
-	if w := vm.Workers(); w > 1 && n >= 4 {
-		eng, _ = vm.NewLaunchEngine(l.Kernel, l.ND, l.Args, vm.ExecOpts{Backend: l.Backend}, w, d.MemEpoch)
-	}
-	defer eng.Release()
-	argsChecked := eng != nil
-
 	settle := func() {
 		now := p.Now()
 		kept := fly[:0]
@@ -107,9 +94,6 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 				if u, ok := l.Abort.DoneSince(f.fgid, f.start); ok && u+d.Cfg.AbortNotice < f.end {
 					// Aborted mid-flight: CU freed early, stores undone.
 					if f.undo != nil {
-						if eng != nil {
-							eng.NoteUndo(f.undo)
-						}
 						f.undo.Rollback()
 					}
 					at := u + d.Cfg.AbortNotice
@@ -179,39 +163,19 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		}
 		group := l.ND.GroupAt(next)
 		fgid := l.ND.FlatGroupID(group)
-		idx := next
 		next++
 		if l.Abort != nil && l.Abort.DoneAt(fgid, now) {
 			cuFree[cu] = now + d.Cfg.SkipCost
 			res.Skipped++
 			continue
 		}
-		if !argsChecked {
-			// Validate lazily, at the first group that actually executes —
-			// exactly where the sequential path first validated — so a launch
-			// whose every group is entry-skipped still reports no error.
-			if err := l.Kernel.CheckArgs(l.Args); err != nil {
-				res.Err = err
-				return
-			}
-			argsChecked = true
-		}
 		var undo *vm.UndoLog
 		if l.Abort != nil && l.MidAbort {
 			undo = &vm.UndoLog{}
 		}
-		var st vm.Stats
-		var err error
-		if eng != nil {
-			st, err = eng.Result(idx)
-			// Commit before the error check: the sequential path leaves a
-			// failing group's stores up to the fault applied in place, and
-			// the deferred log holds exactly those.
-			eng.Commit(idx, undo)
-		} else {
-			opts := vm.ExecOpts{Undo: undo, ArgsChecked: true, Backend: l.Backend}
-			st, err = l.Kernel.ExecWorkGroup(l.ND, group, l.Args, opts)
-		}
+		// Arguments are validated per executed group, so a launch whose every
+		// group is entry-skipped reports no error.
+		st, err := l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo, Backend: l.Backend})
 		if err != nil {
 			res.Err = err
 			return

@@ -3,45 +3,42 @@ package harness
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
 	"fluidicl/internal/core"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/sim"
-	"fluidicl/internal/vm"
 )
 
-// renderWith runs one experiment at the given worker/parallel setting and
-// returns the rendered table.
-func renderWith(t *testing.T, id string, workers, parallel int) string {
+// renderWith runs one experiment with the given number of concurrent table
+// cells and returns the rendered table.
+func renderWith(t *testing.T, id string, parallel int) string {
 	t.Helper()
-	vm.SetWorkers(workers)
-	defer vm.SetWorkers(0)
 	r := NewRunner()
 	r.Quick = true
 	r.Parallel = parallel
 	tab, err := r.Run(id)
 	if err != nil {
-		t.Fatalf("%s (workers=%d, parallel=%d): %v", id, workers, parallel, err)
+		t.Fatalf("%s (parallel=%d): %v", id, parallel, err)
 	}
 	return tab.String()
 }
 
 // TestExperimentsDeterministicAcrossWorkers is the determinism regression
-// test: every virtual-time table must render identically whether work-groups
-// execute on one host thread or many, and whether table cells run
-// sequentially or concurrently.
+// test: every virtual-time table must render identically whether its cells
+// run one after another or on several cell workers at once.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	ids := []string{"fig13"}
 	if !testing.Short() {
 		ids = []string{"fig2", "fig3", "table1", "table2", "fig13", "fig14"}
 	}
 	for _, id := range ids {
-		seq := renderWith(t, id, 1, 1)
-		par := renderWith(t, id, 4, 4)
+		seq := renderWith(t, id, 1)
+		par := renderWith(t, id, 4)
 		if seq != par {
-			t.Errorf("%s: table differs between sequential and parallel execution\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", id, seq, par)
+			t.Errorf("%s: table differs between sequential and parallel cells\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", id, seq, par)
 		}
 	}
 }
@@ -63,14 +60,15 @@ func outputHash(outputs map[string][]byte) string {
 
 // TestFluidiCLOutputsByteIdenticalAcrossWorkers hashes the actual result
 // buffers of full FluidiCL runs (the cooperative CPU+GPU path, aborts,
-// rollbacks and merges included) under both worker counts.
+// rollbacks and merges included) with one and with eight host threads under
+// the simulation's process goroutines; neither the bytes nor the virtual time
+// may depend on the count.
 func TestFluidiCLOutputsByteIdenticalAcrossWorkers(t *testing.T) {
 	r := NewRunner()
 	r.Quick = true
 	for _, b := range r.benchmarks() {
 		run := func(workers int) (string, sim.Time) {
-			vm.SetWorkers(workers)
-			defer vm.SetWorkers(0)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			res, err := sched.RunFluidiCL(r.M, b.App, core.Options{})
 			if err != nil {
 				t.Fatalf("%s (workers=%d): %v", b.Name, workers, err)
@@ -83,7 +81,7 @@ func TestFluidiCLOutputsByteIdenticalAcrossWorkers(t *testing.T) {
 		seqHash, seqTime := run(1)
 		parHash, parTime := run(8)
 		if seqHash != parHash {
-			t.Errorf("%s: output buffers differ between workers=1 and workers=8", b.Name)
+			t.Errorf("%s: output buffers differ between 1 and 8 host threads", b.Name)
 		}
 		if seqTime != parTime {
 			t.Errorf("%s: virtual time differs: seq=%v par=%v", b.Name, seqTime, parTime)

@@ -12,16 +12,12 @@ import (
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/trace"
-	"fluidicl/internal/vm"
 )
 
 // topologyTraceBytes runs the quick-scale 2DCONV benchmark on the shared-bus
-// four-GPU topology with the given host worker count and returns the
-// serialized Chrome trace.
-func topologyTraceBytes(t *testing.T, workers int) []byte {
+// four-GPU topology and returns the serialized Chrome trace.
+func topologyTraceBytes(t *testing.T) []byte {
 	t.Helper()
-	vm.SetWorkers(workers)
-	defer vm.SetWorkers(0)
 	b, err := polybench.ByNameQuick("2DCONV")
 	if err != nil {
 		t.Fatal(err)
@@ -42,20 +38,14 @@ func topologyTraceBytes(t *testing.T, workers int) []byte {
 }
 
 // TestGoldenTopologyChromeTrace pins the multi-link topology trace the same
-// three ways as the twin-machine golden: one compute track and one link
-// track per device of the four-GPU shared-bus topology; identical bytes
-// whether work-groups execute on one host thread or many; byte-for-byte
+// two ways as the twin-machine golden: one compute track and one link
+// track per device of the four-GPU shared-bus topology; byte-for-byte
 // equal to the committed golden file so every change to the N-way timeline
 // (claim order, bus contention spans, ships, refreshes) is a reviewable
 // diff. Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/harness -run TestGoldenTopologyChromeTrace.
 func TestGoldenTopologyChromeTrace(t *testing.T) {
-	seq := topologyTraceBytes(t, 1)
-	par := topologyTraceBytes(t, 8)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("topology trace bytes differ between workers=1 (%d bytes) and workers=8 (%d bytes)", len(seq), len(par))
-	}
-
+	seq := topologyTraceBytes(t)
 	if !json.Valid(seq) {
 		t.Fatal("trace is not valid JSON")
 	}

@@ -12,15 +12,12 @@ import (
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/trace"
-	"fluidicl/internal/vm"
 )
 
-// chromeTraceBytes runs the quick-scale 2DCONV benchmark under FluidiCL with
-// the given host worker count and returns the serialized Chrome trace.
-func chromeTraceBytes(t *testing.T, workers int) []byte {
+// chromeTraceBytes runs the quick-scale 2DCONV benchmark under FluidiCL and
+// returns the serialized Chrome trace.
+func chromeTraceBytes(t *testing.T) []byte {
 	t.Helper()
-	vm.SetWorkers(workers)
-	defer vm.SetWorkers(0)
 	b, err := polybench.ByNameQuick("2DCONV")
 	if err != nil {
 		t.Fatal(err)
@@ -40,20 +37,13 @@ func chromeTraceBytes(t *testing.T, workers int) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenChromeTrace pins the trace bytes three ways: they must be valid
+// TestGoldenChromeTrace pins the trace bytes two ways: they must be valid
 // trace_event JSON with one track per simulated device, one per link and one
-// for the runtime; identical whether work-groups execute on one host thread
-// or many (recording happens only inside the deterministic simulation); and
-// byte-for-byte equal to the committed golden file, so any change to the
+// for the runtime; and byte-for-byte equal to the committed golden file, so any change to the
 // simulation's event timeline shows up as a reviewable diff. Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/harness -run TestGoldenChromeTrace.
 func TestGoldenChromeTrace(t *testing.T) {
-	seq := chromeTraceBytes(t, 1)
-	par := chromeTraceBytes(t, 8)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("trace bytes differ between workers=1 (%d bytes) and workers=8 (%d bytes)", len(seq), len(par))
-	}
-
+	seq := chromeTraceBytes(t)
 	if !json.Valid(seq) {
 		t.Fatal("trace is not valid JSON")
 	}

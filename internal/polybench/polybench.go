@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"fluidicl/internal/sched"
 )
@@ -87,10 +88,10 @@ func AllQuick() []*Benchmark {
 }
 
 // ByName returns the default-size benchmark with the given name (the
-// paper's six plus the extras).
+// paper's six plus the extras), matched case-insensitively.
 func ByName(name string) (*Benchmark, error) {
 	for _, b := range AllWithExtras() {
-		if b.Name == name {
+		if strings.EqualFold(b.Name, name) {
 			return b, nil
 		}
 	}
@@ -100,7 +101,7 @@ func ByName(name string) (*Benchmark, error) {
 // ByNameQuick returns the reduced-scale variant with the given name.
 func ByNameQuick(name string) (*Benchmark, error) {
 	for _, b := range AllQuick() {
-		if b.Name == name {
+		if strings.EqualFold(b.Name, name) {
 			return b, nil
 		}
 	}

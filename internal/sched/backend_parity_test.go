@@ -7,6 +7,7 @@ package sched_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"fluidicl/internal/core"
@@ -99,14 +100,9 @@ func TestBackendParityFluidiCL(t *testing.T) {
 // quick-scale Polybench app must produce the same output bytes, the same
 // virtual time, and byte-identical Chrome traces. Fused runs first so the
 // jams execute against cold per-kernel scratch pools, the state in which
-// a mis-reserved columnar log historically diverged. One worker: with more,
-// every launch runs on the speculative engine, whose deferred-write logs
-// keep the fused closures from ever being dispatched — the fused run would
-// silently be a second per-step run.
+// a mis-reserved columnar log historically diverged.
 func TestWGFuseParityFluidiCL(t *testing.T) {
 	defer vm.SetWGFuse(true)
-	defer vm.SetWorkers(0)
-	vm.SetWorkers(1)
 	for _, b := range polybench.AllQuick() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -151,4 +147,56 @@ func TestWGFuseParityFluidiCL(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWGFusionIsTheDeliveredPath pins that the fused path is the one every
+// caller gets: on a four-thread host, with no other knob touched, a wg launch
+// of a reduction kernel and a cooperative quick-scale SYRK both execute
+// through the fused closures and the loop closure.
+func TestWGFusionIsTheDeliveredPath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	requireFused := func(what string, before vm.BackendCounters) {
+		t.Helper()
+		after := vm.BackendSnapshot()
+		if after.WGFusedInstrsDyn == before.WGFusedInstrsDyn {
+			t.Errorf("%s: WGFusedInstrsDyn did not move: no fused closure ran", what)
+		}
+		if after.WGLoopTripsDyn == before.WGLoopTripsDyn {
+			t.Errorf("%s: WGLoopTripsDyn did not move: no reduction loop ran whole", what)
+		}
+	}
+
+	k := vm.MustCompile(`
+__kernel void dot(__global float* A, __global float* B, __global float* C, int m, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        float acc = C[i];
+        for (int k = 0; k < m; k++) { acc += A[i*m + k] * B[k]; }
+        C[i] = acc;
+    }
+}
+`, "dot")
+	const n, m = 64, 12
+	buf := func(words int) vm.Arg { return vm.BufArg(make([]byte, 4*words)) }
+	before := vm.BackendSnapshot()
+	if _, err := k.ExecLaunch(vm.NewNDRange1D(n, 16),
+		[]vm.Arg{buf(n * m), buf(m), buf(n), vm.IntArg(m), vm.IntArg(n)},
+		vm.ExecOpts{Backend: vm.BackendWG}); err != nil {
+		t.Fatal(err)
+	}
+	requireFused("ExecLaunch", before)
+
+	b, err := polybench.ByNameQuick("SYRK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = vm.BackendSnapshot()
+	res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{Backend: vm.BackendWG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Verify(res.Outputs); err != nil {
+		t.Fatal(err)
+	}
+	requireFused("cooperative SYRK", before)
 }

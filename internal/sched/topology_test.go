@@ -124,35 +124,6 @@ func TestTopologyShapes(t *testing.T) {
 	}
 }
 
-// TestTopologyWorkerCountInvariant pins host-parallelism independence: the
-// simulation's claim protocol and virtual clock must not observe how many
-// host threads execute work-groups.
-func TestTopologyWorkerCountInvariant(t *testing.T) {
-	topo := device.MustParseTopology("2cpu+2gpu")
-	b, err := polybench.ByNameQuick("SYRK")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) *sched.Result {
-		vm.SetWorkers(workers)
-		defer vm.SetWorkers(0)
-		res, err := sched.RunTopology(topo, b.App, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, par := run(1), run(8)
-	if seq.Time != par.Time {
-		t.Fatalf("virtual time depends on host workers: %v vs %v", seq.Time, par.Time)
-	}
-	for out, want := range seq.Outputs {
-		if !bytes.Equal(par.Outputs[out], want) {
-			t.Fatalf("output %q depends on host workers", out)
-		}
-	}
-}
-
 // TestTopologyBackendParity runs one benchmark on a three-device topology
 // under every VM backend: outputs and virtual time must be identical.
 func TestTopologyBackendParity(t *testing.T) {

@@ -125,14 +125,11 @@ func benchSYRKTrips(b testing.TB, m int) []benchLaunch {
 }
 
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
-// backend. Sequential workers so the numbers measure the execution engine,
-// not goroutine scheduling; the acceptance bar is closure >= 1.5x interp on
-// at least two kernels. The NAME/gpuvar/BACKEND rows run the GPU-transformed
+// backend; the acceptance bar is closure >= 1.5x interp on at least two
+// kernels. The NAME/gpuvar/BACKEND rows run the GPU-transformed
 // kernels (see benchApp) next to the original-source ones, the
 // SYRK/gpuvar/m=M rows the trip-count sweep (see benchSYRKTrips).
 func BenchmarkExecLaunch(b *testing.B) {
-	vm.SetWorkers(1)
-	defer vm.SetWorkers(0)
 	type row struct {
 		name     string
 		launches []benchLaunch

@@ -68,8 +68,8 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAuto, fmt.Errorf("vm: unknown backend %q (want interp, closure or wg)", s)
 }
 
-// defaultBackend holds the process-wide backend (BackendInterp or
-// BackendClosure, never BackendAuto).
+// defaultBackend holds the process-wide backend (BackendInterp,
+// BackendClosure or BackendWG, never BackendAuto).
 var defaultBackend atomic.Int32
 
 func init() {
@@ -197,8 +197,8 @@ type BackendCounters struct {
 	// WGFusedInstrsDyn / WGStepInstrsDyn count the block-body instructions
 	// the lockstep engine executed, per work-item, through fused closures
 	// vs through per-step lists (a fused block dispatched to a partial set
-	// or under a deferred-write log counts as per-step). Exact functions
-	// of the input, unlike the compile-time counts above.
+	// counts as per-step). Exact functions of the input, unlike the
+	// compile-time counts above.
 	WGFusedInstrsDyn int64
 	WGStepInstrsDyn  int64
 
@@ -301,7 +301,6 @@ type cmach struct {
 	// value is copied out before release.
 	stat Stats
 	st   *Stats
-	def  *DeferredWrites
 	undo *UndoLog
 
 	firstInWarp bool
@@ -315,7 +314,7 @@ type cmach struct {
 func (m *cmach) release() {
 	m.iregs, m.fregs, m.w = nil, nil, nil
 	m.args, m.locals, m.tr, m.st = nil, nil, nil, nil
-	m.def, m.undo, m.err = nil, nil, nil
+	m.undo, m.err = nil, nil
 }
 
 // runClos executes one work-item through the kernel's compiled closures
@@ -639,12 +638,6 @@ func (k *Kernel) stepLoadGlobal(pc int, in Instr, isF bool) stepFn {
 				return false
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			if d := m.def; d != nil {
-				d.noteRead(slot, off)
-				if v, ok := d.lookup(slot, off); ok {
-					bits = v
-				}
-			}
 			m.fregs[a] = float64(math.Float32frombits(bits))
 			m.st.noteGlobalRead(slot)
 			m.st.GlobalLoads++
@@ -661,12 +654,6 @@ func (k *Kernel) stepLoadGlobal(pc int, in Instr, isF bool) stepFn {
 			return false
 		}
 		bits := binary.LittleEndian.Uint32(buf[off:])
-		if d := m.def; d != nil {
-			d.noteRead(slot, off)
-			if v, ok := d.lookup(slot, off); ok {
-				bits = v
-			}
-		}
 		m.iregs[a] = int64(int32(bits))
 		m.st.noteGlobalRead(slot)
 		m.st.GlobalLoads++
@@ -676,8 +663,7 @@ func (k *Kernel) stepLoadGlobal(pc int, in Instr, isF bool) stepFn {
 	}
 }
 
-// stepStoreGlobal compiles opSTGF/opSTGI, including the deferred-write and
-// undo-log paths.
+// stepStoreGlobal compiles opSTGF/opSTGI, including the undo-log path.
 func (k *Kernel) stepStoreGlobal(pc int, in Instr, isF bool) stepFn {
 	a, slot, c, memID := in.A, in.B, in.C, in.D
 	name := k.Params[slot].Name
@@ -694,16 +680,12 @@ func (k *Kernel) stepStoreGlobal(pc int, in Instr, isF bool) stepFn {
 		} else {
 			bits = uint32(int32(m.iregs[a]))
 		}
-		if d := m.def; d != nil {
-			d.store(slot, off, bits)
-		} else {
-			if u := m.undo; u != nil {
-				var old [4]byte
-				copy(old[:], buf[off:off+4])
-				u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-			}
-			binary.LittleEndian.PutUint32(buf[off:], bits)
+		if u := m.undo; u != nil {
+			var old [4]byte
+			copy(old[:], buf[off:off+4])
+			u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
 		}
+		binary.LittleEndian.PutUint32(buf[off:], bits)
 		m.st.noteGlobalWrite(slot, off)
 		m.st.GlobalStores++
 		m.st.GlobalStoreBytes += 4

@@ -244,8 +244,6 @@ func TestExecLaunchAllocs(t *testing.T) {
 	c := make([]byte, 4*n*n)
 	args := []Arg{BufArg(a), BufArg(c), FloatArg(1.5), IntArg(m), IntArg(n)}
 	nd := NewNDRange2D(n, n, 4, 4)
-	defer SetWorkers(0)
-	SetWorkers(1) // sequential path: the parallel engine's goroutines allocate by design
 	for _, v := range []struct {
 		name string
 		src  string

@@ -18,24 +18,13 @@ import (
 // the check and the rest run to completion. Five executors — the AST
 // reference, the switch interpreter, the closure engine, and the lockstep
 // engine with region fusion on and off — must agree bit for bit on every
-// buffer; the four VM executors also on Stats, on undo-log rollback, and on
-// deferred-write commit. Work-groups execute one at a time, because a
-// parallel launch hands every group a deferred-write log and fused closures
-// never run under one.
-
-// diffMode selects how diffExec applies a work-group's stores.
-type diffMode int
-
-const (
-	diffPlain    diffMode = iota
-	diffUndo              // log every store, roll back after the group, require restoration
-	diffDeferred          // buffer stores in a DeferredWrites, commit after the group
-)
+// buffer; the four VM executors also on Stats and on undo-log rollback.
 
 // diffExec runs every group of the launch on one executor and returns the
-// concatenated buffer arguments (for diffUndo: as they were before each
-// group's rollback) and the summed Stats.
-func diffExec(t *testing.T, label string, k *Kernel, nd NDRange, args []Arg, be Backend, fuse bool, mode diffMode) (string, Stats, error) {
+// concatenated buffer arguments and the summed Stats. With undo set every
+// group logs its stores and is rolled back, which must restore the buffers;
+// the returned bytes are then the buffers as they were before each rollback.
+func diffExec(t *testing.T, label string, k *Kernel, nd NDRange, args []Arg, be Backend, fuse, undo bool) (string, Stats, error) {
 	t.Helper()
 	defer SetWGFuse(true)
 	SetWGFuse(fuse)
@@ -53,35 +42,24 @@ func diffExec(t *testing.T, label string, k *Kernel, nd NDRange, args []Arg, be 
 	for g := 0; g < nd.LaunchGroups(); g++ {
 		opts := ExecOpts{Backend: be}
 		before := snap()
-		var undo UndoLog
-		var def DeferredWrites
-		switch mode {
-		case diffUndo:
-			opts.Undo = &undo
-		case diffDeferred:
-			def.begin(len(args))
-			opts.Def = &def
+		var log UndoLog
+		if undo {
+			opts.Undo = &log
 		}
 		st, err := k.ExecWorkGroup(nd, nd.GroupAt(g), args, opts)
 		total.Add(st)
 		if err != nil {
 			return "", total, err
 		}
-		switch mode {
-		case diffUndo:
+		if undo {
 			applied += snap()
-			undo.Rollback()
+			log.Rollback()
 			if snap() != before {
 				t.Fatalf("%s (%v fuse=%v): rollback of group %d did not restore the buffers", label, be, fuse, g)
 			}
-		case diffDeferred:
-			if snap() != before {
-				t.Fatalf("%s (%v fuse=%v): group %d stored in place under a deferred-write log", label, be, fuse, g)
-			}
-			def.commit(args, nil)
 		}
 	}
-	if mode != diffUndo {
+	if !undo {
 		applied = snap()
 	}
 	return applied, total, nil
@@ -121,29 +99,29 @@ func diffFiveWay(t *testing.T, label, src, name string, nd NDRange, mkArgs func(
 		fuse bool
 	}
 	execs := []exec{{BackendInterp, true}, {BackendClosure, true}, {BackendWG, true}, {BackendWG, false}}
-	for _, mode := range []diffMode{diffPlain, diffUndo, diffDeferred} {
+	for _, undo := range []bool{false, true} {
 		var bufs0 string
 		var st0 Stats
 		for i, e := range execs {
-			bufs, st, err := diffExec(t, label, k, nd, mkArgs(), e.be, e.fuse, mode)
+			bufs, st, err := diffExec(t, label, k, nd, mkArgs(), e.be, e.fuse, undo)
 			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s mode %d: error disagreement: %v fuse=%v: %v, ref: %v\n%s", label, mode, e.be, e.fuse, err, refErr, src)
+				t.Fatalf("%s undo=%v: error disagreement: %v fuse=%v: %v, ref: %v\n%s", label, undo, e.be, e.fuse, err, refErr, src)
 			}
 			if err != nil {
 				continue
 			}
 			if i == 0 {
 				bufs0, st0 = bufs, st
-				if mode != diffUndo && bufs != refBufs {
-					t.Fatalf("%s mode %d: interpreter buffers differ from the AST reference\n%s", label, mode, src)
+				if !undo && bufs != refBufs {
+					t.Fatalf("%s undo=%v: interpreter buffers differ from the AST reference\n%s", label, undo, src)
 				}
 				continue
 			}
 			if bufs != bufs0 {
-				t.Fatalf("%s mode %d: %v fuse=%v buffers differ from the interpreter\n%s", label, mode, e.be, e.fuse, src)
+				t.Fatalf("%s undo=%v: %v fuse=%v buffers differ from the interpreter\n%s", label, undo, e.be, e.fuse, src)
 			}
 			if st != st0 {
-				t.Fatalf("%s mode %d: Stats diverge\ninterp:        %+v\n%v fuse=%v: %+v\n%s", label, mode, st0, e.be, e.fuse, st, src)
+				t.Fatalf("%s undo=%v: Stats diverge\ninterp:        %+v\n%v fuse=%v: %+v\n%s", label, undo, st0, e.be, e.fuse, st, src)
 			}
 		}
 	}

@@ -170,82 +170,6 @@ func TestDifferentialUndoRollback(t *testing.T) {
 	}
 }
 
-func TestDifferentialDeferredWrites(t *testing.T) {
-	// Property: executing a work-group with a DeferredWrites log and
-	// committing must be byte-identical across backends, and identical to
-	// in-place execution (the commit applies exactly the stores that would
-	// have landed).
-	const trials = 25
-	n := 32
-	for seed := 0; seed < trials; seed++ {
-		src := GenProgram(rand.New(rand.NewSource(int64(3000 + seed))))
-		ki, err := clc.FindKernelInfo(src, "diff")
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, err := Compile(ki)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd := NewNDRange1D(n, 32)
-		mkBufs := func() ([]byte, []byte) {
-			fb := make([]byte, 4*n)
-			ib := make([]byte, 4*n)
-			r := rand.New(rand.NewSource(int64(seed) * 11))
-			r.Read(fb)
-			r.Read(ib)
-			return fb, ib
-		}
-		run := func(be Backend, deferred bool) (string, Stats, error) {
-			fb, ib := mkBufs()
-			args := []Arg{BufArg(fb), BufArg(ib), IntArg(int64(n)), IntArg(3), FloatArg(1.5)}
-			opts := ExecOpts{Backend: be}
-			var def DeferredWrites
-			if deferred {
-				def.begin(len(args))
-				opts.Def = &def
-			}
-			st, err := k.ExecWorkGroup(nd, [3]int{0, 0, 0}, args, opts)
-			if err != nil {
-				return "", st, err
-			}
-			if deferred {
-				def.commit(args, nil)
-			}
-			return string(fb) + string(ib), st, nil
-		}
-		inplace, stPlain, errPlain := run(BackendInterp, false)
-		defI, stI, errI := run(BackendInterp, true)
-		defC, stC, errC := run(BackendClosure, true)
-		defW, stW, errW := run(BackendWG, true)
-		if (errPlain == nil) != (errI == nil) || (errI == nil) != (errC == nil) || (errI == nil) != (errW == nil) {
-			t.Fatalf("seed %d: error disagreement: plain=%v definterp=%v defclosure=%v defwg=%v\n%s",
-				seed, errPlain, errI, errC, errW, src)
-		}
-		if errPlain != nil {
-			continue
-		}
-		if stI != stC {
-			t.Fatalf("seed %d: deferred Stats diverge between backends:\ninterp:  %+v\nclosure: %+v\n%s",
-				seed, stI, stC, src)
-		}
-		if stI != stW {
-			t.Fatalf("seed %d: deferred Stats diverge between backends:\ninterp: %+v\nwg:     %+v\n%s",
-				seed, stI, stW, src)
-		}
-		if defI != defC {
-			t.Fatalf("seed %d: deferred+commit buffers differ between backends\n%s", seed, src)
-		}
-		if defI != defW {
-			t.Fatalf("seed %d: deferred+commit buffers differ between interp and wg\n%s", seed, src)
-		}
-		if defI != inplace {
-			t.Fatalf("seed %d: deferred+commit differs from in-place execution\n%s", seed, src)
-		}
-		_ = stPlain // deferred runs add noteRead tracking but Stats must still match each other
-	}
-}
-
 func TestDifferentialPrintedSourceRoundTrip(t *testing.T) {
 	// Property: pretty-printing a generated program and re-parsing it must
 	// yield identical execution results (the printer loses nothing).

@@ -9,16 +9,10 @@ import (
 // ExecOpts controls one work-group execution.
 type ExecOpts struct {
 	// Undo, when non-nil, records every global store so the caller can roll
-	// the work-group's effects back. Ignored while Def is set (the deferred
-	// log records old values at commit time instead).
+	// the work-group's effects back.
 	Undo *UndoLog
 	// MaxSteps bounds interpreted instructions per work-item (0 = default).
 	MaxSteps int64
-	// Def, when non-nil, redirects every global store into a deferred write
-	// log instead of mutating the buffer, and serves the group's own stores
-	// back to its loads. The launch engine uses this to execute work-groups
-	// speculatively.
-	Def *DeferredWrites
 	// ArgsChecked skips per-call argument validation; set it only after a
 	// successful CheckArgs for the same kernel and argument list.
 	ArgsChecked bool
@@ -268,7 +262,7 @@ func (k *Kernel) execWGClosure(nd NDRange, group [3]int, args []Arg, opts ExecOp
 	cm.tr = sc.trackerFor(k)
 	cm.stat = Stats{WorkGroups: 1, WorkItems: nWI}
 	cm.st = &cm.stat
-	cm.def, cm.undo = opts.Def, opts.Undo
+	cm.undo = opts.Undo
 	cm.maxSteps = maxSteps
 
 	err := k.closureWGLoop(cm, sc, nWI)
@@ -388,7 +382,6 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 	iregs, fregs := w.iregs, w.fregs
 	code := k.Code
 	firstInWarp := wi%warpSize == 0
-	def := opts.Def
 	var steps int64
 
 	dimVal := func(vals [3]int, d int64) int64 {
@@ -528,12 +521,6 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("load %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			if def != nil {
-				def.noteRead(in.B, off)
-				if v, ok := def.lookup(in.B, off); ok {
-					bits = v
-				}
-			}
 			fregs[in.A] = float64(math.Float32frombits(bits))
 			st.noteGlobalRead(in.B)
 			st.GlobalLoads++
@@ -546,12 +533,6 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("load %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			if def != nil {
-				def.noteRead(in.B, off)
-				if v, ok := def.lookup(in.B, off); ok {
-					bits = v
-				}
-			}
 			iregs[in.A] = int64(int32(bits))
 			st.noteGlobalRead(in.B)
 			st.GlobalLoads++
@@ -564,16 +545,12 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("store %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := math.Float32bits(float32(fregs[in.A]))
-			if def != nil {
-				def.store(in.B, off, bits)
-			} else {
-				if opts.Undo != nil {
-					var old [4]byte
-					copy(old[:], buf[off:off+4])
-					opts.Undo.recs = append(opts.Undo.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-				}
-				binary.LittleEndian.PutUint32(buf[off:], bits)
+			if opts.Undo != nil {
+				var old [4]byte
+				copy(old[:], buf[off:off+4])
+				opts.Undo.recs = append(opts.Undo.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
 			}
+			binary.LittleEndian.PutUint32(buf[off:], bits)
 			st.noteGlobalWrite(in.B, off)
 			st.GlobalStores++
 			st.GlobalStoreBytes += 4
@@ -585,16 +562,12 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("store %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := uint32(int32(iregs[in.A]))
-			if def != nil {
-				def.store(in.B, off, bits)
-			} else {
-				if opts.Undo != nil {
-					var old [4]byte
-					copy(old[:], buf[off:off+4])
-					opts.Undo.recs = append(opts.Undo.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-				}
-				binary.LittleEndian.PutUint32(buf[off:], bits)
+			if opts.Undo != nil {
+				var old [4]byte
+				copy(old[:], buf[off:off+4])
+				opts.Undo.recs = append(opts.Undo.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
 			}
+			binary.LittleEndian.PutUint32(buf[off:], bits)
 			st.noteGlobalWrite(in.B, off)
 			st.GlobalStores++
 			st.GlobalStoreBytes += 4
@@ -779,10 +752,9 @@ func byteOff(idx int64, bufLen int) (int32, error) {
 
 // ExecLaunch executes every work-group of the launch slice and returns
 // aggregate stats. It is a convenience for tests and single-device paths
-// that do not need per-group timing. With Workers() > 1 the groups are
-// interpreted speculatively in parallel and committed in launch order;
-// results (buffers, stats, undo log) are byte-identical to the sequential
-// path.
+// that do not need per-group timing. Groups run in launch order against the
+// caller's memory; on an error the stores up to the fault stay applied and
+// the stats so far are returned.
 func (k *Kernel) ExecLaunch(nd NDRange, args []Arg, opts ExecOpts) (Stats, error) {
 	var total Stats
 	if !opts.ArgsChecked {
@@ -791,23 +763,7 @@ func (k *Kernel) ExecLaunch(nd NDRange, args []Arg, opts ExecOpts) (Stats, error
 		}
 		opts.ArgsChecked = true
 	}
-	n := nd.LaunchGroups()
-	if w := Workers(); w > 1 && n > 1 && opts.Def == nil {
-		undo := opts.Undo
-		if eng, err := NewLaunchEngine(k, nd, args, opts, w, nil); err == nil && eng != nil {
-			defer eng.Release()
-			for i := 0; i < n; i++ {
-				st, err := eng.Result(i)
-				total.Add(st)
-				eng.Commit(i, undo)
-				if err != nil {
-					return total, err
-				}
-			}
-			return total, nil
-		}
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, nd.LaunchGroups(); i < n; i++ {
 		st, err := k.ExecWorkGroup(nd, nd.GroupAt(i), args, opts)
 		total.Add(st)
 		if err != nil {

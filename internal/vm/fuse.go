@@ -508,12 +508,6 @@ func (k *Kernel) superAffLoad(pc int, withFMul, withFAdd bool) stepFn {
 				return false
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			if d := m.def; d != nil {
-				d.noteRead(slot, int32(off))
-				if v, ok := d.lookup(slot, int32(off)); ok {
-					bits = v
-				}
-			}
 			if isF {
 				m.fregs[la] = float64(math.Float32frombits(bits))
 			} else {
@@ -546,12 +540,6 @@ func (k *Kernel) superAffLoad(pc int, withFMul, withFAdd bool) stepFn {
 				return false
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			if d := m.def; d != nil {
-				d.noteRead(slot, int32(off))
-				if v, ok := d.lookup(slot, int32(off)); ok {
-					bits = v
-				}
-			}
 			fr := m.fregs
 			fr[la] = float64(math.Float32frombits(bits))
 			st.ParamReadMask |= readMask
@@ -582,12 +570,6 @@ func (k *Kernel) superAffLoad(pc int, withFMul, withFAdd bool) stepFn {
 			return false
 		}
 		bits := binary.LittleEndian.Uint32(buf[off:])
-		if d := m.def; d != nil {
-			d.noteRead(slot, int32(off))
-			if v, ok := d.lookup(slot, int32(off)); ok {
-				bits = v
-			}
-		}
 		fr := m.fregs
 		fr[la] = float64(math.Float32frombits(bits))
 		st.ParamReadMask |= readMask
@@ -621,12 +603,6 @@ func (k *Kernel) superLoadFMul(pc int) stepFn {
 			return false
 		}
 		bits := binary.LittleEndian.Uint32(buf[off:])
-		if d := m.def; d != nil {
-			d.noteRead(slot, int32(off))
-			if v, ok := d.lookup(slot, int32(off)); ok {
-				bits = v
-			}
-		}
 		fr := m.fregs
 		fr[la] = float64(math.Float32frombits(bits))
 		st := m.st

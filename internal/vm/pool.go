@@ -1,42 +1,12 @@
 package vm
 
-import (
-	"encoding/binary"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// ---------------------------------------------------------------------------
-// Host-parallelism knob
-// ---------------------------------------------------------------------------
-
-// workerCount holds the configured worker count; 0 means GOMAXPROCS.
-var workerCount atomic.Int32
-
-// Workers returns the number of host threads work-group execution may use.
-// The default (and the value after SetWorkers(0)) is GOMAXPROCS. With 1,
-// every launch runs on the original strictly sequential path.
-func Workers() int {
-	if n := workerCount.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers sets the host worker count for work-group execution. n <= 0
-// resets to the GOMAXPROCS default. Safe to call concurrently; launches
-// already in progress keep the count they started with.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCount.Store(int32(n))
-}
-
-// ---------------------------------------------------------------------------
-// Per-work-group scratch pooling
-// ---------------------------------------------------------------------------
+// SetWorkers is a no-op kept for source compatibility.
+//
+// Deprecated: the speculative work-group pool it configured was removed
+// (DESIGN.md §12, "Why the pool was removed"); every launch runs its groups
+// in launch order on the calling goroutine. Host parallelism is the harness's
+// independent table cells (harness.Runner.Parallel, fluidibench -parallel).
+func SetWorkers(int) {}
 
 // wgScratch is the per-work-group execution state (work-item registers,
 // private slabs, local arrays, the memory-locality tracker). It is pooled
@@ -138,392 +108,4 @@ func (s *wgScratch) trackerFor(k *Kernel) *memTracker {
 		s.tr = newMemTracker(k.NumMemOps)
 	}
 	return s.tr
-}
-
-// ---------------------------------------------------------------------------
-// Deferred global stores
-// ---------------------------------------------------------------------------
-
-// defWrite is one deferred global store, in program order.
-type defWrite struct {
-	arg int32
-	off int32
-	val uint32
-}
-
-// argSpan is a conservative [lo, hi] byte-offset envelope over one buffer
-// argument.
-type argSpan struct {
-	lo, hi int32
-	seen   bool
-}
-
-func (s *argSpan) extend(off int32) {
-	if !s.seen {
-		s.lo, s.hi, s.seen = off, off, true
-		return
-	}
-	if off < s.lo {
-		s.lo = off
-	}
-	if off > s.hi {
-		s.hi = off
-	}
-}
-
-func (s *argSpan) overlaps(o *argSpan) bool {
-	return s.seen && o.seen && s.lo <= o.hi && o.lo <= s.hi
-}
-
-// DeferredWrites buffers a work-group's global stores instead of applying
-// them, so the group can execute speculatively without touching shared
-// memory. Loads consult a read-own-write overlay first, so the group sees
-// its own stores; every load's offset is folded into a per-argument read
-// envelope and every store's into a write envelope, which the launch engine
-// uses for conflict detection. Commit applies the log — uncoalesced and in
-// program order, so undo recording is byte-for-byte what the sequential
-// in-place path would have produced.
-type DeferredWrites struct {
-	writes []defWrite
-	ov     []map[int32]uint32
-	hasOv  []bool
-	reads  []argSpan
-	wspans []argSpan
-}
-
-// begin resets the log for a group execution over nArgs arguments.
-func (d *DeferredWrites) begin(nArgs int) {
-	d.writes = d.writes[:0]
-	if cap(d.ov) < nArgs {
-		d.ov = make([]map[int32]uint32, nArgs)
-		d.hasOv = make([]bool, nArgs)
-		d.reads = make([]argSpan, nArgs)
-		d.wspans = make([]argSpan, nArgs)
-	}
-	d.ov = d.ov[:nArgs]
-	d.hasOv = d.hasOv[:nArgs]
-	d.reads = d.reads[:nArgs]
-	d.wspans = d.wspans[:nArgs]
-	for i := range d.hasOv {
-		if d.hasOv[i] {
-			clear(d.ov[i])
-			d.hasOv[i] = false
-		}
-		d.reads[i] = argSpan{}
-		d.wspans[i] = argSpan{}
-	}
-}
-
-// noteRead folds a load offset into the argument's read envelope.
-func (d *DeferredWrites) noteRead(arg, off int32) {
-	d.reads[arg].extend(off)
-}
-
-// lookup returns the group's own latest store to (arg, off), if any.
-func (d *DeferredWrites) lookup(arg, off int32) (uint32, bool) {
-	if !d.hasOv[arg] {
-		return 0, false
-	}
-	v, ok := d.ov[arg][off]
-	return v, ok
-}
-
-// store defers one global store.
-func (d *DeferredWrites) store(arg, off int32, val uint32) {
-	d.writes = append(d.writes, defWrite{arg: arg, off: off, val: val})
-	m := d.ov[arg]
-	if m == nil {
-		m = make(map[int32]uint32)
-		d.ov[arg] = m
-	}
-	m[off] = val
-	d.hasOv[arg] = true
-	d.wspans[arg].extend(off)
-}
-
-// commit applies the write log in program order, recording overwritten words
-// into undo (when non-nil) exactly as the in-place path does.
-func (d *DeferredWrites) commit(args []Arg, undo *UndoLog) {
-	for _, w := range d.writes {
-		buf := args[w.arg].Buf
-		if undo != nil {
-			var old [4]byte
-			copy(old[:], buf[w.off:w.off+4])
-			undo.recs = append(undo.recs, UndoRecord{Buf: buf, Off: int(w.off), Old: old})
-		}
-		binary.LittleEndian.PutUint32(buf[w.off:], w.val)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Speculative wave launch engine
-// ---------------------------------------------------------------------------
-
-// specRes is one speculatively executed work-group's buffered outcome.
-type specRes struct {
-	st  Stats
-	err error
-}
-
-// LaunchEngine interprets waves of upcoming work-groups concurrently on a
-// host worker pool while keeping results byte-identical to sequential
-// execution. The contract:
-//
-//   - The consumer asks for groups strictly in launch order: Result(0),
-//     Result(1), ... (skipped groups may simply not be asked for). Result
-//     blocks while a wave of groups from i onward executes in parallel, each
-//     against a private DeferredWrites log, so shared memory is never
-//     touched speculatively.
-//   - Commit(i, undo) applies group i's buffered stores in place. Because
-//     commits happen one group at a time in launch order, memory passes
-//     through exactly the sequence of states the sequential executor
-//     produces.
-//   - A speculative result is only used if every byte the group read still
-//     holds its wave-snapshot value at consume time. Three invalidation
-//     sources are tracked: commits of earlier groups in the wave (per-arg
-//     write envelopes vs the group's read envelope), rollbacks of
-//     mid-aborted groups (NoteUndo extends the same envelopes), and
-//     arbitrary external mutations such as status-buffer transfers landing
-//     on another queue (the epoch callback; any change marks the wave
-//     stale). Invalidated groups re-execute serially at consume time
-//     against current memory — which is precisely sequential semantics,
-//     just without the speedup.
-//
-// Callers must run Result/Commit/NoteUndo from a single goroutine; the only
-// internal concurrency is the worker pool inside Result, which finishes
-// before Result returns.
-type LaunchEngine struct {
-	args    []Arg
-	n       int
-	workers int
-	wave    int
-	epoch   func() uint64
-	exec    func(i int, d *DeferredWrites) (Stats, error)
-
-	defs      []*DeferredWrites
-	res       []specRes
-	waveLo    int
-	waveHi    int
-	snapEpoch uint64
-	stale     bool
-	committed []argSpan       // mutation envelopes since the wave snapshot
-	argOf     map[*byte]int32 // buffer identity -> argument index
-}
-
-// NewLaunchEngine builds an engine for a kernel launch. epoch, when
-// non-nil, is sampled at wave start and re-sampled at every consume; any
-// change invalidates buffered results (callers bump it on each external
-// buffer mutation). A nil engine (with nil error) means speculation is
-// unsound for these arguments — two point at the same storage — and the
-// caller should use the sequential path. opts.Undo is ignored: undo logs
-// are supplied per group at Commit time.
-func NewLaunchEngine(k *Kernel, nd NDRange, args []Arg, opts ExecOpts, workers int, epoch func() uint64) (*LaunchEngine, error) {
-	if !opts.ArgsChecked {
-		if err := k.CheckArgs(args); err != nil {
-			return nil, err
-		}
-		opts.ArgsChecked = true
-	}
-	opts.Undo = nil
-	e := newEngine(nd.LaunchGroups(), args, workers, epoch)
-	if e == nil {
-		return nil, nil
-	}
-	e.exec = func(i int, d *DeferredWrites) (Stats, error) {
-		o := opts
-		o.Def = d
-		return k.ExecWorkGroup(nd, nd.GroupAt(i), args, o)
-	}
-	return e, nil
-}
-
-// enginePool recycles LaunchEngines across launches so the deferred-write
-// slabs and result slices they grow are reused instead of reallocated per
-// launch. Engines enter the pool via Release.
-var enginePool = sync.Pool{New: func() any { return &LaunchEngine{} }}
-
-// newEngine builds the executor-agnostic core; the caller fills in exec.
-func newEngine(n int, args []Arg, workers int, epoch func() uint64) *LaunchEngine {
-	if n <= 0 || workers < 1 {
-		return nil
-	}
-	e := enginePool.Get().(*LaunchEngine)
-	if e.argOf == nil {
-		e.argOf = make(map[*byte]int32, len(args))
-	}
-	for i, a := range args {
-		if a.Kind != ArgBuffer || len(a.Buf) == 0 {
-			continue
-		}
-		p := &a.Buf[0]
-		if _, dup := e.argOf[p]; dup {
-			e.Release() // aliased buffer arguments: fall back to sequential
-			return nil
-		}
-		e.argOf[p] = int32(i)
-	}
-	wave := workers * 4
-	if wave > n {
-		wave = n
-	}
-	e.args = args
-	e.n = n
-	e.workers = workers
-	e.wave = wave
-	e.epoch = epoch
-	if cap(e.committed) >= len(args) {
-		e.committed = e.committed[:len(args)]
-		for i := range e.committed {
-			e.committed[i] = argSpan{}
-		}
-	} else {
-		e.committed = make([]argSpan, len(args))
-	}
-	return e
-}
-
-// Release returns the engine to the pool for reuse by a later launch,
-// dropping every reference to caller-owned memory first. The engine must
-// not be used afterwards. Releasing a nil engine is a no-op, so callers can
-// defer it unconditionally.
-func (e *LaunchEngine) Release() {
-	if e == nil {
-		return
-	}
-	e.args = nil
-	e.exec = nil
-	e.epoch = nil
-	clear(e.argOf)
-	for i := range e.res {
-		e.res[i] = specRes{}
-	}
-	e.res = e.res[:0]
-	e.committed = e.committed[:0]
-	e.n, e.workers, e.wave = 0, 0, 0
-	e.waveLo, e.waveHi = 0, 0
-	e.snapEpoch, e.stale = 0, false
-	enginePool.Put(e)
-}
-
-// runWave executes groups [start, start+wave) concurrently.
-func (e *LaunchEngine) runWave(start int) {
-	e.waveLo = start
-	e.waveHi = start + e.wave
-	if e.waveHi > e.n {
-		e.waveHi = e.n
-	}
-	w := e.waveHi - e.waveLo
-	for i := range e.committed {
-		e.committed[i] = argSpan{}
-	}
-	e.stale = false
-	if e.epoch != nil {
-		e.snapEpoch = e.epoch()
-	}
-	for len(e.defs) < w {
-		e.defs = append(e.defs, &DeferredWrites{})
-	}
-	if cap(e.res) < w {
-		e.res = make([]specRes, w)
-	}
-	e.res = e.res[:w]
-	nw := e.workers
-	if nw > w {
-		nw = w
-	}
-	if nw <= 1 {
-		for i := e.waveLo; i < e.waveHi; i++ {
-			e.runSlot(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(int64(e.waveLo))
-	var wg sync.WaitGroup
-	for t := 0; t < nw; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= e.waveHi {
-					return
-				}
-				e.runSlot(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runSlot executes group i into its wave slot.
-func (e *LaunchEngine) runSlot(i int) {
-	slot := i - e.waveLo
-	d := e.defs[slot]
-	d.begin(len(e.args))
-	st, err := e.exec(i, d)
-	e.res[slot] = specRes{st: st, err: err}
-}
-
-// conflicts reports whether d's reads overlap any mutation committed since
-// the wave snapshot.
-func (e *LaunchEngine) conflicts(d *DeferredWrites) bool {
-	for a := range d.reads {
-		if d.reads[a].overlaps(&e.committed[a]) {
-			return true
-		}
-	}
-	return false
-}
-
-// Result returns group i's execution outcome, running a new wave if needed
-// and serially re-executing the group when its speculative run has been
-// invalidated. i must advance monotonically.
-func (e *LaunchEngine) Result(i int) (Stats, error) {
-	if i >= e.waveHi {
-		e.runWave(i)
-	}
-	slot := i - e.waveLo
-	r := &e.res[slot]
-	if e.epoch != nil && e.epoch() != e.snapEpoch {
-		e.stale = true
-	}
-	if e.stale || r.err != nil || e.conflicts(e.defs[slot]) {
-		e.runSlot(i)
-	}
-	return r.st, r.err
-}
-
-// Commit applies group i's buffered stores in place (recording into undo
-// when non-nil) and folds its write envelope into the wave's mutation
-// envelopes. Must follow Result(i).
-func (e *LaunchEngine) Commit(i int, undo *UndoLog) {
-	slot := i - e.waveLo
-	d := e.defs[slot]
-	d.commit(e.args, undo)
-	for a := range d.wspans {
-		s := &d.wspans[a]
-		if !s.seen {
-			continue
-		}
-		e.committed[a].extend(s.lo)
-		e.committed[a].extend(s.hi)
-	}
-}
-
-// NoteUndo records an imminent rollback of u's stores as mutations, so
-// buffered speculative results that read the affected ranges re-execute.
-// Call it immediately before u.Rollback().
-func (e *LaunchEngine) NoteUndo(u *UndoLog) {
-	for _, rec := range u.recs {
-		if len(rec.Buf) == 0 {
-			continue
-		}
-		a, ok := e.argOf[&rec.Buf[0]]
-		if !ok {
-			e.stale = true // store into memory we don't track: invalidate all
-			continue
-		}
-		e.committed[a].extend(int32(rec.Off))
-	}
 }

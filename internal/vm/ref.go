@@ -45,13 +45,9 @@ func (v value) truthy() bool {
 }
 
 // refArray is a mutable array binding (global buffer or local/private array).
-// For global buffer args executed speculatively, def is non-nil and loads and
-// stores are routed through the deferred-write log instead of the buffer.
 type refArray struct {
-	buf    []byte
-	elem   clc.ScalarKind
-	def    *DeferredWrites
-	argIdx int32
+	buf  []byte
+	elem clc.ScalarKind
 }
 
 func (a refArray) load(idx int64) (value, error) {
@@ -60,12 +56,6 @@ func (a refArray) load(idx int64) (value, error) {
 		return value{}, fmt.Errorf("ref: index %d out of range (%d bytes)", idx, len(a.buf))
 	}
 	bits := uint32(a.buf[off]) | uint32(a.buf[off+1])<<8 | uint32(a.buf[off+2])<<16 | uint32(a.buf[off+3])<<24
-	if a.def != nil {
-		a.def.noteRead(a.argIdx, int32(off))
-		if v, ok := a.def.lookup(a.argIdx, int32(off)); ok {
-			bits = v
-		}
-	}
 	if a.elem == clc.Float {
 		return fval(float64(math.Float32frombits(bits))), nil
 	}
@@ -82,10 +72,6 @@ func (a refArray) store(idx int64, v value) error {
 		bits = math.Float32bits(float32(v.f))
 	} else {
 		bits = uint32(int32(v.i))
-	}
-	if a.def != nil {
-		a.def.store(a.argIdx, int32(off), bits)
-		return nil
 	}
 	a.buf[off] = byte(bits)
 	a.buf[off+1] = byte(bits >> 8)
@@ -140,12 +126,6 @@ type refCtx struct {
 
 // ExecWorkGroup interprets one work-group, mutating buffer args in place.
 func (r *RefExec) ExecWorkGroup(nd NDRange, group [3]int, args []Arg) error {
-	return r.execGroup(nd, group, args, nil)
-}
-
-// execGroup interprets one work-group. With def non-nil all global buffer
-// traffic is routed through the deferred-write log (speculative mode).
-func (r *RefExec) execGroup(nd NDRange, group [3]int, args []Arg, def *DeferredWrites) error {
 	params := r.ki.Kernel.Params
 	if len(args) != len(params) {
 		return fmt.Errorf("ref: want %d args, got %d", len(params), len(args))
@@ -168,7 +148,7 @@ func (r *RefExec) execGroup(nd NDRange, group [3]int, args []Arg, def *DeferredW
 		scope := &refScope{vars: map[string]*value{}, arrs: map[string]refArray{}}
 		for i, p := range params {
 			if p.Ty.Ptr {
-				scope.arrs[p.Name] = refArray{buf: args[i].Buf, elem: p.Ty.Kind, def: def, argIdx: int32(i)}
+				scope.arrs[p.Name] = refArray{buf: args[i].Buf, elem: p.Ty.Kind}
 			} else if p.Ty.Kind == clc.Float {
 				v := fval(args[i].F)
 				scope.vars[p.Name] = &v
@@ -185,28 +165,9 @@ func (r *RefExec) execGroup(nd NDRange, group [3]int, args []Arg, def *DeferredW
 }
 
 // ExecLaunch interprets every work-group of the launch, mutating buffer args
-// in place. With Workers() > 1 groups run speculatively in parallel and
-// commit in flattened-group order, producing byte-identical buffers to the
-// sequential per-group path.
+// in place, in flattened-group order.
 func (r *RefExec) ExecLaunch(nd NDRange, args []Arg) error {
-	n := nd.LaunchGroups()
-	if w := Workers(); w > 1 && n > 1 {
-		if eng := newEngine(n, args, w, nil); eng != nil {
-			defer eng.Release()
-			eng.exec = func(i int, d *DeferredWrites) (Stats, error) {
-				return Stats{}, r.execGroup(nd, nd.GroupAt(i), args, d)
-			}
-			for i := 0; i < n; i++ {
-				_, err := eng.Result(i)
-				eng.Commit(i, nil)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, nd.LaunchGroups(); i < n; i++ {
 		if err := r.ExecWorkGroup(nd, nd.GroupAt(i), args); err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ type wblock struct {
 	// fused, when non-nil, is the region-fused lowering of steps
 	// (wgfuse.go): the whole body jammed into one loop over the work-items.
 	// Dispatched instead of steps while WGFuseEnabled, for full-group
-	// dispatches without a deferred-write log.
+	// dispatches.
 	fused wfused
 	term  wgTerm
 }

@@ -60,7 +60,6 @@ type wmach struct {
 	tr     *memTracker
 	stat   Stats
 	st     *Stats
-	def    *DeferredWrites
 	undo   *UndoLog
 
 	maxSteps int64
@@ -137,7 +136,7 @@ type wmach struct {
 // never retains buffers or stats beyond the work-group that used it.
 func (m *wmach) release() {
 	m.args, m.locals, m.tr, m.st = nil, nil, nil, nil
-	m.def, m.undo, m.err = nil, nil, nil
+	m.undo, m.err = nil, nil
 }
 
 // wmFor returns the scratch's lockstep machine sized and zeroed for one
@@ -472,7 +471,7 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.tr = sc.trackerFor(k)
 	m.stat = Stats{WorkGroups: 1, WorkItems: nWI}
 	m.st = &m.stat
-	m.def, m.undo = opts.Def, opts.Undo
+	m.undo = opts.Undo
 	m.maxSteps = maxSteps
 	m.fuse = WGFuseEnabled()
 	m.dynFused, m.dynStep = 0, 0
@@ -570,11 +569,10 @@ func (m *wmach) runGroup() error {
 					}
 				}
 			}
-			// A fused closure runs item-major over the whole group with
-			// no deferred-write probes; any other dispatch takes the
-			// per-step list.
+			// A fused closure runs item-major over the whole group; any
+			// other dispatch takes the per-step list.
 			body := int64(blk.body - blk.start)
-			if m.fuse && blk.fused != nil && m.full && m.def == nil {
+			if m.fuse && blk.fused != nil && m.full {
 				m.dynFused += body * int64(n)
 				m.next = -1
 				if !blk.fused(m) {

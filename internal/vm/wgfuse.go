@@ -246,8 +246,7 @@ var wgJams = [...]func(*Kernel, *wgProgram, *wblock, uint64, uint64) (wfused, wg
 // shape, the operand wiring, and the dead-scratch proof all hold, attaches
 // a single fused closure to the block. The engine dispatches it in place of
 // the per-step list whenever the whole group arrives at the block together
-// and no deferred-write log is active (runGroup); every other block, and
-// every other dispatch, runs per-step. Counters attribute the outcome per
+// (runGroup); every other block, and every other dispatch, runs per-step. Counters attribute the outcome per
 // compiled instruction and per reject reason.
 func (k *Kernel) fuseWG(wg *wgProgram) {
 	var nBlocks, nSteps, nFallback int64

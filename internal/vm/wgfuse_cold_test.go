@@ -88,8 +88,6 @@ __kernel void cold(__global float* out, __global float* in, __global int* st, in
 // holds no other column — for a few trips and for enough of them that the
 // log reallocates several times. Stats must match the interpreter's.
 func TestWGLoopColdScratchUniformLoads(t *testing.T) {
-	defer vm.SetWorkers(0)
-	vm.SetWorkers(1)
 	const n = 64
 	nd := vm.NewNDRange1D(n, 32)
 	for _, m := range []int{3, 40, 1000} {

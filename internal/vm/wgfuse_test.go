@@ -136,8 +136,6 @@ func TestWGFuseMalformedWiringFallsBack(t *testing.T) {
 		return append([]Arg{BufArg(mk(0.5)), BufArg(mk(0.25)), BufArg(mk(1)), FloatArg(1.5), IntArg(m), IntArg(n)},
 			GPUAbortArgs(1, passes.NoCPUWork)...)
 	}
-	defer SetWorkers(0)
-	SetWorkers(1) // a parallel launch would never reach the fused closures
 	for _, tc := range cases {
 		k2 := recompiled(k, tc.mutate)
 		if k2.wg == nil {
@@ -192,8 +190,7 @@ func TestWGFuseCap(t *testing.T) {
 // iterations times n work-items plus the 62 control-skeleton instructions
 // the loop closure walks per work-item (7 around each trip, 17 more for the
 // abort check after the fourth, 3 to leave), the per-step count everything
-// else, and the total does not depend on whether fusion is on. Dispatches
-// that carry a deferred-write log count as per-step even for a fused block.
+// else, and the total does not depend on whether fusion is on.
 func TestWGFuseDynamicAccounting(t *testing.T) {
 	gpuSrc, _, err := TransformedSources(redTestSrc)
 	if err != nil {
@@ -202,20 +199,14 @@ func TestWGFuseDynamicAccounting(t *testing.T) {
 	k := MustCompile(gpuSrc, "red2")
 	const n, m = 16, 6
 	nd := NewNDRange1D(n, 8)
-	run := func(fuse, deferred bool) (fused, stepped int64) {
+	run := func(fuse bool) (fused, stepped int64) {
 		defer SetWGFuse(true)
 		SetWGFuse(fuse)
 		buf := func() Arg { return BufArg(make([]byte, 4*n*m)) }
 		args := append([]Arg{buf(), buf(), buf(), FloatArg(1.5), IntArg(m), IntArg(n)}, GPUAbortArgs(1, passes.NoCPUWork)...)
 		before := BackendSnapshot()
 		for g := 0; g < nd.LaunchGroups(); g++ {
-			opts := ExecOpts{Backend: BackendWG}
-			var def DeferredWrites
-			if deferred {
-				def.begin(len(args))
-				opts.Def = &def
-			}
-			if _, err := k.ExecWorkGroup(nd, nd.GroupAt(g), args, opts); err != nil {
+			if _, err := k.ExecWorkGroup(nd, nd.GroupAt(g), args, ExecOpts{Backend: BackendWG}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -223,13 +214,10 @@ func TestWGFuseDynamicAccounting(t *testing.T) {
 		return after.WGFusedInstrsDyn - before.WGFusedInstrsDyn, after.WGStepInstrsDyn - before.WGStepInstrsDyn
 	}
 	const wantFused, wantStepped = (32*m + 62) * n, 1984 - 62*n
-	if f, s := run(true, false); f != wantFused || s != wantStepped {
+	if f, s := run(true); f != wantFused || s != wantStepped {
 		t.Errorf("fused run: wg_fused_instrs_dyn=%d wg_step_instrs_dyn=%d, want %d and %d", f, s, wantFused, wantStepped)
 	}
-	for _, c := range []struct{ fuse, deferred bool }{{false, false}, {true, true}} {
-		if f, s := run(c.fuse, c.deferred); f != 0 || s != wantFused+wantStepped {
-			t.Errorf("fuse=%v deferred=%v: wg_fused_instrs_dyn=%d wg_step_instrs_dyn=%d, want 0 and %d",
-				c.fuse, c.deferred, f, s, wantFused+wantStepped)
-		}
+	if f, s := run(false); f != 0 || s != wantFused+wantStepped {
+		t.Errorf("unfused run: wg_fused_instrs_dyn=%d wg_step_instrs_dyn=%d, want 0 and %d", f, s, wantFused+wantStepped)
 	}
 }

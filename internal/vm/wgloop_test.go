@@ -96,8 +96,6 @@ func runLoopCase(t *testing.T, c loopCase) {
 // reset the state; and a phase that is uniform but left columnar mode
 // before the loop, so the skeleton's uniform loads append per item.
 func TestWGLoopTrackerState(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1) // a parallel launch never reaches the fused closures
 	for _, c := range []loopCase{
 		{name: "loop, then a lane-divergent guard", batched: true, src: loopSig + `
     float acc = in[g];
@@ -162,8 +160,6 @@ __kernel void t(__global float* out, __global float* in, __global int* ib, int n
 // time; trip counts 0 and 1, a second induction variable used only in an
 // index and a stride that differs from lane to lane take the closure.
 func TestWGLoopVerdicts(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
 	before := BackendSnapshot()
 	for _, c := range []loopCase{
 		{name: "float compare in the loop control", verdict: "wg.loop-nofuse (no-cycle)", src: loopSig + `
@@ -269,8 +265,6 @@ __kernel void t(__global float* out, __global float* in, __global int* st, int m
 // engine), and the step budget running out inside the walk at every
 // possible block (same error presence as the interpreter's exact count).
 func TestWGLoopWalkExits(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
 	nd := NewNDRange1D(32, 8)
 	args := func(inWords int, st ...int32) func() []Arg {
 		return func() []Arg {

@@ -12,7 +12,7 @@ import (
 // per-instruction register writes, memory side effects, and Stats updates
 // of its scalar counterpart, looped over every work-item in the set against
 // the SoA banks. Order-independent counters (op counts, byte totals, masks)
-// are batched per set; per-offset ones (write bounds, deferred/undo logs,
+// are batched per set; per-offset ones (write bounds, the undo log,
 // tracker records) stay inside the item loop. matchWSuper mirrors
 // fuse.go's superinstruction patterns with banked bodies, so the wg backend
 // keeps the closure backend's decode amortization and adds set-level
@@ -616,9 +616,9 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 		ab, cb := int(a)*n, int(c)*n
 		buf := m.args[slot].Buf
 		cnt := int64(len(set))
-		if m.full && m.def == nil {
+		if m.full {
 			// Uniform full-group fast path: subslice banks, columnar access
-			// recording, no deferred-write probes.
+			// recording.
 			cnt = int64(n)
 			sl := ib[cb : cb+n]
 			rec := m.rec
@@ -665,12 +665,6 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 					return false
 				}
 				bits := binary.LittleEndian.Uint32(buf[off:])
-				if d := m.def; d != nil {
-					d.noteRead(slot, off)
-					if v, ok := d.lookup(slot, off); ok {
-						bits = v
-					}
-				}
 				if isF {
 					m.fb[ab+int(t)] = float64(math.Float32frombits(bits))
 				} else {
@@ -688,7 +682,7 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 }
 
 // wstepStoreGlobal compiles opSTGF/opSTGI for the whole set, including the
-// deferred-write and undo-log paths.
+// undo-log path.
 func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 	a, slot, c, memID := in.A, in.B, in.C, in.D
 	name := k.Params[slot].Name
@@ -699,7 +693,7 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 		buf := m.args[slot].Buf
 		st := m.st
 		cnt := int64(len(set))
-		if m.full && m.def == nil {
+		if m.full {
 			// Uniform full-group fast path: subslice banks, columnar access
 			// recording; the undo log is handled inline.
 			cnt = int64(n)
@@ -748,16 +742,12 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				} else {
 					bits = uint32(int32(ib[ab+int(t)]))
 				}
-				if d := m.def; d != nil {
-					d.store(slot, off, bits)
-				} else {
-					if u := m.undo; u != nil {
-						var old [4]byte
-						copy(old[:], buf[off:off+4])
-						u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-					}
-					binary.LittleEndian.PutUint32(buf[off:], bits)
+				if u := m.undo; u != nil {
+					var old [4]byte
+					copy(old[:], buf[off:off+4])
+					u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
 				}
+				binary.LittleEndian.PutUint32(buf[off:], bits)
 				st.noteGlobalWrite(slot, off)
 				m.recAcc(t, memID, off)
 			}
@@ -1097,12 +1087,11 @@ func (k *Kernel) wsuperAffLoad(pc int, withFMul, withFAdd bool) wstep {
 		n := m.n
 		ib, fb := m.ib, m.fb
 		buf := m.args[slot].Buf
-		def := m.def
 		cnt := int64(len(set))
-		if m.full && isF && def == nil {
+		if m.full && isF {
 			// Uniform full-group fast path for the float load (the matmul
 			// inner loop): banks become subslices hoisted out of the item
-			// loop, and no deferred-write probes are needed.
+			// loop.
 			cnt = int64(n)
 			r0, s0 := ib[a0*n:a0*n+n], ib[b0*n:b0*n+n]
 			r1, s1 := ib[a1*n:a1*n+n], ib[b1*n:b1*n+n]
@@ -1162,12 +1151,6 @@ func (k *Kernel) wsuperAffLoad(pc int, withFMul, withFAdd bool) wstep {
 					return false
 				}
 				bits := binary.LittleEndian.Uint32(buf[off:])
-				if def != nil {
-					def.noteRead(slot, int32(off))
-					if v, ok := def.lookup(slot, int32(off)); ok {
-						bits = v
-					}
-				}
 				if isF {
 					fb[la*n+t] = float64(math.Float32frombits(bits))
 				} else {
@@ -1213,9 +1196,8 @@ func (k *Kernel) wsuperLoadFMul(pc int) wstep {
 		n := m.n
 		ib, fb := m.ib, m.fb
 		buf := m.args[slot].Buf
-		def := m.def
 		cnt := int64(len(set))
-		if m.full && def == nil {
+		if m.full {
 			cnt = int64(n)
 			sl := ib[lc*n : lc*n+n]
 			rl := fb[la*n : la*n+n]
@@ -1250,12 +1232,6 @@ func (k *Kernel) wsuperLoadFMul(pc int) wstep {
 					return false
 				}
 				bits := binary.LittleEndian.Uint32(buf[off:])
-				if def != nil {
-					def.noteRead(slot, int32(off))
-					if v, ok := def.lookup(slot, int32(off)); ok {
-						bits = v
-					}
-				}
 				fb[la*n+t] = float64(math.Float32frombits(bits))
 				m.recAcc(ti, memID, int32(off))
 				fb[fa*n+t] = float64(float32(fb[fbr*n+t]) * float32(fb[fc*n+t]))
