@@ -45,8 +45,8 @@ func topologyTraceBytes(t *testing.T) []byte {
 // diff. Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/harness -run TestGoldenTopologyChromeTrace.
 func TestGoldenTopologyChromeTrace(t *testing.T) {
-	seq := topologyTraceBytes(t)
-	if !json.Valid(seq) {
+	got := topologyTraceBytes(t)
+	if !json.Valid(got) {
 		t.Fatal("trace is not valid JSON")
 	}
 	var parsed struct {
@@ -56,7 +56,7 @@ func TestGoldenTopologyChromeTrace(t *testing.T) {
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(seq, &parsed); err != nil {
+	if err := json.Unmarshal(got, &parsed); err != nil {
 		t.Fatal(err)
 	}
 	tracks := map[string]bool{}
@@ -79,19 +79,19 @@ func TestGoldenTopologyChromeTrace(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, seq, 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", golden, len(seq))
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
 	}
-	if !bytes.Equal(seq, want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("topology trace differs from golden %s (got %d bytes, want %d); if the timeline change is intentional, regenerate with UPDATE_GOLDEN=1",
-			golden, len(seq), len(want))
+			golden, len(got), len(want))
 	}
 }
 

@@ -39,12 +39,13 @@ func chromeTraceBytes(t *testing.T) []byte {
 
 // TestGoldenChromeTrace pins the trace bytes two ways: they must be valid
 // trace_event JSON with one track per simulated device, one per link and one
-// for the runtime; and byte-for-byte equal to the committed golden file, so any change to the
-// simulation's event timeline shows up as a reviewable diff. Regenerate with
+// for the runtime; and byte-for-byte equal to the committed golden file, so
+// any change to the simulation's event timeline shows up as a reviewable
+// diff. Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/harness -run TestGoldenChromeTrace.
 func TestGoldenChromeTrace(t *testing.T) {
-	seq := chromeTraceBytes(t)
-	if !json.Valid(seq) {
+	got := chromeTraceBytes(t)
+	if !json.Valid(got) {
 		t.Fatal("trace is not valid JSON")
 	}
 	var parsed struct {
@@ -55,7 +56,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(seq, &parsed); err != nil {
+	if err := json.Unmarshal(got, &parsed); err != nil {
 		t.Fatal(err)
 	}
 	tracks := map[string]bool{}
@@ -76,19 +77,19 @@ func TestGoldenChromeTrace(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, seq, 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", golden, len(seq))
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
 	}
-	if !bytes.Equal(seq, want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("trace differs from golden %s (got %d bytes, want %d); if the timeline change is intentional, regenerate with UPDATE_GOLDEN=1",
-			golden, len(seq), len(want))
+			golden, len(got), len(want))
 	}
 }
 
