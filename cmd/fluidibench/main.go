@@ -38,12 +38,18 @@ func main() {
 	jsonOut := flag.String("jsonout", "", "write per-table wall-clock times as JSON to this file")
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
 	dist := flag.Bool("dist", false, "print the per-benchmark CPU/GPU work-distribution table (paper §5.5)")
-	backend := flag.String("backend", "", "work-group execution backend: interp, closure, or wg (default closure, or $FLUIDICL_BACKEND)")
+	backend := flag.String("backend", "", "work-group execution backend: interp, closure, or wg (default wg, or $FLUIDICL_BACKEND)")
 	topology := flag.String("topology", "", "N-device topology for -trace, -dist and hash, e.g. cpu+gpu, 2cpu+2gpu, 4gpu-bus (default: the paper's cpu+gpu machine)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
 
+	// A FLUIDICL_BACKEND that names no engine would otherwise run the
+	// default one under the wrong label.
+	if err := vm.BackendEnvErr(); err != nil {
+		fmt.Fprintln(os.Stderr, "fluidibench:", err)
+		os.Exit(2)
+	}
 	if *backend != "" {
 		b, err := vm.ParseBackend(*backend)
 		if err != nil {
@@ -179,10 +185,11 @@ func runExperiment(r *harness.Runner, id string, csv bool) (wallEntry, error) {
 // link traffic, compute overlap). Everything except wall_seconds is virtual
 // and therefore deterministic.
 type wallEntry struct {
-	id   string
-	wall float64
-	ctr  core.Counters
-	sum  trace.GlobalSummary
+	id      string
+	backend string // the engine BackendAuto resolved to while it ran
+	wall    float64
+	ctr     core.Counters
+	sum     trace.GlobalSummary
 }
 
 // measured runs f and reports its wall clock plus the counter and
@@ -191,21 +198,23 @@ func measured(id string, f func() error) (wallEntry, error) {
 	ctr, sum, start := core.CounterSnapshot(), trace.GlobalSnapshot(), time.Now()
 	err := f()
 	return wallEntry{
-		id:   id,
-		wall: time.Since(start).Seconds(),
-		ctr:  core.CounterSnapshot().Sub(ctr),
-		sum:  trace.GlobalSnapshot().Sub(sum),
+		id:      id,
+		backend: vm.DefaultBackend().String(),
+		wall:    time.Since(start).Seconds(),
+		ctr:     core.CounterSnapshot().Sub(ctr),
+		sum:     trace.GlobalSnapshot().Sub(sum),
 	}, err
 }
 
-// MarshalJSON emits one flat object: id and wall_seconds always, then every
-// non-zero counter under the name core.Counters gives it, then every
+// MarshalJSON emits one flat object: id, backend and wall_seconds always,
+// then every non-zero counter under the name core.Counters gives it, then every
 // non-zero work-distribution figure (the format is sparse).
 func (e wallEntry) MarshalJSON() ([]byte, error) {
 	head, err := json.Marshal(struct {
-		ID   string  `json:"id"`
-		Wall float64 `json:"wall_seconds"`
-	}{e.id, e.wall})
+		ID      string  `json:"id"`
+		Backend string  `json:"backend"`
+		Wall    float64 `json:"wall_seconds"`
+	}{e.id, e.backend, e.wall})
 	if err != nil {
 		return nil, err
 	}
@@ -419,6 +428,8 @@ usage:
   fluidibench trace <benchmark>   # cooperative-execution timeline (plain text)
   fluidibench dump <benchmark>    # transformed sources + GPU- and CPU-variant bytecode disassembly
   fluidibench list
+
+-backend selects the work-group execution engine: default wg, or $FLUIDICL_BACKEND.
 
 experiments: %v
 extras: %v

@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"sync"
 
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
@@ -15,6 +16,50 @@ type inflightWG struct {
 	end   sim.Time
 	undo  *vm.UndoLog
 	stats vm.Stats
+}
+
+// launchScratch is runLaunch's working storage: the compute-unit clock, the
+// in-flight list and the undo logs of its groups (the simulator's stand-in
+// for §6.4's mid-kernel abort: one log per in-flight GPU work-group). It is
+// pooled process-wide because a Device lives for one scheduler run, and in a
+// sync.Pool because anything that survives collection is resident in a
+// process this small (DESIGN.md §4, "Launch scratch").
+type launchScratch struct {
+	cuFree []sim.Time
+	fly    []inflightWG
+	logs   []*vm.UndoLog // settled groups' logs, reset, ready for reuse
+}
+
+var launchPool = sync.Pool{New: func() any { return new(launchScratch) }}
+
+// log returns an empty undo log.
+func (sc *launchScratch) log() *vm.UndoLog {
+	if n := len(sc.logs); n > 0 {
+		u := sc.logs[n-1]
+		sc.logs = sc.logs[:n-1]
+		return u
+	}
+	return &vm.UndoLog{}
+}
+
+// settled takes back the log of a group whose stores are final or undone.
+func (sc *launchScratch) settled(u *vm.UndoLog) {
+	if u != nil {
+		u.Reset()
+		sc.logs = append(sc.logs, u)
+	}
+}
+
+// release returns the scratch to the pool. Groups still in flight (a launch
+// that ended on an execution error) keep their stores; their logs are reset
+// like any other, so nothing of this launch reaches the next one.
+func (sc *launchScratch) release() {
+	for i := range sc.fly {
+		sc.settled(sc.fly[i].undo)
+	}
+	clear(sc.fly)
+	sc.fly = sc.fly[:0]
+	launchPool.Put(sc)
 }
 
 // runLaunch executes a kernel launch work-group by work-group, distributing
@@ -79,22 +124,26 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		occupancy = 1
 	}
 
-	cuFree := make([]sim.Time, slots)
-	for i := range cuFree {
-		cuFree[i] = p.Now()
+	sc := launchPool.Get().(*launchScratch)
+	defer sc.release()
+	cuFree := sc.cuFree[:0]
+	for i := 0; i < slots; i++ {
+		cuFree = append(cuFree, p.Now())
 	}
-	var fly []inflightWG
+	sc.cuFree = cuFree
 	next := 0
 
 	settle := func() {
 		now := p.Now()
-		kept := fly[:0]
-		for _, f := range fly {
+		kept := sc.fly[:0]
+		for i := range sc.fly {
+			f := &sc.fly[i]
 			if l.Abort != nil && l.MidAbort {
 				if u, ok := l.Abort.DoneSince(f.fgid, f.start); ok && u+d.Cfg.AbortNotice < f.end {
 					// Aborted mid-flight: CU freed early, stores undone.
 					if f.undo != nil {
 						f.undo.Rollback()
+						sc.settled(f.undo)
 					}
 					at := u + d.Cfg.AbortNotice
 					if cuFree[f.cu] > at {
@@ -110,16 +159,18 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 			if f.end <= now {
 				res.Stats.Add(f.stats)
 				res.Executed++
+				sc.settled(f.undo)
 				continue
 			}
-			kept = append(kept, f)
+			kept = append(kept, *f)
 		}
-		fly = kept
+		clear(sc.fly[len(kept):]) // drop the settled tail's log pointers
+		sc.fly = kept
 	}
 
 	for {
 		settle()
-		if next >= n && len(fly) == 0 {
+		if next >= n && len(sc.fly) == 0 {
 			return
 		}
 		// Earliest time anything changes without external input.
@@ -132,8 +183,8 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 				}
 			}
 		} else {
-			for _, f := range fly {
-				if f.end < target {
+			for i := range sc.fly {
+				if f := &sc.fly[i]; f.end < target {
 					target = f.end
 				}
 			}
@@ -171,17 +222,18 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		}
 		var undo *vm.UndoLog
 		if l.Abort != nil && l.MidAbort {
-			undo = &vm.UndoLog{}
+			undo = sc.log()
 		}
 		// Arguments are validated per executed group, so a launch whose every
 		// group is entry-skipped reports no error.
 		st, err := l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo, Backend: l.Backend})
 		if err != nil {
+			sc.settled(undo)
 			res.Err = err
 			return
 		}
 		dur := d.Cfg.WGTime(st, split) * float64(occupancy)
-		fly = append(fly, inflightWG{
+		sc.fly = append(sc.fly, inflightWG{
 			fgid: fgid, cu: cu,
 			start: now, end: now + dur,
 			undo: undo, stats: st,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"sync/atomic"
 )
 
@@ -12,7 +13,7 @@ import (
 // Backend knob
 // ---------------------------------------------------------------------------
 
-// Backend selects the work-group execution engine. Both backends execute the
+// Backend selects the work-group execution engine. All backends execute the
 // same bytecode with identical semantics — byte-identical buffers, identical
 // Stats (and therefore identical virtual time) — and differ only in host
 // wall-clock cost.
@@ -29,12 +30,12 @@ const (
 	// kernel's bytecode is lowered to an array of Go closures, one per basic
 	// block, with common sequences fused into superinstructions (fuse.go).
 	BackendClosure
-	// BackendWG is the whole-work-group engine: the kernel's CFG is split at
-	// barriers into barrier-free regions and each basic block runs as a loop
-	// over all work-items of the group against structure-of-arrays register
-	// banks (wg.go / wgexec.go). Kernels or launches the per-launch
-	// noninterference certificate cannot prove safe fall back to the closure
-	// path per work-group.
+	// BackendWG is the whole-work-group engine (the built-in default): the
+	// kernel's CFG is split at barriers into barrier-free regions and each
+	// basic block runs as a loop over all work-items of the group against
+	// structure-of-arrays register banks (wg.go / wgexec.go). Kernels or
+	// launches the per-launch noninterference certificate cannot prove safe
+	// fall back to the closure path per work-group.
 	BackendWG
 )
 
@@ -53,9 +54,9 @@ func (b Backend) String() string {
 }
 
 // ParseBackend parses a backend name as accepted by the fluidibench
-// -backend flag and the FLUIDICL_BACKEND environment variable.
+// -backend flag and the FLUIDICL_BACKEND environment variable, in any case.
 func ParseBackend(s string) (Backend, error) {
-	switch s {
+	switch strings.ToLower(s) {
 	case "interp", "interpreter":
 		return BackendInterp, nil
 	case "closure", "closures":
@@ -68,30 +69,44 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAuto, fmt.Errorf("vm: unknown backend %q (want interp, closure or wg)", s)
 }
 
-// defaultBackend holds the process-wide backend (BackendInterp,
-// BackendClosure or BackendWG, never BackendAuto).
-var defaultBackend atomic.Int32
+// builtinBackend is what BackendAuto resolves to when neither SetBackend nor
+// FLUIDICL_BACKEND chose an engine: the whole-work-group engine, the one the
+// benchmark measures. Closure is its per-group fallback for launches the
+// certificate rejects; interp and closure stay selectable as referees.
+const builtinBackend = BackendWG
+
+// defaultBackend holds the process-wide backend (never BackendAuto);
+// backendEnvErr what was wrong with FLUIDICL_BACKEND, if anything.
+var (
+	defaultBackend atomic.Int32
+	backendEnvErr  error
+)
 
 func init() {
-	b := BackendClosure
-	if p, err := ParseBackend(os.Getenv("FLUIDICL_BACKEND")); err == nil && p != BackendAuto {
-		b = p
+	b, err := ParseBackend(os.Getenv("FLUIDICL_BACKEND"))
+	if err != nil {
+		backendEnvErr = fmt.Errorf("FLUIDICL_BACKEND: %w", err)
 	}
-	defaultBackend.Store(int32(b))
+	SetBackend(b)
 }
 
+// BackendEnvErr reports a FLUIDICL_BACKEND value that names no backend. The
+// process then runs the built-in default, so anything that promises a
+// specific engine (fluidibench, the CI parity legs) checks this first.
+func BackendEnvErr() error { return backendEnvErr }
+
 // DefaultBackend returns the process-wide backend that BackendAuto resolves
-// to. The default is BackendClosure, overridable with FLUIDICL_BACKEND.
+// to: builtinBackend unless FLUIDICL_BACKEND or SetBackend chose another.
 func DefaultBackend() Backend {
 	return Backend(defaultBackend.Load())
 }
 
 // SetBackend sets the process-wide default backend. BackendAuto resets to
-// the built-in default (closure). Safe to call concurrently; executions
-// already in progress keep the backend they resolved at entry.
+// builtinBackend. Safe to call concurrently; executions already in progress
+// keep the backend they resolved at entry.
 func SetBackend(b Backend) {
 	if b == BackendAuto {
-		b = BackendClosure
+		b = builtinBackend
 	}
 	defaultBackend.Store(int32(b))
 }
@@ -128,6 +143,8 @@ var backendCtr struct {
 	// having failed); wgRej counts fallbacks per WGReject reason.
 	wgStridedWGs atomic.Int64
 	wgRej        [wgRejCount]atomic.Int64
+	// wgCertRuns counts certificate computations (decision-cache misses).
+	wgCertRuns atomic.Int64
 
 	// Region-fusion coverage (wgfuse.go), attributed at wg-compile time:
 	// blocks fused into a single jammed closure, the instructions those
@@ -680,12 +697,7 @@ func (k *Kernel) stepStoreGlobal(pc int, in Instr, isF bool) stepFn {
 		} else {
 			bits = uint32(int32(m.iregs[a]))
 		}
-		if u := m.undo; u != nil {
-			var old [4]byte
-			copy(old[:], buf[off:off+4])
-			u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-		}
-		binary.LittleEndian.PutUint32(buf[off:], bits)
+		m.undo.store(buf, off, bits)
 		m.st.noteGlobalWrite(slot, off)
 		m.st.GlobalStores++
 		m.st.GlobalStoreBytes += 4

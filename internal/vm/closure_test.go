@@ -43,6 +43,8 @@ func TestParseBackend(t *testing.T) {
 		{"workgroup", BackendWG, true},
 		{"auto", BackendAuto, true},
 		{"", BackendAuto, true},
+		{"WG", BackendWG, true},
+		{"Closure", BackendClosure, true},
 		{"jit", BackendAuto, false},
 	}
 	for _, c := range cases {
@@ -57,9 +59,15 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
+// TestSetBackend pins the built-in default: wg, the engine the benchmark
+// measures, both at start-up (when FLUIDICL_BACKEND chooses nothing) and as
+// what SetBackend(BackendAuto) resets to.
 func TestSetBackend(t *testing.T) {
 	orig := DefaultBackend()
 	defer SetBackend(orig)
+	if os.Getenv("FLUIDICL_BACKEND") == "" && orig != BackendWG {
+		t.Errorf("process default is %v with no FLUIDICL_BACKEND, want wg", orig)
+	}
 	SetBackend(BackendInterp)
 	if DefaultBackend() != BackendInterp {
 		t.Fatal("SetBackend(interp) not observed")
@@ -68,8 +76,27 @@ func TestSetBackend(t *testing.T) {
 		t.Fatalf("Auto resolved to %v with interp default", got)
 	}
 	SetBackend(BackendAuto) // resets to the built-in default
-	if DefaultBackend() != BackendClosure {
-		t.Fatal("SetBackend(auto) did not reset to closure")
+	if DefaultBackend() != BackendWG || builtinBackend != BackendWG {
+		t.Fatalf("SetBackend(auto) reset to %v, want wg", DefaultBackend())
+	}
+}
+
+// TestBackendEnvHonoured fails whenever FLUIDICL_BACKEND is set and the
+// process is not running the engine it names — a misspelt value used to be
+// ignored, so `FLUIDICL_BACKEND=closuer go test ./...` ran the default engine
+// and reported green. Tests that change the default restore it, so the
+// default seen here is the one init chose.
+func TestBackendEnvHonoured(t *testing.T) {
+	env := os.Getenv("FLUIDICL_BACKEND")
+	if err := BackendEnvErr(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ParseBackend(env)
+	if want == BackendAuto {
+		want = builtinBackend
+	}
+	if got := DefaultBackend(); got != want {
+		t.Fatalf("FLUIDICL_BACKEND=%q but the process default is %v", env, got)
 	}
 }
 

@@ -17,9 +17,9 @@ type ExecOpts struct {
 	// successful CheckArgs for the same kernel and argument list.
 	ArgsChecked bool
 	// Backend selects the execution engine for this call. BackendAuto uses
-	// the process default (see SetBackend / FLUIDICL_BACKEND). The closure
-	// backend silently falls back to the interpreter for kernels whose
-	// bytecode the lowering did not accept.
+	// the process default (wg, unless SetBackend / FLUIDICL_BACKEND chose).
+	// wg falls back to closure per work-group where uncertified, closure to
+	// the interpreter for kernels whose bytecode the lowering did not accept.
 	Backend Backend
 }
 
@@ -156,8 +156,8 @@ func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc 
 		if k.wg == nil {
 			backendCtr.wgFallbackWGs.Add(1)
 			backendCtr.wgRej[WGRejShape].Add(1)
-		} else if ok, rej := k.wgCertified(&sc.cert, nd, args); ok {
-			if sc.cert.second {
+		} else if v := k.wgCertified(&sc.cert, nd, args); v.ok {
+			if v.second {
 				backendCtr.wgStridedWGs.Add(1)
 			}
 			return k.execWGLockstep(nd, group, args, opts, sc)
@@ -165,7 +165,7 @@ func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc 
 			// Uncertified: count the fallback with its reason and take the
 			// best per-item path available.
 			backendCtr.wgFallbackWGs.Add(1)
-			backendCtr.wgRej[rej].Add(1)
+			backendCtr.wgRej[v.rej].Add(1)
 		}
 		if k.clos != nil {
 			return k.execWGClosure(nd, group, args, opts, sc)
@@ -545,12 +545,7 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("store %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := math.Float32bits(float32(fregs[in.A]))
-			if opts.Undo != nil {
-				var old [4]byte
-				copy(old[:], buf[off:off+4])
-				opts.Undo.recs = append(opts.Undo.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-			}
-			binary.LittleEndian.PutUint32(buf[off:], bits)
+			opts.Undo.store(buf, off, bits)
 			st.noteGlobalWrite(in.B, off)
 			st.GlobalStores++
 			st.GlobalStoreBytes += 4
@@ -562,12 +557,7 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("store %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := uint32(int32(iregs[in.A]))
-			if opts.Undo != nil {
-				var old [4]byte
-				copy(old[:], buf[off:off+4])
-				opts.Undo.recs = append(opts.Undo.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-			}
-			binary.LittleEndian.PutUint32(buf[off:], bits)
+			opts.Undo.store(buf, off, bits)
 			st.noteGlobalWrite(in.B, off)
 			st.GlobalStores++
 			st.GlobalStoreBytes += 4

@@ -55,6 +55,10 @@ func GPUAbortArgs(kid, doneFrom int32) []Arg {
 	return []Arg{BufArg(status), IntArg(int64(kid))}
 }
 
+// WGCertRuns returns how many wg certificates this process has computed
+// (decision-cache misses).
+func WGCertRuns() int64 { return backendCtr.wgCertRuns.Load() }
+
 // WGFuseSpans returns the fusion pass's verdict per non-empty block body:
 // the fused spans, and the unfused ones named by their reject reason.
 func (k *Kernel) WGFuseSpans() (fused, nofuse []FusedSpan) {

@@ -7,8 +7,10 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
@@ -195,6 +197,10 @@ type Kernel struct {
 	// rejects, barrier report), computed once at compile time. The wg
 	// backend's second-chance certificate evaluates it per launch shape.
 	sum *analysis.KernelSummary
+
+	// certs caches the wg certificate decisions per launch-shape key
+	// (wgcert.go): an immutable slice, replaced whole on insert.
+	certs atomic.Pointer[[]wgCertEntry]
 
 	// scratch pools per-work-group execution state (*wgScratch). A compiled
 	// kernel is otherwise immutable, so one Kernel may execute work-groups
@@ -414,28 +420,62 @@ func (s *Stats) Add(o Stats) {
 	s.ParamWriteMask |= o.ParamWriteMask
 }
 
-// UndoRecord is one overwritten global-memory word.
+// UndoRecord is one overwritten global-memory word: the buffer it lives in
+// (an index into the owning log's table), its byte offset and the bytes it
+// held. 12 bytes per stored word.
 type UndoRecord struct {
-	Buf []byte
-	Off int
+	Buf int32
+	Off int32
 	Old [4]byte
 }
 
 // UndoLog captures global stores so a work-group's effects can be rolled
 // back (the simulator uses this when a work-group turns out to have aborted
 // mid-flight because the CPU's completion status arrived during its
-// execution window).
+// execution window). A log is reusable after Rollback or Reset.
 type UndoLog struct {
+	bufs [][]byte // the distinct buffers stored to, in first-store order
 	recs []UndoRecord
 }
 
-// Rollback undoes all recorded stores, newest first, and clears the log.
+// note records the word at buf[off:off+4], which a store is about to
+// overwrite. A kernel stores to a handful of buffers, so the table is
+// searched linearly, newest first.
+func (u *UndoLog) note(buf []byte, off int32) {
+	bi := len(u.bufs) - 1
+	for bi >= 0 && (&u.bufs[bi][0] != &buf[0] || len(u.bufs[bi]) != len(buf)) {
+		bi--
+	}
+	if bi < 0 {
+		bi = len(u.bufs)
+		u.bufs = append(u.bufs, buf)
+	}
+	u.recs = append(u.recs, UndoRecord{Buf: int32(bi), Off: off, Old: [4]byte(buf[off : off+4])})
+}
+
+// store writes bits at buf[off:], noting the overwritten word first when
+// there is a log (u may be nil).
+func (u *UndoLog) store(buf []byte, off int32, bits uint32) {
+	if u != nil {
+		u.note(buf, off)
+	}
+	binary.LittleEndian.PutUint32(buf[off:], bits)
+}
+
+// Rollback undoes all recorded stores, newest first, and resets the log.
 func (u *UndoLog) Rollback() {
 	for i := len(u.recs) - 1; i >= 0; i-- {
-		r := u.recs[i]
-		copy(r.Buf[r.Off:r.Off+4], r.Old[:])
+		r := &u.recs[i]
+		copy(u.bufs[r.Buf][r.Off:], r.Old[:])
 	}
-	u.recs = u.recs[:0]
+	u.Reset()
+}
+
+// Reset empties the log without undoing anything and drops its buffer
+// references, keeping the record storage for the next work-group.
+func (u *UndoLog) Reset() {
+	clear(u.bufs)
+	u.bufs, u.recs = u.bufs[:0], u.recs[:0]
 }
 
 // Len returns the number of recorded stores.

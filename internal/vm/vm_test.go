@@ -1,11 +1,13 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // f32buf builds a little-endian float32 buffer.
@@ -369,6 +371,60 @@ __kernel void f(__global float* a) { a[get_global_id(0)] = 99.0f; }
 	}
 	if undo.Len() != 0 {
 		t.Fatal("rollback did not clear log")
+	}
+}
+
+// TestUndoLogReuse: a log is reused across work-groups, kernels and buffers
+// (device.runLaunch recycles them). Records index a per-log buffer table, so
+// a two-buffer kernel with interleaved stores rolls back both, newest first;
+// after Reset or Rollback the table holds no buffer, and a rollback after
+// reuse touches only what was stored since.
+func TestUndoLogReuse(t *testing.T) {
+	if n := unsafe.Sizeof(UndoRecord{}); n > 16 {
+		t.Errorf("UndoRecord is %d bytes, want at most 16", n)
+	}
+	two := MustCompile(`
+__kernel void two(__global float* a, __global int* b) {
+    int i = get_global_id(0);
+    a[i] = 1.0f; b[i] = 7; a[i] = 2.0f;
+}`, "two")
+	one := MustCompile(`
+__kernel void one(__global float* c) { c[get_global_id(0)] = 5.0f; }
+`, "one")
+	for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+		var undo UndoLog
+		a, b, c := f32buf(10, 11, 12, 13), make([]byte, 16), f32buf(20, 21, 22, 23)
+		a0, b0, c0 := bytes.Clone(a), bytes.Clone(b), bytes.Clone(c)
+		exec := func(k *Kernel, args ...Arg) {
+			t.Helper()
+			if _, err := k.ExecWorkGroup(NewNDRange1D(4, 4), [3]int{}, args, ExecOpts{Undo: &undo, Backend: be}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exec(two, BufArg(a), BufArg(b))
+		if undo.Len() != 12 || len(undo.bufs) != 2 {
+			t.Fatalf("%v: %d records over %d buffers, want 12 over 2", be, undo.Len(), len(undo.bufs))
+		}
+		undo.Rollback()
+		if !bytes.Equal(a, a0) || !bytes.Equal(b, b0) {
+			t.Fatalf("%v: rollback did not restore both buffers", be)
+		}
+		exec(two, BufArg(a), BufArg(b)) // these stores are committed
+		undo.Reset()
+		for _, held := range undo.bufs[:cap(undo.bufs)] {
+			if held != nil {
+				t.Fatalf("%v: a reset log still references a buffer", be)
+			}
+		}
+		aDone, bDone := bytes.Clone(a), bytes.Clone(b)
+		exec(one, BufArg(c))
+		if undo.Len() != 4 || len(undo.bufs) != 1 {
+			t.Fatalf("%v: reused log holds %d records over %d buffers, want 4 over 1", be, undo.Len(), len(undo.bufs))
+		}
+		undo.Rollback()
+		if !bytes.Equal(c, c0) || !bytes.Equal(a, aDone) || !bytes.Equal(b, bDone) {
+			t.Fatalf("%v: rollback after reuse restored %v, or touched the committed launch's buffers", be, c)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,8 +28,9 @@ import (
 // only ever touches its own location, groups cannot collide with themselves,
 // and any per-item-order-preserving schedule commutes.
 //
-// The certificate depends only on (dims, local size, num groups, scalar
-// argument values), so it is cached per pooled scratch under that key.
+// The certificate depends only on (dims, local size, num groups, scalar int
+// argument values) — neither certificate reads a float argument — so the
+// decision is cached per kernel under that key (Kernel.certs).
 // Buffer aliasing — two arguments backed by the same storage — would defeat
 // the disjointness argument and is re-checked per work-group against the
 // actual argument list, mirroring the launch engine's identity check.
@@ -83,20 +84,10 @@ func aJoin(x, y aval) aval {
 	return x
 }
 
-// wgCert caches one certificate decision per launch shape, plus the scratch
-// the dataflow reuses. It lives inside a pooled wgScratch, so access is
-// single-goroutine.
+// wgCert is the scratch the certificate dataflow reuses. It lives inside a
+// pooled wgScratch, so access is single-goroutine.
 type wgCert struct {
-	key    []uint64
-	keyTmp []uint64
-	valid  bool
-	ok     bool
-	// second: the cached admission came from the strided disjointness
-	// certificate, not the identical-form one. rej is the fallback reason
-	// when ok is false.
-	second bool
-	rej    WGReject
-
+	keyTmp  []uint64
 	in      [][]aval // fixpoint in-state per leader pc
 	reached []bool
 	st      []aval
@@ -105,57 +96,78 @@ type wgCert struct {
 	vals    []int64
 }
 
+// wgVerdict is one certificate decision. second: the admission came from
+// the strided disjointness certificate, not the identical-form one. rej is
+// the fallback reason when ok is false.
+type wgVerdict struct {
+	ok, second bool
+	rej        WGReject
+}
+
+// wgCertEntry is one cached decision; key[0] is a hash of the rest, so a
+// lookup rejects a different key on its first word.
+type wgCertEntry struct {
+	key []uint64
+	wgVerdict
+}
+
+// wgCertCacheCap bounds a kernel's decision cache. One cooperative run asks
+// about a kernel under many keys — the CPU variant's [fcl_lo, fcl_hi] differ
+// per chunk, fcl_merge sees every buffer size — and a repeated run asks
+// again in the same order; the widest paper kernel sees 25 keys per quick
+// fig13+fig16+table3 pass.
+const wgCertCacheCap = 32
+
 // wgCertified reports whether this work-group may run on the lockstep
 // engine: no aliased buffer arguments, and the cached (or freshly computed)
 // certificate for the launch shape holds. When the identical-form
 // certificate fails, the strided disjointness certificate (wgreject.go)
-// gets a second chance before the launch shape is rejected. The returned
-// reason names the fallback cause when the answer is no.
-func (k *Kernel) wgCertified(c *wgCert, nd NDRange, args []Arg) (bool, WGReject) {
+// gets a second chance before the launch shape is rejected.
+func (k *Kernel) wgCertified(c *wgCert, nd NDRange, args []Arg) wgVerdict {
 	for i := range args {
 		if args[i].Kind != ArgBuffer || len(args[i].Buf) == 0 {
 			continue
 		}
 		for j := i + 1; j < len(args); j++ {
 			if args[j].Kind == ArgBuffer && len(args[j].Buf) != 0 && &args[i].Buf[0] == &args[j].Buf[0] {
-				return false, WGRejAlias
+				return wgVerdict{rej: WGRejAlias}
 			}
 		}
 	}
-	key := c.keyTmp[:0]
-	key = append(key, uint64(nd.Dims),
+	key := append(c.keyTmp[:0], 0, uint64(nd.Dims),
 		uint64(nd.LocalSize[0]), uint64(nd.LocalSize[1]), uint64(nd.LocalSize[2]),
 		uint64(nd.NumGroups[0]), uint64(nd.NumGroups[1]), uint64(nd.NumGroups[2]))
 	for i, p := range k.Params {
-		switch p.Kind {
-		case ArgInt:
+		if p.Kind == ArgInt {
 			key = append(key, uint64(args[i].I))
-		case ArgFloat:
-			key = append(key, math.Float64bits(args[i].F))
 		}
+	}
+	for _, w := range key[1:] {
+		key[0] = (key[0] ^ w) * 1099511628211
 	}
 	c.keyTmp = key
-	if c.valid && len(c.key) == len(key) {
-		same := true
-		for i := range key {
-			if c.key[i] != key[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return c.ok, c.rej
+	var cur []wgCertEntry
+	if p := k.certs.Load(); p != nil {
+		cur = *p
+	}
+	for i := range cur {
+		if slices.Equal(cur[i].key, key) {
+			return cur[i].wgVerdict
 		}
 	}
-	c.ok = k.wgCertify(c, nd, args)
-	c.second, c.rej = false, WGRejNone
-	if !c.ok {
-		c.ok, c.rej = k.wgSecondChance(nd, args)
-		c.second = c.ok
+	backendCtr.wgCertRuns.Add(1)
+	e := wgCertEntry{key: slices.Clone(key)}
+	e.ok = k.wgCertify(c, nd, args)
+	if !e.ok {
+		e.ok, e.rej = k.wgSecondChance(nd, args)
+		e.second = e.ok
 	}
-	c.key = append(c.key[:0], key...)
-	c.valid = true
-	return c.ok, c.rej
+	// Copy on write, newest first; a full cache drops its oldest entry. Two
+	// goroutines racing to insert lose one entry, which costs a recomputation.
+	next := append(make([]wgCertEntry, 0, wgCertCacheCap), e)
+	next = append(next, cur[:min(len(cur), wgCertCacheCap-1)]...)
+	k.certs.Store(&next)
+	return e.wgVerdict
 }
 
 // wgCertify runs the affine dataflow to a fixpoint and checks every region's
@@ -348,17 +360,13 @@ func certStep(in Instr, st []aval, nd NDRange) {
 		st[in.A] = aAdd(st[in.B], st[in.C], -1)
 	case opIMUL:
 		st[in.A] = aMul(st[in.B], st[in.C])
-	case opIDIV:
-		if st[in.B].isConst() && st[in.C].isConst() && st[in.C].c[0] != 0 {
-			st[in.A] = aConst(st[in.B].c[0] / st[in.C].c[0])
-		} else {
+	case opIDIV, opIMOD:
+		if x, y := st[in.B], st[in.C]; !x.isConst() || !y.isConst() || y.c[0] == 0 {
 			st[in.A] = aTop()
-		}
-	case opIMOD:
-		if st[in.B].isConst() && st[in.C].isConst() && st[in.C].c[0] != 0 {
-			st[in.A] = aConst(st[in.B].c[0] % st[in.C].c[0])
+		} else if in.Op == opIDIV {
+			st[in.A] = aConst(x.c[0] / y.c[0])
 		} else {
-			st[in.A] = aTop()
+			st[in.A] = aConst(x.c[0] % y.c[0])
 		}
 	case opINEG:
 		st[in.A] = aMul(st[in.B], aConst(-1))
@@ -376,82 +384,51 @@ func certStep(in Instr, st []aval, nd NDRange) {
 		}
 	case opFLT, opFLE, opFGT, opFGE, opFEQ, opFNE, opF2I, opLDGI, opLDLI, opLDPI:
 		st[in.A] = aTop()
-	case opGID:
-		if d := st[in.B]; d.isConst() && d.c[0] >= 0 && d.c[0] <= 2 {
-			var v aval
-			v.c[1+d.c[0]] = 1
-			v.c[4+d.c[0]] = int64(nd.LocalSize[d.c[0]])
-			st[in.A] = v
-		} else if d := st[in.B]; d.isConst() {
+	case opGID, opLID, opGRP:
+		switch d := st[in.B]; {
+		case !d.isConst():
+			st[in.A] = aTop()
+		case d.c[0] < 0 || d.c[0] > 2:
 			st[in.A] = aConst(0) // out-of-range dim reads 0
-		} else {
-			st[in.A] = aTop()
-		}
-	case opLID:
-		if d := st[in.B]; d.isConst() && d.c[0] >= 0 && d.c[0] <= 2 {
+		default:
 			var v aval
-			v.c[1+d.c[0]] = 1
+			if in.Op != opGRP {
+				v.c[1+d.c[0]] = 1
+			}
+			if in.Op == opGID {
+				v.c[4+d.c[0]] = int64(nd.LocalSize[d.c[0]])
+			} else if in.Op == opGRP {
+				v.c[4+d.c[0]] = 1
+			}
 			st[in.A] = v
-		} else if d := st[in.B]; d.isConst() {
-			st[in.A] = aConst(0)
-		} else {
-			st[in.A] = aTop()
 		}
-	case opGRP:
-		if d := st[in.B]; d.isConst() && d.c[0] >= 0 && d.c[0] <= 2 {
-			var v aval
-			v.c[4+d.c[0]] = 1
-			st[in.A] = v
-		} else if d := st[in.B]; d.isConst() {
-			st[in.A] = aConst(0)
-		} else {
+	case opNGR, opLSZ, opGSZ:
+		switch d := st[in.B]; {
+		case !d.isConst():
 			st[in.A] = aTop()
-		}
-	case opNGR:
-		if d := st[in.B]; d.isConst() {
-			if d.c[0] >= 0 && d.c[0] <= 2 {
-				st[in.A] = aConst(int64(nd.NumGroups[d.c[0]]))
-			} else {
-				st[in.A] = aConst(1)
+		case d.c[0] < 0 || d.c[0] > 2:
+			st[in.A] = aConst(1)
+		default:
+			v := int64(1)
+			if in.Op != opLSZ {
+				v = int64(nd.NumGroups[d.c[0]])
 			}
-		} else {
-			st[in.A] = aTop()
-		}
-	case opLSZ:
-		if d := st[in.B]; d.isConst() {
-			if d.c[0] >= 0 && d.c[0] <= 2 {
-				st[in.A] = aConst(int64(nd.LocalSize[d.c[0]]))
-			} else {
-				st[in.A] = aConst(1)
+			if in.Op != opNGR {
+				v *= int64(nd.LocalSize[d.c[0]])
 			}
-		} else {
-			st[in.A] = aTop()
-		}
-	case opGSZ:
-		if d := st[in.B]; d.isConst() {
-			if d.c[0] >= 0 && d.c[0] <= 2 {
-				st[in.A] = aConst(int64(nd.NumGroups[d.c[0]] * nd.LocalSize[d.c[0]]))
-			} else {
-				st[in.A] = aConst(1)
-			}
-		} else {
-			st[in.A] = aTop()
+			st[in.A] = aConst(v)
 		}
 	case opGOFF:
 		st[in.A] = aConst(0)
 	case opWDIM:
 		st[in.A] = aConst(int64(nd.Dims))
-	case opIMIN:
-		if st[in.B].isConst() && st[in.C].isConst() {
-			st[in.A] = aConst(min(st[in.B].c[0], st[in.C].c[0]))
+	case opIMIN, opIMAX:
+		if x, y := st[in.B], st[in.C]; !x.isConst() || !y.isConst() {
+			st[in.A] = aJoin(x, y) // equal forms: min and max are that form
+		} else if in.Op == opIMIN {
+			st[in.A] = aConst(min(x.c[0], y.c[0]))
 		} else {
-			st[in.A] = aJoin(st[in.B], st[in.C]) // equal forms: min is that form
-		}
-	case opIMAX:
-		if st[in.B].isConst() && st[in.C].isConst() {
-			st[in.A] = aConst(max(st[in.B].c[0], st[in.C].c[0]))
-		} else {
-			st[in.A] = aJoin(st[in.B], st[in.C])
+			st[in.A] = aConst(max(x.c[0], y.c[0]))
 		}
 	case opIABS:
 		if st[in.B].isConst() {

@@ -824,12 +824,7 @@ func (k *Kernel) wgfuseScatter(_ *wgProgram, blk *wblock, liveI, liveF uint64) (
 				m.err = &execError{kname, stPC, fmt.Sprintf("store %s: %v", name, err)}
 				return false
 			}
-			if u != nil {
-				var old [4]byte
-				copy(old[:], buf[off:off+4])
-				u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-			}
-			binary.LittleEndian.PutUint32(buf[off:], bits)
+			u.store(buf, off, bits)
 			st.noteGlobalWrite(slot, off)
 			if col != nil {
 				col[t] = off
@@ -895,12 +890,7 @@ func (k *Kernel) wgfuseStoreTail(_ *wgProgram, blk *wblock, liveI, liveF uint64)
 				return false
 			}
 			bits := math.Float32bits(float32(sv[t]))
-			if u != nil {
-				var old [4]byte
-				copy(old[:], buf[off:off+4])
-				u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-			}
-			binary.LittleEndian.PutUint32(buf[off:], bits)
+			u.store(buf, off, bits)
 			st.noteGlobalWrite(slot, off)
 			if col != nil {
 				col[t] = off

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"fluidicl/internal/clc"
+	"fluidicl/internal/core"
 	"fluidicl/internal/polybench"
+	"fluidicl/internal/sched"
 	"fluidicl/internal/vm"
 )
 
@@ -114,5 +116,39 @@ func TestWGFuseCountersOnHotKernels(t *testing.T) {
 	}
 	if fusedBodies != 16 {
 		t.Errorf("%d multiply-accumulate loop bodies fused, want 16 (8 kernels x 2 variants)", fusedBodies)
+	}
+}
+
+// TestTwinRunCertifiesOncePerKey: a cooperative run launches one CPU kernel
+// once per chunk, each under its own [fcl_lo, fcl_hi], between GPU launches
+// and merges of other geometry. Kernels are compiled once per process
+// (ocl's build cache), so a second identical run asks only about keys the
+// first already decided and must compute no certificate at all.
+func TestTwinRunCertifiesOncePerKey(t *testing.T) {
+	b, err := polybench.ByNameQuick("SYRK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (certs int64, subkernels int) {
+		before := vm.WGCertRuns()
+		res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{Backend: vm.BackendWG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Verify(res.Outputs); err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range res.Reports {
+			subkernels += rep.Subkernels
+		}
+		return vm.WGCertRuns() - before, subkernels
+	}
+	first, subs := run()
+	again, _ := run()
+	if subs < 2 {
+		t.Fatalf("%d CPU subkernels: the run did not alternate chunk geometries", subs)
+	}
+	if again != 0 {
+		t.Errorf("second identical run computed %d certificates (first: %d over %d subkernels), want 0", again, first, subs)
 	}
 }

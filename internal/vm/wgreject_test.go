@@ -197,3 +197,82 @@ func TestWGSecondChanceBudget(t *testing.T) {
 		t.Fatalf("huge shape: want budget reject, got ok=%v rej=%v", ok, rej)
 	}
 }
+
+// TestWGCertCachePerKernel pins the per-kernel decision cache. A cooperative
+// run asks one kernel about alternating keys — the CPU variant's chunks
+// differ in [fcl_lo, fcl_hi], fcl_merge in its grid — so the certificate
+// must run once per distinct key, not once per change of key; a float
+// argument is in no key; a rejected shape is cached as a reject while the
+// alias check, which depends on the buffers and not on the key, stays per
+// call and caches nothing; and the cache is bounded.
+func TestWGCertCachePerKernel(t *testing.T) {
+	certRuns := func() int64 { return backendCtr.wgCertRuns.Load() }
+	_, cpuSrc, err := TransformedSources(`
+__kernel void scale(__global float* x, __global float* y, float f, int n) {
+    int g = get_global_id(0);
+    if (g < n) { y[g] = x[g] * f; }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := MustCompile(cpuSrc, "scale")
+	x, y := make([]byte, 4*64), make([]byte, 4*64)
+	launch := func(groups, lo, hi int, f float64, a, b []byte) {
+		t.Helper()
+		nd := NewNDRange1D(16*groups, 16).Slice(lo, hi)
+		args := []Arg{BufArg(a), BufArg(b), FloatArg(f), IntArg(int64(16 * groups)), IntArg(int64(lo)), IntArg(int64(hi))}
+		if _, err := k.ExecLaunch(nd, args, ExecOpts{Backend: BackendWG}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, snap := certRuns(), BackendSnapshot()
+	launch(4, 0, 3, 1, x, x) // aliased: falls back, certifies and caches nothing
+	if got := certRuns() - before; got != 0 {
+		t.Errorf("an aliased launch ran the certificate %d times, want 0", got)
+	}
+	for i := 0; i < 3; i++ {
+		launch(4, 0, 1, float64(i), x, y) // chunk A, a new float each time
+		launch(4, 2, 3, 1, x, y)          // chunk B
+		launch(2, 0, 1, 1, x, y)          // another grid
+	}
+	if got := certRuns() - before; got != 3 {
+		t.Errorf("certificate ran %d times for 3 distinct keys over 9 launches", got)
+	}
+	if d := BackendSnapshot(); d.WGLoopWGs-snap.WGLoopWGs != 3*(2+2+2) || d.WGRejects[WGRejAlias]-snap.WGRejects[WGRejAlias] != 4 {
+		t.Errorf("lockstep groups %d, alias rejects %d; want 18 and 4",
+			d.WGLoopWGs-snap.WGLoopWGs, d.WGRejects[WGRejAlias]-snap.WGRejects[WGRejAlias])
+	}
+
+	// Bounded, newest first: wgCertCacheCap+2 more keys push the three above
+	// out, the last one asked about stays.
+	for g := 5; g < 5+wgCertCacheCap+2; g++ {
+		launch(g, 0, 0, 1, make([]byte, 4*16*g), make([]byte, 4*16*g))
+	}
+	if n := len(*k.certs.Load()); n != wgCertCacheCap {
+		t.Errorf("cache holds %d decisions, want the cap %d", n, wgCertCacheCap)
+	}
+	before = certRuns()
+	g := 5 + wgCertCacheCap + 1
+	launch(g, 0, 0, 1, make([]byte, 4*16*g), make([]byte, 4*16*g))
+	launch(4, 0, 1, 1, x, y)
+	if got := certRuns() - before; got != 1 {
+		t.Errorf("certificate ran %d times for one cached and one evicted key, want 1", got)
+	}
+
+	// A reject is a decision like any other: one computation, every group of
+	// every launch counted under its reason.
+	ov := MustCompile(`
+__kernel void ov(__global float* a, int n) {
+    int g = get_group_id(0);
+    a[g] = a[g] + 1.0f;
+}`, "ov")
+	before, snap = certRuns(), BackendSnapshot()
+	for i := 0; i < 2; i++ {
+		if _, err := ov.ExecLaunch(NewNDRange1D(64, 16), []Arg{BufArg(make([]byte, 4*16)), IntArg(16)}, ExecOpts{Backend: BackendWG}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, rej := certRuns()-before, BackendSnapshot().WGRejects[WGRejOverlap]-snap.WGRejects[WGRejOverlap]; got != 1 || rej != 8 {
+		t.Errorf("rejected shape: certificate ran %d times, %d overlap rejects; want 1 and 8", got, rej)
+	}
+}

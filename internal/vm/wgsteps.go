@@ -716,12 +716,7 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				} else {
 					bits = uint32(int32(ib[ab+t]))
 				}
-				if u != nil {
-					var old [4]byte
-					copy(old[:], buf[off:off+4])
-					u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-				}
-				binary.LittleEndian.PutUint32(buf[off:], bits)
+				u.store(buf, off, bits)
 				st.noteGlobalWrite(slot, off)
 				if col != nil {
 					col[t] = off
@@ -742,12 +737,7 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				} else {
 					bits = uint32(int32(ib[ab+int(t)]))
 				}
-				if u := m.undo; u != nil {
-					var old [4]byte
-					copy(old[:], buf[off:off+4])
-					u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-				}
-				binary.LittleEndian.PutUint32(buf[off:], bits)
+				m.undo.store(buf, off, bits)
 				st.noteGlobalWrite(slot, off)
 				m.recAcc(t, memID, off)
 			}
