@@ -8,6 +8,7 @@ package sched_test
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fluidicl/internal/core"
@@ -213,6 +214,13 @@ __kernel void dot(__global float* A, __global float* B, __global float* C, int m
 // allocations (sudogs, pool chains) jitter by about 0.6 KB per pass.
 func TestWGAllocatesNoMoreThanClosure(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one set of pools
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		if probe.Put(x); probe.Get() != x {
+			t.Skip("sync.Pool drops Puts here (the race detector does, at random): pooled scratch is regrown by chance")
+		}
+	}
 	var apps []*polybench.Benchmark
 	for _, name := range []string{"SYRK", "GESUMMV"} {
 		b, err := polybench.ByNameQuick(name)

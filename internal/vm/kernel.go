@@ -438,26 +438,20 @@ type UndoLog struct {
 	recs []UndoRecord
 }
 
-// note records the word at buf[off:off+4], which a store is about to
-// overwrite. A kernel stores to a handful of buffers, so the table is
-// searched linearly, newest first.
-func (u *UndoLog) note(buf []byte, off int32) {
-	bi := len(u.bufs) - 1
-	for bi >= 0 && (&u.bufs[bi][0] != &buf[0] || len(u.bufs[bi]) != len(buf)) {
-		bi--
-	}
-	if bi < 0 {
-		bi = len(u.bufs)
-		u.bufs = append(u.bufs, buf)
-	}
-	u.recs = append(u.recs, UndoRecord{Buf: int32(bi), Off: off, Old: [4]byte(buf[off : off+4])})
-}
-
-// store writes bits at buf[off:], noting the overwritten word first when
-// there is a log (u may be nil).
+// store writes bits at buf[off:], first recording the word it overwrites
+// when there is a log (u may be nil). A kernel stores to a handful of
+// buffers, so the log's table is searched linearly, newest first.
 func (u *UndoLog) store(buf []byte, off int32, bits uint32) {
 	if u != nil {
-		u.note(buf, off)
+		bi := len(u.bufs) - 1
+		for bi >= 0 && (&u.bufs[bi][0] != &buf[0] || len(u.bufs[bi]) != len(buf)) {
+			bi--
+		}
+		if bi < 0 {
+			bi = len(u.bufs)
+			u.bufs = append(u.bufs, buf)
+		}
+		u.recs = append(u.recs, UndoRecord{Buf: int32(bi), Off: off, Old: [4]byte(buf[off : off+4])})
 	}
 	binary.LittleEndian.PutUint32(buf[off:], bits)
 }
