@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fluidicl/internal/device"
+	"fluidicl/internal/ocl"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -310,6 +311,45 @@ func TestBufferPoolReuse(t *testing.T) {
 	}
 	if reused < 6 {
 		t.Fatalf("reused only %d times across 5 kernels", reused)
+	}
+}
+
+// TestBufferPoolTrimFreesTheDropped: a pool past its bound gives the oldest
+// buffers up for good — their storage goes to the free list the next
+// CreateBuffer draws from, and the pool keeps no reference to them.
+func TestBufferPoolTrimFreesTheDropped(t *testing.T) {
+	defer ocl.Recycle(nil)
+	env := sim.NewEnv()
+	pool := &bufferPool{ctx: ocl.NewContext(env, device.New(env, device.TeslaC2070()))}
+	var bufs []*ocl.Buffer
+	for i := 0; i < 20; i++ {
+		bufs = append(bufs, pool.acquire(8192))
+	}
+	oldest := bufs[0].Bytes()
+	for _, b := range bufs {
+		pool.release(b)
+	}
+	if len(pool.free) != 16 || pool.free[0] != bufs[4] {
+		t.Fatalf("pool holds %d buffers, want the newest 16", len(pool.free))
+	}
+	for i, b := range bufs[:4] {
+		if b.Bytes() != nil {
+			t.Errorf("dropped buffer %d kept its storage", i)
+		}
+	}
+	for i, b := range pool.free[:cap(pool.free)][len(pool.free):] {
+		if b != nil {
+			t.Errorf("the pool's backing array still references a buffer past its end (slot %d)", i)
+		}
+	}
+	var drawn bool
+	for i := 0; i < 4; i++ {
+		if nb := pool.ctx.CreateBuffer(8192).Bytes(); &nb[0] == &oldest[0] {
+			drawn = true
+		}
+	}
+	if !drawn {
+		t.Error("the dropped buffers' storage did not reach the free list")
 	}
 }
 

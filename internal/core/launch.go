@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
@@ -108,6 +110,7 @@ func planElisions(info *clc.KernelInfo, sum *analysis.KernelSummary, nd vm.NDRan
 		if !sa.WritesComplete() {
 			continue
 		}
+		footprintEvals.Add(1)
 		aw, ok := sum.EvalArgWrites(sum.ArgIndex(param.Name), sh, params,
 			int64(size/4), stridedPlanBudget)
 		if !ok {
@@ -120,6 +123,69 @@ func planElisions(info *clc.KernelInfo, sum *analysis.KernelSummary, nd vm.NDRan
 	return el
 }
 
+// footprintEvals counts planElisions' launch-level footprint evaluations, so
+// tests can tell a cached plan from a re-derived one.
+var footprintEvals atomic.Int64
+
+// planCache holds one kernel's launch plans. planElisions is a pure function
+// of the kernel's summary — fixed per transformEntry, where the cache lives,
+// so it outlasts any one Runtime — and of the launch's key: full-grid
+// geometry, scalar int arguments and buffer argument sizes. Float arguments
+// and buffer identity are not in the key because planElisions reads neither.
+// A cached plan is shared by every launch (and goroutine) that hits it and is
+// never written after it is stored: the protocols copy elisions out of it
+// and query ArgWrites only through HullRange and Monotone.
+type planCache struct {
+	entries atomic.Pointer[[]planEntry]
+}
+
+// planEntry is one cached plan.
+type planEntry struct {
+	key []int64
+	el  []elision
+}
+
+// planCacheCap bounds a kernel's plan cache. A kernel sees one key per
+// distinct launch of it in an app (the widest paper app has three), times the
+// problem sizes a sweep runs it at.
+const planCacheCap = 32
+
+// plan returns the elision plan for one launch of k, deriving it at most
+// once per key (copy on write, newest first, like vm.Kernel's certificate
+// cache). Pointer parameters must already be bound to buffers.
+func (k *Kernel) plan(nd vm.NDRange, args []Arg) []elision {
+	var buf [24]int64
+	key := append(buf[:0], int64(nd.Dims),
+		int64(nd.LocalSize[0]), int64(nd.LocalSize[1]), int64(nd.LocalSize[2]),
+		int64(nd.NumGroups[0]), int64(nd.NumGroups[1]), int64(nd.NumGroups[2]))
+	for _, a := range args {
+		switch a.Kind {
+		case ArgBuf:
+			key = append(key, int64(a.Buf.Size))
+		case ArgInt:
+			key = append(key, a.I)
+		default:
+			key = append(key, 0)
+		}
+	}
+	var cur []planEntry
+	if p := k.plans.entries.Load(); p != nil {
+		cur = *p
+	}
+	for i := range cur {
+		if slices.Equal(cur[i].key, key) {
+			return cur[i].el
+		}
+	}
+	e := planEntry{key: slices.Clone(key), el: planElisions(k.Info, k.Sum, nd, args)}
+	// Two goroutines racing to insert lose one entry, which costs a
+	// re-derivation; a full cache drops its oldest entry.
+	next := append(make([]planEntry, 0, planCacheCap), e)
+	next = append(next, cur[:min(len(cur), planCacheCap-1)]...)
+	k.plans.entries.Store(&next)
+	return e.el
+}
+
 // launch is one validated kernel enqueue, as the prologue hands it to the
 // protocol.
 type launch struct {
@@ -127,7 +193,7 @@ type launch struct {
 	kid   int
 	nd    vm.NDRange
 	args  []Arg
-	el    []elision // per original parameter
+	el    []elision // per original parameter; shared with the plan cache, read-only
 	split bool      // CPU work-group splitting allowed for this launch
 	rep   *KernelReport
 }
@@ -141,6 +207,7 @@ func (l *launch) paramName(i int) string { return l.k.Info.Kernel.Params[i].Name
 // where results merge, what is still in flight when the call returns — is
 // the protocol's business.
 func (r *Runtime) EnqueueNDRangeKernel(p *sim.Proc, k *Kernel, nd vm.NDRange, args []Arg) error {
+	r.mustBeLive()
 	if r.deferredErr != nil {
 		return r.deferredErr
 	}
@@ -160,7 +227,7 @@ func (r *Runtime) EnqueueNDRangeKernel(p *sim.Proc, k *Kernel, nd vm.NDRange, ar
 
 	// Classify buffer arguments using the compile-time access analysis and
 	// derive the analyzer-driven elision plan for this launch.
-	l.el = planElisions(k.Info, k.Sum, nd, args)
+	l.el = k.plan(nd, args)
 
 	// Launch-time split un-veto: a kernel vetoed by a conservative race
 	// finding may still split its work-groups across CPU threads when the

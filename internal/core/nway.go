@@ -58,6 +58,13 @@ func (n *nway) source(e *transformEntry, di int) string { return e.cpuSrc }
 
 func (n *nway) variantContext() *ocl.Context { return nil }
 
+// drain hands the merge path's pooled scratch over for recycling.
+func (n *nway) drain(run [][]byte) [][]byte {
+	run = append(run, n.bp.free...)
+	n.bp.free = nil
+	return run
+}
+
 // nwayResidency is the per-device residency table of one buffer. The host
 // shadow is always the latest data once a kernel call returns; device copies
 // are allowed to go stale and are brought current lazily by the

@@ -198,7 +198,7 @@ func (p *bytePool) get(n int) []byte {
 		}
 	}
 	if best < 0 {
-		return make([]byte, n)
+		return ocl.TakeBytes(n)
 	}
 	b := p.free[best]
 	last := len(p.free) - 1

@@ -137,6 +137,12 @@ type Runtime struct {
 	fclTrk  int // recorder track id + 1 for runtime instants (0 = unregistered)
 	ctr     Counters
 
+	// What Release hands back: every buffer created, and the write
+	// snapshots in-flight transfers read from.
+	bufs     []*Buffer
+	snaps    [][]byte
+	released bool
+
 	Reports []*KernelReport
 }
 
@@ -158,6 +164,9 @@ type protocol interface {
 	// run executes one validated launch cooperatively and blocks until the
 	// kernel call may return.
 	run(p *sim.Proc, l *launch) error
+	// drain appends the protocol's pooled scratch storage to run and
+	// forgets it (Release).
+	drain(run [][]byte) [][]byte
 }
 
 // Err returns any deferred error noticed after a kernel call returned: a
@@ -224,14 +233,56 @@ type Buffer struct {
 
 // CreateBuffer creates a buffer on every device (paper §4.1: clCreateBuffer
 // is translated into buffer creation on both the CPU and the GPU). Host
-// shadow and device copies start zero-filled and therefore identical.
+// shadow and device copies start zero-filled — storage a released run handed
+// back is cleared on reuse — and therefore identical.
 func (r *Runtime) CreateBuffer(size int) *Buffer {
-	b := &Buffer{rt: r, Size: size, host: make([]byte, size), bufs: make([]*ocl.Buffer, len(r.ctxs))}
+	r.mustBeLive()
+	b := &Buffer{rt: r, Size: size, host: ocl.ZeroBytes(size), bufs: make([]*ocl.Buffer, len(r.ctxs))}
 	for di, ctx := range r.ctxs {
 		b.bufs[di] = ctx.CreateBuffer(size)
 	}
 	r.proto.attach(b)
+	r.bufs = append(r.bufs, b)
 	return b
+}
+
+// snapshot copies data into storage that stays untouched until Release, for
+// a transfer that reads it when it completes.
+func (r *Runtime) snapshot(data []byte) []byte {
+	snap := ocl.TakeBytes(len(data))
+	copy(snap, data)
+	r.snaps = append(r.snaps, snap)
+	return snap
+}
+
+// Release hands the run's storage — host shadows, device copies, write
+// snapshots and the protocol's pooled scratch — to the process-wide free
+// list the next run's buffers are drawn from (ocl.Recycle). Call it when the
+// simulation has stopped and the outputs have been read (EnqueueReadBuffer
+// returns copies); it returns the storage whatever state the run ended in,
+// Reports, Counters and Err stay readable, and any later buffer or kernel
+// call panics, so a half-merged shadow of a failed run is never observable.
+func (r *Runtime) Release() {
+	if r.released {
+		return
+	}
+	r.released = true
+	run := r.proto.drain(r.snaps)
+	for _, b := range r.bufs {
+		run = append(run, b.host)
+		b.host = nil
+		for _, db := range b.bufs {
+			run = append(run, db.Detach())
+		}
+	}
+	r.bufs, r.snaps = nil, nil
+	ocl.Recycle(run)
+}
+
+func (r *Runtime) mustBeLive() {
+	if r.released {
+		panic("core: use of a released Runtime")
+	}
 }
 
 // EnqueueWriteBuffer writes host data to every device (§4.1: every
@@ -241,16 +292,18 @@ func (r *Runtime) CreateBuffer(size int) *Buffer {
 // soon as its own copy lands (§5.5's overlap of communication with
 // execution).
 func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
+	r.mustBeLive()
 	if len(data) > b.Size {
 		panic("core: write larger than buffer")
 	}
 	copy(b.host, data)
-	r.proto.write(b, append([]byte(nil), data...))
+	r.proto.write(b, r.snapshot(data))
 }
 
 // EnqueueReadBuffer returns the buffer's current contents once the host
 // shadow holds them; when they already do, no transfer happens (§6.2).
 func (r *Runtime) EnqueueReadBuffer(p *sim.Proc, b *Buffer) []byte {
+	r.mustBeLive()
 	r.proto.awaitHost(p, b)
 	out := make([]byte, b.Size)
 	copy(out, b.host)
@@ -275,18 +328,21 @@ type Program struct {
 	info    *clc.ProgramInfo         // analysis of the original source
 	Summary *analysis.ProgramSummary // static kernel analyzer results
 	progs   []*ocl.Program           // per device
+	plans   map[string]*planCache    // the transformEntry's, per kernel
 	GPUSrc  string                   // abort-checked GPU transformation (for inspection)
 	CPUSrc  string                   // range-guarded CPU transformation
 }
 
 // transformEntry is one cached run of the twin transformation pipelines:
 // the original-source analysis plus the transformed GPU and CPU sources.
-// All fields are immutable once built.
+// All fields are immutable once built; plans maps every kernel to its
+// (internally synchronized) launch-plan cache.
 type transformEntry struct {
 	info   *clc.ProgramInfo
 	sum    *analysis.ProgramSummary
 	gpuSrc string
 	cpuSrc string
+	plans  map[string]*planCache
 }
 
 // transformCache memoizes the pass pipeline by (source, GPU pass options).
@@ -341,7 +397,11 @@ func transformProgram(src string, gopt passes.GPUOptions) (*transformEntry, erro
 		}
 	}
 
-	e := &transformEntry{info: info, sum: sum, gpuSrc: clc.Print(gpuAST), cpuSrc: clc.Print(cpuAST)}
+	e := &transformEntry{info: info, sum: sum, gpuSrc: clc.Print(gpuAST), cpuSrc: clc.Print(cpuAST),
+		plans: make(map[string]*planCache, len(info.Kernels))}
+	for name := range info.Kernels {
+		e.plans[name] = &planCache{}
+	}
 	if transformCache.m == nil {
 		transformCache.m = map[transformKey]*transformEntry{}
 	}
@@ -363,7 +423,7 @@ func (r *Runtime) BuildProgram(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{rt: r, Source: src, info: e.info, Summary: e.sum, GPUSrc: e.gpuSrc, CPUSrc: e.cpuSrc}
+	p := &Program{rt: r, Source: src, info: e.info, Summary: e.sum, plans: e.plans, GPUSrc: e.gpuSrc, CPUSrc: e.cpuSrc}
 	p.progs = make([]*ocl.Program, len(r.ctxs))
 	for di, ctx := range r.ctxs {
 		if p.progs[di], err = ctx.BuildProgram(r.proto.source(e, di)); err != nil {
@@ -381,6 +441,8 @@ type Kernel struct {
 	Info *clc.KernelInfo         // original-source analysis (out/inout params)
 	Sum  *analysis.KernelSummary // static analyzer summary of the original
 	ks   []*ocl.Kernel           // per device
+	// plans caches the kernel's launch plans process-wide (launch.go).
+	plans *planCache
 	// variants are the alternate CPU versions registered with AddCPUVariant;
 	// the twin protocol numbers them from 1 (version 0 is the original).
 	variants []*ocl.Kernel
@@ -407,7 +469,7 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	}
 	sum := p.Summary.Kernels[name]
 	k := &Kernel{
-		prog: p, Name: name, Info: info, Sum: sum,
+		prog: p, Name: name, Info: info, Sum: sum, plans: p.plans[name],
 		splitOK: passes.CanSplitWithSummary(info, sum),
 	}
 	k.chkRead, k.chkWrite = accessMasks(sum)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
@@ -63,6 +64,15 @@ func (t *twin) source(e *transformEntry, di int) string {
 }
 
 func (t *twin) variantContext() *ocl.Context { return t.r.ctxs[twinCPU] }
+
+// drain hands the pooled scratch storage over for recycling.
+func (t *twin) drain(run [][]byte) [][]byte {
+	for _, b := range t.pool.free {
+		run = append(run, b.Detach())
+	}
+	t.pool.free = nil
+	return run
+}
 
 // cpuVersion returns CPU subkernel version v of k: 0 is the original
 // kernel, v > 0 an alternate registered with AddCPUVariant (§6.6).
@@ -237,8 +247,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 				r.ctr.UploadsSkipped++
 				r.tracef(kid, "upload of stale out buffer %q skipped (full-overwrite summary)", param.Name)
 			} else {
-				snap := append([]byte(nil), b.host...)
-				t.gpuApp.EnqueueWriteBufferTagged(b.bufs[twinGPU], snap, "upload")
+				t.gpuApp.EnqueueWriteBufferTagged(b.bufs[twinGPU], r.snapshot(b.host), "upload")
 				st.locGPU = true
 			}
 		}
@@ -723,8 +732,13 @@ func (p *bufferPool) acquire(size int) *ocl.Buffer {
 func (p *bufferPool) release(b *ocl.Buffer) {
 	p.free = append(p.free, b)
 	// Trim: keep the pool bounded (older unused buffers are freed, §6.1).
+	// Delete clears the slots it vacates, so the backing array does not keep
+	// the dropped buffers reachable.
 	const maxPooled = 16
-	if len(p.free) > maxPooled {
-		p.free = p.free[len(p.free)-maxPooled:]
+	if drop := len(p.free) - maxPooled; drop > 0 {
+		for _, old := range p.free[:drop] {
+			old.Free()
+		}
+		p.free = slices.Delete(p.free, 0, drop)
 	}
 }

@@ -10,6 +10,7 @@ package ocl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"fluidicl/internal/clc"
@@ -36,14 +37,103 @@ type Buffer struct {
 	data []byte
 }
 
-// CreateBuffer allocates a device buffer of size bytes.
+// CreateBuffer allocates a zero-filled device buffer of size bytes.
 func (c *Context) CreateBuffer(size int) *Buffer {
-	return &Buffer{Ctx: c, Size: size, data: make([]byte, size)}
+	return &Buffer{Ctx: c, Size: size, data: ZeroBytes(size)}
 }
 
 // Bytes exposes the device-resident backing store. Host code must not touch
 // it directly; it exists so kernels and transfers can bind to it.
 func (b *Buffer) Bytes() []byte { return b.data }
+
+// Detach takes the buffer's storage away from it, for Recycle. The buffer
+// must not be used afterwards.
+func (b *Buffer) Detach() []byte {
+	data := b.data
+	b.data = nil
+	return data
+}
+
+// Free hands the buffer's storage to the free list (clReleaseMemObject);
+// the buffer must not be used afterwards. A pool that trims itself mid-run
+// frees this way, and the same run's next CreateBuffer draws it back.
+func (b *Buffer) Free() {
+	if data := b.Detach(); cap(data) >= minRecycled {
+		free.Lock()
+		free.list = append(free.list, data)
+		free.Unlock()
+	}
+}
+
+// free is the process-wide free list of buffer storage, shared by every
+// context, runtime and goroutine. It is kept small on purpose, because what
+// it holds is resident: Recycle replaces it rather than adding to it, so it
+// never retains more than the storage of the last finished run (plus what
+// Free added since), and the first request it cannot serve empties it — a
+// run that misses is not shaped like the run that filled the list, and the
+// rest would only sit beside that run's own buffers. A sequence of
+// same-sized runs thus allocates its buffers once; any other sequence
+// behaves as if there were no list.
+var free struct {
+	sync.Mutex
+	list [][]byte
+}
+
+// minRecycled is the smallest slice the free list handles: below a page a
+// fresh allocation costs no more than the search, and a small miss (the
+// twin protocol's status buffer is 8 bytes) should not empty the list.
+const minRecycled = 4096
+
+// Recycle makes the storage of a finished run the free list, dropping
+// whatever the list still held. The caller gives up every slice in run.
+func Recycle(run [][]byte) {
+	run = slices.DeleteFunc(run, func(b []byte) bool { return cap(b) < minRecycled })
+	free.Lock()
+	free.list = run
+	free.Unlock()
+}
+
+// TakeBytes returns n bytes of unspecified contents for a caller that
+// overwrites all of them: the smallest free-list slice that holds n bytes in
+// at most 2n of capacity, or else a fresh one.
+func TakeBytes(n int) []byte {
+	b, _ := takeBytes(n)
+	return b
+}
+
+// ZeroBytes returns n zero bytes; storage from the free list is cleared on
+// reuse.
+func ZeroBytes(n int) []byte {
+	b, reused := takeBytes(n)
+	if reused {
+		clear(b)
+	}
+	return b
+}
+
+func takeBytes(n int) (b []byte, reused bool) {
+	if n < minRecycled {
+		return make([]byte, n), false
+	}
+	free.Lock()
+	best := -1
+	for i, f := range free.list {
+		if cap(f) >= n && cap(f) <= 2*n && (best < 0 || cap(f) < cap(free.list[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		free.list = nil
+		free.Unlock()
+		return make([]byte, n), false
+	}
+	last := len(free.list) - 1
+	b = free.list[best]
+	free.list[best], free.list[last] = free.list[last], nil
+	free.list = free.list[:last]
+	free.Unlock()
+	return b[:n], true
+}
 
 // Program is a compiled translation unit for this context's device.
 type Program struct {

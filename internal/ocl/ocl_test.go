@@ -374,3 +374,61 @@ func TestScatterWriteSpanValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestFreeListBestFitClearedAndReplaced pins the recycling contract: the
+// smallest slice that holds n bytes in at most 2n of capacity is reused,
+// zero-filled for ZeroBytes; a miss empties the list, Recycle replaces it,
+// Free adds to it; requests below a page bypass it.
+func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
+	defer Recycle(nil)
+	const k = 1024
+	dirty := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xff
+		}
+		return b
+	}
+	same := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+	mid, small, big := dirty(100*k), dirty(64*k), dirty(1000*k)
+	Recycle([][]byte{mid, nil, small, big})
+
+	TakeBytes(8) // too small to be served from the list, or to empty it
+	z := ZeroBytes(60 * k)
+	if !same(z, small) || len(z) != 60*k {
+		t.Fatalf("ZeroBytes(60k) did not take the 64k slice (len %d)", len(z))
+	}
+	for i, v := range z {
+		if v != 0 {
+			t.Fatalf("ZeroBytes: reused byte %d = %#x, want 0", i, v)
+		}
+	}
+	if s := TakeBytes(60 * k); !same(s, mid) {
+		t.Error("TakeBytes(60k) did not take the 100k slice")
+	}
+	if s := TakeBytes(60 * k); same(s, big) {
+		t.Error("TakeBytes(60k) took a slice of more than twice the size")
+	}
+	if s := TakeBytes(1000 * k); same(s, big) {
+		t.Error("the miss did not empty the list")
+	}
+
+	Recycle([][]byte{mid, small})
+	Recycle([][]byte{big})
+	if s := TakeBytes(64 * k); same(s, small) {
+		t.Error("Recycle kept the previous list")
+	}
+
+	env := sim.NewEnv()
+	ctx := NewContext(env, device.New(env, device.TeslaC2070()))
+	b := ctx.CreateBuffer(32 * k)
+	data := b.Bytes()
+	data[5] = 7
+	b.Free()
+	if b.Bytes() != nil {
+		t.Error("a freed buffer kept its storage")
+	}
+	if again := ctx.CreateBuffer(32 * k).Bytes(); !same(again, data) || again[5] != 0 {
+		t.Error("CreateBuffer did not reuse and clear the freed storage")
+	}
+}

@@ -11,6 +11,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fluidicl/internal/core"
 	"fluidicl/internal/device"
@@ -70,6 +71,28 @@ type App struct {
 	Launches []Launch
 	Outputs  []string // buffers read back at the end
 	Variants []Variant
+}
+
+// zeroSlab backs the initial contents of every buffer an app gives no input
+// for. It is shared by all runs and goroutines and strictly read-only: every
+// strategy copies or snapshots what it is handed before anything can write.
+var zeroSlab struct {
+	sync.Mutex
+	b []byte
+}
+
+// input returns buffer name's initial contents: the app's input, or zeros.
+func (a *App) input(name string) []byte {
+	if data := a.Inputs[name]; data != nil {
+		return data
+	}
+	n := a.Buffers[name]
+	zeroSlab.Lock()
+	defer zeroSlab.Unlock()
+	if len(zeroSlab.b) < n {
+		zeroSlab.b = make([]byte, n)
+	}
+	return zeroSlab.b[:n:n]
 }
 
 // Result is one application execution: total virtual running time (data
@@ -171,6 +194,7 @@ func twinRuntime(m Machine, opts core.Options) newRuntime {
 // read the outputs back. It never drains the queues itself: the paper's host
 // program reads its outputs while later transfers are still in flight, and
 // a protocol that needs a drain before readback performs it inside the read.
+// The runtime is released on return.
 func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) (*Result, error) {
 	env := sim.NewEnv()
 	env.Trace = rec // before device creation, so devices register their tracks
@@ -178,6 +202,9 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 	if err != nil {
 		return nil, err
 	}
+	// Outputs are read back as copies, so once this function returns — on
+	// any path — the run's storage can serve the next run.
+	defer rt.Release()
 	prog, err := rt.BuildProgram(app.Source)
 	if err != nil {
 		return nil, err
@@ -216,11 +243,7 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 		for iter := 0; iter < times; iter++ {
 			start := p.Now()
 			for _, name := range bufNames {
-				data := app.Inputs[name]
-				if data == nil {
-					data = make([]byte, app.Buffers[name])
-				}
-				rt.EnqueueWriteBuffer(p, bufs[name], data)
+				rt.EnqueueWriteBuffer(p, bufs[name], app.input(name))
 			}
 			for _, l := range app.Launches {
 				args := make([]core.Arg, len(l.Args))

@@ -38,11 +38,7 @@ func RunSingle(cfg device.Config, app *App) (*Result, error) {
 	var runErr error
 	env.Go("app", func(p *sim.Proc) {
 		for _, name := range bufNames {
-			data := app.Inputs[name]
-			if data == nil {
-				data = make([]byte, app.Buffers[name])
-			}
-			q.EnqueueWriteBuffer(bufs[name], data)
+			q.EnqueueWriteBuffer(bufs[name], app.input(name))
 		}
 		for _, l := range app.Launches {
 			args := make([]ocl.Arg, len(l.Args))

@@ -106,12 +106,7 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 	env.Go("app", func(p *sim.Proc) {
 		// SOCL-style: inputs start host-side; transfers happen on demand.
 		for _, name := range bufNames {
-			b := bufs[name]
-			data := app.Inputs[name]
-			if data == nil {
-				data = make([]byte, b.size)
-			}
-			copy(b.host, data)
+			copy(bufs[name].host, app.input(name))
 		}
 		toHost := func(b *sbuf) {
 			switch {

@@ -69,10 +69,7 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 	env.Go("app", func(p *sim.Proc) {
 		for _, name := range bufNames {
 			b := bufs[name]
-			data := app.Inputs[name]
-			if data == nil {
-				data = make([]byte, b.size)
-			}
+			data := app.input(name)
 			copy(b.host, data)
 			evC := cpuQ.EnqueueWriteBuffer(b.cpu, data)
 			evG := gpuQ.EnqueueWriteBuffer(b.gpu, data)

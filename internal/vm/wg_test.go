@@ -344,3 +344,45 @@ func TestDisasmWGGolden(t *testing.T) {
 		t.Errorf("wg disasm drifted from %s (UPDATE_GOLDEN=1 to regenerate)\ngot:\n%s", golden, got)
 	}
 }
+
+// TestWGLocalIDTablesFollowTheShape: a pooled lockstep machine keeps its
+// local-id tables from group to group and must refill them when the local
+// shape changes at an unchanged work-group size.
+func TestWGLocalIDTablesFollowTheShape(t *testing.T) {
+	k := MustCompile(`
+__kernel void lids(__global float* out, int w, int h) {
+    int g = (get_global_id(2) * h + get_global_id(1)) * w + get_global_id(0);
+    out[g] = get_local_id(0) + 100 * get_local_id(1) + 10000 * get_local_id(2);
+}
+`, "lids")
+	if k.wg == nil {
+		t.Fatal("wg compilation rejected the lids kernel")
+	}
+	const n = 512
+	sc := &wgScratch{} // one scratch, as the kernel's pool hands out
+	before := BackendSnapshot()
+	for i, nd := range []NDRange{
+		NewNDRange1D(n, 256),
+		NewNDRange2D(32, 16, 16, 16),
+		NewNDRange(3, [3]int{16, 8, 4}, [3]int{8, 8, 4}),
+		NewNDRange1D(n, 256),
+	} {
+		w, h := IntArg(int64(nd.NumGroups[0]*nd.LocalSize[0])), IntArg(int64(nd.LocalSize[1]))
+		want, got := make([]byte, 4*n), make([]byte, 4*n)
+		for g := 0; g < nd.TotalGroups(); g++ {
+			group := [3]int{g, 0, 0}
+			if _, err := k.execWG(nd, group, []Arg{BufArg(want), w, h}, ExecOpts{Backend: BackendInterp}, &wgScratch{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.execWG(nd, group, []Arg{BufArg(got), w, h}, ExecOpts{Backend: BackendWG}, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(got) != string(want) {
+			t.Errorf("launch %d (local %v): wg on the reused scratch differs from the interpreter", i, nd.LocalSize)
+		}
+	}
+	if d := BackendSnapshot().WGLoopWGs - before.WGLoopWGs; d != 8 {
+		t.Errorf("%d of 8 groups ran on the lockstep engine", d)
+	}
+}

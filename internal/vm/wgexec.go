@@ -75,6 +75,7 @@ type wmach struct {
 	lid0   []int64 // local ids per item
 	lid1   []int64
 	lid2   []int64
+	lidKey [3]int  // the (lx, ly, n) the lid tables were last filled for
 	steps  []int64 // per-item step budget
 
 	rec  [][]wgAcc // per-item (memID, off) streams for this phase
@@ -504,11 +505,15 @@ func (m *wmach) runGroup() error {
 	wg := k.wg
 	n := m.n
 
-	lx, ly := m.nd.LocalSize[0], m.nd.LocalSize[1]
-	for t := 0; t < n; t++ {
-		m.lid0[t] = int64(t % lx)
-		m.lid1[t] = int64((t / lx) % ly)
-		m.lid2[t] = int64(t / (lx * ly))
+	// The pooled machine keeps its local-id tables across groups; wmFor
+	// reallocates them only for a larger n, which changes the key.
+	if lx, ly := m.nd.LocalSize[0], m.nd.LocalSize[1]; m.lidKey != [3]int{lx, ly, n} {
+		m.lidKey = [3]int{lx, ly, n}
+		for t := 0; t < n; t++ {
+			m.lid0[t] = int64(t % lx)
+			m.lid1[t] = int64((t / lx) % ly)
+			m.lid2[t] = int64(t / (lx * ly))
+		}
 	}
 	for i, p := range k.Params {
 		switch p.Kind {
