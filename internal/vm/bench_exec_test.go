@@ -110,25 +110,57 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 	}}
 }
 
-// benchSYRKTrips is SYRK's GPU variant at its quick-scale NDRange with the
-// inner dimension — the reduction loop's trip count — set to m, so that the
-// wg engine's cost per loop entry (uniformity precheck, skeleton walk
-// set-up, write-back) and per trip can be read apart.
-func benchSYRKTrips(b testing.TB, m int) []benchLaunch {
-	launches := benchApp(b, "SYRK", true)
+// benchTrips is the GPU variant of SYRK (the jam's pair arity) or SYR2K (its
+// generic arity) at the quick-scale NDRange with the inner dimension — the
+// reduction loop's trip count — set to m, so that the wg engine's cost per
+// loop entry (uniformity precheck, skeleton walk set-up, write-back) and per
+// trip can be read apart.
+func benchTrips(b testing.TB, name string, m int) []benchLaunch {
+	launches := benchApp(b, name, true)
 	for _, l := range launches {
-		n := l.args[2].I // syrk_kernel(A, C, n, m, alpha, beta, ...)
-		l.args[0] = vm.BufArg(make([]byte, 4*n*int64(m)))
-		l.args[3] = vm.IntArg(int64(m))
+		// syrk_kernel(A, C, n, m, ...), syr2k_kernel(A, B, C, n, m, ...): the
+		// buffers before C are n x m.
+		at := 2
+		if name == "SYR2K" {
+			at = 3
+		}
+		for i := 0; i < at-1; i++ {
+			l.args[i] = vm.BufArg(make([]byte, 4*l.args[at].I*int64(m)))
+		}
+		l.args[at+1] = vm.IntArg(int64(m))
 	}
 	return launches
+}
+
+// macs counts the multiply-accumulates one pass over the launches executes,
+// from the kernels' size arguments; 0 for an app whose kernels are not all
+// reduction loops (CORR) or have none (SCATTER).
+func macs(launches []benchLaunch) int64 {
+	var total int64
+	for _, l := range launches {
+		a := l.args
+		switch l.k.Name {
+		case "syrk_kernel":
+			total += a[2].I * a[2].I * a[3].I
+		case "syr2k_kernel":
+			total += 2 * a[3].I * a[3].I * a[4].I
+		case "gesummv":
+			total += 2 * a[4].I * a[4].I
+		case "mm2_kernel1", "mm2_kernel2":
+			total += a[3].I * a[4].I * a[5].I
+		default:
+			return 0
+		}
+	}
+	return total
 }
 
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
 // backend; the acceptance bar is closure >= 1.5x interp on at least two
 // kernels. The NAME/gpuvar/BACKEND rows run the GPU-transformed
 // kernels (see benchApp) next to the original-source ones, the
-// SYRK/gpuvar/m=M rows the trip-count sweep (see benchSYRKTrips).
+// NAME/gpuvar/m=M rows the trip-count sweep (see benchTrips). Rows whose
+// kernels are all reduction loops also report ns/mac.
 func BenchmarkExecLaunch(b *testing.B) {
 	type row struct {
 		name     string
@@ -139,8 +171,9 @@ func BenchmarkExecLaunch(b *testing.B) {
 		rows = append(rows, row{name, benchApp(b, name, false)}, row{name + "/gpuvar", benchApp(b, name, true)})
 	}
 	for _, m := range []int{4, 64, 1024} {
-		rows = append(rows, row{fmt.Sprintf("SYRK/gpuvar/m=%d", m), benchSYRKTrips(b, m)})
+		rows = append(rows, row{fmt.Sprintf("SYRK/gpuvar/m=%d", m), benchTrips(b, "SYRK", m)})
 	}
+	rows = append(rows, row{"SYR2K/gpuvar/m=1024", benchTrips(b, "SYR2K", 1024)})
 	rows = append(rows, row{"SCATTER", benchScatter(b)})
 	for _, r := range rows {
 		launches := r.launches
@@ -160,6 +193,9 @@ func BenchmarkExecLaunch(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
+				}
+				if n := macs(launches); n > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n), "ns/mac")
 				}
 			})
 		}

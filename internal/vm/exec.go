@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ExecOpts controls one work-group execution.
@@ -732,12 +733,32 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// oob is the package's one range predicate: word idx lies outside a buffer of
+// bufLen bytes. It compares in word units because idx*4 wraps for |idx| >=
+// 2^61 and would alias a valid word.
+func oob(idx int64, bufLen int) bool { return uint64(idx) >= uint64(bufLen/4) }
+
 func byteOff(idx int64, bufLen int) (int32, error) {
-	off := idx * 4
-	if idx < 0 || off+4 > int64(bufLen) {
+	if oob(idx, bufLen) {
 		return 0, fmt.Errorf("index %d out of range (buffer %d bytes)", idx, bufLen)
 	}
-	return int32(off), nil
+	return int32(idx * 4), nil
+}
+
+// hostLittleEndian: a buffer's bytes are its float32 words as the host reads
+// them, which f32View needs.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32View returns b's whole words as float32s in place — the package's one
+// unsafe conversion — or false when that is not what the little-endian byte
+// decoding of the load paths reads: b is not 4-byte aligned, or the host is
+// big-endian.
+func f32View(b []byte) ([]float32, bool) {
+	p := unsafe.SliceData(b)
+	if !hostLittleEndian || uintptr(unsafe.Pointer(p))%4 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(p)), len(b)/4), true
 }
 
 // ExecLaunch executes every work-group of the launch slice and returns

@@ -503,7 +503,7 @@ func (k *Kernel) superAffLoad(pc int, withFMul, withFAdd bool) stepFn {
 			st.IntOps += 2
 			buf := m.args[slot].Buf
 			off := idx * 4
-			if idx < 0 || off+4 > int64(len(buf)) {
+			if oob(idx, len(buf)) {
 				m.err = &execError{kname, ldPC, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 				return false
 			}
@@ -535,7 +535,7 @@ func (k *Kernel) superAffLoad(pc int, withFMul, withFAdd bool) stepFn {
 			st.IntOps += 2
 			buf := m.args[slot].Buf
 			off := idx * 4
-			if idx < 0 || off+4 > int64(len(buf)) {
+			if oob(idx, len(buf)) {
 				m.err = &execError{kname, ldPC, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 				return false
 			}
@@ -565,7 +565,7 @@ func (k *Kernel) superAffLoad(pc int, withFMul, withFAdd bool) stepFn {
 		st.IntOps += 2
 		buf := m.args[slot].Buf
 		off := idx * 4
-		if idx < 0 || off+4 > int64(len(buf)) {
+		if oob(idx, len(buf)) {
 			m.err = &execError{kname, ldPC, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 			return false
 		}
@@ -598,7 +598,7 @@ func (k *Kernel) superLoadFMul(pc int) stepFn {
 		idx := m.iregs[lc]
 		buf := m.args[slot].Buf
 		off := idx * 4
-		if idx < 0 || off+4 > int64(len(buf)) {
+		if oob(idx, len(buf)) {
 			m.err = &execError{kname, pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 			return false
 		}

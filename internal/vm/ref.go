@@ -52,7 +52,7 @@ type refArray struct {
 
 func (a refArray) load(idx int64) (value, error) {
 	off := idx * 4
-	if idx < 0 || off+4 > int64(len(a.buf)) {
+	if uint64(idx) >= uint64(len(a.buf)/4) { // in words: idx*4 wraps
 		return value{}, fmt.Errorf("ref: index %d out of range (%d bytes)", idx, len(a.buf))
 	}
 	bits := uint32(a.buf[off]) | uint32(a.buf[off+1])<<8 | uint32(a.buf[off+2])<<16 | uint32(a.buf[off+3])<<24
@@ -64,7 +64,7 @@ func (a refArray) load(idx int64) (value, error) {
 
 func (a refArray) store(idx int64, v value) error {
 	off := idx * 4
-	if idx < 0 || off+4 > int64(len(a.buf)) {
+	if uint64(idx) >= uint64(len(a.buf)/4) { // in words: idx*4 wraps
 		return fmt.Errorf("ref: index %d out of range (%d bytes)", idx, len(a.buf))
 	}
 	var bits uint32

@@ -1,5 +1,7 @@
 package vm
 
+import "math"
+
 // Lockstep whole-work-group execution.
 //
 // The engine keeps the work-items of one group partitioned into sets by
@@ -33,6 +35,15 @@ package vm
 type wgAcc struct {
 	id  int32
 	off int32
+}
+
+// wgCol is one entry of the columnar access log. run == 0: the n offsets of
+// one dynamic access of site id, at colBuf[at:at+n]. run > 0: a broadcast —
+// all n items accessed site id at byte offset at, run times in a row as far
+// as that site's own stream goes (the tracker keeps no state across sites, so
+// entries of other sites in between do not matter).
+type wgCol struct {
+	id, at, run int32
 }
 
 // wgSet is an ordered set of work-items whose next block starts at pc.
@@ -97,22 +108,26 @@ type wmach struct {
 
 	// Columnar access log (wgfuse.go era). While colMode — the phase is
 	// still uniform, so every dispatch is the full group — each dynamic
-	// global access is recorded as one contiguous column of n offsets
-	// (colBuf[j*n:(j+1)*n], memID in colIDs[j]) instead of n per-item
-	// stream appends. replayCols consumes the columns directly with the
-	// replayFast math; colFlush transposes them into rec the moment any
+	// global access is recorded as one column of n offsets in colBuf, or as
+	// a broadcast run when every item used one offset (wgCol), instead of n
+	// per-item stream appends. replayCols consumes the entries directly with
+	// the replayFast math; colFlush transposes them into rec the moment any
 	// step needs per-item recording or the phase first partitions, so the
-	// invariant holds: colMode implies rec is empty and the columns, in
-	// order, are exactly every item's program-order access stream.
+	// invariant holds: colMode implies rec is empty and the entries, in
+	// order, are every item's access stream, site by site in program order.
 	colMode bool
-	colIDs  []int32
+	cols    []wgCol
 	colBuf  []int32
 
 	// fuse selects the fused block closures (wgfuse.go) for this group;
-	// resolved once at group entry from SetWGFuse. dynFused / dynStep tally
+	// resolved once at group entry from SetWGFuse and from views, the
+	// arguments' buffers as float32 words (f32View), which the reduction jam
+	// reads: a group with a buffer that has no such view runs per-step, the
+	// reference path that decodes bytes. dynFused / dynStep tally
 	// the body instructions (per work-item) this group executed through
 	// fused closures vs per-step lists; folded into backendCtr at group end.
 	fuse     bool
+	views    [][]float32
 	dynFused int64
 	dynStep  int64
 
@@ -137,6 +152,7 @@ type wmach struct {
 // never retains buffers or stats beyond the work-group that used it.
 func (m *wmach) release() {
 	m.args, m.locals, m.tr, m.st = nil, nil, nil, nil
+	clear(m.views)
 	m.undo, m.err = nil, nil
 }
 
@@ -148,12 +164,12 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	}
 	m := s.wm
 	m.n = n
-	m.ib = sizedI64(m.ib, k.NumI*n)
-	m.fb = sizedF64(m.fb, k.NumF*n)
-	m.steps = sizedI64(m.steps, n)
-	m.lid0 = growI64(m.lid0, n)
-	m.lid1 = growI64(m.lid1, n)
-	m.lid2 = growI64(m.lid2, n)
+	m.ib = sized(m.ib, k.NumI*n)
+	m.fb = sized(m.fb, k.NumF*n)
+	m.steps = sized(m.steps, n)
+	m.lid0 = grow(m.lid0, n)
+	m.lid1 = grow(m.lid1, n)
+	m.lid2 = grow(m.lid2, n)
 	if len(m.priv) != len(k.PrivArrs) {
 		m.priv = make([][]byte, len(k.PrivArrs))
 		m.privSz = make([]int, len(k.PrivArrs))
@@ -176,8 +192,8 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	for t := range m.rec {
 		m.rec[t] = m.rec[t][:0]
 	}
-	m.lastB = growI32(m.lastB, k.NumMemOps*n)
-	m.seenB = sizedBool(m.seenB, k.NumMemOps*n)
+	m.lastB = grow(m.lastB, k.NumMemOps*n)
+	m.seenB = sized(m.seenB, k.NumMemOps*n)
 	m.free = append(m.free, m.work...)
 	m.work = m.work[:0]
 	m.parked, m.done = 0, 0
@@ -188,43 +204,17 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	return m
 }
 
-func sizedI64(s []int64, n int) []int64 {
+// grow returns s with n elements of unspecified content, reallocating only
+// for a larger n; sized also zeroes them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func sizedF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func sizedBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
+func sized[T any](s []T, n int) []T {
+	s = grow(s, n)
 	clear(s)
 	return s
 }
@@ -293,16 +283,24 @@ func (m *wmach) recAcc(t int32, id, off int32) {
 }
 
 // recUniform records one global access all n work-items made at the same
-// offset (a load in a loop's control skeleton, wgloop.go): one column while
-// the phase is columnar, one append per item stream after.
+// offset (a load in a loop's control skeleton, wgloop.go). While the phase is
+// columnar that is O(1): the access extends the site's latest entry when that
+// is a broadcast of the same offset, and starts a new run otherwise. After,
+// it is one append per item stream.
 func (m *wmach) recUniform(id, off int32) {
 	switch {
 	case id < 0:
 	case m.colMode:
-		col := m.colFor(id)
-		for t := range col {
-			col[t] = off
+		for j := len(m.cols) - 1; j >= 0; j-- {
+			if c := &m.cols[j]; c.id == id {
+				if c.run > 0 && c.at == off && c.run < math.MaxInt32 {
+					c.run++
+					return
+				}
+				break
+			}
 		}
+		m.cols = append(m.cols, wgCol{id: id, at: off, run: 1})
 	default:
 		for t := range m.rec {
 			m.rec[t] = append(m.rec[t], wgAcc{id: id, off: off})
@@ -315,9 +313,8 @@ func (m *wmach) recUniform(id, off int32) {
 // item before taking any further column (growing the log can reallocate it
 // and orphan the subslice); only valid while colMode.
 func (m *wmach) colFor(id int32) []int32 {
-	n := m.n
-	j := len(m.colIDs)
-	need := (j + 1) * n
+	at := len(m.colBuf)
+	need := at + m.n
 	if cap(m.colBuf) < need {
 		grown := make([]int32, need, need*2)
 		copy(grown, m.colBuf)
@@ -325,23 +322,27 @@ func (m *wmach) colFor(id int32) []int32 {
 	} else {
 		m.colBuf = m.colBuf[:need]
 	}
-	m.colIDs = append(m.colIDs, id)
-	return m.colBuf[j*n : need]
+	m.cols = append(m.cols, wgCol{id: id, at: int32(at)})
+	return m.colBuf[at:need]
 }
 
-// colFlush transposes the columnar log into the per-item rec streams and
-// leaves columnar mode. Because every access of the phase so far went to a
-// column, appending the columns in order reconstructs each item's exact
-// program-order stream.
+// colFlush transposes the columnar log into the per-item rec streams,
+// expanding broadcast runs, and leaves columnar mode. Because every access of
+// the phase so far went to the log, appending its entries in order
+// reconstructs each item's stream, every site's accesses in program order.
 func (m *wmach) colFlush() {
-	n := m.n
-	for j, id := range m.colIDs {
-		col := m.colBuf[j*n : j*n+n]
-		for t := 0; t < n; t++ {
-			m.rec[t] = append(m.rec[t], wgAcc{id: id, off: col[t]})
+	for _, c := range m.cols {
+		for t := range m.rec {
+			a := wgAcc{id: c.id, off: c.at}
+			if c.run == 0 {
+				a.off = m.colBuf[int(c.at)+t]
+			}
+			for r := int32(0); r < max(c.run, 1); r++ {
+				m.rec[t] = append(m.rec[t], a)
+			}
 		}
 	}
-	m.colIDs = m.colIDs[:0]
+	m.cols = m.cols[:0]
 	m.colBuf = m.colBuf[:0]
 	m.colMode = false
 }
@@ -375,21 +376,27 @@ func (m *wmach) replay() {
 	}
 }
 
-// bookCol books one access column — the offsets at which the n work-items
-// made the same dynamic access of memID id — into the transposed tracker.
-// In a phase that never partitioned every item records the same static
-// access sequence, so the j-th access of every stream shares one memID and
-// one occurrence index. The CPU stride stats depend only on each item's own
-// stream (banked last/seen state), and the warp comparison of item t's
-// access against item t-1's is one of adjacent offsets of the column — so a
-// column-major pass computes the memTracker's exact totals.
-func (m *wmach) bookCol(id int, col []int32) {
+// bookCol books one log entry of memID id into the transposed tracker: the
+// offsets col at which the n work-items made the same dynamic access, or,
+// with col nil, the offset off they all used run times in a row. In a phase
+// that never partitioned every item records the same static access sequence,
+// so the j-th access of every stream shares one memID and one occurrence
+// index. The CPU stride stats depend only on each item's own stream (banked
+// last/seen state), and the warp comparison of item t's access against item
+// t-1's is one of adjacent offsets of the column — so a column-major pass
+// computes the memTracker's exact totals. A broadcast is a column of equal
+// offsets, and each repeat of it is n accesses at distance 0 from the last
+// (Seq) that open one transaction per warp.
+func (m *wmach) bookCol(id int, col []int32, off int32, run int64) {
 	n := m.n
 	lastB := m.lastB[id*n : id*n+n]
 	seenB := m.seenB[id*n : id*n+n]
 	var seq, rand, warp int64
 	var prevOff int32
-	for t, off := range col[:n] {
+	for t := range lastB {
+		if col != nil {
+			off = col[t]
+		}
 		if seenB[t] {
 			d := off - lastB[t]
 			if d < 0 {
@@ -418,9 +425,10 @@ func (m *wmach) bookCol(id int, col []int32) {
 		}
 		prevOff = off
 	}
-	m.st.SeqBytes += 4 * seq
+	warps := int64((n + warpSize - 1) / warpSize)
+	m.st.SeqBytes += 4 * (seq + (run-1)*int64(n))
 	m.st.RandBytes += 4 * rand
-	m.st.WarpTransactions += warp
+	m.st.WarpTransactions += warp + (run-1)*warps
 }
 
 // replayFast is the transposed replay for phases that never partitioned but
@@ -428,13 +436,13 @@ func (m *wmach) bookCol(id int, col []int32) {
 // into a column (the column log is empty by then and lends its buffer).
 func (m *wmach) replayFast() {
 	n := m.n
-	col := growI32(m.colBuf, n)
+	col := grow(m.colBuf, n)
 	m.colBuf = col[:0]
 	for j, a := range m.rec[0] {
 		for t := range col {
 			col[t] = m.rec[t][j].off
 		}
-		m.bookCol(int(a.id), col)
+		m.bookCol(int(a.id), col, 0, 1)
 	}
 	for t := 0; t < n; t++ {
 		m.rec[t] = m.rec[t][:0]
@@ -445,13 +453,17 @@ func (m *wmach) replayFast() {
 }
 
 // replayCols is the transposed replay for phases that never left columnar
-// mode: the j-th column already is the j-th access of every item.
+// mode: the j-th entry already is the j-th access, or run of accesses, of
+// every item.
 func (m *wmach) replayCols() {
-	n := m.n
-	for j, id := range m.colIDs {
-		m.bookCol(int(id), m.colBuf[j*n:j*n+n])
+	for _, c := range m.cols {
+		if c.run == 0 {
+			m.bookCol(int(c.id), m.colBuf[c.at:int(c.at)+m.n], 0, 1)
+		} else {
+			m.bookCol(int(c.id), nil, c.at, int64(c.run))
+		}
 	}
-	m.colIDs = m.colIDs[:0]
+	m.cols = m.cols[:0]
 	m.colBuf = m.colBuf[:0]
 	clear(m.seenB)
 }
@@ -475,6 +487,12 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.undo = opts.Undo
 	m.maxSteps = maxSteps
 	m.fuse = WGFuseEnabled()
+	m.views = m.views[:0]
+	for _, a := range args {
+		v, ok := f32View(a.Buf)
+		m.views = append(m.views, v)
+		m.fuse = m.fuse && ok
+	}
 	m.dynFused, m.dynStep = 0, 0
 	m.loopBatches, m.loopTrips, m.loopNonuniform = 0, 0, 0
 
@@ -538,7 +556,7 @@ func (m *wmach) runGroup() error {
 		m.uniform = true
 		m.booked = false
 		m.colMode = true
-		m.colIDs = m.colIDs[:0]
+		m.cols = m.cols[:0]
 		m.colBuf = m.colBuf[:0]
 		s := m.takeSet(entry)
 		for t := 0; t < n; t++ {

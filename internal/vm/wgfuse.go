@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -376,12 +375,12 @@ type wgFactor struct {
 	name       string
 }
 
-// wgRedTerm is one multiply-accumulate term over the next nf loads of the
-// plan: accs[acc] += [seed *] v0 * v1 * ...
+// wgRedTerm is one multiply-accumulate term over the nf loads of the plan
+// from li on: accs[acc] += [seed *] v0 * v1 * ...
 type wgRedTerm struct {
-	seed int // float register the product starts from; -1 when seedless
-	acc  int // index into wgReduce.accs (terms may share an accumulator)
-	nf   int
+	seed   int // float register the product starts from; -1 when seedless
+	acc    int // index into wgReduce.accs (terms may share an accumulator)
+	li, nf int
 }
 
 // wgReduce is the parsed plan of one reduction-chain body.
@@ -391,6 +390,7 @@ type wgReduce struct {
 	terms [wgMaxTerms]wgRedTerm
 	nAcc  int
 	accs  [wgMaxTerms]int // distinct accumulator registers
+	pair  [wgMaxTerms]int // per accumulator: its only term when that has two factors, else -1
 	ni    int
 	ctrs  [wgMaxIncs]int
 	imms  [wgMaxIncs]int64
@@ -451,7 +451,7 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 		return (seedsF|accF)&wgBit(r) == 0
 	}
 	for pc < end && !k.opsAt(pc, end, wgIncOps...) {
-		tm := wgRedTerm{seed: -1}
+		tm := wgRedTerm{seed: -1, li: p.nLoads}
 		cur := int32(-1) // register holding the running product
 		if fmv := code[pc]; fmv.Op == opFMOV {
 			wired((scratchF|accF)&wgBit(fmv.B) == 0, pc)
@@ -566,6 +566,15 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 			f.sx, f.sy = inc[f.idx.x], inc[f.idx.y]
 		}
 	}
+	var own [wgMaxTerms]int // terms per accumulator
+	for ti := 0; ti < p.nt; ti++ {
+		tm := &p.terms[ti]
+		if own[tm.acc]++; own[tm.acc] == 1 && tm.nf == 2 {
+			p.pair[tm.acc] = ti
+		} else {
+			p.pair[tm.acc] = -1
+		}
+	}
 	p.loop = k.wgLoopFor(wg, blk, p, ctrsI)
 	return p.run, wgNoFuse{}
 }
@@ -603,23 +612,26 @@ func (p *wgReduce) run(m *wmach) bool {
 }
 
 // trips executes T consecutive trips of the body for the whole group,
-// item-major: per work-item every index is strength-reduced to base +
-// j*stride (bounds-checked on every access all the same), the trips run in
-// program order with the explicit float32 roundings of the per-step path,
-// and the locality of each access site is booked in closed form against the
-// transposed tracker state. With T = 1 it is the plain fused body.
+// item-major. Per work-item every index is strength-reduced to base +
+// j*stride and proven in range for all T trips before the first one runs
+// (wgFirstOut; the body stores nothing, so reporting the trap a lane would
+// hit before running the lane is unobservable); the proven trips then run in
+// program order over []float32 views of the buffers, with the explicit
+// float32 roundings of the per-step path, and the locality of each access
+// site is booked in closed form against the transposed tracker state. With
+// T = 1 it is the plain fused body.
 func (p *wgReduce) trips(m *wmach, T int64) bool {
 	n, nl := m.n, p.nLoads
 	ib, fb := m.ib, m.fb
-	var bufs [wgMaxLoads][]byte
+	var views [wgMaxLoads][]float32
 	for li := 0; li < nl; li++ {
-		bufs[li] = m.args[p.loads[li].slot].Buf
+		views[li] = m.views[p.loads[li].slot]
 	}
-	pair := p.nt == 1 && nl == 2 // SYRK, 2MM, BICG, corr_kernel4: a hoisted inner loop
 	var seq, rnd, warp int64
 	var base, stride, pbase, pstride [wgMaxLoads]int64
-	var seeds, acc [wgMaxTerms]float32
+	var seeds [wgMaxTerms]float32
 	for t := 0; t < n; t++ {
+		failJ, failLi := T, 0 // the least (trip, load) in program order that traps
 		for li := 0; li < nl; li++ {
 			f := &p.loads[li]
 			b, s := ib[f.idx.z*n+t], f.sz
@@ -629,69 +641,32 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 				s += f.sx*y + x*f.sy
 			}
 			base[li], stride[li] = b, s
+			if j := wgFirstOut(b, s, failJ, uint64(len(views[li]))); j < failJ {
+				failJ, failLi = j, li
+			}
+		}
+		if failJ < T {
+			f := &p.loads[failLi]
+			m.err = wgLoadErr(p.kname, f, base[failLi]+failJ*stride[failLi], len(m.args[f.slot].Buf))
+			return false
 		}
 		for ti := 0; ti < p.nt; ti++ {
 			if sd := p.terms[ti].seed; sd >= 0 {
 				seeds[ti] = float32(fb[sd*n+t])
 			}
 		}
+		// Accumulator-major: nothing but its own terms touches an accumulator,
+		// so each runs all T trips of them with its value in a register.
 		for a := 0; a < p.nAcc; a++ {
-			acc[a] = float32(fb[p.accs[a]*n+t])
-		}
-		if pair {
-			buf0, buf1 := bufs[0], bufs[1]
-			i0, i1, s0, s1 := base[0], base[1], stride[0], stride[1]
-			seeded, sd, a := p.terms[0].seed >= 0, seeds[0], acc[0]
-			for j := int64(0); j < T; j++ {
-				off0 := i0 * 4
-				if i0 < 0 || off0+4 > int64(len(buf0)) {
-					m.err = wgLoadErr(p.kname, &p.loads[0], i0, len(buf0))
-					return false
-				}
-				pr := math.Float32frombits(binary.LittleEndian.Uint32(buf0[off0:]))
-				if seeded {
-					pr = float32(sd * pr)
-				}
-				off1 := i1 * 4
-				if i1 < 0 || off1+4 > int64(len(buf1)) {
-					m.err = wgLoadErr(p.kname, &p.loads[1], i1, len(buf1))
-					return false
-				}
-				v := math.Float32frombits(binary.LittleEndian.Uint32(buf1[off1:]))
-				a = float32(a + float32(pr*v))
-				i0 += s0
-				i1 += s1
+			acc := float32(fb[p.accs[a]*n+t])
+			if ti := p.pair[a]; ti >= 0 { // SYRK, 2MM, BICG, corr_kernel4; GESUMMV twice
+				li := p.terms[ti].li
+				acc = wgDotPair(views[li], views[li+1], base[li], stride[li], base[li+1], stride[li+1], T,
+					p.terms[ti].seed >= 0, seeds[ti], acc)
+			} else {
+				acc = p.chain(a, &views, base, &stride, &seeds, acc, T)
 			}
-			acc[0] = a
-		} else {
-			cur := base
-			for j := int64(0); j < T; j++ {
-				li := 0
-				for ti := 0; ti < p.nt; ti++ {
-					tm := &p.terms[ti]
-					seeded, pr := tm.seed >= 0, seeds[ti]
-					for fi := 0; fi < tm.nf; fi++ {
-						idx, buf := cur[li], bufs[li]
-						off := idx * 4
-						if idx < 0 || off+4 > int64(len(buf)) {
-							m.err = wgLoadErr(p.kname, &p.loads[li], idx, len(buf))
-							return false
-						}
-						v := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-						if seeded || fi > 0 {
-							pr = float32(pr * v)
-						} else {
-							pr = v
-						}
-						cur[li] = idx + stride[li]
-						li++
-					}
-					acc[tm.acc] = float32(acc[tm.acc] + pr)
-				}
-			}
-		}
-		for a := 0; a < p.nAcc; a++ {
-			fb[p.accs[a]*n+t] = float64(acc[a])
+			fb[p.accs[a]*n+t] = float64(acc)
 		}
 		// Closed-form locality (DESIGN.md S20): every access succeeded, so
 		// consecutive offsets of one site differ by exactly 4*stride.
@@ -748,6 +723,83 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 	st.RandBytes += 4 * rnd
 	st.WarpTransactions += warp
 	return true
+}
+
+// wgFirstOut returns the first trip j in [0, T) whose index b + j*s leaves a
+// buffer of W words, or T when none does. The indices are monotone in j, so
+// all are inside iff the first and the last are — decided without a division
+// when T and |s| are at most 2^31: b is inside [0, W) by then and W < 2^61,
+// so b + (T-1)*s cannot wrap. Beyond that bound, and for a lane that does
+// leave, the first failing trip is the closed form; every quotient is below
+// W, and the index the caller reports, b + j*s modulo 2^64, is the per-step
+// path's own arithmetic.
+func wgFirstOut(b, s, T int64, W uint64) int64 {
+	const lim = 1 << 31
+	j := T
+	switch {
+	case uint64(b) >= W:
+		j = 0
+	case T <= lim && -lim <= s && s <= lim && uint64(b+(T-1)*s) < W:
+	case s > 0:
+		j = int64((W-1-uint64(b))/uint64(s)) + 1
+	case s < 0: // uint64(-s) is |s| for MinInt64 too
+		j = int64(uint64(b)/uint64(-s)) + 1
+	}
+	return min(j, T)
+}
+
+// wgDotPair runs T proven trips of a += [sd *] x[i] * y[k], i and k advancing
+// by sx and sy per trip. Unit strides walk two equal-length sub-slices, which
+// the compiler checks once; other strides keep the cursors in registers.
+func wgDotPair(x, y []float32, i, sx, k, sy, T int64, seeded bool, sd, a float32) float32 {
+	if sx == 1 && sy == 1 {
+		xs := x[i : i+T]
+		ys := y[k : k+T][:len(xs)]
+		for j, v := range xs {
+			if seeded {
+				v = float32(sd * v)
+			}
+			a = float32(a + float32(v*ys[j]))
+		}
+		return a
+	}
+	for ; T > 0; T-- {
+		v := x[i]
+		if seeded {
+			v = float32(sd * v)
+		}
+		a = float32(a + float32(v*y[k]))
+		i += sx
+		k += sy
+	}
+	return a
+}
+
+// chain runs T proven trips of the terms that accumulate into accs[ai], of
+// any arity: per trip those terms in program order (SYR2K's two share one
+// accumulator), each the product of its loads, the cursors advancing by their
+// strides.
+func (p *wgReduce) chain(ai int, views *[wgMaxLoads][]float32, cur [wgMaxLoads]int64, stride *[wgMaxLoads]int64, seeds *[wgMaxTerms]float32, a float32, T int64) float32 {
+	for ; T > 0; T-- {
+		for ti := 0; ti < p.nt; ti++ {
+			tm := &p.terms[ti]
+			if tm.acc != ai {
+				continue
+			}
+			lo, hi := tm.li, tm.li+tm.nf
+			pr := views[lo][cur[lo]]
+			if tm.seed >= 0 {
+				pr = float32(seeds[ti] * pr)
+			}
+			cur[lo] += stride[lo]
+			for li := lo + 1; li < hi; li++ {
+				pr = float32(pr * views[li][cur[li]])
+				cur[li] += stride[li]
+			}
+			a = float32(a + pr)
+		}
+	}
+	return a
 }
 
 // wgCoalesced counts the trips j in [0, T) on which two adjacent lanes'

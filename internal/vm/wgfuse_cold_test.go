@@ -1,9 +1,11 @@
 package vm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"fluidicl/internal/clc"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/vm"
 )
 
@@ -63,12 +65,14 @@ const coldLoopSrc = `
 __kernel void cold(__global float* out, __global float* in, __global int* st, int m) {
     int g = get_global_id(0);
     float acc = 0.5f;
+    int p = 0;
     for (int k = 0; (k < m); )
     {
-        if (((st[0] == 1) && (k >= st[1])))
+        if (((st[p] == 1) && (k >= st[1])))
         {
             return;
         }
+        p = (p + %s);
         for (int u = 0; (u < 4); u = (u + 1))
         {
             if ((!(k < m)))
@@ -86,37 +90,57 @@ __kernel void cold(__global float* out, __global float* in, __global int* st, in
 // closure: the first work-group a fresh scratch machine executes grows the
 // column log from nothing, one skeleton load at a time, while the closure
 // holds no other column — for a few trips and for enough of them that the
-// log reallocates several times. Stats must match the interpreter's.
+// log reallocates several times. With step 0 both polled words stay put, so
+// each site logs one broadcast run however many trips there are; with step 1
+// the first poll walks up the status buffer, a new run per poll. The
+// original source and its GPU variant (which polls fcl_status besides) must
+// match the interpreter's Stats.
 func TestWGLoopColdScratchUniformLoads(t *testing.T) {
 	const n = 64
 	nd := vm.NewNDRange1D(n, 32)
-	for _, m := range []int{3, 40, 1000} {
-		run := func(be vm.Backend) vm.Stats {
-			ki, err := clc.FindKernelInfo(coldLoopSrc, "cold")
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := vm.Compile(ki) // a fresh kernel: cold scratch pool
-			if err != nil {
-				t.Fatal(err)
-			}
-			status := make([]byte, 8)
-			status[0] = 1 // st[0] == 1 sends every check on to st[1] = 1<<24, which k never reaches
-			status[7] = 1
-			args := []vm.Arg{vm.BufArg(make([]byte, 4*n)), vm.BufArg(make([]byte, 4*n*m)), vm.BufArg(status), vm.IntArg(int64(m))}
-			st, err := k.ExecLaunch(nd, args, vm.ExecOpts{Backend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
+	type variant struct {
+		name, src string
+		extra     []vm.Arg
+	}
+	var variants []variant
+	for _, step := range []string{"0", "1"} {
+		src := fmt.Sprintf(coldLoopSrc, step)
+		gpu, _, err := vm.TransformedSources(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		before := vm.BackendSnapshot().WGLoopBatchesDyn
-		stW := run(vm.BackendWG)
-		if vm.BackendSnapshot().WGLoopBatchesDyn == before {
-			t.Errorf("m=%d: the wg pass ran no loop closure", m)
-		}
-		if stI := run(vm.BackendInterp); stW != stI {
-			t.Errorf("m=%d: stats diverge on cold scratch:\n  wg     %+v\n  interp %+v", m, stW, stI)
+		variants = append(variants, variant{"step " + step, src, nil},
+			variant{"step " + step + ", gpu variant", gpu, vm.GPUAbortArgs(1, passes.NoCPUWork)})
+	}
+	for _, v := range variants {
+		for _, m := range []int{3, 40, 1000} {
+			run := func(be vm.Backend) vm.Stats {
+				ki, err := clc.FindKernelInfo(v.src, "cold")
+				if err != nil {
+					t.Fatal(err)
+				}
+				k, err := vm.Compile(ki) // a fresh kernel: cold scratch pool
+				if err != nil {
+					t.Fatal(err)
+				}
+				status := make([]byte, 4*(2+m/4))
+				status[0] = 1 // st[0] == 1 sends the first check on to st[1] = 1<<24, which k never reaches
+				status[7] = 1
+				args := append([]vm.Arg{vm.BufArg(make([]byte, 4*n)), vm.BufArg(make([]byte, 4*n*m)), vm.BufArg(status), vm.IntArg(int64(m))}, v.extra...)
+				st, err := k.ExecLaunch(nd, args, vm.ExecOpts{Backend: be})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			before := vm.BackendSnapshot().WGLoopBatchesDyn
+			stW := run(vm.BackendWG)
+			if vm.BackendSnapshot().WGLoopBatchesDyn == before {
+				t.Errorf("%s, m=%d: the wg pass ran no loop closure", v.name, m)
+			}
+			if stI := run(vm.BackendInterp); stW != stI {
+				t.Errorf("%s, m=%d: stats diverge on cold scratch:\n  wg     %+v\n  interp %+v", v.name, m, stW, stI)
+			}
 		}
 	}
 }

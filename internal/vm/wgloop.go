@@ -45,11 +45,22 @@ func (r WGLoopReject) String() string { return wgLoopRejectNames[r] }
 
 // wgLoop is the loop-level plan around one fused body.
 type wgLoop struct {
-	head *wblock
-	inS  []bool // by leader pc: the block belongs to the skeleton
-	nS   int
 	defs uint64 // int registers the skeleton's instructions define
 	uni  uint64 // int registers the skeleton reads before defining them
+	// prog is the skeleton lowered for the walk: the head at index 0, then
+	// its blocks.
+	prog []wgSBlock
+}
+
+// wgSBlock is one block of a lowered skeleton: what one execution of its body
+// adds to a lane's Stats and defines, and its successors as indices into
+// wgLoop.prog (^pc for a block outside the skeleton).
+type wgSBlock struct {
+	blk           *wblock
+	body          []Instr // of k.Code; the head's is the jam's and stays nil
+	intOps, loads int64
+	defs          uint64
+	tgt, next     int
 }
 
 // succs returns the terminator's successor leader pcs, -1 for none (a
@@ -118,27 +129,50 @@ func (k *Kernel) wgSkeleton(wg *wgProgram, head *wblock) *wgLoop {
 		return nil
 	}
 	// Backward: keep those that lead back to head through kept blocks.
-	lp := &wgLoop{head: head, inS: make([]bool, n)}
-	back := func(pc int) bool { return pc == head.start || pc >= 0 && lp.inS[pc] }
+	lp := &wgLoop{prog: []wgSBlock{{blk: head}}}
+	inS := make([]bool, n) // by leader pc: the block belongs to the skeleton
+	back := func(pc int) bool { return pc == head.start || pc >= 0 && inS[pc] }
 	for grew := true; grew; {
 		grew = false
 		for _, pc := range order {
-			if sc := wg.blocks[pc].term.succs(); !lp.inS[pc] && (back(sc[0]) || back(sc[1])) {
-				lp.inS[pc] = true
-				lp.nS++
+			if sc := wg.blocks[pc].term.succs(); !inS[pc] && (back(sc[0]) || back(sc[1])) {
+				inS[pc] = true
 				grew = true
 			}
 		}
 	}
+	at := map[int]int{head.start: 0} // leader pc -> index into prog
 	for _, pc := range order {
-		if lp.inS[pc] {
-			for _, in := range k.Code[pc:wg.blocks[pc].body] {
+		if inS[pc] {
+			b := wgSBlock{blk: wg.blocks[pc]}
+			b.body = k.Code[pc:b.blk.body]
+			for _, in := range b.body {
 				_, _, id, _ := wgUseDef(in)
-				lp.defs |= id
+				b.defs |= id
+				switch in.Op {
+				case opNop, opLDI, opIMOV:
+				case opLDGI:
+					b.loads++
+				default:
+					b.intOps++
+				}
 			}
+			lp.defs |= b.defs
+			at[pc] = len(lp.prog)
+			lp.prog = append(lp.prog, b)
 		}
 	}
-	iIn, _, _ := k.wgLiveness(wg, lp.inS)
+	idx := func(pc int) int {
+		if i, ok := at[pc]; ok {
+			return i
+		}
+		return ^pc
+	}
+	for i := range lp.prog {
+		b := &lp.prog[i]
+		b.tgt, b.next = idx(b.blk.term.tgt), idx(b.blk.term.next)
+	}
+	iIn, _, _ := k.wgLiveness(wg, inS)
 	lp.uni = iIn[succ]
 	return lp
 }
@@ -177,7 +211,7 @@ func (k *Kernel) wgLoopFor(wg *wgProgram, head *wblock, p *wgReduce, ctrs uint64
 		for v := lp.uni; v != 0; v &= v - 1 {
 			fmt.Fprintf(&regs, " r%d", bits.TrailingZeros64(v))
 		}
-		note = fmt.Sprintf("wg.loop-fuse (skeleton %d blocks; uniform%s)", lp.nS, regs.String())
+		note = fmt.Sprintf("wg.loop-fuse (skeleton %d blocks; uniform%s)", len(lp.prog)-1, regs.String())
 	case WGLoopRejNoCycle:
 		note, lp = "wg.loop-nofuse (no-cycle)", nil
 	default:
@@ -215,60 +249,85 @@ func (lp *wgLoop) uniform(m *wmach, r *[64]int64) bool {
 // in m.err and ok is false.
 func (lp *wgLoop) walk(m *wmach, r *[64]int64, ctrs []int, imms []int64) (trips int64, exit int, defd uint64, ok bool) {
 	k := m.k
-	code, blocks, head := k.Code, k.wg.blocks, lp.head
 	var intOps, branches, loads, instrs int64
-	pc := head.start
-	for pc == head.start || lp.inS[pc] {
-		blk := blocks[pc]
+	bi := 0
+	for bi >= 0 {
+		b := &lp.prog[bi]
+		blk := b.blk
 		if trips > 0 {
 			if !m.charge(blk) {
 				return 0, 0, 0, false
 			}
 			instrs += int64(blk.body - blk.start)
 		}
-		if pc == head.start {
+		if bi == 0 {
 			trips++
 			for i, c := range ctrs {
 				r[c] += imms[i]
 			}
 		} else {
-			for ipc := blk.start; ipc < blk.body; ipc++ {
-				in := &code[ipc]
+			for i := range b.body {
+				in := &b.body[i]
+				x, y := r[in.B&63], r[in.C&63] // whatever the opcode does not read is ignored
 				switch in.Op {
 				case opNop:
 					continue
 				case opLDI:
-					r[in.A&63] = in.IImm
+					x = in.IImm
 				case opIMOV:
-					r[in.A&63] = r[in.B&63]
 				case opLDGI:
 					buf := m.args[in.B].Buf
-					off, err := byteOff(r[in.C&63], len(buf))
+					off, err := byteOff(y, len(buf))
 					if err != nil {
-						m.err = &execError{k.Name, ipc, fmt.Sprintf("load %s: %v", k.Params[in.B].Name, err)}
+						m.err = &execError{k.Name, blk.start + i, fmt.Sprintf("load %s: %v", k.Params[in.B].Name, err)}
 						return 0, 0, 0, false
 					}
-					r[in.A&63] = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
+					x = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
 					m.st.noteGlobalRead(in.B)
 					m.recUniform(in.D, off)
-					loads++
-				default:
-					r[in.A&63] = wgScalarALU(in.Op, r[in.B&63], r[in.C&63])
-					intOps++
+				case opIADD:
+					x += y
+				case opISUB:
+					x -= y
+				case opIMUL:
+					x *= y
+				case opINEG:
+					x = -x
+				case opIMIN:
+					x = min(x, y)
+				case opIMAX:
+					x = max(x, y)
+				case opNOTB:
+					x = b2i(x == 0)
+				case opILT:
+					x = b2i(x < y)
+				case opILE:
+					x = b2i(x <= y)
+				case opIGT:
+					x = b2i(x > y)
+				case opIGE:
+					x = b2i(x >= y)
+				case opIEQ:
+					x = b2i(x == y)
+				case opINE:
+					x = b2i(x != y)
 				}
-				defd |= 1 << uint(in.A&63)
+				r[in.A&63] = x
 			}
+			intOps += b.intOps
+			loads += b.loads
+			defd |= b.defs
 		}
-		switch t := blk.term; t.kind {
+		switch t := &blk.term; t.kind {
 		case wtFall:
-			pc = t.next
+			bi = b.next
 		case wtJmp:
 			branches++
-			pc = t.tgt
+			bi = b.tgt
 		default: // wtCond: the head never ends in one, skeleton blocks end in nothing else
 			branches++
-			if pc = t.next; (r[t.condReg&63] == 0) == t.jz {
-				pc = t.tgt
+			if bi = b.next; (r[t.condReg&63] == 0) == t.jz {
+				bi = b.tgt
 			}
 		}
 	}
@@ -279,27 +338,5 @@ func (lp *wgLoop) walk(m *wmach, r *[64]int64, ctrs []int, imms []int64) (trips 
 	st.Branches += branches * n
 	st.GlobalLoads += loads * n
 	st.GlobalLoadBytes += 4 * loads * n
-	return trips, pc, defd, true
-}
-
-// wgScalarALU evaluates one scalar-safe int ALU opcode; unary opcodes
-// ignore y.
-func wgScalarALU(op Op, x, y int64) int64 {
-	switch op {
-	case opIADD:
-		return x + y
-	case opISUB:
-		return x - y
-	case opIMUL:
-		return x * y
-	case opINEG:
-		return -x
-	case opIMIN:
-		return min(x, y)
-	case opIMAX:
-		return max(x, y)
-	case opNOTB:
-		return b2i(x == 0)
-	}
-	return b2i(intCmpFn(op)(x, y))
+	return trips, ^bi, defd, true
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -150,9 +151,58 @@ __kernel void t(__global float* out, __global float* in, __global int* ib, int n
     for (int k = 0; k < 9; k++) { acc += in[g * rs + k] * in[k]; }
     out[g] = acc + (float)s;
 }`},
+		// The skeleton's uniform loads are logged as broadcast runs, merged per
+		// site while the offset repeats (pollLoop; passes.TransformGPU adds its
+		// own polls of fcl_status on top). Here one site alternates between two
+		// offsets, so every run has length one.
+		{name: "uniform loads alternating between two offsets", batched: true, src: loopSig + `
+    float acc = in[g];
+    int p = 0;
+` + pollLoop("ib[p]", "p = (1 - p);", 13) + `
+    out[g] = acc;
+}`},
+		{name: "a broadcast run flushed when the phase leaves columnar mode", batched: true, src: loopSig + `
+    float acc = in[g];
+` + pollLoop("ib[0]", "", 13) + `
+    int s = ib[l * rs + l];
+` + pollLoop("ib[0]", "", 7) + `
+    out[g] = acc + (float)s;
+}`},
+		{name: "a broadcast run across two entries of the loop", batched: true, src: loopSig + `
+    for (int o = 0; o < 3; o++) {
+        float acc = 0.25f;
+` + pollLoop("ib[2]", "", 6) + `
+        out[g * 4 + o] = acc;
+    }
+}`},
 	} {
 		runLoopCase(t, c)
 	}
+}
+
+// pollLoop is a reduction loop of m trips over acc in the shape
+// passes.TransformGPU produces: every fourth trip polls a status word — here
+// the uniform load poll, never 99, followed by step — so the load sits in the
+// loop's control skeleton.
+func pollLoop(poll, step string, m int) string {
+	return fmt.Sprintf(`    for (int k = 0; (k < %[3]d); )
+    {
+        if (((%[1]s == 99) && (k >= ib[1])))
+        {
+            out[g + 200] = 1.0f;
+            return;
+        }
+        %[2]s
+        for (int u = 0; (u < 4); u = (u + 1))
+        {
+            if ((!(k < %[3]d)))
+            {
+                break;
+            }
+            acc += in[g * rs + k] * in[k];
+            k = (k + 1);
+        }
+    }`, poll, step, m)
 }
 
 // TestWGLoopVerdicts: every way a fused reduction body is kept off the loop
@@ -211,6 +261,24 @@ func TestWGLoopVerdicts(t *testing.T) {
     int rb = 17;
     for (int k = 0; k < 7; k++) { acc += in[k * ra + g] * in[k * rb + g]; }
     out[g] = acc;
+}`},
+		// Each accumulator runs the trips of its own terms: two terms around
+		// a third one's, whose accumulator has a single load; and two
+		// two-factor terms on an accumulator each (GESUMMV's shape).
+		{name: "terms interleaved over two accumulators", verdict: "wg.loop-fuse (", batched: true, src: loopSig + `
+    float acc = in[g];
+    float sum = 0.5f;
+    int h = g + 1;
+    for (int k = 0; k < 7; k++) { acc += in[g * rs + k] * in[k]; sum += in[k * rt + g]; acc += in[k] * in[h]; }
+    out[g] = acc;
+    out[g + 64] = sum;
+}`},
+		{name: "one two-factor term per accumulator", verdict: "wg.loop-fuse (", batched: true, src: loopSig + `
+    float acc = in[g];
+    float sum = 0.5f;
+    for (int k = 0; k < 7; k++) { acc += in[g * rs + k] * in[k]; sum += in[k * rt + g] * in[k]; }
+    out[g] = acc;
+    out[g + 64] = sum;
 }`},
 		// Adjacent lanes' accesses start one word apart and drift by one more
 		// per trip, so they coalesce on the first trips only.
@@ -313,5 +381,42 @@ func TestWGLoopWalkExits(t *testing.T) {
 		if errs[0] == nil && (sts[0] != sts[1] || outs[0] != outs[1]) {
 			t.Fatalf("MaxSteps %d: results diverge\ninterp %+v\nwg     %+v", budget, sts[0], sts[1])
 		}
+	}
+}
+
+// TestWGUniformLoadRuns pins the merge rule of the columnar log's broadcast
+// entries: an access extends its site's latest entry when that is a
+// broadcast of the same offset — entries of other sites in between do not
+// matter, a column or another offset of its own site ends the run — and
+// colFlush expands every run into each item's stream.
+func TestWGUniformLoadRuns(t *testing.T) {
+	m := &wmach{n: 2, colMode: true, rec: make([][]wgAcc, 2)}
+	for i := 0; i < 5; i++ {
+		m.recUniform(3, 8)
+	}
+	m.recUniform(4, 0)
+	m.recUniform(-1, 0) // an untracked site logs nothing
+	m.recUniform(3, 8)
+	m.recUniform(3, 12)
+	m.recUniform(3, 8)
+	copy(m.colFor(4), []int32{16, 20})
+	m.recUniform(4, 0)
+	want := []wgCol{{3, 8, 6}, {4, 0, 1}, {3, 12, 1}, {3, 8, 1}, {4, 0, 0}, {4, 0, 1}}
+	if fmt.Sprint(m.cols) != fmt.Sprint(want) {
+		t.Fatalf("log %v, want %v", m.cols, want)
+	}
+	m.colFlush()
+	for lane, offs := range [][]int32{{16}, {20}} {
+		var want []wgAcc
+		for i := 0; i < 6; i++ {
+			want = append(want, wgAcc{3, 8})
+		}
+		want = append(want, wgAcc{4, 0}, wgAcc{3, 12}, wgAcc{3, 8}, wgAcc{4, offs[0]}, wgAcc{4, 0})
+		if fmt.Sprint(m.rec[lane]) != fmt.Sprint(want) {
+			t.Errorf("item %d stream %v, want %v", lane, m.rec[lane], want)
+		}
+	}
+	if m.colMode || len(m.cols) != 0 {
+		t.Error("colFlush left the log in columnar mode")
 	}
 }

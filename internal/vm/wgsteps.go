@@ -1109,7 +1109,7 @@ func (k *Kernel) wsuperAffLoad(pc int, withFMul, withFAdd bool) wstep {
 				idx := sA[t] + tA[t]
 				rA[t] = idx
 				off := idx * 4
-				if idx < 0 || off+4 > int64(len(buf)) {
+				if oob(idx, len(buf)) {
 					m.err = &execError{kname, ldPC, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 					return false
 				}
@@ -1136,7 +1136,7 @@ func (k *Kernel) wsuperAffLoad(pc int, withFMul, withFAdd bool) wstep {
 				idx := ib[ab*n+t] + ib[ac*n+t]
 				ib[aa*n+t] = idx
 				off := idx * 4
-				if idx < 0 || off+4 > int64(len(buf)) {
+				if oob(idx, len(buf)) {
 					m.err = &execError{kname, ldPC, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 					return false
 				}
@@ -1200,7 +1200,7 @@ func (k *Kernel) wsuperLoadFMul(pc int) wstep {
 			for t := range sl {
 				idx := sl[t]
 				off := idx * 4
-				if idx < 0 || off+4 > int64(len(buf)) {
+				if oob(idx, len(buf)) {
 					m.err = &execError{kname, pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 					return false
 				}
@@ -1217,7 +1217,7 @@ func (k *Kernel) wsuperLoadFMul(pc int) wstep {
 				t := int(ti)
 				idx := ib[lc*n+t]
 				off := idx * 4
-				if idx < 0 || off+4 > int64(len(buf)) {
+				if oob(idx, len(buf)) {
 					m.err = &execError{kname, pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", name, idx, len(buf))}
 					return false
 				}
