@@ -38,7 +38,7 @@ func main() {
 	jsonOut := flag.String("jsonout", "", "write per-table wall-clock times as JSON to this file")
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
 	dist := flag.Bool("dist", false, "print the per-benchmark CPU/GPU work-distribution table (paper §5.5)")
-	backend := flag.String("backend", "", "work-group execution backend: interp, closure, or wg (default wg, or $FLUIDICL_BACKEND)")
+	backend := flag.String("backend", "", "work-group execution backend: interp or wg (default wg, or $FLUIDICL_BACKEND)")
 	topology := flag.String("topology", "", "N-device topology for -trace, -dist and hash, e.g. cpu+gpu, 2cpu+2gpu, 4gpu-bus (default: the paper's cpu+gpu machine)")
 	flag.Usage = usage
 	flag.Parse()
@@ -53,7 +53,8 @@ func main() {
 	if *backend != "" {
 		b, err := vm.ParseBackend(*backend)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(os.Stderr, "fluidibench: -backend:", err)
+			os.Exit(2)
 		}
 		vm.SetBackend(b)
 	}
@@ -420,7 +421,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `fluidibench — regenerate the FluidiCL paper's tables and figures
 
 usage:
-  fluidibench [-csv] [-quick] [-parallel N] [-backend interp|closure|wg] [-jsonout F] <experiment>|all
+  fluidibench [-csv] [-quick] [-parallel N] [-backend interp|wg] [-jsonout F] <experiment>|all
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
   fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)
@@ -429,7 +430,8 @@ usage:
   fluidibench dump <benchmark>    # transformed sources + GPU- and CPU-variant bytecode disassembly
   fluidibench list
 
--backend selects the work-group execution engine: default wg, or $FLUIDICL_BACKEND.
+-backend selects the work-group execution engine: default wg, or $FLUIDICL_BACKEND;
+interp is the bytecode interpreter wg falls back to, selectable as a referee.
 
 experiments: %v
 extras: %v

@@ -2,14 +2,60 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fluidicl/internal/vm"
 )
+
+// TestMain lets a test run the command itself: with FLUIDIBENCH_ARGS set, the
+// test binary is fluidibench with those arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("FLUIDIBENCH_ARGS"); ok {
+		os.Args = append([]string{"fluidibench"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestExitStatus pins the command's exit statuses: 0 on success, 1 on a
+// runtime error, 2 when the engine asked for — by flag or by environment —
+// is none the command has, the retired closure engine included.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args, env string
+		want      int
+	}{
+		{"list", "", 0},
+		{"nosuch", "", 1},
+		{"-backend closure list", "", 2},
+		{"list", "FLUIDICL_BACKEND=closure", 2},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)
+		if c.env != "" {
+			cmd.Env = append(cmd.Env, c.env)
+		}
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		if got := cmd.ProcessState.ExitCode(); got != c.want {
+			t.Errorf("%s fluidibench %s: exit status %d, want %d\n%s", c.env, c.args, got, c.want, out)
+		}
+		if c.want == 2 && !strings.Contains(string(out), "want interp or wg") {
+			t.Errorf("%s fluidibench %s: the error does not list the engines:\n%s", c.env, c.args, out)
+		}
+	}
+}
 
 // TestJSONOutMatchesTopologyMatrixGolden pins the -jsonout record of
 //

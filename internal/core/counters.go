@@ -51,7 +51,7 @@ type counterRef struct {
 
 // refs lists every counter of c in emission order. It is the single field
 // list behind Each, Sub and AccumulateGlobal.
-func (c *Counters) refs() [42]counterRef {
+func (c *Counters) refs() [40]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
 		{"prime_copies_elided", &c.PrimeCopiesElided},
@@ -60,9 +60,7 @@ func (c *Counters) refs() [42]counterRef {
 		{"splits_unvetoed", &c.SplitsUnvetoed},
 		{"refresh_bytes_skipped", &c.RefreshBytesSkipped},
 		{"refresh_deltas", &c.RefreshDeltas},
-		{"closure_wgs", &c.ClosureWGs},
 		{"interp_wgs", &c.InterpWGs},
-		{"fused_instrs", &c.FusedInstrs},
 		{"total_instrs", &c.TotalInstrs},
 		{"wg_loop_wgs", &c.WGLoopWGs},
 		{"wg_fallback_wgs", &c.WGFallbackWGs},

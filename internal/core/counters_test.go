@@ -16,7 +16,7 @@ func TestCounterNamesPinned(t *testing.T) {
 	want := []string{
 		"uploads_skipped", "prime_copies_elided", "ship_bytes_skipped", "merge_words_elided",
 		"splits_unvetoed", "refresh_bytes_skipped", "refresh_deltas",
-		"closure_wgs", "interp_wgs", "fused_instrs", "total_instrs",
+		"interp_wgs", "total_instrs",
 		"wg_loop_wgs", "wg_fallback_wgs", "wg_kernels", "wg_regions",
 		"wg_fused_blocks", "wg_fused_steps", "wg_fuse_fallback_steps",
 		"wg_fused_instrs_dyn", "wg_step_instrs_dyn", "wg_strided_wgs",
@@ -44,7 +44,7 @@ func TestCounterNamesPinned(t *testing.T) {
 	// the VM knows, under the VM's name for it (the disassembly's hyphens
 	// become underscores).
 	certs, fuses := vm.WGRejectNames(), vm.WGFuseRejectNames()
-	const firstCert = 21
+	const firstCert = 19
 	firstFuse := firstCert + len(certs) - 1
 	for r := int(vm.WGRejNone) + 1; r < len(certs); r++ {
 		if key := want[firstCert+r-1]; key != "wg_cert_reject_"+certs[r] {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestLaunchBackendParityUnderAborts runs the same mid-abort launch on the
-// interpreter, the closure engine and the lockstep engine and requires
+// interpreter and the lockstep engine and requires
 // identical virtual times, counters, Stats and memory — with entry skips,
 // mid-flight aborts and rollbacks all landing mid-launch. Every skipped or
 // aborted group's words must equal the pre-launch inputs.
@@ -112,25 +112,23 @@ __kernel void work(__global float* a, __global float* b, int m) {
 			untouched, refRes.Skipped, refRes.Aborted)
 	}
 
-	for _, be := range []vm.Backend{vm.BackendClosure, vm.BackendWG} {
-		lockstep := vm.BackendSnapshot().WGLoopWGs
-		res, a, b, end := run(be)
-		if be == vm.BackendWG && vm.BackendSnapshot().WGLoopWGs == lockstep {
-			t.Error("wg: the lockstep engine never ran (every group fell back)")
-		}
-		if end != refEnd {
-			t.Errorf("%v: virtual completion time %v, interp %v", be, end, refEnd)
-		}
-		if res.Executed != refRes.Executed || res.Skipped != refRes.Skipped || res.Aborted != refRes.Aborted {
-			t.Errorf("%v: exec/skip/abort = %d/%d/%d, interp %d/%d/%d", be,
-				res.Executed, res.Skipped, res.Aborted, refRes.Executed, refRes.Skipped, refRes.Aborted)
-		}
-		if res.Stats != refRes.Stats {
-			t.Errorf("%v: stats differ:\ninterp=%+v\n%v=%+v", be, refRes.Stats, be, res.Stats)
-		}
-		if !bytes.Equal(a, refA) || !bytes.Equal(b, refB) {
-			t.Errorf("%v: buffers differ from the interpreter's", be)
-		}
+	lockstep := vm.BackendSnapshot().WGLoopWGs
+	res, a, b, end := run(vm.BackendWG)
+	if vm.BackendSnapshot().WGLoopWGs == lockstep {
+		t.Error("wg: the lockstep engine never ran (every group fell back)")
+	}
+	if end != refEnd {
+		t.Errorf("wg: virtual completion time %v, interp %v", end, refEnd)
+	}
+	if res.Executed != refRes.Executed || res.Skipped != refRes.Skipped || res.Aborted != refRes.Aborted {
+		t.Errorf("wg: exec/skip/abort = %d/%d/%d, interp %d/%d/%d",
+			res.Executed, res.Skipped, res.Aborted, refRes.Executed, refRes.Skipped, refRes.Aborted)
+	}
+	if res.Stats != refRes.Stats {
+		t.Errorf("stats differ:\ninterp=%+v\nwg=%+v", refRes.Stats, res.Stats)
+	}
+	if !bytes.Equal(a, refA) || !bytes.Equal(b, refB) {
+		t.Error("wg: buffers differ from the interpreter's")
 	}
 }
 

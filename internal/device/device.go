@@ -294,9 +294,8 @@ type Launch struct {
 	MidAbort bool
 	// Split allows the CPU work-group splitting optimization.
 	Split bool
-	// Backend selects the VM execution engine (interpreter or threaded
-	// closures); both produce identical stats and therefore identical
-	// virtual time.
+	// Backend selects the VM execution engine (interpreter or wg); both
+	// produce identical stats and therefore identical virtual time.
 	Backend vm.Backend
 	Done    *sim.Event
 	Result  *LaunchResult

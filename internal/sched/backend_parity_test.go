@@ -1,8 +1,7 @@
-// Acceptance test for the closure and wg backends (external package:
-// polybench imports sched). Every work-group execution backend must be
-// observationally identical through the whole stack: same output buffers,
-// same virtual time, and byte-identical Chrome traces on every quick-scale
-// Polybench experiment.
+// Acceptance test for the VM backends (external package: polybench imports
+// sched). Both work-group execution backends must be observationally
+// identical through the whole stack: same output buffers, same virtual time,
+// and byte-identical Chrome traces on every quick-scale Polybench experiment.
 package sched_test
 
 import (
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"fluidicl/internal/clc"
 	"fluidicl/internal/core"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
@@ -72,26 +72,97 @@ func TestBackendParityFluidiCL(t *testing.T) {
 				}
 				return runOut{res, buf.Bytes()}
 			}
-			ri := run(vm.BackendInterp)
-			for _, be := range []vm.Backend{vm.BackendClosure, vm.BackendWG} {
-				rc := run(be)
-				if ri.res.Time != rc.res.Time {
-					t.Errorf("virtual time diverges: interp=%v %v=%v", ri.res.Time, be, rc.res.Time)
-				}
-				for name, want := range ri.res.Outputs {
-					if got := rc.res.Outputs[name]; !bytes.Equal(got, want) {
-						t.Errorf("output %q differs between interp and %v", name, be)
-					}
-				}
-				if err := b.Verify(rc.res.Outputs); err != nil {
-					t.Errorf("%v backend output wrong: %v", be, err)
-				}
-				if !bytes.Equal(ri.chrom, rc.chrom) {
-					t.Errorf("Chrome traces differ between interp and %v (%d vs %d bytes)",
-						be, len(ri.chrom), len(rc.chrom))
+			ri, rw := run(vm.BackendInterp), run(vm.BackendWG)
+			if ri.res.Time != rw.res.Time {
+				t.Errorf("virtual time diverges: interp=%v wg=%v", ri.res.Time, rw.res.Time)
+			}
+			for name, want := range ri.res.Outputs {
+				if got := rw.res.Outputs[name]; !bytes.Equal(got, want) {
+					t.Errorf("output %q differs between interp and wg", name)
 				}
 			}
+			if err := b.Verify(rw.res.Outputs); err != nil {
+				t.Errorf("wg backend output wrong: %v", err)
+			}
+			if !bytes.Equal(ri.chrom, rw.chrom) {
+				t.Errorf("Chrome traces differ between interp and wg (%d vs %d bytes)",
+					len(ri.chrom), len(rw.chrom))
+			}
 		})
+	}
+}
+
+// TestWGFallbackRunsInterp pins the one seam wg has to another engine, on the
+// one kernel of the evaluation that uses it: table3's hand-optimised CORR CPU
+// variant keeps a private acc[256] without a barrier, which buildWG rejects
+// (shape), so under the wg backend every work-group of it runs on the
+// interpreter — and must compute what the interpreter selected directly and
+// the AST reference compute.
+func TestWGFallbackRunsInterp(t *testing.T) {
+	const m, n = 48, 64
+	b := polybench.CorrWithVariant(m, n)
+	v := b.App.Variants[0]
+	ki, err := clc.FindKernelInfo(v.Source, v.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := vm.Compile(ki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := b.App.Launches[len(b.App.Launches)-1].ND
+	mkArgs := func() []vm.Arg {
+		return []vm.Arg{vm.BufArg(bytes.Clone(b.App.Inputs["data"])), vm.BufArg(make([]byte, 4*m*m)),
+			vm.IntArg(m), vm.IntArg(n)}
+	}
+
+	interpArgs := mkArgs()
+	interpStats, err := k.ExecLaunch(nd, interpArgs, vm.ExecOpts{Backend: vm.BackendInterp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := vm.BackendSnapshot()
+	wgArgs := mkArgs()
+	wgStats, err := k.ExecLaunch(nd, wgArgs, vm.ExecOpts{Backend: vm.BackendWG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := vm.BackendSnapshot()
+	groups := int64(nd.LaunchGroups())
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"WGFallbackWGs", after.WGFallbackWGs - before.WGFallbackWGs, groups},
+		{"WGRejects[shape]", after.WGRejects[vm.WGRejShape] - before.WGRejects[vm.WGRejShape], groups},
+		{"InterpWGs", after.InterpWGs - before.InterpWGs, groups},
+		{"WGLoopWGs", after.WGLoopWGs - before.WGLoopWGs, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s rose by %d over the wg launch, want %d", c.name, c.got, c.want)
+		}
+	}
+	if wgStats != interpStats {
+		t.Errorf("Stats diverge:\ninterp: %+v\nwg:     %+v", interpStats, wgStats)
+	}
+
+	ref, err := vm.NewRefExec(ki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refArgs := mkArgs()
+	for g := 0; g < nd.LaunchGroups(); g++ {
+		if err := ref.ExecWorkGroup(nd, nd.GroupAt(g), refArgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if !bytes.Equal(wgArgs[i].Buf, interpArgs[i].Buf) {
+			t.Errorf("buffer %d differs between wg and interp", i)
+		}
+		if !bytes.Equal(wgArgs[i].Buf, refArgs[i].Buf) {
+			t.Errorf("buffer %d differs between wg and the AST reference", i)
+		}
 	}
 }
 
@@ -202,17 +273,17 @@ __kernel void dot(__global float* A, __global float* B, __global float* C, int m
 	requireFused("cooperative SYRK", before)
 }
 
-// TestWGAllocatesNoMoreThanClosure keeps paid the debt that blocked wg as
+// TestWGAllocatesNoMoreThanInterp keeps paid the debt that blocked wg as
 // the process default: once warm (kernels compiled, pools and the per-kernel
 // decision cache filled), a quick cooperative SYRK + GESUMMV allocates no
-// more bytes on the wg engine than on closure — neither engine allocates per
-// launch or per work-group, so what is left is the buffers and the runtime.
-// A certificate recomputed per sub-kernel, or launch scratch grown from nil,
-// shows up here as wg's surplus: 6.3 KB at the parent of the flip, whose
-// one-entry certificate cache recomputed on every change of key. The least
-// of three passes is compared, with 2 KB of slack: the Go runtime's own
-// allocations (sudogs, pool chains) jitter by about 0.6 KB per pass.
-func TestWGAllocatesNoMoreThanClosure(t *testing.T) {
+// more bytes on the wg engine than on the interpreter — neither engine
+// allocates per launch or per work-group, so what is left is the buffers and
+// the runtime. A certificate recomputed per sub-kernel, or launch scratch
+// grown from nil, shows up here as wg's surplus: 6.3 KB at the parent of the
+// flip, whose one-entry certificate cache recomputed on every change of key.
+// The least of three passes is compared, with 2 KB of slack: the Go runtime's
+// own allocations (sudogs, pool chains) jitter by about 0.6 KB per pass.
+func TestWGAllocatesNoMoreThanInterp(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one set of pools
 	var probe sync.Pool
 	for i := 0; i < 64; i++ {
@@ -249,9 +320,9 @@ func TestWGAllocatesNoMoreThanClosure(t *testing.T) {
 		}
 		return least
 	}
-	wg, closure := allocated(vm.BackendWG), allocated(vm.BackendClosure)
-	t.Logf("TotalAlloc: wg %d bytes, closure %d bytes", wg, closure)
-	if wg > closure+2<<10 {
-		t.Errorf("wg allocated %d bytes, closure %d: the default engine costs more heap than the one it replaced", wg, closure)
+	wg, interp := allocated(vm.BackendWG), allocated(vm.BackendInterp)
+	t.Logf("TotalAlloc: wg %d bytes, interp %d bytes", wg, interp)
+	if wg > interp+2<<10 {
+		t.Errorf("wg allocated %d bytes, interp %d: the default engine costs more heap than its fallback", wg, interp)
 	}
 }

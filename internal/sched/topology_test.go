@@ -133,7 +133,7 @@ func TestTopologyBackendParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *sched.Result
-	for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendClosure, vm.BackendWG} {
+	for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendWG} {
 		res, err := sched.RunTopology(topo, b.App, core.Options{Backend: be})
 		if err != nil {
 			t.Fatalf("backend %v: %v", be, err)

@@ -13,8 +13,7 @@ import (
 
 // fusedTestSrc is a SYRK-shaped kernel whose inner loop exercises the main
 // superinstruction patterns: affine indices (i*m+k), indexed loads feeding
-// multiplies, a multiply-add chain, the loop-increment idiom, and
-// compare+branch terminators.
+// multiplies, a multiply-add chain and the loop-increment idiom.
 const fusedTestSrc = `
 __kernel void syrk_like(__global float* A, __global float* C, float alpha, int m, int n) {
     int i = get_global_id(0);
@@ -37,15 +36,15 @@ func TestParseBackend(t *testing.T) {
 	}{
 		{"interp", BackendInterp, true},
 		{"interpreter", BackendInterp, true},
-		{"closure", BackendClosure, true},
-		{"closures", BackendClosure, true},
 		{"wg", BackendWG, true},
 		{"workgroup", BackendWG, true},
 		{"auto", BackendAuto, true},
 		{"", BackendAuto, true},
 		{"WG", BackendWG, true},
-		{"Closure", BackendClosure, true},
 		{"jit", BackendAuto, false},
+		// The retired engine's name is an error, not a silent fallback.
+		{"closure", BackendAuto, false},
+		{"closures", BackendAuto, false},
 	}
 	for _, c := range cases {
 		got, err := ParseBackend(c.in)
@@ -53,8 +52,7 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
-	if BackendInterp.String() != "interp" || BackendClosure.String() != "closure" ||
-		BackendWG.String() != "wg" || BackendAuto.String() != "auto" {
+	if BackendInterp.String() != "interp" || BackendWG.String() != "wg" || BackendAuto.String() != "auto" {
 		t.Errorf("Backend.String round-trip broken")
 	}
 }
@@ -100,47 +98,10 @@ func TestBackendEnvHonoured(t *testing.T) {
 	}
 }
 
-func TestClosureLoweringAndFusion(t *testing.T) {
-	k := MustCompile(fusedTestSrc, "syrk_like")
-	if k.clos == nil {
-		t.Fatal("closure lowering rejected the SYRK-shaped kernel")
-	}
-	if len(k.clos) != len(k.Code) {
-		t.Fatalf("clos len %d != code len %d", len(k.clos), len(k.Code))
-	}
-	if len(k.Fused) == 0 {
-		t.Fatal("no superinstructions fused in a SYRK-shaped kernel")
-	}
-	names := map[string]bool{}
-	covered := 0
-	for i, s := range k.Fused {
-		names[s.Name] = true
-		covered += s.Len
-		if s.Len < 2 || s.Start < 0 || s.Start+s.Len > len(k.Code) {
-			t.Fatalf("bad span %+v", s)
-		}
-		if i > 0 && k.Fused[i-1].Start >= s.Start {
-			t.Fatalf("spans not sorted: %+v before %+v", k.Fused[i-1], s)
-		}
-	}
-	// The inner loop must hit the deep patterns, not just pairs.
-	for _, want := range []string{"aff.ldgf.fmul", "inc", "imov2.cmp.br"} {
-		if !names[want] {
-			t.Errorf("expected superinstruction %q fused; got %v", want, names)
-		}
-	}
-	if covered*2 < len(k.Code) {
-		t.Errorf("fusion covers %d/%d instructions; expected at least half", covered, len(k.Code))
-	}
-	if bs := BackendSnapshot(); bs.TotalInstrs == 0 || bs.FusedInstrs == 0 {
-		t.Errorf("backend fusion counters not accumulated: %+v", bs)
-	}
-}
-
 func TestDisasmFusedGolden(t *testing.T) {
 	k := MustCompile(fusedTestSrc, "syrk_like")
 	got := k.Disasm()
-	if !strings.Contains(got, "; fuse aff.ldgf.fmul") {
+	if !strings.Contains(got, "; wg.loop-fuse") {
 		t.Fatalf("disasm lacks fusion annotations:\n%s", got)
 	}
 	golden := filepath.Join("testdata", "disasm_fused.golden")
@@ -158,13 +119,11 @@ func TestDisasmFusedGolden(t *testing.T) {
 	}
 }
 
-// runBoth executes one work-group under both backends and returns the two
-// buffer states, stats, and errors.
-func runBoth(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) (bufI, bufC []string, stI, stC Stats, errI, errC error) {
+// runBoth executes one work-group on the interpreter and on wg, which must
+// run it in lockstep, and returns the two buffer states, stats, and errors.
+func runBoth(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) (bufI, bufW []string, stI, stW Stats, errI, errW error) {
 	t.Helper()
-	if k.clos == nil {
-		t.Fatal("kernel not lowered to closures")
-	}
+	lockstep := BackendSnapshot().WGLoopWGs
 	run := func(be Backend) ([]string, Stats, error) {
 		args := mkArgs()
 		st, err := k.ExecWorkGroup(nd, [3]int{0, 0, 0}, args, ExecOpts{Backend: be})
@@ -177,11 +136,14 @@ func runBoth(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) (bufI, bu
 		return bufs, st, err
 	}
 	bufI, stI, errI = run(BackendInterp)
-	bufC, stC, errC = run(BackendClosure)
+	bufW, stW, errW = run(BackendWG)
+	if BackendSnapshot().WGLoopWGs == lockstep {
+		t.Fatal("the wg run fell back to the interpreter")
+	}
 	return
 }
 
-func TestClosureBarrierParity(t *testing.T) {
+func TestBackendBarrierParity(t *testing.T) {
 	k := MustCompile(`
 __kernel void rev(__global float* a, int n) {
     __local float tmp[16];
@@ -200,15 +162,15 @@ __kernel void rev(__global float* a, int n) {
 		}
 		return []Arg{BufArg(buf), IntArg(int64(n))}
 	}
-	bufI, bufC, stI, stC, errI, errC := runBoth(t, k, NewNDRange1D(n, 16), mkArgs)
-	if errI != nil || errC != nil {
-		t.Fatalf("errors: interp=%v closure=%v", errI, errC)
+	bufI, bufW, stI, stW, errI, errW := runBoth(t, k, NewNDRange1D(n, 16), mkArgs)
+	if errI != nil || errW != nil {
+		t.Fatalf("errors: interp=%v wg=%v", errI, errW)
 	}
-	if stI != stC {
-		t.Fatalf("Stats diverge:\ninterp:  %+v\nclosure: %+v", stI, stC)
+	if stI != stW {
+		t.Fatalf("Stats diverge:\ninterp: %+v\nwg:     %+v", stI, stW)
 	}
 	for i := range bufI {
-		if bufI[i] != bufC[i] {
+		if bufI[i] != bufW[i] {
 			t.Fatalf("buffer %d differs between backends", i)
 		}
 	}
@@ -217,31 +179,34 @@ __kernel void rev(__global float* a, int n) {
 	}
 }
 
+// TestClosureErrorParity holds the interpreter and wg to the same errors. It
+// keeps the name it had when the second engine was the closure engine: a
+// rename retires four recorded test names (it has three subtests).
 func TestClosureErrorParity(t *testing.T) {
 	t.Run("oob", func(t *testing.T) {
 		k := MustCompile(`__kernel void f(__global float* a, int n) { a[n] = 1.0f; }`, "f")
-		_, _, _, _, errI, errC := runBoth(t, k, NewNDRange1D(1, 1), func() []Arg {
+		_, _, _, _, errI, errW := runBoth(t, k, NewNDRange1D(1, 1), func() []Arg {
 			return []Arg{BufArg(make([]byte, 8)), IntArg(99)}
 		})
-		if errI == nil || errC == nil || errI.Error() != errC.Error() {
-			t.Fatalf("error mismatch:\ninterp:  %v\nclosure: %v", errI, errC)
+		if errI == nil || errW == nil || errI.Error() != errW.Error() {
+			t.Fatalf("error mismatch:\ninterp: %v\nwg:     %v", errI, errW)
 		}
 	})
 	t.Run("divzero", func(t *testing.T) {
 		k := MustCompile(`__kernel void f(__global int* a, int d) { a[0] = 10 / d; }`, "f")
-		_, _, _, _, errI, errC := runBoth(t, k, NewNDRange1D(1, 1), func() []Arg {
+		_, _, _, _, errI, errW := runBoth(t, k, NewNDRange1D(1, 1), func() []Arg {
 			return []Arg{BufArg(make([]byte, 4)), IntArg(0)}
 		})
-		if errI == nil || errC == nil || errI.Error() != errC.Error() {
-			t.Fatalf("error mismatch:\ninterp:  %v\nclosure: %v", errI, errC)
+		if errI == nil || errW == nil || errI.Error() != errW.Error() {
+			t.Fatalf("error mismatch:\ninterp: %v\nwg:     %v", errI, errW)
 		}
 	})
 	t.Run("budget", func(t *testing.T) {
-		// The closure backend charges the step budget per block, so the
-		// reported pc may differ from the interpreter's; error presence and
-		// message kind must agree (see fuse.go's equivalence note).
+		// The wg engine charges the step budget per block, so the reported
+		// pc may differ from the interpreter's; error presence and message
+		// kind must agree (see wgexec.go's error-parity note).
 		k := MustCompile(`__kernel void f(__global int* a) { while (true) { a[0] = 1; } }`, "f")
-		for _, be := range []Backend{BackendInterp, BackendClosure} {
+		for _, be := range []Backend{BackendInterp, BackendWG} {
 			_, err := k.ExecWorkGroup(NewNDRange1D(1, 1), [3]int{0, 0, 0},
 				[]Arg{BufArg(make([]byte, 4))}, ExecOpts{MaxSteps: 10000, Backend: be})
 			if err == nil || !strings.Contains(err.Error(), "instruction budget exceeded") {
@@ -253,8 +218,8 @@ func TestClosureErrorParity(t *testing.T) {
 
 // TestExecLaunchAllocs guards the scratch/engine pooling: after warm-up,
 // repeated sequential launches must not allocate per work-group (wiState,
-// memTracker, locals and the closure context all come from the kernel's
-// scratch pool). It runs the SYRK-shaped kernel as written and as the twin
+// memTracker, locals and the wg machine all come from the kernel's scratch
+// pool). It runs the SYRK-shaped kernel as written and as the twin
 // GPU sees it (passes.TransformGPU); in both, the wg engine must execute the
 // loop through the reduction jam's loop closure, whose plans live in fixed
 // arrays and whose scalar register file lives on the stack.
@@ -280,7 +245,7 @@ func TestExecLaunchAllocs(t *testing.T) {
 		{"gpuvar", gpuSrc, append(args[:len(args):len(args)], GPUAbortArgs(1, passes.NoCPUWork)...)},
 	} {
 		k := MustCompile(v.src, "syrk_like")
-		for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+		for _, be := range []Backend{BackendInterp, BackendWG} {
 			run := func() {
 				if _, err := k.ExecLaunch(nd, v.args, ExecOpts{Backend: be}); err != nil {
 					t.Fatal(err)

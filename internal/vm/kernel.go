@@ -181,16 +181,9 @@ type Kernel struct {
 	NumMemOps  int         // static count of global memory instructions
 	Info       *clc.KernelInfo
 
-	// Fused lists the superinstructions the closure backend fused, for
-	// disassembly annotation; clos is the threaded code itself (one closure
-	// per basic block, indexed by leader pc — nil when lowering bailed out
-	// and the interpreter must be used). Both are built once in Compile.
-	Fused []FusedSpan
-	clos  []closFn
-
 	// wg is the whole-work-group compilation (lockstep barrier-region
 	// loops over SoA register banks) — nil when buildWG bailed out and
-	// the wg backend must fall back to the per-item paths.
+	// the wg backend must fall back to the interpreter.
 	wg *wgProgram
 
 	// sum is the static access summary of the kernel's AST (strided refs,

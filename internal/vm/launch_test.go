@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-var launchBackends = []Backend{BackendInterp, BackendClosure, BackendWG}
+var launchBackends = []Backend{BackendInterp, BackendWG}
 
 // TestExecLaunchErrorPartialWrites pins what a faulting launch leaves
 // behind on every backend: the groups before the faulting one fully applied,

@@ -18,7 +18,6 @@ type wgScratch struct {
 	states []*wiState
 	locals [][]byte
 	tr     *memTracker
-	cm     *cmach
 	wm     *wmach
 	cert   wgCert
 }
@@ -88,16 +87,6 @@ func (s *wgScratch) localsFor(k *Kernel) [][]byte {
 		}
 	}
 	return s.locals
-}
-
-// cmFor returns the closure backend's execution context. Every field is
-// (re)assigned by execWG before use and released after, so no reset is
-// needed here.
-func (s *wgScratch) cmFor() *cmach {
-	if s.cm == nil {
-		s.cm = &cmach{}
-	}
-	return s.cm
 }
 
 // trackerFor returns the memory tracker. No explicit reset is needed: the

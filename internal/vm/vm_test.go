@@ -391,7 +391,7 @@ __kernel void two(__global float* a, __global int* b) {
 	one := MustCompile(`
 __kernel void one(__global float* c) { c[get_global_id(0)] = 5.0f; }
 `, "one")
-	for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+	for _, be := range []Backend{BackendInterp, BackendWG} {
 		var undo UndoLog
 		a, b, c := f32buf(10, 11, 12, 13), make([]byte, 16), f32buf(20, 21, 22, 23)
 		a0, b0, c0 := bytes.Clone(a), bytes.Clone(b), bytes.Clone(c)

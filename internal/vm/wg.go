@@ -8,11 +8,11 @@ package vm
 // (wgsteps.go), each of which loops over all work-items currently at that
 // block against structure-of-arrays register banks. One block dispatch then
 // serves the whole set of work-items instead of one, which is where the
-// engine's speedup over the per-item closure path comes from.
+// engine's speedup over the per-item interpreter comes from.
 //
 // The pass is purely structural; whether a given *launch* may actually run
 // in lockstep is decided at execution time by the noninterference
-// certificate (wgcert.go), which falls back to the per-item path per
+// certificate (wgcert.go), which falls back to the interpreter per
 // work-group when it cannot prove that cross-work-item execution order is
 // unobservable. Kernels the static analyzer flags with divergent barriers
 // are rejected here outright, so unsupported shapes never reach the engine.
@@ -68,6 +68,14 @@ type wgRegion struct {
 	accs  []wgAccess
 }
 
+// FusedSpan records one annotated run of instructions for disassembly: Len
+// consecutive instructions starting at pc Start, labelled Name.
+type FusedSpan struct {
+	Start int
+	Len   int
+	Name  string
+}
+
 // wgProgram is the whole-work-group compilation of a kernel.
 type wgProgram struct {
 	blocks  []*wblock // indexed by pc; non-nil at block leaders only
@@ -85,21 +93,17 @@ type wgProgram struct {
 	loops []FusedSpan
 }
 
-// buildWG compiles the whole-work-group program. It requires the closure
-// lowering to have accepted the kernel (same bytecode validation), and
-// rejects kernels whose barriers the static analyzer reports as divergent:
-// those can legally error at runtime, and the per-item engines already
-// produce that error with exact semantics.
+// buildWG compiles the whole-work-group program from the well-formed bytecode
+// Compile emits. It rejects kernels whose barriers the static analyzer
+// reports as divergent: those can legally error at runtime, and the
+// interpreter already produces that error with exact semantics.
 func (k *Kernel) buildWG() {
-	if k.clos == nil {
-		return
-	}
 	if k.HasBarrier {
 		if k.sum == nil || k.sum.HasDivergentBarrier() {
 			return
 		}
 	} else if len(k.PrivArrs) > 0 {
-		// The per-item engines run a barrier-free group's work-items through
+		// The interpreter runs a barrier-free group's work-items through
 		// one shared state whose private slabs are not cleared between items
 		// (wiState.reset), so a read-before-write observes the previous
 		// item's leftovers. Lockstep execution cannot reproduce that
@@ -147,11 +151,10 @@ func (k *Kernel) buildWG() {
 }
 
 // buildWBlock compiles the basic block code[start:end) into banked steps
-// plus a terminator descriptor. Unlike the closure backend, conditional
-// branches are not fused with their compare: the engine partitions the
-// work-item set on the condition register, so the compare stays a normal
-// (possibly fused) banked step and the per-instruction stats come out
-// identical.
+// plus a terminator descriptor. Conditional branches are not fused with
+// their compare: the engine partitions the work-item set on the condition
+// register, so the compare stays a normal (possibly fused) banked step and
+// the per-instruction stats come out identical.
 func (k *Kernel) buildWBlock(start, end int) *wblock {
 	code := k.Code
 	blk := &wblock{start: start, nInstr: int64(end - start)}

@@ -281,7 +281,7 @@ __kernel void oob(__global float* a, int off) {
 		t.Fatal("wg compilation rejected the oob kernel")
 	}
 	orig := floatBuf(16, func(i int) float32 { return float32(i) * 0.25 })
-	for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+	for _, be := range []Backend{BackendInterp, BackendWG} {
 		buf := append([]byte(nil), orig...)
 		var undo UndoLog
 		_, err := k.ExecWorkGroup(NewNDRange1D(16, 16), [3]int{0, 0, 0},
@@ -312,10 +312,10 @@ func TestWGCompileCounters(t *testing.T) {
 }
 
 func TestWGBudgetErrorParity(t *testing.T) {
-	// The banked budget check mirrors the block-batched closure check, so
-	// all backends raise the budget error on the same launches.
+	// The banked budget check charges a whole block at once, yet both
+	// backends raise the budget error on the same launches.
 	k := MustCompile(`__kernel void f(__global int* a) { while (true) { a[0] = 1; } }`, "f")
-	for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+	for _, be := range []Backend{BackendInterp, BackendWG} {
 		_, err := k.ExecWorkGroup(NewNDRange1D(1, 1), [3]int{0, 0, 0},
 			[]Arg{BufArg(make([]byte, 4))}, ExecOpts{MaxSteps: 10000, Backend: be})
 		if err == nil || !strings.Contains(err.Error(), "instruction budget exceeded") {

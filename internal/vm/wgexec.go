@@ -26,9 +26,12 @@ import "math"
 // Error parity is by presence, not by text: all engines error on the same
 // launches (each item's trace, including its step budget, is identical),
 // but the failing work-item the message names — and buffer contents on the
-// error path — may differ because set order decides who trips first. This
-// mirrors the closure backend's documented budget-pc divergence, and tests
-// compare buffers only on error-free runs.
+// error path — may differ because set order decides who trips first, and a
+// budget error names the block leader, not the exact instruction (the
+// interpreter checks `steps > maxSteps` before every instruction; a block of
+// n instructions errors iff stepsBefore + n > maxSteps, which is what the
+// banked check of the whole block tests). Tests compare buffers only on
+// error-free runs.
 
 // wgAcc is one recorded global access, replayed through the memTracker at
 // phase end.
@@ -61,7 +64,7 @@ type wstep func(m *wmach, set []int32) bool
 type wfused func(m *wmach) bool
 
 // wmach is the lockstep engine's execution context: SoA register banks plus
-// the per-group state the other backends keep in cmach.
+// the per-group state the interpreter keeps in locals.
 type wmach struct {
 	k      *Kernel
 	nd     NDRange

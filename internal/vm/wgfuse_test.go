@@ -35,14 +35,13 @@ __kernel void red2(__global float* A, __global float* B, __global float* C, floa
 `
 
 // recompiled clones k with mutate applied to its bytecode and register
-// counts, then re-runs the closure and wg lowerings on the result.
+// counts, then re-runs the wg lowering on the result.
 func recompiled(k *Kernel, mutate func(k2 *Kernel)) *Kernel {
 	k2 := &Kernel{
 		Name: k.Name, Params: k.Params, Code: append([]Instr(nil), k.Code...),
 		NumI: k.NumI, NumF: k.NumF, NumMemOps: k.NumMemOps, Info: k.Info, sum: k.sum,
 	}
 	mutate(k2)
-	k2.buildClosures()
 	k2.buildWG()
 	return k2
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // WGReject enumerates the machine-readable reasons a work-group that
-// requested the wg backend fell back to a per-item engine. Every fallback
+// requested the wg backend fell back to the interpreter. Every fallback
 // carries exactly one reason; the per-reason counters surface through
 // BackendSnapshot → core.CounterSnapshot → fluidibench.
 type WGReject uint8

@@ -8,15 +8,15 @@ import (
 
 // Banked step builders for the lockstep engine.
 //
-// buildWStep is buildStep's whole-group twin: each wstep performs the exact
-// per-instruction register writes, memory side effects, and Stats updates
-// of its scalar counterpart, looped over every work-item in the set against
-// the SoA banks. Order-independent counters (op counts, byte totals, masks)
-// are batched per set; per-offset ones (write bounds, the undo log,
-// tracker records) stay inside the item loop. matchWSuper mirrors
-// fuse.go's superinstruction patterns with banked bodies, so the wg backend
-// keeps the closure backend's decode amortization and adds set-level
-// dispatch amortization on top.
+// Each wstep performs the exact per-instruction register writes, memory side
+// effects, and Stats updates of the interpreter's case for its opcode (run,
+// exec.go), looped over every work-item in the set against the SoA banks,
+// with operands decoded once at build time. Order-independent counters (op
+// counts, byte totals, masks) are batched per set; per-offset ones (write
+// bounds, the undo log, tracker records) stay inside the item loop.
+// matchWSuper fuses the opcode sequences the expression compiler actually
+// emits into single steps, which amortizes dispatch per sequence on top of
+// per set.
 //
 // When m.full is set the dispatched set is the whole group in ascending
 // order, so hot steps take a branch that slices each register's bank once
@@ -805,9 +805,64 @@ func (k *Kernel) wstepSlab(pc int, in Instr, priv bool) wstep {
 	}
 }
 
-// matchWSuper is matchSuper's banked twin: the same opcode-shape patterns,
-// fused into single set-looping steps. It returns the fused wstep and the
-// number of instructions consumed.
+func intCmpFn(op Op) func(x, y int64) bool {
+	switch op {
+	case opILT:
+		return func(x, y int64) bool { return x < y }
+	case opILE:
+		return func(x, y int64) bool { return x <= y }
+	case opIGT:
+		return func(x, y int64) bool { return x > y }
+	case opIGE:
+		return func(x, y int64) bool { return x >= y }
+	case opIEQ:
+		return func(x, y int64) bool { return x == y }
+	default:
+		return func(x, y int64) bool { return x != y }
+	}
+}
+
+func floatCmpFn(op Op) func(x, y float64) bool {
+	switch op {
+	case opFLT:
+		return func(x, y float64) bool { return x < y }
+	case opFLE:
+		return func(x, y float64) bool { return x <= y }
+	case opFGT:
+		return func(x, y float64) bool { return x > y }
+	case opFGE:
+		return func(x, y float64) bool { return x >= y }
+	case opFEQ:
+		return func(x, y float64) bool { return x == y }
+	default:
+		return func(x, y float64) bool { return x != y }
+	}
+}
+
+func isIntCmp(op Op) bool { return op >= opILT && op <= opINE }
+
+// opsAt reports whether code[pc:pc+len(ops)] lies within [pc, end) and
+// matches the opcode sequence exactly.
+func (k *Kernel) opsAt(pc, end int, ops ...Op) bool {
+	if pc+len(ops) > end {
+		return false
+	}
+	for i, o := range ops {
+		if k.Code[pc+i].Op != o {
+			return false
+		}
+	}
+	return true
+}
+
+// matchWSuper tries the superinstruction patterns (longest first) at pc:
+// affine index computation, indexed loads feeding multiplies, multiply-add
+// chains, increment idioms, get_global_id and compares whose operands need
+// moves. Patterns match on opcode shape only and every fused step performs
+// the exact register writes, stats updates and memory side effects of its
+// component instructions in order, so temporaries that live across block
+// boundaries and error-path prefixes behave as in the interpreter. It
+// returns the fused wstep and the number of instructions consumed.
 func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 	code := k.Code
 	switch {
@@ -1044,9 +1099,9 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 	return nil, 0
 }
 
-// wsuperAffLoad is superAffLoad's banked twin: affine index materialization
-// fused with the indexed global load and optionally the multiply/accumulate
-// consuming it, looped over the set.
+// wsuperAffLoad is the affine index materialization fused with the indexed
+// global load and optionally the multiply/accumulate consuming it, looped
+// over the set.
 func (k *Kernel) wsuperAffLoad(pc int, withFMul, withFAdd bool) wstep {
 	code := k.Code
 	i0, i1, mul, i3, add := code[pc], code[pc+1], code[pc+2], code[pc+3], code[pc+4]

@@ -83,7 +83,7 @@ func TestHugeIndexTraps(t *testing.T) {
 			}
 			args := fresh()
 			check("ref", args, ref.ExecWorkGroup(nd, [3]int{}, args))
-			for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
+			for _, be := range []Backend{BackendInterp, BackendWG} {
 				args := fresh()
 				_, err := k.ExecWorkGroup(nd, [3]int{}, args, ExecOpts{Backend: be})
 				check(be.String(), args, err)
