@@ -150,11 +150,11 @@ func (k *Kernel) buildWG() {
 	backendCtr.wgRegions.Add(int64(len(wg.regions)))
 }
 
-// buildWBlock compiles the basic block code[start:end) into banked steps
-// plus a terminator descriptor. Conditional branches are not fused with
-// their compare: the engine partitions the work-item set on the condition
-// register, so the compare stays a normal (possibly fused) banked step and
-// the per-instruction stats come out identical.
+// buildWBlock compiles the basic block code[start:end) into banked steps,
+// one per instruction, plus a terminator descriptor. Conditional branches are
+// not fused with their compare: the engine partitions the work-item set on
+// the condition register, so the compare stays a normal banked step and the
+// per-instruction stats come out identical.
 func (k *Kernel) buildWBlock(start, end int) *wblock {
 	code := k.Code
 	blk := &wblock{start: start, nInstr: int64(end - start)}
@@ -178,22 +178,15 @@ func (k *Kernel) buildWBlock(start, end int) *wblock {
 	}
 	blk.body = bodyEnd
 
-	for pc := start; pc < bodyEnd; {
-		if fn, ln := k.matchWSuper(pc, bodyEnd); fn != nil {
-			blk.steps = append(blk.steps, fn)
-			pc += ln
-			continue
-		}
+	for pc := start; pc < bodyEnd; pc++ {
 		if code[pc].Op == opNop {
-			pc++ // no semantics; still counted in nInstr for the budget
-			continue
+			continue // no semantics; still counted in nInstr for the budget
 		}
 		s := k.buildWStep(pc)
 		if s == nil {
 			return nil
 		}
 		blk.steps = append(blk.steps, s)
-		pc++
 	}
 	return blk
 }

@@ -55,7 +55,7 @@ type wgSet struct {
 	items []int32
 }
 
-// wstep executes one (possibly fused) instruction for every work-item in
+// wstep executes one instruction for every work-item in
 // set. It returns false when execution failed; the error is in wmach.err.
 type wstep func(m *wmach, set []int32) bool
 

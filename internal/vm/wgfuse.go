@@ -296,6 +296,20 @@ var (
 
 func wgBit(r int32) uint64 { return 1 << uint(r) }
 
+// opsAt reports whether code[pc:pc+len(ops)] lies within [pc, end) and
+// matches the opcode sequence exactly.
+func (k *Kernel) opsAt(pc, end int, ops ...Op) bool {
+	if pc+len(ops) > end {
+		return false
+	}
+	for i, o := range ops {
+		if k.Code[pc+i].Op != o {
+			return false
+		}
+	}
+	return true
+}
+
 // wgWiring is the verdict for an operand-wiring failure at pc.
 func wgWiring(pc int) wgNoFuse { return wgNoFuse{WGFuseRejWiring, fmt.Sprintf("@%d", pc)} }
 
@@ -347,7 +361,7 @@ func parseWInc(code []Instr, pc int, defs *uint64) (ctr int, imm int64, ok bool)
 }
 
 // wgLoadErr formats the fused loads' out-of-range error exactly like the
-// unfused superinstructions do.
+// per-step load does (wstepLoadGlobal over byteOff).
 func wgLoadErr(kname string, f *wgFactor, idx int64, bufLen int) *execError {
 	return &execError{kname, f.pc, fmt.Sprintf("load %s: index %d out of range (buffer %d bytes)", f.name, idx, bufLen)}
 }
