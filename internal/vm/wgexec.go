@@ -96,12 +96,12 @@ type wmach struct {
 	work []*wgSet
 	free []*wgSet
 
-	// Uniform-control-flow fast paths. full is true while the set being
-	// dispatched is the whole group in ascending order, letting hot steps
-	// run bounds-check-free range loops; uniform is true while the current
-	// phase has never partitioned, enabling the transposed tracker replay;
-	// budgetScalar charges one shared step counter until the group first
-	// diverges.
+	// Uniform-control-flow fast paths. uniform is true while the current
+	// phase has never partitioned, so every dispatch of it so far was the
+	// whole group in ascending order; full says the set being dispatched is
+	// that (full implies uniform), letting hot steps run bounds-check-free
+	// range loops; budgetScalar charges one shared step counter until the
+	// group first diverges.
 	full         bool
 	uniform      bool
 	budgetScalar bool
@@ -109,18 +109,16 @@ type wmach struct {
 	lastB        []int32 // transposed tracker: last offset per (memID, item)
 	seenB        []bool  // lastB validity per (memID, item)
 
-	// Columnar access log (wgfuse.go era). While colMode — the phase is
-	// still uniform, so every dispatch is the full group — each dynamic
-	// global access is recorded as one column of n offsets in colBuf, or as
-	// a broadcast run when every item used one offset (wgCol), instead of n
-	// per-item stream appends. replayCols consumes the entries directly with
-	// the replayFast math; colFlush transposes them into rec the moment any
-	// step needs per-item recording or the phase first partitions, so the
-	// invariant holds: colMode implies rec is empty and the entries, in
+	// Columnar access log. While the phase is uniform each dynamic global
+	// access is recorded as one column of n offsets in colBuf, or as a
+	// broadcast run when every item used one offset (wgCol), instead of n
+	// per-item stream appends, and replayCols books the entries at phase end.
+	// The first partition is the one thing that ends it: colFlush transposes
+	// the entries into rec and clears uniform. So a phase has two log states
+	// and the invariant is: uniform iff rec is empty and the entries, in
 	// order, are every item's access stream, site by site in program order.
-	colMode bool
-	cols    []wgCol
-	colBuf  []int32
+	cols   []wgCol
+	colBuf []int32
 
 	// fuse selects the fused block closures (wgfuse.go) for this group;
 	// resolved once at group entry from SetWGFuse and from views, the
@@ -274,47 +272,39 @@ func (m *wmach) popMin() *wgSet {
 }
 
 // recAcc records one global access of item t for the phase-end tracker
-// replay. Steps that record per item force the columnar log out first so
-// the per-item streams stay in program order.
+// replay. Only partial-set dispatches record per item, and a phase that has
+// had one is no longer uniform, so the columnar log is already flushed.
 func (m *wmach) recAcc(t int32, id, off int32) {
 	if id >= 0 {
-		if m.colMode {
-			m.colFlush()
-		}
 		m.rec[t] = append(m.rec[t], wgAcc{id: id, off: off})
 	}
 }
 
 // recUniform records one global access all n work-items made at the same
-// offset (a load in a loop's control skeleton, wgloop.go). While the phase is
-// columnar that is O(1): the access extends the site's latest entry when that
-// is a broadcast of the same offset, and starts a new run otherwise. After,
-// it is one append per item stream.
+// offset (a load in a loop's control skeleton, wgloop.go, which is only
+// walked for a full group, so the phase is uniform). That is O(1): the access
+// extends the site's latest entry when that is a broadcast of the same
+// offset, and starts a new run otherwise.
 func (m *wmach) recUniform(id, off int32) {
-	switch {
-	case id < 0:
-	case m.colMode:
-		for j := len(m.cols) - 1; j >= 0; j-- {
-			if c := &m.cols[j]; c.id == id {
-				if c.run > 0 && c.at == off && c.run < math.MaxInt32 {
-					c.run++
-					return
-				}
-				break
+	if id < 0 {
+		return
+	}
+	for j := len(m.cols) - 1; j >= 0; j-- {
+		if c := &m.cols[j]; c.id == id {
+			if c.run > 0 && c.at == off && c.run < math.MaxInt32 {
+				c.run++
+				return
 			}
-		}
-		m.cols = append(m.cols, wgCol{id: id, at: off, run: 1})
-	default:
-		for t := range m.rec {
-			m.rec[t] = append(m.rec[t], wgAcc{id: id, off: off})
+			break
 		}
 	}
+	m.cols = append(m.cols, wgCol{id: id, at: off, run: 1})
 }
 
 // colFor appends a new access column for one dynamic global access of
 // memID id and returns its n-offset slice. Caller fills col[t] for every
 // item before taking any further column (growing the log can reallocate it
-// and orphan the subslice); only valid while colMode.
+// and orphan the subslice); only valid while the phase is uniform.
 func (m *wmach) colFor(id int32) []int32 {
 	at := len(m.colBuf)
 	need := at + m.n
@@ -330,9 +320,10 @@ func (m *wmach) colFor(id int32) []int32 {
 }
 
 // colFlush transposes the columnar log into the per-item rec streams,
-// expanding broadcast runs, and leaves columnar mode. Because every access of
-// the phase so far went to the log, appending its entries in order
-// reconstructs each item's stream, every site's accesses in program order.
+// expanding broadcast runs, and ends the phase's uniform state (the first
+// partition calls it). Because every access of the phase so far went to the
+// log, appending its entries in order reconstructs each item's stream, every
+// site's accesses in program order.
 func (m *wmach) colFlush() {
 	for _, c := range m.cols {
 		for t := range m.rec {
@@ -347,7 +338,7 @@ func (m *wmach) colFlush() {
 	}
 	m.cols = m.cols[:0]
 	m.colBuf = m.colBuf[:0]
-	m.colMode = false
+	m.uniform = false
 }
 
 // replay drives the recorded access streams through the memTracker in the
@@ -434,30 +425,9 @@ func (m *wmach) bookCol(id int, col []int32, off int32, run int64) {
 	m.st.WarpTransactions += warp + (run-1)*warps
 }
 
-// replayFast is the transposed replay for phases that never partitioned but
-// left columnar mode: it gathers the j-th access of every per-item stream
-// into a column (the column log is empty by then and lends its buffer).
-func (m *wmach) replayFast() {
-	n := m.n
-	col := grow(m.colBuf, n)
-	m.colBuf = col[:0]
-	for j, a := range m.rec[0] {
-		for t := range col {
-			col[t] = m.rec[t][j].off
-		}
-		m.bookCol(int(a.id), col, 0, 1)
-	}
-	for t := 0; t < n; t++ {
-		m.rec[t] = m.rec[t][:0]
-	}
-	// The banked stride state is per phase, like the memTracker's
-	// (nextWI resets it for every item at each phase boundary).
-	clear(m.seenB)
-}
-
-// replayCols is the transposed replay for phases that never left columnar
-// mode: the j-th entry already is the j-th access, or run of accesses, of
-// every item.
+// replayCols is the transposed replay for phases that never partitioned: the
+// j-th entry of the log is the j-th access, or run of accesses, of every
+// item.
 func (m *wmach) replayCols() {
 	for _, c := range m.cols {
 		if c.run == 0 {
@@ -468,6 +438,8 @@ func (m *wmach) replayCols() {
 	}
 	m.cols = m.cols[:0]
 	m.colBuf = m.colBuf[:0]
+	// The banked stride state is per phase, like the memTracker's (nextWI
+	// resets it for every item at each phase boundary).
 	clear(m.seenB)
 }
 
@@ -558,7 +530,6 @@ func (m *wmach) runGroup() error {
 		m.parked, m.barrierPC = 0, -1
 		m.uniform = true
 		m.booked = false
-		m.colMode = true
 		m.cols = m.cols[:0]
 		m.colBuf = m.colBuf[:0]
 		s := m.takeSet(entry)
@@ -668,11 +639,8 @@ func (m *wmach) runGroup() error {
 						fall.items = append(fall.items, t)
 					}
 				}
-				if len(taken.items) > 0 && len(fall.items) > 0 {
-					if m.colMode {
-						m.colFlush()
-					}
-					m.uniform = false
+				if m.uniform && len(taken.items) > 0 && len(fall.items) > 0 {
+					m.colFlush()
 				}
 				m.freeSet(s)
 				m.push(taken)
@@ -696,11 +664,7 @@ func (m *wmach) runGroup() error {
 			return m.err
 		}
 		if m.uniform {
-			if m.colMode {
-				m.replayCols()
-			} else {
-				m.replayFast()
-			}
+			m.replayCols()
 		} else {
 			m.replay()
 		}

@@ -877,8 +877,7 @@ func (k *Kernel) wgfuseScatter(_ *wgProgram, blk *wblock, liveI, liveF uint64) (
 		xs, ys, zs := ib[aff.x*n:aff.x*n+n], ib[aff.y*n:aff.y*n+n], ib[aff.z*n:aff.z*n+n]
 		cb := ib[ctr*n : ctr*n+n]
 		var col []int32
-		rec := m.rec
-		if m.colMode && mem >= 0 {
+		if mem >= 0 {
 			col = m.colFor(mem)
 		}
 		u := m.undo
@@ -894,8 +893,6 @@ func (k *Kernel) wgfuseScatter(_ *wgProgram, blk *wblock, liveI, liveF uint64) (
 			st.noteGlobalWrite(slot, off)
 			if col != nil {
 				col[t] = off
-			} else if mem >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: mem, off: off})
 			}
 			cb[t] += incImm
 		}
@@ -942,8 +939,7 @@ func (k *Kernel) wgfuseStoreTail(_ *wgProgram, blk *wblock, liveI, liveF uint64)
 		xs, ys, zs := ib[aff.x*n:aff.x*n+n], ib[aff.y*n:aff.y*n+n], ib[aff.z*n:aff.z*n+n]
 		sv := fb[src*n : src*n+n]
 		var col []int32
-		rec := m.rec
-		if m.colMode && mem >= 0 {
+		if mem >= 0 {
 			col = m.colFor(mem)
 		}
 		u := m.undo
@@ -960,8 +956,6 @@ func (k *Kernel) wgfuseStoreTail(_ *wgProgram, blk *wblock, liveI, liveF uint64)
 			st.noteGlobalWrite(slot, off)
 			if col != nil {
 				col[t] = off
-			} else if mem >= 0 {
-				rec[t] = append(rec[t], wgAcc{id: mem, off: off})
 			}
 		}
 		cnt := int64(n)

@@ -390,7 +390,7 @@ func TestWGLoopWalkExits(t *testing.T) {
 // matter, a column or another offset of its own site ends the run — and
 // colFlush expands every run into each item's stream.
 func TestWGUniformLoadRuns(t *testing.T) {
-	m := &wmach{n: 2, colMode: true, rec: make([][]wgAcc, 2)}
+	m := &wmach{n: 2, uniform: true, rec: make([][]wgAcc, 2)}
 	for i := 0; i < 5; i++ {
 		m.recUniform(3, 8)
 	}
@@ -416,7 +416,7 @@ func TestWGUniformLoadRuns(t *testing.T) {
 			t.Errorf("item %d stream %v, want %v", lane, m.rec[lane], want)
 		}
 	}
-	if m.colMode || len(m.cols) != 0 {
-		t.Error("colFlush left the log in columnar mode")
+	if m.uniform || len(m.cols) != 0 {
+		t.Error("colFlush left the phase uniform")
 	}
 }

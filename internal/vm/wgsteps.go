@@ -620,9 +620,8 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 			// recording.
 			cnt = int64(n)
 			sl := ib[cb : cb+n]
-			rec := m.rec
 			var col []int32
-			if m.colMode && memID >= 0 {
+			if memID >= 0 {
 				col = m.colFor(memID)
 			}
 			if isF {
@@ -636,8 +635,6 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 					rl[t] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
 					if col != nil {
 						col[t] = off
-					} else if memID >= 0 {
-						rec[t] = append(rec[t], wgAcc{id: memID, off: off})
 					}
 				}
 			} else {
@@ -651,8 +648,6 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 					rl[t] = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
 					if col != nil {
 						col[t] = off
-					} else if memID >= 0 {
-						rec[t] = append(rec[t], wgAcc{id: memID, off: off})
 					}
 				}
 			}
@@ -697,9 +692,8 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 			// recording; the undo log is handled inline.
 			cnt = int64(n)
 			sl := ib[cb : cb+n]
-			rec := m.rec
 			var col []int32
-			if m.colMode && memID >= 0 {
+			if memID >= 0 {
 				col = m.colFor(memID)
 			}
 			u := m.undo
@@ -719,8 +713,6 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				st.noteGlobalWrite(slot, off)
 				if col != nil {
 					col[t] = off
-				} else if memID >= 0 {
-					rec[t] = append(rec[t], wgAcc{id: memID, off: off})
 				}
 			}
 		} else {
