@@ -11,9 +11,9 @@ import (
 	"fluidicl/internal/passes"
 )
 
-// fusedTestSrc is a SYRK-shaped kernel whose inner loop exercises the main
-// superinstruction patterns: affine indices (i*m+k), indexed loads feeding
-// multiplies, a multiply-add chain and the loop-increment idiom.
+// fusedTestSrc is a SYRK-shaped kernel whose inner loop is the reduction
+// jam's grammar: affine indices (i*m+k), indexed loads feeding multiplies, a
+// multiply-add chain and the loop-increment idiom.
 const fusedTestSrc = `
 __kernel void syrk_like(__global float* A, __global float* C, float alpha, int m, int n) {
     int i = get_global_id(0);

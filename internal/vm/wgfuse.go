@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -12,15 +11,15 @@ import (
 // The banked steps of wgsteps.go execute step-major: each step makes its
 // own pass over the work-item set, so a k-step block traverses the SoA
 // banks k times per dispatch and pays k indirect calls. This pass runs at
-// wg-compile time and lowers whole block bodies into a single fused
-// closure that loops over the work-items once, with every touched bank
-// hoisted into a subslice (one up-front length assertion, bounds checks
-// eliminated inside the loop), the ld/fmadd/st sequences jammed into one
-// wide inner loop, and pattern-internal scratch registers kept in scalars
-// instead of bank slabs when the block-level liveness analysis proves them
-// dead at the block exit. The reduction jam goes one level further
-// (wgloop.go): when the loop control around its body is lane-uniform it
-// runs all T trips of the loop per work-item in one dispatch.
+// wg-compile time and lowers the one block shape that carries the executed
+// instructions — the multiply-accumulate body of a reduction loop
+// (wgfuseReduce) — into a single fused closure that loops over the
+// work-items once, the ld/fmadd sequences jammed into one inner loop and
+// pattern-internal scratch registers kept in scalars instead of bank slabs
+// when the block-level liveness analysis proves them dead at the block
+// exit. The jam goes one level further (wgloop.go): when the loop control
+// around its body is lane-uniform it runs all T trips of the loop per
+// work-item in one dispatch. Every other block runs per-step.
 //
 // Fusibility proof, in three parts:
 //
@@ -46,7 +45,7 @@ import (
 //  3. Scalar elision: a scratch register's bank write may be dropped only
 //     when the register is provably dead at the block exit (wgLiveness, a
 //     standard backward dataflow over the bytecode CFG) and the block
-//     terminator does not read it (the matchers reject conditional
+//     terminator does not read it (the matcher rejects conditional
 //     terminators outright).
 //
 // Every block that stays per-step carries exactly one WGFuseReject reason
@@ -81,9 +80,9 @@ type WGFuseReject uint8
 const (
 	// WGFuseRejNone: not rejected (the block fused).
 	WGFuseRejNone WGFuseReject = iota
-	// WGFuseRejShape: the body's opcode sequence matches no jam shape.
+	// WGFuseRejShape: the body's opcode sequence is not a reduction chain.
 	WGFuseRejShape
-	// WGFuseRejWiring: the opcodes match a shape but the operands are not
+	// WGFuseRejWiring: the opcodes match the grammar but the operands are not
 	// wired like it (a source redefined earlier in the jam, an accumulator
 	// aliased with a scratch register, a clobbered running product).
 	WGFuseRejWiring
@@ -232,21 +231,13 @@ func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, iOut, fOut map[int
 // Fusion pass
 // ---------------------------------------------------------------------------
 
-// wgJams lists the jam shapes in match order. Their opcode patterns are
-// mutually exclusive, so the first matcher that gets past its opcode match
-// decides the block's verdict.
-var wgJams = [...]func(*Kernel, *wgProgram, *wblock, uint64, uint64) (wfused, wgNoFuse){
-	(*Kernel).wgfuseReduce,
-	(*Kernel).wgfuseScatter,
-	(*Kernel).wgfuseStoreTail,
-}
-
-// fuseWG matches every block body against the jam shapes and, when the
-// shape, the operand wiring, and the dead-scratch proof all hold, attaches
-// a single fused closure to the block. The engine dispatches it in place of
-// the per-step list whenever the whole group arrives at the block together
-// (runGroup); every other block, and every other dispatch, runs per-step. Counters attribute the outcome per
-// compiled instruction and per reject reason.
+// fuseWG matches every block body against the reduction jam's grammar and,
+// when the shape, the operand wiring, and the dead-scratch proof all hold,
+// attaches a single fused closure to the block. The engine dispatches it in
+// place of the per-step list whenever the whole group arrives at the block
+// together (runGroup); every other block, and every other dispatch, runs
+// per-step. Counters attribute the outcome per compiled instruction and per
+// reject reason.
 func (k *Kernel) fuseWG(wg *wgProgram) {
 	var nBlocks, nSteps, nFallback int64
 	var nRej [wgFuseRejCount]int64
@@ -265,11 +256,7 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 		}
 		rej := wgNoFuse{why: WGFuseRejWideRegs}
 		if !wide {
-			for _, jam := range wgJams {
-				if blk.fused, rej = jam(k, wg, blk, iOut[blk.start], fOut[blk.start]); rej.why != WGFuseRejShape {
-					break
-				}
-			}
+			blk.fused, rej = k.wgfuseReduce(wg, blk, iOut[blk.start], fOut[blk.start])
 		}
 		if blk.fused != nil {
 			wg.fused = append(wg.fused, FusedSpan{Start: blk.start, Len: body, Name: "wg.fuse"})
@@ -835,133 +822,4 @@ func wgCoalesced(db, ds, T int64) int64 {
 		}
 	}
 	return c
-}
-
-// wgfuseScatter jams the strided scatter loop body (scatter_columns shape):
-//
-//	aff idx; ldf c; stgf buf[idx] = c; inc ctr
-func (k *Kernel) wgfuseScatter(_ *wgProgram, blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
-	pc, end := blk.start, blk.body
-	if end-pc != 11 || !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDF, opSTGF,
-		opIMOV, opLDI, opIADD, opIMOV) {
-		return nil, wgNoFuse{why: WGFuseRejShape}
-	}
-	if blk.term.kind == wtCond {
-		return nil, wgNoFuse{why: WGFuseRejCondTerm}
-	}
-	code := k.Code
-	var defsI uint64
-	aff, ok := parseWAff(code, pc, &defsI)
-	if !ok {
-		return nil, wgWiring(pc)
-	}
-	ldf, stg := code[pc+5], code[pc+6]
-	if stg.C != code[pc+4].A || stg.A != ldf.A {
-		return nil, wgWiring(pc + 6)
-	}
-	ctr, incImm, ok := parseWInc(code, pc+7, &defsI)
-	if !ok {
-		return nil, wgWiring(pc + 7)
-	}
-	if rej := wgLiveScratch(defsI&^wgBit(int32(ctr)), liveI, wgBit(ldf.A), liveF); rej.why != WGFuseRejNone {
-		return nil, rej
-	}
-	slot, mem, stPC := stg.B, stg.D, pc+6
-	name := k.Params[slot].Name
-	kname := k.Name
-	bits := math.Float32bits(float32(ldf.FImm))
-	return func(m *wmach) bool {
-		n := m.n
-		ib := m.ib
-		buf := m.args[slot].Buf
-		xs, ys, zs := ib[aff.x*n:aff.x*n+n], ib[aff.y*n:aff.y*n+n], ib[aff.z*n:aff.z*n+n]
-		cb := ib[ctr*n : ctr*n+n]
-		var col []int32
-		if mem >= 0 {
-			col = m.colFor(mem)
-		}
-		u := m.undo
-		st := m.st
-		for t := 0; t < n; t++ {
-			idx := xs[t]*ys[t] + zs[t]
-			off, err := byteOff(idx, len(buf))
-			if err != nil {
-				m.err = &execError{kname, stPC, fmt.Sprintf("store %s: %v", name, err)}
-				return false
-			}
-			u.store(buf, off, bits)
-			st.noteGlobalWrite(slot, off)
-			if col != nil {
-				col[t] = off
-			}
-			cb[t] += incImm
-		}
-		cnt := int64(n)
-		st.IntOps += 3 * cnt
-		st.GlobalStores += cnt
-		st.GlobalStoreBytes += 4 * cnt
-		return true
-	}, wgNoFuse{}
-}
-
-// wgfuseStoreTail jams the result write-back tail of the matmul kernels:
-//
-//	aff idx; fmov v, acc; stgf buf[idx] = v
-func (k *Kernel) wgfuseStoreTail(_ *wgProgram, blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
-	pc, end := blk.start, blk.body
-	if end-pc != 7 || !k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opFMOV, opSTGF) {
-		return nil, wgNoFuse{why: WGFuseRejShape}
-	}
-	if blk.term.kind == wtCond {
-		return nil, wgNoFuse{why: WGFuseRejCondTerm}
-	}
-	code := k.Code
-	var defsI uint64
-	aff, ok := parseWAff(code, pc, &defsI)
-	if !ok {
-		return nil, wgWiring(pc)
-	}
-	fmv, stg := code[pc+5], code[pc+6]
-	if stg.C != code[pc+4].A || stg.A != fmv.A {
-		return nil, wgWiring(pc + 6)
-	}
-	if rej := wgLiveScratch(defsI, liveI, wgBit(fmv.A), liveF); rej.why != WGFuseRejNone {
-		return nil, rej
-	}
-	slot, mem, stPC := stg.B, stg.D, pc+6
-	name := k.Params[slot].Name
-	kname := k.Name
-	src := int(fmv.B)
-	return func(m *wmach) bool {
-		n := m.n
-		ib, fb := m.ib, m.fb
-		buf := m.args[slot].Buf
-		xs, ys, zs := ib[aff.x*n:aff.x*n+n], ib[aff.y*n:aff.y*n+n], ib[aff.z*n:aff.z*n+n]
-		sv := fb[src*n : src*n+n]
-		var col []int32
-		if mem >= 0 {
-			col = m.colFor(mem)
-		}
-		u := m.undo
-		st := m.st
-		for t := 0; t < n; t++ {
-			idx := xs[t]*ys[t] + zs[t]
-			off, err := byteOff(idx, len(buf))
-			if err != nil {
-				m.err = &execError{kname, stPC, fmt.Sprintf("store %s: %v", name, err)}
-				return false
-			}
-			bits := math.Float32bits(float32(sv[t]))
-			u.store(buf, off, bits)
-			st.noteGlobalWrite(slot, off)
-			if col != nil {
-				col[t] = off
-			}
-		}
-		cnt := int64(n)
-		st.IntOps += 2 * cnt
-		st.GlobalStores += cnt
-		st.GlobalStoreBytes += 4 * cnt
-		return true
-	}, wgNoFuse{}
 }
