@@ -82,8 +82,9 @@ func benchApp(b testing.TB, name string, gpuVar bool) []benchLaunch {
 // walks a whole column of a row-major matrix, so consecutive loop
 // iterations touch offsets a full row apart (worst case for the locality
 // tracker) while adjacent work-items touch consecutive columns. The body
-// matches the scatter jam shape, making this the stress case for fused
-// store accounting.
+// runs on banked steps (it had a jam of its own until that was measured not
+// to pay, DESIGN.md S20), making this the stress case for per-step store
+// accounting.
 func benchScatter(b *testing.B) []benchLaunch {
 	b.Helper()
 	const src = `
@@ -107,6 +108,37 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 		k:    k,
 		nd:   vm.NewNDRange1D(n, 64),
 		args: []vm.Arg{vm.BufArg(make([]byte, n*rows*4)), vm.IntArg(n), vm.IntArg(rows)},
+	}}
+}
+
+// benchStream is the guarded one-word-per-work-item body bench/'s
+// stream-chunks workload runs (scale, axpy): no loop and no jam shape, so the
+// wg engine executes it on banked steps alone — the layer-level number for the
+// per-step tier, next to SCATTER's store loop.
+func benchStream(b *testing.B) []benchLaunch {
+	b.Helper()
+	const src = `
+__kernel void stream(__global float* x, __global float* y, __global float* out, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        out[i] = a * x[i] + y[i];
+    }
+}
+`
+	const n = 1 << 16
+	ki, err := clc.FindKernelInfo(src, "stream")
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, err := vm.Compile(ki)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := func() vm.Arg { return vm.BufArg(make([]byte, 4*n)) }
+	return []benchLaunch{{
+		k:    k,
+		nd:   vm.NewNDRange1D(n, 256),
+		args: []vm.Arg{buf(), buf(), buf(), vm.FloatArg(0.75), vm.IntArg(n)},
 	}}
 }
 
@@ -134,7 +166,7 @@ func benchTrips(b testing.TB, name string, m int) []benchLaunch {
 
 // macs counts the multiply-accumulates one pass over the launches executes,
 // from the kernels' size arguments; 0 for an app whose kernels are not all
-// reduction loops (CORR) or have none (SCATTER).
+// reduction loops (CORR) or have none (SCATTER, STREAM).
 func macs(launches []benchLaunch) int64 {
 	var total int64
 	for _, l := range launches {
@@ -173,7 +205,7 @@ func BenchmarkExecLaunch(b *testing.B) {
 		rows = append(rows, row{fmt.Sprintf("SYRK/gpuvar/m=%d", m), benchTrips(b, "SYRK", m)})
 	}
 	rows = append(rows, row{"SYR2K/gpuvar/m=1024", benchTrips(b, "SYR2K", 1024)})
-	rows = append(rows, row{"SCATTER", benchScatter(b)})
+	rows = append(rows, row{"SCATTER", benchScatter(b)}, row{"STREAM", benchStream(b)})
 	for _, r := range rows {
 		launches := r.launches
 		for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendWG} {
