@@ -101,3 +101,25 @@ func (k *Kernel) ReductionBodies() []int {
 	}
 	return out
 }
+
+// WGBlockSteps returns, per compiled block in pc order, its leader pc, the
+// length of its per-step list and the number of non-nop instructions in its
+// body.
+func (k *Kernel) WGBlockSteps() (out [][3]int) {
+	if k.wg == nil {
+		return nil
+	}
+	for _, blk := range k.wg.blocks {
+		if blk == nil {
+			continue
+		}
+		instrs := 0
+		for _, in := range k.Code[blk.start:blk.body] {
+			if in.Op != opNop {
+				instrs++
+			}
+		}
+		out = append(out, [3]int{blk.start, len(blk.steps), instrs})
+	}
+	return out
+}

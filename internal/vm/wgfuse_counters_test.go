@@ -6,6 +6,7 @@ import (
 
 	"fluidicl/internal/clc"
 	"fluidicl/internal/core"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/vm"
@@ -117,6 +118,49 @@ func TestWGFuseCountersOnHotKernels(t *testing.T) {
 	if fusedBodies != 16 {
 		t.Errorf("%d multiply-accumulate loop bodies fused, want 16 (8 kernels x 2 variants)", fusedBodies)
 	}
+}
+
+// TestWGOneStepPerInstruction pins the per-step tier's one form: in every
+// kernel the runtimes execute — each Polybench and extra app after
+// passes.TransformGPU and after passes.TransformCPUWithSummary, and the merge
+// kernel — a block's step list is exactly one banked step per non-nop body
+// instruction. Anything that executes several instructions in one loop is a
+// jam (wgfuse.go) with a verdict in the disassembly, not a step.
+func TestWGOneStepPerInstruction(t *testing.T) {
+	check := func(name, src string) {
+		prog, err := clc.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, fn := range prog.Kernels {
+			ki, err := clc.FindKernelInfo(src, fn.Name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			k, err := vm.Compile(ki)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			blocks := k.WGBlockSteps()
+			if blocks == nil {
+				t.Errorf("%s %s: no wg program", name, fn.Name)
+			}
+			for _, b := range blocks {
+				if b[1] != b[2] {
+					t.Errorf("%s %s: block @%d has %d steps for %d instructions", name, fn.Name, b[0], b[1], b[2])
+				}
+			}
+		}
+	}
+	for _, bm := range append(polybench.All(), polybench.Extras()...) {
+		gpu, cpu, err := vm.TransformedSources(bm.App.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(bm.Name+"/gpu", gpu)
+		check(bm.Name+"/cpu", cpu)
+	}
+	check("merge", passes.MergeKernelSource)
 }
 
 // TestTwinRunCertifiesOncePerKey: a cooperative run launches one CPU kernel

@@ -94,8 +94,9 @@ func runLoopCase(t *testing.T, c loopCase) {
 // group diverged, recorded per item in the same phase (the tracker must be
 // seeded from lastB/seenB); a loop entered twice in one uniform phase; the
 // same across a barrier, where a divergent phase with bookings must still
-// reset the state; and a phase that is uniform but left columnar mode
-// before the loop, so the skeleton's uniform loads append per item.
+// reset the state; a columnar int load between bookings of one uniform
+// phase; and the broadcast runs of the skeleton's uniform loads, through
+// replayCols and through colFlush at the first partition, its only caller.
 func TestWGLoopTrackerState(t *testing.T) {
 	for _, c := range []loopCase{
 		{name: "loop, then a lane-divergent guard", batched: true, src: loopSig + `
@@ -145,6 +146,11 @@ __kernel void t(__global float* out, __global float* in, __global int* ib, int n
         out[g] = tmp[l] + 1.0f;
     }
 }`},
+		// Named for what it drove while the per-step superinstructions existed:
+		// their int-load arm recorded per item in a full-group dispatch, the
+		// one way a uniform phase left the column log. The load is a plain
+		// column now; the case stays for a column of one site between two of
+		// another's closed-form bookings.
 		{name: "uniform phase that left columnar mode", batched: true, src: loopSig + `
     int s = ib[l * rs + l];
     float acc = in[g];
@@ -161,12 +167,26 @@ __kernel void t(__global float* out, __global float* in, __global int* ib, int n
 ` + pollLoop("ib[p]", "p = (1 - p);", 13) + `
     out[g] = acc;
 }`},
+		// Likewise: the int load between the two loops is a column and flushes
+		// nothing, so the log reads run, column of another site, run — all
+		// three booked by replayCols.
 		{name: "a broadcast run flushed when the phase leaves columnar mode", batched: true, src: loopSig + `
     float acc = in[g];
 ` + pollLoop("ib[0]", "", 13) + `
     int s = ib[l * rs + l];
 ` + pollLoop("ib[0]", "", 7) + `
     out[g] = acc + (float)s;
+}`},
+		// colFlush's one entry: the runs the first loop logged are expanded into
+		// every item's stream when `if (g < 13)` first partitions the group; the
+		// second loop then runs per-step, appending to those streams, and
+		// replay() seeds each site from the first loop's closed-form bookings.
+		{name: "a broadcast run flushed at the first partition", batched: true, src: loopSig + `
+    float acc = in[g];
+` + pollLoop("ib[0]", "", 13) + `
+    if (g < 13) { out[g + 64] = acc + in[g + 1]; }
+` + pollLoop("ib[0]", "", 7) + `
+    out[g] = acc;
 }`},
 		{name: "a broadcast run across two entries of the loop", batched: true, src: loopSig + `
     for (int o = 0; o < 3; o++) {
