@@ -47,16 +47,17 @@ func main() {
 	// A FLUIDICL_BACKEND that names no engine would otherwise run the
 	// default one under the wrong label.
 	if err := vm.BackendEnvErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "fluidibench:", err)
-		os.Exit(2)
+		badFlag(err)
 	}
 	if *backend != "" {
 		b, err := vm.ParseBackend(*backend)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fluidibench: -backend:", err)
-			os.Exit(2)
+			badFlag(fmt.Errorf("-backend: %w", err))
 		}
 		vm.SetBackend(b)
+	}
+	if *parallel < 0 {
+		badFlag(fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or a positive number of concurrent table cells", *parallel))
 	}
 
 	if *traceOut != "" {
@@ -83,6 +84,11 @@ func main() {
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
+	}
+	// Every other command runs the paper's cpu+gpu machine; running it under
+	// a topology label the user asked for would misattribute the numbers.
+	if *topology != "" && args[0] != "hash" {
+		badFlag(fmt.Errorf("-topology %s: want it with -trace, -dist or hash; %q runs the paper's cpu+gpu machine", *topology, args[0]))
 	}
 
 	r := harness.NewRunner()
@@ -441,6 +447,13 @@ extras: %v
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fluidibench:", err)
 	os.Exit(1)
+}
+
+// badFlag reports a flag value the command does not accept and exits 2, the
+// flag package's own status for a parse error.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, "fluidibench:", err)
+	os.Exit(2)
 }
 
 // dumpOne shows what FluidiCL's compilation pipeline produces for a

@@ -26,17 +26,31 @@ func TestMain(m *testing.M) {
 }
 
 // TestExitStatus pins the command's exit statuses: 0 on success, 1 on a
-// runtime error, 2 when the engine asked for — by flag or by environment —
-// is none the command has, the retired closure engine included.
+// runtime error, 2 with a message naming what is accepted when a flag value
+// would otherwise be dropped or reinterpreted: an engine — by flag or by
+// environment — the command does not have (the retired closure engine
+// included), -topology on a command that runs the stock pair, a negative
+// -parallel.
 func TestExitStatus(t *testing.T) {
+	const engines, topoCmds, cells = "want interp or wg", "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
 	for _, c := range []struct {
 		args, env string
 		want      int
+		msg       string
 	}{
-		{"list", "", 0},
-		{"nosuch", "", 1},
-		{"-backend closure list", "", 2},
-		{"list", "FLUIDICL_BACKEND=closure", 2},
+		{"list", "", 0, ""},
+		{"nosuch", "", 1, ""},
+		{"-backend closure list", "", 2, engines},
+		{"list", "FLUIDICL_BACKEND=closure", 2, engines},
+		{"-quick -topology 2cpu+2gpu hash", "", 0, ""},
+		{"-quick -topology 2cpu+2gpu all", "", 2, topoCmds},
+		{"-quick -topology 2cpu+2gpu table1", "", 2, topoCmds},
+		{"-topology 4gpu-bus run SYRK", "", 2, topoCmds},
+		{"-topology 4gpu-bus dump SYRK", "", 2, topoCmds},
+		{"-topology 4gpu-bus trace SYRK", "", 2, topoCmds},
+		{"-topology cpu+gpu list", "", 2, topoCmds},
+		{"-parallel -1 list", "", 2, cells},
+		{"-parallel 2 list", "", 0, ""},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)
@@ -51,8 +65,8 @@ func TestExitStatus(t *testing.T) {
 		if got := cmd.ProcessState.ExitCode(); got != c.want {
 			t.Errorf("%s fluidibench %s: exit status %d, want %d\n%s", c.env, c.args, got, c.want, out)
 		}
-		if c.want == 2 && !strings.Contains(string(out), "want interp or wg") {
-			t.Errorf("%s fluidibench %s: the error does not list the engines:\n%s", c.env, c.args, out)
+		if !strings.Contains(string(out), c.msg) {
+			t.Errorf("%s fluidibench %s: the error does not say %q:\n%s", c.env, c.args, c.msg, out)
 		}
 	}
 }
