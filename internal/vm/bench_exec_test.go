@@ -53,13 +53,7 @@ func benchApp(b testing.TB, name string, gpuVar bool) []benchLaunch {
 	for _, l := range app.Launches {
 		k, ok := kernels[l.Kernel]
 		if !ok {
-			ki, err := clc.FindKernelInfo(src, l.Kernel)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if k, err = vm.Compile(ki); err != nil {
-				b.Fatal(err)
-			}
+			k = benchKernel(b, src, l.Kernel)
 			kernels[l.Kernel] = k
 		}
 		args := make([]vm.Arg, len(l.Args), len(l.Args)+len(extra))
@@ -76,6 +70,20 @@ func benchApp(b testing.TB, name string, gpuVar bool) []benchLaunch {
 		launches = append(launches, benchLaunch{k: k, nd: l.ND, args: append(args, extra...)})
 	}
 	return launches
+}
+
+// benchKernel compiles one kernel of src.
+func benchKernel(b testing.TB, src, name string) *vm.Kernel {
+	b.Helper()
+	ki, err := clc.FindKernelInfo(src, name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, err := vm.Compile(ki)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return k
 }
 
 // benchScatter builds an adversarial strided-scatter launch: every store
@@ -96,16 +104,8 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 }
 `
 	const n, rows = 1024, 64
-	ki, err := clc.FindKernelInfo(src, "scatter_columns")
-	if err != nil {
-		b.Fatal(err)
-	}
-	k, err := vm.Compile(ki)
-	if err != nil {
-		b.Fatal(err)
-	}
 	return []benchLaunch{{
-		k:    k,
+		k:    benchKernel(b, src, "scatter_columns"),
 		nd:   vm.NewNDRange1D(n, 64),
 		args: []vm.Arg{vm.BufArg(make([]byte, n*rows*4)), vm.IntArg(n), vm.IntArg(rows)},
 	}}
@@ -126,17 +126,9 @@ __kernel void stream(__global float* x, __global float* y, __global float* out, 
 }
 `
 	const n = 1 << 16
-	ki, err := clc.FindKernelInfo(src, "stream")
-	if err != nil {
-		b.Fatal(err)
-	}
-	k, err := vm.Compile(ki)
-	if err != nil {
-		b.Fatal(err)
-	}
 	buf := func() vm.Arg { return vm.BufArg(make([]byte, 4*n)) }
 	return []benchLaunch{{
-		k:    k,
+		k:    benchKernel(b, src, "stream"),
 		nd:   vm.NewNDRange1D(n, 256),
 		args: []vm.Arg{buf(), buf(), buf(), vm.FloatArg(0.75), vm.IntArg(n)},
 	}}
