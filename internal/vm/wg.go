@@ -41,12 +41,11 @@ type wblock struct {
 	body   int   // end of the block body (terminator excluded)
 	nInstr int64 // step-budget charge per work-item
 	steps  []wstep
-	// fused, when non-nil, is the region-fused lowering of steps
-	// (wgfuse.go): the whole body jammed into one loop over the work-items.
-	// Dispatched instead of steps while WGFuseEnabled, for full-group
-	// dispatches.
-	fused wfused
-	term  wgTerm
+	// red, when non-nil, is the region-fused lowering of steps (wgfuse.go):
+	// the whole body jammed into one loop over the work-items, run instead of
+	// steps while WGFuseEnabled, for full-group dispatches.
+	red  *wgReduce
+	term wgTerm
 }
 
 // wgAccess is one static global- or local-memory access inside a region,
@@ -91,6 +90,9 @@ type wgProgram struct {
 	// loops lists the loop verdict of every fused reduction body (wgloop.go),
 	// spanning the body; Name is the whole disassembly annotation.
 	loops []FusedSpan
+	// iIn and iOut are the int registers live into and out of each block, by
+	// leader pc (wgLiveness over the whole kernel; nil for wide register files).
+	iIn, iOut map[int]uint64
 }
 
 // buildWG compiles the whole-work-group program from the well-formed bytecode

@@ -59,10 +59,6 @@ type wgSet struct {
 // set. It returns false when execution failed; the error is in wmach.err.
 type wstep func(m *wmach, set []int32) bool
 
-// wfused executes a whole block body for the full group in ascending item
-// order (wgfuse.go). Same failure convention as wstep.
-type wfused func(m *wmach) bool
-
 // wmach is the lockstep engine's execution context: SoA register banks plus
 // the per-group state the interpreter keeps in locals.
 type wmach struct {
@@ -120,25 +116,26 @@ type wmach struct {
 	cols   []wgCol
 	colBuf []int32
 
-	// fuse selects the fused block closures (wgfuse.go) for this group;
-	// resolved once at group entry from SetWGFuse and from views, the
-	// arguments' buffers as float32 words (f32View), which the reduction jam
-	// reads: a group with a buffer that has no such view runs per-step, the
-	// reference path that decodes bytes. dynFused / dynStep tally
-	// the body instructions (per work-item) this group executed through
-	// fused closures vs per-step lists; folded into backendCtr at group end.
+	// fuse selects the fused plans (wgfuse.go) for this group; resolved once
+	// at group entry from SetWGFuse and from views, the arguments' buffers as
+	// float32 words (f32View), which the reduction jam reads: a group with a
+	// buffer that has no such view runs per-step, the reference path that
+	// decodes bytes. dynFused / dynStep tally the body instructions (per
+	// work-item) this group executed fused vs per-step, for backendCtr.
 	fuse     bool
 	views    [][]float32
 	dynFused int64
 	dynStep  int64
 
-	// Loop-level fusion (wgloop.go). A fused closure that ran its block's
-	// whole loop sets next (-1 before the call) to the exit pc, and the
-	// dispatcher skips the terminator; booked marks a phase whose reduction
-	// sites went into lastB/seenB in closed form (see replay). The loop*
-	// tallies are folded into backendCtr at group end.
+	// Loop-level fusion (wgloop.go). A plan that ran its block's whole loop
+	// sets next (-1 before the call) to the exit pc, and the dispatcher skips
+	// the terminator; booked marks a phase whose reduction sites went into
+	// lastB/seenB in closed form (see replay); sfile and visits are the walk's
+	// scalar register file and per-chain counts. The loop* tallies are folded
+	// into backendCtr at group end.
 	next           int
 	booked         bool
+	sfile, visits  []int64
 	loopBatches    int64
 	loopTrips      int64
 	loopNonuniform int64
@@ -566,13 +563,13 @@ func (m *wmach) runGroup() error {
 					}
 				}
 			}
-			// A fused closure runs item-major over the whole group; any
+			// A fused plan runs item-major over the whole group; any
 			// other dispatch takes the per-step list.
 			body := int64(blk.body - blk.start)
-			if m.fuse && blk.fused != nil && m.full {
+			if m.fuse && blk.red != nil && m.full {
 				m.dynFused += body * int64(n)
 				m.next = -1
-				if !blk.fused(m) {
+				if !blk.red.run(m) {
 					m.freeSet(s)
 					return m.err
 				}

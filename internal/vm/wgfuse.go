@@ -8,53 +8,35 @@ import (
 
 // Region fusion for the lockstep engine (DESIGN.md S20).
 //
-// The banked steps of wgsteps.go execute step-major: each step makes its
-// own pass over the work-item set, so a k-step block traverses the SoA
-// banks k times per dispatch and pays k indirect calls. This pass runs at
-// wg-compile time and lowers the one block shape that carries the executed
-// instructions — the multiply-accumulate body of a reduction loop
-// (wgfuseReduce) — into a single fused closure that loops over the
-// work-items once, the ld/fmadd sequences jammed into one inner loop and
-// pattern-internal scratch registers kept in scalars instead of bank slabs
-// when the block-level liveness analysis proves them dead at the block
-// exit. The jam goes one level further (wgloop.go): when the loop control
-// around its body is lane-uniform it runs all T trips of the loop per
-// work-item in one dispatch. Every other block runs per-step.
+// The banked steps of wgsteps.go execute step-major: a k-step block makes k
+// passes over the SoA banks per dispatch and pays k indirect calls. This pass
+// runs at wg-compile time and lowers the one block shape that carries the
+// executed instructions — the multiply-accumulate body of a reduction loop
+// (wgfuseReduce) — into a plan that loops over the work-items once, the
+// ld/fmadd sequences jammed into one inner loop and pattern-internal scratch
+// registers kept in scalars instead of bank slabs. When the loop control
+// around the body is lane-uniform the plan runs all T trips of the loop per
+// work-item in one dispatch (wgloop.go). Every other block runs per-step.
 //
 // Fusibility proof, in three parts:
 //
-//  1. Reordering: banked steps are lane-local on registers, and the wg
-//     engine only runs launches the noninterference certificate
-//     (wgcert.go/wgreject.go) admitted, so cross-item global/local
-//     interference inside a region is already excluded. Switching a block
-//     from step-major to item-major order — or any other order that keeps
-//     each work-item's own program order — therefore cannot change any
-//     buffer byte or register trajectory on error-free runs; on error
-//     runs, parity is by presence, not text, exactly as documented for
-//     the engine itself (wgexec.go).
-//  2. Stats: every batched counter (op counts, load/store totals, param
-//     masks) is an order-independent sum or mask, so adding the block
-//     total once equals adding it per step. The order-sensitive memory-
-//     locality tracker is fed through the same recording machinery as the
-//     unfused steps (per-item streams in program order, or the columnar
-//     log while the phase is uniform), so the phase-end replay sees
-//     identical streams — except for the reduction jam's own load sites,
-//     which are booked in closed form against the same transposed state
-//     the replay uses, one state machine per site and phase (DESIGN.md
-//     S20, "Loop-level fusion").
-//  3. Scalar elision: a scratch register's bank write may be dropped only
-//     when the register is provably dead at the block exit (wgLiveness, a
-//     standard backward dataflow over the bytecode CFG) and the block
-//     terminator does not read it (the matcher rejects conditional
-//     terminators outright).
+//  1. Reordering: banked steps are lane-local on registers, and the engine
+//     only runs launches the noninterference certificate (wgcert.go) admitted,
+//     so any order that keeps each work-item's own program order leaves every
+//     buffer byte and register trajectory of an error-free run unchanged.
+//  2. Stats: every batched counter is an order-independent sum or mask. The
+//     order-sensitive locality tracker sees the same streams as per-step
+//     execution, except for the jam's own load sites, which are booked in
+//     closed form against the transposed state the replay uses, one state
+//     machine per site and phase (DESIGN.md S20, "Loop-level fusion").
+//  3. Scalar elision: a scratch register's bank write is dropped only when
+//     the register is dead at the block exit (wgLiveness) and the terminator
+//     does not read it (conditional terminators are rejected outright).
 //
 // Every block that stays per-step carries exactly one WGFuseReject reason
-// (counted per reason and annotated in the disassembly); wg_fused_blocks /
-// wg_fused_steps / wg_fuse_fallback_steps attribute the static coverage and
-// wg_fused_instrs_dyn / wg_step_instrs_dyn the executed one. SetWGFuse keeps
-// the unfused path selectable for the fused-vs-unfused differential tests;
-// the fused closures are always compiled so it can be flipped between
-// launches.
+// (counted, and annotated in the disassembly); wg_fused_instrs_dyn /
+// wg_step_instrs_dyn attribute the executed coverage. SetWGFuse keeps the
+// per-step path selectable for the fused-vs-unfused differential tests.
 
 // wgFuseFlag holds the process-wide fused-execution switch (on unless a
 // differential test turns it off).
@@ -63,7 +45,7 @@ var wgFuseFlag atomic.Bool
 func init() { wgFuseFlag.Store(true) }
 
 // WGFuseEnabled reports whether the lockstep engine dispatches the fused
-// block closures (the default) or the per-step lists.
+// plans (the default) or the per-step lists.
 func WGFuseEnabled() bool { return wgFuseFlag.Load() }
 
 // SetWGFuse selects fused (true) or per-step (false) wg block execution
@@ -233,18 +215,17 @@ func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, iOut, fOut map[int
 
 // fuseWG matches every block body against the reduction jam's grammar and,
 // when the shape, the operand wiring, and the dead-scratch proof all hold,
-// attaches a single fused closure to the block. The engine dispatches it in
-// place of the per-step list whenever the whole group arrives at the block
-// together (runGroup); every other block, and every other dispatch, runs
-// per-step. Counters attribute the outcome per compiled instruction and per
-// reject reason.
+// attaches the fused plan to the block. The engine runs it in place of the
+// per-step list whenever the whole group arrives at the block together
+// (runGroup); every other block, and every other dispatch, runs per-step.
+// Counters attribute the outcome per compiled instruction and reject reason.
 func (k *Kernel) fuseWG(wg *wgProgram) {
 	var nBlocks, nSteps, nFallback int64
 	var nRej [wgFuseRejCount]int64
 	wide := k.NumI > 64 || k.NumF > 64
-	var iOut, fOut map[int]uint64
+	var fOut map[int]uint64
 	if !wide {
-		_, iOut, fOut = k.wgLiveness(wg, nil)
+		wg.iIn, wg.iOut, fOut = k.wgLiveness(wg, nil)
 	}
 	for _, blk := range wg.blocks {
 		if blk == nil {
@@ -256,9 +237,9 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 		}
 		rej := wgNoFuse{why: WGFuseRejWideRegs}
 		if !wide {
-			blk.fused, rej = k.wgfuseReduce(wg, blk, iOut[blk.start], fOut[blk.start])
+			blk.red, rej = k.wgfuseReduce(wg, blk, wg.iOut[blk.start], fOut[blk.start])
 		}
-		if blk.fused != nil {
+		if blk.red != nil {
 			wg.fused = append(wg.fused, FusedSpan{Start: blk.start, Len: body, Name: "wg.fuse"})
 			nBlocks++
 			nSteps += int64(body)
@@ -354,8 +335,8 @@ func wgLoadErr(kname string, f *wgFactor, idx int64, bufLen int) *execError {
 }
 
 // Plan capacity of the reduction-chain jam. The parsed chain lives in
-// fixed-size arrays inside the closure's captured plan, so a dispatch
-// allocates nothing; bodies beyond the cap stay per-step (reason cap).
+// fixed-size arrays inside the plan, so a dispatch allocates nothing; bodies
+// beyond the cap stay per-step (reason cap).
 const (
 	wgMaxTerms   = 4
 	wgMaxFactors = 3
@@ -391,7 +372,11 @@ type wgReduce struct {
 	terms [wgMaxTerms]wgRedTerm
 	nAcc  int
 	accs  [wgMaxTerms]int // distinct accumulator registers
-	pair  [wgMaxTerms]int // per accumulator: its only term when that has two factors, else -1
+	// terms is sorted by accumulator, stably: a's terms, in program order, are
+	// terms[first[a]:first[a+1]]. pair[a]: they are one or two and each has
+	// two factors, the shapes the leaves wgDot1 and wgDot2 run.
+	first [wgMaxTerms + 1]int
+	pair  [wgMaxTerms]bool
 	ni    int
 	ctrs  [wgMaxIncs]int
 	imms  [wgMaxIncs]int64
@@ -424,7 +409,7 @@ type wgReduce struct {
 // terms run in program order inside the trip loop — they may share an
 // accumulator — with products and accumulators in scalars, so only
 // accumulators and counters are written back to their banks.
-func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (wfused, wgNoFuse) {
+func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (*wgReduce, wgNoFuse) {
 	code := k.Code
 	pc, end := blk.start, blk.body
 	shape := wgNoFuse{why: WGFuseRejShape}
@@ -567,17 +552,20 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 			f.sx, f.sy = inc[f.idx.x], inc[f.idx.y]
 		}
 	}
-	var own [wgMaxTerms]int // terms per accumulator
-	for ti := 0; ti < p.nt; ti++ {
-		tm := &p.terms[ti]
-		if own[tm.acc]++; own[tm.acc] == 1 && tm.nf == 2 {
-			p.pair[tm.acc] = ti
-		} else {
-			p.pair[tm.acc] = -1
+	parsed, nt := p.terms, 0
+	for a := 0; a < p.nAcc; a++ {
+		p.first[a], p.pair[a] = nt, true
+		for _, tm := range parsed[:p.nt] {
+			if tm.acc == a {
+				p.terms[nt] = tm
+				nt++
+				p.pair[a] = p.pair[a] && tm.nf == 2 && nt-p.first[a] <= 2
+			}
 		}
 	}
+	p.first[p.nAcc] = nt
 	p.loop = k.wgLoopFor(wg, blk, p, ctrsI)
-	return p.run, wgNoFuse{}
+	return p, wgNoFuse{}
 }
 
 // run dispatches the body for a full group: every trip the loop makes from
@@ -589,21 +577,23 @@ func (p *wgReduce) run(m *wmach) bool {
 	if lp == nil {
 		return p.trips(m, 1)
 	}
-	var r [64]int64
-	if !m.budgetScalar || !lp.uniform(m, &r) {
+	if !m.budgetScalar || !lp.uniform(m) {
 		m.loopNonuniform++
 		return p.trips(m, 1)
 	}
-	trips, exit, defd, ok := lp.walk(m, &r, p.ctrs[:p.ni], p.imms[:p.ni])
-	if !ok || !p.trips(m, trips) {
+	trips, exit, defd, ok := lp.walk(m)
+	if trips == 0 {
+		return ok && p.trips(m, 1)
+	}
+	if !p.trips(m, trips) {
 		return false
 	}
-	n := m.n
-	for ; defd != 0; defd &= defd - 1 {
+	// What the skeleton defined and the code at the exit may still read.
+	for defd &= m.k.wg.iIn[exit]; defd != 0; defd &= defd - 1 {
 		reg := bits.TrailingZeros64(defd)
-		bank := m.ib[reg*n : reg*n+n]
+		bank := m.ib[reg*m.n:][:m.n]
 		for t := range bank {
-			bank[t] = r[reg]
+			bank[t] = m.sfile[reg]
 		}
 	}
 	m.loopBatches++
@@ -660,12 +650,15 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 		// so each runs all T trips of them with its value in a register.
 		for a := 0; a < p.nAcc; a++ {
 			acc := float32(fb[p.accs[a]*n+t])
-			if ti := p.pair[a]; ti >= 0 { // SYRK, 2MM, BICG, corr_kernel4; GESUMMV twice
-				li := p.terms[ti].li
-				acc = wgDotPair(views[li], views[li+1], base[li], stride[li], base[li+1], stride[li+1], T,
-					p.terms[ti].seed >= 0, seeds[ti], acc)
-			} else {
-				acc = p.chain(a, &views, base, &stride, &seeds, acc, T)
+			lo := p.first[a]
+			tm, sd := p.terms[lo:p.first[a+1]], seeds[lo:]
+			switch {
+			case !p.pair[a]:
+				acc = wgChain(tm, sd, &views, base, &stride, acc, T)
+			case len(tm) == 1: // SYRK, 2MM, BICG, corr_kernel4; GESUMMV twice
+				acc = wgDot1(&views, &base, &stride, tm[0].li, tm[0].seed >= 0, sd[0], T, acc)
+			default: // SYR2K
+				acc = wgDot2(&views, &base, &stride, tm[0].li, tm[1].li, tm[0].seed >= 0, sd[0], tm[1].seed >= 0, sd[1], T, acc)
 			}
 			fb[p.accs[a]*n+t] = float64(acc)
 		}
@@ -749,44 +742,48 @@ func wgFirstOut(b, s, T int64, W uint64) int64 {
 	return min(j, T)
 }
 
-// wgDotPair runs T proven trips of a += [sd *] x[i] * y[k], i and k advancing
-// by sx and sy per trip. Unit strides walk two equal-length sub-slices, which
-// the compiler checks once; other strides keep the cursors in registers.
-func wgDotPair(x, y []float32, i, sx, k, sy, T int64, seeded bool, sd, a float32) float32 {
-	if sx == 1 && sy == 1 {
-		xs := x[i : i+T]
-		ys := y[k : k+T][:len(xs)]
-		for j, v := range xs {
-			if seeded {
-				v = float32(sd * v)
-			}
-			a = float32(a + float32(v*ys[j]))
-		}
-		return a
-	}
+// wgDot1 runs T proven trips of the pair at loads li, li+1: a += [sd *]
+// x[i] * y[k], the cursors i and k advancing by their strides in registers.
+func wgDot1(views *[wgMaxLoads][]float32, base, stride *[wgMaxLoads]int64, li int, seeded bool, sd float32, T int64, a float32) float32 {
+	x, y, i, sx, k, sy := views[li], views[li+1], base[li], stride[li], base[li+1], stride[li+1]
 	for ; T > 0; T-- {
 		v := x[i]
 		if seeded {
 			v = float32(sd * v)
 		}
 		a = float32(a + float32(v*y[k]))
-		i += sx
-		k += sy
+		i, k = i+sx, k+sy
 	}
 	return a
 }
 
-// chain runs T proven trips of the terms that accumulate into accs[ai], of
-// any arity: per trip those terms in program order (SYR2K's two share one
-// accumulator), each the product of its loads, the cursors advancing by their
-// strides.
-func (p *wgReduce) chain(ai int, views *[wgMaxLoads][]float32, cur [wgMaxLoads]int64, stride *[wgMaxLoads]int64, seeds *[wgMaxTerms]float32, a float32, T int64) float32 {
+// wgDot2 runs T proven trips of two pairs on one accumulator, per trip the
+// one at li and then the one at l2 (SYR2K): four cursors in registers.
+func wgDot2(views *[wgMaxLoads][]float32, base, stride *[wgMaxLoads]int64, li, l2 int, seeded bool, sd float32, seeded2 bool, sd2 float32, T int64, a float32) float32 {
+	x, y, i, sx, k, sy := views[li], views[li+1], base[li], stride[li], base[li+1], stride[li+1]
+	x2, y2, i2, sx2, k2, sy2 := views[l2], views[l2+1], base[l2], stride[l2], base[l2+1], stride[l2+1]
 	for ; T > 0; T-- {
-		for ti := 0; ti < p.nt; ti++ {
-			tm := &p.terms[ti]
-			if tm.acc != ai {
-				continue
-			}
+		v, w := x[i], x2[i2]
+		if seeded {
+			v = float32(sd * v)
+		}
+		a = float32(a + float32(v*y[k]))
+		if seeded2 {
+			w = float32(sd2 * w)
+		}
+		a = float32(a + float32(w*y2[k2]))
+		i, k, i2, k2 = i+sx, k+sy, i2+sx2, k2+sy2
+	}
+	return a
+}
+
+// wgChain runs T proven trips of one accumulator's terms, of any arity: per
+// trip the terms in program order, each the product of its loads, the cursors
+// advancing by their strides.
+func wgChain(terms []wgRedTerm, seeds []float32, views *[wgMaxLoads][]float32, cur [wgMaxLoads]int64, stride *[wgMaxLoads]int64, a float32, T int64) float32 {
+	for ; T > 0; T-- {
+		for ti := range terms {
+			tm := &terms[ti]
 			lo, hi := tm.li, tm.li+tm.nf
 			pr := views[lo][cur[lo]]
 			if tm.seed >= 0 {
