@@ -154,12 +154,16 @@ func TestDifferentialGPUVariant(t *testing.T) {
 
 	// Reduction chains, both as written (one inc per body — also what the
 	// CPU variant's body looks like) and GPU-transformed (two).
+	var leaves [3]int // accumulators per leaf: wgDot1, wgDot2, wgChain
 	for seed := 0; seed < 60; seed++ {
 		r := rand.New(rand.NewSource(int64(6000 + seed)))
 		orig := GenReduction(r)
 		gpu, _, err := TransformedSources(orig)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, n := range MustCompile(gpu, "red").WGLeaves() {
+			leaves[i] += n
 		}
 		m := 5 + r.Intn(8) // mostly not a multiple of the unroll factor: the break path runs
 		mkArgs := func() []Arg {
@@ -174,6 +178,10 @@ func TestDifferentialGPUVariant(t *testing.T) {
 	after := BackendSnapshot()
 	if after.WGFusedInstrsDyn == mid.WGFusedInstrsDyn {
 		t.Error("no generated reduction ran through a fused closure")
+	}
+	// Every launch above runs full groups, so what fused ran on its leaf.
+	if leaves[0] == 0 || leaves[1] == 0 || leaves[2] == 0 {
+		t.Errorf("generated reductions ran %v accumulators on wgDot1, wgDot2, wgChain; want all three; generator drifted", leaves)
 	}
 	if after.WGFuseRejects[WGFuseRejCap] == before.WGFuseRejects[WGFuseRejCap] {
 		t.Error("no generated reduction crossed the jam's plan capacity; generator drifted")

@@ -82,12 +82,9 @@ func (k *Kernel) WGLoopVerdicts() []FusedSpan {
 // and accumulates: a block ending in a backward jump whose body holds both
 // an ldgf and an fadd.
 func (k *Kernel) ReductionBodies() []int {
-	if k.wg == nil {
-		return nil
-	}
 	var out []int
-	for _, blk := range k.wg.blocks {
-		if blk == nil || blk.term.kind != wtJmp || blk.term.tgt > blk.start {
+	for _, blk := range k.wgBlocks() {
+		if blk.term.kind != wtJmp || blk.term.tgt > blk.start {
 			continue
 		}
 		var ld, add bool
@@ -106,13 +103,7 @@ func (k *Kernel) ReductionBodies() []int {
 // length of its per-step list and the number of non-nop instructions in its
 // body.
 func (k *Kernel) WGBlockSteps() (out [][3]int) {
-	if k.wg == nil {
-		return nil
-	}
-	for _, blk := range k.wg.blocks {
-		if blk == nil {
-			continue
-		}
+	for _, blk := range k.wgBlocks() {
 		instrs := 0
 		for _, in := range k.Code[blk.start:blk.body] {
 			if in.Op != opNop {
@@ -120,6 +111,53 @@ func (k *Kernel) WGBlockSteps() (out [][3]int) {
 			}
 		}
 		out = append(out, [3]int{blk.start, len(blk.steps), instrs})
+	}
+	return out
+}
+
+// WGLoopSizes returns, for every loop-fused reduction body in pc order, how
+// many ops the walk runs per execution of each lowered chain, its branch
+// counted as one; the chain that starts at the body comes first.
+func (k *Kernel) WGLoopSizes() (out [][]int) {
+	for _, blk := range k.wgBlocks() {
+		if blk.red == nil || blk.red.loop == nil {
+			continue
+		}
+		var sizes []int
+		for _, b := range blk.red.loop.prog {
+			sizes = append(sizes, len(b.ops)+int(b2i(b.term.take != 0)))
+		}
+		out = append(out, sizes)
+	}
+	return out
+}
+
+// WGLeaves counts the accumulators of k's fused reduction bodies by the leaf
+// that runs their trips: wgDot1, wgDot2, wgChain.
+func (k *Kernel) WGLeaves() (n [3]int) {
+	for _, blk := range k.wgBlocks() {
+		if p := blk.red; p != nil {
+			for a := 0; a < p.nAcc; a++ {
+				switch {
+				case !p.pair[a]:
+					n[2]++
+				default:
+					n[p.first[a+1]-p.first[a]-1]++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// wgBlocks lists k's compiled blocks in pc order.
+func (k *Kernel) wgBlocks() (out []*wblock) {
+	if k.wg != nil {
+		for _, blk := range k.wg.blocks {
+			if blk != nil {
+				out = append(out, blk)
+			}
+		}
 	}
 	return out
 }

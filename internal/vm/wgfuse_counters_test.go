@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -194,5 +195,54 @@ func TestTwinRunCertifiesOncePerKey(t *testing.T) {
 	}
 	if again != 0 {
 		t.Errorf("second identical run computed %d certificates (first: %d over %d subkernels), want 0", again, first, subs)
+	}
+}
+
+// TestWGLoopLoweredSizes pins what the loop walk runs for SYRK and SYR2K, so
+// that a regression in the skeleton's lowering is a failure here and not a
+// profile: per lowered chain, its ops with the branch as one. The GPU
+// variant's nine blocks (the unroll counter, the bound, the in-loop abort
+// check) are 38 instructions, 53 executed per four trips, and lower to eight
+// chains of 15 ops, 23 per four trips: four times the body's chain (its two
+// counters, which the old walk replayed too, and the folded unroll test),
+// four times the bound's (one folded compare), then 109+56, 60 (the poll:
+// load, compare, branch), 70 and 72+74. The CPU variant's one block lowers
+// to the counter and the folded bound.
+func TestWGLoopLoweredSizes(t *testing.T) {
+	for _, name := range []string{"SYRK", "SYR2K"} {
+		bm, err := polybench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpu, cpu, err := vm.TransformedSources(bm.App.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []struct {
+			variant, src, note string
+			sizes              []int
+		}{
+			{"gpu", gpu, "skeleton 9 blocks, 38->15 ops;", []int{3, 1, 3, 1, 2, 1, 1, 3}},
+			{"cpu", cpu, "skeleton 1 blocks, 4->2 ops;", []int{2}},
+		} {
+			ki, err := clc.FindKernelInfo(v.src, bm.App.Launches[0].Kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := vm.Compile(ki)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loops, sizes := k.WGLoopVerdicts(), k.WGLoopSizes()
+			if len(loops) != 1 || len(sizes) != 1 {
+				t.Fatalf("%s/%s: %d loop verdicts, %d lowered loops, want one", name, v.variant, len(loops), len(sizes))
+			}
+			if !strings.Contains(loops[0].Name, v.note) {
+				t.Errorf("%s/%s: %q lacks %q", name, v.variant, loops[0].Name, v.note)
+			}
+			if fmt.Sprint(sizes[0]) != fmt.Sprint(v.sizes) {
+				t.Errorf("%s/%s: lowered chains of %v ops, want %v", name, v.variant, sizes[0], v.sizes)
+			}
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"fluidicl/internal/passes"
 )
 
 // Tests for loop-level fusion (wgloop.go): the one-state-machine rule of the
@@ -30,6 +32,52 @@ type loopCase struct {
 const loopSig = "__kernel void t(__global float* out, __global float* in, __global int* ib, int n) {\n" +
 	"    int g = get_global_id(0);\n    int l = get_local_id(0);\n    int rs = 9;\n    int rt = 33;\n"
 
+// loopArgs returns the arguments of a loopCase kernel, in[] holding inWords
+// floats, followed by extra.
+func loopArgs(inWords int, extra []Arg) func() []Arg {
+	return func() []Arg {
+		ints := make([]byte, 4*128)
+		for i := 0; i < len(ints); i += 4 {
+			ints[i] = byte(i % 7) // small non-negative ints
+		}
+		return append([]Arg{
+			BufArg(make([]byte, 4*256)),
+			BufArg(floatBuf(inWords, func(i int) float32 { return float32(i%13)*0.25 - 1 })),
+			BufArg(ints), IntArg(32),
+		}, extra...)
+	}
+}
+
+// loopFiveWay holds a loopCase kernel, as written and GPU-transformed, to
+// diffFiveWay's agreement (the AST reference, the interpreter, wg fused and
+// per-step), and requires the loop verdict fused.
+func loopFiveWay(t *testing.T, name, src string, inWords int) {
+	t.Helper()
+	gpu, _, err := TransformedSources(src)
+	if err != nil {
+		t.Fatalf("%s: TransformGPU: %v", name, err)
+	}
+	for _, v := range []struct {
+		name, src string
+		extra     []Arg
+	}{{name, src, nil}, {name + " (gpu)", gpu, GPUAbortArgs(1, 3)}} {
+		if d := MustCompile(v.src, "t").Disasm(); !strings.Contains(d, "wg.loop-fuse (") {
+			t.Errorf("%s: the loop did not fuse\n%s", v.name, d)
+		}
+		diffFiveWay(t, v.name, v.src, "t", NewNDRange1D(32, 8), loopArgs(inWords, v.extra))
+	}
+}
+
+// launchErrs runs the launch on the interpreter, on wg and on wg per-step.
+func launchErrs(k *Kernel, nd NDRange, mkArgs func() []Arg) (errs [3]error) {
+	defer SetWGFuse(true)
+	for i, be := range []Backend{BackendInterp, BackendWG, BackendWG} {
+		SetWGFuse(i < 2)
+		_, errs[i] = k.ExecLaunch(nd, mkArgs(), ExecOpts{Backend: be})
+	}
+	return errs
+}
+
 // runLoopCase holds both variants of c to the interpreter and checks the
 // dynamic loop counters moved the way the case says.
 func runLoopCase(t *testing.T, c loopCase) {
@@ -38,19 +86,7 @@ func runLoopCase(t *testing.T, c loopCase) {
 	if err != nil && !c.noGPU {
 		t.Fatalf("%s: TransformGPU: %v", c.name, err)
 	}
-	mk := func(extra []Arg) func() []Arg {
-		return func() []Arg {
-			ints := make([]byte, 4*128)
-			for i := 0; i < len(ints); i += 4 {
-				ints[i] = byte(i % 7) // small non-negative ints
-			}
-			return append([]Arg{
-				BufArg(make([]byte, 4*256)),
-				BufArg(floatBuf(1024, func(i int) float32 { return float32(i%13)*0.25 - 1 })),
-				BufArg(ints), IntArg(32),
-			}, extra...)
-		}
-	}
+	mk := func(extra []Arg) func() []Arg { return loopArgs(1024, extra) }
 	type variant struct {
 		name, src string
 		extra     []Arg
@@ -382,24 +418,36 @@ func TestWGLoopWalkExits(t *testing.T) {
 	}
 
 	// One group needs 1100-odd steps per item; sweep the budget across the
-	// whole loop so the overrun lands on every block of the skeleton.
+	// whole loop so the overrun lands on every block of the skeleton. The
+	// lowered walk charges a chain of blocks at once: it must still name the
+	// block the per-step dispatcher names, which is the one that holds the
+	// instruction the interpreter stops at.
+	defer SetWGFuse(true)
 	for budget := int64(40); budget < 1300; budget += 3 {
-		var errs [2]error
-		var sts [2]Stats
-		var outs [2]string
-		for i, be := range []Backend{BackendInterp, BackendWG} {
+		var errs [3]error
+		var sts [3]Stats
+		var outs [3]string
+		for i, be := range []Backend{BackendInterp, BackendWG, BackendWG} {
+			SetWGFuse(i < 2)
 			a := args(1024, 0, 0)()
 			sts[i], errs[i] = k.ExecWorkGroup(nd, [3]int{0, 0, 0}, a, ExecOpts{Backend: be, MaxSteps: budget})
 			outs[i] = string(a[0].Buf)
 		}
-		if (errs[0] == nil) != (errs[1] == nil) {
-			t.Fatalf("MaxSteps %d: interp %v, wg %v", budget, errs[0], errs[1])
+		if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
+			t.Fatalf("MaxSteps %d: interp %v, wg %v, wg per-step %v", budget, errs[0], errs[1], errs[2])
 		}
-		if errs[1] != nil && !strings.Contains(errs[1].Error(), "instruction budget exceeded") {
-			t.Fatalf("MaxSteps %d: %v", budget, errs[1])
+		if errs[0] == nil {
+			if sts[0] != sts[1] || outs[0] != outs[1] {
+				t.Fatalf("MaxSteps %d: results diverge\ninterp %+v\nwg     %+v", budget, sts[0], sts[1])
+			}
+			continue
 		}
-		if errs[0] == nil && (sts[0] != sts[1] || outs[0] != outs[1]) {
-			t.Fatalf("MaxSteps %d: results diverge\ninterp %+v\nwg     %+v", budget, sts[0], sts[1])
+		ei, ew := errs[0].(*execError), errs[1].(*execError)
+		if errs[1].Error() != errs[2].Error() {
+			t.Fatalf("MaxSteps %d: wg %v, wg per-step %v", budget, errs[1], errs[2])
+		}
+		if blk := k.wg.blocks[ew.pc]; blk == nil || ei.msg != ew.msg || ei.pc < ew.pc || ei.pc >= ew.pc+int(blk.nInstr) {
+			t.Fatalf("MaxSteps %d: wg names a block that does not hold the interpreter's pc: interp %v, wg %v", budget, ei, ew)
 		}
 	}
 }
@@ -438,5 +486,165 @@ func TestWGUniformLoadRuns(t *testing.T) {
 	}
 	if m.uniform || len(m.cols) != 0 {
 		t.Error("colFlush left the phase uniform")
+	}
+}
+
+// TestWGLoopLowering drives the lowered skeleton's adversaries: a skeleton
+// definition that nothing in the loop reads but the code after it does (the
+// dead-definition pass must keep it and the exit must broadcast it); a copy
+// whose source is redefined in the same block before the copy is read (the
+// binding must be emitted before the redefinition, not forwarded past it);
+// and, on hand-edited bytecode, a compare temporary — folded into its branch
+// — that the exit block reads.
+func TestWGLoopLowering(t *testing.T) {
+	loopFiveWay(t, "skeleton definition read after the loop", loopSig+`
+    float acc = in[g];
+    int last = 0;
+`+pollLoop("ib[0]", "last = k * 3 + 1;", 13)+`
+    out[g] = acc + (float)last;
+}`, 1024)
+	loopFiveWay(t, "copy read after its source is redefined", loopSig+`
+    float acc = in[g];
+    int q = 2;
+    int s = 0;
+`+pollLoop("ib[0]", "int prev = q; q = q + 3; s = s + prev * 5;", 13)+`
+    out[g] = acc + (float)(s + q);
+}`, 1024)
+
+	// out[g] = (float)c where c is the register of the loop's `k < 7`: 0 once
+	// the loop has left, 1 if the exit saw what the per-step check before the
+	// first trip left in the bank.
+	k := MustCompile(loopSig+`
+    float acc = in[g];
+    for (int k = 0; k < 7; k++) { acc += in[g * rs + k] * in[k]; }
+    out[g] = acc;
+}`, "t")
+	head := k.ReductionBodies()[0]
+	jz := k.wg.blocks[k.wg.blocks[head].term.tgt].body
+	exit := int(k.Code[jz].A)
+	c := k.Code[jz].B
+	if ex := k.Code[exit:]; k.Code[jz].Op != opJZ || ex[0].Op != opIMOV || ex[0].A != c || ex[1].Op != opFMOV || ex[2].Op != opSTGF || ex[2].C != c {
+		t.Fatalf("loop exit layout drifted\n%s", k.Disasm())
+	}
+	k2 := recompiled(k, func(k2 *Kernel) {
+		ex := k2.Code[exit:]
+		ex[0], ex[1] = Instr{Op: opI2F, A: ex[1].A, B: c}, ex[0]
+	})
+	if sizes := k2.WGLoopSizes(); len(sizes) != 1 || sizes[0][0] != 3 {
+		t.Fatalf("lowered sizes %v: want one loop whose first chain is the counter, the materialised compare and the branch\n%s", sizes, k2.Disasm())
+	}
+	defer SetWGFuse(true)
+	for _, fuse := range []bool{true, false} {
+		SetWGFuse(fuse)
+		if err := runWGParity(t, k2, NewNDRange1D(32, 8), func() []Arg {
+			a := loopArgs(1024, nil)()
+			for i := range a[0].Buf {
+				a[0].Buf[i] = 0xff // not the 0.0 the kernel must store
+			}
+			return a
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWGLoopUniformLoadTrap: a skeleton load with a constant index — a slot
+// of the scalar file, never a register — that is out of range and first
+// reached after eight trips must fail with the interpreter's pc and text,
+// fused and per-step, as written and GPU-transformed.
+func TestWGLoopUniformLoadTrap(t *testing.T) {
+	src := loopSig + `
+    float acc = in[g];
+    for (int k = 0; (k < 13); )
+    {
+        if (((k >= 8) && (ib[4000] == 99)))
+        {
+            return;
+        }
+        for (int u = 0; (u < 4); u = (u + 1))
+        {
+            if ((!(k < 13)))
+            {
+                break;
+            }
+            acc += in[g * rs + k] * in[k];
+            k = (k + 1);
+        }
+    }
+    out[g] = acc;
+}`
+	gpu, _, err := TransformedSources(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		src   string
+		extra []Arg
+	}{{src, nil}, {gpu, GPUAbortArgs(1, passes.NoCPUWork)}} {
+		nd, mk := NewNDRange1D(32, 8), loopArgs(1024, v.extra)
+		diffFiveWay(t, "trapping uniform load", v.src, "t", nd, mk)
+		k := MustCompile(v.src, "t")
+		before := BackendSnapshot()
+		errs := launchErrs(k, nd, mk)
+		if errs[0] == nil || !strings.Contains(errs[0].Error(), "load ib: index 4000") {
+			t.Fatalf("interp: %v, want the out-of-range load", errs[0])
+		}
+		for i, e := range errs[1:] {
+			if e == nil || e.Error() != errs[0].Error() {
+				t.Errorf("wg (per-step: %v): %v, interp: %v", i == 1, e, errs[0])
+			}
+		}
+		// A fused dispatch of the body walks the whole control first, so a
+		// group that got one met the load there.
+		if d := BackendSnapshot(); d.WGFusedInstrsDyn == before.WGFusedInstrsDyn || d.WGFallbackWGs != before.WGFallbackWGs {
+			t.Error("the trap was not reached from the loop walk")
+		}
+	}
+}
+
+// TestWGLeaves: fixed reduction bodies for each leaf — one pair (wgDot1), two
+// pairs on one accumulator (wgDot2), any other arity (wgChain) — over unit,
+// negative, zero and beyond-a-cache-line strides, seeded and not; and an
+// index of the second pair that leaves in[] at trip 4 for the lanes from 5
+// up and at trip 5 for lane 0, whose error, the first in the interpreter's
+// item order, wg must report verbatim.
+func TestWGLeaves(t *testing.T) {
+	const decl = `
+    float acc = in[g];
+    float al = 0.75f;
+    int one = 1;
+    int neg = 0 - 1;
+    int zero = 0;
+    int far = 17;
+    int h = g + 8;
+    for (int k = 0; k < 7; k++) { `
+	for _, c := range []struct {
+		name, body string
+		leaves     [3]int
+	}{
+		{"one pair, unit and negative stride", "acc += in[k * one + g] * in[k * neg + h];", [3]int{1, 0, 0}},
+		{"one pair, seeded, zero and far stride", "acc += al * in[k * zero + g] * in[k * far + g];", [3]int{1, 0, 0}},
+		{"two pairs, seeded and not", "acc += al * in[k * one + g] * in[k * far + g]; acc += in[k * neg + h] * in[k * zero + h];", [3]int{0, 1, 0}},
+		{"two pairs, direct and far", "acc += in[k] * in[k * rt + g]; acc += al * in[k * rs + g] * in[k];", [3]int{0, 1, 0}},
+		{"three pairs", "acc += in[k] * in[g]; acc += al * in[k * neg + h] * in[k]; acc += in[k * far + g] * in[h];", [3]int{0, 0, 1}},
+		{"a pair and a single", "acc += al * in[k * one + g] * in[k]; acc += in[k * neg + h];", [3]int{0, 0, 1}},
+	} {
+		src := loopSig + decl + c.body + " }\n    out[g] = acc;\n}"
+		if got := MustCompile(src, "t").WGLeaves(); got != c.leaves {
+			t.Errorf("%s: leaves %v, want %v", c.name, got, c.leaves)
+		}
+		loopFiveWay(t, c.name, src, 1024)
+	}
+
+	src := loopSig + decl + "acc += al * in[k * one + g] * in[k]; acc += in[k] * in[k * rt + g];" + " }\n    out[g] = acc;\n}"
+	k := MustCompile(src, "t")
+	nd, mk := NewNDRange1D(32, 8), loopArgs(33*4+5, nil)
+	diffFiveWay(t, "second pair out of range", src, "t", nd, mk)
+	errs := launchErrs(k, nd, mk)
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "load in: index 165 ") {
+		t.Fatalf("interp: %v, want lane 0's load at trip 5", errs[0])
+	}
+	if errs[1] == nil || errs[1].Error() != errs[0].Error() {
+		t.Errorf("wg: %v, interp: %v", errs[1], errs[0])
 	}
 }
