@@ -69,6 +69,17 @@ func main() {
 		}
 		return
 	}
+	// A positional argument the command never reads would be dropped
+	// silently: `-quick fig13 fig14` would print fig13 and exit 0.
+	reads := 1
+	if *dist {
+		reads = 0
+	} else if len(args) > 0 && (args[0] == "run" || args[0] == "dump" || args[0] == "trace") {
+		reads = 2
+	}
+	if len(args) > reads {
+		badFlag(fmt.Errorf("unexpected arguments %q: one invocation runs one command (usage: fluidibench -h)", args[reads:]))
+	}
 	if *dist {
 		var err error
 		if *topology != "" {

@@ -30,9 +30,10 @@ func TestMain(m *testing.M) {
 // would otherwise be dropped or reinterpreted: an engine — by flag or by
 // environment — the command does not have (the retired closure engine
 // included), -topology on a command that runs the stock pair, a negative
-// -parallel.
+// -parallel, a positional argument beyond what the command reads.
 func TestExitStatus(t *testing.T) {
 	const engines, topoCmds, cells = "want interp or wg", "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
+	const surplus = "unexpected arguments"
 	for _, c := range []struct {
 		args, env string
 		want      int
@@ -51,6 +52,13 @@ func TestExitStatus(t *testing.T) {
 		{"-topology cpu+gpu list", "", 2, topoCmds},
 		{"-parallel -1 list", "", 2, cells},
 		{"-parallel 2 list", "", 0, ""},
+		{"-quick table1 table2", "", 2, surplus + ` ["table2"]`},
+		{"dump SYRK extra", "", 2, surplus + ` ["extra"]`},
+		{"run SYRK GESUMMV", "", 2, surplus + ` ["GESUMMV"]`},
+		{"trace BICG 1 2", "", 2, surplus + ` ["1" "2"]`},
+		{"-quick -dist fig13", "", 2, surplus + ` ["fig13"]`},
+		{"list extra", "", 2, surplus + ` ["extra"]`},
+		{"-quick hash all", "", 2, surplus + ` ["all"]`},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)
