@@ -46,10 +46,13 @@ race:
 checkptr:
 	$(GO) test -gcflags=all=-d=checkptr ./internal/vm
 
-# Native fuzzing over the differential suite (ref vs interp vs wg on generated
-# kernels). The seeds alone run in every `go test`; this explores beyond them.
+# Thirty seconds of native fuzzing: the differential suite (ref vs interp vs wg
+# on generated kernels), then the topology spec parser, the one place a count
+# from outside sizes an allocation. The seeds alone run in every `go test`;
+# this explores beyond them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 30s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 25s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 5s ./internal/device
 
 # One iteration of the headline benchmark, as a does-it-still-run smoke.
 bench-smoke:

@@ -102,6 +102,11 @@ var topoKinds = map[string]func() Config{
 	"bigcpu": XeonDual,
 }
 
+// maxTopoDevices bounds what a spec may ask for: the count is outside input,
+// and every device costs a Config here and a simulated device with its
+// buffers in the runtimes.
+const maxTopoDevices = 64
+
 // ParseTopology parses a topology spec of the form
 //
 //	term("+"term)* ["-bus"]      term = [count]kind
@@ -116,7 +121,7 @@ var topoKinds = map[string]func() Config{
 // When a kind appears more than once, its devices get " #i" name suffixes so
 // meters and trace tracks stay distinguishable; a kind appearing once keeps
 // its plain model name, which keeps "cpu+gpu" byte-identical to the
-// pre-topology machine.
+// pre-topology machine. A spec may name at most 64 devices in all.
 func ParseTopology(spec string) (Topology, error) {
 	t := Topology{Name: spec}
 	s := strings.TrimSpace(strings.ToLower(spec))
@@ -134,7 +139,7 @@ func ParseTopology(spec string) (Topology, error) {
 		kind  string
 	}
 	var terms []term
-	kindTotal := map[string]int{}
+	total, kindTotal := 0, map[string]int{}
 	for _, raw := range strings.Split(s, "+") {
 		raw = strings.TrimSpace(raw)
 		i := 0
@@ -149,6 +154,10 @@ func ParseTopology(spec string) (Topology, error) {
 			}
 			count = n
 		}
+		if count > maxTopoDevices-total {
+			return Topology{}, fmt.Errorf("device: topology %q has more than %d devices", spec, maxTopoDevices)
+		}
+		total += count
 		kind := raw[i:]
 		mk, ok := topoKinds[kind]
 		if !ok {

@@ -2,6 +2,8 @@ package device
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fluidicl/internal/sim"
@@ -48,6 +50,39 @@ func TestParseTopology(t *testing.T) {
 			t.Fatalf("ParseTopology(%q) succeeded, want error", bad)
 		}
 	}
+	// The count is outside input: a spec is refused before a Config is built.
+	if topo, err := ParseTopology("32cpu+32gpu-bus"); err != nil || len(topo.Devices) != maxTopoDevices {
+		t.Fatalf("a topology of %d devices: %v", maxTopoDevices, err)
+	}
+	for _, big := range []string{"65gpu", "1000000gpu", "999999999gpu", "64cpu+gpu", "9223372036854775807cpu+9223372036854775807gpu", "99999999999999999999gpu"} {
+		if _, err := ParseTopology(big); err == nil {
+			t.Fatalf("ParseTopology(%q) succeeded, want error", big)
+		} else if msg := err.Error(); !strings.Contains(msg, "more than 64 devices") && !strings.Contains(msg, "bad device count") {
+			t.Fatalf("ParseTopology(%q): %v, want the device limit", big, err)
+		}
+	}
+}
+
+// FuzzParseTopology: no spec makes the parser panic or build more than the
+// device limit, and an accepted spec's String() parses back to the same
+// device and link lists.
+func FuzzParseTopology(f *testing.F) {
+	for _, seed := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus", "bigcpu+gt440+gpu", " 2GPU + cpu -bus", "0cpu", "65gpu", "1000000gpu", "+", "3", "-bus", "cpu+tpu"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			return
+		}
+		if n := len(topo.Devices); n < 1 || n > maxTopoDevices || len(topo.Links) != n {
+			t.Fatalf("%q: %d devices, %d links", spec, n, len(topo.Links))
+		}
+		again, err := ParseTopology(topo.String())
+		if err != nil || !reflect.DeepEqual(again.Devices, topo.Devices) || !reflect.DeepEqual(again.Links, topo.Links) {
+			t.Fatalf("%q: String() %q parses back to %v (%d devices), want the same %d", spec, topo.String(), err, len(again.Devices), len(topo.Devices))
+		}
+	})
 }
 
 func TestTopologyPair(t *testing.T) {
