@@ -33,10 +33,16 @@ func benchApp(b testing.TB, name string, gpuVar bool) []benchLaunch {
 	if err != nil {
 		b.Fatal(err)
 	}
-	app := bm.App
+	return benchLower(b, bm.App, gpuVar)
+}
+
+// benchLower is benchApp for an app of any size.
+func benchLower(b testing.TB, app *sched.App, gpuVar bool) []benchLaunch {
+	b.Helper()
 	src := app.Source
 	var extra []vm.Arg
 	if gpuVar {
+		var err error
 		if src, _, err = vm.TransformedSources(src); err != nil {
 			b.Fatal(err)
 		}
@@ -170,6 +176,8 @@ func macs(launches []benchLaunch) int64 {
 			total += 2 * a[3].I * a[3].I * a[4].I
 		case "gesummv":
 			total += 2 * a[4].I * a[4].I
+		case "bicgKernel1", "bicgKernel2":
+			total += a[3].I * a[3].I
 		case "mm2_kernel1", "mm2_kernel2":
 			total += a[3].I * a[4].I * a[5].I
 		default:
@@ -182,8 +190,9 @@ func macs(launches []benchLaunch) int64 {
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
 // backend. The NAME/gpuvar/BACKEND rows run the GPU-transformed
 // kernels (see benchApp) next to the original-source ones, the
-// NAME/gpuvar/m=M rows the trip-count sweep (see benchTrips). Rows whose
-// kernels are all reduction loops also report ns/mac.
+// NAME/gpuvar/m=M rows the trip-count sweep (see benchTrips), the BICG rows
+// the app at its default size. Rows whose kernels are all reduction loops
+// also report ns/mac.
 func BenchmarkExecLaunch(b *testing.B) {
 	type row struct {
 		name     string
@@ -197,6 +206,10 @@ func BenchmarkExecLaunch(b *testing.B) {
 		rows = append(rows, row{fmt.Sprintf("SYRK/gpuvar/m=%d", m), benchTrips(b, "SYRK", m)})
 	}
 	rows = append(rows, row{"SYR2K/gpuvar/m=1024", benchTrips(b, "SYR2K", 1024)})
+	// BICG at the paper's size: 768 trips in groups of 16 lanes, the shape
+	// where a trip's control costs more than its multiply-accumulates.
+	bicg := polybench.Bicg(768).App
+	rows = append(rows, row{"BICG", benchLower(b, bicg, false)}, row{"BICG/gpuvar", benchLower(b, bicg, true)})
 	rows = append(rows, row{"SCATTER", benchScatter(b)}, row{"STREAM", benchStream(b)})
 	for _, r := range rows {
 		launches := r.launches
