@@ -74,7 +74,7 @@ loc:
 # raise it says why in its description. 7235 is the count with the per-step
 # superinstructions, the third tracker-log state and the two small jams
 # deleted (PR 23; 7873 before).
-VM_LOC_MAX = 7235
+VM_LOC_MAX = 7355
 loc-check:
 	@n=$$(find internal/vm -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	if [ $$n -gt $(VM_LOC_MAX) ]; then \
