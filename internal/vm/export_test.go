@@ -138,11 +138,10 @@ func (k *Kernel) WGLeaves() (n [3]int) {
 	for _, blk := range k.wgBlocks() {
 		if p := blk.red; p != nil {
 			for a := 0; a < p.nAcc; a++ {
-				switch {
-				case !p.pair[a]:
-					n[2]++
-				default:
+				if p.pair[a] {
 					n[p.first[a+1]-p.first[a]-1]++
+				} else {
+					n[2]++
 				}
 			}
 		}

@@ -298,7 +298,7 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, p *wgReduce, head int, seen ma
 		b.term.take ^= 7 * uint8(b2i(t.jz)) // taken when the compare fails
 		live |= wgBit(b.term.b) | wgBit(b.term.c)
 	}
-	b.ops = ops[len(ops):]
+	b.ops = ops[len(ops):] // the kept ops, packed at the tail of ops
 	for i := len(ops) - 1; i >= 0; i-- {
 		if o := ops[i]; o.op == opLDGI || live&wgBit(o.a) != 0 {
 			live = live&^wgBit(o.a) | wgBit(o.b) | wgBit(o.c)
