@@ -61,8 +61,11 @@ func main() {
 	}
 
 	if *traceOut != "" {
+		if *dist {
+			badFlag(fmt.Errorf("-trace with -dist: want one of them (-trace writes one benchmark's trace, -dist prints the work-distribution table)"))
+		}
 		if len(args) != 1 {
-			fatal(fmt.Errorf("usage: fluidibench -trace out.json [-quick] [-topology T] <benchmark>"))
+			badFlag(fmt.Errorf("-trace %s: want one benchmark, got %q (usage: fluidibench -trace out.json [-quick] [-topology T] <benchmark>)", *traceOut, args))
 		}
 		if err := chromeTrace(args[0], *quick, *traceOut, *topology); err != nil {
 			fatal(err)
@@ -76,6 +79,9 @@ func main() {
 		reads = 0
 	} else if len(args) > 0 && (args[0] == "run" || args[0] == "dump" || args[0] == "trace") {
 		reads = 2
+		if len(args) < reads {
+			badFlag(fmt.Errorf("%s: want a benchmark (usage: fluidibench %s <benchmark>; fluidibench list names them)", args[0], args[0]))
+		}
 	}
 	if len(args) > reads {
 		badFlag(fmt.Errorf("unexpected arguments %q: one invocation runs one command (usage: fluidibench -h)", args[reads:]))
@@ -149,25 +155,16 @@ func main() {
 		writeWalls(*jsonOut, []wallEntry{e})
 		return
 	case "run":
-		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: fluidibench run <benchmark>"))
-		}
 		if err := runOne(args[1]); err != nil {
 			fatal(err)
 		}
 		return
 	case "dump":
-		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: fluidibench dump <benchmark>"))
-		}
 		if err := dumpOne(args[1]); err != nil {
 			fatal(err)
 		}
 		return
 	case "trace":
-		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: fluidibench trace <benchmark>"))
-		}
 		if err := traceOne(args[1]); err != nil {
 			fatal(err)
 		}

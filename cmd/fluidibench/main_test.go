@@ -30,10 +30,12 @@ func TestMain(m *testing.M) {
 // would otherwise be dropped or reinterpreted: an engine — by flag or by
 // environment — the command does not have (the retired closure engine
 // included), -topology on a command that runs the stock pair, a negative
-// -parallel, a positional argument beyond what the command reads.
+// -parallel, a positional argument beyond what the command reads, a
+// benchmark the command needs left out, -trace with -dist.
 func TestExitStatus(t *testing.T) {
 	const engines, topoCmds, cells = "want interp or wg", "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
-	const surplus = "unexpected arguments"
+	const surplus, bench, oneBench = "unexpected arguments", "want a benchmark", "want one benchmark"
+	tr := filepath.Join(t.TempDir(), "t.json") // written only if the checks before it fail
 	for _, c := range []struct {
 		args, env string
 		want      int
@@ -59,6 +61,12 @@ func TestExitStatus(t *testing.T) {
 		{"-quick -dist fig13", "", 2, surplus + ` ["fig13"]`},
 		{"list extra", "", 2, surplus + ` ["extra"]`},
 		{"-quick hash all", "", 2, surplus + ` ["all"]`},
+		{"run", "", 2, bench},
+		{"dump", "", 2, bench},
+		{"trace", "", 2, bench},
+		{"-trace " + tr, "", 2, oneBench + ", got []"},
+		{"-trace " + tr + " SYRK GESUMMV", "", 2, oneBench + `, got ["SYRK" "GESUMMV"]`},
+		{"-quick -dist -trace " + tr + " SYRK", "", 2, "-trace with -dist: want one of them"},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
@@ -169,7 +170,8 @@ func (c *compiler) here() int32 { return int32(len(c.k.Code)) }
 
 func (c *compiler) patch(at int, target int32) { c.k.Code[at].A = target }
 
-// finalize remaps negative temp registers to the top of the frame.
+// finalize remaps negative temp registers to the top of the frame, in the
+// fields each opcode's signature names as registers.
 func (c *compiler) finalize() {
 	mapI := func(r int32) int32 {
 		if r < 0 {
@@ -185,40 +187,13 @@ func (c *compiler) finalize() {
 	}
 	for i := range c.k.Code {
 		in := &c.k.Code[i]
-		switch in.Op {
-		case opLDI, opIMOV, opIADD, opISUB, opIMUL, opIDIV, opIMOD, opINEG,
-			opILT, opILE, opIGT, opIGE, opIEQ, opINE, opNOTB,
-			opGID, opLID, opGRP, opNGR, opLSZ, opGSZ, opGOFF, opWDIM,
-			opIMIN, opIMAX, opIABS:
-			in.A = mapI(in.A)
-			in.B = mapI(in.B)
-			in.C = mapI(in.C)
-		case opLDF, opFMOV, opFADD, opFSUB, opFMUL, opFDIV, opFNEG,
-			opSQRT, opFABS, opEXP, opLOG, opFLOOR, opCEIL, opPOW, opFMIN, opFMAX:
-			in.A = mapF(in.A)
-			in.B = mapF(in.B)
-			in.C = mapF(in.C)
-		case opFLT, opFLE, opFGT, opFGE, opFEQ, opFNE:
-			in.A = mapI(in.A)
-			in.B = mapF(in.B)
-			in.C = mapF(in.C)
-		case opI2F:
-			in.A = mapF(in.A)
-			in.B = mapI(in.B)
-		case opF2I:
-			in.A = mapI(in.A)
-			in.B = mapF(in.B)
-		case opJZ, opJNZ:
-			in.B = mapI(in.B)
-		case opLDGF, opLDLF, opLDPF:
-			in.A = mapF(in.A)
-			in.C = mapI(in.C)
-		case opSTGF, opSTLF, opSTPF:
-			in.A = mapF(in.A)
-			in.C = mapI(in.C)
-		case opLDGI, opLDLI, opLDPI, opSTGI, opSTLI, opSTPI:
-			in.A = mapI(in.A)
-			in.C = mapI(in.C)
+		for f, r := range [3]*int32{&in.A, &in.B, &in.C} {
+			switch o := sigOperands[opTab[in.Op].sig][f]; {
+			case o.intReg():
+				*r = mapI(*r)
+			case o.floatReg():
+				*r = mapF(*r)
+			}
 		}
 	}
 	c.k.NumI = int(c.frameI + c.maxTempI)
@@ -328,30 +303,14 @@ func (c *compiler) decl(d *clc.DeclStmt) error {
 	return nil
 }
 
-func compoundOp(op clc.Kind, isFloat bool) Op {
-	switch op {
-	case clc.PLUSEQ:
-		if isFloat {
-			return opFADD
-		}
-		return opIADD
-	case clc.MINUSEQ:
-		if isFloat {
-			return opFSUB
-		}
-		return opISUB
-	case clc.STAREQ:
-		if isFloat {
-			return opFMUL
-		}
-		return opIMUL
-	case clc.SLASHEQ:
-		if isFloat {
-			return opFDIV
-		}
-		return opIDIV
-	}
-	return opNop
+// arithOps maps an arithmetic operator, or the compound assignment that
+// applies it, to its int and its float opcode.
+var arithOps = map[clc.Kind][2]Op{
+	clc.PLUS: {opIADD, opFADD}, clc.PLUSEQ: {opIADD, opFADD},
+	clc.MINUS: {opISUB, opFSUB}, clc.MINUSEQ: {opISUB, opFSUB},
+	clc.STAR: {opIMUL, opFMUL}, clc.STAREQ: {opIMUL, opFMUL},
+	clc.SLASH: {opIDIV, opFDIV}, clc.SLASHEQ: {opIDIV, opFDIV},
+	clc.PERCENT: {opIMOD, opNop},
 }
 
 func (c *compiler) assign(a *clc.AssignStmt) error {
@@ -370,7 +329,7 @@ func (c *compiler) assign(a *clc.AssignStmt) error {
 			if a.Op == clc.ASSIGN {
 				c.emit(Instr{Op: opFMOV, A: b.reg, B: r})
 			} else {
-				c.emit(Instr{Op: compoundOp(a.Op, true), A: b.reg, B: b.reg, C: r})
+				c.emit(Instr{Op: arithOps[a.Op][1], A: b.reg, B: b.reg, C: r})
 			}
 			c.freeTempF(r)
 		case bindIntVar:
@@ -381,7 +340,7 @@ func (c *compiler) assign(a *clc.AssignStmt) error {
 			if a.Op == clc.ASSIGN {
 				c.emit(Instr{Op: opIMOV, A: b.reg, B: r})
 			} else {
-				c.emit(Instr{Op: compoundOp(a.Op, false), A: b.reg, B: b.reg, C: r})
+				c.emit(Instr{Op: arithOps[a.Op][0], A: b.reg, B: b.reg, C: r})
 			}
 			c.freeTempI(r)
 		default:
@@ -427,7 +386,7 @@ func (c *compiler) assign(a *clc.AssignStmt) error {
 			if err != nil {
 				return err
 			}
-			c.emit(Instr{Op: compoundOp(a.Op, true), A: cur, B: cur, C: r})
+			c.emit(Instr{Op: arithOps[a.Op][1], A: cur, B: cur, C: r})
 			c.freeTempF(r)
 			c.emit(Instr{Op: storeOp(bind.kind, true), A: cur, B: bind.slot, C: idx, D: memID})
 			c.freeTempF(cur)
@@ -438,7 +397,7 @@ func (c *compiler) assign(a *clc.AssignStmt) error {
 			if err != nil {
 				return err
 			}
-			c.emit(Instr{Op: compoundOp(a.Op, false), A: cur, B: cur, C: r})
+			c.emit(Instr{Op: arithOps[a.Op][0], A: cur, B: cur, C: r})
 			c.freeTempI(r)
 			c.emit(Instr{Op: storeOp(bind.kind, false), A: cur, B: bind.slot, C: idx, D: memID})
 			c.freeTempI(cur)
@@ -458,45 +417,15 @@ func (c *compiler) newMemID(b binding) int32 {
 	return id
 }
 
-func loadOp(k bindKind, isFloat bool) Op {
-	switch k {
-	case bindGlobal:
-		if isFloat {
-			return opLDGF
-		}
-		return opLDGI
-	case bindLocalArr:
-		if isFloat {
-			return opLDLF
-		}
-		return opLDLI
-	default:
-		if isFloat {
-			return opLDPF
-		}
-		return opLDPI
-	}
+// memOps are each memory's int load, float load, int store and float store.
+var memOps = map[bindKind][4]Op{
+	bindGlobal:   {opLDGI, opLDGF, opSTGI, opSTGF},
+	bindLocalArr: {opLDLI, opLDLF, opSTLI, opSTLF},
+	bindPrivArr:  {opLDPI, opLDPF, opSTPI, opSTPF},
 }
 
-func storeOp(k bindKind, isFloat bool) Op {
-	switch k {
-	case bindGlobal:
-		if isFloat {
-			return opSTGF
-		}
-		return opSTGI
-	case bindLocalArr:
-		if isFloat {
-			return opSTLF
-		}
-		return opSTLI
-	default:
-		if isFloat {
-			return opSTPF
-		}
-		return opSTPI
-	}
-}
+func loadOp(k bindKind, isFloat bool) Op  { return memOps[k][b2i(isFloat)] }
+func storeOp(k bindKind, isFloat bool) Op { return memOps[k][2+b2i(isFloat)] }
 
 func (c *compiler) exprStmt(s *clc.ExprStmt) error {
 	// Only calls are meaningful as statements.
@@ -751,41 +680,13 @@ func builtinConstVal(name string) (int64, bool) {
 	return 0, false
 }
 
-func intCmpOp(op clc.Kind) Op {
-	switch op {
-	case clc.LT:
-		return opILT
-	case clc.LEQ:
-		return opILE
-	case clc.GT:
-		return opIGT
-	case clc.GEQ:
-		return opIGE
-	case clc.EQ:
-		return opIEQ
-	case clc.NEQ:
-		return opINE
-	}
-	return opNop
+// cmpOp returns the compare opcode of a relational operator: base is opILT
+// for int operands, opFLT for float ones, and both runs follow cmpKinds.
+func cmpOp(op clc.Kind, base Op) Op {
+	return base + Op(slices.Index(cmpKinds, op))
 }
 
-func floatCmpOp(op clc.Kind) Op {
-	switch op {
-	case clc.LT:
-		return opFLT
-	case clc.LEQ:
-		return opFLE
-	case clc.GT:
-		return opFGT
-	case clc.GEQ:
-		return opFGE
-	case clc.EQ:
-		return opFEQ
-	case clc.NEQ:
-		return opFNE
-	}
-	return opNop
-}
+var cmpKinds = []clc.Kind{clc.LT, clc.LEQ, clc.GT, clc.GEQ, clc.EQ, clc.NEQ}
 
 func (c *compiler) binaryI(e *clc.BinaryExpr) (int32, error) {
 	switch e.Op {
@@ -798,20 +699,7 @@ func (c *compiler) binaryI(e *clc.BinaryExpr) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		var op Op
-		switch e.Op {
-		case clc.PLUS:
-			op = opIADD
-		case clc.MINUS:
-			op = opISUB
-		case clc.STAR:
-			op = opIMUL
-		case clc.SLASH:
-			op = opIDIV
-		case clc.PERCENT:
-			op = opIMOD
-		}
-		c.emit(Instr{Op: op, A: rx, B: rx, C: ry})
+		c.emit(Instr{Op: arithOps[e.Op][0], A: rx, B: rx, C: ry})
 		c.freeTempI(ry)
 		return rx, nil
 	case clc.EQ, clc.NEQ, clc.LT, clc.LEQ, clc.GT, clc.GEQ:
@@ -828,7 +716,7 @@ func (c *compiler) binaryI(e *clc.BinaryExpr) (int32, error) {
 			c.freeTempF(ry)
 			c.freeTempF(rx)
 			r := c.allocTempI()
-			c.emit(Instr{Op: floatCmpOp(e.Op), A: r, B: rx, C: ry})
+			c.emit(Instr{Op: cmpOp(e.Op, opFLT), A: r, B: rx, C: ry})
 			return r, nil
 		}
 		rx, err := c.exprI(e.X)
@@ -839,7 +727,7 @@ func (c *compiler) binaryI(e *clc.BinaryExpr) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.emit(Instr{Op: intCmpOp(e.Op), A: rx, B: rx, C: ry})
+		c.emit(Instr{Op: cmpOp(e.Op, opILT), A: rx, B: rx, C: ry})
 		c.freeTempI(ry)
 		return rx, nil
 	case clc.ANDAND:
@@ -900,31 +788,25 @@ func (c *compiler) ternaryI(e *clc.CondExpr) (int32, error) {
 	return res, nil
 }
 
+// dimOps and mathOps map the builtins that lower to one instruction each to
+// their opcodes.
+var (
+	dimOps = map[string]Op{"get_global_id": opGID, "get_local_id": opLID, "get_group_id": opGRP,
+		"get_num_groups": opNGR, "get_local_size": opLSZ, "get_global_size": opGSZ}
+	mathOps = map[string]Op{"sqrt": opSQRT, "fabs": opFABS, "exp": opEXP, "log": opLOG,
+		"floor": opFLOOR, "ceil": opCEIL, "pow": opPOW, "fmin": opFMIN, "fmax": opFMAX}
+)
+
 func (c *compiler) callI(e *clc.CallExpr) (int32, error) {
-	switch e.Name {
-	case "get_global_id", "get_local_id", "get_group_id", "get_num_groups",
-		"get_local_size", "get_global_size":
-		var op Op
-		switch e.Name {
-		case "get_global_id":
-			op = opGID
-		case "get_local_id":
-			op = opLID
-		case "get_group_id":
-			op = opGRP
-		case "get_num_groups":
-			op = opNGR
-		case "get_local_size":
-			op = opLSZ
-		case "get_global_size":
-			op = opGSZ
-		}
+	if op, ok := dimOps[e.Name]; ok {
 		rd, err := c.exprI(e.Args[0])
 		if err != nil {
 			return 0, err
 		}
 		c.emit(Instr{Op: op, A: rd, B: rd})
 		return rd, nil
+	}
+	switch e.Name {
 	case "get_global_offset":
 		rd, err := c.exprI(e.Args[0])
 		if err != nil {
@@ -991,17 +873,8 @@ func (c *compiler) exprF(e clc.Expr) (int32, error) {
 			return r, nil
 		}
 	case *clc.BinaryExpr:
-		var op Op
-		switch e.Op {
-		case clc.PLUS:
-			op = opFADD
-		case clc.MINUS:
-			op = opFSUB
-		case clc.STAR:
-			op = opFMUL
-		case clc.SLASH:
-			op = opFDIV
-		default:
+		op := arithOps[e.Op][1]
+		if op == opNop {
 			return 0, fmt.Errorf("vm: operator %s does not yield float", e.Op)
 		}
 		rx, err := c.exprF(e.X)
@@ -1075,47 +948,22 @@ func (c *compiler) exprF(e clc.Expr) (int32, error) {
 }
 
 func (c *compiler) callF(e *clc.CallExpr) (int32, error) {
-	var op Op
-	switch e.Name {
-	case "sqrt":
-		op = opSQRT
-	case "fabs":
-		op = opFABS
-	case "exp":
-		op = opEXP
-	case "log":
-		op = opLOG
-	case "floor":
-		op = opFLOOR
-	case "ceil":
-		op = opCEIL
-	case "pow", "fmin", "fmax":
-		rx, err := c.exprF(e.Args[0])
-		if err != nil {
-			return 0, err
-		}
-		ry, err := c.exprF(e.Args[1])
-		if err != nil {
-			return 0, err
-		}
-		var op2 Op
-		switch e.Name {
-		case "pow":
-			op2 = opPOW
-		case "fmin":
-			op2 = opFMIN
-		case "fmax":
-			op2 = opFMAX
-		}
-		c.emit(Instr{Op: op2, A: rx, B: rx, C: ry})
-		c.freeTempF(ry)
-		return rx, nil
-	default:
+	op, ok := mathOps[e.Name]
+	if !ok {
 		return 0, fmt.Errorf("vm: builtin %q does not yield float", e.Name)
 	}
 	rx, err := c.exprF(e.Args[0])
 	if err != nil {
 		return 0, err
+	}
+	if opTab[op].sig == sigFFF {
+		ry, err := c.exprF(e.Args[1])
+		if err != nil {
+			return 0, err
+		}
+		c.emit(Instr{Op: op, A: rx, B: rx, C: ry})
+		c.freeTempF(ry)
+		return rx, nil
 	}
 	c.emit(Instr{Op: op, A: rx, B: rx})
 	return rx, nil

@@ -121,7 +121,7 @@ func TestDifferentialVMvsReference(t *testing.T) {
 
 // FuzzDifferential lets the fuzzer pick the seed: every int64 names one
 // generated program, its buffers and its scalar arguments. `make fuzz` runs
-// it for 30 s; what it finds lands under testdata/fuzz/FuzzDifferential.
+// it for 20 s; what it finds lands under testdata/fuzz/FuzzDifferential.
 func FuzzDifferential(f *testing.F) {
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		f.Add(seed)

@@ -5,25 +5,6 @@ import (
 	"strings"
 )
 
-// opNames maps opcodes to mnemonics for the disassembler.
-var opNames = map[Op]string{
-	opNop: "nop", opLDI: "ldi", opLDF: "ldf", opIMOV: "imov", opFMOV: "fmov",
-	opIADD: "iadd", opISUB: "isub", opIMUL: "imul", opIDIV: "idiv", opIMOD: "imod", opINEG: "ineg",
-	opFADD: "fadd", opFSUB: "fsub", opFMUL: "fmul", opFDIV: "fdiv", opFNEG: "fneg",
-	opI2F: "i2f", opF2I: "f2i",
-	opILT: "ilt", opILE: "ile", opIGT: "igt", opIGE: "ige", opIEQ: "ieq", opINE: "ine",
-	opFLT: "flt", opFLE: "fle", opFGT: "fgt", opFGE: "fge", opFEQ: "feq", opFNE: "fne",
-	opNOTB: "notb", opJMP: "jmp", opJZ: "jz", opJNZ: "jnz",
-	opLDGF: "ldgf", opSTGF: "stgf", opLDGI: "ldgi", opSTGI: "stgi",
-	opLDLF: "ldlf", opSTLF: "stlf", opLDLI: "ldli", opSTLI: "stli",
-	opLDPF: "ldpf", opSTPF: "stpf", opLDPI: "ldpi", opSTPI: "stpi",
-	opGID: "gid", opLID: "lid", opGRP: "grp", opNGR: "ngr", opLSZ: "lsz", opGSZ: "gsz",
-	opGOFF: "goff", opWDIM: "wdim", opBARRIER: "barrier",
-	opSQRT: "sqrt", opFABS: "fabs", opEXP: "exp", opLOG: "log",
-	opFLOOR: "floor", opCEIL: "ceil", opPOW: "pow", opFMIN: "fmin", opFMAX: "fmax",
-	opIMIN: "imin", opIMAX: "imax", opIABS: "iabs", opRET: "ret",
-}
-
 // Disasm renders the compiled kernel's bytecode as readable assembly, one
 // instruction per line. It is a debugging aid for the compiler and for
 // inspecting what the transformation passes produced.
@@ -103,49 +84,44 @@ func (k *Kernel) Disasm() string {
 	return b.String()
 }
 
+// disasmInstr formats one instruction by its opcode's signature: the
+// operands in field order, except that a jump target, or a store's source,
+// goes last.
 func disasmInstr(in Instr) string {
-	name := opNames[in.Op]
-	if name == "" {
-		name = fmt.Sprintf("op%d", in.Op)
+	row := &opTab[in.Op]
+	if row.sig == sigBad {
+		return fmt.Sprintf("%-6s a=%d b=%d c=%d", fmt.Sprintf("op%d", in.Op), in.A, in.B, in.C)
 	}
-	switch in.Op {
-	case opNop, opRET, opBARRIER:
-		return name
-	case opLDI:
-		return fmt.Sprintf("%-6s r%d, %d", name, in.A, in.IImm)
-	case opLDF:
-		return fmt.Sprintf("%-6s f%d, %g", name, in.A, in.FImm)
-	case opIMOV, opINEG, opNOTB, opIABS:
-		return fmt.Sprintf("%-6s r%d, r%d", name, in.A, in.B)
-	case opFMOV, opFNEG, opSQRT, opFABS, opEXP, opLOG, opFLOOR, opCEIL:
-		return fmt.Sprintf("%-6s f%d, f%d", name, in.A, in.B)
-	case opIADD, opISUB, opIMUL, opIDIV, opIMOD,
-		opILT, opILE, opIGT, opIGE, opIEQ, opINE, opIMIN, opIMAX:
-		return fmt.Sprintf("%-6s r%d, r%d, r%d", name, in.A, in.B, in.C)
-	case opFADD, opFSUB, opFMUL, opFDIV, opPOW, opFMIN, opFMAX:
-		return fmt.Sprintf("%-6s f%d, f%d, f%d", name, in.A, in.B, in.C)
-	case opFLT, opFLE, opFGT, opFGE, opFEQ, opFNE:
-		return fmt.Sprintf("%-6s r%d, f%d, f%d", name, in.A, in.B, in.C)
-	case opI2F:
-		return fmt.Sprintf("%-6s f%d, r%d", name, in.A, in.B)
-	case opF2I:
-		return fmt.Sprintf("%-6s r%d, f%d", name, in.A, in.B)
-	case opJMP:
-		return fmt.Sprintf("%-6s @%d", name, in.A)
-	case opJZ, opJNZ:
-		return fmt.Sprintf("%-6s r%d, @%d", name, in.B, in.A)
-	case opLDGF, opLDLF, opLDPF:
-		return fmt.Sprintf("%-6s f%d, [%d + r%d]  ; mem#%d", name, in.A, in.B, in.C, in.D)
-	case opLDGI, opLDLI, opLDPI:
-		return fmt.Sprintf("%-6s r%d, [%d + r%d]  ; mem#%d", name, in.A, in.B, in.C, in.D)
-	case opSTGF, opSTLF, opSTPF:
-		return fmt.Sprintf("%-6s [%d + r%d], f%d  ; mem#%d", name, in.B, in.C, in.A, in.D)
-	case opSTGI, opSTLI, opSTPI:
-		return fmt.Sprintf("%-6s [%d + r%d], r%d  ; mem#%d", name, in.B, in.C, in.A, in.D)
-	case opGID, opLID, opGRP, opNGR, opLSZ, opGSZ:
-		return fmt.Sprintf("%-6s r%d, dim=r%d", name, in.A, in.B)
-	case opGOFF, opWDIM:
-		return fmt.Sprintf("%-6s r%d", name, in.A)
+	sig := sigOperands[row.sig]
+	var ops []string
+	for f, r := range [3]int32{in.A, in.B, in.C} {
+		switch o := sig[f]; {
+		case o == oImm && sig[0] == oIw:
+			ops = append(ops, fmt.Sprint(in.IImm))
+		case o == oImm:
+			ops = append(ops, fmt.Sprintf("%g", in.FImm))
+		case o == oPC:
+			ops = append(ops, fmt.Sprintf("@%d", r))
+		case o == oDim:
+			ops = append(ops, fmt.Sprintf("dim=r%d", r))
+		case o == oSlot:
+			ops = append(ops, fmt.Sprintf("[%d + r%d]", r, in.C))
+		case o == oIdx: // printed with its slot
+		case o.intReg():
+			ops = append(ops, fmt.Sprintf("r%d", r))
+		case o.floatReg():
+			ops = append(ops, fmt.Sprintf("f%d", r))
+		}
 	}
-	return fmt.Sprintf("%-6s a=%d b=%d c=%d", name, in.A, in.B, in.C)
+	if len(ops) == 0 {
+		return row.name
+	}
+	if a := sig[0]; a == oPC || a == oI || a == oF {
+		ops = append(ops[1:], ops[0])
+	}
+	s := fmt.Sprintf("%-6s %s", row.name, strings.Join(ops, ", "))
+	if sig[1] == oSlot {
+		s += fmt.Sprintf("  ; mem#%d", in.D)
+	}
+	return s
 }

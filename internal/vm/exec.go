@@ -561,8 +561,6 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				iregs[in.A] = int64(nd.NumGroups[d] * nd.LocalSize[d])
 			}
 			st.IntOps++
-		case opGOFF:
-			iregs[in.A] = 0
 		case opWDIM:
 			iregs[in.A] = int64(nd.Dims)
 		case opBARRIER:

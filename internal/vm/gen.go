@@ -48,7 +48,7 @@ func (g *progGen) freshVar() string {
 // intExpr produces a random int-typed expression using in-scope variables.
 func (g *progGen) intExpr(depth int) string {
 	if depth <= 0 || g.r.Intn(3) == 0 {
-		switch g.r.Intn(3) {
+		switch g.r.Intn(4) {
 		case 0:
 			return fmt.Sprintf("%d", g.r.Intn(21)-10)
 		case 1:
@@ -56,11 +56,13 @@ func (g *progGen) intExpr(depth int) string {
 				return g.ints[g.r.Intn(len(g.ints))]
 			}
 			return "i"
+		case 2:
+			return g.workItemCall()
 		default:
 			return "i"
 		}
 	}
-	switch g.r.Intn(8) {
+	switch g.r.Intn(9) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", g.intExpr(depth-1), g.intExpr(depth-1))
 	case 1:
@@ -77,9 +79,23 @@ func (g *progGen) intExpr(depth int) string {
 		return fmt.Sprintf("max(abs(%s), %s)", g.intExpr(depth-1), g.intExpr(depth-1))
 	case 6:
 		return fmt.Sprintf("(%s ? %s : %s)", g.boolExpr(depth-1), g.intExpr(depth-1), g.intExpr(depth-1))
+	case 7:
+		return fmt.Sprintf("(-(%s))", g.intExpr(depth-1))
 	default:
 		return fmt.Sprintf("(int)%s", g.floatExpr(depth-1))
 	}
+}
+
+// workItemCall draws a work-item builtin. The dimension comes from {0, 1, 2,
+// 3, -1}: 3 and -1 name no dimension, which reads 0 for an id and 1 for a
+// size.
+func (g *progGen) workItemCall() string {
+	name := []string{"get_global_id", "get_local_id", "get_group_id", "get_num_groups",
+		"get_local_size", "get_global_size", "get_global_offset", "get_work_dim"}[g.r.Intn(8)]
+	if name == "get_work_dim" {
+		return "get_work_dim()"
+	}
+	return fmt.Sprintf("%s(%d)", name, []int{0, 1, 2, 3, -1}[g.r.Intn(5)])
 }
 
 func (g *progGen) floatExpr(depth int) string {
@@ -96,7 +112,7 @@ func (g *progGen) floatExpr(depth int) string {
 			return "fp"
 		}
 	}
-	switch g.r.Intn(8) {
+	switch g.r.Intn(13) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", g.floatExpr(depth-1), g.floatExpr(depth-1))
 	case 1:
@@ -112,6 +128,17 @@ func (g *progGen) floatExpr(depth int) string {
 		return fmt.Sprintf("fmin(%s, fmax(%s, -8.0f))", g.floatExpr(depth-1), g.floatExpr(depth-1))
 	case 6:
 		return fmt.Sprintf("(%s ? %s : %s)", g.boolExpr(depth-1), g.floatExpr(depth-1), g.floatExpr(depth-1))
+	case 7:
+		return fmt.Sprintf("(-(%s))", g.floatExpr(depth-1))
+	case 8:
+		return fmt.Sprintf("%s(%s)", []string{"floor", "ceil"}[g.r.Intn(2)], g.floatExpr(depth-1))
+	case 9:
+		// Domain guards: exp stays finite, log and pow see a base of at least 1.
+		return fmt.Sprintf("exp(fmin(%s, 8.0f))", g.floatExpr(depth-1))
+	case 10:
+		return fmt.Sprintf("log(fabs(%s) + 1.0f)", g.floatExpr(depth-1))
+	case 11:
+		return fmt.Sprintf("pow(fabs(%s) + 1.0f, fmin(fabs(%s), 4.0f))", g.floatExpr(depth-1), g.floatExpr(depth-1))
 	default:
 		return fmt.Sprintf("(float)%s", g.intExpr(depth-1))
 	}
@@ -127,7 +154,7 @@ func (g *progGen) boolExpr(depth int) string {
 			[]string{"<", "<=", ">", ">=", "==", "!="}[g.r.Intn(6)], g.intExpr(depth-1))
 	case 1:
 		return fmt.Sprintf("(%s %s %s)", g.floatExpr(depth-1),
-			[]string{"<", "<=", ">", ">="}[g.r.Intn(4)], g.floatExpr(depth-1))
+			[]string{"<", "<=", ">", ">=", "==", "!="}[g.r.Intn(6)], g.floatExpr(depth-1))
 	case 2:
 		return fmt.Sprintf("(%s && %s)", g.boolExpr(depth-1), g.boolExpr(depth-1))
 	case 3:

@@ -16,104 +16,6 @@ import (
 	"fluidicl/internal/clc"
 )
 
-// Op is a bytecode opcode.
-type Op uint8
-
-// Opcodes. Register-machine encoding: A is usually the destination register,
-// B and C are operands. Separate integer and float register files.
-const (
-	opNop Op = iota
-
-	opLDI // ireg[A] = IImm
-	opLDF // freg[A] = FImm
-
-	opIMOV // ireg[A] = ireg[B]
-	opFMOV // freg[A] = freg[B]
-
-	opIADD // ireg[A] = ireg[B] + ireg[C]
-	opISUB
-	opIMUL
-	opIDIV
-	opIMOD
-	opINEG // ireg[A] = -ireg[B]
-
-	opFADD // freg[A] = f32(freg[B] + freg[C])
-	opFSUB
-	opFMUL
-	opFDIV
-	opFNEG
-
-	opI2F // freg[A] = float(ireg[B])
-	opF2I // ireg[A] = int(freg[B]), C truncation
-
-	opILT // ireg[A] = ireg[B] < ireg[C]
-	opILE
-	opIGT
-	opIGE
-	opIEQ
-	opINE
-
-	opFLT // ireg[A] = freg[B] < freg[C]
-	opFLE
-	opFGT
-	opFGE
-	opFEQ
-	opFNE
-
-	opNOTB // ireg[A] = (ireg[B] == 0)
-
-	opJMP // pc = A
-	opJZ  // if ireg[B] == 0: pc = A
-	opJNZ // if ireg[B] != 0: pc = A
-
-	// Global memory (slot B = pointer parameter index, C = element index
-	// register, D = static memory-op id for locality tracking).
-	opLDGF // freg[A] = load f32
-	opSTGF // store f32 freg[A]
-	opLDGI // ireg[A] = load i32
-	opSTGI // store i32 ireg[A]
-
-	// Local memory (slot B = local array id).
-	opLDLF
-	opSTLF
-	opLDLI
-	opSTLI
-
-	// Private arrays (slot B = private array id).
-	opLDPF
-	opSTPF
-	opLDPI
-	opSTPI
-
-	// Work-item builtins (B = dimension register where applicable).
-	opGID  // ireg[A] = get_global_id(ireg[B])
-	opLID  // get_local_id
-	opGRP  // get_group_id
-	opNGR  // get_num_groups
-	opLSZ  // get_local_size
-	opGSZ  // get_global_size
-	opGOFF // get_global_offset (always 0)
-	opWDIM // get_work_dim
-
-	opBARRIER
-
-	// Math builtins.
-	opSQRT // freg[A] = sqrt(freg[B])
-	opFABS
-	opEXP
-	opLOG
-	opFLOOR
-	opCEIL
-	opPOW  // freg[A] = pow(freg[B], freg[C])
-	opFMIN // freg[A] = min(freg[B], freg[C])
-	opFMAX
-	opIMIN // ireg[A] = min(ireg[B], ireg[C])
-	opIMAX
-	opIABS // ireg[A] = abs(ireg[B])
-
-	opRET
-)
-
 // Instr is one bytecode instruction.
 type Instr struct {
 	Op   Op

@@ -41,6 +41,10 @@ type wblock struct {
 	body   int   // end of the block body (terminator excluded)
 	nInstr int64 // step-budget charge per work-item
 	steps  []wstep
+	// cls holds each step's Stats class (optab.go) and ops counts them: the
+	// dispatcher books a set's op counts per block, not per step.
+	cls []opClass
+	ops opCounts
 	// red, when non-nil, is the region-fused lowering of steps (wgfuse.go):
 	// the whole body jammed into one loop over the work-items, run instead of
 	// steps while WGFuseEnabled, for full-group dispatches.
@@ -188,9 +192,28 @@ func (k *Kernel) buildWBlock(start, end int) *wblock {
 		if s == nil {
 			return nil
 		}
-		blk.steps = append(blk.steps, s)
+		c := opTab[code[pc].Op].class
+		blk.steps, blk.cls = append(blk.steps, s), append(blk.cls, c)
+		blk.ops[c]++
 	}
 	return blk
+}
+
+// runSteps runs the block's steps over set and books their op counts: all
+// of them, or, when a step fails, those of the steps before it.
+func (b *wblock) runSteps(m *wmach, set []int32) bool {
+	for i, stp := range b.steps {
+		if !stp(m, set) {
+			var ran opCounts
+			for _, c := range b.cls[:i] {
+				ran[c]++
+			}
+			m.st.bookOps(&ran, int64(len(set)))
+			return false
+		}
+	}
+	m.st.bookOps(&b.ops, int64(len(set)))
+	return true
 }
 
 // buildRegions computes the barrier-free regions: one per entry (pc 0 and

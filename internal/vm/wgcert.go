@@ -360,25 +360,22 @@ func certStep(in Instr, st []aval, nd NDRange) {
 		st[in.A] = aAdd(st[in.B], st[in.C], -1)
 	case opIMUL:
 		st[in.A] = aMul(st[in.B], st[in.C])
-	case opIDIV, opIMOD:
-		if x, y := st[in.B], st[in.C]; !x.isConst() || !y.isConst() || y.c[0] == 0 {
-			st[in.A] = aTop()
-		} else if in.Op == opIDIV {
-			st[in.A] = aConst(x.c[0] / y.c[0])
-		} else {
-			st[in.A] = aConst(x.c[0] % y.c[0])
-		}
 	case opINEG:
 		st[in.A] = aMul(st[in.B], aConst(-1))
-	case opILT, opILE, opIGT, opIGE, opIEQ, opINE:
-		if st[in.B].isConst() && st[in.C].isConst() {
-			st[in.A] = aConst(b2i(intCmpFn(in.Op)(st[in.B].c[0], st[in.C].c[0])))
-		} else {
+	case opIDIV, opIMOD, opILT, opILE, opIGT, opIGE, opIEQ, opINE, opIMIN, opIMAX:
+		// Constants fold through the row; min and max of one form are that form.
+		row := &opTab[in.Op]
+		switch x, y := st[in.B], st[in.C]; {
+		case x.isConst() && y.isConst() && (y.c[0] != 0 || row.trap == ""):
+			st[in.A] = aConst(row.fn.(func(x, y int64) int64)(x.c[0], y.c[0]))
+		case in.Op == opIMIN || in.Op == opIMAX:
+			st[in.A] = aJoin(x, y)
+		default:
 			st[in.A] = aTop()
 		}
-	case opNOTB:
-		if st[in.B].isConst() {
-			st[in.A] = aConst(b2i(st[in.B].c[0] == 0))
+	case opNOTB, opIABS:
+		if x := st[in.B]; x.isConst() {
+			st[in.A] = aConst(opTab[in.Op].fn.(func(int64) int64)(x.c[0]))
 		} else {
 			st[in.A] = aTop()
 		}
@@ -418,27 +415,7 @@ func certStep(in Instr, st []aval, nd NDRange) {
 			}
 			st[in.A] = aConst(v)
 		}
-	case opGOFF:
-		st[in.A] = aConst(0)
 	case opWDIM:
 		st[in.A] = aConst(int64(nd.Dims))
-	case opIMIN, opIMAX:
-		if x, y := st[in.B], st[in.C]; !x.isConst() || !y.isConst() {
-			st[in.A] = aJoin(x, y) // equal forms: min and max are that form
-		} else if in.Op == opIMIN {
-			st[in.A] = aConst(min(x.c[0], y.c[0]))
-		} else {
-			st[in.A] = aConst(max(x.c[0], y.c[0]))
-		}
-	case opIABS:
-		if st[in.B].isConst() {
-			v := st[in.B].c[0]
-			if v < 0 {
-				v = -v
-			}
-			st[in.A] = aConst(v)
-		} else {
-			st[in.A] = aTop()
-		}
 	}
 }

@@ -82,11 +82,9 @@ type wmach struct {
 	// priv[slot][t*privSz[slot] : (t+1)*privSz[slot]].
 	priv   [][]byte
 	privSz []int
-	lid0   []int64 // local ids per item
-	lid1   []int64
-	lid2   []int64
-	lidKey [3]int  // the (lx, ly, n) the lid tables were last filled for
-	steps  []int64 // per-item step budget
+	lid    [][3]int // local ids per item
+	lidKey [3]int   // the (lx, ly, n) lid was last filled for
+	steps  []int64  // per-item step budget
 
 	rec  [][]wgAcc // per-item (memID, off) streams for this phase
 	work []*wgSet
@@ -165,9 +163,7 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	m.ib = sized(m.ib, k.NumI*n)
 	m.fb = sized(m.fb, k.NumF*n)
 	m.steps = sized(m.steps, n)
-	m.lid0 = grow(m.lid0, n)
-	m.lid1 = grow(m.lid1, n)
-	m.lid2 = grow(m.lid2, n)
+	m.lid = grow(m.lid, n)
 	if len(m.priv) != len(k.PrivArrs) {
 		m.priv = make([][]byte, len(k.PrivArrs))
 		m.privSz = make([]int, len(k.PrivArrs))
@@ -500,9 +496,7 @@ func (m *wmach) runGroup() error {
 	if lx, ly := m.nd.LocalSize[0], m.nd.LocalSize[1]; m.lidKey != [3]int{lx, ly, n} {
 		m.lidKey = [3]int{lx, ly, n}
 		for t := 0; t < n; t++ {
-			m.lid0[t] = int64(t % lx)
-			m.lid1[t] = int64((t / lx) % ly)
-			m.lid2[t] = int64(t / (lx * ly))
+			m.lid[t] = [3]int{t % lx, (t / lx) % ly, t / (lx * ly)}
 		}
 	}
 	for i, p := range k.Params {
@@ -580,11 +574,9 @@ func (m *wmach) runGroup() error {
 				}
 			} else {
 				m.dynStep += body * int64(len(s.items))
-				for _, stp := range blk.steps {
-					if !stp(m, s.items) {
-						m.freeSet(s)
-						return m.err
-					}
+				if !blk.runSteps(m, s.items) {
+					m.freeSet(s)
+					return m.err
 				}
 			}
 			switch blk.term.kind {

@@ -127,47 +127,25 @@ func wgLiveScratch(scratchI, liveI, scratchF, liveF uint64) wgNoFuse {
 // ---------------------------------------------------------------------------
 
 // wgUseDef returns the int/float register use and def bitmasks of one
-// instruction. Unknown opcodes are treated as reading every register and
-// defining none, which is conservative for the dead-scratch proof.
+// instruction, by its opcode's signature. An opcode without one is treated as
+// reading every register and defining none, which is conservative for the
+// dead-scratch proof.
 func wgUseDef(in Instr) (iu, fu, id, fd uint64) {
-	b := func(r int32) uint64 { return 1 << uint(r) }
-	switch in.Op {
-	case opNop, opRET, opBARRIER, opJMP:
-	case opGOFF, opWDIM:
-		id = b(in.A)
-	case opLDI:
-		id = b(in.A)
-	case opLDF:
-		fd = b(in.A)
-	case opIMOV, opINEG, opNOTB, opIABS:
-		iu, id = b(in.B), b(in.A)
-	case opFMOV, opFNEG, opSQRT, opFABS, opEXP, opLOG, opFLOOR, opCEIL:
-		fu, fd = b(in.B), b(in.A)
-	case opIADD, opISUB, opIMUL, opIDIV, opIMOD, opIMIN, opIMAX,
-		opILT, opILE, opIGT, opIGE, opIEQ, opINE:
-		iu, id = b(in.B)|b(in.C), b(in.A)
-	case opFADD, opFSUB, opFMUL, opFDIV, opPOW, opFMIN, opFMAX:
-		fu, fd = b(in.B)|b(in.C), b(in.A)
-	case opFLT, opFLE, opFGT, opFGE, opFEQ, opFNE:
-		fu, id = b(in.B)|b(in.C), b(in.A)
-	case opI2F:
-		iu, fd = b(in.B), b(in.A)
-	case opF2I:
-		fu, id = b(in.B), b(in.A)
-	case opJZ, opJNZ:
-		iu = b(in.B)
-	case opLDGF, opLDLF, opLDPF:
-		iu, fd = b(in.C), b(in.A)
-	case opLDGI, opLDLI, opLDPI:
-		iu, id = b(in.C), b(in.A)
-	case opSTGF, opSTLF, opSTPF:
-		iu, fu = b(in.C), b(in.A)
-	case opSTGI, opSTLI, opSTPI:
-		iu = b(in.C) | b(in.A)
-	case opGID, opLID, opGRP, opNGR, opLSZ, opGSZ:
-		iu, id = b(in.B), b(in.A)
-	default:
-		iu, fu = ^uint64(0), ^uint64(0)
+	sig := opTab[in.Op].sig
+	if sig == sigBad {
+		return ^uint64(0), ^uint64(0), 0, 0
+	}
+	for f, r := range [3]int32{in.A, in.B, in.C} {
+		switch o := sigOperands[sig][f]; {
+		case o == oIw:
+			id |= wgBit(r)
+		case o == oFw:
+			fd |= wgBit(r)
+		case o.intReg():
+			iu |= wgBit(r)
+		case o.floatReg():
+			fu |= wgBit(r)
+		}
 	}
 	return
 }
@@ -380,12 +358,12 @@ type wgReduce struct {
 	ni    int
 	ctrs  [wgMaxIncs]int
 	imms  [wgMaxIncs]int64
-	// Loads in program order, and the order-independent Stats of one trip.
-	nLoads   int
-	loads    [wgMaxLoads]wgFactor
-	intOps   int64
-	floatOps int64
-	mask     uint64
+	// Loads in program order, and the order-independent Stats of one trip:
+	// the block's op counts and the parameters it reads.
+	nLoads int
+	loads  [wgMaxLoads]wgFactor
+	ops    opCounts
+	mask   uint64
 	// loop is the loop-level plan (wgloop.go); nil keeps the body on one trip
 	// per dispatch.
 	loop *wgLoop
@@ -413,7 +391,7 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 	code := k.Code
 	pc, end := blk.start, blk.body
 	shape := wgNoFuse{why: WGFuseRejShape}
-	p := &wgReduce{kname: k.Name}
+	p := &wgReduce{kname: k.Name, ops: blk.ops}
 
 	// One walk tokenizes the opcodes and checks the operands. A body that is
 	// not a reduction chain at all reports shape wherever the walk stops;
@@ -454,7 +432,6 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 				aff, ok := parseWAff(code, pc, &defsI)
 				wired(ok, pc)
 				f.idx, idxReg = aff, code[pc+4].A
-				p.intOps += 2
 				pc += 5
 			case k.opsAt(pc, end, opIMOV, opLDGF):
 				mv := code[pc]
@@ -479,7 +456,6 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 				fm := code[pc]
 				wired(fm.B == cur && fm.C == ld.A && scratch(fm.A), pc)
 				cur = fm.A
-				p.floatOps++
 				pc++
 			} else {
 				cur = ld.A
@@ -501,7 +477,6 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 					p.accs[p.nAcc] = int(fad.A)
 					p.nAcc++
 				}
-				p.floatOps++
 				pc++
 				break
 			}
@@ -529,7 +504,6 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 		}
 		ctrsI |= wgBit(int32(ctr))
 		inc[ctr] = imm
-		p.intOps++
 	}
 	switch {
 	case p.nt == 0 || p.ni == 0:
@@ -708,8 +682,7 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 	m.booked = true
 	cnt := int64(n) * T
 	st := m.st
-	st.IntOps += p.intOps * cnt
-	st.FloatOps += p.floatOps * cnt
+	st.bookOps(&p.ops, cnt)
 	st.ParamReadMask |= p.mask
 	st.GlobalLoads += int64(nl) * cnt
 	st.GlobalLoadBytes += 4 * int64(nl) * cnt

@@ -230,7 +230,9 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, p *wgReduce, head int, seen ma
 		b.body += int64(blk.body - pc)
 		b.branchs += b2i(blk.term.kind != wtFall)
 		code := k.Code[pc:blk.body]
-		if pc == head {
+		if pc != head {
+			b.intOps += blk.ops[clsInt]
+		} else {
 			code = nil
 			for i, c := range p.ctrs[:p.ni] {
 				ops = append(ops, wgSOp{op: opIADD, a: int32(c), b: int32(c), c: lp.slot(p.imms[i])})
@@ -262,7 +264,6 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, p *wgReduce, head int, seen ma
 				} else {
 					o = wgSOp{op: opIEQ, take: wgTake[opIEQ-opILT], a: in.A, b: use(in.B), c: lp.slot(0)}
 				}
-				b.intOps++
 			default:
 				o.b = use(in.B)
 				if o.c = o.b; in.Op != opINEG {
@@ -271,7 +272,6 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, p *wgReduce, head int, seen ma
 				if opILT <= in.Op && in.Op <= opINE {
 					o.take = wgTake[in.Op-opILT]
 				}
-				b.intOps++
 			}
 			def(in.A)
 			if o.take != 0 {

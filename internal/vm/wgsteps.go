@@ -8,601 +8,348 @@ import (
 
 // Banked step builders for the lockstep engine.
 //
-// Each wstep performs the exact per-instruction register writes, memory side
-// effects, and Stats updates of the interpreter's case for its opcode (run,
-// exec.go), looped over every work-item in the set against the SoA banks,
-// with operands decoded once at build time. Order-independent counters (op
-// counts, byte totals, masks) are batched per set; per-offset ones (write
-// bounds, the undo log, tracker records) stay inside the item loop. A block is
-// one step per instruction; the one place several instructions become one
-// loop is the reduction jam (wgfuse.go).
+// Each wstep performs the exact per-instruction register writes and memory
+// side effects of the interpreter's case for its opcode (run, exec.go),
+// looped over every work-item in the set against the SoA banks, with
+// operands decoded once at build time. Order-independent counters are
+// batched: ALU op counts per block dispatch (wblock.runSteps books
+// wblock.ops), byte totals and masks per set; per-offset ones (write
+// bounds, the undo log, tracker records) stay inside the item loop. A block
+// is one step per instruction; the one place several instructions become
+// one loop is the reduction jam (wgfuse.go).
 //
-// When m.full is set the dispatched set is the whole group in ascending
-// order, so hot steps take a branch that slices each register's bank once
-// and runs a plain range loop — identical semantics and identical
-// iteration order, but the compiler can hoist the bounds checks and the
-// per-element set indirection disappears.
+// An ALU step is built from its opcode's row (optab.go) by signature and
+// calls the row's function once per lane. Eleven opcodes keep their
+// operation inline instead — ldi, ldf, imov, fmov, iadd, isub, imul, fadd,
+// fsub, fmul, fdiv — with both of their loops: over the whole group when
+// m.full says the set is all of it in ascending order (the loop slices each
+// register's bank once and runs a plain range loop), over the set otherwise.
+// Through the row, the per-lane call cost BenchmarkExecLaunch STREAM +40 %
+// and SCATTER +95 %; with only the full-group loops inline, CORR, which runs
+// these ops on divergent sets of about six lanes, +25 % (EXPERIMENTS.md, "One
+// opcode table").
 
 // buildWStep compiles the instruction at pc into a banked wstep. Control
 // flow returns nil (handled by terminators), as does opNop.
 func (k *Kernel) buildWStep(pc int) wstep {
 	in := k.Code[pc]
+	row := &opTab[in.Op]
 	a, b, c := in.A, in.B, in.C
-	switch in.Op {
-	case opLDI:
+	switch row.sig {
+	case sigLDI:
 		imm := in.IImm
 		return func(m *wmach, set []int32) bool {
-			ab := int(a) * m.n
-			ib := m.ib
-			if m.full {
-				ra := ib[ab : ab+m.n]
-				for t := range ra {
-					ra[t] = imm
-				}
-				return true
-			}
-			for _, t := range set {
-				ib[ab+int(t)] = imm
-			}
+			fill(m.ib, a, m.n, set, m.full, imm)
 			return true
 		}
-	case opLDF:
+	case sigLDF:
 		imm := in.FImm
 		return func(m *wmach, set []int32) bool {
-			ab := int(a) * m.n
-			fb := m.fb
-			if m.full {
-				ra := fb[ab : ab+m.n]
-				for t := range ra {
-					ra[t] = imm
+			fill(m.fb, a, m.n, set, m.full, imm)
+			return true
+		}
+	case sigII:
+		if in.Op == opIMOV {
+			return func(m *wmach, set []int32) bool {
+				move(m.ib, a, b, m.n, set, m.full)
+				return true
+			}
+		}
+		f := row.fn.(func(int64) int64)
+		return func(m *wmach, set []int32) bool {
+			lanes1(m.ib, m.ib, a, b, m.n, set, m.full, f)
+			return true
+		}
+	case sigFF:
+		if in.Op == opFMOV {
+			return func(m *wmach, set []int32) bool {
+				move(m.fb, a, b, m.n, set, m.full)
+				return true
+			}
+		}
+		f := row.fn.(func(float64) float64)
+		return func(m *wmach, set []int32) bool {
+			lanes1(m.fb, m.fb, a, b, m.n, set, m.full, f)
+			return true
+		}
+	case sigFI:
+		f := row.fn.(func(int64) float64)
+		return func(m *wmach, set []int32) bool {
+			lanes1(m.fb, m.ib, a, b, m.n, set, m.full, f)
+			return true
+		}
+	case sigIF:
+		f := row.fn.(func(float64) int64)
+		return func(m *wmach, set []int32) bool {
+			lanes1(m.ib, m.fb, a, b, m.n, set, m.full, f)
+			return true
+		}
+	case sigIII:
+		return intStep(pc, in, row)
+	case sigFFF:
+		return floatStep(in, row)
+	case sigIFF:
+		f := row.fn.(func(x, y float64) int64)
+		return func(m *wmach, set []int32) bool {
+			lanes2(m.ib, m.fb, a, b, c, m.n, set, m.full, f)
+			return true
+		}
+	case sigDim:
+		// One call per run of lanes that name the same dimension.
+		f := row.fn.(dimFn)
+		return func(m *wmach, set []int32) bool {
+			ab, bb := int(a)*m.n, int(b)*m.n
+			var d, v int64
+			var lid bool
+			for i, t := range set {
+				if x := m.ib[bb+int(t)]; i == 0 || x != d {
+					d = x
+					v, lid = f(&m.nd, &m.group, d)
 				}
-				return true
-			}
-			for _, t := range set {
-				fb[ab+int(t)] = imm
+				if lid {
+					m.ib[ab+int(t)] = v + int64(m.lid[t][d])
+				} else {
+					m.ib[ab+int(t)] = v
+				}
 			}
 			return true
 		}
-	case opIMOV:
+	case sigWDim:
+		f := row.fn.(dimFn)
 		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			if m.full {
-				copy(ib[ab:ab+m.n], ib[bb:bb+m.n])
-				return true
-			}
-			for _, t := range set {
-				ib[ab+int(t)] = ib[bb+int(t)]
-			}
+			v, _ := f(&m.nd, &m.group, 0)
+			fill(m.ib, a, m.n, set, m.full, v)
 			return true
 		}
-	case opFMOV:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			if m.full {
-				copy(fb[ab:ab+m.n], fb[bb:bb+m.n])
-				return true
-			}
-			for _, t := range set {
-				fb[ab+int(t)] = fb[bb+int(t)]
-			}
-			return true
+	case sigLoadF, sigLoadI, sigStoreF, sigStoreI:
+		isF := row.sig == sigLoadF || row.sig == sigStoreF
+		switch in.Op {
+		case opLDGF, opLDGI:
+			return k.wstepLoadGlobal(pc, in, isF)
+		case opSTGF, opSTGI:
+			return k.wstepStoreGlobal(pc, in, isF)
+		case opLDLF, opLDLI, opSTLF, opSTLI:
+			return k.wstepSlab(pc, in, false)
 		}
+		return k.wstepSlab(pc, in, true)
+	}
+	return nil
+}
+
+// intStep builds the int <- int x int step: iadd, isub and imul inline, a
+// trapping row (idiv, imod) checking each lane's divisor first, any other
+// through the row.
+func intStep(pc int, in Instr, row *opRow) wstep {
+	a, b, c, f := in.A, in.B, in.C, row.fn.(func(x, y int64) int64)
+	switch in.Op {
 	case opIADD:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, ib := m.n, m.ib
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			ib := m.ib
 			if m.full {
 				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
 				for t := range ra {
 					ra[t] = rb[t] + rc[t]
 				}
-				m.st.IntOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				ib[ab+int(t)] = ib[bb+int(t)] + ib[cb+int(t)]
 			}
-			m.st.IntOps += int64(len(set))
 			return true
 		}
 	case opISUB:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, ib := m.n, m.ib
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			ib := m.ib
 			if m.full {
 				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
 				for t := range ra {
 					ra[t] = rb[t] - rc[t]
 				}
-				m.st.IntOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				ib[ab+int(t)] = ib[bb+int(t)] - ib[cb+int(t)]
 			}
-			m.st.IntOps += int64(len(set))
 			return true
 		}
 	case opIMUL:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, ib := m.n, m.ib
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			ib := m.ib
 			if m.full {
 				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
 				for t := range ra {
 					ra[t] = rb[t] * rc[t]
 				}
-				m.st.IntOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				ib[ab+int(t)] = ib[bb+int(t)] * ib[cb+int(t)]
 			}
-			m.st.IntOps += int64(len(set))
 			return true
 		}
-	case opIDIV:
+	}
+	if row.trap != "" {
 		return func(m *wmach, set []int32) bool {
 			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
 			ib := m.ib
 			for _, t := range set {
 				d := ib[cb+int(t)]
 				if d == 0 {
-					m.err = &execError{m.k.Name, pc, "integer division by zero"}
+					m.err = &execError{m.k.Name, pc, row.trap}
 					return false
 				}
-				ib[ab+int(t)] = ib[bb+int(t)] / d
+				ib[ab+int(t)] = f(ib[bb+int(t)], d)
 			}
-			m.st.IntOps += int64(len(set))
 			return true
 		}
-	case opIMOD:
-		return func(m *wmach, set []int32) bool {
-			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
-			ib := m.ib
-			for _, t := range set {
-				d := ib[cb+int(t)]
-				if d == 0 {
-					m.err = &execError{m.k.Name, pc, "integer modulo by zero"}
-					return false
-				}
-				ib[ab+int(t)] = ib[bb+int(t)] % d
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opINEG:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				ib[ab+int(t)] = -ib[bb+int(t)]
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
+	}
+	return func(m *wmach, set []int32) bool {
+		lanes2(m.ib, m.ib, a, b, c, m.n, set, m.full, f)
+		return true
+	}
+}
+
+// floatStep builds the float <- float x float step: fadd, fsub, fmul and fdiv
+// inline, any other through the row.
+func floatStep(in Instr, row *opRow) wstep {
+	a, b, c, f := in.A, in.B, in.C, row.fn.(func(x, y float64) float64)
+	switch in.Op {
 	case opFADD:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, fb := m.n, m.fb
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			fb := m.fb
 			if m.full {
 				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
 				for t := range ra {
 					ra[t] = float64(float32(rb[t]) + float32(rc[t]))
 				}
-				m.st.FloatOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) + float32(fb[cb+int(t)]))
 			}
-			m.st.FloatOps += int64(len(set))
 			return true
 		}
 	case opFSUB:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, fb := m.n, m.fb
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			fb := m.fb
 			if m.full {
 				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
 				for t := range ra {
 					ra[t] = float64(float32(rb[t]) - float32(rc[t]))
 				}
-				m.st.FloatOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) - float32(fb[cb+int(t)]))
 			}
-			m.st.FloatOps += int64(len(set))
 			return true
 		}
 	case opFMUL:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, fb := m.n, m.fb
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			fb := m.fb
 			if m.full {
 				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
 				for t := range ra {
 					ra[t] = float64(float32(rb[t]) * float32(rc[t]))
 				}
-				m.st.FloatOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) * float32(fb[cb+int(t)]))
 			}
-			m.st.FloatOps += int64(len(set))
 			return true
 		}
 	case opFDIV:
 		return func(m *wmach, set []int32) bool {
-			n := m.n
+			n, fb := m.n, m.fb
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			fb := m.fb
 			if m.full {
 				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
 				for t := range ra {
 					ra[t] = float64(float32(rb[t]) / float32(rc[t]))
 				}
-				m.st.FloatOps += int64(n)
 				return true
 			}
 			for _, t := range set {
 				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) / float32(fb[cb+int(t)]))
 			}
-			m.st.FloatOps += int64(len(set))
-			return true
-		}
-	case opFNEG:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = -fb[bb+int(t)]
-			}
-			m.st.FloatOps += int64(len(set))
-			return true
-		}
-	case opI2F:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib, fb := m.ib, m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(ib[bb+int(t)]))
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opF2I:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib, fb := m.ib, m.fb
-			for _, t := range set {
-				f := fb[bb+int(t)]
-				if math.IsNaN(f) {
-					f = 0
-				}
-				ib[ab+int(t)] = int64(f) // C truncation toward zero
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opILT, opILE, opIGT, opIGE, opIEQ, opINE:
-		cf := intCmpFn(in.Op)
-		return func(m *wmach, set []int32) bool {
-			n := m.n
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			ib := m.ib
-			if m.full {
-				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
-				for t := range ra {
-					ra[t] = b2i(cf(rb[t], rc[t]))
-				}
-				m.st.IntOps += int64(n)
-				return true
-			}
-			for _, t := range set {
-				ib[ab+int(t)] = b2i(cf(ib[bb+int(t)], ib[cb+int(t)]))
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opFLT, opFLE, opFGT, opFGE, opFEQ, opFNE:
-		cf := floatCmpFn(in.Op)
-		return func(m *wmach, set []int32) bool {
-			n := m.n
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			ib, fb := m.ib, m.fb
-			if m.full {
-				ra, rb, rc := ib[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
-				for t := range ra {
-					ra[t] = b2i(cf(rb[t], rc[t]))
-				}
-				m.st.FloatOps += int64(n)
-				return true
-			}
-			for _, t := range set {
-				ib[ab+int(t)] = b2i(cf(fb[bb+int(t)], fb[cb+int(t)]))
-			}
-			m.st.FloatOps += int64(len(set))
-			return true
-		}
-	case opNOTB:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				ib[ab+int(t)] = b2i(ib[bb+int(t)] == 0)
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opLDGF:
-		return k.wstepLoadGlobal(pc, in, true)
-	case opLDGI:
-		return k.wstepLoadGlobal(pc, in, false)
-	case opSTGF:
-		return k.wstepStoreGlobal(pc, in, true)
-	case opSTGI:
-		return k.wstepStoreGlobal(pc, in, false)
-	case opLDLF, opLDLI, opSTLF, opSTLI:
-		return k.wstepSlab(pc, in, false)
-	case opLDPF, opLDPI, opSTPF, opSTPI:
-		return k.wstepSlab(pc, in, true)
-	case opGID:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				var v int64
-				switch ib[bb+int(t)] {
-				case 0:
-					v = int64(m.group[0])*int64(m.nd.LocalSize[0]) + m.lid0[t]
-				case 1:
-					v = int64(m.group[1])*int64(m.nd.LocalSize[1]) + m.lid1[t]
-				case 2:
-					v = int64(m.group[2])*int64(m.nd.LocalSize[2]) + m.lid2[t]
-				}
-				ib[ab+int(t)] = v
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opLID:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				var v int64
-				switch ib[bb+int(t)] {
-				case 0:
-					v = m.lid0[t]
-				case 1:
-					v = m.lid1[t]
-				case 2:
-					v = m.lid2[t]
-				}
-				ib[ab+int(t)] = v
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opGRP:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				ib[ab+int(t)] = cdim(m.group, ib[bb+int(t)])
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opNGR:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				d := ib[bb+int(t)]
-				if d < 0 || d > 2 {
-					ib[ab+int(t)] = 1
-				} else {
-					ib[ab+int(t)] = int64(m.nd.NumGroups[d])
-				}
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opLSZ:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				d := ib[bb+int(t)]
-				if d < 0 || d > 2 {
-					ib[ab+int(t)] = 1
-				} else {
-					ib[ab+int(t)] = int64(m.nd.LocalSize[d])
-				}
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opGSZ:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				d := ib[bb+int(t)]
-				if d < 0 || d > 2 {
-					ib[ab+int(t)] = 1
-				} else {
-					ib[ab+int(t)] = int64(m.nd.NumGroups[d] * m.nd.LocalSize[d])
-				}
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opGOFF:
-		return func(m *wmach, set []int32) bool {
-			ab := int(a) * m.n
-			ib := m.ib
-			for _, t := range set {
-				ib[ab+int(t)] = 0
-			}
-			return true
-		}
-	case opWDIM:
-		return func(m *wmach, set []int32) bool {
-			ab := int(a) * m.n
-			ib := m.ib
-			for _, t := range set {
-				ib[ab+int(t)] = int64(m.nd.Dims)
-			}
-			return true
-		}
-	case opSQRT:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(math.Sqrt(fb[bb+int(t)])))
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opFABS:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = math.Abs(fb[bb+int(t)])
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opEXP:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(math.Exp(fb[bb+int(t)])))
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opLOG:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(math.Log(fb[bb+int(t)])))
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opFLOOR:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = math.Floor(fb[bb+int(t)])
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opCEIL:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = math.Ceil(fb[bb+int(t)])
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opPOW:
-		return func(m *wmach, set []int32) bool {
-			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(math.Pow(fb[bb+int(t)], fb[cb+int(t)])))
-			}
-			m.st.SpecialOps += int64(len(set))
-			return true
-		}
-	case opFMIN:
-		return func(m *wmach, set []int32) bool {
-			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = math.Min(fb[bb+int(t)], fb[cb+int(t)])
-			}
-			m.st.FloatOps += int64(len(set))
-			return true
-		}
-	case opFMAX:
-		return func(m *wmach, set []int32) bool {
-			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
-			fb := m.fb
-			for _, t := range set {
-				fb[ab+int(t)] = math.Max(fb[bb+int(t)], fb[cb+int(t)])
-			}
-			m.st.FloatOps += int64(len(set))
-			return true
-		}
-	case opIMIN:
-		return func(m *wmach, set []int32) bool {
-			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
-			ib := m.ib
-			for _, t := range set {
-				x, y := ib[bb+int(t)], ib[cb+int(t)]
-				if y < x {
-					x = y
-				}
-				ib[ab+int(t)] = x
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opIMAX:
-		return func(m *wmach, set []int32) bool {
-			ab, bb, cb := int(a)*m.n, int(b)*m.n, int(c)*m.n
-			ib := m.ib
-			for _, t := range set {
-				x, y := ib[bb+int(t)], ib[cb+int(t)]
-				if y > x {
-					x = y
-				}
-				ib[ab+int(t)] = x
-			}
-			m.st.IntOps += int64(len(set))
-			return true
-		}
-	case opIABS:
-		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			ib := m.ib
-			for _, t := range set {
-				v := ib[bb+int(t)]
-				if v < 0 {
-					v = -v
-				}
-				ib[ab+int(t)] = v
-			}
-			m.st.IntOps += int64(len(set))
 			return true
 		}
 	}
-	return nil
+	return func(m *wmach, set []int32) bool {
+		lanes2(m.fb, m.fb, a, b, c, m.n, set, m.full, f)
+		return true
+	}
+}
+
+// The lane loops below work on one bank of n-lane registers (register r of
+// item t at r*n + t) or read one bank and write another. full says set is
+// every lane, in order: the loop then slices each register once and runs a
+// plain range loop.
+
+// fill sets register a to v in every lane of set.
+func fill[T int64 | float64](bank []T, a int32, n int, set []int32, full bool, v T) {
+	ab := int(a) * n
+	if full {
+		ra := bank[ab : ab+n]
+		for t := range ra {
+			ra[t] = v
+		}
+		return
+	}
+	for _, t := range set {
+		bank[ab+int(t)] = v
+	}
+}
+
+// move copies register b to register a in every lane of set.
+func move[T int64 | float64](bank []T, a, b int32, n int, set []int32, full bool) {
+	ab, bb := int(a)*n, int(b)*n
+	if full {
+		copy(bank[ab:ab+n], bank[bb:bb+n])
+		return
+	}
+	for _, t := range set {
+		bank[ab+int(t)] = bank[bb+int(t)]
+	}
+}
+
+// lanes1 sets register a of dst to f of register b of src in every lane of
+// set.
+func lanes1[S, D int64 | float64](dst []D, src []S, a, b int32, n int, set []int32, full bool, f func(S) D) {
+	ab, bb := int(a)*n, int(b)*n
+	if full {
+		ra, rb := dst[ab:ab+n], src[bb:bb+n]
+		for t := range ra {
+			ra[t] = f(rb[t])
+		}
+		return
+	}
+	for _, t := range set {
+		dst[ab+int(t)] = f(src[bb+int(t)])
+	}
+}
+
+// lanes2 sets register a of dst to f of registers b and c of src in every
+// lane of set.
+func lanes2[S, D int64 | float64](dst []D, src []S, a, b, c int32, n int, set []int32, full bool, f func(x, y S) D) {
+	ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
+	if full {
+		ra, rb, rc := dst[ab:ab+n], src[bb:bb+n], src[cb:cb+n]
+		for t := range ra {
+			ra[t] = f(rb[t], rc[t])
+		}
+		return
+	}
+	for _, t := range set {
+		dst[ab+int(t)] = f(src[bb+int(t)], src[cb+int(t)])
+	}
 }
 
 // wstepLoadGlobal compiles opLDGF/opLDGI for the whole set.
@@ -751,8 +498,9 @@ func (k *Kernel) wstepSlab(pc int, in Instr, priv bool) wstep {
 		arrs = k.PrivArrs
 	}
 	name := arrs[slot].Name
-	isLoad := in.Op == opLDLF || in.Op == opLDLI || in.Op == opLDPF || in.Op == opLDPI
-	isF := in.Op == opLDLF || in.Op == opSTLF || in.Op == opLDPF || in.Op == opSTPF
+	sig := opTab[in.Op].sig
+	isLoad := sig == sigLoadF || sig == sigLoadI
+	isF := sig == sigLoadF || sig == sigStoreF
 	what := "store"
 	if isLoad {
 		what = "load"
@@ -793,39 +541,5 @@ func (k *Kernel) wstepSlab(pc int, in Instr, priv bool) wstep {
 		}
 		m.st.LocalAccesses += int64(len(set))
 		return true
-	}
-}
-
-func intCmpFn(op Op) func(x, y int64) bool {
-	switch op {
-	case opILT:
-		return func(x, y int64) bool { return x < y }
-	case opILE:
-		return func(x, y int64) bool { return x <= y }
-	case opIGT:
-		return func(x, y int64) bool { return x > y }
-	case opIGE:
-		return func(x, y int64) bool { return x >= y }
-	case opIEQ:
-		return func(x, y int64) bool { return x == y }
-	default:
-		return func(x, y int64) bool { return x != y }
-	}
-}
-
-func floatCmpFn(op Op) func(x, y float64) bool {
-	switch op {
-	case opFLT:
-		return func(x, y float64) bool { return x < y }
-	case opFLE:
-		return func(x, y float64) bool { return x <= y }
-	case opFGT:
-		return func(x, y float64) bool { return x > y }
-	case opFGE:
-		return func(x, y float64) bool { return x >= y }
-	case opFEQ:
-		return func(x, y float64) bool { return x == y }
-	default:
-		return func(x, y float64) bool { return x != y }
 	}
 }
