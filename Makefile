@@ -49,12 +49,14 @@ checkptr:
 # Thirty seconds of native fuzzing: the differential suite (ref vs interp vs wg
 # on generated kernels), then the topology spec parser, the one place a count
 # from outside sizes an allocation, then the front end (parse, print, analyze,
-# check, compile) on arbitrary text. The seeds alone run in every `go test`;
-# this explores beyond them.
+# check, compile) on arbitrary text, then ocl's device storage (shared,
+# copied-on-write and recycled buffers against a plain-slice model). The
+# seeds alone run in every `go test`; this explores beyond them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 20s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 15s ./internal/vm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 5s ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 5s ./internal/clc
+	$(GO) test -run '^$$' -fuzz '^FuzzBufferStorage$$' -fuzztime 5s ./internal/ocl
 
 # One iteration of the headline benchmark, as a does-it-still-run smoke.
 bench-smoke:

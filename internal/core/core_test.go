@@ -7,6 +7,7 @@ import (
 
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -118,6 +119,48 @@ func TestBothDevicesParticipateWhenBalanced(t *testing.T) {
 	}
 	if rep.Subkernels < 2 {
 		t.Fatalf("subkernels = %d, want several", rep.Subkernels)
+	}
+}
+
+// TestStatusWordsLandInPlace: the CPU's status messages are copied into the
+// status buffer's own storage — the storage the GPU kernel was bound to when
+// it started — so its abort checks read each status as it lands. A
+// handed-over status write would give the buffer new storage the running
+// kernel never sees.
+func TestStatusWordsLandInPlace(t *testing.T) {
+	gpu := device.TeslaC2070()
+	gpu.ComputeUnits = 2
+	n, m := 1024, 3000
+	_, rt, _ := runScale(t, device.XeonW3550(), gpu, n, m, Options{})
+	rep := rt.Reports[0]
+	if rep.CPUWGs == 0 || rep.GPUExecuted == 0 {
+		t.Fatalf("no status crossed a running GPU kernel: %+v", rep)
+	}
+	status := rt.proto.(*twin).statusBuf.Detach()
+	if status == nil {
+		t.Fatal("the status buffer does not own its storage")
+	}
+	kid := binary.LittleEndian.Uint32(status[4*passes.StatusKernelID:])
+	from := int(binary.LittleEndian.Uint32(status[4*passes.StatusDoneFrom:]))
+	if kid != 1 || from >= rep.TotalWGs {
+		t.Fatalf("status storage holds kernel %d, done from %d: not the statuses that landed", kid, from)
+	}
+}
+
+// TestRefreshCopiesTheShadow: the device-to-host thread refreshes the CPU's
+// copy of a merged out buffer from the host shadow, which the next kernel's
+// results overwrite, so the refresh copies it; a handed-over shadow would
+// let later host-side changes reach the CPU copy.
+func TestRefreshCopiesTheShadow(t *testing.T) {
+	gpu := device.TeslaC2070()
+	gpu.ComputeUnits = 2
+	_, rt, _ := runScale(t, device.XeonW3550(), gpu, 1024, 3000, Options{})
+	if rep := rt.Reports[0]; rep.CPUDidAll {
+		t.Fatalf("the merge path did not run: %+v", rep)
+	}
+	out := rt.bufs[1]
+	if cpu := out.bufs[twinCPU].Bytes(); &cpu[0] == &out.host[0] {
+		t.Fatal("the CPU copy of the out buffer shares the host shadow")
 	}
 }
 
@@ -315,17 +358,24 @@ func TestBufferPoolReuse(t *testing.T) {
 }
 
 // TestBufferPoolTrimFreesTheDropped: a pool past its bound gives the oldest
-// buffers up for good — their storage goes to the free list the next
-// CreateBuffer draws from, and the pool keeps no reference to them.
+// buffers up for good — the storage they took at first use goes to the free
+// list, the next buffers' first uses draw each of those arrays once, and the
+// pool keeps no reference to them.
 func TestBufferPoolTrimFreesTheDropped(t *testing.T) {
+	ocl.Recycle(nil)
 	defer ocl.Recycle(nil)
 	env := sim.NewEnv()
 	pool := &bufferPool{ctx: ocl.NewContext(env, device.New(env, device.TeslaC2070()))}
 	var bufs []*ocl.Buffer
+	var dropped []*byte
 	for i := 0; i < 20; i++ {
-		bufs = append(bufs, pool.acquire(8192))
+		b := pool.acquire(8192)
+		data := b.Bytes() // first use: the buffer takes its storage
+		if i < 4 {
+			dropped = append(dropped, &data[0])
+		}
+		bufs = append(bufs, b)
 	}
-	oldest := bufs[0].Bytes()
 	for _, b := range bufs {
 		pool.release(b)
 	}
@@ -333,7 +383,7 @@ func TestBufferPoolTrimFreesTheDropped(t *testing.T) {
 		t.Fatalf("pool holds %d buffers, want the newest 16", len(pool.free))
 	}
 	for i, b := range bufs[:4] {
-		if b.Bytes() != nil {
+		if b.Detach() != nil {
 			t.Errorf("dropped buffer %d kept its storage", i)
 		}
 	}
@@ -342,14 +392,14 @@ func TestBufferPoolTrimFreesTheDropped(t *testing.T) {
 			t.Errorf("the pool's backing array still references a buffer past its end (slot %d)", i)
 		}
 	}
-	var drawn bool
+	drawn := map[*byte]int{}
 	for i := 0; i < 4; i++ {
-		if nb := pool.ctx.CreateBuffer(8192).Bytes(); &nb[0] == &oldest[0] {
-			drawn = true
-		}
+		drawn[&pool.ctx.CreateBuffer(8192).Bytes()[0]]++
 	}
-	if !drawn {
-		t.Error("the dropped buffers' storage did not reach the free list")
+	for i, d := range dropped {
+		if drawn[d] != 1 {
+			t.Errorf("dropped buffer %d's storage was drawn %d times by the next four first uses, want once", i, drawn[d])
+		}
 	}
 }
 

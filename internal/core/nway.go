@@ -34,8 +34,9 @@ import (
 // cooperative engine): bp recycles per-chunk ship buffers, per-kernel orig
 // snapshots and flush snapshots; sp recycles the span slices detached into
 // in-flight scatter refreshes; outFree recycles nwayOut bookkeeping; cargs
-// keeps one reusable ocl arg slice per device (chunk launches bind args at
-// enqueue time, so the slice may be rewritten between launches).
+// keeps one reusable ocl arg slice per device (a chunk launch reads its args
+// when it starts, and the device's worker waits for the chunk to finish
+// before the next claim rewrites the slice).
 type nway struct {
 	r  *Runtime
 	qs []*ocl.CommandQueue // per device
@@ -91,8 +92,9 @@ func (n *nway) attach(b *Buffer) {
 }
 
 // write broadcasts snap to every device; each device's in-order queue
-// sequences its copy before any later kernel chunk there. The written range
-// becomes current everywhere, so it leaves every pending set.
+// sequences its copy before any later kernel chunk there, and every device
+// shares snap until a kernel writes its copy. The written range becomes
+// current everywhere, so it leaves every pending set.
 func (n *nway) write(b *Buffer, snap []byte) {
 	st := b.nway()
 	if len(snap) > 0 {
@@ -317,9 +319,9 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 				if !ok {
 					return
 				}
-				// One reusable arg slice per device: the launch binds args
-				// synchronously at enqueue time, so rewriting it for the
-				// next chunk is safe.
+				// One reusable arg slice per device: the launch reads it
+				// when it starts, and this worker waits for the launch
+				// before rewriting it for the next chunk.
 				cargs := lowerChunkArgs(n.cargs[di][:0], l.args, di, clo, chi)
 				n.cargs[di] = cargs
 				t0 := sp.Now()

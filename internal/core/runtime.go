@@ -152,7 +152,8 @@ type protocol interface {
 	// attach gives a new buffer its protocol-private residency state.
 	attach(b *Buffer)
 	// write sequences snap — already copied into the host shadow — onto
-	// the devices.
+	// the devices. snap stays unchanged until Release, so the device writes
+	// hand it over (ocl.CommandQueue.EnqueueWriteBuffer).
 	write(b *Buffer, snap []byte)
 	// awaitHost blocks until the host shadow holds b's latest contents.
 	awaitHost(p *sim.Proc, b *Buffer)
@@ -232,9 +233,10 @@ type Buffer struct {
 }
 
 // CreateBuffer creates a buffer on every device (paper §4.1: clCreateBuffer
-// is translated into buffer creation on both the CPU and the GPU). Host
-// shadow and device copies start zero-filled — storage a released run handed
-// back is cleared on reuse — and therefore identical.
+// is translated into buffer creation on both the CPU and the GPU). The host
+// shadow starts zero-filled — storage a released run handed back is cleared
+// on reuse — and the device copies read as zeros until first use, so all
+// start identical.
 func (r *Runtime) CreateBuffer(size int) *Buffer {
 	r.mustBeLive()
 	b := &Buffer{rt: r, Size: size, host: ocl.ZeroBytes(size), bufs: make([]*ocl.Buffer, len(r.ctxs))}
@@ -247,7 +249,7 @@ func (r *Runtime) CreateBuffer(size int) *Buffer {
 }
 
 // snapshot copies data into storage that stays untouched until Release, for
-// a transfer that reads it when it completes.
+// device writes that take it over.
 func (r *Runtime) snapshot(data []byte) []byte {
 	snap := ocl.TakeBytes(len(data))
 	copy(snap, data)
@@ -255,8 +257,9 @@ func (r *Runtime) snapshot(data []byte) []byte {
 	return snap
 }
 
-// Release hands the run's storage — host shadows, device copies, write
-// snapshots and the protocol's pooled scratch — to the process-wide free
+// Release hands the run's storage — host shadows, the device copies that own
+// their storage, write snapshots (which the others share) and the protocol's
+// pooled scratch, each backing array once — to the process-wide free
 // list the next run's buffers are drawn from (ocl.Recycle). Call it when the
 // simulation has stopped and the outputs have been read (EnqueueReadBuffer
 // returns copies); it returns the storage whatever state the run ended in,

@@ -445,8 +445,10 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 				// execute there too (§4.4). No need to wait: the in-order
 				// CPU queue sequences this write before any later
 				// subkernel, even behind a laggard subkernel of this
-				// kernel whose results are being ignored.
-				t.cpuQ.EnqueueWriteBufferTagged(b.bufs[twinCPU], b.host, "refresh")
+				// kernel whose results are being ignored. The shadow changes
+				// with a later kernel's results, so the write copies it
+				// rather than handing it over.
+				t.cpuQ.EnqueueWriteBufferAtTagged(b.bufs[twinCPU], 0, b.host, "refresh")
 				// A later kernel may have claimed the buffer meanwhile (an
 				// in-place update): its CPU scheduler waits on THIS kernel's
 				// event for its input, so that is the one to fire — but the
@@ -689,8 +691,10 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 		for _, s := range stages {
 			t.gpuHD.EnqueueWriteBufferAtTagged(s.dst, s.off, s.data, "ship")
 		}
+		// The status words land in place: the running GPU kernel's abort
+		// checks read the storage it was bound to at launch.
 		st := encodeStatus(int32(kid), int32(lo))
-		stEv := t.gpuHD.EnqueueWriteBufferTagged(t.statusBuf, st, "status")
+		stEv := t.gpuHD.EnqueueWriteBufferAtTagged(t.statusBuf, 0, st, "status")
 		t.gpuHD.EnqueueCall(func() {
 			slog.record(lo)
 			r.tracef(kid, "status arrived at GPU: work-groups >= %d complete on CPU", lo)

@@ -286,6 +286,10 @@ type Launch struct {
 	Kernel *vm.Kernel
 	ND     vm.NDRange
 	Args   []vm.Arg
+	// Bind, when set, resolves Args as the launch starts rather than at
+	// enqueue: a transfer queued ahead of the launch may give a buffer
+	// argument new storage.
+	Bind func() []vm.Arg
 	// Abort, when non-nil, supplies the CPU-completion status for FluidiCL
 	// GPU launches.
 	Abort AbortQuery

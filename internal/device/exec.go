@@ -85,6 +85,9 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 	if n == 0 {
 		return
 	}
+	if l.Bind != nil {
+		l.Args = l.Bind()
+	}
 	p.Sleep(d.Cfg.KernelLaunchOverhead)
 
 	// CPU work-group splitting (§6.3): with fewer groups than hardware

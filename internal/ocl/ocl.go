@@ -30,33 +30,92 @@ func NewContext(env *sim.Env, dev *device.Device) *Context {
 	return &Context{Env: env, Dev: dev}
 }
 
-// Buffer is a device-resident memory object.
+// Buffer is a device-resident memory object. Its storage is in one of three
+// states:
+//
+//   - none (no data): it reads as zeros and takes storage on first touch;
+//   - shared: it holds the source of the last whole-buffer write, which the
+//     caller handed over and will not change until the buffer is released;
+//   - owned: it holds bytes of its own.
+//
+// Every path that writes device bytes — a launch of a kernel whose analysis
+// marks the argument written, a partial or scatter write, the destination of
+// a copy — first makes the storage owned, so a handed-over source is never
+// written. Owned storage stays the same slice until a handed-over write
+// replaces it or Detach takes it: a launch bound to it sees every later
+// in-place write, as the twin GPU kernel's abort checks see status words
+// land.
 type Buffer struct {
-	Ctx  *Context
-	Size int
-	data []byte
+	Ctx   *Context
+	Size  int
+	data  []byte
+	owned bool
 }
 
-// CreateBuffer allocates a zero-filled device buffer of size bytes.
+// CreateBuffer creates a device buffer of size bytes that reads as zeros. It
+// takes no storage until first touch.
 func (c *Context) CreateBuffer(size int) *Buffer {
-	return &Buffer{Ctx: c, Size: size, data: ZeroBytes(size)}
+	return &Buffer{Ctx: c, Size: size}
 }
 
-// Bytes exposes the device-resident backing store. Host code must not touch
-// it directly; it exists so kernels and transfers can bind to it.
-func (b *Buffer) Bytes() []byte { return b.data }
+// Bytes exposes the device-resident backing store, taking zeroed storage on
+// first touch. Host code must not use it; it exists for tests and for
+// kernels and transfers to bind to. Writing through it is allowed only on
+// owned storage: storage taken here, or by a kernel, partial write or copy
+// since the buffer's last handed-over whole write. Otherwise the slice is
+// that write's source.
+func (b *Buffer) Bytes() []byte {
+	if b.data == nil {
+		b.own(true)
+	}
+	return b.data
+}
 
-// Detach takes the buffer's storage away from it, for Recycle. The buffer
-// must not be used afterwards.
+// own gives the buffer storage of its own before a write and returns it.
+// With keep, the storage holds what the buffer read as before; without, the
+// caller overwrites every byte and the contents are unspecified.
+func (b *Buffer) own(keep bool) []byte {
+	if !b.owned {
+		var s []byte
+		switch {
+		case !keep:
+			s = TakeBytes(b.Size)
+		case b.data == nil:
+			s = ZeroBytes(b.Size)
+		default:
+			s = TakeBytes(b.Size)
+			copy(s, b.data)
+		}
+		b.data, b.owned = s, true
+	}
+	return b.data
+}
+
+// readAt copies the bytes at [off, off+len(dst)) into dst.
+func (b *Buffer) readAt(dst []byte, off int) {
+	if b.data == nil {
+		clear(dst)
+		return
+	}
+	copy(dst, b.data[off:])
+}
+
+// Detach takes the buffer's own storage away from it, for Recycle; a shared
+// source stays its caller's and is not returned. The buffer must not be used
+// afterwards.
 func (b *Buffer) Detach() []byte {
 	data := b.data
-	b.data = nil
+	if !b.owned {
+		data = nil
+	}
+	b.data, b.owned = nil, false
 	return data
 }
 
 // Free hands the buffer's storage to the free list (clReleaseMemObject);
 // the buffer must not be used afterwards. A pool that trims itself mid-run
-// frees this way, and the same run's next CreateBuffer draws it back.
+// frees this way, and the same run's next first use of a buffer draws it
+// back.
 func (b *Buffer) Free() {
 	if data := b.Detach(); cap(data) >= minRecycled {
 		free.Lock()
@@ -69,11 +128,12 @@ func (b *Buffer) Free() {
 // context, runtime and goroutine. It is kept small on purpose, because what
 // it holds is resident: Recycle replaces it rather than adding to it, so it
 // never retains more than the storage of the last finished run (plus what
-// Free added since), and the first request it cannot serve empties it — a
-// run that misses is not shaped like the run that filled the list, and the
-// rest would only sit beside that run's own buffers. A sequence of
-// same-sized runs thus allocates its buffers once; any other sequence
-// behaves as if there were no list.
+// Free added since), and a request larger than every slice in it empties it
+// — a run that needs more is not shaped like the run that filled the list,
+// and the rest would only sit beside that run's own buffers. A smaller miss
+// leaves it alone: device storage is taken at first use, after a run has
+// asked for its small scratch. A sequence of same-sized runs thus allocates
+// its buffers once; a growing sequence behaves as if there were no list.
 var free struct {
 	sync.Mutex
 	list [][]byte
@@ -85,9 +145,19 @@ var free struct {
 const minRecycled = 4096
 
 // Recycle makes the storage of a finished run the free list, dropping
-// whatever the list still held. The caller gives up every slice in run.
+// whatever the list still held. The caller gives up every slice in run; a
+// backing array listed twice would later back two buffers at once, so it
+// panics.
 func Recycle(run [][]byte) {
 	run = slices.DeleteFunc(run, func(b []byte) bool { return cap(b) < minRecycled })
+	seen := make(map[*byte]bool, len(run))
+	for _, b := range run {
+		p := &b[:1][0]
+		if seen[p] {
+			panic("ocl: Recycle given one backing array twice")
+		}
+		seen[p] = true
+	}
 	free.Lock()
 	free.list = run
 	free.Unlock()
@@ -116,14 +186,17 @@ func takeBytes(n int) (b []byte, reused bool) {
 		return make([]byte, n), false
 	}
 	free.Lock()
-	best := -1
+	best, holds := -1, false
 	for i, f := range free.list {
+		holds = holds || cap(f) >= n
 		if cap(f) >= n && cap(f) <= 2*n && (best < 0 || cap(f) < cap(free.list[best])) {
 			best = i
 		}
 	}
 	if best < 0 {
-		free.list = nil
+		if !holds {
+			free.list = nil
+		}
 		free.Unlock()
 		return make([]byte, n), false
 	}
@@ -202,6 +275,11 @@ type Kernel struct {
 	Name string
 	VM   *vm.Kernel
 	Info *clc.KernelInfo
+	// written[i]: the analysis marks parameter i a buffer the kernel writes
+	// (clc.ParamAccess, the paper's §4.1 out/inout classification). Every
+	// global store the VM compiles goes through such a parameter, so a
+	// launch may leave every other buffer argument shared.
+	written []bool
 }
 
 // CreateKernel looks up a kernel by name.
@@ -210,7 +288,12 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	if !ok {
 		return nil, fmt.Errorf("ocl: kernel %q not found", name)
 	}
-	return &Kernel{Name: name, VM: k, Info: p.Info.Kernels[name]}, nil
+	info := p.Info.Kernels[name]
+	written := make([]bool, len(info.Kernel.Params))
+	for i, param := range info.Kernel.Params {
+		written[i] = param.Ty.Ptr && info.ParamAccess[param.Name].Written
+	}
+	return &Kernel{Name: name, VM: k, Info: info, written: written}, nil
 }
 
 // MustKernel is CreateKernel for known-good names.
@@ -233,7 +316,7 @@ const (
 )
 
 // Arg is a host-level kernel argument; buffer arguments name Buffer objects
-// and are bound to device bytes at enqueue time (clSetKernelArg).
+// and are bound to device bytes when the launch starts.
 type Arg struct {
 	Kind ArgKind
 	Buf  *Buffer
@@ -250,8 +333,16 @@ func IntArg(v int64) Arg { return Arg{Kind: ArgInt, I: v} }
 // FloatArg makes a float argument.
 func FloatArg(v float64) Arg { return Arg{Kind: ArgFloat, F: v} }
 
-// bind lowers API args to VM args against this device's memory.
-func bind(args []Arg) []vm.Arg {
+// bind lowers API args to VM args against this device's memory. A buffer the
+// kernel writes gets storage of its own first — before any argument is
+// lowered, so a buffer passed twice binds one slice — one it only reads may
+// stay shared, and one without storage gets zeroed storage.
+func (k *Kernel) bind(args []Arg) []vm.Arg {
+	for i, a := range args {
+		if a.Kind == ArgBuf && (a.Buf.data == nil || (i < len(k.written) && k.written[i])) {
+			a.Buf.own(true)
+		}
+	}
 	out := make([]vm.Arg, len(args))
 	for i, a := range args {
 		switch a.Kind {
@@ -277,22 +368,31 @@ func (c *Context) CreateQueue(name string) *CommandQueue {
 	return &CommandQueue{Ctx: c, q: c.Dev.NewQueue(name)}
 }
 
-// EnqueueWriteBuffer copies host bytes into the device buffer
-// (clEnqueueWriteBuffer). src is read at transfer-completion time; callers
-// that reuse src must snapshot it first (FluidiCL does — paper §5.5).
+// EnqueueWriteBuffer writes host bytes into the device buffer
+// (clEnqueueWriteBuffer), handing src over: the caller must not change src
+// until the buffer is released. A write of the whole buffer then installs src
+// by reference when the transfer completes — the device copy shares it until
+// a write makes the storage the buffer's own — and a shorter one is copied.
+// A caller whose source will change uses EnqueueWriteBufferAt, which copies.
 func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, src []byte) *sim.Event {
 	return q.EnqueueWriteBufferTagged(b, src, "write")
 }
 
 // EnqueueWriteBufferTagged is EnqueueWriteBuffer with a trace label naming
-// the transfer's role (FluidiCL tags its status-word ships "status").
+// the transfer's role (FluidiCL tags its stale-copy uploads "upload").
 func (q *CommandQueue) EnqueueWriteBufferTagged(b *Buffer, src []byte, label string) *sim.Event {
 	if len(src) > b.Size {
 		panic(fmt.Sprintf("ocl: write of %d bytes into %d-byte buffer", len(src), b.Size))
 	}
 	t := &device.Transfer{
-		Bytes:    len(src),
-		Apply:    func() { copy(b.data, src) },
+		Bytes: len(src),
+		Apply: func() {
+			if len(src) == b.Size {
+				b.data, b.owned = src, false
+			} else {
+				copy(b.own(true), src)
+			}
+		},
 		Label:    label,
 		ToDevice: true,
 	}
@@ -301,8 +401,10 @@ func (q *CommandQueue) EnqueueWriteBufferTagged(b *Buffer, src []byte, label str
 }
 
 // EnqueueWriteBufferAt copies host bytes into the device buffer starting at
-// byte offset off (clEnqueueWriteBuffer with a non-zero offset). FluidiCL
-// uses it to ship only the byte range a CPU subkernel provably wrote.
+// byte offset off (clEnqueueWriteBuffer with a non-zero offset); src is read
+// at transfer-completion time. FluidiCL uses it to ship only the byte range a
+// CPU subkernel provably wrote, and with offset 0 to write a whole buffer
+// from a source that will change.
 func (q *CommandQueue) EnqueueWriteBufferAt(b *Buffer, off int, src []byte) *sim.Event {
 	return q.EnqueueWriteBufferAtTagged(b, off, src, "write")
 }
@@ -316,7 +418,7 @@ func (q *CommandQueue) EnqueueWriteBufferAtTagged(b *Buffer, off int, src []byte
 	}
 	t := &device.Transfer{
 		Bytes:    len(src),
-		Apply:    func() { copy(b.data[off:], src) },
+		Apply:    func() { copy(b.own(len(src) < b.Size)[off:], src) },
 		Label:    label,
 		ToDevice: true,
 	}
@@ -353,8 +455,9 @@ func (q *CommandQueue) EnqueueWriteBufferSpansTagged(b *Buffer, spans []Span, sr
 	t := &device.Transfer{
 		Bytes: total,
 		Apply: func() {
+			data := b.own(true)
 			for _, s := range spans {
-				copy(b.data[s.Off:s.End], src[s.Off:s.End])
+				copy(data[s.Off:s.End], src[s.Off:s.End])
 			}
 		},
 		Label:    label,
@@ -372,7 +475,7 @@ func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, dst []byte) *sim.Event {
 	}
 	t := &device.Transfer{
 		Bytes: len(dst),
-		Apply: func() { copy(dst, b.data[:len(dst)]) },
+		Apply: func() { b.readAt(dst, 0) },
 		Label: "read",
 	}
 	q.q.Enqueue(t)
@@ -393,7 +496,7 @@ func (q *CommandQueue) EnqueueReadBufferAtTagged(b *Buffer, off int, dst []byte,
 	}
 	t := &device.Transfer{
 		Bytes: len(dst),
-		Apply: func() { copy(dst, b.data[off:off+len(dst)]) },
+		Apply: func() { b.readAt(dst, off) },
 		Label: label,
 	}
 	q.q.Enqueue(t)
@@ -406,10 +509,13 @@ func (q *CommandQueue) EnqueueCopyBuffer(src, dst *Buffer) *sim.Event {
 	if src.Size > dst.Size {
 		panic("ocl: copy source larger than destination")
 	}
+	if src == dst {
+		panic("ocl: copy of a buffer onto itself")
+	}
 	n := src.Size
 	c := &device.Call{
 		Duration: q.Ctx.Dev.Cfg.CopyTime(n),
-		Fn:       func() { copy(dst.data[:n], src.data[:n]) },
+		Fn:       func() { src.readAt(dst.own(n < dst.Size)[:n], 0) },
 		Label:    "copy",
 	}
 	q.q.Enqueue(c)
@@ -428,12 +534,14 @@ type LaunchOpts struct {
 
 // EnqueueNDRangeKernel enqueues a kernel execution
 // (clEnqueueNDRangeKernel). The returned result is populated when the
-// event fires.
+// event fires. args is read when the launch starts, where buffer arguments
+// are bound to the storage the transfers queued ahead of it left; the caller
+// must not change it before then.
 func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, nd vm.NDRange, args []Arg, opts LaunchOpts) (*sim.Event, *device.LaunchResult) {
 	l := &device.Launch{
 		Kernel:   k.VM,
 		ND:       nd,
-		Args:     bind(args),
+		Bind:     func() []vm.Arg { return k.bind(args) },
 		Abort:    opts.Abort,
 		MidAbort: opts.MidAbort,
 		Split:    opts.Split,

@@ -377,8 +377,10 @@ func TestScatterWriteSpanValidation(t *testing.T) {
 
 // TestFreeListBestFitClearedAndReplaced pins the recycling contract: the
 // smallest slice that holds n bytes in at most 2n of capacity is reused,
-// zero-filled for ZeroBytes; a miss empties the list, Recycle replaces it,
-// Free adds to it; requests below a page bypass it.
+// zero-filled for ZeroBytes; a miss leaves the list alone unless the request
+// is larger than every slice in it, Recycle replaces it, Free adds to it;
+// requests below a page bypass it. A buffer takes its storage at first use,
+// not at CreateBuffer, and gives back only storage it owns.
 func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
 	defer Recycle(nil)
 	const k = 1024
@@ -409,8 +411,14 @@ func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
 	if s := TakeBytes(60 * k); same(s, big) {
 		t.Error("TakeBytes(60k) took a slice of more than twice the size")
 	}
-	if s := TakeBytes(1000 * k); same(s, big) {
-		t.Error("the miss did not empty the list")
+	if s := TakeBytes(600 * k); !same(s, big) {
+		t.Error("a miss smaller than a slice in the list emptied it")
+	}
+
+	Recycle([][]byte{mid, big})
+	TakeBytes(2000 * k) // larger than every slice: empties the list
+	if s := TakeBytes(600 * k); same(s, big) {
+		t.Error("a miss larger than every slice did not empty the list")
 	}
 
 	Recycle([][]byte{mid, small})
@@ -421,14 +429,93 @@ func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
 
 	env := sim.NewEnv()
 	ctx := NewContext(env, device.New(env, device.TeslaC2070()))
-	b := ctx.CreateBuffer(32 * k)
-	data := b.Bytes()
+	store := dirty(32 * k)
+	Recycle([][]byte{store})
+	b, c := ctx.CreateBuffer(32*k), ctx.CreateBuffer(32*k)
+	data := c.Bytes() // c's first use draws the slice b's creation left
+	if !same(data, store) || data[5] != 0 {
+		t.Fatal("first use did not draw and clear the free storage")
+	}
 	data[5] = 7
-	b.Free()
-	if b.Bytes() != nil {
+	c.Free()
+	if c.data != nil || c.Detach() != nil {
 		t.Error("a freed buffer kept its storage")
 	}
-	if again := ctx.CreateBuffer(32 * k).Bytes(); !same(again, data) || again[5] != 0 {
-		t.Error("CreateBuffer did not reuse and clear the freed storage")
+	if again := b.Bytes(); !same(again, data) || again[5] != 0 {
+		t.Error("first use did not reuse and clear the freed storage")
+	}
+
+	src := make([]byte, 32*k)
+	shared := ctx.CreateBuffer(32 * k)
+	q := ctx.CreateQueue("app")
+	env.Go("host", func(p *sim.Proc) { p.Wait(q.EnqueueWriteBuffer(shared, src)) })
+	env.Run()
+	if !same(shared.Bytes(), src) {
+		t.Fatal("a whole-buffer write did not install its source")
+	}
+	if shared.Detach() != nil {
+		t.Error("Detach gave back a handed-over source")
+	}
+
+	twice := dirty(8 * k)
+	defer func() {
+		if recover() == nil {
+			t.Error("Recycle took one backing array twice")
+		}
+	}()
+	Recycle([][]byte{twice, twice[:4*k]})
+}
+
+// TestLaunchBindsWhenItStarts: a launch enqueued behind whole-buffer writes
+// on the same queue reads what they wrote, although each write installs new
+// storage when it lands; the handed-over sources stay as they were, also
+// when a kernel writes the buffer that holds one.
+func TestLaunchBindsWhenItStarts(t *testing.T) {
+	const src = `
+__kernel void twice(__global float* in, __global float* out, int n) {
+    int i = get_global_id(0);
+    if (i < n) { out[i] = 2.0f * in[i]; in[i] = in[i] + 1.0f; }
+}
+`
+	env := sim.NewEnv()
+	ctx := NewContext(env, device.New(env, device.TeslaC2070()))
+	prog, err := ctx.BuildProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prog.MustKernel("twice")
+	const n = 64
+	in, out := ctx.CreateBuffer(4*n), ctx.CreateBuffer(4*n)
+	s1, s2 := make([]float32, n), make([]float32, n)
+	for i := range s1 {
+		s1[i], s2[i] = float32(i), float32(100+i)
+	}
+	b1, b2 := f32buf(s1...), f32buf(s2...)
+	r1, r2, rin := make([]byte, 4*n), make([]byte, 4*n), make([]byte, 4*n)
+	q := ctx.CreateQueue("app")
+	args := []Arg{BufArg(in), BufArg(out), IntArg(n)}
+	env.Go("host", func(p *sim.Proc) {
+		q.EnqueueWriteBuffer(in, b1)
+		q.EnqueueNDRangeKernel(k, vm.NewNDRange1D(n, 16), args, LaunchOpts{})
+		q.EnqueueReadBuffer(out, r1)
+		q.EnqueueWriteBuffer(in, b2)
+		q.EnqueueNDRangeKernel(k, vm.NewNDRange1D(n, 16), args, LaunchOpts{})
+		q.EnqueueReadBuffer(out, r2)
+		p.Wait(q.EnqueueReadBuffer(in, rin))
+	})
+	env.Run()
+	for i := 0; i < n; i++ {
+		if got := f32at(r1, i); got != 2*s1[i] {
+			t.Fatalf("first launch: out[%d] = %v, want %v", i, got, 2*s1[i])
+		}
+		if got := f32at(r2, i); got != 2*s2[i] {
+			t.Fatalf("second launch: out[%d] = %v, want %v", i, got, 2*s2[i])
+		}
+		if got := f32at(rin, i); got != s2[i]+1 {
+			t.Fatalf("in[%d] = %v, want %v", i, got, s2[i]+1)
+		}
+		if f32at(b1, i) != s1[i] || f32at(b2, i) != s2[i] {
+			t.Fatalf("word %d of a handed-over source was written", i)
+		}
 	}
 }

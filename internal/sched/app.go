@@ -75,7 +75,8 @@ type App struct {
 
 // zeroSlab backs the initial contents of every buffer an app gives no input
 // for. It is shared by all runs and goroutines and strictly read-only: every
-// strategy copies or snapshots what it is handed before anything can write.
+// strategy copies or snapshots what it is handed, or hands it to a device
+// buffer, which takes storage of its own before anything writes.
 var zeroSlab struct {
 	sync.Mutex
 	b []byte

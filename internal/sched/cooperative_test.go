@@ -71,6 +71,34 @@ func TestOneDriverBothProtocols(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesEachArrayOnce runs the six paper apps back to back on
+// every topology shape, each run drawing the storage the one before it
+// released. A run's device copies share its input snapshots until a kernel
+// writes them, so Release must hand every backing array to ocl.Recycle once
+// — the snapshot, not the copies that shared it — or Recycle panics; and
+// each run's outputs must verify.
+func TestReleaseRecyclesEachArrayOnce(t *testing.T) {
+	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus"} {
+		topo := device.MustParseTopology(spec)
+		for _, b := range polybench.All() {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s on %s: %v", b.Name, spec, r)
+					}
+				}()
+				res, err := sched.RunTopology(topo, b.App, core.Options{})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", b.Name, spec, err)
+				}
+				if err := b.Verify(res.Outputs); err != nil {
+					t.Fatalf("%s on %s: %v", b.Name, spec, err)
+				}
+			}()
+		}
+	}
+}
+
 // The pre-unification names must stay the unified types (bench/ compiles
 // against them).
 var (

@@ -38,7 +38,7 @@ func RunSingle(cfg device.Config, app *App) (*Result, error) {
 	var runErr error
 	env.Go("app", func(p *sim.Proc) {
 		for _, name := range bufNames {
-			q.EnqueueWriteBuffer(bufs[name], app.input(name))
+			q.EnqueueWriteBuffer(bufs[name], app.input(name)) // never changes: handed over
 		}
 		for _, l := range app.Launches {
 			args := make([]ocl.Arg, len(l.Args))

@@ -116,15 +116,16 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 				p.Wait(cpuQ.EnqueueReadBuffer(b.cpu, b.host))
 			}
 		}
+		// The host copy changes, so uploads copy it.
 		ensure := func(b *sbuf, gpu bool) {
 			if gpu && !b.onGPU {
 				toHost(b)
-				p.Wait(gpuQ.EnqueueWriteBuffer(b.gpu, b.host))
+				p.Wait(gpuQ.EnqueueWriteBufferAt(b.gpu, 0, b.host))
 				b.onGPU = true
 			}
 			if !gpu && !b.onCPU {
 				toHost(b)
-				p.Wait(cpuQ.EnqueueWriteBuffer(b.cpu, b.host))
+				p.Wait(cpuQ.EnqueueWriteBufferAt(b.cpu, 0, b.host))
 				b.onCPU = true
 			}
 		}

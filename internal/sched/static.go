@@ -69,7 +69,7 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 	env.Go("app", func(p *sim.Proc) {
 		for _, name := range bufNames {
 			b := bufs[name]
-			data := app.input(name)
+			data := app.input(name) // never changes: both devices share it
 			copy(b.host, data)
 			evC := cpuQ.EnqueueWriteBuffer(b.cpu, data)
 			evG := gpuQ.EnqueueWriteBuffer(b.gpu, data)
@@ -77,7 +77,8 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 			b.onCPU, b.onGPU = true, true
 		}
 
-		// toHost / toDev move the canonical copy as needed.
+		// toHost / toDev move the canonical copy as needed; the host copy
+		// changes, so uploads copy it.
 		toHost := func(b *sbuf) {
 			switch {
 			case b.onGPU:
@@ -89,12 +90,12 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 		ensure := func(b *sbuf, gpu bool) {
 			if gpu && !b.onGPU {
 				toHost(b)
-				p.Wait(gpuQ.EnqueueWriteBuffer(b.gpu, b.host))
+				p.Wait(gpuQ.EnqueueWriteBufferAt(b.gpu, 0, b.host))
 				b.onGPU = true
 			}
 			if !gpu && !b.onCPU {
 				toHost(b)
-				p.Wait(cpuQ.EnqueueWriteBuffer(b.cpu, b.host))
+				p.Wait(cpuQ.EnqueueWriteBufferAt(b.cpu, 0, b.host))
 				b.onCPU = true
 			}
 		}

@@ -13,9 +13,12 @@ import (
 )
 
 // tailApp has testApp's buffer sizes, so its run draws the storage a
-// testApp run released. It gives input for the first half of a only and
-// reads all of it: c = a + 1 is right only where the unwritten half of a —
-// host shadow and every device copy — reads zero.
+// testApp run released — among it the snapshot of the input-only a that
+// run's device copies shared. It gives input for the first half of a only
+// and reads all of it: c = a + d + 1 is right only where the unwritten half
+// of a — host shadow and every device copy — and all of the input-only d,
+// whose device copies share a snapshot of zeros drawn from that storage,
+// read zero.
 func tailApp(n int) *App {
 	a := make([]byte, 4*(n/2))
 	for i := 0; i < n/2; i++ {
@@ -24,17 +27,17 @@ func tailApp(n int) *App {
 	return &App{
 		Name: "tail",
 		Source: `
-__kernel void inc(__global float* b, __global float* c, int n) {
+__kernel void inc(__global float* b, __global float* d, __global float* c, int n) {
     int i = get_global_id(0);
-    if (i < n) { c[i] = b[i] + 1.0f; }
+    if (i < n) { c[i] = b[i] + d[i] + 1.0f; }
 }
 `,
-		Buffers: map[string]int{"a": 4 * n, "b": 4 * n, "c": 4 * n},
+		Buffers: map[string]int{"a": 4 * n, "b": 4 * n, "c": 4 * n, "d": 4 * n},
 		Inputs:  map[string][]byte{"a": a},
 		Launches: []Launch{
-			{Kernel: "inc", ND: vm.NewNDRange1D(n, 16), Args: []ArgSpec{Buf("a"), Buf("c"), Int(int64(n))}},
+			{Kernel: "inc", ND: vm.NewNDRange1D(n, 16), Args: []ArgSpec{Buf("a"), Buf("d"), Buf("c"), Int(int64(n))}},
 		},
-		Outputs: []string{"a", "b", "c"},
+		Outputs: []string{"a", "b", "c", "d"},
 	}
 }
 
@@ -45,7 +48,7 @@ func checkTail(t *testing.T, res *Result, n int, label string) {
 		if i < n/2 {
 			a = float32(i)
 		}
-		for name, want := range map[string]float32{"a": a, "b": 0, "c": a + 1} {
+		for name, want := range map[string]float32{"a": a, "b": 0, "c": a + 1, "d": 0} {
 			if got := math.Float32frombits(binary.LittleEndian.Uint32(res.Outputs[name][4*i:])); got != want {
 				t.Fatalf("%s: %s[%d] = %v, want %v: recycled storage was not cleared", label, name, i, got, want)
 			}
@@ -68,9 +71,13 @@ __kernel void oob(__global float* b, __global float* c, int n) {
 	return app
 }
 
+// TestRunStorageRecycled: a run draws the storage of the run before it and
+// sees none of its bytes, on every topology shape. Release hands each
+// backing array to ocl.Recycle once (Recycle panics otherwise; the Polybench
+// apps are TestReleaseRecyclesEachArrayOnce's, as polybench imports sched).
 func TestRunStorageRecycled(t *testing.T) {
 	const n = 2048 // 8 KiB buffers: above ocl's recycling floor
-	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu"} {
+	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus"} {
 		topo, err := device.ParseTopology(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -55,6 +55,18 @@ func GPUAbortArgs(kid, doneFrom int32) []Arg {
 	return []Arg{BufArg(status), IntArg(int64(kid))}
 }
 
+// StoreParams returns the parameter slot every global store in k's bytecode
+// writes through, in program order.
+func (k *Kernel) StoreParams() []int {
+	var out []int
+	for _, in := range k.Code {
+		if in.Op == opSTGI || in.Op == opSTGF {
+			out = append(out, int(in.B))
+		}
+	}
+	return out
+}
+
 // WGCertRuns returns how many wg certificates this process has computed
 // (decision-cache misses).
 func WGCertRuns() int64 { return backendCtr.wgCertRuns.Load() }
