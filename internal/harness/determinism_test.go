@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -40,6 +43,43 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		if seq != par {
 			t.Errorf("%s: table differs between sequential and parallel cells\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", id, seq, par)
 		}
+	}
+}
+
+// TestQuickTablesGolden pins every quick-scale table, the paper's artifacts
+// and the extras, byte for byte: the golden is `fluidibench -quick -parallel 1
+// all` with the wall trailers deleted, and the tables here come from one
+// Runner with four concurrent cells, so a table that depends on which cell
+// ran first, or on what an earlier experiment left behind, shows up as a diff.
+// Regenerate with
+// UPDATE_GOLDEN=1 go test ./internal/harness -run TestQuickTablesGolden.
+func TestQuickTablesGolden(t *testing.T) {
+	r := NewRunner()
+	r.Quick = true
+	r.Parallel = 4
+	var got bytes.Buffer
+	for _, id := range append(append([]string{}, ExperimentIDs...), ExtraExperimentIDs...) {
+		tab, err := r.Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got.WriteString(tab.String() + "\n\n") // as fluidibench prints it
+	}
+	golden := filepath.Join("testdata", "tables_quick.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, got.Len())
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("quick tables differ from golden %s; if the change is intentional, regenerate with UPDATE_GOLDEN=1\n--- got ---\n%s",
+			golden, got.String())
 	}
 }
 
