@@ -2,11 +2,14 @@ package sched
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"fluidicl/internal/core"
 	"fluidicl/internal/device"
+	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
 
@@ -201,6 +204,109 @@ func TestDmdaNotWorseThanWorstDevice(t *testing.T) {
 	}
 	if dmda.Time > worst*1.1 {
 		t.Fatalf("dmda (%v) worse than the worst single device (%v)", dmda.Time, worst)
+	}
+}
+
+// TestFitDmdaMeansRepeatedLaunches: launches that share a kernel@groups key
+// are averaged with equal weight. Times 1, 2, 3 have mean 2; folding each
+// into a running (prev+new)/2 would give 2.25.
+func TestFitDmdaMeansRepeatedLaunches(t *testing.T) {
+	app := testApp(64)
+	l := app.Launches[0]
+	app.Launches = []Launch{l, l, l}
+	model, err := FitDmda(app, &Result{LaunchTimes: []sim.Time{1, 2, 3}}, &Result{LaunchTimes: []sim.Time{4, 4, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(model) != 1 {
+		t.Fatalf("model has %d keys, want 1: %v", len(model), model)
+	}
+	per := model[dmdaKey(l)]
+	if per[device.CPU] != 2 || per[device.GPU] != 5 {
+		t.Fatalf("model[%s] = %v, want CPU 2 and GPU 5", dmdaKey(l), per)
+	}
+	if _, err := FitDmda(app, &Result{LaunchTimes: []sim.Time{1}}, &Result{LaunchTimes: []sim.Time{1, 2, 3}}); err == nil {
+		t.Fatal("a run with a missing launch time was fitted")
+	}
+}
+
+// TestCalibrateDmdaIsFitOfSingles: CalibrateDmda is FitDmda over the two
+// single-device runs, which the harness memoizes.
+func TestCalibrateDmdaIsFitOfSingles(t *testing.T) {
+	m := DefaultMachine()
+	app := testApp(128)
+	cpu, err := RunSingle(m.CPU, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu, err := RunSingle(m.GPU, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit, err := FitDmda(app, cpu, gpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := CalibrateDmda(m, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fit, cal) {
+		t.Fatalf("CalibrateDmda = %v, FitDmda of the singles = %v", cal, fit)
+	}
+}
+
+// TestSweepOracleOverGivenRuns: the sweep asks for 0, 10, ..., 100 in order,
+// keeps the first fastest split, and stops at the first error.
+func TestSweepOracleOverGivenRuns(t *testing.T) {
+	var asked []int
+	or, err := SweepOracle(func(pct int) (*Result, error) {
+		asked = append(asked, pct)
+		return &Result{Time: math.Abs(float64(pct - 45))}, nil // 40 and 50 tie
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}; !reflect.DeepEqual(asked, want) {
+		t.Fatalf("sweep asked for %v, want %v", asked, want)
+	}
+	if or.BestPct != 40 || or.Best.Time != 5 || or.Curve[50] != 5 {
+		t.Fatalf("best = %d%% (%v), want the first of the tied 40%% and 50%%", or.BestPct, or.Best.Time)
+	}
+	boom := errors.New("boom")
+	asked = nil
+	if _, err := SweepOracle(func(pct int) (*Result, error) {
+		asked = append(asked, pct)
+		if pct == 20 {
+			return nil, boom
+		}
+		return &Result{Time: 1}, nil
+	}); !errors.Is(err, boom) || len(asked) != 3 {
+		t.Fatalf("err = %v after %v, want boom after three splits", err, asked)
+	}
+}
+
+// TestBuildGuardedCached: the range-guard transform runs once per source;
+// repeat calls, failures included, get the first call's results.
+func TestBuildGuardedCached(t *testing.T) {
+	src := testApp(16).Source
+	g1, info1, err := buildGuarded(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, info2, err := buildGuarded(src)
+	if err != nil || g1 != g2 || info1 != info2 {
+		t.Fatalf("second transform of one source differs (err %v, same info %v)", err, info1 == info2)
+	}
+	want, wantInfo, err := transformGuarded(src)
+	if err != nil || want != g1 || len(wantInfo.Kernels) != len(info1.Kernels) {
+		t.Fatalf("cached transform differs from a fresh one (err %v)", err)
+	}
+	bad := "__kernel void k(__global float* a) { a[0] = ; }"
+	_, _, e1 := buildGuarded(bad)
+	_, _, e2 := buildGuarded(bad)
+	if e1 == nil || e1 != e2 {
+		t.Fatalf("bad source: errors %v and %v, want one error twice", e1, e2)
 	}
 }
 

@@ -45,26 +45,41 @@ func dmdaKey(l Launch) string {
 // with the exact launches, which favours dmda). Calibration time is not
 // counted toward the measured run, matching the paper's methodology.
 func CalibrateDmda(m Machine, app *App) (DmdaModel, error) {
+	cpu, err := RunSingle(m.CPU, app)
+	if err != nil {
+		return nil, err
+	}
+	gpu, err := RunSingle(m.GPU, app)
+	if err != nil {
+		return nil, err
+	}
+	return FitDmda(app, cpu, gpu)
+}
+
+// FitDmda builds the dmda model from the app's CPU-only and GPU-only runs
+// (RunSingle results): each (kernel, launch size) gets the mean of its
+// launch times on each device.
+func FitDmda(app *App, cpu, gpu *Result) (DmdaModel, error) {
 	model := DmdaModel{}
-	for _, cfg := range []device.Config{m.CPU, m.GPU} {
-		r, err := RunSingle(cfg, app)
-		if err != nil {
-			return nil, err
+	for _, run := range []struct {
+		kind device.Kind
+		r    *Result
+	}{{device.CPU, cpu}, {device.GPU, gpu}} {
+		if len(run.r.LaunchTimes) != len(app.Launches) {
+			return nil, fmt.Errorf("sched: calibration recorded %d launches, want %d", len(run.r.LaunchTimes), len(app.Launches))
 		}
-		if len(r.LaunchTimes) != len(app.Launches) {
-			return nil, fmt.Errorf("sched: calibration recorded %d launches, want %d", len(r.LaunchTimes), len(app.Launches))
-		}
+		// Average over repeated identical launches.
+		n := map[string]int{}
 		for i, l := range app.Launches {
 			key := dmdaKey(l)
 			if model[key] == nil {
 				model[key] = map[device.Kind]sim.Time{}
 			}
-			// Average over repeated identical launches.
-			if prev, ok := model[key][cfg.Kind]; ok {
-				model[key][cfg.Kind] = (prev + r.LaunchTimes[i]) / 2
-			} else {
-				model[key][cfg.Kind] = r.LaunchTimes[i]
-			}
+			model[key][run.kind] += run.r.LaunchTimes[i]
+			n[key]++
+		}
+		for key, c := range n {
+			model[key][run.kind] /= sim.Time(c)
 		}
 	}
 	return model, nil

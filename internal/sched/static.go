@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"fluidicl/internal/clc"
 	"fluidicl/internal/device"
@@ -193,9 +194,40 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 	return res, nil
 }
 
+// guardCache memoizes buildGuarded by source text, failures included: the
+// transform is a pure function of the text, and an oracle sweep asks for the
+// same program at every split. Entries are immutable once stored, so one can
+// back any number of concurrent runs — the pattern of core's transform cache
+// and ocl's compile cache.
+var guardCache struct {
+	sync.Mutex
+	m map[string]*guardEntry
+}
+
+type guardEntry struct {
+	src  string
+	info *clc.ProgramInfo
+	err  error
+}
+
 // buildGuarded applies the range-guard transform to every kernel and
 // returns the transformed source plus the original-source analysis.
 func buildGuarded(src string) (string, *clc.ProgramInfo, error) {
+	guardCache.Lock()
+	defer guardCache.Unlock()
+	e, ok := guardCache.m[src]
+	if !ok {
+		e = &guardEntry{}
+		e.src, e.info, e.err = transformGuarded(src)
+		if guardCache.m == nil {
+			guardCache.m = map[string]*guardEntry{}
+		}
+		guardCache.m[src] = e
+	}
+	return e.src, e.info, e.err
+}
+
+func transformGuarded(src string) (string, *clc.ProgramInfo, error) {
 	orig, err := clc.Parse(src)
 	if err != nil {
 		return "", nil, err
@@ -268,9 +300,16 @@ type OracleResult struct {
 // RunOracle sweeps static partitions from 0% to 100% GPU in steps of 10 and
 // returns the best (the paper's OracleSP, §9.1).
 func RunOracle(m Machine, app *App) (*OracleResult, error) {
+	return SweepOracle(func(gpuPct int) (*Result, error) { return RunStatic(m, app, gpuPct) })
+}
+
+// SweepOracle is RunOracle's sweep over any source of static splits: run
+// returns the app's run with gpuPct percent of the work-groups on the GPU,
+// as RunStatic does. The first fastest split wins.
+func SweepOracle(run func(gpuPct int) (*Result, error)) (*OracleResult, error) {
 	or := &OracleResult{Curve: map[int]sim.Time{}, BestPct: -1}
 	for pct := 0; pct <= 100; pct += 10 {
-		r, err := RunStatic(m, app, pct)
+		r, err := run(pct)
 		if err != nil {
 			return nil, err
 		}
