@@ -21,37 +21,40 @@ type Runner struct {
 	// side by side changes nothing about any cell's virtual times or
 	// outputs. 0 means GOMAXPROCS; 1 recovers the fully sequential runner.
 	Parallel int
+
+	// memo holds every simulation this Runner's cells have run (memo.go).
+	memo cellMemo
 }
 
 // NewRunner creates a Runner on the paper's machine (§8).
 func NewRunner() *Runner { return &Runner{M: sched.DefaultMachine()} }
 
-// benchmarks returns the six Table 2 benchmarks at the active scale.
+// benchmarks returns the six Table 2 benchmarks at the active scale: the
+// sizes of polybench.All, or of the first six of polybench.AllQuick.
 func (r *Runner) benchmarks() []*polybench.Benchmark {
+	names := []string{"2MM", "BICG", "CORR", "GESUMMV", "SYRK", "SYR2K"}
+	sizes := []int{128, 768, 160, 768, 128, 128}
 	if r.Quick {
-		return []*polybench.Benchmark{
-			polybench.TwoMM(48, 48, 48),
-			polybench.Bicg(192),
-			polybench.Corr(64, 64),
-			polybench.Gesummv(192),
-			polybench.Syrk(64, 64),
-			polybench.Syr2k(48, 48),
-		}
+		sizes = []int{48, 192, 64, 192, 64, 48}
 	}
-	return polybench.All()
+	out := make([]*polybench.Benchmark, len(names))
+	for i, name := range names {
+		out[i] = r.bench(name, sizes[i])
+	}
+	return out
 }
 
-func (r *Runner) syrkSizes() [][2]int {
+func (r *Runner) syrkSizes() []int {
 	if r.Quick {
-		return [][2]int{{32, 32}, {48, 48}, {64, 64}}
+		return []int{32, 48, 64}
 	}
 	// Sizes start where the work-group count exceeds the GPU's residency
 	// (below that, every work-group is in flight from the start and
 	// cooperative execution cannot shorten the GPU's critical path).
-	return [][2]int{{96, 96}, {128, 128}, {160, 160}, {192, 192}, {224, 224}}
+	return []int{96, 128, 160, 192, 224}
 }
 
-// verify runs fn and checks its outputs against the reference.
+// verify checks a run's outputs against the reference.
 func verify(b *polybench.Benchmark, res *sched.Result, err error) (*sched.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -62,18 +65,17 @@ func verify(b *polybench.Benchmark, res *sched.Result, err error) (*sched.Result
 	return res, nil
 }
 
+// single is b's CPU-only or GPU-only run on the Runner's machine.
 func (r *Runner) single(b *polybench.Benchmark, gpu bool) (*sched.Result, error) {
-	cfg := r.M.CPU
 	if gpu {
-		cfg = r.M.GPU
+		return r.static(r.M, b, 100)
 	}
-	res, err := sched.RunSingle(cfg, b.App)
-	return verify(b, res, err)
+	return r.static(r.M, b, 0)
 }
 
+// fluidicl is b's FluidiCL run on the Runner's machine.
 func (r *Runner) fluidicl(b *polybench.Benchmark, opts core.Options) (*sched.Result, error) {
-	res, err := sched.RunFluidiCL(r.M, b.App, opts)
-	return verify(b, res, err)
+	return r.coop(r.M, b, opts)
 }
 
 // ---- Figure 2: static work-allocation curves for 2MM and SYRK ----
@@ -81,9 +83,9 @@ func (r *Runner) fluidicl(b *polybench.Benchmark, opts core.Options) (*sched.Res
 // Fig2 reproduces Figure 2: normalized execution time of 2MM and SYRK as
 // the percentage of work allocated to the GPU varies (static splits).
 func (r *Runner) Fig2() (*Table, error) {
-	benches := []*polybench.Benchmark{polybench.TwoMM(96, 96, 96), polybench.Syrk(128, 128)}
+	benches := []*polybench.Benchmark{r.bench("2MM", 96), r.bench("SYRK", 128)}
 	if r.Quick {
-		benches = []*polybench.Benchmark{polybench.TwoMM(48, 48, 48), polybench.Syrk(64, 64)}
+		benches = []*polybench.Benchmark{r.bench("2MM", 48), r.bench("SYRK", 64)}
 	}
 	t := &Table{
 		ID:    "fig2",
@@ -99,9 +101,8 @@ func (r *Runner) Fig2() (*Table, error) {
 	}
 	err := r.cells(len(benches)*nPct, func(c int) error {
 		i, j := c/nPct, c%nPct
-		b := benches[i]
-		res, err := sched.RunStatic(r.M, b.App, j*10)
-		if _, err = verify(b, res, err); err != nil {
+		res, err := r.static(r.M, benches[i], j*10)
+		if err != nil {
 			return err
 		}
 		times[i][j] = res.Time
@@ -128,9 +129,9 @@ func (r *Runner) Fig2() (*Table, error) {
 
 // Fig3 reproduces Figure 3: SYRK's best static split shifts with input size.
 func (r *Runner) Fig3() (*Table, error) {
-	small, large := polybench.Syrk(64, 64), polybench.Syrk(192, 192)
+	small, large := r.bench("SYRK", 64), r.bench("SYRK", 192)
 	if r.Quick {
-		small, large = polybench.Syrk(48, 48), polybench.Syrk(80, 80)
+		small, large = r.bench("SYRK", 48), r.bench("SYRK", 80)
 	}
 	t := &Table{
 		ID:    "fig3",
@@ -144,9 +145,8 @@ func (r *Runner) Fig3() (*Table, error) {
 	var times [2][nPct]sim.Time
 	err := r.cells(len(benches)*nPct, func(c int) error {
 		i, j := c/nPct, c%nPct
-		b := benches[i]
-		res, err := sched.RunStatic(r.M, b.App, j*10)
-		if _, err = verify(b, res, err); err != nil {
+		res, err := r.static(r.M, benches[i], j*10)
+		if err != nil {
 			return err
 		}
 		times[i][j] = res.Time
@@ -171,9 +171,9 @@ func (r *Runner) Fig3() (*Table, error) {
 
 // Table1 reproduces Table 1: BICG's two kernels prefer different devices.
 func (r *Runner) Table1() (*Table, error) {
-	b := polybench.Bicg(768)
+	b := r.bench("BICG", 768)
 	if r.Quick {
-		b = polybench.Bicg(192)
+		b = r.bench("BICG", 192)
 	}
 	var devRes [2]*sched.Result
 	err := r.cells(2, func(i int) error {
@@ -235,7 +235,9 @@ func (r *Runner) Overall() (*Table, error) {
 	var nCPU, nGPU, nFCL, nOSP []float64
 	var vsGPU, vsCPU, vsBest []float64
 	benches := r.benchmarks()
-	// Four independent simulations per benchmark: cpu, gpu, fluidicl, oracle.
+	// Four cells per benchmark: cpu, gpu, fluidicl, oracle. The oracle sweeps
+	// the memo's static splits, so its 0 % and 100 % points are the cpu and
+	// gpu cells' runs.
 	rs := make([][4]*sched.Result, len(benches))
 	err := r.cells(len(benches)*4, func(c int) error {
 		i, k := c/4, c%4
@@ -251,11 +253,8 @@ func (r *Runner) Overall() (*Table, error) {
 			res, err = r.fluidicl(b, core.Options{})
 		default:
 			var or *sched.OracleResult
-			or, err = sched.RunOracle(r.M, b.App)
+			or, err = sched.SweepOracle(func(gpuPct int) (*sched.Result, error) { return r.static(r.M, b, gpuPct) })
 			if err != nil {
-				return err
-			}
-			if err := b.Verify(or.Best.Outputs); err != nil {
 				return err
 			}
 			res = or.Best
@@ -300,7 +299,7 @@ func (r *Runner) Fig14() (*Table, error) {
 	sizes := r.syrkSizes()
 	benches := make([]*polybench.Benchmark, len(sizes))
 	for i, sz := range sizes {
-		benches[i] = polybench.Syrk(sz[0], sz[1])
+		benches[i] = r.bench("SYRK", sz)
 	}
 	rs := make([][3]*sched.Result, len(benches))
 	err := r.cells(len(benches)*3, func(c int) error {
@@ -373,34 +372,28 @@ func (r *Runner) Fig15() (*Table, error) {
 // Table3 reproduces §9.3's Table 3: online profiling picks the
 // hand-optimized CPU kernel for CORR.
 func (r *Runner) Table3() (*Table, error) {
-	mkPlain := func() *polybench.Benchmark {
-		if r.Quick {
-			return polybench.Corr(64, 64)
-		}
-		return polybench.Corr(128, 128)
+	n := 128
+	if r.Quick {
+		n = 64
 	}
-	mkVar := func() *polybench.Benchmark {
-		if r.Quick {
-			return polybench.CorrWithVariant(64, 64)
-		}
-		return polybench.CorrWithVariant(128, 128)
-	}
+	plain := r.bench("CORR", n)
 	var rs [4]*sched.Result
 	err := r.cells(4, func(k int) error {
 		var res *sched.Result
 		var err error
 		switch k {
 		case 0:
-			res, err = r.single(mkPlain(), true)
+			res, err = r.single(plain, true)
 		case 1:
-			res, err = r.single(mkPlain(), false)
+			res, err = r.single(plain, false)
 		case 2:
-			res, err = r.fluidicl(mkPlain(), core.Options{})
+			res, err = r.fluidicl(plain, core.Options{})
 		default:
 			// Two runs in one runtime; the first (excluded per §8's
 			// methodology) is when online profiling identifies the better
-			// CPU kernel.
-			vb := mkVar()
+			// CPU kernel. Never memoized: the variant is a different app
+			// from plain CORR.
+			vb := polybench.CorrWithVariant(n, n)
 			res, err = sched.RunFluidiCLRepeat(r.M, vb.App, core.Options{OnlineProfiling: true}, 2)
 			res, err = verify(vb, res, err)
 		}
@@ -434,7 +427,8 @@ func (r *Runner) Fig16() (*Table, error) {
 	var fclVsEager, fclVsDmda []float64
 	benches := r.benchmarks()
 	// Five cells per benchmark; dmda calibration and its measured run form
-	// one cell, as the model feeds the run.
+	// one cell, as the model feeds the run. The calibration is the cpu and
+	// gpu cells' runs.
 	rs := make([][5]*sched.Result, len(benches))
 	err := r.cells(len(benches)*5, func(c int) error {
 		i, k := c/5, c%5
@@ -450,9 +444,15 @@ func (r *Runner) Fig16() (*Table, error) {
 			res, err = sched.RunSocl(r.M, b.App, sched.Eager, nil)
 			res, err = verify(b, res, err)
 		case 3:
+			var cpu, gpu *sched.Result
 			var model sched.DmdaModel
-			model, err = sched.CalibrateDmda(r.M, b.App)
-			if err != nil {
+			if cpu, err = r.single(b, false); err != nil {
+				return err
+			}
+			if gpu, err = r.single(b, true); err != nil {
+				return err
+			}
+			if model, err = sched.FitDmda(b.App, cpu, gpu); err != nil {
 				return err
 			}
 			res, err = sched.RunSocl(r.M, b.App, sched.Dmda, model)
@@ -713,17 +713,16 @@ func (r *Runner) Portability() (*Table, error) {
 	err := r.cells(len(machines)*nb*3, func(c int) error {
 		mi, rest := c/(nb*3), c%(nb*3)
 		bi, k := rest/3, rest%3
-		sub := &Runner{M: machines[mi].m, Quick: r.Quick, Parallel: 1}
-		b := benches[bi]
+		m, b := machines[mi].m, benches[bi]
 		var res *sched.Result
 		var err error
 		switch k {
 		case 0:
-			res, err = sub.single(b, false)
+			res, err = r.static(m, b, 0)
 		case 1:
-			res, err = sub.single(b, true)
+			res, err = r.static(m, b, 100)
 		default:
-			res, err = sub.fluidicl(b, core.Options{})
+			res, err = r.coop(m, b, core.Options{})
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", machines[mi].name, err)

@@ -1,0 +1,182 @@
+package harness
+
+import (
+	"testing"
+
+	"fluidicl/internal/polybench"
+	"fluidicl/internal/sched"
+	"fluidicl/internal/trace"
+	"fluidicl/internal/vm"
+)
+
+// simulated is the process-wide count of cooperative runs and of work-groups
+// the VM executed, whichever engine ran them.
+func simulated() (runs, wgs int64) {
+	c := vm.BackendSnapshot()
+	return trace.GlobalSnapshot().Runs, c.WGLoopWGs + c.InterpWGs
+}
+
+// since returns what was simulated after the counts (runs0, wgs0).
+func since(runs0, wgs0 int64) (runs, wgs int64) {
+	runs, wgs = simulated()
+	return runs - runs0, wgs - wgs0
+}
+
+// TestRunnerSimulatesEachCellOnce: on one Runner every distinct simulation
+// runs once, whichever experiments ask for it; a fresh Runner runs them all
+// again.
+func TestRunnerSimulatesEachCellOnce(t *testing.T) {
+	r := quickRunner()
+	benches := r.benchmarks()
+
+	r0, w0 := simulated()
+	if _, err := r.Overall(); err != nil {
+		t.Fatal(err)
+	}
+	runs13, wgs13 := since(r0, w0)
+	if runs13 != int64(len(benches)) {
+		t.Errorf("fig13 ran %d cooperative runs, want one per benchmark (%d)", runs13, len(benches))
+	}
+	// Per benchmark: the static splits 0, 10, ..., 100 (0 and 100 are the
+	// CPU-only and GPU-only cells) and one FluidiCL run.
+	if n := len(r.memo.cells); n != 12*len(benches) {
+		t.Errorf("fig13 made %d memo entries, want %d", n, 12*len(benches))
+	}
+
+	// fig16's singles and dmda calibration are fig13's runs, and its FluidiCL
+	// cells are fig13's: only the SOCL runs are new.
+	var wantWGs int64
+	for _, b := range benches {
+		model, err := sched.CalibrateDmda(r.M, b.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, w1 := simulated()
+		for _, p := range []sched.Policy{sched.Eager, sched.Dmda} {
+			if _, err := sched.RunSocl(r.M, b.App, p, model); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, w := since(r1, w1)
+		wantWGs += w
+	}
+	r0, w0 = simulated()
+	if _, err := r.Fig16(); err != nil {
+		t.Fatal(err)
+	}
+	if runs, wgs := since(r0, w0); runs != 0 || wgs != wantWGs {
+		t.Errorf("fig16 after fig13: %d cooperative runs and %d work-groups, want 0 and the SOCL runs' %d", runs, wgs, wantWGs)
+	}
+
+	// table3's plain CORR cells are fig13's; FCL+Pro runs CorrWithVariant,
+	// which is never memoized, so it runs every time.
+	for i := 0; i < 2; i++ {
+		r0, w0 = simulated()
+		if _, err := r.Table3(); err != nil {
+			t.Fatal(err)
+		}
+		if runs, _ := since(r0, w0); runs != 1 {
+			t.Errorf("table3 #%d ran %d cooperative runs, want 1 (FCL+Pro)", i+1, runs)
+		}
+	}
+	if n := len(r.memo.cells); n != 12*len(benches) {
+		t.Errorf("fig16 and table3 grew the memo to %d entries, want %d", n, 12*len(benches))
+	}
+
+	fresh := quickRunner()
+	r0, w0 = simulated()
+	if _, err := fresh.Overall(); err != nil {
+		t.Fatal(err)
+	}
+	if runs, wgs := since(r0, w0); runs != runs13 || wgs != wgs13 {
+		t.Errorf("fig13 on a fresh Runner: %d runs, %d work-groups; want the first Runner's %d, %d", runs, wgs, runs13, wgs13)
+	}
+}
+
+// TestRunnerBenchmarksMatchPolybench: the Runner's constructor cache builds
+// polybench.All's sizes at full scale and AllQuick's at quick scale, and
+// hands every experiment the same instance.
+func TestRunnerBenchmarksMatchPolybench(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		r := NewRunner()
+		r.Quick = quick
+		want := polybench.All()
+		if quick {
+			want = polybench.AllQuick()[:6]
+		}
+		got := r.benchmarks()
+		for i, b := range got {
+			if b.Name != want[i].Name || b.InputDesc != want[i].InputDesc {
+				t.Errorf("quick=%v: benchmark %d is %s %s, want %s %s", quick, i, b.Name, b.InputDesc, want[i].Name, want[i].InputDesc)
+			}
+			if again := r.benchmarks()[i]; again != b {
+				t.Errorf("quick=%v: %s built twice", quick, b.Name)
+			}
+		}
+	}
+}
+
+// TestRunnerMemoizesErrors: a benchmark whose kernel traps fails once; every
+// later cell, concurrent ones included, gets that error without simulating.
+func TestRunnerMemoizesErrors(t *testing.T) {
+	const n = 64
+	b := &polybench.Benchmark{Name: "TRAP", App: &sched.App{
+		Name:     "trap",
+		Source:   `__kernel void oob(__global float* a, int n) { a[get_global_id(0) + n] = 1.0f; }`,
+		Buffers:  map[string]int{"a": 4 * n},
+		Launches: []sched.Launch{{Kernel: "oob", ND: vm.NewNDRange1D(n, 16), Args: []sched.ArgSpec{sched.Buf("a"), sched.Int(n)}}},
+		Outputs:  []string{"a"},
+	}}
+	r := quickRunner()
+	r.Parallel = 2
+	for _, gpuPct := range []int{0, 50} {
+		_, first := r.static(r.M, b, gpuPct)
+		if first == nil {
+			t.Fatalf("%d%% GPU: trapping kernel returned no error", gpuPct)
+		}
+		r0, w0 := simulated()
+		errs := make([]error, 2)
+		if err := r.cells(2, func(i int) error {
+			_, errs[i] = r.static(r.M, b, gpuPct)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, err := range errs {
+			if err != first {
+				t.Errorf("%d%% GPU, cell %d: error %v, want the first run's %v", gpuPct, i, err, first)
+			}
+		}
+		if _, wgs := since(r0, w0); wgs != 0 {
+			t.Errorf("%d%% GPU: a memoized failure executed %d work-groups", gpuPct, wgs)
+		}
+	}
+}
+
+// TestRunnerConcurrentExperiments: two experiments that share cells run at
+// once on one Runner and render as they do alone. Under the race detector
+// (make race) this is the memo's concurrency check.
+func TestRunnerConcurrentExperiments(t *testing.T) {
+	alone := map[string]string{}
+	for _, id := range []string{"fig13", "fig16"} {
+		alone[id] = renderWith(t, id, 1)
+	}
+	r := quickRunner()
+	r.Parallel = 4
+	ids := []string{"fig13", "fig16"}
+	got := make([]string, len(ids))
+	if err := parallelFor(2, len(ids), func(i int) error {
+		tab, err := r.Run(ids[i])
+		if err == nil {
+			got[i] = tab.String()
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if got[i] != alone[id] {
+			t.Errorf("%s run beside %s differs from %s alone:\n%s\n--- alone ---\n%s", id, ids[1-i], id, got[i], alone[id])
+		}
+	}
+}
