@@ -75,7 +75,7 @@ func (r *Runner) single(b *polybench.Benchmark, gpu bool) (*sched.Result, error)
 
 // fluidicl is b's FluidiCL run on the Runner's machine.
 func (r *Runner) fluidicl(b *polybench.Benchmark, opts core.Options) (*sched.Result, error) {
-	return r.coop(r.M, b, opts)
+	return r.cell(cellKey{b: b, m: r.M, fluidicl: true, opts: opts})
 }
 
 // ---- Figure 2: static work-allocation curves for 2MM and SYRK ----
@@ -722,7 +722,7 @@ func (r *Runner) Portability() (*Table, error) {
 		case 1:
 			res, err = r.static(m, b, 100)
 		default:
-			res, err = r.coop(m, b, core.Options{})
+			res, err = r.cell(cellKey{b: b, m: m, fluidicl: true})
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", machines[mi].name, err)

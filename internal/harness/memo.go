@@ -79,12 +79,7 @@ func (r *Runner) cell(k cellKey) (*sched.Result, error) {
 // static is b's run on machine m with gpuPct percent of every kernel's
 // work-groups on the GPU (0: CPU-only, 100: GPU-only).
 func (r *Runner) static(m sched.Machine, b *polybench.Benchmark, gpuPct int) (*sched.Result, error) {
-	return r.cell(cellKey{b: b, m: m, gpuPct: min(max(gpuPct, 0), 100)})
-}
-
-// coop is b's FluidiCL run on machine m with opts.
-func (r *Runner) coop(m sched.Machine, b *polybench.Benchmark, opts core.Options) (*sched.Result, error) {
-	return r.cell(cellKey{b: b, m: m, fluidicl: true, opts: opts})
+	return r.cell(cellKey{b: b, m: m, gpuPct: gpuPct})
 }
 
 // benchKey names one benchmark instance. Every size the harness runs is

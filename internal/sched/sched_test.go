@@ -230,32 +230,6 @@ func TestFitDmdaMeansRepeatedLaunches(t *testing.T) {
 	}
 }
 
-// TestCalibrateDmdaIsFitOfSingles: CalibrateDmda is FitDmda over the two
-// single-device runs, which the harness memoizes.
-func TestCalibrateDmdaIsFitOfSingles(t *testing.T) {
-	m := DefaultMachine()
-	app := testApp(128)
-	cpu, err := RunSingle(m.CPU, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpu, err := RunSingle(m.GPU, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit, err := FitDmda(app, cpu, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, err := CalibrateDmda(m, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fit, cal) {
-		t.Fatalf("CalibrateDmda = %v, FitDmda of the singles = %v", cal, fit)
-	}
-}
-
 // TestSweepOracleOverGivenRuns: the sweep asks for 0, 10, ..., 100 in order,
 // keeps the first fastest split, and stops at the first error.
 func TestSweepOracleOverGivenRuns(t *testing.T) {
