@@ -4,9 +4,13 @@ package analysis
 // work-item / work-group / launch, an exact disjointness test on
 // arithmetic progressions (extended-gcd alignment plus CRT), hull and
 // cover queries for the transfer planner, and the work-group
-// noninterference verdict the VM's second-chance certificate consumes.
+// noninterference verdict that admits launches to the VM's lockstep engine.
 
-import "fluidicl/internal/clc"
+import (
+	"slices"
+
+	"fluidicl/internal/clc"
+)
 
 // Prog is the arithmetic progression {Lo + k*Stride : 0 <= k < N} with
 // Stride >= 1 and N >= 1.
@@ -346,12 +350,16 @@ const (
 // work-group of the launch: for any two items t != u of one group and
 // every written global argument, W(t) ∩ W(u) = ∅ and W(t) ∩ R(u) = ∅
 // (may-footprints, so real accesses are covered). Arguments that are
-// never written are unconstrained (gather-only admission). budget bounds
-// the number of footprint evaluations + pairwise tests.
+// never written are unconstrained (gather-only admission). A written
+// argument whose every access uses one lid-injective slot (slotExact)
+// passes without enumerating groups; the rest are tested pairwise, group
+// by group, and budget bounds the number of footprint evaluations +
+// pairwise tests.
 func (ks *KernelSummary) CertifyGroupDisjoint(sh LaunchShape, params []int64, budget int64) Verdict {
 	if ks.LocalStores {
 		return Verdict{Reason: VerdictLocalStore}
 	}
+	c := sh.Ctx(params)
 	type argRefs struct {
 		w, r []*StridedRef
 	}
@@ -377,7 +385,7 @@ func (ks *KernelSummary) CertifyGroupDisjoint(sh LaunchShape, params []int64, bu
 				ar.r = append(ar.r, r)
 			}
 		}
-		if len(ar.w) > 0 {
+		if len(ar.w) > 0 && !slotExact(a.Refs, c, sh.Local) {
 			args = append(args, ar)
 		}
 	}
@@ -396,7 +404,6 @@ func (ks *KernelSummary) CertifyGroupDisjoint(sh LaunchShape, params []int64, bu
 		return Verdict{Reason: VerdictBudget}
 	}
 
-	c := sh.Ctx(params)
 	// Per-group scratch: footprints of every item's refs.
 	type itemFP struct {
 		w, r []Pset
@@ -456,6 +463,42 @@ func (ks *KernelSummary) CertifyGroupDisjoint(sh LaunchShape, params []int64, bu
 		}
 	}
 	return Verdict{OK: true}
+}
+
+// slotExact reports that refs, every access to one argument, give each
+// work-item of a group its own single word: no ref has an IV term, all
+// share one Base (compared as coefficients evaluated under c), and that
+// Base's lid part Σ (Gid[d]+Lid[d])*lid_d is injective over the local grid.
+// Within a group, gid_d = grp_d*Local[d] + lid_d, so item t touches exactly
+// K + (the group's part) + (t's lid part), which no other item of the group
+// touches. The test is O(len(refs) + items per group), however many groups.
+func slotExact(refs []StridedRef, c *EvalCtx, local [3]int64) bool {
+	var base [10]int64
+	for i := range refs {
+		if len(refs[i].IVs) > 0 {
+			return false
+		}
+		v, ok := refs[i].Base.coefs(c)
+		if !ok || i > 0 && v != base {
+			return false
+		}
+		base = v
+	}
+	vals := make([]int64, 0, local[0]*local[1]*local[2])
+	for z := int64(0); z < local[2]; z++ {
+		for y := int64(0); y < local[1]; y++ {
+			for x := int64(0); x < local[0]; x++ {
+				vals = append(vals, (base[1]+base[4])*x+(base[2]+base[5])*y+(base[3]+base[6])*z)
+			}
+		}
+	}
+	slices.Sort(vals)
+	for i := 1; i < len(vals); i++ {
+		if vals[i] == vals[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- hull and cover queries for the transfer planner ----

@@ -312,6 +312,18 @@ func (a AffExpr) Eval(c *EvalCtx, it ItemCtx) (int64, bool) {
 	return v, true
 }
 
+// coefs evaluates the expression's coefficients in the order K, Gid[0..2],
+// Lid[0..2], Grp[0..2].
+func (a AffExpr) coefs(c *EvalCtx) (v [10]int64, ok bool) {
+	for i, u := range [10]*UExpr{a.K, a.Gid[0], a.Gid[1], a.Gid[2],
+		a.Lid[0], a.Lid[1], a.Lid[2], a.Grp[0], a.Grp[1], a.Grp[2]} {
+		if v[i], ok = u.Eval(c); !ok {
+			return v, false
+		}
+	}
+	return v, true
+}
+
 // String renders the expression with parameter names.
 func (a AffExpr) String(names []string) string {
 	var parts []string

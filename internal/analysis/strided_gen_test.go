@@ -26,7 +26,7 @@ import (
 //     covered by the per-item may-footprint;
 //  2. soundness of the disjointness verdict — when CertifyGroupDisjoint
 //     says OK, the brute-force per-item footprints really are pairwise
-//     disjoint within every group (the property the wg second-chance
+//     disjoint within every group (the property the wg admission
 //     certificate and the split un-veto rely on);
 //  3. exactness on the clean subclass — for unguarded kernels whose
 //     per-item footprints evaluate as exact interval sets, the verdict
@@ -41,7 +41,8 @@ import (
 // input, so the wg engine's reduction jam (one inc per body as generated,
 // two once the GPU pass has unrolled the loop) and its loop closure — whole
 // loops where the control is lane-uniform, one trip per dispatch where the
-// generator made it lane-varying — run under both certificates.
+// generator made it lane-varying — run whether the certificate takes its
+// fast path, the pairwise test, or rejects the kernel.
 
 const (
 	genGlobal = 32 // 1-D launch: 4 groups of 8
@@ -275,7 +276,7 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 	const trials = 200
 	params := []int64{0, 0, genWords}
 	sh := genShape()
-	exactAgreed := 0
+	exactAgreed, fastAdmitted := 0, 0
 	before := vm.BackendSnapshot()
 	for seed := 0; seed < trials; seed++ {
 		r := rand.New(rand.NewSource(int64(7000 + seed)))
@@ -375,12 +376,22 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 			}
 		}
 
-		// Disjointness verdict vs brute force.
+		// Disjointness verdict vs brute force. At budget 0 only the one-slot
+		// fast path can admit (the pairwise test needs budget for 8-item
+		// groups), so an admission there is the fast path's, held to brute
+		// force on its own.
 		brute := gk.bruteGroupDisjoint()
 		v := ks.CertifyGroupDisjoint(sh, params, 1<<22)
 		if v.OK && !brute {
 			t.Fatalf("seed %d: certificate claims disjoint but brute force found an overlap\n%s\n%s",
 				seed, gk.src, ks)
+		}
+		if v0 := ks.CertifyGroupDisjoint(sh, params, 0); v0.OK {
+			fastAdmitted++
+			if !brute {
+				t.Fatalf("seed %d: the fast path claims disjoint but brute force found an overlap\n%s\n%s",
+					seed, gk.src, ks)
+			}
 		}
 		if !gk.guarded && allExact && len(gk.outReads) == 0 {
 			// Clean subclass: unguarded, exact footprints, no out reads —
@@ -444,6 +455,10 @@ func TestGenerativeStridedDifferential(t *testing.T) {
 	if exactAgreed == 0 {
 		t.Error("no trial exercised the exact subclass; generator drifted")
 	}
+	if fastAdmitted == 0 {
+		t.Error("no trial was admitted by the one-slot fast path; generator drifted")
+	}
+	t.Logf("%d of %d kernels admitted by the one-slot fast path", fastAdmitted, trials)
 	after := vm.BackendSnapshot()
 	if after.WGFusedInstrsDyn == before.WGFusedInstrsDyn {
 		t.Error("no trial ran a fused closure; generator drifted")

@@ -208,16 +208,96 @@ __kernel void f(__global float* out) {
 		})
 	}
 
-	// Budget: same disjoint kernel, but a budget too small for the pair work.
+	// Budget: a disjoint kernel outside the one-slot fast path (two stores
+	// per item, at different offsets), with a budget too small for the pair
+	// work.
 	ks := mustAnalyze(t, `
 __kernel void f(__global float* out) {
-    out[get_global_id(0)] = 1.0f;
+    int g = get_global_id(0);
+    out[2*g] = 1.0f;
+    out[2*g + 1] = 2.0f;
 }`)
 	if v := ks.CertifyGroupDisjoint(shape1D(64, 64), nil, 10); v.OK || v.Reason != VerdictBudget {
 		t.Fatalf("want budget reject, got OK=%v reason=%q", v.OK, v.Reason)
 	}
 	if v := ks.CertifyGroupDisjoint(shape1D(64, 64), nil, 1<<30); !v.OK {
-		t.Fatalf("slot-exact kernel with ample budget: want OK, got %q", v.Reason)
+		t.Fatalf("disjoint kernel with ample budget: want OK, got %q", v.Reason)
+	}
+}
+
+// TestCertifySlotExact pins the certificate's fast path: a written argument
+// whose every access has no IV term and one Base with a lid-injective lid
+// part is admitted without enumerating groups, so at budget 0. Each other row
+// breaks one of the three conditions, must reach the pairwise test (a budget
+// reject at budget 0) and gets the pairwise verdict with budget to spare.
+func TestCertifySlotExact(t *testing.T) {
+	shape2D := func(local, groups int64) LaunchShape {
+		return LaunchShape{Dims: 2, Local: [3]int64{local, local, 1},
+			NumGroups: [3]int64{groups, groups, 1}, Count: [3]int64{groups, groups, 1}}
+	}
+	const streamN = 2048 * 256
+	for _, tc := range []struct {
+		name, src string
+		sh        LaunchShape
+		params    []int64
+		fast      bool
+		pairwise  string // the verdict with budget to spare: "" admits
+	}{
+		{name: "stream scale, 2048 groups of 256", fast: true, sh: shape1D(256, 2048), params: []int64{0, 0, 0, streamN}, src: `
+__kernel void scale(__global float* in, __global float* out, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) { out[i] = a * in[i]; }
+}`},
+		{name: "stream axpy, in place", fast: true, sh: shape1D(256, 2048), params: []int64{0, 0, 0, streamN}, src: `
+__kernel void axpy(__global float* x, __global float* y, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) { y[i] = a * x[i] + y[i]; }
+}`},
+		{name: "SYRK at full scale, 52x52 groups of 16x16", fast: true, sh: shape2D(16, 52), params: []int64{0, 0, 832, 832}, src: `
+__kernel void syrk_kernel(__global float* A, __global float* C, int n, int m, float alpha, float beta) {
+    int j = get_global_id(0);
+    int i = get_global_id(1);
+    if (i < n && j < n) {
+        float acc = C[i * n + j] * beta;
+        for (int k = 0; k < m; k++) { acc += alpha * A[i * m + k] * A[j * m + k]; }
+        C[i * n + j] = acc;
+    }
+}`},
+		{name: "lid coefficients collide", sh: shape2D(8, 2), params: []int64{0, 4}, pairwise: VerdictOverlap, src: `
+__kernel void f(__global float* out, int w) {
+    out[get_global_id(1) * w + get_global_id(0)] = 1.0f;
+}`},
+		{name: "a[g] and a[g+1]", sh: shape1D(8, 2), pairwise: VerdictOverlap, src: `
+__kernel void f(__global float* a) {
+    int g = get_global_id(0);
+    a[g] = a[g + 1] + 1.0f;
+}`},
+		{name: "an IV term", sh: shape1D(8, 2), pairwise: VerdictOverlap, src: `
+__kernel void f(__global float* out) {
+    int g = get_global_id(0);
+    for (int i = 0; i < 2; i++) { out[g + i] = 1.0f; }
+}`},
+		{name: "a grp-only form", sh: shape1D(8, 2), pairwise: VerdictOverlap, src: `
+__kernel void f(__global float* out) {
+    out[get_group_id(0)] = 1.0f;
+}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ks := mustAnalyze(t, tc.src)
+			v := ks.CertifyGroupDisjoint(tc.sh, tc.params, 0)
+			if tc.fast {
+				if !v.OK {
+					t.Fatalf("at budget 0: want the fast path to admit, got reason %q\n%s", v.Reason, ks.String())
+				}
+				return
+			}
+			if v.OK || v.Reason != VerdictBudget {
+				t.Fatalf("at budget 0: want the pairwise test's budget reject, got OK=%v reason %q\n%s", v.OK, v.Reason, ks.String())
+			}
+			if v := ks.CertifyGroupDisjoint(tc.sh, tc.params, 1<<30); v.Reason != tc.pairwise {
+				t.Fatalf("pairwise: want reason %q, got OK=%v reason %q", tc.pairwise, v.OK, v.Reason)
+			}
+		})
 	}
 }
 
