@@ -51,7 +51,7 @@ type counterRef struct {
 
 // refs lists every counter of c in emission order. It is the single field
 // list behind Each, Sub and AccumulateGlobal.
-func (c *Counters) refs() [40]counterRef {
+func (c *Counters) refs() [38]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
 		{"prime_copies_elided", &c.PrimeCopiesElided},
@@ -71,10 +71,8 @@ func (c *Counters) refs() [40]counterRef {
 		{"wg_fuse_fallback_steps", &c.WGFuseFallbackSteps},
 		{"wg_fused_instrs_dyn", &c.WGFusedInstrsDyn},
 		{"wg_step_instrs_dyn", &c.WGStepInstrsDyn},
-		{"wg_strided_wgs", &c.WGStridedWGs},
 		{"wg_cert_reject_shape", &c.WGRejects[vm.WGRejShape]},
 		{"wg_cert_reject_alias", &c.WGRejects[vm.WGRejAlias]},
-		{"wg_cert_reject_no_summary", &c.WGRejects[vm.WGRejNoSummary]},
 		{"wg_cert_reject_local_store", &c.WGRejects[vm.WGRejLocalStore]},
 		{"wg_cert_reject_unknown_store", &c.WGRejects[vm.WGRejUnknownStore]},
 		{"wg_cert_reject_unknown_read", &c.WGRejects[vm.WGRejUnknownRead]},

@@ -19,8 +19,8 @@ func TestCounterNamesPinned(t *testing.T) {
 		"interp_wgs", "total_instrs",
 		"wg_loop_wgs", "wg_fallback_wgs", "wg_kernels", "wg_regions",
 		"wg_fused_blocks", "wg_fused_steps", "wg_fuse_fallback_steps",
-		"wg_fused_instrs_dyn", "wg_step_instrs_dyn", "wg_strided_wgs",
-		"wg_cert_reject_shape", "wg_cert_reject_alias", "wg_cert_reject_no_summary",
+		"wg_fused_instrs_dyn", "wg_step_instrs_dyn",
+		"wg_cert_reject_shape", "wg_cert_reject_alias",
 		"wg_cert_reject_local_store", "wg_cert_reject_unknown_store",
 		"wg_cert_reject_unknown_read", "wg_cert_reject_overlap", "wg_cert_reject_budget",
 		"wg_fuse_reject_shape", "wg_fuse_reject_wiring", "wg_fuse_reject_live_scratch",
@@ -44,7 +44,7 @@ func TestCounterNamesPinned(t *testing.T) {
 	// the VM knows, under the VM's name for it (the disassembly's hyphens
 	// become underscores).
 	certs, fuses := vm.WGRejectNames(), vm.WGFuseRejectNames()
-	const firstCert = 19
+	const firstCert = 18
 	firstFuse := firstCert + len(certs) - 1
 	for r := int(vm.WGRejNone) + 1; r < len(certs); r++ {
 		if key := want[firstCert+r-1]; key != "wg_cert_reject_"+certs[r] {

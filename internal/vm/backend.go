@@ -133,11 +133,8 @@ var backendCtr struct {
 	wgRegions     atomic.Int64
 	wgKernels     atomic.Int64
 
-	// wgStridedWGs counts work-groups admitted to the lockstep engine by
-	// the strided disjointness certificate (the identical-form certificate
-	// having failed); wgRej counts fallbacks per WGReject reason.
-	wgStridedWGs atomic.Int64
-	wgRej        [wgRejCount]atomic.Int64
+	// wgRej counts fallbacks per WGReject reason.
+	wgRej [wgRejCount]atomic.Int64
 	// wgCertRuns counts certificate computations (decision-cache misses).
 	wgCertRuns atomic.Int64
 
@@ -190,12 +187,14 @@ type BackendCounters struct {
 	WGRegions int64
 	WGKernels int64
 
-	// WGStridedWGs counts work-groups the strided disjointness certificate
-	// admitted after the identical-form certificate failed. WGRejects
-	// attributes every fallback to one WGReject reason, indexed by that
-	// enum (index WGRejNone is always zero).
+	// WGStridedWGs equals WGLoopWGs: the strided disjointness certificate
+	// admits every lockstep work-group.
+	//
+	// Deprecated: use WGLoopWGs; kept only because bench/layers.go spells it.
 	WGStridedWGs int64
-	WGRejects    [wgRejCount]int64
+	// WGRejects attributes every fallback to one WGReject reason, indexed by
+	// that enum (index WGRejNone is always zero).
+	WGRejects [wgRejCount]int64
 
 	// WGFusedBlocks / WGFusedSteps count basic blocks region-fused by the
 	// wg fusion pass (wgfuse.go) and the instructions those blocks cover;
@@ -248,7 +247,6 @@ func BackendSnapshot() BackendCounters {
 		WGFallbackWGs: backendCtr.wgFallbackWGs.Load(),
 		WGRegions:     backendCtr.wgRegions.Load(),
 		WGKernels:     backendCtr.wgKernels.Load(),
-		WGStridedWGs:  backendCtr.wgStridedWGs.Load(),
 
 		WGFusedBlocks:       backendCtr.wgFusedBlocks.Load(),
 		WGFusedSteps:        backendCtr.wgFusedSteps.Load(),
@@ -261,6 +259,7 @@ func BackendSnapshot() BackendCounters {
 		WGLoopTripsDyn:      backendCtr.wgLoopTripsDyn.Load(),
 		WGLoopNonuniformDyn: backendCtr.wgLoopNonuniformDyn.Load(),
 	}
+	bc.WGStridedWGs = bc.WGLoopWGs
 	for i := range bc.WGRejects {
 		bc.WGRejects[i] = backendCtr.wgRej[i].Load()
 	}

@@ -143,17 +143,11 @@ func runBoth(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) (bufI, bu
 	return
 }
 
+// TestBackendBarrierParity: a __local kernel matches the interpreter by
+// running on it (local_store); a barrier kernel over global memory only runs
+// its phases in lockstep and matches it.
 func TestBackendBarrierParity(t *testing.T) {
-	k := MustCompile(`
-__kernel void rev(__global float* a, int n) {
-    __local float tmp[16];
-    int l = get_local_id(0);
-    int g = get_global_id(0);
-    tmp[l] = a[g];
-    barrier(CLK_LOCAL_MEM_FENCE);
-    a[g] = tmp[15 - l] + 1.0f;
-}
-`, "rev")
+	rev := MustCompile(revSrc, "rev")
 	n := 16
 	mkArgs := func() []Arg {
 		buf := make([]byte, 4*n)
@@ -162,7 +156,16 @@ __kernel void rev(__global float* a, int n) {
 		}
 		return []Arg{BufArg(buf), IntArg(int64(n))}
 	}
-	bufI, bufW, stI, stW, errI, errW := runBoth(t, k, NewNDRange1D(n, 16), mkArgs)
+	before := BackendSnapshot().WGRejects[WGRejLocalStore]
+	if err := runWGParity(t, rev, NewNDRange1D(n, 16), mkArgs); err != nil {
+		t.Fatal(err)
+	}
+	if d := BackendSnapshot().WGRejects[WGRejLocalStore] - before; d != 1 {
+		t.Errorf("%d local_store fallbacks for the __local kernel, want 1", d)
+	}
+
+	k := MustCompile(twoPhaseSrc, "twophase")
+	bufI, bufW, stI, stW, errI, errW := runBoth(t, k, NewNDRange1D(n, 16), twoPhaseArgs(n))
 	if errI != nil || errW != nil {
 		t.Fatalf("errors: interp=%v wg=%v", errI, errW)
 	}

@@ -57,14 +57,13 @@ func (k *Kernel) Disasm() string {
 		for _, s := range k.wg.loops {
 			wgLoopFuseAt[s.Start] = s
 		}
-		for ri := range k.wg.regions {
-			regionAt[k.wg.regions[ri].entry] = ri
+		for ri, entry := range k.wg.regions {
+			regionAt[entry] = ri
 		}
 	}
 	for pc, in := range k.Code {
 		if ri, ok := regionAt[pc]; ok {
-			fmt.Fprintf(&b, "      ; -- wg region %d (%d mem accesses) --\n",
-				ri, len(k.wg.regions[ri].accs))
+			fmt.Fprintf(&b, "      ; -- wg region %d --\n", ri)
 		}
 		line := disasmInstr(in)
 		if s, ok := wgLoopAt[pc]; ok {

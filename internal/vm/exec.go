@@ -152,19 +152,16 @@ func (k *Kernel) ExecWorkGroup(nd NDRange, group [3]int, args []Arg, opts ExecOp
 // otherwise on the interpreter below. Neither path allocates once warm.
 func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch) (Stats, error) {
 	if opts.Backend.resolve() == BackendWG {
-		if k.wg == nil {
-			backendCtr.wgFallbackWGs.Add(1)
-			backendCtr.wgRej[WGRejShape].Add(1)
-		} else if v := k.wgCertified(&sc.cert, nd, args); v.ok {
-			if v.second {
-				backendCtr.wgStridedWGs.Add(1)
-			}
-			return k.execWGLockstep(nd, group, args, opts, sc)
-		} else {
-			// Uncertified: count the fallback with its reason.
-			backendCtr.wgFallbackWGs.Add(1)
-			backendCtr.wgRej[v.rej].Add(1)
+		rej := WGRejShape
+		if k.wg != nil {
+			rej = k.wgCertified(sc, nd, args)
 		}
+		if rej == WGRejNone {
+			return k.execWGLockstep(nd, group, args, opts, sc)
+		}
+		// Uncertified: count the fallback with its reason.
+		backendCtr.wgFallbackWGs.Add(1)
+		backendCtr.wgRej[rej].Add(1)
 	}
 	backendCtr.interpWGs.Add(1)
 
@@ -656,15 +653,25 @@ func byteOff(idx int64, bufLen int) (int32, error) {
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // f32View returns b's whole words as float32s in place — the package's one
-// unsafe conversion — or false when that is not what the little-endian byte
-// decoding of the load paths reads: b is not 4-byte aligned, or the host is
-// big-endian.
+// unsafe conversion (overlaps below only compares addresses) — or false when
+// that is not what the little-endian byte decoding of the load paths reads:
+// b is not 4-byte aligned, or the host is big-endian.
 func f32View(b []byte) ([]float32, bool) {
 	p := unsafe.SliceData(b)
 	if !hostLittleEndian || uintptr(unsafe.Pointer(p))%4 != 0 {
 		return nil, false
 	}
 	return unsafe.Slice((*float32)(unsafe.Pointer(p)), len(b)/4), true
+}
+
+// overlaps reports whether a and b share a byte of storage: two views of one
+// array at different offsets overlap as surely as two equal ones.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }
 
 // ExecLaunch executes every work-group of the launch slice and returns

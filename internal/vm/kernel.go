@@ -90,7 +90,7 @@ type Kernel struct {
 
 	// sum is the static access summary of the kernel's AST (strided refs,
 	// rejects, barrier report), computed once at compile time. The wg
-	// backend's second-chance certificate evaluates it per launch shape.
+	// backend's admission certificate evaluates it per launch shape.
 	sum *analysis.KernelSummary
 
 	// certs caches the wg certificate decisions per launch-shape key

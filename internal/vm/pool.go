@@ -19,7 +19,8 @@ type wgScratch struct {
 	locals [][]byte
 	tr     *memTracker
 	wm     *wmach
-	cert   wgCert
+	// certKey is the scratch wgCertified builds its cache key in.
+	certKey []uint64
 }
 
 func (k *Kernel) getScratch() *wgScratch {

@@ -11,11 +11,11 @@ package vm
 // engine's speedup over the per-item interpreter comes from.
 //
 // The pass is purely structural; whether a given *launch* may actually run
-// in lockstep is decided at execution time by the noninterference
-// certificate (wgcert.go), which falls back to the interpreter per
-// work-group when it cannot prove that cross-work-item execution order is
-// unobservable. Kernels the static analyzer flags with divergent barriers
-// are rejected here outright, so unsupported shapes never reach the engine.
+// in lockstep is decided at execution time by the admission certificate
+// (wgcert.go), which falls back to the interpreter per work-group when it
+// cannot prove that cross-work-item execution order is unobservable.
+// Kernels the static analyzer flags with divergent barriers are rejected
+// here outright, so unsupported shapes never reach the engine.
 
 // wgTerm kinds.
 const (
@@ -52,25 +52,6 @@ type wblock struct {
 	term wgTerm
 }
 
-// wgAccess is one static global- or local-memory access inside a region,
-// recorded for the launch-time certificate.
-type wgAccess struct {
-	pc     int
-	idxReg int32
-	slot   int32
-	local  bool
-	store  bool
-}
-
-// wgRegion is one barrier-free region: every pc reachable from the entry
-// without crossing a barrier or returning. Regions from different entries
-// may share pcs; shared accesses are checked in every region that contains
-// them, which is conservative.
-type wgRegion struct {
-	entry int
-	accs  []wgAccess
-}
-
 // FusedSpan records one annotated run of instructions for disassembly: Len
 // consecutive instructions starting at pc Start, labelled Name.
 type FusedSpan struct {
@@ -81,9 +62,10 @@ type FusedSpan struct {
 
 // wgProgram is the whole-work-group compilation of a kernel.
 type wgProgram struct {
-	blocks  []*wblock // indexed by pc; non-nil at block leaders only
-	leader  []bool    // leader[pc]: pc starts a basic block
-	regions []wgRegion
+	blocks []*wblock // indexed by pc; non-nil at block leaders only
+	// regions lists the entry pc of every barrier-free region: pc 0 and the
+	// pc after every barrier.
+	regions []int
 	// spans lists each block as a wg-loop span for disassembly annotation.
 	spans []FusedSpan
 	// fused lists each region-fused block body (wgfuse.go) for disassembly;
@@ -105,7 +87,7 @@ type wgProgram struct {
 // interpreter already produces that error with exact semantics.
 func (k *Kernel) buildWG() {
 	if k.HasBarrier {
-		if k.sum == nil || k.sum.HasDivergentBarrier() {
+		if k.sum.HasDivergentBarrier() {
 			return
 		}
 	} else if len(k.PrivArrs) > 0 {
@@ -122,12 +104,16 @@ func (k *Kernel) buildWG() {
 
 	leader := make([]bool, n+1)
 	leader[0] = true
+	regions := []int{0}
 	for pc, in := range code {
 		switch in.Op {
 		case opJMP, opJZ, opJNZ:
 			leader[in.A] = true
 			leader[pc+1] = true
-		case opBARRIER, opRET:
+		case opBARRIER:
+			leader[pc+1] = true
+			regions = append(regions, pc+1)
+		case opRET:
 			leader[pc+1] = true
 		}
 	}
@@ -148,8 +134,7 @@ func (k *Kernel) buildWG() {
 		start = end
 	}
 
-	wg := &wgProgram{blocks: blocks, leader: leader[:n], spans: spans}
-	wg.buildRegions(code)
+	wg := &wgProgram{blocks: blocks, regions: regions, spans: spans}
 	k.fuseWG(wg)
 	k.wg = wg
 	backendCtr.wgKernels.Add(1)
@@ -214,58 +199,4 @@ func (b *wblock) runSteps(m *wmach, set []int32) bool {
 	}
 	m.st.bookOps(&b.ops, int64(len(set)))
 	return true
-}
-
-// buildRegions computes the barrier-free regions: one per entry (pc 0 and
-// the pc after every barrier), each containing the accesses reachable from
-// the entry without crossing another barrier or returning.
-func (wg *wgProgram) buildRegions(code []Instr) {
-	n := len(code)
-	entries := []int{0}
-	for pc, in := range code {
-		if in.Op == opBARRIER {
-			entries = append(entries, pc+1)
-		}
-	}
-	visited := make([]bool, n)
-	var stack []int
-	for _, e := range entries {
-		for i := range visited {
-			visited[i] = false
-		}
-		r := wgRegion{entry: e}
-		stack = append(stack[:0], e)
-		for len(stack) > 0 {
-			pc := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if pc >= n || visited[pc] {
-				continue
-			}
-			visited[pc] = true
-			in := code[pc]
-			switch in.Op {
-			case opJMP:
-				stack = append(stack, int(in.A))
-			case opJZ, opJNZ:
-				stack = append(stack, int(in.A), pc+1)
-			case opBARRIER, opRET:
-				// region boundary: do not continue
-			default:
-				stack = append(stack, pc+1)
-			}
-			switch in.Op {
-			case opLDGF, opLDGI:
-				r.accs = append(r.accs, wgAccess{pc: pc, idxReg: in.C, slot: in.B})
-			case opSTGF, opSTGI:
-				r.accs = append(r.accs, wgAccess{pc: pc, idxReg: in.C, slot: in.B, store: true})
-			case opLDLF, opLDLI:
-				r.accs = append(r.accs, wgAccess{pc: pc, idxReg: in.C, slot: in.B, local: true})
-			case opSTLF, opSTLI:
-				r.accs = append(r.accs, wgAccess{pc: pc, idxReg: in.C, slot: in.B, local: true, store: true})
-			}
-			// Private-array accesses are per-work-item storage and cannot
-			// interfere across items; the certificate ignores them.
-		}
-		wg.regions = append(wg.regions, r)
-	}
 }

@@ -14,7 +14,8 @@ import (
 // fallback (never wrong answers) on the shapes it must reject.
 
 // revSrc is the local-memory reversal kernel: one barrier, a __local array
-// written by local id and read reversed.
+// written by local id and read reversed. It stores to __local, so wg runs it
+// on the interpreter (local_store).
 const revSrc = `
 __kernel void rev(__global float* a, int n) {
     __local float tmp[16];
@@ -25,6 +26,26 @@ __kernel void rev(__global float* a, int n) {
     a[g] = tmp[15 - l] + 1.0f;
 }
 `
+
+// twoPhaseSrc is a barrier kernel over global memory only: every item writes
+// its own word of tmp, crosses the barrier and reads that word back. The
+// certificate admits it, so wg runs both barrier phases in lockstep.
+const twoPhaseSrc = `
+__kernel void twophase(__global float* in, __global float* tmp, __global float* out, int n) {
+    int g = get_global_id(0);
+    tmp[g] = in[g] * 0.5f;
+    barrier(CLK_GLOBAL_MEM_FENCE);
+    out[g] = tmp[g] + in[n - 1 - g];
+}
+`
+
+// twoPhaseArgs returns twoPhaseSrc's arguments for n work-items.
+func twoPhaseArgs(n int) func() []Arg {
+	return func() []Arg {
+		return []Arg{BufArg(floatBuf(n, func(i int) float32 { return float32(i)*0.5 - 3 })),
+			BufArg(make([]byte, 4*n)), BufArg(make([]byte, 4*n)), IntArg(int64(n))}
+	}
+}
 
 func floatBuf(n int, f func(i int) float32) []byte {
 	buf := make([]byte, 4*n)
@@ -68,6 +89,9 @@ func runWGParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) error
 	return nil
 }
 
+// TestWGBarrierParity: the __local reversal falls back group by group with
+// reason local_store and matches the interpreter; the global-only barrier
+// kernel runs both groups' barrier phases in lockstep and matches it too.
 func TestWGBarrierParity(t *testing.T) {
 	k := MustCompile(revSrc, "rev")
 	if k.wg == nil {
@@ -80,6 +104,17 @@ func TestWGBarrierParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := BackendSnapshot()
+	if got := after.WGRejects[WGRejLocalStore] - before.WGRejects[WGRejLocalStore]; got != 2 || after.WGLoopWGs != before.WGLoopWGs {
+		t.Errorf("__local kernel: %d local_store fallbacks, %d lockstep groups; want 2 and 0",
+			got, after.WGLoopWGs-before.WGLoopWGs)
+	}
+
+	k = MustCompile(twoPhaseSrc, "twophase")
+	before = BackendSnapshot()
+	if err := runWGParity(t, k, NewNDRange1D(32, 16), twoPhaseArgs(32)); err != nil {
+		t.Fatal(err)
+	}
+	after = BackendSnapshot()
 	if got := after.WGLoopWGs - before.WGLoopWGs; got != 2 {
 		t.Errorf("WGLoopWGs advanced by %d, want 2 (both groups on the lockstep engine)", got)
 	}
@@ -241,6 +276,37 @@ __kernel void axpy(__global float* x, __global float* y, int n) {
 	}
 	if got := BackendSnapshot().WGLoopWGs; got != before.WGLoopWGs {
 		t.Errorf("lockstep engine ran an aliased launch")
+	}
+}
+
+// TestWGOffsetOverlapFallback: two buffer arguments that are views of one
+// array at different offsets alias as surely as equal ones. y[g] = x[g] + 1
+// over x = mem[0:16], y = mem[1:17] (in words) carries each item's result to
+// the next item sequentially, which lockstep order cannot reproduce.
+func TestWGOffsetOverlapFallback(t *testing.T) {
+	k := MustCompile(`
+__kernel void carry(__global float* x, __global float* y) {
+    int g = get_global_id(0);
+    y[g] = x[g] + 1.0f;
+}
+`, "carry")
+	before := BackendSnapshot()
+	run := func(be Backend) []byte {
+		mem := make([]byte, 4*17)
+		if _, err := k.ExecLaunch(NewNDRange1D(16, 16),
+			[]Arg{BufArg(mem[0:64]), BufArg(mem[4:68])}, ExecOpts{Backend: be}); err != nil {
+			t.Fatal(err)
+		}
+		return mem
+	}
+	want := floatBuf(17, func(i int) float32 { return float32(i) })
+	for _, be := range []Backend{BackendInterp, BackendWG} {
+		if got := run(be); string(got) != string(want) {
+			t.Errorf("%v: got %v, want 0, 1, 2, ... 16", be, got)
+		}
+	}
+	if d := BackendSnapshot().WGRejects[WGRejAlias] - before.WGRejects[WGRejAlias]; d != 1 {
+		t.Errorf("%d alias fallbacks, want 1", d)
 	}
 }
 

@@ -25,6 +25,9 @@ type loopCase struct {
 	// verdict, when set, must appear in the disassembly of both variants.
 	verdict string
 	noGPU   bool // passes.TransformGPU does not take the kernel
+	// localStore: the kernel stores to __local, so wg must fall back with
+	// reason local_store and still match the interpreter.
+	localStore bool
 }
 
 // The strides live in variables: the jam's affine index group multiplies two
@@ -106,6 +109,12 @@ func runLoopCase(t *testing.T, c loopCase) {
 				t.Error(err)
 			}
 			after := BackendSnapshot()
+			if c.localStore {
+				if d := after.WGRejects[WGRejLocalStore] - before.WGRejects[WGRejLocalStore]; d != 4 || after.WGLoopWGs != before.WGLoopWGs {
+					t.Errorf("%d local_store fallbacks, %d lockstep groups; want 4 and 0", d, after.WGLoopWGs-before.WGLoopWGs)
+				}
+				return
+			}
 			if c.batched && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
 				t.Errorf("no dispatch ran a whole loop\n%s", k.Disasm())
 			}
@@ -166,8 +175,11 @@ func TestWGLoopTrackerState(t *testing.T) {
 }`},
 		// Every phase diverges, so from the second on the group's step
 		// budgets are per item and the closure runs one trip per dispatch —
-		// against state the previous phase's replay() must have cleared.
-		{name: "loop after a barrier", batched: true, single: true, noGPU: true, src: `
+		// against state the previous phase's replay() must have cleared. The
+		// kernel stores to __local, so it runs on the interpreter; the next
+		// case is the same loop around a barrier over global memory only,
+		// which runs in lockstep.
+		{name: "loop after a barrier", localStore: true, noGPU: true, src: `
 __kernel void t(__global float* out, __global float* in, __global int* ib, int n) {
     __local float tmp[8];
     int g = get_global_id(0);
@@ -180,6 +192,16 @@ __kernel void t(__global float* out, __global float* in, __global int* ib, int n
         tmp[l] = acc;
         barrier(CLK_LOCAL_MEM_FENCE);
         out[g] = tmp[l] + 1.0f;
+    }
+}`},
+		{name: "loop after a global-only barrier", batched: true, single: true, noGPU: true, src: loopSig + `
+    for (int o = 0; o < 3; o++) {
+        float acc = 0.25f;
+        for (int k = 0; k < 6; k++) { acc += in[g * rs + k] * in[k]; }
+        if (l < 3 + o) { acc = acc + in[l]; }
+        out[g + 64] = acc;
+        barrier(CLK_GLOBAL_MEM_FENCE);
+        out[g] = out[g + 64] + 1.0f;
     }
 }`},
 		// Named for what it drove while the per-step superinstructions existed:

@@ -3,14 +3,17 @@ package vm
 import (
 	"encoding/binary"
 	"testing"
+
+	"fluidicl/internal/analysis"
 )
 
-// Tests for the strided second-chance certificate and the per-reason
-// fallback counters.
+// Tests for the admission certificate and the per-reason fallback counters.
+// TestWGStridedSecondChance and TestWGSecondChanceBudget keep the names they
+// had when the strided certificate was a second chance after a bytecode one.
 
 // triSrc mirrors CORR's correlation kernel: a triangular scatter (diagonal
 // point, row run, strided column) whose store indices are three different
-// affine forms — far outside the identical-form certificate — but whose
+// affine forms — outside the certificate's one-slot fast path — but whose
 // per-work-item footprints are pairwise disjoint.
 const triSrc = `
 __kernel void tri(__global float* data, __global float* symmat, int m, int n) {
@@ -49,8 +52,11 @@ func TestWGStridedSecondChance(t *testing.T) {
 	if got := after.WGLoopWGs - before.WGLoopWGs; got != 2 {
 		t.Errorf("WGLoopWGs advanced by %d, want 2 (both groups in lockstep)", got)
 	}
-	if after.WGStridedWGs == before.WGStridedWGs {
-		t.Errorf("WGStridedWGs did not advance: admission did not come from the disjointness certificate")
+	// At budget 0 only the one-slot fast path can admit: the launch above
+	// was admitted by the pairwise test.
+	sh := analysis.LaunchShape{Dims: 1, Local: [3]int64{8, 1, 1}, NumGroups: [3]int64{2, 1, 1}, Count: [3]int64{2, 1, 1}}
+	if v := k.sum.CertifyGroupDisjoint(sh, []int64{0, 0, m, n}, 0); v.Reason != analysis.VerdictBudget {
+		t.Errorf("at budget 0: OK=%v reason %q, want the pairwise test's budget reject", v.OK, v.Reason)
 	}
 	if after.WGFallbackWGs != before.WGFallbackWGs {
 		t.Errorf("WGFallbackWGs advanced for a certified launch")
@@ -192,9 +198,8 @@ func TestWGSecondChanceBudget(t *testing.T) {
 	k := MustCompile(triSrc, "tri")
 	nd := NewNDRange1D(256*1024, 256)
 	args := []Arg{BufArg(nil), BufArg(nil), IntArg(256 * 1024), IntArg(8)}
-	ok, rej := k.wgSecondChance(nd, args)
-	if ok || rej != WGRejBudget {
-		t.Fatalf("huge shape: want budget reject, got ok=%v rej=%v", ok, rej)
+	if rej := k.wgDisjoint(nd, args); rej != WGRejBudget {
+		t.Fatalf("huge shape: want budget reject, got %v", rej)
 	}
 }
 
