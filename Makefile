@@ -66,7 +66,8 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem -benchtime=3x -run '^$$' .
 
-# Non-test Go lines per package under internal/ and cmd/ — the number the
+# Non-test Go lines per package under internal/ and cmd/ (internal/vmref is
+# test infrastructure no non-test code imports) — the number the
 # design-simplification ROADMAP items are judged by. (Performance is measured
 # with `bash bench/run.sh`, see bench/README.md.)
 loc:
@@ -94,8 +95,12 @@ loc:
 # (wgcert.go's wgCertify, its abstract values and transfer function) and the
 # per-region access lists it read are gone, and the strided disjointness
 # certificate, given a one-slot fast path in internal/analysis, admits every
-# launch the two did.
-VM_LOC_MAX = 6654
+# launch the two did. 6610 is that count with the random kernel generators
+# (gen.go, 296 lines, test infrastructure) moved out to internal/vmref, and
+# group-uniform steps (wguniform.go), the full-group store's once-per-step
+# bookkeeping and a per-site index that keeps the columnar log's broadcast
+# runs O(1) added in their place.
+VM_LOC_MAX = 6610
 loc-check:
 	@n=$$(find internal/vm -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	if [ $$n -gt $(VM_LOC_MAX) ]; then \

@@ -59,6 +59,22 @@ func main() {
 	if *parallel < 0 {
 		badFlag(fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or a positive number of concurrent table cells", *parallel))
 	}
+	// Only an experiment, all and hash write a -jsonout record; any other
+	// command would exit 0 without writing the file.
+	if *jsonOut != "" {
+		cmd := ""
+		switch {
+		case *traceOut != "":
+			cmd = "-trace"
+		case *dist:
+			cmd = "-dist"
+		case len(args) > 0 && (args[0] == "list" || args[0] == "run" || args[0] == "dump" || args[0] == "trace"):
+			cmd = args[0]
+		}
+		if cmd != "" {
+			badFlag(fmt.Errorf("-jsonout with %s: only an experiment, all and hash write a record", cmd))
+		}
+	}
 
 	if *traceOut != "" {
 		if *dist {

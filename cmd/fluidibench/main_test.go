@@ -35,7 +35,9 @@ func TestMain(m *testing.M) {
 func TestExitStatus(t *testing.T) {
 	const engines, topoCmds, cells = "want interp or wg", "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
 	const surplus, bench, oneBench = "unexpected arguments", "want a benchmark", "want one benchmark"
+	const record = "only an experiment, all and hash write a record"
 	tr := filepath.Join(t.TempDir(), "t.json") // written only if the checks before it fail
+	js := filepath.Join(t.TempDir(), "j.json")
 	for _, c := range []struct {
 		args, env string
 		want      int
@@ -67,6 +69,13 @@ func TestExitStatus(t *testing.T) {
 		{"-trace " + tr, "", 2, oneBench + ", got []"},
 		{"-trace " + tr + " SYRK GESUMMV", "", 2, oneBench + `, got ["SYRK" "GESUMMV"]`},
 		{"-quick -dist -trace " + tr + " SYRK", "", 2, "-trace with -dist: want one of them"},
+		{"-quick -jsonout " + js + " table1", "", 0, ""},
+		{"-jsonout " + js + " list", "", 2, "-jsonout with list: " + record},
+		{"-jsonout " + js + " run SYRK", "", 2, "-jsonout with run: " + record},
+		{"-jsonout " + js + " dump SYRK", "", 2, "-jsonout with dump: " + record},
+		{"-jsonout " + js + " trace BICG", "", 2, "-jsonout with trace: " + record},
+		{"-quick -jsonout " + js + " -dist", "", 2, "-jsonout with -dist: " + record},
+		{"-quick -jsonout " + js + " -trace " + tr + " SYRK", "", 2, "-jsonout with -trace: " + record},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)

@@ -10,6 +10,7 @@ import (
 	"fluidicl/internal/clc"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/vm"
+	"fluidicl/internal/vmref"
 )
 
 // Differential validation of the static analyzer against the VM's dynamic
@@ -23,7 +24,7 @@ func TestDynamicAccessWithinStaticSummary(t *testing.T) {
 	const trials = 120
 	n := 32
 	for seed := 0; seed < trials; seed++ {
-		src := vm.GenProgram(rand.New(rand.NewSource(int64(2000 + seed))))
+		src := vmref.GenProgram(rand.New(rand.NewSource(int64(2000 + seed))))
 
 		ps, err := analysis.AnalyzeSource(src, "gen")
 		if err != nil {

@@ -225,7 +225,9 @@ func TestClosureErrorParity(t *testing.T) {
 // pool). It runs the SYRK-shaped kernel as written and as the twin
 // GPU sees it (passes.TransformGPU); in both, the wg engine must execute the
 // loop through the reduction jam's loop closure, whose plans live in fixed
-// arrays and whose scalar register file lives on the stack.
+// arrays and whose scalar register file lives on the stack. It also runs
+// the GPU variant of BenchmarkExecLaunch's STREAM kernel under an undo log,
+// as the device does: group-uniform steps and the full-group store.
 func TestExecLaunchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -234,29 +236,43 @@ func TestExecLaunchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m, n = 8, 8
+	streamGPU, _, err := TransformedSources(StreamSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m, n, sn = 8, 8, 1024
 	a := make([]byte, 4*m*n)
 	c := make([]byte, 4*n*n)
 	args := []Arg{BufArg(a), BufArg(c), FloatArg(1.5), IntArg(m), IntArg(n)}
 	nd := NewNDRange2D(n, n, 4, 4)
+	words := func() Arg { return BufArg(make([]byte, 4*sn)) }
+	var log UndoLog
 	for _, v := range []struct {
-		name string
-		src  string
-		args []Arg
+		name, src, kernel string
+		nd                NDRange
+		args              []Arg
+		undo              *UndoLog
 	}{
-		{"source", fusedTestSrc, args},
-		{"gpuvar", gpuSrc, append(args[:len(args):len(args)], GPUAbortArgs(1, passes.NoCPUWork)...)},
+		{"source", fusedTestSrc, "syrk_like", nd, args, nil},
+		{"gpuvar", gpuSrc, "syrk_like", nd, append(args[:len(args):len(args)], GPUAbortArgs(1, passes.NoCPUWork)...), nil},
+		{"stream gpuvar, undo log", streamGPU, "stream", NewNDRange1D(sn, 256),
+			append([]Arg{words(), words(), words(), FloatArg(0.75), IntArg(sn)}, GPUAbortArgs(1, passes.NoCPUWork)...), &log},
 	} {
-		k := MustCompile(v.src, "syrk_like")
+		k := MustCompile(v.src, v.kernel)
 		for _, be := range []Backend{BackendInterp, BackendWG} {
 			run := func() {
-				if _, err := k.ExecLaunch(nd, v.args, ExecOpts{Backend: be}); err != nil {
+				if _, err := k.ExecLaunch(v.nd, v.args, ExecOpts{Backend: be, Undo: v.undo}); err != nil {
 					t.Fatal(err)
 				}
+				log.Reset()
 			}
-			loopsBefore := BackendSnapshot().WGLoopBatchesDyn
+			before := BackendSnapshot()
 			run() // warm the pools
-			if be == BackendWG && BackendSnapshot().WGLoopBatchesDyn == loopsBefore {
+			after := BackendSnapshot()
+			if be == BackendWG && after.WGFallbackWGs != before.WGFallbackWGs {
+				t.Errorf("%s: the wg launch fell back to the interpreter", v.name)
+			}
+			if be == BackendWG && v.kernel == "syrk_like" && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
 				t.Errorf("%s: the wg launch ran no loop closure", v.name)
 			}
 			if avg := testing.AllocsPerRun(20, run); avg >= 1 {

@@ -117,26 +117,27 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 	}}
 }
 
-// benchStream is the guarded one-word-per-work-item body bench/'s
-// stream-chunks workload runs (scale, axpy): no loop and no jam shape, so the
-// wg engine executes it on banked steps alone — the layer-level number for the
-// per-step tier, next to SCATTER's store loop.
-func benchStream(b *testing.B) []benchLaunch {
+// benchStream is vm.StreamSrc, the body bench/'s stream-chunks workload runs:
+// the layer-level number for the per-step tier, next to SCATTER's store
+// loop. With gpuVar it is what the twin GPU runs, the passes.TransformGPU
+// output, whose abort prologue is group-uniform steps only.
+func benchStream(b *testing.B, gpuVar bool) []benchLaunch {
 	b.Helper()
-	const src = `
-__kernel void stream(__global float* x, __global float* y, __global float* out, float a, int n) {
-    int i = get_global_id(0);
-    if (i < n) {
-        out[i] = a * x[i] + y[i];
-    }
-}
-`
+	src := vm.StreamSrc
+	var extra []vm.Arg
+	if gpuVar {
+		var err error
+		if src, _, err = vm.TransformedSources(src); err != nil {
+			b.Fatal(err)
+		}
+		extra = vm.GPUAbortArgs(1, passes.NoCPUWork)
+	}
 	const n = 1 << 16
 	buf := func() vm.Arg { return vm.BufArg(make([]byte, 4*n)) }
 	return []benchLaunch{{
 		k:    benchKernel(b, src, "stream"),
 		nd:   vm.NewNDRange1D(n, 256),
-		args: []vm.Arg{buf(), buf(), buf(), vm.FloatArg(0.75), vm.IntArg(n)},
+		args: append([]vm.Arg{buf(), buf(), buf(), vm.FloatArg(0.75), vm.IntArg(n)}, extra...),
 	}}
 }
 
@@ -191,44 +192,52 @@ func macs(launches []benchLaunch) int64 {
 // backend. The NAME/gpuvar/BACKEND rows run the GPU-transformed
 // kernels (see benchApp) next to the original-source ones, the
 // NAME/gpuvar/m=M rows the trip-count sweep (see benchTrips), the BICG rows
-// the app at its default size. Rows whose kernels are all reduction loops
-// also report ns/mac.
+// the app at its default size. STREAM/gpuvar logs every store in an undo
+// log, as the device does for the twin GPU's work-groups, and empties it
+// after each launch. Rows whose kernels are all reduction loops also report
+// ns/mac.
 func BenchmarkExecLaunch(b *testing.B) {
 	type row struct {
 		name     string
 		launches []benchLaunch
+		undo     bool
 	}
 	var rows []row
 	for _, name := range []string{"SYRK", "SYR2K", "GESUMMV", "2MM", "CORR"} {
-		rows = append(rows, row{name, benchApp(b, name, false)}, row{name + "/gpuvar", benchApp(b, name, true)})
+		rows = append(rows, row{name: name, launches: benchApp(b, name, false)}, row{name: name + "/gpuvar", launches: benchApp(b, name, true)})
 	}
 	for _, m := range []int{4, 64, 1024} {
-		rows = append(rows, row{fmt.Sprintf("SYRK/gpuvar/m=%d", m), benchTrips(b, "SYRK", m)})
+		rows = append(rows, row{name: fmt.Sprintf("SYRK/gpuvar/m=%d", m), launches: benchTrips(b, "SYRK", m)})
 	}
-	rows = append(rows, row{"SYR2K/gpuvar/m=1024", benchTrips(b, "SYR2K", 1024)})
+	rows = append(rows, row{name: "SYR2K/gpuvar/m=1024", launches: benchTrips(b, "SYR2K", 1024)})
 	// BICG at the paper's size: 768 trips in groups of 16 lanes, the shape
 	// where a trip's control costs more than its multiply-accumulates.
 	bicg := polybench.Bicg(768).App
-	rows = append(rows, row{"BICG", benchLower(b, bicg, false)}, row{"BICG/gpuvar", benchLower(b, bicg, true)})
-	rows = append(rows, row{"SCATTER", benchScatter(b)}, row{"STREAM", benchStream(b)})
+	rows = append(rows, row{name: "BICG", launches: benchLower(b, bicg, false)}, row{name: "BICG/gpuvar", launches: benchLower(b, bicg, true)})
+	rows = append(rows, row{name: "SCATTER", launches: benchScatter(b)}, row{name: "STREAM", launches: benchStream(b, false)},
+		row{name: "STREAM/gpuvar", launches: benchStream(b, true), undo: true})
 	for _, r := range rows {
 		launches := r.launches
 		for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendWG} {
 			b.Run(r.name+"/"+be.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				// Warm the scratch/engine pools before measuring.
-				for _, l := range launches {
-					if _, err := l.k.ExecLaunch(l.nd, l.args, vm.ExecOpts{Backend: be}); err != nil {
-						b.Fatal(err)
-					}
+				var log vm.UndoLog
+				opts := vm.ExecOpts{Backend: be}
+				if r.undo {
+					opts.Undo = &log
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				pass := func() {
 					for _, l := range launches {
-						if _, err := l.k.ExecLaunch(l.nd, l.args, vm.ExecOpts{Backend: be}); err != nil {
+						if _, err := l.k.ExecLaunch(l.nd, l.args, opts); err != nil {
 							b.Fatal(err)
 						}
+						log.Reset()
 					}
+				}
+				pass() // warm the scratch/engine pools and the log before measuring
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
 				}
 				if n := macs(launches); n > 0 {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n), "ns/mac")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fluidicl/internal/clc"
+	"fluidicl/internal/vmref"
 )
 
 // The differential suite of diff_test.go, run on what the twin protocol's
@@ -135,7 +136,7 @@ func TestDifferentialGPUVariant(t *testing.T) {
 
 	const n = 32
 	for seed := 0; seed < 40; seed++ {
-		src, _, err := TransformedSources(GenProgram(rand.New(rand.NewSource(int64(5000 + seed)))))
+		src, _, err := TransformedSources(vmref.GenProgram(rand.New(rand.NewSource(int64(5000 + seed)))))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -157,7 +158,7 @@ func TestDifferentialGPUVariant(t *testing.T) {
 	var leaves [3]int // accumulators per leaf: wgDot1, wgDot2, wgChain
 	for seed := 0; seed < 60; seed++ {
 		r := rand.New(rand.NewSource(int64(6000 + seed)))
-		orig := GenReduction(r)
+		orig := vmref.GenReduction(r)
 		gpu, _, err := TransformedSources(orig)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

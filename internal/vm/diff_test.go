@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fluidicl/internal/clc"
+	"fluidicl/internal/vmref"
 )
 
 // Differential testing: generate random MiniCL kernels, execute them through
@@ -26,7 +27,7 @@ import (
 func diffSeed(tb testing.TB, seed int64) {
 	tb.Helper()
 	const n = 32
-	src := GenProgram(rand.New(rand.NewSource(seed)))
+	src := vmref.GenProgram(rand.New(rand.NewSource(seed)))
 
 	ki, err := clc.FindKernelInfo(src, "diff")
 	if err != nil {
@@ -137,7 +138,7 @@ func TestDifferentialUndoRollback(t *testing.T) {
 	const trials = 25
 	n := 32
 	for seed := 0; seed < trials; seed++ {
-		src := GenProgram(rand.New(rand.NewSource(int64(1000 + seed))))
+		src := vmref.GenProgram(rand.New(rand.NewSource(int64(1000 + seed))))
 		ki, err := clc.FindKernelInfo(src, "diff")
 		if err != nil {
 			t.Fatal(err)
@@ -182,8 +183,7 @@ func TestDifferentialPrintedSourceRoundTrip(t *testing.T) {
 	const trials = 40
 	n := 32
 	for seed := 0; seed < trials; seed++ {
-		g := &progGen{r: rand.New(rand.NewSource(int64(2000 + seed)))}
-		src := g.generate()
+		src := vmref.GenProgram(rand.New(rand.NewSource(int64(2000 + seed))))
 		prog, err := clc.Parse(src)
 		if err != nil {
 			t.Fatal(err)

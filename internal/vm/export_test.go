@@ -45,6 +45,18 @@ func TransformedSources(src string) (gpu, cpu string, err error) {
 	return clc.Print(g), clc.Print(c), nil
 }
 
+// StreamSrc is the guarded one-word-per-work-item body bench/'s stream-chunks
+// workload runs (scale, axpy): no loop and no jam shape, so the wg engine
+// executes it on banked steps alone.
+const StreamSrc = `
+__kernel void stream(__global float* x, __global float* y, __global float* out, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        out[i] = a * x[i] + y[i];
+    }
+}
+`
+
 // GPUAbortArgs returns the two arguments TransformGPU appends: a status
 // buffer naming kernel kid with CPU completion from flattened group
 // doneFrom upward (passes.NoCPUWork: the abort never fires), and kid.
@@ -159,6 +171,23 @@ func (k *Kernel) WGLeaves() (n [3]int) {
 		}
 	}
 	return n
+}
+
+// WGUniformPCs returns the pcs of k's group-uniform steps (wguniform.go) and,
+// of those, the ones whose result a full-group dispatch copies to every lane.
+func (k *Kernel) WGUniformPCs() (uniform, bcast []int) {
+	if k.wg == nil || k.wg.iOut == nil {
+		return nil, nil
+	}
+	for pc, c := range k.wgUniform(k.wg) {
+		if c != uLanes {
+			uniform = append(uniform, pc)
+		}
+		if c == uBcast {
+			bcast = append(bcast, pc)
+		}
+	}
+	return uniform, bcast
 }
 
 // wgBlocks lists k's compiled blocks in pc order.

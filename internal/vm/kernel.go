@@ -334,21 +334,27 @@ type UndoLog struct {
 }
 
 // store writes bits at buf[off:], first recording the word it overwrites
-// when there is a log (u may be nil). A kernel stores to a handful of
-// buffers, so the log's table is searched linearly, newest first.
+// when there is a log (u may be nil).
 func (u *UndoLog) store(buf []byte, off int32, bits uint32) {
 	if u != nil {
-		bi := len(u.bufs) - 1
-		for bi >= 0 && (&u.bufs[bi][0] != &buf[0] || len(u.bufs[bi]) != len(buf)) {
-			bi--
-		}
-		if bi < 0 {
-			bi = len(u.bufs)
-			u.bufs = append(u.bufs, buf)
-		}
-		u.recs = append(u.recs, UndoRecord{Buf: int32(bi), Off: off, Old: [4]byte(buf[off : off+4])})
+		u.recs = append(u.recs, UndoRecord{Buf: u.index(buf), Off: off, Old: [4]byte(buf[off : off+4])})
 	}
 	binary.LittleEndian.PutUint32(buf[off:], bits)
+}
+
+// index returns the table entry of the non-empty buffer buf, adding it on
+// first sight. A kernel stores to a handful of buffers, so the table is
+// searched linearly, newest first.
+func (u *UndoLog) index(buf []byte) int32 {
+	bi := len(u.bufs) - 1
+	for bi >= 0 && (&u.bufs[bi][0] != &buf[0] || len(u.bufs[bi]) != len(buf)) {
+		bi--
+	}
+	if bi < 0 {
+		bi = len(u.bufs)
+		u.bufs = append(u.bufs, buf)
+	}
+	return int32(bi)
 }
 
 // Rollback undoes all recorded stores, newest first, and resets the log.

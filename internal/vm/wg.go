@@ -41,6 +41,9 @@ type wblock struct {
 	body   int   // end of the block body (terminator excluded)
 	nInstr int64 // step-budget charge per work-item
 	steps  []wstep
+	// once is steps with every group-uniform step run once (wguniform.go),
+	// what a full-group dispatch runs; nil when the block has none.
+	once []wstep
 	// cls holds each step's Stats class (optab.go) and ops counts them: the
 	// dispatcher books a set's op counts per block, not per step.
 	cls []opClass
@@ -76,9 +79,10 @@ type wgProgram struct {
 	// loops lists the loop verdict of every fused reduction body (wgloop.go),
 	// spanning the body; Name is the whole disassembly annotation.
 	loops []FusedSpan
-	// iIn and iOut are the int registers live into and out of each block, by
-	// leader pc (wgLiveness over the whole kernel; nil for wide register files).
-	iIn, iOut map[int]uint64
+	// iIn and iOut are the int registers live into and out of each block,
+	// fOut the float registers live out of it, by leader pc (wgLiveness over
+	// the whole kernel; nil for wide register files).
+	iIn, iOut, fOut map[int]uint64
 }
 
 // buildWG compiles the whole-work-group program from the well-formed bytecode
@@ -136,6 +140,9 @@ func (k *Kernel) buildWG() {
 
 	wg := &wgProgram{blocks: blocks, regions: regions, spans: spans}
 	k.fuseWG(wg)
+	if wg.iOut != nil {
+		k.hoistUniform(wg)
+	}
 	k.wg = wg
 	backendCtr.wgKernels.Add(1)
 	backendCtr.wgRegions.Add(int64(len(wg.regions)))
@@ -187,7 +194,11 @@ func (k *Kernel) buildWBlock(start, end int) *wblock {
 // runSteps runs the block's steps over set and books their op counts: all
 // of them, or, when a step fails, those of the steps before it.
 func (b *wblock) runSteps(m *wmach, set []int32) bool {
-	for i, stp := range b.steps {
+	steps := b.steps
+	if m.full && b.once != nil {
+		steps = b.once
+	}
+	for i, stp := range steps {
 		if !stp(m, set) {
 			var ran opCounts
 			for _, c := range b.cls[:i] {

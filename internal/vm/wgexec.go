@@ -111,8 +111,11 @@ type wmach struct {
 	// the entries into rec and clears uniform. So a phase has two log states
 	// and the invariant is: uniform iff rec is empty and the entries, in
 	// order, are every item's access stream, site by site in program order.
+	// colAt[id] is one more than the index in cols of site id's latest entry,
+	// 0 while it has none.
 	cols   []wgCol
 	colBuf []int32
+	colAt  []int32
 
 	// fuse selects the fused plans (wgfuse.go) for this group; resolved once
 	// at group entry from SetWGFuse and from views, the arguments' buffers as
@@ -188,6 +191,7 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	}
 	m.lastB = grow(m.lastB, k.NumMemOps*n)
 	m.seenB = sized(m.seenB, k.NumMemOps*n)
+	m.colAt = sized(m.colAt, k.NumMemOps)
 	m.free = append(m.free, m.work...)
 	m.work = m.work[:0]
 	m.parked, m.done = 0, 0
@@ -274,24 +278,22 @@ func (m *wmach) recAcc(t int32, id, off int32) {
 }
 
 // recUniform records one global access all n work-items made at the same
-// offset (a load in a loop's control skeleton, wgloop.go, which is only
-// walked for a full group, so the phase is uniform). That is O(1): the access
-// extends the site's latest entry when that is a broadcast of the same
-// offset, and starts a new run otherwise.
+// offset (loadOnce: a group-uniform load, or one in a loop's control
+// skeleton, wgloop.go; both only for a full group, so the phase is uniform).
+// That is O(1): the access extends the site's latest entry (colAt) when that
+// is a broadcast of the same offset, and starts a new run otherwise.
 func (m *wmach) recUniform(id, off int32) {
 	if id < 0 {
 		return
 	}
-	for j := len(m.cols) - 1; j >= 0; j-- {
-		if c := &m.cols[j]; c.id == id {
-			if c.run > 0 && c.at == off && c.run < math.MaxInt32 {
-				c.run++
-				return
-			}
-			break
+	if j := m.colAt[id] - 1; j >= 0 {
+		if c := &m.cols[j]; c.run > 0 && c.at == off && c.run < math.MaxInt32 {
+			c.run++
+			return
 		}
 	}
 	m.cols = append(m.cols, wgCol{id: id, at: off, run: 1})
+	m.colAt[id] = int32(len(m.cols))
 }
 
 // colFor appends a new access column for one dynamic global access of
@@ -309,7 +311,15 @@ func (m *wmach) colFor(id int32) []int32 {
 		m.colBuf = m.colBuf[:need]
 	}
 	m.cols = append(m.cols, wgCol{id: id, at: int32(at)})
+	m.colAt[id] = int32(len(m.cols))
 	return m.colBuf[at:need]
+}
+
+// clearCols empties the columnar log.
+func (m *wmach) clearCols() {
+	m.cols = m.cols[:0]
+	m.colBuf = m.colBuf[:0]
+	clear(m.colAt)
 }
 
 // colFlush transposes the columnar log into the per-item rec streams,
@@ -329,8 +339,7 @@ func (m *wmach) colFlush() {
 			}
 		}
 	}
-	m.cols = m.cols[:0]
-	m.colBuf = m.colBuf[:0]
+	m.clearCols()
 	m.uniform = false
 }
 
@@ -429,8 +438,7 @@ func (m *wmach) replayCols() {
 			m.bookCol(int(c.id), nil, c.at, int64(c.run))
 		}
 	}
-	m.cols = m.cols[:0]
-	m.colBuf = m.colBuf[:0]
+	m.clearCols()
 	// The banked stride state is per phase, like the memTracker's (nextWI
 	// resets it for every item at each phase boundary).
 	clear(m.seenB)
@@ -521,8 +529,7 @@ func (m *wmach) runGroup() error {
 		m.parked, m.barrierPC = 0, -1
 		m.uniform = true
 		m.booked = false
-		m.cols = m.cols[:0]
-		m.colBuf = m.colBuf[:0]
+		m.clearCols()
 		s := m.takeSet(entry)
 		for t := 0; t < n; t++ {
 			s.items = append(s.items, int32(t))

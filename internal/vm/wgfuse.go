@@ -201,9 +201,8 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 	var nBlocks, nSteps, nFallback int64
 	var nRej [wgFuseRejCount]int64
 	wide := k.NumI > 64 || k.NumF > 64
-	var fOut map[int]uint64
 	if !wide {
-		wg.iIn, wg.iOut, fOut = k.wgLiveness(wg, nil)
+		wg.iIn, wg.iOut, wg.fOut = k.wgLiveness(wg, nil)
 	}
 	for _, blk := range wg.blocks {
 		if blk == nil {
@@ -215,7 +214,7 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 		}
 		rej := wgNoFuse{why: WGFuseRejWideRegs}
 		if !wide {
-			blk.red, rej = k.wgfuseReduce(wg, blk, wg.iOut[blk.start], fOut[blk.start])
+			blk.red, rej = k.wgfuseReduce(wg, blk, wg.iOut[blk.start], wg.fOut[blk.start])
 		}
 		if blk.red != nil {
 			wg.fused = append(wg.fused, FusedSpan{Start: blk.start, Len: body, Name: "wg.fuse"})

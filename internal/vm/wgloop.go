@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -415,15 +414,11 @@ func (lp *wgLoop) walk(m *wmach) (trips int64, exit int, defd uint64, ok bool) {
 			switch op.op {
 			case opIMOV:
 			case opLDGI:
-				buf := m.args[op.slot].Buf
-				off, err := byteOff(y, len(buf))
-				if err != nil {
-					m.err = &execError{m.k.Name, op.pc, fmt.Sprintf("load %s: %v", m.k.Params[op.slot].Name, err)}
+				bits, ok := m.loadOnce(op.pc, op.slot, op.mem, y)
+				if !ok {
 					return 0, 0, 0, false
 				}
-				x = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
-				m.st.noteGlobalRead(op.slot)
-				m.recUniform(op.mem, off)
+				x = int64(int32(bits))
 			case opIADD:
 				x += y
 			case opISUB:

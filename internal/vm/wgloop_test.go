@@ -480,7 +480,7 @@ func TestWGLoopWalkExits(t *testing.T) {
 // matter, a column or another offset of its own site ends the run — and
 // colFlush expands every run into each item's stream.
 func TestWGUniformLoadRuns(t *testing.T) {
-	m := &wmach{n: 2, uniform: true, rec: make([][]wgAcc, 2)}
+	m := &wmach{n: 2, uniform: true, rec: make([][]wgAcc, 2), colAt: make([]int32, 5)}
 	for i := 0; i < 5; i++ {
 		m.recUniform(3, 8)
 	}

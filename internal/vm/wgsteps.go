@@ -13,10 +13,12 @@ import (
 // looped over every work-item in the set against the SoA banks, with
 // operands decoded once at build time. Order-independent counters are
 // batched: ALU op counts per block dispatch (wblock.runSteps books
-// wblock.ops), byte totals and masks per set; per-offset ones (write
-// bounds, the undo log, tracker records) stay inside the item loop. A block
-// is one step per instruction; the one place several instructions become
-// one loop is the reduction jam (wgfuse.go).
+// wblock.ops), byte totals and masks per set, and, on a full-group store,
+// the write bounds as one min/max; per-offset ones (the undo log's records,
+// tracker records) stay inside the item loop. A block is one step per
+// instruction; the one place several instructions become one loop is the
+// reduction jam (wgfuse.go). A group-uniform step runs once per full-group
+// dispatch (wguniform.go).
 //
 // An ALU step is built from its opcode's row (optab.go) by signature and
 // calls the row's function once per lane. Eleven opcodes keep their
@@ -436,7 +438,10 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 		cnt := int64(len(set))
 		if m.full {
 			// Uniform full-group fast path: subslice banks, columnar access
-			// recording; the undo log is handled inline.
+			// recording, undo records appended inline under one table index
+			// (looked up once the first lane's offset is known good: an empty
+			// buffer has no first byte), and the write bounds folded over the
+			// lanes that stored, noted once, trap or not.
 			cnt = int64(n)
 			sl := ib[cb : cb+n]
 			var col []int32
@@ -444,11 +449,15 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				col = m.colFor(memID)
 			}
 			u := m.undo
-			for t := range sl {
+			var bi int32
+			var bad error
+			lo, hi := int32(math.MaxInt32), int32(0)
+			t := 0
+			for ; t < len(sl); t++ {
 				off, err := byteOff(sl[t], len(buf))
 				if err != nil {
-					m.err = &execError{m.k.Name, pc, fmt.Sprintf("store %s: %v", name, err)}
-					return false
+					bad = err
+					break
 				}
 				var bits uint32
 				if isF {
@@ -456,11 +465,25 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				} else {
 					bits = uint32(int32(ib[ab+t]))
 				}
-				u.store(buf, off, bits)
-				st.noteGlobalWrite(slot, off)
+				if u != nil {
+					if t == 0 {
+						bi = u.index(buf)
+					}
+					u.recs = append(u.recs, UndoRecord{Buf: bi, Off: off, Old: [4]byte(buf[off : off+4])})
+				}
+				binary.LittleEndian.PutUint32(buf[off:], bits)
+				lo, hi = min(lo, off), max(hi, off)
 				if col != nil {
 					col[t] = off
 				}
+			}
+			if t > 0 {
+				st.noteGlobalWrite(slot, lo)
+				st.noteGlobalWrite(slot, hi)
+			}
+			if bad != nil {
+				m.err = &execError{m.k.Name, pc, fmt.Sprintf("store %s: %v", name, bad)}
+				return false
 			}
 		} else {
 			for _, t := range set {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,11 +192,15 @@ func (r trapRow) wantTrap(loads []trapLoad) string {
 	return ""
 }
 
-// runTrapParity executes the launch group by group with an undo log on the
-// interpreter and on wg. The two must agree on every buffer byte and on the
-// error, text and pc included; after a trap, rolling the group back must
-// restore its buffers. It returns the error.
-func runTrapParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) error {
+// runTrapParity executes the launch group by group on the interpreter and on
+// wg, each group under its own undo log, and requires that wg ran every group
+// in lockstep. The engines must agree on the error, text and pc included, and
+// on an error-free group on every buffer byte and the full Stats; after a
+// trap, rolling back must restore the buffers. With exact, the kernel's
+// work-items store the same words in the same order on both engines, so the
+// undo logs and, after a trap too, the write bounds must be equal. It returns
+// the error.
+func runTrapParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, exact bool) error {
 	t.Helper()
 	snap := func(args []Arg) string {
 		var s string
@@ -208,10 +213,23 @@ func runTrapParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) err
 	for g := 0; g < nd.LaunchGroups(); g++ {
 		before := snap(argsI)
 		var logI, logW UndoLog
-		_, errI := k.ExecWorkGroup(nd, nd.GroupAt(g), argsI, ExecOpts{Backend: BackendInterp, Undo: &logI})
-		_, errW := k.ExecWorkGroup(nd, nd.GroupAt(g), argsW, ExecOpts{Backend: BackendWG, Undo: &logW})
+		lockstep := BackendSnapshot().WGLoopWGs
+		stI, errI := k.ExecWorkGroup(nd, nd.GroupAt(g), argsI, ExecOpts{Backend: BackendInterp, Undo: &logI})
+		stW, errW := k.ExecWorkGroup(nd, nd.GroupAt(g), argsW, ExecOpts{Backend: BackendWG, Undo: &logW})
+		if BackendSnapshot().WGLoopWGs == lockstep {
+			t.Fatalf("group %d fell back to the interpreter", g)
+		}
 		if fmt.Sprint(errI) != fmt.Sprint(errW) {
 			t.Fatalf("group %d: errors differ\ninterp: %v\nwg:     %v", g, errI, errW)
+		}
+		if exact {
+			if !reflect.DeepEqual(logI.recs, logW.recs) || len(logI.bufs) != len(logW.bufs) {
+				t.Fatalf("group %d: undo logs differ\ninterp: %v\nwg:     %v", g, logI.recs, logW.recs)
+			}
+			if stI.ParamWriteMask != stW.ParamWriteMask || stI.WrLo != stW.WrLo || stI.WrHi != stW.WrHi {
+				t.Fatalf("group %d: write bounds differ\ninterp: %#x %v %v\nwg:     %#x %v %v", g,
+					stI.ParamWriteMask, stI.WrLo, stI.WrHi, stW.ParamWriteMask, stW.WrLo, stW.WrHi)
+			}
 		}
 		if errW != nil {
 			logI.Rollback()
@@ -223,6 +241,9 @@ func runTrapParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) err
 		}
 		if snap(argsI) != snap(argsW) {
 			t.Fatalf("group %d: buffers differ between interp and wg", g)
+		}
+		if stI != stW {
+			t.Fatalf("group %d: Stats differ\ninterp: %+v\nwg:     %+v", g, stI, stW)
 		}
 	}
 	return nil
@@ -295,7 +316,7 @@ func TestWGLoopTrapParity(t *testing.T) {
 						return append([]Arg{BufArg(make([]byte, 4*16)), BufArg(floatBuf(r.wa, val)), BufArg(floatBuf(r.wb, val)),
 							IntArg(r.m), IntArg(r.b0), IntArg(r.r0), IntArg(r.s0), IntArg(r.b1), IntArg(r.r1), IntArg(r.s1),
 							FloatArg(1.25)}, v.extra...)
-					})
+					}, false)
 					want := r.wantTrap(shape.loads)
 					if got := fmt.Sprint(err); (want == "") != (err == nil) || !strings.Contains(got, want) {
 						t.Errorf("got error %v, want %q", err, want)

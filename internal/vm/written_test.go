@@ -11,6 +11,7 @@ import (
 	"fluidicl/internal/passes"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/vm"
+	"fluidicl/internal/vmref"
 )
 
 // TestStoresGoThroughWrittenParams pins the invariant ocl's shared device
@@ -80,7 +81,7 @@ func TestStoresGoThroughWrittenParams(t *testing.T) {
 		transformed(f, string(src))
 	}
 	for seed := 0; seed < 2000; seed++ {
-		check(fmt.Sprintf("generated seed %d", seed), vm.GenProgram(rand.New(rand.NewSource(int64(seed)))))
+		check(fmt.Sprintf("generated seed %d", seed), vmref.GenProgram(rand.New(rand.NewSource(int64(seed)))))
 	}
 	if stores == 0 {
 		t.Fatal("no global store was checked")

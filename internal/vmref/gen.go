@@ -1,8 +1,10 @@
-package vm
-
-// Random MiniCL kernel generation, shared by the VM's differential test
+// Package vmref holds the test infrastructure that judges the VM: random
+// MiniCL kernel generation, shared by the VM's differential tests
 // (compiler+VM vs the independent AST interpreter) and the analyzer's
-// differential test (dynamic access sets vs static summaries).
+// differential test (dynamic access sets vs static summaries). It does not
+// import the VM, so the VM's own in-package tests can import it; no non-test
+// code does.
+package vmref
 
 import (
 	"fmt"
@@ -164,9 +166,39 @@ func (g *progGen) boolExpr(depth int) string {
 	}
 }
 
+// safeIndex produces an in-range buffer index: half the time the work-item's
+// own word, which leaves a kernel the lockstep engine may admit, otherwise
+// any word.
+func (g *progGen) safeIndex() string {
+	if g.r.Intn(2) == 0 {
+		return "i"
+	}
+	return fmt.Sprintf("abs(%s) %% n", g.intExpr(1))
+}
+
+// groupExpr produces a random group-uniform int expression: group ids, group
+// counts, the local size, p1 and constants under +, - and *.
+func (g *progGen) groupExpr(depth int) string {
+	if depth <= 0 || g.r.Intn(3) == 0 {
+		switch g.r.Intn(5) {
+		case 0:
+			return fmt.Sprintf("get_group_id(%d)", g.r.Intn(2))
+		case 1:
+			return fmt.Sprintf("get_num_groups(%d)", g.r.Intn(2))
+		case 2:
+			return "get_local_size(0)"
+		case 3:
+			return "p1"
+		default:
+			return fmt.Sprintf("%d", g.r.Intn(21)-10)
+		}
+	}
+	return fmt.Sprintf("(%s %s %s)", g.groupExpr(depth-1), []string{"+", "-", "*"}[g.r.Intn(3)], g.groupExpr(depth-1))
+}
+
 func (g *progGen) stmts(budget int) {
 	for s := 0; s < budget; s++ {
-		switch g.r.Intn(10) {
+		switch g.r.Intn(11) {
 		case 0, 1:
 			v := g.freshVar()
 			g.w("int %s = %s;", v, g.intExpr(2))
@@ -228,10 +260,26 @@ func (g *progGen) stmts(budget int) {
 				g.depth--
 			}
 		case 8:
-			// Buffer update at a safe index.
-			g.w("fbuf[abs(%s) %% n] = %s;", g.intExpr(1), g.floatExpr(2))
+			g.w("fbuf[%s] = %s;", g.safeIndex(), g.floatExpr(2))
 		case 9:
-			g.w("ibuf[abs(%s) %% n] = %s;", g.intExpr(1), g.intExpr(2))
+			g.w("ibuf[%s] = %s;", g.safeIndex(), g.intExpr(2))
+		case 10:
+			// A group-uniform value on one arm of an if whose condition is
+			// uniform (on p1) or divergent (on the global id); the final
+			// store reads u after the join.
+			g.w("u = %s;", g.intExpr(1))
+			switch g.r.Intn(3) {
+			case 0:
+				g.w("if (p1 > %d) {", g.r.Intn(13)-6)
+			case 1:
+				g.w("if (i < %d) {", g.r.Intn(40))
+			default:
+				g.w("if (i %% %d == 0) {", g.r.Intn(3)+2)
+			}
+			g.indent++
+			g.w("u = %s;", g.groupExpr(2))
+			g.indent--
+			g.w("}")
 		}
 	}
 }
@@ -246,9 +294,10 @@ func (g *progGen) generate() string {
 	g.ints = []string{"i", "n", "p1"}
 	g.nROInt = 2 // i and n are read-only (index and divisor safety)
 	g.floats = []string{"fp"}
+	g.w("int u = 0;")
 	g.stmts(8)
 	g.w("fbuf[i] = %s;", g.floatExpr(3))
-	g.w("ibuf[i] = %s;", g.intExpr(3))
+	g.w("ibuf[i] = %s + u;", g.intExpr(3))
 	g.indent--
 	g.w("}")
 	g.indent--
