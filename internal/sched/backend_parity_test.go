@@ -16,6 +16,7 @@ import (
 	"fluidicl/internal/sched"
 	"fluidicl/internal/trace"
 	"fluidicl/internal/vm"
+	"fluidicl/internal/vmref"
 )
 
 // TestCorrFullyCertifiedWG pins the strided certificate's headline win:
@@ -143,13 +144,17 @@ func TestWGFallbackRunsInterp(t *testing.T) {
 		t.Errorf("Stats diverge:\ninterp: %+v\nwg:     %+v", interpStats, wgStats)
 	}
 
-	ref, err := vm.NewRefExec(ki)
+	ref, err := vmref.NewRefExec(ki)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refArgs := mkArgs()
+	var rargs []vmref.Arg // vmref's own argument type: it imports nothing of vm
+	for _, a := range refArgs {
+		rargs = append(rargs, vmref.Arg{I: a.I, F: a.F, Buf: a.Buf})
+	}
 	for g := 0; g < nd.LaunchGroups(); g++ {
-		if err := ref.ExecWorkGroup(nd, nd.GroupAt(g), refArgs); err != nil {
+		if err := ref.ExecWorkGroup(vmref.Range{Dims: nd.Dims, LocalSize: nd.LocalSize, NumGroups: nd.NumGroups}, nd.GroupAt(g), rargs); err != nil {
 			t.Fatal(err)
 		}
 	}

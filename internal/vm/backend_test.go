@@ -219,6 +219,18 @@ func TestClosureErrorParity(t *testing.T) {
 	})
 }
 
+// triangularSrc is corr_kernel4's shape: lane j1 runs j2 from j1+1 to m, each
+// j2 an n-trip reduction.
+const triangularSrc = `
+__kernel void tri(__global float* data, __global float* sym, int m, int n) {
+    int j1 = get_global_id(0);
+    for (int j2 = j1 + 1; j2 < m; j2++) {
+        float acc = 0.0f;
+        for (int k = 0; k < n; k++) { acc += data[k * m + j1] * data[k * m + j2]; }
+        sym[j1 * m + j2] = acc;
+    }
+}`
+
 // TestExecLaunchAllocs guards the scratch/engine pooling: after warm-up,
 // repeated sequential launches must not allocate per work-group (wiState,
 // memTracker, locals and the wg machine all come from the kernel's scratch
@@ -227,7 +239,9 @@ func TestClosureErrorParity(t *testing.T) {
 // loop through the reduction jam's loop closure, whose plans live in fixed
 // arrays and whose scalar register file lives on the stack. It also runs
 // the GPU variant of BenchmarkExecLaunch's STREAM kernel under an undo log,
-// as the device does: group-uniform steps and the full-group store.
+// as the device does: group-uniform steps and the full-group store; and
+// corr_kernel4's triangular shape, both variants, whose inner loops run for
+// ever fewer lanes of a group, their loads appended to per-lane streams.
 func TestExecLaunchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -239,6 +253,14 @@ func TestExecLaunchAllocs(t *testing.T) {
 	streamGPU, _, err := TransformedSources(StreamSrc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	triGPU, _, err := TransformedSources(triangularSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tm, tn = 16, 8
+	triArgs := func() []Arg {
+		return []Arg{BufArg(make([]byte, 4*tm*tn)), BufArg(make([]byte, 4*tm*tm)), IntArg(tm), IntArg(tn)}
 	}
 	const m, n, sn = 8, 8, 1024
 	a := make([]byte, 4*m*n)
@@ -257,6 +279,8 @@ func TestExecLaunchAllocs(t *testing.T) {
 		{"gpuvar", gpuSrc, "syrk_like", nd, append(args[:len(args):len(args)], GPUAbortArgs(1, passes.NoCPUWork)...), nil},
 		{"stream gpuvar, undo log", streamGPU, "stream", NewNDRange1D(sn, 256),
 			append([]Arg{words(), words(), words(), FloatArg(0.75), IntArg(sn)}, GPUAbortArgs(1, passes.NoCPUWork)...), &log},
+		{"triangular", triangularSrc, "tri", NewNDRange1D(tm, 8), triArgs(), nil},
+		{"triangular gpuvar", triGPU, "tri", NewNDRange1D(tm, 8), append(triArgs(), GPUAbortArgs(1, passes.NoCPUWork)...), nil},
 	} {
 		k := MustCompile(v.src, v.kernel)
 		for _, be := range []Backend{BackendInterp, BackendWG} {
@@ -266,14 +290,17 @@ func TestExecLaunchAllocs(t *testing.T) {
 				}
 				log.Reset()
 			}
-			before := BackendSnapshot()
+			before, partial := BackendSnapshot(), PartialLoopBatches()
 			run() // warm the pools
 			after := BackendSnapshot()
 			if be == BackendWG && after.WGFallbackWGs != before.WGFallbackWGs {
 				t.Errorf("%s: the wg launch fell back to the interpreter", v.name)
 			}
-			if be == BackendWG && v.kernel == "syrk_like" && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
+			if be == BackendWG && v.kernel != "stream" && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
 				t.Errorf("%s: the wg launch ran no loop closure", v.name)
+			}
+			if be == BackendWG && v.kernel == "tri" && PartialLoopBatches() == partial {
+				t.Errorf("%s: the wg launch ran no loop closure for part of a group", v.name)
 			}
 			if avg := testing.AllocsPerRun(20, run); avg >= 1 {
 				t.Errorf("%s/%v: ExecLaunch allocates %.1f allocs/op after warm-up", v.name, be, avg)

@@ -79,14 +79,14 @@ func diffFiveWay(t *testing.T, label, src, name string, nd NDRange, mkArgs func(
 	if err != nil {
 		t.Fatalf("%s: compile: %v\n%s", label, err, src)
 	}
-	ref, err := NewRefExec(ki)
+	ref, err := vmref.NewRefExec(ki)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refArgs := mkArgs()
 	var refErr error
 	for g := 0; g < nd.LaunchGroups() && refErr == nil; g++ {
-		refErr = ref.ExecWorkGroup(nd, nd.GroupAt(g), refArgs)
+		refErr = RefWorkGroup(ref, nd, nd.GroupAt(g), refArgs)
 	}
 	var refBufs string
 	for _, a := range refArgs {
@@ -129,7 +129,7 @@ func diffFiveWay(t *testing.T, label, src, name string, nd NDRange, mkArgs func(
 }
 
 func TestDifferentialGPUVariant(t *testing.T) {
-	before := BackendSnapshot()
+	before, partial := BackendSnapshot(), PartialLoopBatches()
 	// Four groups; the CPU "has completed" groups 2 and 3, so they abort at
 	// the entry check while 0 and 1 poll the buffer in their loops and run on.
 	abort := func() []Arg { return GPUAbortArgs(7, 2) }
@@ -151,7 +151,10 @@ func TestDifferentialGPUVariant(t *testing.T) {
 			return append([]Arg{BufArg(fb), BufArg(ib), IntArg(n), IntArg(int64(seed%13 - 6)), FloatArg(float64(seed%17)/3 - 2)}, abort()...)
 		})
 	}
-	mid := BackendSnapshot()
+	mid, midPartial := BackendSnapshot(), PartialLoopBatches()
+	if midPartial == partial {
+		t.Error("no GPU-transformed GenProgram seed ran a whole loop for part of a work-group; generator drifted")
+	}
 
 	// Reduction chains, both as written (one inc per body — also what the
 	// CPU variant's body looks like) and GPU-transformed (two).
@@ -176,7 +179,7 @@ func TestDifferentialGPUVariant(t *testing.T) {
 		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d (gpu)", seed), gpu, "red", NewNDRange1D(n, 8),
 			func() []Arg { return append(mkArgs(), abort()...) })
 	}
-	after := BackendSnapshot()
+	after, afterPartial := BackendSnapshot(), PartialLoopBatches()
 	if after.WGFusedInstrsDyn == mid.WGFusedInstrsDyn {
 		t.Error("no generated reduction ran through a fused closure")
 	}
@@ -214,9 +217,9 @@ func TestDifferentialGPUVariant(t *testing.T) {
 			func() []Arg { return append(mkArgs(), abort()...) })
 	}
 	adv := BackendSnapshot()
-	if adv.WGLoopBatchesDyn == after.WGLoopBatchesDyn || adv.WGLoopNonuniformDyn == after.WGLoopNonuniformDyn {
-		t.Errorf("adversarial loops: %d whole-loop dispatches, %d failed prechecks; want both",
-			adv.WGLoopBatchesDyn-after.WGLoopBatchesDyn, adv.WGLoopNonuniformDyn-after.WGLoopNonuniformDyn)
+	if adv.WGLoopBatchesDyn == after.WGLoopBatchesDyn || adv.WGLoopNonuniformDyn == after.WGLoopNonuniformDyn || PartialLoopBatches() == afterPartial {
+		t.Errorf("adversarial loops: %d whole-loop dispatches (%d of them for part of a group), %d failed prechecks; want all three",
+			adv.WGLoopBatchesDyn-after.WGLoopBatchesDyn, PartialLoopBatches()-afterPartial, adv.WGLoopNonuniformDyn-after.WGLoopNonuniformDyn)
 	}
 	for r := WGLoopRejNone; int(r) < wgLoopRejCount; r++ {
 		if r != WGLoopRejNoCycle && adv.WGLoopVerdicts[r] == after.WGLoopVerdicts[r] {
@@ -240,11 +243,11 @@ func genLoopAdversary(r *rand.Rand) string {
 	if nested {
 		idx = append(idx, "o * m + k", "o")
 	}
-	var b strings.Builder
-	b.WriteString("__kernel void red(__global float* out, __global float* a, __global float* b, int n, int m, float alpha) {\n")
-	b.WriteString("    int i = get_global_id(0);\n    int l = get_local_id(0);\n")
-	b.WriteString("    if (i < n) {\n        float acc = 0.5f;\n")
-	fmt.Fprintf(&b, "        int p = %s;\n        int q = 1;\n", pick("i", "l", "0"))
+	var head, b strings.Builder
+	head.WriteString("__kernel void red(__global float* out, __global float* a, __global float* b, int n, int m, float alpha) {\n")
+	head.WriteString("    int i = get_global_id(0);\n    int l = get_local_id(0);\n")
+	head.WriteString("    if (i < n) {\n        float acc = 0.5f;\n")
+	fmt.Fprintf(&head, "        int p = %s;\n        int q = 1;\n", pick("i", "l", "0"))
 	if nested {
 		b.WriteString("        for (int o = 0; o < 2; o++) {\n")
 	}
@@ -269,6 +272,19 @@ func genLoopAdversary(r *rand.Rand) string {
 	if nested {
 		b.WriteString("        }\n")
 	}
-	b.WriteString("        out[i] = acc;\n        out[n + i] = (float)(p + q);\n    }\n}\n")
-	return b.String()
+	// Two times in three only part of the group runs the loop: the lanes a
+	// guard lets in, or those still inside an outer loop whose start depends
+	// on the lane (its float op keeps it out of the inner loop's control; q
+	// restarts every round, which keeps q * n + i below 1024).
+	switch r.Intn(3) {
+	case 1:
+		fmt.Fprintf(&head, "        if (l < %d) {\n", 1+r.Intn(7))
+		b.WriteString("        }\n")
+	case 2:
+		fmt.Fprintf(&head, "        for (int w = l %% %d; w < 3; w++) {\n        q = 1;\n", 2+r.Intn(3))
+		b.WriteString("        acc = acc * 0.5f;\n        }\n")
+	}
+	head.WriteString(b.String())
+	head.WriteString("        out[i] = acc;\n        out[n + i] = (float)(p + q);\n    }\n}\n")
+	return head.String()
 }

@@ -13,7 +13,7 @@ import (
 // Differential testing: generate random MiniCL kernels, execute them through
 // the bytecode compiler with both VM backends (the switch interpreter and the
 // lockstep work-group engine) and through the independent AST interpreter
-// (ref.go), and require bit-identical buffer contents — plus identical Stats
+// (vmref.RefExec), and require bit-identical buffer contents — plus identical Stats
 // between the VM backends, since Stats feed the virtual-time model. A
 // miscompilation would have to be mirrored by an identical bug in the other
 // executors to slip through. The wg backend decides per work-group whether the
@@ -63,14 +63,14 @@ func diffSeed(tb testing.TB, seed int64) {
 	fbVM, ibVM, stI, vmErr := runVM(BackendInterp)
 	fbWG, ibWG, stW, wgErr := runVM(BackendWG)
 
-	ref, err := NewRefExec(ki)
+	ref, err := vmref.NewRefExec(ki)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	fbRef, ibRef := mkBufs()
 	var refErr error
 	for gi := 0; gi < nd.LaunchGroups() && refErr == nil; gi++ {
-		refErr = ref.ExecWorkGroup(nd, nd.GroupAt(gi),
+		refErr = RefWorkGroup(ref, nd, nd.GroupAt(gi),
 			[]Arg{BufArg(fbRef), BufArg(ibRef), IntArg(int64(n)), IntArg(p1), FloatArg(fp)})
 	}
 
@@ -111,12 +111,15 @@ func diffSeed(tb testing.TB, seed int64) {
 const diffSeeds = 50
 
 func TestDifferentialVMvsReference(t *testing.T) {
-	wgBefore := BackendSnapshot().WGLoopWGs
+	wgBefore, partial := BackendSnapshot().WGLoopWGs, PartialLoopBatches()
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		diffSeed(t, seed)
 	}
 	if BackendSnapshot().WGLoopWGs == wgBefore {
 		t.Error("no generated seed exercised the lockstep wg engine (all fell back)")
+	}
+	if PartialLoopBatches() == partial {
+		t.Error("no generated seed ran a whole loop for part of a work-group; generator drifted")
 	}
 }
 

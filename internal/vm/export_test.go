@@ -2,10 +2,12 @@ package vm
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
 	"fluidicl/internal/passes"
+	"fluidicl/internal/vmref"
 )
 
 // Test-only exports shared by the in-package and the external (vm_test)
@@ -65,6 +67,33 @@ func GPUAbortArgs(kid, doneFrom int32) []Arg {
 	binary.LittleEndian.PutUint32(status[4*passes.StatusKernelID:], uint32(kid))
 	binary.LittleEndian.PutUint32(status[4*passes.StatusDoneFrom:], uint32(doneFrom))
 	return []Arg{BufArg(status), IntArg(int64(kid))}
+}
+
+// partialBatches tallies the whole-loop dispatches (wgBatchHook) of a set
+// other than the whole group of a phase that never partitioned: a part of
+// the group, or all of it reconverged after a partition.
+var partialBatches atomic.Int64
+
+func init() {
+	wgBatchHook = func(m *wmach) {
+		if !m.full {
+			partialBatches.Add(1)
+		}
+	}
+}
+
+// PartialLoopBatches returns how many whole-loop dispatches this process ran
+// for a set other than the whole group of a phase that never partitioned.
+func PartialLoopBatches() int64 { return partialBatches.Load() }
+
+// RefWorkGroup runs one work-group of the launch on the AST reference, whose
+// launch shape and argument types are its own (vmref imports nothing of vm).
+func RefWorkGroup(ref *vmref.RefExec, nd NDRange, group [3]int, args []Arg) error {
+	ra := make([]vmref.Arg, len(args))
+	for i, a := range args {
+		ra[i] = vmref.Arg{I: a.I, F: a.F, Buf: a.Buf}
+	}
+	return ref.ExecWorkGroup(vmref.Range{Dims: nd.Dims, LocalSize: nd.LocalSize, NumGroups: nd.NumGroups}, group, ra)
 }
 
 // StoreParams returns the parameter slot every global store in k's bytecode

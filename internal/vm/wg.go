@@ -50,7 +50,8 @@ type wblock struct {
 	ops opCounts
 	// red, when non-nil, is the region-fused lowering of steps (wgfuse.go):
 	// the whole body jammed into one loop over the work-items, run instead of
-	// steps while WGFuseEnabled, for full-group dispatches.
+	// steps while WGFuseEnabled, for full-group dispatches and, when it has a
+	// loop plan, for any set.
 	red  *wgReduce
 	term wgTerm
 }

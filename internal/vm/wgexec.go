@@ -269,21 +269,28 @@ func (m *wmach) popMin() *wgSet {
 }
 
 // recAcc records one global access of item t for the phase-end tracker
-// replay. Only partial-set dispatches record per item, and a phase that has
-// had one is no longer uniform, so the columnar log is already flushed.
+// replay. Only dispatches in a partitioned phase record per item, so the
+// columnar log is already flushed.
 func (m *wmach) recAcc(t int32, id, off int32) {
 	if id >= 0 {
 		m.rec[t] = append(m.rec[t], wgAcc{id: id, off: off})
 	}
 }
 
-// recUniform records one global access all n work-items made at the same
-// offset (loadOnce: a group-uniform load, or one in a loop's control
-// skeleton, wgloop.go; both only for a full group, so the phase is uniform).
-// That is O(1): the access extends the site's latest entry (colAt) when that
-// is a broadcast of the same offset, and starts a new run otherwise.
-func (m *wmach) recUniform(id, off int32) {
+// recUniform records one global access every work-item of set made at the
+// same offset (loadOnce: a group-uniform load, or one in a loop's control
+// skeleton, wgloop.go). In a partitioned phase that is one stream append per
+// item; while the phase is uniform (the set is then the whole group) it is
+// O(1): the access extends the site's latest entry (colAt) when that is a
+// broadcast of the same offset, and starts a new run otherwise.
+func (m *wmach) recUniform(set []int32, id, off int32) {
 	if id < 0 {
+		return
+	}
+	if !m.uniform {
+		for _, t := range set {
+			m.recAcc(t, id, off)
+		}
 		return
 	}
 	if j := m.colAt[id] - 1; j >= 0 {
@@ -564,13 +571,14 @@ func (m *wmach) runGroup() error {
 					}
 				}
 			}
-			// A fused plan runs item-major over the whole group; any
-			// other dispatch takes the per-step list.
+			// A fused plan runs item-major over the set: a body with a loop
+			// plan for any set, any other only for the whole group of a
+			// phase that never partitioned. The rest take the per-step list.
 			body := int64(blk.body - blk.start)
-			if m.fuse && blk.red != nil && m.full {
-				m.dynFused += body * int64(n)
+			if m.fuse && blk.red != nil && (m.full || blk.red.loop != nil) {
+				m.dynFused += body * int64(len(s.items))
 				m.next = -1
-				if !blk.red.run(m) {
+				if !blk.red.run(m, s.items) {
 					m.freeSet(s)
 					return m.err
 				}

@@ -26,9 +26,9 @@ import (
 //     buffer byte and register trajectory of an error-free run unchanged.
 //  2. Stats: every batched counter is an order-independent sum or mask. The
 //     order-sensitive locality tracker sees the same streams as per-step
-//     execution, except for the jam's own load sites, which are booked in
-//     closed form against the transposed state the replay uses, one state
-//     machine per site and phase (DESIGN.md S20, "Loop-level fusion").
+//     execution, except for the jam's own load sites in a never-partitioned
+//     phase, booked in closed form against the transposed state the replay
+//     uses, one state machine per site and phase (DESIGN.md S20).
 //  3. Scalar elision: a scratch register's bank write is dropped only when
 //     the register is dead at the block exit (wgLiveness) and the terminator
 //     does not read it (conditional terminators are rejected outright).
@@ -194,7 +194,8 @@ func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, iOut, fOut map[int
 // fuseWG matches every block body against the reduction jam's grammar and,
 // when the shape, the operand wiring, and the dead-scratch proof all hold,
 // attaches the fused plan to the block. The engine runs it in place of the
-// per-step list whenever the whole group arrives at the block together
+// per-step list whenever the whole group of a never-partitioned phase
+// arrives at the block together or, for a plan with a loop, any set does
 // (runGroup); every other block, and every other dispatch, runs per-step.
 // Counters attribute the outcome per compiled instruction and reject reason.
 func (k *Kernel) fuseWG(wg *wgProgram) {
@@ -541,33 +542,39 @@ func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (
 	return p, wgNoFuse{}
 }
 
-// run dispatches the body for a full group: every trip the loop makes from
-// here when the loop-level plan's uniformity precheck holds (the walk of
+// wgBatchHook, nil but in tests, sees every dispatch that ran a whole loop.
+var wgBatchHook func(m *wmach)
+
+// run dispatches the body for the lanes of set: every trip the loop makes
+// from here when the loop-level plan's uniformity precheck holds (the walk of
 // wgloop.go then supplies the trip count and the exit, and its register
 // definitions are broadcast once the trips have run), one trip otherwise.
-func (p *wgReduce) run(m *wmach) bool {
+func (p *wgReduce) run(m *wmach, set []int32) bool {
 	lp := p.loop
 	if lp == nil {
-		return p.trips(m, 1)
+		return p.trips(m, set, 1)
 	}
-	if !m.budgetScalar || !lp.uniform(m) {
+	if !lp.uniform(m, set) {
 		m.loopNonuniform++
-		return p.trips(m, 1)
+		return p.trips(m, set, 1)
 	}
-	trips, exit, defd, ok := lp.walk(m)
+	trips, exit, defd, ok := lp.walk(m, set)
 	if trips == 0 {
-		return ok && p.trips(m, 1)
+		return ok && p.trips(m, set, 1)
 	}
-	if !p.trips(m, trips) {
+	if !p.trips(m, set, trips) {
 		return false
 	}
 	// What the skeleton defined and the code at the exit may still read.
 	for defd &= m.k.wg.iIn[exit]; defd != 0; defd &= defd - 1 {
 		reg := bits.TrailingZeros64(defd)
 		bank := m.ib[reg*m.n:][:m.n]
-		for t := range bank {
+		for _, t := range set {
 			bank[t] = m.sfile[reg]
 		}
+	}
+	if wgBatchHook != nil {
+		wgBatchHook(m)
 	}
 	m.loopBatches++
 	m.loopTrips += trips
@@ -575,16 +582,18 @@ func (p *wgReduce) run(m *wmach) bool {
 	return true
 }
 
-// trips executes T consecutive trips of the body for the whole group,
+// trips executes T consecutive trips of the body for the lanes of set,
 // item-major. Per work-item every index is strength-reduced to base +
 // j*stride and proven in range for all T trips before the first one runs
 // (wgFirstOut; the body stores nothing, so reporting the trap a lane would
 // hit before running the lane is unobservable); the proven trips then run in
 // program order over []float32 views of the buffers, with the explicit
-// float32 roundings of the per-step path, and the locality of each access
-// site is booked in closed form against the transposed tracker state. With
-// T = 1 it is the plain fused body.
-func (p *wgReduce) trips(m *wmach, T int64) bool {
+// float32 roundings of the per-step path. While the phase is uniform (set is
+// then the whole group, ascending) the locality of each access site is booked
+// in closed form against the transposed tracker state; in a partitioned
+// phase each lane's T offsets per site go to its stream, as the per-step
+// loads would have put them. With T = 1 it is the plain fused body.
+func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 	n, nl := m.n, p.nLoads
 	ib, fb := m.ib, m.fb
 	var views [wgMaxLoads][]float32
@@ -594,7 +603,8 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 	var seq, rnd, warp int64
 	var base, stride, pbase, pstride [wgMaxLoads]int64
 	var seeds [wgMaxTerms]float32
-	for t := 0; t < n; t++ {
+	for _, t32 := range set {
+		t := int(t32)
 		failJ, failLi := T, 0 // the least (trip, load) in program order that traps
 		for li := 0; li < nl; li++ {
 			f := &p.loads[li]
@@ -643,6 +653,12 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 				continue
 			}
 			b, s := base[li], stride[li]
+			if !m.uniform {
+				for j := int64(0); j < T; j++ {
+					m.rec[t] = append(m.rec[t], wgAcc{id: id, off: int32((b + j*s) * 4)})
+				}
+				continue
+			}
 			at := int(id)*n + t
 			if m.seenB[at] {
 				d := int32(b*4) - m.lastB[at]
@@ -674,12 +690,12 @@ func (p *wgReduce) trips(m *wmach, T int64) bool {
 	for i := 0; i < p.ni; i++ {
 		step := p.imms[i] * T
 		cb := ib[p.ctrs[i]*n : p.ctrs[i]*n+n]
-		for t := range cb {
+		for _, t := range set {
 			cb[t] += step
 		}
 	}
-	m.booked = true
-	cnt := int64(n) * T
+	m.booked = m.booked || m.uniform
+	cnt := int64(len(set)) * T
 	st := m.st
 	st.bookOps(&p.ops, cnt)
 	st.ParamReadMask |= p.mask

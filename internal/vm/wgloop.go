@@ -13,12 +13,12 @@ import (
 // blocks on a path from B's successor back to B whose bodies use only
 // scalar-safe opcodes (wgScalarSafe); every other block is an exit. B and S
 // are lowered once (lower) into chains of copy-propagated ops on a scalar
-// register file. When the whole group stands at B and every int register S
-// reads before defining it is equal across the lanes, the chains are walked
-// once for all lanes — budget and Stats charged as the dispatcher would —
-// until control leaves S. That yields the trip count T and the exit pc; B
-// runs its T trips per work-item in one call (wgReduce.trips) and the group
-// resumes at the exit.
+// register file. When a set of lanes — the whole group or any part of it —
+// stands at B and every int register S reads before defining it is equal
+// across them, the chains are walked once for all of them — budget and Stats
+// charged as the dispatcher would — until control leaves S. That yields the
+// trip count T and the exit pc; B runs its T trips per work-item in one call
+// (wgReduce.trips) and the set resumes at the exit.
 
 // WGLoopReject enumerates the reasons a fused reduction body stays on one
 // trip per dispatch, counted and named in the disassembly like WGFuseReject.
@@ -367,38 +367,49 @@ func (k *Kernel) wgLoopFor(wg *wgProgram, head *wblock, p *wgReduce, ctrs uint64
 }
 
 // uniform is the dynamic precheck: every register the skeleton reads before
-// defining it holds one value across the group. It sets up the scalar file
-// m.sfile with those values and the plan's constants.
-func (lp *wgLoop) uniform(m *wmach) bool {
+// defining it holds one value across the lanes of set. It sets up the scalar
+// file m.sfile with those values and the plan's constants.
+func (lp *wgLoop) uniform(m *wmach, set []int32) bool {
 	m.sfile = sized(m.sfile, 64+len(lp.consts))
 	copy(m.sfile[64:], lp.consts)
 	for v := lp.uni; v != 0; v &= v - 1 {
 		reg := bits.TrailingZeros64(v)
 		bank := m.ib[reg*m.n:][:m.n]
-		for _, x := range bank {
-			if x != bank[0] {
+		x := bank[set[0]]
+		for _, t := range set {
+			if bank[t] != x {
 				return false
 			}
 		}
-		m.sfile[reg] = bank[0]
+		m.sfile[reg] = x
 	}
 	return true
 }
 
-// walk runs the loop's control for the whole group on the scalar file (as
+// walk runs the loop's control for the lanes of set on the scalar file (as
 // uniform left it), from the head's first trip: each arrival at the head is
-// one trip; each chain is charged to the shared step budget, executed once,
-// and counted once per lane. It returns the trip count, the pc the group
-// resumes at and the registers the skeleton defined. A chain the budget ends
-// inside is not started: the dispatcher, resuming at its first block, names
-// the block that overruns (trips 0: the caller runs the head's one trip). An
-// out-of-range uniform load leaves its error in m.err and ok false.
-func (lp *wgLoop) walk(m *wmach) (trips int64, exit int, defd uint64, ok bool) {
+// one trip; each chain is charged to the step budget, executed once, and
+// counted once per lane. It returns the trip count, the pc the set resumes
+// at and the registers the skeleton defined. The budget is the group's shared
+// one or, once that has fanned out, that of the lane of set with the most
+// steps, the first to overrun; every lane is charged what the walk used. A
+// chain the budget ends inside is not started: the dispatcher, resuming at
+// its first block, names the block that overruns (trips 0: the caller runs
+// the head's one trip). An out-of-range uniform load leaves its error in
+// m.err and ok false.
+func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint64, ok bool) {
 	r, visits := m.sfile, sized(m.visits, len(lp.prog))
 	m.visits = visits
+	used := m.stepsAll
+	if !m.budgetScalar {
+		used = 0
+		for _, t := range set {
+			used = max(used, m.steps[t])
+		}
+	}
 	// The dispatcher has already charged and counted the head's first trip.
 	head := m.k.wg.blocks[lp.prog[0].start]
-	left := m.maxSteps - m.stepsAll + head.nInstr
+	left := m.maxSteps - used + head.nInstr
 	bi := 0
 	for bi >= 0 {
 		b := &lp.prog[bi]
@@ -414,7 +425,7 @@ func (lp *wgLoop) walk(m *wmach) (trips int64, exit int, defd uint64, ok bool) {
 			switch op.op {
 			case opIMOV:
 			case opLDGI:
-				bits, ok := m.loadOnce(op.pc, op.slot, op.mem, y)
+				bits, ok := m.loadOnce(set, op.pc, op.slot, op.mem, y)
 				if !ok {
 					return 0, 0, 0, false
 				}
@@ -444,8 +455,14 @@ func (lp *wgLoop) walk(m *wmach) (trips int64, exit int, defd uint64, ok bool) {
 	if visits[0] == 0 {
 		return 0, 0, 0, true
 	}
-	m.stepsAll = m.maxSteps - left
-	instrs, n, st := int64(head.start-head.body), int64(m.n), m.st
+	if d := m.maxSteps - left - used; m.budgetScalar {
+		m.stepsAll += d
+	} else {
+		for _, t := range set {
+			m.steps[t] += d
+		}
+	}
+	instrs, n, st := int64(head.start-head.body), int64(len(set)), m.st
 	for i, v := range visits {
 		if b := &lp.prog[i]; v > 0 {
 			instrs += v * b.body

@@ -174,7 +174,7 @@ func TestWGLoopTrackerState(t *testing.T) {
     }
 }`},
 		// Every phase diverges, so from the second on the group's step
-		// budgets are per item and the closure runs one trip per dispatch —
+		// budgets are per item and the walk charges them lane by lane —
 		// against state the previous phase's replay() must have cleared. The
 		// kernel stores to __local, so it runs on the interpreter; the next
 		// case is the same loop around a barrier over global memory only,
@@ -194,7 +194,7 @@ __kernel void t(__global float* out, __global float* in, __global int* ib, int n
         out[g] = tmp[l] + 1.0f;
     }
 }`},
-		{name: "loop after a global-only barrier", batched: true, single: true, noGPU: true, src: loopSig + `
+		{name: "loop after a global-only barrier", batched: true, noGPU: true, src: loopSig + `
     for (int o = 0; o < 3; o++) {
         float acc = 0.25f;
         for (int k = 0; k < 6; k++) { acc += in[g * rs + k] * in[k]; }
@@ -482,15 +482,15 @@ func TestWGLoopWalkExits(t *testing.T) {
 func TestWGUniformLoadRuns(t *testing.T) {
 	m := &wmach{n: 2, uniform: true, rec: make([][]wgAcc, 2), colAt: make([]int32, 5)}
 	for i := 0; i < 5; i++ {
-		m.recUniform(3, 8)
+		m.recUniform(nil, 3, 8)
 	}
-	m.recUniform(4, 0)
-	m.recUniform(-1, 0) // an untracked site logs nothing
-	m.recUniform(3, 8)
-	m.recUniform(3, 12)
-	m.recUniform(3, 8)
+	m.recUniform(nil, 4, 0)
+	m.recUniform(nil, -1, 0) // an untracked site logs nothing
+	m.recUniform(nil, 3, 8)
+	m.recUniform(nil, 3, 12)
+	m.recUniform(nil, 3, 8)
 	copy(m.colFor(4), []int32{16, 20})
-	m.recUniform(4, 0)
+	m.recUniform(nil, 4, 0)
 	want := []wgCol{{3, 8, 6}, {4, 0, 1}, {3, 12, 1}, {3, 8, 1}, {4, 0, 0}, {4, 0, 1}}
 	if fmt.Sprint(m.cols) != fmt.Sprint(want) {
 		t.Fatalf("log %v, want %v", m.cols, want)

@@ -10,6 +10,7 @@ import (
 
 	"fluidicl/internal/clc"
 	"fluidicl/internal/passes"
+	"fluidicl/internal/vmref"
 )
 
 // Range checks: the one word-unit predicate (oob), the reduction jam's
@@ -61,7 +62,7 @@ func TestHugeIndexTraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewRefExec(ki)
+		ref, err := vmref.NewRefExec(ki)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestHugeIndexTraps(t *testing.T) {
 				}
 			}
 			args := fresh()
-			check("ref", args, ref.ExecWorkGroup(nd, [3]int{}, args))
+			check("ref", args, RefWorkGroup(ref, nd, [3]int{}, args))
 			for _, be := range []Backend{BackendInterp, BackendWG} {
 				args := fresh()
 				_, err := k.ExecWorkGroup(nd, [3]int{}, args, ExecOpts{Backend: be})

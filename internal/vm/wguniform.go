@@ -155,7 +155,7 @@ func (k *Kernel) wstepOnce(pc int, s wstep, bcast bool) wstep {
 		slot, c, memID := in.B, in.C, in.D
 		return func(m *wmach, set []int32) bool {
 			n := m.n
-			bits, ok := m.loadOnce(pc, slot, memID, m.ib[int(c)*n])
+			bits, ok := m.loadOnce(set, pc, slot, memID, m.ib[int(c)*n])
 			if !ok {
 				return false
 			}
@@ -185,11 +185,11 @@ func (k *Kernel) wstepOnce(pc int, s wstep, bcast bool) wstep {
 	}
 }
 
-// loadOnce reads word idx of the buffer in slot once for every lane of a
-// full-group dispatch, noting the read and logging it as a broadcast; the
-// caller books the load counts. An index out of range leaves the load's trap
-// at pc in m.err.
-func (m *wmach) loadOnce(pc int, slot, memID int32, idx int64) (uint32, bool) {
+// loadOnce reads word idx of the buffer in slot once for every lane of set,
+// noting the read and logging it for each lane (recUniform); the caller books
+// the load counts. An index out of range leaves the load's trap at pc in
+// m.err.
+func (m *wmach) loadOnce(set []int32, pc int, slot, memID int32, idx int64) (uint32, bool) {
 	buf := m.args[slot].Buf
 	off, err := byteOff(idx, len(buf))
 	if err != nil {
@@ -197,7 +197,7 @@ func (m *wmach) loadOnce(pc int, slot, memID int32, idx int64) (uint32, bool) {
 		return 0, false
 	}
 	m.st.noteGlobalRead(slot)
-	m.recUniform(memID, off)
+	m.recUniform(set, memID, off)
 	return binary.LittleEndian.Uint32(buf[off:]), true
 }
 

@@ -1,9 +1,9 @@
-// Package vmref holds the test infrastructure that judges the VM: random
-// MiniCL kernel generation, shared by the VM's differential tests
-// (compiler+VM vs the independent AST interpreter) and the analyzer's
-// differential test (dynamic access sets vs static summaries). It does not
-// import the VM, so the VM's own in-package tests can import it; no non-test
-// code does.
+// Package vmref holds the test infrastructure that judges the VM: the
+// independent AST interpreter (ref.go) and random MiniCL kernel generation,
+// shared by the VM's differential tests (compiler+VM vs the AST interpreter)
+// and the analyzer's differential test (dynamic access sets vs static
+// summaries). It does not import the VM, so the VM's own in-package tests can
+// import it; no non-test code does.
 package vmref
 
 import (
@@ -196,9 +196,36 @@ func (g *progGen) groupExpr(depth int) string {
 	return fmt.Sprintf("(%s %s %s)", g.groupExpr(depth-1), []string{"+", "-", "*"}[g.r.Intn(3)], g.groupExpr(depth-1))
 }
 
+// divergentReduction emits a reduction loop over the work-item's own word
+// (a read the lockstep engine's certificate admits) that only part of a
+// work-group reaches: under a guard on the global id, or inside an outer loop
+// whose start depends on it, so lanes leave that loop one round at a time.
+// The outer loop's float op keeps it out of the inner loop's control.
+func (g *progGen) divergentReduction() {
+	g.nLoops++
+	l, v := fmt.Sprintf("l%d", g.nLoops), g.freshVar()
+	g.w("float %s = %s;", v, g.floatExpr(1))
+	outer := g.r.Intn(2) == 0
+	if outer {
+		g.w("for (int o%d = i %% %d; o%d < 3; o%d++) {", g.nLoops, g.r.Intn(3)+2, g.nLoops, g.nLoops)
+	} else {
+		g.w("if (%s) {", fmt.Sprintf([]string{"i < %d", "i %% %d == 0"}[g.r.Intn(2)], g.r.Intn(40)+2))
+	}
+	g.indent++
+	g.w("for (int %s = 0; %s < %d; %s++) {", l, l, g.r.Intn(6)+1, l)
+	g.w("    %s += %s;", v, []string{"fbuf[i] * fbuf[i]", "fp * fbuf[i]", "fbuf[i]"}[g.r.Intn(3)])
+	g.w("}")
+	if outer {
+		g.w("%s = %s * 0.5f;", v, v)
+	}
+	g.indent--
+	g.w("}")
+	g.floats = append(g.floats, v)
+}
+
 func (g *progGen) stmts(budget int) {
 	for s := 0; s < budget; s++ {
-		switch g.r.Intn(11) {
+		switch g.r.Intn(12) {
 		case 0, 1:
 			v := g.freshVar()
 			g.w("int %s = %s;", v, g.intExpr(2))
@@ -280,6 +307,10 @@ func (g *progGen) stmts(budget int) {
 			g.w("u = %s;", g.groupExpr(2))
 			g.indent--
 			g.w("}")
+		case 11:
+			if g.depth < 2 {
+				g.divergentReduction()
+			}
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package vm
+package vmref
 
 import (
 	"fmt"
@@ -14,15 +14,43 @@ import (
 // both engines and require identical results, so a miscompilation in the
 // bytecode compiler cannot hide behind a matching bug.
 //
-// It is deliberately slow and simple; nothing in the runtime uses it.
+// It is deliberately slow and simple; nothing in the runtime uses it. It
+// shares no code with the VM: its launch shape and argument types are its
+// own, and so are the helpers below that the VM has too.
 type RefExec struct {
 	ki *clc.KernelInfo
+}
+
+// Range is the launch shape the reference reads: the dimension count, the
+// work-group size and the full grid of groups, as in vm.NDRange.
+type Range struct {
+	Dims      int
+	LocalSize [3]int
+	NumGroups [3]int
+}
+
+// Arg is one kernel argument: I for an int parameter, F for a float one,
+// Buf, mutated in place, for a buffer.
+type Arg struct {
+	I   int64
+	F   float64
+	Buf []byte
+}
+
+// defaultMaxSteps is the per-work-item step budget, the VM's default.
+const defaultMaxSteps = 256 << 20
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // NewRefExec builds a reference executor for a checked kernel.
 func NewRefExec(ki *clc.KernelInfo) (*RefExec, error) {
 	if ki.HasBarrier {
-		return nil, fmt.Errorf("vm: RefExec does not support barriers")
+		return nil, fmt.Errorf("vmref: RefExec does not support barriers")
 	}
 	return &RefExec{ki: ki}, nil
 }
@@ -116,7 +144,7 @@ const (
 )
 
 type refCtx struct {
-	nd     NDRange
+	nd     Range
 	group  [3]int
 	lid    [3]int
 	locals map[string]refArray // per-work-group local arrays
@@ -125,7 +153,7 @@ type refCtx struct {
 }
 
 // ExecWorkGroup interprets one work-group, mutating buffer args in place.
-func (r *RefExec) ExecWorkGroup(nd NDRange, group [3]int, args []Arg) error {
+func (r *RefExec) ExecWorkGroup(nd Range, group [3]int, args []Arg) error {
 	params := r.ki.Kernel.Params
 	if len(args) != len(params) {
 		return fmt.Errorf("ref: want %d args, got %d", len(params), len(args))
@@ -134,7 +162,7 @@ func (r *RefExec) ExecWorkGroup(nd NDRange, group [3]int, args []Arg) error {
 	locals := map[string]refArray{}
 	collectLocalArrays(r.ki.Kernel.Body, locals)
 
-	nWI := nd.WorkItemsPerGroup()
+	nWI := nd.LocalSize[0] * nd.LocalSize[1] * nd.LocalSize[2]
 	for wi := 0; wi < nWI; wi++ {
 		lx := nd.LocalSize[0]
 		ly := nd.LocalSize[1]
@@ -158,17 +186,6 @@ func (r *RefExec) ExecWorkGroup(nd NDRange, group [3]int, args []Arg) error {
 			}
 		}
 		if _, err := refBlock(ctx, scope, r.ki.Kernel.Body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExecLaunch interprets every work-group of the launch, mutating buffer args
-// in place, in flattened-group order.
-func (r *RefExec) ExecLaunch(nd NDRange, args []Arg) error {
-	for i, n := 0, nd.LaunchGroups(); i < n; i++ {
-		if err := r.ExecWorkGroup(nd, nd.GroupAt(i), args); err != nil {
 			return err
 		}
 	}
