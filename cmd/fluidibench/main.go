@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"fluidicl/internal/core"
@@ -59,21 +60,23 @@ func main() {
 	if *parallel < 0 {
 		badFlag(fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or a positive number of concurrent table cells", *parallel))
 	}
-	// Only an experiment, all and hash write a -jsonout record; any other
-	// command would exit 0 without writing the file.
-	if *jsonOut != "" {
-		cmd := ""
-		switch {
-		case *traceOut != "":
-			cmd = "-trace"
-		case *dist:
-			cmd = "-dist"
-		case len(args) > 0 && (args[0] == "list" || args[0] == "run" || args[0] == "dump" || args[0] == "trace"):
-			cmd = args[0]
-		}
-		if cmd != "" {
-			badFlag(fmt.Errorf("-jsonout with %s: only an experiment, all and hash write a record", cmd))
-		}
+	// Only an experiment, all and hash write a -jsonout record, and only an
+	// experiment, all and -dist print a table -csv could format; any other
+	// command would exit 0 without writing the file or with the flag dropped.
+	cmd := ""
+	switch {
+	case *traceOut != "":
+		cmd = "-trace"
+	case *dist:
+		cmd = "-dist"
+	case len(args) > 0:
+		cmd = args[0]
+	}
+	switch {
+	case *jsonOut != "" && slices.Contains([]string{"-trace", "-dist", "list", "run", "dump", "trace"}, cmd):
+		badFlag(fmt.Errorf("-jsonout with %s: only an experiment, all and hash write a record", cmd))
+	case *csv && slices.Contains([]string{"-trace", "hash", "list", "run", "dump", "trace"}, cmd):
+		badFlag(fmt.Errorf("-csv with %s: only an experiment, all and -dist print a table", cmd))
 	}
 
 	if *traceOut != "" {
@@ -171,17 +174,17 @@ func main() {
 		writeWalls(*jsonOut, []wallEntry{e})
 		return
 	case "run":
-		if err := runOne(args[1]); err != nil {
+		if err := runOne(args[1], *quick); err != nil {
 			fatal(err)
 		}
 		return
 	case "dump":
-		if err := dumpOne(args[1]); err != nil {
+		if err := dumpOne(args[1], *quick); err != nil {
 			fatal(err)
 		}
 		return
 	case "trace":
-		if err := traceOne(args[1]); err != nil {
+		if err := traceOne(args[1], *quick); err != nil {
 			fatal(err)
 		}
 		return
@@ -296,14 +299,14 @@ func emit(t *harness.Table, csv bool) {
 }
 
 // runOne executes one benchmark under every strategy and prints a summary.
-func runOne(name string) error {
-	b, err := polybench.ByName(name)
+func runOne(name string, quick bool) error {
+	b, err := benchFor(name, quick)
 	if err != nil {
 		return err
 	}
 	m := sched.DefaultMachine()
 	fresh := func() *polybench.Benchmark {
-		nb, _ := polybench.ByName(name)
+		nb, _ := benchFor(name, quick)
 		return nb
 	}
 
@@ -455,9 +458,9 @@ usage:
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
   fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)
-  fluidibench run <benchmark>     # one benchmark under every strategy
-  fluidibench trace <benchmark>   # cooperative-execution timeline (plain text)
-  fluidibench dump <benchmark>    # transformed sources + GPU- and CPU-variant bytecode disassembly
+  fluidibench [-quick] run <benchmark>     # one benchmark under every strategy
+  fluidibench [-quick] trace <benchmark>   # cooperative-execution timeline (plain text)
+  fluidibench [-quick] dump <benchmark>    # transformed sources + GPU- and CPU-variant bytecode disassembly
   fluidibench list
 
 -backend selects the work-group execution engine: default wg, or $FLUIDICL_BACKEND;
@@ -485,8 +488,8 @@ func badFlag(err error) {
 // passes' output) and the bytecode disassembly of both variants of each
 // kernel: the GPU variant runs on the twin protocol's GPU, the CPU variant
 // on the twin CPU and on every N-way device.
-func dumpOne(name string) error {
-	b, err := polybench.ByName(name)
+func dumpOne(name string, quick bool) error {
+	b, err := benchFor(name, quick)
 	if err != nil {
 		return err
 	}
@@ -522,8 +525,8 @@ func dumpOne(name string) error {
 
 // traceOne runs one benchmark under FluidiCL with event tracing and prints
 // the cooperative-execution timeline.
-func traceOne(name string) error {
-	b, err := polybench.ByName(name)
+func traceOne(name string, quick bool) error {
+	b, err := benchFor(name, quick)
 	if err != nil {
 		return err
 	}

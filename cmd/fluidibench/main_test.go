@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"fluidicl/internal/polybench"
 	"fluidicl/internal/vm"
 )
 
@@ -31,11 +32,13 @@ func TestMain(m *testing.M) {
 // environment — the command does not have (the retired closure engine
 // included), -topology on a command that runs the stock pair, a negative
 // -parallel, a positional argument beyond what the command reads, a
-// benchmark the command needs left out, -trace with -dist.
+// benchmark the command needs left out, -trace with -dist, -jsonout with a
+// command that writes no record, -csv with one that prints no table.
 func TestExitStatus(t *testing.T) {
 	const engines, topoCmds, cells = "want interp or wg", "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
 	const surplus, bench, oneBench = "unexpected arguments", "want a benchmark", "want one benchmark"
 	const record = "only an experiment, all and hash write a record"
+	const table = "only an experiment, all and -dist print a table"
 	tr := filepath.Join(t.TempDir(), "t.json") // written only if the checks before it fail
 	js := filepath.Join(t.TempDir(), "j.json")
 	for _, c := range []struct {
@@ -76,6 +79,13 @@ func TestExitStatus(t *testing.T) {
 		{"-jsonout " + js + " trace BICG", "", 2, "-jsonout with trace: " + record},
 		{"-quick -jsonout " + js + " -dist", "", 2, "-jsonout with -dist: " + record},
 		{"-quick -jsonout " + js + " -trace " + tr + " SYRK", "", 2, "-jsonout with -trace: " + record},
+		{"-quick -csv table1", "", 0, ""},
+		{"-csv list", "", 2, "-csv with list: " + table},
+		{"-csv run SYRK", "", 2, "-csv with run: " + table},
+		{"-csv dump SYRK", "", 2, "-csv with dump: " + table},
+		{"-csv trace BICG", "", 2, "-csv with trace: " + table},
+		{"-quick -csv hash", "", 2, "-csv with hash: " + table},
+		{"-quick -csv -trace " + tr + " SYRK", "", 2, "-csv with -trace: " + table},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)
@@ -138,6 +148,33 @@ func TestJSONOutMatchesTopologyMatrixGolden(t *testing.T) {
 	}
 }
 
+// TestQuickReachesBenchmarkCommands: run and trace with -quick work on the
+// quick-scale input, which they print, not on the full one.
+func TestQuickReachesBenchmarkCommands(t *testing.T) {
+	quick, err := polybench.ByNameQuick("SYRK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := polybench.ByName("SYRK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quick.InputDesc == full.InputDesc {
+		t.Fatalf("SYRK's quick and full inputs are both %s", full.InputDesc)
+	}
+	for _, args := range []string{"-quick run SYRK", "-quick trace SYRK"} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("fluidibench %s: %v\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), quick.InputDesc) || strings.Contains(string(out), full.InputDesc) {
+			t.Errorf("fluidibench %s: want input %s, not %s:\n%s", args, quick.InputDesc, full.InputDesc, out)
+		}
+	}
+}
+
 // TestBenchmarkNamesFoldCase: every entry point that takes a benchmark name
 // accepts it in any case (README spells them lowercase) and still rejects a
 // name that is no benchmark.
@@ -156,9 +193,9 @@ func TestBenchmarkNamesFoldCase(t *testing.T) {
 		call  func(name string) error
 	}{
 		{"-trace", func(name string) error { return chromeTrace(name, true, out, "") }},
-		{"run", runOne},
-		{"trace", traceOne},
-		{"dump", dumpOne},
+		{"run", func(name string) error { return runOne(name, true) }},
+		{"trace", func(name string) error { return traceOne(name, true) }},
+		{"dump", func(name string) error { return dumpOne(name, true) }},
 	} {
 		if err := e.call("atax"); err != nil {
 			t.Errorf("fluidibench %s atax: %v", e.entry, err)
