@@ -66,8 +66,9 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem -benchtime=3x -run '^$$' .
 
-# Non-test Go lines per package under internal/ and cmd/ (internal/vmref is
-# test infrastructure no non-test code imports) — the number the
+# Non-test Go lines per package under internal/ and cmd/ (internal/vmref, the
+# AST referee and the kernel generators, is test infrastructure no non-test
+# code imports) — the number the
 # design-simplification ROADMAP items are judged by. (Performance is measured
 # with `bash bench/run.sh`, see bench/README.md.)
 loc:
@@ -99,8 +100,11 @@ loc:
 # (gen.go, 296 lines, test infrastructure) moved out to internal/vmref, and
 # group-uniform steps (wguniform.go), the full-group store's once-per-step
 # bookkeeping and a per-site index that keeps the columnar log's broadcast
-# runs O(1) added in their place.
-VM_LOC_MAX = 6610
+# runs O(1) added in their place. 5964 is that count with the AST referee
+# (ref.go, 688 lines, test infrastructure) moved out to internal/vmref, and
+# the reduction loop plan run for any set of lanes, not only for the whole
+# group of a phase that never partitioned, added in its place (+42).
+VM_LOC_MAX = 5964
 loc-check:
 	@n=$$(find internal/vm -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	if [ $$n -gt $(VM_LOC_MAX) ]; then \
