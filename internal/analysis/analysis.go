@@ -209,14 +209,8 @@ func (ks *KernelSummary) String() string {
 	for i := range ks.Args {
 		a := &ks.Args[i]
 		fmt.Fprintf(&b, "  arg %-8s %s %s* %s", a.Name, a.Space, a.Elem, a.accessString())
-		if a.Read {
-			fmt.Fprintf(&b, ", reads %s", a.ReadIdx)
-		}
-		if a.Written {
-			fmt.Fprintf(&b, ", writes %s", a.WriteIdx)
-			if a.SlotExact {
-				b.WriteString(" slot-exact")
-			}
+		if a.SlotExact {
+			b.WriteString(" slot-exact")
 		}
 		b.WriteString("\n")
 		for j := range a.Refs {
