@@ -1,10 +1,10 @@
-// Package analysis implements FluidiCL's static kernel analyzer: a
-// dataflow analysis over MiniCL kernel ASTs that produces per-kernel buffer
-// access summaries (read-only / write-only / read-write, and how index
-// expressions relate to the global id), a barrier report (including
-// barriers under work-item-divergent control flow, which is undefined
-// behaviour in OpenCL and blocks work-group splitting), and lint
-// diagnostics with source positions.
+// Package analysis implements FluidiCL's static kernel analyzer: one
+// symbolic walk over each MiniCL kernel AST (strided.go) that produces
+// per-kernel buffer access summaries (read-only / write-only / read-write,
+// and every index in strided affine form or a structured reject), a
+// barrier report (including barriers under work-item-divergent control
+// flow, which is undefined behaviour in OpenCL), and lint diagnostics with
+// source positions.
 //
 // The runtime consumes the summaries to make decisions from proofs instead
 // of conservatism: passes uses the barrier/race facts for work-group split
@@ -22,45 +22,6 @@ import (
 	"fluidicl/internal/clc"
 )
 
-// IndexClass classifies the index expressions a kernel uses to access one
-// buffer argument, joined over all accesses of a kind (worst wins).
-type IndexClass int
-
-// Index classes, ordered worst (least provable) to best.
-const (
-	// IdxUnknown: at least one index could not be proven affine or uniform
-	// (loop-carried values, loads, modulo arithmetic, ...).
-	IdxUnknown IndexClass = iota
-	// IdxUniform: every index is the same value for all work-items
-	// (constants, scalar parameters). Uniform stores are races.
-	IdxUniform
-	// IdxAffine: every index is an affine function of the global id with
-	// uniform (constant or scalar-parameter) coefficients — the access is
-	// provably confined to the work-item's own slice of the index space.
-	IdxAffine
-	// IdxNone: the argument has no accesses of this kind.
-	IdxNone
-)
-
-func (c IndexClass) String() string {
-	switch c {
-	case IdxUniform:
-		return "uniform"
-	case IdxAffine:
-		return "affine(gid)"
-	case IdxNone:
-		return "none"
-	}
-	return "unknown"
-}
-
-func mergeClass(a, b IndexClass) IndexClass {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ArgSummary is the access summary for one pointer parameter.
 type ArgSummary struct {
 	Name  string
@@ -68,23 +29,23 @@ type ArgSummary struct {
 	Space clc.AddrSpace
 	Elem  clc.ScalarKind
 
+	// Read and Written: some access of that kind exists, as a ref or a
+	// reject.
 	Read    bool
 	Written bool
 
-	ReadIdx  IndexClass
-	WriteIdx IndexClass
-
 	// SlotExact: every store index is provably exactly the work-item's
 	// flattened global id (get_global_id(0) in a 1-D launch, unit
-	// coefficient, zero offset). Work-item i writes word i and nothing
-	// else, which lets the runtime ship, merge and re-execute the
-	// argument's slice by range.
+	// coefficient, zero offset, no induction term). Work-item i writes
+	// word i and nothing else, which lets the runtime ship, merge and
+	// re-execute the argument's slice by range.
 	SlotExact bool
 
-	// Refs are the strided-summary forms of every access the second-
-	// generation walker could express (strided.go); Rejects name the sites
-	// and reasons where it could not. An argument's writes (reads) are
-	// fully summarized iff no Reject with the matching Store flag exists.
+	// Refs are the strided-summary forms of every access the walker could
+	// express (strided.go); Rejects name the sites and reasons where it
+	// could not. Every access is one or the other, and an argument's writes
+	// (reads) are fully summarized iff no Reject with the matching Store
+	// flag exists.
 	Refs    []StridedRef
 	Rejects []Reject
 }
@@ -265,7 +226,9 @@ func positionError(err error, file string) error {
 	return err
 }
 
-// AnalyzeProgram analyzes a parsed program (checked or not).
+// AnalyzeProgram analyzes a parsed program that clc.Check has accepted:
+// the walker reads the types Check attaches to identifiers, and treats an
+// assignment to an untyped one as a non-int value, losing its index form.
 func AnalyzeProgram(prog *clc.Program, file string) *ProgramSummary {
 	ps := &ProgramSummary{Kernels: make(map[string]*KernelSummary)}
 	for _, k := range prog.Kernels {

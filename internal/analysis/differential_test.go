@@ -16,8 +16,9 @@ import (
 // Differential validation of the static analyzer against the VM's dynamic
 // access stats: for random generated kernels, every parameter the VM
 // observed being read (written) must be marked readable (writable) in the
-// static summary, and a store outside a slot-exact argument's slot range
-// disproves the slot-exact claim. The static side may over-approximate;
+// static summary, a store outside a slot-exact argument's slot range
+// disproves the slot-exact claim, and a store outside the launch hull of a
+// fully summarized argument disproves its refs. The static side may over-approximate;
 // the dynamic side must never escape it — that soundness direction is what
 // the runtime's transfer/merge elisions rely on.
 func TestDynamicAccessWithinStaticSummary(t *testing.T) {
@@ -52,10 +53,13 @@ func TestDynamicAccessWithinStaticSummary(t *testing.T) {
 			binary.LittleEndian.PutUint32(ib[4*i:], uint32(int32(r.Intn(41)-20)))
 		}
 		nd := vm.NewNDRange1D(n, 16)
+		p1 := int64(seed%13 - 6)
 		args := []vm.Arg{
 			vm.BufArg(fb), vm.BufArg(ib),
-			vm.IntArg(int64(n)), vm.IntArg(int64(seed%13 - 6)), vm.FloatArg(float64(seed%17)/3 - 2),
+			vm.IntArg(int64(n)), vm.IntArg(p1), vm.FloatArg(float64(seed%17)/3 - 2),
 		}
+		sh := analysis.LaunchShape{Dims: 1, Local: [3]int64{16, 1, 1},
+			NumGroups: [3]int64{int64(n) / 16, 1, 1}, Count: [3]int64{int64(n) / 16, 1, 1}}
 		st, err := k.ExecLaunch(nd, args, vm.ExecOpts{})
 		if err != nil {
 			t.Fatalf("seed %d: exec: %v\n%s", seed, err, src)
@@ -77,6 +81,16 @@ func TestDynamicAccessWithinStaticSummary(t *testing.T) {
 				if st.WrLo[sa.Index] < 0 || int(st.WrHi[sa.Index]) > 4*items {
 					t.Errorf("seed %d: slot-exact param %q wrote bytes [%d,%d) outside [0,%d)\n%s",
 						seed, sa.Name, st.WrLo[sa.Index], st.WrHi[sa.Index], 4*items, src)
+				}
+			}
+			if sa.WritesComplete() && sa.Index < len(st.WrLo) && st.ParamWriteMask&(1<<slot) != 0 {
+				aw, ok := ks.EvalArgWrites(ai, sh, []int64{0, 0, int64(n), p1, 0}, int64(n), 1<<20)
+				if !ok {
+					t.Fatalf("seed %d: EvalArgWrites failed on %q\n%s", seed, sa.Name, src)
+				}
+				if int64(st.WrLo[sa.Index]) < 4*aw.Hull.Lo || int64(st.WrHi[sa.Index]) > 4*aw.Hull.Hi {
+					t.Errorf("seed %d: param %q wrote bytes [%d,%d) outside the launch hull [%d,%d)\n%s\n%s",
+						seed, sa.Name, st.WrLo[sa.Index], st.WrHi[sa.Index], 4*aw.Hull.Lo, 4*aw.Hull.Hi, ks, src)
 				}
 			}
 		}

@@ -1,18 +1,21 @@
 package analysis
 
-// Strided affine access analysis: the second-generation summary built on
-// top of the direction/affinity facts in interp.go. Where the abstract
-// interpreter only classifies index expressions (uniform / affine /
-// unknown), the strided walker keeps them symbolic: every global-buffer
-// access becomes a StridedRef — an affine base over gid/lid/group-id whose
-// coefficients are uniform integer expressions, plus one bounded strided
-// term per enclosing induction loop — or a structured Reject naming the
-// reason and site where precision was lost. Launch-time evaluation of the
-// refs (footprint.go) gives exact per-work-item interval sets that the wg
-// certificate, the transfer planner and the split veto consume.
+// The kernel walker and its strided affine access model. The walker keeps
+// index expressions symbolic: every access to a pointer argument becomes a
+// StridedRef — an affine base over gid/lid/group-id whose coefficients are
+// uniform integer expressions, plus one bounded strided term per enclosing
+// induction loop — or a structured Reject naming the reason and site where
+// precision was lost. The same walk derives everything else the summary
+// holds: access direction and slot-exactness from the refs and rejects,
+// barrier divergence from one dep bit per value, and the lints. Launch-time
+// evaluation of the refs (footprint.go) gives exact per-work-item interval
+// sets that the wg certificate, the transfer planner and the split veto
+// consume.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -486,11 +489,14 @@ func (r Reject) String() string {
 
 // ---- the walker ----
 
-// sval is the strided walker's symbolic value of a scalar int expression:
+// sval is the walker's symbolic value of a scalar expression: for an int,
 // an affine expression plus coefficients over the in-scope induction
-// variables. why carries the reject reason when !ok.
+// variables; why carries the reject reason when !ok (every non-int value is
+// !ok). dep marks a value that may differ between the work-items of one
+// group: it drives the barrier divergence verdicts and the race lint.
 type sval struct {
 	ok  bool
+	dep bool
 	why string
 	aff AffExpr
 	ivs []ivCoef
@@ -511,6 +517,13 @@ type ivInfo struct {
 func sErr(why string) sval { return sval{why: why} }
 
 func sAff(a AffExpr) sval { return sval{ok: true, aff: a} }
+
+// taint returns v, made dep when dep is set. The arithmetic below ignores
+// dep; every caller ORs its operands' bits in with taint.
+func (v sval) taint(dep bool) sval {
+	v.dep = v.dep || dep
+	return v
+}
 
 func (v sval) add(w sval) sval {
 	if !v.ok || !w.ok {
@@ -603,6 +616,7 @@ func firstWhy(vs ...sval) string {
 	return RejNonAffine
 }
 
+// equal compares the index forms; it ignores dep.
 func (v sval) equal(w sval) bool {
 	if v.ok != w.ok {
 		return false
@@ -642,58 +656,162 @@ func affEq(a, b AffExpr) bool {
 	return true
 }
 
-// strider walks one kernel and fills the strided refs and rejects of the
-// summary's args. It runs a single forward pass (no fixpoint): loops are
-// either recognized induction loops — whose body is walked once with the
-// IV symbolic — or opaque regions whose assigned variables are
-// invalidated.
-type strider struct {
-	k   *clc.Kernel
-	sum *KernelSummary
-
-	env       map[string]sval
-	argIdx    map[string]int // pointer param name -> index into sum.Args
-	arrays    map[string]clc.AddrSpace
-	guards    []Guard
-	mayDepth  int  // unrepresentable control-flow nesting
-	maySticky bool // a return under unknown control poisons what follows
-	nextIV    int
-	// noRecord suppresses ref/reject recording while probing expressions
-	// that the main walk evaluates again (guard atoms, loop headers).
-	noRecord bool
+// isGid0 reports whether the expression is exactly get_global_id(0).
+func (a AffExpr) isGid0() bool {
+	return affEq(a, AffExpr{Gid: [3]*UExpr{UConst(1)}})
 }
 
-// analyzeStrided computes strided refs and rejects for every global
-// pointer argument of k, recording them into sum (which interp.go has
-// already populated with direction facts).
-func analyzeStrided(k *clc.Kernel, sum *KernelSummary) {
+// arrayInfo describes a __local or __private array declared in the body.
+type arrayInfo struct {
+	length int64
+	local  bool
+}
+
+// shadowed is a name a declaration in an open block bound, and the value
+// that declaration hid: nil when the name was not bound.
+type shadowed struct {
+	name string
+	old  *sval
+}
+
+// strider walks one kernel once, in one forward pass, and fills its
+// summary: refs and rejects per pointer argument, barrier sites, the lints.
+// Loops are either recognized induction loops, whose body is walked with
+// the IV symbolic, or opaque regions whose assigned variables are
+// invalidated; a loop body is walked again only while its dep facts grow.
+type strider struct {
+	sum  *KernelSummary
+	file string
+
+	env    map[string]sval
+	scope  []shadowed     // values the open blocks' declarations hid
+	argIdx map[string]int // pointer param name -> index into sum.Args
+	arrays map[string]arrayInfo
+	guards []Guard
+	nextIV int
+
+	mayDepth  int  // unrepresentable control-flow nesting
+	maySticky bool // a return under unknown control poisons what follows
+
+	divDepth  int  // enclosing conditions that are dep
+	divSticky bool // a return under divergent control poisons what follows
+	// loopEscape: a break or continue ran under divergent control in the
+	// innermost loop, whose later trips then run for a subset of the group.
+	loopEscape bool
+
+	// noRecord suppresses refs, rejects and lints while probing expressions
+	// that the main walk evaluates again (guard atoms, loop headers) and
+	// while re-walking a loop body. Barrier sites are always recorded.
+	noRecord bool
+
+	used     map[string]bool    // names referenced anywhere
+	reads    map[string]bool    // scalar variables read anywhere
+	declPos  map[string]clc.Pos // scalar variable declaration positions
+	declared []string           // declaration order, for deterministic diags
+}
+
+// AnalyzeKernel walks one checked kernel and returns its summary.
+func AnalyzeKernel(k *clc.Kernel, file string) *KernelSummary {
 	s := &strider{
-		k:      k,
-		sum:    sum,
-		env:    make(map[string]sval),
-		argIdx: make(map[string]int),
-		arrays: make(map[string]clc.AddrSpace),
+		sum:     &KernelSummary{Name: k.Name, Params: make([]string, len(k.Params))},
+		file:    file,
+		env:     make(map[string]sval),
+		argIdx:  make(map[string]int),
+		arrays:  make(map[string]arrayInfo),
+		used:    make(map[string]bool),
+		reads:   make(map[string]bool),
+		declPos: make(map[string]clc.Pos),
 	}
-	sum.Params = make([]string, len(k.Params))
 	for i, p := range k.Params {
-		sum.Params[i] = p.Name
+		s.sum.Params[i] = p.Name
 		if p.Ty.Ptr {
-			s.argIdx[p.Name] = sum.argPos(p.Name)
+			s.argIdx[p.Name] = len(s.sum.Args)
+			s.sum.Args = append(s.sum.Args, ArgSummary{Name: p.Name, Index: i, Space: p.Ty.Space, Elem: p.Ty.Kind})
 		} else if p.Ty.Kind == clc.Int {
 			s.env[p.Name] = sAff(AffExpr{K: UParam(i)})
 		}
 	}
 	s.block(k.Body)
+	s.finish(k)
+	return s.sum
 }
 
-// argPos returns the index into Args for the named pointer parameter.
-func (ks *KernelSummary) argPos(name string) int {
-	for i := range ks.Args {
-		if ks.Args[i].Name == name {
-			return i
+func (s *strider) diag(pos clc.Pos, format string, args ...interface{}) {
+	s.sum.Diags = append(s.sum.Diags, clc.Diag{File: s.file, Pos: pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// finish derives the per-argument facts from the refs and rejects, keeps
+// the divergent verdict per barrier site, and runs the whole-kernel lints.
+func (s *strider) finish(k *clc.Kernel) {
+	for i := range s.sum.Args {
+		a := &s.sum.Args[i]
+		exact := true
+		for j := range a.Refs {
+			r := &a.Refs[j]
+			if r.Store {
+				a.Written = true
+				exact = exact && len(r.IVs) == 0 && r.Base.isGid0()
+			}
+			a.Read = a.Read || !r.Store || r.AlsoRead
+		}
+		for _, r := range a.Rejects {
+			a.Written = a.Written || r.Store
+			a.Read = a.Read || !r.Store
+			exact = exact && !r.Store
+		}
+		a.SlotExact = a.Written && exact
+	}
+
+	sites := make(map[clc.Pos]int)
+	var barriers []BarrierSite
+	for _, b := range s.sum.Barriers {
+		if i, ok := sites[b.Pos]; ok {
+			barriers[i].Divergent = barriers[i].Divergent || b.Divergent
+			continue
+		}
+		sites[b.Pos] = len(barriers)
+		barriers = append(barriers, b)
+	}
+	s.sum.Barriers = barriers
+	for _, b := range barriers {
+		if b.Divergent {
+			s.diag(b.Pos, "barrier under control flow dependent on get_global_id/get_local_id: "+
+				"work-items of a group may disagree on reaching it (undefined behaviour; blocks work-group splitting)")
 		}
 	}
-	return -1
+
+	for _, p := range k.Params {
+		if !s.used[p.Name] {
+			s.diag(p.Pos, "kernel argument %q is never used", p.Name)
+		}
+	}
+	for _, name := range s.declared {
+		if !s.reads[name] {
+			s.diag(s.declPos[name], "value of %q is assigned but never read", name)
+		}
+	}
+	s.lintStridedOOB()
+	clc.SortDiags(s.sum.Diags)
+}
+
+// lintStridedOOB reports strided accesses whose statically known minimum
+// index is negative on every launch: unguarded, parameter-free refs with
+// nonnegative id coefficients and a constant negative base or strided low
+// bound (e.g. a[gid0 - 1], a[i] for i in [-1, n)).
+func (s *strider) lintStridedOOB() {
+	for i := range s.sum.Args {
+		arg := &s.sum.Args[i]
+		for j := range arg.Refs {
+			ref := &arg.Refs[j]
+			if len(ref.Guards) > 0 || ref.MayOnly {
+				continue
+			}
+			if min, ok := ref.StaticMin(); ok && min < 0 {
+				s.diag(ref.Pos, "strided access to %q provably out of bounds: minimum index %d is negative",
+					arg.Name, min)
+			}
+		}
+	}
 }
 
 // blockResult says how a block terminates for path-sensitivity purposes.
@@ -706,13 +824,31 @@ const (
 
 func (s *strider) mayOnly() bool { return s.mayDepth > 0 || s.maySticky }
 
+func (s *strider) divergent() bool { return s.divDepth > 0 || s.divSticky }
+
 func (s *strider) block(b *clc.Block) blockResult {
+	mark := len(s.scope)
+	res := fellThrough
 	for _, st := range b.Stmts {
 		if s.stmt(st) == returned {
-			return returned
+			res = returned
+			break
 		}
 	}
-	return fellThrough
+	s.endScope(mark)
+	return res
+}
+
+// endScope restores the values the declarations since mark hid.
+func (s *strider) endScope(mark int) {
+	for i := len(s.scope) - 1; i >= mark; i-- {
+		if sh := s.scope[i]; sh.old != nil {
+			s.env[sh.name] = *sh.old
+		} else {
+			delete(s.env, sh.name)
+		}
+	}
+	s.scope = s.scope[:mark]
 }
 
 func (s *strider) stmt(st clc.Stmt) blockResult {
@@ -728,32 +864,48 @@ func (s *strider) stmt(st clc.Stmt) blockResult {
 	case *clc.IfStmt:
 		return s.ifStmt(st)
 	case *clc.ForStmt:
+		mark := len(s.scope)
 		s.forStmt(st)
+		s.endScope(mark)
 	case *clc.WhileStmt:
-		s.whileStmt(st)
+		s.opaqueLoop(st.Cond, st.Body, nil, assigned(nil, st.Body), RejLoopCarried)
 	case *clc.ReturnStmt:
+		if s.divergent() {
+			// Work-items disagree on exiting: everything after this point
+			// is control-dependent on work-item identity.
+			s.divSticky = true
+		}
 		return returned
 	case *clc.BreakStmt, *clc.ContinueStmt:
-		// Handled by the enclosing loop's escape scan.
+		if s.divergent() {
+			s.loopEscape = true
+		}
 	}
 	return fellThrough
 }
 
 func (s *strider) decl(d *clc.DeclStmt) {
 	if d.ArrayLen != nil {
-		s.arrays[d.Name] = d.Space
+		n, _ := clc.ConstEval(d.ArrayLen)
+		s.arrays[d.Name] = arrayInfo{length: n, local: d.Space == clc.SpaceLocal}
 		return
 	}
-	if d.Elem != clc.Int {
-		if d.Init != nil {
-			s.expr(d.Init) // record loads in float/bool initializers
-		}
-		return
+	if _, ok := s.declPos[d.Name]; !ok {
+		s.declared = append(s.declared, d.Name)
 	}
+	s.declPos[d.Name] = d.Pos
 	v := sAff(affConst(0)) // registers are zeroed
 	if d.Init != nil {
 		v = s.expr(d.Init)
 	}
+	if d.Elem != clc.Int {
+		v = sErr(RejNonAffine).taint(v.dep)
+	}
+	sh := shadowed{name: d.Name}
+	if old, ok := s.env[d.Name]; ok {
+		sh.old = &old
+	}
+	s.scope = append(s.scope, sh)
 	s.env[d.Name] = v
 }
 
@@ -761,11 +913,10 @@ func (s *strider) assign(a *clc.AssignStmt) {
 	rhs := s.expr(a.RHS)
 	switch lhs := a.LHS.(type) {
 	case *clc.Ident:
-		if lhs.Type().Kind != clc.Int || lhs.Type().Ptr {
-			return
-		}
+		s.used[lhs.Name] = true
 		v := rhs
 		if a.Op != clc.ASSIGN {
+			s.reads[lhs.Name] = true
 			old, ok := s.env[lhs.Name]
 			if !ok {
 				old = sErr(RejNonAffine)
@@ -780,8 +931,15 @@ func (s *strider) assign(a *clc.AssignStmt) {
 			default:
 				v = sErr(RejNonAffine)
 			}
+			v = v.taint(old.dep || rhs.dep)
 		}
-		s.env[lhs.Name] = v
+		if t := lhs.Type(); t.Kind != clc.Int || t.Ptr {
+			v = sErr(RejNonAffine).taint(v.dep)
+		}
+		// Assigned under divergent control, the merged value differs
+		// between the work-items that ran the assignment and those that
+		// did not.
+		s.env[lhs.Name] = v.taint(s.divergent())
 	case *clc.IndexExpr:
 		idx := s.expr(lhs.Idx)
 		s.recordRef(lhs, idx, true, a.Op != clc.ASSIGN, a.Pos)
@@ -789,13 +947,17 @@ func (s *strider) assign(a *clc.AssignStmt) {
 }
 
 func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
-	s.expr(st.Cond) // record loads in the condition exactly once
+	cond := s.expr(st.Cond) // record loads in the condition exactly once
+	saved := s.noRecord
 	s.noRecord = true
 	thenGuards, thenOK := condGuards(s, st.Cond, false)
 	elseGuards, elseOK := condGuards(s, st.Cond, true)
-	s.noRecord = false
+	s.noRecord = saved
 
-	pre := s.snapshot()
+	if cond.dep {
+		s.divDepth++
+	}
+	pre := maps.Clone(s.env)
 	preGuards := len(s.guards)
 
 	if thenOK {
@@ -804,7 +966,7 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 		s.mayDepth++
 	}
 	thenRet := s.block(st.Then)
-	thenEnv := s.snapshot()
+	thenEnv := s.env
 	s.guards = s.guards[:preGuards]
 	if !thenOK {
 		s.mayDepth--
@@ -813,18 +975,21 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 	elseRet := fellThrough
 	elseEnv := pre
 	if st.Else != nil {
-		s.restore(pre)
+		s.env = maps.Clone(pre)
 		if elseOK {
 			s.guards = append(s.guards, elseGuards...)
 		} else {
 			s.mayDepth++
 		}
 		elseRet = s.stmt(st.Else)
-		elseEnv = s.snapshot()
+		elseEnv = s.env
 		s.guards = s.guards[:preGuards]
 		if !elseOK {
 			s.mayDepth--
 		}
+	}
+	if cond.dep {
+		s.divDepth--
 	}
 
 	thenHasRet := scanForReturn(st.Then)
@@ -834,7 +999,7 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 		return returned
 	case thenRet == returned:
 		// Only the else path continues: its guards become ambient.
-		s.restore(elseEnv)
+		s.env = elseEnv
 		if elseOK {
 			s.guards = append(s.guards, elseGuards...)
 		} else {
@@ -844,7 +1009,7 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 			s.maySticky = true
 		}
 	case elseRet == returned:
-		s.restore(thenEnv)
+		s.env = thenEnv
 		if thenOK {
 			s.guards = append(s.guards, thenGuards...)
 		} else {
@@ -854,7 +1019,7 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 			s.maySticky = true
 		}
 	default:
-		s.mergeEnvs(pre, thenEnv, elseEnv)
+		s.env = mergeEnvs(pre, thenEnv, elseEnv)
 		// A return buried on some path of either branch means later
 		// statements only run for a subset of items the guards don't
 		// describe: must-facts after this point would over-claim.
@@ -960,57 +1125,54 @@ func compareGuard(op clc.Kind, x, y AffExpr, negate bool) (Guard, bool) {
 	return Guard{}, false
 }
 
+// forStmt walks a for loop; the caller closes the scope of its init.
 func (s *strider) forStmt(st *clc.ForStmt) {
+	if st.Init != nil {
+		s.stmt(st.Init)
+	}
+	names := assigned(assigned(nil, st.Body), st.Post)
+	entry := make([]sval, len(names))
+	for i, n := range names {
+		entry[i] = s.env[n]
+	}
 	// Recognize the induction pattern: for (iv = Lo; iv < Hi; iv += Step)
 	// with Lo/Hi affine and Step a positive constant, and iv not otherwise
 	// assigned in the body.
+	saved := s.noRecord
 	s.noRecord = true
-	iv, ok, why := s.inductionLoop(st)
-	s.noRecord = false
+	iv, ok, why := s.inductionLoop(st, names)
+	s.noRecord = saved
 	if !ok {
-		if why == "" {
-			why = RejLoopCarried
-		}
-		if st.Init != nil {
-			// Record loads in the init expression (the probe suppressed
-			// them), then conservatively forget whatever init assigns —
-			// the probe may have bailed before or after modelling it.
-			switch init := st.Init.(type) {
-			case *clc.DeclStmt:
-				if init.Init != nil {
-					s.expr(init.Init)
-				}
-			case *clc.AssignStmt:
-				s.expr(init.RHS)
-			}
-			s.invalidateAssignedStmt(st.Init, why)
-		}
-		s.opaqueLoopReason(st.Cond, st.Body, st.Post, why)
+		s.opaqueLoop(st.Cond, st.Body, st.Post, names, why)
 		return
 	}
 
-	// Walk the body once with the IV symbolic. Variables the body assigns
-	// are invalidated first (single pass, no fixpoint).
-	name := iv.name
-	s.invalidateAssigned(st.Body, RejLoopCarried)
-	if st.Post != nil {
-		s.invalidateAssignedStmt(st.Post, RejLoopCarried)
-	}
+	// Walk the body with the IV symbolic and the variables the body assigns
+	// invalidated (inductionLoop did that before reading the bound).
 	info := &ivInfo{id: s.nextIV, rng: iv.rng}
 	s.nextIV++
-	s.env[name] = sval{ok: true, ivs: []ivCoef{{iv: info, coef: UConst(1)}}}
+	s.env[iv.name] = sval{ok: true, dep: iv.dep, ivs: []ivCoef{{iv: info, coef: UConst(1)}}}
+	s.reads[iv.name] = true // the condition and the step read it
 
 	escapes := hasEscape(st.Body)
 	if escapes {
 		s.mayDepth++
 	}
-	s.block(st.Body)
+	escaped := s.loop(nil, iv.dep, names, func() { s.block(st.Body) })
 	if escapes {
 		s.mayDepth--
 	}
 	info.dead = true
-	s.env[name] = sErr(RejLoopCarried)
 	s.dropDead()
+	// A loop may run no trip at all: each variable it assigns keeps its
+	// entry value or loses its index form.
+	for i, n := range names {
+		v := s.env[n]
+		if v.ok && !v.equal(entry[i]) {
+			v = sErr(RejLoopCarried).taint(v.dep)
+		}
+		s.env[n] = v.taint(entry[i].dep || (n == iv.name && escaped))
+	}
 	if scanForReturn(st.Body) {
 		// Items may have exited inside the loop: code after it only runs
 		// for a subset the guards don't describe.
@@ -1021,33 +1183,30 @@ func (s *strider) forStmt(st *clc.ForStmt) {
 type inductionIV struct {
 	name string
 	rng  IVRange
+	dep  bool // the range differs between the work-items of a group
 }
 
-func (s *strider) inductionLoop(st *clc.ForStmt) (inductionIV, bool, string) {
+// inductionLoop matches the loop header after its init has run. It
+// invalidates names, the variables the body and the step assign, before it
+// reads the bound, which the loop evaluates again on every trip.
+func (s *strider) inductionLoop(st *clc.ForStmt, names []string) (inductionIV, bool, string) {
 	var name string
-	var lo sval
 	switch init := st.Init.(type) {
 	case *clc.DeclStmt:
 		if init.ArrayLen != nil || init.Elem != clc.Int {
 			return inductionIV{}, false, RejLoopCarried
 		}
 		name = init.Name
-		lo = sAff(affConst(0))
-		if init.Init != nil {
-			lo = s.expr(init.Init)
-		}
-		s.env[name] = lo
 	case *clc.AssignStmt:
 		id, ok := init.LHS.(*clc.Ident)
 		if !ok || init.Op != clc.ASSIGN {
 			return inductionIV{}, false, RejLoopCarried
 		}
 		name = id.Name
-		lo = s.expr(init.RHS)
-		s.env[name] = lo
 	default:
 		return inductionIV{}, false, RejLoopCarried
 	}
+	lo := s.env[name]
 	loAff, ok := lo.pureAff()
 	if !ok {
 		return inductionIV{}, false, RejIVBound
@@ -1061,7 +1220,9 @@ func (s *strider) inductionLoop(st *clc.ForStmt) (inductionIV, bool, string) {
 	if !ok || lhs.Name != name {
 		return inductionIV{}, false, RejLoopCarried
 	}
-	hiAff, ok := s.expr(cmp.Y).pureAff()
+	s.invalidate(names, RejLoopCarried)
+	hi := s.expr(cmp.Y)
+	hiAff, ok := hi.pureAff()
 	if !ok {
 		return inductionIV{}, false, RejIVBound
 	}
@@ -1073,10 +1234,10 @@ func (s *strider) inductionLoop(st *clc.ForStmt) (inductionIV, bool, string) {
 	if !ok || step <= 0 {
 		return inductionIV{}, false, RejIVStep
 	}
-	if assignsTo(st.Body, name) {
+	if slices.Contains(assigned(nil, st.Body), name) {
 		return inductionIV{}, false, RejLoopCarried
 	}
-	return inductionIV{name: name, rng: IVRange{Lo: loAff, Hi: hiAff, Step: step}}, true, ""
+	return inductionIV{name: name, rng: IVRange{Lo: loAff, Hi: hiAff, Step: step}, dep: lo.dep || hi.dep}, true, ""
 }
 
 // postStep matches iv += c, iv = iv + c, iv = iv - c as the loop post and
@@ -1119,151 +1280,144 @@ func postStep(post clc.Stmt, name string) (int64, bool) {
 	return 0, false
 }
 
-func (s *strider) whileStmt(st *clc.WhileStmt) {
-	s.opaqueLoopReason(st.Cond, st.Body, nil, RejLoopCarried)
-}
-
-// opaqueLoopReason walks a loop the walker cannot model: every variable
-// the body (or post) assigns is invalidated with the given reject reason,
+// opaqueLoop walks a loop the walker cannot model: every variable the body
+// (or post) assigns, names, is invalidated with the given reject reason,
 // and all refs inside are may-only.
-func (s *strider) opaqueLoopReason(cond clc.Expr, body *clc.Block, post clc.Stmt, why string) {
-	if why == "" {
-		why = RejLoopCarried
-	}
-	s.invalidateAssigned(body, why)
-	if post != nil {
-		s.invalidateAssignedStmt(post, why)
-	}
+func (s *strider) opaqueLoop(cond clc.Expr, body *clc.Block, post clc.Stmt, names []string, why string) {
+	s.invalidate(names, why)
+	condDep := false
 	if cond != nil {
-		s.expr(cond)
+		condDep = s.expr(cond).dep
 	}
 	s.mayDepth++
-	s.block(body)
-	if post != nil {
-		s.stmt(post)
-	}
+	s.loop(cond, condDep, names, func() {
+		s.block(body)
+		if post != nil {
+			s.stmt(post)
+		}
+	})
 	s.mayDepth--
-	s.invalidateAssigned(body, why)
-	if post != nil {
-		s.invalidateAssignedStmt(post, why)
-	}
+	s.invalidate(names, why)
 	if scanForReturn(body) {
 		s.maySticky = true
 	}
 }
 
+// loop walks a loop body until its dep facts stop growing, and reports
+// whether a break or continue ran under divergent control. names are the
+// variables the body assigns, which hold their head values: one that
+// leaves a walk dep is read dep by the next trip. The body runs under
+// divergent control once the condition (re-read after each walk when cond
+// is non-nil) is dep or an escape ran under a dep condition. Walks after
+// the first record only barrier sites, so dep, which only grows, bounds
+// the walks by len(names) + 2.
+func (s *strider) loop(cond clc.Expr, condDep bool, names []string, walk func()) bool {
+	head := make([]sval, len(names))
+	for i, n := range names {
+		head[i] = s.env[n]
+	}
+	saved, outer := s.noRecord, s.loopEscape
+	s.loopEscape = false
+	for {
+		escaped := s.loopEscape
+		div := condDep || escaped
+		if div {
+			s.divDepth++
+		}
+		walk()
+		if div {
+			s.divDepth--
+		}
+		s.noRecord = true
+		grown := s.loopEscape != escaped
+		if cond != nil && !condDep && s.expr(cond).dep {
+			condDep, grown = true, true
+		}
+		for i, n := range names {
+			if s.env[n].dep && !head[i].dep {
+				head[i].dep, grown = true, true
+			}
+		}
+		if !grown {
+			break
+		}
+		for i, n := range names {
+			s.env[n] = head[i]
+		}
+	}
+	escaped := s.loopEscape
+	s.noRecord, s.loopEscape = saved, outer
+	return escaped
+}
+
 // ---- env plumbing ----
 
-func (s *strider) snapshot() map[string]sval {
-	m := make(map[string]sval, len(s.env))
-	for k, v := range s.env {
-		m[k] = v
-	}
-	return m
-}
-
-func (s *strider) restore(m map[string]sval) {
-	s.env = make(map[string]sval, len(m))
-	for k, v := range m {
-		s.env[k] = v
-	}
-}
-
-func (s *strider) mergeEnvs(pre, thenEnv, elseEnv map[string]sval) {
-	s.env = make(map[string]sval, len(pre))
-	for name := range pre {
+// mergeEnvs joins the two branch environments into pre.
+func mergeEnvs(pre, thenEnv, elseEnv map[string]sval) map[string]sval {
+	for name, pv := range pre {
 		tv, ok1 := thenEnv[name]
 		ev, ok2 := elseEnv[name]
 		if !ok1 {
-			tv = pre[name]
+			tv = pv
 		}
 		if !ok2 {
-			ev = pre[name]
+			ev = pv
 		}
 		if tv.equal(ev) {
-			s.env[name] = tv
+			pre[name] = tv.taint(ev.dep)
 		} else {
-			s.env[name] = sErr(RejNonAffine)
+			pre[name] = sErr(RejNonAffine).taint(tv.dep || ev.dep)
 		}
 	}
+	return pre
 }
 
-// invalidateAssigned marks every scalar the statement tree assigns as
-// unknown with the given reason.
-func (s *strider) invalidateAssigned(b *clc.Block, why string) {
-	for _, st := range b.Stmts {
-		s.invalidateAssignedStmt(st, why)
+// invalidate marks each named scalar unknown with the given reason,
+// keeping its dep bit.
+func (s *strider) invalidate(names []string, why string) {
+	for _, n := range names {
+		s.env[n] = sErr(why).taint(s.env[n].dep)
 	}
 }
 
-func (s *strider) invalidateAssignedStmt(st clc.Stmt, why string) {
+// assigned appends to names every scalar the statement tree assigns or
+// declares, once each.
+func assigned(names []string, st clc.Stmt) []string {
+	add := func(n string) {
+		if !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
 	switch st := st.(type) {
 	case *clc.Block:
-		s.invalidateAssigned(st, why)
+		for _, x := range st.Stmts {
+			names = assigned(names, x)
+		}
 	case *clc.DeclStmt:
 		if st.ArrayLen == nil {
-			s.env[st.Name] = sErr(why)
+			add(st.Name)
 		}
 	case *clc.AssignStmt:
 		if id, ok := st.LHS.(*clc.Ident); ok {
-			s.env[id.Name] = sErr(why)
+			add(id.Name)
 		}
 	case *clc.IfStmt:
-		s.invalidateAssigned(st.Then, why)
+		names = assigned(names, st.Then)
 		if st.Else != nil {
-			s.invalidateAssignedStmt(st.Else, why)
+			names = assigned(names, st.Else)
 		}
 	case *clc.ForStmt:
 		if st.Init != nil {
-			s.invalidateAssignedStmt(st.Init, why)
+			names = assigned(names, st.Init)
 		}
 		if st.Post != nil {
-			s.invalidateAssignedStmt(st.Post, why)
+			names = assigned(names, st.Post)
 		}
-		s.invalidateAssigned(st.Body, why)
+		names = assigned(names, st.Body)
 	case *clc.WhileStmt:
-		s.invalidateAssigned(st.Body, why)
+		names = assigned(names, st.Body)
 	}
-}
-
-func assignsTo(b *clc.Block, name string) bool {
-	found := false
-	var scan func(st clc.Stmt)
-	scan = func(st clc.Stmt) {
-		switch st := st.(type) {
-		case *clc.Block:
-			for _, s := range st.Stmts {
-				scan(s)
-			}
-		case *clc.DeclStmt:
-			if st.Name == name {
-				found = true
-			}
-		case *clc.AssignStmt:
-			if id, ok := st.LHS.(*clc.Ident); ok && id.Name == name {
-				found = true
-			}
-		case *clc.IfStmt:
-			scan(st.Then)
-			if st.Else != nil {
-				scan(st.Else)
-			}
-		case *clc.ForStmt:
-			if st.Init != nil {
-				scan(st.Init)
-			}
-			if st.Post != nil {
-				scan(st.Post)
-			}
-			scan(st.Body)
-		case *clc.WhileStmt:
-			scan(st.Body)
-		}
-	}
-	for _, st := range b.Stmts {
-		scan(st)
-	}
-	return found
+	return names
 }
 
 func hasEscape(b *clc.Block) bool {
@@ -1329,7 +1483,7 @@ func scanForReturn(b *clc.Block) bool {
 func (s *strider) dropDead() {
 	for name, v := range s.env {
 		if v.ok && !v.live() {
-			s.env[name] = sErr(RejLoopCarried)
+			s.env[name] = sErr(RejLoopCarried).taint(v.dep)
 		}
 	}
 }
@@ -1343,72 +1497,80 @@ func (s *strider) expr(e clc.Expr) sval {
 	case *clc.FloatLit, *clc.BoolLit:
 		return sErr(RejNonAffine)
 	case *clc.Ident:
+		s.used[e.Name] = true
+		s.reads[e.Name] = true
 		if v, ok := s.env[e.Name]; ok {
 			if v.ok && !v.live() {
 				// Stale reference to a dead loop IV; keep sharper reasons
 				// already attached to not-ok values.
-				return sErr(RejLoopCarried)
+				return sErr(RejLoopCarried).taint(v.dep)
 			}
 			return v
 		}
-		return sErr(RejNonAffine)
+		return sErr(RejNonAffine) // float parameters, builtin constants (CLK_*)
 	case *clc.UnaryExpr:
 		x := s.expr(e.X)
 		if e.Op == clc.MINUS {
-			return sAff(affConst(0)).sub(x)
+			return sAff(affConst(0)).sub(x).taint(x.dep)
 		}
-		return sErr(RejNonAffine)
+		return sErr(RejNonAffine).taint(x.dep)
 	case *clc.BinaryExpr:
 		x := s.expr(e.X)
 		y := s.expr(e.Y)
+		var v sval
 		switch e.Op {
 		case clc.PLUS:
-			return x.add(y)
+			v = x.add(y)
 		case clc.MINUS:
-			return x.sub(y)
+			v = x.sub(y)
 		case clc.STAR:
-			return x.mul(y)
+			v = x.mul(y)
 		case clc.SLASH, clc.PERCENT:
 			xu, okx := x.pureUniform()
 			yu, oky := y.pureUniform()
+			v = sErr(RejNonAffine)
 			if okx && oky {
 				op := uDiv
 				if e.Op == clc.PERCENT {
 					op = uMod
 				}
-				return sAff(AffExpr{K: &UExpr{Op: op, X: xu, Y: yu}})
+				v = sAff(AffExpr{K: &UExpr{Op: op, X: xu, Y: yu}})
 			}
-			return sErr(RejNonAffine)
 		default:
-			return sErr(RejNonAffine)
+			v = sErr(RejNonAffine)
 		}
+		return v.taint(x.dep || y.dep)
 	case *clc.CondExpr:
-		s.expr(e.Cond)
+		c := s.expr(e.Cond)
 		t := s.expr(e.Then)
 		f := s.expr(e.Else)
+		v := sErr(RejNonAffine)
 		if t.equal(f) {
-			return t
+			v = t
 		}
-		return sErr(RejNonAffine)
+		return v.taint(c.dep || t.dep || f.dep)
 	case *clc.CallExpr:
 		return s.call(e)
 	case *clc.IndexExpr:
 		idx := s.expr(e.Idx)
 		s.recordRef(e, idx, false, false, e.NodePos())
-		return sErr(RejIndirect)
+		// Loaded content is arbitrary; it differs between work-items if the
+		// location read does.
+		return sErr(RejIndirect).taint(idx.dep)
 	case *clc.CastExpr:
+		x := s.expr(e.X)
 		if e.To.Kind == clc.Int {
-			return s.expr(e.X)
+			return x
 		}
-		s.expr(e.X)
-		return sErr(RejNonAffine)
+		return sErr(RejNonAffine).taint(x.dep)
 	}
 	return sErr(RejNonAffine)
 }
 
 func (s *strider) call(e *clc.CallExpr) sval {
+	dep := false
 	for _, a := range e.Args {
-		s.expr(a)
+		dep = s.expr(a).dep || dep
 	}
 	dim, dimOK := int64(0), false
 	if len(e.Args) >= 1 {
@@ -1416,22 +1578,24 @@ func (s *strider) call(e *clc.CallExpr) sval {
 			dim, dimOK = v, true
 		}
 	}
+	var a AffExpr
 	switch e.Name {
+	case "barrier":
+		s.sum.Barriers = append(s.sum.Barriers, BarrierSite{Pos: e.Pos, Divergent: s.divergent()})
 	case "get_global_id":
 		if dimOK {
-			var a AffExpr
 			a.Gid[dim] = UConst(1)
-			return sAff(a)
+			return sval{ok: true, dep: true, aff: a}
 		}
+		dep = true
 	case "get_local_id":
 		if dimOK {
-			var a AffExpr
 			a.Lid[dim] = UConst(1)
-			return sAff(a)
+			return sval{ok: true, dep: true, aff: a}
 		}
+		dep = true
 	case "get_group_id":
 		if dimOK {
-			var a AffExpr
 			a.Grp[dim] = UConst(1)
 			return sAff(a)
 		}
@@ -1448,31 +1612,41 @@ func (s *strider) call(e *clc.CallExpr) sval {
 			return sAff(AffExpr{K: UMul(uLaunchConst(lcLocalSize, int(dim)), uLaunchConst(lcNumGroups, int(dim)))})
 		}
 	}
-	return sErr(RejNonAffine)
+	return sErr(RejNonAffine).taint(dep)
 }
 
-// ---- ref recording ----
+// ---- ref recording and the per-access lints ----
 
 func (s *strider) recordRef(e *clc.IndexExpr, idx sval, store, alsoRead bool, pos clc.Pos) {
+	s.used[e.Base.Name] = true
 	if s.noRecord {
 		return
 	}
-	if sp, isArr := s.arrays[e.Base.Name]; isArr {
-		if store && sp == clc.SpaceLocal {
+	if ai, isArr := s.arrays[e.Base.Name]; isArr {
+		// Declared __local/__private array: constant bounds are checkable.
+		if v, ok := clc.ConstEval(e.Idx); ok && (v < 0 || v >= ai.length) {
+			s.diag(e.Idx.NodePos(), "index %d out of bounds for array %q of length %d",
+				v, e.Base.Name, ai.length)
+		}
+		if store && ai.local {
 			s.sum.LocalStores = true
+			if s.racy(idx) {
+				s.race(e, alsoRead, pos, "__local array")
+			}
 		}
 		return
 	}
 	i, isParam := s.argIdx[e.Base.Name]
-	if !isParam || i < 0 {
+	if !isParam {
 		return
 	}
 	arg := &s.sum.Args[i]
+	if store && s.racy(idx) {
+		s.race(e, alsoRead, pos, arg.Space.String()+" buffer")
+	}
 	if !idx.live() {
-		why := RejLoopCarried
-		if idx.ok {
-			why = RejLoopCarried // stale IV reference
-		} else if idx.why != "" {
+		why := RejLoopCarried // a stale IV reference
+		if !idx.ok && idx.why != "" {
 			why = idx.why
 		}
 		arg.Rejects = append(arg.Rejects, Reject{Reason: why, Store: store, Pos: pos})
@@ -1502,4 +1676,22 @@ func (s *strider) recordRef(e *clc.IndexExpr, idx sval, store, alsoRead bool, po
 		ref.IVs = append(ref.IVs, r)
 	}
 	arg.Refs = append(arg.Refs, ref)
+}
+
+// racy reports a store index every work-item of a group shares: one the
+// walker holds in affine form, the same for the whole group (IV terms over
+// group-uniform ranges included), outside divergent control.
+func (s *strider) racy(idx sval) bool {
+	return idx.live() && !idx.dep && !s.divergent()
+}
+
+// race reports an inter-work-item race at a store racy accepted.
+func (s *strider) race(e *clc.IndexExpr, alsoRead bool, pos clc.Pos, what string) {
+	kind := "write/write"
+	if alsoRead {
+		kind = "read/write and write/write"
+	}
+	s.sum.Races++
+	s.diag(pos, "inter-work-item %s race: every work-item of a group stores to %s %s[%s] at the same index",
+		kind, what, e.Base.Name, clc.ExprString(e.Idx))
 }

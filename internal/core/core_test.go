@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
+	"fluidicl/internal/clc"
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
@@ -474,6 +476,39 @@ func TestOnlineProfilingPicksFasterVariant(t *testing.T) {
 	}
 	if !k.profiled {
 		t.Skip("CPU saw too few subkernels to finish profiling in this configuration")
+	}
+}
+
+// TestCPUVariantAnalysedChecked: AddCPUVariant analyses the variant as
+// clc.Check typed it. The store index below reaches the work-item's own
+// slot through a plain assignment to an int, which the walker follows only
+// on a typed identifier; then out is slot-exact and write-only, and the
+// variant's subkernel range guard is dropped.
+func TestCPUVariantAnalysedChecked(t *testing.T) {
+	env := sim.NewEnv()
+	rt := MustNew(env, device.New(env, device.XeonW3550()), device.New(env, device.TeslaC2070()), Options{})
+	prog, err := rt.BuildProgram(variantSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prog.MustKernel("work")
+	const slotSrc = `
+__kernel void work_slot(__global float* a, __global float* out, int n) {
+    int i = get_global_id(0);
+    int t = 0;
+    t = 0 * n + i;
+    if (i < n) {
+        float s = 0.0f;
+        for (int k = 0; k < n; k++) { s += a[t + k * n]; }
+        out[t] = s;
+    }
+}
+`
+	if err := k.AddCPUVariant(slotSrc, "work_slot"); err != nil {
+		t.Fatal(err)
+	}
+	if src := clc.PrintKernel(k.variants[0].Info.Kernel); strings.Contains(src, "fcl_fgid") {
+		t.Errorf("the variant kept its range guard:\n%s", src)
 	}
 }
 

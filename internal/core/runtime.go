@@ -450,9 +450,9 @@ type Kernel struct {
 	// the twin protocol numbers them from 1 (version 0 is the original).
 	variants []*ocl.Kernel
 
-	// splitOK gates CPU work-group splitting on analyzer facts (no divergent
-	// barriers, no inter-work-item race findings) on top of the syntactic
-	// no-barrier / no-__local rule.
+	// splitOK gates CPU work-group splitting on analyzer facts (no
+	// inter-work-item race findings) on top of the syntactic no-barrier /
+	// no-__local rule.
 	splitOK bool
 	// chkRead / chkWrite are per-original-parameter access masks (bit i =
 	// parameter i may be read / written) unioned over the original kernel's
@@ -544,10 +544,11 @@ func (k *Kernel) AddCPUVariant(src, name string) error {
 		return err
 	}
 	vk := ast.Kernel(name)
-	// The variant gets its own analysis: its guard-drop eligibility depends
-	// on its own stores, and the dynamic access cross-check must accept any
-	// access either implementation can perform.
-	vsum := analysis.AnalyzeKernel(vk, "")
+	// The variant gets its own analysis, of the checked parse (the fresh one
+	// is only transformed): its guard-drop eligibility depends on its own
+	// stores, and the dynamic access cross-check must accept any access
+	// either implementation can perform.
+	vsum := analysis.AnalyzeKernel(vinfo.Kernel, "")
 	vr, vw := accessMasks(vsum)
 	k.chkRead |= vr
 	k.chkWrite |= vw

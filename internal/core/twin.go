@@ -589,7 +589,7 @@ func (t *twin) runCPUScheduler(sp *sim.Proc, l *launch, scratches []scratchPair,
 		t0 := sp.Now()
 		ev, res := t.cpuQ.EnqueueNDRangeKernel(cpuVersion(k, curVar), l.nd.Slice(lo, hi), cargs, ocl.LaunchOpts{
 			// Work-group splitting needs the analyzer's blessing on top of
-			// the user knob: a divergent barrier or a race finding makes
+			// the user knob: any barrier or a race finding makes
 			// splitting one group across threads unsafe — unless this
 			// launch's disjointness certificate overturned the race veto.
 			Split:   !r.opts.NoWorkGroupSplit && l.split,

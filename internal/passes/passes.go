@@ -367,19 +367,15 @@ func CanSplit(ki *clc.KernelInfo) bool {
 }
 
 // CanSplitWithSummary refines CanSplit with analyzer facts: splitting is
-// additionally refused when the analyzer found a barrier under divergent
-// control flow (work-items of one group would deadlock or desynchronize if
-// executed on different threads) or any inter-work-item race finding
-// (splitting changes the interleaving the racy kernel happens to rely on).
-// A nil summary falls back to the syntactic CanSplit rule.
+// additionally refused on any inter-work-item race finding (splitting
+// changes the interleaving the racy kernel happens to rely on). Barriers,
+// divergent or not, are already refused by CanSplit. A nil summary falls
+// back to the syntactic CanSplit rule.
 func CanSplitWithSummary(ki *clc.KernelInfo, ks *analysis.KernelSummary) bool {
 	if !CanSplit(ki) {
 		return false
 	}
-	if ks == nil {
-		return true
-	}
-	return !ks.HasDivergentBarrier() && ks.Races == 0
+	return ks == nil || ks.Races == 0
 }
 
 // CanSplitWithCertificate refines CanSplitWithSummary for one concrete
@@ -387,14 +383,13 @@ func CanSplitWithSummary(ki *clc.KernelInfo, ks *analysis.KernelSummary) bool {
 // launch whose strided footprints are certified pairwise disjoint within
 // every work-group (no two items of a group touch a common word, so no
 // thread assignment can change what any item reads or writes) may split
-// after all. A divergent barrier still vetoes unconditionally — splitting
-// changes barrier pairing regardless of memory disjointness.
+// after all.
 func CanSplitWithCertificate(ki *clc.KernelInfo, ks *analysis.KernelSummary,
 	sh analysis.LaunchShape, params []int64, budget int64) bool {
 	if CanSplitWithSummary(ki, ks) {
 		return true
 	}
-	if !CanSplit(ki) || ks == nil || ks.HasDivergentBarrier() {
+	if !CanSplit(ki) || ks == nil {
 		return false
 	}
 	return ks.CertifyGroupDisjoint(sh, params, budget).OK

@@ -25,6 +25,9 @@ func TransformedSources(src string) (gpu, cpu string, err error) {
 	if err != nil {
 		return "", "", err
 	}
+	if _, err := clc.Check(orig); err != nil {
+		return "", "", err
+	}
 	sum := analysis.AnalyzeProgram(orig, "")
 	g, err := clc.Parse(src)
 	if err != nil {

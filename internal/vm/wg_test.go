@@ -248,6 +248,52 @@ __kernel void scatter(__global float* a, __global int* idx, int n) {
 	}
 }
 
+// TestWGWalkerHoles: three kernels whose every work-item stores to word 0 or
+// past its own slot while a careless strided walker would summarize the
+// store as one slot per item, certify the launch disjoint and run it in
+// lockstep. The summary must refuse the certificate instead, so wg falls
+// back and reproduces the interpreter's bytes.
+func TestWGWalkerHoles(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		// n is 0: the loop runs no trip and t stays 0 for every item.
+		{"zero-trip loop", `
+__kernel void f(__global float* out, int n) {
+    int g = get_global_id(0);
+    int t = 0;
+    for (int k = 0; k < n; k++) { t = g; }
+    out[t] += 1.0f;
+}`},
+		// The first trip raises the bound: k runs 0, 1, 2, not only 0.
+		{"bound the body reassigns", `
+__kernel void f(__global float* out, int n) {
+    int g = get_global_id(0);
+    int m = 1;
+    for (int k = 0; k < m; k++) { out[g + k] = (float)g; m = 3; }
+}`},
+		// The inner t hides the outer one only inside the block.
+		{"shadowed declaration", `
+__kernel void f(__global float* out, int n) {
+    int g = get_global_id(0);
+    int t = 0;
+    { int t = g; out[t] = 0.5f; }
+    out[t] += 1.0f;
+}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := MustCompile(tc.src, "f")
+			before := BackendSnapshot()
+			if err := runWGParity(t, k, NewNDRange1D(16, 16), func() []Arg {
+				return []Arg{BufArg(make([]byte, 4*18)), IntArg(0)}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if after := BackendSnapshot(); after.WGFallbackWGs == before.WGFallbackWGs {
+				t.Errorf("the launch ran in lockstep; want a fallback")
+			}
+		})
+	}
+}
+
 func TestWGAliasedBuffersFallback(t *testing.T) {
 	// Two buffer params backed by the same storage defeat the certificate's
 	// per-object disjointness, so the group must fall back even though the

@@ -223,9 +223,38 @@ func (g *progGen) divergentReduction() {
 	g.floats = append(g.floats, v)
 }
 
+// scopeShape emits one of three stores whose index a walker that ignores
+// scopes, zero-trip loops or reassigned bounds would take for the
+// work-item's own word: an index assigned only inside a loop that runs no
+// trip when p1 <= 0, a loop bound the body raises after its first trip, and
+// an inner declaration that hides an outer variable only inside its block.
+func (g *progGen) scopeShape() {
+	g.nLoops++
+	l, v := fmt.Sprintf("l%d", g.nLoops), g.freshVar()
+	switch g.r.Intn(3) {
+	case 0:
+		g.w("int %s = 0;", v)
+		g.w("for (int %s = 0; %s < p1; %s++) { %s = i; }", l, l, l, v)
+		g.w("fbuf[%s] += %s;", v, g.floatExpr(1))
+	case 1:
+		g.w("int %s = 1;", v)
+		g.w("for (int %s = 0; %s < %s; %s++) {", l, l, v, l)
+		g.w("    if (i + %s < n) { fbuf[i + %s] = %s; }", l, l, g.floatExpr(1))
+		g.w("    %s = %d;", v, g.r.Intn(3)+2)
+		g.w("}")
+	default:
+		g.w("int %s = 0;", v)
+		g.w("{")
+		g.w("    int %s = i;", v)
+		g.w("    fbuf[%s] = %s;", v, g.floatExpr(1))
+		g.w("}")
+		g.w("fbuf[%s] += %s;", v, g.floatExpr(1))
+	}
+}
+
 func (g *progGen) stmts(budget int) {
 	for s := 0; s < budget; s++ {
-		switch g.r.Intn(12) {
+		switch g.r.Intn(13) {
 		case 0, 1:
 			v := g.freshVar()
 			g.w("int %s = %s;", v, g.intExpr(2))
@@ -310,6 +339,10 @@ func (g *progGen) stmts(budget int) {
 		case 11:
 			if g.depth < 2 {
 				g.divergentReduction()
+			}
+		case 12:
+			if g.r.Intn(4) == 0 {
+				g.scopeShape()
 			}
 		}
 	}
