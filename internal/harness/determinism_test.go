@@ -54,8 +54,26 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 // Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/harness -run TestQuickTablesGolden.
 func TestQuickTablesGolden(t *testing.T) {
+	checkTablesGolden(t, true, "tables_quick.golden")
+}
+
+// TestFullTablesGolden is TestQuickTablesGolden at full scale: the golden is
+// `fluidibench -parallel 1 all` with the wall trailers deleted. It takes a
+// few seconds, so -short skips it. Regenerate with
+// UPDATE_GOLDEN=1 go test ./internal/harness -run TestFullTablesGolden.
+func TestFullTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale tables take seconds")
+	}
+	checkTablesGolden(t, false, "tables_full.golden")
+}
+
+// checkTablesGolden renders every experiment at the given scale from one
+// Runner with four concurrent cells and compares the text with the golden.
+func checkTablesGolden(t *testing.T, quick bool, name string) {
+	t.Helper()
 	r := NewRunner()
-	r.Quick = true
+	r.Quick = quick
 	r.Parallel = 4
 	var got bytes.Buffer
 	for _, id := range append(append([]string{}, ExperimentIDs...), ExtraExperimentIDs...) {
@@ -65,7 +83,7 @@ func TestQuickTablesGolden(t *testing.T) {
 		}
 		got.WriteString(tab.String() + "\n\n") // as fluidibench prints it
 	}
-	golden := filepath.Join("testdata", "tables_quick.golden")
+	golden := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -78,7 +96,7 @@ func TestQuickTablesGolden(t *testing.T) {
 		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("quick tables differ from golden %s; if the change is intentional, regenerate with UPDATE_GOLDEN=1\n--- got ---\n%s",
+		t.Fatalf("tables differ from golden %s; if the change is intentional, regenerate with UPDATE_GOLDEN=1\n--- got ---\n%s",
 			golden, got.String())
 	}
 }
