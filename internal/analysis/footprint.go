@@ -7,6 +7,7 @@ package analysis
 // noninterference verdict that admits launches to the VM's lockstep engine.
 
 import (
+	"cmp"
 	"slices"
 
 	"fluidicl/internal/clc"
@@ -385,7 +386,7 @@ func (ks *KernelSummary) CertifyGroupDisjoint(sh LaunchShape, params []int64, bu
 				ar.r = append(ar.r, r)
 			}
 		}
-		if len(ar.w) > 0 && !slotExact(a.Refs, c, sh.Local) {
+		if len(ar.w) > 0 && !slotExact(a.Refs, c, sh.Local, [3]int64{1, 1, 1}) {
 			args = append(args, ar)
 		}
 	}
@@ -465,14 +466,32 @@ func (ks *KernelSummary) CertifyGroupDisjoint(sh LaunchShape, params []int64, bu
 	return Verdict{OK: true}
 }
 
+// CertifyGroupsIndependent proves that no work-group of the launch's full
+// grid stores to a global word that another group loads: every argument the
+// kernel both reads and writes gives each work-item of the whole grid its
+// own single word (slotExact over the launch grid). A group's loads then see
+// the launch-start bytes or its own stores, whichever groups ran before it.
+func (ks *KernelSummary) CertifyGroupsIndependent(sh LaunchShape, params []int64) bool {
+	c := sh.Ctx(params)
+	for i := range ks.Args {
+		a := &ks.Args[i]
+		if a.Read && a.Written && a.Space == clc.SpaceGlobal &&
+			(len(a.Rejects) > 0 || !slotExact(a.Refs, c, sh.Local, sh.NumGroups)) {
+			return false
+		}
+	}
+	return true
+}
+
 // slotExact reports that refs, every access to one argument, give each
-// work-item of a group its own single word: no ref has an IV term, all
-// share one Base (compared as coefficients evaluated under c), and that
-// Base's lid part Σ (Gid[d]+Lid[d])*lid_d is injective over the local grid.
-// Within a group, gid_d = grp_d*Local[d] + lid_d, so item t touches exactly
-// K + (the group's part) + (t's lid part), which no other item of the group
-// touches. The test is O(len(refs) + items per group), however many groups.
-func slotExact(refs []StridedRef, c *EvalCtx, local [3]int64) bool {
+// work-item of a grid of groups its own single word: no ref has an IV term,
+// all share one Base (compared as coefficients evaluated under c), and that
+// Base is injective over the grid. With gid_d = grp_d*Local[d] + lid_d, item
+// (lid, grp) touches K + Σ_d (Gid[d]+Lid[d])*lid_d + (Gid[d]*Local[d]+Grp[d])*grp_d:
+// one axis per coordinate, lid_d over Local[d] and grp_d over groups[d].
+// groups of all ones asks about one group, whose part is then fixed; the
+// launch's NumGroups asks about the whole grid.
+func slotExact(refs []StridedRef, c *EvalCtx, local, groups [3]int64) bool {
 	var base [10]int64
 	for i := range refs {
 		if len(refs[i].IVs) > 0 {
@@ -484,11 +503,41 @@ func slotExact(refs []StridedRef, c *EvalCtx, local [3]int64) bool {
 		}
 		base = v
 	}
-	vals := make([]int64, 0, local[0]*local[1]*local[2])
-	for z := int64(0); z < local[2]; z++ {
-		for y := int64(0); y < local[1]; y++ {
-			for x := int64(0); x < local[0]; x++ {
-				vals = append(vals, (base[1]+base[4])*x+(base[2]+base[5])*y+(base[3]+base[6])*z)
+	var axes [6][2]int64
+	for d := 0; d < 3; d++ {
+		axes[d] = [2]int64{base[1+d] + base[4+d], local[d]}
+		axes[3+d] = [2]int64{base[1+d]*local[d] + base[7+d], groups[d]}
+	}
+	return injective(axes[:])
+}
+
+// maxInjectiveEnum bounds the grid points injective enumerates.
+const maxInjectiveEnum = 1 << 16
+
+// injective reports that Σ c*x, over x in [0, n) for each axis (c, n), takes
+// no value twice. Axes whose coefficient exceeds the span of every smaller
+// one (a mixed radix) prove it in O(axes); otherwise a grid of at most
+// maxInjectiveEnum points is enumerated, and a larger one is not proved.
+func injective(axes [][2]int64) bool {
+	abs := func(v int64) int64 { return max(v, -v) }
+	slices.SortFunc(axes, func(a, b [2]int64) int { return cmp.Compare(abs(a[0]), abs(b[0])) })
+	radix, span, points := true, int64(0), int64(1)
+	for _, a := range axes {
+		if a[1] > 1 {
+			radix = radix && abs(a[0]) > span
+			span += abs(a[0]) * (a[1] - 1)
+			points = min(points*a[1], maxInjectiveEnum+1)
+		}
+	}
+	if radix || points > maxInjectiveEnum {
+		return radix
+	}
+	vals := []int64{0}
+	for _, a := range axes {
+		n := len(vals)
+		for x := int64(1); x < a[1]; x++ {
+			for _, v := range vals[:n] {
+				vals = append(vals, v+a[0]*x)
 			}
 		}
 	}

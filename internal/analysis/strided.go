@@ -992,8 +992,8 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 		s.divDepth--
 	}
 
-	thenHasRet := scanForReturn(st.Then)
-	elseHasRet := st.Else != nil && stmtHasReturn(st.Else)
+	thenHasRet := escapes(st.Then, false)
+	elseHasRet := st.Else != nil && escapes(st.Else, false)
 	switch {
 	case thenRet == returned && elseRet == returned:
 		return returned
@@ -1028,25 +1028,6 @@ func (s *strider) ifStmt(st *clc.IfStmt) blockResult {
 		}
 	}
 	return fellThrough
-}
-
-func stmtHasReturn(st clc.Stmt) bool {
-	switch st := st.(type) {
-	case *clc.Block:
-		return scanForReturn(st)
-	case *clc.IfStmt:
-		if scanForReturn(st.Then) {
-			return true
-		}
-		return st.Else != nil && stmtHasReturn(st.Else)
-	case *clc.ReturnStmt:
-		return true
-	case *clc.ForStmt:
-		return scanForReturn(st.Body)
-	case *clc.WhileStmt:
-		return scanForReturn(st.Body)
-	}
-	return false
 }
 
 // condGuards turns a condition (or, when negate, its negation) into a
@@ -1154,12 +1135,12 @@ func (s *strider) forStmt(st *clc.ForStmt) {
 	s.env[iv.name] = sval{ok: true, dep: iv.dep, ivs: []ivCoef{{iv: info, coef: UConst(1)}}}
 	s.reads[iv.name] = true // the condition and the step read it
 
-	escapes := hasEscape(st.Body)
-	if escapes {
+	exits := escapes(st.Body, true)
+	if exits {
 		s.mayDepth++
 	}
 	escaped := s.loop(nil, iv.dep, names, func() { s.block(st.Body) })
-	if escapes {
+	if exits {
 		s.mayDepth--
 	}
 	info.dead = true
@@ -1173,7 +1154,7 @@ func (s *strider) forStmt(st *clc.ForStmt) {
 		}
 		s.env[n] = v.taint(entry[i].dep || (n == iv.name && escaped))
 	}
-	if scanForReturn(st.Body) {
+	if escapes(st.Body, false) {
 		// Items may have exited inside the loop: code after it only runs
 		// for a subset the guards don't describe.
 		s.maySticky = true
@@ -1298,7 +1279,7 @@ func (s *strider) opaqueLoop(cond clc.Expr, body *clc.Block, post clc.Stmt, name
 	})
 	s.mayDepth--
 	s.invalidate(names, why)
-	if scanForReturn(body) {
+	if escapes(body, false) {
 		s.maySticky = true
 	}
 }
@@ -1420,64 +1401,29 @@ func assigned(names []string, st clc.Stmt) []string {
 	return names
 }
 
-func hasEscape(b *clc.Block) bool {
-	found := false
-	var scan func(st clc.Stmt)
-	scan = func(st clc.Stmt) {
-		switch st := st.(type) {
-		case *clc.Block:
-			for _, s := range st.Stmts {
-				scan(s)
-			}
-		case *clc.BreakStmt, *clc.ContinueStmt, *clc.ReturnStmt:
-			found = true
-		case *clc.IfStmt:
-			scan(st.Then)
-			if st.Else != nil {
-				scan(st.Else)
-			}
-		// Nested loops contain their own breaks/continues; a nested
-		// return still escapes this loop.
-		case *clc.ForStmt:
-			if scanForReturn(st.Body) {
-				found = true
-			}
-		case *clc.WhileStmt:
-			if scanForReturn(st.Body) {
-				found = true
+// escapes reports a statement in st that leaves it early: a return
+// anywhere, and with loopExits a break or continue outside nested loops
+// (a nested loop's own are not).
+func escapes(st clc.Stmt, loopExits bool) bool {
+	switch st := st.(type) {
+	case *clc.Block:
+		for _, s := range st.Stmts {
+			if escapes(s, loopExits) {
+				return true
 			}
 		}
+	case *clc.ReturnStmt:
+		return true
+	case *clc.BreakStmt, *clc.ContinueStmt:
+		return loopExits
+	case *clc.IfStmt:
+		return escapes(st.Then, loopExits) || st.Else != nil && escapes(st.Else, loopExits)
+	case *clc.ForStmt:
+		return escapes(st.Body, false)
+	case *clc.WhileStmt:
+		return escapes(st.Body, false)
 	}
-	for _, st := range b.Stmts {
-		scan(st)
-	}
-	return found
-}
-
-func scanForReturn(b *clc.Block) bool {
-	found := false
-	var scan func(st clc.Stmt)
-	scan = func(st clc.Stmt) {
-		switch st := st.(type) {
-		case *clc.Block:
-			for _, s := range st.Stmts {
-				scan(s)
-			}
-		case *clc.ReturnStmt:
-			found = true
-		case *clc.IfStmt:
-			scan(st.Then)
-			if st.Else != nil {
-				scan(st.Else)
-			}
-		case *clc.ForStmt:
-			scan(st.Body)
-		case *clc.WhileStmt:
-			scan(st.Body)
-		}
-	}
-	scan(b)
-	return found
+	return false
 }
 
 func (s *strider) dropDead() {

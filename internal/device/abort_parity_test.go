@@ -262,8 +262,8 @@ __kernel void faulty(__global float* a, __global float* b, int m) {
 			t.Errorf("%s: pooled scratch kept no undo log", what)
 		}
 		for _, u := range sc.logs {
-			if u.Len() != 0 {
-				t.Errorf("%s: pooled undo log holds %d records", what, u.Len())
+			if _, recs := u.Stores(); len(recs) != 0 {
+				t.Errorf("%s: pooled undo log holds %d records", what, len(recs))
 			}
 		}
 	}

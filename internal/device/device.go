@@ -301,8 +301,12 @@ type Launch struct {
 	// Backend selects the VM execution engine (interpreter or wg); both
 	// produce identical stats and therefore identical virtual time.
 	Backend vm.Backend
-	Done    *sim.Event
-	Result  *LaunchResult
+	// Replay, when set on a launch with no abort query, serves the
+	// range-guarded kernel's in-range work-groups from a static sweep's
+	// record (record.go).
+	Replay *Replay
+	Done   *sim.Event
+	Result *LaunchResult
 	// Label names the launch in traces (normally the kernel name).
 	Label string
 

@@ -28,6 +28,7 @@ type launchScratch struct {
 	cuFree []sim.Time
 	fly    []inflightWG
 	logs   []*vm.UndoLog // settled groups' logs, reset, ready for reuse
+	words  []storedWord  // a recorded group's stores (record.go)
 }
 
 var launchPool = sync.Pool{New: func() any { return new(launchScratch) }}
@@ -87,6 +88,16 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 	}
 	if l.Bind != nil {
 		l.Args = l.Bind()
+	}
+	// A launch with no abort query may serve its in-range groups from a
+	// sweep record (record.go); every other group executes.
+	var rec *LaunchRecord
+	var lo, hi int
+	if l.Replay != nil && l.Abort == nil {
+		var ok bool
+		if lo, hi, ok = l.Replay.Rec.admit(l, l.Replay.Shared); ok {
+			rec = l.Replay.Rec
+		}
 	}
 	p.Sleep(d.Cfg.KernelLaunchOverhead)
 
@@ -229,7 +240,13 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		}
 		// Arguments are validated per executed group, so a launch whose every
 		// group is entry-skipped reports no error.
-		st, err := l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo, Backend: l.Backend})
+		var st vm.Stats
+		var err error
+		if rec != nil && fgid >= lo && fgid <= hi {
+			st, err = rec.serve(l, group, fgid, lo, sc)
+		} else {
+			st, err = l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo, Backend: l.Backend})
+		}
 		if err != nil {
 			sc.settled(undo)
 			res.Err = err

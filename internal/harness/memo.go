@@ -21,6 +21,11 @@ type cellMemo struct {
 	mu      sync.Mutex
 	cells   map[cellKey]*cellEntry
 	benches map[benchKey]*polybench.Benchmark
+	// sweeps holds one record per benchmark that every static split of it
+	// shares, whatever the machine or experiment (fig2, fig3, fig13's
+	// oracle): a work-group's Stats and stores do not depend on the device
+	// that runs it (sched.Sweep).
+	sweeps map[*polybench.Benchmark]*sched.Sweep
 }
 
 // cellKey names one simulation. The benchmark is keyed by pointer, which
@@ -63,7 +68,7 @@ func (r *Runner) cell(k cellKey) (*sched.Result, error) {
 		if k.fluidicl {
 			res, err = sched.RunFluidiCL(k.m, k.b.App, k.opts)
 		} else {
-			res, err = sched.RunStatic(k.m, k.b.App, k.gpuPct)
+			res, err = r.sweep(k.b).RunStatic(k.m, k.gpuPct)
 		}
 		if res, err = verify(k.b, res, err); err != nil {
 			e.err = err
@@ -74,6 +79,21 @@ func (r *Runner) cell(k cellKey) (*sched.Result, error) {
 		e.res = &kept
 	})
 	return e.res, e.err
+}
+
+// sweep returns the record b's static splits share.
+func (r *Runner) sweep(b *polybench.Benchmark) *sched.Sweep {
+	r.memo.mu.Lock()
+	defer r.memo.mu.Unlock()
+	sw := r.memo.sweeps[b]
+	if sw == nil {
+		if r.memo.sweeps == nil {
+			r.memo.sweeps = map[*polybench.Benchmark]*sched.Sweep{}
+		}
+		sw = sched.NewSweep(b.App)
+		r.memo.sweeps[b] = sw
+	}
+	return sw
 }
 
 // static is b's run on machine m with gpuPct percent of every kernel's

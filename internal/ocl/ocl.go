@@ -336,8 +336,9 @@ func FloatArg(v float64) Arg { return Arg{Kind: ArgFloat, F: v} }
 // bind lowers API args to VM args against this device's memory. A buffer the
 // kernel writes gets storage of its own first — before any argument is
 // lowered, so a buffer passed twice binds one slice — one it only reads may
-// stay shared, and one without storage gets zeroed storage.
-func (k *Kernel) bind(args []Arg) []vm.Arg {
+// stay shared, and one without storage gets zeroed storage. A replayed
+// launch learns which arguments stayed shared.
+func (k *Kernel) bind(args []Arg, rp *device.Replay) []vm.Arg {
 	for i, a := range args {
 		if a.Kind == ArgBuf && (a.Buf.data == nil || (i < len(k.written) && k.written[i])) {
 			a.Buf.own(true)
@@ -347,6 +348,9 @@ func (k *Kernel) bind(args []Arg) []vm.Arg {
 	for i, a := range args {
 		switch a.Kind {
 		case ArgBuf:
+			if rp != nil && !a.Buf.owned {
+				rp.Shared |= 1 << i
+			}
 			out[i] = vm.BufArg(a.Buf.data)
 		case ArgInt:
 			out[i] = vm.IntArg(a.I)
@@ -530,6 +534,11 @@ type LaunchOpts struct {
 	// Backend selects the VM execution engine (vm.BackendAuto uses the
 	// process default).
 	Backend vm.Backend
+	// Record, when set, is the launch's entry in a static sweep: the kernel
+	// is range-guarded, its last two arguments the [lo, hi] flattened group
+	// range, and its in-range groups replay from the record where they can
+	// (device.LaunchRecord).
+	Record *device.LaunchRecord
 }
 
 // EnqueueNDRangeKernel enqueues a kernel execution
@@ -538,10 +547,15 @@ type LaunchOpts struct {
 // are bound to the storage the transfers queued ahead of it left; the caller
 // must not change it before then.
 func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, nd vm.NDRange, args []Arg, opts LaunchOpts) (*sim.Event, *device.LaunchResult) {
+	var rp *device.Replay
+	if opts.Record != nil {
+		rp = &device.Replay{Rec: opts.Record}
+	}
 	l := &device.Launch{
 		Kernel:   k.VM,
 		ND:       nd,
-		Bind:     func() []vm.Arg { return k.bind(args) },
+		Bind:     func() []vm.Arg { return k.bind(args, rp) },
+		Replay:   rp,
 		Abort:    opts.Abort,
 		MidAbort: opts.MidAbort,
 		Split:    opts.Split,

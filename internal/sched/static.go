@@ -22,6 +22,33 @@ import (
 // and merged there with the same diff-merge kernel FluidiCL uses, and
 // buffers move lazily between devices based on location tracking.
 func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
+	return runStatic(m, app, gpuPct, nil)
+}
+
+// Sweep is the record that the static splits of one app share: one
+// device.LaunchRecord per launch. Every split starts each launch from the
+// same bytes, so an in-range work-group executes on the first split that
+// runs it, and a later split replays its Stats and stored words instead
+// (DESIGN.md §3, "One execution per group across a static sweep"). Splits
+// may run concurrently. The record holds what its splits executed, so
+// whoever times a sweep makes a fresh one.
+type Sweep struct {
+	app      *App
+	launches []device.LaunchRecord
+}
+
+// NewSweep returns an empty record for static splits of app.
+func NewSweep(app *App) *Sweep {
+	return &Sweep{app: app, launches: make([]device.LaunchRecord, len(app.Launches))}
+}
+
+// RunStatic is RunStatic(m, app, gpuPct) for the sweep's app, sharing the
+// sweep's record; its result is the same.
+func (s *Sweep) RunStatic(m Machine, gpuPct int) (*Result, error) {
+	return runStatic(m, s.app, gpuPct, s)
+}
+
+func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 	if gpuPct <= 0 {
 		return RunSingle(m.CPU, app)
 	}
@@ -60,7 +87,7 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 	bufs := map[string]*sbuf{}
 	for _, name := range bufNames {
 		size := app.Buffers[name]
-		bufs[name] = &sbuf{size: size, cpu: cpuCtx.CreateBuffer(size), gpu: gpuCtx.CreateBuffer(size), host: make([]byte, size)}
+		bufs[name] = &sbuf{size: size, cpu: cpuCtx.CreateBuffer(size), gpu: gpuCtx.CreateBuffer(size)}
 	}
 
 	res := &Result{Outputs: map[string][]byte{}}
@@ -71,22 +98,28 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 		for _, name := range bufNames {
 			b := bufs[name]
 			data := app.input(name) // never changes: both devices share it
-			copy(b.host, data)
 			evC := cpuQ.EnqueueWriteBuffer(b.cpu, data)
 			evG := gpuQ.EnqueueWriteBuffer(b.gpu, data)
 			p.WaitAll(evC, evG)
 			b.onCPU, b.onGPU = true, true
 		}
 
-		// toHost / toDev move the canonical copy as needed; the host copy
-		// changes, so uploads copy it.
-		toHost := func(b *sbuf) {
-			switch {
-			case b.onGPU:
-				p.Wait(gpuQ.EnqueueReadBuffer(b.gpu, b.host))
-			case b.onCPU:
-				p.Wait(cpuQ.EnqueueReadBuffer(b.cpu, b.host))
+		// read copies the canonical device copy into dst. toHost / ensure
+		// move it between devices through the host shadow, taken on first
+		// use: most buffers are inputs that never pass through the host. The
+		// shadow changes, so uploads copy it.
+		read := func(b *sbuf, dst []byte) {
+			if b.onGPU {
+				p.Wait(gpuQ.EnqueueReadBuffer(b.gpu, dst))
+			} else {
+				p.Wait(cpuQ.EnqueueReadBuffer(b.cpu, dst))
 			}
+		}
+		toHost := func(b *sbuf) {
+			if b.host == nil {
+				b.host = make([]byte, b.size)
+			}
+			read(b, b.host)
 		}
 		ensure := func(b *sbuf, gpu bool) {
 			if gpu && !b.onGPU {
@@ -101,7 +134,7 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 			}
 		}
 
-		for _, l := range app.Launches {
+		for li, l := range app.Launches {
 			ki := info.Kernels[l.Kernel]
 			total := l.ND.TotalGroups()
 			g := total * gpuPct / 100
@@ -142,8 +175,12 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 			ck := cpuProg.MustKernel(l.Kernel)
 			gArgs := guardedArgs(l, bufs, true, 0, g-1)
 			cArgs := guardedArgs(l, bufs, false, g, total-1)
-			gEv, gRes := gpuQ.EnqueueNDRangeKernel(gk, l.ND.Slice(0, g-1), gArgs, ocl.LaunchOpts{})
-			cEv, cRes := cpuQ.EnqueueNDRangeKernel(ck, l.ND.Slice(g, total-1), cArgs, ocl.LaunchOpts{Split: true})
+			var rec *device.LaunchRecord
+			if sw != nil {
+				rec = &sw.launches[li]
+			}
+			gEv, gRes := gpuQ.EnqueueNDRangeKernel(gk, l.ND.Slice(0, g-1), gArgs, ocl.LaunchOpts{Record: rec})
+			cEv, cRes := cpuQ.EnqueueNDRangeKernel(ck, l.ND.Slice(g, total-1), cArgs, ocl.LaunchOpts{Split: true, Record: rec})
 			p.WaitAll(gEv, cEv)
 			if gRes.Err != nil {
 				fail(gRes.Err)
@@ -154,11 +191,15 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 				return
 			}
 
-			// Ship the CPU half over and merge on the GPU.
+			// Ship the CPU half over and merge on the GPU. The buffer's staging
+			// slice is handed to this launch's cpuCopy, which is dead once its
+			// merge has run, so the next launch reuses it.
 			for _, s := range scrs {
-				staging := make([]byte, s.b.size)
-				p.Wait(cpuQ.EnqueueReadBuffer(s.b.cpu, staging))
-				p.Wait(gpuQ.EnqueueWriteBuffer(s.cpuCopy, staging))
+				if s.b.staging == nil {
+					s.b.staging = make([]byte, s.b.size)
+				}
+				p.Wait(cpuQ.EnqueueReadBuffer(s.b.cpu, s.b.staging))
+				p.Wait(gpuQ.EnqueueWriteBuffer(s.cpuCopy, s.b.staging))
 				words := s.b.size / 4
 				local := 64
 				global := ((words + local - 1) / local) * local
@@ -176,9 +217,8 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 		}
 		for _, name := range app.Outputs {
 			b := bufs[name]
-			toHost(b)
 			out := make([]byte, b.size)
-			copy(out, b.host)
+			read(b, out)
 			res.Outputs[name] = out
 		}
 		res.Time = p.Now()
@@ -259,13 +299,14 @@ func writtenBufNames(ki *clc.KernelInfo, l Launch) []string {
 }
 
 // sbuf is a statically-partitioned buffer: one copy per device plus a host
-// shadow with location flags.
+// shadow with location flags, and the slice the CPU half of a written
+// buffer is shipped through.
 type sbuf struct {
-	size     int
-	cpu, gpu *ocl.Buffer
-	host     []byte
-	onCPU    bool
-	onGPU    bool
+	size          int
+	cpu, gpu      *ocl.Buffer
+	host, staging []byte
+	onCPU         bool
+	onGPU         bool
 }
 
 // guardedArgs binds a launch's args for one device and appends the
@@ -300,7 +341,8 @@ type OracleResult struct {
 // RunOracle sweeps static partitions from 0% to 100% GPU in steps of 10 and
 // returns the best (the paper's OracleSP, §9.1).
 func RunOracle(m Machine, app *App) (*OracleResult, error) {
-	return SweepOracle(func(gpuPct int) (*Result, error) { return RunStatic(m, app, gpuPct) })
+	sw := NewSweep(app)
+	return SweepOracle(func(gpuPct int) (*Result, error) { return sw.RunStatic(m, gpuPct) })
 }
 
 // SweepOracle is RunOracle's sweep over any source of static splits: run

@@ -412,49 +412,34 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 				w.pc = int(in.A)
 				continue
 			}
-		case opLDGF:
+		case opLDGF, opLDGI:
 			buf := args[in.B].Buf
 			off, err2 := byteOff(iregs[in.C], len(buf))
 			if err2 != nil {
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("load %s: %v", k.Params[in.B].Name, err2)}
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			fregs[in.A] = float64(math.Float32frombits(bits))
-			st.noteGlobalRead(in.B)
-			st.GlobalLoads++
-			st.GlobalLoadBytes += 4
-			tr.access(in.D, off, firstInWarp, st)
-		case opLDGI:
-			buf := args[in.B].Buf
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("load %s: %v", k.Params[in.B].Name, err2)}
+			if in.Op == opLDGF {
+				fregs[in.A] = float64(math.Float32frombits(bits))
+			} else {
+				iregs[in.A] = int64(int32(bits))
 			}
-			bits := binary.LittleEndian.Uint32(buf[off:])
-			iregs[in.A] = int64(int32(bits))
 			st.noteGlobalRead(in.B)
 			st.GlobalLoads++
 			st.GlobalLoadBytes += 4
 			tr.access(in.D, off, firstInWarp, st)
-		case opSTGF:
+		case opSTGF, opSTGI:
 			buf := args[in.B].Buf
 			off, err2 := byteOff(iregs[in.C], len(buf))
 			if err2 != nil {
 				return false, &execError{k.Name, w.pc, fmt.Sprintf("store %s: %v", k.Params[in.B].Name, err2)}
 			}
-			bits := math.Float32bits(float32(fregs[in.A]))
-			opts.Undo.store(buf, off, bits)
-			st.noteGlobalWrite(in.B, off)
-			st.GlobalStores++
-			st.GlobalStoreBytes += 4
-			tr.access(in.D, off, firstInWarp, st)
-		case opSTGI:
-			buf := args[in.B].Buf
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("store %s: %v", k.Params[in.B].Name, err2)}
+			var bits uint32
+			if in.Op == opSTGF {
+				bits = math.Float32bits(float32(fregs[in.A]))
+			} else {
+				bits = uint32(int32(iregs[in.A]))
 			}
-			bits := uint32(int32(iregs[in.A]))
 			opts.Undo.store(buf, off, bits)
 			st.noteGlobalWrite(in.B, off)
 			st.GlobalStores++

@@ -373,5 +373,6 @@ func (u *UndoLog) Reset() {
 	u.bufs, u.recs = u.bufs[:0], u.recs[:0]
 }
 
-// Len returns the number of recorded stores.
-func (u *UndoLog) Len() int { return len(u.recs) }
+// Stores returns the buffer table and the recorded stores, oldest first,
+// valid until the log's next use.
+func (u *UndoLog) Stores() ([][]byte, []UndoRecord) { return u.bufs, u.recs }

@@ -360,8 +360,8 @@ __kernel void f(__global float* a) { a[get_global_id(0)] = 99.0f; }
 	if f32at(buf, 0) != 99 {
 		t.Fatal("store did not happen")
 	}
-	if undo.Len() != 4 {
-		t.Fatalf("undo len = %d, want 4", undo.Len())
+	if len(undo.recs) != 4 {
+		t.Fatalf("undo len = %d, want 4", len(undo.recs))
 	}
 	undo.Rollback()
 	for i := range orig {
@@ -369,7 +369,7 @@ __kernel void f(__global float* a) { a[get_global_id(0)] = 99.0f; }
 			t.Fatal("rollback did not restore buffer")
 		}
 	}
-	if undo.Len() != 0 {
+	if len(undo.recs) != 0 {
 		t.Fatal("rollback did not clear log")
 	}
 }
@@ -402,8 +402,8 @@ __kernel void one(__global float* c) { c[get_global_id(0)] = 5.0f; }
 			}
 		}
 		exec(two, BufArg(a), BufArg(b))
-		if undo.Len() != 12 || len(undo.bufs) != 2 {
-			t.Fatalf("%v: %d records over %d buffers, want 12 over 2", be, undo.Len(), len(undo.bufs))
+		if len(undo.recs) != 12 || len(undo.bufs) != 2 {
+			t.Fatalf("%v: %d records over %d buffers, want 12 over 2", be, len(undo.recs), len(undo.bufs))
 		}
 		undo.Rollback()
 		if !bytes.Equal(a, a0) || !bytes.Equal(b, b0) {
@@ -418,8 +418,8 @@ __kernel void one(__global float* c) { c[get_global_id(0)] = 5.0f; }
 		}
 		aDone, bDone := bytes.Clone(a), bytes.Clone(b)
 		exec(one, BufArg(c))
-		if undo.Len() != 4 || len(undo.bufs) != 1 {
-			t.Fatalf("%v: reused log holds %d records over %d buffers, want 4 over 1", be, undo.Len(), len(undo.bufs))
+		if len(undo.recs) != 4 || len(undo.bufs) != 1 {
+			t.Fatalf("%v: reused log holds %d records over %d buffers, want 4 over 1", be, len(undo.recs), len(undo.bufs))
 		}
 		undo.Rollback()
 		if !bytes.Equal(c, c0) || !bytes.Equal(a, aDone) || !bytes.Equal(b, bDone) {

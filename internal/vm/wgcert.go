@@ -143,18 +143,7 @@ func (k *Kernel) wgCertified(sc *wgScratch, nd NDRange, args []Arg) WGReject {
 // work-group of the full grid, no two work-items' store footprints intersect
 // each other or any read footprint of the same (written) argument.
 func (k *Kernel) wgDisjoint(nd NDRange, args []Arg) WGReject {
-	sh := analysis.LaunchShape{Dims: nd.Dims}
-	for d := 0; d < 3; d++ {
-		sh.Local[d] = int64(nd.LocalSize[d])
-		sh.NumGroups[d] = int64(nd.NumGroups[d])
-		sh.Count[d] = int64(nd.NumGroups[d])
-	}
-	params := make([]int64, len(k.Params))
-	for i, p := range k.Params {
-		if p.Kind == ArgInt {
-			params[i] = args[i].I
-		}
-	}
+	sh, params := k.shape(nd, args)
 	v := k.sum.CertifyGroupDisjoint(sh, params, wgStridedBudget)
 	switch {
 	case v.OK:
@@ -169,4 +158,29 @@ func (k *Kernel) wgDisjoint(nd NDRange, args []Arg) WGReject {
 		return WGRejOverlap
 	}
 	return WGRejBudget
+}
+
+// GroupsIndependent reports that no work-group of the launch's full grid
+// stores to a global word that another group loads
+// (analysis.CertifyGroupsIndependent).
+func (k *Kernel) GroupsIndependent(nd NDRange, args []Arg) bool {
+	return k.sum.CertifyGroupsIndependent(k.shape(nd, args))
+}
+
+// shape is the launch's full grid and scalar int arguments as the kernel's
+// summary evaluates them.
+func (k *Kernel) shape(nd NDRange, args []Arg) (analysis.LaunchShape, []int64) {
+	sh := analysis.LaunchShape{Dims: nd.Dims}
+	for d := 0; d < 3; d++ {
+		sh.Local[d] = int64(nd.LocalSize[d])
+		sh.NumGroups[d] = int64(nd.NumGroups[d])
+		sh.Count[d] = int64(nd.NumGroups[d])
+	}
+	params := make([]int64, len(k.Params))
+	for i, p := range k.Params {
+		if p.Kind == ArgInt {
+			params[i] = args[i].I
+		}
+	}
+	return sh, params
 }
