@@ -189,13 +189,9 @@ func twinRuntime(m Machine, opts core.Options) newRuntime {
 	}
 }
 
-// runCooperative is the host program every cooperative run executes: build
-// the program and kernels, create the buffers, then — `times` times, timing
-// the last — write the inputs, enqueue the launches in program order and
-// read the outputs back. It never drains the queues itself: the paper's host
-// program reads its outputs while later transfers are still in flight, and
-// a protocol that needs a drain before readback performs it inside the read.
-// The runtime is released on return.
+// runCooperative is drive's cooperative strategy: build the program and
+// kernels and create the buffers in one runtime, then let drive write, launch
+// and read through it. The runtime is released on return.
 func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) (*Result, error) {
 	env := sim.NewEnv()
 	env.Trace = rec // before device creation, so devices register their tracks
@@ -210,16 +206,9 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 	if err != nil {
 		return nil, err
 	}
-	kernels := map[string]*core.Kernel{}
-	for _, l := range app.Launches {
-		if _, ok := kernels[l.Kernel]; ok {
-			continue
-		}
-		k, err := prog.CreateKernel(l.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		kernels[l.Kernel] = k
+	kernels, err := createKernels(app, prog.CreateKernel)
+	if err != nil {
+		return nil, err
 	}
 	for _, v := range app.Variants {
 		k, ok := kernels[v.Kernel]
@@ -230,61 +219,106 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 			return nil, err
 		}
 	}
-	bufNames := sortedBufferNames(app.Buffers)
 	bufs := map[string]*core.Buffer{}
-	for _, name := range bufNames {
+	for _, name := range sortedBufferNames(app.Buffers) {
 		bufs[name] = rt.CreateBuffer(app.Buffers[name])
 	}
-	if times < 1 {
-		times = 1
+	res, err := drive(env, app, times, "FluidiCL", steps{
+		write: func(p *sim.Proc, name string, data []byte) { rt.EnqueueWriteBuffer(p, bufs[name], data) },
+		launch: func(p *sim.Proc, _ int, l Launch) error {
+			args := make([]core.Arg, len(l.Args))
+			for i, a := range l.Args {
+				switch a.Kind {
+				case ArgBuf:
+					args[i] = core.BufArg(bufs[a.Name])
+				case ArgInt:
+					args[i] = core.IntArg(a.I)
+				default:
+					args[i] = core.FloatArg(a.F)
+				}
+			}
+			return rt.EnqueueNDRangeKernel(p, kernels[l.Kernel], l.ND, args)
+		},
+		read: func(p *sim.Proc, name string) []byte { return rt.EnqueueReadBuffer(p, bufs[name]) },
+		// Deferred failures include dynamic accesses that violated the
+		// static summary an elision relied on — results are suspect.
+		err: rt.Err,
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Reports = rt.Reports
+	res.Counters = rt.Counters()
+	core.AccumulateGlobal(res.Counters)
+	trace.AccumulateGlobal(res.Summary)
+	return res, nil
+}
+
+// createKernels creates each kernel the app launches once, by name.
+func createKernels[K any](app *App, create func(name string) (K, error)) (map[string]K, error) {
+	kernels := map[string]K{}
+	for _, l := range app.Launches {
+		if _, ok := kernels[l.Kernel]; ok {
+			continue
+		}
+		k, err := create(l.Kernel)
+		if err != nil {
+			return nil, err
+		}
+		kernels[l.Kernel] = k
+	}
+	return kernels, nil
+}
+
+// steps is one strategy's part of the host program drive runs: how it writes
+// an input, runs the li'th launch and reads an output back, and, when set,
+// the failure the strategy deferred past the run.
+type steps struct {
+	write  func(p *sim.Proc, name string, data []byte)
+	launch func(p *sim.Proc, li int, l Launch) error
+	read   func(p *sim.Proc, name string) []byte
+	err    func() error
+}
+
+// drive is the host program every strategy executes on env: `times` times,
+// timing the last, write the inputs in name order, enqueue the launches in
+// program order and read the outputs back. It never drains the queues
+// itself: the paper's host program reads its outputs while later transfers
+// are still in flight, and a protocol that needs a drain before readback
+// performs it inside the read. A launch error ends the run; so does a
+// deferred one. what names the strategy in the error for a run that stopped
+// short.
+func drive(env *sim.Env, app *App, times int, what string, s steps) (*Result, error) {
+	names := sortedBufferNames(app.Buffers)
 	res := &Result{Outputs: map[string][]byte{}}
 	var runErr error
 	env.Go("app", func(p *sim.Proc) {
-		for iter := 0; iter < times; iter++ {
+		for iter := 0; iter < max(times, 1); iter++ {
 			start := p.Now()
-			for _, name := range bufNames {
-				rt.EnqueueWriteBuffer(p, bufs[name], app.input(name))
+			for _, name := range names {
+				s.write(p, name, app.input(name))
 			}
-			for _, l := range app.Launches {
-				args := make([]core.Arg, len(l.Args))
-				for i, a := range l.Args {
-					switch a.Kind {
-					case ArgBuf:
-						args[i] = core.BufArg(bufs[a.Name])
-					case ArgInt:
-						args[i] = core.IntArg(a.I)
-					default:
-						args[i] = core.FloatArg(a.F)
-					}
-				}
-				if err := rt.EnqueueNDRangeKernel(p, kernels[l.Kernel], l.ND, args); err != nil {
-					runErr = err
+			for li, l := range app.Launches {
+				if runErr = s.launch(p, li, l); runErr != nil {
 					return
 				}
 			}
 			for _, name := range app.Outputs {
-				res.Outputs[name] = rt.EnqueueReadBuffer(p, bufs[name])
+				res.Outputs[name] = s.read(p, name)
 			}
 			res.Time = p.Now() - start
 		}
 	})
 	env.Run()
+	if runErr == nil && s.err != nil {
+		runErr = s.err()
+	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	if err := rt.Err(); err != nil {
-		// Deferred failures include dynamic accesses that violated the
-		// static summary an elision relied on — results are suspect.
-		return nil, err
-	}
 	if res.Time == 0 && len(app.Launches) > 0 {
-		return nil, fmt.Errorf("sched: FluidiCL run of %s did not complete", app.Name)
+		return nil, fmt.Errorf("sched: %s run of %s did not complete", what, app.Name)
 	}
-	res.Reports = rt.Reports
-	res.Counters = rt.Counters()
 	res.Summary = env.Meter.Summary()
-	core.AccumulateGlobal(res.Counters)
-	trace.AccumulateGlobal(res.Summary)
 	return res, nil
 }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/sim"
@@ -19,62 +17,53 @@ func RunSingle(cfg device.Config, app *App) (*Result, error) {
 		return nil, err
 	}
 	q := ctx.CreateQueue("app")
-	bufNames := sortedBufferNames(app.Buffers)
 	bufs := map[string]*ocl.Buffer{}
-	for _, name := range bufNames {
+	for _, name := range sortedBufferNames(app.Buffers) {
 		bufs[name] = ctx.CreateBuffer(app.Buffers[name])
 	}
-	kernels := map[string]*ocl.Kernel{}
-	for _, l := range app.Launches {
-		if kernels[l.Kernel] == nil {
-			k, err := prog.CreateKernel(l.Kernel)
-			if err != nil {
-				return nil, err
-			}
-			kernels[l.Kernel] = k
-		}
+	kernels, err := createKernels(app, prog.CreateKernel)
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Outputs: map[string][]byte{}}
-	var runErr error
-	env.Go("app", func(p *sim.Proc) {
-		for _, name := range bufNames {
-			q.EnqueueWriteBuffer(bufs[name], app.input(name)) // never changes: handed over
-		}
-		for _, l := range app.Launches {
-			args := make([]ocl.Arg, len(l.Args))
-			for i, a := range l.Args {
-				switch a.Kind {
-				case ArgBuf:
-					args[i] = ocl.BufArg(bufs[a.Name])
-				case ArgInt:
-					args[i] = ocl.IntArg(a.I)
-				default:
-					args[i] = ocl.FloatArg(a.F)
-				}
-			}
+	var launchTimes []sim.Time
+	res, err := drive(env, app, 1, "single-device", steps{
+		write: func(_ *sim.Proc, name string, data []byte) {
+			q.EnqueueWriteBuffer(bufs[name], data) // never changes: handed over
+		},
+		launch: func(p *sim.Proc, _ int, l Launch) error {
 			t0 := p.Now()
+			args := oclArgs(l, func(name string) *ocl.Buffer { return bufs[name] })
 			ev, lr := q.EnqueueNDRangeKernel(kernels[l.Kernel], l.ND, args, ocl.LaunchOpts{Split: cfg.Kind == device.CPU})
 			p.Wait(ev)
-			if lr.Err != nil {
-				runErr = lr.Err
-				return
-			}
-			res.LaunchTimes = append(res.LaunchTimes, p.Now()-t0)
-		}
-		for _, name := range app.Outputs {
+			launchTimes = append(launchTimes, p.Now()-t0)
+			return lr.Err
+		},
+		read: func(p *sim.Proc, name string) []byte {
 			out := make([]byte, app.Buffers[name])
 			p.Wait(q.EnqueueReadBuffer(bufs[name], out))
-			res.Outputs[name] = out
-		}
-		res.Time = p.Now()
+			return out
+		},
 	})
-	env.Run()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
-	if res.Time == 0 && len(app.Launches) > 0 {
-		return nil, fmt.Errorf("sched: single-device run of %s did not complete", app.Name)
-	}
-	res.Summary = env.Meter.Summary()
+	res.LaunchTimes = launchTimes
 	return res, nil
+}
+
+// oclArgs lowers a launch's arguments for a vendor-runtime enqueue, naming
+// each buffer's device copy through buf, and appends extra.
+func oclArgs(l Launch, buf func(name string) *ocl.Buffer, extra ...ocl.Arg) []ocl.Arg {
+	args := make([]ocl.Arg, 0, len(l.Args)+len(extra))
+	for _, a := range l.Args {
+		switch a.Kind {
+		case ArgBuf:
+			args = append(args, ocl.BufArg(buf(a.Name)))
+		case ArgInt:
+			args = append(args, ocl.IntArg(a.I))
+		default:
+			args = append(args, ocl.FloatArg(a.F))
+		}
+	}
+	return append(args, extra...)
 }

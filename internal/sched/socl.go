@@ -94,59 +94,25 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 		return nil, fmt.Errorf("sched: dmda requires a calibrated model")
 	}
 	env := sim.NewEnv()
-	cpuCtx := ocl.NewContext(env, device.New(env, m.CPU))
-	gpuCtx := ocl.NewContext(env, device.New(env, m.GPU))
-	cpuProg, err := cpuCtx.BuildProgram(app.Source)
+	d := newPair(env, m, app)
+	cpuProg, err := d.cpuCtx.BuildProgram(app.Source)
 	if err != nil {
 		return nil, err
 	}
-	gpuProg, err := gpuCtx.BuildProgram(app.Source)
+	gpuProg, err := d.gpuCtx.BuildProgram(app.Source)
 	if err != nil {
 		return nil, err
 	}
 	info := cpuProg.Info
-	cpuQ := cpuCtx.CreateQueue("app")
-	gpuQ := gpuCtx.CreateQueue("app")
-
-	bufNames := sortedBufferNames(app.Buffers)
-	bufs := map[string]*sbuf{}
-	for _, name := range bufNames {
-		size := app.Buffers[name]
-		bufs[name] = &sbuf{size: size, cpu: cpuCtx.CreateBuffer(size), gpu: gpuCtx.CreateBuffer(size), host: make([]byte, size)}
-	}
-
-	res := &Result{Outputs: map[string][]byte{}}
-	var runErr error
-
-	env.Go("app", func(p *sim.Proc) {
+	var cpuLastDone, gpuLastDone sim.Time
+	return drive(env, app, 1, "SOCL", steps{
 		// SOCL-style: inputs start host-side; transfers happen on demand.
-		for _, name := range bufNames {
-			copy(bufs[name].host, app.input(name))
-		}
-		toHost := func(b *sbuf) {
-			switch {
-			case b.onGPU:
-				p.Wait(gpuQ.EnqueueReadBuffer(b.gpu, b.host))
-			case b.onCPU:
-				p.Wait(cpuQ.EnqueueReadBuffer(b.cpu, b.host))
-			}
-		}
-		// The host copy changes, so uploads copy it.
-		ensure := func(b *sbuf, gpu bool) {
-			if gpu && !b.onGPU {
-				toHost(b)
-				p.Wait(gpuQ.EnqueueWriteBufferAt(b.gpu, 0, b.host))
-				b.onGPU = true
-			}
-			if !gpu && !b.onCPU {
-				toHost(b)
-				p.Wait(cpuQ.EnqueueWriteBufferAt(b.cpu, 0, b.host))
-				b.onCPU = true
-			}
-		}
-
-		var cpuLastDone, gpuLastDone sim.Time
-		for _, l := range app.Launches {
+		write: func(_ *sim.Proc, name string, data []byte) {
+			b := d.bufs[name]
+			b.host = make([]byte, b.size)
+			copy(b.host, data)
+		},
+		launch: func(p *sim.Proc, _ int, l Launch) error {
 			ki := info.Kernels[l.Kernel]
 			useGPU := false
 			switch policy {
@@ -154,83 +120,30 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 				// Longest-idle worker gets the task; ties go to the CPU.
 				useGPU = gpuLastDone < cpuLastDone
 			case Dmda:
-				useGPU = dmdaChoosesGPU(m, l, ki, bufs, model)
+				useGPU = dmdaChoosesGPU(m, l, ki, d.bufs, model)
 			}
-			ensureAll(p, ki, l, bufs, ensure, useGPU)
-			var prog *ocl.Program
-			var q *ocl.CommandQueue
+			d.ensureArgs(p, ki, l, useGPU)
+			prog, q := cpuProg, d.cpuQ
 			if useGPU {
-				prog, q = gpuProg, gpuQ
-			} else {
-				prog, q = cpuProg, cpuQ
+				prog, q = gpuProg, d.gpuQ
 			}
-			args := soclArgs(l, bufs, useGPU)
-			ev, lr := q.EnqueueNDRangeKernel(prog.MustKernel(l.Kernel), l.ND, args, ocl.LaunchOpts{Split: !useGPU})
+			ev, lr := q.EnqueueNDRangeKernel(prog.MustKernel(l.Kernel), l.ND, d.args(l, useGPU), ocl.LaunchOpts{Split: !useGPU})
 			p.Wait(ev)
 			if lr.Err != nil {
-				runErr = lr.Err
-				return
+				return lr.Err
 			}
 			for _, name := range writtenBufNames(ki, l) {
-				b := bufs[name]
-				b.onGPU = useGPU
-				b.onCPU = !useGPU
+				d.bufs[name].only(useGPU)
 			}
 			if useGPU {
 				gpuLastDone = p.Now()
 			} else {
 				cpuLastDone = p.Now()
 			}
-		}
-		for _, name := range app.Outputs {
-			b := bufs[name]
-			toHost(b)
-			out := make([]byte, b.size)
-			copy(out, b.host)
-			res.Outputs[name] = out
-		}
-		res.Time = p.Now()
+			return nil
+		},
+		read: d.readOut,
 	})
-	env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if res.Time == 0 && len(app.Launches) > 0 {
-		return nil, fmt.Errorf("sched: SOCL run of %s did not complete", app.Name)
-	}
-	res.Summary = env.Meter.Summary()
-	return res, nil
-}
-
-func ensureAll(p *sim.Proc, ki *clc.KernelInfo, l Launch, bufs map[string]*sbuf, ensure func(*sbuf, bool), gpu bool) {
-	for i, param := range ki.Kernel.Params {
-		if !param.Ty.Ptr {
-			continue
-		}
-		acc := ki.ParamAccess[param.Name]
-		if acc.Read || acc.Written {
-			ensure(bufs[l.Args[i].Name], gpu)
-		}
-	}
-}
-
-func soclArgs(l Launch, bufs map[string]*sbuf, gpu bool) []ocl.Arg {
-	args := make([]ocl.Arg, len(l.Args))
-	for i, a := range l.Args {
-		switch a.Kind {
-		case ArgBuf:
-			if gpu {
-				args[i] = ocl.BufArg(bufs[a.Name].gpu)
-			} else {
-				args[i] = ocl.BufArg(bufs[a.Name].cpu)
-			}
-		case ArgInt:
-			args[i] = ocl.IntArg(a.I)
-		default:
-			args[i] = ocl.FloatArg(a.F)
-		}
-	}
-	return args
 }
 
 // dmdaChoosesGPU predicts completion on each device (transfer of missing

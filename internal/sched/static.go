@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sync"
 
 	"fluidicl/internal/clc"
@@ -57,106 +56,38 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 	}
 
 	env := sim.NewEnv()
-	cpuCtx := ocl.NewContext(env, device.New(env, m.CPU))
-	gpuCtx := ocl.NewContext(env, device.New(env, m.GPU))
-
+	d := newPair(env, m, app)
 	// Guarded program: a range-guard transform on both devices lets each
 	// execute an arbitrary flattened work-group interval.
 	guarded, info, err := buildGuarded(app.Source)
 	if err != nil {
 		return nil, err
 	}
-	cpuProg, err := cpuCtx.BuildProgram(guarded)
+	cpuProg, err := d.cpuCtx.BuildProgram(guarded)
 	if err != nil {
 		return nil, err
 	}
-	gpuProg, err := gpuCtx.BuildProgram(guarded)
+	gpuProg, err := d.gpuCtx.BuildProgram(guarded)
 	if err != nil {
 		return nil, err
 	}
-	mergeProg, err := gpuCtx.BuildProgram(passes.MergeKernelSource)
+	mergeProg, err := d.gpuCtx.BuildProgram(passes.MergeKernelSource)
 	if err != nil {
 		return nil, err
 	}
 	mergeK := mergeProg.MustKernel(passes.MergeKernelName)
 
-	cpuQ := cpuCtx.CreateQueue("app")
-	gpuQ := gpuCtx.CreateQueue("app")
-
-	bufNames := sortedBufferNames(app.Buffers)
-	bufs := map[string]*sbuf{}
-	for _, name := range bufNames {
-		size := app.Buffers[name]
-		bufs[name] = &sbuf{size: size, cpu: cpuCtx.CreateBuffer(size), gpu: gpuCtx.CreateBuffer(size)}
-	}
-
-	res := &Result{Outputs: map[string][]byte{}}
-	var runErr error
-	fail := func(err error) { runErr = err }
-
-	env.Go("app", func(p *sim.Proc) {
-		for _, name := range bufNames {
-			b := bufs[name]
-			data := app.input(name) // never changes: both devices share it
-			evC := cpuQ.EnqueueWriteBuffer(b.cpu, data)
-			evG := gpuQ.EnqueueWriteBuffer(b.gpu, data)
-			p.WaitAll(evC, evG)
+	return drive(env, app, 1, "static", steps{
+		write: func(p *sim.Proc, name string, data []byte) {
+			b := d.bufs[name] // data never changes: both devices share it
+			p.WaitAll(d.cpuQ.EnqueueWriteBuffer(b.cpu, data), d.gpuQ.EnqueueWriteBuffer(b.gpu, data))
 			b.onCPU, b.onGPU = true, true
-		}
-
-		// read copies the canonical device copy into dst. toHost / ensure
-		// move it between devices through the host shadow, taken on first
-		// use: most buffers are inputs that never pass through the host. The
-		// shadow changes, so uploads copy it.
-		read := func(b *sbuf, dst []byte) {
-			if b.onGPU {
-				p.Wait(gpuQ.EnqueueReadBuffer(b.gpu, dst))
-			} else {
-				p.Wait(cpuQ.EnqueueReadBuffer(b.cpu, dst))
-			}
-		}
-		toHost := func(b *sbuf) {
-			if b.host == nil {
-				b.host = make([]byte, b.size)
-			}
-			read(b, b.host)
-		}
-		ensure := func(b *sbuf, gpu bool) {
-			if gpu && !b.onGPU {
-				toHost(b)
-				p.Wait(gpuQ.EnqueueWriteBufferAt(b.gpu, 0, b.host))
-				b.onGPU = true
-			}
-			if !gpu && !b.onCPU {
-				toHost(b)
-				p.Wait(cpuQ.EnqueueWriteBufferAt(b.cpu, 0, b.host))
-				b.onCPU = true
-			}
-		}
-
-		for li, l := range app.Launches {
+		},
+		launch: func(p *sim.Proc, li int, l Launch) error {
 			ki := info.Kernels[l.Kernel]
 			total := l.ND.TotalGroups()
-			g := total * gpuPct / 100
-			if g < 1 {
-				g = 1
-			}
-			if g > total-1 {
-				g = total - 1
-			}
-
-			// Move inputs where they are needed.
-			for i, param := range ki.Kernel.Params {
-				if !param.Ty.Ptr {
-					continue
-				}
-				b := bufs[l.Args[i].Name]
-				acc := ki.ParamAccess[param.Name]
-				if acc.Read || acc.Written {
-					ensure(b, true)
-					ensure(b, false)
-				}
-			}
+			g := min(max(total*gpuPct/100, 1), total-1)
+			d.ensureArgs(p, ki, l, true, false)
 
 			// Scratch for merging the CPU half into the GPU buffers.
 			type scr struct {
@@ -165,30 +96,26 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 			}
 			var scrs []scr
 			for _, name := range writtenBufNames(ki, l) {
-				b := bufs[name]
-				s := scr{b: b, orig: gpuCtx.CreateBuffer(b.size), cpuCopy: gpuCtx.CreateBuffer(b.size)}
-				gpuQ.EnqueueCopyBuffer(b.gpu, s.orig)
+				b := d.bufs[name]
+				s := scr{b: b, orig: d.gpuCtx.CreateBuffer(b.size), cpuCopy: d.gpuCtx.CreateBuffer(b.size)}
+				d.gpuQ.EnqueueCopyBuffer(b.gpu, s.orig)
 				scrs = append(scrs, s)
 			}
 
-			gk := gpuProg.MustKernel(l.Kernel)
-			ck := cpuProg.MustKernel(l.Kernel)
-			gArgs := guardedArgs(l, bufs, true, 0, g-1)
-			cArgs := guardedArgs(l, bufs, false, g, total-1)
 			var rec *device.LaunchRecord
 			if sw != nil {
 				rec = &sw.launches[li]
 			}
-			gEv, gRes := gpuQ.EnqueueNDRangeKernel(gk, l.ND.Slice(0, g-1), gArgs, ocl.LaunchOpts{Record: rec})
-			cEv, cRes := cpuQ.EnqueueNDRangeKernel(ck, l.ND.Slice(g, total-1), cArgs, ocl.LaunchOpts{Split: true, Record: rec})
+			gArgs := d.args(l, true, ocl.IntArg(0), ocl.IntArg(int64(g-1)))
+			cArgs := d.args(l, false, ocl.IntArg(int64(g)), ocl.IntArg(int64(total-1)))
+			gEv, gRes := d.gpuQ.EnqueueNDRangeKernel(gpuProg.MustKernel(l.Kernel), l.ND.Slice(0, g-1), gArgs, ocl.LaunchOpts{Record: rec})
+			cEv, cRes := d.cpuQ.EnqueueNDRangeKernel(cpuProg.MustKernel(l.Kernel), l.ND.Slice(g, total-1), cArgs, ocl.LaunchOpts{Split: true, Record: rec})
 			p.WaitAll(gEv, cEv)
 			if gRes.Err != nil {
-				fail(gRes.Err)
-				return
+				return gRes.Err
 			}
 			if cRes.Err != nil {
-				fail(cRes.Err)
-				return
+				return cRes.Err
 			}
 
 			// Ship the CPU half over and merge on the GPU. The buffer's staging
@@ -198,40 +125,24 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 				if s.b.staging == nil {
 					s.b.staging = make([]byte, s.b.size)
 				}
-				p.Wait(cpuQ.EnqueueReadBuffer(s.b.cpu, s.b.staging))
-				p.Wait(gpuQ.EnqueueWriteBuffer(s.cpuCopy, s.b.staging))
+				p.Wait(d.cpuQ.EnqueueReadBuffer(s.b.cpu, s.b.staging))
+				p.Wait(d.gpuQ.EnqueueWriteBuffer(s.cpuCopy, s.b.staging))
 				words := s.b.size / 4
 				local := 64
 				global := ((words + local - 1) / local) * local
-				ev, mr := gpuQ.EnqueueNDRangeKernel(mergeK, vm.NewNDRange1D(global, local),
+				ev, mr := d.gpuQ.EnqueueNDRangeKernel(mergeK, vm.NewNDRange1D(global, local),
 					[]ocl.Arg{ocl.BufArg(s.cpuCopy), ocl.BufArg(s.b.gpu), ocl.BufArg(s.orig), ocl.IntArg(int64(words)), ocl.IntArg(0)},
 					ocl.LaunchOpts{})
 				p.Wait(ev)
 				if mr.Err != nil {
-					fail(mr.Err)
-					return
+					return mr.Err
 				}
-				s.b.onGPU = true
-				s.b.onCPU = false
+				s.b.only(true)
 			}
-		}
-		for _, name := range app.Outputs {
-			b := bufs[name]
-			out := make([]byte, b.size)
-			read(b, out)
-			res.Outputs[name] = out
-		}
-		res.Time = p.Now()
+			return nil
+		},
+		read: d.readOut,
 	})
-	env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if res.Time == 0 && len(app.Launches) > 0 {
-		return nil, fmt.Errorf("sched: static run of %s did not complete", app.Name)
-	}
-	res.Summary = env.Meter.Summary()
-	return res, nil
 }
 
 // guardCache memoizes buildGuarded by source text, failures included: the
@@ -286,49 +197,6 @@ func transformGuarded(src string) (string, *clc.ProgramInfo, error) {
 		}
 	}
 	return clc.Print(ast), info, nil
-}
-
-func writtenBufNames(ki *clc.KernelInfo, l Launch) []string {
-	var out []string
-	for i, param := range ki.Kernel.Params {
-		if param.Ty.Ptr && ki.ParamAccess[param.Name].Written {
-			out = append(out, l.Args[i].Name)
-		}
-	}
-	return out
-}
-
-// sbuf is a statically-partitioned buffer: one copy per device plus a host
-// shadow with location flags, and the slice the CPU half of a written
-// buffer is shipped through.
-type sbuf struct {
-	size          int
-	cpu, gpu      *ocl.Buffer
-	host, staging []byte
-	onCPU         bool
-	onGPU         bool
-}
-
-// guardedArgs binds a launch's args for one device and appends the
-// flattened-range guard parameters.
-func guardedArgs(l Launch, bufs map[string]*sbuf, gpu bool, lo, hi int) []ocl.Arg {
-	args := make([]ocl.Arg, 0, len(l.Args)+2)
-	for _, a := range l.Args {
-		switch a.Kind {
-		case ArgBuf:
-			b := bufs[a.Name]
-			if gpu {
-				args = append(args, ocl.BufArg(b.gpu))
-			} else {
-				args = append(args, ocl.BufArg(b.cpu))
-			}
-		case ArgInt:
-			args = append(args, ocl.IntArg(a.I))
-		default:
-			args = append(args, ocl.FloatArg(a.F))
-		}
-	}
-	return append(args, ocl.IntArg(int64(lo)), ocl.IntArg(int64(hi)))
 }
 
 // OracleResult is one static-sweep outcome.
