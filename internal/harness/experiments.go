@@ -65,17 +65,184 @@ func verify(b *polybench.Benchmark, res *sched.Result, err error) (*sched.Result
 	return res, nil
 }
 
-// single is b's CPU-only or GPU-only run on the Runner's machine.
-func (r *Runner) single(b *polybench.Benchmark, gpu bool) (*sched.Result, error) {
-	if gpu {
-		return r.static(r.M, b, 100)
+// strategy runs benchmark b one way on machine m: one column of a grid.
+// Single-device runs, static splits and FluidiCL runs come from the Runner's
+// cell memo (memo.go), so every table that asks for one shares its run; the
+// oracle sweeps the memo's splits, and dmda calibrates on its single-device
+// runs. The SOCL runs themselves are never memoized.
+type strategy func(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error)
+
+// split runs pct percent of every kernel's work-groups on the GPU.
+func split(pct int) strategy {
+	return func(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
+		return r.static(m, b, pct)
 	}
-	return r.static(r.M, b, 0)
 }
 
-// fluidicl is b's FluidiCL run on the Runner's machine.
-func (r *Runner) fluidicl(b *polybench.Benchmark, opts core.Options) (*sched.Result, error) {
-	return r.cell(cellKey{b: b, m: r.M, fluidicl: true, opts: opts})
+// cpuOnly and gpuOnly are the vendor-runtime baselines: the 0 % and 100 %
+// splits.
+var cpuOnly, gpuOnly = split(0), split(100)
+
+// fcl runs FluidiCL with opts.
+func fcl(opts core.Options) strategy {
+	return func(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
+		return r.cell(cellKey{b: b, m: m, fluidicl: true, opts: opts})
+	}
+}
+
+// oracle is OracleSP: the best static split in steps of 10 %.
+func oracle(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
+	or, err := sched.SweepOracle(func(pct int) (*sched.Result, error) { return r.static(m, b, pct) })
+	if err != nil {
+		return nil, err
+	}
+	return or.Best, nil
+}
+
+// soclEager is the SOCL scheduler's default policy.
+func soclEager(_ *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
+	res, err := sched.RunSocl(m, b.App, sched.Eager, nil)
+	return verify(b, res, err)
+}
+
+// soclDmda is SOCL's dmda policy. Its calibration and its measured run form
+// one cell, as the model feeds the run.
+func soclDmda(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
+	cpu, err := cpuOnly(r, m, b)
+	if err != nil {
+		return nil, err
+	}
+	gpu, err := gpuOnly(r, m, b)
+	if err != nil {
+		return nil, err
+	}
+	model, err := sched.FitDmda(b.App, cpu, gpu)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sched.RunSocl(m, b.App, sched.Dmda, model)
+	return verify(b, res, err)
+}
+
+// on runs s on machine m, whatever machine its grid runs on.
+func on(m sched.Machine, s strategy) strategy {
+	return func(r *Runner, _ sched.Machine, b *polybench.Benchmark) (*sched.Result, error) { return s(r, m, b) }
+}
+
+// grid runs every strategy on every benchmark on the Runner's machine, one
+// cell each, and returns the results by benchmark, then strategy.
+func (r *Runner) grid(benches []*polybench.Benchmark, strats ...strategy) ([][]*sched.Result, error) {
+	rs := make([][]*sched.Result, len(benches))
+	for i := range rs {
+		rs[i] = make([]*sched.Result, len(strats))
+	}
+	err := r.cells(len(benches)*len(strats), func(c int) error {
+		i, k := c/len(strats), c%len(strats)
+		var err error
+		rs[i][k], err = strats[k](r, r.M, benches[i])
+		return err
+	})
+	return rs, err
+}
+
+// Ratio bases and GeoMean rows for addRatios.
+const (
+	bestSingle = -1 // base: the better of a row's first two columns, CPU-only and GPU-only
+	noGeoMean  = -1 // geo: no GeoMean row
+)
+
+// ratios divides each row's times by the row's base column's time, or with
+// bestSingle by the better single device's, and returns them by column.
+func ratios(rs [][]*sched.Result, base int) [][]float64 {
+	cols := make([][]float64, len(rs[0]))
+	for _, row := range rs {
+		var d sim.Time
+		if base == bestSingle {
+			d = min(row[0].Time, row[1].Time)
+		} else {
+			d = row[base].Time
+		}
+		for k, res := range row {
+			cols[k] = append(cols[k], res.Time/d)
+		}
+	}
+	return cols
+}
+
+// addRatios writes one row per label: the label, then that row's ratios to
+// base. Unless geo is noGeoMean, a GeoMean row follows, blank in the columns
+// before geo.
+func (t *Table) addRatios(labels []string, rs [][]*sched.Result, base, geo int) {
+	cols := ratios(rs, base)
+	for i, label := range labels {
+		row := []string{label}
+		for _, col := range cols {
+			row = append(row, f2(col[i]))
+		}
+		t.AddRow(row...)
+	}
+	if geo == noGeoMean {
+		return
+	}
+	row := []string{"GeoMean"}
+	for k, col := range cols {
+		if k < geo {
+			row = append(row, "")
+		} else {
+			row = append(row, f2(geomean(col)))
+		}
+	}
+	t.AddRow(row...)
+}
+
+func names(benches []*polybench.Benchmark) []string {
+	out := make([]string, len(benches))
+	for i, b := range benches {
+		out[i] = b.Name
+	}
+	return out
+}
+
+// staticCurves fills t with a row per 10 % GPU split: each benchmark's
+// static time at that split over its own best split's.
+func (r *Runner) staticCurves(t *Table, benches ...*polybench.Benchmark) (*Table, error) {
+	var splits []strategy
+	for pct := 0; pct <= 100; pct += 10 {
+		splits = append(splits, split(pct))
+	}
+	rs, err := r.grid(benches, splits...)
+	if err != nil {
+		return nil, err
+	}
+	for j := range splits {
+		row := []string{fmt.Sprintf("%d", j*10)}
+		for _, curve := range rs {
+			best := curve[0].Time
+			for _, res := range curve {
+				best = min(best, res.Time)
+			}
+			row = append(row, f2(curve[j].Time/best))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// fclSweep fills t with a row per benchmark: its FluidiCL time under each of
+// opts over its time under opts[base], then a GeoMean row unless geo is
+// noGeoMean.
+func (r *Runner) fclSweep(t *Table, opts []core.Options, base, geo int) (*Table, error) {
+	strats := make([]strategy, len(opts))
+	for i, o := range opts {
+		strats[i] = fcl(o)
+	}
+	benches := r.benchmarks()
+	rs, err := r.grid(benches, strats...)
+	if err != nil {
+		return nil, err
+	}
+	t.addRatios(names(benches), rs, base, geo)
+	return t, nil
 }
 
 // ---- Figure 2: static work-allocation curves for 2MM and SYRK ----
@@ -87,44 +254,13 @@ func (r *Runner) Fig2() (*Table, error) {
 	if r.Quick {
 		benches = []*polybench.Benchmark{r.bench("2MM", 48), r.bench("SYRK", 64)}
 	}
-	t := &Table{
+	return r.staticCurves(&Table{
 		ID:    "fig2",
 		Title: "Normalized execution time vs GPU work allocation (2MM, SYRK)",
 		Note: "Static splits, x% of work-groups on the GPU; each curve normalized to its own best.\n" +
 			"Paper shape: 2MM is best at 100% GPU; SYRK is best with a mixed split.",
 		Columns: []string{"GPU%", "2MM", "SYRK"},
-	}
-	const nPct = 11
-	times := make([][]sim.Time, len(benches))
-	for i := range times {
-		times[i] = make([]sim.Time, nPct)
-	}
-	err := r.cells(len(benches)*nPct, func(c int) error {
-		i, j := c/nPct, c%nPct
-		res, err := r.static(r.M, benches[i], j*10)
-		if err != nil {
-			return err
-		}
-		times[i][j] = res.Time
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	mins := make([]sim.Time, len(benches))
-	for i := range benches {
-		for _, tm := range times[i] {
-			if mins[i] == 0 || tm < mins[i] {
-				mins[i] = tm
-			}
-		}
-	}
-	for j := 0; j < nPct; j++ {
-		t.AddRow(fmt.Sprintf("%d", j*10),
-			f2(times[0][j]/mins[0]),
-			f2(times[1][j]/mins[1]))
-	}
-	return t, nil
+	}, benches...)
 }
 
 // Fig3 reproduces Figure 3: SYRK's best static split shifts with input size.
@@ -133,40 +269,13 @@ func (r *Runner) Fig3() (*Table, error) {
 	if r.Quick {
 		small, large = r.bench("SYRK", 48), r.bench("SYRK", 80)
 	}
-	t := &Table{
+	return r.staticCurves(&Table{
 		ID:    "fig3",
 		Title: "SYRK static allocation curves for two input sizes",
 		Note: "Each curve normalized to its own best split.\n" +
 			"Paper shape: the best-performing split differs between the two input sizes.",
 		Columns: []string{"GPU%", "SYRK(" + small.InputDesc + ")", "SYRK(" + large.InputDesc + ")"},
-	}
-	const nPct = 11
-	benches := []*polybench.Benchmark{small, large}
-	var times [2][nPct]sim.Time
-	err := r.cells(len(benches)*nPct, func(c int) error {
-		i, j := c/nPct, c%nPct
-		res, err := r.static(r.M, benches[i], j*10)
-		if err != nil {
-			return err
-		}
-		times[i][j] = res.Time
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	mins := [2]sim.Time{}
-	for i := range benches {
-		for _, tm := range times[i] {
-			if mins[i] == 0 || tm < mins[i] {
-				mins[i] = tm
-			}
-		}
-	}
-	for j := 0; j < nPct; j++ {
-		t.AddRow(fmt.Sprintf("%d", j*10), f2(times[0][j]/mins[0]), f2(times[1][j]/mins[1]))
-	}
-	return t, nil
+	}, small, large)
 }
 
 // Table1 reproduces Table 1: BICG's two kernels prefer different devices.
@@ -175,16 +284,11 @@ func (r *Runner) Table1() (*Table, error) {
 	if r.Quick {
 		b = r.bench("BICG", 192)
 	}
-	var devRes [2]*sched.Result
-	err := r.cells(2, func(i int) error {
-		res, err := r.single(b, i == 1)
-		devRes[i] = res
-		return err
-	})
+	rs, err := r.grid([]*polybench.Benchmark{b}, cpuOnly, gpuOnly)
 	if err != nil {
 		return nil, err
 	}
-	cpuRes, gpuRes := devRes[0], devRes[1]
+	cpuRes, gpuRes := rs[0][0], rs[0][1]
 	t := &Table{
 		ID:    "table1",
 		Title: "Kernel running times for BICG (ms)",
@@ -227,146 +331,64 @@ func (r *Runner) Table2() (*Table, error) {
 // GPU-only, FluidiCL and OracleSP per benchmark, normalized to the better
 // single device, plus the geomean and headline speedups.
 func (r *Runner) Overall() (*Table, error) {
+	benches := r.benchmarks()
+	rs, err := r.grid(benches, cpuOnly, gpuOnly, fcl(core.Options{}), oracle)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig13",
 		Title:   "Overall performance of FluidiCL (normalized to best single device)",
 		Columns: []string{"Benchmark", "CPU", "GPU", "FluidiCL", "OracleSP"},
 	}
-	var nCPU, nGPU, nFCL, nOSP []float64
-	var vsGPU, vsCPU, vsBest []float64
-	benches := r.benchmarks()
-	// Four cells per benchmark: cpu, gpu, fluidicl, oracle. The oracle sweeps
-	// the memo's static splits, so its 0 % and 100 % points are the cpu and
-	// gpu cells' runs.
-	rs := make([][4]*sched.Result, len(benches))
-	err := r.cells(len(benches)*4, func(c int) error {
-		i, k := c/4, c%4
-		b := benches[i]
-		var res *sched.Result
-		var err error
-		switch k {
-		case 0:
-			res, err = r.single(b, false)
-		case 1:
-			res, err = r.single(b, true)
-		case 2:
-			res, err = r.fluidicl(b, core.Options{})
-		default:
-			var or *sched.OracleResult
-			or, err = sched.SweepOracle(func(gpuPct int) (*sched.Result, error) { return r.static(r.M, b, gpuPct) })
-			if err != nil {
-				return err
-			}
-			res = or.Best
-		}
-		rs[i][k] = res
-		return err
-	})
-	if err != nil {
-		return nil, err
+	t.addRatios(names(benches), rs, bestSingle, 0)
+	// Each device's time over FluidiCL's; the better device's is the smaller.
+	vs := ratios(rs, 2)
+	vsBest := make([]float64, len(benches))
+	for i := range vsBest {
+		vsBest[i] = min(vs[0][i], vs[1][i])
 	}
-	for i, b := range benches {
-		cpuRes, gpuRes, fclRes, oraRes := rs[i][0], rs[i][1], rs[i][2], rs[i][3]
-		best := minT(cpuRes.Time, gpuRes.Time)
-		t.AddRow(b.Name,
-			f2(cpuRes.Time/best), f2(gpuRes.Time/best),
-			f2(fclRes.Time/best), f2(oraRes.Time/best))
-		nCPU = append(nCPU, cpuRes.Time/best)
-		nGPU = append(nGPU, gpuRes.Time/best)
-		nFCL = append(nFCL, fclRes.Time/best)
-		nOSP = append(nOSP, oraRes.Time/best)
-		vsGPU = append(vsGPU, gpuRes.Time/fclRes.Time)
-		vsCPU = append(vsCPU, cpuRes.Time/fclRes.Time)
-		vsBest = append(vsBest, best/fclRes.Time)
-	}
-	t.AddRow("GeoMean", f2(geomean(nCPU)), f2(geomean(nGPU)), f2(geomean(nFCL)), f2(geomean(nOSP)))
 	t.Note = fmt.Sprintf(
 		"FluidiCL geomean speedup: %.2fx over GPU-only, %.2fx over CPU-only, %.2fx over the best device.\n"+
 			"Paper: 1.64x over GPU, 1.88x over CPU, 1.04x over the best; within ~3%% of the best device everywhere.",
-		geomean(vsGPU), geomean(vsCPU), geomean(vsBest))
+		geomean(vs[1]), geomean(vs[0]), geomean(vsBest))
 	return t, nil
 }
 
 // Fig14 reproduces §9.2: SYRK across input sizes.
 func (r *Runner) Fig14() (*Table, error) {
+	sizes := r.syrkSizes()
+	benches := make([]*polybench.Benchmark, len(sizes))
+	labels := make([]string, len(sizes))
+	for i, sz := range sizes {
+		benches[i] = r.bench("SYRK", sz)
+		labels[i] = benches[i].InputDesc
+	}
+	rs, err := r.grid(benches, cpuOnly, gpuOnly, fcl(core.Options{}))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig14",
 		Title:   "SYRK across input sizes (normalized to best single device)",
 		Note:    "Paper shape: FluidiCL beats both single devices at every size (geomean ~1.4x over the best).",
 		Columns: []string{"Input", "CPU", "GPU", "FluidiCL"},
 	}
-	var nCPU, nGPU, nFCL []float64
-	sizes := r.syrkSizes()
-	benches := make([]*polybench.Benchmark, len(sizes))
-	for i, sz := range sizes {
-		benches[i] = r.bench("SYRK", sz)
-	}
-	rs := make([][3]*sched.Result, len(benches))
-	err := r.cells(len(benches)*3, func(c int) error {
-		i, k := c/3, c%3
-		b := benches[i]
-		var res *sched.Result
-		var err error
-		switch k {
-		case 0:
-			res, err = r.single(b, false)
-		case 1:
-			res, err = r.single(b, true)
-		default:
-			res, err = r.fluidicl(b, core.Options{})
-		}
-		rs[i][k] = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		cpuRes, gpuRes, fclRes := rs[i][0], rs[i][1], rs[i][2]
-		best := minT(cpuRes.Time, gpuRes.Time)
-		t.AddRow(b.InputDesc, f2(cpuRes.Time/best), f2(gpuRes.Time/best), f2(fclRes.Time/best))
-		nCPU = append(nCPU, cpuRes.Time/best)
-		nGPU = append(nGPU, gpuRes.Time/best)
-		nFCL = append(nFCL, fclRes.Time/best)
-	}
-	t.AddRow("GeoMean", f2(geomean(nCPU)), f2(geomean(nGPU)), f2(geomean(nFCL)))
+	t.addRatios(labels, rs, bestSingle, 0)
 	return t, nil
 }
 
 // Fig15 reproduces §9.3: the effect of in-loop work-group aborts and loop
 // unrolling, normalized to the all-optimizations configuration.
 func (r *Runner) Fig15() (*Table, error) {
-	t := &Table{
+	return r.fclSweep(&Table{
 		ID:    "fig15",
 		Title: "Effect of work-group abort in loops and loop unrolling (normalized to AllOpt)",
 		Note: "NoAbortUnroll: abort checks only at work-group entry. NoUnroll: checks inside\n" +
 			"loops every iteration. AllOpt: in-loop checks amortized by unrolling.\n" +
 			"Paper shape: NoAbortUnroll and NoUnroll are both slower than AllOpt on most benchmarks.",
 		Columns: []string{"Benchmark", "NoAbortUnroll", "NoUnroll", "AllOpt"},
-	}
-	var a, bcol, c []float64
-	benches := r.benchmarks()
-	optCfgs := []core.Options{{NoAbortInLoops: true}, {NoUnroll: true}, {}}
-	rs := make([][3]*sched.Result, len(benches))
-	err := r.cells(len(benches)*3, func(cell int) error {
-		i, k := cell/3, cell%3
-		res, err := r.fluidicl(benches[i], optCfgs[k])
-		rs[i][k] = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		noAbort, noUnroll, allOpt := rs[i][0], rs[i][1], rs[i][2]
-		t.AddRow(b.Name,
-			f2(noAbort.Time/allOpt.Time), f2(noUnroll.Time/allOpt.Time), f2(1.0))
-		a = append(a, noAbort.Time/allOpt.Time)
-		bcol = append(bcol, noUnroll.Time/allOpt.Time)
-		c = append(c, 1.0)
-	}
-	t.AddRow("GeoMean", f2(geomean(a)), f2(geomean(bcol)), f2(geomean(c)))
-	return t, nil
+	}, []core.Options{{NoAbortInLoops: true}, {NoUnroll: true}, {}}, 2, 0)
 }
 
 // Table3 reproduces §9.3's Table 3: online profiling picks the
@@ -376,34 +398,18 @@ func (r *Runner) Table3() (*Table, error) {
 	if r.Quick {
 		n = 64
 	}
-	plain := r.bench("CORR", n)
-	var rs [4]*sched.Result
-	err := r.cells(4, func(k int) error {
-		var res *sched.Result
-		var err error
-		switch k {
-		case 0:
-			res, err = r.single(plain, true)
-		case 1:
-			res, err = r.single(plain, false)
-		case 2:
-			res, err = r.fluidicl(plain, core.Options{})
-		default:
-			// Two runs in one runtime; the first (excluded per §8's
-			// methodology) is when online profiling identifies the better
-			// CPU kernel. Never memoized: the variant is a different app
-			// from plain CORR.
-			vb := polybench.CorrWithVariant(n, n)
-			res, err = sched.RunFluidiCLRepeat(r.M, vb.App, core.Options{OnlineProfiling: true}, 2)
-			res, err = verify(vb, res, err)
-		}
-		rs[k] = res
-		return err
-	})
+	// Two runs in one runtime; the first (excluded per §8's methodology) is
+	// when online profiling identifies the better CPU kernel. Never
+	// memoized: the variant is a different app from plain CORR.
+	profiled := func(_ *Runner, m sched.Machine, _ *polybench.Benchmark) (*sched.Result, error) {
+		vb := polybench.CorrWithVariant(n, n)
+		res, err := sched.RunFluidiCLRepeat(m, vb.App, core.Options{OnlineProfiling: true}, 2)
+		return verify(vb, res, err)
+	}
+	rs, err := r.grid([]*polybench.Benchmark{r.bench("CORR", n)}, gpuOnly, cpuOnly, fcl(core.Options{}), profiled)
 	if err != nil {
 		return nil, err
 	}
-	gpuRes, cpuRes, fcl, fclPro := rs[0], rs[1], rs[2], rs[3]
 	t := &Table{
 		ID:    "table3",
 		Title: "CORR with a choice of CPU kernels (ms)",
@@ -412,161 +418,61 @@ func (r *Runner) Table3() (*Table, error) {
 			"Paper shape: FCL+Pro outperforms plain FluidiCL by using the better CPU kernel.",
 		Columns: []string{"GPU", "CPU", "FluidiCL", "FCL+Pro"},
 	}
-	t.AddRow(ms(gpuRes.Time), ms(cpuRes.Time), ms(fcl.Time), ms(fclPro.Time))
+	t.AddRow(ms(rs[0][0].Time), ms(rs[0][1].Time), ms(rs[0][2].Time), ms(rs[0][3].Time))
 	return t, nil
 }
 
 // Fig16 reproduces §9.4: comparison with the SOCL/StarPU schedulers.
 func (r *Runner) Fig16() (*Table, error) {
+	benches := r.benchmarks()
+	rs, err := r.grid(benches, cpuOnly, gpuOnly, soclEager, soclDmda, fcl(core.Options{}))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig16",
 		Title:   "Comparison with SOCL (normalized to best single device)",
 		Columns: []string{"Benchmark", "CPU", "GPU", "SOCLDefault", "SOCLdmda", "FluidiCL"},
 	}
-	var nEager, nDmda, nFCL []float64
-	var fclVsEager, fclVsDmda []float64
-	benches := r.benchmarks()
-	// Five cells per benchmark; dmda calibration and its measured run form
-	// one cell, as the model feeds the run. The calibration is the cpu and
-	// gpu cells' runs.
-	rs := make([][5]*sched.Result, len(benches))
-	err := r.cells(len(benches)*5, func(c int) error {
-		i, k := c/5, c%5
-		b := benches[i]
-		var res *sched.Result
-		var err error
-		switch k {
-		case 0:
-			res, err = r.single(b, false)
-		case 1:
-			res, err = r.single(b, true)
-		case 2:
-			res, err = sched.RunSocl(r.M, b.App, sched.Eager, nil)
-			res, err = verify(b, res, err)
-		case 3:
-			var cpu, gpu *sched.Result
-			var model sched.DmdaModel
-			if cpu, err = r.single(b, false); err != nil {
-				return err
-			}
-			if gpu, err = r.single(b, true); err != nil {
-				return err
-			}
-			if model, err = sched.FitDmda(b.App, cpu, gpu); err != nil {
-				return err
-			}
-			res, err = sched.RunSocl(r.M, b.App, sched.Dmda, model)
-			res, err = verify(b, res, err)
-		default:
-			res, err = r.fluidicl(b, core.Options{})
-		}
-		rs[i][k] = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		cpuRes, gpuRes, eager, dmda, fcl := rs[i][0], rs[i][1], rs[i][2], rs[i][3], rs[i][4]
-		best := minT(cpuRes.Time, gpuRes.Time)
-		t.AddRow(b.Name,
-			f2(cpuRes.Time/best), f2(gpuRes.Time/best),
-			f2(eager.Time/best), f2(dmda.Time/best), f2(fcl.Time/best))
-		nEager = append(nEager, eager.Time/best)
-		nDmda = append(nDmda, dmda.Time/best)
-		nFCL = append(nFCL, fcl.Time/best)
-		fclVsEager = append(fclVsEager, eager.Time/fcl.Time)
-		fclVsDmda = append(fclVsDmda, dmda.Time/fcl.Time)
-	}
-	t.AddRow("GeoMean", "", "", f2(geomean(nEager)), f2(geomean(nDmda)), f2(geomean(nFCL)))
+	t.addRatios(names(benches), rs, bestSingle, 2)
+	vs := ratios(rs, 4) // each strategy's time over FluidiCL's
 	t.Note = fmt.Sprintf(
 		"FluidiCL vs SOCL-eager: %.2fx; vs SOCL-dmda: %.2fx (geomean; no calibration needed).\n"+
 			"Paper: 2.67x over the eager scheduler, 1.26x over calibrated dmda.",
-		geomean(fclVsEager), geomean(fclVsDmda))
+		geomean(vs[2]), geomean(vs[3]))
 	return t, nil
 }
 
 // Fig17 reproduces §9.5: sensitivity to the initial chunk size.
 func (r *Runner) Fig17() (*Table, error) {
-	chunks := []float64{2, 5, 10, 25, 50, 75}
 	cols := []string{"Benchmark"}
-	for _, c := range chunks {
+	var opts []core.Options
+	for _, c := range []float64{2, 5, 10, 25, 50, 75} {
 		cols = append(cols, fmt.Sprintf("%.0f%%", c))
+		opts = append(opts, core.Options{InitialChunkPct: c})
 	}
-	t := &Table{
+	return r.fclSweep(&Table{
 		ID:    "fig17",
 		Title: "Sensitivity to initial chunk size (normalized to 2%)",
 		Note: "Step size fixed at 2%. Paper shape: large initial chunks hurt benchmarks that\n" +
 			"need cooperative execution; the chosen 2% is within a few % of the best everywhere.",
 		Columns: cols,
-	}
-	benches := r.benchmarks()
-	nc := len(chunks)
-	times := make([][]sim.Time, len(benches))
-	for i := range times {
-		times[i] = make([]sim.Time, nc)
-	}
-	err := r.cells(len(benches)*nc, func(c int) error {
-		i, j := c/nc, c%nc
-		res, err := r.fluidicl(benches[i], core.Options{InitialChunkPct: chunks[j]})
-		if err != nil {
-			return err
-		}
-		times[i][j] = res.Time
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		base := times[i][0]
-		row := []string{b.Name}
-		for _, tm := range times[i] {
-			row = append(row, f2(tm/base))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, opts, 0, noGeoMean)
 }
 
 // Fig18 reproduces §9.5: sensitivity to the adaptive step size.
 func (r *Runner) Fig18() (*Table, error) {
-	steps := []float64{-1, 1, 2, 5, 9} // -1 encodes a constant chunk (0%)
-	cols := []string{"Benchmark", "0%", "1%", "2%", "5%", "9%"}
-	t := &Table{
+	var opts []core.Options
+	for _, s := range []float64{-1, 1, 2, 5, 9} { // -1 encodes a constant chunk (0%)
+		opts = append(opts, core.Options{StepPct: s})
+	}
+	return r.fclSweep(&Table{
 		ID:    "fig18",
 		Title: "Sensitivity to chunk step size (normalized to 2%)",
 		Note: "Initial chunk 2%; 0% means the allocation never grows.\n" +
 			"Paper shape: the chosen 2% step is within ~10% of the best in most cases.",
-		Columns: cols,
-	}
-	benches := r.benchmarks()
-	ns := len(steps)
-	times := make([][]sim.Time, len(benches))
-	for i := range times {
-		times[i] = make([]sim.Time, ns)
-	}
-	err := r.cells(len(benches)*ns, func(c int) error {
-		i, j := c/ns, c%ns
-		res, err := r.fluidicl(benches[i], core.Options{StepPct: steps[j]})
-		if err != nil {
-			return err
-		}
-		times[i][j] = res.Time
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		base := times[i][2] // the 2% column
-		row := []string{b.Name}
-		for _, tm := range times[i] {
-			row = append(row, f2(tm/base))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+		Columns: []string{"Benchmark", "0%", "1%", "2%", "5%", "9%"},
+	}, opts, 2, noGeoMean)
 }
 
 // ExperimentIDs are the paper's artifacts in paper order.
@@ -578,35 +484,25 @@ var ExperimentIDs = []string{
 // artifacts (design-choice ablations, machine portability).
 var ExtraExperimentIDs = []string{"ablation", "portability"}
 
+// experiments maps every experiment ID, and the paper artifacts' aliases, to
+// its table.
+var experiments = map[string]func(*Runner) (*Table, error){
+	"fig2": (*Runner).Fig2, "fig3": (*Runner).Fig3,
+	"table1": (*Runner).Table1, "table2": (*Runner).Table2,
+	"fig13": (*Runner).Overall, "overall": (*Runner).Overall,
+	"fig14": (*Runner).Fig14, "inputs": (*Runner).Fig14,
+	"fig15": (*Runner).Fig15, "opts": (*Runner).Fig15,
+	"table3": (*Runner).Table3, "profiling": (*Runner).Table3,
+	"fig16": (*Runner).Fig16, "socl": (*Runner).Fig16,
+	"fig17": (*Runner).Fig17, "chunk": (*Runner).Fig17,
+	"fig18": (*Runner).Fig18, "step": (*Runner).Fig18,
+	"ablation": (*Runner).Ablation, "portability": (*Runner).Portability,
+}
+
 // Run executes one experiment by ID.
 func (r *Runner) Run(id string) (*Table, error) {
-	switch id {
-	case "fig2":
-		return r.Fig2()
-	case "fig3":
-		return r.Fig3()
-	case "table1":
-		return r.Table1()
-	case "table2":
-		return r.Table2()
-	case "fig13", "overall":
-		return r.Overall()
-	case "fig14", "inputs":
-		return r.Fig14()
-	case "fig15", "opts":
-		return r.Fig15()
-	case "table3", "profiling":
-		return r.Table3()
-	case "fig16", "socl":
-		return r.Fig16()
-	case "fig17", "chunk":
-		return r.Fig17()
-	case "fig18", "step":
-		return r.Fig18()
-	case "ablation":
-		return r.Ablation()
-	case "portability":
-		return r.Portability()
+	if run := experiments[id]; run != nil {
+		return run(r)
 	}
 	return nil, fmt.Errorf("harness: unknown experiment %q", id)
 }
@@ -630,59 +526,12 @@ func (r *Runner) All() ([]*Table, error) {
 // adaptive chunk growth (§5.1) — alongside the §6.4 aborts, normalized to
 // the full configuration.
 func (r *Runner) Ablation() (*Table, error) {
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"Full", core.Options{}},
-		{"NoSplit", core.Options{NoWorkGroupSplit: true}},
-		{"ConstChunk", core.Options{StepPct: -1}},
-		{"NoLoopAborts", core.Options{NoAbortInLoops: true}},
-	}
-	cols := []string{"Benchmark"}
-	for _, c := range configs {
-		cols = append(cols, c.name)
-	}
-	t := &Table{
+	return r.fclSweep(&Table{
 		ID:      "ablation",
 		Title:   "FluidiCL design-choice ablations (normalized to the full configuration)",
 		Note:    "Not a paper artifact; isolates §6.3 work-group splitting, §5.1 adaptive growth\nand §6.4 in-loop aborts.",
-		Columns: cols,
-	}
-	gms := make([][]float64, len(configs))
-	benches := r.benchmarks()
-	nc := len(configs)
-	times := make([][]sim.Time, len(benches))
-	for i := range times {
-		times[i] = make([]sim.Time, nc)
-	}
-	err := r.cells(len(benches)*nc, func(c int) error {
-		i, j := c/nc, c%nc
-		res, err := r.fluidicl(benches[i], configs[j].opts)
-		if err != nil {
-			return err
-		}
-		times[i][j] = res.Time
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		row := []string{b.Name}
-		base := times[i][0]
-		for j := range configs {
-			row = append(row, f2(times[i][j]/base))
-			gms[j] = append(gms[j], times[i][j]/base)
-		}
-		t.AddRow(row...)
-	}
-	gmRow := []string{"GeoMean"}
-	for i := range configs {
-		gmRow = append(gmRow, f2(geomean(gms[i])))
-	}
-	t.AddRow(gmRow...)
-	return t, nil
+		Columns: []string{"Benchmark", "Full", "NoSplit", "ConstChunk", "NoLoopAborts"},
+	}, []core.Options{{}, {NoWorkGroupSplit: true}, {StepPct: -1}, {NoAbortInLoops: true}}, 0, 0)
 }
 
 // Portability exercises the paper's claim that FluidiCL "is completely
@@ -706,43 +555,13 @@ func (r *Runner) Portability() (*Table, error) {
 			"defaults run on three machines with very different device balances.",
 		Columns: []string{"Machine", "CPU", "GPU", "FluidiCL"},
 	}
-	benches := r.benchmarks()
-	nb := len(benches)
-	// One flat cell per (machine, benchmark, strategy).
-	rs := make([][3]*sched.Result, len(machines)*nb)
-	err := r.cells(len(machines)*nb*3, func(c int) error {
-		mi, rest := c/(nb*3), c%(nb*3)
-		bi, k := rest/3, rest%3
-		m, b := machines[mi].m, benches[bi]
-		var res *sched.Result
-		var err error
-		switch k {
-		case 0:
-			res, err = r.static(m, b, 0)
-		case 1:
-			res, err = r.static(m, b, 100)
-		default:
-			res, err = r.cell(cellKey{b: b, m: m, fluidicl: true})
-		}
+	for _, mc := range machines {
+		rs, err := r.grid(r.benchmarks(), on(mc.m, cpuOnly), on(mc.m, gpuOnly), on(mc.m, fcl(core.Options{})))
 		if err != nil {
-			return fmt.Errorf("%s: %w", machines[mi].name, err)
+			return nil, fmt.Errorf("%s: %w", mc.name, err)
 		}
-		rs[mi*nb+bi][k] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for mi, mc := range machines {
-		var nCPU, nGPU, nFCL []float64
-		for bi := range benches {
-			cell := rs[mi*nb+bi]
-			best := minT(cell[0].Time, cell[1].Time)
-			nCPU = append(nCPU, cell[0].Time/best)
-			nGPU = append(nGPU, cell[1].Time/best)
-			nFCL = append(nFCL, cell[2].Time/best)
-		}
-		t.AddRow(mc.name, f2(geomean(nCPU)), f2(geomean(nGPU)), f2(geomean(nFCL)))
+		cols := ratios(rs, bestSingle)
+		t.AddRow(mc.name, f2(geomean(cols[0])), f2(geomean(cols[1])), f2(geomean(cols[2])))
 	}
 	return t, nil
 }

@@ -98,10 +98,3 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // ms formats a virtual time in milliseconds.
 func ms(t sim.Time) string { return fmt.Sprintf("%.3f", t*1e3) }
-
-func minT(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
