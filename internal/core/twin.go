@@ -204,6 +204,7 @@ type scratchPair struct {
 	ready   *sim.Event // this kernel's CPU-side readiness event for buf
 	orig    *ocl.Buffer
 	cpuCopy *ocl.Buffer
+	primed  *sim.Event // cpuCopy's prime copy has run; nil when elided
 }
 
 // run executes one launch under the twin protocol. The call returns as soon
@@ -266,7 +267,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		if l.el[sc.idx].slotExact {
 			r.ctr.PrimeCopiesElided++
 		} else {
-			t.gpuApp.EnqueueCopyBuffer(gpuBuf, sc.cpuCopy)
+			sc.primed = t.gpuApp.EnqueueCopyBuffer(gpuBuf, sc.cpuCopy)
 		}
 	}
 
@@ -660,10 +661,11 @@ func (t *twin) runCPUScheduler(sp *sim.Proc, l *launch, scratches []scratchPair,
 func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *statusLog) *sim.Event {
 	r, kid := t.r, l.kid
 	type staged struct {
-		data []byte
-		off  int
-		ev   *sim.Event
-		dst  *ocl.Buffer
+		data   []byte
+		off    int
+		ev     *sim.Event
+		dst    *ocl.Buffer
+		primed *sim.Event
 	}
 	var stages []staged
 	for _, sc := range scratches {
@@ -677,16 +679,23 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 		}
 		data := make([]byte, end-off)
 		stages = append(stages, staged{
-			data: data,
-			off:  off,
-			ev:   t.cpuQ.EnqueueReadBufferAt(b.bufs[twinCPU], off, data),
-			dst:  sc.cpuCopy,
+			data:   data,
+			off:    off,
+			ev:     t.cpuQ.EnqueueReadBufferAt(b.bufs[twinCPU], off, data),
+			dst:    sc.cpuCopy,
+			primed: sc.primed,
 		})
 	}
 	shipped := r.Env.NewEvent()
 	r.Env.Go(fmt.Sprintf("fcl-ship-k%d-lo%d", kid, lo), func(wp *sim.Proc) {
+		// A ship lands in its scratch only after the scratch's prime: the
+		// prime runs on the app queue, the ship on hd, and a prime that ran
+		// second would overwrite the shipped bytes with pre-kernel data.
 		for _, s := range stages {
 			wp.Wait(s.ev)
+			if s.primed != nil {
+				wp.Wait(s.primed)
+			}
 		}
 		for _, s := range stages {
 			t.gpuHD.EnqueueWriteBufferAtTagged(s.dst, s.off, s.data, "ship")
