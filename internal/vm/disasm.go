@@ -39,25 +39,22 @@ func (k *Kernel) Disasm() string {
 	// with the reason) and on the loop around each fused reduction body
 	// (wg.loop-fuse with the skeleton size and the registers prechecked
 	// uniform, or wg.loop-nofuse with the reason).
-	wgLoopAt := map[int]FusedSpan{}
-	wgFuseAt := map[int]FusedSpan{}
-	wgNoFuseAt := map[int]FusedSpan{}
-	wgLoopFuseAt := map[int]FusedSpan{}
+	notes := map[int][]string{}
 	regionAt := map[int]int{}
-	if k.wg != nil {
-		for _, s := range k.wg.spans {
-			wgLoopAt[s.Start] = s
+	if wg := k.wg; wg != nil {
+		for _, s := range wg.spans {
+			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.loop (%d instrs)", s.Len))
 		}
-		for _, s := range k.wg.fused {
-			wgFuseAt[s.Start] = s
+		for _, s := range wg.fused {
+			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.fuse (%d instrs)", s.Len))
 		}
-		for _, s := range k.wg.nofuse {
-			wgNoFuseAt[s.Start] = s
+		for _, s := range wg.nofuse {
+			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.nofuse (%s)", s.Name))
 		}
-		for _, s := range k.wg.loops {
-			wgLoopFuseAt[s.Start] = s
+		for _, s := range wg.loops {
+			notes[s.Start] = append(notes[s.Start], s.Name)
 		}
-		for ri, entry := range k.wg.regions {
+		for ri, entry := range wg.regions {
 			regionAt[entry] = ri
 		}
 	}
@@ -66,17 +63,8 @@ func (k *Kernel) Disasm() string {
 			fmt.Fprintf(&b, "      ; -- wg region %d --\n", ri)
 		}
 		line := disasmInstr(in)
-		if s, ok := wgLoopAt[pc]; ok {
-			line = fmt.Sprintf("%s  ; wg.loop (%d instrs)", line, s.Len)
-		}
-		if s, ok := wgFuseAt[pc]; ok {
-			line = fmt.Sprintf("%s  ; wg.fuse (%d instrs)", line, s.Len)
-		}
-		if s, ok := wgNoFuseAt[pc]; ok {
-			line = fmt.Sprintf("%s  ; wg.nofuse (%s)", line, s.Name)
-		}
-		if s, ok := wgLoopFuseAt[pc]; ok {
-			line = fmt.Sprintf("%s  ; %s", line, s.Name)
+		for _, note := range notes[pc] {
+			line += "  ; " + note
 		}
 		fmt.Fprintf(&b, "%4d  %s\n", pc, line)
 	}

@@ -172,7 +172,7 @@ func (k *Kernel) WGBlockSteps() (out [][3]int) {
 }
 
 // WGLoopSizes returns, for every loop-fused reduction body in pc order, how
-// many ops the walk runs per execution of each lowered chain, its branch
+// many instructions the walk runs per execution of each chain, its branch
 // counted as one; the chain that starts at the body comes first.
 func (k *Kernel) WGLoopSizes() (out [][]int) {
 	for _, blk := range k.wgBlocks() {
@@ -181,7 +181,7 @@ func (k *Kernel) WGLoopSizes() (out [][]int) {
 		}
 		var sizes []int
 		for _, b := range blk.red.loop.prog {
-			sizes = append(sizes, len(b.ops)+int(b2i(b.term.take != 0)))
+			sizes = append(sizes, len(b.pcs)+int(b2i(b.cond < 64)))
 		}
 		out = append(out, sizes)
 	}
@@ -233,3 +233,10 @@ func (k *Kernel) wgBlocks() (out []*wblock) {
 	}
 	return out
 }
+
+var skippedTrips atomic.Int64
+
+func init() { wgSkipHook = func(n int64) { skippedTrips.Add(n) } }
+
+// SkippedTrips counts the trips the walk's period skip has jumped over.
+func SkippedTrips() int64 { return skippedTrips.Load() }

@@ -131,12 +131,13 @@ type wmach struct {
 	// Loop-level fusion (wgloop.go). A plan that ran its block's whole loop
 	// sets next (-1 before the call) to the exit pc, and the dispatcher skips
 	// the terminator; booked marks a phase whose reduction sites went into
-	// lastB/seenB in closed form (see replay); sfile and visits are the walk's
-	// scalar register file and per-chain counts. The loop* tallies are folded
-	// into backendCtr at group end.
+	// lastB/seenB in closed form (see replay); sfile, visits and period are
+	// the walk's scalar register file, per-chain counts and period log. The
+	// loop* tallies are folded into backendCtr at group end.
 	next           int
 	booked         bool
 	sfile, visits  []int64
+	period         wgPeriod
 	loopBatches    int64
 	loopTrips      int64
 	loopNonuniform int64

@@ -199,15 +199,13 @@ func TestTwinRunCertifiesOncePerKey(t *testing.T) {
 }
 
 // TestWGLoopLoweredSizes pins what the loop walk runs for SYRK and SYR2K, so
-// that a regression in the skeleton's lowering is a failure here and not a
-// profile: per lowered chain, its ops with the branch as one. The GPU
-// variant's nine blocks (the unroll counter, the bound, the in-loop abort
-// check) are 38 instructions, 53 executed per four trips, and lower to eight
-// chains of 15 ops, 23 per four trips: four times the body's chain (its two
-// counters, which the old walk replayed too, and the folded unroll test),
-// four times the bound's (one folded compare), then 109+56, 60 (the poll:
-// load, compare, branch), 70 and 72+74. The CPU variant's one block lowers
-// to the counter and the folded bound.
+// that a regression in the skeleton's cut into chains is a failure here and
+// not a profile: per chain, its instructions with the branch as one (the
+// body's chain also steps the body's counters). The GPU variant's nine
+// blocks (the unroll counter, the bound, the in-loop abort check) are 38
+// instructions and make eight chains: the body's (the unroll test), the
+// bound's, then 109+56, 60 (the poll: load, compare, branch), 70 and
+// 72+74. The CPU variant's one block makes one chain: the bound.
 func TestWGLoopLoweredSizes(t *testing.T) {
 	for _, name := range []string{"SYRK", "SYR2K"} {
 		bm, err := polybench.ByName(name)
@@ -222,8 +220,8 @@ func TestWGLoopLoweredSizes(t *testing.T) {
 			variant, src, note string
 			sizes              []int
 		}{
-			{"gpu", gpu, "skeleton 9 blocks, 38->15 ops;", []int{3, 1, 3, 1, 2, 1, 1, 3}},
-			{"cpu", cpu, "skeleton 1 blocks, 4->2 ops;", []int{2}},
+			{"gpu", gpu, "skeleton 9 blocks;", []int{4, 4, 5, 1, 6, 5, 4, 6}},
+			{"cpu", cpu, "skeleton 1 blocks;", []int{4}},
 		} {
 			ki, err := clc.FindKernelInfo(v.src, bm.App.Launches[0].Kernel)
 			if err != nil {

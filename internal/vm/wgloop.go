@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -11,13 +12,14 @@ import (
 //
 // The control skeleton S of a fused loop body B (wgfuse.go) is the set of
 // blocks on a path from B's successor back to B whose bodies use only
-// scalar-safe opcodes (wgScalarSafe); every other block is an exit. B and S
-// are lowered once (lower) into chains of copy-propagated ops on a scalar
-// register file. When a set of lanes — the whole group or any part of it —
-// stands at B and every int register S reads before defining it is equal
-// across them, the chains are walked once for all of them — budget and Stats
-// charged as the dispatcher would — until control leaves S. That yields the
-// trip count T and the exit pc; B runs its T trips per work-item in one call
+// scalar-safe opcodes (wgScalarSafe); every other block is an exit. S and
+// B's counter increments are cut once (lower) into chains of blocks. When a
+// set of lanes — the whole group or any part of it — stands at B and every
+// int register S reads before defining it is equal across them, the chains
+// are walked once for all of them on a scalar register file — budget and
+// Stats charged as the dispatcher would, periods that repeat skipped in
+// closed form (skip) — until control leaves S. That yields the trip count T
+// and the exit pc; B runs its T trips per work-item in one call
 // (wgReduce.trips) and the set resumes at the exit.
 
 // WGLoopReject enumerates the reasons a fused reduction body stays on one
@@ -45,38 +47,31 @@ func (r WGLoopReject) String() string { return wgLoopRejectNames[r] }
 
 // wgLoop is the loop-level plan around one fused body.
 type wgLoop struct {
-	defs uint64 // int registers the skeleton's instructions define
+	defs uint64 // int registers the skeleton's instructions define (lower)
 	uni  uint64 // int registers the skeleton reads before defining them
 	inS  []bool // by leader pc: the block belongs to the skeleton, nS blocks do
 	nS   int
-	// The loop lowered for the walk (lower): chains of blocks, the head's
-	// first, on a scalar file of the 64 registers followed by consts.
-	prog   []wgSBlock
-	consts []int64
-}
-
-// wgSOp is one lowered instruction: r[a] = r[b] op r[c] on the scalar file. A
-// compare (any opcode of them) holds when bit (r[b] > r[c]) + (r[b] >= r[c])
-// of take is set; opLDGI loads word r[c] of the buffer in slot.
-type wgSOp struct {
-	op        Op
-	take      uint8
-	a, b, c   int32
-	slot, mem int32 // opLDGI: parameter slot, static mem-op id
-	pc        int   // opLDGI: the load's own pc, for its trap
+	// The loop cut for the walk (lower): chains of blocks, the head's first,
+	// the loads they hold, and the registers the walk writes: the skeleton's
+	// and red's counters, which the head's chain increments.
+	prog         []wgSBlock
+	write, loads uint64
+	red          *wgReduce
 }
 
 // wgSBlock is one lowered chain, from the block at start up to the first
-// conditional branch: what one execution adds to a lane's step budget and
-// Stats, summed over its blocks, the registers its ops define, and the
-// branch by value — the compare term (take 0: never) selects tgt over next,
+// conditional branch: its instructions (pcs), what one execution adds to a
+// lane's step budget and Stats, summed over its blocks, the registers it
+// defines, and the branch by value — register cond (64, the scalar file's
+// zero word, for none) nonzero, or zero with jz, selects tgt over next,
 // indices into wgLoop.prog (^pc for a block outside the skeleton).
 type wgSBlock struct {
-	ops                                  []wgSOp
+	pcs                                  []int32
 	start                                int
 	nInstr, body, intOps, loads, branchs int64
 	defs                                 uint64
-	term                                 wgSOp
+	cond                                 int32
+	jz                                   bool
 	tgt, next                            int
 }
 
@@ -147,10 +142,6 @@ func (k *Kernel) wgSkeleton(wg *wgProgram, head *wblock) *wgLoop {
 				lp.inS[pc] = true
 				lp.nS++
 				grew = true
-				for _, in := range k.Code[pc:wg.blocks[pc].body] {
-					_, _, id, _ := wgUseDef(in)
-					lp.defs |= id
-				}
 			}
 		}
 	}
@@ -162,33 +153,11 @@ func (k *Kernel) wgSkeleton(wg *wgProgram, head *wblock) *wgLoop {
 	return lp
 }
 
-// slot returns the scalar-file slot of the constant v.
-func (lp *wgLoop) slot(v int64) int32 {
-	for i, c := range lp.consts {
-		if c == v {
-			return int32(64 + i)
-		}
-	}
-	lp.consts = append(lp.consts, v)
-	return int32(63 + len(lp.consts))
-}
-
-// wgTake is the take mask of the compares opILT..opINE; other ops' is 0.
-var wgTake = [...]uint8{0b001, 0b011, 0b100, 0b110, 0b010, 0b101}
-
 // lower returns the index in prog of the chain that starts at leader pc (^pc
 // outside the loop), lowering it on first sight (seen). A chain runs through
-// unconditional successors as one straight line; the head's part of it is,
-// as far as the scalar file goes, its counters' increments.
-//
-// A copy, constant or compare is not emitted where it stands but becomes the
-// pending definition of its register, naming the slots it reads: a copy's
-// source stands in for the register in later operands, a compare folds into
-// the branch. It is emitted before a slot it reads is redefined, and at the
-// end of the chain if its register is live there; a backward pass then drops
-// what nothing reads. Loads stay, in place: they trap and are booked
-// (DESIGN.md S20, "The lowered skeleton", has the argument).
-func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, p *wgReduce, head int, seen map[int]int, pc int) int {
+// unconditional successors as one straight line; the head's own
+// instructions are the jam's, all but its counters' increments.
+func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, head int, seen map[int]int, pc int) int {
 	if bi, ok := seen[pc]; ok {
 		return bi
 	}
@@ -198,121 +167,36 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, p *wgReduce, head int, seen ma
 	bi := len(lp.prog)
 	seen[pc] = bi
 	lp.prog = append(lp.prog, wgSBlock{})
-	b := wgSBlock{start: pc}
-	var bind [64]wgSOp // pending definitions; op == opNop: the file holds the register
-	var ops []wgSOp
-	flush := func(x int) {
-		ops = append(ops, bind[x])
-		bind[x] = wgSOp{}
-	}
-	def := func(a int32) { // a is redefined: the pending definitions that read it go first
-		for x := range bind {
-			if o := &bind[x]; o.op != opNop && int32(x) != a && (o.b == a || o.c == a) {
-				flush(x)
-			}
-		}
-		bind[a] = wgSOp{}
-	}
-	use := func(x int32) int32 { // the slot that holds register x
-		if bind[x].op == opIMOV {
-			return bind[x].b
-		}
-		if bind[x].op != opNop {
-			flush(int(x))
-		}
-		return x
-	}
+	b := wgSBlock{start: pc, cond: 64}
 	var blk *wblock
 	for ; ; pc = blk.term.succs()[0] {
 		blk = wg.blocks[pc]
 		b.nInstr += blk.nInstr
 		b.body += int64(blk.body - pc)
 		b.branchs += b2i(blk.term.kind != wtFall)
-		code := k.Code[pc:blk.body]
+		from := blk.body
 		if pc != head {
+			from = pc
 			b.intOps += blk.ops[clsInt]
-		} else {
-			code = nil
-			for i, c := range p.ctrs[:p.ni] {
-				ops = append(ops, wgSOp{op: opIADD, a: int32(c), b: int32(c), c: lp.slot(p.imms[i])})
-			}
 		}
-		for i, in := range code {
-			o := wgSOp{op: in.Op, a: in.A}
-			switch in.Op {
-			case opNop:
-				continue
-			case opLDI, opIMOV:
-				if o.op = opIMOV; in.Op == opIMOV {
-					o.b = use(in.B)
-				} else {
-					o.b = lp.slot(in.IImm)
-				}
-				if o.c = o.b; o.b != in.A {
-					def(in.A)
-					bind[in.A] = o
-				}
-				continue
-			case opLDGI:
-				o.c, o.slot, o.mem, o.pc = use(in.C), in.B, in.D, pc+i
-				o.b = o.c
-				b.loads++
-			case opNOTB:
-				if o = bind[in.B]; o.take != 0 {
-					o.a, o.take = in.A, o.take^7
-				} else {
-					o = wgSOp{op: opIEQ, take: wgTake[opIEQ-opILT], a: in.A, b: use(in.B), c: lp.slot(0)}
-				}
-			default:
-				o.b = use(in.B)
-				if o.c = o.b; in.Op != opINEG {
-					o.c = use(in.C)
-				}
-				if opILT <= in.Op && in.Op <= opINE {
-					o.take = wgTake[in.Op-opILT]
-				}
-			}
-			def(in.A)
-			if o.take != 0 {
-				bind[in.A] = o
-			} else {
-				ops = append(ops, o)
+		for at := from; at < blk.body; at++ {
+			if in := k.Code[at]; in.Op != opNop {
+				b.pcs = append(b.pcs, int32(at))
+				b.loads += b2i(in.Op == opLDGI)
+				b.defs |= wgBit(in.A)
 			}
 		}
 		if sc := blk.term.succs()[0]; blk.term.kind == wtCond || sc < 0 || !lp.inS[sc] {
 			break
 		}
 	}
-	live := wg.iOut[blk.start]
-	for x := range bind {
-		if bind[x].op != opNop && live&wgBit(int32(x)) != 0 {
-			flush(x)
-		}
-	}
 	t := blk.term
+	b.next = lp.lower(k, wg, head, seen, t.succs()[0])
 	if t.kind == wtCond {
-		if b.term = bind[t.condReg]; b.term.take == 0 {
-			b.term = wgSOp{take: wgTake[opINE-opILT], b: use(t.condReg), c: lp.slot(0)}
-		}
-		b.term.take ^= 7 * uint8(b2i(t.jz)) // taken when the compare fails
-		live |= wgBit(b.term.b) | wgBit(b.term.c)
+		b.cond, b.jz = t.condReg, t.jz
+		b.tgt, b.next = b.next, lp.lower(k, wg, head, seen, t.next)
 	}
-	b.ops = ops[len(ops):] // the kept ops, packed at the tail of ops
-	for i := len(ops) - 1; i >= 0; i-- {
-		if o := ops[i]; o.op == opLDGI || live&wgBit(o.a) != 0 {
-			live = live&^wgBit(o.a) | wgBit(o.b) | wgBit(o.c)
-			b.ops = ops[len(ops)-len(b.ops)-1:]
-			b.ops[0] = o
-			if b.start != head || i >= p.ni { // trips advances the head's counters in the banks
-				b.defs |= wgBit(o.a)
-			}
-		}
-	}
-	b.next = lp.lower(k, wg, p, head, seen, t.succs()[0])
-	if t.kind == wtCond {
-		b.tgt, b.next = b.next, lp.lower(k, wg, p, head, seen, t.next)
-	}
-	lp.prog[bi] = b
+	lp.prog[bi], lp.defs, lp.loads = b, lp.defs|b.defs, lp.loads+uint64(b.loads)
 	return bi
 }
 
@@ -326,6 +210,9 @@ func (k *Kernel) wgLoopFor(wg *wgProgram, head *wblock, p *wgReduce, ctrs uint64
 	rej, reg := WGLoopRejNone, 0
 	if lp == nil {
 		rej = WGLoopRejNoCycle
+	} else {
+		lp.lower(k, wg, head.start, map[int]int{}, head.start)
+		lp.red, lp.write = p, lp.defs|ctrs
 	}
 	for i := 0; i < p.nLoads && rej == WGLoopRejNone; i++ {
 		f := &p.loads[i]
@@ -346,17 +233,11 @@ func (k *Kernel) wgLoopFor(wg *wgProgram, head *wblock, p *wgReduce, ctrs uint64
 	var note string
 	switch rej {
 	case WGLoopRejNone:
-		lp.lower(k, wg, p, head.start, map[int]int{}, head.start)
-		instrs, ops := -head.nInstr, 0 // the head's own are the jam's
-		for _, b := range lp.prog {
-			instrs += b.nInstr
-			ops += len(b.ops) + int(b2i(b.term.take != 0))
-		}
 		var regs strings.Builder
 		for v := lp.uni; v != 0; v &= v - 1 {
 			fmt.Fprintf(&regs, " r%d", bits.TrailingZeros64(v))
 		}
-		note = fmt.Sprintf("wg.loop-fuse (skeleton %d blocks, %d->%d ops; uniform%s)", lp.nS, instrs, ops, regs.String())
+		note = fmt.Sprintf("wg.loop-fuse (skeleton %d blocks; uniform%s)", lp.nS, regs.String())
 	case WGLoopRejNoCycle:
 		note, lp = "wg.loop-nofuse (no-cycle)", nil
 	default:
@@ -368,10 +249,9 @@ func (k *Kernel) wgLoopFor(wg *wgProgram, head *wblock, p *wgReduce, ctrs uint64
 
 // uniform is the dynamic precheck: every register the skeleton reads before
 // defining it holds one value across the lanes of set. It sets up the scalar
-// file m.sfile with those values and the plan's constants.
+// file m.sfile with those values, its word 64 zero.
 func (lp *wgLoop) uniform(m *wmach, set []int32) bool {
-	m.sfile = sized(m.sfile, 64+len(lp.consts))
-	copy(m.sfile[64:], lp.consts)
+	m.sfile = sized(m.sfile, 65)
 	for v := lp.uni; v != 0; v &= v - 1 {
 		reg := bits.TrailingZeros64(v)
 		bank := m.ib[reg*m.n:][:m.n]
@@ -388,18 +268,19 @@ func (lp *wgLoop) uniform(m *wmach, set []int32) bool {
 
 // walk runs the loop's control for the lanes of set on the scalar file (as
 // uniform left it), from the head's first trip: each arrival at the head is
-// one trip; each chain is charged to the step budget, executed once, and
-// counted once per lane. It returns the trip count, the pc the set resumes
-// at and the registers the skeleton defined. The budget is the group's shared
-// one or, once that has fanned out, that of the lane of set with the most
-// steps, the first to overrun; every lane is charged what the walk used. A
-// chain the budget ends inside is not started: the dispatcher, resuming at
-// its first block, names the block that overruns (trips 0: the caller runs
-// the head's one trip). An out-of-range uniform load leaves its error in
-// m.err and ok false.
+// one trip, and may skip periods (skip); each chain is charged to the step
+// budget, executed once, and counted once per lane. It returns the trip
+// count, the pc the set resumes at and the registers the skeleton defined.
+// The budget is the group's shared one or, once that has fanned out, that of
+// the lane of set with the most steps, the first to overrun; every lane is
+// charged what the walk used. A chain the budget ends inside is not started:
+// the dispatcher, resuming at its first block, names the block that overruns
+// (trips 0: the caller runs the head's one trip). An out-of-range uniform
+// load leaves its error in m.err and ok false.
 func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint64, ok bool) {
-	r, visits := m.sfile, sized(m.visits, len(lp.prog))
+	r, visits, pl, code := m.sfile, sized(m.visits, len(lp.prog)), &m.period, m.k.Code
 	m.visits = visits
+	pl.clear()
 	used := m.stepsAll
 	if !m.budgetScalar {
 		used = 0
@@ -410,45 +291,54 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 	// The dispatcher has already charged and counted the head's first trip.
 	head := m.k.wg.blocks[lp.prog[0].start]
 	left := m.maxSteps - used + head.nInstr
-	bi := 0
+	// A partitioned phase logs a skeleton load per lane, which skip cannot
+	// extend in O(1): such a walk neither logs nor skips.
+	try, bi := m.uniform || lp.loads == 0, 0
 	for bi >= 0 {
 		b := &lp.prog[bi]
+		if bi == 0 && try {
+			left -= lp.skip(m, left)
+		} else if bi == 0 {
+			pl.clear() // what this walk logs is its current trip's chains
+		}
 		if left < b.nInstr {
 			bi = ^b.start
 			break
 		}
 		left -= b.nInstr
 		visits[bi]++
-		for i := range b.ops {
-			op := &b.ops[i]
-			x, y := r[op.b], r[op.c]
-			switch op.op {
-			case opIMOV:
-			case opLDGI:
-				bits, ok := m.loadOnce(set, op.pc, op.slot, op.mem, y)
-				if !ok {
-					return 0, 0, 0, false
-				}
-				x = int64(int32(bits))
-			case opIADD:
-				x += y
-			case opISUB:
-				x -= y
-			case opIMUL:
-				x *= y
-			case opINEG:
-				x = -x
-			case opIMIN:
-				x = min(x, y)
-			case opIMAX:
-				x = max(x, y)
-			default:
-				x = int64(op.take >> (b2i(x > y) + b2i(x >= y)) & 1)
-			}
-			r[op.a] = x
+		for i := 0; bi == 0 && i < lp.red.ni; i++ {
+			r[lp.red.ctrs[i]] += lp.red.imms[i]
 		}
-		x, y := r[b.term.b], r[b.term.c]
-		if bi = b.next; b.term.take>>(b2i(x > y)+b2i(x >= y))&1 != 0 {
+		ev := append(pl.ev, int64(bi))
+		for _, pc := range b.pcs {
+			in := &code[pc]
+			x, y := in.IImm, r[in.C]
+			if in.Op != opLDI && in.Op != opLDGI {
+				x = r[in.B]
+			}
+			if try {
+				ev = append(ev, x, y)
+			}
+			switch f := opTab[in.Op].fn.(type) {
+			case func(x, y int64) int64:
+				x = f(x, y)
+			case func(x int64) int64:
+				x = f(x)
+			default: // ldi, ldgi
+				if in.Op == opLDGI {
+					bits, ok := m.loadOnce(set, int(pc), in.B, in.D, y)
+					if !ok {
+						return 0, 0, 0, false
+					}
+					x = int64(int32(bits))
+				}
+			}
+			r[in.A] = x
+		}
+		x := r[b.cond]
+		pl.ev = append(ev, x, 0)
+		if bi = b.next; (x != 0) != b.jz {
 			bi = b.tgt
 		}
 	}
@@ -475,4 +365,119 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 	}
 	m.dynFused += instrs * n
 	return visits[0], ^bi, defd, true
+}
+
+// wgPeriod is the walk's period log, pooled in the wmach: per arrival at the
+// head chain since it was last cleared, where its trip's events start in ev
+// and the registers in wgLoop.write, in order, in snap; per chain visit, its
+// index in prog, each instruction's two operands (a load's index second),
+// and its branch register and 0.
+type wgPeriod struct {
+	at       []int
+	snap, ev []int64
+}
+
+func (pl *wgPeriod) clear() { pl.at, pl.snap, pl.ev = pl.at[:0], pl.snap[:0], pl.ev[:0] }
+
+// wgSkipHook, nil but in tests, sees the trips of every skip.
+var wgSkipHook func(trips int64)
+
+// wgFlip is how many more windows a compare whose operands were x1, y1 in
+// one window and x2, y2 in the next keeps its sign, each operand moving on
+// by as much per window: 0 unless the sign held and the operands are below
+// lim in magnitude, and no more than keeps them below twice that, where
+// their difference is exact and orders them as the VM does.
+func wgFlip(x1, y1, x2, y2 int64) int64 {
+	const lim = 1 << 61
+	e1, e2 := x1-y1, x2-y2
+	if max(x1, y1, x2, y2) >= lim || min(x1, y1, x2, y2) <= -lim || (e1 < 0) != (e2 < 0) || (e1 > 0) != (e2 > 0) {
+		return 0
+	}
+	if e2 < 0 {
+		e1, e2 = -e1, -e2
+	}
+	k := lim / max(x2-x1, x1-x2, y2-y1, y1-y2, 1)
+	if e2 < e1 { // the difference falls toward 0: the last window before it
+		k = min(k, (e2-1)/(e1-e2))
+	}
+	return k
+}
+
+// skip is the walk's period skipping (DESIGN.md S20, "Period skipping") at
+// an arrival at the head chain with left steps of budget, in a phase that
+// has not partitioned or a loop without loads. It logs the arrival and looks
+// for L ≤ 8 such that the last two windows of L trips visited the same
+// chains, none with imin or imax, every compare kept its sign, every product
+// a factor and every load its index, and the registers read before written
+// moved by the same delta. Each next window then repeats the last one's
+// differences until a compare flips, so skip advances the file, the visits
+// and the loads' broadcast runs over k ≥ 2 windows at once, as far as every
+// sign and compare operand (wgFlip), one window's budget for the walk and
+// each run allow. It returns the steps they charge.
+func (lp *wgLoop) skip(m *wmach, left int64) int64 {
+	pl, r, ns := &m.period, m.sfile, bits.OnesCount64(lp.write)
+	if len(pl.at) == 32 {
+		pl.clear()
+	}
+	n := len(pl.at)
+	pl.at = append(pl.at, len(pl.ev))
+	for v := lp.write; v != 0; v &= v - 1 {
+		pl.snap = append(pl.snap, r[bits.TrailingZeros64(v)])
+	}
+	for L := 1; L <= 8 && 2*L <= n; L++ {
+		w1, w2 := pl.ev[pl.at[n-2*L]:pl.at[n-L]], pl.ev[pl.at[n-L]:]
+		s0, s1, s2 := pl.snap[(n-2*L)*ns:], pl.snap[(n-L)*ns:], pl.snap[n*ns:]
+		same := len(w1) == len(w2)
+		for i, v := 0, lp.write; same && v != 0; i, v = i+1, v&(v-1) {
+			same = lp.uni&v&-v == 0 || s1[i]-s0[i] == s2[i]-s1[i]
+		}
+		for i := 0; same && i < len(w1); i += 3 + 2*len(lp.prog[w1[i]].pcs) {
+			same = w1[i] == w2[i]
+		}
+		if !same {
+			continue
+		}
+		// The shortest period decides: it skips, or this arrival does not.
+		k, cost, loads, runs := int64(math.MaxInt64), int64(0), int64(0), int64(math.MaxInt32)
+		for i := 0; i < len(w1) && k >= 2; {
+			c := &lp.prog[w1[i]]
+			cost, loads, i = cost+c.nInstr, loads+c.loads, i+1
+			for _, pc := range c.pcs {
+				x1, y1, x2, y2, in := w1[i], w1[i+1], w2[i], w2[i+1], &m.k.Code[pc]
+				switch op := in.Op; {
+				case op == opIMIN || op == opIMAX, op == opLDGI && y1 != y2, op == opIMUL && x1 != x2 && y1 != y2:
+					k = 0
+				case op == opLDGI && in.D >= 0:
+					runs = min(runs, math.MaxInt32-int64(m.cols[m.colAt[in.D]-1].run))
+				case op == opNOTB:
+					k = min(k, wgFlip(x1, 0, x2, 0))
+				case opILT <= op && op <= opINE:
+					k = min(k, wgFlip(x1, y1, x2, y2))
+				}
+				i += 2
+			}
+			k, i = min(k, wgFlip(w1[i], w1[i+1], w2[i], w2[i+1])), i+2 // the branch
+		}
+		if k = min(k, runs/max(loads, 1), left/cost-1); k < 2 {
+			return 0
+		}
+		for i := 0; i < len(w2); i += 3 + 2*len(lp.prog[w2[i]].pcs) {
+			c := &lp.prog[w2[i]]
+			m.visits[w2[i]] += k
+			for _, pc := range c.pcs {
+				if in := &m.k.Code[pc]; in.Op == opLDGI && in.D >= 0 {
+					m.cols[m.colAt[in.D]-1].run += int32(k)
+				}
+			}
+		}
+		for i, v := 0, lp.write; v != 0; i, v = i+1, v&(v-1) {
+			r[bits.TrailingZeros64(v)] += k * (s2[i] - s1[i])
+		}
+		if wgSkipHook != nil {
+			wgSkipHook(k * int64(L))
+		}
+		pl.clear()
+		return k * cost
+	}
+	return 0
 }

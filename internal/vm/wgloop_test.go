@@ -53,22 +53,26 @@ func loopArgs(inWords int, extra []Arg) func() []Arg {
 
 // loopFiveWay holds a loopCase kernel, as written and GPU-transformed, to
 // diffFiveWay's agreement (the AST reference, the interpreter, wg fused and
-// per-step), and requires the loop verdict fused.
-func loopFiveWay(t *testing.T, name, src string, inWords int) {
+// per-step), requires the loop verdict fused, and returns the trips the
+// walk skipped (SkippedTrips) in each variant.
+func loopFiveWay(t *testing.T, name, src string, inWords int) (skipped [2]int64) {
 	t.Helper()
 	gpu, _, err := TransformedSources(src)
 	if err != nil {
 		t.Fatalf("%s: TransformGPU: %v", name, err)
 	}
-	for _, v := range []struct {
+	for i, v := range []struct {
 		name, src string
 		extra     []Arg
 	}{{name, src, nil}, {name + " (gpu)", gpu, GPUAbortArgs(1, 3)}} {
 		if d := MustCompile(v.src, "t").Disasm(); !strings.Contains(d, "wg.loop-fuse (") {
 			t.Errorf("%s: the loop did not fuse\n%s", v.name, d)
 		}
+		from := SkippedTrips()
 		diffFiveWay(t, v.name, v.src, "t", NewNDRange1D(32, 8), loopArgs(inWords, v.extra))
+		skipped[i] = SkippedTrips() - from
 	}
+	return skipped
 }
 
 // launchErrs runs the launch on the interpreter, on wg and on wg per-step.
@@ -409,14 +413,15 @@ __kernel void t(__global float* out, __global float* in, __global int* st, int m
 // bound: the in-loop abort check firing after some trips, an index leaving
 // its buffer at a trip j > 0 (same error as the per-step load, from every
 // engine), and the step budget running out inside the walk at every
-// possible block (same error presence as the interpreter's exact count).
+// possible block (same error presence as the interpreter's exact count),
+// also over 240 trips, where it runs out inside what the walk would skip.
 func TestWGLoopWalkExits(t *testing.T) {
 	nd := NewNDRange1D(32, 8)
-	args := func(inWords int, st ...int32) func() []Arg {
+	args := func(inWords int, m int64, st ...int32) func() []Arg {
 		return func() []Arg {
 			return []Arg{BufArg(make([]byte, 4*128)),
 				BufArg(floatBuf(inWords, func(i int) float32 { return float32(i%11)*0.5 - 2 })),
-				BufArg(i32buf(st...)), IntArg(18)}
+				BufArg(i32buf(st...)), IntArg(m)}
 		}
 	}
 	k := MustCompile(loopAbortSrc, "t")
@@ -425,7 +430,7 @@ func TestWGLoopWalkExits(t *testing.T) {
 	}
 	before := BackendSnapshot()
 	for _, abortAt := range []int32{0, 4, 8, 16, 99} {
-		diffFiveWay(t, "abort mid-loop", loopAbortSrc, "t", nd, args(1024, 1, abortAt))
+		diffFiveWay(t, "abort mid-loop", loopAbortSrc, "t", nd, args(1024, 18, 1, abortAt))
 	}
 	if d := BackendSnapshot().WGLoopBatchesDyn - before.WGLoopBatchesDyn; d == 0 {
 		t.Error("no abort run went through the loop closure")
@@ -433,44 +438,57 @@ func TestWGLoopWalkExits(t *testing.T) {
 
 	// in[] ends inside the last work-items' rows: g*20+k leaves it at k > 0.
 	for _, words := range []int{31*20 + 5, 31*20 + 17, 30 * 20} {
-		err := runWGParity(t, k, nd, args(words, 0, 0))
+		err := runWGParity(t, k, nd, args(words, 18, 0, 0))
 		if err == nil || !strings.Contains(err.Error(), "load in: index") {
 			t.Errorf("in[%d]: want the out-of-range load error, got %v", words, err)
 		}
 	}
 
-	// One group needs 1100-odd steps per item; sweep the budget across the
-	// whole loop so the overrun lands on every block of the skeleton. The
-	// lowered walk charges a chain of blocks at once: it must still name the
-	// block the per-step dispatcher names, which is the one that holds the
-	// instruction the interpreter stops at.
+	// One group needs 1100-odd steps per item for 18 trips; sweep the budget
+	// across the whole loop so the overrun lands on every block of the
+	// skeleton. The walk charges a chain of blocks at once: it must still
+	// name the block the per-step dispatcher names, which is the one that
+	// holds the instruction the interpreter stops at. Over 240 trips the
+	// walk skips periods as far as the budget lets it and walks the rest, so
+	// the budget ends inside a skipped range with the same pc and message.
 	defer SetWGFuse(true)
-	for budget := int64(40); budget < 1300; budget += 3 {
-		var errs [3]error
-		var sts [3]Stats
-		var outs [3]string
-		for i, be := range []Backend{BackendInterp, BackendWG, BackendWG} {
-			SetWGFuse(i < 2)
-			a := args(1024, 0, 0)()
-			sts[i], errs[i] = k.ExecWorkGroup(nd, [3]int{0, 0, 0}, a, ExecOpts{Backend: be, MaxSteps: budget})
-			outs[i] = string(a[0].Buf)
-		}
-		if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
-			t.Fatalf("MaxSteps %d: interp %v, wg %v, wg per-step %v", budget, errs[0], errs[1], errs[2])
-		}
-		if errs[0] == nil {
-			if sts[0] != sts[1] || outs[0] != outs[1] {
-				t.Fatalf("MaxSteps %d: results diverge\ninterp %+v\nwg     %+v", budget, sts[0], sts[1])
+	sweep := func(m, lo, hi, step int64) (skipped int64) {
+		for budget := lo; budget < hi; budget += step {
+			var errs [3]error
+			var sts [3]Stats
+			var outs [3]string
+			for i, be := range []Backend{BackendInterp, BackendWG, BackendWG} {
+				SetWGFuse(i < 2)
+				a := args(1024, m, 0, 0)()
+				from := SkippedTrips()
+				sts[i], errs[i] = k.ExecWorkGroup(nd, [3]int{0, 0, 0}, a, ExecOpts{Backend: be, MaxSteps: budget})
+				outs[i] = string(a[0].Buf)
+				if errs[i] != nil {
+					skipped += SkippedTrips() - from
+				}
 			}
-			continue
+			if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
+				t.Fatalf("%d trips, MaxSteps %d: interp %v, wg %v, wg per-step %v", m, budget, errs[0], errs[1], errs[2])
+			}
+			if errs[0] == nil {
+				if sts[0] != sts[1] || outs[0] != outs[1] {
+					t.Fatalf("%d trips, MaxSteps %d: results diverge\ninterp %+v\nwg     %+v", m, budget, sts[0], sts[1])
+				}
+				continue
+			}
+			ei, ew := errs[0].(*execError), errs[1].(*execError)
+			if errs[1].Error() != errs[2].Error() {
+				t.Fatalf("%d trips, MaxSteps %d: wg %v, wg per-step %v", m, budget, errs[1], errs[2])
+			}
+			if blk := k.wg.blocks[ew.pc]; blk == nil || ei.msg != ew.msg || ei.pc < ew.pc || ei.pc >= ew.pc+int(blk.nInstr) {
+				t.Fatalf("%d trips, MaxSteps %d: wg names a block that does not hold the interpreter's pc: interp %v, wg %v", m, budget, ei, ew)
+			}
 		}
-		ei, ew := errs[0].(*execError), errs[1].(*execError)
-		if errs[1].Error() != errs[2].Error() {
-			t.Fatalf("MaxSteps %d: wg %v, wg per-step %v", budget, errs[1], errs[2])
-		}
-		if blk := k.wg.blocks[ew.pc]; blk == nil || ei.msg != ew.msg || ei.pc < ew.pc || ei.pc >= ew.pc+int(blk.nInstr) {
-			t.Fatalf("MaxSteps %d: wg names a block that does not hold the interpreter's pc: interp %v, wg %v", budget, ei, ew)
-		}
+		return skipped
+	}
+	sweep(18, 40, 1300, 3)
+	if skipped := sweep(240, 700, 9000, 31); skipped == 0 {
+		t.Error("no run the budget ended had skipped trips first")
 	}
 }
 
@@ -511,13 +529,11 @@ func TestWGUniformLoadRuns(t *testing.T) {
 	}
 }
 
-// TestWGLoopLowering drives the lowered skeleton's adversaries: a skeleton
-// definition that nothing in the loop reads but the code after it does (the
-// dead-definition pass must keep it and the exit must broadcast it); a copy
-// whose source is redefined in the same block before the copy is read (the
-// binding must be emitted before the redefinition, not forwarded past it);
-// and, on hand-edited bytecode, a compare temporary — folded into its branch
-// — that the exit block reads.
+// TestWGLoopLowering drives the walk's adversaries: a skeleton definition
+// that nothing in the loop reads but the code after it does (the exit must
+// broadcast it); a copy whose source is redefined in the same block before
+// the copy is read; and, on hand-edited bytecode, a compare temporary that
+// the exit block reads.
 func TestWGLoopLowering(t *testing.T) {
 	loopFiveWay(t, "skeleton definition read after the loop", loopSig+`
     float acc = in[g];
@@ -552,8 +568,8 @@ func TestWGLoopLowering(t *testing.T) {
 		ex := k2.Code[exit:]
 		ex[0], ex[1] = Instr{Op: opI2F, A: ex[1].A, B: c}, ex[0]
 	})
-	if sizes := k2.WGLoopSizes(); len(sizes) != 1 || sizes[0][0] != 3 {
-		t.Fatalf("lowered sizes %v: want one loop whose first chain is the counter, the materialised compare and the branch\n%s", sizes, k2.Disasm())
+	if sizes := k2.WGLoopSizes(); len(sizes) != 1 || sizes[0][0] != 4 {
+		t.Fatalf("chain sizes %v: want one loop whose first chain is the bound's copy, constant and compare, and the branch\n%s", sizes, k2.Disasm())
 	}
 	defer SetWGFuse(true)
 	for _, fuse := range []bool{true, false} {
@@ -566,6 +582,48 @@ func TestWGLoopLowering(t *testing.T) {
 			return a
 		}); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestWGLoopSkip holds the walk's period skip (wgloop.go, skip) to the AST
+// referee and the interpreter, as written and GPU-transformed (the twin's
+// loop, unrolled by four around its abort poll), on loops it must skip —
+// ascending and descending, a step that does not divide the range, a <=
+// bound, a != bound hit exactly, a bound from get_global_id that grows from
+// group to group, two counters with different steps, a bound and a poll
+// index through imul by an invariant — and on loops it must not: imin in the
+// skeleton, a product of two factors that move, a register the skeleton
+// doubles, a load at an index that moves every trip, and a partitioned set
+// whose window loads (the GPU variant's poll; as written the window holds
+// no load and skips). SkippedTrips says which skipped.
+func TestWGLoopSkip(t *testing.T) {
+	const body = "acc += in[g * rs + k] * in[k];"
+	for _, c := range []struct {
+		name, loop string
+		skip       [2]bool // as written, GPU-transformed
+	}{
+		{"ascending", "for (int k = 0; k < 200; k++) { " + body + " }", [2]bool{true, true}},
+		{"descending", "for (int k = 199; k >= 0; k = k + -1) { " + body + " }", [2]bool{true, true}},
+		{"step that does not divide the range", "for (int k = 3; k < 200; k = k + 7) { " + body + " }", [2]bool{true, true}},
+		{"<= bound", "for (int k = 0; k <= 150; k++) { " + body + " }", [2]bool{true, true}},
+		{"!= bound hit exactly", "for (int k = 0; k != 150; k = k + 3) { " + body + " }", [2]bool{true, true}},
+		{"triangular bound from get_global_id", "int lim = (g / 8) * 40 + 20;\n    for (int k = 0; k < lim; k++) { " + body + " }", [2]bool{true, true}},
+		{"two counters with different steps", "int j = 5;\n    for (int k = 0; k < 200; k = k + 2) { acc += in[g * rs + k] * in[j]; j = j + 3; }", [2]bool{true, true}},
+		{"bound through imul by an invariant", "for (int k = 0; k * rs < 1800; k++) { " + body + " }", [2]bool{true, true}},
+		{"poll index through imul by an invariant", "for (int k = 0; k < 120 && ib[rs * 2] < 99; k++) { " + body + " }", [2]bool{true, true}},
+		{"imin in the skeleton", "for (int k = 0; k < min(n * 7, 200); k++) { " + body + " }", [2]bool{false, false}},
+		{"imul of a counter by itself", "for (int k = 0; k * k < 30000; k++) { " + body + " }", [2]bool{false, false}},
+		{"a skeleton register that doubles", "int s = 1;\n" + pollLoop("s", "s = s + s;", 200) + "\n    acc = acc + (float)s;", [2]bool{false, false}},
+		{"load at an index that moves", "for (int k = 0; k < 120 && ib[k] < 99; k++) { " + body + " }", [2]bool{false, false}},
+		{"partitioned set whose window loads", "if (l < 5) {\n    for (int k = 0; k < 200; k++) { " + body + " }\n    }", [2]bool{true, false}},
+	} {
+		src := loopSig + "    float acc = in[g];\n    " + c.loop + "\n    out[g] = acc;\n}"
+		skipped := loopFiveWay(t, c.name, src, 1024)
+		for i, v := range []string{"as written", "GPU-transformed"} {
+			if (skipped[i] > 0) != c.skip[i] {
+				t.Errorf("%s, %s: %d trips skipped, want skipping %v", c.name, v, skipped[i], c.skip[i])
+			}
 		}
 	}
 }
