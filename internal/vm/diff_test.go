@@ -111,7 +111,7 @@ func diffSeed(tb testing.TB, seed int64) {
 const diffSeeds = 50
 
 func TestDifferentialVMvsReference(t *testing.T) {
-	wgBefore, partial := BackendSnapshot().WGLoopWGs, PartialLoopBatches()
+	wgBefore, partial, skipped := BackendSnapshot().WGLoopWGs, PartialLoopBatches(), SkippedTrips()
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		diffSeed(t, seed)
 	}
@@ -121,11 +121,14 @@ func TestDifferentialVMvsReference(t *testing.T) {
 	if PartialLoopBatches() == partial {
 		t.Error("no generated seed ran a whole loop for part of a work-group; generator drifted")
 	}
+	if SkippedTrips() == skipped {
+		t.Error("no generated seed skipped a period of a loop's walk; generator drifted")
+	}
 }
 
 // FuzzDifferential lets the fuzzer pick the seed: every int64 names one
 // generated program, its buffers and its scalar arguments. `make fuzz` runs
-// it for 20 s; what it finds lands under testdata/fuzz/FuzzDifferential.
+// it for 15 s; what it finds lands under testdata/fuzz/FuzzDifferential.
 func FuzzDifferential(f *testing.F) {
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		f.Add(seed)

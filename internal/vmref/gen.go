@@ -196,6 +196,22 @@ func (g *progGen) groupExpr(depth int) string {
 	return fmt.Sprintf("(%s %s %s)", g.groupExpr(depth-1), []string{"+", "-", "*"}[g.r.Intn(3)], g.groupExpr(depth-1))
 }
 
+// countedLoop returns the header of a loop over the fresh counter l that
+// runs 1 to max trips: from a start in [-10, 10], up or down by a step of 1
+// to 3 written l = l + s (the increment the wg engine's reduction jam
+// matches), to a bound under <, <= or != (>, >= or != going down), a !=
+// bound being hit exactly.
+func (g *progGen) countedLoop(l string, max int) string {
+	trips, step, start := g.r.Intn(max)+1, g.r.Intn(3)+1, g.r.Intn(21)-10
+	last, cmp := start+(trips-1)*step, []string{"<", "<=", "!="}[g.r.Intn(3)]
+	bound := map[string]int{"<": last + 1, "<=": last, "!=": last + step}[cmp]
+	if g.r.Intn(2) == 0 {
+		last, step, cmp = start-(trips-1)*step, -step, map[string]string{"<": ">", "<=": ">=", "!=": "!="}[cmp]
+		bound = map[string]int{">": last - 1, ">=": last, "!=": last + step}[cmp]
+	}
+	return fmt.Sprintf("int %s = %d; %s %s %d; %s = %s + %d", l, start, l, cmp, bound, l, l, step)
+}
+
 // divergentReduction emits a reduction loop over the work-item's own word
 // (a read the lockstep engine's certificate admits) that only part of a
 // work-group reaches: under a guard on the global id, or inside an outer loop
@@ -212,7 +228,7 @@ func (g *progGen) divergentReduction() {
 		g.w("if (%s) {", fmt.Sprintf([]string{"i < %d", "i %% %d == 0"}[g.r.Intn(2)], g.r.Intn(40)+2))
 	}
 	g.indent++
-	g.w("for (int %s = 0; %s < %d; %s++) {", l, l, g.r.Intn(6)+1, l)
+	g.w("for (%s) {", g.countedLoop(l, 64))
 	g.w("    %s += %s;", v, []string{"fbuf[i] * fbuf[i]", "fp * fbuf[i]", "fbuf[i]"}[g.r.Intn(3)])
 	g.w("}")
 	if outer {
@@ -226,7 +242,8 @@ func (g *progGen) divergentReduction() {
 // scopeShape emits one of three stores whose index a walker that ignores
 // scopes, zero-trip loops or reassigned bounds would take for the
 // work-item's own word: an index assigned only inside a loop that runs no
-// trip when p1 <= 0, a loop bound the body raises after its first trip, and
+// trip when p1 <= 0 (and at most 9 however far the program has multiplied
+// p1), a loop bound the body raises after its first trip, and
 // an inner declaration that hides an outer variable only inside its block.
 func (g *progGen) scopeShape() {
 	g.nLoops++
@@ -234,7 +251,7 @@ func (g *progGen) scopeShape() {
 	switch g.r.Intn(3) {
 	case 0:
 		g.w("int %s = 0;", v)
-		g.w("for (int %s = 0; %s < p1; %s++) { %s = i; }", l, l, l, v)
+		g.w("for (int %s = 0; %s < min(p1, 9); %s++) { %s = i; }", l, l, l, v)
 		g.w("fbuf[%s] += %s;", v, g.floatExpr(1))
 	case 1:
 		g.w("int %s = 1;", v)
@@ -297,7 +314,7 @@ func (g *progGen) stmts(budget int) {
 				g.depth++
 				g.nLoops++
 				l := fmt.Sprintf("l%d", g.nLoops)
-				g.w("for (int %s = 0; %s < %d; %s++) {", l, l, g.r.Intn(6)+1, l)
+				g.w("for (%s) {", g.countedLoop(l, 6))
 				g.indent++
 				// Loop counters are readable but never assignment targets
 				// (mutating one could diverge the two engines' step
