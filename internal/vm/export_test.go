@@ -181,7 +181,7 @@ func (k *Kernel) WGLoopSizes() (out [][]int) {
 		}
 		var sizes []int
 		for _, b := range blk.red.loop.prog {
-			sizes = append(sizes, len(b.pcs)+int(b2i(b.cond < 64)))
+			sizes = append(sizes, len(b.code)+int(b2i(b.cond < 64)))
 		}
 		out = append(out, sizes)
 	}

@@ -60,13 +60,14 @@ type wgLoop struct {
 }
 
 // wgSBlock is one lowered chain, from the block at start up to the first
-// conditional branch: its instructions (pcs), what one execution adds to a
+// conditional branch: its instructions (a load's IImm holding its own pc, for
+// its trap), what one execution adds to a
 // lane's step budget and Stats, summed over its blocks, the registers it
 // defines, and the branch by value — register cond (64, the scalar file's
 // zero word, for none) nonzero, or zero with jz, selects tgt over next,
 // indices into wgLoop.prog (^pc for a block outside the skeleton).
 type wgSBlock struct {
-	pcs                                  []int32
+	code                                 []Instr
 	start                                int
 	nInstr, body, intOps, loads, branchs int64
 	defs                                 uint64
@@ -181,8 +182,10 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, head int, seen map[int]int, pc
 		}
 		for at := from; at < blk.body; at++ {
 			if in := k.Code[at]; in.Op != opNop {
-				b.pcs = append(b.pcs, int32(at))
-				b.loads += b2i(in.Op == opLDGI)
+				if in.Op == opLDGI {
+					in.IImm, b.loads = int64(at), b.loads+1
+				}
+				b.code = append(b.code, in)
 				b.defs |= wgBit(in.A)
 			}
 		}
@@ -278,7 +281,7 @@ func (lp *wgLoop) uniform(m *wmach, set []int32) bool {
 // (trips 0: the caller runs the head's one trip). An out-of-range uniform
 // load leaves its error in m.err and ok false.
 func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint64, ok bool) {
-	r, visits, pl, code := m.sfile, sized(m.visits, len(lp.prog)), &m.period, m.k.Code
+	r, visits, pl := m.sfile, sized(m.visits, len(lp.prog)), &m.period
 	m.visits = visits
 	pl.clear()
 	used := m.stepsAll
@@ -311,8 +314,8 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 			r[lp.red.ctrs[i]] += lp.red.imms[i]
 		}
 		ev := append(pl.ev, int64(bi))
-		for _, pc := range b.pcs {
-			in := &code[pc]
+		for i := range b.code {
+			in := &b.code[i]
 			x, y := in.IImm, r[in.C]
 			if in.Op != opLDI && in.Op != opLDGI {
 				x = r[in.B]
@@ -327,7 +330,7 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 				x = f(x)
 			default: // ldi, ldgi
 				if in.Op == opLDGI {
-					bits, ok := m.loadOnce(set, int(pc), in.B, in.D, y)
+					bits, ok := m.loadOnce(set, int(in.IImm), in.B, in.D, y)
 					if !ok {
 						return 0, 0, 0, false
 					}
@@ -405,8 +408,9 @@ func wgFlip(x1, y1, x2, y2 int64) int64 {
 
 // skip is the walk's period skipping (DESIGN.md S20, "Period skipping") at
 // an arrival at the head chain with left steps of budget, in a phase that
-// has not partitioned or a loop without loads. It logs the arrival and looks
-// for L ≤ 8 such that the last two windows of L trips visited the same
+// has not partitioned or a loop without loads. It logs the arrival and, at
+// the 2nd, 4th, 8th and 16th since the log was cleared, looks for the
+// shortest L ≤ 8 such that the last two windows of L trips visited the same
 // chains, none with imin or imax, every compare kept its sign, every product
 // a factor and every load its index, and the registers read before written
 // moved by the same delta. Each next window then repeats the last one's
@@ -424,26 +428,25 @@ func (lp *wgLoop) skip(m *wmach, left int64) int64 {
 	for v := lp.write; v != 0; v &= v - 1 {
 		pl.snap = append(pl.snap, r[bits.TrailingZeros64(v)])
 	}
-	for L := 1; L <= 8 && 2*L <= n; L++ {
+	for L := 1; L <= 8 && 2*L <= n && n&(n-1) == 0; L++ {
 		w1, w2 := pl.ev[pl.at[n-2*L]:pl.at[n-L]], pl.ev[pl.at[n-L]:]
 		s0, s1, s2 := pl.snap[(n-2*L)*ns:], pl.snap[(n-L)*ns:], pl.snap[n*ns:]
 		same := len(w1) == len(w2)
 		for i, v := 0, lp.write; same && v != 0; i, v = i+1, v&(v-1) {
 			same = lp.uni&v&-v == 0 || s1[i]-s0[i] == s2[i]-s1[i]
 		}
-		for i := 0; same && i < len(w1); i += 3 + 2*len(lp.prog[w1[i]].pcs) {
+		for i := 0; same && i < len(w1); i += 3 + 2*len(lp.prog[w1[i]].code) {
 			same = w1[i] == w2[i]
 		}
 		if !same {
 			continue
 		}
-		// The shortest period decides: it skips, or this arrival does not.
 		k, cost, loads, runs := int64(math.MaxInt64), int64(0), int64(0), int64(math.MaxInt32)
 		for i := 0; i < len(w1) && k >= 2; {
 			c := &lp.prog[w1[i]]
 			cost, loads, i = cost+c.nInstr, loads+c.loads, i+1
-			for _, pc := range c.pcs {
-				x1, y1, x2, y2, in := w1[i], w1[i+1], w2[i], w2[i+1], &m.k.Code[pc]
+			for j := range c.code {
+				x1, y1, x2, y2, in := w1[i], w1[i+1], w2[i], w2[i+1], &c.code[j]
 				switch op := in.Op; {
 				case op == opIMIN || op == opIMAX, op == opLDGI && y1 != y2, op == opIMUL && x1 != x2 && y1 != y2:
 					k = 0
@@ -459,13 +462,13 @@ func (lp *wgLoop) skip(m *wmach, left int64) int64 {
 			k, i = min(k, wgFlip(w1[i], w1[i+1], w2[i], w2[i+1])), i+2 // the branch
 		}
 		if k = min(k, runs/max(loads, 1), left/cost-1); k < 2 {
-			return 0
+			continue
 		}
-		for i := 0; i < len(w2); i += 3 + 2*len(lp.prog[w2[i]].pcs) {
+		for i := 0; i < len(w2); i += 3 + 2*len(lp.prog[w2[i]].code) {
 			c := &lp.prog[w2[i]]
 			m.visits[w2[i]] += k
-			for _, pc := range c.pcs {
-				if in := &m.k.Code[pc]; in.Op == opLDGI && in.D >= 0 {
+			for j := range c.code {
+				if in := &c.code[j]; in.Op == opLDGI && in.D >= 0 {
 					m.cols[m.colAt[in.D]-1].run += int32(k)
 				}
 			}
