@@ -59,13 +59,13 @@ type wgLoop struct {
 	red          *wgReduce
 }
 
-// wgSBlock is one lowered chain, from the block at start up to the first
-// conditional branch: its instructions (a load's IImm holding its own pc, for
-// its trap), what one execution adds to a
-// lane's step budget and Stats, summed over its blocks, the registers it
-// defines, and the branch by value — register cond (64, the scalar file's
-// zero word, for none) nonzero, or zero with jz, selects tgt over next,
-// indices into wgLoop.prog (^pc for a block outside the skeleton).
+// wgSBlock is one chain, from the block at start up to the first conditional
+// branch: its instructions (a load's IImm holding its own pc, for its trap),
+// what one execution adds to a lane's step budget and Stats, summed over its
+// blocks, the registers it defines, and the branch by value — register cond
+// (64, the scalar file's zero word, for none) nonzero, or zero with jz,
+// selects tgt over next, indices into wgLoop.prog (^pc for a block outside
+// the skeleton).
 type wgSBlock struct {
 	code                                 []Instr
 	start                                int
