@@ -301,8 +301,8 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 		b := &lp.prog[bi]
 		if bi == 0 && try {
 			left -= lp.skip(m, left)
-		} else if bi == 0 {
-			pl.clear() // what this walk logs is its current trip's chains
+		} else if bi == 0 || len(pl.ev) > 1<<14 { // a walk that cannot skip, a trip that runs long
+			pl.clear()
 		}
 		if left < b.nInstr {
 			bi = ^b.start

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -625,6 +626,38 @@ func TestWGLoopSkip(t *testing.T) {
 				t.Errorf("%s, %s: %d trips skipped, want skipping %v", c.name, v, skipped[i], c.skip[i])
 			}
 		}
+	}
+}
+
+// TestWGLoopLogBounded: a skeleton with a loop of its own visits chains
+// without passing the body, so one trip can log without end. The walk keeps
+// its period log bounded however long a trip runs: a cold launch of 4 trips
+// of 50 000 inner iterations allocates a few hundred KiB, not the hundreds
+// of MiB that logging every visit took, and still matches the interpreter.
+func TestWGLoopLogBounded(t *testing.T) {
+	src := loopSig + `
+    float acc = in[g];
+    for (int k = 0; k < 4; k++) {
+        for (int w = 0; w < 50000; w++) { }
+        acc += in[g * rs + k] * in[k];
+    }
+    out[g] = acc;
+}`
+	k := MustCompile(src, "t")
+	if !strings.Contains(k.Disasm(), "wg.loop-fuse (") {
+		t.Fatalf("the loop did not fuse\n%s", k.Disasm())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := k.ExecWorkGroup(NewNDRange1D(8, 8), [3]int{}, loopArgs(1024, nil)(), ExecOpts{Backend: BackendWG}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
+		t.Errorf("one work-group allocated %d KiB", d>>10)
+	}
+	if err := runWGParity(t, k, NewNDRange1D(16, 8), loopArgs(1024, nil)); err != nil {
+		t.Error(err)
 	}
 }
 
