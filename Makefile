@@ -103,14 +103,16 @@ loc:
 # runs O(1) added in their place. 5964 is that count with the AST referee
 # (ref.go, 688 lines, test infrastructure) moved out to internal/vmref, and
 # the reduction loop plan run for any set of lanes, not only for the whole
-# group of a phase that never partitioned, added in its place (+42). 5961 is
-# that count with the loop walk's period skip (wgloop.go: the period log,
-# the window check, the closed-form advance, about 130 lines) paid for by
-# the skeleton's lowering (copy propagation, compare and notb folding, the
-# dead-definition pass, the lowered op type and the constant slots: the walk
-# now runs the skeleton's own instructions) and by Disasm gathering its
-# annotations in one map.
-VM_LOC_MAX = 5961
+# group of a phase that never partitioned, added in its place (+42). 5964
+# stays the count with the loop walk's period skip (wgloop.go: the period
+# log, the window check, the closed-form advance, the check that every
+# skeleton load of a site reads the word of that site's latest broadcast
+# run, about 135 lines) paid for by the skeleton's lowering (copy
+# propagation, compare and notb folding, the dead-definition pass, the
+# lowered op type and the constant slots: the walk now runs the skeleton's
+# own instructions) and by Disasm gathering its annotations and region
+# markers in two maps.
+VM_LOC_MAX = 5964
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

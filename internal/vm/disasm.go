@@ -39,8 +39,7 @@ func (k *Kernel) Disasm() string {
 	// with the reason) and on the loop around each fused reduction body
 	// (wg.loop-fuse with the skeleton size and the registers prechecked
 	// uniform, or wg.loop-nofuse with the reason).
-	notes := map[int][]string{}
-	regionAt := map[int]int{}
+	notes, region := map[int][]string{}, map[int]string{}
 	if wg := k.wg; wg != nil {
 		for _, s := range wg.spans {
 			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.loop (%d instrs)", s.Len))
@@ -55,18 +54,15 @@ func (k *Kernel) Disasm() string {
 			notes[s.Start] = append(notes[s.Start], s.Name)
 		}
 		for ri, entry := range wg.regions {
-			regionAt[entry] = ri
+			region[entry] = fmt.Sprintf("      ; -- wg region %d --\n", ri)
 		}
 	}
 	for pc, in := range k.Code {
-		if ri, ok := regionAt[pc]; ok {
-			fmt.Fprintf(&b, "      ; -- wg region %d --\n", ri)
-		}
 		line := disasmInstr(in)
 		for _, note := range notes[pc] {
 			line += "  ; " + note
 		}
-		fmt.Fprintf(&b, "%4d  %s\n", pc, line)
+		fmt.Fprintf(&b, "%s%4d  %s\n", region[pc], pc, line)
 	}
 	return b.String()
 }

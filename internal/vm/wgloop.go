@@ -299,10 +299,13 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 	try, bi := m.uniform || lp.loads == 0, 0
 	for bi >= 0 {
 		b := &lp.prog[bi]
-		if bi == 0 && try {
-			left -= lp.skip(m, left)
-		} else if bi == 0 || len(pl.ev) > 1<<14 { // a walk that cannot skip, a trip that runs long
-			pl.clear()
+		if try {
+			if bi == 0 {
+				left -= lp.skip(m, left)
+			} else if len(pl.ev) > 1<<14 { // a trip that runs long
+				pl.clear()
+			}
+			pl.ev = append(pl.ev, int64(bi))
 		}
 		if left < b.nInstr {
 			bi = ^b.start
@@ -313,7 +316,7 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 		for i := 0; bi == 0 && i < lp.red.ni; i++ {
 			r[lp.red.ctrs[i]] += lp.red.imms[i]
 		}
-		ev := append(pl.ev, int64(bi))
+		ev := pl.ev
 		for i := range b.code {
 			in := &b.code[i]
 			x, y := in.IImm, r[in.C]
@@ -340,7 +343,9 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 			r[in.A] = x
 		}
 		x := r[b.cond]
-		pl.ev = append(ev, x, 0)
+		if try {
+			pl.ev = append(ev, x, 0)
+		}
 		if bi = b.next; (x != 0) != b.jz {
 			bi = b.tgt
 		}
@@ -450,6 +455,8 @@ func (lp *wgLoop) skip(m *wmach, left int64) int64 {
 				switch op := in.Op; {
 				case op == opIMIN || op == opIMAX, op == opLDGI && y1 != y2, op == opIMUL && x1 != x2 && y1 != y2:
 					k = 0
+				case op == opLDGI && in.D >= 0 && m.cols[m.colAt[in.D]-1].at != int32(4*y2):
+					k = 0 // a later window would not only extend the site's latest run
 				case op == opLDGI && in.D >= 0:
 					runs = min(runs, math.MaxInt32-int64(m.cols[m.colAt[in.D]-1].run))
 				case op == opNOTB:

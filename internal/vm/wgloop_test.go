@@ -617,6 +617,8 @@ func TestWGLoopSkip(t *testing.T) {
 		{"imul of a counter by itself", "for (int k = 0; k * k < 30000; k++) { " + body + " }", [2]bool{false, false}},
 		{"a skeleton register that doubles", "int s = 1;\n" + pollLoop("s", "s = s + s;", 200) + "\n    acc = acc + (float)s;", [2]bool{false, false}},
 		{"load at an index that moves", "for (int k = 0; k < 120 && ib[k] < 99; k++) { " + body + " }", [2]bool{false, false}},
+		{"one load site at two indices per trip", "for (int k = 0; k < 200; k++) {\n        for (int w = 0; w < 2 && ib[w * 20] < 99; w++) { }\n        " + body + "\n    }", [2]bool{false, false}},
+		{"a load index a register toggles", "int s = 0;\n    for (int k = 0; k < 200; k++) {\n        for (int w = 0; w < 1 && ib[s] < 99; w++) { s = 20 - s; }\n        " + body + "\n    }", [2]bool{false, false}},
 		{"partitioned set whose window loads", "if (l < 5) {\n    for (int k = 0; k < 200; k++) { " + body + " }\n    }", [2]bool{true, false}},
 	} {
 		src := loopSig + "    float acc = in[g];\n    " + c.loop + "\n    out[g] = acc;\n}"
