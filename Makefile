@@ -43,7 +43,9 @@ race:
 
 # internal/vm's one unsafe conversion (f32View) and its address comparison
 # (overlaps, the buffer-alias check) under the compiler's pointer checks,
-# without waiting for `race`, which enables them too.
+# without waiting for `race`, which enables them too. The views are read by
+# the reduction jam and by the bulk global steps, which TestWGContiguousAccess
+# runs at non-zero word offsets (later groups, a view inside a larger array).
 checkptr:
 	$(GO) test -gcflags=all=-d=checkptr ./internal/vm
 
@@ -111,7 +113,14 @@ loc:
 # propagation, compare and notb folding, the dead-definition pass, the
 # lowered op type and the constant slots: the walk now runs the skeleton's
 # own instructions) and by Disasm gathering its annotations and region
-# markers in two maps.
+# markers in two maps. 5963 is the count with lane-contiguous global loads
+# and stores in bulk (contig: one word-view copy, one lane-affine log entry,
+# one undo span per whole-group access; the undo log's spans), paid for by
+# one per-lane loop per global step where there were three (the load's
+# float and int whole-group loops and the loop over a partial set; the
+# store's whole-group and partial-set loops), by the broadcast run becoming
+# the step-0 case of the lane-affine entry (one recorder, one bookCol path),
+# and by the undo log's one record kind.
 VM_LOC_MAX = 5964
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index

@@ -171,15 +171,13 @@ func (r *LaunchRecord) serve(l *Launch, group [3]int, fgid, lo int, sc *launchSc
 		return st, err
 	}
 	words := sc.words[:0]
-	bufs, recs := u.Stores()
-	for _, s := range recs {
-		buf := bufs[s.Buf]
+	u.Stores(func(buf []byte, off int32) {
 		arg := 0
 		for !sameStorage(l.Args[arg].Buf, buf) {
 			arg++
 		}
-		words = append(words, storedWord{arg: int32(arg), off: s.Off, bits: binary.LittleEndian.Uint32(buf[s.Off:])})
-	}
+		words = append(words, storedWord{arg: int32(arg), off: off, bits: binary.LittleEndian.Uint32(buf[off:])})
+	})
 	sc.words = words
 	if replay {
 		checkHook()

@@ -240,3 +240,28 @@ func init() { wgSkipHook = func(n int64) { skippedTrips.Add(n) } }
 
 // SkippedTrips counts the trips the walk's period skip has jumped over.
 func SkippedTrips() int64 { return skippedTrips.Load() }
+
+// undoWord is one word an undo log restores: its buffer-table index, byte
+// offset and old bytes.
+type undoWord struct {
+	buf, off int32
+	old      [4]byte
+}
+
+// undoWords expands u's records into its words, oldest first, so logs of
+// one word per store and logs of spans compare word for word.
+func undoWords(u *UndoLog) []undoWord {
+	var ws []undoWord
+	at := 0
+	for _, r := range u.recs {
+		if r.buf >= 0 {
+			ws = append(ws, undoWord{r.buf, r.off, [4]byte(binary.LittleEndian.AppendUint32(nil, r.w))})
+			continue
+		}
+		for w := int32(0); w < int32(r.w); w++ {
+			ws = append(ws, undoWord{^r.buf, r.off + 4*w, [4]byte(u.old[at:])})
+			at += 4
+		}
+	}
+	return ws
+}

@@ -315,13 +315,13 @@ func (s *Stats) Add(o Stats) {
 	s.ParamWriteMask |= o.ParamWriteMask
 }
 
-// UndoRecord is one overwritten global-memory word: the buffer it lives in
-// (an index into the owning log's table), its byte offset and the bytes it
-// held. 12 bytes per stored word.
-type UndoRecord struct {
-	Buf int32
-	Off int32
-	Old [4]byte
+// undoRec is one overwritten stretch of global memory at byte offset off of
+// the buffer in table entry buf: one word, whose bits were w, or, where buf
+// is negative (entry ^buf), a span of w words that one step stored, whose
+// bytes are the log's saved bytes at the span's place. 12 bytes either way.
+type undoRec struct {
+	buf, off int32
+	w        uint32
 }
 
 // UndoLog captures global stores so a work-group's effects can be rolled
@@ -330,16 +330,23 @@ type UndoRecord struct {
 // execution window). A log is reusable after Rollback or Reset.
 type UndoLog struct {
 	bufs [][]byte // the distinct buffers stored to, in first-store order
-	recs []UndoRecord
+	recs []undoRec
+	old  []byte // the spans' saved bytes, back to back
 }
 
 // store writes bits at buf[off:], first recording the word it overwrites
 // when there is a log (u may be nil).
 func (u *UndoLog) store(buf []byte, off int32, bits uint32) {
 	if u != nil {
-		u.recs = append(u.recs, UndoRecord{Buf: u.index(buf), Off: off, Old: [4]byte(buf[off : off+4])})
+		u.recs = append(u.recs, undoRec{u.index(buf), off, binary.LittleEndian.Uint32(buf[off:])})
 	}
 	binary.LittleEndian.PutUint32(buf[off:], bits)
+}
+
+// span records the n words at buf[off:] before one step overwrites them.
+func (u *UndoLog) span(buf []byte, off int32, n int) {
+	u.recs = append(u.recs, undoRec{^u.index(buf), off, uint32(n)})
+	u.old = append(u.old, buf[off:int(off)+4*n]...)
 }
 
 // index returns the table entry of the non-empty buffer buf, adding it on
@@ -359,9 +366,14 @@ func (u *UndoLog) index(buf []byte) int32 {
 
 // Rollback undoes all recorded stores, newest first, and resets the log.
 func (u *UndoLog) Rollback() {
+	at := len(u.old)
 	for i := len(u.recs) - 1; i >= 0; i-- {
-		r := &u.recs[i]
-		copy(u.bufs[r.Buf][r.Off:], r.Old[:])
+		if r := u.recs[i]; r.buf >= 0 {
+			binary.LittleEndian.PutUint32(u.bufs[r.buf][r.off:], r.w)
+		} else {
+			at -= 4 * int(r.w)
+			copy(u.bufs[^r.buf][r.off:], u.old[at:at+4*int(r.w)])
+		}
 	}
 	u.Reset()
 }
@@ -370,9 +382,20 @@ func (u *UndoLog) Rollback() {
 // references, keeping the record storage for the next work-group.
 func (u *UndoLog) Reset() {
 	clear(u.bufs)
-	u.bufs, u.recs = u.bufs[:0], u.recs[:0]
+	u.bufs, u.recs, u.old = u.bufs[:0], u.recs[:0], u.old[:0]
 }
 
-// Stores returns the buffer table and the recorded stores, oldest first,
-// valid until the log's next use.
-func (u *UndoLog) Stores() ([][]byte, []UndoRecord) { return u.bufs, u.recs }
+// Stores calls f with the buffer and byte offset of every recorded word,
+// oldest first, a span's words in ascending order; buf is valid until the
+// log's next use.
+func (u *UndoLog) Stores(f func(buf []byte, off int32)) {
+	for _, r := range u.recs {
+		bi, n := r.buf, uint32(1)
+		if bi < 0 {
+			bi, n = ^bi, r.w
+		}
+		for w := uint32(0); w < n; w++ {
+			f(u.bufs[bi], r.off+4*int32(w))
+		}
+	}
+}

@@ -360,8 +360,8 @@ __kernel void f(__global float* a) { a[get_global_id(0)] = 99.0f; }
 	if f32at(buf, 0) != 99 {
 		t.Fatal("store did not happen")
 	}
-	if len(undo.recs) != 4 {
-		t.Fatalf("undo len = %d, want 4", len(undo.recs))
+	if n := len(undoWords(&undo)); n != 4 {
+		t.Fatalf("undo len = %d words, want 4", n)
 	}
 	undo.Rollback()
 	for i := range orig {
@@ -369,7 +369,7 @@ __kernel void f(__global float* a) { a[get_global_id(0)] = 99.0f; }
 			t.Fatal("rollback did not restore buffer")
 		}
 	}
-	if len(undo.recs) != 0 {
+	if len(undo.recs) != 0 || len(undo.old) != 0 {
 		t.Fatal("rollback did not clear log")
 	}
 }
@@ -380,8 +380,8 @@ __kernel void f(__global float* a) { a[get_global_id(0)] = 99.0f; }
 // after Reset or Rollback the table holds no buffer, and a rollback after
 // reuse touches only what was stored since.
 func TestUndoLogReuse(t *testing.T) {
-	if n := unsafe.Sizeof(UndoRecord{}); n > 16 {
-		t.Errorf("UndoRecord is %d bytes, want at most 16", n)
+	if n := unsafe.Sizeof(undoRec{}); n > 12 {
+		t.Errorf("undoRec is %d bytes, want at most 12", n)
 	}
 	two := MustCompile(`
 __kernel void two(__global float* a, __global int* b) {
@@ -402,8 +402,8 @@ __kernel void one(__global float* c) { c[get_global_id(0)] = 5.0f; }
 			}
 		}
 		exec(two, BufArg(a), BufArg(b))
-		if len(undo.recs) != 12 || len(undo.bufs) != 2 {
-			t.Fatalf("%v: %d records over %d buffers, want 12 over 2", be, len(undo.recs), len(undo.bufs))
+		if n := len(undoWords(&undo)); n != 12 || len(undo.bufs) != 2 {
+			t.Fatalf("%v: %d words over %d buffers, want 12 over 2", be, n, len(undo.bufs))
 		}
 		undo.Rollback()
 		if !bytes.Equal(a, a0) || !bytes.Equal(b, b0) {
@@ -418,8 +418,8 @@ __kernel void one(__global float* c) { c[get_global_id(0)] = 5.0f; }
 		}
 		aDone, bDone := bytes.Clone(a), bytes.Clone(b)
 		exec(one, BufArg(c))
-		if len(undo.recs) != 4 || len(undo.bufs) != 1 {
-			t.Fatalf("%v: reused log holds %d records over %d buffers, want 4 over 1", be, len(undo.recs), len(undo.bufs))
+		if n := len(undoWords(&undo)); n != 4 || len(undo.bufs) != 1 {
+			t.Fatalf("%v: reused log holds %d words over %d buffers, want 4 over 1", be, n, len(undo.bufs))
 		}
 		undo.Rollback()
 		if !bytes.Equal(c, c0) || !bytes.Equal(a, aDone) || !bytes.Equal(b, bDone) {

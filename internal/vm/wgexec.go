@@ -41,12 +41,13 @@ type wgAcc struct {
 }
 
 // wgCol is one entry of the columnar access log. run == 0: the n offsets of
-// one dynamic access of site id, at colBuf[at:at+n]. run > 0: a broadcast —
-// all n items accessed site id at byte offset at, run times in a row as far
-// as that site's own stream goes (the tracker keeps no state across sites, so
-// entries of other sites in between do not matter).
+// one dynamic access of site id, at colBuf[at:at+n]. run > 0: a lane-affine
+// access — item t accessed site id at byte offset at + step*t, step 0 (a
+// broadcast) or 4 (consecutive words), run times in a row as far as that
+// site's own stream goes (the tracker keeps no state across sites, so entries
+// of other sites in between do not matter).
 type wgCol struct {
-	id, at, run int32
+	id, at, run, step int32
 }
 
 // wgSet is an ordered set of work-items whose next block starts at pc.
@@ -104,9 +105,9 @@ type wmach struct {
 	seenB        []bool  // lastB validity per (memID, item)
 
 	// Columnar access log. While the phase is uniform each dynamic global
-	// access is recorded as one column of n offsets in colBuf, or as a
-	// broadcast run when every item used one offset (wgCol), instead of n
-	// per-item stream appends, and replayCols books the entries at phase end.
+	// access is recorded as one column of n offsets in colBuf, or as a run of
+	// one offset or of consecutive words (wgCol), instead of n per-item
+	// stream appends, and replayCols books the entries at phase end.
 	// The first partition is the one thing that ends it: colFlush transposes
 	// the entries into rec and clears uniform. So a phase has two log states
 	// and the invariant is: uniform iff rec is empty and the entries, in
@@ -119,10 +120,11 @@ type wmach struct {
 
 	// fuse selects the fused plans (wgfuse.go) for this group; resolved once
 	// at group entry from SetWGFuse and from views, the arguments' buffers as
-	// float32 words (f32View), which the reduction jam reads: a group with a
-	// buffer that has no such view runs per-step, the reference path that
-	// decodes bytes. dynFused / dynStep tally the body instructions (per
-	// work-item) this group executed fused vs per-step, for backendCtr.
+	// float32 words (f32View), which the reduction jam and lane-contiguous
+	// global steps read: a group with a buffer that has no such view runs
+	// per-step, lane by lane, the reference path that decodes bytes.
+	// dynFused / dynStep tally the body instructions (per work-item) this
+	// group executed fused vs per-step, for backendCtr.
 	fuse     bool
 	views    [][]float32
 	dynFused int64
@@ -278,29 +280,30 @@ func (m *wmach) recAcc(t int32, id, off int32) {
 	}
 }
 
-// recUniform records one global access every work-item of set made at the
-// same offset (loadOnce: a group-uniform load, or one in a loop's control
-// skeleton, wgloop.go). In a partitioned phase that is one stream append per
+// recAffine records one global access every work-item of set made at byte
+// offset off + step*t, t the item (step 0: a group-uniform load, or one in a
+// loop's control skeleton, wgloop.go; step 4: a lane-contiguous whole-group
+// access, wgsteps.go). In a partitioned phase that is one stream append per
 // item; while the phase is uniform (the set is then the whole group) it is
 // O(1): the access extends the site's latest entry (colAt) when that is a
-// broadcast of the same offset, and starts a new run otherwise.
-func (m *wmach) recUniform(set []int32, id, off int32) {
+// run of the same offset and step, and starts a new run otherwise.
+func (m *wmach) recAffine(set []int32, id, off, step int32) {
 	if id < 0 {
 		return
 	}
 	if !m.uniform {
 		for _, t := range set {
-			m.recAcc(t, id, off)
+			m.recAcc(t, id, off+step*t)
 		}
 		return
 	}
 	if j := m.colAt[id] - 1; j >= 0 {
-		if c := &m.cols[j]; c.run > 0 && c.at == off && c.run < math.MaxInt32 {
+		if c := &m.cols[j]; c.run > 0 && c.at == off && c.step == step && c.run < math.MaxInt32 {
 			c.run++
 			return
 		}
 	}
-	m.cols = append(m.cols, wgCol{id: id, at: off, run: 1})
+	m.cols = append(m.cols, wgCol{id: id, at: off, run: 1, step: step})
 	m.colAt[id] = int32(len(m.cols))
 }
 
@@ -331,14 +334,14 @@ func (m *wmach) clearCols() {
 }
 
 // colFlush transposes the columnar log into the per-item rec streams,
-// expanding broadcast runs, and ends the phase's uniform state (the first
+// expanding lane-affine runs, and ends the phase's uniform state (the first
 // partition calls it). Because every access of the phase so far went to the
 // log, appending its entries in order reconstructs each item's stream, every
 // site's accesses in program order.
 func (m *wmach) colFlush() {
 	for _, c := range m.cols {
 		for t := range m.rec {
-			a := wgAcc{id: c.id, off: c.at}
+			a := wgAcc{id: c.id, off: c.at + c.step*int32(t)}
 			if c.run == 0 {
 				a.off = m.colBuf[int(c.at)+t]
 			}
@@ -380,59 +383,49 @@ func (m *wmach) replay() {
 	}
 }
 
-// bookCol books one log entry of memID id into the transposed tracker: the
-// offsets col at which the n work-items made the same dynamic access, or,
-// with col nil, the offset off they all used run times in a row. In a phase
-// that never partitioned every item records the same static access sequence,
-// so the j-th access of every stream shares one memID and one occurrence
-// index. The CPU stride stats depend only on each item's own stream (banked
+// bookCol books log entry c into the transposed tracker. In a phase that
+// never partitioned every item records the same static access sequence, so
+// the j-th access of every stream shares one memID and one occurrence index.
+// The CPU stride stats depend only on each item's own stream (banked
 // last/seen state), and the warp comparison of item t's access against item
 // t-1's is one of adjacent offsets of the column — so a column-major pass
-// computes the memTracker's exact totals. A broadcast is a column of equal
-// offsets, and each repeat of it is n accesses at distance 0 from the last
-// (Seq) that open one transaction per warp.
-func (m *wmach) bookCol(id int, col []int32, off int32, run int64) {
-	n := m.n
+// computes the memTracker's exact totals. A lane-affine entry skips the warp
+// comparison: its adjacent lanes are 0 or 4 bytes apart, so each warp opens
+// one transaction; and each repeat of its run is n accesses at distance 0
+// from the last (Seq) that open one transaction per warp.
+func (m *wmach) bookCol(c wgCol) {
+	n, id := m.n, int(c.id)
 	lastB := m.lastB[id*n : id*n+n]
 	seenB := m.seenB[id*n : id*n+n]
+	run, warps := int64(c.run), int64((n+warpSize-1)/warpSize)
+	var col []int32
 	var seq, rand, warp int64
-	var prevOff int32
+	if run == 0 {
+		col, run, warps = m.colBuf[c.at:int(c.at)+n], 1, 0
+	}
+	off, prevOff := c.at, int32(0)
 	for t := range lastB {
 		if col != nil {
 			off = col[t]
-		}
-		if seenB[t] {
-			d := off - lastB[t]
-			if d < 0 {
-				d = -d
-			}
-			if d <= cacheLineBytes {
-				seq++
-			} else {
-				rand++
-			}
-		} else {
-			rand++
-			seenB[t] = true
-		}
-		lastB[t] = off
-		if t%warpSize == 0 {
-			warp++
-		} else {
-			d := off - prevOff
-			if d < 0 {
-				d = -d
-			}
-			if d > 4 {
+			if d := off - prevOff; t%warpSize == 0 || d < -4 || d > 4 {
 				warp++
 			}
+			prevOff = off
 		}
-		prevOff = off
+		if !seenB[t] {
+			rand++
+			seenB[t] = true
+		} else if d := off - lastB[t]; d < -cacheLineBytes || d > cacheLineBytes {
+			rand++
+		} else {
+			seq++
+		}
+		lastB[t] = off
+		off += c.step
 	}
-	warps := int64((n + warpSize - 1) / warpSize)
 	m.st.SeqBytes += 4 * (seq + (run-1)*int64(n))
 	m.st.RandBytes += 4 * rand
-	m.st.WarpTransactions += warp + (run-1)*warps
+	m.st.WarpTransactions += warp + run*warps
 }
 
 // replayCols is the transposed replay for phases that never partitioned: the
@@ -440,11 +433,7 @@ func (m *wmach) bookCol(id int, col []int32, off int32, run int64) {
 // item.
 func (m *wmach) replayCols() {
 	for _, c := range m.cols {
-		if c.run == 0 {
-			m.bookCol(int(c.id), m.colBuf[c.at:int(c.at)+m.n], 0, 1)
-		} else {
-			m.bookCol(int(c.id), nil, c.at, int64(c.run))
-		}
+		m.bookCol(c)
 	}
 	m.clearCols()
 	// The banked stride state is per phase, like the memTracker's (nextWI

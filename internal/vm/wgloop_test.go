@@ -501,16 +501,16 @@ func TestWGLoopWalkExits(t *testing.T) {
 func TestWGUniformLoadRuns(t *testing.T) {
 	m := &wmach{n: 2, uniform: true, rec: make([][]wgAcc, 2), colAt: make([]int32, 5)}
 	for i := 0; i < 5; i++ {
-		m.recUniform(nil, 3, 8)
+		m.recAffine(nil, 3, 8, 0)
 	}
-	m.recUniform(nil, 4, 0)
-	m.recUniform(nil, -1, 0) // an untracked site logs nothing
-	m.recUniform(nil, 3, 8)
-	m.recUniform(nil, 3, 12)
-	m.recUniform(nil, 3, 8)
+	m.recAffine(nil, 4, 0, 0)
+	m.recAffine(nil, -1, 0, 0) // an untracked site logs nothing
+	m.recAffine(nil, 3, 8, 0)
+	m.recAffine(nil, 3, 12, 0)
+	m.recAffine(nil, 3, 8, 0)
 	copy(m.colFor(4), []int32{16, 20})
-	m.recUniform(nil, 4, 0)
-	want := []wgCol{{3, 8, 6}, {4, 0, 1}, {3, 12, 1}, {3, 8, 1}, {4, 0, 0}, {4, 0, 1}}
+	m.recAffine(nil, 4, 0, 0)
+	want := []wgCol{{3, 8, 6, 0}, {4, 0, 1, 0}, {3, 12, 1, 0}, {3, 8, 1, 0}, {4, 0, 0, 0}, {4, 0, 1, 0}}
 	if fmt.Sprint(m.cols) != fmt.Sprint(want) {
 		t.Fatalf("log %v, want %v", m.cols, want)
 	}

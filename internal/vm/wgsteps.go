@@ -13,12 +13,12 @@ import (
 // looped over every work-item in the set against the SoA banks, with
 // operands decoded once at build time. Order-independent counters are
 // batched: ALU op counts per block dispatch (wblock.runSteps books
-// wblock.ops), byte totals and masks per set, and, on a full-group store,
-// the write bounds as one min/max; per-offset ones (the undo log's records,
-// tracker records) stay inside the item loop. A block is one step per
-// instruction; the one place several instructions become one loop is the
-// reduction jam (wgfuse.go). A group-uniform step runs once per full-group
-// dispatch (wguniform.go).
+// wblock.ops), byte totals, masks and a store's write bounds per set;
+// per-offset ones (undo and tracker records) stay in the item loop, but for
+// a whole group that accesses consecutive words (contig). A block is one
+// step per instruction; the one place several instructions become one loop
+// is the reduction jam (wgfuse.go). A group-uniform step runs once per
+// full-group dispatch (wguniform.go).
 //
 // An ALU step is built from its opcode's row (optab.go) by signature and
 // calls the row's function once per lane. Eleven opcodes keep their
@@ -354,54 +354,36 @@ func lanes2[S, D int64 | float64](dst []D, src []S, a, b, c int32, n int, set []
 	}
 }
 
-// wstepLoadGlobal compiles opLDGF/opLDGI for the whole set.
+// wstepLoadGlobal compiles opLDGF/opLDGI for the whole set. A whole group
+// whose lanes read consecutive words (contig) copies them in one loop and
+// logs one lane-affine entry; any other set runs lane by lane, a whole group
+// logging one column of offsets (colFor).
 func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 	a, slot, c, memID := in.A, in.B, in.C, in.D
 	name := k.Params[slot].Name
 	return func(m *wmach, set []int32) bool {
-		n := m.n
-		ib := m.ib
+		n, ib, fb := m.n, m.ib, m.fb
 		ab, cb := int(a)*n, int(c)*n
 		buf := m.args[slot].Buf
-		cnt := int64(len(set))
-		if m.full {
-			// Uniform full-group fast path: subslice banks, columnar access
-			// recording.
-			cnt = int64(n)
-			sl := ib[cb : cb+n]
-			var col []int32
-			if memID >= 0 {
-				col = m.colFor(memID)
-			}
+		if w := m.contig(slot, ib[cb:cb+n]); w != nil {
+			m.recAffine(set, memID, int32(4*ib[cb]), 4) // before the copy: a may be c
 			if isF {
-				rl := m.fb[ab : ab+n]
-				for t := range sl {
-					off, err := byteOff(sl[t], len(buf))
-					if err != nil {
-						m.err = &execError{m.k.Name, pc, fmt.Sprintf("load %s: %v", name, err)}
-						return false
-					}
-					rl[t] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
-					if col != nil {
-						col[t] = off
-					}
+				rl := fb[ab : ab+n]
+				for t, x := range w {
+					rl[t] = float64(x)
 				}
 			} else {
 				rl := ib[ab : ab+n]
-				for t := range sl {
-					off, err := byteOff(sl[t], len(buf))
-					if err != nil {
-						m.err = &execError{m.k.Name, pc, fmt.Sprintf("load %s: %v", name, err)}
-						return false
-					}
-					rl[t] = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
-					if col != nil {
-						col[t] = off
-					}
+				for t, x := range w {
+					rl[t] = int64(int32(math.Float32bits(x)))
 				}
 			}
 		} else {
-			for _, t := range set {
+			var col []int32
+			if m.full && memID >= 0 {
+				col = m.colFor(memID)
+			}
+			for i, t := range set {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
 					m.err = &execError{m.k.Name, pc, fmt.Sprintf("load %s: %v", name, err)}
@@ -409,104 +391,109 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 				}
 				bits := binary.LittleEndian.Uint32(buf[off:])
 				if isF {
-					m.fb[ab+int(t)] = float64(math.Float32frombits(bits))
+					fb[ab+int(t)] = float64(math.Float32frombits(bits))
 				} else {
 					ib[ab+int(t)] = int64(int32(bits))
 				}
-				m.recAcc(t, memID, off)
+				if col != nil {
+					col[i] = off
+				} else {
+					m.recAcc(t, memID, off)
+				}
 			}
 		}
 		st := m.st
 		st.noteGlobalRead(slot)
-		st.GlobalLoads += cnt
-		st.GlobalLoadBytes += 4 * cnt
+		st.GlobalLoads += int64(len(set))
+		st.GlobalLoadBytes += 4 * int64(len(set))
 		return true
 	}
 }
 
 // wstepStoreGlobal compiles opSTGF/opSTGI for the whole set, including the
-// undo-log path.
+// undo-log path: a whole group that stores consecutive words (contig) logs
+// one undo span, any other set one word record per lane. The write bounds
+// fold over the lanes that stored and are noted once, trap or not.
 func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 	a, slot, c, memID := in.A, in.B, in.C, in.D
 	name := k.Params[slot].Name
 	return func(m *wmach, set []int32) bool {
-		n := m.n
-		ib := m.ib
+		n, ib, fb := m.n, m.ib, m.fb
 		ab, cb := int(a)*n, int(c)*n
 		buf := m.args[slot].Buf
 		st := m.st
-		cnt := int64(len(set))
-		if m.full {
-			// Uniform full-group fast path: subslice banks, columnar access
-			// recording, undo records appended inline under one table index
-			// (looked up once the first lane's offset is known good: an empty
-			// buffer has no first byte), and the write bounds folded over the
-			// lanes that stored, noted once, trap or not.
-			cnt = int64(n)
-			sl := ib[cb : cb+n]
+		lo, hi := int32(math.MaxInt32), int32(-1)
+		var bad error
+		if w := m.contig(slot, ib[cb:cb+n]); w != nil {
+			lo, hi = int32(4*ib[cb]), int32(4*(ib[cb]+int64(n)-1))
+			m.recAffine(set, memID, lo, 4)
+			if m.undo != nil {
+				m.undo.span(buf, lo, n)
+			}
+			if isF {
+				for t, x := range fb[ab : ab+n] {
+					w[t] = float32(x)
+				}
+			} else {
+				for t, x := range ib[ab : ab+n] {
+					w[t] = math.Float32frombits(uint32(int32(x)))
+				}
+			}
+		} else {
 			var col []int32
-			if memID >= 0 {
+			if m.full && memID >= 0 {
 				col = m.colFor(memID)
 			}
-			u := m.undo
-			var bi int32
-			var bad error
-			lo, hi := int32(math.MaxInt32), int32(0)
-			t := 0
-			for ; t < len(sl); t++ {
-				off, err := byteOff(sl[t], len(buf))
+			for i, t := range set {
+				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
 					bad = err
 					break
 				}
 				var bits uint32
 				if isF {
-					bits = math.Float32bits(float32(m.fb[ab+t]))
-				} else {
-					bits = uint32(int32(ib[ab+t]))
-				}
-				if u != nil {
-					if t == 0 {
-						bi = u.index(buf)
-					}
-					u.recs = append(u.recs, UndoRecord{Buf: bi, Off: off, Old: [4]byte(buf[off : off+4])})
-				}
-				binary.LittleEndian.PutUint32(buf[off:], bits)
-				lo, hi = min(lo, off), max(hi, off)
-				if col != nil {
-					col[t] = off
-				}
-			}
-			if t > 0 {
-				st.noteGlobalWrite(slot, lo)
-				st.noteGlobalWrite(slot, hi)
-			}
-			if bad != nil {
-				m.err = &execError{m.k.Name, pc, fmt.Sprintf("store %s: %v", name, bad)}
-				return false
-			}
-		} else {
-			for _, t := range set {
-				off, err := byteOff(ib[cb+int(t)], len(buf))
-				if err != nil {
-					m.err = &execError{m.k.Name, pc, fmt.Sprintf("store %s: %v", name, err)}
-					return false
-				}
-				var bits uint32
-				if isF {
-					bits = math.Float32bits(float32(m.fb[ab+int(t)]))
+					bits = math.Float32bits(float32(fb[ab+int(t)]))
 				} else {
 					bits = uint32(int32(ib[ab+int(t)]))
 				}
 				m.undo.store(buf, off, bits)
-				st.noteGlobalWrite(slot, off)
-				m.recAcc(t, memID, off)
+				lo, hi = min(lo, off), max(hi, off)
+				if col != nil {
+					col[i] = off
+				} else {
+					m.recAcc(t, memID, off)
+				}
 			}
 		}
-		st.GlobalStores += cnt
-		st.GlobalStoreBytes += 4 * cnt
+		if hi >= 0 {
+			st.noteGlobalWrite(slot, lo)
+			st.noteGlobalWrite(slot, hi)
+		}
+		if bad != nil {
+			m.err = &execError{m.k.Name, pc, fmt.Sprintf("store %s: %v", name, bad)}
+			return false
+		}
+		st.GlobalStores += int64(len(set))
+		st.GlobalStoreBytes += 4 * int64(len(set))
 		return true
 	}
+}
+
+// contig returns the words of the buffer in slot that the lanes of a whole
+// group read or write when its index bank idx is lane-contiguous (lane t at
+// word idx[0]+t) and wholly inside the buffer's word view; nil for any other
+// set, pattern or range, and for a buffer with no view.
+func (m *wmach) contig(slot int32, idx []int64) []float32 {
+	v, i0 := m.views[slot], idx[0]
+	if !m.full || i0 < 0 || i0 > int64(len(v)-len(idx)) {
+		return nil
+	}
+	for t, x := range idx {
+		if x != i0+int64(t) {
+			return nil
+		}
+	}
+	return v[i0 : i0+int64(len(idx))]
 }
 
 // wstepSlab compiles local-array and private-array loads and stores. Local

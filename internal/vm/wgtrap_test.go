@@ -224,8 +224,8 @@ func runTrapParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, exa
 			t.Fatalf("group %d: errors differ\ninterp: %v\nwg:     %v", g, errI, errW)
 		}
 		if exact {
-			if !reflect.DeepEqual(logI.recs, logW.recs) || len(logI.bufs) != len(logW.bufs) {
-				t.Fatalf("group %d: undo logs differ\ninterp: %v\nwg:     %v", g, logI.recs, logW.recs)
+			if wI, wW := undoWords(&logI), undoWords(&logW); !reflect.DeepEqual(wI, wW) || len(logI.bufs) != len(logW.bufs) {
+				t.Fatalf("group %d: undo logs differ\ninterp: %v\nwg:     %v", g, wI, wW)
 			}
 			if stI.ParamWriteMask != stW.ParamWriteMask || stI.WrLo != stW.WrLo || stI.WrHi != stW.WrHi {
 				t.Fatalf("group %d: write bounds differ\ninterp: %#x %v %v\nwg:     %#x %v %v", g,

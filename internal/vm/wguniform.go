@@ -186,7 +186,7 @@ func (k *Kernel) wstepOnce(pc int, s wstep, bcast bool) wstep {
 }
 
 // loadOnce reads word idx of the buffer in slot once for every lane of set,
-// noting the read and logging it for each lane (recUniform); the caller books
+// noting the read and logging it for each lane (recAffine); the caller books
 // the load counts. An index out of range leaves the load's trap at pc in
 // m.err.
 func (m *wmach) loadOnce(set []int32, pc int, slot, memID int32, idx int64) (uint32, bool) {
@@ -197,7 +197,7 @@ func (m *wmach) loadOnce(set []int32, pc int, slot, memID int32, idx int64) (uin
 		return 0, false
 	}
 	m.st.noteGlobalRead(slot)
-	m.recUniform(set, memID, off)
+	m.recAffine(set, memID, off, 0)
 	return binary.LittleEndian.Uint32(buf[off:]), true
 }
 
