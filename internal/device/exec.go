@@ -149,7 +149,7 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 
 	settle := func() {
 		now := p.Now()
-		kept := sc.fly[:0]
+		kept := 0 // survivors move down only once an entry before them settled
 		for i := range sc.fly {
 			f := &sc.fly[i]
 			if l.Abort != nil && l.MidAbort {
@@ -176,10 +176,13 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 				sc.settled(f.undo)
 				continue
 			}
-			kept = append(kept, *f)
+			if kept != i {
+				sc.fly[kept] = *f
+			}
+			kept++
 		}
-		clear(sc.fly[len(kept):]) // drop the settled tail's log pointers
-		sc.fly = kept
+		clear(sc.fly[kept:]) // drop the settled tail's log pointers
+		sc.fly = sc.fly[:kept]
 	}
 
 	for {
