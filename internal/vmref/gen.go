@@ -269,6 +269,21 @@ func (g *progGen) scopeShape() {
 	}
 }
 
+// edgeLoad emits two loads a group of 16 lanes past the item's word: a whole
+// group of 16 or fewer lanes reads consecutive words that none of its own
+// items writes, so the lockstep engine keeps the kernel. In a 32-word launch
+// in groups of 16 the guarded load reads group 0's in range. The other, at
+// i + 16 + c with c in [0, 3] from the count of variables so far (so it
+// draws nothing from r and leaves the rest of the program as it was), leaves
+// the buffer at lane 16 - c of group 0, or at lane 0 of group 1, and traps.
+// It runs only when the argument p1 (p0, which no statement assigns) is
+// below -6, which no test's fixed seeds reach (their p1 is seed%13 - 6 of a
+// non-negative seed) and FuzzDifferential's negative seeds do.
+func (g *progGen) edgeLoad() {
+	g.w("if (i + 16 < n) { u += ibuf[i + 16]; }")
+	g.w("if (p0 < -6) { u -= (int)fbuf[i + %d]; }", 16+g.nVars%4)
+}
+
 func (g *progGen) stmts(budget int) {
 	for s := 0; s < budget; s++ {
 		switch g.r.Intn(13) {
@@ -358,8 +373,11 @@ func (g *progGen) stmts(budget int) {
 				g.divergentReduction()
 			}
 		case 12:
-			if g.r.Intn(4) == 0 {
+			switch g.r.Intn(4) {
+			case 0:
 				g.scopeShape()
+			case 1:
+				g.edgeLoad()
 			}
 		}
 	}
@@ -376,6 +394,7 @@ func (g *progGen) generate() string {
 	g.nROInt = 2 // i and n are read-only (index and divisor safety)
 	g.floats = []string{"fp"}
 	g.w("int u = 0;")
+	g.w("int p0 = p1;")
 	g.stmts(8)
 	g.w("fbuf[i] = %s;", g.floatExpr(3))
 	g.w("ibuf[i] = %s + u;", g.intExpr(3))
