@@ -51,13 +51,16 @@ checkptr:
 
 # Thirty seconds of native fuzzing: the differential suite (ref vs interp vs wg
 # on generated kernels), then the topology spec parser, the one place a count
-# from outside sizes an allocation, then the front end (parse, print, analyze,
-# check, compile) on arbitrary text, then ocl's device storage (shared,
-# copied-on-write and recycled buffers against a plain-slice model). The
-# seeds alone run in every `go test`; this explores beyond them.
+# from outside sizes an allocation, then the built-in merge against the VM
+# running its source (random words, masks, windows and group sizes), then
+# the front end (parse, print, analyze, check, compile) on arbitrary text,
+# then ocl's device storage (shared, copied-on-write and recycled buffers
+# against a plain-slice model). The seeds alone run in every `go test`; this
+# explores beyond them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 15s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/vm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 5s ./internal/device
+	$(GO) test -run '^$$' -fuzz '^FuzzBuiltinMerge$$' -fuzztime 5s ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 5s ./internal/clc
 	$(GO) test -run '^$$' -fuzz '^FuzzBufferStorage$$' -fuzztime 5s ./internal/ocl
 

@@ -305,6 +305,10 @@ type Launch struct {
 	// range-guarded kernel's in-range work-groups from a static sweep's
 	// record (record.go).
 	Replay *Replay
+	// Native, when set, is the kernel's built-in body (merge.go): it runs
+	// every group it covers in place of the VM, unless the group needs an
+	// undo log.
+	Native GroupFunc
 	Done   *sim.Event
 	Result *LaunchResult
 	// Label names the launch in traces (normally the kernel name).

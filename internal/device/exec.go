@@ -90,7 +90,8 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		l.Args = l.Bind()
 	}
 	// A launch with no abort query may serve its in-range groups from a
-	// sweep record (record.go); every other group executes.
+	// sweep record (record.go); every other group executes, on the kernel's
+	// built-in body where it has one (merge.go) and on the VM otherwise.
 	var rec *LaunchRecord
 	var lo, hi int
 	if l.Replay != nil && l.Abort == nil {
@@ -245,9 +246,14 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		// group is entry-skipped reports no error.
 		var st vm.Stats
 		var err error
+		done := false
 		if rec != nil && fgid >= lo && fgid <= hi {
 			st, err = rec.serve(l, group, fgid, lo, sc)
-		} else {
+			done = true
+		} else if l.Native != nil && undo == nil {
+			st, done = l.Native(l.ND, group, l.Args)
+		}
+		if !done {
 			st, err = l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo, Backend: l.Backend})
 		}
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"fluidicl/internal/clc"
 	"fluidicl/internal/device"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -280,6 +281,10 @@ type Kernel struct {
 	// global store the VM compiles goes through such a parameter, so a
 	// launch may leave every other buffer argument shared.
 	written []bool
+	// native is the kernel's built-in body, which runs its groups in place
+	// of the VM: set for fcl_merge built from passes.MergeKernelSource
+	// (device.MergeGroup), and for no other kernel.
+	native device.GroupFunc
 }
 
 // CreateKernel looks up a kernel by name.
@@ -293,7 +298,11 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	for i, param := range info.Kernel.Params {
 		written[i] = param.Ty.Ptr && info.ParamAccess[param.Name].Written
 	}
-	return &Kernel{Name: name, VM: k, Info: info, written: written}, nil
+	kern := &Kernel{Name: name, VM: k, Info: info, written: written}
+	if p.Source == passes.MergeKernelSource && name == passes.MergeKernelName {
+		kern.native = device.MergeGroup
+	}
+	return kern, nil
 }
 
 // MustKernel is CreateKernel for known-good names.
@@ -556,6 +565,7 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, nd vm.NDRange, args []Arg
 		ND:       nd,
 		Bind:     func() []vm.Arg { return k.bind(args, rp) },
 		Replay:   rp,
+		Native:   k.native,
 		Abort:    opts.Abort,
 		MidAbort: opts.MidAbort,
 		Split:    opts.Split,

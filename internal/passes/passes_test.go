@@ -3,9 +3,11 @@ package passes
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"fluidicl/internal/clc"
+	"fluidicl/internal/device"
 	"fluidicl/internal/vm"
 )
 
@@ -334,8 +336,33 @@ func TestNamespaceCollision(t *testing.T) {
 	}
 }
 
-func TestMergeKernel(t *testing.T) {
+// mergePaths runs a merge launch over args on each path a runtime takes:
+// the VM running MergeKernelSource, and the built-in kernel ocl selects for
+// it (device.MergeGroup), group by group. Each path gets its own copy of the
+// GPU buffer, which check inspects.
+func mergePaths(t *testing.T, nd vm.NDRange, args []vm.Arg, check func(path string, gpu []byte)) {
+	t.Helper()
 	mk := vm.MustCompile(MergeKernelSource, MergeKernelName)
+	withGPU := func() []vm.Arg {
+		a := slices.Clone(args)
+		a[1] = vm.BufArg(slices.Clone(args[1].Buf))
+		return a
+	}
+	a := withGPU()
+	if _, err := mk.ExecLaunch(nd, a, vm.ExecOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	check("vm", a[1].Buf)
+	a = withGPU()
+	for g := 0; g < nd.TotalGroups(); g++ {
+		if _, ok := device.MergeGroup(nd, nd.GroupFromFlat(g), a); !ok {
+			t.Fatalf("the built-in merge declined group %d", g)
+		}
+	}
+	check("built-in", a[1].Buf)
+}
+
+func TestMergeKernel(t *testing.T) {
 	// orig = [1 2 3 4]; CPU computed elements 2,3 (values 30, 40); GPU
 	// computed elements 0,1 (values 10, 20). After merge the GPU buffer
 	// holds [10 20 30 40].
@@ -343,35 +370,32 @@ func TestMergeKernel(t *testing.T) {
 	cpu := f32buf(1, 2, 30, 40)
 	gpu := f32buf(10, 20, 3, 4)
 	args := []vm.Arg{vm.BufArg(cpu), vm.BufArg(gpu), vm.BufArg(orig), vm.IntArg(4), vm.IntArg(0)}
-	if _, err := mk.ExecLaunch(vm.NewNDRange1D(4, 4), args, vm.ExecOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{10, 20, 30, 40}
-	for i, w := range want {
-		if got := f32at(gpu, i); got != w {
-			t.Fatalf("gpu[%d] = %v, want %v", i, got, w)
+	mergePaths(t, vm.NewNDRange1D(4, 4), args, func(path string, gpu []byte) {
+		want := []float32{10, 20, 30, 40}
+		for i, w := range want {
+			if got := f32at(gpu, i); got != w {
+				t.Fatalf("%s: gpu[%d] = %v, want %v", path, i, got, w)
+			}
 		}
-	}
+	})
 }
 
 func TestMergeKernelHandlesNaN(t *testing.T) {
-	mk := vm.MustCompile(MergeKernelSource, MergeKernelName)
 	nan := float32(math.NaN())
 	orig := f32buf(nan, 1)
 	cpu := f32buf(nan, 5) // element 0 unchanged (still NaN), element 1 computed
 	gpu := f32buf(nan, 1)
 	args := []vm.Arg{vm.BufArg(cpu), vm.BufArg(gpu), vm.BufArg(orig), vm.IntArg(2), vm.IntArg(0)}
-	if _, err := mk.ExecLaunch(vm.NewNDRange1D(2, 2), args, vm.ExecOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := f32at(gpu, 1); got != 5 {
-		t.Fatalf("gpu[1] = %v, want 5", got)
-	}
-	// Word-wise comparison: identical NaN bits compare equal, so element 0
-	// is (correctly) treated as unmodified.
-	if !math.IsNaN(float64(f32at(gpu, 0))) {
-		t.Fatalf("gpu[0] = %v, want NaN preserved", f32at(gpu, 0))
-	}
+	mergePaths(t, vm.NewNDRange1D(2, 2), args, func(path string, gpu []byte) {
+		if got := f32at(gpu, 1); got != 5 {
+			t.Fatalf("%s: gpu[1] = %v, want 5", path, got)
+		}
+		// Word-wise comparison: identical NaN bits compare equal, so element 0
+		// is (correctly) treated as unmodified.
+		if !math.IsNaN(float64(f32at(gpu, 0))) {
+			t.Fatalf("%s: gpu[0] = %v, want NaN preserved", path, f32at(gpu, 0))
+		}
+	})
 }
 
 func TestCanSplit(t *testing.T) {
