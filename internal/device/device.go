@@ -301,9 +301,8 @@ type Launch struct {
 	// Backend selects the VM execution engine (interpreter or wg); both
 	// produce identical stats and therefore identical virtual time.
 	Backend vm.Backend
-	// Replay, when set on a launch with no abort query, serves the
-	// range-guarded kernel's in-range work-groups from a static sweep's
-	// record (record.go).
+	// Replay, when set on a launch with no abort query, serves the kernel's
+	// in-range work-groups from a sweep record (record.go).
 	Replay *Replay
 	// Native, when set, is the kernel's built-in body (merge.go): it runs
 	// every group it covers in place of the VM, unless the group needs an

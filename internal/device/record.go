@@ -14,19 +14,27 @@ import (
 // A static sweep runs one app at many static splits (sched.Sweep). Splits
 // that compute the reference result start each launch from the same bytes,
 // so each in-range work-group of the range-guarded kernel computes the same
-// Stats and stores the same words at every split. A LaunchRecord holds them for one launch of the
-// sweep: the first split to run a group executes and records it, and a later
-// split replays it — applies the stored words and prices the Stats with
-// WGTime — instead of executing it again. DESIGN.md §3, "One execution per
-// group across a static sweep", gives the argument.
+// Stats and stores the same words at every split. A LaunchRecord holds them
+// for one launch of the sweep: the first split to run a group executes and
+// records it, and a later split replays it — applies the stored words and
+// prices the Stats with WGTime — instead of executing it again. The runs
+// that launch the app's own, unguarded kernels over the whole grid (CPU-only,
+// GPU-only, SOCL) share a plain record per launch the same way. DESIGN.md
+// §3, "One execution per group across a static sweep", gives the argument.
 
-// LaunchRecord is one launch of a static sweep, shared by every split that
-// runs it, concurrently or not. The zero value is an empty record.
+// LaunchRecord is one launch of a static sweep, shared by every run that
+// launches it, concurrently or not. The zero value is an empty record of a
+// range-guarded kernel.
 type LaunchRecord struct {
+	// Plain marks a record of an unguarded kernel: every group of the grid
+	// is in range, and the key covers every argument. Set it before first
+	// use.
+	Plain bool
+
 	mu sync.Mutex
 	// Set by the first launch to use the record, and fixed from then on: the
 	// key a later launch must repeat (kernel, full grid, engine, scalar
-	// arguments other than the guard pair), the launch-start bytes of every
+	// arguments other than a guard pair), the launch-start bytes of every
 	// buffer the kernel reads, and the cross-group certificate.
 	set     bool
 	kernel  *vm.Kernel
@@ -38,6 +46,8 @@ type LaunchRecord struct {
 	indep   bool     // no group stores to a word another group loads
 
 	groups   []*groupRecord // by flattened group ID
+	busy     []bool         // by flattened group ID: a run is recording the group
+	idle     *sync.Cond     // on mu: a busy group was recorded, or failed
 	recorded int            // groups recorded at least once
 	arena    []storedWord   // backs the groups' words
 }
@@ -57,8 +67,10 @@ type storedWord struct {
 }
 
 // Replay asks runLaunch to serve a launch's in-range groups from a sweep
-// record. The kernel is range-guarded: its last two arguments are ints lo
-// and hi, and only the groups whose flattened ID lies in [lo, hi] do any work.
+// record. Unless the record is plain, the kernel is range-guarded: its last
+// two arguments are ints lo and hi, and only the groups whose flattened ID
+// lies in [lo, hi] do any work. A plain record's launch runs the whole grid,
+// and every group is in range.
 type Replay struct {
 	Rec *LaunchRecord
 	// Shared: bit i marks buffer argument i as a handed-over source, which
@@ -84,11 +96,21 @@ var (
 // words' argument indices assume they do not.
 func (r *LaunchRecord) admit(l *Launch, shared uint64) (lo, hi int, ok bool) {
 	args := l.Args
-	n := len(args)
-	if n < 2 || n != len(l.Kernel.Params) || args[n-2].Kind != vm.ArgInt || args[n-1].Kind != vm.ArgInt || aliased(args) {
+	n, key := len(args), len(args) // key: the arguments the key covers
+	if n != len(l.Kernel.Params) || aliased(args) {
 		return 0, 0, false
 	}
-	lo, hi = int(args[n-2].I), int(args[n-1].I)
+	if r.Plain {
+		hi = l.ND.TotalGroups() - 1
+		if l.ND.LaunchGroups() != hi+1 {
+			return 0, 0, false
+		}
+	} else {
+		if key -= 2; n < 2 || args[n-2].Kind != vm.ArgInt || args[n-1].Kind != vm.ArgInt {
+			return 0, 0, false
+		}
+		lo, hi = int(args[n-2].I), int(args[n-1].I)
+	}
 	nd := l.ND
 	nd.GroupBase, nd.GroupCount = [3]int{}, [3]int{}
 	r.mu.Lock()
@@ -110,13 +132,15 @@ func (r *LaunchRecord) admit(l *Launch, shared uint64) (lo, hi int, ok bool) {
 		}
 		r.indep = l.Kernel.GroupsIndependent(l.ND, args)
 		r.groups = make([]*groupRecord, nd.TotalGroups())
+		r.busy = make([]bool, len(r.groups))
+		r.idle = sync.NewCond(&r.mu)
 		return lo, hi, true
 	}
 	r.mu.Unlock()
 	if r.kernel != l.Kernel || r.nd != nd || r.backend != l.Backend || len(r.args) != n {
 		return 0, 0, false
 	}
-	for i, a := range args[:n-2] {
+	for i, a := range args[:key] {
 		b := r.args[i]
 		if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) {
 			return 0, 0, false
@@ -153,9 +177,25 @@ func sameStorage(a, b []byte) bool {
 // on this side are the ones that ran before it when it was recorded, or when
 // no group stores to a word another group loads; otherwise it executes the
 // group, with an undo log to learn which words it stored, and records it.
+// While one run executes a group the record lacks, a concurrent run that
+// wants the group waits for its record rather than executing it too: the
+// executing run holds no other group meanwhile and does not yield, so the
+// wait ends.
 func (r *LaunchRecord) serve(l *Launch, group [3]int, fgid, lo int, sc *launchScratch) (vm.Stats, error) {
 	r.mu.Lock()
+	for r.groups[fgid] == nil && r.busy[fgid] {
+		r.idle.Wait()
+	}
 	g := r.groups[fgid]
+	if g == nil {
+		r.busy[fgid] = true
+		defer func() {
+			r.mu.Lock()
+			r.busy[fgid] = false
+			r.idle.Broadcast()
+			r.mu.Unlock()
+		}()
+	}
 	r.mu.Unlock()
 	replay := g != nil && (g.lo == lo || r.indep)
 	if replay && checkHook == nil {

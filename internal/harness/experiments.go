@@ -69,7 +69,7 @@ func verify(b *polybench.Benchmark, res *sched.Result, err error) (*sched.Result
 // Single-device runs, static splits and FluidiCL runs come from the Runner's
 // cell memo (memo.go), so every table that asks for one shares its run; the
 // oracle sweeps the memo's splits, and dmda calibrates on its single-device
-// runs. The SOCL runs themselves are never memoized.
+// runs. SOCL cells are not memoized, but their groups replay (r.sweep).
 type strategy func(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error)
 
 // split runs pct percent of every kernel's work-groups on the GPU.
@@ -100,8 +100,8 @@ func oracle(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, 
 }
 
 // soclEager is the SOCL scheduler's default policy.
-func soclEager(_ *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
-	res, err := sched.RunSocl(m, b.App, sched.Eager, nil)
+func soclEager(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result, error) {
+	res, err := r.sweep(b).RunSocl(m, sched.Eager, nil)
 	return verify(b, res, err)
 }
 
@@ -120,7 +120,7 @@ func soclDmda(r *Runner, m sched.Machine, b *polybench.Benchmark) (*sched.Result
 	if err != nil {
 		return nil, err
 	}
-	res, err := sched.RunSocl(m, b.App, sched.Dmda, model)
+	res, err := r.sweep(b).RunSocl(m, sched.Dmda, model)
 	return verify(b, res, err)
 }
 

@@ -21,10 +21,10 @@ type cellMemo struct {
 	mu      sync.Mutex
 	cells   map[cellKey]*cellEntry
 	benches map[benchKey]*polybench.Benchmark
-	// sweeps holds one record per benchmark that every static split of it
-	// shares, whatever the machine or experiment (fig2, fig3, fig13's
-	// oracle): a work-group's Stats and stores do not depend on the device
-	// that runs it (sched.Sweep).
+	// sweeps holds one record per benchmark that its static splits, singles
+	// and SOCL cells share, whatever the machine or experiment; SOCL cells
+	// are not memoized, but their groups replay: a work-group's Stats and
+	// stores do not depend on the device that runs it (sched.Sweep).
 	sweeps map[*polybench.Benchmark]*sched.Sweep
 }
 

@@ -543,10 +543,11 @@ type LaunchOpts struct {
 	// Backend selects the VM execution engine (vm.BackendAuto uses the
 	// process default).
 	Backend vm.Backend
-	// Record, when set, is the launch's entry in a static sweep: the kernel
-	// is range-guarded, its last two arguments the [lo, hi] flattened group
-	// range, and its in-range groups replay from the record where they can
-	// (device.LaunchRecord).
+	// Record, when set, is the launch's entry in a sweep record, and its
+	// in-range groups replay from the record where they can
+	// (device.LaunchRecord). Unless the record is plain, the kernel is
+	// range-guarded, its last two arguments the [lo, hi] flattened group
+	// range; under a plain record every group of the grid is in range.
 	Record *device.LaunchRecord
 }
 

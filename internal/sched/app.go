@@ -226,17 +226,7 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 	res, err := drive(env, app, times, "FluidiCL", steps{
 		write: func(p *sim.Proc, name string, data []byte) { rt.EnqueueWriteBuffer(p, bufs[name], data) },
 		launch: func(p *sim.Proc, _ int, l Launch) error {
-			args := make([]core.Arg, len(l.Args))
-			for i, a := range l.Args {
-				switch a.Kind {
-				case ArgBuf:
-					args[i] = core.BufArg(bufs[a.Name])
-				case ArgInt:
-					args[i] = core.IntArg(a.I)
-				default:
-					args[i] = core.FloatArg(a.F)
-				}
-			}
+			args := lowerArgs(l, func(name string) core.Arg { return core.BufArg(bufs[name]) }, core.IntArg, core.FloatArg)
 			return rt.EnqueueNDRangeKernel(p, kernels[l.Kernel], l.ND, args)
 		},
 		read: func(p *sim.Proc, name string) []byte { return rt.EnqueueReadBuffer(p, bufs[name]) },

@@ -55,7 +55,7 @@ func (b *sbuf) only(gpu bool) { b.onGPU, b.onCPU = gpu, !gpu }
 
 // args lowers l's arguments for the GPU (or CPU) side, then appends extra.
 func (d *pair) args(l Launch, gpu bool, extra ...ocl.Arg) []ocl.Arg {
-	return oclArgs(l, func(name string) *ocl.Buffer { return d.bufs[name].dev(gpu) }, extra...)
+	return lowerArgs(l, func(name string) ocl.Arg { return ocl.BufArg(d.bufs[name].dev(gpu)) }, ocl.IntArg, ocl.FloatArg, extra...)
 }
 
 // read copies b's contents into dst: from the GPU copy if it holds them,

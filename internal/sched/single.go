@@ -8,8 +8,13 @@ import (
 
 // RunSingle executes the app on one device through the plain vendor-runtime
 // API — the paper's CPU-only and GPU-only baselines (§8: "we run each
-// benchmark using the vendor runtimes directly").
+// benchmark using the vendor runtimes directly"). Under a Sweep (runSingle
+// with sw set) its launches are served from the sweep's plain records.
 func RunSingle(cfg device.Config, app *App) (*Result, error) {
+	return runSingle(cfg, app, nil)
+}
+
+func runSingle(cfg device.Config, app *App, sw *Sweep) (*Result, error) {
 	env := sim.NewEnv()
 	ctx := ocl.NewContext(env, device.New(env, cfg))
 	prog, err := ctx.BuildProgram(app.Source)
@@ -30,10 +35,10 @@ func RunSingle(cfg device.Config, app *App) (*Result, error) {
 		write: func(_ *sim.Proc, name string, data []byte) {
 			q.EnqueueWriteBuffer(bufs[name], data) // never changes: handed over
 		},
-		launch: func(p *sim.Proc, _ int, l Launch) error {
+		launch: func(p *sim.Proc, li int, l Launch) error {
 			t0 := p.Now()
-			args := oclArgs(l, func(name string) *ocl.Buffer { return bufs[name] })
-			ev, lr := q.EnqueueNDRangeKernel(kernels[l.Kernel], l.ND, args, ocl.LaunchOpts{Split: cfg.Kind == device.CPU})
+			args := lowerArgs(l, func(name string) ocl.Arg { return ocl.BufArg(bufs[name]) }, ocl.IntArg, ocl.FloatArg)
+			ev, lr := q.EnqueueNDRangeKernel(kernels[l.Kernel], l.ND, args, ocl.LaunchOpts{Split: cfg.Kind == device.CPU, Record: sw.record(li, true)})
 			p.Wait(ev)
 			launchTimes = append(launchTimes, p.Now()-t0)
 			return lr.Err
@@ -51,18 +56,18 @@ func RunSingle(cfg device.Config, app *App) (*Result, error) {
 	return res, nil
 }
 
-// oclArgs lowers a launch's arguments for a vendor-runtime enqueue, naming
-// each buffer's device copy through buf, and appends extra.
-func oclArgs(l Launch, buf func(name string) *ocl.Buffer, extra ...ocl.Arg) []ocl.Arg {
-	args := make([]ocl.Arg, 0, len(l.Args)+len(extra))
+// lowerArgs lowers a launch's arguments for a runtime's enqueue: buf makes
+// a named buffer's argument, i and f a scalar's; extra is appended.
+func lowerArgs[A any](l Launch, buf func(name string) A, i func(int64) A, f func(float64) A, extra ...A) []A {
+	args := make([]A, 0, len(l.Args)+len(extra))
 	for _, a := range l.Args {
 		switch a.Kind {
 		case ArgBuf:
-			args = append(args, ocl.BufArg(buf(a.Name)))
+			args = append(args, buf(a.Name))
 		case ArgInt:
-			args = append(args, ocl.IntArg(a.I))
+			args = append(args, i(a.I))
 		default:
-			args = append(args, ocl.FloatArg(a.F))
+			args = append(args, f(a.F))
 		}
 	}
 	return append(args, extra...)

@@ -61,12 +61,9 @@ func CalibrateDmda(m Machine, app *App) (DmdaModel, error) {
 // launch times on each device.
 func FitDmda(app *App, cpu, gpu *Result) (DmdaModel, error) {
 	model := DmdaModel{}
-	for _, run := range []struct {
-		kind device.Kind
-		r    *Result
-	}{{device.CPU, cpu}, {device.GPU, gpu}} {
-		if len(run.r.LaunchTimes) != len(app.Launches) {
-			return nil, fmt.Errorf("sched: calibration recorded %d launches, want %d", len(run.r.LaunchTimes), len(app.Launches))
+	for kind, r := range [...]*Result{device.CPU: cpu, device.GPU: gpu} {
+		if len(r.LaunchTimes) != len(app.Launches) {
+			return nil, fmt.Errorf("sched: calibration recorded %d launches, want %d", len(r.LaunchTimes), len(app.Launches))
 		}
 		// Average over repeated identical launches.
 		n := map[string]int{}
@@ -75,11 +72,11 @@ func FitDmda(app *App, cpu, gpu *Result) (DmdaModel, error) {
 			if model[key] == nil {
 				model[key] = map[device.Kind]sim.Time{}
 			}
-			model[key][run.kind] += run.r.LaunchTimes[i]
+			model[key][device.Kind(kind)] += r.LaunchTimes[i]
 			n[key]++
 		}
 		for key, c := range n {
-			model[key][run.kind] /= sim.Time(c)
+			model[key][device.Kind(kind)] /= sim.Time(c)
 		}
 	}
 	return model, nil
@@ -88,8 +85,13 @@ func FitDmda(app *App, cpu, gpu *Result) (DmdaModel, error) {
 // RunSocl executes the app under the SOCL-like task scheduler: each kernel
 // launch is one task placed wholly on one device, with automatic data
 // management (lazy transfers through the host). model is required for Dmda
-// and ignored for Eager.
+// and ignored for Eager. Under a Sweep (runSocl with sw set) its launches
+// are served from the sweep's plain records.
 func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, error) {
+	return runSocl(m, app, policy, model, nil)
+}
+
+func runSocl(m Machine, app *App, policy Policy, model DmdaModel, sw *Sweep) (*Result, error) {
 	if policy == Dmda && model == nil {
 		return nil, fmt.Errorf("sched: dmda requires a calibrated model")
 	}
@@ -104,7 +106,7 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 		return nil, err
 	}
 	info := cpuProg.Info
-	var cpuLastDone, gpuLastDone sim.Time
+	lastDone := map[bool]sim.Time{} // when the GPU (true) and the CPU last finished a task
 	return drive(env, app, 1, "SOCL", steps{
 		// SOCL-style: inputs start host-side; transfers happen on demand.
 		write: func(_ *sim.Proc, name string, data []byte) {
@@ -112,13 +114,13 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 			b.host = make([]byte, b.size)
 			copy(b.host, data)
 		},
-		launch: func(p *sim.Proc, _ int, l Launch) error {
+		launch: func(p *sim.Proc, li int, l Launch) error {
 			ki := info.Kernels[l.Kernel]
 			useGPU := false
 			switch policy {
 			case Eager:
 				// Longest-idle worker gets the task; ties go to the CPU.
-				useGPU = gpuLastDone < cpuLastDone
+				useGPU = lastDone[true] < lastDone[false]
 			case Dmda:
 				useGPU = dmdaChoosesGPU(m, l, ki, d.bufs, model)
 			}
@@ -127,7 +129,7 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 			if useGPU {
 				prog, q = gpuProg, d.gpuQ
 			}
-			ev, lr := q.EnqueueNDRangeKernel(prog.MustKernel(l.Kernel), l.ND, d.args(l, useGPU), ocl.LaunchOpts{Split: !useGPU})
+			ev, lr := q.EnqueueNDRangeKernel(prog.MustKernel(l.Kernel), l.ND, d.args(l, useGPU), ocl.LaunchOpts{Split: !useGPU, Record: sw.record(li, true)})
 			p.Wait(ev)
 			if lr.Err != nil {
 				return lr.Err
@@ -135,11 +137,7 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 			for _, name := range writtenBufNames(ki, l) {
 				d.bufs[name].only(useGPU)
 			}
-			if useGPU {
-				gpuLastDone = p.Now()
-			} else {
-				cpuLastDone = p.Now()
-			}
+			lastDone[useGPU] = p.Now()
 			return nil
 		},
 		read: d.readOut,
@@ -151,23 +149,16 @@ func RunSocl(m Machine, app *App, policy Policy, model DmdaModel) (*Result, erro
 func dmdaChoosesGPU(m Machine, l Launch, ki *clc.KernelInfo, bufs map[string]*sbuf, model DmdaModel) bool {
 	exec := model[dmdaKey(l)]
 	predict := func(gpu bool) sim.Time {
-		var t sim.Time
-		link := m.CPU.Link
-		kind := device.CPU
+		link, kind := m.CPU.Link, device.CPU
 		if gpu {
-			link = m.GPU.Link
-			kind = device.GPU
+			link, kind = m.GPU.Link, device.GPU
 		}
+		var t sim.Time
 		for i, param := range ki.Kernel.Params {
 			if !param.Ty.Ptr {
 				continue
 			}
-			b := bufs[l.Args[i].Name]
-			present := b.onGPU
-			if !gpu {
-				present = b.onCPU
-			}
-			if !present {
+			if b := bufs[l.Args[i].Name]; (gpu && !b.onGPU) || (!gpu && !b.onCPU) {
 				// Missing data: fetch from the owner to host, then up.
 				if b.onGPU {
 					t += m.GPU.Link.TransferTime(b.size)
@@ -177,10 +168,7 @@ func dmdaChoosesGPU(m Machine, l Launch, ki *clc.KernelInfo, bufs map[string]*sb
 				t += link.TransferTime(b.size)
 			}
 		}
-		if exec != nil {
-			t += exec[kind]
-		}
-		return t
+		return t + exec[kind] // a launch the model lacks adds nothing
 	}
 	return predict(true) < predict(false)
 }

@@ -24,21 +24,38 @@ func RunStatic(m Machine, app *App, gpuPct int) (*Result, error) {
 	return runStatic(m, app, gpuPct, nil)
 }
 
-// Sweep is the record that the static splits of one app share: one
-// device.LaunchRecord per launch. Every split starts each launch from the
-// same bytes, so an in-range work-group executes on the first split that
-// runs it, and a later split replays its Stats and stored words instead
-// (DESIGN.md §3, "One execution per group across a static sweep"). Splits
-// may run concurrently. The record holds what its splits executed, so
-// whoever times a sweep makes a fresh one.
+// Sweep is the record that the runs of one app share: per launch, one
+// device.LaunchRecord for the range-guarded kernel its static splits launch,
+// and one plain record for the app's own kernel, which CPU-only and GPU-only
+// (the 0 % and 100 % splits) and SOCL launch over the whole grid. Every run
+// that computes the reference result starts each launch from the same bytes,
+// so a work-group executes on the first run that reaches it, and a later run
+// replays its Stats and stored words instead (DESIGN.md §3, "One execution
+// per group across a static sweep"). Runs may be concurrent. The record
+// holds what its runs executed, so whoever times a sweep makes a fresh one.
 type Sweep struct {
-	app      *App
-	launches []device.LaunchRecord
+	app  *App
+	recs [][2]device.LaunchRecord // per launch: guarded, plain
 }
 
-// NewSweep returns an empty record for static splits of app.
+// NewSweep returns an empty record for runs of app.
 func NewSweep(app *App) *Sweep {
-	return &Sweep{app: app, launches: make([]device.LaunchRecord, len(app.Launches))}
+	s := &Sweep{app: app, recs: make([][2]device.LaunchRecord, len(app.Launches))}
+	for i := range s.recs {
+		s.recs[i][1].Plain = true
+	}
+	return s
+}
+
+// record returns launch li's plain or guarded record; none without a sweep.
+func (s *Sweep) record(li int, plain bool) *device.LaunchRecord {
+	if s == nil {
+		return nil
+	}
+	if plain {
+		return &s.recs[li][1]
+	}
+	return &s.recs[li][0]
 }
 
 // RunStatic is RunStatic(m, app, gpuPct) for the sweep's app, sharing the
@@ -47,12 +64,18 @@ func (s *Sweep) RunStatic(m Machine, gpuPct int) (*Result, error) {
 	return runStatic(m, s.app, gpuPct, s)
 }
 
+// RunSocl is RunSocl(m, app, policy, model) for the sweep's app, sharing
+// the sweep's record; its result is the same.
+func (s *Sweep) RunSocl(m Machine, policy Policy, model DmdaModel) (*Result, error) {
+	return runSocl(m, s.app, policy, model, s)
+}
+
 func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 	if gpuPct <= 0 {
-		return RunSingle(m.CPU, app)
+		return runSingle(m.CPU, app, sw)
 	}
 	if gpuPct >= 100 {
-		return RunSingle(m.GPU, app)
+		return runSingle(m.GPU, app, sw)
 	}
 
 	env := sim.NewEnv()
@@ -102,10 +125,7 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 				scrs = append(scrs, s)
 			}
 
-			var rec *device.LaunchRecord
-			if sw != nil {
-				rec = &sw.launches[li]
-			}
+			rec := sw.record(li, false)
 			gArgs := d.args(l, true, ocl.IntArg(0), ocl.IntArg(int64(g-1)))
 			cArgs := d.args(l, false, ocl.IntArg(int64(g)), ocl.IntArg(int64(total-1)))
 			gEv, gRes := d.gpuQ.EnqueueNDRangeKernel(gpuProg.MustKernel(l.Kernel), l.ND.Slice(0, g-1), gArgs, ocl.LaunchOpts{Record: rec})
@@ -127,10 +147,8 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 				}
 				p.Wait(d.cpuQ.EnqueueReadBuffer(s.b.cpu, s.b.staging))
 				p.Wait(d.gpuQ.EnqueueWriteBuffer(s.cpuCopy, s.b.staging))
-				words := s.b.size / 4
-				local := 64
-				global := ((words + local - 1) / local) * local
-				ev, mr := d.gpuQ.EnqueueNDRangeKernel(mergeK, vm.NewNDRange1D(global, local),
+				words := s.b.size / 4 // merged by groups of 64 work-items
+				ev, mr := d.gpuQ.EnqueueNDRangeKernel(mergeK, vm.NewNDRange1D((words+63)/64*64, 64),
 					[]ocl.Arg{ocl.BufArg(s.cpuCopy), ocl.BufArg(s.b.gpu), ocl.BufArg(s.orig), ocl.IntArg(int64(words)), ocl.IntArg(0)},
 					ocl.LaunchOpts{})
 				p.Wait(ev)
@@ -150,10 +168,10 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 // same program at every split. Entries are immutable once stored, so one can
 // back any number of concurrent runs — the pattern of core's transform cache
 // and ocl's compile cache.
-var guardCache struct {
+var guardCache = struct {
 	sync.Mutex
 	m map[string]*guardEntry
-}
+}{m: map[string]*guardEntry{}}
 
 type guardEntry struct {
 	src  string
@@ -170,9 +188,6 @@ func buildGuarded(src string) (string, *clc.ProgramInfo, error) {
 	if !ok {
 		e = &guardEntry{}
 		e.src, e.info, e.err = transformGuarded(src)
-		if guardCache.m == nil {
-			guardCache.m = map[string]*guardEntry{}
-		}
 		guardCache.m[src] = e
 	}
 	return e.src, e.info, e.err
