@@ -147,12 +147,12 @@ HARNESS_LOC_MAX = 867
 # written as small indexed values.
 SCHED_LOC_MAX = 971
 # internal/device simulates the devices and serves launches from sweep
-# records and built-in kernels. 1311 is the count with the plain record (an
+# records and built-in kernels. 1312 is the count with the plain record (an
 # unguarded kernel's launches over the whole grid, keyed on every argument),
 # the wait for a group another run is recording, and the built-in fcl_merge
 # (merge.go: the diff-merge and its Stats counted from the lanes in range and
 # the lanes that differ).
-DEVICE_LOC_MAX = 1311
+DEVICE_LOC_MAX = 1312
 # internal/ocl is the vendor-runtime API over one device. 599 is the count
 # with built-in kernel selection: a kernel created by name from a program
 # built from passes.MergeKernelSource carries device.MergeGroup.

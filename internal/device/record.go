@@ -96,20 +96,21 @@ var (
 // words' argument indices assume they do not.
 func (r *LaunchRecord) admit(l *Launch, shared uint64) (lo, hi int, ok bool) {
 	args := l.Args
-	n, key := len(args), len(args) // key: the arguments the key covers
+	n := len(args)
 	if n != len(l.Kernel.Params) || aliased(args) {
 		return 0, 0, false
 	}
+	key := n // the arguments the key covers: all but a guard pair
 	if r.Plain {
 		hi = l.ND.TotalGroups() - 1
 		if l.ND.LaunchGroups() != hi+1 {
 			return 0, 0, false
 		}
 	} else {
-		if key -= 2; n < 2 || args[n-2].Kind != vm.ArgInt || args[n-1].Kind != vm.ArgInt {
+		if n < 2 || args[n-2].Kind != vm.ArgInt || args[n-1].Kind != vm.ArgInt {
 			return 0, 0, false
 		}
-		lo, hi = int(args[n-2].I), int(args[n-1].I)
+		key, lo, hi = n-2, int(args[n-2].I), int(args[n-1].I)
 	}
 	nd := l.ND
 	nd.GroupBase, nd.GroupCount = [3]int{}, [3]int{}
