@@ -65,8 +65,12 @@ func socl(policy sched.Policy) sweepRun {
 }
 
 // sweepRuns are every run a sweep serves: the static splits, CPU-only and
-// GPU-only among them, and SOCL under both policies.
-var sweepRuns = append(splits(sweepSplits...), socl(sched.Eager), socl(sched.Dmda))
+// GPU-only among them, and SOCL under both policies. plainRuns are those
+// that launch the app's own kernels.
+var (
+	sweepRuns = append(splits(sweepSplits...), socl(sched.Eager), socl(sched.Dmda))
+	plainRuns = append(splits(0, 100), socl(sched.Eager), socl(sched.Dmda))
+)
 
 // sameRun reports how two runs of one split differ, or "" if they do not.
 func sameRun(got, want *sched.Result) string {
@@ -132,14 +136,13 @@ func inRangeGroups(app *sched.App) int64 {
 func TestSweepParity(t *testing.T) {
 	down := slices.Clone(sweepRuns)
 	slices.Reverse(down)
-	plain := append(splits(0, 100), socl(sched.Eager), socl(sched.Dmda))
 	for _, check := range []bool{false, true} {
 		for _, b := range polybench.AllQuick() {
 			groups := inRangeGroups(b.App)
 			// The unguarded runs alone: CPU-only executes every group, and
 			// GPU-only and SOCL under both policies replay every one.
 			tally := device.WatchSweeps(t, check)
-			sweepParity(t, b.App, plain)
+			sweepParity(t, b.App, plainRuns)
 			if got := tally.Recorded.Load(); got != groups {
 				t.Errorf("%s: %d groups executed over the unguarded runs, want each of %d once", b.Name, got, groups)
 			}
@@ -339,8 +342,6 @@ __kernel void trap(__global float* x, int n) {
 	// Unguarded rows: CPU-only, GPU-only and SOCL launch the app's own
 	// kernels over the whole grid on the plain records. In each, a replay
 	// would be wrong somewhere, and there the group must execute.
-	unguarded := append(splits(0, 100), socl(sched.Eager), socl(sched.Dmda))
-
 	t.Run("unguarded: SOCL from other launch-start bytes", func(t *testing.T) {
 		app := *mirror
 		app.Inputs = map[string][]byte{"x": ramp(n)}
@@ -389,7 +390,7 @@ __kernel void trap(__global float* x, int n) {
 		sweepParity(t, &sched.App{
 			Name: "mirror2", Source: mirror.Source, Buffers: mirror.Buffers, Inputs: mirror.Inputs,
 			Launches: []sched.Launch{mirror.Launches[0], mirror.Launches[0]}, Outputs: []string{"x"},
-		}, unguarded)
+		}, plainRuns)
 		if got := tally.Recorded.Load(); got != 2*16 {
 			t.Errorf("%d groups executed, want each of both launches' 16 once", got)
 		}
@@ -403,7 +404,7 @@ __kernel void trap(__global float* x, int n) {
 		// in every run, and is never recorded.
 		tally := device.WatchSweeps(t, false)
 		sw := sched.NewSweep(trap)
-		for _, r := range unguarded {
+		for _, r := range plainRuns {
 			_, want := r.run(m, trap, nil)
 			if _, err := r.run(m, trap, sw); want == nil || err == nil || err.Error() != want.Error() {
 				t.Fatalf("%s on the record: error %v, want %v", r.name, err, want)
