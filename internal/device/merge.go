@@ -46,8 +46,8 @@ func MergeGroup(nd vm.NDRange, group [3]int, args []vm.Arg) (vm.Stats, bool) {
 	base := int64(group[0])*nwi + lo
 	in := min(max(nwords-base, 0), nwi)
 	// Per lane: get_global_id, the add of fcl_lo and the range compare, and
-	// the range branch; a lane in range adds the word compare and its
-	// branch.
+	// two branches, the range's and the word compare's, which a lane out of
+	// range reaches too; a lane in range adds the word compare.
 	st := vm.Stats{WorkGroups: 1, WorkItems: int(nwi), IntOps: 3*nwi + in, Branches: 2 * nwi}
 	if in == 0 {
 		return st, true
