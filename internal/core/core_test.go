@@ -824,7 +824,7 @@ func TestFinishDrainsAllQueues(t *testing.T) {
 		t.Fatal("Finish went backwards")
 	}
 	// After Finish, the DH transfer must have completed: a read is free.
-	if bufOut.twin().receivedVersion != bufOut.twin().expectedVersion {
+	if bufOut.lag.received != bufOut.lag.expected {
 		t.Fatal("Finish returned with DH still pending")
 	}
 }

@@ -29,28 +29,23 @@ import (
 // all: package sched routes Topology.Pair() machines to the twin protocol so
 // their results and virtual timings stay bit-identical.
 
-// nway is the protocol state of a NewTopo runtime: one application queue
-// per device plus the merge-path pools (all touched only inside the
-// cooperative engine): bp recycles per-chunk ship buffers, per-kernel orig
-// snapshots and flush snapshots; sp recycles the span slices detached into
-// in-flight scatter refreshes; outFree recycles nwayOut bookkeeping; cargs
-// keeps one reusable ocl arg slice per device (a chunk launch reads its args
-// when it starts, and the device's worker waits for the chunk to finish
-// before the next claim rewrites the slice).
+// nway is the protocol state of a NewTopo runtime, whose one queue per
+// device is the runtime's app queue: outFree recycles nwayOut bookkeeping;
+// cargs keeps one reusable ocl arg slice per device (a chunk launch reads its
+// args when it starts, and the device's worker waits for the chunk to finish
+// before the next claim rewrites the slice). Both are touched only inside
+// the cooperative engine.
 type nway struct {
-	r  *Runtime
-	qs []*ocl.CommandQueue // per device
-
-	bp      bytePool
-	sp      spanPool
+	r       *Runtime
 	outFree []*nwayOut
 	cargs   [][]ocl.Arg
 }
 
 func newNway(r *Runtime) *nway {
-	n := &nway{r: r, qs: make([]*ocl.CommandQueue, len(r.ctxs)), cargs: make([][]ocl.Arg, len(r.ctxs))}
+	n := &nway{r: r, cargs: make([][]ocl.Arg, len(r.ctxs))}
+	r.app = make([]*ocl.CommandQueue, len(r.ctxs))
 	for di := range r.ctxs {
-		n.qs[di] = r.createQueue(di, "app")
+		r.app[di] = r.createQueue(di, "app")
 	}
 	return n
 }
@@ -59,55 +54,8 @@ func (n *nway) source(e *transformEntry, di int) string { return e.cpuSrc }
 
 func (n *nway) variantContext() *ocl.Context { return nil }
 
-// drain hands the merge path's pooled scratch over for recycling.
-func (n *nway) drain(run [][]byte) [][]byte {
-	run = append(run, n.bp.free...)
-	n.bp.free = nil
-	return run
-}
-
-// nwayResidency is the per-device residency table of one buffer. The host
-// shadow is always the latest data once a kernel call returns; device copies
-// are allowed to go stale and are brought current lazily by the
-// delta-refresh planner: ver counts host-shadow versions, devVer[di] is the
-// version device di's copy last fully matched, and pend[di] is the exact
-// byte set device di's copy is missing. The invariant maintained by every
-// mutation below is that a device copy differs from the host shadow only
-// inside pend[di].
-type nwayResidency struct {
-	ver    int
-	devVer []int
-	pend   []intervalSet
-}
-
-func (b *Buffer) nway() *nwayResidency { return b.res.(*nwayResidency) }
-
-// attach: device copies start identical to the host shadow, so every pending
-// set is empty.
-func (n *nway) attach(b *Buffer) {
-	b.res = &nwayResidency{
-		devVer: make([]int, len(n.qs)),
-		pend:   make([]intervalSet, len(n.qs)),
-	}
-}
-
-// write broadcasts snap to every device; each device's in-order queue
-// sequences its copy before any later kernel chunk there, and every device
-// shares snap until a kernel writes its copy. The written range becomes
-// current everywhere, so it leaves every pending set.
-func (n *nway) write(b *Buffer, snap []byte) {
-	st := b.nway()
-	if len(snap) > 0 {
-		st.ver++
-	}
-	for i, q := range n.qs {
-		q.EnqueueWriteBuffer(b.bufs[i], snap)
-		st.pend[i].subtractRange(0, len(snap))
-		if st.pend[i].empty() {
-			st.devVer[i] = st.ver
-		}
-	}
-}
+// drain: the merge path's scratch is the runtime's byte pool.
+func (n *nway) drain(run [][]byte) [][]byte { return run }
 
 // awaitHost drains every device queue. Kernel calls block until the
 // host-rooted merge completes, so the host shadow is already current (the
@@ -147,12 +95,12 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 		o = n.outFree[f-1]
 		n.outFree = n.outFree[:f-1]
 	} else {
-		o = &nwayOut{own: make([]intervalSet, len(n.qs))}
+		o = &nwayOut{own: make([]intervalSet, len(n.r.app))}
 	}
 	o.b, o.idx = b, idx
 	o.exact = el.writes != nil && el.writes.MustCover && el.writes.Monotone()
 	o.staleShip = false
-	o.orig = n.bp.get(b.Size)
+	o.orig = n.r.bp.get(b.Size)
 	copy(o.orig, b.host)
 	o.dirty.reset()
 	for i := range o.own {
@@ -163,59 +111,11 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 
 // putOut releases o's pooled resources after the post-join commit.
 func (n *nway) putOut(o *nwayOut) {
-	n.bp.put(o.orig)
+	n.r.bp.put(o.orig)
 	o.orig = nil
 	o.b = nil
 	if len(n.outFree) < maxPooledBufs {
 		n.outFree = append(n.outFree, o)
-	}
-}
-
-// flushPend brings every stale device copy of b current before a kernel
-// launch: each device with a non-empty pending set receives one scatter
-// write of exactly the bytes it is missing, enqueued on its in-order queue
-// so it lands before that device's first chunk of the kernel — pipelined
-// against other devices' transfers and compute. The pending set's span
-// array and a pooled host snapshot travel with the transfer and return to
-// their pools when the last refresh retires.
-func (n *nway) flushPend(b *Buffer, rep *KernelReport) {
-	st := b.nway()
-	need := 0
-	for di := range st.pend {
-		if !st.pend[di].empty() {
-			need++
-		}
-	}
-	if need == 0 {
-		return
-	}
-	snap := n.bp.get(b.Size)
-	for di := range st.pend {
-		for _, s := range st.pend[di].spans {
-			copy(snap[s.Off:s.End], b.host[s.Off:s.End])
-		}
-	}
-	left := need
-	for di := range st.pend {
-		ps := &st.pend[di]
-		if ps.empty() {
-			continue
-		}
-		// Detach the span array into the transfer; the set continues with a
-		// pooled replacement.
-		spans := ps.spans
-		ps.spans = n.sp.get()
-		ps.scratch = ps.scratch[:0]
-		n.qs[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, snap, "refresh")
-		n.qs[di].EnqueueCall(func() {
-			n.sp.put(spans)
-			if left--; left == 0 {
-				n.bp.put(snap)
-			}
-		})
-		st.devVer[di] = st.ver
-		n.r.ctr.RefreshDeltas++
-		rep.RefreshDeltas++
 	}
 }
 
@@ -234,38 +134,25 @@ func (n *nway) skipRefresh(rep *KernelReport, bytes int64) {
 func (n *nway) run(p *sim.Proc, l *launch) error {
 	r, k, rep := n.r, l.k, l.rep
 	total := l.nd.TotalGroups()
-	rep.DeviceWGs = make([]int, len(n.qs))
+	rep.DeviceWGs = make([]int, len(r.app))
 
-	// Plan the launch's transfers: for every buffer argument, first decide
-	// whether stale device copies must be flushed current (the delta
-	// refresh), then set up merge bookkeeping for written buffers. A
-	// write-only argument whose certificate proves the launch overwrites
-	// the whole buffer needs no flush — the generalized N-device form of
-	// the twin protocol's stale-upload elision; its pending bytes persist
-	// (they may well be overwritten equal and stay stale) and the post-join
-	// cross-check verifies the overwrite actually covered the buffer.
+	// Plan the launch's transfers: for every buffer argument, flush or skip
+	// its stale device copies (settle, the delta refresh), then set up merge
+	// bookkeeping for written buffers. The planner's tallies are this
+	// protocol's: it books the flushes and the stale bytes a full-overwrite
+	// certificate left in place.
 	var outs []*nwayOut
 	for i, param := range k.Info.Kernel.Params {
 		if !param.Ty.Ptr || total == 0 {
 			continue
 		}
-		b := l.args[i].Buf
-		written := k.Info.ParamAccess[param.Name].Written
-		stale := false
-		if written && l.el[i].fullOverwrite {
-			for _, ps := range b.nway().pend {
-				if !ps.empty() {
-					stale = true
-					n.skipRefresh(rep, int64(ps.bytes()))
-					r.ctr.UploadsSkipped++
-				}
-			}
-		} else {
-			n.flushPend(b, rep)
-		}
-		if written {
-			o := n.getOut(b, i, l.el[i])
-			o.staleShip = stale
+		deltas, stale := r.settle(l, i, "refresh")
+		r.ctr.RefreshDeltas += deltas
+		rep.RefreshDeltas += deltas
+		n.skipRefresh(rep, stale)
+		if k.Info.ParamAccess[param.Name].Written {
+			o := n.getOut(l.args[i].Buf, i, l.el[i])
+			o.staleShip = stale > 0
 			outs = append(outs, o)
 		}
 	}
@@ -307,8 +194,8 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	var dyn vm.Stats // aggregate dynamic stats across every chunk launch
 	subkernels := 0
 
-	for di := range n.qs {
-		di := di
+	for di, q := range r.app {
+		di, q := di, q
 		cfg := &r.ctxs[di].Dev.Cfg
 		wg.Add(1)
 		r.Env.Go(fmt.Sprintf("topo-dev%d-k%d", di, l.kid), func(sp *sim.Proc) {
@@ -325,7 +212,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 				cargs := lowerChunkArgs(n.cargs[di][:0], l.args, di, clo, chi)
 				n.cargs[di] = cargs
 				t0 := sp.Now()
-				ev, res := n.qs[di].EnqueueNDRangeKernel(k.ks[di], l.nd.Slice(clo, chi), cargs, ocl.LaunchOpts{
+				ev, res := q.EnqueueNDRangeKernel(k.ks[di], l.nd.Slice(clo, chi), cargs, ocl.LaunchOpts{
 					Split:   cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && l.split,
 					Backend: r.opts.Backend,
 				})
@@ -390,18 +277,12 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	// that touches the buffer on that device, pipelined on its in-order
 	// queue ahead of the chunk launches (§5.5 generalized).
 	for _, o := range outs {
-		b, st := o.b, o.b.nway()
-		if !o.dirty.empty() {
-			st.ver++
-		}
-		for di := range n.qs {
-			st.pend[di].subtract(&o.own[di])
-			added := st.pend[di].addSetMinus(&o.dirty, &o.own[di])
-			st.pend[di].capSpans()
+		b := o.b
+		for di := range b.pend {
+			b.pend[di].subtract(&o.own[di])
+			added := b.pend[di].addSetMinus(&o.dirty, &o.own[di])
+			b.pend[di].capSpans()
 			n.skipRefresh(rep, int64(b.Size-added))
-			if st.pend[di].empty() {
-				st.devVer[di] = st.ver
-			}
 		}
 		n.putOut(o)
 	}
@@ -435,8 +316,8 @@ func (n *nway) shipChunk(l *launch, di, lo, hi int, outs []*nwayOut, stats *vm.S
 			continue
 		}
 		o := o
-		data := n.bp.get(end - off)
-		ev := n.qs[di].EnqueueReadBufferAtTagged(o.b.bufs[di], off, data, "ship")
+		data := r.bp.get(end - off)
+		ev := r.app[di].EnqueueReadBufferAtTagged(o.b.bufs[di], off, data, "ship")
 		wg.Add(1)
 		r.Env.Go(fmt.Sprintf("topo-ship-d%d-k%d-lo%d", di, l.kid, lo), func(mp *sim.Proc) {
 			defer wg.Done()
@@ -452,7 +333,7 @@ func (n *nway) shipChunk(l *launch, di, lo, hi int, outs []*nwayOut, stats *vm.S
 			// merge procs run one at a time in the cooperative engine, so no
 			// locking is needed and the merge order is deterministic.
 			diffMergeChunk(data, o.orig, o.b.host, off, o.exact, &o.dirty, &o.own[di])
-			n.bp.put(data)
+			r.bp.put(data)
 		})
 	}
 	return nil

@@ -117,14 +117,14 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 			t.Error("expected one device to claim zero work-groups")
 			return
 		}
-		if bufB.nway().pend[loser].empty() {
+		if bufB.pend[loser].empty() {
 			t.Errorf("zero-chunk device %d has an empty pending set after the kernel", loser)
 			return
 		}
 		// Every word the kernel wrote is non-zero over a zero-initialized
 		// buffer, so the dirty delta is the whole buffer and the zero-chunk
 		// device must be pending all of it.
-		if got := bufB.nway().pend[loser].bytes(); got != bufB.Size {
+		if got := bufB.pend[loser].bytes(); got != bufB.Size {
 			t.Errorf("zero-chunk device pending %d bytes, want the full dirty delta %d", got, bufB.Size)
 		}
 		// Kernel 2 reads bufB: the planner must flush the loser's delta
@@ -138,8 +138,8 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 		if rep2.RefreshDeltas == 0 {
 			t.Error("kernel 2 enqueued no delta refresh for the stale device")
 		}
-		if !bufB.nway().pend[loser].empty() {
-			t.Errorf("pending set still non-empty after flush: %v", bufB.nway().pend[loser].spans)
+		if !bufB.pend[loser].empty() {
+			t.Errorf("pending set still non-empty after flush: %v", bufB.pend[loser].spans)
 		}
 		devCopy = make([]byte, bufB.Size)
 		p.Wait(rt.qs[loser].EnqueueReadBuffer(bufB.bufs[loser], devCopy))

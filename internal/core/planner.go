@@ -7,15 +7,15 @@ import (
 	"fluidicl/internal/ocl"
 )
 
-// This file is the delta-refresh transfer planner of the N-way topology
-// runtime (DESIGN.md S19). After the twin protocol's generalization to N
-// devices (nway.go), the post-kernel refresh used to rebroadcast every
-// written buffer in full to every device. The planner replaces that with
-// dirty-interval accounting: the host-rooted merge records exactly which
-// byte runs each kernel changed and which device computed them, and each
-// device's copy is brought current lazily — with a single scatter-write of
-// only the bytes that device is actually missing — right before the next
-// kernel that uses the buffer there.
+// This file is the delta-refresh transfer planner (DESIGN.md S19), the one
+// residency mechanism of both protocols. Every buffer keeps, per device, the
+// byte set that device's copy is missing (Buffer.pend), and a launch brings
+// each device's copy current — with a single scatter-write of only the
+// bytes that device is missing — before that device runs a chunk of it
+// (settle, flushPend). The N-way merge (nway.go) books exactly which byte
+// runs each kernel changed and which device computed them; the twin protocol
+// (twin.go) books a whole stale copy: the GPU's after the CPU computed a
+// kernel alone, the CPU's when a merged result comes home.
 
 // pendMaxSpans caps the fragmentation of a per-device pending set: past
 // this many intervals the set is collapsed to its hull. Collapsing is
@@ -40,6 +40,12 @@ type intervalSet struct {
 
 func (s *intervalSet) reset()      { s.spans = s.spans[:0] }
 func (s *intervalSet) empty() bool { return len(s.spans) == 0 }
+
+// setAll makes the set every byte of a size-byte buffer.
+func (s *intervalSet) setAll(size int) {
+	s.reset()
+	s.add(0, size)
+}
 
 // bytes returns the total byte count covered by the set.
 func (s *intervalSet) bytes() int {
@@ -179,6 +185,76 @@ func (s *intervalSet) capSpans() {
 		return
 	}
 	s.spans = append(s.spans[:0], ocl.Span{Off: s.spans[0].Off, End: s.spans[len(s.spans)-1].End})
+}
+
+// settle is a launch's flush-or-skip for buffer argument i: it flushes the
+// argument's stale device copies (flushPend, label naming the transfers),
+// unless the launch provably overwrites the whole buffer — the
+// full-overwrite certificate — in which case the stale copies stay as they
+// are: their pending bytes persist (they may be overwritten equal and stay
+// stale), and the post-join cross-check verifies that the dynamic writes
+// covered the buffer (checkFullOverwrite). It returns the flushes it
+// enqueued and the stale bytes it left.
+func (r *Runtime) settle(l *launch, i int, label string) (deltas, stale int64) {
+	b := l.args[i].Buf
+	if !l.el[i].fullOverwrite {
+		return r.flushPend(b, label), 0
+	}
+	for di := range b.pend {
+		if n := b.pend[di].bytes(); n > 0 {
+			stale += int64(n)
+			r.ctr.UploadsSkipped++
+		}
+	}
+	if stale > 0 {
+		r.tracef(l.kid, "upload of stale out buffer %q skipped (full-overwrite summary)", l.paramName(i))
+	}
+	return 0, stale
+}
+
+// flushPend brings every stale device copy of b current: each device with
+// a non-empty pending set receives one scatter write of exactly the bytes it
+// is missing, enqueued on its in-order app queue so it lands before
+// anything queued there later — pipelined against other devices' transfers
+// and compute. The pending set's span array and a pooled host snapshot
+// travel with the transfer and return to their pools when the last flush
+// retires. It returns the number of writes enqueued.
+func (r *Runtime) flushPend(b *Buffer, label string) int64 {
+	need := 0
+	for di := range b.pend {
+		if !b.pend[di].empty() {
+			need++
+		}
+	}
+	if need == 0 {
+		return 0
+	}
+	snap := r.bp.get(b.Size)
+	for di := range b.pend {
+		for _, s := range b.pend[di].spans {
+			copy(snap[s.Off:s.End], b.host[s.Off:s.End])
+		}
+	}
+	left := need
+	for di := range b.pend {
+		ps := &b.pend[di]
+		if ps.empty() {
+			continue
+		}
+		// Detach the span array into the transfer; the set continues with a
+		// pooled replacement.
+		spans := ps.spans
+		ps.spans = r.sp.get()
+		ps.scratch = ps.scratch[:0]
+		r.app[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, snap, label)
+		r.app[di].EnqueueCall(func() {
+			r.sp.put(spans)
+			if left--; left == 0 {
+				r.bp.put(snap)
+			}
+		})
+	}
+	return int64(need)
 }
 
 // bytePool recycles host-side scratch slices across chunks and kernels

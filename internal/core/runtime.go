@@ -124,6 +124,13 @@ type Runtime struct {
 	Env  *sim.Env
 	ctxs []*ocl.Context
 	qs   []*ocl.CommandQueue // every runtime queue, in creation order
+	app  []*ocl.CommandQueue // per device: the queue writes and flushes go on
+
+	// Host staging, touched only inside the cooperative engine: bp recycles
+	// byte slices (ships, merge snapshots, flush snapshots), sp the span
+	// slices detached into in-flight flushes.
+	bp bytePool
+	sp spanPool
 
 	opts  Options
 	proto protocol
@@ -149,12 +156,6 @@ type Runtime struct {
 // protocol is one cooperation policy over the shared substrate. Everything
 // outside this interface is protocol-agnostic.
 type protocol interface {
-	// attach gives a new buffer its protocol-private residency state.
-	attach(b *Buffer)
-	// write sequences snap — already copied into the host shadow — onto
-	// the devices. snap stays unchanged until Release, so the device writes
-	// hand it over (ocl.CommandQueue.EnqueueWriteBuffer).
-	write(b *Buffer, snap []byte)
 	// awaitHost blocks until the host shadow holds b's latest contents.
 	awaitHost(p *sim.Proc, b *Buffer)
 	// source picks the transformed source device di compiles.
@@ -223,13 +224,19 @@ func (r *Runtime) createQueue(di int, name string) *ocl.CommandQueue {
 // ---- buffers ----
 
 // Buffer is a FluidiCL memory object: one buffer per device plus a host
-// shadow (§4.1), with the protocol's residency tracking (§5.3, §6.2).
+// shadow (§4.1), with its residency (§5.3, §6.2). pend[di] is the exact byte
+// set device di's copy is missing: every mutation keeps a device copy equal
+// to the host shadow outside pend[di], and a launch flushes the sets of its
+// buffers before any device runs a chunk (flushPend). The host shadow itself
+// can lag only under the twin protocol, whose merged results come home after
+// the kernel call returns (lag).
 type Buffer struct {
 	rt   *Runtime
 	Size int
 	bufs []*ocl.Buffer // per device
 	host []byte        // host shadow
-	res  any           // protocol-private residency (*twinResidency or *nwayResidency)
+	pend []intervalSet // per device
+	lag  hostLag
 }
 
 // CreateBuffer creates a buffer on every device (paper §4.1: clCreateBuffer
@@ -239,11 +246,11 @@ type Buffer struct {
 // start identical.
 func (r *Runtime) CreateBuffer(size int) *Buffer {
 	r.mustBeLive()
-	b := &Buffer{rt: r, Size: size, host: ocl.ZeroBytes(size), bufs: make([]*ocl.Buffer, len(r.ctxs))}
+	b := &Buffer{rt: r, Size: size, host: ocl.ZeroBytes(size),
+		bufs: make([]*ocl.Buffer, len(r.ctxs)), pend: make([]intervalSet, len(r.ctxs))}
 	for di, ctx := range r.ctxs {
 		b.bufs[di] = ctx.CreateBuffer(size)
 	}
-	r.proto.attach(b)
 	r.bufs = append(r.bufs, b)
 	return b
 }
@@ -270,7 +277,8 @@ func (r *Runtime) Release() {
 		return
 	}
 	r.released = true
-	run := r.proto.drain(r.snaps)
+	run := r.proto.drain(append(r.snaps, r.bp.free...))
+	r.bp.free = nil
 	for _, b := range r.bufs {
 		run = append(run, b.host)
 		b.host = nil
@@ -293,14 +301,22 @@ func (r *Runtime) mustBeLive() {
 // the data and returns immediately; the in-order device queues sequence the
 // transfers before any later kernel on that device, so each device starts as
 // soon as its own copy lands (§5.5's overlap of communication with
-// execution).
+// execution). The written range is current everywhere, so it leaves every
+// pending set; every device shares the snapshot until a kernel writes its
+// copy. The write is the newest version of the buffer, so it first waits for
+// an older one still on its way home.
 func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	r.mustBeLive()
 	if len(data) > b.Size {
 		panic("core: write larger than buffer")
 	}
+	b.lag.await(p)
 	copy(b.host, data)
-	r.proto.write(b, r.snapshot(data))
+	snap := r.snapshot(data)
+	for di, q := range r.app {
+		q.EnqueueWriteBuffer(b.bufs[di], snap)
+		b.pend[di].subtractRange(0, len(data))
+	}
 }
 
 // EnqueueReadBuffer returns the buffer's current contents once the host

@@ -17,6 +17,18 @@ import (
 // the GPU, and a generated diff-merge kernel on the GPU folds the two
 // devices' results together; a device-to-host thread returns the merged
 // data asynchronously so the next kernel can overlap it.
+//
+// Device copies are kept current by the residency both protocols share
+// (Buffer.pend, planner.go): a kernel the CPU computed alone leaves the
+// GPU's whole copy pending, which the next launch that uses the buffer
+// uploads (settle, "upload"); a merged result coming home leaves the CPU's
+// whole copy pending, which the device-to-host thread flushes at once
+// ("refresh"). What is the twin's own is the lag of the host shadow (and of
+// the CPU copy refreshed from it) behind the GPU's merged result: hostLag,
+// a version pair and a readiness event (§5.3). A device runs a chunk only
+// on current copies, so the CPU scheduler waits for the readiness of every
+// buffer argument, and a host write waits for any older version still on
+// its way home.
 
 // The twin protocol's device indices (New's device order).
 const (
@@ -44,6 +56,7 @@ func newTwin(r *Runtime) (*twin, error) {
 	t.gpuHD = r.createQueue(twinGPU, "hd")
 	t.gpuDH = r.createQueue(twinGPU, "dh")
 	t.cpuQ = r.createQueue(twinCPU, "app")
+	r.app = []*ocl.CommandQueue{t.cpuQ, t.gpuApp}
 	mergeProg, err := gpu.BuildProgram(passes.MergeKernelSource)
 	if err != nil {
 		return nil, fmt.Errorf("core: building merge kernel: %w", err)
@@ -83,48 +96,30 @@ func cpuVersion(k *Kernel, v int) *ocl.Kernel {
 	return k.variants[v-1]
 }
 
-// ---- residency: versions and data location (§5.3, §6.2) ----
+// ---- host lag: versions (§5.3, §6.2) ----
 
-// twinResidency tracks which kernel's output a buffer holds where.
-type twinResidency struct {
-	expectedVersion int // kernel ID expected to produce the next contents
-	receivedVersion int // version present in the host shadow / CPU buffer
-
-	locCPU bool // most recent data available on the CPU side
-	locGPU bool // most recent data available on the GPU
-
-	cpuReady *sim.Event // fires when receivedVersion reaches expectedVersion
+// hostLag is how far a buffer's host shadow and CPU copy lag behind its
+// latest contents. expected is the kernel ID that produces the next
+// contents, received the version the host shadow and the CPU copy hold, and
+// ready (nil until a kernel first claims the buffer) fires when received
+// reaches expected. Only the twin protocol lags: under N-way both stay 0.
+type hostLag struct {
+	expected, received int
+	ready              *sim.Event
 }
 
-func (b *Buffer) twin() *twinResidency { return b.res.(*twinResidency) }
-
-func (t *twin) attach(b *Buffer) {
-	st := &twinResidency{locCPU: true, locGPU: true, cpuReady: t.r.Env.NewEvent()}
-	st.cpuReady.Fire()
-	b.res = st
-}
-
-func (t *twin) write(b *Buffer, snap []byte) {
-	t.gpuApp.EnqueueWriteBuffer(b.bufs[twinGPU], snap)
-	t.cpuQ.EnqueueWriteBuffer(b.bufs[twinCPU], snap)
-	st := b.twin()
-	st.locCPU, st.locGPU = true, true
-	st.receivedVersion = st.expectedVersion
-	if !st.cpuReady.Fired() {
-		st.cpuReady.Fire()
+// await blocks until the host shadow holds the latest version.
+func (h *hostLag) await(p *sim.Proc) {
+	if h.received != h.expected {
+		p.Wait(h.ready)
 	}
 }
 
 // awaitHost waits only when a device-to-host transfer for the current
-// version is in flight (or the data lives only on the GPU); data location
-// tracking (§6.2) makes every other read free. It must not drain the queues:
-// the paper's host program reads its outputs while later transfers are still
-// in flight.
-func (t *twin) awaitHost(p *sim.Proc, b *Buffer) {
-	if st := b.twin(); st.receivedVersion != st.expectedVersion || !st.locCPU {
-		p.Wait(st.cpuReady)
-	}
-}
+// version is in flight; version tracking (§6.2) makes every other read free.
+// It must not drain the queues: the paper's host program reads its outputs
+// while later transfers are still in flight.
+func (t *twin) awaitHost(p *sim.Proc, b *Buffer) { b.lag.await(p) }
 
 // statusUpdate is one CPU-completion message as observed at the GPU (the
 // moment its transfer landed).
@@ -201,6 +196,7 @@ type schedOutcome struct {
 type scratchPair struct {
 	buf     *Buffer
 	idx     int        // original parameter index
+	stale   bool       // the GPU ran on a stale copy (full-overwrite certificate)
 	ready   *sim.Event // this kernel's CPU-side readiness event for buf
 	orig    *ocl.Buffer
 	cpuCopy *ocl.Buffer
@@ -215,42 +211,31 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 	r, k, kid, nd, rep := t.r, l.k, l.kid, l.nd, l.rep
 	var scratches []scratchPair // one per written buffer
 	var inputReady []*sim.Event
-	var staleUploads []int // parameters whose stale-GPU-copy upload was elided
 	for i, param := range k.Info.Kernel.Params {
 		if !param.Ty.Ptr {
 			continue
 		}
 		b := l.args[i].Buf
-		st := b.twin()
-		acc := k.Info.ParamAccess[param.Name]
-		if acc.Read {
-			// The CPU scheduler must wait for this buffer's current version
-			// to be available CPU-side (§5.3). Capture the readiness event
-			// before out-buffer bookkeeping replaces it.
-			inputReady = append(inputReady, st.cpuReady)
+		// The CPU scheduler must wait for this buffer's current version to
+		// be available CPU-side (§5.3) — also when the kernel only writes
+		// it, or a refresh still on its way would land over the chunks'
+		// results. Capture the readiness event before out-buffer
+		// bookkeeping replaces it.
+		if b.lag.ready != nil {
+			inputReady = append(inputReady, b.lag.ready)
 		}
-		if acc.Written {
-			scratches = append(scratches, scratchPair{buf: b, idx: i})
-		}
-		// GPU-side readiness: if the most recent data lives only on the
-		// CPU (previous kernel ran entirely there), upload it first. The
-		// write is ordered before the kernel by the in-order app queue.
-		// When the analyzer proved the kernel overwrites every word of the
-		// buffer, the stale GPU copy never becomes visible — both devices
-		// recompute their slots from unwritten inputs — and the upload is
-		// skipped (the merge compares CPU data against the same stale
-		// bytes the scratches were primed from, so untouched words keep
-		// whatever the GPU holds and touched words take a freshly computed
-		// value from one device or the other).
-		if !st.locGPU {
-			if l.el[i].fullOverwrite {
-				staleUploads = append(staleUploads, i)
-				r.ctr.UploadsSkipped++
-				r.tracef(kid, "upload of stale out buffer %q skipped (full-overwrite summary)", param.Name)
-			} else {
-				t.gpuApp.EnqueueWriteBufferTagged(b.bufs[twinGPU], r.snapshot(b.host), "upload")
-				st.locGPU = true
-			}
+		// GPU-side readiness: a GPU copy left stale by a kernel the CPU
+		// computed alone is uploaded first, ordered before the kernel by the
+		// in-order app queue. When the analyzer proved the kernel overwrites
+		// every word of the buffer, the stale copy never becomes visible —
+		// both devices recompute their slots from unwritten inputs — and the
+		// upload is skipped (the merge compares CPU data against the same
+		// stale bytes the scratches were primed from, so untouched words
+		// keep whatever the GPU holds and touched words take a freshly
+		// computed value from one device or the other).
+		_, stale := r.settle(l, i, "upload")
+		if k.Info.ParamAccess[param.Name].Written {
+			scratches = append(scratches, scratchPair{buf: b, idx: i, stale: stale > 0})
 		}
 	}
 
@@ -279,11 +264,10 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 	// readiness event created for THIS kernel: by the time its data reaches
 	// the CPU side a later kernel may have replaced the buffer's event.
 	for i := range scratches {
-		st := scratches[i].buf.twin()
-		st.expectedVersion = kid
-		st.locCPU = false
-		st.cpuReady = r.Env.NewEvent()
-		scratches[i].ready = st.cpuReady
+		lag := &scratches[i].buf.lag
+		lag.expected = kid
+		lag.ready = r.Env.NewEvent()
+		scratches[i].ready = lag.ready
 	}
 
 	// Launch the transformed kernel over the full NDRange on the GPU.
@@ -345,7 +329,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		if gpuRes.Err != nil {
 			r.deferredErr = fmt.Errorf("core: GPU execution of %q: %w", k.Name, gpuRes.Err)
 		}
-		if err := l.crossCheckTwin(staleUploads, outcome, gpuRes.Stats); err != nil && r.deferredErr == nil {
+		if err := l.crossCheckTwin(scratches, outcome, gpuRes.Stats); err != nil && r.deferredErr == nil {
 			r.deferredErr = err
 		}
 	})
@@ -367,14 +351,13 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		(!gpuDone.Fired() || gpuRes.Executed < nd.TotalGroups()) {
 		// The final data is already on the CPU; the GPU's partial results
 		// are ignored and no device-to-host transfer is needed (§4.2, §4.4).
+		// The GPU's whole copy is stale until the next launch there.
 		r.tracef(kid, "CPU completed entire NDRange first; GPU results ignored")
 		for _, sc := range scratches {
 			b := sc.buf
 			p.Wait(t.cpuQ.EnqueueReadBuffer(b.bufs[twinCPU], b.host))
-			st := b.twin()
-			st.receivedVersion = kid
-			st.locCPU = true
-			st.locGPU = false
+			b.lag.received = kid
+			b.pend[twinGPU].setAll(b.Size)
 			sc.ready.Fire()
 		}
 		t.releaseScratchesWhenSafe(sched.Done, gpuDone, scratches, outcome, nil)
@@ -431,7 +414,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		// (§5.5: copies of out buffers are made at the end of the kernel).
 		dhCopies[i] = t.pool.acquire(sc.buf.Size)
 		mergeEvents = append(mergeEvents, t.gpuApp.EnqueueCopyBuffer(gpuBuf, dhCopies[i]))
-		sc.buf.twin().locGPU = true
+		sc.buf.pend[twinGPU].reset()
 	}
 	var dhDone *sim.Event
 	if len(scratches) > 0 {
@@ -443,21 +426,20 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 				dp.Wait(t.gpuDH.EnqueueReadBuffer(dhCopies[i], b.host))
 				r.tracef(kid, "device-to-host transfer of out buffer %d complete", i)
 				// Refresh the CPU device's copy so subsequent kernels can
-				// execute there too (§4.4). No need to wait: the in-order
-				// CPU queue sequences this write before any later
-				// subkernel, even behind a laggard subkernel of this
-				// kernel whose results are being ignored. The shadow changes
-				// with a later kernel's results, so the write copies it
-				// rather than handing it over.
-				t.cpuQ.EnqueueWriteBufferAtTagged(b.bufs[twinCPU], 0, b.host, "refresh")
+				// execute there too (§4.4): its whole copy is stale, and the
+				// flush copies the shadow, which a later kernel's results
+				// change. No need to wait: the in-order CPU queue sequences
+				// the flush before any later subkernel, even behind a laggard
+				// subkernel of this kernel whose results are being ignored.
+				b.pend[twinCPU].setAll(b.Size)
+				r.flushPend(b, "refresh")
 				// A later kernel may have claimed the buffer meanwhile (an
 				// in-place update): its CPU scheduler waits on THIS kernel's
 				// event for its input, so that is the one to fire — but the
 				// host shadow is only version kid, which must not pass for
 				// the newer version a reader now expects.
-				if st := b.twin(); st.expectedVersion == kid {
-					st.receivedVersion = kid
-					st.locCPU = true
+				if b.lag.expected == kid {
+					b.lag.received = kid
 				}
 				sc.ready.Fire()
 				t.pool.release(dhCopies[i])
@@ -476,7 +458,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 // launch-level certified windows, the windows of the group suffix the CPU
 // was assigned (ship narrowing forwarded only those bytes to the merge),
 // and full coverage wherever a stale-GPU-copy upload was elided.
-func (l *launch) crossCheckTwin(staleUploads []int, out *schedOutcome, gpuStats vm.Stats) error {
+func (l *launch) crossCheckTwin(scratches []scratchPair, out *schedOutcome, gpuStats vm.Stats) error {
 	var dyn vm.Stats
 	dyn.Add(out.stats)
 	dyn.Add(gpuStats)
@@ -500,14 +482,17 @@ func (l *launch) crossCheckTwin(staleUploads []int, out *schedOutcome, gpuStats 
 			}
 		}
 	}
-	for _, i := range staleUploads {
+	for _, sc := range scratches {
+		if !sc.stale {
+			continue
+		}
 		// CPU-only coverage when the CPU computed everything: the result is
 		// then read from the CPU buffer alone.
 		cov := &dyn
 		if out.didAll {
 			cov = &out.stats
 		}
-		if err := l.checkFullOverwrite(i, cov); err != nil {
+		if err := l.checkFullOverwrite(sc.idx, cov); err != nil {
 			return err
 		}
 	}
@@ -677,7 +662,7 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 		if end == off {
 			continue // every slot of this chunk lies past the buffer's end
 		}
-		data := make([]byte, end-off)
+		data := r.bp.get(end - off)
 		stages = append(stages, staged{
 			data:   data,
 			off:    off,
@@ -709,6 +694,9 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 			r.tracef(kid, "status arrived at GPU: work-groups >= %d complete on CPU", lo)
 		})
 		wp.Wait(stEv)
+		for _, s := range stages {
+			r.bp.put(s.data)
+		}
 		shipped.Fire()
 	})
 	return shipped
