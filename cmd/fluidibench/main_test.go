@@ -148,6 +148,44 @@ func TestJSONOutMatchesTopologyMatrixGolden(t *testing.T) {
 	}
 }
 
+// TestDistTopologyGolden pins the work-distribution tables
+//
+//	fluidibench -quick -topology cpu+gpu -dist
+//	fluidibench -quick -topology 2cpu+2gpu -dist
+//
+// against testdata/dist_quick.golden, byte for byte: per device, the
+// work-group split, virtual busy and link times, and the bytes each link
+// carried (H2D, refresh, D2H), so a change to what the runtimes transfer
+// shows here even when it moves no virtual time. Regenerate with
+// UPDATE_GOLDEN=1 go test ./cmd/fluidibench -run TestDistTopologyGolden.
+func TestDistTopologyGolden(t *testing.T) {
+	var got []byte
+	for _, topo := range []string{"cpu+gpu", "2cpu+2gpu"} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS=-quick -topology "+topo+" -dist")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("fluidibench -quick -topology %s -dist: %v", topo, err)
+		}
+		got = append(got, out...)
+	}
+	golden := filepath.Join("testdata", "dist_quick.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("-dist tables differ from golden %s; if the change is intentional, regenerate with UPDATE_GOLDEN=1\n--- got ---\n%s",
+			golden, got)
+	}
+}
+
 // TestQuickReachesBenchmarkCommands: run and trace with -quick work on the
 // quick-scale input, which they print, not on the full one.
 func TestQuickReachesBenchmarkCommands(t *testing.T) {
