@@ -36,7 +36,8 @@ type Counters struct {
 	// outright under a full-overwrite certificate.
 	RefreshBytesSkipped int64
 	// RefreshDeltas counts the delta scatter-writes ("refresh" transfers)
-	// the planner enqueued to bring a stale device copy current.
+	// the N-way planner enqueued to bring a stale device copy current (the
+	// twin protocol's uploads and refreshes take the same path uncounted).
 	RefreshDeltas int64
 
 	// VM backend activity (process-global; only CounterSnapshot fills it).

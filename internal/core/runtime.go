@@ -22,12 +22,13 @@
 //   - merges the two devices' results on the GPU with a generated
 //     diff-merge kernel (§4.3, Fig. 9) and returns the final data to the
 //     host on a dedicated device-to-host thread (§5.6);
-//   - tracks buffer versions and data location so multi-kernel programs
-//     stay coherent without programmer effort (§5.3, §6.2).
+//   - tracks buffer versions and stale device copies so multi-kernel
+//     programs stay coherent without programmer effort (§5.3, §6.2).
 //
-// NewTopo selects the N-way generalization for any device list (nway.go,
-// planner.go): devices claim chunks from both ends of the flattened range,
-// results merge at the host, and stale device copies are refreshed by delta.
+// NewTopo selects the N-way generalization for any device list (nway.go):
+// devices claim chunks from both ends of the flattened range and results
+// merge at the host. Under both protocols a launch brings the stale device
+// copies of its buffers current by delta first (planner.go).
 package core
 
 import (
@@ -255,15 +256,6 @@ func (r *Runtime) CreateBuffer(size int) *Buffer {
 	return b
 }
 
-// snapshot copies data into storage that stays untouched until Release, for
-// device writes that take it over.
-func (r *Runtime) snapshot(data []byte) []byte {
-	snap := ocl.TakeBytes(len(data))
-	copy(snap, data)
-	r.snaps = append(r.snaps, snap)
-	return snap
-}
-
 // Release hands the run's storage — host shadows, the device copies that own
 // their storage, write snapshots (which the others share) and the protocol's
 // pooled scratch, each backing array once — to the process-wide free
@@ -301,10 +293,10 @@ func (r *Runtime) mustBeLive() {
 // the data and returns immediately; the in-order device queues sequence the
 // transfers before any later kernel on that device, so each device starts as
 // soon as its own copy lands (§5.5's overlap of communication with
-// execution). The written range is current everywhere, so it leaves every
-// pending set; every device shares the snapshot until a kernel writes its
-// copy. The write is the newest version of the buffer, so it first waits for
-// an older one still on its way home.
+// execution). The snapshot stays untouched until Release, so every device
+// shares it until a kernel writes its copy, and the written range leaves
+// every pending set. The write is the newest version of the buffer, so it
+// first waits for an older one still on its way home.
 func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	r.mustBeLive()
 	if len(data) > b.Size {
@@ -312,7 +304,9 @@ func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	}
 	b.lag.await(p)
 	copy(b.host, data)
-	snap := r.snapshot(data)
+	snap := ocl.TakeBytes(len(data))
+	copy(snap, data)
+	r.snaps = append(r.snaps, snap)
 	for di, q := range r.app {
 		q.EnqueueWriteBuffer(b.bufs[di], snap)
 		b.pend[di].subtractRange(0, len(data))
