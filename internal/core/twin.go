@@ -210,7 +210,7 @@ type scratchPair struct {
 func (t *twin) run(p *sim.Proc, l *launch) error {
 	r, k, kid, nd, rep := t.r, l.k, l.kid, l.nd, l.rep
 	var scratches []scratchPair // one per written buffer
-	var inputReady []*sim.Event
+	var argsReady []*sim.Event
 	for i, param := range k.Info.Kernel.Params {
 		if !param.Ty.Ptr {
 			continue
@@ -222,7 +222,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		// results. Capture the readiness event before out-buffer
 		// bookkeeping replaces it.
 		if b.lag.ready != nil {
-			inputReady = append(inputReady, b.lag.ready)
+			argsReady = append(argsReady, b.lag.ready)
 		}
 		// GPU-side readiness: a GPU copy left stale by a kernel the CPU
 		// computed alone is uploaded first, ordered before the kernel by the
@@ -286,7 +286,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 	// CPU scheduler thread (§4.2, §5.1).
 	outcome := &schedOutcome{variantUsed: k.bestCPUVar}
 	sched := r.Env.Go(fmt.Sprintf("fcl-cpu-sched-k%d", kid), func(sp *sim.Proc) {
-		t.runCPUScheduler(sp, l, scratches, slog, gpuDone, inputReady, outcome)
+		t.runCPUScheduler(sp, l, scratches, slog, gpuDone, argsReady, outcome)
 	})
 
 	// Blocking kernel call: the kernel is complete as soon as EITHER the
@@ -524,18 +524,18 @@ func (t *twin) releaseScratchesWhenSafe(schedDone, gpuDone *sim.Event, scratches
 	})
 }
 
-// runCPUScheduler is the CPU scheduler thread (§4.2): it waits for input
-// buffers to be CPU-resident, then repeatedly launches subkernels over
+// runCPUScheduler is the CPU scheduler thread (§4.2): it waits for its
+// buffer arguments to be current CPU-side, then repeatedly launches subkernels over
 // work-group ranges from the top of the flattened ID space downward,
 // shipping computed data followed by a status message to the GPU after each
 // subkernel, until either end of the range is met or the GPU finishes.
 func (t *twin) runCPUScheduler(sp *sim.Proc, l *launch, scratches []scratchPair,
-	slog *statusLog, gpuDone *sim.Event, inputReady []*sim.Event, out *schedOutcome) {
+	slog *statusLog, gpuDone *sim.Event, argsReady []*sim.Event, out *schedOutcome) {
 	r, k, kid := t.r, l.k, l.kid
 
-	// Wait for the most recent versions of all inputs to reach the CPU
+	// Wait for every buffer argument's latest version to reach the CPU
 	// (§5.3). The GPU proceeds meanwhile — it always has current data.
-	for _, ev := range inputReady {
+	for _, ev := range argsReady {
 		sp.Wait(ev)
 	}
 	r.tracef(kid, "CPU scheduler: inputs ready")
