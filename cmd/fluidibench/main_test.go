@@ -186,6 +186,41 @@ func TestDistTopologyGolden(t *testing.T) {
 	}
 }
 
+// TestTimelineGolden pins the cooperative-execution timeline
+//
+//	fluidibench -quick trace NAME
+//
+// of every benchmark against testdata/timeline_quick.golden, byte for byte:
+// each decision the twin protocol records, its virtual time and its kernel.
+// Regenerate with UPDATE_GOLDEN=1 go test ./cmd/fluidibench -run TestTimelineGolden.
+func TestTimelineGolden(t *testing.T) {
+	var got []byte
+	for _, b := range polybench.AllQuick() {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS=-quick trace "+b.Name)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("fluidibench -quick trace %s: %v", b.Name, err)
+		}
+		got = append(got, out...)
+	}
+	golden := filepath.Join("testdata", "timeline_quick.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("timelines differ from golden %s; if the change is intentional, regenerate with UPDATE_GOLDEN=1\n--- got ---\n%s",
+			golden, got)
+	}
+}
+
 // TestQuickReachesBenchmarkCommands: run and trace with -quick work on the
 // quick-scale input, which they print, not on the full one.
 func TestQuickReachesBenchmarkCommands(t *testing.T) {
