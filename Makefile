@@ -3,8 +3,9 @@ GO ?= go
 .PHONY: check fmt-check lint lint-json build vet test race checkptr fuzz bench-smoke bench loc loc-check
 
 # The fast CI gate: formatting, the internal/vm, internal/analysis,
-# internal/harness, internal/sched, internal/device, internal/ocl and
-# internal/core line ceilings, build, vet, tests, kernel lint, benchmark smoke. The
+# internal/harness, internal/sched, internal/device, internal/ocl,
+# internal/core and internal/sim line ceilings, build, vet, tests, kernel
+# lint, benchmark smoke. The
 # race-detector suite is deliberately NOT in here — it reruns every
 # experiment and takes many minutes, so CI runs `make race` as a separate
 # parallel job instead of serializing it behind these fast gates. Run
@@ -144,26 +145,38 @@ HARNESS_LOC_MAX = 867
 # records (CPU-only, GPU-only and SOCL share one per launch) paid for by the
 # cooperative runs' argument switch becoming the one generic lowering, and
 # by the dmda model's per-device loop and the SOCL scheduler's idle clocks
-# written as small indexed values.
-SCHED_LOC_MAX = 971
+# written as small indexed values. 955 is that count with the text-only
+# timeline entry point gone: `fluidibench trace` reads the recorder.
+SCHED_LOC_MAX = 955
 # internal/device simulates the devices and serves launches from sweep
 # records and built-in kernels. 1312 is the count with the plain record (an
 # unguarded kernel's launches over the whole grid, keyed on every argument),
 # the wait for a group another run is recording, and the built-in fcl_merge
 # (merge.go: the diff-merge and its Stats counted from the lanes in range and
-# the lanes that differ).
-DEVICE_LOC_MAX = 1312
+# the lanes that differ). 1308 is that count with no per-launch engine: a
+# launch runs on the process default, and the engine left the record's key.
+DEVICE_LOC_MAX = 1308
 # internal/ocl is the vendor-runtime API over one device. 599 is the count
 # with built-in kernel selection: a kernel created by name from a program
-# built from passes.MergeKernelSource carries device.MergeGroup.
-OCL_LOC_MAX = 599
+# built from passes.MergeKernelSource carries device.MergeGroup. 595 is that
+# count with no per-launch engine in LaunchOpts.
+OCL_LOC_MAX = 595
 # internal/core runs two cooperation protocols over one substrate. 2824 was
 # the count with the twin protocol's own residency beside N-way's: location
 # flags, a stale-GPU upload, a direct CPU refresh, per-ship staging buffers
 # and a protocol write per buffer. 2780 is the count with one residency for
 # both: per-device pending byte sets flushed by one launch prologue, one
-# host write, and the byte and span pools on the runtime.
-CORE_LOC_MAX = 2780
+# host write, and the byte and span pools on the runtime. 2691 is that count
+# with one owner each for the engine choice (the process default, not an
+# Options field) and for the twin's decision record (the recorder's runtime
+# track, not a second text-only Trace), and the refresh tallies booked once,
+# in Counters.
+CORE_LOC_MAX = 2691
+# internal/sim is the discrete-event engine under every device and runtime.
+# 480 is the count with one wake channel per process (the engine sends true
+# to run it, shutdown closes it to unwind it) and no per-process Done event:
+# the one process that was joined fires its own event as its last act.
+SIM_LOC_MAX = 480
 loc-check:
 	@n=$$(find internal/vm -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	if [ $$n -gt $(VM_LOC_MAX) ]; then \
@@ -186,3 +199,6 @@ loc-check:
 	@n=$$(find internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	if [ $$n -gt $(CORE_LOC_MAX) ]; then \
 		echo "loc-check: internal/core has $$n non-test lines, ceiling is $(CORE_LOC_MAX)"; exit 1; fi
+	@n=$$(find internal/sim -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	if [ $$n -gt $(SIM_LOC_MAX) ]; then \
+		echo "loc-check: internal/sim has $$n non-test lines, ceiling is $(SIM_LOC_MAX)"; exit 1; fi

@@ -523,17 +523,25 @@ func dumpOne(name string, quick bool) error {
 	return nil
 }
 
-// traceOne runs one benchmark under FluidiCL with event tracing and prints
-// the cooperative-execution timeline.
+// traceOne runs one benchmark under FluidiCL with a recorder attached and
+// prints the cooperative-execution timeline: the instants of the runtime's
+// decision track, one a line, in the order (and so at the virtual times)
+// they were recorded.
 func traceOne(name string, quick bool) error {
 	b, err := benchFor(name, quick)
 	if err != nil {
 		return err
 	}
-	_, tl, err := sched.RunFluidiCLTimeline(sched.DefaultMachine(), b.App, core.Options{})
-	if err != nil {
+	rec := trace.NewRecorder()
+	if _, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec); err != nil {
 		return err
 	}
-	fmt.Printf("cooperative-execution timeline for %s %s:\n\n%s", b.Name, b.InputDesc, tl)
+	fmt.Printf("cooperative-execution timeline for %s %s:\n\n", b.Name, b.InputDesc)
+	track := slices.Index(rec.Tracks(), core.RuntimeTrack)
+	for _, e := range rec.Events() {
+		if e.Track == track {
+			fmt.Printf("%10.3f us  k%-2d %s\n", e.Start*1e6, e.Args[0].V, e.Name)
+		}
+	}
 	return nil
 }

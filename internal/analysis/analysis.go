@@ -72,9 +72,6 @@ func (a *ArgSummary) ReadsComplete() bool {
 	return true
 }
 
-// ReadOnly reports a read-never-written argument.
-func (a *ArgSummary) ReadOnly() bool { return a.Read && !a.Written }
-
 // WriteOnly reports a written-never-read argument.
 func (a *ArgSummary) WriteOnly() bool { return a.Written && !a.Read }
 

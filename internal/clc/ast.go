@@ -89,9 +89,6 @@ func (t Type) String() string {
 	return t.Kind.String()
 }
 
-// IsNumeric reports whether the type is a non-pointer int or float.
-func (t Type) IsNumeric() bool { return !t.Ptr && (t.Kind == Int || t.Kind == Float) }
-
 // Equal reports type identity.
 func (t Type) Equal(o Type) bool { return t == o }
 

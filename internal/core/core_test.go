@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,8 +12,22 @@ import (
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
+	"fluidicl/internal/trace"
 	"fluidicl/internal/vm"
 )
+
+// decisions returns the instants on rec's RuntimeTrack whose name contains
+// substr, in record order, which is virtual-time order.
+func decisions(rec *trace.Recorder, substr string) []trace.Event {
+	track := slices.Index(rec.Tracks(), RuntimeTrack)
+	var out []trace.Event
+	for _, e := range rec.Events() {
+		if e.Track == track && strings.Contains(e.Name, substr) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 func f32buf(vals ...float32) []byte {
 	b := make([]byte, 4*len(vals))
@@ -659,8 +674,9 @@ __kernel void mat(__global float* a, __global float* b, int n) {
 
 func TestTraceTimelineInvariants(t *testing.T) {
 	env := sim.NewEnv()
+	rec := trace.NewRecorder()
+	env.Trace = rec // before the devices, as for any recorder
 	rt := MustNew(env, device.New(env, device.XeonW3550()), device.New(env, device.TeslaC2070()), Options{})
-	tr := rt.EnableTrace()
 	prog, err := rt.BuildProgram(scaleSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -679,13 +695,13 @@ func TestTraceTimelineInvariants(t *testing.T) {
 	})
 	env.Run()
 
-	if len(tr.Events) == 0 {
-		t.Fatal("no trace events recorded")
+	if len(decisions(rec, "")) == 0 {
+		t.Fatal("no decisions recorded")
 	}
 	// Subkernel launches must strictly precede their status arrivals, and
 	// status arrivals must be in decreasing done-from order.
-	launches := tr.Find("CPU subkernel launch")
-	statuses := tr.Find("status arrived")
+	launches := decisions(rec, "CPU subkernel launch")
+	statuses := decisions(rec, "status arrived")
 	if len(launches) == 0 {
 		t.Fatal("no CPU subkernels launched")
 	}
@@ -693,20 +709,20 @@ func TestTraceTimelineInvariants(t *testing.T) {
 		t.Fatalf("%d statuses for %d launches", len(statuses), len(launches))
 	}
 	for i, s := range statuses {
-		if s.T <= launches[i].T {
-			t.Fatalf("status %d at %v not after its subkernel launch at %v", i, s.T, launches[i].T)
+		if s.Start <= launches[i].Start {
+			t.Fatalf("status %d at %v not after its subkernel launch at %v", i, s.Start, launches[i].Start)
 		}
-		if i > 0 && s.T < statuses[i-1].T {
+		if i > 0 && s.Start < statuses[i-1].Start {
 			t.Fatal("status arrivals out of order")
 		}
 	}
 	// The kernel-done event must exist and precede the call return.
-	done := tr.Find("GPU kernel done")
-	ret := tr.Find("kernel call returns")
+	done := decisions(rec, "GPU kernel done")
+	ret := decisions(rec, "kernel call returns")
 	if len(done) != 1 || len(ret) != 1 {
-		t.Fatalf("done=%d returns=%d, want 1/1\n%s", len(done), len(ret), tr)
+		t.Fatalf("done=%d returns=%d, want 1/1\n%v", len(done), len(ret), decisions(rec, ""))
 	}
-	if ret[0].T < done[0].T {
+	if ret[0].Start < done[0].Start {
 		t.Fatal("call returned before GPU kernel completed")
 	}
 }
@@ -714,8 +730,8 @@ func TestTraceTimelineInvariants(t *testing.T) {
 func TestTraceDisabledByDefault(t *testing.T) {
 	n, m := 64, 10
 	_, rt, _ := runScale(t, device.XeonW3550(), device.TeslaC2070(), n, m, Options{})
-	if rt.trace != nil {
-		t.Fatal("trace enabled without EnableTrace")
+	if rt.Env.Trace != nil || rt.fclTrk != 0 {
+		t.Fatal("decisions recorded without a recorder")
 	}
 }
 
@@ -872,8 +888,9 @@ func TestOnlineProfilingProbesUseSmallAllocations(t *testing.T) {
 	cpu := device.XeonW3550()
 	gpu := device.TeslaC2070()
 	gpu.ComputeUnits = 2 // let the CPU run several subkernels
+	rec := trace.NewRecorder()
+	env.Trace = rec
 	rt := MustNew(env, device.New(env, cpu), device.New(env, gpu), Options{OnlineProfiling: true})
-	tr := rt.EnableTrace()
 	prog, err := rt.BuildProgram(variantSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -892,17 +909,17 @@ func TestOnlineProfilingProbesUseSmallAllocations(t *testing.T) {
 		}
 	})
 	env.Run()
-	launches := tr.Find("CPU subkernel launch")
+	launches := decisions(rec, "CPU subkernel launch")
 	if len(launches) < 2 {
 		t.Skip("not enough subkernels to observe probing")
 	}
 	// The first two launches are profiling probes over 2 work-groups each
 	// (variant 0 then variant 1).
-	if !contains(launches[0].What, "variant 0") {
-		t.Fatalf("first probe = %q", launches[0].What)
+	if !contains(launches[0].Name, "variant 0") {
+		t.Fatalf("first probe = %q", launches[0].Name)
 	}
-	if !contains(launches[1].What, "variant 1") {
-		t.Fatalf("second probe = %q, want variant 1", launches[1].What)
+	if !contains(launches[1].Name, "variant 1") {
+		t.Fatalf("second probe = %q, want variant 1", launches[1].Name)
 	}
 }
 
@@ -913,10 +930,11 @@ func TestOnlineProfilingProbesUseSmallAllocations(t *testing.T) {
 // fallbacks. (The strict zero-lockstep assertion for fallback kernels lives
 // at the vm layer, where no runtime-internal merge launches can interfere.)
 func TestCounterSnapshotWGBackend(t *testing.T) {
+	defer vm.SetBackend(vm.DefaultBackend())
+	vm.SetBackend(vm.BackendWG)
 	n, m := 64, 4
 	before := CounterSnapshot()
-	out, _, _ := runScale(t, device.XeonW3550(), device.TeslaC2070(), n, m,
-		Options{Backend: vm.BackendWG})
+	out, _, _ := runScale(t, device.XeonW3550(), device.TeslaC2070(), n, m, Options{})
 	checkScale(t, out, n, m)
 	after := CounterSnapshot()
 	d := after.Sub(before)
@@ -943,7 +961,7 @@ __kernel void scatter(__global int* idx, __global float* out, int n) {
 	before = CounterSnapshot()
 	env := sim.NewEnv()
 	rt := MustNew(env, device.New(env, device.XeonW3550()),
-		device.New(env, device.TeslaC2070()), Options{Backend: vm.BackendWG})
+		device.New(env, device.TeslaC2070()), Options{})
 	prog, err := rt.BuildProgram(scatterSrc)
 	if err != nil {
 		t.Fatal(err)

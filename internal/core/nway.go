@@ -119,12 +119,6 @@ func (n *nway) putOut(o *nwayOut) {
 	}
 }
 
-// skipRefresh books n bytes the planner did not rebroadcast.
-func (n *nway) skipRefresh(rep *KernelReport, bytes int64) {
-	n.r.ctr.RefreshBytesSkipped += bytes
-	rep.RefreshBytesSkipped += bytes
-}
-
 // run executes one launch on every device of the topology and blocks until
 // the merged result is on the host and every device's pending delta is
 // booked. The claim protocol is deterministic: workers run one at a time
@@ -148,8 +142,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 		}
 		deltas, stale := r.settle(l, i, "refresh")
 		r.ctr.RefreshDeltas += deltas
-		rep.RefreshDeltas += deltas
-		n.skipRefresh(rep, stale)
+		r.ctr.RefreshBytesSkipped += stale
 		if k.Info.ParamAccess[param.Name].Written {
 			o := n.getOut(l.args[i].Buf, i, l.el[i])
 			o.staleShip = stale > 0
@@ -213,8 +206,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 				n.cargs[di] = cargs
 				t0 := sp.Now()
 				ev, res := q.EnqueueNDRangeKernel(k.ks[di], l.nd.Slice(clo, chi), cargs, ocl.LaunchOpts{
-					Split:   cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && l.split,
-					Backend: r.opts.Backend,
+					Split: cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && l.split,
 				})
 				sp.Wait(ev)
 				if res.Err != nil {
@@ -282,7 +274,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 			b.pend[di].subtract(&o.own[di])
 			added := b.pend[di].addSetMinus(&o.dirty, &o.own[di])
 			b.pend[di].capSpans()
-			n.skipRefresh(rep, int64(b.Size-added))
+			r.ctr.RefreshBytesSkipped += int64(b.Size - added)
 		}
 		n.putOut(o)
 	}

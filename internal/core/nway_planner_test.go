@@ -129,13 +129,13 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 		}
 		// Kernel 2 reads bufB: the planner must flush the loser's delta
 		// before its chunks may run.
+		before := rt.Counters().RefreshDeltas
 		if err := rt.EnqueueNDRangeKernel(p, k, vm.NewNDRange1D(n, 4),
 			[]Arg{BufArg(bufB), BufArg(bufC), IntArg(n), IntArg(m)}); err != nil {
 			t.Error(err)
 			return
 		}
-		rep2 := rt.Reports[len(rt.Reports)-1]
-		if rep2.RefreshDeltas == 0 {
+		if rt.Counters().RefreshDeltas == before {
 			t.Error("kernel 2 enqueued no delta refresh for the stale device")
 		}
 		if !bufB.pend[loser].empty() {

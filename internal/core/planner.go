@@ -101,13 +101,6 @@ func (s *intervalSet) add(off, end int) {
 	s.spans = append(sp[:i+1], sp[j:]...)
 }
 
-// addSet unions o into s.
-func (s *intervalSet) addSet(o *intervalSet) {
-	for _, sp := range o.spans {
-		s.add(sp.Off, sp.End)
-	}
-}
-
 // subtractSpans removes the given sorted disjoint spans from s, rebuilding
 // into the set's spare backing array (so repeated subtracts ping-pong two
 // arrays and never allocate once capacities stabilize).

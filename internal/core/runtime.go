@@ -41,7 +41,6 @@ import (
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
-	"fluidicl/internal/vm"
 )
 
 // Options configures the runtime. The zero value selects the paper's
@@ -67,11 +66,6 @@ type Options struct {
 	// automatic selection of the fastest (§6.6). Off by default, as in the
 	// paper's headline results.
 	OnlineProfiling bool
-	// Backend selects the VM execution engine for every launch this runtime
-	// issues (vm.BackendAuto uses the process default). Both backends
-	// produce identical stats and therefore identical virtual time; the
-	// knob exists for wall-clock comparison and fallback testing.
-	Backend vm.Backend
 }
 
 func (o Options) withDefaults() Options {
@@ -105,14 +99,8 @@ type KernelReport struct {
 	VariantUsed int
 	// DeviceWGs is the per-device work-group count, indexed by topology
 	// device position (N-way protocol only; nil under the twin protocol).
-	DeviceWGs []int
-	// Delta-refresh planner activity (N-way protocol only): RefreshDeltas
-	// counts the delta flushes this kernel's prologue enqueued to bring
-	// stale device copies current; RefreshBytesSkipped counts the bytes its
-	// commit did not rebroadcast relative to a full per-device refresh.
-	RefreshDeltas       int64
-	RefreshBytesSkipped int64
-	Start, End          sim.Time
+	DeviceWGs  []int
+	Start, End sim.Time
 }
 
 // Runtime is a FluidiCL instance over a device list. The substrate — one
@@ -138,11 +126,10 @@ type Runtime struct {
 
 	kernelSeq   int
 	deferredErr error // failure noticed after a kernel call returned
-	trace       *Trace
-	// narrate: the protocol reports its scheduling decisions on the text
-	// timeline and the recorder's runtime track (twin only).
+	// narrate: the protocol reports its scheduling decisions on the
+	// recorder's RuntimeTrack (twin only).
 	narrate bool
-	fclTrk  int // recorder track id + 1 for runtime instants (0 = unregistered)
+	fclTrk  int // RuntimeTrack's id + 1 (0 = unregistered)
 	ctr     Counters
 
 	// What Release hands back: every buffer created, and the write

@@ -280,13 +280,14 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 	gpuDone, gpuRes := t.gpuApp.EnqueueNDRangeKernel(k.ks[twinGPU], nd, gpuArgs, ocl.LaunchOpts{
 		Abort:    slog,
 		MidAbort: !r.opts.NoAbortInLoops,
-		Backend:  r.opts.Backend,
 	})
 
-	// CPU scheduler thread (§4.2, §5.1).
+	// CPU scheduler thread (§4.2, §5.1). schedDone fires as its last act.
 	outcome := &schedOutcome{variantUsed: k.bestCPUVar}
-	sched := r.Env.Go(fmt.Sprintf("fcl-cpu-sched-k%d", kid), func(sp *sim.Proc) {
+	schedDone := r.Env.NewEvent()
+	r.Env.Go(fmt.Sprintf("fcl-cpu-sched-k%d", kid), func(sp *sim.Proc) {
 		t.runCPUScheduler(sp, l, scratches, slog, gpuDone, argsReady, outcome)
+		schedDone.Fire()
 	})
 
 	// Blocking kernel call: the kernel is complete as soon as EITHER the
@@ -301,7 +302,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		firstDone.Fire()
 	})
 	r.Env.Go(fmt.Sprintf("fcl-watch-cpu-k%d", kid), func(wp *sim.Proc) {
-		wp.Wait(sched.Done)
+		wp.Wait(schedDone)
 		// Return without the GPU only when its kernel has not even begun
 		// (still behind its input upload on the bus); a started kernel
 		// drains quickly once the final status lands, and waiting for it
@@ -314,7 +315,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 
 	// Report fields finalize when each side completes.
 	r.Env.Go(fmt.Sprintf("fcl-report-k%d", kid), func(fp *sim.Proc) {
-		fp.Wait(sched.Done)
+		fp.Wait(schedDone)
 		rep.CPUWGs = outcome.cpuWGs
 		rep.Subkernels = outcome.subkernels
 		rep.CPUDidAll = outcome.didAll
@@ -347,7 +348,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 	// "CPU computed the entire NDRange first" (§4.2): either the GPU is
 	// still running (the CPU beat it outright), or both finished and the
 	// GPU did not cover the whole range itself.
-	if sched.Done.Fired() && outcome.didAll &&
+	if schedDone.Fired() && outcome.didAll &&
 		(!gpuDone.Fired() || gpuRes.Executed < nd.TotalGroups()) {
 		// The final data is already on the CPU; the GPU's partial results
 		// are ignored and no device-to-host transfer is needed (§4.2, §4.4).
@@ -360,7 +361,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 			b.pend[twinGPU].setAll(b.Size)
 			sc.ready.Fire()
 		}
-		t.releaseScratchesWhenSafe(sched.Done, gpuDone, scratches, outcome, nil)
+		t.releaseScratchesWhenSafe(schedDone, gpuDone, scratches, outcome, nil)
 		rep.End = p.Now()
 		r.tracef(kid, "kernel call returns (CPU-did-all path)")
 		return nil
@@ -405,7 +406,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 					ocl.BufArg(sc.cpuCopy), ocl.BufArg(gpuBuf), ocl.BufArg(sc.orig),
 					ocl.IntArg(int64(mergeHi)), ocl.IntArg(int64(mergeLo)),
 				}
-				ev, _ := t.gpuApp.EnqueueNDRangeKernel(t.mergeK, vm.NewNDRange1D(global, local), margs, ocl.LaunchOpts{Backend: r.opts.Backend})
+				ev, _ := t.gpuApp.EnqueueNDRangeKernel(t.mergeK, vm.NewNDRange1D(global, local), margs, ocl.LaunchOpts{})
 				mergeEvents = append(mergeEvents, ev)
 			}
 		}
@@ -447,7 +448,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 			dhDone.Fire()
 		})
 	}
-	t.releaseScratchesWhenSafe(sched.Done, gpuDone, scratches, outcome, dhDone)
+	t.releaseScratchesWhenSafe(schedDone, gpuDone, scratches, outcome, dhDone)
 	rep.End = p.Now()
 	r.tracef(kid, "kernel call returns (merge path)")
 	return nil
@@ -578,8 +579,7 @@ func (t *twin) runCPUScheduler(sp *sim.Proc, l *launch, scratches []scratchPair,
 			// the user knob: any barrier or a race finding makes
 			// splitting one group across threads unsafe — unless this
 			// launch's disjointness certificate overturned the race veto.
-			Split:   !r.opts.NoWorkGroupSplit && l.split,
-			Backend: r.opts.Backend,
+			Split: !r.opts.NoWorkGroupSplit && l.split,
 		})
 		sp.Wait(ev)
 		if res.Err != nil {

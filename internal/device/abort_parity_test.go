@@ -61,7 +61,9 @@ __kernel void work(__global float* a, __global float* b, int m) {
 		}
 	}
 
+	defer vm.SetBackend(vm.DefaultBackend())
 	run := func(be vm.Backend) (*LaunchResult, []byte, []byte, sim.Time) {
+		vm.SetBackend(be)
 		env := sim.NewEnv()
 		d := New(env, cfg)
 		q := d.NewQueue("app")
@@ -76,7 +78,6 @@ __kernel void work(__global float* a, __global float* b, int m) {
 			Args:     []vm.Arg{vm.BufArg(a), vm.BufArg(b), vm.IntArg(2000)},
 			Abort:    fa,
 			MidAbort: true,
-			Backend:  be,
 		}
 		q.Enqueue(l)
 		var end sim.Time

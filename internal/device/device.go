@@ -298,9 +298,6 @@ type Launch struct {
 	MidAbort bool
 	// Split allows the CPU work-group splitting optimization.
 	Split bool
-	// Backend selects the VM execution engine (interpreter or wg); both
-	// produce identical stats and therefore identical virtual time.
-	Backend vm.Backend
 	// Replay, when set on a launch with no abort query, serves the kernel's
 	// in-range work-groups from a sweep record (record.go).
 	Replay *Replay

@@ -254,7 +254,7 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 			st, done = l.Native(l.ND, group, l.Args)
 		}
 		if !done {
-			st, err = l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo, Backend: l.Backend})
+			st, err = l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: undo})
 		}
 		if err != nil {
 			sc.settled(undo)

@@ -33,17 +33,16 @@ type LaunchRecord struct {
 
 	mu sync.Mutex
 	// Set by the first launch to use the record, and fixed from then on: the
-	// key a later launch must repeat (kernel, full grid, engine, scalar
-	// arguments other than a guard pair), the launch-start bytes of every
-	// buffer the kernel reads, and the cross-group certificate.
-	set     bool
-	kernel  *vm.Kernel
-	nd      vm.NDRange // the full grid; the slice fields are zero
-	backend vm.Backend
-	args    []vm.Arg // scalar arguments; buffer slots are empty
-	snap    [][]byte // per argument: launch-start bytes of a buffer the kernel reads
-	shared  uint64   // bit i: snap[i] is a handed-over source, kept by reference
-	indep   bool     // no group stores to a word another group loads
+	// key a later launch must repeat (kernel, full grid, scalar arguments
+	// other than a guard pair), the launch-start bytes of every buffer the
+	// kernel reads, and the cross-group certificate.
+	set    bool
+	kernel *vm.Kernel
+	nd     vm.NDRange // the full grid; the slice fields are zero
+	args   []vm.Arg   // scalar arguments; buffer slots are empty
+	snap   [][]byte   // per argument: launch-start bytes of a buffer the kernel reads
+	shared uint64     // bit i: snap[i] is a handed-over source, kept by reference
+	indep  bool       // no group stores to a word another group loads
 
 	groups   []*groupRecord // by flattened group ID
 	busy     []bool         // by flattened group ID: a run is recording the group
@@ -117,7 +116,7 @@ func (r *LaunchRecord) admit(l *Launch, shared uint64) (lo, hi int, ok bool) {
 	r.mu.Lock()
 	if !r.set {
 		defer r.mu.Unlock()
-		r.set, r.kernel, r.nd, r.backend = true, l.Kernel, nd, l.Backend
+		r.set, r.kernel, r.nd = true, l.Kernel, nd
 		r.args = make([]vm.Arg, n)
 		r.snap = make([][]byte, n)
 		for i, a := range args {
@@ -138,7 +137,7 @@ func (r *LaunchRecord) admit(l *Launch, shared uint64) (lo, hi int, ok bool) {
 		return lo, hi, true
 	}
 	r.mu.Unlock()
-	if r.kernel != l.Kernel || r.nd != nd || r.backend != l.Backend || len(r.args) != n {
+	if r.kernel != l.Kernel || r.nd != nd || len(r.args) != n {
 		return 0, 0, false
 	}
 	for i, a := range args[:key] {
@@ -207,7 +206,7 @@ func (r *LaunchRecord) serve(l *Launch, group [3]int, fgid, lo int, sc *launchSc
 	}
 	u := sc.log()
 	defer sc.settled(u)
-	st, err := l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: u, Backend: l.Backend})
+	st, err := l.Kernel.ExecWorkGroup(l.ND, group, l.Args, vm.ExecOpts{Undo: u})
 	if err != nil {
 		return st, err
 	}

@@ -540,9 +540,6 @@ type LaunchOpts struct {
 	Abort    device.AbortQuery
 	MidAbort bool
 	Split    bool
-	// Backend selects the VM execution engine (vm.BackendAuto uses the
-	// process default).
-	Backend vm.Backend
 	// Record, when set, is the launch's entry in a sweep record, and its
 	// in-range groups replay from the record where they can
 	// (device.LaunchRecord). Unless the record is plain, the kernel is
@@ -570,7 +567,6 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, nd vm.NDRange, args []Arg
 		Abort:    opts.Abort,
 		MidAbort: opts.MidAbort,
 		Split:    opts.Split,
-		Backend:  opts.Backend,
 		Label:    k.Name,
 	}
 	q.q.Enqueue(l)

@@ -161,22 +161,6 @@ func RunFluidiCLTraced(m Machine, app *App, opts core.Options, rec *trace.Record
 	return runCooperative(app, 1, rec, twinRuntime(m, opts))
 }
 
-// RunFluidiCLTimeline is RunFluidiCL with the runtime's plain-text
-// cooperative-execution timeline enabled; the timeline is returned even when
-// the run fails.
-func RunFluidiCLTimeline(m Machine, app *App, opts core.Options) (*Result, *core.Trace, error) {
-	var tl *core.Trace
-	twin := twinRuntime(m, opts)
-	res, err := runCooperative(app, 1, nil, func(env *sim.Env) (*core.Runtime, error) {
-		rt, err := twin(env)
-		if err == nil {
-			tl = rt.EnableTrace()
-		}
-		return rt, err
-	})
-	return res, tl, err
-}
-
 // newRuntime builds the cooperative runtime for one run on a fresh
 // simulation; it is the only thing the strategies above and RunTopology
 // choose.

@@ -19,6 +19,14 @@ import (
 	"fluidicl/internal/vmref"
 )
 
+// setBackend makes be the process-default engine, the only engine choice a
+// run has, for the rest of the test.
+func setBackend(t *testing.T, be vm.Backend) {
+	prev := vm.DefaultBackend()
+	vm.SetBackend(be)
+	t.Cleanup(func() { vm.SetBackend(prev) })
+}
+
 // TestCorrFullyCertifiedWG pins the strided certificate's headline win:
 // CORR's correlation kernel stores to the diagonal, a row run, and a
 // strided column — three different affine forms, outside the certificate's
@@ -31,8 +39,9 @@ func TestCorrFullyCertifiedWG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBackend(t, vm.BackendWG)
 	before := core.CounterSnapshot()
-	res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{Backend: vm.BackendWG})
+	res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +67,9 @@ func TestBackendParityFluidiCL(t *testing.T) {
 				chrom []byte
 			}
 			run := func(be vm.Backend) runOut {
+				setBackend(t, be)
 				rec := trace.NewRecorder()
-				res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App,
-					core.Options{Backend: be}, rec)
+				res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec)
 				if err != nil {
 					t.Fatalf("%v backend: %v", be, err)
 				}
@@ -177,6 +186,7 @@ func TestWGFallbackRunsInterp(t *testing.T) {
 // a mis-reserved columnar log historically diverged.
 func TestWGFuseParityFluidiCL(t *testing.T) {
 	defer vm.SetWGFuse(true)
+	setBackend(t, vm.BackendWG)
 	for _, b := range polybench.AllQuick() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -187,8 +197,7 @@ func TestWGFuseParityFluidiCL(t *testing.T) {
 			run := func(fuse bool) runOut {
 				vm.SetWGFuse(fuse)
 				rec := trace.NewRecorder()
-				res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App,
-					core.Options{Backend: vm.BackendWG}, rec)
+				res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec)
 				if err != nil {
 					t.Fatalf("wgfuse=%v: %v", fuse, err)
 				}
@@ -264,8 +273,9 @@ __kernel void dot(__global float* A, __global float* B, __global float* C, int m
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBackend(t, vm.BackendWG)
 	before = vm.BackendSnapshot()
-	res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{Backend: vm.BackendWG})
+	res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +313,12 @@ func TestWGAllocatesNoMoreThanInterp(t *testing.T) {
 		apps = append(apps, b)
 	}
 	allocated := func(be vm.Backend) (least uint64) {
+		setBackend(t, be)
 		for pass := 0; pass < 4; pass++ { // pass 0 warms up
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for _, b := range apps {
-				res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{Backend: be})
+				res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -134,7 +134,8 @@ func TestTopologyBackendParity(t *testing.T) {
 	}
 	var ref *sched.Result
 	for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendWG} {
-		res, err := sched.RunTopology(topo, b.App, core.Options{Backend: be})
+		setBackend(t, be)
+		res, err := sched.RunTopology(topo, b.App, core.Options{})
 		if err != nil {
 			t.Fatalf("backend %v: %v", be, err)
 		}

@@ -108,6 +108,3 @@ func (r *Resource) Release() {
 		ev.fire()
 	}
 }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }

@@ -112,27 +112,22 @@ func (e *Env) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 // Proc is a simulation process: a goroutine that runs user code and yields
 // to the engine whenever it sleeps or waits.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	killch chan struct{}
-	Done   *Event // fires when the process function returns
+	env  *Env
+	name string
+	// wake carries the engine's true to run the process; shutdown closes
+	// it, and the false a parked process then receives unwinds it.
+	wake chan bool
 }
 
 // Go spawns a new simulation process running fn. The process becomes
 // runnable at the current virtual time and starts executing when the engine
-// reaches it. The returned Proc's Done event fires when fn returns.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+// reaches it. A caller that needs to know when fn returns has fn fire an
+// event as its last statement.
+func (e *Env) Go(name string, fn func(p *Proc)) {
 	if e.dead {
 		panic("sim: Go called on a finished Env")
 	}
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		killch: make(chan struct{}),
-	}
-	p.Done = e.NewEvent()
+	p := &Proc{env: e, name: name, wake: make(chan bool)}
 	e.live[p] = true
 	go func() {
 		defer func() {
@@ -145,18 +140,14 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 				panic(fmt.Sprintf("sim process %q: %v", p.name, r))
 			}
 		}()
-		select {
-		case <-p.resume: // wait for first scheduling
-		case <-p.killch:
+		if !<-p.wake { // wait for first scheduling
 			return
 		}
 		fn(p)
 		delete(p.env.live, p)
-		p.Done.fire()
 		p.env.parked <- struct{}{}
 	}()
 	e.schedule(e.now, p, nil)
-	return p
 }
 
 // step runs the single earliest pending event. It reports false when the
@@ -172,7 +163,7 @@ func (e *Env) step() bool {
 	e.now = ev.at
 	switch {
 	case ev.p != nil:
-		ev.p.resume <- struct{}{}
+		ev.p.wake <- true
 		<-e.parked
 	case ev.fn != nil:
 		ev.fn()
@@ -199,20 +190,18 @@ func (e *Env) shutdown() {
 	}
 	e.dead = true
 	// Every live process is parked inside yield() or awaiting its first
-	// scheduling; closing its kill channel unwinds it so no goroutine leaks.
+	// scheduling; closing its wake channel unwinds it so no goroutine leaks.
 	for p := range e.live {
-		close(p.killch)
+		close(p.wake)
 	}
 	e.live = nil
 }
 
 // yield parks the calling process and returns control to the engine. The
-// process resumes when the engine sends on its resume channel.
+// process resumes when the engine sends on its wake channel.
 func (p *Proc) yield() {
 	p.env.parked <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-p.killch:
+	if !<-p.wake {
 		panic(killed{})
 	}
 }

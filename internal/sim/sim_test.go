@@ -155,20 +155,6 @@ func TestNeverStartedProcessUnwindsAtShutdown(t *testing.T) {
 	e.Go("late", func(p *Proc) {})
 }
 
-func TestDoneEvent(t *testing.T) {
-	e := NewEnv()
-	p1 := e.Go("worker", func(p *Proc) { p.Sleep(5) })
-	var joinedAt Time
-	e.Go("joiner", func(p *Proc) {
-		p.Wait(p1.Done)
-		joinedAt = p.Now()
-	})
-	e.Run()
-	if joinedAt != 5 {
-		t.Fatalf("joined at %v, want 5", joinedAt)
-	}
-}
-
 func TestAfterCallback(t *testing.T) {
 	e := NewEnv()
 	var at Time = -1

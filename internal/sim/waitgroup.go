@@ -33,9 +33,6 @@ func (w *WaitGroup) Add(n int) {
 // Done decrements the count by one.
 func (w *WaitGroup) Done() { w.Add(-1) }
 
-// Count returns the outstanding-task count.
-func (w *WaitGroup) Count() int { return w.n }
-
 // Wait parks p until the count is zero. A zero count returns immediately
 // without yielding.
 func (w *WaitGroup) Wait(p *Proc) {

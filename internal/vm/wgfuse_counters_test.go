@@ -174,9 +174,11 @@ func TestTwinRunCertifiesOncePerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer vm.SetBackend(vm.DefaultBackend())
+	vm.SetBackend(vm.BackendWG)
 	run := func() (certs int64, subkernels int) {
 		before := vm.WGCertRuns()
-		res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{Backend: vm.BackendWG})
+		res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
