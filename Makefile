@@ -125,8 +125,15 @@ loc:
 # float and int whole-group loops and the loop over a partial set; the
 # store's whole-group and partial-set loops), by the broadcast run becoming
 # the step-0 case of the lane-affine entry (one recorder, one bookCol path),
-# and by the undo log's one record kind.
-VM_LOC_MAX = 5964
+# and by the undo log's one record kind. 5960 is the count with the
+# transposed tracker's locality state kept per access site (one seen flag,
+# and a lane-affine site's offsets in closed form, in place of a flag per
+# site and lane and of the booked flag), paid for by the columnar log's
+# column taken with append (colFor, which also owns the whole-group check
+# both global steps made), the machine's per-item and private slabs and the
+# group's local arrays sized by the one grow-and-clear helper, and the
+# branch's uniformity scan comparing each lane with lane 0.
+VM_LOC_MAX = 5960
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

@@ -80,12 +80,7 @@ func (s *wgScratch) localsFor(k *Kernel) [][]byte {
 		s.locals = make([][]byte, len(k.LocalArrs))
 	}
 	for i, la := range k.LocalArrs {
-		n := la.Len * la.Elem.Size()
-		if len(s.locals[i]) != n {
-			s.locals[i] = make([]byte, n)
-		} else {
-			clear(s.locals[i])
-		}
+		s.locals[i] = sized(s.locals[i], la.Len*la.Elem.Size())
 	}
 	return s.locals
 }

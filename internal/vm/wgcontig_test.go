@@ -102,11 +102,16 @@ func contigParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, exac
 // that leaves the buffer at lane k of the last group (on a store and on a
 // load), lane 0 out of step and a descending index (per lane), sites touched
 // three times in one phase (a run of one offset, and entries 4 and 68 bytes
-// on from the last, booked seq and rand against lastB), a group cut by
-// i < n (partitioned, per lane), misaligned buffers (no view, per lane), and
-// the twin GPU's variant of the stream body with its abort check, whose
-// groups from 1 on return at entry. contigChoice pins which of these patterns
-// take the bulk path.
+// on from the last, booked seq and rand), a group cut by i < n
+// (partitioned, per lane), misaligned buffers (no view, per lane), and the
+// twin GPU's variant of the stream body with its abort check, whose groups
+// from 1 on return at entry. The site rows change one site's form within a
+// phase — a broadcast run and a contiguous entry either way round (a step
+// change: the lanes' last offsets must be written out before the lane pass),
+// a contiguous entry and a column either way round, contiguous entries 64
+// and 68 bytes apart (the closed form's seq/rand edge) — and book a fused
+// loop's sites in a phase that later partitions (replay starts each item
+// from them). contigChoice pins which of these patterns take the bulk path.
 func TestWGContiguousAccess(t *testing.T) {
 	t.Run("bulk path choice", contigChoice)
 	const n, local = 192, 64
@@ -129,6 +134,30 @@ func TestWGContiguousAccess(t *testing.T) {
 		{name: "three touches per site", body: "for (int k = 0; k < 3; k++) { io[i] = io[i] + ia[i + k]; fo[i] = fo[i] + fa[i + 17 * k]; }",
 			words: [4]int{n + 34, n + 2, n, n}},
 		{name: "cut by i < n", body: "if (i < n - 40) { fo[i] = fa[i]; io[i] = ia[i] * 3; }", words: all},
+		// One site changing form within a phase. A loop skeleton's load logs a
+		// broadcast run while the walk runs it for the group and a contiguous
+		// entry once its index differs by lane; the per-step loads below are
+		// contiguous or a column from trip to trip.
+		{name: "broadcast, then contiguous", body: siteLoop("o * l"), words: [4]int{4*n + 24, n, n, n}},
+		{name: "contiguous, then broadcast", body: siteLoop("(1 - o) * l"), words: [4]int{4*n + 24, n, n, n}},
+		{name: "contiguous, then a column", body: "for (int k = 0; k < 2; k++) { io[i] = io[i] + ia[i + k * l]; fo[i] = fo[i] + fa[i + k * l]; }",
+			words: [4]int{n + local, n + local, n, n}},
+		{name: "a column, then contiguous", body: "for (int k = 0; k < 2; k++) { io[i] = io[i] + ia[i + (1 - k) * l]; fo[i] = fo[i] + fa[i + (1 - k) * l]; }",
+			words: [4]int{n + local, n + local, n, n}},
+		{name: "contiguous, then contiguous 64 and 68 bytes on", body: "for (int k = 0; k < 2; k++) { io[i] = io[i] + ia[i + 16 * k]; fo[i] = fo[i] + fa[i + 17 * k]; }",
+			words: [4]int{n + 17, n + 16, n, n}},
+		// The loop's sites are booked in closed form while the phase is
+		// uniform; l < 13 then partitions it, and the second entry's trips
+		// are recorded per item, so replay must start them from the sites
+		// (NaN words skipped, as in siteLoop).
+		{name: "a fused loop, then a partition", body: `int rs = 4;
+    float acc = 0.0f;
+    for (int o = 0; o < 2; o++) {
+        acc = acc * 0.5f;
+        for (int k = 0; k < 20; k = k + 4) { acc += fa[i * rs + k] * fa[k]; }
+        if (l < 13 + o) { fo[i] = acc; }
+    }
+    io[i] = (int)acc;`, words: [4]int{4*n + 24, n, n, n}},
 	}
 	for skew := 1; skew < 4; skew++ {
 		rows = append(rows, row{name: fmt.Sprintf("misaligned by %d", skew), body: "fo[i] = fa[i] - 1.0f;", words: all, skew: skew, exact: true})
@@ -196,6 +225,30 @@ func TestWGContiguousAccess(t *testing.T) {
 			t.Errorf("GPU variant, done from %d: %v", doneFrom, err)
 		}
 	}
+}
+
+// siteLoop is a reduction loop whose skeleton polls ia[p] after every
+// third trip, entered twice with p set to the given expression of the
+// entry o and the lane l. The float op before it keeps the outer loop out
+// of the skeleton, and its loads skip fa's NaN words (fa[4j+1]): where two
+// NaNs meet in a float add or multiply over part of a group, the lockstep
+// engine and the interpreter keep different payloads.
+func siteLoop(p string) string {
+	return `int rs = 4;
+    float acc = 0.0f;
+    for (int o = 0; o < 2; o++) {
+        acc = acc * 0.5f;
+        int p = ` + p + `;
+        for (int k = 0; k < 24; ) {
+            for (int u = 0; u < 3; u = u + 1) {
+                if (!(k < 24)) { break; }
+                acc += fa[i * rs + k] * fa[k];
+                k = k + 4;
+            }
+            if (ia[p] == 99) { return; }
+        }
+    }
+    fo[i] = acc;`
 }
 
 // contigChoice pins which index banks contig hands the bulk path: a whole

@@ -50,6 +50,18 @@ type wgCol struct {
 	id, at, run, step int32
 }
 
+// wgSite is one access site's locality state in the current phase. While a
+// phase has never partitioned every dispatch is the whole group, so either
+// every item has accessed a site or none has: seen is one flag per site, and
+// lastB[id*n+t] holds item t's last offset. With aff set, item t's last
+// offset is at + step*t instead, and lastB holds nothing for the site. Only
+// bookCol sets aff, and it runs only in replayCols, which clears the sites
+// when it is done; trips and replay, which run outside it, read lastB.
+type wgSite struct {
+	seen, aff bool
+	at, step  int32
+}
+
 // wgSet is an ordered set of work-items whose next block starts at pc.
 type wgSet struct {
 	pc    int
@@ -101,8 +113,8 @@ type wmach struct {
 	uniform      bool
 	budgetScalar bool
 	stepsAll     int64
-	lastB        []int32 // transposed tracker: last offset per (memID, item)
-	seenB        []bool  // lastB validity per (memID, item)
+	lastB        []int32  // transposed tracker: last offset per (memID, item)
+	site         []wgSite // per memID
 
 	// Columnar access log. While the phase is uniform each dynamic global
 	// access is recorded as one column of n offsets in colBuf, or as a run of
@@ -132,12 +144,10 @@ type wmach struct {
 
 	// Loop-level fusion (wgloop.go). A plan that ran its block's whole loop
 	// sets next (-1 before the call) to the exit pc, and the dispatcher skips
-	// the terminator; booked marks a phase whose reduction sites went into
-	// lastB/seenB in closed form (see replay); sfile, visits and period are
-	// the walk's scalar register file, per-chain counts and period log. The
-	// loop* tallies are folded into backendCtr at group end.
+	// the terminator; sfile, visits and period are the walk's scalar register
+	// file, per-chain counts and period log. The loop* tallies are folded into
+	// backendCtr at group end.
 	next           int
-	booked         bool
 	sfile, visits  []int64
 	period         wgPeriod
 	loopBatches    int64
@@ -175,25 +185,15 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 		m.privSz = make([]int, len(k.PrivArrs))
 	}
 	for i, pa := range k.PrivArrs {
-		sz := pa.Len * pa.Elem.Size()
-		m.privSz[i] = sz
-		tot := sz * n
-		if cap(m.priv[i]) < tot {
-			m.priv[i] = make([]byte, tot)
-		} else {
-			m.priv[i] = m.priv[i][:tot]
-			clear(m.priv[i])
-		}
+		m.privSz[i] = pa.Len * pa.Elem.Size()
+		m.priv[i] = sized(m.priv[i], m.privSz[i]*n)
 	}
-	for len(m.rec) < n {
-		m.rec = append(m.rec, nil)
-	}
-	m.rec = m.rec[:n]
+	m.rec = grow(m.rec, n)
 	for t := range m.rec {
 		m.rec[t] = m.rec[t][:0]
 	}
 	m.lastB = grow(m.lastB, k.NumMemOps*n)
-	m.seenB = sized(m.seenB, k.NumMemOps*n)
+	m.site = sized(m.site, k.NumMemOps)
 	m.colAt = sized(m.colAt, k.NumMemOps)
 	m.free = append(m.free, m.work...)
 	m.work = m.work[:0]
@@ -308,22 +308,19 @@ func (m *wmach) recAffine(set []int32, id, off, step int32) {
 }
 
 // colFor appends a new access column for one dynamic global access of
-// memID id and returns its n-offset slice. Caller fills col[t] for every
-// item before taking any further column (growing the log can reallocate it
-// and orphan the subslice); only valid while the phase is uniform.
+// memID id by the whole group of a uniform phase (m.full) and returns its
+// n-offset slice; nil for any other set, and for an untracked site. Caller
+// fills col[t] for every item before taking any further column (growing the
+// log can reallocate it and orphan the subslice).
 func (m *wmach) colFor(id int32) []int32 {
-	at := len(m.colBuf)
-	need := at + m.n
-	if cap(m.colBuf) < need {
-		grown := make([]int32, need, need*2)
-		copy(grown, m.colBuf)
-		m.colBuf = grown
-	} else {
-		m.colBuf = m.colBuf[:need]
+	if !m.full || id < 0 {
+		return nil
 	}
+	at := len(m.colBuf)
+	m.colBuf = append(m.colBuf, make([]int32, m.n)...)
 	m.cols = append(m.cols, wgCol{id: id, at: int32(at)})
 	m.colAt[id] = int32(len(m.cols))
-	return m.colBuf[at:need]
+	return m.colBuf[at:]
 }
 
 // clearCols empties the columnar log.
@@ -359,18 +356,16 @@ func (m *wmach) colFlush() {
 // each stream in program order. Sites the phase booked in closed form while
 // it was still uniform (wgReduce.trips) are missing from the streams, in
 // every item by the same number of occurrences, so the warp comparison stays
-// aligned; their stride state carries over from lastB/seenB so each site
+// aligned; their stride state carries over from site and lastB so each site
 // keeps one state machine for the whole phase.
 func (m *wmach) replay() {
 	n := m.n
 	for t := 0; t < n; t++ {
 		first := t%warpSize == 0
 		m.tr.nextWI(first)
-		if m.booked {
-			for id := range m.tr.seen {
-				if m.seenB[id*n+t] {
-					m.tr.seen[id], m.tr.last[id] = true, m.lastB[id*n+t]
-				}
+		for id, s := range m.site {
+			if s.seen {
+				m.tr.seen[id], m.tr.last[id] = true, m.lastB[id*n+t]
 			}
 		}
 		for _, a := range m.rec[t] {
@@ -378,50 +373,61 @@ func (m *wmach) replay() {
 		}
 		m.rec[t] = m.rec[t][:0]
 	}
-	if m.booked {
-		clear(m.seenB)
-	}
+	clear(m.site)
 }
 
 // bookCol books log entry c into the transposed tracker. In a phase that
 // never partitioned every item records the same static access sequence, so
 // the j-th access of every stream shares one memID and one occurrence index.
-// The CPU stride stats depend only on each item's own stream (banked
-// last/seen state), and the warp comparison of item t's access against item
-// t-1's is one of adjacent offsets of the column — so a column-major pass
-// computes the memTracker's exact totals. A lane-affine entry skips the warp
-// comparison: its adjacent lanes are 0 or 4 bytes apart, so each warp opens
-// one transaction; and each repeat of its run is n accesses at distance 0
-// from the last (Seq) that open one transaction per warp.
+// The CPU stride stats depend only on each item's own stream (the site's
+// state), and the warp comparison of item t's access against item t-1's is
+// one of adjacent offsets of the column — so a column-major pass computes the
+// memTracker's exact totals. A lane-affine entry skips the warp comparison:
+// its adjacent lanes are 0 or 4 bytes apart, so each warp opens one
+// transaction; and each repeat of its run is n accesses at distance 0 from
+// the last (Seq) that open one transaction per warp. On a site that is unseen
+// or affine with the same step, its first repeat is n accesses at one
+// distance, at - s.at in every lane, so the entry books in O(1) and the site
+// stays affine; any other entry first writes an affine site's offsets into
+// lastB and then passes over the lanes.
 func (m *wmach) bookCol(c wgCol) {
-	n, id := m.n, int(c.id)
-	lastB := m.lastB[id*n : id*n+n]
-	seenB := m.seenB[id*n : id*n+n]
+	n, id, s := m.n, int(c.id), &m.site[c.id]
 	run, warps := int64(c.run), int64((n+warpSize-1)/warpSize)
 	var col []int32
 	var seq, rand, warp int64
 	if run == 0 {
 		col, run, warps = m.colBuf[c.at:int(c.at)+n], 1, 0
 	}
-	off, prevOff := c.at, int32(0)
-	for t := range lastB {
-		if col != nil {
-			off = col[t]
-			if d := off - prevOff; t%warpSize == 0 || d < -4 || d > 4 {
-				warp++
+	if d := c.at - s.at; col == nil && (!s.seen || s.aff && s.step == c.step) {
+		if seq = int64(n); !s.seen || d < -cacheLineBytes || d > cacheLineBytes {
+			seq, rand = 0, int64(n)
+		}
+		*s = wgSite{seen: true, aff: true, at: c.at, step: c.step}
+	} else {
+		lastB := m.lastB[id*n : id*n+n]
+		if s.aff {
+			for t := range lastB {
+				lastB[t] = s.at + s.step*int32(t)
 			}
-			prevOff = off
 		}
-		if !seenB[t] {
-			rand++
-			seenB[t] = true
-		} else if d := off - lastB[t]; d < -cacheLineBytes || d > cacheLineBytes {
-			rand++
-		} else {
-			seq++
+		off, prevOff, seen := c.at, int32(0), s.seen
+		for t := range lastB {
+			if col != nil {
+				off = col[t]
+				if d := off - prevOff; t%warpSize == 0 || d < -4 || d > 4 {
+					warp++
+				}
+				prevOff = off
+			}
+			if d := off - lastB[t]; seen && d >= -cacheLineBytes && d <= cacheLineBytes {
+				seq++
+			} else {
+				rand++
+			}
+			lastB[t] = off
+			off += c.step
 		}
-		lastB[t] = off
-		off += c.step
+		*s = wgSite{seen: true}
 	}
 	m.st.SeqBytes += 4 * (seq + (run-1)*int64(n))
 	m.st.RandBytes += 4 * rand
@@ -436,9 +442,9 @@ func (m *wmach) replayCols() {
 		m.bookCol(c)
 	}
 	m.clearCols()
-	// The banked stride state is per phase, like the memTracker's (nextWI
-	// resets it for every item at each phase boundary).
-	clear(m.seenB)
+	// The stride state is per phase, like the memTracker's (nextWI resets it
+	// for every item at each phase boundary).
+	clear(m.site)
 }
 
 // execWGLockstep executes one certified work-group on the lockstep engine.
@@ -525,7 +531,6 @@ func (m *wmach) runGroup() error {
 	for {
 		m.parked, m.barrierPC = 0, -1
 		m.uniform = true
-		m.booked = false
 		m.clearCols()
 		s := m.takeSet(entry)
 		for t := 0; t < n; t++ {
@@ -603,19 +608,15 @@ func (m *wmach) runGroup() error {
 					// identical to partitioning into one non-empty and one
 					// empty set, but skips rebuilding the item list on every
 					// trip around a uniform loop.
-					allZ, allNZ := true, true
-					for _, v := range ib[base : base+n] {
-						if v == 0 {
-							allNZ = false
-						} else {
-							allZ = false
-						}
-						if !allZ && !allNZ {
+					z, same := ib[base] == 0, true
+					for _, v := range ib[base+1 : base+n] {
+						if (v == 0) != z {
+							same = false
 							break
 						}
 					}
-					if allZ || allNZ {
-						if allZ == jz {
+					if same {
+						if z == jz {
 							s.pc = blk.term.tgt
 						} else {
 							s.pc = blk.term.next

@@ -602,6 +602,15 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 	}
 	var seq, rnd, warp int64
 	var base, stride, pbase, pstride [wgMaxLoads]int64
+	// While uniform the set is the whole group, so each load's site is seen
+	// by every lane or by none: read its flag once and set it (a trap ends
+	// the group, and the flags it leaves set are never read).
+	var seen [wgMaxLoads]bool
+	for li := 0; li < nl && m.uniform; li++ {
+		if id := p.loads[li].mem; id >= 0 {
+			seen[li], m.site[id].seen = m.site[id].seen, true
+		}
+	}
 	var seeds [wgMaxTerms]float32
 	for _, t32 := range set {
 		t := int(t32)
@@ -660,7 +669,7 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 				continue
 			}
 			at := int(id)*n + t
-			if m.seenB[at] {
+			if seen[li] {
 				d := int32(b*4) - m.lastB[at]
 				if d < 0 {
 					d = -d
@@ -672,7 +681,6 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 				}
 			} else {
 				rnd++
-				m.seenB[at] = true
 			}
 			if -cacheLineBytes/4 <= s && s <= cacheLineBytes/4 {
 				seq += T - 1
@@ -694,7 +702,6 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 			cb[t] += step
 		}
 	}
-	m.booked = m.booked || m.uniform
 	cnt := int64(len(set)) * T
 	st := m.st
 	st.bookOps(&p.ops, cnt)

@@ -135,18 +135,19 @@ func runLoopCase(t *testing.T, c loopCase) {
 
 // TestWGLoopTrackerState pins the rule that an access site has exactly one
 // locality state machine per phase. The sizing prototype of the loop
-// closure drained the column log into lastB/seenB when it booked a loop;
-// a later lane-divergent branch then sent the rest of the phase through the
-// per-item memTracker, which started every site at "never seen", and the
-// generative strided differential (seed 68: a reduction loop followed by
-// `if (g < 17)`) classified 16 accesses Rand instead of Seq. The cases: that
-// shape; a loop whose site is booked in closed form and then, after the
-// group diverged, recorded per item in the same phase (the tracker must be
-// seeded from lastB/seenB); a loop entered twice in one uniform phase; the
-// same across a barrier, where a divergent phase with bookings must still
-// reset the state; a columnar int load between bookings of one uniform
-// phase; and the broadcast runs of the skeleton's uniform loads, through
-// replayCols and through colFlush at the first partition, its only caller.
+// closure drained the column log into the transposed state when it booked
+// a loop; a later lane-divergent branch then sent the rest of the phase
+// through the per-item memTracker, which started every site at "never
+// seen", and the generative strided differential (seed 68: a reduction loop
+// followed by `if (g < 17)`) classified 16 accesses Rand instead of Seq. The
+// cases: that shape; a loop whose site is booked in closed form and then,
+// after the group diverged, recorded per item in the same phase (the
+// tracker must be seeded from the sites and lastB); a loop entered twice in
+// one uniform phase; the same across a barrier, where a divergent phase
+// with bookings must still reset the state; a columnar int load between
+// bookings of one uniform phase; and the broadcast runs of the skeleton's
+// uniform loads, through replayCols and through colFlush at the first
+// partition, its only caller.
 func TestWGLoopTrackerState(t *testing.T) {
 	for _, c := range []loopCase{
 		{name: "loop, then a lane-divergent guard", batched: true, src: loopSig + `
@@ -499,7 +500,7 @@ func TestWGLoopWalkExits(t *testing.T) {
 // matter, a column or another offset of its own site ends the run — and
 // colFlush expands every run into each item's stream.
 func TestWGUniformLoadRuns(t *testing.T) {
-	m := &wmach{n: 2, uniform: true, rec: make([][]wgAcc, 2), colAt: make([]int32, 5)}
+	m := &wmach{n: 2, uniform: true, full: true, rec: make([][]wgAcc, 2), colAt: make([]int32, 5)}
 	for i := 0; i < 5; i++ {
 		m.recAffine(nil, 3, 8, 0)
 	}

@@ -379,10 +379,7 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 				}
 			}
 		} else {
-			var col []int32
-			if m.full && memID >= 0 {
-				col = m.colFor(memID)
-			}
+			col := m.colFor(memID)
 			for i, t := range set {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
@@ -440,10 +437,7 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				}
 			}
 		} else {
-			var col []int32
-			if m.full && memID >= 0 {
-				col = m.colFor(memID)
-			}
+			col := m.colFor(memID)
 			for i, t := range set {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
