@@ -445,69 +445,14 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 			st.GlobalStores++
 			st.GlobalStoreBytes += 4
 			tr.access(in.D, off, firstInWarp, st)
-		case opLDLF:
-			buf := locals[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("local load %s: %v", k.LocalArrs[in.B].Name, err2)}
+		case opLDLF, opSTLF, opLDLI, opSTLI, opLDPF, opSTPF, opLDPI, opSTPI:
+			slabs := locals
+			if in.Op >= opLDPF {
+				slabs = w.priv
 			}
-			fregs[in.A] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
-			st.LocalAccesses++
-		case opLDLI:
-			buf := locals[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("local load %s: %v", k.LocalArrs[in.B].Name, err2)}
+			if err := k.slabAccess(w.pc, *in, slabs[in.B], iregs[in.C], fregs, iregs, int(in.A)); err != nil {
+				return false, err
 			}
-			iregs[in.A] = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
-			st.LocalAccesses++
-		case opSTLF:
-			buf := locals[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("local store %s: %v", k.LocalArrs[in.B].Name, err2)}
-			}
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(fregs[in.A])))
-			st.LocalAccesses++
-		case opSTLI:
-			buf := locals[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("local store %s: %v", k.LocalArrs[in.B].Name, err2)}
-			}
-			binary.LittleEndian.PutUint32(buf[off:], uint32(int32(iregs[in.A])))
-			st.LocalAccesses++
-		case opLDPF:
-			buf := w.priv[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("private load %s: %v", k.PrivArrs[in.B].Name, err2)}
-			}
-			fregs[in.A] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
-			st.LocalAccesses++
-		case opLDPI:
-			buf := w.priv[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("private load %s: %v", k.PrivArrs[in.B].Name, err2)}
-			}
-			iregs[in.A] = int64(int32(binary.LittleEndian.Uint32(buf[off:])))
-			st.LocalAccesses++
-		case opSTPF:
-			buf := w.priv[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("private store %s: %v", k.PrivArrs[in.B].Name, err2)}
-			}
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(fregs[in.A])))
-			st.LocalAccesses++
-		case opSTPI:
-			buf := w.priv[in.B]
-			off, err2 := byteOff(iregs[in.C], len(buf))
-			if err2 != nil {
-				return false, &execError{k.Name, w.pc, fmt.Sprintf("private store %s: %v", k.PrivArrs[in.B].Name, err2)}
-			}
-			binary.LittleEndian.PutUint32(buf[off:], uint32(int32(iregs[in.A])))
 			st.LocalAccesses++
 		case opGID:
 			d := iregs[in.B]
@@ -604,6 +549,35 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 		}
 		w.pc++
 	}
+}
+
+// slabAccess performs the local- or private-array load or store in at word
+// idx of slab, with register at of fr or ir (the one its signature names) as
+// the destination or source; both engines run it.
+func (k *Kernel) slabAccess(pc int, in Instr, slab []byte, idx int64, fr []float64, ir []int64, at int) error {
+	sig := opTab[in.Op].sig
+	off, err := byteOff(idx, len(slab))
+	if err != nil {
+		space, arrs, what := "local", k.LocalArrs, "store"
+		if in.Op >= opLDPF {
+			space, arrs = "private", k.PrivArrs
+		}
+		if sig == sigLoadF || sig == sigLoadI {
+			what = "load"
+		}
+		return &execError{k.Name, pc, fmt.Sprintf("%s %s %s: %v", space, what, arrs[in.B].Name, err)}
+	}
+	switch sig {
+	case sigLoadF:
+		fr[at] = float64(math.Float32frombits(binary.LittleEndian.Uint32(slab[off:])))
+	case sigLoadI:
+		ir[at] = int64(int32(binary.LittleEndian.Uint32(slab[off:])))
+	case sigStoreF:
+		binary.LittleEndian.PutUint32(slab[off:], math.Float32bits(float32(fr[at])))
+	default:
+		binary.LittleEndian.PutUint32(slab[off:], uint32(int32(ir[at])))
+	}
+	return nil
 }
 
 func b2i(b bool) int64 {

@@ -82,8 +82,12 @@ type wgProgram struct {
 	loops []FusedSpan
 	// iIn and iOut are the int registers live into and out of each block,
 	// fOut the float registers live out of it, by leader pc (wgLiveness over
-	// the whole kernel; nil for wide register files).
-	iIn, iOut, fOut map[int]uint64
+	// the whole kernel; nil for wide register files). With them come the
+	// masks a group's entry reads (wmach.enter): clrI and clrF are the
+	// registers other than parameters that pc 0 may read before any write,
+	// defI and defF those some instruction writes.
+	iIn, iOut, fOut        map[int]uint64
+	clrI, clrF, defI, defF uint64
 }
 
 // buildWG compiles the whole-work-group program from the well-formed bytecode

@@ -1,6 +1,10 @@
 package vm
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Lockstep whole-work-group execution.
 //
@@ -96,8 +100,11 @@ type wmach struct {
 	priv   [][]byte
 	privSz []int
 	lid    [][3]int // local ids per item
-	lidKey [3]int   // the (lx, ly, n) lid was last filled for
+	all    []int32  // the items 0 … n-1, each phase's first set
 	steps  []int64  // per-item step budget
+	// key is the launch (n, local shape, scalar argument bits) the banks, lid
+	// and all were set up for (enter); probe is the buffer the next is built in.
+	key, probe []uint64
 
 	rec  [][]wgAcc // per-item (memID, off) streams for this phase
 	work []*wgSet
@@ -168,18 +175,19 @@ func (m *wmach) release() {
 	m.undo, m.err = nil, nil
 }
 
-// wmFor returns the scratch's lockstep machine sized and zeroed for one
-// work-group of k with n work-items.
+// wmFor returns the scratch's lockstep machine sized for one work-group of k
+// with n work-items; runGroup's enter sets its registers up.
 func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	if s.wm == nil {
 		s.wm = &wmach{}
 	}
 	m := s.wm
 	m.n = n
-	m.ib = sized(m.ib, k.NumI*n)
-	m.fb = sized(m.fb, k.NumF*n)
-	m.steps = sized(m.steps, n)
+	m.ib = grow(m.ib, k.NumI*n)
+	m.fb = grow(m.fb, k.NumF*n)
+	m.steps = grow(m.steps, n)
 	m.lid = grow(m.lid, n)
+	m.all = grow(m.all, n)
 	if len(m.priv) != len(k.PrivArrs) {
 		m.priv = make([][]byte, len(k.PrivArrs))
 		m.privSz = make([]int, len(k.PrivArrs))
@@ -486,6 +494,59 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	return st, err
 }
 
+// enter sets the group's registers up to the entry contract (DESIGN.md §8):
+// every parameter holds its argument, each register pc 0 may read before
+// writing it is zero, and every other register is unspecified. The pooled
+// machine keeps the banks from the group before, so while the launch key is
+// unchanged a group clears those registers and refills only the parameters
+// some instruction writes. A new key, or a register file too wide for the
+// masks, zeroes every bank and fills every parameter.
+func (m *wmach) enter() {
+	k, wg, n := m.k, m.k.wg, m.n
+	lx, ly := m.nd.LocalSize[0], m.nd.LocalSize[1]
+	key := append(m.probe[:0], uint64(n), uint64(lx), uint64(ly))
+	for i, p := range k.Params {
+		switch p.Kind {
+		case ArgInt:
+			key = append(key, uint64(m.args[i].I))
+		case ArgFloat:
+			key = append(key, math.Float64bits(m.args[i].F))
+		}
+	}
+	same := slices.Equal(key, m.key)
+	m.key, m.probe = key, m.key
+	if !same {
+		for t := range n {
+			m.lid[t] = [3]int{t % lx, (t / lx) % ly, t / (lx * ly)}
+			m.all[t] = int32(t)
+		}
+	}
+	all := !same || wg.iOut == nil
+	if all {
+		clear(m.ib)
+		clear(m.fb)
+	} else {
+		clearRegs(m.ib, wg.clrI, n)
+		clearRegs(m.fb, wg.clrF, n)
+	}
+	for i, p := range k.Params {
+		switch {
+		case p.Kind == ArgInt && (all || wg.defI&wgBit(p.IReg) != 0):
+			fill(m.ib, p.IReg, n, nil, true, m.args[i].I)
+		case p.Kind == ArgFloat && (all || wg.defF&wgBit(p.FReg) != 0):
+			fill(m.fb, p.FReg, n, nil, true, float64(float32(m.args[i].F)))
+		}
+	}
+}
+
+// clearRegs zeroes every lane of the registers in mask.
+func clearRegs[T int64 | float64](bank []T, mask uint64, n int) {
+	for ; mask != 0; mask &= mask - 1 {
+		r := bits.TrailingZeros64(mask) * n
+		clear(bank[r : r+n])
+	}
+}
+
 // charge adds blk to the step budget the group shares until it first
 // diverges (budgetScalar), leaving the overrun error in m.err.
 func (m *wmach) charge(blk *wblock) bool {
@@ -502,40 +563,14 @@ func (m *wmach) runGroup() error {
 	wg := k.wg
 	n := m.n
 
-	// The pooled machine keeps its local-id tables across groups; wmFor
-	// reallocates them only for a larger n, which changes the key.
-	if lx, ly := m.nd.LocalSize[0], m.nd.LocalSize[1]; m.lidKey != [3]int{lx, ly, n} {
-		m.lidKey = [3]int{lx, ly, n}
-		for t := 0; t < n; t++ {
-			m.lid[t] = [3]int{t % lx, (t / lx) % ly, t / (lx * ly)}
-		}
-	}
-	for i, p := range k.Params {
-		switch p.Kind {
-		case ArgInt:
-			bank := m.ib[int(p.IReg)*n : int(p.IReg)*n+n]
-			v := m.args[i].I
-			for t := range bank {
-				bank[t] = v
-			}
-		case ArgFloat:
-			bank := m.fb[int(p.FReg)*n : int(p.FReg)*n+n]
-			v := float64(float32(m.args[i].F))
-			for t := range bank {
-				bank[t] = v
-			}
-		}
-	}
-
+	m.enter()
 	entry := 0
 	for {
 		m.parked, m.barrierPC = 0, -1
 		m.uniform = true
 		m.clearCols()
 		s := m.takeSet(entry)
-		for t := 0; t < n; t++ {
-			s.items = append(s.items, int32(t))
-		}
+		s.items = append(s.items, m.all...)
 		m.work = append(m.work, s)
 
 		for len(m.work) > 0 {

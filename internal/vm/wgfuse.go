@@ -150,14 +150,14 @@ func wgUseDef(in Instr) (iu, fu, id, fd uint64) {
 	return
 }
 
-// wgLiveness computes per-block live-in (int) and live-out (int and float)
+// wgLiveness computes per-block live-in and live-out (int and float)
 // register masks by backward dataflow over the bytecode CFG, keyed by block
 // leader pc. A non-nil only restricts the dataflow to the blocks it marks:
 // every other block is a sink with nothing live, which turns the int live-in
 // of a block into its upward-exposed uses within that subgraph (wgloop.go).
 // Only called when NumI and NumF both fit a 64-bit mask.
-func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, iOut, fOut map[int]uint64) {
-	iIn, fIn := map[int]uint64{}, map[int]uint64{}
+func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, fIn, iOut, fOut map[int]uint64) {
+	iIn, fIn = map[int]uint64{}, map[int]uint64{}
 	iOut, fOut = map[int]uint64{}, map[int]uint64{}
 	for changed := true; changed; {
 		changed = false
@@ -184,7 +184,7 @@ func (k *Kernel) wgLiveness(wg *wgProgram, only []bool) (iIn, iOut, fOut map[int
 			}
 		}
 	}
-	return iIn, iOut, fOut
+	return iIn, fIn, iOut, fOut
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +203,21 @@ func (k *Kernel) fuseWG(wg *wgProgram) {
 	var nRej [wgFuseRejCount]int64
 	wide := k.NumI > 64 || k.NumF > 64
 	if !wide {
-		wg.iIn, wg.iOut, wg.fOut = k.wgLiveness(wg, nil)
+		var fIn map[int]uint64
+		wg.iIn, fIn, wg.iOut, wg.fOut = k.wgLiveness(wg, nil)
+		wg.clrI, wg.clrF = wg.iIn[0], fIn[0]
+		for _, p := range k.Params {
+			switch p.Kind {
+			case ArgInt:
+				wg.clrI &^= wgBit(p.IReg)
+			case ArgFloat:
+				wg.clrF &^= wgBit(p.FReg)
+			}
+		}
+		for _, in := range k.Code {
+			_, _, id, fd := wgUseDef(in)
+			wg.defI, wg.defF = wg.defI|id, wg.defF|fd
+		}
 	}
 	for _, blk := range wg.blocks {
 		if blk == nil {

@@ -149,7 +149,7 @@ func (k *Kernel) wgSkeleton(wg *wgProgram, head *wblock) *wgLoop {
 	if !back(succ) {
 		return nil
 	}
-	iIn, _, _ := k.wgLiveness(wg, lp.inS)
+	iIn, _, _, _ := k.wgLiveness(wg, lp.inS)
 	lp.uni = iIn[succ]
 	return lp
 }

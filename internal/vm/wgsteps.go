@@ -494,53 +494,21 @@ func (m *wmach) contig(slot int32, idx []int64) []float32 {
 // arrays are shared by the group; private arrays give each item its own
 // slab of the flattened per-array bank.
 func (k *Kernel) wstepSlab(pc int, in Instr, priv bool) wstep {
-	a, slot, c := in.A, in.B, in.C
-	space := "local"
-	arrs := k.LocalArrs
-	if priv {
-		space = "private"
-		arrs = k.PrivArrs
-	}
-	name := arrs[slot].Name
-	sig := opTab[in.Op].sig
-	isLoad := sig == sigLoadF || sig == sigLoadI
-	isF := sig == sigLoadF || sig == sigStoreF
-	what := "store"
-	if isLoad {
-		what = "load"
-	}
+	slot, c := in.B, in.C
 	return func(m *wmach, set []int32) bool {
 		n := m.n
-		ib := m.ib
-		ab, cb := int(a)*n, int(c)*n
-		var buf []byte
-		var sz int
+		slabs, sz := m.locals, 0
 		if priv {
-			buf = m.priv[slot]
-			sz = m.privSz[slot]
-		} else {
-			buf = m.locals[slot]
-			sz = len(buf)
+			slabs, sz = m.priv, m.privSz[slot]
 		}
 		for _, t := range set {
-			slab := buf
+			slab := slabs[slot]
 			if priv {
-				slab = buf[int(t)*sz : (int(t)+1)*sz]
+				slab = slab[int(t)*sz:][:sz]
 			}
-			off, err := byteOff(ib[cb+int(t)], sz)
-			if err != nil {
-				m.err = &execError{m.k.Name, pc, fmt.Sprintf("%s %s %s: %v", space, what, name, err)}
+			if err := m.k.slabAccess(pc, in, slab, m.ib[int(c)*n+int(t)], m.fb, m.ib, int(in.A)*n+int(t)); err != nil {
+				m.err = err
 				return false
-			}
-			switch {
-			case isLoad && isF:
-				m.fb[ab+int(t)] = float64(math.Float32frombits(binary.LittleEndian.Uint32(slab[off:])))
-			case isLoad:
-				ib[ab+int(t)] = int64(int32(binary.LittleEndian.Uint32(slab[off:])))
-			case isF:
-				binary.LittleEndian.PutUint32(slab[off:], math.Float32bits(float32(m.fb[ab+int(t)])))
-			default:
-				binary.LittleEndian.PutUint32(slab[off:], uint32(int32(ib[ab+int(t)])))
 			}
 		}
 		m.st.LocalAccesses += int64(len(set))

@@ -59,13 +59,8 @@ func (k *Kernel) wgUniform(wg *wgProgram) []uint8 {
 	for pc := range inI {
 		inI[pc], inF[pc] = ^uint64(0), ^uint64(0)
 	}
-	var defI, defF uint64
-	for _, in := range code {
-		_, _, id, fd := wgUseDef(in)
-		defI, defF = defI|id, defF|fd
-	}
 	for _, r := range wg.regions[1:] {
-		inI[r], inF[r] = ^defI, ^defF
+		inI[r], inF[r] = ^wg.defI, ^wg.defF
 	}
 	uni := make([]bool, n)
 	for changed := true; changed; {
