@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json build vet test race checkptr fuzz bench-smoke bench loc loc-check
+.PHONY: check fmt-check lint lint-json build vet test race checkptr fma-check fuzz bench-smoke bench loc loc-check
 
 # The fast CI gate: formatting, the internal/vm, internal/analysis,
 # internal/harness, internal/sched, internal/device, internal/ocl,
@@ -50,6 +50,14 @@ race:
 # runs at non-zero word offsets (later groups, a view inside a larger array).
 checkptr:
 	$(GO) test -gcflags=all=-d=checkptr ./internal/vm
+
+# No fused multiply-add in any non-test package on arm64, ppc64le, s390x or
+# riscv64, the targets where Go may fuse x*y + z into one rounding: each is
+# compiled from scratch (-a) with its assembly listed, and any fused mnemonic
+# outside the script's allow-list of exact fusions fails the check (about a
+# minute for the four).
+fma-check:
+	scripts/fma-check.sh
 
 # Thirty seconds of native fuzzing: the differential suite (ref vs interp vs wg
 # on generated kernels), then the topology spec parser, the one place a count

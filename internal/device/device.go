@@ -169,7 +169,7 @@ func XeonDual() Config {
 // device. split > 1 divides the time across that many otherwise-idle
 // hardware threads (the CPU work-group splitting optimization, §6.3).
 func (c Config) WGTime(st vm.Stats, split int) float64 {
-	ops := float64(st.IntOps+st.FloatOps+st.Branches) + float64(st.SpecialOps)*c.SpecialOpCost
+	ops := float64(st.IntOps+st.FloatOps+st.Branches) + float64(float64(st.SpecialOps)*c.SpecialOpCost)
 	var t float64
 	switch c.Kind {
 	case GPU:
@@ -187,9 +187,9 @@ func (c Config) WGTime(st vm.Stats, split int) float64 {
 		mem += float64(st.LocalAccesses) * 4 / c.SeqBytesPerSec
 		t = alu + mem
 	}
-	t += float64(st.Barriers) * c.BarrierCost
+	t += float64(float64(st.Barriers) * c.BarrierCost)
 	if split > 1 {
-		t = t/float64(split) + c.WGOverhead*float64(split-1)
+		t = t/float64(split) + float64(c.WGOverhead*float64(split-1))
 	}
 	return t + c.WGOverhead
 }

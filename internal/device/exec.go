@@ -261,7 +261,7 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 			res.Err = err
 			return
 		}
-		dur := d.Cfg.WGTime(st, split) * float64(occupancy)
+		dur := float64(d.Cfg.WGTime(st, split) * float64(occupancy))
 		sc.fly = append(sc.fly, inflightWG{
 			fgid: fgid, cu: cu,
 			start: now, end: now + dur,

@@ -48,7 +48,7 @@ func Bicg(n int) *Benchmark {
 	for i := 0; i < n; i++ {
 		var acc float32
 		for j := 0; j < n; j++ {
-			acc += A[i*n+j] * p[j]
+			acc += float32(A[i*n+j] * p[j])
 		}
 		q[i] = acc
 	}
@@ -56,7 +56,7 @@ func Bicg(n int) *Benchmark {
 	for j := 0; j < n; j++ {
 		var acc float32
 		for i := 0; i < n; i++ {
-			acc += r[i] * A[i*n+j]
+			acc += float32(r[i] * A[i*n+j])
 		}
 		s[j] = acc
 	}

@@ -120,7 +120,7 @@ func Corr(m, n int) *Benchmark {
 		var acc float32
 		for i := 0; i < n; i++ {
 			v := data[i*m+j] - mean[j]
-			acc += v * v
+			acc += float32(v * v)
 		}
 		s := float32(math.Sqrt(float64(acc / float32(n))))
 		if s <= 0.005 {
@@ -142,7 +142,7 @@ func Corr(m, n int) *Benchmark {
 		for j2 := j1 + 1; j2 < m; j2++ {
 			var acc float32
 			for i := 0; i < n; i++ {
-				acc += norm[i*m+j1] * norm[i*m+j2]
+				acc += float32(norm[i*m+j1] * norm[i*m+j2])
 			}
 			symmat[j1*m+j2] = acc
 			symmat[j2*m+j1] = acc

@@ -65,7 +65,7 @@ func Atax(n int) *Benchmark {
 	for i := 0; i < n; i++ {
 		var acc float32
 		for j := 0; j < n; j++ {
-			acc += A[i*n+j] * x[j]
+			acc += float32(A[i*n+j] * x[j])
 		}
 		tmp[i] = acc
 	}
@@ -73,7 +73,7 @@ func Atax(n int) *Benchmark {
 	for j := 0; j < n; j++ {
 		var acc float32
 		for i := 0; i < n; i++ {
-			acc += A[i*n+j] * tmp[i]
+			acc += float32(A[i*n+j] * tmp[i])
 		}
 		y[j] = acc
 	}
@@ -145,7 +145,7 @@ func Mvt(n int) *Benchmark {
 	for i := 0; i < n; i++ {
 		acc := x1[i]
 		for j := 0; j < n; j++ {
-			acc += A[i*n+j] * y1[j]
+			acc += float32(A[i*n+j] * y1[j])
 		}
 		rx1[i] = acc
 	}
@@ -153,7 +153,7 @@ func Mvt(n int) *Benchmark {
 	for i := 0; i < n; i++ {
 		acc := x2[i]
 		for j := 0; j < n; j++ {
-			acc += A[j*n+i] * y2[j]
+			acc += float32(A[j*n+i] * y2[j])
 		}
 		rx2[i] = acc
 	}
@@ -217,7 +217,7 @@ func Gemm(ni, nj, nk int) *Benchmark {
 		for j := 0; j < nj; j++ {
 			acc := C0[i*nj+j] * beta
 			for k := 0; k < nk; k++ {
-				acc += alpha * A[i*nk+k] * B[k*nj+j]
+				acc += float32(alpha * A[i*nk+k] * B[k*nj+j])
 			}
 			C[i*nj+j] = acc
 		}
@@ -275,11 +275,11 @@ func TwoDConv(n int) *Benchmark {
 	c := []float32{0.2, -0.3, 0.4, -0.5, 0.6, -0.7, 0.8, -0.9, 0.1}
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
-			B[i*n+j] = c[0]*A[(i-1)*n+(j-1)] + c[1]*A[(i-1)*n+j] +
-				c[2]*A[(i-1)*n+(j+1)] + c[3]*A[i*n+(j-1)] +
-				c[4]*A[i*n+j] + c[5]*A[i*n+(j+1)] +
-				c[6]*A[(i+1)*n+(j-1)] + c[7]*A[(i+1)*n+j] +
-				c[8]*A[(i+1)*n+(j+1)]
+			B[i*n+j] = float32(c[0]*A[(i-1)*n+(j-1)]) + float32(c[1]*A[(i-1)*n+j]) +
+				float32(c[2]*A[(i-1)*n+(j+1)]) + float32(c[3]*A[i*n+(j-1)]) +
+				float32(c[4]*A[i*n+j]) + float32(c[5]*A[i*n+(j+1)]) +
+				float32(c[6]*A[(i+1)*n+(j-1)]) + float32(c[7]*A[(i+1)*n+j]) +
+				float32(c[8]*A[(i+1)*n+(j+1)])
 		}
 	}
 

@@ -38,10 +38,10 @@ func Gesummv(n int) *Benchmark {
 	for i := 0; i < n; i++ {
 		var t, yv float32
 		for j := 0; j < n; j++ {
-			t += A[i*n+j] * x[j]
-			yv += B[i*n+j] * x[j]
+			t += float32(A[i*n+j] * x[j])
+			yv += float32(B[i*n+j] * x[j])
 		}
-		y[i] = alpha*t + beta*yv
+		y[i] = float32(alpha*t) + float32(beta*yv)
 	}
 
 	local := 16

@@ -38,8 +38,8 @@ func Syr2k(n, m int) *Benchmark {
 		for j := 0; j < n; j++ {
 			acc := C0[i*n+j] * beta
 			for k := 0; k < m; k++ {
-				acc += alpha * A[i*m+k] * B[j*m+k]
-				acc += alpha * B[i*m+k] * A[j*m+k]
+				acc += float32(alpha * A[i*m+k] * B[j*m+k])
+				acc += float32(alpha * B[i*m+k] * A[j*m+k])
 			}
 			C[i*n+j] = acc
 		}

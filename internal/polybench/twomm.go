@@ -55,7 +55,7 @@ func TwoMM(ni, nj, nk int) *Benchmark {
 		for j := 0; j < nj; j++ {
 			var acc float32
 			for k := 0; k < nk; k++ {
-				acc += alpha * A[i*nk+k] * B[k*nj+j]
+				acc += float32(alpha * A[i*nk+k] * B[k*nj+j])
 			}
 			tmp[i*nj+j] = acc
 		}
@@ -65,7 +65,7 @@ func TwoMM(ni, nj, nk int) *Benchmark {
 		for j := 0; j < nl; j++ {
 			var acc float32
 			for k := 0; k < nj; k++ {
-				acc += beta * tmp[i*nj+k] * C[k*nl+j]
+				acc += float32(beta * tmp[i*nj+k] * C[k*nl+j])
 			}
 			D[i*nl+j] = acc
 		}

@@ -104,7 +104,7 @@ func (g *progGen) floatExpr(depth int) string {
 	if depth <= 0 || g.r.Intn(3) == 0 {
 		switch g.r.Intn(3) {
 		case 0:
-			return fmt.Sprintf("%.3ff", g.r.Float64()*8-4)
+			return fmt.Sprintf("%.3ff", float64(g.r.Float64()*8)-4)
 		case 1:
 			if len(g.floats) > 0 {
 				return g.floats[g.r.Intn(len(g.floats))]
