@@ -65,14 +65,17 @@ fma-check:
 # running its source (random words, masks, windows and group sizes), then
 # the front end (parse, print, analyze, check, compile) on arbitrary text,
 # then ocl's device storage (shared, copied-on-write and recycled buffers
-# against a plain-slice model). The seeds alone run in every `go test`; this
-# explores beyond them.
+# against a plain-slice model), then the cooperative runtimes' outputs under
+# drawn device speeds, topologies and options (FuzzTiming). The seeds alone
+# run in every `go test`; this explores beyond them. The differential suite
+# had ten seconds until FuzzTiming took five of them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 5s ./internal/vm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 5s ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzBuiltinMerge$$' -fuzztime 5s ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 5s ./internal/clc
 	$(GO) test -run '^$$' -fuzz '^FuzzBufferStorage$$' -fuzztime 5s ./internal/ocl
+	$(GO) test -run '^$$' -fuzz '^FuzzTiming$$' -fuzztime 5s ./internal/core
 
 # One iteration of the headline benchmark, as a does-it-still-run smoke.
 bench-smoke:

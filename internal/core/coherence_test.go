@@ -11,11 +11,23 @@ import (
 
 // coherenceCase is one host program that drives a runtime over a CPU and a
 // GPU and reports the first wrong word it finds ("" when every word is
-// right).
+// right). shape says whether the run reached the case the program is about
+// on these devices ("" when it did): a timing-independence run, which
+// changes the devices' speeds, checks the words alone.
 type coherenceCase struct {
 	name     string
 	cpu, gpu func() device.Config
 	run      func(t *testing.T, env *sim.Env, rt *Runtime) string
+	shape    func(rt *Runtime) string
+}
+
+// coherenceCases are TestTwinCoherence's host programs.
+func coherenceCases() []coherenceCase {
+	return []coherenceCase{
+		{"partial write after CPU-did-all", device.XeonW3550, slowLaunchGPU, partialWriteAfterCPUDidAll, cpuDidK1},
+		{"write during D2H", device.XeonW3550, weakGPU, writeDuringD2H, merged},
+		{"write-only kernel during D2H", device.XeonW3550, weakGPU, writeOnlyDuringD2H, func(*Runtime) string { return "" }},
+	}
 }
 
 // TestTwinCoherence runs each host program under the twin protocol (New) and
@@ -26,12 +38,7 @@ type coherenceCase struct {
 // that only writes a buffer whose previous contents are still on their way
 // to the CPU.
 func TestTwinCoherence(t *testing.T) {
-	cases := []coherenceCase{
-		{"partial write after CPU-did-all", device.XeonW3550, slowLaunchGPU, partialWriteAfterCPUDidAll},
-		{"write during D2H", device.XeonW3550, weakGPU, writeDuringD2H},
-		{"write-only kernel during D2H", device.XeonW3550, weakGPU, writeOnlyDuringD2H},
-	}
-	for _, c := range cases {
+	for _, c := range coherenceCases() {
 		for _, proto := range []string{"twin", "nway"} {
 			t.Run(c.name+"/"+proto, func(t *testing.T) {
 				env := sim.NewEnv()
@@ -47,6 +54,9 @@ func TestTwinCoherence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if bad := c.run(t, env, rt); bad != "" {
+					t.Fatal(bad)
+				}
+				if bad := c.shape(rt); bad != "" {
 					t.Fatal(bad)
 				}
 				if err := rt.Err(); err != nil {
@@ -116,20 +126,27 @@ func partialWriteAfterCPUDidAll(t *testing.T, env *sim.Env, rt *Runtime) string 
 	if out == nil {
 		t.Fatal("app did not complete")
 	}
-	if _, ok := rt.proto.(*twin); ok {
-		if rep := rt.Reports[0]; !rep.CPUDidAll {
-			t.Fatalf("k1 did not run entirely on the CPU: %+v", rep)
-		}
-		if rep := rt.Reports[1]; rep.GPUExecuted == 0 {
-			t.Fatalf("the GPU ran none of k2: %+v", rep)
-		}
-	}
 	return firstWrong("c", out, func(i int) float32 {
 		if i < n/16 {
 			return 7
 		}
 		return 1
 	})
+}
+
+// cpuDidK1 is partialWriteAfterCPUDidAll's shape under the twin protocol: the
+// CPU computed k1 alone and the GPU ran part of k2.
+func cpuDidK1(rt *Runtime) string {
+	if _, ok := rt.proto.(*twin); !ok {
+		return ""
+	}
+	if rep := rt.Reports[0]; !rep.CPUDidAll {
+		return fmt.Sprintf("k1 did not run entirely on the CPU: %+v", rep)
+	}
+	if rep := rt.Reports[1]; rep.GPUExecuted == 0 {
+		return fmt.Sprintf("the GPU ran none of k2: %+v", rep)
+	}
+	return ""
 }
 
 // writeDuringD2H: the host rewrites scale's output as soon as the kernel
@@ -164,14 +181,19 @@ func writeDuringD2H(t *testing.T, env *sim.Env, rt *Runtime) string {
 	if host == nil {
 		t.Fatal("app did not complete")
 	}
-	if rep := rt.Reports[0]; rep.CPUWGs == 0 || rep.CPUDidAll {
-		t.Fatalf("scale did not merge the two devices' results: %+v", rep)
-	}
 	want := func(int) float32 { return 42 }
 	if bad := firstWrong("host shadow", host, want); bad != "" {
 		return bad
 	}
 	return firstWrong("CPU copy", bufOut.bufs[0].Bytes(), want)
+}
+
+// merged is writeDuringD2H's shape: both devices computed part of scale.
+func merged(rt *Runtime) string {
+	if rep := rt.Reports[0]; rep.CPUWGs == 0 || rep.CPUDidAll {
+		return fmt.Sprintf("scale did not merge the two devices' results: %+v", rep)
+	}
+	return ""
 }
 
 // fillSrc overwrites every word of its buffer without reading it.

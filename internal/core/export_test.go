@@ -1,6 +1,12 @@
 package core
 
-import "fluidicl/internal/vm"
+import (
+	"testing"
+
+	"fluidicl/internal/device"
+	"fluidicl/internal/sim"
+	"fluidicl/internal/vm"
+)
 
 // Test-only exports for the external (core_test) tests, which may import
 // the packages that import core.
@@ -25,4 +31,21 @@ func CachedPlans(k *Kernel) int {
 		return len(*p)
 	}
 	return 0
+}
+
+// CoherenceProgram is one of TestTwinCoherence's host programs: Run drives
+// rt over env and returns the first wrong word it finds ("" when every word
+// is right); CPU and GPU are the devices it was written for.
+type CoherenceProgram struct {
+	Name     string
+	CPU, GPU func() device.Config
+	Run      func(t *testing.T, env *sim.Env, rt *Runtime) string
+}
+
+// CoherencePrograms returns TestTwinCoherence's host programs.
+func CoherencePrograms() (out []CoherenceProgram) {
+	for _, c := range coherenceCases() {
+		out = append(out, CoherenceProgram{c.name, c.cpu, c.gpu, c.run})
+	}
+	return out
 }
