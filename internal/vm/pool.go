@@ -11,8 +11,10 @@ func SetWorkers(int) {}
 // wgScratch is the per-work-group execution state (work-item registers,
 // private slabs, local arrays, the memory-locality tracker). It is pooled
 // per kernel so repeated work-group executions — and concurrent ones — stop
-// allocating. Reused memory is zeroed to be indistinguishable from a fresh
-// allocation.
+// allocating. Reused memory is reset to what a group may observe of a fresh
+// allocation: the interpreter's states, private slabs and local arrays are
+// zeroed, and the lockstep machine's register banks hold the group entry
+// contract (wmach.enter), which leaves registers no read can see unspecified.
 type wgScratch struct {
 	single *wiState
 	states []*wiState

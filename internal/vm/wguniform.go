@@ -45,10 +45,12 @@ func wgUniformOp(in Instr) bool {
 
 // wgUniform classifies every pc of a kernel whose register files fit the
 // liveness masks. The forward pass keeps, per block entry, the int and float
-// registers that hold one value across the group: all of them at pc 0 (wmFor
-// zeroes the banks and runGroup broadcasts the parameters), at a barrier's
-// resume pc only those no instruction writes (the phase before it may have
-// partitioned), the intersection at a join. A backward pass per block then marks a uniform
+// registers that hold one value across the group: all of them at pc 0 (the
+// group's entry contract, wmach.enter, makes the parameters and the
+// registers read before any write uniform, and every other register is
+// written before it is read), at a barrier's resume pc only those no
+// instruction writes (the phase before it may have partitioned), the
+// intersection at a join. A backward pass per block then marks a uniform
 // step uBcast when its destination is live out (wgLiveness), is the branch's
 // condition, or is read by a per-lane step of the block before being
 // redefined.
