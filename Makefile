@@ -143,8 +143,12 @@ loc:
 # column taken with append (colFor, which also owns the whole-group check
 # both global steps made), the machine's per-item and private slabs and the
 # group's local arrays sized by the one grow-and-clear helper, and the
-# branch's uniformity scan comparing each lane with lane 0.
-VM_LOC_MAX = 5960
+# branch's uniformity scan comparing each lane with lane 0. 5953 is the count
+# with a group's registers set up once per launch (wmach.enter: the launch
+# key, the cached item list and the two entry masks from the liveness pass),
+# paid for by one local- and private-array access (slabAccess) in place of
+# the interpreter's eight cases and the banked slab step's own decoding.
+VM_LOC_MAX = 5953
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

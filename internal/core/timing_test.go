@@ -95,7 +95,10 @@ func (d timingDraw) topology(devs ...device.Config) device.Topology {
 		topo.Devices = append(topo.Devices, cfg)
 		topo.Links = append(topo.Links, device.Link{Latency: cfg.Link.LatencySec, BytesPerSec: cfg.Link.BytesPerSec, Bus: bus})
 	}
-	topo.Name = strings.Join(names, " + ") + " " + bus
+	topo.Name = strings.Join(names, " + ")
+	if bus != "" {
+		topo.Name += ", one shared bus"
+	}
 	return topo
 }
 
@@ -117,32 +120,31 @@ func (d timingDraw) options() core.Options {
 func checkTiming(t *testing.T, seed uint64) {
 	d := timingDraw{rand.New(rand.NewPCG(seed, 0x71e))}
 	opts := d.options()
+	fail := func(what, proto, on string, detail any) {
+		t.Helper()
+		t.Fatalf("seed %d, %s under %s on %s, options %+v: %v", seed, what, proto, on, opts, detail)
+	}
 	// The seed picks the program, so consecutive seeds cover every one.
 	apps, progs := quickApps(), core.CoherencePrograms()
 	pick := int(seed % uint64(len(apps)+len(progs)))
-	fail := func(proto, what string, topo fmt.Stringer, detail any) {
-		t.Helper()
-		t.Fatalf("seed %d, %s under %s on %v, options %+v: %v", seed, what, proto, topo, opts, detail)
-	}
 	if pick < len(apps) {
 		b := apps[pick]
-		cpu, gpu := d.perturb([]func() device.Config{device.XeonW3550, device.XeonDual}[d.r.IntN(2)]()),
-			d.perturb([]func() device.Config{device.TeslaC2070, device.GT440}[d.r.IntN(2)]())
+		cpu := d.perturb([]func() device.Config{device.XeonW3550, device.XeonDual}[d.r.IntN(2)]())
+		gpu := d.perturb([]func() device.Config{device.TeslaC2070, device.GT440}[d.r.IntN(2)]())
 		times := 1 + d.r.IntN(3)
-		pair := device.Topology{Name: fmt.Sprintf("%s + %s (%d runs)", cpu.Name, gpu.Name, times)}
 		res, err := sched.RunFluidiCLRepeat(sched.Machine{CPU: cpu, GPU: gpu}, b.App, opts, times)
 		if err == nil {
 			err = b.Verify(res.Outputs)
 		}
 		if err != nil {
-			fail("twin", b.Name, pair, err)
+			fail(b.Name, "twin", fmt.Sprintf("%s + %s, %d runs", cpu.Name, gpu.Name, times), err)
 		}
 		topo := d.topology(d.kind())
 		if res, err = sched.RunTopology(topo, b.App, opts); err == nil {
 			err = b.Verify(res.Outputs)
 		}
 		if err != nil {
-			fail("N-way", b.Name, topo, err)
+			fail(b.Name, "N-way", topo.Name, err)
 		}
 		return
 	}
@@ -150,24 +152,23 @@ func checkTiming(t *testing.T, seed uint64) {
 	cpu, gpu := d.perturb(p.CPU()), d.perturb(p.GPU())
 	topo := d.topology(p.CPU(), p.GPU())
 	for _, proto := range []string{"twin", "N-way"} {
-		env := sim.NewEnv()
+		env, on := sim.NewEnv(), cpu.Name+" + "+gpu.Name
 		var rt *core.Runtime
 		var err error
-		on := fmt.Stringer(device.Topology{Name: cpu.Name + " + " + gpu.Name})
 		if proto == "twin" {
 			rt, err = core.New(env, device.New(env, cpu), device.New(env, gpu), opts)
 		} else {
 			rt, err = core.NewTopo(env, topo.Build(env), opts)
-			on = topo
+			on = topo.Name
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bad := p.Run(t, env, rt); bad != "" {
-			fail(proto, p.Name, on, bad)
+			fail(p.Name, proto, on, bad)
 		}
 		if err := rt.Err(); err != nil {
-			fail(proto, p.Name, on, err)
+			fail(p.Name, proto, on, err)
 		}
 	}
 }

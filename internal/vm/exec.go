@@ -553,7 +553,8 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 
 // slabAccess performs the local- or private-array load or store in at word
 // idx of slab, with register at of fr or ir (the one its signature names) as
-// the destination or source; both engines run it.
+// the destination or source; both engines run it. The private ops are the
+// ones from opLDPF on: they follow the local ones in the opcode list.
 func (k *Kernel) slabAccess(pc int, in Instr, slab []byte, idx int64, fr []float64, ir []int64, at int) error {
 	sig := opTab[in.Op].sig
 	off, err := byteOff(idx, len(slab))

@@ -130,10 +130,8 @@ func (k *Kernel) buildWStep(pc int) wstep {
 			return k.wstepLoadGlobal(pc, in, isF)
 		case opSTGF, opSTGI:
 			return k.wstepStoreGlobal(pc, in, isF)
-		case opLDLF, opLDLI, opSTLF, opSTLI:
-			return k.wstepSlab(pc, in, false)
 		}
-		return k.wstepSlab(pc, in, true)
+		return k.wstepSlab(pc, in)
 	}
 	return nil
 }
@@ -493,8 +491,8 @@ func (m *wmach) contig(slot int32, idx []int64) []float32 {
 // wstepSlab compiles local-array and private-array loads and stores. Local
 // arrays are shared by the group; private arrays give each item its own
 // slab of the flattened per-array bank.
-func (k *Kernel) wstepSlab(pc int, in Instr, priv bool) wstep {
-	slot, c := in.B, in.C
+func (k *Kernel) wstepSlab(pc int, in Instr) wstep {
+	slot, c, priv := in.B, in.C, in.Op >= opLDPF
 	return func(m *wmach, set []int32) bool {
 		n := m.n
 		slabs, sz := m.locals, 0
