@@ -148,7 +148,13 @@ loc:
 # key, the cached item list and the two entry masks from the liveness pass),
 # paid for by one local- and private-array access (slabAccess) in place of
 # the interpreter's eight cases and the banked slab step's own decoding.
-VM_LOC_MAX = 5953
+# 5877 is the count with every kernel compiled for the lockstep engine:
+# private slabs start zeroed per work-item in both engines, so the
+# interpreter's barrier-free single-state driver (wiState.reset, singleFor,
+# wgScratch.single), buildWG's two shape rejects, WGRejShape, execWG's nil
+# guard and Disasm's are gone, and statesFor is the one place that
+# allocates an interpreter state (allocPriv and newState folded into it).
+VM_LOC_MAX = 5877
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is
@@ -192,8 +198,8 @@ OCL_LOC_MAX = 595
 # with one owner each for the engine choice (the process default, not an
 # Options field) and for the twin's decision record (the recorder's runtime
 # track, not a second text-only Trace), and the refresh tallies booked once,
-# in Counters.
-CORE_LOC_MAX = 2691
+# in Counters. 2690 is that count with the wg_cert_reject_shape key gone.
+CORE_LOC_MAX = 2690
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true
 # to run it, shutdown closes it to unwind it) and no per-process Done event:

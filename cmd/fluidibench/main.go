@@ -427,9 +427,8 @@ func runDist(quick, csv bool) error {
 // fusedShare formats fused/(fused+stepped) for the two fusion columns: fuse-cov
 // is the fraction of wg-compiled instructions absorbed into fused block
 // closures, fuse-dyn the fraction of executed block-body instructions that
-// ran through them (0% whenever launches carry a deferred-write log, i.e.
-// with more than one worker). "-" when the run counted neither (e.g. under
-// a non-lockstep backend).
+// ran through them. "-" when the run counted neither (e.g. under a
+// non-lockstep backend).
 func fusedShare(fused, stepped int64) string {
 	if fused+stepped == 0 {
 		return "-"
@@ -464,7 +463,8 @@ usage:
   fluidibench list
 
 -backend selects the work-group execution engine: default wg, or $FLUIDICL_BACKEND;
-interp is the bytecode interpreter wg falls back to, selectable as a referee.
+interp is the bytecode interpreter: the referee, and what runs the work-groups
+of launches wg's admission certificate rejects.
 
 experiments: %v
 extras: %v

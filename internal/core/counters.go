@@ -52,7 +52,7 @@ type counterRef struct {
 
 // refs lists every counter of c in emission order. It is the single field
 // list behind Each, Sub and AccumulateGlobal.
-func (c *Counters) refs() [38]counterRef {
+func (c *Counters) refs() [37]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
 		{"prime_copies_elided", &c.PrimeCopiesElided},
@@ -72,7 +72,6 @@ func (c *Counters) refs() [38]counterRef {
 		{"wg_fuse_fallback_steps", &c.WGFuseFallbackSteps},
 		{"wg_fused_instrs_dyn", &c.WGFusedInstrsDyn},
 		{"wg_step_instrs_dyn", &c.WGStepInstrsDyn},
-		{"wg_cert_reject_shape", &c.WGRejects[vm.WGRejShape]},
 		{"wg_cert_reject_alias", &c.WGRejects[vm.WGRejAlias]},
 		{"wg_cert_reject_local_store", &c.WGRejects[vm.WGRejLocalStore]},
 		{"wg_cert_reject_unknown_store", &c.WGRejects[vm.WGRejUnknownStore]},

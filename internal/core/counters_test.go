@@ -20,7 +20,7 @@ func TestCounterNamesPinned(t *testing.T) {
 		"wg_loop_wgs", "wg_fallback_wgs", "wg_kernels", "wg_regions",
 		"wg_fused_blocks", "wg_fused_steps", "wg_fuse_fallback_steps",
 		"wg_fused_instrs_dyn", "wg_step_instrs_dyn",
-		"wg_cert_reject_shape", "wg_cert_reject_alias",
+		"wg_cert_reject_alias",
 		"wg_cert_reject_local_store", "wg_cert_reject_unknown_store",
 		"wg_cert_reject_unknown_read", "wg_cert_reject_overlap", "wg_cert_reject_budget",
 		"wg_fuse_reject_shape", "wg_fuse_reject_wiring", "wg_fuse_reject_live_scratch",

@@ -99,12 +99,13 @@ func TestBackendParityFluidiCL(t *testing.T) {
 	}
 }
 
-// TestWGFallbackRunsInterp pins the one seam wg has to another engine, on the
-// one kernel of the evaluation that uses it: table3's hand-optimised CORR CPU
-// variant keeps a private acc[256] without a barrier, which buildWG rejects
-// (shape), so under the wg backend every work-group of it runs on the
-// interpreter — and must compute what the interpreter selected directly and
-// the AST reference compute.
+// TestWGFallbackRunsInterp keeps the name it had when table3's hand-optimised
+// CORR CPU variant was the one kernel of the evaluation that wg handed to the
+// interpreter: it keeps a private acc[256] without a barrier. Private slabs
+// are per work-item in every engine, so under the wg backend every
+// work-group of it runs in lockstep — and must compute what the interpreter
+// selected directly and the AST reference compute, with the interpreter's
+// Stats.
 func TestWGFallbackRunsInterp(t *testing.T) {
 	const m, n = 48, 64
 	b := polybench.CorrWithVariant(m, n)
@@ -140,10 +141,9 @@ func TestWGFallbackRunsInterp(t *testing.T) {
 		name      string
 		got, want int64
 	}{
-		{"WGFallbackWGs", after.WGFallbackWGs - before.WGFallbackWGs, groups},
-		{"WGRejects[shape]", after.WGRejects[vm.WGRejShape] - before.WGRejects[vm.WGRejShape], groups},
-		{"InterpWGs", after.InterpWGs - before.InterpWGs, groups},
-		{"WGLoopWGs", after.WGLoopWGs - before.WGLoopWGs, 0},
+		{"WGFallbackWGs", after.WGFallbackWGs - before.WGFallbackWGs, 0},
+		{"InterpWGs", after.InterpWGs - before.InterpWGs, 0},
+		{"WGLoopWGs", after.WGLoopWGs - before.WGLoopWGs, groups},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s rose by %d over the wg launch, want %d", c.name, c.got, c.want)

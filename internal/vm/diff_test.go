@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fluidicl/internal/clc"
@@ -112,8 +113,15 @@ const diffSeeds = 50
 
 func TestDifferentialVMvsReference(t *testing.T) {
 	wgBefore, partial, skipped := BackendSnapshot().WGLoopWGs, PartialLoopBatches(), SkippedTrips()
+	priv := 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		diffSeed(t, seed)
+		if strings.Contains(vmref.GenProgram(rand.New(rand.NewSource(seed))), "float pv[4];") {
+			priv++
+		}
+	}
+	if priv == 0 {
+		t.Error("no generated seed declared a private array; generator drifted")
 	}
 	if BackendSnapshot().WGLoopWGs == wgBefore {
 		t.Error("no generated seed exercised the lockstep wg engine (all fell back)")

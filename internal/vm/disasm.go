@@ -40,22 +40,21 @@ func (k *Kernel) Disasm() string {
 	// (wg.loop-fuse with the skeleton size and the registers prechecked
 	// uniform, or wg.loop-nofuse with the reason).
 	notes, region := map[int][]string{}, map[int]string{}
-	if wg := k.wg; wg != nil {
-		for _, s := range wg.spans {
-			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.loop (%d instrs)", s.Len))
-		}
-		for _, s := range wg.fused {
-			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.fuse (%d instrs)", s.Len))
-		}
-		for _, s := range wg.nofuse {
-			notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.nofuse (%s)", s.Name))
-		}
-		for _, s := range wg.loops {
-			notes[s.Start] = append(notes[s.Start], s.Name)
-		}
-		for ri, entry := range wg.regions {
-			region[entry] = fmt.Sprintf("      ; -- wg region %d --\n", ri)
-		}
+	wg := k.wg
+	for _, s := range wg.spans {
+		notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.loop (%d instrs)", s.Len))
+	}
+	for _, s := range wg.fused {
+		notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.fuse (%d instrs)", s.Len))
+	}
+	for _, s := range wg.nofuse {
+		notes[s.Start] = append(notes[s.Start], fmt.Sprintf("wg.nofuse (%s)", s.Name))
+	}
+	for _, s := range wg.loops {
+		notes[s.Start] = append(notes[s.Start], s.Name)
+	}
+	for ri, entry := range wg.regions {
+		region[entry] = fmt.Sprintf("      ; -- wg region %d --\n", ri)
 	}
 	for pc, in := range k.Code {
 		line := disasmInstr(in)

@@ -152,10 +152,7 @@ func (k *Kernel) ExecWorkGroup(nd NDRange, group [3]int, args []Arg, opts ExecOp
 // otherwise on the interpreter below. Neither path allocates once warm.
 func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch) (Stats, error) {
 	if opts.Backend.resolve() == BackendWG {
-		rej := WGRejShape
-		if k.wg != nil {
-			rej = k.wgCertified(sc, nd, args)
-		}
+		rej := k.wgCertified(sc, nd, args)
 		if rej == WGRejNone {
 			return k.execWGLockstep(nd, group, args, opts, sc)
 		}
@@ -180,20 +177,8 @@ func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc 
 	tr := sc.trackerFor(k)
 	lx, ly := nd.LocalSize[0], nd.LocalSize[1]
 
-	if !k.HasBarrier {
-		w := sc.singleFor(k)
-		for wi := 0; wi < nWI; wi++ {
-			w.reset(k)
-			tr.nextWI(wi%warpSize == 0)
-			lid := [3]int{wi % lx, (wi / lx) % ly, wi / (lx * ly)}
-			if _, err := k.run(w, nd, group, lid, wi, args, locals, tr, &st, opts, maxSteps); err != nil {
-				return st, err
-			}
-		}
-		return st, nil
-	}
-
-	// Barrier path: phased execution of persistent per-work-item contexts.
+	// Phased execution of persistent per-work-item contexts, each with its
+	// own zeroed private slabs: a barrier-free kernel is one phase.
 	states := sc.statesFor(k, nWI)
 	for {
 		anyBarrier, anyDone := false, false
@@ -228,25 +213,6 @@ func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc 
 		}
 		st.Barriers++
 	}
-}
-
-func (w *wiState) reset(k *Kernel) {
-	for i := range w.iregs {
-		w.iregs[i] = 0
-	}
-	for i := range w.fregs {
-		w.fregs[i] = 0
-	}
-	w.pc = 0
-	w.done = false
-}
-
-func (k *Kernel) allocPriv() [][]byte {
-	priv := make([][]byte, len(k.PrivArrs))
-	for i, pa := range k.PrivArrs {
-		priv[i] = make([]byte, pa.Len*pa.Elem.Size())
-	}
-	return priv
 }
 
 // CheckArgs validates an argument list against the kernel signature. Callers

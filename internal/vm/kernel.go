@@ -84,8 +84,7 @@ type Kernel struct {
 	Info       *clc.KernelInfo
 
 	// wg is the whole-work-group compilation (lockstep barrier-region
-	// loops over SoA register banks) — nil when buildWG bailed out and
-	// the wg backend must fall back to the interpreter.
+	// loops over SoA register banks); every kernel has one.
 	wg *wgProgram
 
 	// sum is the static access summary of the kernel's AST (strided refs,

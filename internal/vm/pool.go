@@ -16,7 +16,6 @@ func SetWorkers(int) {}
 // zeroed, and the lockstep machine's register banks hold the group entry
 // contract (wmach.enter), which leaves registers no read can see unspecified.
 type wgScratch struct {
-	single *wiState
 	states []*wiState
 	locals [][]byte
 	tr     *memTracker
@@ -34,14 +33,6 @@ func (k *Kernel) getScratch() *wgScratch {
 
 func (k *Kernel) putScratch(s *wgScratch) { k.scratch.Put(s) }
 
-func (k *Kernel) newState() *wiState {
-	return &wiState{
-		iregs: make([]int64, k.NumI),
-		fregs: make([]float64, k.NumF),
-		priv:  k.allocPriv(),
-	}
-}
-
 // zero returns w to its freshly-allocated state.
 func (w *wiState) zero() {
 	clear(w.iregs)
@@ -53,21 +44,15 @@ func (w *wiState) zero() {
 	w.done = false
 }
 
-// singleFor returns the shared work-item state for the non-barrier path,
-// zeroed as if freshly allocated (private slabs persist across the group's
-// work-items, exactly as before pooling).
-func (s *wgScratch) singleFor(k *Kernel) *wiState {
-	if s.single == nil {
-		s.single = k.newState()
-	}
-	s.single.zero()
-	return s.single
-}
-
-// statesFor returns n zeroed per-work-item states for the barrier path.
+// statesFor returns n zeroed per-work-item states, one per work-item of the
+// group.
 func (s *wgScratch) statesFor(k *Kernel, n int) []*wiState {
 	for len(s.states) < n {
-		s.states = append(s.states, k.newState())
+		w := &wiState{iregs: make([]int64, k.NumI), fregs: make([]float64, k.NumF), priv: make([][]byte, len(k.PrivArrs))}
+		for i, pa := range k.PrivArrs {
+			w.priv[i] = make([]byte, pa.Len*pa.Elem.Size())
+		}
+		s.states = append(s.states, w)
 	}
 	st := s.states[:n]
 	for _, w := range st {

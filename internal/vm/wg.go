@@ -13,9 +13,10 @@ package vm
 // The pass is purely structural; whether a given *launch* may actually run
 // in lockstep is decided at execution time by the admission certificate
 // (wgcert.go), which falls back to the interpreter per work-group when it
-// cannot prove that cross-work-item execution order is unobservable.
-// Kernels the static analyzer flags with divergent barriers are rejected
-// here outright, so unsupported shapes never reach the engine.
+// cannot prove that cross-work-item execution order is unobservable. Every
+// kernel compiles: private arrays are per work-item in every engine, and a
+// barrier the static analyzer flags as divergent is checked where it runs
+// (runGroup's phase end reports items that diverged or skipped it).
 
 // wgTerm kinds.
 const (
@@ -91,23 +92,8 @@ type wgProgram struct {
 }
 
 // buildWG compiles the whole-work-group program from the well-formed bytecode
-// Compile emits. It rejects kernels whose barriers the static analyzer
-// reports as divergent: those can legally error at runtime, and the
-// interpreter already produces that error with exact semantics.
+// Compile emits.
 func (k *Kernel) buildWG() {
-	if k.HasBarrier {
-		if k.sum.HasDivergentBarrier() {
-			return
-		}
-	} else if len(k.PrivArrs) > 0 {
-		// The interpreter runs a barrier-free group's work-items through
-		// one shared state whose private slabs are not cleared between items
-		// (wiState.reset), so a read-before-write observes the previous
-		// item's leftovers. Lockstep execution cannot reproduce that
-		// sequential carry-over; barrier kernels use per-item zeroed slabs in
-		// every engine, so only this shape must fall back.
-		return
-	}
 	code := k.Code
 	n := len(code)
 
@@ -134,11 +120,7 @@ func (k *Kernel) buildWG() {
 		for end < n && !leader[end] {
 			end++
 		}
-		blk := k.buildWBlock(start, end)
-		if blk == nil {
-			return
-		}
-		blocks[start] = blk
+		blocks[start] = k.buildWBlock(start, end)
 		spans = append(spans, FusedSpan{Start: start, Len: end - start, Name: "wg.loop"})
 		start = end
 	}
@@ -185,12 +167,8 @@ func (k *Kernel) buildWBlock(start, end int) *wblock {
 		if code[pc].Op == opNop {
 			continue // no semantics; still counted in nInstr for the budget
 		}
-		s := k.buildWStep(pc)
-		if s == nil {
-			return nil
-		}
 		c := opTab[code[pc].Op].class
-		blk.steps, blk.cls = append(blk.steps, s), append(blk.cls, c)
+		blk.steps, blk.cls = append(blk.steps, k.buildWStep(pc)), append(blk.cls, c)
 		blk.ops[c]++
 	}
 	return blk

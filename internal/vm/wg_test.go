@@ -176,41 +176,67 @@ __kernel void t2d(__global float* a, int w) {
 	}
 }
 
+// TestWGDivergentBarrierFallback keeps the name it had when a barrier the
+// analyzer flags as divergent kept its kernel off the lockstep engine. Such a
+// kernel now compiles like any other and its barriers are checked where they
+// run: a flagged barrier every item reaches runs in lockstep and matches the
+// interpreter, and the two ways items can fail to meet at one barrier are the
+// same error on both engines.
 func TestWGDivergentBarrierFallback(t *testing.T) {
-	// The barrier hides under control flow the static analyzer flags as
-	// work-item-divergent (condition on get_global_id), so buildWG must
-	// reject the kernel and the wg backend must fall back — with correct
-	// results, since g >= 0 is dynamically uniform (always true).
+	// g >= 0 depends on the global id, so the analyzer flags the barrier,
+	// but every item takes it.
 	k := MustCompile(`
-__kernel void divb(__global float* a, int n) {
-    __local float tmp[16];
-    int l = get_local_id(0);
+__kernel void flagged(__global float* a, __global float* b, int n) {
     int g = get_global_id(0);
-    tmp[l] = a[g];
+    a[g] = a[g] * 2.0f;
     if (g >= 0) {
-        barrier(CLK_LOCAL_MEM_FENCE);
+        barrier(CLK_GLOBAL_MEM_FENCE);
     }
-    a[g] = tmp[15 - l];
+    b[g] = a[g] + 1.0f;
 }
-`, "divb")
-	if k.wg != nil {
-		t.Fatal("wg compilation accepted a divergent-barrier kernel")
+`, "flagged")
+	if !k.sum.HasDivergentBarrier() {
+		t.Fatal("the analyzer does not flag the barrier under g >= 0")
 	}
 	before := BackendSnapshot()
-	if err := runWGParity(t, k, NewNDRange1D(16, 16), func() []Arg {
-		return []Arg{
-			BufArg(floatBuf(16, func(i int) float32 { return float32(i) })),
-			IntArg(16),
-		}
+	if err := runWGParity(t, k, NewNDRange1D(32, 16), func() []Arg {
+		return []Arg{BufArg(floatBuf(32, func(i int) float32 { return float32(i) - 7 })), BufArg(make([]byte, 4*32)), IntArg(32)}
 	}); err != nil {
 		t.Fatal(err)
 	}
 	after := BackendSnapshot()
-	if after.WGLoopWGs != before.WGLoopWGs {
-		t.Errorf("lockstep engine ran a rejected kernel")
+	if got := after.WGLoopWGs - before.WGLoopWGs; got != 2 {
+		t.Errorf("WGLoopWGs advanced by %d, want 2 (both groups in lockstep)", got)
 	}
-	if after.WGFallbackWGs == before.WGFallbackWGs {
-		t.Errorf("WGFallbackWGs did not advance on the fallback path")
+	if after.WGFallbackWGs != before.WGFallbackWGs {
+		t.Errorf("WGFallbackWGs advanced for a flagged barrier every item reaches")
+	}
+
+	for _, c := range []struct{ name, body, msg string }{
+		{"split", "if (l < 8) { barrier(CLK_GLOBAL_MEM_FENCE); } else { barrier(CLK_GLOBAL_MEM_FENCE); }",
+			"work-items diverged to different barriers"},
+		{"skipped", "if (l < 8) { barrier(CLK_GLOBAL_MEM_FENCE); }",
+			"barrier not reached by all work-items"},
+	} {
+		k := MustCompile(`
+__kernel void div(__global float* a, int n) {
+    int g = get_global_id(0);
+    int l = get_local_id(0);
+    a[g] = (float)l;
+    `+c.body+`
+    a[g] = a[g] + 1.0f;
+}
+`, "div")
+		before := BackendSnapshot()
+		for _, be := range []Backend{BackendInterp, BackendWG} {
+			_, err := k.ExecLaunch(NewNDRange1D(16, 16), []Arg{BufArg(make([]byte, 4*16)), IntArg(16)}, ExecOpts{Backend: be})
+			if err == nil || !strings.Contains(err.Error(), c.msg) {
+				t.Errorf("%s on %v: got %v, want %q", c.name, be, err, c.msg)
+			}
+		}
+		if got := BackendSnapshot().WGLoopWGs - before.WGLoopWGs; got != 1 {
+			t.Errorf("%s: WGLoopWGs advanced by %d, want 1 (the wg run in lockstep)", c.name, got)
+		}
 	}
 }
 
@@ -356,25 +382,34 @@ __kernel void carry(__global float* x, __global float* y) {
 	}
 }
 
+// TestWGPrivateArrayFallback keeps the name it had when barrier-free
+// kernels with private arrays fell back to the interpreter. It pins the one
+// private-memory rule every engine keeps: a work-item's private slabs start
+// zeroed. Each item reads two elements before it writes them, one of them an
+// element every earlier item of its group wrote, so an engine that carried a
+// slab from one item to the next would read the earlier item's values.
 func TestWGPrivateArrayFallback(t *testing.T) {
-	// Barrier-free kernels with private arrays must not build a wg program:
-	// the per-item engines share one un-cleared slab across a group's items
-	// (see buildWG), which lockstep cannot reproduce.
-	k := MustCompile(`
+	const src = `
 __kernel void privsum(__global float* a, int n) {
     float acc[4];
     int g = get_global_id(0);
-    acc[0] = a[g];
-    a[g] = acc[0] + 1.0f;
+    int l = get_local_id(0);
+    a[g] = a[g] + acc[l % 4] + acc[3];
+    acc[l % 4] = a[g] + 1.0f;
+    acc[3] = acc[3] + 2.0f;
+    a[g] = a[g] + acc[l % 4] * 0.5f + acc[3];
 }
-`, "privsum")
-	if k.wg != nil {
-		t.Fatal("wg compilation accepted a barrier-free kernel with a private array")
+`
+	k := MustCompile(src, "privsum")
+	if k.HasBarrier || len(k.PrivArrs) == 0 {
+		t.Fatal("want a barrier-free kernel with a private array")
 	}
-	if err := runWGParity(t, k, NewNDRange1D(16, 16), func() []Arg {
-		return []Arg{BufArg(floatBuf(16, func(i int) float32 { return float32(i) })), IntArg(16)}
-	}); err != nil {
-		t.Fatal(err)
+	before := BackendSnapshot()
+	diffFiveWay(t, "privsum", src, "privsum", NewNDRange1D(32, 16), func() []Arg {
+		return []Arg{BufArg(floatBuf(32, func(i int) float32 { return float32(i) * 0.25 })), IntArg(32)}
+	})
+	if BackendSnapshot().WGLoopWGs == before.WGLoopWGs {
+		t.Error("no group of the private-array kernel ran in lockstep")
 	}
 }
 

@@ -40,9 +40,6 @@ type WGReject uint8
 const (
 	// WGRejNone: not rejected (the group ran in lockstep).
 	WGRejNone WGReject = iota
-	// WGRejShape: the kernel has no whole-work-group compilation (divergent
-	// barrier, private arrays without a barrier, or an unsupported step).
-	WGRejShape
 	// WGRejAlias: two buffer arguments share storage, defeating every
 	// disjointness argument.
 	WGRejAlias
@@ -64,7 +61,7 @@ const (
 )
 
 var wgRejectNames = [wgRejCount]string{
-	"none", "shape", "alias", "local_store",
+	"none", "alias", "local_store",
 	"unknown_store", "unknown_read", "overlap", "budget",
 }
 

@@ -75,7 +75,7 @@ func TestWGRejectReasons(t *testing.T) {
 	}
 	cases := []tc{
 		{
-			name: "shape-divergent-barrier",
+			name: "local-store-divergent-barrier",
 			src: `
 __kernel void divb(__global float* a, int n) {
     __local float tmp[16];
@@ -88,7 +88,7 @@ __kernel void divb(__global float* a, int n) {
     a[g] = tmp[15 - l];
 }`,
 			kernel: "divb",
-			rej:    WGRejShape,
+			rej:    WGRejLocalStore,
 			args: func() []Arg {
 				return []Arg{BufArg(floatBuf(16, func(i int) float32 { return float32(i) })), IntArg(16)}
 			},

@@ -31,8 +31,8 @@ import (
 // these ops on divergent sets of about six lanes, +25 % (EXPERIMENTS.md, "One
 // opcode table").
 
-// buildWStep compiles the instruction at pc into a banked wstep. Control
-// flow returns nil (handled by terminators), as does opNop.
+// buildWStep compiles the block-body instruction at pc into a banked wstep.
+// Control flow (the block's terminator) and opNop never reach it.
 func (k *Kernel) buildWStep(pc int) wstep {
 	in := k.Code[pc]
 	row := &opTab[in.Op]

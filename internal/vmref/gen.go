@@ -14,7 +14,8 @@ import (
 
 // GenProgram returns a random — but deterministic, well-typed and
 // terminating — MiniCL kernel named "diff" over the fixed signature
-// (__global float* fbuf, __global int* ibuf, int n, int p1, float fp).
+// (__global float* fbuf, __global int* ibuf, int n, int p1, float fp),
+// sometimes with a top-level private array pv that it reads before writing.
 func GenProgram(r *rand.Rand) string {
 	g := &progGen{r: r}
 	return g.generate()
@@ -34,6 +35,9 @@ type progGen struct {
 	nVars  int
 	nLoops int
 	depth  int
+	// priv is set once a statement has used the private array pv, which
+	// generate then declares at the top of the kernel.
+	priv bool
 }
 
 func (g *progGen) w(format string, args ...interface{}) {
@@ -284,6 +288,19 @@ func (g *progGen) edgeLoad() {
 	g.w("if (p0 < -6) { u -= (int)fbuf[i + %d]; }", 16+g.nVars%4)
 }
 
+// privRead emits a read-modify-write of the private array pv at the item's
+// own slot i % 4, and a read of slot (i + c) % 4 into u, with c in [0, 3]
+// from the count of variables so far (so it draws nothing from r, like
+// edgeLoad). Nothing initialises pv, so the first statement of the kind an
+// item runs reads its slots before writing them: every engine must give each
+// work-item its own zeroed slabs, and one that carried them from one item to
+// the next would read the slots an earlier item of the group wrote.
+func (g *progGen) privRead() {
+	g.priv = true
+	g.w("pv[i %% 4] += (float)(i %% 7) + 0.5f;")
+	g.w("u += (int)(pv[(i + %d) %% 4] * 2.0f);", g.nVars%4)
+}
+
 func (g *progGen) stmts(budget int) {
 	for s := 0; s < budget; s++ {
 		switch g.r.Intn(13) {
@@ -378,6 +395,8 @@ func (g *progGen) stmts(budget int) {
 				g.scopeShape()
 			case 1:
 				g.edgeLoad()
+			case 2:
+				g.privRead()
 			}
 		}
 	}
@@ -402,7 +421,12 @@ func (g *progGen) generate() string {
 	g.w("}")
 	g.indent--
 	g.w("}")
-	return g.b.String()
+	src := g.b.String()
+	if g.priv {
+		head, body, _ := strings.Cut(src, "\n")
+		src = head + "\n    float pv[4];\n" + body
+	}
+	return src
 }
 
 // GenReduction returns a random multiply-accumulate kernel named "red" over
