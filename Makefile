@@ -154,7 +154,13 @@ loc:
 # wgScratch.single), buildWG's two shape rejects, WGRejShape, execWG's nil
 # guard and Disasm's are gone, and statesFor is the one place that
 # allocates an interpreter state (allocPriv and newState folded into it).
-VM_LOC_MAX = 5877
+# 5850 is the count with the lockstep engine running every launch: a group
+# the certificate rejects runs in one-lane sets in work-item order (the
+# serial flag, about ten lines in runGroup), so the interpreter is only the
+# referee tests select, and ParseBackend, FLUIDICL_BACKEND (init,
+# BackendEnvErr) and the interpreter's inline float-to-int copy (now
+# clc.FloatToInt, the one rule) are gone.
+VM_LOC_MAX = 5850
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

@@ -39,24 +39,11 @@ func main() {
 	jsonOut := flag.String("jsonout", "", "write per-table wall-clock times as JSON to this file")
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
 	dist := flag.Bool("dist", false, "print the per-benchmark CPU/GPU work-distribution table (paper §5.5)")
-	backend := flag.String("backend", "", "work-group execution backend: interp or wg (default wg, or $FLUIDICL_BACKEND)")
 	topology := flag.String("topology", "", "N-device topology for -trace, -dist and hash, e.g. cpu+gpu, 2cpu+2gpu, 4gpu-bus (default: the paper's cpu+gpu machine)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
 
-	// A FLUIDICL_BACKEND that names no engine would otherwise run the
-	// default one under the wrong label.
-	if err := vm.BackendEnvErr(); err != nil {
-		badFlag(err)
-	}
-	if *backend != "" {
-		b, err := vm.ParseBackend(*backend)
-		if err != nil {
-			badFlag(fmt.Errorf("-backend: %w", err))
-		}
-		vm.SetBackend(b)
-	}
 	if *parallel < 0 {
 		badFlag(fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or a positive number of concurrent table cells", *parallel))
 	}
@@ -427,8 +414,7 @@ func runDist(quick, csv bool) error {
 // fusedShare formats fused/(fused+stepped) for the two fusion columns: fuse-cov
 // is the fraction of wg-compiled instructions absorbed into fused block
 // closures, fuse-dyn the fraction of executed block-body instructions that
-// ran through them. "-" when the run counted neither (e.g. under a
-// non-lockstep backend).
+// ran through them. "-" when the run counted neither.
 func fusedShare(fused, stepped int64) string {
 	if fused+stepped == 0 {
 		return "-"
@@ -436,9 +422,8 @@ func fusedShare(fused, stepped int64) string {
 	return fmt.Sprintf("%.0f%%", float64(fused)/float64(fused+stepped)*100)
 }
 
-// dominantReject names the most frequent wg-backend certificate rejection
-// in a counter delta, or "-" when nothing fell back (e.g. under a
-// non-lockstep backend, where no certificate runs at all).
+// dominantReject names the most frequent certificate rejection in a counter
+// delta, or "-" when no work-group ran in one-lane sets.
 func dominantReject(c core.Counters) string {
 	best, n := "-", int64(0)
 	for i, name := range vm.WGRejectNames() {
@@ -453,7 +438,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `fluidibench — regenerate the FluidiCL paper's tables and figures
 
 usage:
-  fluidibench [-csv] [-quick] [-parallel N] [-backend interp|wg] [-jsonout F] <experiment>|all
+  fluidibench [-csv] [-quick] [-parallel N] [-jsonout F] <experiment>|all
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
   fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)
@@ -461,10 +446,6 @@ usage:
   fluidibench [-quick] trace <benchmark>   # cooperative-execution timeline (plain text)
   fluidibench [-quick] dump <benchmark>    # transformed sources + GPU- and CPU-variant bytecode disassembly
   fluidibench list
-
--backend selects the work-group execution engine: default wg, or $FLUIDICL_BACKEND;
-interp is the bytecode interpreter: the referee, and what runs the work-groups
-of launches wg's admission certificate rejects.
 
 experiments: %v
 extras: %v

@@ -28,87 +28,83 @@ func TestMain(m *testing.M) {
 
 // TestExitStatus pins the command's exit statuses: 0 on success, 1 on a
 // runtime error, 2 with a message naming what is accepted when a flag value
-// would otherwise be dropped or reinterpreted: an engine — by flag or by
-// environment — the command does not have (the retired closure engine
-// included), -topology on a command that runs the stock pair, a negative
+// would otherwise be dropped or reinterpreted: an engine flag (the command
+// has none: wg runs every launch), -topology on a command that runs the
+// stock pair, a negative
 // -parallel, a positional argument beyond what the command reads, a
 // benchmark the command needs left out, -trace with -dist, -jsonout with a
 // command that writes no record, -csv with one that prints no table.
 func TestExitStatus(t *testing.T) {
-	const engines, topoCmds, cells = "want interp or wg", "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
+	const topoCmds, cells = "want it with -trace, -dist or hash", "want 0 (GOMAXPROCS) or a positive number"
 	const surplus, bench, oneBench = "unexpected arguments", "want a benchmark", "want one benchmark"
 	const record = "only an experiment, all and hash write a record"
 	const table = "only an experiment, all and -dist print a table"
 	tr := filepath.Join(t.TempDir(), "t.json") // written only if the checks before it fail
 	js := filepath.Join(t.TempDir(), "j.json")
 	for _, c := range []struct {
-		args, env string
-		want      int
-		msg       string
+		args string
+		want int
+		msg  string
 	}{
-		{"list", "", 0, ""},
-		{"nosuch", "", 1, ""},
-		{"-backend closure list", "", 2, engines},
-		{"list", "FLUIDICL_BACKEND=closure", 2, engines},
-		{"-quick -topology 2cpu+2gpu hash", "", 0, ""},
-		{"-quick -topology 2cpu+2gpu all", "", 2, topoCmds},
-		{"-quick -topology 2cpu+2gpu table1", "", 2, topoCmds},
-		{"-topology 4gpu-bus run SYRK", "", 2, topoCmds},
-		{"-topology 4gpu-bus dump SYRK", "", 2, topoCmds},
-		{"-topology 4gpu-bus trace SYRK", "", 2, topoCmds},
-		{"-topology cpu+gpu list", "", 2, topoCmds},
-		{"-parallel -1 list", "", 2, cells},
-		{"-parallel 2 list", "", 0, ""},
-		{"-quick table1 table2", "", 2, surplus + ` ["table2"]`},
-		{"dump SYRK extra", "", 2, surplus + ` ["extra"]`},
-		{"run SYRK GESUMMV", "", 2, surplus + ` ["GESUMMV"]`},
-		{"trace BICG 1 2", "", 2, surplus + ` ["1" "2"]`},
-		{"-quick -dist fig13", "", 2, surplus + ` ["fig13"]`},
-		{"list extra", "", 2, surplus + ` ["extra"]`},
-		{"-quick hash all", "", 2, surplus + ` ["all"]`},
-		{"run", "", 2, bench},
-		{"dump", "", 2, bench},
-		{"trace", "", 2, bench},
-		{"-trace " + tr, "", 2, oneBench + ", got []"},
-		{"-trace " + tr + " SYRK GESUMMV", "", 2, oneBench + `, got ["SYRK" "GESUMMV"]`},
-		{"-quick -dist -trace " + tr + " SYRK", "", 2, "-trace with -dist: want one of them"},
-		{"-quick -jsonout " + js + " table1", "", 0, ""},
-		{"-jsonout " + js + " list", "", 2, "-jsonout with list: " + record},
-		{"-jsonout " + js + " run SYRK", "", 2, "-jsonout with run: " + record},
-		{"-jsonout " + js + " dump SYRK", "", 2, "-jsonout with dump: " + record},
-		{"-jsonout " + js + " trace BICG", "", 2, "-jsonout with trace: " + record},
-		{"-quick -jsonout " + js + " -dist", "", 2, "-jsonout with -dist: " + record},
-		{"-quick -jsonout " + js + " -trace " + tr + " SYRK", "", 2, "-jsonout with -trace: " + record},
-		{"-quick -csv table1", "", 0, ""},
-		{"-csv list", "", 2, "-csv with list: " + table},
-		{"-csv run SYRK", "", 2, "-csv with run: " + table},
-		{"-csv dump SYRK", "", 2, "-csv with dump: " + table},
-		{"-csv trace BICG", "", 2, "-csv with trace: " + table},
-		{"-quick -csv hash", "", 2, "-csv with hash: " + table},
-		{"-quick -csv -trace " + tr + " SYRK", "", 2, "-csv with -trace: " + table},
+		{"list", 0, ""},
+		{"nosuch", 1, ""},
+		{"-backend wg list", 2, "flag provided but not defined: -backend"},
+		{"-quick -topology 2cpu+2gpu hash", 0, ""},
+		{"-quick -topology 2cpu+2gpu all", 2, topoCmds},
+		{"-quick -topology 2cpu+2gpu table1", 2, topoCmds},
+		{"-topology 4gpu-bus run SYRK", 2, topoCmds},
+		{"-topology 4gpu-bus dump SYRK", 2, topoCmds},
+		{"-topology 4gpu-bus trace SYRK", 2, topoCmds},
+		{"-topology cpu+gpu list", 2, topoCmds},
+		{"-parallel -1 list", 2, cells},
+		{"-parallel 2 list", 0, ""},
+		{"-quick table1 table2", 2, surplus + ` ["table2"]`},
+		{"dump SYRK extra", 2, surplus + ` ["extra"]`},
+		{"run SYRK GESUMMV", 2, surplus + ` ["GESUMMV"]`},
+		{"trace BICG 1 2", 2, surplus + ` ["1" "2"]`},
+		{"-quick -dist fig13", 2, surplus + ` ["fig13"]`},
+		{"list extra", 2, surplus + ` ["extra"]`},
+		{"-quick hash all", 2, surplus + ` ["all"]`},
+		{"run", 2, bench},
+		{"dump", 2, bench},
+		{"trace", 2, bench},
+		{"-trace " + tr, 2, oneBench + ", got []"},
+		{"-trace " + tr + " SYRK GESUMMV", 2, oneBench + `, got ["SYRK" "GESUMMV"]`},
+		{"-quick -dist -trace " + tr + " SYRK", 2, "-trace with -dist: want one of them"},
+		{"-quick -jsonout " + js + " table1", 0, ""},
+		{"-jsonout " + js + " list", 2, "-jsonout with list: " + record},
+		{"-jsonout " + js + " run SYRK", 2, "-jsonout with run: " + record},
+		{"-jsonout " + js + " dump SYRK", 2, "-jsonout with dump: " + record},
+		{"-jsonout " + js + " trace BICG", 2, "-jsonout with trace: " + record},
+		{"-quick -jsonout " + js + " -dist", 2, "-jsonout with -dist: " + record},
+		{"-quick -jsonout " + js + " -trace " + tr + " SYRK", 2, "-jsonout with -trace: " + record},
+		{"-quick -csv table1", 0, ""},
+		{"-csv list", 2, "-csv with list: " + table},
+		{"-csv run SYRK", 2, "-csv with run: " + table},
+		{"-csv dump SYRK", 2, "-csv with dump: " + table},
+		{"-csv trace BICG", 2, "-csv with trace: " + table},
+		{"-quick -csv hash", 2, "-csv with hash: " + table},
+		{"-quick -csv -trace " + tr + " SYRK", 2, "-csv with -trace: " + table},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+c.args)
-		if c.env != "" {
-			cmd.Env = append(cmd.Env, c.env)
-		}
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if err != nil && !errors.As(err, &exit) {
 			t.Fatal(err)
 		}
 		if got := cmd.ProcessState.ExitCode(); got != c.want {
-			t.Errorf("%s fluidibench %s: exit status %d, want %d\n%s", c.env, c.args, got, c.want, out)
+			t.Errorf("fluidibench %s: exit status %d, want %d\n%s", c.args, got, c.want, out)
 		}
 		if !strings.Contains(string(out), c.msg) {
-			t.Errorf("%s fluidibench %s: the error does not say %q:\n%s", c.env, c.args, c.msg, out)
+			t.Errorf("fluidibench %s: the error does not say %q:\n%s", c.args, c.msg, out)
 		}
 	}
 }
 
 // TestJSONOutMatchesTopologyMatrixGolden pins the -jsonout record of
 //
-//	fluidibench -quick -backend=wg -topology 2cpu+2gpu -jsonout F hash
+//	fluidibench -quick -topology 2cpu+2gpu -jsonout F hash
 //
 // (the CI topology-matrix invocation, whose refresh_deltas and fusion keys
 // CI greps) against testdata/hash_2c2g_wg.json: same key set, same values,

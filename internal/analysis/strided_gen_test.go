@@ -35,7 +35,7 @@ import (
 //
 // Each kernel also runs under the wg backend and must produce the same
 // bytes and Stats as the interpreter, whether the certificate admits it to
-// the lockstep engine or it falls back — as generated and after
+// whole-group sets or rejects it to one-lane sets — as generated and after
 // passes.TransformGPU, the form the twin protocol's GPU executes. The
 // generated kernels open with a multiply-accumulate loop over the read-only
 // input, so the wg engine's reduction jam (one inc per body as generated,

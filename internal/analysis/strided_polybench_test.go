@@ -27,8 +27,8 @@ func analyzePolybench(t *testing.T, name string) *analysis.ProgramSummary {
 // scatters into a triangular matrix (diagonal point, row run, strided
 // column) — far outside the single-affine-form certificate — yet its strided
 // summary is complete and proves per-work-group store disjointness at the
-// quick experiment scale, which is what lets the wg backend run it without
-// fallback.
+// quick experiment scale, which is what lets the wg backend run it in
+// whole-group sets.
 func TestCorrKernel4Strided(t *testing.T) {
 	ps := analyzePolybench(t, "CORR")
 	ks := ps.Kernels["corr_kernel4"]

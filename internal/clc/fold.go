@@ -162,11 +162,7 @@ func foldExpr(e Expr) Expr {
 			}
 		case *FloatLit:
 			if e.To.Kind == Int {
-				f := x.Val
-				if math.IsNaN(f) {
-					f = 0
-				}
-				return retype(&IntLit{Val: int64(f)}, e)
+				return retype(&IntLit{Val: FloatToInt(x.Val)}, e)
 			}
 			if e.To.Kind == Float {
 				return x
@@ -390,4 +386,21 @@ func foldCall(e *CallExpr) Expr {
 		}
 	}
 	return e
+}
+
+// FloatToInt is the one float-to-int rule, which the constant folder, both
+// VM engines and the AST referee share: C's conversion, truncating toward
+// zero, with NaN reading 0 and values beyond the int64 range saturating to
+// its bounds (Go leaves int64(f) for those to the host: amd64 yields
+// MinInt64, arm64 saturates).
+func FloatToInt(f float64) int64 {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 1<<63:
+		return math.MaxInt64
+	case f < -1<<63:
+		return math.MinInt64
+	}
+	return int64(f)
 }

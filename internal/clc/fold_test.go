@@ -151,8 +151,9 @@ func TestFoldCasts(t *testing.T) {
         a[0] = (float)3;
         b[0] = (int)2.9f;
         b[1] = (int)(-2.9f);
+        b[2] = (int)1e30f;
     }`)
-	wantContains(t, out, "a[0] = 3.0f;", "b[0] = 2;", "b[1] = -2;")
+	wantContains(t, out, "a[0] = 3.0f;", "b[0] = 2;", "b[1] = -2;", "b[2] = 9223372036854775807;")
 }
 
 func TestFoldPreservesNonConstants(t *testing.T) {

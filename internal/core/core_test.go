@@ -927,7 +927,7 @@ func TestOnlineProfilingProbesUseSmallAllocations(t *testing.T) {
 // counters surface through core.CounterSnapshot when a runtime executes
 // under the wg backend: a certifiable kernel counts lockstep work-groups
 // and compiled regions, while an uncertifiable scatter kernel shows up as
-// fallbacks. (The strict zero-lockstep assertion for fallback kernels lives
+// groups run in one-lane sets. (The exact counts for rejected launches live
 // at the vm layer, where no runtime-internal merge launches can interfere.)
 func TestCounterSnapshotWGBackend(t *testing.T) {
 	defer vm.SetBackend(vm.DefaultBackend())
@@ -949,7 +949,7 @@ func TestCounterSnapshotWGBackend(t *testing.T) {
 	}
 
 	// A data-dependent scatter store cannot be certified noninterfering, so
-	// every wg-backend dispatch of this kernel must fall back.
+	// every wg-backend dispatch of this kernel runs in one-lane sets.
 	const scatterSrc = `
 __kernel void scatter(__global int* idx, __global float* out, int n) {
     int i = get_global_id(0);
@@ -983,6 +983,6 @@ __kernel void scatter(__global int* idx, __global float* out, int n) {
 	env.Run()
 	d = CounterSnapshot().Sub(before)
 	if d.WGFallbackWGs == 0 {
-		t.Errorf("uncertifiable scatter kernel recorded no wg fallbacks: %+v", d)
+		t.Errorf("uncertifiable scatter kernel recorded no one-lane groups: %+v", d)
 	}
 }

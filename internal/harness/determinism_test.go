@@ -13,6 +13,7 @@ import (
 	"fluidicl/internal/core"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/sim"
+	"fluidicl/internal/vm"
 )
 
 // renderWith runs one experiment with the given number of concurrent table
@@ -55,6 +56,25 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 // UPDATE_GOLDEN=1 go test ./internal/harness -run TestQuickTablesGolden.
 func TestQuickTablesGolden(t *testing.T) {
 	checkTablesGolden(t, true, "tables_quick.golden")
+}
+
+// TestQuickTablesReferee is TestQuickTablesGolden with the interpreter, the
+// bytecode referee, as the process engine: every work-group of every quick
+// experiment runs on it, none on the lockstep engine, and the tables come out
+// byte for byte what the lockstep engine gives.
+func TestQuickTablesReferee(t *testing.T) {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		t.Skip("the golden is written from the lockstep engine")
+	}
+	defer vm.SetBackend(vm.DefaultBackend())
+	vm.SetBackend(vm.BackendInterp)
+	before := vm.BackendSnapshot()
+	checkTablesGolden(t, true, "tables_quick.golden")
+	after := vm.BackendSnapshot()
+	if after.InterpWGs == before.InterpWGs || after.WGLoopWGs != before.WGLoopWGs {
+		t.Errorf("%d groups on the interpreter, %d on wg; want some and none",
+			after.InterpWGs-before.InterpWGs, after.WGLoopWGs-before.WGLoopWGs)
+	}
 }
 
 // TestFullTablesGolden is TestQuickTablesGolden at full scale: the golden is

@@ -32,8 +32,7 @@ func setBackend(t *testing.T, be vm.Backend) {
 // strided column — three different affine forms, outside the certificate's
 // one-slot fast path — yet its per-work-item footprints are pairwise
 // disjoint, so the pairwise test admits every work-group to the lockstep
-// engine and the quick-scale experiment runs with zero wg-backend
-// fallbacks.
+// engine and the quick-scale experiment runs no group in one-lane sets.
 func TestCorrFullyCertifiedWG(t *testing.T) {
 	b, err := polybench.ByNameQuick("CORR")
 	if err != nil {
@@ -336,6 +335,6 @@ func TestWGAllocatesNoMoreThanInterp(t *testing.T) {
 	wg, interp := allocated(vm.BackendWG), allocated(vm.BackendInterp)
 	t.Logf("TotalAlloc: wg %d bytes, interp %d bytes", wg, interp)
 	if wg > interp+2<<10 {
-		t.Errorf("wg allocated %d bytes, interp %d: the default engine costs more heap than its fallback", wg, interp)
+		t.Errorf("wg allocated %d bytes, interp %d: the default engine costs more heap than its referee", wg, interp)
 	}
 }

@@ -1,37 +1,33 @@
 package vm
 
-import (
-	"fmt"
-	"os"
-	"strings"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ---------------------------------------------------------------------------
 // Backend knob
 // ---------------------------------------------------------------------------
 
-// Backend selects the work-group execution engine. All backends execute the
-// same bytecode with identical semantics — byte-identical buffers, identical
-// Stats (and therefore identical virtual time) — and differ only in host
-// wall-clock cost.
+// Backend selects the work-group execution engine. The lockstep engine runs
+// every launch; the interpreter is the bytecode referee tests select. Both
+// execute the same bytecode with identical semantics — byte-identical
+// buffers, identical Stats (and therefore identical virtual time) — and
+// differ only in host wall-clock cost.
 type Backend int32
 
 // Backends.
 const (
-	// BackendAuto resolves to the process default (see SetBackend and the
-	// FLUIDICL_BACKEND environment variable).
+	// BackendAuto resolves to the process default (see SetBackend).
 	BackendAuto Backend = iota
 	// BackendInterp is the switch-dispatch bytecode interpreter: one
-	// work-item at a time, one instruction per dispatch. It is wg's fallback
-	// and, selected on its own, the bytecode-level referee.
+	// work-item at a time, one instruction per dispatch. It runs only where
+	// selected, as the bytecode-level referee (the only one that counts
+	// Stats).
 	BackendInterp
 	// BackendWG is the whole-work-group engine (the built-in default): the
 	// kernel's CFG is split at barriers into barrier-free regions and each
-	// basic block runs as a loop over all work-items of the group against
-	// structure-of-arrays register banks (wg.go / wgexec.go). Kernels or
-	// launches the per-launch noninterference certificate cannot prove safe
-	// fall back to the interpreter per work-group.
+	// basic block runs as a loop over a set of work-items against
+	// structure-of-arrays register banks (wg.go / wgexec.go). A launch the
+	// per-launch noninterference certificate cannot prove safe runs in
+	// one-lane sets in work-item order, the interpreter's order.
 	BackendWG
 )
 
@@ -41,7 +37,7 @@ const (
 // Deprecated: use BackendInterp. Kept only because bench/layers.go spells it.
 const BackendClosure = BackendInterp
 
-// String returns the flag spelling of b.
+// String returns the engine's name, as -jsonout records it.
 func (b Backend) String() string {
 	switch b {
 	case BackendInterp:
@@ -53,48 +49,17 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend parses a backend name as accepted by the fluidibench
-// -backend flag and the FLUIDICL_BACKEND environment variable, in any case.
-func ParseBackend(s string) (Backend, error) {
-	switch strings.ToLower(s) {
-	case "interp", "interpreter":
-		return BackendInterp, nil
-	case "wg", "workgroup":
-		return BackendWG, nil
-	case "auto", "":
-		return BackendAuto, nil
-	}
-	return BackendAuto, fmt.Errorf("vm: unknown backend %q (want interp or wg)", s)
-}
-
-// builtinBackend is what BackendAuto resolves to when neither SetBackend nor
-// FLUIDICL_BACKEND chose an engine: the whole-work-group engine, the one the
-// benchmark measures. The interpreter is its per-group fallback for launches
-// the certificate rejects, and stays selectable as the referee.
+// builtinBackend is what BackendAuto resolves to unless SetBackend chose
+// another engine: the whole-work-group engine, which runs every launch.
 const builtinBackend = BackendWG
 
-// defaultBackend holds the process-wide backend (never BackendAuto);
-// backendEnvErr what was wrong with FLUIDICL_BACKEND, if anything.
-var (
-	defaultBackend atomic.Int32
-	backendEnvErr  error
-)
+// defaultBackend holds the process-wide backend (never BackendAuto).
+var defaultBackend atomic.Int32
 
-func init() {
-	b, err := ParseBackend(os.Getenv("FLUIDICL_BACKEND"))
-	if err != nil {
-		backendEnvErr = fmt.Errorf("FLUIDICL_BACKEND: %w", err)
-	}
-	SetBackend(b)
-}
-
-// BackendEnvErr reports a FLUIDICL_BACKEND value that names no backend. The
-// process then runs the built-in default, so anything that promises a
-// specific engine (fluidibench, the CI parity legs) checks this first.
-func BackendEnvErr() error { return backendEnvErr }
+func init() { SetBackend(BackendAuto) }
 
 // DefaultBackend returns the process-wide backend that BackendAuto resolves
-// to: builtinBackend unless FLUIDICL_BACKEND or SetBackend chose another.
+// to: builtinBackend unless SetBackend chose another.
 func DefaultBackend() Backend {
 	return Backend(defaultBackend.Load())
 }
@@ -133,7 +98,7 @@ var backendCtr struct {
 	wgRegions     atomic.Int64
 	wgKernels     atomic.Int64
 
-	// wgRej counts fallbacks per WGReject reason.
+	// wgRej counts one-lane groups per WGReject reason.
 	wgRej [wgRejCount]atomic.Int64
 	// wgCertRuns counts certificate computations (decision-cache misses).
 	wgCertRuns atomic.Int64
@@ -163,8 +128,8 @@ var backendCtr struct {
 
 // BackendCounters is a snapshot of process-wide backend activity.
 type BackendCounters struct {
-	// InterpWGs counts the work-groups the interpreter executed, selected or
-	// as wg's fallback.
+	// InterpWGs counts the work-groups the interpreter executed: only where
+	// selected as the referee.
 	InterpWGs int64
 	// TotalInstrs counts the instructions of every kernel compiled in the
 	// process.
@@ -176,9 +141,8 @@ type BackendCounters struct {
 	FusedInstrs int64
 
 	// WGLoopWGs counts work-groups executed by the whole-work-group engine;
-	// WGFallbackWGs counts work-groups that requested the wg backend but fell
-	// back to the interpreter (unsupported kernel shape or a launch the
-	// noninterference certificate rejected).
+	// WGFallbackWGs counts those of them that ran in one-lane sets because
+	// the noninterference certificate rejected their launch.
 	WGLoopWGs     int64
 	WGFallbackWGs int64
 	// WGRegions / WGKernels count barrier-free regions and kernels compiled
@@ -192,8 +156,8 @@ type BackendCounters struct {
 	//
 	// Deprecated: use WGLoopWGs; kept only because bench/layers.go spells it.
 	WGStridedWGs int64
-	// WGRejects attributes every fallback to one WGReject reason, indexed by
-	// that enum (index WGRejNone is always zero).
+	// WGRejects attributes every one-lane group to one WGReject reason,
+	// indexed by that enum (index WGRejNone is always zero).
 	WGRejects [wgRejCount]int64
 
 	// WGFusedBlocks / WGFusedSteps count basic blocks region-fused by the

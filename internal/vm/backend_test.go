@@ -28,43 +28,17 @@ __kernel void syrk_like(__global float* A, __global float* C, float alpha, int m
 }
 `
 
-func TestParseBackend(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Backend
-		ok   bool
-	}{
-		{"interp", BackendInterp, true},
-		{"interpreter", BackendInterp, true},
-		{"wg", BackendWG, true},
-		{"workgroup", BackendWG, true},
-		{"auto", BackendAuto, true},
-		{"", BackendAuto, true},
-		{"WG", BackendWG, true},
-		{"jit", BackendAuto, false},
-		// The retired engine's name is an error, not a silent fallback.
-		{"closure", BackendAuto, false},
-		{"closures", BackendAuto, false},
-	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	if BackendInterp.String() != "interp" || BackendWG.String() != "wg" || BackendAuto.String() != "auto" {
-		t.Errorf("Backend.String round-trip broken")
-	}
-}
-
-// TestSetBackend pins the built-in default: wg, the engine the benchmark
-// measures, both at start-up (when FLUIDICL_BACKEND chooses nothing) and as
-// what SetBackend(BackendAuto) resets to.
+// TestSetBackend pins the built-in default: wg, the engine that runs every
+// launch, both at start-up and as what SetBackend(BackendAuto) resets to;
+// and the names -jsonout records.
 func TestSetBackend(t *testing.T) {
 	orig := DefaultBackend()
 	defer SetBackend(orig)
-	if os.Getenv("FLUIDICL_BACKEND") == "" && orig != BackendWG {
-		t.Errorf("process default is %v with no FLUIDICL_BACKEND, want wg", orig)
+	if orig != BackendWG {
+		t.Errorf("process default is %v, want wg", orig)
+	}
+	if BackendInterp.String() != "interp" || BackendWG.String() != "wg" || BackendAuto.String() != "auto" {
+		t.Errorf("Backend.String names changed")
 	}
 	SetBackend(BackendInterp)
 	if DefaultBackend() != BackendInterp {
@@ -76,25 +50,6 @@ func TestSetBackend(t *testing.T) {
 	SetBackend(BackendAuto) // resets to the built-in default
 	if DefaultBackend() != BackendWG || builtinBackend != BackendWG {
 		t.Fatalf("SetBackend(auto) reset to %v, want wg", DefaultBackend())
-	}
-}
-
-// TestBackendEnvHonoured fails whenever FLUIDICL_BACKEND is set and the
-// process is not running the engine it names — a misspelt value used to be
-// ignored, so `FLUIDICL_BACKEND=closuer go test ./...` ran the default engine
-// and reported green. Tests that change the default restore it, so the
-// default seen here is the one init chose.
-func TestBackendEnvHonoured(t *testing.T) {
-	env := os.Getenv("FLUIDICL_BACKEND")
-	if err := BackendEnvErr(); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ParseBackend(env)
-	if want == BackendAuto {
-		want = builtinBackend
-	}
-	if got := DefaultBackend(); got != want {
-		t.Fatalf("FLUIDICL_BACKEND=%q but the process default is %v", env, got)
 	}
 }
 
@@ -120,10 +75,11 @@ func TestDisasmFusedGolden(t *testing.T) {
 }
 
 // runBoth executes one work-group on the interpreter and on wg, which must
-// run it in lockstep, and returns the two buffer states, stats, and errors.
+// run it in whole-group sets, and returns the two buffer states, stats, and
+// errors.
 func runBoth(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) (bufI, bufW []string, stI, stW Stats, errI, errW error) {
 	t.Helper()
-	lockstep := BackendSnapshot().WGLoopWGs
+	oneLane := BackendSnapshot().WGFallbackWGs
 	run := func(be Backend) ([]string, Stats, error) {
 		args := mkArgs()
 		st, err := k.ExecWorkGroup(nd, [3]int{0, 0, 0}, args, ExecOpts{Backend: be})
@@ -137,14 +93,14 @@ func runBoth(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) (bufI, bu
 	}
 	bufI, stI, errI = run(BackendInterp)
 	bufW, stW, errW = run(BackendWG)
-	if BackendSnapshot().WGLoopWGs == lockstep {
-		t.Fatal("the wg run fell back to the interpreter")
+	if BackendSnapshot().WGFallbackWGs != oneLane {
+		t.Fatal("the wg run ran in one-lane sets")
 	}
 	return
 }
 
-// TestBackendBarrierParity: a __local kernel matches the interpreter by
-// running on it (local_store); a barrier kernel over global memory only runs
+// TestBackendBarrierParity: a __local kernel matches the interpreter in
+// one-lane sets (local_store); a barrier kernel over global memory only runs
 // its phases in lockstep and matches it.
 func TestBackendBarrierParity(t *testing.T) {
 	rev := MustCompile(revSrc, "rev")
@@ -161,7 +117,7 @@ func TestBackendBarrierParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := BackendSnapshot().WGRejects[WGRejLocalStore] - before; d != 1 {
-		t.Errorf("%d local_store fallbacks for the __local kernel, want 1", d)
+		t.Errorf("%d local_store rejects for the __local kernel, want 1", d)
 	}
 
 	k := MustCompile(twoPhaseSrc, "twophase")
@@ -294,7 +250,7 @@ func TestExecLaunchAllocs(t *testing.T) {
 			run() // warm the pools
 			after := BackendSnapshot()
 			if be == BackendWG && after.WGFallbackWGs != before.WGFallbackWGs {
-				t.Errorf("%s: the wg launch fell back to the interpreter", v.name)
+				t.Errorf("%s: the wg launch ran in one-lane sets", v.name)
 			}
 			if be == BackendWG && v.kernel != "stream" && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
 				t.Errorf("%s: the wg launch ran no loop closure", v.name)

@@ -17,11 +17,10 @@ import (
 // (vmref.RefExec), and require bit-identical buffer contents — plus identical Stats
 // between the VM backends, since Stats feed the virtual-time model. A
 // miscompilation would have to be mirrored by an identical bug in the other
-// executors to slip through. The wg backend decides per work-group whether the
-// lockstep engine may run (noninterference certificate) and otherwise falls
-// back to the interpreter, so its leg exercises both the engine and the
-// fallback seam; a counter delta asserts the engine actually ran for some
-// seeds.
+// executors to slip through. The wg backend runs a work-group in whole-group
+// sets where the noninterference certificate admits the launch and in
+// one-lane sets where it does not, so its leg exercises both; counter deltas
+// assert that both ran for some seeds.
 
 // diffSeed runs the program GenProgram draws from seed through ref, interp
 // and wg and fails tb on any disagreement.
@@ -39,13 +38,22 @@ func diffSeed(tb testing.TB, seed int64) {
 		tb.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
 	}
 
+	// Every fourth seed binds both buffer parameters to one slice, floats in
+	// its even words and ints in its odd ones: the certificate rejects the
+	// launch (alias), so wg runs it in one-lane sets.
+	alias := seed%4 == 3
 	mkBufs := func() ([]byte, []byte) {
 		fb := make([]byte, 4*n)
 		ib := make([]byte, 4*n)
+		if alias {
+			ib = fb
+		}
 		r := rand.New(rand.NewSource(seed * 7))
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint32(fb[4*i:], math.Float32bits(float32(r.Float64()*16-8)))
-			binary.LittleEndian.PutUint32(ib[4*i:], uint32(int32(r.Intn(41)-20)))
+			if v := uint32(int32(r.Intn(41) - 20)); !alias || i%2 == 1 {
+				binary.LittleEndian.PutUint32(ib[4*i:], v)
+			}
 		}
 		return fb, ib
 	}
@@ -112,19 +120,27 @@ func diffSeed(tb testing.TB, seed int64) {
 const diffSeeds = 50
 
 func TestDifferentialVMvsReference(t *testing.T) {
-	wgBefore, partial, skipped := BackendSnapshot().WGLoopWGs, PartialLoopBatches(), SkippedTrips()
-	priv := 0
+	before, partial, skipped := BackendSnapshot(), PartialLoopBatches(), SkippedTrips()
+	priv, inLoop := 0, 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		diffSeed(t, seed)
-		if strings.Contains(vmref.GenProgram(rand.New(rand.NewSource(seed))), "float pv[4];") {
+		src := vmref.GenProgram(rand.New(rand.NewSource(seed)))
+		if strings.Contains(src, "float pv[4];") {
 			priv++
 		}
+		if strings.Contains(src, "float q1[2];") {
+			inLoop++
+		}
 	}
-	if priv == 0 {
-		t.Error("no generated seed declared a private array; generator drifted")
+	if priv == 0 || inLoop == 0 {
+		t.Errorf("%d generated seeds declared a private array, %d one in a loop body; generator drifted", priv, inLoop)
 	}
-	if BackendSnapshot().WGLoopWGs == wgBefore {
-		t.Error("no generated seed exercised the lockstep wg engine (all fell back)")
+	after := BackendSnapshot()
+	if after.WGLoopWGs-after.WGFallbackWGs == before.WGLoopWGs-before.WGFallbackWGs {
+		t.Error("no generated seed ran a group in whole-group sets")
+	}
+	if after.WGRejects[WGRejAlias] == before.WGRejects[WGRejAlias] {
+		t.Error("no generated seed ran a group in one-lane sets for aliased buffers")
 	}
 	if PartialLoopBatches() == partial {
 		t.Error("no generated seed ran a whole loop for part of a work-group; generator drifted")

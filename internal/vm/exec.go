@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"fluidicl/internal/clc"
 )
 
 // ExecOpts controls one work-group execution.
@@ -18,8 +20,8 @@ type ExecOpts struct {
 	// successful CheckArgs for the same kernel and argument list.
 	ArgsChecked bool
 	// Backend selects the execution engine for this call. BackendAuto uses
-	// the process default (wg, unless SetBackend / FLUIDICL_BACKEND chose).
-	// wg falls back to the interpreter per work-group where uncertified.
+	// the process default (wg, unless SetBackend chose); only
+	// BackendInterp, the referee, runs the interpreter.
 	Backend Backend
 }
 
@@ -147,18 +149,18 @@ func (k *Kernel) ExecWorkGroup(nd NDRange, group [3]int, args []Arg, opts ExecOp
 	return st, err
 }
 
-// execWG executes one work-group against pooled scratch state: on the
-// lockstep engine when the options select wg and the launch is certified,
-// otherwise on the interpreter below. Neither path allocates once warm.
+// execWG executes one work-group against pooled scratch state on the
+// lockstep engine, in one-lane sets where the certificate rejects the launch
+// (counted with its reason); only the referee, selected on its own, runs the
+// interpreter below. Neither path allocates once warm.
 func (k *Kernel) execWG(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch) (Stats, error) {
-	if opts.Backend.resolve() == BackendWG {
+	if opts.Backend.resolve() != BackendInterp {
 		rej := k.wgCertified(sc, nd, args)
-		if rej == WGRejNone {
-			return k.execWGLockstep(nd, group, args, opts, sc)
+		if rej != WGRejNone {
+			backendCtr.wgFallbackWGs.Add(1)
+			backendCtr.wgRej[rej].Add(1)
 		}
-		// Uncertified: count the fallback with its reason.
-		backendCtr.wgFallbackWGs.Add(1)
-		backendCtr.wgRej[rej].Add(1)
+		return k.execWGLockstep(nd, group, args, opts, sc, rej != WGRejNone)
 	}
 	backendCtr.interpWGs.Add(1)
 
@@ -317,11 +319,7 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 			fregs[in.A] = float64(float32(iregs[in.B]))
 			st.IntOps++
 		case opF2I:
-			f := fregs[in.B]
-			if math.IsNaN(f) {
-				f = 0
-			}
-			iregs[in.A] = int64(f) // C truncation toward zero
+			iregs[in.A] = clc.FloatToInt(fregs[in.B])
 			st.IntOps++
 		case opILT:
 			iregs[in.A] = b2i(iregs[in.B] < iregs[in.C])

@@ -118,9 +118,6 @@ func WGCertRuns() int64 { return backendCtr.wgCertRuns.Load() }
 // WGFuseSpans returns the fusion pass's verdict per non-empty block body:
 // the fused spans, and the unfused ones named by their reject reason.
 func (k *Kernel) WGFuseSpans() (fused, nofuse []FusedSpan) {
-	if k.wg == nil {
-		return nil, nil
-	}
 	return k.wg.fused, k.wg.nofuse
 }
 
@@ -128,9 +125,6 @@ func (k *Kernel) WGFuseSpans() (fused, nofuse []FusedSpan) {
 // Start is the body's pc, Name the disassembly annotation ("wg.loop-fuse
 // (...)" or "wg.loop-nofuse (reason)").
 func (k *Kernel) WGLoopVerdicts() []FusedSpan {
-	if k.wg == nil {
-		return nil
-	}
 	return k.wg.loops
 }
 
@@ -208,7 +202,7 @@ func (k *Kernel) WGLeaves() (n [3]int) {
 // WGUniformPCs returns the pcs of k's group-uniform steps (wguniform.go) and,
 // of those, the ones whose result a full-group dispatch copies to every lane.
 func (k *Kernel) WGUniformPCs() (uniform, bcast []int) {
-	if k.wg == nil || k.wg.iOut == nil {
+	if k.wg.iOut == nil {
 		return nil, nil
 	}
 	for pc, c := range k.wgUniform(k.wg) {

@@ -1,6 +1,10 @@
 package vm
 
-import "math"
+import (
+	"math"
+
+	"fluidicl/internal/clc"
+)
 
 // The opcode table. Each opcode's row states its mnemonic, its operand
 // signature, the Stats counter it books once per work-item and, for an ALU
@@ -205,7 +209,7 @@ var opTab = [256]opRow{
 	opFDIV: {"fdiv", sigFFF, clsFloat, func(x, y float64) float64 { return float64(float32(x) / float32(y)) }, ""},
 	opFNEG: {"fneg", sigFF, clsFloat, func(x float64) float64 { return -x }, ""},
 	opI2F:  {"i2f", sigFI, clsInt, func(x int64) float64 { return float64(float32(x)) }, ""},
-	opF2I:  {"f2i", sigIF, clsInt, f2i, ""},
+	opF2I:  {"f2i", sigIF, clsInt, clc.FloatToInt, ""},
 	opILT:  {"ilt", sigIII, clsInt, func(x, y int64) int64 { return b2i(x < y) }, ""},
 	opILE:  {"ile", sigIII, clsInt, func(x, y int64) int64 { return b2i(x <= y) }, ""},
 	opIGT:  {"igt", sigIII, clsInt, func(x, y int64) int64 { return b2i(x > y) }, ""},
@@ -259,14 +263,6 @@ var opTab = [256]opRow{
 	opIMAX:    {"imax", sigIII, clsInt, func(x, y int64) int64 { return max(x, y) }, ""},
 	opIABS:    {"iabs", sigII, clsInt, func(x int64) int64 { return max(x, -x) }, ""},
 	opRET:     {"ret", sigBare, clsNone, nil, ""},
-}
-
-// f2i is C's float-to-int conversion, truncating toward zero; NaN reads 0.
-func f2i(f float64) int64 {
-	if math.IsNaN(f) {
-		f = 0
-	}
-	return int64(f)
 }
 
 // inDim reports whether d names a dimension.

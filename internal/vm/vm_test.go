@@ -8,6 +8,9 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"fluidicl/internal/clc"
+	"fluidicl/internal/vmref"
 )
 
 // f32buf builds a little-endian float32 buffer.
@@ -605,6 +608,70 @@ __kernel void f(__global int* out, float x) {
 	}
 	if i32at(out, 0) != 2 || i32at(out, 1) != -2 {
 		t.Fatalf("out = [%d %d], want [2 -2]", i32at(out, 0), i32at(out, 1))
+	}
+}
+
+// TestFloatToIntRule pins the one float-to-int rule (clc.FloatToInt) on the
+// AST referee, the interpreter and wg, fused and per-step: truncation toward
+// zero, NaN to 0, and values beyond the int64 range saturated to its bounds,
+// where Go's int64(f) depends on the host (amd64 gives MinInt64 for +Inf).
+// lo is the value as the int store keeps it, hi its high word.
+func TestFloatToIntRule(t *testing.T) {
+	const src = `
+__kernel void f(__global float* in, __global int* lo, __global int* hi) {
+    int g = get_global_id(0);
+    int v = (int)in[g];
+    lo[g] = v;
+    hi[g] = v / 4294967296;
+}`
+	rows := []struct {
+		in     float64
+		lo, hi int32
+	}{
+		{math.Inf(1), -1, math.MaxInt32},
+		{math.Inf(-1), 0, math.MinInt32},
+		{0x1p63, -1, math.MaxInt32},
+		{-0x1p63, 0, math.MinInt32},
+		{0x1p64, -1, math.MaxInt32},
+		{-0x1p64, 0, math.MinInt32},
+		{math.NaN(), 0, 0},
+		{-0.5, 0, 0},
+		{3e9, -1294967296, 0},
+		{-2.9, -2, 0},
+	}
+	n := len(rows)
+	nd := NewNDRange1D(n, n)
+	ki, err := clc.FindKernelInfo(src, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := vmref.NewRefExec(ki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := MustCompile(src, "f")
+	defer SetWGFuse(WGFuseEnabled())
+	for _, e := range []string{"ref", "interp", "wg", "wg per-step"} {
+		args := []Arg{BufArg(floatBuf(n, func(i int) float32 { return float32(rows[i].in) })),
+			BufArg(make([]byte, 4*n)), BufArg(make([]byte, 4*n))}
+		if e == "ref" {
+			err = RefWorkGroup(ref, nd, [3]int{}, args)
+		} else {
+			SetWGFuse(e == "wg")
+			be := BackendWG
+			if e == "interp" {
+				be = BackendInterp
+			}
+			_, err = k.ExecLaunch(nd, args, ExecOpts{Backend: be})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		for i, r := range rows {
+			if lo, hi := i32at(args[1].Buf, i), i32at(args[2].Buf, i); lo != r.lo || hi != r.hi {
+				t.Errorf("%s: (int)%v gives low word %d, high word %d; want %d, %d", e, r.in, lo, hi, r.lo, r.hi)
+			}
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ package vm
 // serves the whole set of work-items instead of one, which is where the
 // engine's speedup over the per-item interpreter comes from.
 //
-// The pass is purely structural; whether a given *launch* may actually run
-// in lockstep is decided at execution time by the admission certificate
-// (wgcert.go), which falls back to the interpreter per work-group when it
-// cannot prove that cross-work-item execution order is unobservable. Every
+// The pass is purely structural; whether a given *launch* may run in
+// whole-group sets is decided at execution time by the admission certificate
+// (wgcert.go): where it cannot prove that cross-work-item execution order is
+// unobservable, each group runs in one-lane sets in work-item order. Every
 // kernel compiles: private arrays are per work-item in every engine, and a
 // barrier the static analyzer flags as divergent is checked where it runs
 // (runGroup's phase end reports items that diverged or skipped it).

@@ -10,12 +10,12 @@ import (
 )
 
 // Tests for the whole-work-group lockstep backend: parity against the
-// per-item engines on barrier shapes the certificate accepts, and correct
-// fallback (never wrong answers) on the shapes it must reject.
+// interpreter on barrier shapes the certificate accepts, and on the shapes it
+// must reject, which run in one-lane sets in work-item order.
 
 // revSrc is the local-memory reversal kernel: one barrier, a __local array
 // written by local id and read reversed. It stores to __local, so wg runs it
-// on the interpreter (local_store).
+// in one-lane sets (local_store).
 const revSrc = `
 __kernel void rev(__global float* a, int n) {
     __local float tmp[16];
@@ -89,32 +89,24 @@ func runWGParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg) error
 	return nil
 }
 
-// TestWGBarrierParity: the __local reversal falls back group by group with
-// reason local_store and matches the interpreter; the global-only barrier
-// kernel runs both groups' barrier phases in lockstep and matches it too.
+// TestWGBarrierParity: the __local reversal runs group by group in one-lane
+// sets with reason local_store and matches the interpreter; the global-only
+// barrier kernel runs both groups' barrier phases in lockstep and matches it
+// too.
 func TestWGBarrierParity(t *testing.T) {
 	k := MustCompile(revSrc, "rev")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the rev kernel")
-	}
-	before := BackendSnapshot()
-	if err := runWGParity(t, k, NewNDRange1D(32, 16), func() []Arg {
+	if err := oneLaneParity(t, k, NewNDRange1D(32, 16), func() []Arg {
 		return []Arg{BufArg(floatBuf(32, func(i int) float32 { return float32(i) * 0.5 })), IntArg(32)}
-	}); err != nil {
+	}, WGRejLocalStore); err != nil {
 		t.Fatal(err)
-	}
-	after := BackendSnapshot()
-	if got := after.WGRejects[WGRejLocalStore] - before.WGRejects[WGRejLocalStore]; got != 2 || after.WGLoopWGs != before.WGLoopWGs {
-		t.Errorf("__local kernel: %d local_store fallbacks, %d lockstep groups; want 2 and 0",
-			got, after.WGLoopWGs-before.WGLoopWGs)
 	}
 
 	k = MustCompile(twoPhaseSrc, "twophase")
-	before = BackendSnapshot()
+	before := BackendSnapshot()
 	if err := runWGParity(t, k, NewNDRange1D(32, 16), twoPhaseArgs(32)); err != nil {
 		t.Fatal(err)
 	}
-	after = BackendSnapshot()
+	after := BackendSnapshot()
 	if got := after.WGLoopWGs - before.WGLoopWGs; got != 2 {
 		t.Errorf("WGLoopWGs advanced by %d, want 2 (both groups on the lockstep engine)", got)
 	}
@@ -139,9 +131,6 @@ __kernel void iterrev(__global float* a, int rounds) {
     a[g] = v;
 }
 `, "iterrev")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the barrier-in-loop kernel")
-	}
 	if len(k.wg.regions) != 3 {
 		t.Errorf("expected 3 barrier regions (entry + two resumes), got %d", len(k.wg.regions))
 	}
@@ -165,9 +154,6 @@ __kernel void t2d(__global float* a, int w) {
     a[gy*w + gx] = tile[lx*4 + ly] + 2.0f;
 }
 `, "t2d")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the 2D local kernel")
-	}
 	const w = 8
 	if err := runWGParity(t, k, NewNDRange2D(w, w, 4, 4), func() []Arg {
 		return []Arg{BufArg(floatBuf(w*w, func(i int) float32 { return float32(i%7) * 1.25 })), IntArg(w)}
@@ -234,51 +220,41 @@ __kernel void div(__global float* a, int n) {
 				t.Errorf("%s on %v: got %v, want %q", c.name, be, err, c.msg)
 			}
 		}
-		if got := BackendSnapshot().WGLoopWGs - before.WGLoopWGs; got != 1 {
-			t.Errorf("%s: WGLoopWGs advanced by %d, want 1 (the wg run in lockstep)", c.name, got)
+		if d := BackendSnapshot(); d.WGLoopWGs-before.WGLoopWGs != 1 || d.WGFallbackWGs != before.WGFallbackWGs {
+			t.Errorf("%s: WGLoopWGs advanced by %d, WGFallbackWGs by %d; want 1 and 0 (the wg run in lockstep)",
+				c.name, d.WGLoopWGs-before.WGLoopWGs, d.WGFallbackWGs-before.WGFallbackWGs)
 		}
 	}
 }
 
 func TestWGUncertifiedFallback(t *testing.T) {
-	// Structurally fine (wg compiles), but the store index is loaded from a
-	// buffer, so the launch-time certificate sees TOP and must refuse: the
-	// scatter may collide across work-items, where lockstep block order and
-	// interp item order would disagree. idx maps item l to slot 15-l, so the
-	// sequential result is well-defined and must be reproduced exactly.
+	// The store index is loaded from a buffer, so the launch-time
+	// certificate must refuse: the scatter may collide across work-items,
+	// where lockstep block order and interp item order would disagree. Two
+	// groups, and in each idx maps item l to slot 15-l of the group's words,
+	// items 2l and 2l+1 to one slot: the last writer, in item order, wins.
 	k := MustCompile(`
 __kernel void scatter(__global float* a, __global int* idx, int n) {
-    int l = get_local_id(0);
-    a[idx[l]] = (float)l;
+    int g = get_global_id(0);
+    a[idx[g]] = (float)g;
 }
 `, "scatter")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the scatter kernel (expected launch-time fallback instead)")
-	}
-	before := BackendSnapshot()
-	if err := runWGParity(t, k, NewNDRange1D(16, 16), func() []Arg {
-		ib := make([]byte, 4*16)
-		for i := 0; i < 16; i++ {
-			binary.LittleEndian.PutUint32(ib[4*i:], uint32(15-i))
+	if err := oneLaneParity(t, k, NewNDRange1D(32, 16), func() []Arg {
+		ib := make([]byte, 4*32)
+		for i := 0; i < 32; i++ {
+			binary.LittleEndian.PutUint32(ib[4*i:], uint32(i/16*16+15-i%16/2))
 		}
-		return []Arg{BufArg(make([]byte, 4*16)), BufArg(ib), IntArg(16)}
-	}); err != nil {
+		return []Arg{BufArg(make([]byte, 4*32)), BufArg(ib), IntArg(32)}
+	}, WGRejUnknownStore); err != nil {
 		t.Fatal(err)
-	}
-	after := BackendSnapshot()
-	if after.WGLoopWGs != before.WGLoopWGs {
-		t.Errorf("lockstep engine ran an uncertified launch")
-	}
-	if after.WGFallbackWGs == before.WGFallbackWGs {
-		t.Errorf("WGFallbackWGs did not advance on the uncertified path")
 	}
 }
 
 // TestWGWalkerHoles: three kernels whose every work-item stores to word 0 or
 // past its own slot while a careless strided walker would summarize the
 // store as one slot per item, certify the launch disjoint and run it in
-// lockstep. The summary must refuse the certificate instead, so wg falls
-// back and reproduces the interpreter's bytes.
+// lockstep. The summary must refuse the certificate instead, so wg runs
+// one-lane sets and reproduces the interpreter's bytes.
 func TestWGWalkerHoles(t *testing.T) {
 	for _, tc := range []struct{ name, src string }{
 		// n is 0: the loop runs no trip and t stays 0 for every item.
@@ -314,7 +290,7 @@ __kernel void f(__global float* out, int n) {
 				t.Fatal(err)
 			}
 			if after := BackendSnapshot(); after.WGFallbackWGs == before.WGFallbackWGs {
-				t.Errorf("the launch ran in lockstep; want a fallback")
+				t.Errorf("the launch ran in whole-group sets; want one-lane sets")
 			}
 		})
 	}
@@ -322,32 +298,20 @@ __kernel void f(__global float* out, int n) {
 
 func TestWGAliasedBuffersFallback(t *testing.T) {
 	// Two buffer params backed by the same storage defeat the certificate's
-	// per-object disjointness, so the group must fall back even though the
-	// index forms certify. Parity against interp with the same aliasing.
+	// per-object disjointness, so the group must run in one-lane sets even
+	// though the index forms certify. Parity against interp with the same
+	// aliasing.
 	k := MustCompile(`
 __kernel void axpy(__global float* x, __global float* y, int n) {
     int g = get_global_id(0);
     y[g] = x[g] * 2.0f;
 }
 `, "axpy")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the axpy kernel")
-	}
-	shared := floatBuf(16, func(i int) float32 { return float32(i) })
-	before := BackendSnapshot()
-	run := func(be Backend) string {
-		buf := append([]byte(nil), shared...)
-		if _, err := k.ExecLaunch(NewNDRange1D(16, 16),
-			[]Arg{BufArg(buf), BufArg(buf), IntArg(16)}, ExecOpts{Backend: be}); err != nil {
-			t.Fatal(err)
-		}
-		return string(buf)
-	}
-	if run(BackendInterp) != run(BackendWG) {
-		t.Fatal("aliased-buffer results differ between interp and wg")
-	}
-	if got := BackendSnapshot().WGLoopWGs; got != before.WGLoopWGs {
-		t.Errorf("lockstep engine ran an aliased launch")
+	if err := oneLaneParity(t, k, NewNDRange1D(16, 16), func() []Arg {
+		buf := floatBuf(16, func(i int) float32 { return float32(i) })
+		return []Arg{BufArg(buf), BufArg(buf), IntArg(16)}
+	}, WGRejAlias); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -378,12 +342,12 @@ __kernel void carry(__global float* x, __global float* y) {
 		}
 	}
 	if d := BackendSnapshot().WGRejects[WGRejAlias] - before.WGRejects[WGRejAlias]; d != 1 {
-		t.Errorf("%d alias fallbacks, want 1", d)
+		t.Errorf("%d alias rejects, want 1", d)
 	}
 }
 
 // TestWGPrivateArrayFallback keeps the name it had when barrier-free
-// kernels with private arrays fell back to the interpreter. It pins the one
+// kernels with private arrays ran on the interpreter. It pins the one
 // private-memory rule every engine keeps: a work-item's private slabs start
 // zeroed. Each item reads two elements before it writes them, one of them an
 // element every earlier item of its group wrote, so an engine that carried a
@@ -408,9 +372,24 @@ __kernel void privsum(__global float* a, int n) {
 	diffFiveWay(t, "privsum", src, "privsum", NewNDRange1D(32, 16), func() []Arg {
 		return []Arg{BufArg(floatBuf(32, func(i int) float32 { return float32(i) * 0.25 })), IntArg(32)}
 	})
-	if BackendSnapshot().WGLoopWGs == before.WGLoopWGs {
-		t.Error("no group of the private-array kernel ran in lockstep")
+	if d := BackendSnapshot(); d.WGLoopWGs == before.WGLoopWGs || d.WGFallbackWGs != before.WGFallbackWGs {
+		t.Error("the private-array kernel did not run in whole-group sets")
 	}
+
+	// A declaration that executes again keeps its array: each trip reads
+	// tt[0] before writing it and sees the trip before's value, in the AST
+	// referee as in the VM's one slab per work-item.
+	diffFiveWay(t, "private array declared in a loop", `
+__kernel void t(__global float* a, int n) {
+    int g = get_global_id(0);
+    for (int j = 0; j < 3; j++) {
+        float tt[2];
+        a[g] = a[g] + tt[0];
+        tt[0] = (float)j + 1.0f;
+    }
+}`, "t", NewNDRange1D(32, 16), func() []Arg {
+		return []Arg{BufArg(floatBuf(32, func(i int) float32 { return float32(i) })), IntArg(32)}
+	})
 }
 
 func TestWGAbortRollbackParity(t *testing.T) {
@@ -424,9 +403,6 @@ __kernel void oob(__global float* a, int off) {
     a[g + off] = 1.0f;
 }
 `, "oob")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the oob kernel")
-	}
 	orig := floatBuf(16, func(i int) float32 { return float32(i) * 0.25 })
 	for _, be := range []Backend{BackendInterp, BackendWG} {
 		buf := append([]byte(nil), orig...)
@@ -445,11 +421,8 @@ __kernel void oob(__global float* a, int off) {
 
 func TestWGCompileCounters(t *testing.T) {
 	before := BackendSnapshot()
-	k := MustCompile(revSrc, "rev")
+	MustCompile(revSrc, "rev")
 	after := BackendSnapshot()
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the rev kernel")
-	}
 	if got := after.WGKernels - before.WGKernels; got != 1 {
 		t.Errorf("WGKernels advanced by %d, want 1", got)
 	}
@@ -502,9 +475,6 @@ __kernel void lids(__global float* out, int w, int h) {
     out[g] = get_local_id(0) + 100 * get_local_id(1) + 10000 * get_local_id(2);
 }
 `, "lids")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the lids kernel")
-	}
 	const n = 512
 	sc := &wgScratch{} // one scratch, as the kernel's pool hands out
 	before := BackendSnapshot()
@@ -529,7 +499,8 @@ __kernel void lids(__global float* out, int w, int h) {
 			t.Errorf("launch %d (local %v): wg on the reused scratch differs from the interpreter", i, nd.LocalSize)
 		}
 	}
-	if d := BackendSnapshot().WGLoopWGs - before.WGLoopWGs; d != 8 {
-		t.Errorf("%d of 8 groups ran on the lockstep engine", d)
+	if d := BackendSnapshot(); d.WGLoopWGs-before.WGLoopWGs != 8 || d.WGFallbackWGs != before.WGFallbackWGs {
+		t.Errorf("%d of 8 groups ran on the lockstep engine, %d of them in one-lane sets",
+			d.WGLoopWGs-before.WGLoopWGs, d.WGFallbackWGs-before.WGFallbackWGs)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"fluidicl/internal/analysis"
 )
 
-// Launch-time admission to the lockstep engine.
+// Launch-time admission to whole-group sets.
 //
 // The lockstep engine executes a barrier-free region for all work-items of
 // a group in an order that interleaves items block by block, instead of
@@ -15,7 +15,8 @@ import (
 // tracker replay — when no work-item reads or writes a global location that
 // another item of the same group writes. Private arrays are per-item by
 // construction; __local arrays are shared, and a kernel that stores to one
-// runs on the interpreter (WGRejLocalStore).
+// is rejected (WGRejLocalStore). A rejected launch runs in one-lane sets in
+// work-item order, the interpreter's (runGroup).
 //
 // One certificate argues it: the kernel's strided summary (package
 // analysis, computed once at compile time) evaluated against the launch
@@ -31,14 +32,14 @@ import (
 // arguments sharing storage — would defeat that per-argument reasoning and
 // is re-checked per work-group against the actual argument list.
 
-// WGReject enumerates the machine-readable reasons a work-group that
-// requested the wg backend fell back to the interpreter. Every fallback
+// WGReject enumerates the machine-readable reasons the certificate rejects a
+// launch, whose work-groups then run in one-lane sets. Every such group
 // carries exactly one reason; the per-reason counters surface through
 // BackendSnapshot → core.CounterSnapshot → fluidibench.
 type WGReject uint8
 
 const (
-	// WGRejNone: not rejected (the group ran in lockstep).
+	// WGRejNone: not rejected (the group ran in whole-group sets).
 	WGRejNone WGReject = iota
 	// WGRejAlias: two buffer arguments share storage, defeating every
 	// disjointness argument.
@@ -91,9 +92,9 @@ type wgCertEntry struct {
 // fig13+fig16+table3 pass.
 const wgCertCacheCap = 32
 
-// wgCertified reports why this work-group may not run on the lockstep
-// engine, or WGRejNone when it may: no two buffer arguments overlap, and the
-// cached (or freshly computed) certificate for the launch shape holds.
+// wgCertified reports why this work-group may not run in whole-group sets,
+// or WGRejNone when it may: no two buffer arguments overlap, and the cached
+// (or freshly computed) certificate for the launch shape holds.
 func (k *Kernel) wgCertified(sc *wgScratch, nd NDRange, args []Arg) WGReject {
 	for i := range args {
 		if args[i].Kind != ArgBuffer {

@@ -51,11 +51,11 @@ func contigParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, exac
 	for g := 0; g < nd.LaunchGroups(); g++ {
 		before := snap(argsI)
 		var logI, logW UndoLog
-		lockstep := BackendSnapshot().WGLoopWGs
+		oneLane := BackendSnapshot().WGFallbackWGs
 		stI, errI := k.ExecWorkGroup(nd, nd.GroupAt(g), argsI, ExecOpts{Backend: BackendInterp, Undo: &logI})
 		stW, errW := k.ExecWorkGroup(nd, nd.GroupAt(g), argsW, ExecOpts{Backend: BackendWG, Undo: &logW})
-		if BackendSnapshot().WGLoopWGs == lockstep {
-			t.Fatalf("group %d fell back to the interpreter", g)
+		if BackendSnapshot().WGFallbackWGs != oneLane {
+			t.Fatalf("group %d ran in one-lane sets", g)
 		}
 		if fmt.Sprint(errI) != fmt.Sprint(errW) {
 			t.Fatalf("group %d: errors differ\ninterp: %v\nwg:     %v", g, errI, errW)

@@ -110,12 +110,12 @@ func TestWGEntryState(t *testing.T) {
 			if sc.wm != nil {
 				poison(sc.wm)
 			}
-			lockstep := BackendSnapshot().WGLoopWGs
+			oneLane := BackendSnapshot().WGFallbackWGs
 			if _, err := k.execWG(l.nd, group, argsW, ExecOpts{Backend: BackendWG}, sc); err != nil {
 				t.Fatal(err)
 			}
-			if BackendSnapshot().WGLoopWGs == lockstep {
-				t.Fatalf("%s: group %d fell back to the interpreter", l.name, g)
+			if BackendSnapshot().WGFallbackWGs != oneLane {
+				t.Fatalf("%s: group %d ran in one-lane sets", l.name, g)
 			}
 		}
 		for i := range argsW[:2] {

@@ -20,22 +20,25 @@ import (
 // Under the noninterference certificate (wgcert.go) any schedule that
 // preserves each work-item's own program order produces identical buffers
 // and register trajectories, so the min-pc policy is purely a locality
-// heuristic. Stats come out identical to the interpreter too: every counter
-// the banked steps touch is an order-independent sum, mask, or min/max —
-// except the memory-locality tracker, which is order-sensitive, so the
-// steps record each item's (memID, offset) stream in program order and the
-// phase end replays the streams through the ordinary memTracker in exactly
-// the interpreter's per-item, per-warp call sequence.
+// heuristic. A group whose launch the certificate rejects runs serial: each
+// phase is one-lane sets in work-item order, each item to its barrier or
+// ret before the next starts, which is the interpreter's order. Stats come
+// out identical to the interpreter too: every counter the banked steps touch
+// is an order-independent sum, mask, or min/max — except the memory-locality
+// tracker, which is order-sensitive, so the steps record each item's
+// (memID, offset) stream in program order and the phase end replays the
+// streams through the ordinary memTracker in exactly the interpreter's
+// per-item, per-warp call sequence.
 //
 // Error parity is by presence, not by text: all engines error on the same
 // launches (each item's trace, including its step budget, is identical),
-// but the failing work-item the message names — and buffer contents on the
-// error path — may differ because set order decides who trips first, and a
-// budget error names the block leader, not the exact instruction (the
-// interpreter checks `steps > maxSteps` before every instruction; a block of
-// n instructions errors iff stepsBefore + n > maxSteps, which is what the
-// banked check of the whole block tests). Tests compare buffers only on
-// error-free runs.
+// but the failing work-item the message names — and, outside serial groups,
+// buffer contents on the error path — may differ because set order decides
+// who trips first, and a budget error names the block leader, not the exact
+// instruction (the interpreter checks `steps > maxSteps` before every
+// instruction; a block of n instructions errors iff stepsBefore + n >
+// maxSteps, which is what the banked check of the whole block tests). Tests
+// compare buffers only on error-free runs of whole-group sets.
 
 // wgAcc is one recorded global access, replayed through the memTracker at
 // phase end.
@@ -161,6 +164,8 @@ type wmach struct {
 	loopTrips      int64
 	loopNonuniform int64
 
+	// serial runs each phase as one-lane sets in work-item order (runGroup).
+	serial    bool
 	parked    int
 	done      int
 	barrierPC int
@@ -455,8 +460,9 @@ func (m *wmach) replayCols() {
 	clear(m.site)
 }
 
-// execWGLockstep executes one certified work-group on the lockstep engine.
-func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch) (Stats, error) {
+// execWGLockstep executes one work-group on the lockstep engine, in one-lane
+// sets in work-item order when serial (the certificate rejected the launch).
+func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecOpts, sc *wgScratch, serial bool) (Stats, error) {
 	backendCtr.wgLoopWGs.Add(1)
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -473,6 +479,7 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.st = &m.stat
 	m.undo = opts.Undo
 	m.maxSteps = maxSteps
+	m.serial = serial
 	m.fuse = WGFuseEnabled()
 	m.views = m.views[:0]
 	for _, a := range args {
@@ -569,123 +576,130 @@ func (m *wmach) runGroup() error {
 		m.parked, m.barrierPC = 0, -1
 		m.uniform = true
 		m.clearCols()
-		s := m.takeSet(entry)
-		s.items = append(s.items, m.all...)
-		m.work = append(m.work, s)
-
-		for len(m.work) > 0 {
-			s := m.popMin()
-			blk := wg.blocks[s.pc]
-			m.full = m.uniform && len(s.items) == n
-			if m.budgetScalar {
-				if m.full {
-					if !m.charge(blk) {
+		// A serial phase starts partitioned, one item per set.
+		width := n
+		if m.serial {
+			width = 1
+			m.colFlush()
+		}
+		for lo := 0; lo < n; lo += width {
+			s := m.takeSet(entry)
+			s.items = append(s.items, m.all[lo:lo+width]...)
+			m.work = append(m.work, s)
+			for len(m.work) > 0 {
+				s := m.popMin()
+				blk := wg.blocks[s.pc]
+				m.full = m.uniform && len(s.items) == n
+				if m.budgetScalar {
+					if m.full {
+						if !m.charge(blk) {
+							m.freeSet(s)
+							return m.err
+						}
+					} else {
+						// First divergent block of the group: fan the shared
+						// counter out so every item keeps its exact total.
+						for t := range m.steps {
+							m.steps[t] = m.stepsAll
+						}
+						m.budgetScalar = false
+					}
+				}
+				if !m.budgetScalar {
+					for _, t := range s.items {
+						if m.steps[t] += blk.nInstr; m.steps[t] > m.maxSteps {
+							m.err = &execError{k.Name, blk.start, "instruction budget exceeded (possible infinite loop)"}
+							m.freeSet(s)
+							return m.err
+						}
+					}
+				}
+				// A fused plan runs item-major over the set: a body with a loop
+				// plan for any set, any other only for the whole group of a
+				// phase that never partitioned. The rest take the per-step list.
+				body := int64(blk.body - blk.start)
+				if m.fuse && blk.red != nil && (m.full || blk.red.loop != nil) {
+					m.dynFused += body * int64(len(s.items))
+					m.next = -1
+					if !blk.red.run(m, s.items) {
 						m.freeSet(s)
 						return m.err
+					}
+					if m.next >= 0 {
+						s.pc = m.next
+						m.push(s)
+						continue
 					}
 				} else {
-					// First divergent block of the group: fan the shared
-					// counter out so every item keeps its exact total.
-					for t := range m.steps {
-						m.steps[t] = m.stepsAll
-					}
-					m.budgetScalar = false
-				}
-			}
-			if !m.budgetScalar {
-				for _, t := range s.items {
-					if m.steps[t] += blk.nInstr; m.steps[t] > m.maxSteps {
-						m.err = &execError{k.Name, blk.start, "instruction budget exceeded (possible infinite loop)"}
+					m.dynStep += body * int64(len(s.items))
+					if !blk.runSteps(m, s.items) {
 						m.freeSet(s)
 						return m.err
 					}
 				}
-			}
-			// A fused plan runs item-major over the set: a body with a loop
-			// plan for any set, any other only for the whole group of a
-			// phase that never partitioned. The rest take the per-step list.
-			body := int64(blk.body - blk.start)
-			if m.fuse && blk.red != nil && (m.full || blk.red.loop != nil) {
-				m.dynFused += body * int64(len(s.items))
-				m.next = -1
-				if !blk.red.run(m, s.items) {
-					m.freeSet(s)
-					return m.err
-				}
-				if m.next >= 0 {
-					s.pc = m.next
+				switch blk.term.kind {
+				case wtFall:
+					s.pc = blk.term.next
 					m.push(s)
-					continue
-				}
-			} else {
-				m.dynStep += body * int64(len(s.items))
-				if !blk.runSteps(m, s.items) {
-					m.freeSet(s)
-					return m.err
-				}
-			}
-			switch blk.term.kind {
-			case wtFall:
-				s.pc = blk.term.next
-				m.push(s)
-			case wtJmp:
-				m.stat.Branches += int64(len(s.items))
-				s.pc = blk.term.tgt
-				m.push(s)
-			case wtCond:
-				m.stat.Branches += int64(len(s.items))
-				base := int(blk.term.condReg) * n
-				jz := blk.term.jz
-				ib := m.ib
-				if m.full {
-					// Dynamic uniformity scan: when the whole group agrees
-					// on the branch, move the set wholesale. Semantically
-					// identical to partitioning into one non-empty and one
-					// empty set, but skips rebuilding the item list on every
-					// trip around a uniform loop.
-					z, same := ib[base] == 0, true
-					for _, v := range ib[base+1 : base+n] {
-						if (v == 0) != z {
-							same = false
+				case wtJmp:
+					m.stat.Branches += int64(len(s.items))
+					s.pc = blk.term.tgt
+					m.push(s)
+				case wtCond:
+					m.stat.Branches += int64(len(s.items))
+					base := int(blk.term.condReg) * n
+					jz := blk.term.jz
+					ib := m.ib
+					if m.full {
+						// Dynamic uniformity scan: when the whole group agrees
+						// on the branch, move the set wholesale. Semantically
+						// identical to partitioning into one non-empty and one
+						// empty set, but skips rebuilding the item list on every
+						// trip around a uniform loop.
+						z, same := ib[base] == 0, true
+						for _, v := range ib[base+1 : base+n] {
+							if (v == 0) != z {
+								same = false
+								break
+							}
+						}
+						if same {
+							if z == jz {
+								s.pc = blk.term.tgt
+							} else {
+								s.pc = blk.term.next
+							}
+							m.push(s)
 							break
 						}
 					}
-					if same {
-						if z == jz {
-							s.pc = blk.term.tgt
+					taken := m.takeSet(blk.term.tgt)
+					fall := m.takeSet(blk.term.next)
+					for _, t := range s.items {
+						if (ib[base+int(t)] == 0) == jz {
+							taken.items = append(taken.items, t)
 						} else {
-							s.pc = blk.term.next
+							fall.items = append(fall.items, t)
 						}
-						m.push(s)
-						break
 					}
-				}
-				taken := m.takeSet(blk.term.tgt)
-				fall := m.takeSet(blk.term.next)
-				for _, t := range s.items {
-					if (ib[base+int(t)] == 0) == jz {
-						taken.items = append(taken.items, t)
-					} else {
-						fall.items = append(fall.items, t)
+					if m.uniform && len(taken.items) > 0 && len(fall.items) > 0 {
+						m.colFlush()
 					}
+					m.freeSet(s)
+					m.push(taken)
+					m.push(fall)
+				case wtRet:
+					m.done += len(s.items)
+					m.freeSet(s)
+				case wtBarrier:
+					if m.barrierPC == -1 {
+						m.barrierPC = blk.term.next
+					} else if m.barrierPC != blk.term.next {
+						m.diverged = true
+					}
+					m.parked += len(s.items)
+					m.freeSet(s)
 				}
-				if m.uniform && len(taken.items) > 0 && len(fall.items) > 0 {
-					m.colFlush()
-				}
-				m.freeSet(s)
-				m.push(taken)
-				m.push(fall)
-			case wtRet:
-				m.done += len(s.items)
-				m.freeSet(s)
-			case wtBarrier:
-				if m.barrierPC == -1 {
-					m.barrierPC = blk.term.next
-				} else if m.barrierPC != blk.term.next {
-					m.diverged = true
-				}
-				m.parked += len(s.items)
-				m.freeSet(s)
 			}
 		}
 

@@ -137,10 +137,6 @@ func TestWGFuseMalformedWiringFallsBack(t *testing.T) {
 	}
 	for _, tc := range cases {
 		k2 := recompiled(k, tc.mutate)
-		if k2.wg == nil {
-			t.Errorf("%s: wg compilation rejected the mutated kernel", tc.name)
-			continue
-		}
 		if got := verdict(k2); got != tc.want {
 			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
 		}

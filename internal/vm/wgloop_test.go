@@ -26,8 +26,8 @@ type loopCase struct {
 	// verdict, when set, must appear in the disassembly of both variants.
 	verdict string
 	noGPU   bool // passes.TransformGPU does not take the kernel
-	// localStore: the kernel stores to __local, so wg must fall back with
-	// reason local_store and still match the interpreter.
+	// localStore: the kernel stores to __local, so wg must run one-lane sets
+	// with reason local_store and still match the interpreter.
 	localStore bool
 }
 
@@ -109,17 +109,17 @@ func runLoopCase(t *testing.T, c loopCase) {
 			if c.verdict != "" && !strings.Contains(k.Disasm(), c.verdict) {
 				t.Errorf("disassembly lacks %q\n%s", c.verdict, k.Disasm())
 			}
+			if c.localStore {
+				if err := oneLaneParity(t, k, NewNDRange1D(32, 8), mk(v.extra), WGRejLocalStore); err != nil {
+					t.Error(err)
+				}
+				return
+			}
 			before := BackendSnapshot()
 			if err := runWGParity(t, k, NewNDRange1D(32, 8), mk(v.extra)); err != nil {
 				t.Error(err)
 			}
 			after := BackendSnapshot()
-			if c.localStore {
-				if d := after.WGRejects[WGRejLocalStore] - before.WGRejects[WGRejLocalStore]; d != 4 || after.WGLoopWGs != before.WGLoopWGs {
-					t.Errorf("%d local_store fallbacks, %d lockstep groups; want 4 and 0", d, after.WGLoopWGs-before.WGLoopWGs)
-				}
-				return
-			}
 			if c.batched && after.WGLoopBatchesDyn == before.WGLoopBatchesDyn {
 				t.Errorf("no dispatch ran a whole loop\n%s", k.Disasm())
 			}
@@ -182,7 +182,7 @@ func TestWGLoopTrackerState(t *testing.T) {
 		// Every phase diverges, so from the second on the group's step
 		// budgets are per item and the walk charges them lane by lane —
 		// against state the previous phase's replay() must have cleared. The
-		// kernel stores to __local, so it runs on the interpreter; the next
+		// kernel stores to __local, so it runs in one-lane sets; the next
 		// case is the same loop around a barrier over global memory only,
 		// which runs in lockstep.
 		{name: "loop after a barrier", localStore: true, noGPU: true, src: `

@@ -2,12 +2,14 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"fluidicl/internal/analysis"
 )
 
-// Tests for the admission certificate and the per-reason fallback counters.
+// Tests for the admission certificate and the per-reason one-lane counters.
 // TestWGStridedSecondChance and TestWGSecondChanceBudget keep the names they
 // had when the strided certificate was a second chance after a bytecode one.
 
@@ -34,9 +36,6 @@ __kernel void tri(__global float* data, __global float* symmat, int m, int n) {
 
 func TestWGStridedSecondChance(t *testing.T) {
 	k := MustCompile(triSrc, "tri")
-	if k.wg == nil {
-		t.Fatal("wg compilation rejected the triangular scatter kernel")
-	}
 	const m, n = 16, 8
 	before := BackendSnapshot()
 	if err := runWGParity(t, k, NewNDRange1D(m, 8), func() []Arg {
@@ -63,15 +62,89 @@ func TestWGStridedSecondChance(t *testing.T) {
 	}
 }
 
-// TestWGRejectReasons drives one launch per fallback reason and checks that
-// exactly that reason's counter advances.
+// oneLaneParity runs the launch on the interpreter, the referee, then on wg
+// fused and per-step, each with and without an undo log. Every wg run must
+// take each group the referee ran in one-lane sets under reason rej —
+// WGLoopWGs, WGFallbackWGs and rej's counter advance by that count, InterpWGs
+// not at all — and match the referee's buffers and error text, and its Stats
+// when it succeeds (wg replays a phase's locality when the phase ends, so a
+// trap leaves them partial); rolling the undo log back restores the
+// arguments. It returns the referee's error.
+func oneLaneParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, rej WGReject) error {
+	t.Helper()
+	defer SetWGFuse(WGFuseEnabled())
+	run := func(be Backend, undo *UndoLog) (bufs []string, st Stats, err error) {
+		args := mkArgs()
+		var start []string
+		for _, a := range args {
+			start = append(start, string(a.Buf))
+		}
+		st, err = k.ExecLaunch(nd, args, ExecOpts{Backend: be, Undo: undo})
+		for _, a := range args {
+			bufs = append(bufs, string(a.Buf))
+		}
+		if undo != nil {
+			undo.Rollback()
+			for i, a := range args {
+				if string(a.Buf) != start[i] {
+					t.Errorf("rollback did not restore argument %d", i)
+				}
+			}
+		}
+		return bufs, st, err
+	}
+	before := BackendSnapshot()
+	bufI, stI, errI := run(BackendInterp, nil)
+	groups := BackendSnapshot().InterpWGs - before.InterpWGs
+	for _, fuse := range []bool{true, false} {
+		SetWGFuse(fuse)
+		for _, undo := range []*UndoLog{nil, new(UndoLog)} {
+			before := BackendSnapshot()
+			bufW, stW, errW := run(BackendWG, undo)
+			after := BackendSnapshot()
+			how := fmt.Sprintf("fuse %v, undo %v", fuse, undo != nil)
+			if d := after.InterpWGs - before.InterpWGs; d != 0 {
+				t.Errorf("%s: %d groups ran on the interpreter", how, d)
+			}
+			loop, fb, r := after.WGLoopWGs-before.WGLoopWGs, after.WGFallbackWGs-before.WGFallbackWGs, after.WGRejects[rej]-before.WGRejects[rej]
+			if loop != groups || fb != groups || r != groups {
+				t.Errorf("%s: %d lockstep groups, %d one-lane, %d %s rejects; want %d each (deltas: %v)",
+					how, loop, fb, r, rej, groups, rejectDeltas(before, after))
+			}
+			if fmt.Sprint(errI) != fmt.Sprint(errW) {
+				t.Fatalf("%s: errors differ: interp %v, wg %v", how, errI, errW)
+			}
+			if errI == nil && stI != stW {
+				t.Fatalf("%s: Stats diverge:\ninterp: %+v\nwg:     %+v", how, stI, stW)
+			}
+			for i := range bufI {
+				if bufI[i] != bufW[i] {
+					t.Fatalf("%s: argument %d differs between interp and wg", how, i)
+				}
+			}
+		}
+	}
+	return errI
+}
+
+// TestWGRejectReasons drives one launch per certificate reject reason, and a
+// barrier some items skip, through oneLaneParity.
 func TestWGRejectReasons(t *testing.T) {
 	type tc struct {
 		name   string
 		src    string
 		kernel string
+		nd     NDRange
 		rej    WGReject
 		args   func() []Arg
+		err    string
+	}
+	reversed := func() []byte {
+		ib := make([]byte, 4*16)
+		for i := 0; i < 16; i++ {
+			binary.LittleEndian.PutUint32(ib[4*i:], uint32(15-i))
+		}
+		return ib
 	}
 	cases := []tc{
 		{
@@ -94,6 +167,28 @@ __kernel void divb(__global float* a, int n) {
 			},
 		},
 		{
+			// Half the items skip the barrier: the phase ends in the
+			// interpreter's error, after the same stores.
+			name: "local-store-barrier-not-reached",
+			src: `
+__kernel void skip(__global float* a, int n) {
+    __local float tmp[16];
+    int l = get_local_id(0);
+    tmp[l] = a[l];
+    a[l] = 2.0f * tmp[l];
+    if (l < 8) {
+        barrier(CLK_LOCAL_MEM_FENCE);
+    }
+    a[l] = tmp[15 - l];
+}`,
+			kernel: "skip",
+			rej:    WGRejLocalStore,
+			args: func() []Arg {
+				return []Arg{BufArg(floatBuf(16, func(i int) float32 { return float32(i) })), IntArg(16)}
+			},
+			err: "barrier not reached by all work-items",
+		},
+		{
 			name: "unknown-store-indirect",
 			src: `
 __kernel void scatter(__global float* a, __global int* idx, int n) {
@@ -103,11 +198,22 @@ __kernel void scatter(__global float* a, __global int* idx, int n) {
 			kernel: "scatter",
 			rej:    WGRejUnknownStore,
 			args: func() []Arg {
-				ib := make([]byte, 4*16)
-				for i := 0; i < 16; i++ {
-					binary.LittleEndian.PutUint32(ib[4*i:], uint32(15-i))
-				}
-				return []Arg{BufArg(make([]byte, 4*16)), BufArg(ib), IntArg(16)}
+				return []Arg{BufArg(make([]byte, 4*16)), BufArg(reversed()), IntArg(16)}
+			},
+		},
+		{
+			// Item l reads the word item 15-l writes: the later half reads
+			// what the earlier half stored.
+			name: "unknown-read-gather",
+			src: `
+__kernel void gather(__global float* a, __global int* idx) {
+    int l = get_local_id(0);
+    a[l] = a[idx[l]] + 1.0f;
+}`,
+			kernel: "gather",
+			rej:    WGRejUnknownRead,
+			args: func() []Arg {
+				return []Arg{BufArg(floatBuf(16, func(i int) float32 { return float32(i) })), BufArg(reversed())}
 			},
 		},
 		{
@@ -121,6 +227,23 @@ __kernel void ov(__global float* a, int n) {
 			rej:    WGRejOverlap,
 			args: func() []Arg {
 				return []Arg{BufArg(make([]byte, 4*16)), IntArg(16)}
+			},
+		},
+		{
+			// Two store forms over a grid of 2^20 items: the pairwise test
+			// is over budget; the launch runs only its first group.
+			name: "budget-two-forms",
+			src: `
+__kernel void two(__global float* a, int n) {
+    int g = get_global_id(0);
+    a[g] = 1.0f;
+    a[g + n] = a[g] + 2.0f;
+}`,
+			kernel: "two",
+			nd:     NewNDRange1D(1<<20, 16).Slice(0, 0),
+			rej:    WGRejBudget,
+			args: func() []Arg {
+				return []Arg{BufArg(make([]byte, 4*32)), IntArg(16)}
 			},
 		},
 		{
@@ -140,44 +263,38 @@ __kernel void lmix(__global float* a, int n) {
 				return []Arg{BufArg(floatBuf(16, func(i int) float32 { return float32(i) - 4 })), IntArg(16)}
 			},
 		},
+		{
+			// y = x shifted by one word: each item reads the word the item
+			// before it stored.
+			name: "alias-shifted-views",
+			src: `
+__kernel void axpy(__global float* x, __global float* y, int n) {
+    int g = get_global_id(0);
+    y[g] = x[g] * 2.0f;
+}`,
+			kernel: "axpy",
+			rej:    WGRejAlias,
+			args: func() []Arg {
+				mem := floatBuf(17, func(i int) float32 { return float32(i) + 1 })
+				return []Arg{BufArg(mem[:64]), BufArg(mem[4:]), IntArg(16)}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			k := MustCompile(c.src, c.kernel)
-			before := BackendSnapshot()
-			if err := runWGParity(t, k, NewNDRange1D(16, 16), c.args); err != nil {
-				t.Fatal(err)
+			nd := c.nd
+			if nd.Dims == 0 {
+				nd = NewNDRange1D(16, 16)
 			}
-			after := BackendSnapshot()
-			if after.WGLoopWGs != before.WGLoopWGs {
-				t.Errorf("lockstep engine ran a launch that must fall back")
+			if rej := k.wgCertified(k.getScratch(), nd, c.args()); rej != c.rej {
+				t.Fatalf("certificate says %v, want %v", rej, c.rej)
 			}
-			if got := after.WGRejects[c.rej] - before.WGRejects[c.rej]; got == 0 {
-				t.Errorf("reject counter %q did not advance (deltas: %v)",
-					c.rej, rejectDeltas(before, after))
-			}
-			if after.WGFallbackWGs == before.WGFallbackWGs {
-				t.Errorf("WGFallbackWGs did not advance")
+			err := oneLaneParity(t, k, nd, c.args, c.rej)
+			if err == nil && c.err != "" || err != nil && !strings.Contains(err.Error(), c.err) {
+				t.Fatalf("error %v, want one saying %q", err, c.err)
 			}
 		})
-	}
-
-	// Alias: needs a shared backing buffer, so it does not fit runWGParity.
-	k := MustCompile(`
-__kernel void axpy(__global float* x, __global float* y, int n) {
-    int g = get_global_id(0);
-    y[g] = x[g] * 2.0f;
-}`, "axpy")
-	shared := floatBuf(16, func(i int) float32 { return float32(i) })
-	before := BackendSnapshot()
-	buf := append([]byte(nil), shared...)
-	if _, err := k.ExecLaunch(NewNDRange1D(16, 16),
-		[]Arg{BufArg(buf), BufArg(buf), IntArg(16)}, ExecOpts{Backend: BackendWG}); err != nil {
-		t.Fatal(err)
-	}
-	after := BackendSnapshot()
-	if after.WGRejects[WGRejAlias] == before.WGRejects[WGRejAlias] {
-		t.Errorf("alias reject counter did not advance")
 	}
 }
 
@@ -231,7 +348,7 @@ __kernel void scale(__global float* x, __global float* y, float f, int n) {
 		}
 	}
 	before, snap := certRuns(), BackendSnapshot()
-	launch(4, 0, 3, 1, x, x) // aliased: falls back, certifies and caches nothing
+	launch(4, 0, 3, 1, x, x) // aliased: one-lane sets, certifies and caches nothing
 	if got := certRuns() - before; got != 0 {
 		t.Errorf("an aliased launch ran the certificate %d times, want 0", got)
 	}
@@ -243,8 +360,8 @@ __kernel void scale(__global float* x, __global float* y, float f, int n) {
 	if got := certRuns() - before; got != 3 {
 		t.Errorf("certificate ran %d times for 3 distinct keys over 9 launches", got)
 	}
-	if d := BackendSnapshot(); d.WGLoopWGs-snap.WGLoopWGs != 3*(2+2+2) || d.WGRejects[WGRejAlias]-snap.WGRejects[WGRejAlias] != 4 {
-		t.Errorf("lockstep groups %d, alias rejects %d; want 18 and 4",
+	if d := BackendSnapshot(); d.WGLoopWGs-snap.WGLoopWGs != 4+3*(2+2+2) || d.WGRejects[WGRejAlias]-snap.WGRejects[WGRejAlias] != 4 {
+		t.Errorf("lockstep groups %d, alias rejects %d; want 22 (the aliased launch's four in one-lane sets) and 4",
 			d.WGLoopWGs-snap.WGLoopWGs, d.WGRejects[WGRejAlias]-snap.WGRejects[WGRejAlias])
 	}
 

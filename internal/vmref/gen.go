@@ -15,7 +15,9 @@ import (
 // GenProgram returns a random — but deterministic, well-typed and
 // terminating — MiniCL kernel named "diff" over the fixed signature
 // (__global float* fbuf, __global int* ibuf, int n, int p1, float fp),
-// sometimes with a top-level private array pv that it reads before writing.
+// sometimes with a top-level private array pv that it reads before writing
+// and, inside a loop, a private array declared in the loop body that each
+// trip reads before writing.
 func GenProgram(r *rand.Rand) string {
 	g := &progGen{r: r}
 	return g.generate()
@@ -36,8 +38,11 @@ type progGen struct {
 	nLoops int
 	depth  int
 	// priv is set once a statement has used the private array pv, which
-	// generate then declares at the top of the kernel.
-	priv bool
+	// generate then declares at the top of the kernel. loops is the number
+	// of counted loops around the statement being generated, nPriv the
+	// number of private arrays declared in loop bodies so far.
+	priv         bool
+	loops, nPriv int
 }
 
 func (g *progGen) w(format string, args ...interface{}) {
@@ -294,11 +299,21 @@ func (g *progGen) edgeLoad() {
 // edgeLoad). Nothing initialises pv, so the first statement of the kind an
 // item runs reads its slots before writing them: every engine must give each
 // work-item its own zeroed slabs, and one that carried them from one item to
-// the next would read the slots an earlier item of the group wrote.
+// the next would read the slots an earlier item of the group wrote. Inside
+// a loop it also declares an array qN there, which each trip reads before
+// writing: a declaration that executes again keeps its contents, so a trip
+// reads what the trip before it wrote (the first reads zeros).
 func (g *progGen) privRead() {
 	g.priv = true
 	g.w("pv[i %% 4] += (float)(i %% 7) + 0.5f;")
 	g.w("u += (int)(pv[(i + %d) %% 4] * 2.0f);", g.nVars%4)
+	if g.loops > 0 {
+		g.nPriv++
+		q := fmt.Sprintf("q%d", g.nPriv)
+		g.w("float %s[2];", q)
+		g.w("u += (int)(%s[i %% 2] * 4.0f);", q)
+		g.w("%s[i %% 2] = %s[i %% 2] + (float)(i %% 5) + 0.25f;", q, q)
+	}
 }
 
 func (g *progGen) stmts(budget int) {
@@ -356,7 +371,9 @@ func (g *progGen) stmts(budget int) {
 				g.ints[g.nROInt] = l
 				g.nROInt++
 				nI, nF := len(g.ints), len(g.floats)
+				g.loops++
 				g.stmts(budget / 2)
+				g.loops--
 				g.ints, g.floats = g.ints[:nI], g.floats[:nF]
 				g.nROInt--
 				g.ints = append(g.ints[:g.nROInt], g.ints[g.nROInt+1:]...)

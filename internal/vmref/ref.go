@@ -16,7 +16,8 @@ import (
 //
 // It is deliberately slow and simple; nothing in the runtime uses it. It
 // shares no code with the VM: its launch shape and argument types are its
-// own, and so are the helpers below that the VM has too.
+// own, and so are the helpers below that the VM has too. The float-to-int
+// rule, clc.FloatToInt, belongs to the language, and every executor calls it.
 type RefExec struct {
 	ki *clc.KernelInfo
 }
@@ -147,7 +148,8 @@ type refCtx struct {
 	nd     Range
 	group  [3]int
 	lid    [3]int
-	locals map[string]refArray // per-work-group local arrays
+	locals map[string]refArray        // per-work-group local arrays
+	priv   map[*clc.DeclStmt]refArray // per-work-item private arrays
 	steps  int64
 	max    int64
 }
@@ -171,6 +173,7 @@ func (r *RefExec) ExecWorkGroup(nd Range, group [3]int, args []Arg) error {
 			group:  group,
 			lid:    [3]int{wi % lx, (wi / lx) % ly, wi / (lx * ly)},
 			locals: locals,
+			priv:   map[*clc.DeclStmt]refArray{},
 			max:    defaultMaxSteps,
 		}
 		scope := &refScope{vars: map[string]*value{}, arrs: map[string]refArray{}}
@@ -239,8 +242,15 @@ func refStmt(ctx *refCtx, sc *refScope, s clc.Stmt) (refSignal, error) {
 			if s.Space == clc.SpaceLocal {
 				sc.arrs[s.Name] = ctx.locals[s.Name]
 			} else {
-				n, _ := clc.ConstEval(s.ArrayLen)
-				sc.arrs[s.Name] = refArray{buf: make([]byte, n*4), elem: s.Elem}
+				// One zeroed array per declaration and work-item, as in the VM:
+				// a declaration that executes again keeps its contents.
+				a, ok := ctx.priv[s]
+				if !ok {
+					n, _ := clc.ConstEval(s.ArrayLen)
+					a = refArray{buf: make([]byte, n*4), elem: s.Elem}
+					ctx.priv[s] = a
+				}
+				sc.arrs[s.Name] = a
 			}
 			return sigNone, nil
 		}
@@ -442,11 +452,7 @@ func convertTo(v value, k clc.ScalarKind) value {
 		return ival(0)
 	default:
 		if v.isFloat {
-			f := v.f
-			if math.IsNaN(f) {
-				f = 0
-			}
-			return ival(int64(f))
+			return ival(clc.FloatToInt(v.f))
 		}
 		return ival(v.i)
 	}
