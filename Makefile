@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json build vet test race checkptr fma-check fuzz bench-smoke bench loc loc-check
+.PHONY: check fmt-check lint lint-json build vet test race checkptr fma-check fuzz bench-smoke bench bench-pairs loc loc-check
 
 # The fast CI gate: formatting, the internal/vm, internal/analysis,
 # internal/harness, internal/sched, internal/device, internal/ocl,
@@ -84,6 +84,17 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem -benchtime=3x -run '^$$' .
 
+# Alternating runs of bench/run.sh in a checkout of BASE and in the working
+# tree, N of each, SECONDS seconds each, with each pair's wall_s, alloc_mb and
+# coop_speedup and the count of pairs the working tree won (SEED=S picks the
+# seed; default 1): make bench-pairs BASE=HEAD~1 WORKLOAD=coop-nway N=4.
+BASE ?= HEAD
+WORKLOAD ?= coop-pair
+N ?= 5
+SECONDS ?= 8
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N) $(SECONDS)
+
 # Non-test Go lines per package under internal/ and cmd/ (internal/vmref, the
 # AST referee and the kernel generators, is test infrastructure no non-test
 # code imports) — the number the
@@ -159,8 +170,18 @@ loc:
 # serial flag, about ten lines in runGroup), so the interpreter is only the
 # referee tests select, and ParseBackend, FLUIDICL_BACKEND (init,
 # BackendEnvErr) and the interpreter's inline float-to-int copy (now
-# clc.FloatToInt, the one rule) are gone.
-VM_LOC_MAX = 5850
+# clc.FloatToInt, the one rule) are gone. 5950 is that count with the
+# lane-blocked dot leaves (wgfuse.go: while a phase is uniform, blocks of
+# eight lanes run trip-major on four leaves that load a lane-uniform factor
+# once per trip into eight named accumulators, behind the block's proof, its
+# lane-form test and the rerun of a block that met a NaN), raised by 100,
+# the most its issue allowed and what PR 24's leaf was given: the leaves
+# cost about 135 lines, paid in part by wgDot1 and wgDot2 (34) and by
+# merging the block's stride, offset and seed tests into one pass each;
+# the interpreter's step count moved into wiState (the budget is per run
+# on every engine) for two more. coop-pair wall_s 0.0663 -> 0.0568 s
+# (-14.4 %, ten alternating pairs, 10/10; seed 43: -15.3 %, 10/10).
+VM_LOC_MAX = 5950
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

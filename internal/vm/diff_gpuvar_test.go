@@ -25,7 +25,7 @@ import (
 // concatenated buffer arguments and the summed Stats. With undo set every
 // group logs its stores and is rolled back, which must restore the buffers;
 // the returned bytes are then the buffers as they were before each rollback.
-func diffExec(t *testing.T, label string, k *Kernel, nd NDRange, args []Arg, be Backend, fuse, undo bool) (string, Stats, error) {
+func diffExec(t testing.TB, label string, k *Kernel, nd NDRange, args []Arg, be Backend, fuse, undo bool) (string, Stats, error) {
 	t.Helper()
 	defer SetWGFuse(true)
 	SetWGFuse(fuse)
@@ -69,7 +69,7 @@ func diffExec(t *testing.T, label string, k *Kernel, nd NDRange, args []Arg, be 
 // diffFiveWay holds one launch of src's kernel to the agreement described
 // at the top of the file. mkArgs must return fresh, identical arguments on
 // every call.
-func diffFiveWay(t *testing.T, label, src, name string, nd NDRange, mkArgs func() []Arg) {
+func diffFiveWay(t testing.TB, label, src, name string, nd NDRange, mkArgs func() []Arg) {
 	t.Helper()
 	ki, err := clc.FindKernelInfo(src, name)
 	if err != nil {
@@ -158,10 +158,10 @@ func TestDifferentialGPUVariant(t *testing.T) {
 
 	// Reduction chains, both as written (one inc per body — also what the
 	// CPU variant's body looks like) and GPU-transformed (two).
-	var leaves [3]int // accumulators per leaf: wgDot1, wgDot2, wgChain
+	var leaves [3]int // accumulators per shape: one pair, two pairs, other
 	for seed := 0; seed < 60; seed++ {
 		r := rand.New(rand.NewSource(int64(6000 + seed)))
-		orig := vmref.GenReduction(r)
+		orig, local := vmref.GenReduction(r)
 		gpu, _, err := TransformedSources(orig)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -170,22 +170,18 @@ func TestDifferentialGPUVariant(t *testing.T) {
 			leaves[i] += n
 		}
 		m := 5 + r.Intn(8) // mostly not a multiple of the unroll factor: the break path runs
-		mkArgs := func() []Arg {
-			fr := rand.New(rand.NewSource(int64(seed) * 13))
-			mk := func() []byte { return floatBuf(n*m, func(int) float32 { return float32(fr.Float64()*4 - 2) }) }
-			return []Arg{BufArg(make([]byte, 4*2*n)), BufArg(mk()), BufArg(mk()), IntArg(n), IntArg(int64(m)), FloatArg(1.25)}
-		}
-		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d", seed), orig, "red", NewNDRange1D(n, 8), mkArgs)
-		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d (gpu)", seed), gpu, "red", NewNDRange1D(n, 8),
+		mkArgs := reductionArgs(int64(seed)*13, m)
+		nd := NewNDRange1D(reductionItems, local)
+		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d", seed), orig, "red", nd, mkArgs)
+		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d (gpu)", seed), gpu, "red", nd,
 			func() []Arg { return append(mkArgs(), abort()...) })
 	}
 	after, afterPartial := BackendSnapshot(), PartialLoopBatches()
 	if after.WGFusedInstrsDyn == mid.WGFusedInstrsDyn {
 		t.Error("no generated reduction ran through a fused closure")
 	}
-	// Every launch above runs full groups, so what fused ran on its leaf.
 	if leaves[0] == 0 || leaves[1] == 0 || leaves[2] == 0 {
-		t.Errorf("generated reductions ran %v accumulators on wgDot1, wgDot2, wgChain; want all three; generator drifted", leaves)
+		t.Errorf("generated reductions had %v accumulators of one pair, two pairs, other; want all three; generator drifted", leaves)
 	}
 	if after.WGFuseRejects[WGFuseRejCap] == before.WGFuseRejects[WGFuseRejCap] {
 		t.Error("no generated reduction crossed the jam's plan capacity; generator drifted")

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -22,10 +23,30 @@ import (
 // one-lane sets where it does not, so its leg exercises both; counter deltas
 // assert that both ran for some seeds.
 
-// diffSeed runs the program GenProgram draws from seed through ref, interp
-// and wg and fails tb on any disagreement.
+// reductionItems is the global size of GenReduction launches: a multiple of
+// every local size it draws.
+const reductionItems = 48
+
+// reductionArgs returns the arguments of a GenReduction launch of
+// reductionItems work-items over m trips, its buffers drawn from seed.
+func reductionArgs(seed int64, m int) func() []Arg {
+	const n = reductionItems
+	return func() []Arg {
+		fr := rand.New(rand.NewSource(seed))
+		mk := func() []byte { return floatBuf(n*m, func(int) float32 { return float32(fr.Float64()*4 - 2) }) }
+		return []Arg{BufArg(make([]byte, 4*2*n)), BufArg(mk()), BufArg(mk()), IntArg(n), IntArg(int64(m)), FloatArg(1.25)}
+	}
+}
+
+// diffSeed runs the program GenProgram draws from seed, and the reduction
+// GenReduction draws from it, through ref, interp and wg and fails tb on any
+// disagreement.
 func diffSeed(tb testing.TB, seed int64) {
 	tb.Helper()
+	r := rand.New(rand.NewSource(seed))
+	red, local := vmref.GenReduction(r)
+	diffFiveWay(tb, fmt.Sprintf("GenReduction seed %d", seed), red, "red", NewNDRange1D(reductionItems, local), reductionArgs(seed, 3+r.Intn(10)))
+
 	const n = 32
 	src := vmref.GenProgram(rand.New(rand.NewSource(seed)))
 
@@ -120,7 +141,7 @@ func diffSeed(tb testing.TB, seed int64) {
 const diffSeeds = 50
 
 func TestDifferentialVMvsReference(t *testing.T) {
-	before, partial, skipped := BackendSnapshot(), PartialLoopBatches(), SkippedTrips()
+	before, partial, skipped, leaves := BackendSnapshot(), PartialLoopBatches(), SkippedTrips(), LeafRuns()
 	priv, inLoop := 0, 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		diffSeed(t, seed)
@@ -147,6 +168,11 @@ func TestDifferentialVMvsReference(t *testing.T) {
 	}
 	if SkippedTrips() == skipped {
 		t.Error("no generated seed skipped a period of a loop's walk; generator drifted")
+	}
+	for i, c := range LeafRuns() {
+		if c == leaves[i] {
+			t.Errorf("no generated reduction ran a whole lane block %s; generator drifted", []string{"on leaf (a)", "on leaf (b)", "on leaf (c)", "on leaf (d)", "per lane"}[i])
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ type ExecOpts struct {
 	// Undo, when non-nil, records every global store so the caller can roll
 	// the work-group's effects back.
 	Undo *UndoLog
-	// MaxSteps bounds interpreted instructions per work-item (0 = default).
+	// MaxSteps bounds each work-item's instructions, all phases (0 = default).
 	MaxSteps int64
 	// ArgsChecked skips per-call argument validation; set it only after a
 	// successful CheckArgs for the same kernel and argument list.
@@ -43,13 +43,13 @@ func (e *execError) Error() string {
 	return fmt.Sprintf("vm: kernel %q at pc=%d: %s", e.kernel, e.pc, e.msg)
 }
 
-// wiState is one work-item's register state (persisted across barrier
-// phases).
+// wiState is one work-item's registers and step count, kept across phases.
 type wiState struct {
 	iregs []int64
 	fregs []float64
 	priv  [][]byte
 	pc    int
+	steps int64
 	done  bool
 }
 
@@ -255,15 +255,14 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 	iregs, fregs := w.iregs, w.fregs
 	code := k.Code
 	firstInWarp := wi%warpSize == 0
-	var steps int64
 
 	for {
 		if w.pc < 0 || w.pc >= len(code) {
 			return false, &execError{k.Name, w.pc, "pc out of range"}
 		}
 		in := &code[w.pc]
-		steps++
-		if steps > maxSteps {
+		w.steps++
+		if w.steps > maxSteps {
 			return false, &execError{k.Name, w.pc, "instruction budget exceeded (possible infinite loop)"}
 		}
 		switch in.Op {

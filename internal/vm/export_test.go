@@ -89,6 +89,21 @@ func init() {
 // for a set other than the whole group of a phase that never partitioned.
 func PartialLoopBatches() int64 { return partialBatches.Load() }
 
+// leafRuns tallies wgLeafHook: per leaf, (a) to (d) and then wgPerLane, the
+// pair accumulators of whole lane blocks it ran.
+var leafRuns [wgPerLane + 1]atomic.Int64
+
+func init() { wgLeafHook = func(leaf int) { leafRuns[leaf].Add(1) } }
+
+// LeafRuns returns how many pair accumulators of whole lane blocks this
+// process ran on each leaf, (a) to (d), and per lane (the last entry).
+func LeafRuns() (n [wgPerLane + 1]int64) {
+	for i := range n {
+		n[i] = leafRuns[i].Load()
+	}
+	return n
+}
+
 // RefWorkGroup runs one work-group of the launch on the AST reference, whose
 // launch shape and argument types are its own (vmref imports nothing of vm).
 func RefWorkGroup(ref *vmref.RefExec, nd NDRange, group [3]int, args []Arg) error {
@@ -182,8 +197,9 @@ func (k *Kernel) WGLoopSizes() (out [][]int) {
 	return out
 }
 
-// WGLeaves counts the accumulators of k's fused reduction bodies by the leaf
-// that runs their trips: wgDot1, wgDot2, wgChain.
+// WGLeaves counts the accumulators of k's fused reduction bodies by shape:
+// one pair, two pairs (the shapes a lane block may run on a leaf,
+// wgReduce.leaf), any other (per lane on wgChain only).
 func (k *Kernel) WGLeaves() (n [3]int) {
 	for _, blk := range k.wgBlocks() {
 		if p := blk.red; p != nil {

@@ -40,7 +40,7 @@ func (w *wiState) zero() {
 	for _, p := range w.priv {
 		clear(p)
 	}
-	w.pc = 0
+	w.pc, w.steps = 0, 0
 	w.done = false
 }
 

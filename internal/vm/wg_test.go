@@ -2,9 +2,11 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -440,6 +442,55 @@ func TestWGBudgetErrorParity(t *testing.T) {
 			[]Arg{BufArg(make([]byte, 4))}, ExecOpts{MaxSteps: 10000, Backend: be})
 		if err == nil || !strings.Contains(err.Error(), "instruction budget exceeded") {
 			t.Fatalf("%v: budget error not raised: %v", be, err)
+		}
+	}
+}
+
+// TestWGBudgetAcrossPhases: the step budget is per work-item over its whole
+// run, not per barrier phase, on every engine. Each phase of the loop below
+// fits in 100 steps and the run does not. With a and b one buffer the
+// certificate rejects the launch (alias), so wg runs it in one-lane sets.
+// The texts agree but for the pc: wg names the leader of the block whose
+// charge overran (wgexec.go).
+var pcRE = regexp.MustCompile(`at pc=\d+`)
+
+func TestWGBudgetAcrossPhases(t *testing.T) {
+	k := MustCompile(`__kernel void f(__global float* a, __global float* b) {
+    int g = get_global_id(0);
+    for (int r = 0; r < 50; r++) {
+        a[g] = b[g] + 1.0f;
+        barrier(CLK_GLOBAL_MEM_FENCE);
+    }
+}`, "f")
+	nd := NewNDRange1D(4, 4)
+	defer SetWGFuse(true)
+	for _, budget := range []int64{100, 1000} {
+		var first string
+		for _, e := range []struct {
+			name  string
+			be    Backend
+			fuse  bool
+			alias bool
+		}{{"interp", BackendInterp, true, false}, {"wg", BackendWG, true, false}, {"wg per-step", BackendWG, false, false}, {"wg one-lane", BackendWG, true, true}} {
+			SetWGFuse(e.fuse)
+			a, b := make([]byte, 16), make([]byte, 16)
+			if e.alias {
+				b = a
+			}
+			before := BackendSnapshot()
+			_, err := k.ExecLaunch(nd, []Arg{BufArg(a), BufArg(b)}, ExecOpts{Backend: e.be, MaxSteps: budget})
+			if e.alias && BackendSnapshot().WGRejects[WGRejAlias] == before.WGRejects[WGRejAlias] {
+				t.Fatalf("%s: the aliased launch was not rejected", e.name)
+			}
+			got := pcRE.ReplaceAllString(fmt.Sprint(err), "at pc=?")
+			if budget == 100 && !strings.Contains(got, "instruction budget exceeded") || budget == 1000 && err != nil {
+				t.Errorf("MaxSteps %d, %s: %v", budget, e.name, err)
+			}
+			if first == "" {
+				first = got
+			} else if got != first {
+				t.Errorf("MaxSteps %d, %s: %s, interp: %s", budget, e.name, got, first)
+			}
 		}
 	}
 }

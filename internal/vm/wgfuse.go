@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -12,11 +13,11 @@ import (
 // passes over the SoA banks per dispatch and pays k indirect calls. This pass
 // runs at wg-compile time and lowers the one block shape that carries the
 // executed instructions — the multiply-accumulate body of a reduction loop
-// (wgfuseReduce) — into a plan that loops over the work-items once, the
-// ld/fmadd sequences jammed into one inner loop and pattern-internal scratch
-// registers kept in scalars instead of bank slabs. When the loop control
-// around the body is lane-uniform the plan runs all T trips of the loop per
-// work-item in one dispatch (wgloop.go). Every other block runs per-step.
+// (wgfuseReduce) — into a plan that runs the body's loads and fmadds jammed,
+// scratch registers in scalars, all T trips of the loop in one dispatch when
+// its control is lane-uniform (wgloop.go): eight lanes at a time, trip-major,
+// a lane-uniform factor loaded once per trip for all eight (wgReduce.leaf),
+// or one lane at a time (wgChain). Every other block runs per-step.
 //
 // Fusibility proof, in three parts:
 //
@@ -366,7 +367,7 @@ type wgReduce struct {
 	accs  [wgMaxTerms]int // distinct accumulator registers
 	// terms is sorted by accumulator, stably: a's terms, in program order, are
 	// terms[first[a]:first[a+1]]. pair[a]: they are one or two and each has
-	// two factors, the shapes the leaves wgDot1 and wgDot2 run.
+	// two factors, the shapes the lane-block leaves take (wgReduce.leaf).
 	first [wgMaxTerms + 1]int
 	pair  [wgMaxTerms]bool
 	ni    int
@@ -397,10 +398,10 @@ type wgReduce struct {
 // of two factors, SYR2K two of them, GESUMMV two seedless terms with a
 // direct second index, BICG and corr_kernel4 one seedless term, corr_mean
 // a single load; the GPU variant's unroll counter (passes.TransformGPU) is
-// just a second inc. Execution is item-major (trips): per work-item the
-// terms run in program order inside the trip loop — they may share an
-// accumulator — with products and accumulators in scalars, so only
-// accumulators and counters are written back to their banks.
+// just a second inc. Per work-item the terms run in program order inside the
+// trip loop — they may share an accumulator — with products and
+// accumulators in scalars, so only accumulators and counters are written
+// back to their banks (trips).
 func (k *Kernel) wgfuseReduce(wg *wgProgram, blk *wblock, liveI, liveF uint64) (*wgReduce, wgNoFuse) {
 	code := k.Code
 	pc, end := blk.start, blk.body
@@ -596,17 +597,20 @@ func (p *wgReduce) run(m *wmach, set []int32) bool {
 	return true
 }
 
-// trips executes T consecutive trips of the body for the lanes of set,
-// item-major. Per work-item every index is strength-reduced to base +
-// j*stride and proven in range for all T trips before the first one runs
-// (wgFirstOut; the body stores nothing, so reporting the trap a lane would
-// hit before running the lane is unobservable); the proven trips then run in
-// program order over []float32 views of the buffers, with the explicit
-// float32 roundings of the per-step path. While the phase is uniform (set is
-// then the whole group, ascending) the locality of each access site is booked
-// in closed form against the transposed tracker state; in a partitioned
-// phase each lane's T offsets per site go to its stream, as the per-step
-// loads would have put them. With T = 1 it is the plain fused body.
+// wgLanes is the width of a lane block (trips).
+const wgLanes = 8
+
+// trips executes T consecutive trips of the body for the lanes of set. Each
+// lane's indices are strength-reduced to base + j*stride and proven in range
+// for all T trips before any of its trips runs (wgFirstOut; the body stores
+// nothing, so a trap reported early is unobservable). While the phase is
+// uniform (set is then the whole group, ascending) the lanes go in blocks of
+// wgLanes, all proven first, and a pair accumulator runs a block trip-major
+// on a leaf where one fits (leaf); everything else runs per lane on wgChain,
+// over the buffers' []float32 views with the per-step path's float32
+// roundings. Locality is booked per lane in set order: while uniform in
+// closed form against the transposed tracker state, else as each lane's T
+// offsets per site in its stream, as the per-step loads would have put them.
 func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 	n, nl := m.n, p.nLoads
 	ib, fb := m.ib, m.fb
@@ -615,7 +619,7 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 		views[li] = m.views[p.loads[li].slot]
 	}
 	var seq, rnd, warp int64
-	var base, stride, pbase, pstride [wgMaxLoads]int64
+	var pbase, pstride [wgMaxLoads]int64
 	// While uniform the set is the whole group, so each load's site is seen
 	// by every lane or by none: read its flag once and set it (a trap ends
 	// the group, and the flags it leaves set are never read).
@@ -625,89 +629,97 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 			seen[li], m.site[id].seen = m.site[id].seen, true
 		}
 	}
-	var seeds [wgMaxTerms]float32
-	for _, t32 := range set {
-		t := int(t32)
-		failJ, failLi := T, 0 // the least (trip, load) in program order that traps
-		for li := 0; li < nl; li++ {
-			f := &p.loads[li]
-			b, s := ib[f.idx.z*n+t], f.sz
-			if f.idx.aff {
-				x, y := ib[f.idx.x*n+t], ib[f.idx.y*n+t]
-				b += x * y
-				s += f.sx*y + x*f.sy
-			}
-			base[li], stride[li] = b, s
-			if j := wgFirstOut(b, s, failJ, uint64(len(views[li]))); j < failJ {
-				failJ, failLi = j, li
-			}
+	var base, stride [wgLanes][wgMaxLoads]int64
+	var seeds [wgLanes][wgMaxTerms]float32
+	for lo := 0; lo < len(set); {
+		w, mixed := 1, 0 // mixed: the terms whose seeds differ between the lanes
+		if m.uniform && lo+wgLanes <= len(set) {
+			w = wgLanes
 		}
-		if failJ < T {
-			f := &p.loads[failLi]
-			m.err = wgLoadErr(p.kname, f, base[failLi]+failJ*stride[failLi], len(m.args[f.slot].Buf))
-			return false
-		}
-		for ti := 0; ti < p.nt; ti++ {
-			if sd := p.terms[ti].seed; sd >= 0 {
-				seeds[ti] = float32(fb[sd*n+t])
+		for l := 0; l < w; l++ {
+			t := int(set[lo+l])
+			failJ, failLi := T, 0 // the least (trip, load) in program order that traps
+			for li := 0; li < nl; li++ {
+				f := &p.loads[li]
+				b, s := ib[f.idx.z*n+t], f.sz
+				if f.idx.aff {
+					x, y := ib[f.idx.x*n+t], ib[f.idx.y*n+t]
+					b += x * y
+					s += f.sx*y + x*f.sy
+				}
+				base[l][li], stride[l][li] = b, s
+				if j := wgFirstOut(b, s, failJ, uint64(len(views[li]))); j < failJ {
+					failJ, failLi = j, li
+				}
+			}
+			if failJ < T {
+				f := &p.loads[failLi]
+				m.err = wgLoadErr(p.kname, f, base[l][failLi]+failJ*stride[l][failLi], len(m.args[f.slot].Buf))
+				return false
+			}
+			for ti := 0; ti < p.nt; ti++ {
+				if sd := p.terms[ti].seed; sd >= 0 {
+					seeds[l][ti] = float32(fb[sd*n+t])
+					if math.Float32bits(seeds[l][ti]) != math.Float32bits(seeds[0][ti]) {
+						mixed |= 1 << ti
+					}
+				}
 			}
 		}
 		// Accumulator-major: nothing but its own terms touches an accumulator,
 		// so each runs all T trips of them with its value in a register.
 		for a := 0; a < p.nAcc; a++ {
-			acc := float32(fb[p.accs[a]*n+t])
-			lo := p.first[a]
-			tm, sd := p.terms[lo:p.first[a+1]], seeds[lo:]
-			switch {
-			case !p.pair[a]:
-				acc = wgChain(tm, sd, &views, base, &stride, acc, T)
-			case len(tm) == 1: // SYRK, 2MM, BICG, corr_kernel4; GESUMMV twice
-				acc = wgDot1(&views, &base, &stride, tm[0].li, tm[0].seed >= 0, sd[0], T, acc)
-			default: // SYR2K
-				acc = wgDot2(&views, &base, &stride, tm[0].li, tm[1].li, tm[0].seed >= 0, sd[0], tm[1].seed >= 0, sd[1], T, acc)
+			at := p.accs[a] * n
+			if w == wgLanes && p.pair[a] {
+				leaf := p.leaf(a, &views, &base, &stride, &seeds[0], mixed, fb[at+int(set[lo]):][:wgLanes], T)
+				if wgLeafHook != nil {
+					wgLeafHook(leaf)
+				}
+				if leaf != wgPerLane {
+					continue
+				}
 			}
-			fb[p.accs[a]*n+t] = float64(acc)
+			for l, f0 := 0, p.first[a]; l < w; l++ {
+				t := at + int(set[lo+l])
+				fb[t] = float64(wgChain(p.terms[f0:p.first[a+1]], seeds[l][f0:], &views, base[l], &stride[l], float32(fb[t]), T))
+			}
 		}
 		// Closed-form locality (DESIGN.md S20): every access succeeded, so
 		// consecutive offsets of one site differ by exactly 4*stride.
-		for li := 0; li < nl; li++ {
-			id := p.loads[li].mem
-			if id < 0 {
-				continue
-			}
-			b, s := base[li], stride[li]
-			if !m.uniform {
-				for j := int64(0); j < T; j++ {
-					m.rec[t] = append(m.rec[t], wgAcc{id: id, off: int32((b + j*s) * 4)})
+		for l := 0; l < w; l++ {
+			t := int(set[lo+l])
+			for li := 0; li < nl; li++ {
+				id := p.loads[li].mem
+				if id < 0 {
+					continue
 				}
-				continue
-			}
-			at := int(id)*n + t
-			if seen[li] {
-				d := int32(b*4) - m.lastB[at]
-				if d < 0 {
-					d = -d
+				b, s := base[l][li], stride[l][li]
+				if !m.uniform {
+					for j := int64(0); j < T; j++ {
+						m.rec[t] = append(m.rec[t], wgAcc{id: id, off: int32((b + j*s) * 4)})
+					}
+					continue
 				}
-				if d <= cacheLineBytes {
+				at := int(id)*n + t
+				if d := int32(b*4) - m.lastB[at]; seen[li] && -cacheLineBytes <= d && d <= cacheLineBytes {
 					seq++
 				} else {
 					rnd++
 				}
-			} else {
-				rnd++
+				if -cacheLineBytes/4 <= s && s <= cacheLineBytes/4 {
+					seq += T - 1
+				} else {
+					rnd += T - 1
+				}
+				m.lastB[at] = int32((b + (T-1)*s) * 4)
+				warp += T
+				if t%warpSize != 0 {
+					warp -= wgCoalesced(b-pbase[li], s-pstride[li], T)
+				}
 			}
-			if -cacheLineBytes/4 <= s && s <= cacheLineBytes/4 {
-				seq += T - 1
-			} else {
-				rnd += T - 1
-			}
-			m.lastB[at] = int32((b + (T-1)*s) * 4)
-			warp += T
-			if t%warpSize != 0 {
-				warp -= wgCoalesced(b-pbase[li], s-pstride[li], T)
-			}
+			pbase, pstride = base[l], stride[l]
 		}
-		pbase, pstride = base, stride
+		lo += w
 	}
 	for i := 0; i < p.ni; i++ {
 		step := p.imms[i] * T
@@ -751,39 +763,128 @@ func wgFirstOut(b, s, T int64, W uint64) int64 {
 	return min(j, T)
 }
 
-// wgDot1 runs T proven trips of the pair at loads li, li+1: a += [sd *]
-// x[i] * y[k], the cursors i and k advancing by their strides in registers.
-func wgDot1(views *[wgMaxLoads][]float32, base, stride *[wgMaxLoads]int64, li int, seeded bool, sd float32, T int64, a float32) float32 {
-	x, y, i, sx, k, sy := views[li], views[li+1], base[li], stride[li], base[li+1], stride[li+1]
-	for ; T > 0; T-- {
-		v := x[i]
-		if seeded {
-			v = float32(sd * v)
-		}
-		a = float32(a + float32(v*y[k]))
-		i, k = i+sx, k+sy
+// The leaves, and wgPerLane: a pair accumulator's block that no leaf took.
+const (
+	wgLeafA = iota
+	wgLeafB
+	wgLeafC
+	wgLeafD
+	wgPerLane
+)
+
+// wgLeafHook, nil but in tests, sees leaf's verdict on every whole block.
+var wgLeafHook func(leaf int)
+
+// wgOffs returns column li of per-lane bases less lane 0's; whether those are
+// all 0 (uni: one word per trip) or l in lane l (con); and whether the lanes
+// share one stride (one).
+func wgOffs(b, s *[wgLanes][wgMaxLoads]int64, li int) (o [wgLanes]int64, uni, con, one bool) {
+	uni, con, one = true, true, true
+	for l := range o {
+		o[l] = b[l][li] - b[0][li]
+		uni, con, one = uni && o[l] == 0, con && o[l] == int64(l), one && s[l][li] == s[0][li]
 	}
-	return a
+	return o, uni, con, one
 }
 
-// wgDot2 runs T proven trips of two pairs on one accumulator, per trip the
-// one at li and then the one at l2 (SYR2K): four cursors in registers.
-func wgDot2(views *[wgMaxLoads][]float32, base, stride *[wgMaxLoads]int64, li, l2 int, seeded bool, sd float32, seeded2 bool, sd2 float32, T int64, a float32) float32 {
-	x, y, i, sx, k, sy := views[li], views[li+1], base[li], stride[li], base[li+1], stride[li+1]
-	x2, y2, i2, sx2, k2, sy2 := views[l2], views[l2+1], base[l2], stride[l2], base[l2+1], stride[l2+1]
-	for ; T > 0; T-- {
-		v, w := x[i], x2[i2]
-		if seeded {
-			v = float32(sd * v)
-		}
-		a = float32(a + float32(v*y[k]))
-		if seeded2 {
-			w = float32(sd2 * w)
-		}
-		a = float32(a + float32(w*y2[k2]))
-		i, k, i2, k2 = i+sx, k+sy, i2+sx2, k2+sy2
+// leaf runs T proven trips of pair accumulator a for the lanes of a whole
+// block, trip-major, on the leaf its terms' lane forms and seeds allow, and
+// says which; wgPerLane, having stored nothing, when none does:
+//
+//	(a) one term, the first factor uniform (SYRK, 2MM, BICG kernel 2);
+//	(b) one seedless term, the second factor uniform (BICG kernel 1, GESUMMV);
+//	(c) one seedless term, both factors contiguous: each trip reads one
+//	    slice of wgLanes words of each (corr_kernel4);
+//	(d) two terms, both first factors uniform and the second factors at one
+//	    index per lane (SYR2K).
+//
+// Every factor has one stride over the block's lanes, and a seeded term one
+// seed bit for bit (mixed has bit ti clear). The accumulators are eight named
+// scalars, not an array (DESIGN.md S20); each lane's sees its own float32
+// operations, and their operands, in program order, as on wgChain.
+func (p *wgReduce) leaf(a int, views *[wgMaxLoads][]float32, b, s *[wgLanes][wgMaxLoads]int64, sds *[wgMaxTerms]float32, mixed int, acc []float64, T int64) int {
+	ti := p.first[a]
+	li, seeded := p.terms[ti].li, p.terms[ti].seed >= 0
+	ox, ux, cx, onex := wgOffs(b, s, li)
+	oy, uy, cy, oney := wgOffs(b, s, li+1)
+	if mixed>>ti&1 != 0 || !onex || !oney {
+		return wgPerLane
 	}
-	return a
+	x, y, sd, i, sx, k, sy := views[li], views[li+1], sds[ti], b[0][li], s[0][li], b[0][li+1], s[0][li+1]
+	a0, a1, a2, a3 := float32(acc[0]), float32(acc[1]), float32(acc[2]), float32(acc[3])
+	a4, a5, a6, a7 := float32(acc[4]), float32(acc[5]), float32(acc[6]), float32(acc[7])
+	leaf := wgPerLane
+	switch {
+	case p.first[a+1]-ti == 2:
+		l2, seeded2 := p.terms[ti+1].li, p.terms[ti+1].seed >= 0
+		_, u2, _, one2 := wgOffs(b, s, l2)
+		if o3, _, _, one3 := wgOffs(b, s, l2+1); !ux || !u2 || !one2 || o3 != oy || !one3 || b[0][l2+1] != k ||
+			s[0][l2+1] != sy || mixed>>(ti+1)&1 != 0 {
+			return wgPerLane
+		}
+		x2, y2, i2, sx2, sd2 := views[l2], views[l2+1], b[0][l2], s[0][l2], sds[ti+1]
+		for ; T > 0; T-- {
+			v, w := x[i], x2[i2]
+			if seeded {
+				v = float32(sd * v)
+			}
+			if seeded2 {
+				w = float32(sd2 * w)
+			}
+			a0 = float32(float32(a0+float32(v*y[k])) + float32(w*y2[k]))
+			a1 = float32(float32(a1+float32(v*y[k+oy[1]])) + float32(w*y2[k+oy[1]]))
+			a2 = float32(float32(a2+float32(v*y[k+oy[2]])) + float32(w*y2[k+oy[2]]))
+			a3 = float32(float32(a3+float32(v*y[k+oy[3]])) + float32(w*y2[k+oy[3]]))
+			a4 = float32(float32(a4+float32(v*y[k+oy[4]])) + float32(w*y2[k+oy[4]]))
+			a5 = float32(float32(a5+float32(v*y[k+oy[5]])) + float32(w*y2[k+oy[5]]))
+			a6 = float32(float32(a6+float32(v*y[k+oy[6]])) + float32(w*y2[k+oy[6]]))
+			a7 = float32(float32(a7+float32(v*y[k+oy[7]])) + float32(w*y2[k+oy[7]]))
+			i, i2, k = i+sx, i2+sx2, k+sy
+		}
+		leaf = wgLeafD
+	case ux:
+		for ; T > 0; T-- {
+			v := x[i]
+			if seeded {
+				v = float32(sd * v)
+			}
+			a0, a1 = float32(a0+float32(v*y[k])), float32(a1+float32(v*y[k+oy[1]]))
+			a2, a3 = float32(a2+float32(v*y[k+oy[2]])), float32(a3+float32(v*y[k+oy[3]]))
+			a4, a5 = float32(a4+float32(v*y[k+oy[4]])), float32(a5+float32(v*y[k+oy[5]]))
+			a6, a7 = float32(a6+float32(v*y[k+oy[6]])), float32(a7+float32(v*y[k+oy[7]]))
+			i, k = i+sx, k+sy
+		}
+		leaf = wgLeafA
+	case !seeded && uy:
+		for ; T > 0; T-- {
+			w := y[k]
+			a0, a1 = float32(a0+float32(x[i]*w)), float32(a1+float32(x[i+ox[1]]*w))
+			a2, a3 = float32(a2+float32(x[i+ox[2]]*w)), float32(a3+float32(x[i+ox[3]]*w))
+			a4, a5 = float32(a4+float32(x[i+ox[4]]*w)), float32(a5+float32(x[i+ox[5]]*w))
+			a6, a7 = float32(a6+float32(x[i+ox[6]]*w)), float32(a7+float32(x[i+ox[7]]*w))
+			i, k = i+sx, k+sy
+		}
+		leaf = wgLeafB
+	case !seeded && cx && cy:
+		for ; T > 0; T-- {
+			v, w := (*[wgLanes]float32)(x[i:]), (*[wgLanes]float32)(y[k:])
+			a0, a1 = float32(a0+float32(v[0]*w[0])), float32(a1+float32(v[1]*w[1]))
+			a2, a3 = float32(a2+float32(v[2]*w[2])), float32(a3+float32(v[3]*w[3]))
+			a4, a5 = float32(a4+float32(v[4]*w[4])), float32(a5+float32(v[5]*w[5]))
+			a6, a7 = float32(a6+float32(v[6]*w[6])), float32(a7+float32(v[7]*w[7]))
+			i, k = i+sx, k+sy
+		}
+		leaf = wgLeafC
+	}
+	// Which NaN payload a multiply or add keeps depends on the operand the
+	// compiler made its destination, which a shared factor changes. A block
+	// whose accumulators' sum is not NaN met no NaN; any other reruns per lane.
+	if leaf == wgPerLane || math.IsNaN(float64(a0+a1+a2+a3+a4+a5+a6+a7)) {
+		return wgPerLane
+	}
+	acc[0], acc[1], acc[2], acc[3] = float64(a0), float64(a1), float64(a2), float64(a3)
+	acc[4], acc[5], acc[6], acc[7] = float64(a4), float64(a5), float64(a6), float64(a7)
+	return leaf
 }
 
 // wgChain runs T proven trips of one accumulator's terms, of any arity: per

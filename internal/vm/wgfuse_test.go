@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -214,5 +216,126 @@ func TestWGFuseDynamicAccounting(t *testing.T) {
 	}
 	if f, s := run(false); f != 0 || s != wantFused+wantStepped {
 		t.Errorf("unfused run: wg_fused_instrs_dyn=%d wg_step_instrs_dyn=%d, want 0 and %d", f, s, wantFused+wantStepped)
+	}
+}
+
+// leafSig opens the lane-block rows of TestWGLaneBlockLeaves: out holds two
+// accumulators per work-item, x and y n*m + 3 words each.
+const leafSig = "__kernel void t(__global float* out, __global float* x, __global float* y, int n, int m, float alpha) {\n" +
+	"    int g = get_global_id(0);\n    int l = get_local_id(0);\n    float acc = out[g];\n    float sum = 0.5f;\n"
+
+// TestWGLaneBlockLeaves holds each lane-block leaf (wgReduce.leaf), and the
+// blocks no leaf takes, to the interpreter and to the per-step path: bytes
+// and full Stats, and the error text, which is all a trap leaves comparable.
+// Each row runs with finite inputs, where it also requires the leaf it names
+// to run (wgPerLane: a pair accumulator of a whole block ran per lane), and
+// with NaNs of distinct payloads in both factors, meeting in some products,
+// where the payload each engine keeps must agree.
+func TestWGLaneBlockLeaves(t *testing.T) {
+	const n, m = 24, 7
+	// 1 when l is 3, else 0: a lane-dependent value with no branch, so the
+	// phase stays uniform.
+	const lane3 = "    int d = 1 - min((l - 3) * (l - 3), 1);\n"
+	rows := []struct {
+		name, pre, body string
+		local, leaf     int
+		err             string
+	}{
+		{"a: first factor uniform, seeded (SYRK)", "", "acc += alpha * x[k] * y[g * m + k];", 8, wgLeafA, ""},
+		{"a: first factor uniform, contiguous second (BICG kernel 2)", "", "acc += x[k] * y[k * n + g];", 8, wgLeafA, ""},
+		{"b: second factor uniform (BICG kernel 1)", "", "acc += y[g * m + k] * x[k];", 8, wgLeafB, ""},
+		{"b: two accumulators (GESUMMV)", "", "acc += y[g * m + k] * x[k]; sum += x[g * m + k] * x[k];", 8, wgLeafB, ""},
+		{"c: both factors contiguous (corr_kernel4)", "", "acc += x[k * n + g] * y[k * n + g];", 8, wgLeafC, ""},
+		{"d: two terms, first factors uniform (SYR2K)", "", "acc += alpha * x[k] * y[g * m + k]; acc += alpha * y[k] * x[g * m + k];", 8, wgLeafD, ""},
+		{"7 of 8 lanes share the first factor", lane3, "acc += alpha * x[d * m + k] * y[g * m + k];", 8, wgPerLane, ""},
+		{"lane-varying strides", "", "acc += x[k] * y[k * l + g];", 8, wgPerLane, ""},
+		{"7 of 8 lanes share the second factor's stride", lane3 + "    int q = 1 + d;\n", "acc += x[k] * y[k * q + g];", 8, wgPerLane, ""},
+		{"per-lane seeds", "    float s = alpha + (float)l;\n", "acc += s * x[k] * y[g * m + k];", 8, wgPerLane, ""},
+		{"two terms whose second factors differ in index", "    int r = m - 2;\n", "acc += alpha * x[k] * y[g * m + k]; acc += alpha * y[k] * x[g * r + k];", 8, wgPerLane, ""},
+		{"local size 12: a block and four tail lanes", "", "acc += alpha * x[k] * y[g * m + k];", 12, wgLeafA, ""},
+		// Lane 5 of group 0 reads row n of y, whose words end after trip 2;
+		// lanes 6 and 7 stay inside.
+		{"trap in lane 5 of a block", "    int r = g + (1 - min((l - 5) * (l - 5), 1)) * (n - 5);\n",
+			"acc += alpha * x[k] * y[r * m + k];", 8, -1, "load y: index 171 out of range"},
+	}
+	defer SetWGFuse(true)
+	for _, row := range rows {
+		src := leafSig + row.pre + "    for (int k = 0; k < m; k++) { " + row.body + " }\n    out[g] = acc;\n    out[n + g] = sum;\n}"
+		k := MustCompile(src, "t")
+		if len(k.ReductionBodies()) != 1 || len(k.wg.fused) != 1 {
+			t.Fatalf("%s: the body did not fuse\n%s", row.name, k.Disasm())
+		}
+		nd := NewNDRange1D(n, row.local)
+		for _, nan := range []bool{false, true} {
+			mkArgs := func() []Arg {
+				word := func(i int, bits uint32, every int) float32 {
+					if nan && i%every == 0 {
+						return math.Float32frombits(bits | uint32(i))
+					}
+					return float32(i%13-6) * 0.375
+				}
+				return []Arg{
+					BufArg(floatBuf(2*n, func(i int) float32 { return float32(i) * 0.25 })),
+					BufArg(floatBuf(n*m+3, func(i int) float32 { return word(i, 0x7fc00000, 3) })),
+					BufArg(floatBuf(n*m+3, func(i int) float32 { return word(i, 0xffa00000, 5) })),
+					IntArg(n), IntArg(m), FloatArg(1.25)}
+			}
+			label := fmt.Sprintf("%s (NaNs %v)", row.name, nan)
+			var bufs [3]string
+			var sts [3]Stats
+			var errs [3]string
+			var runs [wgPerLane + 1]int64
+			for i, e := range []struct {
+				be   Backend
+				fuse bool
+			}{{BackendInterp, true}, {BackendWG, true}, {BackendWG, false}} {
+				SetWGFuse(e.fuse)
+				args := mkArgs()
+				before := LeafRuns()
+				st, err := k.ExecLaunch(nd, args, ExecOpts{Backend: e.be})
+				if i == 1 {
+					after := LeafRuns()
+					for j := range runs {
+						runs[j] = after[j] - before[j]
+					}
+				}
+				for _, a := range args[:3] {
+					bufs[i] += string(a.Buf)
+				}
+				sts[i], errs[i] = st, fmt.Sprint(err)
+			}
+			for i, how := range []string{"wg", "wg per-step"} {
+				if errs[i+1] != errs[0] {
+					t.Errorf("%s: %s error %s, interp %s", label, how, errs[i+1], errs[0])
+				}
+				if row.err != "" {
+					continue // items before the trap ran in the interpreter only
+				}
+				if bufs[i+1] != bufs[0] {
+					t.Errorf("%s: %s bytes differ from the interpreter's", label, how)
+				}
+				if sts[i+1] != sts[0] {
+					t.Errorf("%s: %s Stats diverge\ninterp: %+v\n%s: %+v", label, how, sts[0], how, sts[i+1])
+				}
+			}
+			if row.err != "" {
+				if !strings.Contains(errs[0], row.err) {
+					t.Errorf("%s: interp error %s, want %q", label, errs[0], row.err)
+				}
+				continue
+			}
+			if errs[0] != "<nil>" {
+				t.Fatalf("%s: %s", label, errs[0])
+			}
+			if nan {
+				continue // a block that met a NaN reruns per lane (wgReduce.leaf)
+			}
+			for j, c := range runs {
+				if (c > 0) != (j == row.leaf) {
+					t.Errorf("%s: pair accumulators of whole blocks per leaf (a, b, c, d, per lane) %v, want only entry %d", label, runs, row.leaf)
+					break
+				}
+			}
+		}
 	}
 }

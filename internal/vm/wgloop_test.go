@@ -718,8 +718,8 @@ func TestWGLoopUniformLoadTrap(t *testing.T) {
 	}
 }
 
-// TestWGLeaves: fixed reduction bodies for each leaf — one pair (wgDot1), two
-// pairs on one accumulator (wgDot2), any other arity (wgChain) — over unit,
+// TestWGLeaves: fixed reduction bodies for each accumulator shape — one pair,
+// two pairs on one accumulator, any other arity (wgChain) — over unit,
 // negative, zero and beyond-a-cache-line strides, seeded and not; and an
 // index of the second pair that leaves in[] at trip 4 for the lanes from 5
 // up and at trip 5 for lane 0, whose error, the first in the interpreter's

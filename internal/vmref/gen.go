@@ -448,39 +448,71 @@ func (g *progGen) generate() string {
 
 // GenReduction returns a random multiply-accumulate kernel named "red" over
 // the fixed signature (__global float* out, __global float* a,
-// __global float* b, int n, int m, float alpha): one counted loop whose body
-// is a chain of `acc += [alpha *] x[..] * y[..] ...` statements — the shape
-// the wg engine's reduction jam matches (1–5 terms of 1–4 factors, so the
-// plan's caps are crossed too), seeded or not, indices affine (i*m + k,
-// k*n + i) or direct (k) — followed by one store per accumulator. Every
-// index stays below n*m for a launch of n work-items, so a and b need n*m
-// floats and out 2*n.
-func GenReduction(r *rand.Rand) string {
+// __global float* b, int n, int m, float alpha), and the local size to launch
+// it with: 8, 12 or 16. The kernel is one counted loop whose body is a chain
+// of `acc += [alpha *] x[..] * y[..] ...` statements — the shape the wg
+// engine's reduction jam matches — seeded or not, indices affine (i*m + k,
+// k*n + i) or direct (k), followed by one store per accumulator. Half the
+// bodies are free-form (1–5 terms of 1–4 factors, so the plan's caps are
+// crossed too); the other half give every accumulator one of the paper's dot
+// shapes, which the lane blocks run on a leaf: a term pair whose first or
+// whose second factor reads one word in every lane, or whose factors are
+// both lane-contiguous, or two terms whose first factors read one word and
+// whose second factors one index. One kernel in four seeds its terms with a
+// value that differs from lane to lane. Every index stays below n*m for a
+// launch of n work-items, so a and b need n*m floats and out 2*n.
+func GenReduction(r *rand.Rand) (string, int) {
 	var b strings.Builder
 	b.WriteString("__kernel void red(__global float* out, __global float* a, __global float* b, int n, int m, float alpha) {\n")
 	b.WriteString("    int i = get_global_id(0);\n")
 	b.WriteString("    if (i < n) {\n")
+	seed := "alpha"
+	if r.Intn(4) == 0 {
+		seed = "beta"
+		b.WriteString("        float beta = alpha + (float)(i % 3);\n")
+	}
 	nAcc := 1 + r.Intn(2)
 	for j := 0; j < nAcc; j++ {
 		fmt.Fprintf(&b, "        float acc%d = %d.5f;\n", j, j)
 	}
 	b.WriteString("        for (int k = 0; k < m; k++) {\n")
-	for t, nt := 0, 1+r.Intn(5); t < nt; t++ {
-		var fs []string
+	buf := func() string { return []string{"a", "b"}[r.Intn(2)] }
+	idxs := []string{"i * m + k", "k * n + i", "k"}
+	term := func(acc int, fs ...string) {
 		if r.Intn(2) == 0 {
-			fs = append(fs, "alpha")
+			fs = append([]string{seed}, fs...)
 		}
-		for f, nf := 0, 1+r.Intn(4); f < nf; f++ {
-			buf := []string{"a", "b"}[r.Intn(2)]
-			idx := []string{"i * m + k", "k * n + i", "k"}[r.Intn(3)]
-			fs = append(fs, fmt.Sprintf("%s[%s]", buf, idx))
+		fmt.Fprintf(&b, "            acc%d += %s;\n", acc, strings.Join(fs, " * "))
+	}
+	if r.Intn(2) == 0 {
+		for t, nt := 0, 1+r.Intn(5); t < nt; t++ {
+			var fs []string
+			for f, nf := 0, 1+r.Intn(4); f < nf; f++ {
+				fs = append(fs, fmt.Sprintf("%s[%s]", buf(), idxs[r.Intn(3)]))
+			}
+			term(r.Intn(nAcc), fs...)
 		}
-		fmt.Fprintf(&b, "            acc%d += %s;\n", r.Intn(nAcc), strings.Join(fs, " * "))
+	} else {
+		shape, row := r.Intn(4), idxs[r.Intn(2)]
+		for j := 0; j < nAcc; j++ {
+			x, y := buf(), buf()
+			switch shape {
+			case 0:
+				term(j, x+"[k]", y+"["+row+"]")
+			case 1:
+				fmt.Fprintf(&b, "            acc%d += %s[%s] * %s[k];\n", j, x, row, y)
+			case 2:
+				fmt.Fprintf(&b, "            acc%d += %s[k * n + i] * %s[k * n + i];\n", j, x, y)
+			case 3:
+				term(j, x+"[k]", y+"["+row+"]")
+				term(j, y+"[k]", x+"["+row+"]")
+			}
+		}
 	}
 	b.WriteString("        }\n")
 	for j := 0; j < nAcc; j++ {
 		fmt.Fprintf(&b, "        out[%d * n + i] = acc%d;\n", j, j)
 	}
 	b.WriteString("    }\n}\n")
-	return b.String()
+	return b.String(), []int{8, 12, 16}[r.Intn(3)]
 }

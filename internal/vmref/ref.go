@@ -38,7 +38,10 @@ type Arg struct {
 	Buf []byte
 }
 
-// defaultMaxSteps is the per-work-item step budget, the VM's default.
+// defaultMaxSteps is the per-work-item step budget, the VM's default. Like
+// the VM's ExecOpts.MaxSteps it bounds each work-item's whole run; it counts
+// statements and loop trips, not instructions, so the two overrun on
+// different programs.
 const defaultMaxSteps = 256 << 20
 
 func b2i(b bool) int64 {
