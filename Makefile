@@ -85,9 +85,10 @@ bench:
 	$(GO) test -bench . -benchmem -benchtime=3x -run '^$$' .
 
 # Alternating runs of bench/run.sh in a checkout of BASE and in the working
-# tree, N of each, SECONDS seconds each, with each pair's wall_s, alloc_mb and
-# coop_speedup and the count of pairs the working tree won (SEED=S picks the
-# seed; default 1): make bench-pairs BASE=HEAD~1 WORKLOAD=coop-nway N=4.
+# tree, N of each, SECONDS seconds each, with each pair's end-to-end metrics
+# (BENCHMARK.json's end_to_end list), their medians and the count of pairs
+# the working tree won on each (SEED=S picks the seed; default 1):
+# make bench-pairs BASE=HEAD~1 WORKLOAD=coop-nway N=4.
 BASE ?= HEAD
 WORKLOAD ?= coop-pair
 N ?= 5
@@ -180,8 +181,19 @@ loc:
 # merging the block's stride, offset and seed tests into one pass each;
 # the interpreter's step count moved into wiState (the budget is per run
 # on every engine) for two more. coop-pair wall_s 0.0663 -> 0.0568 s
-# (-14.4 %, ten alternating pairs, 10/10; seed 43: -15.3 %, 10/10).
-VM_LOC_MAX = 5950
+# (-14.4 %, ten alternating pairs, 10/10; seed 43: -15.3 %, 10/10). 6000 is
+# that count with the per-step blocks forwarded (wg.go's wgForward: reads
+# through in-block copies, constant dimensions as immediates; wgUniform's
+# walk dropping the dead copies and constants) and a trap booking its
+# phase's locality (endPhase, fail, colTrap), raised by 50, the most its
+# issue allowed: the pass and the trap path cost about 105 lines, paid in
+# part by hoistUniform folded into buildSteps, one step for iadd, isub and
+# imul and one for the four float ops (a switch on the opcode where there
+# were seven closures), one dimension step for constant and register
+# dimensions, the uniform load writing lane 0 for wstepOnce's one broadcast
+# (put is gone) and buildWBlock's one body end; the rest, the forwarding walk
+# itself and the trap's replay, could not go.
+VM_LOC_MAX = 6000
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 
 	"fluidicl/internal/analysis"
@@ -165,19 +166,46 @@ func (k *Kernel) ReductionBodies() []int {
 }
 
 // WGBlockSteps returns, per compiled block in pc order, its leader pc, the
-// length of its per-step list and the number of non-nop instructions in its
-// body.
-func (k *Kernel) WGBlockSteps() (out [][3]int) {
+// length of its per-step list, the number of non-nop instructions in its body
+// and how many of those run no step (wgUniform's uDrop); and one line for
+// each dropped instruction that is neither a move of a register to itself
+// nor an ldi, ldf, imov or fmov whose destination is dead at that point by a
+// liveness walk of the block's kept, forwarded instructions (wgForward) from
+// its live-out registers and its branch's condition.
+func (k *Kernel) WGBlockSteps() (out [][4]int, bad []string) {
+	var cls []uint8
+	if k.wg.iOut != nil {
+		cls = k.wgUniform(k.wg)
+	}
 	for _, blk := range k.wgBlocks() {
-		instrs := 0
+		instrs, dropped := 0, 0
 		for _, in := range k.Code[blk.start:blk.body] {
 			if in.Op != opNop {
 				instrs++
 			}
 		}
-		out = append(out, [3]int{blk.start, len(blk.steps), instrs})
+		var liveI, liveF uint64
+		if cls != nil {
+			liveI, liveF = k.wg.iOut[blk.start], k.wg.fOut[blk.start]
+			if blk.term.kind == wtCond {
+				liveI |= wgBit(blk.term.condReg)
+			}
+		}
+		for i := len(blk.code) - 1; i >= 0; i-- {
+			x := blk.code[i]
+			iu, fu, id, fd := wgUseDef(x.Instr)
+			if cls == nil || cls[x.pc] != uDrop {
+				liveI, liveF = liveI&^id|iu, liveF&^fd|fu
+				continue
+			}
+			dropped++
+			if self := x.A == x.B && (x.Op == opIMOV || x.Op == opFMOV); !self && (x.Op < opLDI || x.Op > opFMOV || liveI&id != 0 || liveF&fd != 0) {
+				bad = append(bad, fmt.Sprintf("block @%d drops @%d %s", blk.start, x.pc, disasmInstr(x.Instr)))
+			}
+		}
+		out = append(out, [4]int{blk.start, len(blk.steps), instrs, dropped})
 	}
-	return out
+	return out, bad
 }
 
 // WGLoopSizes returns, for every loop-fused reduction body in pc order, how
@@ -222,7 +250,7 @@ func (k *Kernel) WGUniformPCs() (uniform, bcast []int) {
 		return nil, nil
 	}
 	for pc, c := range k.wgUniform(k.wg) {
-		if c != uLanes {
+		if c == uOnce || c == uBcast {
 			uniform = append(uniform, pc)
 		}
 		if c == uBcast {

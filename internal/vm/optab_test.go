@@ -119,7 +119,9 @@ func tabWG(k *Kernel, l tabLanes, set []int32) (Stats, error) {
 			m.ib[r*n+t], m.fb[r*n+t] = l.ri[t][r], l.rf[t][r]
 		}
 	}
-	ok := k.buildWBlock(0, len(k.Code)).runSteps(m, set)
+	blk := k.buildWBlock(0, len(k.Code))
+	k.buildSteps(blk, make([]uint8, len(k.Code)))
+	ok := blk.runSteps(m, set)
 	for t := range n {
 		for r := range 3 {
 			l.ri[t][r], l.rf[t][r] = m.ib[r*n+t], m.fb[r*n+t]

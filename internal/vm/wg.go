@@ -41,7 +41,10 @@ type wblock struct {
 	start  int
 	body   int   // end of the block body (terminator excluded)
 	nInstr int64 // step-budget charge per work-item
-	steps  []wstep
+	// code is the body's non-nop instructions as its steps run them: k.Code's,
+	// forwarded (wgForward). The fused plans and the loop walk read k.Code.
+	code  []wgIns
+	steps []wstep
 	// once is steps with every group-uniform step run once (wguniform.go),
 	// what a full-group dispatch runs; nil when the block has none.
 	once []wstep
@@ -55,6 +58,12 @@ type wblock struct {
 	// loop plan, for any set.
 	red  *wgReduce
 	term wgTerm
+}
+
+// wgIns is one instruction of a block body and its pc.
+type wgIns struct {
+	Instr
+	pc int
 }
 
 // FusedSpan records one annotated run of instructions for disassembly: Len
@@ -127,51 +136,99 @@ func (k *Kernel) buildWG() {
 
 	wg := &wgProgram{blocks: blocks, regions: regions, spans: spans}
 	k.fuseWG(wg)
+	cls := make([]uint8, len(code)) // every step per lane for a wide register file
 	if wg.iOut != nil {
-		k.hoistUniform(wg)
+		for _, b := range blocks {
+			if b != nil {
+				k.wgForward(b)
+			}
+		}
+		cls = k.wgUniform(wg)
+	}
+	for _, b := range blocks {
+		if b != nil {
+			k.buildSteps(b, cls)
+		}
 	}
 	k.wg = wg
 	backendCtr.wgKernels.Add(1)
 	backendCtr.wgRegions.Add(int64(len(wg.regions)))
 }
 
-// buildWBlock compiles the basic block code[start:end) into banked steps,
-// one per instruction, plus a terminator descriptor. Conditional branches are
-// not fused with their compare: the engine partitions the work-item set on
-// the condition register, so the compare stays a normal banked step and the
-// per-instruction stats come out identical.
+// buildWBlock describes the basic block code[start:end): its body's
+// instructions and op counts and its terminator (buildSteps compiles the
+// steps). Conditional branches are not fused with their compare: the engine
+// partitions the work-item set on the condition register, so the compare
+// stays a normal banked step and the per-instruction stats come out
+// identical.
 func (k *Kernel) buildWBlock(start, end int) *wblock {
 	code := k.Code
-	blk := &wblock{start: start, nInstr: int64(end - start)}
-	last := code[end-1]
-	bodyEnd := end
-	switch last.Op {
+	blk := &wblock{start: start, body: end - 1, nInstr: int64(end - start)}
+	switch last := code[end-1]; last.Op {
 	case opJMP:
-		bodyEnd = end - 1
 		blk.term = wgTerm{kind: wtJmp, tgt: int(last.A)}
 	case opJZ, opJNZ:
-		bodyEnd = end - 1
 		blk.term = wgTerm{kind: wtCond, jz: last.Op == opJZ, condReg: last.B, tgt: int(last.A), next: end}
 	case opRET:
-		bodyEnd = end - 1
 		blk.term = wgTerm{kind: wtRet}
 	case opBARRIER:
-		bodyEnd = end - 1
 		blk.term = wgTerm{kind: wtBarrier, next: end}
 	default:
-		blk.term = wgTerm{kind: wtFall, next: end}
+		blk.term, blk.body = wgTerm{kind: wtFall, next: end}, end
 	}
-	blk.body = bodyEnd
-
-	for pc := start; pc < bodyEnd; pc++ {
-		if code[pc].Op == opNop {
-			continue // no semantics; still counted in nInstr for the budget
+	for pc := start; pc < blk.body; pc++ {
+		if in := code[pc]; in.Op != opNop { // a nop has no semantics; nInstr still counts it
+			blk.code = append(blk.code, wgIns{in, pc})
+			blk.ops[opTab[in.Op].class]++
 		}
-		c := opTab[code[pc].Op].class
-		blk.steps, blk.cls = append(blk.steps, k.buildWStep(pc)), append(blk.cls, c)
-		blk.ops[c]++
 	}
 	return blk
+}
+
+// wgForward rewrites the block's instructions for its steps (DESIGN.md §8,
+// "Forwarding"). A read of a register whose last definition in the block is
+// an imov or fmov reads the move's source instead, as forwarded (a chain of
+// moves reads its first source), while that source is not redefined; so
+// does the branch's condition. A move that then reads its own destination
+// changes nothing. A dimension operand held in an in-block ldi becomes that
+// constant: B -1, the dimension in IImm (wgBit(-1) is 0, so the liveness
+// masks see no read). wgUniform then drops those moves, and the moves and
+// constants whose destinations are dead.
+func (k *Kernel) wgForward(blk *wblock) {
+	var at [2][64]int // per file (int, float): 1 + the index in code of each register's last definition, 0 for none
+	src := func(f int, r int32) int32 {
+		if i := at[f][r]; i > 0 && blk.code[i-1].Op == [2]Op{opIMOV, opFMOV}[f] && at[f][blk.code[i-1].B] < i {
+			return blk.code[i-1].B
+		}
+		return r
+	}
+	for i := range blk.code {
+		in := &blk.code[i].Instr
+		ops := sigOperands[opTab[in.Op].sig]
+		for j, p := range [3]*int32{&in.A, &in.B, &in.C} {
+			switch ops[j] {
+			case oI, oIdx, oDim:
+				*p = src(0, *p)
+			case oF:
+				*p = src(1, *p)
+			}
+		}
+		if ops[1] == oDim {
+			if d := at[0][in.B]; d > 0 && blk.code[d-1].Op == opLDI {
+				in.B, in.IImm = -1, blk.code[d-1].IImm
+			}
+		}
+		switch {
+		case in.A == in.B && (in.Op == opIMOV || in.Op == opFMOV): // now a no-op, not a definition
+		case ops[0] == oIw:
+			at[0][in.A] = i + 1
+		case ops[0] == oFw:
+			at[1][in.A] = i + 1
+		}
+	}
+	if blk.term.kind == wtCond {
+		blk.term.condReg = src(0, blk.term.condReg)
+	}
 }
 
 // runSteps runs the block's steps over set and books their op counts: all

@@ -336,6 +336,18 @@ func (m *wmach) colFor(id int32) []int32 {
 	return m.colBuf[at:]
 }
 
+// colTrap ends the log of a phase whose whole-group access, in column col
+// (nil: none), trapped at the first lane of rest: the entries go to the item
+// streams (colFlush) but for the column's offsets of rest, never accessed.
+func (m *wmach) colTrap(col, rest []int32) {
+	if col != nil {
+		m.colFlush()
+		for _, t := range rest {
+			m.rec[t] = m.rec[t][:len(m.rec[t])-1]
+		}
+	}
+}
+
 // clearCols empties the columnar log.
 func (m *wmach) clearCols() {
 	m.cols = m.cols[:0]
@@ -564,6 +576,24 @@ func (m *wmach) charge(blk *wblock) bool {
 	return true
 }
 
+// endPhase books the phase's locality: the columnar log of a phase that
+// never partitioned, the per-item streams of any other.
+func (m *wmach) endPhase() {
+	if m.uniform {
+		m.replayCols()
+	} else {
+		m.replay()
+	}
+}
+
+// fail ends the group at the error in m.err, raised dispatching set s, with
+// the locality of every access the phase made before it booked (endPhase).
+func (m *wmach) fail(s *wgSet) error {
+	m.freeSet(s)
+	m.endPhase()
+	return m.err
+}
+
 // runGroup runs the whole group phase by phase until every item returns.
 func (m *wmach) runGroup() error {
 	k := m.k
@@ -593,8 +623,7 @@ func (m *wmach) runGroup() error {
 				if m.budgetScalar {
 					if m.full {
 						if !m.charge(blk) {
-							m.freeSet(s)
-							return m.err
+							return m.fail(s)
 						}
 					} else {
 						// First divergent block of the group: fan the shared
@@ -609,8 +638,7 @@ func (m *wmach) runGroup() error {
 					for _, t := range s.items {
 						if m.steps[t] += blk.nInstr; m.steps[t] > m.maxSteps {
 							m.err = &execError{k.Name, blk.start, "instruction budget exceeded (possible infinite loop)"}
-							m.freeSet(s)
-							return m.err
+							return m.fail(s)
 						}
 					}
 				}
@@ -622,8 +650,7 @@ func (m *wmach) runGroup() error {
 					m.dynFused += body * int64(len(s.items))
 					m.next = -1
 					if !blk.red.run(m, s.items) {
-						m.freeSet(s)
-						return m.err
+						return m.fail(s)
 					}
 					if m.next >= 0 {
 						s.pc = m.next
@@ -633,8 +660,7 @@ func (m *wmach) runGroup() error {
 				} else {
 					m.dynStep += body * int64(len(s.items))
 					if !blk.runSteps(m, s.items) {
-						m.freeSet(s)
-						return m.err
+						return m.fail(s)
 					}
 				}
 				switch blk.term.kind {
@@ -703,14 +729,10 @@ func (m *wmach) runGroup() error {
 			}
 		}
 
+		m.endPhase()
 		if m.diverged {
 			m.err = &execError{k.Name, m.barrierPC, "work-items diverged to different barriers"}
 			return m.err
-		}
-		if m.uniform {
-			m.replayCols()
-		} else {
-			m.replay()
 		}
 		if m.parked == 0 {
 			return nil

@@ -685,7 +685,10 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 			}
 		}
 		// Closed-form locality (DESIGN.md S20): every access succeeded, so
-		// consecutive offsets of one site differ by exactly 4*stride.
+		// consecutive offsets of one site differ by exactly 4*stride. The
+		// lane before is pb, ps: the block's lane l-1, or for lane 0 the last
+		// lane of the block before, copied once per block.
+		pb, ps := &pbase, &pstride
 		for l := 0; l < w; l++ {
 			t := int(set[lo+l])
 			for li := 0; li < nl; li++ {
@@ -714,11 +717,12 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 				m.lastB[at] = int32((b + (T-1)*s) * 4)
 				warp += T
 				if t%warpSize != 0 {
-					warp -= wgCoalesced(b-pbase[li], s-pstride[li], T)
+					warp -= wgCoalesced(b-pb[li], s-ps[li], T)
 				}
 			}
-			pbase, pstride = base[l], stride[l]
+			pb, ps = &base[l], &stride[l]
 		}
+		pbase, pstride = base[w-1], stride[w-1]
 		lo += w
 	}
 	for i := 0; i < p.ni; i++ {

@@ -121,13 +121,18 @@ func TestWGFuseCountersOnHotKernels(t *testing.T) {
 	}
 }
 
-// TestWGOneStepPerInstruction pins the per-step tier's one form: in every
+// TestWGStepsCoverInstructions pins the per-step tier's one form: in every
 // kernel the runtimes execute — each Polybench and extra app after
 // passes.TransformGPU and after passes.TransformCPUWithSummary, and the merge
-// kernel — a block's step list is exactly one banked step per non-nop body
-// instruction. Anything that executes several instructions in one loop is a
-// jam (wgfuse.go) with a verdict in the disassembly, not a step.
-func TestWGOneStepPerInstruction(t *testing.T) {
+// kernel — a block's steps and the instructions it drops add up to its
+// non-nop body instructions, and every dropped instruction is, after
+// forwarding (wgForward), a move of a register to itself or an ldi, ldf,
+// imov or fmov whose destination is dead there by the liveness of the
+// block's kept instructions. Anything that executes several
+// instructions in one loop is a jam (wgfuse.go) with a verdict in the
+// disassembly, not a step.
+func TestWGStepsCoverInstructions(t *testing.T) {
+	dropped := 0
 	check := func(name, src string) {
 		prog, err := clc.Parse(src)
 		if err != nil {
@@ -142,14 +147,18 @@ func TestWGOneStepPerInstruction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			blocks := k.WGBlockSteps()
+			blocks, bad := k.WGBlockSteps()
 			if blocks == nil {
 				t.Errorf("%s %s: no wg program", name, fn.Name)
 			}
 			for _, b := range blocks {
-				if b[1] != b[2] {
-					t.Errorf("%s %s: block @%d has %d steps for %d instructions", name, fn.Name, b[0], b[1], b[2])
+				if b[1]+b[3] != b[2] {
+					t.Errorf("%s %s: block @%d has %d steps and %d dropped for %d instructions", name, fn.Name, b[0], b[1], b[3], b[2])
 				}
+				dropped += b[3]
+			}
+			for _, s := range bad {
+				t.Errorf("%s %s: %s", name, fn.Name, s)
 			}
 		}
 	}
@@ -162,6 +171,9 @@ func TestWGOneStepPerInstruction(t *testing.T) {
 		check(bm.Name+"/cpu", cpu)
 	}
 	check("merge", passes.MergeKernelSource)
+	if dropped == 0 {
+		t.Error("no block dropped a move or a constant")
+	}
 }
 
 // TestTwinRunCertifiesOncePerKey: a cooperative run launches one CPU kernel

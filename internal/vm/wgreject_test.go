@@ -66,10 +66,10 @@ func TestWGStridedSecondChance(t *testing.T) {
 // fused and per-step, each with and without an undo log. Every wg run must
 // take each group the referee ran in one-lane sets under reason rej —
 // WGLoopWGs, WGFallbackWGs and rej's counter advance by that count, InterpWGs
-// not at all — and match the referee's buffers and error text, and its Stats
-// when it succeeds (wg replays a phase's locality when the phase ends, so a
-// trap leaves them partial); rolling the undo log back restores the
-// arguments. It returns the referee's error.
+// not at all — and match the referee's buffers, error text and Stats, on an
+// error too (a trap books the locality of the accesses its phase made
+// before it); rolling the undo log back restores the arguments. It returns
+// the referee's error.
 func oneLaneParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, rej WGReject) error {
 	t.Helper()
 	defer SetWGFuse(WGFuseEnabled())
@@ -114,7 +114,7 @@ func oneLaneParity(t *testing.T, k *Kernel, nd NDRange, mkArgs func() []Arg, rej
 			if fmt.Sprint(errI) != fmt.Sprint(errW) {
 				t.Fatalf("%s: errors differ: interp %v, wg %v", how, errI, errW)
 			}
-			if errI == nil && stI != stW {
+			if stI != stW {
 				t.Fatalf("%s: Stats diverge:\ninterp: %+v\nwg:     %+v", how, stI, stW)
 			}
 			for i := range bufI {
@@ -231,7 +231,9 @@ __kernel void ov(__global float* a, int n) {
 		},
 		{
 			// Two store forms over a grid of 2^20 items: the pairwise test
-			// is over budget; the launch runs only its first group.
+			// is over budget; the launch runs its first two groups, and the
+			// second stores past the end of a, so the error row's Stats
+			// hold the locality of every access before the trap.
 			name: "budget-two-forms",
 			src: `
 __kernel void two(__global float* a, int n) {
@@ -240,11 +242,12 @@ __kernel void two(__global float* a, int n) {
     a[g + n] = a[g] + 2.0f;
 }`,
 			kernel: "two",
-			nd:     NewNDRange1D(1<<20, 16).Slice(0, 0),
+			nd:     NewNDRange1D(1<<20, 16).Slice(0, 1),
 			rej:    WGRejBudget,
 			args: func() []Arg {
 				return []Arg{BufArg(make([]byte, 4*32)), IntArg(16)}
 			},
+			err: "store a: index 32 out of range",
 		},
 		{
 			name: "local-store-mixed-forms",

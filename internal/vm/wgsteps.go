@@ -16,25 +16,31 @@ import (
 // wblock.ops), byte totals, masks and a store's write bounds per set;
 // per-offset ones (undo and tracker records) stay in the item loop, but for
 // a whole group that accesses consecutive words (contig). A block is one
-// step per instruction; the one place several instructions become one loop
-// is the reduction jam (wgfuse.go). A group-uniform step runs once per
-// full-group dispatch (wguniform.go).
+// step per instruction it keeps: its instructions are forwarded first, reads
+// through in-block copies and constant dimensions as immediates (wgForward),
+// and the copies and constants left dead run no step, though the budget
+// still charges them (wgUniform). The fused plans, which match the
+// compiler's own sequences, read k.Code. The one place several instructions
+// become one loop is the reduction jam (wgfuse.go). A group-uniform step
+// runs once per full-group dispatch (wguniform.go).
 //
 // An ALU step is built from its opcode's row (optab.go) by signature and
 // calls the row's function once per lane. Eleven opcodes keep their
 // operation inline instead — ldi, ldf, imov, fmov, iadd, isub, imul, fadd,
 // fsub, fmul, fdiv — with both of their loops: over the whole group when
 // m.full says the set is all of it in ascending order (the loop slices each
-// register's bank once and runs a plain range loop), over the set otherwise.
+// register's bank once and runs a plain range loop), over the set otherwise;
+// iadd, isub and imul share one step, as do the four float ops, switching on
+// the opcode once per whole-group dispatch or once per lane of a set.
 // Through the row, the per-lane call cost BenchmarkExecLaunch STREAM +40 %
 // and SCATTER +95 %; with only the full-group loops inline, CORR, which runs
 // these ops on divergent sets of about six lanes, +25 % (EXPERIMENTS.md, "One
 // opcode table").
 
-// buildWStep compiles the block-body instruction at pc into a banked wstep.
-// Control flow (the block's terminator) and opNop never reach it.
-func (k *Kernel) buildWStep(pc int) wstep {
-	in := k.Code[pc]
+// buildWStep compiles the block-body instruction in at pc (wgIns) into a
+// banked wstep. Control flow (the block's terminator) and opNop never reach
+// it.
+func (k *Kernel) buildWStep(pc int, in Instr) wstep {
 	row := &opTab[in.Op]
 	a, b, c := in.A, in.B, in.C
 	switch row.sig {
@@ -97,21 +103,19 @@ func (k *Kernel) buildWStep(pc int) wstep {
 			return true
 		}
 	case sigDim:
-		// One call per run of lanes that name the same dimension.
-		f := row.fn.(dimFn)
+		// A constant dimension (wgForward: B -1, IImm) costs one call per
+		// dispatch, a dimension in a register one per lane.
+		f, imm := row.fn.(dimFn), in.IImm
 		return func(m *wmach, set []int32) bool {
-			ab, bb := int(a)*m.n, int(b)*m.n
-			var d, v int64
-			var lid bool
-			for i, t := range set {
-				if x := m.ib[bb+int(t)]; i == 0 || x != d {
-					d = x
+			ib, lids, ab, bb, d := m.ib, m.lid, int(a)*m.n, int(b)*m.n, imm
+			v, lid := f(&m.nd, &m.group, d)
+			for _, t := range set {
+				if b >= 0 {
+					d = ib[bb+int(t)]
 					v, lid = f(&m.nd, &m.group, d)
 				}
-				if lid {
-					m.ib[ab+int(t)] = v + int64(m.lid[t][d])
-				} else {
-					m.ib[ab+int(t)] = v
+				if ib[ab+int(t)] = v; lid {
+					ib[ab+int(t)] += int64(lids[t][d])
 				}
 			}
 			return true
@@ -136,57 +140,45 @@ func (k *Kernel) buildWStep(pc int) wstep {
 	return nil
 }
 
-// intStep builds the int <- int x int step: iadd, isub and imul inline, a
-// trapping row (idiv, imod) checking each lane's divisor first, any other
-// through the row.
+// intStep builds the int <- int x int step: iadd, isub and imul inline (the
+// opcode switch once per dispatch over the whole group, once per lane over a
+// set), a trapping row (idiv, imod) checking each lane's divisor first, any
+// other through the row.
 func intStep(pc int, in Instr, row *opRow) wstep {
 	a, b, c, f := in.A, in.B, in.C, row.fn.(func(x, y int64) int64)
-	switch in.Op {
-	case opIADD:
+	if op := in.Op; op == opIADD || op == opISUB || op == opIMUL {
 		return func(m *wmach, set []int32) bool {
 			n, ib := m.n, m.ib
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
 			if m.full {
 				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
-				for t := range ra {
-					ra[t] = rb[t] + rc[t]
+				switch op {
+				case opIADD:
+					for t := range ra {
+						ra[t] = rb[t] + rc[t]
+					}
+				case opISUB:
+					for t := range ra {
+						ra[t] = rb[t] - rc[t]
+					}
+				default:
+					for t := range ra {
+						ra[t] = rb[t] * rc[t]
+					}
 				}
 				return true
 			}
 			for _, t := range set {
-				ib[ab+int(t)] = ib[bb+int(t)] + ib[cb+int(t)]
-			}
-			return true
-		}
-	case opISUB:
-		return func(m *wmach, set []int32) bool {
-			n, ib := m.n, m.ib
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			if m.full {
-				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
-				for t := range ra {
-					ra[t] = rb[t] - rc[t]
+				x, y := ib[bb+int(t)], ib[cb+int(t)]
+				switch op {
+				case opIADD:
+					x += y
+				case opISUB:
+					x -= y
+				default:
+					x *= y
 				}
-				return true
-			}
-			for _, t := range set {
-				ib[ab+int(t)] = ib[bb+int(t)] - ib[cb+int(t)]
-			}
-			return true
-		}
-	case opIMUL:
-		return func(m *wmach, set []int32) bool {
-			n, ib := m.n, m.ib
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			if m.full {
-				ra, rb, rc := ib[ab:ab+n], ib[bb:bb+n], ib[cb:cb+n]
-				for t := range ra {
-					ra[t] = rb[t] * rc[t]
-				}
-				return true
-			}
-			for _, t := range set {
-				ib[ab+int(t)] = ib[bb+int(t)] * ib[cb+int(t)]
+				ib[ab+int(t)] = x
 			}
 			return true
 		}
@@ -213,71 +205,48 @@ func intStep(pc int, in Instr, row *opRow) wstep {
 }
 
 // floatStep builds the float <- float x float step: fadd, fsub, fmul and fdiv
-// inline, any other through the row.
+// inline, as intStep does, any other through the row.
 func floatStep(in Instr, row *opRow) wstep {
 	a, b, c, f := in.A, in.B, in.C, row.fn.(func(x, y float64) float64)
-	switch in.Op {
-	case opFADD:
+	if op := in.Op; op >= opFADD && op <= opFDIV {
 		return func(m *wmach, set []int32) bool {
 			n, fb := m.n, m.fb
 			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
 			if m.full {
 				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
-				for t := range ra {
-					ra[t] = float64(float32(rb[t]) + float32(rc[t]))
+				switch op {
+				case opFADD:
+					for t := range ra {
+						ra[t] = float64(float32(rb[t]) + float32(rc[t]))
+					}
+				case opFSUB:
+					for t := range ra {
+						ra[t] = float64(float32(rb[t]) - float32(rc[t]))
+					}
+				case opFMUL:
+					for t := range ra {
+						ra[t] = float64(float32(rb[t]) * float32(rc[t]))
+					}
+				default:
+					for t := range ra {
+						ra[t] = float64(float32(rb[t]) / float32(rc[t]))
+					}
 				}
 				return true
 			}
 			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) + float32(fb[cb+int(t)]))
-			}
-			return true
-		}
-	case opFSUB:
-		return func(m *wmach, set []int32) bool {
-			n, fb := m.n, m.fb
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			if m.full {
-				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
-				for t := range ra {
-					ra[t] = float64(float32(rb[t]) - float32(rc[t]))
+				x, y := float32(fb[bb+int(t)]), float32(fb[cb+int(t)])
+				switch op {
+				case opFADD:
+					x += y
+				case opFSUB:
+					x -= y
+				case opFMUL:
+					x *= y
+				default:
+					x /= y
 				}
-				return true
-			}
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) - float32(fb[cb+int(t)]))
-			}
-			return true
-		}
-	case opFMUL:
-		return func(m *wmach, set []int32) bool {
-			n, fb := m.n, m.fb
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			if m.full {
-				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
-				for t := range ra {
-					ra[t] = float64(float32(rb[t]) * float32(rc[t]))
-				}
-				return true
-			}
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) * float32(fb[cb+int(t)]))
-			}
-			return true
-		}
-	case opFDIV:
-		return func(m *wmach, set []int32) bool {
-			n, fb := m.n, m.fb
-			ab, bb, cb := int(a)*n, int(b)*n, int(c)*n
-			if m.full {
-				ra, rb, rc := fb[ab:ab+n], fb[bb:bb+n], fb[cb:cb+n]
-				for t := range ra {
-					ra[t] = float64(float32(rb[t]) / float32(rc[t]))
-				}
-				return true
-			}
-			for _, t := range set {
-				fb[ab+int(t)] = float64(float32(fb[bb+int(t)]) / float32(fb[cb+int(t)]))
+				fb[ab+int(t)] = float64(x)
 			}
 			return true
 		}
@@ -381,6 +350,7 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 			for i, t := range set {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
+					m.colTrap(col, set[i:])
 					m.err = &execError{m.k.Name, pc, fmt.Sprintf("load %s: %v", name, err)}
 					return false
 				}
@@ -440,6 +410,7 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
 					bad = err
+					m.colTrap(col, set[i:])
 					break
 				}
 				var bits uint32

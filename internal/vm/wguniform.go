@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Group-uniform steps (DESIGN.md §8, "Group-uniform steps").
@@ -12,7 +11,7 @@ import (
 // A step is group-uniform when every full-group dispatch of its block
 // computes one value for all lanes: the GPU variant's abort prologue is
 // nothing else. wgUniform finds these steps with a forward must-analysis
-// over the blocks, and hoistUniform gives each block that has any a second
+// over the blocks, and buildSteps gives each block that has any a second
 // step list, wblock.once, in which each of them runs once, for lane 0, and
 // copies the result to the other lanes only where a per-lane step, a later
 // block or the block's branch may read it. m.full is the gate: a phase that
@@ -25,6 +24,7 @@ const (
 	uLanes uint8 = iota // per lane, as built
 	uOnce               // once, into lane 0: only uniform steps of its block read it
 	uBcast              // once, then lane 0 copied to every lane
+	uDrop               // not at all: a move or constant whose destination is dead
 )
 
 // wgUniformOp reports whether the instruction's result is the same in every
@@ -44,19 +44,20 @@ func wgUniformOp(in Instr) bool {
 }
 
 // wgUniform classifies every pc of a kernel whose register files fit the
-// liveness masks. The forward pass keeps, per block entry, the int and float
-// registers that hold one value across the group: all of them at pc 0 (the
-// group's entry contract, wmach.enter, makes the parameters and the
-// registers read before any write uniform, and every other register is
-// written before it is read), at a barrier's resume pc only those no
-// instruction writes (the phase before it may have partitioned), the
-// intersection at a join. A backward pass per block then marks a uniform
-// step uBcast when its destination is live out (wgLiveness), is the branch's
-// condition, or is read by a per-lane step of the block before being
-// redefined.
+// liveness masks, reading each block's forwarded instructions (wgForward).
+// The forward pass keeps, per block entry, the int and float registers that
+// hold one value across the group: all of them at pc 0 (the group's entry
+// contract, wmach.enter, makes the parameters and the registers read before
+// any write uniform, and every other register is written before it is
+// read), at a barrier's resume pc only those no instruction writes (the
+// phase before it may have partitioned), the intersection at a join. A
+// backward pass per block from its live-out registers (wgLiveness) and its
+// branch's condition drops every ldi, ldf, imov and fmov whose destination
+// is dead, and every self-move (the four book no Stats; nInstr still
+// charges them), and marks a uniform step uBcast when its destination is
+// live there or read by a per-lane step of the block before redefinition.
 func (k *Kernel) wgUniform(wg *wgProgram) []uint8 {
-	code := k.Code
-	n := len(code)
+	n := len(k.Code)
 	inI, inF := make([]uint64, n+1), make([]uint64, n+1)
 	for pc := range inI {
 		inI[pc], inF[pc] = ^uint64(0), ^uint64(0)
@@ -72,9 +73,9 @@ func (k *Kernel) wgUniform(wg *wgProgram) []uint8 {
 				continue
 			}
 			mi, mf := inI[s], inF[s]
-			for pc := s; pc < b.body; pc++ {
-				iu, fu, id, fd := wgUseDef(code[pc])
-				if uni[pc] = wgUniformOp(code[pc]) && iu&^mi == 0 && fu&^mf == 0; uni[pc] {
+			for _, x := range b.code {
+				iu, fu, id, fd := wgUseDef(x.Instr)
+				if uni[x.pc] = wgUniformOp(x.Instr) && iu&^mi == 0 && fu&^mf == 0; uni[x.pc] {
 					mi, mf = mi|id, mf|fd
 				} else {
 					mi, mf = mi&^id, mf&^fd
@@ -93,20 +94,27 @@ func (k *Kernel) wgUniform(wg *wgProgram) []uint8 {
 		if b == nil {
 			continue
 		}
-		needI, needF := wg.iOut[s], wg.fOut[s]
+		liveI, liveF := wg.iOut[s], wg.fOut[s]
 		if b.term.kind == wtCond {
-			needI |= wgBit(b.term.condReg)
+			liveI |= wgBit(b.term.condReg)
 		}
-		for pc := b.body - 1; pc >= s; pc-- {
-			iu, fu, id, fd := wgUseDef(code[pc])
-			if uni[pc] {
-				cls[pc] = uOnce
+		needI, needF := liveI, liveF
+		for i := len(b.code) - 1; i >= 0; i-- {
+			x := b.code[i]
+			iu, fu, id, fd := wgUseDef(x.Instr)
+			if x.Op >= opLDI && x.Op <= opFMOV && (liveI&id == 0 && liveF&fd == 0 || x.Op >= opIMOV && x.A == x.B) {
+				cls[x.pc] = uDrop
+				continue
+			}
+			liveI, liveF = liveI&^id|iu, liveF&^fd|fu
+			if uni[x.pc] {
+				cls[x.pc] = uOnce
 				if needI&id != 0 || needF&fd != 0 {
-					cls[pc] = uBcast
+					cls[x.pc] = uBcast
 				}
 			}
 			needI, needF = needI&^id, needF&^fd
-			if !uni[pc] {
+			if !uni[x.pc] {
 				needI, needF = needI|iu, needF|fu
 			}
 		}
@@ -114,52 +122,49 @@ func (k *Kernel) wgUniform(wg *wgProgram) []uint8 {
 	return cls
 }
 
-// hoistUniform sets wblock.once on every block with a group-uniform step of
-// wg (wgUniform): its steps, each uniform one replaced by wstepOnce.
-func (k *Kernel) hoistUniform(wg *wgProgram) {
-	cls := k.wgUniform(wg)
-	for _, b := range wg.blocks {
-		if b == nil {
+// buildSteps compiles the block's instructions into its steps but for those
+// cls drops, and, when cls makes any of them group-uniform, wblock.once: the
+// steps, each uniform one replaced by wstepOnce.
+func (k *Kernel) buildSteps(b *wblock, cls []uint8) {
+	uni := false
+	for _, x := range b.code {
+		c := cls[x.pc]
+		if c == uDrop {
 			continue
 		}
-		i := 0
-		for pc := b.start; pc < b.body; pc++ {
-			if k.Code[pc].Op == opNop {
-				continue
-			}
-			if cls[pc] != uLanes {
-				if b.once == nil {
-					b.once = slices.Clone(b.steps)
-				}
-				b.once[i] = k.wstepOnce(pc, b.steps[i], cls[pc] == uBcast)
-			}
-			i++
+		s := k.buildWStep(x.pc, x.Instr)
+		b.steps, b.cls = append(b.steps, s), append(b.cls, opTab[x.Op].class)
+		if c != uLanes {
+			s, uni = k.wstepOnce(x.pc, x.Instr, s, c == uBcast), true
 		}
+		b.once = append(b.once, s)
+	}
+	if !uni {
+		b.once = nil
 	}
 }
 
-// wstepOnce is the full-group form of the group-uniform step s at pc: it
-// computes lane 0 alone — a global load with one range check and one read,
-// booked as n loads of one offset (a broadcast run books what a column of
-// equal offsets does), any other step by its own code on set[:1] — and, with
-// bcast, copies it to every lane. A trap is lane 0's, the first lane the
-// per-lane loop would have tried.
-func (k *Kernel) wstepOnce(pc int, s wstep, bcast bool) wstep {
-	in := k.Code[pc]
+// wstepOnce is the full-group form of the group-uniform step s of in at pc:
+// it computes lane 0 alone — a global load with one range check and one
+// read, booked as n loads of one offset (a broadcast run books what a column
+// of equal offsets does), any other step by its own code on set[:1] — and,
+// with bcast, copies it to every lane. A trap is lane 0's, the first lane
+// the per-lane loop would have tried.
+func (k *Kernel) wstepOnce(pc int, in Instr, s wstep, bcast bool) wstep {
 	a := in.A
 	isF := sigOperands[opTab[in.Op].sig][0] == oFw
 	if in.Op == opLDGF || in.Op == opLDGI {
 		slot, c, memID := in.B, in.C, in.D
-		return func(m *wmach, set []int32) bool {
+		s = func(m *wmach, _ []int32) bool {
 			n := m.n
-			bits, ok := m.loadOnce(set, pc, slot, memID, m.ib[int(c)*n])
+			bits, ok := m.loadOnce(m.all, pc, slot, memID, m.ib[int(c)*n])
 			if !ok {
 				return false
 			}
 			if isF {
-				put(m.fb, a, n, bcast, float64(math.Float32frombits(bits)))
+				m.fb[int(a)*n] = float64(math.Float32frombits(bits))
 			} else {
-				put(m.ib, a, n, bcast, int64(int32(bits)))
+				m.ib[int(a)*n] = int64(int32(bits))
 			}
 			m.st.GlobalLoads += int64(n)
 			m.st.GlobalLoadBytes += 4 * int64(n)
@@ -196,13 +201,4 @@ func (m *wmach) loadOnce(set []int32, pc int, slot, memID int32, idx int64) (uin
 	m.st.noteGlobalRead(slot)
 	m.recAffine(set, memID, off, 0)
 	return binary.LittleEndian.Uint32(buf[off:]), true
-}
-
-// put writes v to lane 0 of register a or, with all, to every lane.
-func put[T int64 | float64](bank []T, a int32, n int, all bool, v T) {
-	if all {
-		fill(bank, a, n, nil, true, v)
-	} else {
-		bank[int(a)*n] = v
-	}
 }

@@ -39,20 +39,25 @@ func TestWGUniformSteps(t *testing.T) {
 		}
 		k := MustCompile(gpu, "scale")
 		// The prologue (flattened group id, both status loads, the compare)
-		// is pcs 0-27 but the branch at 22; then ldi r4,0 (gid's dimension),
-		// imov r5,r0 (n) and fmov f1,f0 (a). What a per-lane step, a later
-		// block or a branch reads is copied to every lane: the group id r2,
-		// the two branch conditions, and the three the body reads.
-		var want []int
-		for pc := 0; pc <= 27; pc++ {
-			if pc != 22 {
-				want = append(want, pc)
-			}
-		}
-		want = append(want, 30, 34, 38)
-		wantB := []int{17, 21, 27, 30, 34, 38}
+		// is pcs 0-27 but the branch at 22. Forwarding (wgForward) makes each
+		// ldi of a dimension at 0, 2, 4, 8, 10 and 14 an immediate and reads
+		// fcl_kid r1 and the group id r2 where the moves at 20 and 23 copied
+		// them, so those eight run no step. The body (30-42) has no uniform
+		// step left: n r0 and a f0 are read in place. What a per-lane step, a
+		// later block or a branch reads is copied to every lane: the group id
+		// r2 and the two branch conditions.
+		want := []int{1, 3, 5, 6, 7, 9, 11, 12, 13, 15, 16, 17, 18, 19, 21, 24, 25, 26, 27}
+		wantB := []int{17, 21, 27}
 		if uni, bcast := k.WGUniformPCs(); !slices.Equal(uni, want) || !slices.Equal(bcast, wantB) {
 			t.Fatalf("uniform pcs %v, broadcast %v; want %v, %v\n%s", uni, bcast, want, wantB, k.Disasm())
+		}
+		// The body's two blocks keep gid, imov r3,r4 and ilt r4,r4,r0, then
+		// ldgf, fmul f1,f0,f2 and stgf: twelve instructions, six steps.
+		blocks, _ := k.WGBlockSteps()
+		for _, b := range blocks {
+			if (b[0] == 30 || b[0] == 37) && b[1] != 3 {
+				t.Errorf("block @%d runs %d steps, want 3", b[0], b[1])
+			}
 		}
 		// 112 work-items in groups of 16, n = 100: the last group splits at
 		// i < n. The CPU has done no group, or flattened groups 4 and up,

@@ -99,12 +99,17 @@ func (g *progGen) intExpr(depth int) string {
 
 // workItemCall draws a work-item builtin. The dimension comes from {0, 1, 2,
 // 3, -1}: 3 and -1 name no dimension, which reads 0 for an id and 1 for a
-// size.
+// size. One time in six it is computed instead, an in-scope int variable
+// modulo 4 (from -3 to 3, so it too may name no dimension), which differs
+// between work-items when the variable does.
 func (g *progGen) workItemCall() string {
 	name := []string{"get_global_id", "get_local_id", "get_group_id", "get_num_groups",
 		"get_local_size", "get_global_size", "get_global_offset", "get_work_dim"}[g.r.Intn(8)]
 	if name == "get_work_dim" {
 		return "get_work_dim()"
+	}
+	if g.r.Intn(6) == 0 {
+		return fmt.Sprintf("%s(%s %% 4)", name, g.ints[g.r.Intn(len(g.ints))])
 	}
 	return fmt.Sprintf("%s(%d)", name, []int{0, 1, 2, 3, -1}[g.r.Intn(5)])
 }

@@ -8,10 +8,12 @@
 # times in that tree and N times in the working tree, alternating, base
 # first, each for SECONDS seconds with --trace 0 and the seed in SEED
 # (default 1). Both trees build their own flbench inside their checkout, as
-# run.sh does. Per pair it prints wall_s, alloc_mb and coop_speedup of both
-# runs and the relative change of wall_s; at the end, the median wall_s of
-# each side and in how many pairs the working tree's was lower. Nothing under
-# bench/ is written but run.sh's own outputs, and nothing needs the network.
+# run.sh does. The metrics are the end-to-end ones BENCHMARK.json lists
+# (its "end_to_end" names, read, never written), in its order. Per pair it
+# prints each metric of both runs and its relative change; at the end, per
+# metric, the median of each side and in how many pairs the working tree's
+# was better in the direction BENCHMARK.json gives. Nothing under bench/ is
+# written but run.sh's own outputs, and nothing needs the network.
 set -euo pipefail
 if [ $# -ne 4 ]; then
 	echo "usage: $0 BASE WORKLOAD N SECONDS" >&2
@@ -19,6 +21,24 @@ if [ $# -ne 4 ]; then
 fi
 base=$1 workload=$2 n=$3 seconds=$4 seed=${SEED:-1}
 root="$(git rev-parse --show-toplevel)"
+
+# The end-to-end metrics: one "name better" line per entry of the
+# "end_to_end" list, one entry per line as BENCHMARK.json writes them.
+names=() better=()
+while read -r m b; do
+	names+=("$m") better+=("$b")
+done < <(awk '/"end_to_end"/ { on = 1; next }
+	on && /\]/ { exit }
+	on && /"name"/ {
+		m = $0; sub(/.*"name": *"/, "", m); sub(/".*/, "", m)
+		b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b)
+		print m, b
+	}' "$root/BENCHMARK.json")
+if [ ${#names[@]} -eq 0 ]; then
+	echo "$0: no end_to_end metrics in $root/BENCHMARK.json" >&2
+	exit 1
+fi
+
 tmp="$(mktemp -d)"
 cleanup() {
 	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
@@ -28,39 +48,55 @@ cleanup() {
 trap cleanup EXIT
 git -C "$root" worktree add --quiet --detach "$tmp/base" "$base"
 
-# run TREE: one bench/run.sh in TREE; prints "wall_s alloc_mb coop_speedup",
-# read at full precision from the run's closing JSON line ("-" for a metric
-# the workload does not report).
+# run TREE: one bench/run.sh in TREE; prints each metric of names, read at
+# full precision from the run's closing JSON line ("-" for a metric the
+# workload does not report).
 run() {
 	local out json m v
 	out="$(cd "$1" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)" || exit 1
 	json="$(printf '%s\n' "$out" | tail -n 1)"
-	for m in wall_s alloc_mb coop_speedup; do
+	for m in "${names[@]}"; do
 		v="$(printf '%s' "$json" | sed -n 's/.*"'"$m"'":{"value":\([^,}]*\).*/\1/p')"
 		printf '%s ' "${v:--}"
 	done
 	echo
 }
 
-# median: the median of the numbers on stdin.
+# median: the median of the numbers on stdin ("-" when there are none).
 median() {
-	sort -g | awk '{ v[NR] = $1 } END { print (NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2) }'
+	sort -g | awk '$1 != "-" { v[++k] = $1 } END { if (!k) print "-"; else print (k % 2 ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2) }'
 }
 
-wins=0
-bws="" cws=""
-printf '%-4s %-19s %-19s %7s %-19s %-19s %-19s %-19s\n' pair base_wall change_wall delta base_alloc chg_alloc base_speedup chg_speedup
-for i in $(seq 1 "$n"); do
-	r="$(run "$tmp/base")"
-	read -r bw ba bc <<<"$r"
-	r="$(run "$root")"
-	read -r cw ca cc <<<"$r"
-	bws="$bws$bw"$'\n' cws="$cws$cw"$'\n'
-	delta="$(awk -v b="$bw" -v c="$cw" 'BEGIN { printf "%+.1f%%", 100 * (c - b) / b }')"
-	if awk -v b="$bw" -v c="$cw" 'BEGIN { exit !(c < b) }'; then
-		wins=$((wins + 1))
-	fi
-	printf '%-4s %-19s %-19s %7s %-19s %-19s %-19s %-19s\n' "$i" "$bw" "$cw" "$delta" "$ba" "$ca" "$bc" "$cc"
+# delta B C: the relative change from B to C, or "-".
+delta() {
+	awk -v b="$1" -v c="$2" 'BEGIN { if (b == "-" || c == "-" || b == 0) print "-"; else printf "%+.1f%%", 100 * (c - b) / b }'
+}
+
+# won B C DIR: whether C is better than B in direction DIR.
+won() {
+	awk -v b="$1" -v c="$2" -v d="$3" 'BEGIN { exit !(b != "-" && c != "-" && (d == "higher" ? c > b : c < b)) }'
+}
+
+declare -A bv cv wins
+for m in "${names[@]}"; do
+	bv[$m]="" cv[$m]="" wins[$m]=0
 done
-bm="$(printf '%s' "$bws" | median)" cm="$(printf '%s' "$cws" | median)"
-echo "$workload seed=$seed: median wall_s $bm -> $cm ($(awk -v b="$bm" -v c="$cm" 'BEGIN { printf "%+.1f%%", 100 * (c - b) / b }')); working tree lower in $wins of $n pairs"
+for i in $(seq 1 "$n"); do
+	read -r -a b <<<"$(run "$tmp/base")"
+	read -r -a c <<<"$(run "$root")"
+	echo "pair $i"
+	printf '  %-14s %-20s %-20s %7s\n' metric base change delta
+	for j in "${!names[@]}"; do
+		m=${names[$j]}
+		bv[$m]+="${b[$j]}"$'\n' cv[$m]+="${c[$j]}"$'\n'
+		if won "${b[$j]}" "${c[$j]}" "${better[$j]}"; then
+			wins[$m]=$((wins[$m] + 1))
+		fi
+		printf '  %-14s %-20s %-20s %7s\n' "$m" "${b[$j]}" "${c[$j]}" "$(delta "${b[$j]}" "${c[$j]}")"
+	done
+done
+for j in "${!names[@]}"; do
+	m=${names[$j]}
+	bm="$(printf '%s' "${bv[$m]}" | median)" cm="$(printf '%s' "${cv[$m]}" | median)"
+	echo "$workload seed=$seed: median $m $bm -> $cm ($(delta "$bm" "$cm")); working tree ${better[$j]} in ${wins[$m]} of $n pairs"
+done
