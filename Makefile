@@ -192,8 +192,16 @@ loc:
 # were seven closures), one dimension step for constant and register
 # dimensions, the uniform load writing lane 0 for wstepOnce's one broadcast
 # (put is gone) and buildWBlock's one body end; the rest, the forwarding walk
-# itself and the trap's replay, could not go.
-VM_LOC_MAX = 6000
+# itself and the trap's replay, could not go. 5976 is the count with one
+# locality form: each access site keeps one log of entries booked at the
+# phase end (whole-group entries column-major, per-item ones after a stable
+# counting sort), in place of the per-item streams and their memTracker
+# replay, the transposition at the first partition, the trap's stream
+# surgery and the reduction jam's closed-form booking into transposed
+# state; it includes the one NaN rule (storeBits, the leaves' rerun gone),
+# the local ids as one column per dimension and the walk's skip in
+# partitioned phases (the load count it needed is gone).
+VM_LOC_MAX = 5976
 # internal/analysis walks each kernel once. 3173 was the count with two AST
 # walks, an abstract interpreter (interp.go) for access direction, index
 # classes, slot-exactness and divergence beside the strided walker. 2735 is

@@ -399,7 +399,7 @@ func (k *Kernel) run(w *wiState, nd NDRange, group, lid [3]int, wi int,
 			}
 			var bits uint32
 			if in.Op == opSTGF {
-				bits = math.Float32bits(float32(fregs[in.A]))
+				bits = storeBits(fregs[in.A])
 			} else {
 				bits = uint32(int32(iregs[in.A]))
 			}
@@ -537,11 +537,23 @@ func (k *Kernel) slabAccess(pc int, in Instr, slab []byte, idx int64, fr []float
 	case sigLoadI:
 		ir[at] = int64(int32(binary.LittleEndian.Uint32(slab[off:])))
 	case sigStoreF:
-		binary.LittleEndian.PutUint32(slab[off:], math.Float32bits(float32(fr[at])))
+		binary.LittleEndian.PutUint32(slab[off:], storeBits(fr[at]))
 	default:
 		binary.LittleEndian.PutUint32(slab[off:], uint32(int32(ir[at])))
 	}
 	return nil
+}
+
+// storeBits is the word a float store writes: x rounded to float32, and
+// every NaN the canonical quiet NaN 0x7fc00000 (DESIGN.md §12, "One NaN
+// rule"), so no payload the host's float ops chose reaches memory. It is
+// small enough for the compiler to inline into every store loop.
+func storeBits(x float64) uint32 {
+	b := math.Float32bits(float32(x))
+	if b&0x7fffffff > 0x7f800000 {
+		b = 0x7fc00000
+	}
+	return b
 }
 
 func b2i(b bool) int64 {

@@ -105,6 +105,16 @@ func LeafRuns() (n [wgPerLane + 1]int64) {
 	return n
 }
 
+// lanesBooked tallies wgLanesHook: the sites booked item by item without,
+// and after, whole-group entries.
+var lanesBooked [2]atomic.Int64
+
+func init() { wgLanesHook = func(prefix bool) { lanesBooked[b2i(prefix)].Add(1) } }
+
+// LanesBooked returns how many sites this process booked item by item
+// without (plain) and after (prefixed) whole-group entries.
+func LanesBooked() (plain, prefixed int64) { return lanesBooked[0].Load(), lanesBooked[1].Load() }
+
 // RefWorkGroup runs one work-group of the launch on the AST reference, whose
 // launch shape and argument types are its own (vmref imports nothing of vm).
 func RefWorkGroup(ref *vmref.RefExec, nd NDRange, group [3]int, args []Arg) error {

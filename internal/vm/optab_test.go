@@ -110,11 +110,16 @@ func tabInterp(k *Kernel, l tabLanes, set []int32) (Stats, error) {
 // the dispatcher runs a block of one.
 func tabWG(k *Kernel, l tabLanes, set []int32) (Stats, error) {
 	n := len(l.ri)
-	m := &wmach{k: k, n: n, ib: make([]int64, 3*n), fb: make([]float64, 3*n), lid: make([][3]int, n), full: len(set) == n}
+	m := &wmach{k: k, n: n, ib: make([]int64, 3*n), fb: make([]float64, 3*n), full: len(set) == n}
 	m.nd, m.group = tabND(n)
 	m.st = &m.stat
+	for d := range m.lid {
+		m.lid[d] = make([]int64, n)
+	}
 	for t := range n {
-		m.lid[t] = tabLid(m.nd, t)
+		for d, v := range tabLid(m.nd, t) {
+			m.lid[d][t] = int64(v)
+		}
 		for r := range 3 {
 			m.ib[r*n+t], m.fb[r*n+t] = l.ri[t][r], l.rf[t][r]
 		}

@@ -11,9 +11,9 @@ import (
 // The lockstep engine executes a barrier-free region for all work-items of
 // a group in an order that interleaves items block by block, instead of
 // running each item to completion. That reordering is unobservable — same
-// buffers, same per-item register trajectories, same Stats after the
-// tracker replay — when no work-item reads or writes a global location that
-// another item of the same group writes. Private arrays are per-item by
+// buffers, same per-item register trajectories, same Stats — when no
+// work-item reads or writes a global location that another item of the
+// same group writes. Private arrays are per-item by
 // construction; __local arrays are shared, and a kernel that stores to one
 // is rejected (WGRejLocalStore). A rejected launch runs in one-lane sets in
 // work-item order, the interpreter's (runGroup).

@@ -134,6 +134,10 @@ func TestWGContiguousAccess(t *testing.T) {
 		{name: "three touches per site", body: "for (int k = 0; k < 3; k++) { io[i] = io[i] + ia[i + k]; fo[i] = fo[i] + fa[i + 17 * k]; }",
 			words: [4]int{n + 34, n + 2, n, n}},
 		{name: "cut by i < n", body: "if (i < n - 40) { fo[i] = fa[i]; io[i] = ia[i] * 3; }", words: all},
+		// Two NaN payloads meet in an add over part of the group: which one
+		// the host keeps is its compiler's choice, the word stored is not.
+		{name: "two NaNs meet in a partitioned add", body: "float a = fa[1]; float b = fa[i * 4 + 5]; if (l < 13) { fo[i] = a + b; }",
+			words: [4]int{4*n + 8, n, n, n}},
 		// One site changing form within a phase. A loop skeleton's load logs a
 		// broadcast run while the walk runs it for the group and a contiguous
 		// entry once its index differs by lane; the per-step loads below are
@@ -171,8 +175,8 @@ func TestWGContiguousAccess(t *testing.T) {
 					var buf []byte
 					switch b {
 					case 0, 1:
-						// Every fourth word a signalling NaN's bits, which a load or store
-						// through the word view must move unchanged.
+						// Every fourth word a signalling NaN's bits, which every store
+						// writes back as the canonical quiet NaN (storeBits).
 						buf = make([]byte, 4*w)
 						for i := 0; i < w; i++ {
 							v := uint32(int32(i*7%19 - 9))
@@ -230,9 +234,7 @@ func TestWGContiguousAccess(t *testing.T) {
 // siteLoop is a reduction loop whose skeleton polls ia[p] after every
 // third trip, entered twice with p set to the given expression of the
 // entry o and the lane l. The float op before it keeps the outer loop out
-// of the skeleton, and its loads skip fa's NaN words (fa[4j+1]): where two
-// NaNs meet in a float add or multiply over part of a group, the lockstep
-// engine and the interpreter keep different payloads.
+// of the skeleton, and its loads skip fa's NaN words (fa[4j+1]).
 func siteLoop(p string) string {
 	return `int rs = 4;
     float acc = 0.0f;

@@ -23,12 +23,10 @@ import (
 // heuristic. A group whose launch the certificate rejects runs serial: each
 // phase is one-lane sets in work-item order, each item to its barrier or
 // ret before the next starts, which is the interpreter's order. Stats come
-// out identical to the interpreter too: every counter the banked steps touch
-// is an order-independent sum, mask, or min/max — except the memory-locality
-// tracker, which is order-sensitive, so the steps record each item's
-// (memID, offset) stream in program order and the phase end replays the
-// streams through the ordinary memTracker in exactly the interpreter's
-// per-item, per-warp call sequence.
+// out identical to the interpreter too: every counter is an
+// order-independent sum, mask, or min/max but the locality counters, which
+// depend only on each access site's own accesses (endPhase; DESIGN.md §12,
+// "Locality: one access log per site").
 //
 // Error parity is by presence, not by text: all engines error on the same
 // launches (each item's trace, including its step budget, is identical),
@@ -40,30 +38,24 @@ import (
 // maxSteps, which is what the banked check of the whole block tests). Tests
 // compare buffers only on error-free runs of whole-group sets.
 
-// wgAcc is one recorded global access, replayed through the memTracker at
-// phase end.
-type wgAcc struct {
-	id  int32
-	off int32
+// wgEnt is one entry of a site's access log: run accesses by item lane
+// alone, at byte offsets at, at+step, …, or, while the phase has never
+// partitioned, run accesses by every item: item t's at at + step*t (lane
+// wgEntAff, step 0 or 4), or from colBuf[at+t] on, colBuf[at+n+t] bytes
+// apart when run > 1 (lane wgEntCol).
+type wgEnt struct {
+	lane, at, step int32
+	run            int64
 }
 
-// wgCol is one entry of the columnar access log. run == 0: the n offsets of
-// one dynamic access of site id, at colBuf[at:at+n]. run > 0: a lane-affine
-// access — item t accessed site id at byte offset at + step*t, step 0 (a
-// broadcast) or 4 (consecutive words), run times in a row as far as that
-// site's own stream goes (the tracker keeps no state across sites, so entries
-// of other sites in between do not matter).
-type wgCol struct {
-	id, at, run, step int32
-}
+const (
+	wgEntAff int32 = -1 - iota
+	wgEntCol
+)
 
-// wgSite is one access site's locality state in the current phase. While a
-// phase has never partitioned every dispatch is the whole group, so either
-// every item has accessed a site or none has: seen is one flag per site, and
-// lastB[id*n+t] holds item t's last offset. With aff set, item t's last
-// offset is at + step*t instead, and lastB holds nothing for the site. Only
-// bookCol sets aff, and it runs only in replayCols, which clears the sites
-// when it is done; trips and replay, which run outside it, read lastB.
+// wgSite is the state of the site endPhase books: whether its whole-group
+// entries made every item access it, and item t's last offset, wmach.last[t]
+// or, with aff set, at + step*t.
 type wgSite struct {
 	seen, aff bool
 	at, step  int32
@@ -87,7 +79,6 @@ type wmach struct {
 	group  [3]int
 	args   []Arg
 	locals [][]byte
-	tr     *memTracker
 	stat   Stats
 	st     *Stats
 	undo   *UndoLog
@@ -102,14 +93,13 @@ type wmach struct {
 	// priv[slot][t*privSz[slot] : (t+1)*privSz[slot]].
 	priv   [][]byte
 	privSz []int
-	lid    [][3]int // local ids per item
-	all    []int32  // the items 0 … n-1, each phase's first set
-	steps  []int64  // per-item step budget
+	lid    [3][]int64 // lid[d][t]: item t's local id in dimension d
+	all    []int32    // the items 0 … n-1, each phase's first set
+	steps  []int64    // per-item step budget
 	// key is the launch (n, local shape, scalar argument bits) the banks, lid
 	// and all were set up for (enter); probe is the buffer the next is built in.
 	key, probe []uint64
 
-	rec  [][]wgAcc // per-item (memID, off) streams for this phase
 	work []*wgSet
 	free []*wgSet
 
@@ -123,22 +113,13 @@ type wmach struct {
 	uniform      bool
 	budgetScalar bool
 	stepsAll     int64
-	lastB        []int32  // transposed tracker: last offset per (memID, item)
-	site         []wgSite // per memID
 
-	// Columnar access log. While the phase is uniform each dynamic global
-	// access is recorded as one column of n offsets in colBuf, or as a run of
-	// one offset or of consecutive words (wgCol), instead of n per-item
-	// stream appends, and replayCols books the entries at phase end.
-	// The first partition is the one thing that ends it: colFlush transposes
-	// the entries into rec and clears uniform. So a phase has two log states
-	// and the invariant is: uniform iff rec is empty and the entries, in
-	// order, are every item's access stream, site by site in program order.
-	// colAt[id] is one more than the index in cols of site id's latest entry,
-	// 0 while it has none.
-	cols   []wgCol
-	colBuf []int32
-	colAt  []int32
+	// logs[id] is site id's entries in execution order, colBuf the columns'
+	// offsets; endPhase books and empties them, with last, laneAt and byLane
+	// as its scratch.
+	logs                 [][]wgEnt
+	byLane               []wgEnt
+	colBuf, last, laneAt []int32
 
 	// fuse selects the fused plans (wgfuse.go) for this group; resolved once
 	// at group entry from SetWGFuse and from views, the arguments' buffers as
@@ -175,7 +156,7 @@ type wmach struct {
 // release drops references to caller-owned memory so the pooled machine
 // never retains buffers or stats beyond the work-group that used it.
 func (m *wmach) release() {
-	m.args, m.locals, m.tr, m.st = nil, nil, nil, nil
+	m.args, m.locals, m.st = nil, nil, nil
 	clear(m.views)
 	m.undo, m.err = nil, nil
 }
@@ -191,7 +172,9 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 	m.ib = grow(m.ib, k.NumI*n)
 	m.fb = grow(m.fb, k.NumF*n)
 	m.steps = grow(m.steps, n)
-	m.lid = grow(m.lid, n)
+	for d := range m.lid {
+		m.lid[d] = grow(m.lid[d], n)
+	}
 	m.all = grow(m.all, n)
 	if len(m.priv) != len(k.PrivArrs) {
 		m.priv = make([][]byte, len(k.PrivArrs))
@@ -201,13 +184,8 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 		m.privSz[i] = pa.Len * pa.Elem.Size()
 		m.priv[i] = sized(m.priv[i], m.privSz[i]*n)
 	}
-	m.rec = grow(m.rec, n)
-	for t := range m.rec {
-		m.rec[t] = m.rec[t][:0]
-	}
-	m.lastB = grow(m.lastB, k.NumMemOps*n)
-	m.site = sized(m.site, k.NumMemOps)
-	m.colAt = sized(m.colAt, k.NumMemOps)
+	m.last = grow(m.last, n)
+	m.logs = grow(m.logs, k.NumMemOps) // endPhase left them empty
 	m.free = append(m.free, m.work...)
 	m.work = m.work[:0]
 	m.parked, m.done = 0, 0
@@ -284,192 +262,257 @@ func (m *wmach) popMin() *wgSet {
 	return s
 }
 
-// recAcc records one global access of item t for the phase-end tracker
-// replay. Only dispatches in a partitioned phase record per item, so the
-// columnar log is already flushed.
-func (m *wmach) recAcc(t int32, id, off int32) {
+// logLane logs run accesses of site id (none: id < 0) by item t alone, at
+// byte offsets off, off+step, ….
+func (m *wmach) logLane(t, id, off, step int32, run int64) {
 	if id >= 0 {
-		m.rec[t] = append(m.rec[t], wgAcc{id: id, off: off})
+		m.logs[id] = append(m.logs[id], wgEnt{lane: t, at: off, step: step, run: run})
 	}
 }
 
-// recAffine records one global access every work-item of set made at byte
-// offset off + step*t, t the item (step 0: a group-uniform load, or one in a
-// loop's control skeleton, wgloop.go; step 4: a lane-contiguous whole-group
-// access, wgsteps.go). In a partitioned phase that is one stream append per
-// item; while the phase is uniform (the set is then the whole group) it is
-// O(1): the access extends the site's latest entry (colAt) when that is a
-// run of the same offset and step, and starts a new run otherwise.
+// recAffine logs one global access each item of set made at byte offset
+// off + step*t (step 0: a group-uniform load; 4: a lane-contiguous access):
+// an entry per item in a partitioned phase, else, in O(1), one more repeat
+// of the site's latest entry when that is the same wgEntAff, or a new one.
 func (m *wmach) recAffine(set []int32, id, off, step int32) {
 	if id < 0 {
 		return
 	}
 	if !m.uniform {
 		for _, t := range set {
-			m.recAcc(t, id, off+step*t)
+			m.logLane(t, id, off+step*t, 0, 1)
 		}
 		return
 	}
-	if j := m.colAt[id] - 1; j >= 0 {
-		if c := &m.cols[j]; c.run > 0 && c.at == off && c.step == step && c.run < math.MaxInt32 {
+	l := m.logs[id]
+	if j := len(l) - 1; j >= 0 {
+		if c := &l[j]; c.lane == wgEntAff && c.at == off && c.step == step {
 			c.run++
 			return
 		}
 	}
-	m.cols = append(m.cols, wgCol{id: id, at: off, run: 1, step: step})
-	m.colAt[id] = int32(len(m.cols))
+	m.logs[id] = append(l, wgEnt{lane: wgEntAff, at: off, step: step, run: 1})
 }
 
-// colFor appends a new access column for one dynamic global access of
-// memID id by the whole group of a uniform phase (m.full) and returns its
-// n-offset slice; nil for any other set, and for an untracked site. Caller
-// fills col[t] for every item before taking any further column (growing the
-// log can reallocate it and orphan the subslice).
-func (m *wmach) colFor(id int32) []int32 {
-	if !m.full || id < 0 {
-		return nil
-	}
+// colFor returns n slots at the end of colBuf, to be filled before any more
+// are taken (growing colBuf can reallocate it and orphan the subslice).
+func (m *wmach) colFor(n int) []int32 {
 	at := len(m.colBuf)
-	m.colBuf = append(m.colBuf, make([]int32, m.n)...)
-	m.cols = append(m.cols, wgCol{id: id, at: int32(at)})
-	m.colAt[id] = int32(len(m.cols))
+	m.colBuf = append(m.colBuf, make([]int32, n)...)
 	return m.colBuf[at:]
 }
 
-// colTrap ends the log of a phase whose whole-group access, in column col
-// (nil: none), trapped at the first lane of rest: the entries go to the item
-// streams (colFlush) but for the column's offsets of rest, never accessed.
-func (m *wmach) colTrap(col, rest []int32) {
-	if col != nil {
-		m.colFlush()
-		for _, t := range rest {
-			m.rec[t] = m.rec[t][:len(m.rec[t])-1]
-		}
+// logCol logs one access of site id by the items of done, a prefix of the
+// set col was taken for, item done[i] at byte offset col[i]: one wgEntCol
+// for the whole group of a uniform phase (m.full), else an entry each.
+func (m *wmach) logCol(id int32, col, done []int32) {
+	at := len(m.colBuf) - len(col)
+	if id >= 0 && m.full && len(done) == m.n {
+		m.logs[id] = append(m.logs[id], wgEnt{lane: wgEntCol, at: int32(at), run: 1})
+		return
 	}
+	for i, t := range done {
+		m.logLane(t, id, col[i], 0, 1)
+	}
+	m.colBuf = m.colBuf[:at]
 }
 
-// clearCols empties the columnar log.
-func (m *wmach) clearCols() {
-	m.cols = m.cols[:0]
+// lastAccess is the entries of site id's latest access, which the items of
+// set made: one while the phase is uniform, one per item after.
+func (m *wmach) lastAccess(id int32, set []int32) []wgEnt {
+	l, k := m.logs[id], len(set)
+	if m.uniform {
+		k = 1
+	}
+	return l[len(l)-k:]
+}
+
+// endPhase books the phase's locality and empties the logs. The memTracker
+// keeps its state per site and resets it per phase, so each site books
+// alone: its whole-group entries column-major (bookCol), then its per-item
+// ones, which all follow them (bookLanes).
+func (m *wmach) endPhase() {
+	for id, l := range m.logs {
+		var s wgSite
+		k := 0
+		for ; k < len(l) && l[k].lane < 0; k++ {
+			m.bookCol(&s, l[k])
+		}
+		if k < len(l) {
+			m.bookLanes(&s, l[k:])
+		}
+		m.logs[id] = l[:0]
+	}
 	m.colBuf = m.colBuf[:0]
-	clear(m.colAt)
 }
 
-// colFlush transposes the columnar log into the per-item rec streams,
-// expanding lane-affine runs, and ends the phase's uniform state (the first
-// partition calls it). Because every access of the phase so far went to the
-// log, appending its entries in order reconstructs each item's stream, every
-// site's accesses in program order.
-func (m *wmach) colFlush() {
-	for _, c := range m.cols {
-		for t := range m.rec {
-			a := wgAcc{id: c.id, off: c.at + c.step*int32(t)}
-			if c.run == 0 {
-				a.off = m.colBuf[int(c.at)+t]
-			}
-			for r := int32(0); r < max(c.run, 1); r++ {
-				m.rec[t] = append(m.rec[t], a)
-			}
-		}
-	}
-	m.clearCols()
-	m.uniform = false
-}
-
-// replay drives the recorded access streams through the memTracker in the
-// interpreter's exact order: items ascending, each opening a warp slot,
-// each stream in program order. Sites the phase booked in closed form while
-// it was still uniform (wgReduce.trips) are missing from the streams, in
-// every item by the same number of occurrences, so the warp comparison stays
-// aligned; their stride state carries over from site and lastB so each site
-// keeps one state machine for the whole phase.
-func (m *wmach) replay() {
+// bookCol books whole-group entry c of site s. Every item has made the
+// site's accesses so far, so item t's k-th access is compared with its own
+// last offset and with item t-1's k-th: per item a first access, run-1 at
+// its stride, and against the item before in closed form (wgCoalesced). A
+// wgEntAff's adjacent items are at most 4 bytes apart and its repeats at
+// distance 0; on a site that is unseen or affine with the same step its
+// first access is at one distance, at - s.at, in every item, so it books in
+// O(1) and the site stays affine.
+func (m *wmach) bookCol(s *wgSite, c wgEnt) {
 	n := m.n
-	for t := 0; t < n; t++ {
-		first := t%warpSize == 0
-		m.tr.nextWI(first)
-		for id, s := range m.site {
-			if s.seen {
-				m.tr.seen[id], m.tr.last[id] = true, m.lastB[id*n+t]
-			}
-		}
-		for _, a := range m.rec[t] {
-			m.tr.access(a.id, a.off, first, m.st)
-		}
-		m.rec[t] = m.rec[t][:0]
-	}
-	clear(m.site)
-}
-
-// bookCol books log entry c into the transposed tracker. In a phase that
-// never partitioned every item records the same static access sequence, so
-// the j-th access of every stream shares one memID and one occurrence index.
-// The CPU stride stats depend only on each item's own stream (the site's
-// state), and the warp comparison of item t's access against item t-1's is
-// one of adjacent offsets of the column — so a column-major pass computes the
-// memTracker's exact totals. A lane-affine entry skips the warp comparison:
-// its adjacent lanes are 0 or 4 bytes apart, so each warp opens one
-// transaction; and each repeat of its run is n accesses at distance 0 from
-// the last (Seq) that open one transaction per warp. On a site that is unseen
-// or affine with the same step, its first repeat is n accesses at one
-// distance, at - s.at in every lane, so the entry books in O(1) and the site
-// stays affine; any other entry first writes an affine site's offsets into
-// lastB and then passes over the lanes.
-func (m *wmach) bookCol(c wgCol) {
-	n, id, s := m.n, int(c.id), &m.site[c.id]
-	run, warps := int64(c.run), int64((n+warpSize-1)/warpSize)
-	var col []int32
 	var seq, rand, warp int64
-	if run == 0 {
-		col, run, warps = m.colBuf[c.at:int(c.at)+n], 1, 0
-	}
-	if d := c.at - s.at; col == nil && (!s.seen || s.aff && s.step == c.step) {
+	if d := c.at - s.at; c.lane == wgEntAff && (!s.seen || s.aff && s.step == c.step) {
 		if seq = int64(n); !s.seen || d < -cacheLineBytes || d > cacheLineBytes {
 			seq, rand = 0, int64(n)
 		}
+		seq += (c.run - 1) * int64(n)
+		warp = c.run * int64((n+warpSize-1)/warpSize)
 		*s = wgSite{seen: true, aff: true, at: c.at, step: c.step}
 	} else {
-		lastB := m.lastB[id*n : id*n+n]
-		if s.aff {
-			for t := range lastB {
-				lastB[t] = s.at + s.step*int32(t)
+		var col, str []int32
+		if c.lane == wgEntCol {
+			col = m.colBuf[c.at:][:n]
+			if c.run > 1 {
+				str = m.colBuf[int(c.at)+n:][:n]
 			}
 		}
-		off, prevOff, seen := c.at, int32(0), s.seen
-		for t := range lastB {
+		last, seen, run := m.unAff(s), s.seen, c.run
+		var pb, ps int32
+		for t := range last {
+			b, st := c.at+c.step*int32(t), int32(0)
 			if col != nil {
-				off = col[t]
-				if d := off - prevOff; t%warpSize == 0 || d < -4 || d > 4 {
-					warp++
-				}
-				prevOff = off
+				b = col[t]
 			}
-			if d := off - lastB[t]; seen && d >= -cacheLineBytes && d <= cacheLineBytes {
-				seq++
-			} else {
-				rand++
+			if str != nil {
+				st = str[t]
 			}
-			lastB[t] = off
-			off += c.step
+			if warp += run; t%warpSize != 0 {
+				warp -= wgCoalesced(int64(b-pb)>>2, (int64(st)-int64(ps))>>2, run)
+			}
+			last[t], pb, ps = bookRun(&seq, &rand, seen, last[t], b, st, run), b, st
 		}
-		*s = wgSite{seen: true}
+		s.seen = true
 	}
-	m.st.SeqBytes += 4 * (seq + (run-1)*int64(n))
+	m.st.SeqBytes += 4 * seq
 	m.st.RandBytes += 4 * rand
-	m.st.WarpTransactions += warp + run*warps
+	m.st.WarpTransactions += warp
 }
 
-// replayCols is the transposed replay for phases that never partitioned: the
-// j-th entry of the log is the j-th access, or run of accesses, of every
-// item.
-func (m *wmach) replayCols() {
-	for _, c := range m.cols {
-		m.bookCol(c)
+// bookRun books, for the CPU rule, run accesses from byte offset b at stride
+// st by an item whose last access, if seen, was at last: the first by its
+// distance, the others by the stride's. It returns the new last offset.
+func bookRun(seq, rand *int64, seen bool, last, b, st int32, run int64) int32 {
+	if d := b - last; seen && d >= -cacheLineBytes && d <= cacheLineBytes {
+		*seq++
+	} else {
+		*rand++
 	}
-	m.clearCols()
-	// The stride state is per phase, like the memTracker's (nextWI resets it
-	// for every item at each phase boundary).
-	clear(m.site)
+	if st >= -cacheLineBytes && st <= cacheLineBytes {
+		*seq += run - 1
+	} else {
+		*rand += run - 1
+	}
+	return b + st*int32(run-1)
+}
+
+// unAff returns site s's last offsets, first writing an affine site's out.
+func (m *wmach) unAff(s *wgSite) []int32 {
+	if s.aff {
+		for t := range m.last {
+			m.last[t] = s.at + s.step*int32(t)
+		}
+		s.aff = false
+	}
+	return m.last
+}
+
+// wgLanesHook, nil but in tests, sees each site bookLanes books, and whether
+// whole-group entries came first.
+var wgLanesHook func(prefix bool)
+
+// bookLanes books the per-item entries es of site s item by item, each in
+// its order (a stable counting sort by item) and from its state after the
+// whole-group entries, which gave every item as many accesses: so its k-th
+// access here is compared with item t-1's k-th (laneWarp).
+func (m *wmach) bookLanes(s *wgSite, es []wgEnt) {
+	if wgLanesHook != nil {
+		wgLanesHook(s.seen)
+	}
+	n := m.n
+	at := sized(m.laneAt, n+1)
+	srt := grow(m.byLane, len(es))
+	m.laneAt, m.byLane = at, srt
+	for _, e := range es {
+		at[e.lane+1]++
+	}
+	for t := 1; t <= n; t++ {
+		at[t] += at[t-1]
+	}
+	for _, e := range es {
+		srt[at[e.lane]] = e
+		at[e.lane]++
+	}
+	var seq, rand, warp int64
+	var prev []wgEnt
+	lo := int32(0)
+	for t, last := range m.unAff(s) {
+		cur, seen := srt[lo:at[t]], s.seen
+		for _, e := range cur {
+			seen, last = true, bookRun(&seq, &rand, seen, last, e.at, e.step, e.run)
+		}
+		if t%warpSize == 0 {
+			prev = nil
+		}
+		warp += laneWarp(cur, prev)
+		prev, lo = cur, at[t]
+	}
+	m.st.SeqBytes += 4 * seq
+	m.st.RandBytes += 4 * rand
+	m.st.WarpTransactions += warp
+}
+
+// laneWarp counts the warp transactions item t's accesses cur open after
+// item t-1's, prev (nil for the first of a warp): its k-th opens one unless
+// prev's k-th lies within 4 bytes, counted per stretch of the two lists in
+// which neither entry changes (wgCoalesced).
+func laneWarp(cur, prev []wgEnt) (warp int64) {
+	j, ri, rj := 0, int64(0), int64(0)
+	for i := 0; i < len(cur); {
+		c := &cur[i]
+		if j == len(prev) {
+			warp += c.run - ri
+			i, ri = i+1, 0
+			continue
+		}
+		p := &prev[j]
+		k := min(c.run-ri, p.run-rj)
+		d := int64(c.at) + int64(c.step)*ri - int64(p.at) - int64(p.step)*rj
+		warp += k - wgCoalesced(d>>2, (int64(c.step)-int64(p.step))>>2, k)
+		if ri += k; ri == c.run {
+			i, ri = i+1, 0
+		}
+		if rj += k; rj == p.run {
+			j, rj = j+1, 0
+		}
+	}
+	return warp
+}
+
+// wgCoalesced counts the trips j in [0, T) on which two adjacent lanes'
+// accesses of one site coalesce: their word distance db + j*ds is at most
+// one (the tracker's |byte distance| <= 4).
+func wgCoalesced(db, ds, T int64) int64 {
+	if ds == 0 {
+		if -1 <= db && db <= 1 {
+			return T
+		}
+		return 0
+	}
+	var c int64
+	for v := int64(-1); v <= 1; v++ {
+		if q := v - db; q%ds == 0 {
+			if j := q / ds; 0 <= j && j < T {
+				c++
+			}
+		}
+	}
+	return c
 }
 
 // execWGLockstep executes one work-group on the lockstep engine, in one-lane
@@ -486,7 +529,6 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.nd, m.group = nd, group
 	m.args = args
 	m.locals = sc.localsFor(k)
-	m.tr = sc.trackerFor(k)
 	m.stat = Stats{WorkGroups: 1, WorkItems: nWI}
 	m.st = &m.stat
 	m.undo = opts.Undo
@@ -536,7 +578,7 @@ func (m *wmach) enter() {
 	m.key, m.probe = key, m.key
 	if !same {
 		for t := range n {
-			m.lid[t] = [3]int{t % lx, (t / lx) % ly, t / (lx * ly)}
+			m.lid[0][t], m.lid[1][t], m.lid[2][t] = int64(t%lx), int64((t/lx)%ly), int64(t/(lx*ly))
 			m.all[t] = int32(t)
 		}
 	}
@@ -576,16 +618,6 @@ func (m *wmach) charge(blk *wblock) bool {
 	return true
 }
 
-// endPhase books the phase's locality: the columnar log of a phase that
-// never partitioned, the per-item streams of any other.
-func (m *wmach) endPhase() {
-	if m.uniform {
-		m.replayCols()
-	} else {
-		m.replay()
-	}
-}
-
 // fail ends the group at the error in m.err, raised dispatching set s, with
 // the locality of every access the phase made before it booked (endPhase).
 func (m *wmach) fail(s *wgSet) error {
@@ -604,13 +636,11 @@ func (m *wmach) runGroup() error {
 	entry := 0
 	for {
 		m.parked, m.barrierPC = 0, -1
-		m.uniform = true
-		m.clearCols()
 		// A serial phase starts partitioned, one item per set.
+		m.uniform = !m.serial
 		width := n
 		if m.serial {
 			width = 1
-			m.colFlush()
 		}
 		for lo := 0; lo < n; lo += width {
 			s := m.takeSet(entry)
@@ -708,9 +738,7 @@ func (m *wmach) runGroup() error {
 							fall.items = append(fall.items, t)
 						}
 					}
-					if m.uniform && len(taken.items) > 0 && len(fall.items) > 0 {
-						m.colFlush()
-					}
+					m.uniform = m.uniform && (len(taken.items) == 0 || len(fall.items) == 0)
 					m.freeSet(s)
 					m.push(taken)
 					m.push(fall)

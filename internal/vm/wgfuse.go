@@ -25,11 +25,10 @@ import (
 //     only runs launches the noninterference certificate (wgcert.go) admitted,
 //     so any order that keeps each work-item's own program order leaves every
 //     buffer byte and register trajectory of an error-free run unchanged.
-//  2. Stats: every batched counter is an order-independent sum or mask. The
-//     order-sensitive locality tracker sees the same streams as per-step
-//     execution, except for the jam's own load sites in a never-partitioned
-//     phase, booked in closed form against the transposed state the replay
-//     uses, one state machine per site and phase (DESIGN.md S20).
+//  2. Stats: every batched counter is an order-independent sum or mask, and
+//     each lane's T accesses of a load's site are logged as one run, which
+//     the phase end books as the per-step loads' T accesses (DESIGN.md §12,
+//     "Locality: one access log per site").
 //  3. Scalar elision: a scratch register's bank write is dropped only when
 //     the register is dead at the block exit (wgLiveness) and the terminator
 //     does not read it (conditional terminators are rejected outright).
@@ -608,9 +607,10 @@ const wgLanes = 8
 // wgLanes, all proven first, and a pair accumulator runs a block trip-major
 // on a leaf where one fits (leaf); everything else runs per lane on wgChain,
 // over the buffers' []float32 views with the per-step path's float32
-// roundings. Locality is booked per lane in set order: while uniform in
-// closed form against the transposed tracker state, else as each lane's T
-// offsets per site in its stream, as the per-step loads would have put them.
+// roundings. A lane's T accesses of a load's site are 4*stride bytes apart:
+// while uniform each site logs one wgEntCol of the lanes' first offsets and
+// strides once every lane has run (a trap books none), else each lane logs
+// an entry per site (logLane).
 func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 	n, nl := m.n, p.nLoads
 	ib, fb := m.ib, m.fb
@@ -618,16 +618,9 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 	for li := 0; li < nl; li++ {
 		views[li] = m.views[p.loads[li].slot]
 	}
-	var seq, rnd, warp int64
-	var pbase, pstride [wgMaxLoads]int64
-	// While uniform the set is the whole group, so each load's site is seen
-	// by every lane or by none: read its flag once and set it (a trap ends
-	// the group, and the flags it leaves set are never read).
-	var seen [wgMaxLoads]bool
-	for li := 0; li < nl && m.uniform; li++ {
-		if id := p.loads[li].mem; id >= 0 {
-			seen[li], m.site[id].seen = m.site[id].seen, true
-		}
+	colAt, col := len(m.colBuf), []int32(nil)
+	if m.uniform {
+		col = m.colFor(2 * n * nl) // per load, the lanes' offsets, then their strides
 	}
 	var base, stride [wgLanes][wgMaxLoads]int64
 	var seeds [wgLanes][wgMaxTerms]float32
@@ -653,9 +646,18 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 				}
 			}
 			if failJ < T {
+				m.colBuf = m.colBuf[:colAt]
 				f := &p.loads[failLi]
 				m.err = wgLoadErr(p.kname, f, base[l][failLi]+failJ*stride[l][failLi], len(m.args[f.slot].Buf))
 				return false
+			}
+			for li := 0; li < nl; li++ {
+				b, s := int32(base[l][li]*4), int32(stride[l][li]*4)
+				if col != nil {
+					col[li*2*n+t], col[(li*2+1)*n+t] = b, s
+				} else {
+					m.logLane(int32(t), p.loads[li].mem, b, s, T)
+				}
 			}
 			for ti := 0; ti < p.nt; ti++ {
 				if sd := p.terms[ti].seed; sd >= 0 {
@@ -684,46 +686,12 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 				fb[t] = float64(wgChain(p.terms[f0:p.first[a+1]], seeds[l][f0:], &views, base[l], &stride[l], float32(fb[t]), T))
 			}
 		}
-		// Closed-form locality (DESIGN.md S20): every access succeeded, so
-		// consecutive offsets of one site differ by exactly 4*stride. The
-		// lane before is pb, ps: the block's lane l-1, or for lane 0 the last
-		// lane of the block before, copied once per block.
-		pb, ps := &pbase, &pstride
-		for l := 0; l < w; l++ {
-			t := int(set[lo+l])
-			for li := 0; li < nl; li++ {
-				id := p.loads[li].mem
-				if id < 0 {
-					continue
-				}
-				b, s := base[l][li], stride[l][li]
-				if !m.uniform {
-					for j := int64(0); j < T; j++ {
-						m.rec[t] = append(m.rec[t], wgAcc{id: id, off: int32((b + j*s) * 4)})
-					}
-					continue
-				}
-				at := int(id)*n + t
-				if d := int32(b*4) - m.lastB[at]; seen[li] && -cacheLineBytes <= d && d <= cacheLineBytes {
-					seq++
-				} else {
-					rnd++
-				}
-				if -cacheLineBytes/4 <= s && s <= cacheLineBytes/4 {
-					seq += T - 1
-				} else {
-					rnd += T - 1
-				}
-				m.lastB[at] = int32((b + (T-1)*s) * 4)
-				warp += T
-				if t%warpSize != 0 {
-					warp -= wgCoalesced(b-pb[li], s-ps[li], T)
-				}
-			}
-			pb, ps = &base[l], &stride[l]
-		}
-		pbase, pstride = base[w-1], stride[w-1]
 		lo += w
+	}
+	for li := 0; li < nl && col != nil; li++ {
+		if id := p.loads[li].mem; id >= 0 {
+			m.logs[id] = append(m.logs[id], wgEnt{lane: wgEntCol, at: int32(colAt + li*2*n), run: T})
+		}
 	}
 	for i := 0; i < p.ni; i++ {
 		step := p.imms[i] * T
@@ -738,9 +706,6 @@ func (p *wgReduce) trips(m *wmach, set []int32, T int64) bool {
 	st.ParamReadMask |= p.mask
 	st.GlobalLoads += int64(nl) * cnt
 	st.GlobalLoadBytes += 4 * int64(nl) * cnt
-	st.SeqBytes += 4 * seq
-	st.RandBytes += 4 * rnd
-	st.WarpTransactions += warp
 	return true
 }
 
@@ -880,10 +845,7 @@ func (p *wgReduce) leaf(a int, views *[wgMaxLoads][]float32, b, s *[wgLanes][wgM
 		}
 		leaf = wgLeafC
 	}
-	// Which NaN payload a multiply or add keeps depends on the operand the
-	// compiler made its destination, which a shared factor changes. A block
-	// whose accumulators' sum is not NaN met no NaN; any other reruns per lane.
-	if leaf == wgPerLane || math.IsNaN(float64(a0+a1+a2+a3+a4+a5+a6+a7)) {
+	if leaf == wgPerLane {
 		return wgPerLane
 	}
 	acc[0], acc[1], acc[2], acc[3] = float64(a0), float64(a1), float64(a2), float64(a3)
@@ -912,25 +874,4 @@ func wgChain(terms []wgRedTerm, seeds []float32, views *[wgMaxLoads][]float32, c
 		}
 	}
 	return a
-}
-
-// wgCoalesced counts the trips j in [0, T) on which two adjacent lanes'
-// accesses of one site coalesce: their word distance db + j*ds is at most
-// one (the tracker's |byte distance| <= 4).
-func wgCoalesced(db, ds, T int64) int64 {
-	if ds == 0 {
-		if -1 <= db && db <= 1 {
-			return T
-		}
-		return 0
-	}
-	var c int64
-	for v := int64(-1); v <= 1; v++ {
-		if q := v - db; q%ds == 0 {
-			if j := q / ds; 0 <= j && j < T {
-				c++
-			}
-		}
-	}
-	return c
 }

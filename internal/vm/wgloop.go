@@ -52,11 +52,11 @@ type wgLoop struct {
 	inS  []bool // by leader pc: the block belongs to the skeleton, nS blocks do
 	nS   int
 	// The loop cut for the walk (lower): chains of blocks, the head's first,
-	// the loads they hold, and the registers the walk writes: the skeleton's
-	// and red's counters, which the head's chain increments.
-	prog         []wgSBlock
-	write, loads uint64
-	red          *wgReduce
+	// and the registers the walk writes: the skeleton's and red's counters,
+	// which the head's chain increments.
+	prog  []wgSBlock
+	write uint64
+	red   *wgReduce
 }
 
 // wgSBlock is one chain, from the block at start up to the first conditional
@@ -199,7 +199,7 @@ func (lp *wgLoop) lower(k *Kernel, wg *wgProgram, head int, seen map[int]int, pc
 		b.cond, b.jz = t.condReg, t.jz
 		b.tgt, b.next = b.next, lp.lower(k, wg, head, seen, t.next)
 	}
-	lp.prog[bi], lp.defs, lp.loads = b, lp.defs|b.defs, lp.loads+uint64(b.loads)
+	lp.prog[bi], lp.defs = b, lp.defs|b.defs
 	return bi
 }
 
@@ -294,19 +294,15 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 	// The dispatcher has already charged and counted the head's first trip.
 	head := m.k.wg.blocks[lp.prog[0].start]
 	left := m.maxSteps - used + head.nInstr
-	// A partitioned phase logs a skeleton load per lane, which skip cannot
-	// extend in O(1): such a walk neither logs nor skips.
-	try, bi := m.uniform || lp.loads == 0, 0
+	bi := 0
 	for bi >= 0 {
 		b := &lp.prog[bi]
-		if try {
-			if bi == 0 {
-				left -= lp.skip(m, left)
-			} else if len(pl.ev) > 1<<14 { // a trip that runs long
-				pl.clear()
-			}
-			pl.ev = append(pl.ev, int64(bi))
+		if bi == 0 {
+			left -= lp.skip(m, set, left)
+		} else if len(pl.ev) > 1<<14 { // a trip that runs long
+			pl.clear()
 		}
+		pl.ev = append(pl.ev, int64(bi))
 		if left < b.nInstr {
 			bi = ^b.start
 			break
@@ -323,9 +319,7 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 			if in.Op != opLDI && in.Op != opLDGI {
 				x = r[in.B]
 			}
-			if try {
-				ev = append(ev, x, y)
-			}
+			ev = append(ev, x, y)
 			switch f := opTab[in.Op].fn.(type) {
 			case func(x, y int64) int64:
 				x = f(x, y)
@@ -343,9 +337,7 @@ func (lp *wgLoop) walk(m *wmach, set []int32) (trips int64, exit int, defd uint6
 			r[in.A] = x
 		}
 		x := r[b.cond]
-		if try {
-			pl.ev = append(ev, x, 0)
-		}
+		pl.ev = append(ev, x, 0)
 		if bi = b.next; (x != 0) != b.jz {
 			bi = b.tgt
 		}
@@ -412,18 +404,17 @@ func wgFlip(x1, y1, x2, y2 int64) int64 {
 }
 
 // skip is the walk's period skipping (DESIGN.md S20, "Period skipping") at
-// an arrival at the head chain with left steps of budget, in a phase that
-// has not partitioned or a loop without loads. It logs the arrival and, at
-// the 2nd, 4th, 8th and 16th since the log was cleared, looks for the
-// shortest L ≤ 8 such that the last two windows of L trips visited the same
-// chains, none with imin or imax, every compare kept its sign, every product
-// a factor and every load its index, and the registers read before written
-// moved by the same delta. Each next window then repeats the last one's
-// differences until a compare flips, so skip advances the file, the visits
-// and the loads' broadcast runs over k ≥ 2 windows at once, as far as every
-// sign and compare operand (wgFlip), one window's budget for the walk and
-// each run allow. It returns the steps they charge.
-func (lp *wgLoop) skip(m *wmach, left int64) int64 {
+// an arrival of set at the head chain with left steps of budget. It logs the
+// arrival and, at the 2nd, 4th, 8th and 16th since the log was cleared,
+// looks for the shortest L ≤ 8 such that the last two windows of L trips
+// visited the same chains, none with imin or imax, every compare kept its
+// sign, every product a factor and every load its index, and the registers
+// read before written moved by the same delta. Each next window then repeats
+// the last one's differences until a compare flips, so skip advances the
+// file, the visits and the loads' latest entries over k ≥ 2 windows at once,
+// as far as every sign and compare operand (wgFlip) and one window's budget
+// for the walk allow. It returns the steps they charge.
+func (lp *wgLoop) skip(m *wmach, set []int32, left int64) int64 {
 	pl, r, ns := &m.period, m.sfile, bits.OnesCount64(lp.write)
 	if len(pl.at) == 32 {
 		pl.clear()
@@ -446,19 +437,17 @@ func (lp *wgLoop) skip(m *wmach, left int64) int64 {
 		if !same {
 			continue
 		}
-		k, cost, loads, runs := int64(math.MaxInt64), int64(0), int64(0), int64(math.MaxInt32)
+		k, cost := int64(math.MaxInt64), int64(0)
 		for i := 0; i < len(w1) && k >= 2; {
 			c := &lp.prog[w1[i]]
-			cost, loads, i = cost+c.nInstr, loads+c.loads, i+1
+			cost, i = cost+c.nInstr, i+1
 			for j := range c.code {
 				x1, y1, x2, y2, in := w1[i], w1[i+1], w2[i], w2[i+1], &c.code[j]
 				switch op := in.Op; {
 				case op == opIMIN || op == opIMAX, op == opLDGI && y1 != y2, op == opIMUL && x1 != x2 && y1 != y2:
 					k = 0
-				case op == opLDGI && in.D >= 0 && m.cols[m.colAt[in.D]-1].at != int32(4*y2):
-					k = 0 // a later window would not only extend the site's latest run
-				case op == opLDGI && in.D >= 0:
-					runs = min(runs, math.MaxInt32-int64(m.cols[m.colAt[in.D]-1].run))
+				case op == opLDGI && in.D >= 0 && m.lastAccess(in.D, set)[0].at != int32(4*y2):
+					k = 0 // a later window would not only extend the site's latest runs
 				case op == opNOTB:
 					k = min(k, wgFlip(x1, 0, x2, 0))
 				case opILT <= op && op <= opINE:
@@ -468,7 +457,7 @@ func (lp *wgLoop) skip(m *wmach, left int64) int64 {
 			}
 			k, i = min(k, wgFlip(w1[i], w1[i+1], w2[i], w2[i+1])), i+2 // the branch
 		}
-		if k = min(k, runs/max(loads, 1), left/cost-1); k < 2 {
+		if k = min(k, left/cost-1); k < 2 {
 			continue
 		}
 		for i := 0; i < len(w2); i += 3 + 2*len(lp.prog[w2[i]].code) {
@@ -476,7 +465,10 @@ func (lp *wgLoop) skip(m *wmach, left int64) int64 {
 			m.visits[w2[i]] += k
 			for j := range c.code {
 				if in := &c.code[j]; in.Op == opLDGI && in.D >= 0 {
-					m.cols[m.colAt[in.D]-1].run += int32(k)
+					es := m.lastAccess(in.D, set)
+					for e := range es {
+						es[e].run += k
+					}
 				}
 			}
 		}

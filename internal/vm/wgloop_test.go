@@ -494,13 +494,13 @@ func TestWGLoopWalkExits(t *testing.T) {
 	}
 }
 
-// TestWGUniformLoadRuns pins the merge rule of the columnar log's broadcast
-// entries: an access extends its site's latest entry when that is a
-// broadcast of the same offset — entries of other sites in between do not
-// matter, a column or another offset of its own site ends the run — and
-// colFlush expands every run into each item's stream.
+// TestWGUniformLoadRuns pins the merge rule of a site's broadcast entries:
+// an access extends the site's latest entry when that is a broadcast of the
+// same offset — accesses of other sites in between do not matter, a column
+// or another offset of its own site ends the run — and once the phase has
+// partitioned each access logs one entry per item, in set order.
 func TestWGUniformLoadRuns(t *testing.T) {
-	m := &wmach{n: 2, uniform: true, full: true, rec: make([][]wgAcc, 2), colAt: make([]int32, 5)}
+	m := &wmach{n: 2, uniform: true, full: true, logs: make([][]wgEnt, 5)}
 	for i := 0; i < 5; i++ {
 		m.recAffine(nil, 3, 8, 0)
 	}
@@ -509,25 +509,16 @@ func TestWGUniformLoadRuns(t *testing.T) {
 	m.recAffine(nil, 3, 8, 0)
 	m.recAffine(nil, 3, 12, 0)
 	m.recAffine(nil, 3, 8, 0)
-	copy(m.colFor(4), []int32{16, 20})
+	col := m.colFor(2)
+	copy(col, []int32{16, 20})
+	m.logCol(4, col, []int32{0, 1})
 	m.recAffine(nil, 4, 0, 0)
-	want := []wgCol{{3, 8, 6, 0}, {4, 0, 1, 0}, {3, 12, 1, 0}, {3, 8, 1, 0}, {4, 0, 0, 0}, {4, 0, 1, 0}}
-	if fmt.Sprint(m.cols) != fmt.Sprint(want) {
-		t.Fatalf("log %v, want %v", m.cols, want)
-	}
-	m.colFlush()
-	for lane, offs := range [][]int32{{16}, {20}} {
-		var want []wgAcc
-		for i := 0; i < 6; i++ {
-			want = append(want, wgAcc{3, 8})
-		}
-		want = append(want, wgAcc{4, 0}, wgAcc{3, 12}, wgAcc{3, 8}, wgAcc{4, offs[0]}, wgAcc{4, 0})
-		if fmt.Sprint(m.rec[lane]) != fmt.Sprint(want) {
-			t.Errorf("item %d stream %v, want %v", lane, m.rec[lane], want)
-		}
-	}
-	if m.uniform || len(m.cols) != 0 {
-		t.Error("colFlush left the phase uniform")
+	m.uniform, m.full = false, false
+	m.recAffine([]int32{1, 0}, 3, 8, 4)
+	want := [][]wgEnt{3: {{wgEntAff, 8, 0, 6}, {wgEntAff, 12, 0, 1}, {wgEntAff, 8, 0, 1}, {1, 12, 0, 1}, {0, 8, 0, 1}},
+		4: {{wgEntAff, 0, 0, 1}, {wgEntCol, 0, 0, 1}, {wgEntAff, 0, 0, 1}}}
+	if fmt.Sprint(m.logs) != fmt.Sprint(want) || fmt.Sprint(m.colBuf) != "[16 20]" {
+		t.Fatalf("logs %v, columns %v; want %v, [16 20]", m.logs, m.colBuf, want)
 	}
 }
 
@@ -594,11 +585,11 @@ func TestWGLoopLowering(t *testing.T) {
 // ascending and descending, a step that does not divide the range, a <=
 // bound, a != bound hit exactly, a bound from get_global_id that grows from
 // group to group, two counters with different steps, a bound and a poll
-// index through imul by an invariant — and on loops it must not: imin in the
-// skeleton, a product of two factors that move, a register the skeleton
-// doubles, a load at an index that moves every trip, and a partitioned set
-// whose window loads (the GPU variant's poll; as written the window holds
-// no load and skips). SkippedTrips says which skipped.
+// index through imul by an invariant, a partitioned set whose window loads
+// (the GPU variant's poll, whose per-lane entries the skip extends) — and on
+// loops it must not: imin in the skeleton, a product of two factors that
+// move, a register the skeleton doubles, a load at an index that moves every
+// trip. SkippedTrips says which skipped.
 func TestWGLoopSkip(t *testing.T) {
 	const body = "acc += in[g * rs + k] * in[k];"
 	for _, c := range []struct {
@@ -620,7 +611,7 @@ func TestWGLoopSkip(t *testing.T) {
 		{"load at an index that moves", "for (int k = 0; k < 120 && ib[k] < 99; k++) { " + body + " }", [2]bool{false, false}},
 		{"one load site at two indices per trip", "for (int k = 0; k < 200; k++) {\n        for (int w = 0; w < 2 && ib[w * 20] < 99; w++) { }\n        " + body + "\n    }", [2]bool{false, false}},
 		{"a load index a register toggles", "int s = 0;\n    for (int k = 0; k < 200; k++) {\n        for (int w = 0; w < 1 && ib[s] < 99; w++) { s = 20 - s; }\n        " + body + "\n    }", [2]bool{false, false}},
-		{"partitioned set whose window loads", "if (l < 5) {\n    for (int k = 0; k < 200; k++) { " + body + " }\n    }", [2]bool{true, false}},
+		{"partitioned set whose window loads", "if (l < 5) {\n    for (int k = 0; k < 200; k++) { " + body + " }\n    }", [2]bool{true, true}},
 	} {
 		src := loopSig + "    float acc = in[g];\n    " + c.loop + "\n    out[g] = acc;\n}"
 		skipped := loopFiveWay(t, c.name, src, 1024)

@@ -14,7 +14,7 @@ import (
 // operands decoded once at build time. Order-independent counters are
 // batched: ALU op counts per block dispatch (wblock.runSteps books
 // wblock.ops), byte totals, masks and a store's write bounds per set;
-// per-offset ones (undo and tracker records) stay in the item loop, but for
+// per-offset ones (undo and locality records) stay in the item loop, but for
 // a whole group that accesses consecutive words (contig). A block is one
 // step per instruction it keeps: its instructions are forwarded first, reads
 // through in-block copies and constant dimensions as immediates (wgForward),
@@ -104,18 +104,26 @@ func (k *Kernel) buildWStep(pc int, in Instr) wstep {
 		}
 	case sigDim:
 		// A constant dimension (wgForward: B -1, IImm) costs one call per
-		// dispatch, a dimension in a register one per lane.
+		// dispatch, a dimension in a register one per lane; a local id comes
+		// from the dimension's column (wmach.lid).
 		f, imm := row.fn.(dimFn), in.IImm
 		return func(m *wmach, set []int32) bool {
-			ib, lids, ab, bb, d := m.ib, m.lid, int(a)*m.n, int(b)*m.n, imm
+			ib, ab, bb, d := m.ib, int(a)*m.n, int(b)*m.n, imm
 			v, lid := f(&m.nd, &m.group, d)
+			if b < 0 && lid && m.full {
+				col, ra := m.lid[d][:m.n], ib[ab:][:m.n]
+				for t, l := range col {
+					ra[t] = v + l
+				}
+				return true
+			}
 			for _, t := range set {
 				if b >= 0 {
 					d = ib[bb+int(t)]
 					v, lid = f(&m.nd, &m.group, d)
 				}
 				if ib[ab+int(t)] = v; lid {
-					ib[ab+int(t)] += int64(lids[t][d])
+					ib[ab+int(t)] += m.lid[d][t]
 				}
 			}
 			return true
@@ -323,8 +331,8 @@ func lanes2[S, D int64 | float64](dst []D, src []S, a, b, c int32, n int, set []
 
 // wstepLoadGlobal compiles opLDGF/opLDGI for the whole set. A whole group
 // whose lanes read consecutive words (contig) copies them in one loop and
-// logs one lane-affine entry; any other set runs lane by lane, a whole group
-// logging one column of offsets (colFor).
+// logs one lane-affine entry; any other set runs lane by lane and logs the
+// offsets it took (colFor, logCol).
 func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 	a, slot, c, memID := in.A, in.B, in.C, in.D
 	name := k.Params[slot].Name
@@ -346,11 +354,11 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 				}
 			}
 		} else {
-			col := m.colFor(memID)
+			col := m.colFor(len(set))
 			for i, t := range set {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
-					m.colTrap(col, set[i:])
+					m.logCol(memID, col, set[:i])
 					m.err = &execError{m.k.Name, pc, fmt.Sprintf("load %s: %v", name, err)}
 					return false
 				}
@@ -360,12 +368,9 @@ func (k *Kernel) wstepLoadGlobal(pc int, in Instr, isF bool) wstep {
 				} else {
 					ib[ab+int(t)] = int64(int32(bits))
 				}
-				if col != nil {
-					col[i] = off
-				} else {
-					m.recAcc(t, memID, off)
-				}
+				col[i] = off
 			}
+			m.logCol(memID, col, set)
 		}
 		st := m.st
 		st.noteGlobalRead(slot)
@@ -397,7 +402,9 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 			}
 			if isF {
 				for t, x := range fb[ab : ab+n] {
-					w[t] = float32(x)
+					if w[t] = float32(x); x != x { // a NaN: storeBits' word
+						w[t] = math.Float32frombits(storeBits(x))
+					}
 				}
 			} else {
 				for t, x := range ib[ab : ab+n] {
@@ -405,28 +412,24 @@ func (k *Kernel) wstepStoreGlobal(pc int, in Instr, isF bool) wstep {
 				}
 			}
 		} else {
-			col := m.colFor(memID)
+			col, done := m.colFor(len(set)), set
 			for i, t := range set {
 				off, err := byteOff(ib[cb+int(t)], len(buf))
 				if err != nil {
-					bad = err
-					m.colTrap(col, set[i:])
+					bad, done = err, set[:i]
 					break
 				}
 				var bits uint32
 				if isF {
-					bits = math.Float32bits(float32(fb[ab+int(t)]))
+					bits = storeBits(fb[ab+int(t)])
 				} else {
 					bits = uint32(int32(ib[ab+int(t)]))
 				}
 				m.undo.store(buf, off, bits)
 				lo, hi = min(lo, off), max(hi, off)
-				if col != nil {
-					col[i] = off
-				} else {
-					m.recAcc(t, memID, off)
-				}
+				col[i] = off
 			}
+			m.logCol(memID, col, done)
 		}
 		if hi >= 0 {
 			st.noteGlobalWrite(slot, lo)

@@ -101,7 +101,10 @@ func (a refArray) store(idx int64, v value) error {
 	}
 	var bits uint32
 	if a.elem == clc.Float {
-		bits = math.Float32bits(float32(v.f))
+		// The VM's one NaN rule: every NaN stores as the canonical quiet NaN.
+		if bits = math.Float32bits(float32(v.f)); bits&0x7fffffff > 0x7f800000 {
+			bits = 0x7fc00000
+		}
 	} else {
 		bits = uint32(int32(v.i))
 	}
