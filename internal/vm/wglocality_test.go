@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// locSig is TestWGLocalityForms' kernel: fa is read-only, fo and io are
-// written at words of the item's own (rows of 128), and sl makes a kernel
-// that stores to it run in one-lane sets.
+// locSig is TestWGLocalityForms' kernel: fa is read-only, each item writes
+// only words of fo and io that no other item touches (its own word, or its
+// row of 128), and a kernel that stores to sl runs in one-lane sets.
 const locSig = `__kernel void t(__global float* fa, __global float* fo, __global int* io, int n, int m) {
     __local float sl[48];
     int i = get_global_id(0);
