@@ -211,8 +211,11 @@ ANALYSIS_LOC_MAX = 2735
 # internal/harness writes the evaluation's one pattern once: a table is a
 # grid of strategies over benchmarks, normalised by one ratio writer. 1055
 # was the count with a cell loop of its own in each of twelve tables; 867 is
-# the count with one grid under all of them.
-HARNESS_LOC_MAX = 867
+# the count with one grid under all of them. 878 is that count with each
+# table carrying the tally of the FluidiCL runs it counted first, summed by
+# the grid in slot order (the process-wide accumulators it replaces were in
+# core and trace, which shrank by more), and the unused Runner.All gone.
+HARNESS_LOC_MAX = 878
 # internal/sched has one host program for its four strategies. 1047 was the
 # count with a host driver each for the cooperative runs, single devices,
 # static splits and SOCL; 973 is the count with one driver, one two-device
@@ -221,8 +224,10 @@ HARNESS_LOC_MAX = 867
 # cooperative runs' argument switch becoming the one generic lowering, and
 # by the dmda model's per-device loop and the SOCL scheduler's idle clocks
 # written as small indexed values. 955 is that count with the text-only
-# timeline entry point gone: `fluidibench trace` reads the recorder.
-SCHED_LOC_MAX = 955
+# timeline entry point gone: `fluidibench trace` reads the recorder. 953 is
+# that count with no fold of each run into process-wide totals: a run's
+# counters and summary travel only on its Result.
+SCHED_LOC_MAX = 953
 # internal/device simulates the devices and serves launches from sweep
 # records and built-in kernels. 1312 is the count with the plain record (an
 # unguarded kernel's launches over the whole grid, keyed on every argument),
@@ -246,7 +251,9 @@ OCL_LOC_MAX = 595
 # Options field) and for the twin's decision record (the recorder's runtime
 # track, not a second text-only Trace), and the refresh tallies booked once,
 # in Counters. 2690 is that count with the wg_cert_reject_shape key gone.
-CORE_LOC_MAX = 2690
+# 2666 is that count with no process-wide counter total: Counters are values
+# that a caller sums (Add), and no snapshot reads a global.
+CORE_LOC_MAX = 2666
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true
 # to run it, shutdown closes it to unwind it) and no per-process Done event:

@@ -154,7 +154,7 @@ func main() {
 	case "hash":
 		// Stdout stays pure "NAME HASH" lines (the CI matrix diffs them
 		// verbatim across topologies); counters go to -jsonout only.
-		e, err := measured("hash", func() error { return runHash(os.Stdout, *quick, *topology) })
+		e, err := measured("hash", func(e *wallEntry) error { return runHash(os.Stdout, *quick, *topology, e) })
 		if err != nil {
 			fatal(err)
 		}
@@ -187,8 +187,10 @@ func main() {
 // runExperiment runs and prints one experiment table with its wall trailer.
 func runExperiment(r *harness.Runner, id string, csv bool) (wallEntry, error) {
 	var t *harness.Table
-	e, err := measured(id, func() (err error) {
-		t, err = r.Run(id)
+	e, err := measured(id, func(e *wallEntry) (err error) {
+		if t, err = r.Run(id); err == nil {
+			e.ctr, e.sum = t.Counters, t.Rollup
+		}
 		return err
 	})
 	if err != nil {
@@ -201,30 +203,34 @@ func runExperiment(r *harness.Runner, id string, csv bool) (wallEntry, error) {
 }
 
 // wallEntry is one experiment's host wall-clock cost (not virtual time)
-// plus what its FluidiCL runs accumulated: the runtime and VM counters and
-// the trace-meter work distribution (virtual busy times, work-group split,
-// link traffic, compute overlap). Everything except wall_seconds is virtual
-// and therefore deterministic.
+// plus the sum of its FluidiCL runs: the runtime counters and the
+// trace-meter work distribution (virtual busy times, work-group split, link
+// traffic, compute overlap), with the VM counters of everything it ran.
+// Everything except wall_seconds is virtual and therefore deterministic.
 type wallEntry struct {
 	id      string
 	backend string // the engine BackendAuto resolved to while it ran
 	wall    float64
 	ctr     core.Counters
-	sum     trace.GlobalSummary
+	sum     trace.Rollup
 }
 
-// measured runs f and reports its wall clock plus the counter and
-// work-distribution deltas it caused.
-func measured(id string, f func() error) (wallEntry, error) {
-	ctr, sum, start := core.CounterSnapshot(), trace.GlobalSnapshot(), time.Now()
-	err := f()
-	return wallEntry{
-		id:      id,
-		backend: vm.DefaultBackend().String(),
-		wall:    time.Since(start).Seconds(),
-		ctr:     core.CounterSnapshot().Sub(ctr),
-		sum:     trace.GlobalSnapshot().Sub(sum),
-	}, err
+// measured runs f, which fills in the runs' sums, and adds the wall clock
+// and the VM counters f caused.
+func measured(id string, f func(e *wallEntry) error) (wallEntry, error) {
+	e := wallEntry{id: id}
+	vmBefore, start := vm.BackendSnapshot(), time.Now()
+	err := f(&e)
+	e.backend = vm.DefaultBackend().String()
+	e.wall = time.Since(start).Seconds()
+	e.ctr = e.ctr.Add(vmSince(vmBefore))
+	return e, err
+}
+
+// vmSince returns the VM backend activity since the snapshot before: the
+// VM's counters are process-wide, and fluidibench runs one command at a time.
+func vmSince(before vm.BackendCounters) core.Counters {
+	return core.Counters{BackendCounters: vm.BackendSnapshot()}.Sub(core.Counters{BackendCounters: before})
 }
 
 // MarshalJSON emits one flat object: id, backend and wall_seconds always,
@@ -369,12 +375,12 @@ func runDist(quick, csv bool) error {
 		Columns: []string{"Benchmark", "CPU-WGs", "GPU-WGs", "CPU-share", "CPU-busy", "GPU-busy", "link-busy", "link-wait", "H2D-KB", "D2H-KB", "overlap", "wg-fb", "wg-reject", "wg-fused", "fuse-cov", "fuse-dyn", "time-ms"},
 	}
 	for _, b := range benches {
-		before := core.CounterSnapshot()
+		before := vm.BackendSnapshot()
 		res, err := sched.RunFluidiCL(m, b.App, core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		delta := core.CounterSnapshot().Sub(before)
+		delta := vmSince(before)
 		if err := b.Verify(res.Outputs); err != nil {
 			return fmt.Errorf("%s: wrong results: %w", b.Name, err)
 		}

@@ -125,7 +125,7 @@ func TestJSONOutMatchesTopologyMatrixGolden(t *testing.T) {
 
 	defer vm.SetBackend(vm.DefaultBackend())
 	vm.SetBackend(vm.BackendWG)
-	e, err := measured("hash", func() error { return runHash(io.Discard, true, "2cpu+2gpu") })
+	e, err := measured("hash", func(e *wallEntry) error { return runHash(io.Discard, true, "2cpu+2gpu", e) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,8 @@ func outputHash(outputs map[string][]byte) string {
 // outputs, and the two runs must agree on output hash and virtual time; any
 // failure exits nonzero. Because outputs are reference-verified, the printed hashes are
 // identical across every topology — the CI matrix diffs them to prove it.
-func runHash(w io.Writer, quick bool, topoSpec string) error {
+// It adds every run's counters and summary to e, in run order.
+func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
 	if topoSpec == "" {
 		topoSpec = "cpu+gpu"
 	}
@@ -63,6 +64,10 @@ func runHash(w io.Writer, quick bool, topoSpec string) error {
 		again, err := sched.RunTopology(topo, b.App, core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s on %s (rerun): %w", b.Name, topoSpec, err)
+		}
+		for _, res := range []*sched.Result{first, again} {
+			e.ctr = e.ctr.Add(res.Counters)
+			e.sum.Add(res.Summary)
 		}
 		h1, h2 := outputHash(first.Outputs), outputHash(again.Outputs)
 		if h1 != h2 {

@@ -923,23 +923,22 @@ func TestOnlineProfilingProbesUseSmallAllocations(t *testing.T) {
 	}
 }
 
-// TestCounterSnapshotWGBackend checks that the whole-work-group compilation
-// counters surface through core.CounterSnapshot when a runtime executes
-// under the wg backend: a certifiable kernel counts lockstep work-groups
+// TestVMCountersWGBackend checks that the whole-work-group compilation
+// counters move in vm.BackendSnapshot when a runtime executes under the wg
+// backend: a certifiable kernel counts lockstep work-groups
 // and compiled regions, while an uncertifiable scatter kernel shows up as
 // groups run in one-lane sets. (The exact counts for rejected launches live
 // at the vm layer, where no runtime-internal merge launches can interfere.)
-func TestCounterSnapshotWGBackend(t *testing.T) {
+func TestVMCountersWGBackend(t *testing.T) {
 	defer vm.SetBackend(vm.DefaultBackend())
 	vm.SetBackend(vm.BackendWG)
 	n, m := 64, 4
-	before := CounterSnapshot()
+	before := vm.BackendSnapshot()
 	out, _, _ := runScale(t, device.XeonW3550(), device.TeslaC2070(), n, m, Options{})
 	checkScale(t, out, n, m)
-	after := CounterSnapshot()
-	d := after.Sub(before)
-	if d.WGLoopWGs == 0 {
-		t.Errorf("wg backend ran but WGLoopWGs stayed 0: %+v", d)
+	after := vm.BackendSnapshot()
+	if after.WGLoopWGs == before.WGLoopWGs {
+		t.Errorf("wg backend ran but WGLoopWGs stayed %d", after.WGLoopWGs)
 	}
 	// WGKernels/WGRegions count compilations, which the two-layer compile
 	// cache may have satisfied during earlier tests in this package — check
@@ -958,7 +957,7 @@ __kernel void scatter(__global int* idx, __global float* out, int n) {
     }
 }
 `
-	before = CounterSnapshot()
+	before = vm.BackendSnapshot()
 	env := sim.NewEnv()
 	rt := MustNew(env, device.New(env, device.XeonW3550()),
 		device.New(env, device.TeslaC2070()), Options{})
@@ -981,8 +980,7 @@ __kernel void scatter(__global int* idx, __global float* out, int n) {
 		rt.EnqueueReadBuffer(p, bufOut)
 	})
 	env.Run()
-	d = CounterSnapshot().Sub(before)
-	if d.WGFallbackWGs == 0 {
-		t.Errorf("uncertifiable scatter kernel recorded no one-lane groups: %+v", d)
+	if vm.BackendSnapshot().WGFallbackWGs == before.WGFallbackWGs {
+		t.Error("uncertifiable scatter kernel recorded no one-lane groups")
 	}
 }

@@ -1,16 +1,14 @@
 package core
 
-import (
-	"sync"
-
-	"fluidicl/internal/vm"
-)
+import "fluidicl/internal/vm"
 
 // Counters tallies the transfer and merge work a runtime elided because the
-// static kernel analyzer (package analysis) proved it unnecessary, plus —
-// in process-wide snapshots — the VM backend activity behind it. Every
-// consumer (sched.Result, fluidibench -jsonout / -dist / hash -jsonout)
-// reads this one struct; Each names the fields for emitters.
+// static kernel analyzer (package analysis) proved it unnecessary. A run's
+// Counters are a value on its sched.Result; an experiment's are the sum of
+// its runs' (harness.Table), to which fluidibench adds the VM backend
+// activity the experiment caused. Every consumer (sched.Result, fluidibench
+// -jsonout / -dist / hash -jsonout) reads this one struct; Each names the
+// fields for emitters.
 type Counters struct {
 	// UploadsSkipped counts refreshes of stale device copies of out buffers
 	// that were skipped because the kernel provably overwrites the whole
@@ -40,7 +38,8 @@ type Counters struct {
 	// twin protocol's uploads and refreshes take the same path uncounted).
 	RefreshDeltas int64
 
-	// VM backend activity (process-global; only CounterSnapshot fills it).
+	// VM backend activity: zero in a runtime's own Counters, a
+	// vm.BackendSnapshot delta in fluidibench's records.
 	vm.BackendCounters
 }
 
@@ -51,7 +50,7 @@ type counterRef struct {
 }
 
 // refs lists every counter of c in emission order. It is the single field
-// list behind Each, Sub and AccumulateGlobal.
+// list behind Each, Add and Sub.
 func (c *Counters) refs() [37]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
@@ -110,34 +109,11 @@ func (c Counters) plus(o Counters, sign int64) Counters {
 	return c
 }
 
-// Sub returns c - o, for before/after snapshots around one experiment.
+// Add returns c + o, for summing runs.
+func (c Counters) Add(o Counters) Counters { return c.plus(o, 1) }
+
+// Sub returns c - o, for before/after VM backend snapshots.
 func (c Counters) Sub(o Counters) Counters { return c.plus(o, -1) }
-
-// global accumulates the counters of completed runs across the process, so
-// harness tools can snapshot deltas around an experiment without plumbing
-// runtime handles through concurrently running table cells.
-var global struct {
-	sync.Mutex
-	c Counters
-}
-
-// AccumulateGlobal folds one finished run's counters into the process-wide
-// totals (the host driver in package sched calls it once per run).
-func AccumulateGlobal(c Counters) {
-	global.Lock()
-	global.c = global.c.plus(c, 1)
-	global.Unlock()
-}
-
-// CounterSnapshot returns the process-wide elision counters plus the VM
-// backend activity counters.
-func CounterSnapshot() Counters {
-	global.Lock()
-	c := global.c
-	global.Unlock()
-	c.BackendCounters = vm.BackendSnapshot()
-	return c
-}
 
 // Counters returns this runtime's elision counters. They are plain tallies:
 // every runtime process runs one at a time inside the cooperative engine.

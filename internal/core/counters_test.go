@@ -69,7 +69,7 @@ func TestCounterNamesPinned(t *testing.T) {
 	if d := c.Sub(c); d != (Counters{}) {
 		t.Errorf("c.Sub(c) = %+v, want zero", d)
 	}
-	sum := c.plus(c, 1)
+	sum := c.Add(c)
 	i = 0
 	sum.Each(func(name string, v int64) {
 		i++

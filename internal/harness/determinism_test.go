@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,34 +17,47 @@ import (
 	"fluidicl/internal/vm"
 )
 
-// renderWith runs one experiment with the given number of concurrent table
-// cells and returns the rendered table.
-func renderWith(t *testing.T, id string, parallel int) string {
+// runWith runs the experiments ids in order on one quick Runner with the
+// given number of concurrent table cells.
+func runWith(t *testing.T, ids []string, parallel int) []*Table {
 	t.Helper()
-	r := NewRunner()
-	r.Quick = true
+	r := quickRunner()
 	r.Parallel = parallel
-	tab, err := r.Run(id)
-	if err != nil {
-		t.Fatalf("%s (parallel=%d): %v", id, parallel, err)
+	tabs := make([]*Table, len(ids))
+	for i, id := range ids {
+		var err error
+		if tabs[i], err = r.Run(id); err != nil {
+			t.Fatalf("%s (parallel=%d): %v", id, parallel, err)
+		}
 	}
-	return tab.String()
+	return tabs
 }
 
 // TestExperimentsDeterministicAcrossWorkers is the determinism regression
-// test: every virtual-time table must render identically whether its cells
-// run one after another or on several cell workers at once.
+// test: every virtual-time table, and every experiment's tally of the
+// FluidiCL runs it counted, must come out identically, to the bit, whether
+// cells run one after another or on several cell workers at once. The
+// experiments share one Runner, as in `fluidibench all`, so a run that
+// counts in another experiment depending on the workers shows up too, and
+// fig17's tally sums 36 FluidiCL runs, so an order that follows the cells'
+// finishing shows up in its float sums.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
-	ids := []string{"fig13"}
+	ids := []string{"fig13", "fig16", "fig17"}
 	if !testing.Short() {
-		ids = []string{"fig2", "fig3", "table1", "table2", "fig13", "fig14"}
+		ids = append(append([]string{}, ExperimentIDs...), ExtraExperimentIDs...)
 	}
-	for _, id := range ids {
-		seq := renderWith(t, id, 1)
-		par := renderWith(t, id, 4)
-		if seq != par {
-			t.Errorf("%s: table differs between sequential and parallel cells\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", id, seq, par)
+	seq, par := runWith(t, ids, 1), runWith(t, ids, 4)
+	for i, id := range ids {
+		if s, p := seq[i].String(), par[i].String(); s != p {
+			t.Errorf("%s: table differs between sequential and parallel cells\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", id, s, p)
 		}
+		if seq[i].Counters != par[i].Counters || seq[i].Rollup != par[i].Rollup {
+			t.Errorf("%s: tally differs between sequential and parallel cells\n--- parallel=1 ---\n%+v\n%+v\n--- parallel=4 ---\n%+v\n%+v",
+				id, seq[i].Counters, seq[i].Rollup, par[i].Counters, par[i].Rollup)
+		}
+	}
+	if seq[slices.Index(ids, "fig13")].Rollup.Runs == 0 {
+		t.Error("fig13 counted no FluidiCL runs: the tallies compare nothing")
 	}
 }
 

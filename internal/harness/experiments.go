@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"fluidicl/internal/core"
 	"fluidicl/internal/device"
@@ -130,8 +131,10 @@ func on(m sched.Machine, s strategy) strategy {
 }
 
 // grid runs every strategy on every benchmark on the Runner's machine, one
-// cell each, and returns the results by benchmark, then strategy.
-func (r *Runner) grid(benches []*polybench.Benchmark, strats ...strategy) ([][]*sched.Result, error) {
+// cell each, and returns the results by benchmark, then strategy. It adds
+// the FluidiCL runs no table has counted yet to t's tally in slot order, not
+// in the order cells finish, so the float sums do not depend on -parallel.
+func (r *Runner) grid(t *Table, benches []*polybench.Benchmark, strats ...strategy) ([][]*sched.Result, error) {
 	rs := make([][]*sched.Result, len(benches))
 	for i := range rs {
 		rs[i] = make([]*sched.Result, len(strats))
@@ -142,7 +145,19 @@ func (r *Runner) grid(benches []*polybench.Benchmark, strats ...strategy) ([][]*
 		rs[i][k], err = strats[k](r, r.M, benches[i])
 		return err
 	})
-	return rs, err
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range slices.Concat(rs...) {
+		if res.Reports == nil { // not a FluidiCL run
+			continue
+		}
+		if _, seen := r.memo.counted.LoadOrStore(res, true); !seen {
+			t.Counters = t.Counters.Add(res.Counters)
+			t.Rollup.Add(res.Summary)
+		}
+	}
+	return rs, nil
 }
 
 // Ratio bases and GeoMean rows for addRatios.
@@ -210,7 +225,7 @@ func (r *Runner) staticCurves(t *Table, benches ...*polybench.Benchmark) (*Table
 	for pct := 0; pct <= 100; pct += 10 {
 		splits = append(splits, split(pct))
 	}
-	rs, err := r.grid(benches, splits...)
+	rs, err := r.grid(t, benches, splits...)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +252,7 @@ func (r *Runner) fclSweep(t *Table, opts []core.Options, base, geo int) (*Table,
 		strats[i] = fcl(o)
 	}
 	benches := r.benchmarks()
-	rs, err := r.grid(benches, strats...)
+	rs, err := r.grid(t, benches, strats...)
 	if err != nil {
 		return nil, err
 	}
@@ -284,11 +299,6 @@ func (r *Runner) Table1() (*Table, error) {
 	if r.Quick {
 		b = r.bench("BICG", 192)
 	}
-	rs, err := r.grid([]*polybench.Benchmark{b}, cpuOnly, gpuOnly)
-	if err != nil {
-		return nil, err
-	}
-	cpuRes, gpuRes := rs[0][0], rs[0][1]
 	t := &Table{
 		ID:    "table1",
 		Title: "Kernel running times for BICG (ms)",
@@ -296,6 +306,11 @@ func (r *Runner) Table1() (*Table, error) {
 			"Input " + b.InputDesc + ".",
 		Columns: []string{"Kernel", "CPU Only", "GPU Only", "Faster"},
 	}
+	rs, err := r.grid(t, []*polybench.Benchmark{b}, cpuOnly, gpuOnly)
+	if err != nil {
+		return nil, err
+	}
+	cpuRes, gpuRes := rs[0][0], rs[0][1]
 	for i, l := range b.App.Launches {
 		faster := "CPU"
 		if gpuRes.LaunchTimes[i] < cpuRes.LaunchTimes[i] {
@@ -332,14 +347,14 @@ func (r *Runner) Table2() (*Table, error) {
 // single device, plus the geomean and headline speedups.
 func (r *Runner) Overall() (*Table, error) {
 	benches := r.benchmarks()
-	rs, err := r.grid(benches, cpuOnly, gpuOnly, fcl(core.Options{}), oracle)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig13",
 		Title:   "Overall performance of FluidiCL (normalized to best single device)",
 		Columns: []string{"Benchmark", "CPU", "GPU", "FluidiCL", "OracleSP"},
+	}
+	rs, err := r.grid(t, benches, cpuOnly, gpuOnly, fcl(core.Options{}), oracle)
+	if err != nil {
+		return nil, err
 	}
 	t.addRatios(names(benches), rs, bestSingle, 0)
 	// Each device's time over FluidiCL's; the better device's is the smaller.
@@ -364,15 +379,15 @@ func (r *Runner) Fig14() (*Table, error) {
 		benches[i] = r.bench("SYRK", sz)
 		labels[i] = benches[i].InputDesc
 	}
-	rs, err := r.grid(benches, cpuOnly, gpuOnly, fcl(core.Options{}))
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig14",
 		Title:   "SYRK across input sizes (normalized to best single device)",
 		Note:    "Paper shape: FluidiCL beats both single devices at every size (geomean ~1.4x over the best).",
 		Columns: []string{"Input", "CPU", "GPU", "FluidiCL"},
+	}
+	rs, err := r.grid(t, benches, cpuOnly, gpuOnly, fcl(core.Options{}))
+	if err != nil {
+		return nil, err
 	}
 	t.addRatios(labels, rs, bestSingle, 0)
 	return t, nil
@@ -406,10 +421,6 @@ func (r *Runner) Table3() (*Table, error) {
 		res, err := sched.RunFluidiCLRepeat(m, vb.App, core.Options{OnlineProfiling: true}, 2)
 		return verify(vb, res, err)
 	}
-	rs, err := r.grid([]*polybench.Benchmark{r.bench("CORR", n)}, gpuOnly, cpuOnly, fcl(core.Options{}), profiled)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "table3",
 		Title: "CORR with a choice of CPU kernels (ms)",
@@ -418,6 +429,10 @@ func (r *Runner) Table3() (*Table, error) {
 			"Paper shape: FCL+Pro outperforms plain FluidiCL by using the better CPU kernel.",
 		Columns: []string{"GPU", "CPU", "FluidiCL", "FCL+Pro"},
 	}
+	rs, err := r.grid(t, []*polybench.Benchmark{r.bench("CORR", n)}, gpuOnly, cpuOnly, fcl(core.Options{}), profiled)
+	if err != nil {
+		return nil, err
+	}
 	t.AddRow(ms(rs[0][0].Time), ms(rs[0][1].Time), ms(rs[0][2].Time), ms(rs[0][3].Time))
 	return t, nil
 }
@@ -425,14 +440,14 @@ func (r *Runner) Table3() (*Table, error) {
 // Fig16 reproduces §9.4: comparison with the SOCL/StarPU schedulers.
 func (r *Runner) Fig16() (*Table, error) {
 	benches := r.benchmarks()
-	rs, err := r.grid(benches, cpuOnly, gpuOnly, soclEager, soclDmda, fcl(core.Options{}))
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig16",
 		Title:   "Comparison with SOCL (normalized to best single device)",
 		Columns: []string{"Benchmark", "CPU", "GPU", "SOCLDefault", "SOCLdmda", "FluidiCL"},
+	}
+	rs, err := r.grid(t, benches, cpuOnly, gpuOnly, soclEager, soclDmda, fcl(core.Options{}))
+	if err != nil {
+		return nil, err
 	}
 	t.addRatios(names(benches), rs, bestSingle, 2)
 	vs := ratios(rs, 4) // each strategy's time over FluidiCL's
@@ -507,20 +522,6 @@ func (r *Runner) Run(id string) (*Table, error) {
 	return nil, fmt.Errorf("harness: unknown experiment %q", id)
 }
 
-// All runs every experiment: the paper's artifacts in paper order, then the
-// extra experiments.
-func (r *Runner) All() ([]*Table, error) {
-	var out []*Table
-	for _, id := range append(append([]string{}, ExperimentIDs...), ExtraExperimentIDs...) {
-		t, err := r.Run(id)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // Ablation is not a paper artifact: it isolates FluidiCL design choices the
 // paper describes but does not plot — CPU work-group splitting (§6.3) and
 // adaptive chunk growth (§5.1) — alongside the §6.4 aborts, normalized to
@@ -556,7 +557,7 @@ func (r *Runner) Portability() (*Table, error) {
 		Columns: []string{"Machine", "CPU", "GPU", "FluidiCL"},
 	}
 	for _, mc := range machines {
-		rs, err := r.grid(r.benchmarks(), on(mc.m, cpuOnly), on(mc.m, gpuOnly), on(mc.m, fcl(core.Options{})))
+		rs, err := r.grid(t, r.benchmarks(), on(mc.m, cpuOnly), on(mc.m, gpuOnly), on(mc.m, fcl(core.Options{})))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mc.name, err)
 		}

@@ -26,6 +26,9 @@ type cellMemo struct {
 	// are not memoized, but their groups replay: a work-group's Stats and
 	// stores do not depend on the device that runs it (sched.Sweep).
 	sweeps map[*polybench.Benchmark]*sched.Sweep
+	// counted holds the FluidiCL runs some table has counted (grid): a run
+	// shared through the memo counts in the first table to claim it.
+	counted sync.Map
 }
 
 // cellKey names one simulation. The benchmark is keyed by pointer, which

@@ -3,37 +3,32 @@ package harness
 import (
 	"testing"
 
+	"fluidicl/internal/core"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
-	"fluidicl/internal/trace"
 	"fluidicl/internal/vm"
 )
 
-// simulated is the process-wide count of cooperative runs and of work-groups
-// the VM executed, whichever engine ran them.
-func simulated() (runs, wgs int64) {
+// executed is the process-wide count of work-groups the VM executed,
+// whichever engine ran them.
+func executed() int64 {
 	c := vm.BackendSnapshot()
-	return trace.GlobalSnapshot().Runs, c.WGLoopWGs + c.InterpWGs
-}
-
-// since returns what was simulated after the counts (runs0, wgs0).
-func since(runs0, wgs0 int64) (runs, wgs int64) {
-	runs, wgs = simulated()
-	return runs - runs0, wgs - wgs0
+	return c.WGLoopWGs + c.InterpWGs
 }
 
 // TestRunnerSimulatesEachCellOnce: on one Runner every distinct simulation
-// runs once, whichever experiments ask for it; a fresh Runner runs them all
-// again.
+// runs once, whichever experiments ask for it, and counts in the first
+// table that ran it; a fresh Runner runs them all again.
 func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 	r := quickRunner()
 	benches := r.benchmarks()
 
-	r0, w0 := simulated()
-	if _, err := r.Overall(); err != nil {
+	w0 := executed()
+	fig13, err := r.Overall()
+	if err != nil {
 		t.Fatal(err)
 	}
-	runs13, wgs13 := since(r0, w0)
+	runs13, wgs13 := fig13.Rollup.Runs, executed()-w0
 	if runs13 != int64(len(benches)) {
 		t.Errorf("fig13 ran %d cooperative runs, want one per benchmark (%d)", runs13, len(benches))
 	}
@@ -47,22 +42,23 @@ func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 	// cells are fig13's. Its SOCL cells are not memoized, but they launch
 	// the app's own kernels from the singles' bytes, so every group replays
 	// from the benchmark's sweep record and none executes.
-	r0, w0 = simulated()
-	if _, err := r.Fig16(); err != nil {
+	w0 = executed()
+	fig16, err := r.Fig16()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if runs, wgs := since(r0, w0); runs != 0 || wgs != 0 {
+	if runs, wgs := fig16.Rollup.Runs, executed()-w0; runs != 0 || wgs != 0 {
 		t.Errorf("fig16 after fig13: %d cooperative runs and %d work-groups, want 0 and 0", runs, wgs)
 	}
 
 	// table3's plain CORR cells are fig13's; FCL+Pro runs CorrWithVariant,
 	// which is never memoized, so it runs every time.
 	for i := 0; i < 2; i++ {
-		r0, w0 = simulated()
-		if _, err := r.Table3(); err != nil {
+		table3, err := r.Table3()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if runs, _ := since(r0, w0); runs != 1 {
+		if runs := table3.Rollup.Runs; runs != 1 {
 			t.Errorf("table3 #%d ran %d cooperative runs, want 1 (FCL+Pro)", i+1, runs)
 		}
 	}
@@ -71,11 +67,12 @@ func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 	}
 
 	fresh := quickRunner()
-	r0, w0 = simulated()
-	if _, err := fresh.Overall(); err != nil {
+	w0 = executed()
+	again, err := fresh.Overall()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if runs, wgs := since(r0, w0); runs != runs13 || wgs != wgs13 {
+	if runs, wgs := again.Rollup.Runs, executed()-w0; runs != runs13 || wgs != wgs13 {
 		t.Errorf("fig13 on a fresh Runner: %d runs, %d work-groups; want the first Runner's %d, %d", runs, wgs, runs13, wgs13)
 	}
 }
@@ -121,7 +118,7 @@ func TestRunnerMemoizesErrors(t *testing.T) {
 		if first == nil {
 			t.Fatalf("%d%% GPU: trapping kernel returned no error", gpuPct)
 		}
-		r0, w0 := simulated()
+		w0 := executed()
 		errs := make([]error, 2)
 		if err := r.cells(2, func(i int) error {
 			_, errs[i] = r.static(r.M, b, gpuPct)
@@ -134,36 +131,61 @@ func TestRunnerMemoizesErrors(t *testing.T) {
 				t.Errorf("%d%% GPU, cell %d: error %v, want the first run's %v", gpuPct, i, err, first)
 			}
 		}
-		if _, wgs := since(r0, w0); wgs != 0 {
+		if wgs := executed() - w0; wgs != 0 {
 			t.Errorf("%d%% GPU: a memoized failure executed %d work-groups", gpuPct, wgs)
 		}
 	}
 }
 
 // TestRunnerConcurrentExperiments: two experiments that share cells run at
-// once on one Runner and render as they do alone. Under the race detector
-// (make race) this is the memo's concurrency check.
+// once on one Runner and render as they do one after the other, and each
+// FluidiCL run counts in exactly one of the two tallies, whichever table
+// claims it first: none twice, none dropped. Under the race detector (make
+// race) this is the memo's concurrency check.
 func TestRunnerConcurrentExperiments(t *testing.T) {
-	alone := map[string]string{}
-	for _, id := range []string{"fig13", "fig16"} {
-		alone[id] = renderWith(t, id, 1)
+	ids := []string{"fig13", "fig16"}
+	run := func(r *Runner, workers int) []*Table {
+		tabs := make([]*Table, len(ids))
+		if err := parallelFor(workers, len(ids), func(i int) (err error) {
+			tabs[i], err = r.Run(ids[i])
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return tabs
 	}
+	seq := quickRunner()
+	seq.Parallel = 1
+	alone := run(seq, 1)
 	r := quickRunner()
 	r.Parallel = 4
-	ids := []string{"fig13", "fig16"}
-	got := make([]string, len(ids))
-	if err := parallelFor(2, len(ids), func(i int) error {
-		tab, err := r.Run(ids[i])
-		if err == nil {
-			got[i] = tab.String()
-		}
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := run(r, 2)
 	for i, id := range ids {
-		if got[i] != alone[id] {
-			t.Errorf("%s run beside %s differs from %s alone:\n%s\n--- alone ---\n%s", id, ids[1-i], id, got[i], alone[id])
+		if g, w := got[i].String(), alone[i].String(); g != w {
+			t.Errorf("%s run beside %s differs from %s alone:\n%s\n--- alone ---\n%s", id, ids[1-i], id, g, w)
 		}
 	}
+	gc, gn := counted(got)
+	wc, wn := counted(alone)
+	if gc != wc || gn != wn {
+		t.Errorf("concurrent tallies sum to %+v %v, one after the other to %+v %v", gc, gn, wc, wn)
+	}
+	if wn[0] != int64(len(seq.benchmarks())) {
+		t.Errorf("fig13 then fig16 counted %d FluidiCL runs, want one per benchmark", wn[0])
+	}
+}
+
+// counted sums the tallies of tabs: the counters, and the rollup's integer
+// fields (runs, work-groups per kind, bytes each way and refreshed).
+func counted(tabs []*Table) (core.Counters, [6]int64) {
+	var c core.Counters
+	var n [6]int64
+	for _, tab := range tabs {
+		c = c.Add(tab.Counters)
+		g := tab.Rollup
+		for i, v := range []int64{g.Runs, g.CPUWGs, g.GPUWGs, g.BytesH2D, g.BytesD2H, g.BytesRefresh} {
+			n[i] += v
+		}
+	}
+	return c, n
 }

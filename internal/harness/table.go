@@ -13,7 +13,9 @@ import (
 	"math"
 	"strings"
 
+	"fluidicl/internal/core"
 	"fluidicl/internal/sim"
+	"fluidicl/internal/trace"
 )
 
 // Table is one regenerated paper artifact.
@@ -23,6 +25,11 @@ type Table struct {
 	Note    string
 	Columns []string
 	Rows    [][]string
+
+	// Counters and Rollup sum the FluidiCL runs this table was the first of
+	// its Runner's tables to count (Runner.grid).
+	Counters core.Counters
+	Rollup   trace.Rollup
 }
 
 // AddRow appends a row.

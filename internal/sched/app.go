@@ -223,8 +223,6 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 	}
 	res.Reports = rt.Reports
 	res.Counters = rt.Counters()
-	core.AccumulateGlobal(res.Counters)
-	trace.AccumulateGlobal(res.Summary)
 	return res, nil
 }
 

@@ -39,7 +39,7 @@ func TestCorrFullyCertifiedWG(t *testing.T) {
 		t.Fatal(err)
 	}
 	setBackend(t, vm.BackendWG)
-	before := core.CounterSnapshot()
+	before := core.Counters{BackendCounters: vm.BackendSnapshot()}
 	res, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestCorrFullyCertifiedWG(t *testing.T) {
 	if err := b.Verify(res.Outputs); err != nil {
 		t.Fatal(err)
 	}
-	delta := core.CounterSnapshot().Sub(before)
+	delta := core.Counters{BackendCounters: vm.BackendSnapshot()}.Sub(before)
 	if delta.WGFallbackWGs != 0 {
 		t.Errorf("WGFallbackWGs = %d, want 0: CORR must run fully certified under the wg backend (rejects by %v: %v)",
 			delta.WGFallbackWGs, vm.WGRejectNames(), delta.WGRejects)

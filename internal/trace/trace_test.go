@@ -178,17 +178,32 @@ func TestMeterTransferDirections(t *testing.T) {
 	}
 }
 
-func TestGlobalSummaryAccumulate(t *testing.T) {
-	before := GlobalSnapshot()
+// TestRollupAdd: a Rollup sums runs by device kind, and its overlap is
+// over the kinds' busy totals, not over single devices.
+func TestRollupAdd(t *testing.T) {
 	var m Meter
 	cpu := m.AddDevice("cpu", "CPU")
-	gpu := m.AddDevice("gpu", "GPU")
+	gpu0 := m.AddDevice("gpu0", "GPU")
+	gpu1 := m.AddDevice("gpu1", "GPU")
 	m.LaunchBegin(cpu, 0)
+	m.LaunchBegin(gpu0, 0)
+	m.LaunchBegin(gpu1, 1)
+	m.LaunchEnd(gpu0, 0, 1, 2, 0, 0)
+	m.LaunchEnd(gpu1, 1, 2, 4, 0, 0) // two or more busy over [0, 2]
 	m.LaunchEnd(cpu, 0, 3, 6, 0, 0)
-	m.TransferEnd(gpu, 0, 1, 4096, true, false)
-	AccumulateGlobal(m.Summary())
-	got := GlobalSnapshot().Sub(before)
-	if got.Runs != 1 || got.CPUBusy != 3 || got.CPUWGs != 6 || got.BytesH2D != 4096 {
-		t.Fatalf("delta = %+v", got)
+	m.TransferEnd(gpu0, 0, 1, 4096, true, true)
+	var g Rollup
+	g.Add(m.Summary())
+	g.Add(m.Summary())
+	want := Rollup{Runs: 2, CPUBusy: 6, GPUBusy: 4, BothBusy: 4, CPUWGs: 12, GPUWGs: 12,
+		LinkBusy: 2, BytesH2D: 8192, BytesRefresh: 8192}
+	if g != want {
+		t.Fatalf("two runs add to %+v, want %+v", g, want)
+	}
+	if f := g.OverlapFrac(); f != 1 {
+		t.Errorf("OverlapFrac = %v, want BothBusy over the GPUs' total, 1 (a Summary's is over one GPU's, 2)", f)
+	}
+	if f := (Rollup{CPUBusy: 1, BothBusy: 1}).OverlapFrac(); f != 0 {
+		t.Errorf("OverlapFrac with an idle kind = %v, want 0", f)
 	}
 }

@@ -88,7 +88,7 @@ func (b Backend) resolve() Backend {
 
 // backendCtr tallies process-wide backend activity: how many work-groups ran
 // on each engine, and the instructions of every compiled kernel. Harness
-// tools (fluidibench -jsonout) surface these through core.CounterSnapshot.
+// tools (fluidibench -jsonout) report a BackendSnapshot delta as core.Counters.
 var backendCtr struct {
 	interpWGs   atomic.Int64
 	totalInstrs atomic.Int64

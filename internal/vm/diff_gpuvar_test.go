@@ -67,9 +67,9 @@ func diffExec(t testing.TB, label string, k *Kernel, nd NDRange, args []Arg, be 
 }
 
 // diffFiveWay holds one launch of src's kernel to the agreement described
-// at the top of the file. mkArgs must return fresh, identical arguments on
-// every call.
-func diffFiveWay(t testing.TB, label, src, name string, nd NDRange, mkArgs func() []Arg) {
+// at the top of the file and returns the reference's arguments after it ran.
+// mkArgs must return fresh, identical arguments on every call.
+func diffFiveWay(t testing.TB, label, src, name string, nd NDRange, mkArgs func() []Arg) []Arg {
 	t.Helper()
 	ki, err := clc.FindKernelInfo(src, name)
 	if err != nil {
@@ -126,6 +126,7 @@ func diffFiveWay(t testing.TB, label, src, name string, nd NDRange, mkArgs func(
 			}
 		}
 	}
+	return refArgs
 }
 
 func TestDifferentialGPUVariant(t *testing.T) {
@@ -170,7 +171,7 @@ func TestDifferentialGPUVariant(t *testing.T) {
 			leaves[i] += n
 		}
 		m := 5 + r.Intn(8) // mostly not a multiple of the unroll factor: the break path runs
-		mkArgs := reductionArgs(int64(seed)*13, m)
+		mkArgs := reductionArgs(int64(seed)*13, m, false)
 		nd := NewNDRange1D(reductionItems, local)
 		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d", seed), orig, "red", nd, mkArgs)
 		diffFiveWay(t, fmt.Sprintf("GenReduction seed %d (gpu)", seed), gpu, "red", nd,

@@ -28,24 +28,57 @@ import (
 const reductionItems = 48
 
 // reductionArgs returns the arguments of a GenReduction launch of
-// reductionItems work-items over m trips, its buffers drawn from seed.
-func reductionArgs(seed int64, m int) func() []Arg {
+// reductionItems work-items over m trips, its buffers drawn from seed (with
+// special words if special, see drawFloat).
+func reductionArgs(seed int64, m int, special bool) func() []Arg {
 	const n = reductionItems
 	return func() []Arg {
 		fr := rand.New(rand.NewSource(seed))
-		mk := func() []byte { return floatBuf(n*m, func(int) float32 { return float32(fr.Float64()*4 - 2) }) }
+		mk := func() []byte {
+			buf := make([]byte, 4*n*m)
+			for i := 0; i < n*m; i++ {
+				binary.LittleEndian.PutUint32(buf[4*i:], drawFloat(fr, -2, 4, special))
+			}
+			return buf
+		}
 		return []Arg{BufArg(make([]byte, 4*2*n)), BufArg(mk()), BufArg(mk()), IntArg(n), IntArg(int64(m)), FloatArg(1.25)}
 	}
 }
 
+// drawFloat draws a float word uniform in [lo, lo+span) or, if special, about
+// one time in eight a word no arithmetic on such inputs makes: a NaN with a
+// drawn payload and sign, an infinity of either sign, or -0.
+func drawFloat(r *rand.Rand, lo, span float64, special bool) uint32 {
+	if !special || r.Intn(8) != 0 {
+		return math.Float32bits(float32(lo + r.Float64()*span))
+	}
+	sign := uint32(r.Intn(2)) << 31
+	switch r.Intn(3) {
+	case 0:
+		return sign | 0x7f800000 | uint32(1+r.Intn(1<<23-1))
+	case 1:
+		return sign | 0x7f800000
+	}
+	return 0x80000000
+}
+
 // diffSeed runs the program GenProgram draws from seed, and the reduction
 // GenReduction draws from it, through ref, interp and wg and fails tb on any
-// disagreement.
-func diffSeed(tb testing.TB, seed int64) {
+// disagreement. It returns how many float words the reduction and the
+// program stored as the canonical NaN (0x7fc00000) that did not hold it
+// before.
+func diffSeed(tb testing.TB, seed int64) (canonNaNs int) {
 	tb.Helper()
+	// Every third seed draws special float words (drawFloat).
+	special := seed%3 == 1
 	r := rand.New(rand.NewSource(seed))
 	red, local := vmref.GenReduction(r)
-	diffFiveWay(tb, fmt.Sprintf("GenReduction seed %d", seed), red, "red", NewNDRange1D(reductionItems, local), reductionArgs(seed, 3+r.Intn(10)))
+	sums := diffFiveWay(tb, fmt.Sprintf("GenReduction seed %d", seed), red, "red", NewNDRange1D(reductionItems, local), reductionArgs(seed, 3+r.Intn(10), special))[0].Buf
+	for i := 0; i < len(sums); i += 4 {
+		if binary.LittleEndian.Uint32(sums[i:]) == 0x7fc00000 { // the sums start as zeros
+			canonNaNs++
+		}
+	}
 
 	const n = 32
 	src := vmref.GenProgram(rand.New(rand.NewSource(seed)))
@@ -71,7 +104,7 @@ func diffSeed(tb testing.TB, seed int64) {
 		}
 		r := rand.New(rand.NewSource(seed * 7))
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(fb[4*i:], math.Float32bits(float32(r.Float64()*16-8)))
+			binary.LittleEndian.PutUint32(fb[4*i:], drawFloat(r, -8, 16, special))
 			if v := uint32(int32(r.Intn(41) - 20)); !alias || i%2 == 1 {
 				binary.LittleEndian.PutUint32(ib[4*i:], v)
 			}
@@ -111,7 +144,7 @@ func diffSeed(tb testing.TB, seed int64) {
 		tb.Fatalf("seed %d: backend error disagreement: interp=%v wg=%v\n%s", seed, vmErr, wgErr, src)
 	}
 	if vmErr != nil {
-		return
+		return canonNaNs
 	}
 	if stI != stW {
 		tb.Fatalf("seed %d: Stats diverge between backends:\ninterp: %+v\nwg:     %+v\n%s",
@@ -134,6 +167,13 @@ func diffSeed(tb testing.TB, seed int64) {
 				seed, i/4, int32(vi), int32(ri), src)
 		}
 	}
+	fb0, _ := mkBufs()
+	for i := 0; i < 4*n; i += 4 {
+		if binary.LittleEndian.Uint32(fbVM[i:]) == 0x7fc00000 && binary.LittleEndian.Uint32(fb0[i:]) != 0x7fc00000 {
+			canonNaNs++
+		}
+	}
+	return canonNaNs
 }
 
 // diffSeeds is how many seeds TestDifferentialVMvsReference runs and
@@ -142,9 +182,9 @@ const diffSeeds = 50
 
 func TestDifferentialVMvsReference(t *testing.T) {
 	before, partial, skipped, leaves := BackendSnapshot(), PartialLoopBatches(), SkippedTrips(), LeafRuns()
-	priv, inLoop := 0, 0
+	priv, inLoop, canonNaNs := 0, 0, 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
-		diffSeed(t, seed)
+		canonNaNs += diffSeed(t, seed)
 		src := vmref.GenProgram(rand.New(rand.NewSource(seed)))
 		if strings.Contains(src, "float pv[4];") {
 			priv++
@@ -155,6 +195,9 @@ func TestDifferentialVMvsReference(t *testing.T) {
 	}
 	if priv == 0 || inLoop == 0 {
 		t.Errorf("%d generated seeds declared a private array, %d one in a loop body; generator drifted", priv, inLoop)
+	}
+	if canonNaNs == 0 {
+		t.Error("no generated seed stored the canonical NaN 0x7fc00000; the special inputs drifted")
 	}
 	after := BackendSnapshot()
 	if after.WGLoopWGs-after.WGFallbackWGs == before.WGLoopWGs-before.WGFallbackWGs {

@@ -35,7 +35,7 @@ import (
 // WGReject enumerates the machine-readable reasons the certificate rejects a
 // launch, whose work-groups then run in one-lane sets. Every such group
 // carries exactly one reason; the per-reason counters surface through
-// BackendSnapshot → core.CounterSnapshot → fluidibench.
+// BackendSnapshot → core.Counters → fluidibench.
 type WGReject uint8
 
 const (

@@ -55,7 +55,7 @@ func SetWGFuse(on bool) { wgFuseFlag.Store(on) }
 
 // WGFuseReject enumerates the reasons the fusion pass left a block body on
 // the per-step path. Every unfused block carries exactly one; the per-reason
-// counters surface through BackendSnapshot → core.CounterSnapshot →
+// counters surface through BackendSnapshot → core.Counters →
 // fluidibench, and the disassembly names the reason per block.
 type WGFuseReject uint8
 
