@@ -87,7 +87,8 @@ bench:
 # Alternating runs of bench/run.sh in a checkout of BASE and in the working
 # tree, N of each, SECONDS seconds each, with each pair's end-to-end metrics
 # (BENCHMARK.json's end_to_end list), their medians and the count of pairs
-# the working tree won on each (SEED=S picks the seed; default 1):
+# the working tree won on each (SEED=S picks the seed; default 1; LAYOUT=1
+# adds a layout control, BASE with one padding function, to every pair):
 # make bench-pairs BASE=HEAD~1 WORKLOAD=coop-nway N=4.
 BASE ?= HEAD
 WORKLOAD ?= coop-pair
@@ -239,7 +240,9 @@ DEVICE_LOC_MAX = 1308
 # internal/ocl is the vendor-runtime API over one device. 599 is the count
 # with built-in kernel selection: a kernel created by name from a program
 # built from passes.MergeKernelSource carries device.MergeGroup. 595 is that
-# count with no per-launch engine in LaunchOpts.
+# count with no per-launch engine in LaunchOpts; it stayed 595 when Store
+# (the handed-over whole write, shared with core's host shadow) and the
+# free-list test hook Listed came in and ZeroBytes folded into Own.
 OCL_LOC_MAX = 595
 # internal/core runs two cooperation protocols over one substrate. 2824 was
 # the count with the twin protocol's own residency beside N-way's: location
@@ -252,8 +255,10 @@ OCL_LOC_MAX = 595
 # track, not a second text-only Trace), and the refresh tallies booked once,
 # in Counters. 2690 is that count with the wg_cert_reject_shape key gone.
 # 2666 is that count with no process-wide counter total: Counters are values
-# that a caller sums (Add), and no snapshot reads a global.
-CORE_LOC_MAX = 2666
+# that a caller sums (Add), and no snapshot reads a global. 2665 is that
+# count with host writes handed over: the host shadow is an ocl.Buffer in
+# the device copies' three storage states, and the write snapshots are gone.
+CORE_LOC_MAX = 2665
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true
 # to run it, shutdown closes it to unwind it) and no per-process Done event:

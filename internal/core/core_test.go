@@ -176,7 +176,7 @@ func TestRefreshCopiesTheShadow(t *testing.T) {
 		t.Fatalf("the merge path did not run: %+v", rep)
 	}
 	out := rt.bufs[1]
-	if cpu := out.bufs[twinCPU].Bytes(); &cpu[0] == &out.host[0] {
+	if cpu := out.bufs[twinCPU].Bytes(); &cpu[0] == &out.host.Bytes()[0] {
 		t.Fatal("the CPU copy of the out buffer shares the host shadow")
 	}
 }

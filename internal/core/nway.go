@@ -65,11 +65,11 @@ func (n *nway) awaitHost(p *sim.Proc, b *Buffer) { n.r.Finish(p) }
 
 // nwayOut is the merge bookkeeping for one written buffer of one launch.
 // Instances and their interval sets are pooled on the protocol; orig comes
-// from the byte pool. Merges write directly into the buffer's host shadow
-// (diffing against orig), so there is no separate res copy to commit — on a
-// hard certificate error the shadow may hold a partial merge, but every
-// later call observes the deferred error, so the partial state is
-// unobservable.
+// from the byte pool. Merges own the buffer's host shadow and write directly
+// into it (diffing against orig unless the writes are exact), so there is no
+// separate res copy to commit — on a hard certificate error the shadow may
+// hold a partial merge, but every later call observes the deferred error, so
+// the partial state is unobservable.
 type nwayOut struct {
 	b   *Buffer
 	idx int // original parameter index
@@ -83,7 +83,7 @@ type nwayOut struct {
 	// flush; the post-join cross-check must then verify the dynamic write
 	// hull covered the whole buffer.
 	staleShip bool
-	orig      []byte // pooled pre-kernel host snapshot; merges diff against it
+	orig      []byte // pooled pre-kernel host snapshot, nil when exact
 	dirty     intervalSet
 	own       []intervalSet // per-device: runs that device's chunks changed
 }
@@ -100,8 +100,11 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 	o.b, o.idx = b, idx
 	o.exact = el.writes != nil && el.writes.MustCover && el.writes.Monotone()
 	o.staleShip = false
-	o.orig = n.r.bp.get(b.Size)
-	copy(o.orig, b.host)
+	o.orig = nil
+	if !o.exact {
+		o.orig = n.r.bp.get(b.Size)
+		b.host.ReadAt(o.orig, 0)
+	}
 	o.dirty.reset()
 	for i := range o.own {
 		o.own[i].reset()
@@ -112,8 +115,7 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 // putOut releases o's pooled resources after the post-join commit.
 func (n *nway) putOut(o *nwayOut) {
 	n.r.bp.put(o.orig)
-	o.orig = nil
-	o.b = nil
+	o.orig, o.b = nil, nil
 	if len(n.outFree) < maxPooledBufs {
 		n.outFree = append(n.outFree, o)
 	}
@@ -324,7 +326,7 @@ func (n *nway) shipChunk(l *launch, di, lo, hi int, outs []*nwayOut, stats *vm.S
 			// shadow and feed the delta-refresh planner's dirty/own sets;
 			// merge procs run one at a time in the cooperative engine, so no
 			// locking is needed and the merge order is deterministic.
-			diffMergeChunk(data, o.orig, o.b.host, off, o.exact, &o.dirty, &o.own[di])
+			diffMergeChunk(data, o.orig, o.b.host.Own(true), off, o.exact, &o.dirty, &o.own[di])
 			r.bp.put(data)
 		})
 	}

@@ -148,7 +148,7 @@ func TestPlannerZeroChunkDeviceFullDelta(t *testing.T) {
 	if devCopy == nil {
 		t.Fatal("app did not complete")
 	}
-	if !bytes.Equal(devCopy, bufB.host) {
+	if !bytes.Equal(devCopy, bufB.host.Bytes()) {
 		t.Fatal("stale device copy differs from the host shadow after the delta flush")
 	}
 }

@@ -225,7 +225,7 @@ func (r *Runtime) flushPend(b *Buffer, label string) int64 {
 	snap := r.bp.get(b.Size)
 	for di := range b.pend {
 		for _, s := range b.pend[di].spans {
-			copy(snap[s.Off:s.End], b.host[s.Off:s.End])
+			b.host.ReadAt(snap[s.Off:s.End], s.Off)
 		}
 	}
 	left := need
@@ -308,11 +308,11 @@ func (p *spanPool) put(s []ocl.Span) {
 
 // diffMergeChunk folds one shipped chunk window into the host shadow: data
 // holds the device bytes of window [off, off+len(data)), orig the pre-kernel
-// host snapshot, host the merge target (both full-buffer indexed). A word
-// differing from orig was computed by this chunk; equal words are either
-// untouched or recomputed identically elsewhere (§4.3's merge, host-rooted).
-// Changed runs are copied into host and recorded in dirty and own, feeding
-// the delta-refresh planner.
+// host snapshot (nil when exact), host the merge target (both full-buffer
+// indexed). A word differing from orig was computed by this chunk; equal
+// words are either untouched or recomputed identically elsewhere (§4.3's
+// merge, host-rooted). Changed runs are copied into host and recorded in
+// dirty and own, feeding the delta-refresh planner.
 //
 // The compare walks 8 bytes at a time and drills into 4-byte words only on
 // mismatch; the sub-word tail of a non-word-multiple window is merged

@@ -198,17 +198,17 @@ func TestDiffMergeChunkOddWindowTail(t *testing.T) {
 
 func TestDiffMergeChunkExactCopiesWithoutComparing(t *testing.T) {
 	const size = 64
-	orig := make([]byte, size)
 	host := make([]byte, size)
 	data := make([]byte, 16)
 	for i := range data {
 		data[i] = byte(i + 1)
 	}
-	// Poison one data word to equal orig: exact mode must copy it anyway and
-	// claim the whole window as dirty/owned.
-	copy(data[4:8], orig[20:24])
+	// Poison one data word to equal the host's: exact mode must copy it
+	// anyway and claim the whole window as dirty/owned, with no snapshot to
+	// compare against.
+	clear(data[4:8])
 	var dirty, own intervalSet
-	diffMergeChunk(data, orig, host, 16, true, &dirty, &own)
+	diffMergeChunk(data, nil, host, 16, true, &dirty, &own)
 	if !bytes.Equal(host[16:32], data) {
 		t.Fatal("exact merge did not copy the full window")
 	}

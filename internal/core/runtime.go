@@ -132,10 +132,8 @@ type Runtime struct {
 	fclTrk  int // RuntimeTrack's id + 1 (0 = unregistered)
 	ctr     Counters
 
-	// What Release hands back: every buffer created, and the write
-	// snapshots in-flight transfers read from.
+	// What Release hands back: the storage of every buffer created.
 	bufs     []*Buffer
-	snaps    [][]byte
 	released bool
 
 	Reports []*KernelReport
@@ -212,29 +210,31 @@ func (r *Runtime) createQueue(di int, name string) *ocl.CommandQueue {
 // ---- buffers ----
 
 // Buffer is a FluidiCL memory object: one buffer per device plus a host
-// shadow (§4.1), with its residency (§5.3, §6.2). pend[di] is the exact byte
-// set device di's copy is missing: every mutation keeps a device copy equal
-// to the host shadow outside pend[di], and a launch flushes the sets of its
-// buffers before any device runs a chunk (flushPend). The host shadow itself
-// can lag only under the twin protocol, whose merged results come home after
-// the kernel call returns (lag).
+// shadow (§4.1), with its residency (§5.3, §6.2). The host shadow is an
+// ocl.Buffer with no context, in a device copy's three storage states; the
+// code that writes it (the N-way merges, the twin's read-backs) owns it
+// first. pend[di] is the exact byte set device di's copy is missing: every
+// mutation keeps a device copy equal to the host shadow outside pend[di],
+// and a launch flushes the sets of its buffers before any device runs a
+// chunk (flushPend). The host shadow itself can lag only under the twin
+// protocol, whose merged results come home after the kernel call returns
+// (lag).
 type Buffer struct {
 	rt   *Runtime
 	Size int
 	bufs []*ocl.Buffer // per device
-	host []byte        // host shadow
+	host ocl.Buffer    // host shadow
 	pend []intervalSet // per device
 	lag  hostLag
 }
 
 // CreateBuffer creates a buffer on every device (paper §4.1: clCreateBuffer
 // is translated into buffer creation on both the CPU and the GPU). The host
-// shadow starts zero-filled — storage a released run handed back is cleared
-// on reuse — and the device copies read as zeros until first use, so all
-// start identical.
+// shadow and the device copies take no storage and read as zeros until
+// first use, so all start identical.
 func (r *Runtime) CreateBuffer(size int) *Buffer {
 	r.mustBeLive()
-	b := &Buffer{rt: r, Size: size, host: ocl.ZeroBytes(size),
+	b := &Buffer{rt: r, Size: size, host: ocl.Buffer{Size: size},
 		bufs: make([]*ocl.Buffer, len(r.ctxs)), pend: make([]intervalSet, len(r.ctxs))}
 	for di, ctx := range r.ctxs {
 		b.bufs[di] = ctx.CreateBuffer(size)
@@ -243,10 +243,10 @@ func (r *Runtime) CreateBuffer(size int) *Buffer {
 	return b
 }
 
-// Release hands the run's storage — host shadows, the device copies that own
-// their storage, write snapshots (which the others share) and the protocol's
-// pooled scratch, each backing array once — to the process-wide free
-// list the next run's buffers are drawn from (ocl.Recycle). Call it when the
+// Release hands the run's storage — the host shadows and device copies that
+// own their storage and the protocol's pooled scratch, each backing array
+// once — to the process-wide free list the next run's buffers are drawn from
+// (ocl.Recycle). A handed-over source stays its caller's. Call it when the
 // simulation has stopped and the outputs have been read (EnqueueReadBuffer
 // returns copies); it returns the storage whatever state the run ended in,
 // Reports, Counters and Err stay readable, and any later buffer or kernel
@@ -256,16 +256,15 @@ func (r *Runtime) Release() {
 		return
 	}
 	r.released = true
-	run := r.proto.drain(append(r.snaps, r.bp.free...))
+	run := r.proto.drain(r.bp.free)
 	r.bp.free = nil
 	for _, b := range r.bufs {
-		run = append(run, b.host)
-		b.host = nil
+		run = append(run, b.host.Detach())
 		for _, db := range b.bufs {
 			run = append(run, db.Detach())
 		}
 	}
-	r.bufs, r.snaps = nil, nil
+	r.bufs = nil
 	ocl.Recycle(run)
 }
 
@@ -276,26 +275,24 @@ func (r *Runtime) mustBeLive() {
 }
 
 // EnqueueWriteBuffer writes host data to every device (§4.1: every
-// clEnqueueWriteBuffer becomes one write per device). The call snapshots
-// the data and returns immediately; the in-order device queues sequence the
-// transfers before any later kernel on that device, so each device starts as
-// soon as its own copy lands (§5.5's overlap of communication with
-// execution). The snapshot stays untouched until Release, so every device
-// shares it until a kernel writes its copy, and the written range leaves
-// every pending set. The write is the newest version of the buffer, so it
-// first waits for an older one still on its way home.
+// clEnqueueWriteBuffer becomes one write per device), handing data over as
+// ocl's EnqueueWriteBuffer does: the caller must not change data until
+// Release. The host shadow and every device copy share a whole-buffer write
+// until a write makes their storage their own; a shorter one is copied. The
+// call returns at once; the in-order device queues sequence the transfers
+// before any later kernel on that device, so each device starts as soon as
+// its copy lands (§5.5's overlap of communication with execution), and the
+// written range leaves every pending set. The write is the newest version,
+// so it first waits for an older one still on its way home.
 func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	r.mustBeLive()
 	if len(data) > b.Size {
 		panic("core: write larger than buffer")
 	}
 	b.lag.await(p)
-	copy(b.host, data)
-	snap := ocl.TakeBytes(len(data))
-	copy(snap, data)
-	r.snaps = append(r.snaps, snap)
+	b.host.Store(data)
 	for di, q := range r.app {
-		q.EnqueueWriteBuffer(b.bufs[di], snap)
+		q.EnqueueWriteBuffer(b.bufs[di], data)
 		b.pend[di].subtractRange(0, len(data))
 	}
 }
@@ -306,7 +303,7 @@ func (r *Runtime) EnqueueReadBuffer(p *sim.Proc, b *Buffer) []byte {
 	r.mustBeLive()
 	r.proto.awaitHost(p, b)
 	out := make([]byte, b.Size)
-	copy(out, b.host)
+	b.host.ReadAt(out, 0)
 	return out
 }
 

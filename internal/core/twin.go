@@ -356,7 +356,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		r.tracef(kid, "CPU completed entire NDRange first; GPU results ignored")
 		for _, sc := range scratches {
 			b := sc.buf
-			p.Wait(t.cpuQ.EnqueueReadBuffer(b.bufs[twinCPU], b.host))
+			p.Wait(t.cpuQ.EnqueueReadBuffer(b.bufs[twinCPU], b.host.Own(true)))
 			b.lag.received = kid
 			b.pend[twinGPU].setAll(b.Size)
 			sc.ready.Fire()
@@ -424,7 +424,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 			dp.WaitAll(mergeEvents...)
 			for i, sc := range scratches {
 				b := sc.buf
-				dp.Wait(t.gpuDH.EnqueueReadBuffer(dhCopies[i], b.host))
+				dp.Wait(t.gpuDH.EnqueueReadBuffer(dhCopies[i], b.host.Own(true)))
 				r.tracef(kid, "device-to-host transfer of out buffer %d complete", i)
 				// Refresh the CPU device's copy so subsequent kernels can
 				// execute there too (§4.4): its whole copy is stale, and the

@@ -185,7 +185,7 @@ func runStorage(t *testing.T, ops []byte) {
 	for c := range s.bufs {
 		for i, b := range s.bufs[c] {
 			got := make([]byte, b.Size)
-			b.readAt(got, 0)
+			b.ReadAt(got, 0)
 			s.reads = append(s.reads, readCheck{"final contents", got, s.model[c][i]})
 		}
 	}

@@ -45,7 +45,8 @@ func NewContext(env *sim.Env, dev *device.Device) *Context {
 // written. Owned storage stays the same slice until a handed-over write
 // replaces it or Detach takes it: a launch bound to it sees every later
 // in-place write, as the twin GPU kernel's abort checks see status words
-// land.
+// land. A Buffer with no context is FluidiCL's host shadow (package core),
+// which host code stores to, owns and reads through the same methods.
 type Buffer struct {
 	Ctx   *Context
 	Size  int
@@ -67,33 +68,41 @@ func (c *Context) CreateBuffer(size int) *Buffer {
 // that write's source.
 func (b *Buffer) Bytes() []byte {
 	if b.data == nil {
-		b.own(true)
+		b.Own(true)
 	}
 	return b.data
 }
 
-// own gives the buffer storage of its own before a write and returns it.
+// Store makes src the buffer's contents from offset 0, handing it over: the
+// caller must not change src until the buffer is released. A whole-buffer
+// src is installed by reference (the storage is then shared); a shorter one
+// is copied into owned storage.
+func (b *Buffer) Store(src []byte) {
+	if len(src) == b.Size {
+		b.data, b.owned = src, false
+	} else {
+		copy(b.Own(true), src)
+	}
+}
+
+// Own gives the buffer storage of its own before a write and returns it.
 // With keep, the storage holds what the buffer read as before; without, the
 // caller overwrites every byte and the contents are unspecified.
-func (b *Buffer) own(keep bool) []byte {
+func (b *Buffer) Own(keep bool) []byte {
 	if !b.owned {
-		var s []byte
-		switch {
-		case !keep:
-			s = TakeBytes(b.Size)
-		case b.data == nil:
-			s = ZeroBytes(b.Size)
-		default:
-			s = TakeBytes(b.Size)
+		s, reused := takeBytes(b.Size)
+		if keep && b.data != nil {
 			copy(s, b.data)
+		} else if keep && reused {
+			clear(s) // storage from the free list is cleared on reuse
 		}
 		b.data, b.owned = s, true
 	}
 	return b.data
 }
 
-// readAt copies the bytes at [off, off+len(dst)) into dst.
-func (b *Buffer) readAt(dst []byte, off int) {
+// ReadAt copies the bytes at [off, off+len(dst)) into dst.
+func (b *Buffer) ReadAt(dst []byte, off int) {
 	if b.data == nil {
 		clear(dst)
 		return
@@ -164,21 +173,18 @@ func Recycle(run [][]byte) {
 	free.Unlock()
 }
 
+// Listed reports whether b's backing array is on the free list (a test hook).
+func Listed(b []byte) bool {
+	free.Lock()
+	defer free.Unlock()
+	return slices.ContainsFunc(free.list, func(f []byte) bool { return &f[:1][0] == &b[:1][0] })
+}
+
 // TakeBytes returns n bytes of unspecified contents for a caller that
 // overwrites all of them: the smallest free-list slice that holds n bytes in
 // at most 2n of capacity, or else a fresh one.
 func TakeBytes(n int) []byte {
 	b, _ := takeBytes(n)
-	return b
-}
-
-// ZeroBytes returns n zero bytes; storage from the free list is cleared on
-// reuse.
-func ZeroBytes(n int) []byte {
-	b, reused := takeBytes(n)
-	if reused {
-		clear(b)
-	}
 	return b
 }
 
@@ -350,7 +356,7 @@ func FloatArg(v float64) Arg { return Arg{Kind: ArgFloat, F: v} }
 func (k *Kernel) bind(args []Arg, rp *device.Replay) []vm.Arg {
 	for i, a := range args {
 		if a.Kind == ArgBuf && (a.Buf.data == nil || (i < len(k.written) && k.written[i])) {
-			a.Buf.own(true)
+			a.Buf.Own(true)
 		}
 	}
 	out := make([]vm.Arg, len(args))
@@ -398,14 +404,8 @@ func (q *CommandQueue) EnqueueWriteBufferTagged(b *Buffer, src []byte, label str
 		panic(fmt.Sprintf("ocl: write of %d bytes into %d-byte buffer", len(src), b.Size))
 	}
 	t := &device.Transfer{
-		Bytes: len(src),
-		Apply: func() {
-			if len(src) == b.Size {
-				b.data, b.owned = src, false
-			} else {
-				copy(b.own(true), src)
-			}
-		},
+		Bytes:    len(src),
+		Apply:    func() { b.Store(src) },
 		Label:    label,
 		ToDevice: true,
 	}
@@ -431,7 +431,7 @@ func (q *CommandQueue) EnqueueWriteBufferAtTagged(b *Buffer, off int, src []byte
 	}
 	t := &device.Transfer{
 		Bytes:    len(src),
-		Apply:    func() { copy(b.own(len(src) < b.Size)[off:], src) },
+		Apply:    func() { copy(b.Own(len(src) < b.Size)[off:], src) },
 		Label:    label,
 		ToDevice: true,
 	}
@@ -468,7 +468,7 @@ func (q *CommandQueue) EnqueueWriteBufferSpansTagged(b *Buffer, spans []Span, sr
 	t := &device.Transfer{
 		Bytes: total,
 		Apply: func() {
-			data := b.own(true)
+			data := b.Own(true)
 			for _, s := range spans {
 				copy(data[s.Off:s.End], src[s.Off:s.End])
 			}
@@ -488,7 +488,7 @@ func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, dst []byte) *sim.Event {
 	}
 	t := &device.Transfer{
 		Bytes: len(dst),
-		Apply: func() { b.readAt(dst, 0) },
+		Apply: func() { b.ReadAt(dst, 0) },
 		Label: "read",
 	}
 	q.q.Enqueue(t)
@@ -509,7 +509,7 @@ func (q *CommandQueue) EnqueueReadBufferAtTagged(b *Buffer, off int, dst []byte,
 	}
 	t := &device.Transfer{
 		Bytes: len(dst),
-		Apply: func() { b.readAt(dst, off) },
+		Apply: func() { b.ReadAt(dst, off) },
 		Label: label,
 	}
 	q.q.Enqueue(t)
@@ -528,7 +528,7 @@ func (q *CommandQueue) EnqueueCopyBuffer(src, dst *Buffer) *sim.Event {
 	n := src.Size
 	c := &device.Call{
 		Duration: q.Ctx.Dev.Cfg.CopyTime(n),
-		Fn:       func() { src.readAt(dst.own(n < dst.Size)[:n], 0) },
+		Fn:       func() { src.ReadAt(dst.Own(n < dst.Size)[:n], 0) },
 		Label:    "copy",
 	}
 	q.q.Enqueue(c)

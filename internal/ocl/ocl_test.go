@@ -1,6 +1,7 @@
 package ocl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -377,7 +378,7 @@ func TestScatterWriteSpanValidation(t *testing.T) {
 
 // TestFreeListBestFitClearedAndReplaced pins the recycling contract: the
 // smallest slice that holds n bytes in at most 2n of capacity is reused,
-// zero-filled for ZeroBytes; a miss leaves the list alone unless the request
+// zero-filled for a first touch; a miss leaves the list alone unless the request
 // is larger than every slice in it, Recycle replaces it, Free adds to it;
 // requests below a page bypass it. A buffer takes its storage at first use,
 // not at CreateBuffer, and gives back only storage it owns.
@@ -396,13 +397,13 @@ func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
 	Recycle([][]byte{mid, nil, small, big})
 
 	TakeBytes(8) // too small to be served from the list, or to empty it
-	z := ZeroBytes(60 * k)
+	z := (&Buffer{Size: 60 * k}).Bytes()
 	if !same(z, small) || len(z) != 60*k {
-		t.Fatalf("ZeroBytes(60k) did not take the 64k slice (len %d)", len(z))
+		t.Fatalf("a 60k buffer's first touch did not take the 64k slice (len %d)", len(z))
 	}
 	for i, v := range z {
 		if v != 0 {
-			t.Fatalf("ZeroBytes: reused byte %d = %#x, want 0", i, v)
+			t.Fatalf("first touch: reused byte %d = %#x, want 0", i, v)
 		}
 	}
 	if s := TakeBytes(60 * k); !same(s, mid) {
@@ -517,5 +518,44 @@ __kernel void twice(__global float* in, __global float* out, int n) {
 		if f32at(b1, i) != s1[i] || f32at(b2, i) != s2[i] {
 			t.Fatalf("word %d of a handed-over source was written", i)
 		}
+	}
+}
+
+// TestStoreOwnStates drives a Buffer with no context, the form of FluidiCL's
+// host shadow, through its three storage states: none reads as zeros, a
+// whole-buffer Store shares its source, a shorter one is copied over what
+// the buffer held, Own with keep copies a shared source before anything
+// writes it, and Detach gives back only owned storage.
+func TestStoreOwnStates(t *testing.T) {
+	b := &Buffer{Size: 8}
+	read := func() []byte {
+		got := make([]byte, b.Size)
+		b.ReadAt(got, 0)
+		return got
+	}
+	if got := read(); !bytes.Equal(got, make([]byte, 8)) {
+		t.Fatalf("a buffer with no storage reads %v", got)
+	}
+	whole := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	b.Store(whole)
+	if &b.data[0] != &whole[0] || b.owned {
+		t.Fatal("a whole-buffer Store did not share its source")
+	}
+	b.Store([]byte{9, 9})
+	if got := read(); !bytes.Equal(got, []byte{9, 9, 3, 4, 5, 6, 7, 8}) || !b.owned {
+		t.Fatalf("a short Store left %v (owned %v), want it copied over the shared source", got, b.owned)
+	}
+	b.Store(whole)
+	own := b.Own(true)
+	own[0] = 7
+	if whole[0] != 1 || !bytes.Equal(read(), []byte{7, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatal("Own did not copy the shared source before the write")
+	}
+	if d := b.Detach(); &d[0] != &own[0] {
+		t.Error("Detach did not give back owned storage")
+	}
+	b.Store(whole)
+	if b.Detach() != nil {
+		t.Error("Detach gave back a handed-over source")
 	}
 }

@@ -75,8 +75,8 @@ type App struct {
 
 // zeroSlab backs the initial contents of every buffer an app gives no input
 // for. It is shared by all runs and goroutines and strictly read-only: every
-// strategy copies or snapshots what it is handed, or hands it to a device
-// buffer, which takes storage of its own before anything writes.
+// strategy hands it to a device buffer or a host shadow, which takes storage
+// of its own before anything writes, or copies it.
 var zeroSlab struct {
 	sync.Mutex
 	b []byte

@@ -1,10 +1,14 @@
 package sched_test
 
 import (
+	"crypto/sha256"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"fluidicl/internal/core"
 	"fluidicl/internal/device"
+	"fluidicl/internal/ocl"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/vm"
@@ -73,10 +77,11 @@ func TestOneDriverBothProtocols(t *testing.T) {
 
 // TestReleaseRecyclesEachArrayOnce runs the six paper apps back to back on
 // every topology shape, each run drawing the storage the one before it
-// released. A run's device copies share its input snapshots until a kernel
-// writes them, so Release must hand every backing array to ocl.Recycle once
-// — the snapshot, not the copies that shared it — or Recycle panics; and
-// each run's outputs must verify.
+// released. A run's host shadows and device copies share its handed-over
+// inputs until something writes them, so Release must hand every backing
+// array it owns to ocl.Recycle once or Recycle panics, and must hand over no
+// input: the input stays its app's, and the next run would write it. Each
+// run's outputs must verify.
 func TestReleaseRecyclesEachArrayOnce(t *testing.T) {
 	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus"} {
 		topo := device.MustParseTopology(spec)
@@ -94,7 +99,99 @@ func TestReleaseRecyclesEachArrayOnce(t *testing.T) {
 				if err := b.Verify(res.Outputs); err != nil {
 					t.Fatalf("%s on %s: %v", b.Name, spec, err)
 				}
+				for name := range b.App.Buffers {
+					if ocl.Listed(b.App.Input(name)) {
+						t.Fatalf("%s on %s: Release put input %q on the free list", b.Name, spec, name)
+					}
+				}
 			}()
+		}
+	}
+}
+
+// TestHandedOverInputsNeverWritten: every strategy hands each buffer's
+// initial contents — an app's input or a view of the shared zero slab —
+// over to the storage that reads it, so no strategy may write through one.
+// Every app runs under every strategy, the twin twice in one runtime, and
+// every buffer's initial contents must hash the same before and after.
+func TestHandedOverInputsNeverWritten(t *testing.T) {
+	m := sched.DefaultMachine()
+	strategies := []struct {
+		name string
+		run  func(app *sched.App) (*sched.Result, error)
+	}{
+		{"single-cpu", func(app *sched.App) (*sched.Result, error) { return sched.RunSingle(m.CPU, app) }},
+		{"single-gpu", func(app *sched.App) (*sched.Result, error) { return sched.RunSingle(m.GPU, app) }},
+		{"static", func(app *sched.App) (*sched.Result, error) { return sched.RunStatic(m, app, 50) }},
+		{"socl", func(app *sched.App) (*sched.Result, error) { return sched.RunSocl(m, app, sched.Eager, nil) }},
+		{"twin-repeat", func(app *sched.App) (*sched.Result, error) {
+			return sched.RunFluidiCLRepeat(m, app, core.Options{}, 2)
+		}},
+	}
+	for _, spec := range []string{"2cpu+2gpu", "4gpu-bus", "bigcpu+gt440+gpu"} {
+		topo := device.MustParseTopology(spec)
+		strategies = append(strategies, struct {
+			name string
+			run  func(app *sched.App) (*sched.Result, error)
+		}{spec, func(app *sched.App) (*sched.Result, error) { return sched.RunTopology(topo, app, core.Options{}) }})
+	}
+	hashes := func(app *sched.App) map[string][sha256.Size]byte {
+		h := map[string][sha256.Size]byte{}
+		for name := range app.Buffers {
+			h[name] = sha256.Sum256(app.Input(name))
+		}
+		return h
+	}
+	for _, b := range polybench.AllWithExtras() {
+		before := hashes(b.App)
+		for _, s := range strategies {
+			res, err := s.run(b.App)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", b.Name, s.name, err)
+			}
+			if err := b.Verify(res.Outputs); err != nil {
+				t.Fatalf("%s under %s: %v", b.Name, s.name, err)
+			}
+			if after := hashes(b.App); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s under %s wrote through a handed-over input", b.Name, s.name)
+			}
+		}
+	}
+}
+
+// TestCoopRunAllocs guards the hand-over of host writes: once a first run
+// has warmed the build and plan caches, a second GESUMMV run allocates less
+// than a quarter of its input bytes, under the twin protocol and under
+// N-way, because neither the host shadows nor the device copies of its
+// inputs copy them. The free list is emptied before the second run, so
+// storage the first run released cannot hide a copy. Not parallel:
+// TotalAlloc counts the whole process.
+func TestCoopRunAllocs(t *testing.T) {
+	b := polybench.Gesummv(768)
+	in := 0
+	for _, data := range b.App.Inputs {
+		in += len(data)
+	}
+	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu"} {
+		topo := device.MustParseTopology(spec)
+		run := func() {
+			res, err := sched.RunTopology(topo, b.App, core.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			if err := b.Verify(res.Outputs); err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+		}
+		run()
+		ocl.Recycle(nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(in/4) {
+			t.Errorf("%s: a warmed-up GESUMMV run allocated %d bytes, want < %d (a quarter of its %d input bytes)",
+				spec, got, in/4, in)
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 // TestStoresGoThroughWrittenParams pins the invariant ocl's shared device
 // storage rests on: every global store the VM compiles writes through a
 // parameter clc's access analysis marks Written. ocl lets a launch bind every
-// other buffer argument to a source other buffers share — a write snapshot
-// every device reads — so a kernel that broke it would write into that
-// snapshot. Covered: every shipped Polybench source and CPU variant, as
+// other buffer argument to a source other buffers share — a host write's
+// handed-over source, which the host shadow and every device read — so a
+// kernel that broke it would write into that source. Covered: every shipped Polybench source and CPU variant, as
 // written and as the cooperative runtimes transform them (TransformGPU,
 // TransformCPUWithSummary); the merge kernel; examples/*.cl; and 2 000
 // generated kernels.

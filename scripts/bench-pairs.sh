@@ -14,12 +14,23 @@
 # metric, the median of each side and in how many pairs the working tree's
 # was better in the direction BENCHMARK.json gives. Nothing under bench/ is
 # written but run.sh's own outputs, and nothing needs the network.
+#
+# With LAYOUT=1 each pair also runs a layout control between the two: BASE
+# again, in a second worktree whose internal/sched holds one padding
+# function that nothing on the workload's path calls. A function nothing
+# references would be dropped by the linker and move nothing, so an init
+# keeps it behind a flag that is never set; the functions the linker places
+# after internal/sched then move by 96 bytes (32 mod 64; vm and core stay
+# where they were). Each pair prints the control beside the others, and the
+# end prints, per metric, the control's median against BASE's and in how
+# many pairs it was better: a difference between BASE and the working tree
+# no larger than that is not attributable to code.
 set -euo pipefail
 if [ $# -ne 4 ]; then
 	echo "usage: $0 BASE WORKLOAD N SECONDS" >&2
 	exit 2
 fi
-base=$1 workload=$2 n=$3 seconds=$4 seed=${SEED:-1}
+base=$1 workload=$2 n=$3 seconds=$4 seed=${SEED:-1} layout=${LAYOUT:-0}
 root="$(git rev-parse --show-toplevel)"
 
 # The end-to-end metrics: one "name better" line per entry of the
@@ -42,11 +53,37 @@ fi
 tmp="$(mktemp -d)"
 cleanup() {
 	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
+	git -C "$root" worktree remove --force "$tmp/control" 2>/dev/null || true
 	git -C "$root" worktree prune
 	rm -rf "$tmp"
 }
 trap cleanup EXIT
 git -C "$root" worktree add --quiet --detach "$tmp/base" "$base"
+if [ "$layout" = 1 ]; then
+	git -C "$root" worktree add --quiet --detach "$tmp/control" "$base"
+	cat >"$tmp/control/internal/sched/zz_layout_pad.go" <<'PAD'
+package sched
+
+// layoutPadOn is never set: init keeps layoutPad in the binary, and nothing
+// calls it. It exists only to move the code the linker places after it.
+var layoutPadOn bool
+
+//go:noinline
+func layoutPad(n int) int {
+	s := 0
+	for i := 0; i < n; i++ {
+		s += i ^ n
+	}
+	return s
+}
+
+func init() {
+	if layoutPadOn {
+		layoutPad(1)
+	}
+}
+PAD
+fi
 
 # run TREE: one bench/run.sh in TREE; prints each metric of names, read at
 # full precision from the run's closing JSON line ("-" for a metric the
@@ -77,26 +114,43 @@ won() {
 	awk -v b="$1" -v c="$2" -v d="$3" 'BEGIN { exit !(b != "-" && c != "-" && (d == "higher" ? c > b : c < b)) }'
 }
 
-declare -A bv cv wins
+declare -A bv cv lv wins lwins
 for m in "${names[@]}"; do
-	bv[$m]="" cv[$m]="" wins[$m]=0
+	bv[$m]="" cv[$m]="" lv[$m]="" wins[$m]=0 lwins[$m]=0
 done
 for i in $(seq 1 "$n"); do
 	read -r -a b <<<"$(run "$tmp/base")"
+	if [ "$layout" = 1 ]; then
+		read -r -a l <<<"$(run "$tmp/control")"
+	fi
 	read -r -a c <<<"$(run "$root")"
 	echo "pair $i"
-	printf '  %-14s %-20s %-20s %7s\n' metric base change delta
+	printf '  %-14s %-20s %-20s %7s' metric base change delta
+	[ "$layout" = 1 ] && printf ' %-20s %7s' control delta
+	echo
 	for j in "${!names[@]}"; do
 		m=${names[$j]}
 		bv[$m]+="${b[$j]}"$'\n' cv[$m]+="${c[$j]}"$'\n'
 		if won "${b[$j]}" "${c[$j]}" "${better[$j]}"; then
 			wins[$m]=$((wins[$m] + 1))
 		fi
-		printf '  %-14s %-20s %-20s %7s\n' "$m" "${b[$j]}" "${c[$j]}" "$(delta "${b[$j]}" "${c[$j]}")"
+		printf '  %-14s %-20s %-20s %7s' "$m" "${b[$j]}" "${c[$j]}" "$(delta "${b[$j]}" "${c[$j]}")"
+		if [ "$layout" = 1 ]; then
+			lv[$m]+="${l[$j]}"$'\n'
+			if won "${b[$j]}" "${l[$j]}" "${better[$j]}"; then
+				lwins[$m]=$((lwins[$m] + 1))
+			fi
+			printf ' %-20s %7s' "${l[$j]}" "$(delta "${b[$j]}" "${l[$j]}")"
+		fi
+		echo
 	done
 done
 for j in "${!names[@]}"; do
 	m=${names[$j]}
 	bm="$(printf '%s' "${bv[$m]}" | median)" cm="$(printf '%s' "${cv[$m]}" | median)"
 	echo "$workload seed=$seed: median $m $bm -> $cm ($(delta "$bm" "$cm")); working tree ${better[$j]} in ${wins[$m]} of $n pairs"
+	if [ "$layout" = 1 ]; then
+		lm="$(printf '%s' "${lv[$m]}" | median)"
+		echo "$workload seed=$seed: layout control median $m $bm -> $lm ($(delta "$bm" "$lm")); control ${better[$j]} in ${lwins[$m]} of $n pairs"
+	fi
 done
