@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json build vet test race checkptr fma-check fuzz bench-smoke bench bench-pairs loc loc-check
+.PHONY: check fmt-check lint lint-json build vet test race checkptr fma-check fuzz bench-smoke bench bench-pairs traffic loc loc-check
 
 # The fast CI gate: formatting, the internal/vm, internal/analysis,
 # internal/harness, internal/sched, internal/device, internal/ocl,
@@ -84,11 +84,13 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem -benchtime=3x -run '^$$' .
 
-# Alternating runs of bench/run.sh in a checkout of BASE and in the working
-# tree, N of each, SECONDS seconds each, with each pair's end-to-end metrics
-# (BENCHMARK.json's end_to_end list), their medians and the count of pairs
-# the working tree won on each (SEED=S picks the seed; default 1; LAYOUT=1
-# adds a layout control, BASE with one padding function, to every pair):
+# Pairs of bench/run.sh runs in an export of BASE and in the working tree,
+# N of each, SECONDS seconds each, BASE first in odd pairs and the working
+# tree first in even ones, with each pair's end-to-end metrics
+# (BENCHMARK.json's end_to_end list), each side's median and quartiles and
+# the count of pairs the working tree won on each (SEED=S picks the seed;
+# default 1; LAYOUT=1 adds a layout control, BASE with one padding function,
+# run between the two of every pair):
 # make bench-pairs BASE=HEAD~1 WORKLOAD=coop-nway N=4.
 BASE ?= HEAD
 WORKLOAD ?= coop-pair
@@ -96,6 +98,13 @@ N ?= 5
 SECONDS ?= 8
 bench-pairs:
 	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N) $(SECONDS)
+
+# The program code no shipped traffic reaches: coverage-instrumented builds
+# of flbench and fluidibench run every benchmark workload for a few seconds,
+# full-scale `all` and three topologies' `-quick hash`, and the functions
+# and blocks under internal/ that never ran are printed (a few minutes).
+traffic:
+	bash scripts/traffic-cover.sh
 
 # Non-test Go lines per package under internal/ and cmd/ (internal/vmref, the
 # AST referee and the kernel generators, is test infrastructure no non-test
@@ -242,8 +251,10 @@ DEVICE_LOC_MAX = 1308
 # built from passes.MergeKernelSource carries device.MergeGroup. 595 is that
 # count with no per-launch engine in LaunchOpts; it stayed 595 when Store
 # (the handed-over whole write, shared with core's host shadow) and the
-# free-list test hook Listed came in and ZeroBytes folded into Own.
-OCL_LOC_MAX = 595
+# free-list test hook Listed came in and ZeroBytes folded into Own. 589 is
+# that count with EnqueueWriteBufferTagged folded into its one caller,
+# EnqueueWriteBuffer.
+OCL_LOC_MAX = 589
 # internal/core runs two cooperation protocols over one substrate. 2824 was
 # the count with the twin protocol's own residency beside N-way's: location
 # flags, a stale-GPU upload, a direct CPU refresh, per-ship staging buffers
@@ -258,7 +269,12 @@ OCL_LOC_MAX = 595
 # that a caller sums (Add), and no snapshot reads a global. 2665 is that
 # count with host writes handed over: the host shadow is an ocl.Buffer in
 # the device copies' three storage states, and the write snapshots are gone.
-CORE_LOC_MAX = 2665
+# 2543 is that count with the two analyzer certificates no workload reached
+# gone: the stale-output upload skip (the full-overwrite elision, settle,
+# checkFullOverwrite, the protocols' stale checks and N-way's commit-time
+# subtract) and the launch-time split un-veto (SplitsUnvetoed); the
+# intervalSet methods only tests called, subtract and bytes, left with it.
+CORE_LOC_MAX = 2543
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true
 # to run it, shutdown closes it to unwind it) and no per-process Done event:

@@ -9,8 +9,7 @@ package analysis
 // holds: access direction and slot-exactness from the refs and rejects,
 // barrier divergence from one dep bit per value, and the lints. Launch-time
 // evaluation of the refs (footprint.go) gives exact per-work-item interval
-// sets that the wg certificate, the transfer planner and the split veto
-// consume.
+// sets that the wg certificate and the transfer planner consume.
 
 import (
 	"fmt"

@@ -27,7 +27,7 @@ import (
 //  2. soundness of the disjointness verdict — when CertifyGroupDisjoint
 //     says OK, the brute-force per-item footprints really are pairwise
 //     disjoint within every group (the property the wg admission
-//     certificate and the split un-veto rely on);
+//     certificate relies on);
 //  3. exactness on the clean subclass — for unguarded kernels whose
 //     per-item footprints evaluate as exact interval sets, the verdict
 //     agrees with brute force in BOTH directions: truly disjoint footprints

@@ -10,9 +10,10 @@ import "fluidicl/internal/vm"
 // -jsonout / -dist / hash -jsonout) reads this one struct; Each names the
 // fields for emitters.
 type Counters struct {
-	// UploadsSkipped counts refreshes of stale device copies of out buffers
-	// that were skipped because the kernel provably overwrites the whole
-	// buffer.
+	// UploadsSkipped is always zero: every launch uploads the stale device
+	// copies of its buffer arguments before it runs.
+	//
+	// Deprecated: kept only for the benchmark module, which spells it.
 	UploadsSkipped int64
 	// PrimeCopiesElided counts cpuCopy scratch primes skipped because the
 	// narrowed merge window is fully covered by shipped CPU data (twin).
@@ -23,15 +24,10 @@ type Counters struct {
 	// MergeWordsElided counts 4-byte words excluded from merging by the
 	// analyzer-narrowed merge window.
 	MergeWordsElided int64
-	// SplitsUnvetoed counts launches whose work-group splitting was allowed
-	// only because the strided disjointness certificate overturned a
-	// conservative race veto.
-	SplitsUnvetoed int64
 	// RefreshBytesSkipped counts bytes the N-way delta-refresh planner did
 	// NOT rebroadcast after kernels, relative to a full per-device refresh:
 	// per out buffer and device, the buffer size minus that device's dirty
-	// delta (owner-skip plus unchanged words), plus pending deltas dropped
-	// outright under a full-overwrite certificate.
+	// delta (owner-skip plus unchanged words).
 	RefreshBytesSkipped int64
 	// RefreshDeltas counts the delta scatter-writes ("refresh" transfers)
 	// the N-way planner enqueued to bring a stale device copy current (the
@@ -51,13 +47,12 @@ type counterRef struct {
 
 // refs lists every counter of c in emission order. It is the single field
 // list behind Each, Add and Sub.
-func (c *Counters) refs() [37]counterRef {
+func (c *Counters) refs() [36]counterRef {
 	return [...]counterRef{
 		{"uploads_skipped", &c.UploadsSkipped},
 		{"prime_copies_elided", &c.PrimeCopiesElided},
 		{"ship_bytes_skipped", &c.ShipBytesSkipped},
 		{"merge_words_elided", &c.MergeWordsElided},
-		{"splits_unvetoed", &c.SplitsUnvetoed},
 		{"refresh_bytes_skipped", &c.RefreshBytesSkipped},
 		{"refresh_deltas", &c.RefreshDeltas},
 		{"interp_wgs", &c.InterpWGs},

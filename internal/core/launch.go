@@ -9,7 +9,6 @@ import (
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
-	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -28,10 +27,6 @@ type elision struct {
 	// protocol's cpuCopy scratch prime is skipped, and its merge window
 	// narrows to [loFinal*localSize, totalItems).
 	slotExact bool
-	// fullOverwrite: additionally, the launch has at least one work-item per
-	// buffer word, so the kernel overwrites the whole buffer and a stale
-	// device copy never needs refreshing before the launch.
-	fullOverwrite bool
 	// writes is the launch-level strided write footprint of a written
 	// __global buffer whose stores are fully summarized but not slot-exact
 	// (nil otherwise). Ships narrow to the hull of the chunk's group spans
@@ -47,7 +42,7 @@ type elision struct {
 func (e elision) narrowed() bool { return e.slotExact || e.writes != nil }
 
 // stridedPlanBudget bounds the footprint evaluations one launch may spend
-// on transfer planning and split certification.
+// on transfer planning.
 const stridedPlanBudget = 1 << 20
 
 // launchShape converts a full launch geometry to the analyzer's form.
@@ -75,15 +70,14 @@ func intParams(args []Arg) []int64 {
 
 // planElisions derives the per-argument elision plan for one launch from
 // the kernel's static summary. Every elision taken is re-validated against
-// the VM's dynamic access stats (checkAccessMasks, checkWindow,
-// checkFullOverwrite); a violation is a hard runtime error. Pointer
-// parameters must already be bound to buffers.
+// the VM's dynamic access stats (checkAccessMasks, checkWindow); a
+// violation is a hard runtime error. Pointer parameters must already be
+// bound to buffers.
 func planElisions(info *clc.KernelInfo, sum *analysis.KernelSummary, nd vm.NDRange, args []Arg) []elision {
 	el := make([]elision, len(args))
 	if sum == nil {
 		return el
 	}
-	items := nd.TotalGroups() * nd.WorkItemsPerGroup()
 	sh := launchShape(nd)
 	params := intParams(args)
 	for i, param := range info.Kernel.Params {
@@ -94,31 +88,24 @@ func planElisions(info *clc.KernelInfo, sum *analysis.KernelSummary, nd vm.NDRan
 		if sa == nil || sa.Space != clc.SpaceGlobal || !sa.Written {
 			continue
 		}
-		size := args[i].Buf.Size
 		if nd.Dims == 1 && sa.WriteOnly() && sa.SlotExact {
 			el[i].slotExact = true
-			el[i].fullOverwrite = 4*items >= size
 			continue
 		}
 		// Strided fallback: evaluate the launch-level write footprint from
 		// the interval-set summary. Works for any launch rank and for
-		// read-write buffers (narrowing ships and merges never changes what
-		// the kernel reads), but the refresh of a stale device copy may only
-		// be skipped for a write-only buffer whose must-writes cover every
-		// word and whose group spans ascend (see elision.writes and
-		// ArgWrites.Monotone).
+		// read-write buffers: narrowing ships and merges never changes what
+		// the kernel reads (see elision.writes).
 		if !sa.WritesComplete() {
 			continue
 		}
 		footprintEvals.Add(1)
 		aw, ok := sum.EvalArgWrites(sum.ArgIndex(param.Name), sh, params,
-			int64(size/4), stridedPlanBudget)
+			int64(args[i].Buf.Size/4), stridedPlanBudget)
 		if !ok {
 			continue
 		}
 		el[i].writes = &aw
-		el[i].fullOverwrite = sa.WriteOnly() && aw.MustCover && aw.Monotone() &&
-			size%4 == 0
 	}
 	return el
 }
@@ -189,13 +176,12 @@ func (k *Kernel) plan(nd vm.NDRange, args []Arg) []elision {
 // launch is one validated kernel enqueue, as the prologue hands it to the
 // protocol.
 type launch struct {
-	k     *Kernel
-	kid   int
-	nd    vm.NDRange
-	args  []Arg
-	el    []elision // per original parameter; shared with the plan cache, read-only
-	split bool      // CPU work-group splitting allowed for this launch
-	rep   *KernelReport
+	k    *Kernel
+	kid  int
+	nd   vm.NDRange
+	args []Arg
+	el   []elision // per original parameter; shared with the plan cache, read-only
+	rep  *KernelReport
 }
 
 // paramName names original parameter i in diagnostics.
@@ -228,18 +214,6 @@ func (r *Runtime) EnqueueNDRangeKernel(p *sim.Proc, k *Kernel, nd vm.NDRange, ar
 	// Classify buffer arguments using the compile-time access analysis and
 	// derive the analyzer-driven elision plan for this launch.
 	l.el = k.plan(nd, args)
-
-	// Launch-time split un-veto: a kernel vetoed by a conservative race
-	// finding may still split its work-groups across CPU threads when the
-	// strided certificate proves this launch's per-item footprints pairwise
-	// disjoint within every group.
-	l.split = k.splitOK
-	if !l.split && !r.opts.NoWorkGroupSplit &&
-		passes.CanSplitWithCertificate(k.Info, k.Sum, launchShape(nd), intParams(args), stridedPlanBudget) {
-		l.split = true
-		r.ctr.SplitsUnvetoed++
-		r.tracef(l.kid, "work-group splitting un-vetoed by the strided disjointness certificate")
-	}
 	return r.proto.run(p, l)
 }
 
@@ -373,22 +347,6 @@ func (l *launch) checkWindow(i int, stats *vm.Stats, lo, hi, off, end int) error
 	if int(stats.WrLo[i]) < off || int(stats.WrHi[i]) > end {
 		return fmt.Errorf("core: kernel %q: work-groups [%d,%d] wrote buffer %q outside its certified window (bytes [%d,%d) vs [%d,%d))",
 			l.k.Name, lo, hi, l.paramName(i), stats.WrLo[i], stats.WrHi[i], off, end)
-	}
-	return nil
-}
-
-// checkFullOverwrite verifies a launch that trusted a stale device copy of
-// out parameter i under a full-overwrite certificate: any unwritten byte
-// would have let stale data masquerade as computed results through the
-// diff-merge, so the dynamic write hull must cover the whole buffer.
-func (l *launch) checkFullOverwrite(i int, cov *vm.Stats) error {
-	if !tracked(i) {
-		return nil
-	}
-	size := l.args[i].Buf.Size
-	if cov.ParamWriteMask&(1<<uint(i)) == 0 || cov.WrLo[i] != 0 || int(cov.WrHi[i]) < size {
-		return fmt.Errorf("core: kernel %q: buffer %q: the full-overwrite certificate elided a refresh but the dynamic writes covered only bytes [%d,%d) of %d",
-			l.k.Name, l.paramName(i), cov.WrLo[i], cov.WrHi[i], size)
 	}
 	return nil
 }

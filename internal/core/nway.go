@@ -78,14 +78,9 @@ type nwayOut struct {
 	// tiled by its groups' must-write spans), enabling the compare-free
 	// copy fast path in diffMergeChunk.
 	exact bool
-	// staleShip: at least one device ran this kernel with a stale copy of
-	// the buffer because the full-overwrite certificate elided its delta
-	// flush; the post-join cross-check must then verify the dynamic write
-	// hull covered the whole buffer.
-	staleShip bool
-	orig      []byte // pooled pre-kernel host snapshot, nil when exact
-	dirty     intervalSet
-	own       []intervalSet // per-device: runs that device's chunks changed
+	orig  []byte // pooled pre-kernel host snapshot, nil when exact
+	dirty intervalSet
+	own   []intervalSet // per-device: runs that device's chunks changed
 }
 
 // getOut acquires pooled merge bookkeeping for one written buffer.
@@ -99,7 +94,6 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 	}
 	o.b, o.idx = b, idx
 	o.exact = el.writes != nil && el.writes.MustCover && el.writes.Monotone()
-	o.staleShip = false
 	o.orig = nil
 	if !o.exact {
 		o.orig = n.r.bp.get(b.Size)
@@ -132,23 +126,17 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	total := l.nd.TotalGroups()
 	rep.DeviceWGs = make([]int, len(r.app))
 
-	// Plan the launch's transfers: for every buffer argument, flush or skip
-	// its stale device copies (settle, the delta refresh), then set up merge
-	// bookkeeping for written buffers. The planner's tallies are this
-	// protocol's: it books the flushes and the stale bytes a full-overwrite
-	// certificate left in place.
+	// Plan the launch's transfers: for every buffer argument, flush its
+	// stale device copies (the delta refresh), then set up merge bookkeeping
+	// for written buffers. The planner's flush tally is this protocol's.
 	var outs []*nwayOut
 	for i, param := range k.Info.Kernel.Params {
 		if !param.Ty.Ptr || total == 0 {
 			continue
 		}
-		deltas, stale := r.settle(l, i, "refresh")
-		r.ctr.RefreshDeltas += deltas
-		r.ctr.RefreshBytesSkipped += stale
+		r.ctr.RefreshDeltas += r.flushPend(l.args[i].Buf, "refresh")
 		if k.Info.ParamAccess[param.Name].Written {
-			o := n.getOut(l.args[i].Buf, i, l.el[i])
-			o.staleShip = stale > 0
-			outs = append(outs, o)
+			outs = append(outs, n.getOut(l.args[i].Buf, i, l.el[i]))
 		}
 	}
 
@@ -208,7 +196,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 				n.cargs[di] = cargs
 				t0 := sp.Now()
 				ev, res := q.EnqueueNDRangeKernel(k.ks[di], l.nd.Slice(clo, chi), cargs, ocl.LaunchOpts{
-					Split: cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && l.split,
+					Split: cfg.Kind == device.CPU && !r.opts.NoWorkGroupSplit && l.k.splitOK,
 				})
 				sp.Wait(ev)
 				if res.Err != nil {
@@ -247,14 +235,9 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	rep.Subkernels = subkernels
 	rep.CPUDidAll = rep.GPUExecuted == 0
 	if firstErr == nil {
-		// The per-chunk window checks ran in shipChunk; the access masks and
-		// full-overwrite coverage are launch-level facts.
+		// The per-chunk window checks ran in shipChunk; the access masks are
+		// a launch-level fact.
 		firstErr = l.checkAccessMasks(&dyn)
-	}
-	for _, o := range outs {
-		if firstErr == nil && o.staleShip {
-			firstErr = l.checkFullOverwrite(o.idx, &dyn)
-		}
 	}
 	if firstErr != nil {
 		r.deferredErr = firstErr
@@ -269,11 +252,12 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	// set stayed empty remains version-current — its refresh is skipped
 	// entirely. The deltas themselves are flushed lazily by the next kernel
 	// that touches the buffer on that device, pipelined on its in-order
-	// queue ahead of the chunk launches (§5.5 generalized).
+	// queue ahead of the chunk launches (§5.5 generalized). The launch
+	// flushed every pending set before its first chunk, so each starts
+	// empty here.
 	for _, o := range outs {
 		b := o.b
 		for di := range b.pend {
-			b.pend[di].subtract(&o.own[di])
 			added := b.pend[di].addSetMinus(&o.dirty, &o.own[di])
 			b.pend[di].capSpans()
 			r.ctr.RefreshBytesSkipped += int64(b.Size - added)

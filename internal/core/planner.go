@@ -11,8 +11,8 @@ import (
 // residency mechanism of both protocols. Every buffer keeps, per device, the
 // byte set that device's copy is missing (Buffer.pend), and a launch brings
 // each device's copy current — with a single scatter-write of only the
-// bytes that device is missing — before that device runs a chunk of it
-// (settle, flushPend). The N-way merge (nway.go) books exactly which byte
+// bytes that device is missing — before the launch's first chunk runs
+// (flushPend). The N-way merge (nway.go) books exactly which byte
 // runs each kernel changed and which device computed them; the twin protocol
 // (twin.go) books a whole stale copy: the GPU's after the CPU computed a
 // kernel alone, the CPU's when a merged result comes home.
@@ -34,7 +34,7 @@ const maxPooledBufs = 32
 // append fast path the merge's in-order runs hit).
 type intervalSet struct {
 	spans   []ocl.Span
-	scratch []ocl.Span // spare backing array for subtract's rebuild
+	scratch []ocl.Span // spare backing array for subtractSpans' rebuild
 	one     [1]ocl.Span
 }
 
@@ -45,15 +45,6 @@ func (s *intervalSet) empty() bool { return len(s.spans) == 0 }
 func (s *intervalSet) setAll(size int) {
 	s.reset()
 	s.add(0, size)
-}
-
-// bytes returns the total byte count covered by the set.
-func (s *intervalSet) bytes() int {
-	n := 0
-	for _, sp := range s.spans {
-		n += sp.End - sp.Off
-	}
-	return n
 }
 
 // add unions the span [off, end) into the set, coalescing overlapping and
@@ -131,9 +122,6 @@ func (s *intervalSet) subtractSpans(o []ocl.Span) {
 	s.spans = out
 }
 
-// subtract removes o's bytes from s.
-func (s *intervalSet) subtract(o *intervalSet) { s.subtractSpans(o.spans) }
-
 // subtractRange removes [off, end) from s.
 func (s *intervalSet) subtractRange(off, end int) {
 	if off >= end {
@@ -178,31 +166,6 @@ func (s *intervalSet) capSpans() {
 		return
 	}
 	s.spans = append(s.spans[:0], ocl.Span{Off: s.spans[0].Off, End: s.spans[len(s.spans)-1].End})
-}
-
-// settle is a launch's flush-or-skip for buffer argument i: it flushes the
-// argument's stale device copies (flushPend, label naming the transfers),
-// unless the launch provably overwrites the whole buffer — the
-// full-overwrite certificate — in which case the stale copies stay as they
-// are: their pending bytes persist (they may be overwritten equal and stay
-// stale), and the post-join cross-check verifies that the dynamic writes
-// covered the buffer (checkFullOverwrite). It returns the flushes it
-// enqueued and the stale bytes it left.
-func (r *Runtime) settle(l *launch, i int, label string) (deltas, stale int64) {
-	b := l.args[i].Buf
-	if !l.el[i].fullOverwrite {
-		return r.flushPend(b, label), 0
-	}
-	for di := range b.pend {
-		if n := b.pend[di].bytes(); n > 0 {
-			stale += int64(n)
-			r.ctr.UploadsSkipped++
-		}
-	}
-	if stale > 0 {
-		r.tracef(l.kid, "upload of stale out buffer %q skipped (full-overwrite summary)", l.paramName(i))
-	}
-	return 0, stale
 }
 
 // flushPend brings every stale device copy of b current: each device with

@@ -69,7 +69,7 @@ func TestIntervalSetSubtract(t *testing.T) {
 	var o intervalSet
 	o.add(0, 25)   // clips the first span away entirely plus nothing of the second
 	o.add(90, 200) // clips the tail
-	s.subtract(&o)
+	s.subtractSpans(o.spans)
 	if !setEquals(&s, []ocl.Span{{Off: 30, End: 90}}) {
 		t.Fatalf("after subtract: spans = %v", spansOf(&s))
 	}
@@ -286,7 +286,7 @@ func TestMergePathZeroAllocs(t *testing.T) {
 		bp.put(data)
 		pend.reset()
 		pend.addSetMinus(&dirty, &own)
-		pend.subtract(&own)
+		pend.subtractSpans(own.spans)
 		pend.subtractRange(600, 700)
 		pend.capSpans()
 	}
@@ -315,4 +315,13 @@ func TestBytePoolReturnsSmallestAdequate(t *testing.T) {
 	if got3 := p.get(2000); cap(got3) < 2000 {
 		t.Fatalf("empty-pool get did not allocate adequately (cap %d)", cap(got3))
 	}
+}
+
+// bytes returns the total byte count covered by the set.
+func (s *intervalSet) bytes() int {
+	n := 0
+	for _, sp := range s.spans {
+		n += sp.End - sp.Off
+	}
+	return n
 }

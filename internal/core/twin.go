@@ -21,7 +21,7 @@ import (
 // Device copies are kept current by the residency both protocols share
 // (Buffer.pend, planner.go): a kernel the CPU computed alone leaves the
 // GPU's whole copy pending, which the next launch that uses the buffer
-// uploads (settle, "upload"); a merged result coming home leaves the CPU's
+// uploads (flushPend, "upload"); a merged result coming home leaves the CPU's
 // whole copy pending, which the device-to-host thread flushes at once
 // ("refresh"). What is the twin's own is the lag of the host shadow (and of
 // the CPU copy refreshed from it) behind the GPU's merged result: hostLag,
@@ -196,7 +196,6 @@ type schedOutcome struct {
 type scratchPair struct {
 	buf     *Buffer
 	idx     int        // original parameter index
-	stale   bool       // the GPU ran on a stale copy (full-overwrite certificate)
 	ready   *sim.Event // this kernel's CPU-side readiness event for buf
 	orig    *ocl.Buffer
 	cpuCopy *ocl.Buffer
@@ -226,16 +225,10 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		}
 		// GPU-side readiness: a GPU copy left stale by a kernel the CPU
 		// computed alone is uploaded first, ordered before the kernel by the
-		// in-order app queue. When the analyzer proved the kernel overwrites
-		// every word of the buffer, the stale copy never becomes visible —
-		// both devices recompute their slots from unwritten inputs — and the
-		// upload is skipped (the merge compares CPU data against the same
-		// stale bytes the scratches were primed from, so untouched words
-		// keep whatever the GPU holds and touched words take a freshly
-		// computed value from one device or the other).
-		_, stale := r.settle(l, i, "upload")
+		// in-order app queue.
+		r.flushPend(b, "upload")
 		if k.Info.ParamAccess[param.Name].Written {
-			scratches = append(scratches, scratchPair{buf: b, idx: i, stale: stale > 0})
+			scratches = append(scratches, scratchPair{buf: b, idx: i})
 		}
 	}
 
@@ -330,7 +323,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		if gpuRes.Err != nil {
 			r.deferredErr = fmt.Errorf("core: GPU execution of %q: %w", k.Name, gpuRes.Err)
 		}
-		if err := l.crossCheckTwin(scratches, outcome, gpuRes.Stats); err != nil && r.deferredErr == nil {
+		if err := l.crossCheckTwin(outcome, gpuRes.Stats); err != nil && r.deferredErr == nil {
 			r.deferredErr = err
 		}
 	})
@@ -456,10 +449,9 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 
 // crossCheckTwin validates the dynamic access stats of one completed launch
 // against the static summary its elisions relied on: the access masks, the
-// launch-level certified windows, the windows of the group suffix the CPU
-// was assigned (ship narrowing forwarded only those bytes to the merge),
-// and full coverage wherever a stale-GPU-copy upload was elided.
-func (l *launch) crossCheckTwin(scratches []scratchPair, out *schedOutcome, gpuStats vm.Stats) error {
+// launch-level certified windows and the windows of the group suffix the CPU
+// was assigned (ship narrowing forwarded only those bytes to the merge).
+func (l *launch) crossCheckTwin(out *schedOutcome, gpuStats vm.Stats) error {
 	var dyn vm.Stats
 	dyn.Add(out.stats)
 	dyn.Add(gpuStats)
@@ -481,20 +473,6 @@ func (l *launch) crossCheckTwin(scratches []scratchPair, out *schedOutcome, gpuS
 			if err := l.checkWindow(i, &out.stats, total-out.cpuWGs, total-1, off, end); err != nil {
 				return err
 			}
-		}
-	}
-	for _, sc := range scratches {
-		if !sc.stale {
-			continue
-		}
-		// CPU-only coverage when the CPU computed everything: the result is
-		// then read from the CPU buffer alone.
-		cov := &dyn
-		if out.didAll {
-			cov = &out.stats
-		}
-		if err := l.checkFullOverwrite(sc.idx, cov); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -577,9 +555,8 @@ func (t *twin) runCPUScheduler(sp *sim.Proc, l *launch, scratches []scratchPair,
 		ev, res := t.cpuQ.EnqueueNDRangeKernel(cpuVersion(k, curVar), l.nd.Slice(lo, hi), cargs, ocl.LaunchOpts{
 			// Work-group splitting needs the analyzer's blessing on top of
 			// the user knob: any barrier or a race finding makes
-			// splitting one group across threads unsafe — unless this
-			// launch's disjointness certificate overturned the race veto.
-			Split: !r.opts.NoWorkGroupSplit && l.split,
+			// splitting one group across threads unsafe.
+			Split: !r.opts.NoWorkGroupSplit && l.k.splitOK,
 		})
 		sp.Wait(ev)
 		if res.Err != nil {

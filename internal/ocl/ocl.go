@@ -394,19 +394,13 @@ func (c *Context) CreateQueue(name string) *CommandQueue {
 // a write makes the storage the buffer's own — and a shorter one is copied.
 // A caller whose source will change uses EnqueueWriteBufferAt, which copies.
 func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, src []byte) *sim.Event {
-	return q.EnqueueWriteBufferTagged(b, src, "write")
-}
-
-// EnqueueWriteBufferTagged is EnqueueWriteBuffer with a trace label naming
-// the transfer's role (FluidiCL tags its stale-copy uploads "upload").
-func (q *CommandQueue) EnqueueWriteBufferTagged(b *Buffer, src []byte, label string) *sim.Event {
 	if len(src) > b.Size {
 		panic(fmt.Sprintf("ocl: write of %d bytes into %d-byte buffer", len(src), b.Size))
 	}
 	t := &device.Transfer{
 		Bytes:    len(src),
 		Apply:    func() { b.Store(src) },
-		Label:    label,
+		Label:    "write",
 		ToDevice: true,
 	}
 	q.q.Enqueue(t)

@@ -377,20 +377,3 @@ func CanSplitWithSummary(ki *clc.KernelInfo, ks *analysis.KernelSummary) bool {
 	}
 	return ks == nil || ks.Races == 0
 }
-
-// CanSplitWithCertificate refines CanSplitWithSummary for one concrete
-// launch: the race findings that veto splitting are conservative, so a
-// launch whose strided footprints are certified pairwise disjoint within
-// every work-group (no two items of a group touch a common word, so no
-// thread assignment can change what any item reads or writes) may split
-// after all.
-func CanSplitWithCertificate(ki *clc.KernelInfo, ks *analysis.KernelSummary,
-	sh analysis.LaunchShape, params []int64, budget int64) bool {
-	if CanSplitWithSummary(ki, ks) {
-		return true
-	}
-	if !CanSplit(ki) || ks == nil {
-		return false
-	}
-	return ks.CertifyGroupDisjoint(sh, params, budget).OK
-}

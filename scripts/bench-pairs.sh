@@ -3,20 +3,23 @@
 #
 #   bash scripts/bench-pairs.sh BASE WORKLOAD N SECONDS
 #
-# BASE is any git revision. It is checked out, detached, in a git worktree
-# under a temporary directory (removed on exit); then bench/run.sh runs N
-# times in that tree and N times in the working tree, alternating, base
-# first, each for SECONDS seconds with --trace 0 and the seed in SEED
-# (default 1). Both trees build their own flbench inside their checkout, as
-# run.sh does. The metrics are the end-to-end ones BENCHMARK.json lists
-# (its "end_to_end" names, read, never written), in its order. Per pair it
-# prints each metric of both runs and its relative change; at the end, per
-# metric, the median of each side and in how many pairs the working tree's
-# was better in the direction BENCHMARK.json gives. Nothing under bench/ is
-# written but run.sh's own outputs, and nothing needs the network.
+# BASE is any git revision. Its files are exported (git archive) into a
+# temporary directory (removed on exit); then bench/run.sh runs N times in
+# that tree and N times in the working tree, each for SECONDS seconds with
+# --trace 0 and the seed in SEED (default 1). The order alternates: BASE
+# runs first in odd pairs and the working tree first in even ones, so a
+# position effect (a warmer cache, a busier machine later in a pair) falls
+# on both sides alike. Both trees build their own flbench inside their
+# checkout, as run.sh does. The metrics are the end-to-end ones
+# BENCHMARK.json lists (its "end_to_end" names, read, never written), in its
+# order. Per pair it prints each metric of both runs and its relative
+# change; at the end, per metric, each side's median with its first and
+# third quartiles, and in how many pairs the working tree's was better in
+# the direction BENCHMARK.json gives. Nothing under bench/ is written but
+# run.sh's own outputs, and nothing needs the network.
 #
 # With LAYOUT=1 each pair also runs a layout control between the two: BASE
-# again, in a second worktree whose internal/sched holds one padding
+# again, in a second export whose internal/sched holds one padding
 # function that nothing on the workload's path calls. A function nothing
 # references would be dropped by the linker and move nothing, so an init
 # keeps it behind a flag that is never set; the functions the linker places
@@ -51,16 +54,15 @@ if [ ${#names[@]} -eq 0 ]; then
 fi
 
 tmp="$(mktemp -d)"
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-	git -C "$root" worktree remove --force "$tmp/control" 2>/dev/null || true
-	git -C "$root" worktree prune
-	rm -rf "$tmp"
+trap 'rm -rf "$tmp"' EXIT
+# export DIR: BASE's committed files in DIR.
+export_base() {
+	mkdir -p "$1"
+	git -C "$root" archive "$base" | tar -x -C "$1"
 }
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$tmp/base" "$base"
+export_base "$tmp/base"
 if [ "$layout" = 1 ]; then
-	git -C "$root" worktree add --quiet --detach "$tmp/control" "$base"
+	export_base "$tmp/control"
 	cat >"$tmp/control/internal/sched/zz_layout_pad.go" <<'PAD'
 package sched
 
@@ -99,9 +101,22 @@ run() {
 	echo
 }
 
-# median: the median of the numbers on stdin ("-" when there are none).
-median() {
-	sort -g | awk '$1 != "-" { v[++k] = $1 } END { if (!k) print "-"; else print (k % 2 ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2) }'
+# quantile P: the P-quantile (0 <= P <= 1) of the numbers on stdin,
+# interpolated linearly between order statistics ("-" when there are none).
+quantile() {
+	sort -g | awk -v p="$1" 'NF && $1 != "-" { v[++k] = $1 }
+	END {
+		if (!k) { print "-"; exit }
+		h = 1 + (k - 1) * p; i = int(h)
+		print (i >= k ? v[k] : v[i] + (h - i) * (v[i + 1] - v[i]))
+	}'
+}
+
+# quartiles: "MEDIAN [Q1 Q3]" of the numbers on stdin.
+quartiles() {
+	local in
+	in="$(cat)"
+	printf '%s [%s %s]' "$(quantile 0.5 <<<"$in")" "$(quantile 0.25 <<<"$in")" "$(quantile 0.75 <<<"$in")"
 }
 
 # delta B C: the relative change from B to C, or "-".
@@ -119,12 +134,24 @@ for m in "${names[@]}"; do
 	bv[$m]="" cv[$m]="" lv[$m]="" wins[$m]=0 lwins[$m]=0
 done
 for i in $(seq 1 "$n"); do
-	read -r -a b <<<"$(run "$tmp/base")"
+	# Odd pairs run BASE first, even pairs the working tree; the control,
+	# if any, always runs between the two.
+	if [ $((i % 2)) = 1 ]; then
+		read -r -a b <<<"$(run "$tmp/base")"
+	else
+		read -r -a c <<<"$(run "$root")"
+	fi
 	if [ "$layout" = 1 ]; then
 		read -r -a l <<<"$(run "$tmp/control")"
 	fi
-	read -r -a c <<<"$(run "$root")"
-	echo "pair $i"
+	if [ $((i % 2)) = 1 ]; then
+		read -r -a c <<<"$(run "$root")"
+	else
+		read -r -a b <<<"$(run "$tmp/base")"
+	fi
+	first=base
+	[ $((i % 2)) = 0 ] && first=change
+	echo "pair $i ($first first)"
 	printf '  %-14s %-20s %-20s %7s' metric base change delta
 	[ "$layout" = 1 ] && printf ' %-20s %7s' control delta
 	echo
@@ -147,10 +174,11 @@ for i in $(seq 1 "$n"); do
 done
 for j in "${!names[@]}"; do
 	m=${names[$j]}
-	bm="$(printf '%s' "${bv[$m]}" | median)" cm="$(printf '%s' "${cv[$m]}" | median)"
-	echo "$workload seed=$seed: median $m $bm -> $cm ($(delta "$bm" "$cm")); working tree ${better[$j]} in ${wins[$m]} of $n pairs"
+	bm="$(printf '%s' "${bv[$m]}" | quantile 0.5)" cm="$(printf '%s' "${cv[$m]}" | quantile 0.5)"
+	bq="$(printf '%s' "${bv[$m]}" | quartiles)" cq="$(printf '%s' "${cv[$m]}" | quartiles)"
+	echo "$workload seed=$seed: median [Q1 Q3] $m $bq -> $cq ($(delta "$bm" "$cm")); working tree ${better[$j]} in ${wins[$m]} of $n pairs"
 	if [ "$layout" = 1 ]; then
-		lm="$(printf '%s' "${lv[$m]}" | median)"
-		echo "$workload seed=$seed: layout control median $m $bm -> $lm ($(delta "$bm" "$lm")); control ${better[$j]} in ${lwins[$m]} of $n pairs"
+		lm="$(printf '%s' "${lv[$m]}" | quantile 0.5)" lq="$(printf '%s' "${lv[$m]}" | quartiles)"
+		echo "$workload seed=$seed: layout control median [Q1 Q3] $m $bq -> $lq ($(delta "$bm" "$lm")); control ${better[$j]} in ${lwins[$m]} of $n pairs"
 	fi
 done
