@@ -54,9 +54,6 @@ func (n *nway) source(e *transformEntry, di int) string { return e.cpuSrc }
 
 func (n *nway) variantContext() *ocl.Context { return nil }
 
-// drain: the merge path's scratch is the runtime's byte pool.
-func (n *nway) drain(run [][]byte) [][]byte { return run }
-
 // awaitHost drains every device queue. Kernel calls block until the
 // host-rooted merge completes, so the host shadow is already current (the
 // device-to-host cost was paid by the chunk ships); the drain makes a

@@ -213,16 +213,24 @@ func (r *Runtime) flushPend(b *Buffer, label string) int64 {
 	return int64(need)
 }
 
-// bytePool recycles host-side scratch slices across chunks and kernels
-// (per-chunk ship buffers, per-kernel orig snapshots, flush snapshots).
-// Acquire returns the smallest adequate free slice with stale contents —
-// callers fill every byte they read. Plain slices, no locks: every touch
-// happens inside the cooperative engine.
+// bytePool recycles a run's scratch slices across chunks and kernels (ships,
+// orig and flush snapshots, the twin's GPU merge scratch). get returns the
+// smallest adequate free slice with stale contents — callers fill every byte
+// they read — or else storage from ocl's free list. Plain slices, no locks:
+// every touch happens inside the cooperative engine.
 type bytePool struct {
 	free [][]byte
 }
 
 func (p *bytePool) get(n int) []byte {
+	if b := p.reuse(n); b != nil {
+		return b
+	}
+	return ocl.TakeBytes(n)
+}
+
+// reuse takes the smallest free slice that holds n bytes, or returns nil.
+func (p *bytePool) reuse(n int) []byte {
 	best := -1
 	for i, b := range p.free {
 		if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
@@ -230,7 +238,7 @@ func (p *bytePool) get(n int) []byte {
 		}
 	}
 	if best < 0 {
-		return ocl.TakeBytes(n)
+		return nil
 	}
 	b := p.free[best]
 	last := len(p.free) - 1

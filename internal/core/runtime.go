@@ -115,9 +115,9 @@ type Runtime struct {
 	qs   []*ocl.CommandQueue // every runtime queue, in creation order
 	app  []*ocl.CommandQueue // per device: the queue writes and flushes go on
 
-	// Host staging, touched only inside the cooperative engine: bp recycles
-	// byte slices (ships, merge snapshots, flush snapshots), sp the span
-	// slices detached into in-flight flushes.
+	// The run's scratch, touched only inside the cooperative engine: bp
+	// recycles byte slices (bytePool), sp the span slices detached into
+	// in-flight flushes.
 	bp bytePool
 	sp spanPool
 
@@ -152,9 +152,6 @@ type protocol interface {
 	// run executes one validated launch cooperatively and blocks until the
 	// kernel call may return.
 	run(p *sim.Proc, l *launch) error
-	// drain appends the protocol's pooled scratch storage to run and
-	// forgets it (Release).
-	drain(run [][]byte) [][]byte
 }
 
 // Err returns any deferred error noticed after a kernel call returned: a
@@ -244,8 +241,8 @@ func (r *Runtime) CreateBuffer(size int) *Buffer {
 }
 
 // Release hands the run's storage — the host shadows and device copies that
-// own their storage and the protocol's pooled scratch, each backing array
-// once — to the process-wide free list the next run's buffers are drawn from
+// own their storage and the byte pool's scratch, each backing array once —
+// to the process-wide free list the next run's buffers are drawn from
 // (ocl.Recycle). A handed-over source stays its caller's. Call it when the
 // simulation has stopped and the outputs have been read (EnqueueReadBuffer
 // returns copies); it returns the storage whatever state the run ended in,
@@ -256,7 +253,7 @@ func (r *Runtime) Release() {
 		return
 	}
 	r.released = true
-	run := r.proto.drain(r.bp.free)
+	run := r.bp.free
 	r.bp.free = nil
 	for _, b := range r.bufs {
 		run = append(run, b.host.Detach())

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
@@ -15,8 +14,9 @@ import (
 // abort-checked kernel over the full NDRange while a CPU scheduler thread
 // steals chunks from the tail, ships their results and a status message to
 // the GPU, and a generated diff-merge kernel on the GPU folds the two
-// devices' results together; a device-to-host thread returns the merged
-// data asynchronously so the next kernel can overlap it.
+// devices' results together in scratch that owns slices of the runtime's
+// byte pool (§6.1); a device-to-host thread returns the merged data
+// asynchronously so the next kernel can overlap it.
 //
 // Device copies are kept current by the residency both protocols share
 // (Buffer.pend, planner.go): a kernel the CPU computed alone leaves the
@@ -47,7 +47,6 @@ type twin struct {
 
 	mergeK    *ocl.Kernel
 	statusBuf *ocl.Buffer
-	pool      *bufferPool
 }
 
 func newTwin(r *Runtime) (*twin, error) {
@@ -65,7 +64,6 @@ func newTwin(r *Runtime) (*twin, error) {
 		return nil, err
 	}
 	t.statusBuf = gpu.CreateBuffer(4 * passes.StatusWords)
-	t.pool = &bufferPool{ctx: gpu}
 	return t, nil
 }
 
@@ -78,13 +76,13 @@ func (t *twin) source(e *transformEntry, di int) string {
 
 func (t *twin) variantContext() *ocl.Context { return t.r.ctxs[twinCPU] }
 
-// drain hands the pooled scratch storage over for recycling.
-func (t *twin) drain(run [][]byte) [][]byte {
-	for _, b := range t.pool.free {
-		run = append(run, b.Detach())
+// scratch returns a GPU buffer of unspecified contents on a byte-pool slice,
+// or on a miss one that takes storage at first use (none if never written).
+func (t *twin) scratch(size int) *ocl.Buffer {
+	if s := t.r.bp.reuse(size); s != nil {
+		return t.r.ctxs[twinGPU].CreateBufferOn(s)
 	}
-	t.pool.free = nil
-	return run
+	return t.r.ctxs[twinGPU].CreateBuffer(size)
 }
 
 // cpuVersion returns CPU subkernel version v of k: 0 is the original
@@ -240,7 +238,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 	for i := range scratches {
 		sc := &scratches[i]
 		gpuBuf := sc.buf.bufs[twinGPU]
-		sc.orig, sc.cpuCopy = t.pool.acquire(sc.buf.Size), t.pool.acquire(sc.buf.Size)
+		sc.orig, sc.cpuCopy = t.scratch(sc.buf.Size), t.scratch(sc.buf.Size)
 		t.gpuApp.EnqueueCopyBuffer(gpuBuf, sc.orig)
 		if l.el[sc.idx].slotExact {
 			r.ctr.PrimeCopiesElided++
@@ -406,7 +404,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		// Snapshot the merged result device-side so the device-to-host
 		// transfer can overlap the next kernel's writes to the same buffer
 		// (§5.5: copies of out buffers are made at the end of the kernel).
-		dhCopies[i] = t.pool.acquire(sc.buf.Size)
+		dhCopies[i] = t.scratch(sc.buf.Size)
 		mergeEvents = append(mergeEvents, t.gpuApp.EnqueueCopyBuffer(gpuBuf, dhCopies[i]))
 		sc.buf.pend[twinGPU].reset()
 	}
@@ -436,7 +434,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 					b.lag.received = kid
 				}
 				sc.ready.Fire()
-				t.pool.release(dhCopies[i])
+				r.bp.put(dhCopies[i].Detach())
 			}
 			dhDone.Fire()
 		})
@@ -497,8 +495,8 @@ func (t *twin) releaseScratchesWhenSafe(schedDone, gpuDone *sim.Event, scratches
 			p.Wait(dhDone)
 		}
 		for _, sc := range scratches {
-			t.pool.release(sc.orig)
-			t.pool.release(sc.cpuCopy)
+			t.r.bp.put(sc.orig.Detach())
+			t.r.bp.put(sc.cpuCopy.Detach())
 		}
 	})
 }
@@ -643,7 +641,7 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 		stages = append(stages, staged{
 			data:   data,
 			off:    off,
-			ev:     t.cpuQ.EnqueueReadBufferAt(b.bufs[twinCPU], off, data),
+			ev:     t.cpuQ.EnqueueReadBufferAtTagged(b.bufs[twinCPU], off, data, "read"),
 			dst:    sc.cpuCopy,
 			primed: sc.primed,
 		})
@@ -677,46 +675,4 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 		shipped.Fire()
 	})
 	return shipped
-}
-
-// ---- GPU scratch-buffer pool (§6.1) ----
-
-type bufferPool struct {
-	ctx     *ocl.Context
-	free    []*ocl.Buffer
-	Created int
-	Reused  int
-}
-
-// acquire returns a free buffer of at least size bytes, creating one if
-// necessary (smallest adequate buffer first).
-func (p *bufferPool) acquire(size int) *ocl.Buffer {
-	best := -1
-	for i, b := range p.free {
-		if b.Size >= size && (best < 0 || b.Size < p.free[best].Size) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		b := p.free[best]
-		p.free = append(p.free[:best], p.free[best+1:]...)
-		p.Reused++
-		return b
-	}
-	p.Created++
-	return p.ctx.CreateBuffer(size)
-}
-
-func (p *bufferPool) release(b *ocl.Buffer) {
-	p.free = append(p.free, b)
-	// Trim: keep the pool bounded (older unused buffers are freed, §6.1).
-	// Delete clears the slots it vacates, so the backing array does not keep
-	// the dropped buffers reachable.
-	const maxPooled = 16
-	if drop := len(p.free) - maxPooled; drop > 0 {
-		for _, old := range p.free[:drop] {
-			old.Free()
-		}
-		p.free = slices.Delete(p.free, 0, drop)
-	}
 }

@@ -19,14 +19,15 @@ __kernel void step(__global int* in, __global int* out, int n) {
 `
 
 // storageSizes are the sizes of each context's three buffers: page-sized and
-// above, so freed and recycled storage goes through the free list.
+// above, so recycled storage goes through the free list.
 var storageSizes = [3]int{4096, 4096, 8192}
 
 // FuzzBufferStorage drives two contexts and three buffers on each through
 // random sequences of handed-over whole writes, copying whole and partial
 // writes, span writes, reads, copies, launches of a kernel that reads one
-// argument and writes another, and Free, enqueued without waiting so every
-// launch binds behind the transfers queued ahead of it. Every read must match
+// argument and writes another, enqueued without waiting so every launch binds
+// behind the transfers queued ahead of it, and recycling a buffer's storage
+// once its queue is idle (Detach, Recycle). Every read must match
 // a model in which each buffer owns a plain slice; a handed-over source must
 // never change; and no two live buffers, nor a buffer and a handed-over
 // source, may own the same backing array.
@@ -100,7 +101,7 @@ func (s *storageRun) step(p *sim.Proc) {
 		copy(m, src)
 	case 1: // copying whole write
 		src := pattern(size, s.next())
-		q.EnqueueWriteBufferAt(b, 0, src)
+		q.EnqueueWriteBufferAtTagged(b, 0, src, "write")
 		copy(m, src)
 		s.scribbleAfter(c, src)
 	case 2: // copying partial write, or a short handed-over one
@@ -111,7 +112,7 @@ func (s *storageRun) step(p *sim.Proc) {
 			s.handed = append(s.handed, handedOver{src, bytes.Clone(src)})
 			q.EnqueueWriteBuffer(b, src)
 		} else {
-			q.EnqueueWriteBufferAt(b, off, src)
+			q.EnqueueWriteBufferAtTagged(b, off, src, "write")
 			s.scribbleAfter(c, src)
 		}
 		copy(m[off:], src)
@@ -133,7 +134,7 @@ func (s *storageRun) step(p *sim.Proc) {
 	case 4, 5: // read
 		off := s.next() * 16 % size
 		dst := make([]byte, s.next()*16%(size-off+1))
-		q.EnqueueReadBufferAt(b, off, dst)
+		q.EnqueueReadBufferAtTagged(b, off, dst, "read")
 		s.reads = append(s.reads, readCheck{"read", dst, bytes.Clone(m[off : off+len(dst)])})
 	case 6: // copy to another buffer at least as large
 		j := s.next() % 3
@@ -152,9 +153,9 @@ func (s *storageRun) step(p *sim.Proc) {
 			v := int32(binary.LittleEndian.Uint32(m[4*w:]))
 			binary.LittleEndian.PutUint32(out[4*w:], uint32(v*3+1))
 		}
-	case 8: // Free once the queue is idle, and start over with a new buffer
+	case 8: // recycle once the queue is idle, and start over with a new buffer
 		q.Finish(p)
-		b.Free()
+		Recycle([][]byte{b.Detach()})
 		s.bufs[c][i] = q.Ctx.CreateBuffer(size)
 		clear(m)
 	}

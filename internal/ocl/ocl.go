@@ -60,6 +60,13 @@ func (c *Context) CreateBuffer(size int) *Buffer {
 	return &Buffer{Ctx: c, Size: size}
 }
 
+// CreateBufferOn creates a device buffer of len(s) bytes that owns s, which
+// the caller gives up, as its storage; its contents are whatever s holds.
+// FluidiCL's twin protocol puts its pooled merge scratch on a device this way.
+func (c *Context) CreateBufferOn(s []byte) *Buffer {
+	return &Buffer{Ctx: c, Size: len(s), data: s, owned: true}
+}
+
 // Bytes exposes the device-resident backing store, taking zeroed storage on
 // first touch. Host code must not use it; it exists for tests and for
 // kernels and transfers to bind to. Writing through it is allowed only on
@@ -122,25 +129,13 @@ func (b *Buffer) Detach() []byte {
 	return data
 }
 
-// Free hands the buffer's storage to the free list (clReleaseMemObject);
-// the buffer must not be used afterwards. A pool that trims itself mid-run
-// frees this way, and the same run's next first use of a buffer draws it
-// back.
-func (b *Buffer) Free() {
-	if data := b.Detach(); cap(data) >= minRecycled {
-		free.Lock()
-		free.list = append(free.list, data)
-		free.Unlock()
-	}
-}
-
 // free is the process-wide free list of buffer storage, shared by every
 // context, runtime and goroutine. It is kept small on purpose, because what
-// it holds is resident: Recycle replaces it rather than adding to it, so it
-// never retains more than the storage of the last finished run (plus what
-// Free added since), and a request larger than every slice in it empties it
-// — a run that needs more is not shaped like the run that filled the list,
-// and the rest would only sit beside that run's own buffers. A smaller miss
+// it holds is resident: Recycle, the only code that fills it, replaces it
+// rather than adding to it, so it never retains more than the storage of the
+// last finished run, and a request larger than every slice in it empties it — a
+// run that needs more is not shaped like the run that filled the list, and
+// the rest would only sit beside that run's own buffers. A smaller miss
 // leaves it alone: device storage is taken at first use, after a run has
 // asked for its small scratch. A sequence of same-sized runs thus allocates
 // its buffers once; a growing sequence behaves as if there were no list.
@@ -392,7 +387,8 @@ func (c *Context) CreateQueue(name string) *CommandQueue {
 // until the buffer is released. A write of the whole buffer then installs src
 // by reference when the transfer completes — the device copy shares it until
 // a write makes the storage the buffer's own — and a shorter one is copied.
-// A caller whose source will change uses EnqueueWriteBufferAt, which copies.
+// A caller whose source will change uses EnqueueWriteBufferAtTagged, which
+// copies.
 func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, src []byte) *sim.Event {
 	if len(src) > b.Size {
 		panic(fmt.Sprintf("ocl: write of %d bytes into %d-byte buffer", len(src), b.Size))
@@ -407,18 +403,12 @@ func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, src []byte) *sim.Event {
 	return t.Done
 }
 
-// EnqueueWriteBufferAt copies host bytes into the device buffer starting at
-// byte offset off (clEnqueueWriteBuffer with a non-zero offset); src is read
-// at transfer-completion time. FluidiCL uses it to ship only the byte range a
-// CPU subkernel provably wrote, and with offset 0 to write a whole buffer
-// from a source that will change.
-func (q *CommandQueue) EnqueueWriteBufferAt(b *Buffer, off int, src []byte) *sim.Event {
-	return q.EnqueueWriteBufferAtTagged(b, off, src, "write")
-}
-
-// EnqueueWriteBufferAtTagged is EnqueueWriteBufferAt with a trace label
-// naming the transfer's role (FluidiCL tags its CPU-to-GPU result ships
-// "ship").
+// EnqueueWriteBufferAtTagged copies host bytes into the device buffer
+// starting at byte offset off (clEnqueueWriteBuffer with a non-zero offset);
+// src is read at transfer-completion time. label names the transfer's role
+// in traces: FluidiCL ships the byte range a CPU subkernel provably wrote
+// ("ship"), and a whole-buffer "write" at offset 0 copies a source that will
+// change.
 func (q *CommandQueue) EnqueueWriteBufferAtTagged(b *Buffer, off int, src []byte, label string) *sim.Event {
 	if off < 0 || off+len(src) > b.Size {
 		panic(fmt.Sprintf("ocl: write of %d bytes at offset %d into %d-byte buffer", len(src), off, b.Size))
@@ -489,14 +479,10 @@ func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, dst []byte) *sim.Event {
 	return t.Done
 }
 
-// EnqueueReadBufferAt copies the device buffer's byte range [off, off+len(dst))
-// into host bytes (clEnqueueReadBuffer with a non-zero offset).
-func (q *CommandQueue) EnqueueReadBufferAt(b *Buffer, off int, dst []byte) *sim.Event {
-	return q.EnqueueReadBufferAtTagged(b, off, dst, "read")
-}
-
-// EnqueueReadBufferAtTagged is EnqueueReadBufferAt with a trace label naming
-// the transfer's role (the N-way runtime tags its chunk-result reads "ship").
+// EnqueueReadBufferAtTagged copies the device buffer's byte range
+// [off, off+len(dst)) into host bytes (clEnqueueReadBuffer with a non-zero
+// offset); label names the transfer's role in traces (FluidiCL's staging
+// reads and chunk-result reads are "read" and "ship").
 func (q *CommandQueue) EnqueueReadBufferAtTagged(b *Buffer, off int, dst []byte, label string) *sim.Event {
 	if off < 0 || off+len(dst) > b.Size {
 		panic(fmt.Sprintf("ocl: read of %d bytes at offset %d from %d-byte buffer", len(dst), off, b.Size))

@@ -379,7 +379,7 @@ func TestScatterWriteSpanValidation(t *testing.T) {
 // TestFreeListBestFitClearedAndReplaced pins the recycling contract: the
 // smallest slice that holds n bytes in at most 2n of capacity is reused,
 // zero-filled for a first touch; a miss leaves the list alone unless the request
-// is larger than every slice in it, Recycle replaces it, Free adds to it;
+// is larger than every slice in it, and Recycle replaces it;
 // requests below a page bypass it. A buffer takes its storage at first use,
 // not at CreateBuffer, and gives back only storage it owns.
 func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
@@ -438,12 +438,12 @@ func TestFreeListBestFitClearedAndReplaced(t *testing.T) {
 		t.Fatal("first use did not draw and clear the free storage")
 	}
 	data[5] = 7
-	c.Free()
+	Recycle([][]byte{c.Detach()})
 	if c.data != nil || c.Detach() != nil {
-		t.Error("a freed buffer kept its storage")
+		t.Error("a detached buffer kept its storage")
 	}
 	if again := b.Bytes(); !same(again, data) || again[5] != 0 {
-		t.Error("first use did not reuse and clear the freed storage")
+		t.Error("first use did not reuse and clear the recycled storage")
 	}
 
 	src := make([]byte, 32*k)

@@ -16,14 +16,16 @@ type pair struct {
 	bufs           map[string]*sbuf
 }
 
-// sbuf is one app buffer of a pair: a copy per device, a host shadow, the
-// slice a static split ships the buffer's CPU half through, and which device
-// copies hold its current contents (neither: the host shadow does).
+// sbuf is one app buffer of a pair: a copy per device, a host shadow (an
+// ocl.Buffer with no context, as FluidiCL's is), the slice a static split
+// ships the buffer's CPU half through, and which device copies hold its
+// current contents (neither: the host shadow does).
 type sbuf struct {
-	size          int
-	cpu, gpu      *ocl.Buffer
-	host, staging []byte
-	onCPU, onGPU  bool
+	size         int
+	cpu, gpu     *ocl.Buffer
+	host         ocl.Buffer
+	staging      []byte
+	onCPU, onGPU bool
 }
 
 // newPair creates machine m's two devices on env and the app's buffers on
@@ -37,7 +39,8 @@ func newPair(env *sim.Env, m Machine, app *App) *pair {
 	d.cpuQ, d.gpuQ = d.cpuCtx.CreateQueue("app"), d.gpuCtx.CreateQueue("app")
 	for _, name := range sortedBufferNames(app.Buffers) {
 		size := app.Buffers[name]
-		d.bufs[name] = &sbuf{size: size, cpu: d.cpuCtx.CreateBuffer(size), gpu: d.gpuCtx.CreateBuffer(size)}
+		d.bufs[name] = &sbuf{size: size, cpu: d.cpuCtx.CreateBuffer(size), gpu: d.gpuCtx.CreateBuffer(size),
+			host: ocl.Buffer{Size: size}}
 	}
 	return d
 }
@@ -67,7 +70,7 @@ func (d *pair) read(p *sim.Proc, b *sbuf, dst []byte) {
 	case b.onCPU:
 		p.Wait(d.cpuQ.EnqueueReadBuffer(b.cpu, dst))
 	default:
-		copy(dst, b.host)
+		b.host.ReadAt(dst, 0)
 	}
 }
 
@@ -80,8 +83,9 @@ func (d *pair) readOut(p *sim.Proc, name string) []byte {
 }
 
 // ensure makes b's GPU (or CPU) copy hold its contents, moving them through
-// the host shadow, which is taken on first use: most buffers are inputs that
-// never pass through the host. The shadow changes, so the upload copies it.
+// the host shadow: a device copy that holds them comes home into storage the
+// shadow owns, taken on first use (most buffers are inputs that never pass
+// through the host). The shadow changes, so the upload copies it.
 func (d *pair) ensure(p *sim.Proc, b *sbuf, gpu bool) {
 	on, q := &b.onCPU, d.cpuQ
 	if gpu {
@@ -90,11 +94,10 @@ func (d *pair) ensure(p *sim.Proc, b *sbuf, gpu bool) {
 	if *on {
 		return
 	}
-	if b.host == nil {
-		b.host = make([]byte, b.size)
+	if b.onCPU || b.onGPU {
+		d.read(p, b, b.host.Own(false))
 	}
-	d.read(p, b, b.host)
-	p.Wait(q.EnqueueWriteBufferAt(b.dev(gpu), 0, b.host))
+	p.Wait(q.EnqueueWriteBufferAtTagged(b.dev(gpu), 0, b.host.Bytes(), "write"))
 	*on = true
 }
 

@@ -108,12 +108,9 @@ func runSocl(m Machine, app *App, policy Policy, model DmdaModel, sw *Sweep) (*R
 	info := cpuProg.Info
 	lastDone := map[bool]sim.Time{} // when the GPU (true) and the CPU last finished a task
 	return drive(env, app, 1, "SOCL", steps{
-		// SOCL-style: inputs start host-side; transfers happen on demand.
-		write: func(_ *sim.Proc, name string, data []byte) {
-			b := d.bufs[name]
-			b.host = make([]byte, b.size)
-			copy(b.host, data)
-		},
+		// SOCL-style: inputs start host-side, handed over (they never
+		// change); transfers happen on demand.
+		write: func(_ *sim.Proc, name string, data []byte) { d.bufs[name].host.Store(data) },
 		launch: func(p *sim.Proc, li int, l Launch) error {
 			ki := info.Kernels[l.Kernel]
 			useGPU := false

@@ -26,6 +26,20 @@ type DeviceMeter struct {
 	BytesRefresh int64 `json:"bytes_refresh"`
 }
 
+// add accumulates o's counts and times into d; the name and kind stay d's.
+func (d *DeviceMeter) add(o DeviceMeter) {
+	d.Busy += o.Busy
+	d.Launches += o.Launches
+	d.WGsExecuted += o.WGsExecuted
+	d.WGsSkipped += o.WGsSkipped
+	d.WGsAborted += o.WGsAborted
+	d.LinkBusy += o.LinkBusy
+	d.LinkWait += o.LinkWait
+	d.BytesH2D += o.BytesH2D
+	d.BytesD2H += o.BytesD2H
+	d.BytesRefresh += o.BytesRefresh
+}
+
 // Meter is the always-on aggregate accumulator. It lives by value inside
 // sim.Env; devices register themselves at construction and report launches
 // and transfers as they retire. All updates happen inside the cooperative
@@ -139,16 +153,7 @@ func (s Summary) ByKind(kind string) DeviceMeter {
 		if out.Name == "" {
 			out.Name = d.Name
 		}
-		out.Busy += d.Busy
-		out.Launches += d.Launches
-		out.WGsExecuted += d.WGsExecuted
-		out.WGsSkipped += d.WGsSkipped
-		out.WGsAborted += d.WGsAborted
-		out.LinkBusy += d.LinkBusy
-		out.LinkWait += d.LinkWait
-		out.BytesH2D += d.BytesH2D
-		out.BytesD2H += d.BytesD2H
-		out.BytesRefresh += d.BytesRefresh
+		out.add(d)
 	}
 	return out
 }
@@ -178,17 +183,7 @@ func (s *Summary) Add(o Summary) {
 		merged := false
 		for i := range s.Devices {
 			if s.Devices[i].Kind == od.Kind {
-				d := &s.Devices[i]
-				d.Busy += od.Busy
-				d.Launches += od.Launches
-				d.WGsExecuted += od.WGsExecuted
-				d.WGsSkipped += od.WGsSkipped
-				d.WGsAborted += od.WGsAborted
-				d.LinkBusy += od.LinkBusy
-				d.LinkWait += od.LinkWait
-				d.BytesH2D += od.BytesH2D
-				d.BytesD2H += od.BytesD2H
-				d.BytesRefresh += od.BytesRefresh
+				s.Devices[i].add(od)
 				merged = true
 				break
 			}
