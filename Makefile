@@ -236,8 +236,11 @@ HARNESS_LOC_MAX = 878
 # written as small indexed values. 955 is that count with the text-only
 # timeline entry point gone: `fluidibench trace` reads the recorder. 953 is
 # that count with no fold of each run into process-wide totals: a run's
-# counters and summary travel only on its Result.
-SCHED_LOC_MAX = 953
+# counters and summary travel only on its Result. 950 is that count with the
+# static split's merge launch and per-launch scratch gone (ocl.EnqueueMerge,
+# per-buffer scratch, the ship through the host shadow) and every baseline
+# releasing its storage (recycle).
+SCHED_LOC_MAX = 950
 # internal/device simulates the devices and serves launches from sweep
 # records and built-in kernels. 1312 is the count with the plain record (an
 # unguarded kernel's launches over the whole grid, keyed on every argument),
@@ -256,8 +259,11 @@ DEVICE_LOC_MAX = 1308
 # EnqueueWriteBuffer. 575 is that count with Buffer.Free gone (Recycle is
 # the only code that fills the free list), CreateBufferOn added for the
 # twin's pooled merge scratch, and EnqueueWriteBufferAt and
-# EnqueueReadBufferAt folded into their labelled forms.
-OCL_LOC_MAX = 575
+# EnqueueReadBufferAt folded into their labelled forms. 574 is that count
+# with EnqueueMerge, the one launch of the built-in fcl_merge, paid for by the
+# source-text rule in CreateKernel, EnqueueMarker (folded into Finish),
+# Buffer.Ctx and a Program that is its cached compilation.
+OCL_LOC_MAX = 574
 # internal/core runs two cooperation protocols over one substrate. 2824 was
 # the count with the twin protocol's own residency beside N-way's: location
 # flags, a stale-GPU upload, a direct CPU refresh, per-ship staging buffers
@@ -279,8 +285,9 @@ OCL_LOC_MAX = 575
 # intervalSet methods only tests called, subtract and bytes, left with it.
 # 2500 is that count with one scratch pool per run: the twin's GPU merge
 # scratch owns slices of the runtime's byte pool, and its bufferPool (with
-# the trim) and the protocols' drain are gone.
-CORE_LOC_MAX = 2500
+# the trim) and the protocols' drain are gone. 2482 is that count with the
+# twin's merge kernel, its build and hand-built launch gone (ocl.EnqueueMerge).
+CORE_LOC_MAX = 2482
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true
 # to run it, shutdown closes it to unwind it) and no per-process Done event:

@@ -165,11 +165,7 @@ func (r *Runtime) Err() error { return r.deferredErr }
 func New(env *sim.Env, cpuDev, gpuDev *device.Device, opts Options) (*Runtime, error) {
 	r := &Runtime{Env: env, opts: opts.withDefaults(), narrate: true}
 	r.ctxs = []*ocl.Context{ocl.NewContext(env, cpuDev), ocl.NewContext(env, gpuDev)}
-	t, err := newTwin(r)
-	if err != nil {
-		return nil, err
-	}
-	r.proto = t
+	r.proto = newTwin(r)
 	return r, nil
 }
 
@@ -208,7 +204,7 @@ func (r *Runtime) createQueue(di int, name string) *ocl.CommandQueue {
 
 // Buffer is a FluidiCL memory object: one buffer per device plus a host
 // shadow (§4.1), with its residency (§5.3, §6.2). The host shadow is an
-// ocl.Buffer with no context, in a device copy's three storage states; the
+// ocl.Buffer value, in a device copy's three storage states; the
 // code that writes it (the N-way merges, the twin's read-backs) owns it
 // first. pend[di] is the exact byte set device di's copy is missing: every
 // mutation keeps a device copy equal to the host shadow outside pend[di],
@@ -307,7 +303,7 @@ func (r *Runtime) EnqueueReadBuffer(p *sim.Proc, b *Buffer) []byte {
 // Finish drains all runtime queues.
 func (r *Runtime) Finish(p *sim.Proc) {
 	for _, q := range r.qs {
-		p.Wait(q.EnqueueMarker())
+		q.Finish(p)
 	}
 }
 

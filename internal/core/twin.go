@@ -45,26 +45,18 @@ type twin struct {
 	gpuDH  *ocl.CommandQueue // device-to-host queue: merged results (§5.4)
 	cpuQ   *ocl.CommandQueue // CPU device queue
 
-	mergeK    *ocl.Kernel
 	statusBuf *ocl.Buffer
 }
 
-func newTwin(r *Runtime) (*twin, error) {
-	t, gpu := &twin{r: r}, r.ctxs[twinGPU]
+func newTwin(r *Runtime) *twin {
+	t := &twin{r: r}
 	t.gpuApp = r.createQueue(twinGPU, "app")
 	t.gpuHD = r.createQueue(twinGPU, "hd")
 	t.gpuDH = r.createQueue(twinGPU, "dh")
 	t.cpuQ = r.createQueue(twinCPU, "app")
 	r.app = []*ocl.CommandQueue{t.cpuQ, t.gpuApp}
-	mergeProg, err := gpu.BuildProgram(passes.MergeKernelSource)
-	if err != nil {
-		return nil, fmt.Errorf("core: building merge kernel: %w", err)
-	}
-	if t.mergeK, err = mergeProg.CreateKernel(passes.MergeKernelName); err != nil {
-		return nil, err
-	}
-	t.statusBuf = gpu.CreateBuffer(4 * passes.StatusWords)
-	return t, nil
+	t.statusBuf = r.ctxs[twinGPU].CreateBuffer(4 * passes.StatusWords)
+	return t
 }
 
 func (t *twin) source(e *transformEntry, di int) string {
@@ -390,14 +382,8 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 			if el.narrowed() {
 				r.ctr.MergeWordsElided += int64(sc.buf.Size/4 - (mergeHi - mergeLo))
 			}
-			if span := mergeHi - mergeLo; span > 0 {
-				local := 64
-				global := ((span + local - 1) / local) * local
-				margs := []ocl.Arg{
-					ocl.BufArg(sc.cpuCopy), ocl.BufArg(gpuBuf), ocl.BufArg(sc.orig),
-					ocl.IntArg(int64(mergeHi)), ocl.IntArg(int64(mergeLo)),
-				}
-				ev, _ := t.gpuApp.EnqueueNDRangeKernel(t.mergeK, vm.NewNDRange1D(global, local), margs, ocl.LaunchOpts{})
+			if mergeHi > mergeLo { // an empty launch would still record a span in traces
+				ev, _ := t.gpuApp.EnqueueMerge(sc.cpuCopy, gpuBuf, sc.orig, mergeLo, mergeHi)
 				mergeEvents = append(mergeEvents, ev)
 			}
 		}

@@ -31,8 +31,9 @@ func NewContext(env *sim.Env, dev *device.Device) *Context {
 	return &Context{Env: env, Dev: dev}
 }
 
-// Buffer is a device-resident memory object. Its storage is in one of three
-// states:
+// Buffer is a memory object's bytes: a device copy (CreateBuffer), or a host
+// shadow (a Buffer{Size: n} value) that host code stores to, owns and reads
+// through the same methods. Its storage is in one of three states:
 //
 //   - none (no data): it reads as zeros and takes storage on first touch;
 //   - shared: it holds the source of the last whole-buffer write, which the
@@ -45,10 +46,8 @@ func NewContext(env *sim.Env, dev *device.Device) *Context {
 // written. Owned storage stays the same slice until a handed-over write
 // replaces it or Detach takes it: a launch bound to it sees every later
 // in-place write, as the twin GPU kernel's abort checks see status words
-// land. A Buffer with no context is FluidiCL's host shadow (package core),
-// which host code stores to, owns and reads through the same methods.
+// land.
 type Buffer struct {
-	Ctx   *Context
 	Size  int
 	data  []byte
 	owned bool
@@ -57,14 +56,14 @@ type Buffer struct {
 // CreateBuffer creates a device buffer of size bytes that reads as zeros. It
 // takes no storage until first touch.
 func (c *Context) CreateBuffer(size int) *Buffer {
-	return &Buffer{Ctx: c, Size: size}
+	return &Buffer{Size: size}
 }
 
 // CreateBufferOn creates a device buffer of len(s) bytes that owns s, which
 // the caller gives up, as its storage; its contents are whatever s holds.
 // FluidiCL's twin protocol puts its pooled merge scratch on a device this way.
 func (c *Context) CreateBufferOn(s []byte) *Buffer {
-	return &Buffer{Ctx: c, Size: len(s), data: s, owned: true}
+	return &Buffer{Size: len(s), data: s, owned: true}
 }
 
 // Bytes exposes the device-resident backing store, taking zeroed storage on
@@ -210,46 +209,35 @@ func takeBytes(n int) (b []byte, reused bool) {
 	return b[:n], true
 }
 
-// Program is a compiled translation unit for this context's device.
+// Program is a compiled translation unit: its analysis and a vm kernel per
+// kernel name.
 type Program struct {
-	Ctx     *Context
-	Source  string
-	Prog    *clc.Program
 	Info    *clc.ProgramInfo
 	kernels map[string]*vm.Kernel
 }
 
-// buildEntry is one cached compilation: the immutable artifacts shared by
-// every Program built from the same source.
-type buildEntry struct {
-	prog    *clc.Program
-	info    *clc.ProgramInfo
-	kernels map[string]*vm.Kernel
-}
-
-// buildCache memoizes compilation by exact source text. Compiled programs,
-// program info and vm kernels are immutable after construction (a vm.Kernel's
-// only mutable field is its internal scratch pool, which is concurrency-safe),
-// so one compilation can back any number of contexts, simulations and
-// goroutines. Simulated build cost is unaffected — compilation happens on the
-// host, outside virtual time.
+// buildCache memoizes compilation by exact source text. A Program is
+// immutable after construction (a vm.Kernel's only mutable field is its
+// internal scratch pool, which is concurrency-safe), so one compilation backs
+// every context, simulation and goroutine that builds the source. Simulated
+// build cost is unaffected — compilation happens on the host, outside
+// virtual time.
 var buildCache struct {
 	sync.Mutex
-	m map[string]*buildEntry
+	m map[string]*Program
 }
 
 // BuildProgram parses, checks and compiles MiniCL source for this device
 // (clBuildProgram). Transformation passes, if any, must have been applied to
 // the source already — this mirrors vendor runtimes compiling whatever
-// source they are handed. Identical source compiles once per process; repeat
-// builds are served from a cache.
+// source they are handed. Identical source compiles once per process.
 func (c *Context) BuildProgram(src string) (*Program, error) {
 	buildCache.Lock()
 	defer buildCache.Unlock()
 	if buildCache.m == nil {
-		buildCache.m = map[string]*buildEntry{}
+		buildCache.m = map[string]*Program{}
 	}
-	e, ok := buildCache.m[src]
+	p, ok := buildCache.m[src]
 	if !ok {
 		prog, err := clc.Parse(src)
 		if err != nil {
@@ -259,17 +247,17 @@ func (c *Context) BuildProgram(src string) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ocl: build failed: %w", err)
 		}
-		e = &buildEntry{prog: prog, info: info, kernels: map[string]*vm.Kernel{}}
+		p = &Program{Info: info, kernels: map[string]*vm.Kernel{}}
 		for name, ki := range info.Kernels {
 			k, err := vm.Compile(ki)
 			if err != nil {
 				return nil, fmt.Errorf("ocl: compiling kernel %q: %w", name, err)
 			}
-			e.kernels[name] = k
+			p.kernels[name] = k
 		}
-		buildCache.m[src] = e // failed builds are never cached
+		buildCache.m[src] = p // failed builds are never cached
 	}
-	return &Program{Ctx: c, Source: src, Prog: e.prog, Info: e.info, kernels: e.kernels}, nil
+	return p, nil
 }
 
 // Kernel is a kernel object from a built program (clCreateKernel).
@@ -283,8 +271,8 @@ type Kernel struct {
 	// launch may leave every other buffer argument shared.
 	written []bool
 	// native is the kernel's built-in body, which runs its groups in place
-	// of the VM: set for fcl_merge built from passes.MergeKernelSource
-	// (device.MergeGroup), and for no other kernel.
+	// of the VM: device.MergeGroup for EnqueueMerge's fcl_merge, and nil for
+	// every kernel a program creates.
 	native device.GroupFunc
 }
 
@@ -299,11 +287,7 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	for i, param := range info.Kernel.Params {
 		written[i] = param.Ty.Ptr && info.ParamAccess[param.Name].Written
 	}
-	kern := &Kernel{Name: name, VM: k, Info: info, written: written}
-	if p.Source == passes.MergeKernelSource && name == passes.MergeKernelName {
-		kern.native = device.MergeGroup
-	}
-	return kern, nil
+	return &Kernel{Name: name, VM: k, Info: info, written: written}, nil
 }
 
 // MustKernel is CreateKernel for known-good names.
@@ -553,6 +537,28 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, nd vm.NDRange, args []Arg
 	return l.Done, l.Result
 }
 
+// mergeKernel is fcl_merge compiled once per process, with its built-in
+// body: every EnqueueMerge launches it.
+var mergeKernel = sync.OnceValue(func() *Kernel {
+	p, err := (&Context{}).BuildProgram(passes.MergeKernelSource)
+	if err != nil {
+		panic(err)
+	}
+	k := p.MustKernel(passes.MergeKernelName)
+	k.native = device.MergeGroup
+	return k
+})
+
+// EnqueueMerge enqueues the diff-merge of words [lo, hi) (fcl_merge, the
+// paper's Fig. 9, as a built-in kernel): each word of cpuCopy that differs
+// from orig's is copied into dst. One work-item merges one word, in groups
+// of 64. The returned result is populated when the event fires.
+func (q *CommandQueue) EnqueueMerge(cpuCopy, dst, orig *Buffer, lo, hi int) (*sim.Event, *device.LaunchResult) {
+	const local = 64
+	args := []Arg{BufArg(cpuCopy), BufArg(dst), BufArg(orig), IntArg(int64(hi)), IntArg(int64(lo))}
+	return q.EnqueueNDRangeKernel(mergeKernel(), vm.NewNDRange1D((hi-lo+local-1)/local*local, local), args, LaunchOpts{})
+}
+
 // EnqueueCall runs a host callback at this queue position (zero duration);
 // the returned event fires after the callback runs.
 func (q *CommandQueue) EnqueueCall(fn func()) *sim.Event {
@@ -561,15 +567,8 @@ func (q *CommandQueue) EnqueueCall(fn func()) *sim.Event {
 	return c.Done
 }
 
-// EnqueueMarker returns an event that fires when all previously enqueued
-// commands have completed.
-func (q *CommandQueue) EnqueueMarker() *sim.Event {
-	c := &device.Call{}
-	q.q.Enqueue(c)
-	return c.Done
-}
-
-// Finish blocks the calling process until the queue drains (clFinish).
+// Finish blocks the calling process until every command enqueued before it
+// has completed (clFinish).
 func (q *CommandQueue) Finish(p *sim.Proc) {
-	p.Wait(q.EnqueueMarker())
+	p.Wait(q.EnqueueCall(nil))
 }

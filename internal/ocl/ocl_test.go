@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fluidicl/internal/device"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -521,8 +522,8 @@ __kernel void twice(__global float* in, __global float* out, int n) {
 	}
 }
 
-// TestStoreOwnStates drives a Buffer with no context, the form of FluidiCL's
-// host shadow, through its three storage states: none reads as zeros, a
+// TestStoreOwnStates drives a Buffer value, the form of FluidiCL's host
+// shadow, through its three storage states: none reads as zeros, a
 // whole-buffer Store shares its source, a shorter one is copied over what
 // the buffer held, Own with keep copies a shared source before anything
 // writes it, and Detach gives back only owned storage.
@@ -557,5 +558,78 @@ func TestStoreOwnStates(t *testing.T) {
 	b.Store(whole)
 	if b.Detach() != nil {
 		t.Error("Detach gave back a handed-over source")
+	}
+}
+
+// TestEnqueueMergeBuiltin: EnqueueMerge runs fcl_merge as its built-in body,
+// and a window with lo > 0 and a partial last group leaves the bytes and
+// Stats the VM leaves running MergeKernelSource over the same grid (a kernel
+// CreateKernel makes from that source, which runs on the VM). Virtual time
+// cannot tell the two apart, so the VM's group counters must stand still
+// through the merge and move through the VM's launch.
+func TestEnqueueMergeBuiltin(t *testing.T) {
+	const words, lo, hi = 300, 37, 250 // 213 words: three groups of 64 and one of 21
+	cpu, gpu, orig := make([]byte, 4*words), make([]byte, 4*words), make([]byte, 4*words)
+	for i := 0; i < words; i++ {
+		binary.LittleEndian.PutUint32(orig[4*i:], uint32(i))
+		binary.LittleEndian.PutUint32(gpu[4*i:], uint32(1000+i))
+		c := uint32(i) // unchanged by the CPU half ...
+		if i%3 != 0 {
+			c = uint32(5000 + i) // ... except two words in three, inside and outside the window
+		}
+		binary.LittleEndian.PutUint32(cpu[4*i:], c)
+	}
+	vmGroups := func() int64 {
+		bc := vm.BackendSnapshot()
+		return bc.WGLoopWGs + bc.InterpWGs
+	}
+	prog, err := (&Context{}).BuildProgram(passes.MergeKernelSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(builtin bool) ([]byte, vm.Stats, int64) {
+		env := sim.NewEnv()
+		ctx := NewContext(env, device.New(env, device.TeslaC2070()))
+		q := ctx.CreateQueue("app")
+		bufs := [3]*Buffer{ctx.CreateBuffer(len(cpu)), ctx.CreateBuffer(len(gpu)), ctx.CreateBuffer(len(orig))}
+		out := make([]byte, len(gpu))
+		var lr *device.LaunchResult
+		before := vmGroups()
+		env.Go("host", func(p *sim.Proc) {
+			for i, src := range [][]byte{cpu, gpu, orig} {
+				q.EnqueueWriteBufferAtTagged(bufs[i], 0, src, "write")
+			}
+			var ev *sim.Event
+			if builtin {
+				ev, lr = q.EnqueueMerge(bufs[0], bufs[1], bufs[2], lo, hi)
+			} else {
+				args := []Arg{BufArg(bufs[0]), BufArg(bufs[1]), BufArg(bufs[2]), IntArg(hi), IntArg(lo)}
+				ev, lr = q.EnqueueNDRangeKernel(prog.MustKernel(passes.MergeKernelName), vm.NewNDRange1D(256, 64), args, LaunchOpts{})
+			}
+			p.Wait(ev)
+			p.Wait(q.EnqueueReadBuffer(bufs[1], out))
+		})
+		env.Run()
+		if lr.Err != nil {
+			t.Fatal(lr.Err)
+		}
+		return out, lr.Stats, vmGroups() - before
+	}
+	got, st, gotVM := run(true)
+	want, wantSt, wantVM := run(false)
+	if !bytes.Equal(got, want) {
+		t.Error("EnqueueMerge left other bytes than the VM")
+	}
+	if st != wantSt {
+		t.Errorf("EnqueueMerge Stats\n%+v\nwant\n%+v", st, wantSt)
+	}
+	if gotVM != 0 || wantVM != 4 {
+		t.Errorf("the VM ran %d groups of EnqueueMerge's launch and %d of its own, want 0 and 4", gotVM, wantVM)
+	}
+	for i := 0; i < words; i++ {
+		w := binary.LittleEndian.Uint32(got[4*i:])
+		if merged := i >= lo && i < hi && i%3 != 0; merged != (w == uint32(5000+i)) {
+			t.Fatalf("word %d = %d after the merge", i, w)
+		}
 	}
 }

@@ -337,8 +337,8 @@ func TestNamespaceCollision(t *testing.T) {
 }
 
 // mergePaths runs a merge launch over args on each path a runtime takes:
-// the VM running MergeKernelSource, and the built-in kernel ocl selects for
-// it (device.MergeGroup), group by group. Each path gets its own copy of the
+// the VM running MergeKernelSource, and the built-in body ocl.EnqueueMerge
+// launches it with (device.MergeGroup), group by group. Each path gets its own copy of the
 // GPU buffer, which check inspects.
 func mergePaths(t *testing.T, nd vm.NDRange, args []vm.Arg, check func(path string, gpu []byte)) {
 	t.Helper()

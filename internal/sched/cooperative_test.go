@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fluidicl/internal/core"
@@ -75,36 +76,85 @@ func TestOneDriverBothProtocols(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesEachArrayOnce runs the six paper apps back to back on
-// every topology shape, each run drawing the storage the one before it
-// released. A run's host shadows and device copies share its handed-over
-// inputs until something writes them, so Release must hand every backing
-// array it owns to ocl.Recycle once or Recycle panics, and must hand over no
-// input: the input stays its app's, and the next run would write it. Each
-// run's outputs must verify.
+// TestReleaseRecyclesEachArrayOnce runs the six paper apps back to back
+// under every strategy (sched.EveryStrategy), each run drawing the storage
+// the one before it released. A run's host shadows and device copies share
+// its handed-over inputs until something writes them, so a run must hand
+// every backing array it owns to ocl.Recycle once or Recycle panics, and
+// must hand over no input: the input stays its app's, and the next run would
+// write it. Each run's outputs must verify.
 func TestReleaseRecyclesEachArrayOnce(t *testing.T) {
-	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus"} {
-		topo := device.MustParseTopology(spec)
+	for _, s := range sched.EveryStrategy() {
 		for _, b := range polybench.All() {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("%s on %s: %v", b.Name, spec, r)
+						t.Fatalf("%s under %s: %v", b.Name, s.Name, r)
 					}
 				}()
-				res, err := sched.RunTopology(topo, b.App, core.Options{})
+				res, err := s.Run(b.App)
 				if err != nil {
-					t.Fatalf("%s on %s: %v", b.Name, spec, err)
+					t.Fatalf("%s under %s: %v", b.Name, s.Name, err)
 				}
 				if err := b.Verify(res.Outputs); err != nil {
-					t.Fatalf("%s on %s: %v", b.Name, spec, err)
+					t.Fatalf("%s under %s: %v", b.Name, s.Name, err)
 				}
 				for name := range b.App.Buffers {
 					if ocl.Listed(b.App.Input(name)) {
-						t.Fatalf("%s on %s: Release put input %q on the free list", b.Name, spec, name)
+						t.Fatalf("%s under %s: the run put input %q on the free list", b.Name, s.Name, name)
 					}
 				}
 			}()
+		}
+	}
+}
+
+// TestBaselineRunAllocs guards the baselines' release: once a first run has
+// warmed the caches and filled the free list, a second 2MM run under a single
+// device, a static split and SOCL allocates less than half of its buffer
+// bytes, because its device copies, host shadows and merge scratch draw the
+// storage the first run handed back. The free list is emptied before the
+// first run, so storage an earlier test released cannot stand in for it.
+// The VM's scratch pools (sync.Pool) stay warm only on one P with the
+// collector off, so the test runs so. Not parallel: TotalAlloc counts the
+// whole process. The race detector's instrumentation allocates several
+// times the buffer bytes, so the guard skips under -race, as vm's do.
+func TestBaselineRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	b := polybench.TwoMM(128, 128, 128)
+	bufBytes := 0
+	for _, size := range b.App.Buffers {
+		bufBytes += size
+	}
+	m := sched.DefaultMachine()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, s := range []sched.Strategy{
+		{Name: "single-gpu", Run: func(app *sched.App) (*sched.Result, error) { return sched.RunSingle(m.GPU, app) }},
+		{Name: "static-50", Run: func(app *sched.App) (*sched.Result, error) { return sched.RunStatic(m, app, 50) }},
+		{Name: "socl-eager", Run: func(app *sched.App) (*sched.Result, error) { return sched.RunSocl(m, app, sched.Eager, nil) }},
+	} {
+		run := func() {
+			res, err := s.Run(b.App)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			if err := b.Verify(res.Outputs); err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+		}
+		ocl.Recycle(nil)
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes allocated, %.2f× the %d buffer bytes", s.Name, got, float64(got)/float64(bufBytes), bufBytes)
+		if got >= uint64(bufBytes/2) {
+			t.Errorf("%s: a warmed-up 2MM run allocated %d bytes, want < %d (half its %d buffer bytes)", s.Name, got, bufBytes/2, bufBytes)
 		}
 	}
 }

@@ -9,23 +9,24 @@ import (
 
 // pair is the two-device host side static splits and the SOCL scheduler
 // share: a context and an in-order queue per device, and the app's buffers
-// with their locations.
+// with their locations; all lists every ocl.Buffer of bufs, for recycle.
 type pair struct {
 	cpuCtx, gpuCtx *ocl.Context
 	cpuQ, gpuQ     *ocl.CommandQueue
 	bufs           map[string]*sbuf
+	all            []*ocl.Buffer
 }
 
-// sbuf is one app buffer of a pair: a copy per device, a host shadow (an
-// ocl.Buffer with no context, as FluidiCL's is), the slice a static split
-// ships the buffer's CPU half through, and which device copies hold its
-// current contents (neither: the host shadow does).
+// sbuf is one app buffer of a pair: a copy per device, a host shadow (as
+// FluidiCL's is), the GPU scratch a static split merges the buffer's CPU half
+// with, and which device copies hold its current contents (neither: the host
+// shadow does).
 type sbuf struct {
-	size         int
-	cpu, gpu     *ocl.Buffer
-	host         ocl.Buffer
-	staging      []byte
-	onCPU, onGPU bool
+	size          int
+	cpu, gpu      *ocl.Buffer
+	host          ocl.Buffer
+	orig, cpuCopy *ocl.Buffer
+	onCPU, onGPU  bool
 }
 
 // newPair creates machine m's two devices on env and the app's buffers on
@@ -39,8 +40,9 @@ func newPair(env *sim.Env, m Machine, app *App) *pair {
 	d.cpuQ, d.gpuQ = d.cpuCtx.CreateQueue("app"), d.gpuCtx.CreateQueue("app")
 	for _, name := range sortedBufferNames(app.Buffers) {
 		size := app.Buffers[name]
-		d.bufs[name] = &sbuf{size: size, cpu: d.cpuCtx.CreateBuffer(size), gpu: d.gpuCtx.CreateBuffer(size),
-			host: ocl.Buffer{Size: size}}
+		b := &sbuf{size: size, cpu: d.cpuCtx.CreateBuffer(size), gpu: d.gpuCtx.CreateBuffer(size),
+			host: ocl.Buffer{Size: size}, orig: d.gpuCtx.CreateBuffer(size), cpuCopy: d.gpuCtx.CreateBuffer(size)}
+		d.bufs[name], d.all = b, append(d.all, b.cpu, b.gpu, &b.host, b.orig, b.cpuCopy)
 	}
 	return d
 }

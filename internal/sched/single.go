@@ -23,9 +23,12 @@ func runSingle(cfg device.Config, app *App, sw *Sweep) (*Result, error) {
 	}
 	q := ctx.CreateQueue("app")
 	bufs := map[string]*ocl.Buffer{}
+	var run []*ocl.Buffer
 	for _, name := range sortedBufferNames(app.Buffers) {
 		bufs[name] = ctx.CreateBuffer(app.Buffers[name])
+		run = append(run, bufs[name])
 	}
+	defer recycle(run...)
 	kernels, err := createKernels(app, prog.CreateKernel)
 	if err != nil {
 		return nil, err
@@ -54,6 +57,16 @@ func runSingle(cfg device.Config, app *App, sw *Sweep) (*Result, error) {
 	}
 	res.LaunchTimes = launchTimes
 	return res, nil
+}
+
+// recycle hands the storage bufs own, never a handed-over input, to the free
+// list the next run draws from (ocl.Recycle), as core.Runtime.Release does.
+func recycle(bufs ...*ocl.Buffer) {
+	run := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		run[i] = b.Detach()
+	}
+	ocl.Recycle(run)
 }
 
 // lowerArgs lowers a launch's arguments for a runtime's enqueue: buf makes

@@ -97,6 +97,7 @@ func runSocl(m Machine, app *App, policy Policy, model DmdaModel, sw *Sweep) (*R
 	}
 	env := sim.NewEnv()
 	d := newPair(env, m, app)
+	defer recycle(d.all...)
 	cpuProg, err := d.cpuCtx.BuildProgram(app.Source)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
-	"fluidicl/internal/vm"
 )
 
 // RunStatic executes the app with a fixed work partitioning: gpuPct percent
@@ -80,6 +79,7 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 
 	env := sim.NewEnv()
 	d := newPair(env, m, app)
+	defer recycle(d.all...)
 	// Guarded program: a range-guard transform on both devices lets each
 	// execute an arbitrary flattened work-group interval.
 	guarded, info, err := buildGuarded(app.Source)
@@ -94,11 +94,6 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mergeProg, err := d.gpuCtx.BuildProgram(passes.MergeKernelSource)
-	if err != nil {
-		return nil, err
-	}
-	mergeK := mergeProg.MustKernel(passes.MergeKernelName)
 
 	return drive(env, app, 1, "static", steps{
 		write: func(p *sim.Proc, name string, data []byte) {
@@ -111,18 +106,9 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 			total := l.ND.TotalGroups()
 			g := min(max(total*gpuPct/100, 1), total-1)
 			d.ensureArgs(p, ki, l, true, false)
-
-			// Scratch for merging the CPU half into the GPU buffers.
-			type scr struct {
-				b             *sbuf
-				orig, cpuCopy *ocl.Buffer
-			}
-			var scrs []scr
-			for _, name := range writtenBufNames(ki, l) {
-				b := d.bufs[name]
-				s := scr{b: b, orig: d.gpuCtx.CreateBuffer(b.size), cpuCopy: d.gpuCtx.CreateBuffer(b.size)}
-				d.gpuQ.EnqueueCopyBuffer(b.gpu, s.orig)
-				scrs = append(scrs, s)
+			written := writtenBufNames(ki, l)
+			for _, name := range written { // the merge's pre-kernel original
+				d.gpuQ.EnqueueCopyBuffer(d.bufs[name].gpu, d.bufs[name].orig)
 			}
 
 			rec := sw.record(li, false)
@@ -138,24 +124,19 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 				return cRes.Err
 			}
 
-			// Ship the CPU half over and merge on the GPU. The buffer's staging
-			// slice is handed to this launch's cpuCopy, which is dead once its
-			// merge has run, so the next launch reuses it.
-			for _, s := range scrs {
-				if s.b.staging == nil {
-					s.b.staging = make([]byte, s.b.size)
-				}
-				p.Wait(d.cpuQ.EnqueueReadBuffer(s.b.cpu, s.b.staging))
-				p.Wait(d.gpuQ.EnqueueWriteBuffer(s.cpuCopy, s.b.staging))
-				words := s.b.size / 4 // merged by groups of 64 work-items
-				ev, mr := d.gpuQ.EnqueueNDRangeKernel(mergeK, vm.NewNDRange1D((words+63)/64*64, 64),
-					[]ocl.Arg{ocl.BufArg(s.cpuCopy), ocl.BufArg(s.b.gpu), ocl.BufArg(s.orig), ocl.IntArg(int64(words)), ocl.IntArg(0)},
-					ocl.LaunchOpts{})
+			// Ship the CPU half over through the host shadow, which holds
+			// nothing current while a device copy does, and merge on the GPU.
+			// cpuCopy shares the shadow's storage until the next ship.
+			for _, name := range written {
+				b := d.bufs[name]
+				p.Wait(d.cpuQ.EnqueueReadBuffer(b.cpu, b.host.Own(false)))
+				p.Wait(d.gpuQ.EnqueueWriteBuffer(b.cpuCopy, b.host.Bytes()))
+				ev, mr := d.gpuQ.EnqueueMerge(b.cpuCopy, b.gpu, b.orig, 0, b.size/4)
 				p.Wait(ev)
 				if mr.Err != nil {
 					return mr.Err
 				}
-				s.b.only(true)
+				b.only(true)
 			}
 			return nil
 		},

@@ -8,6 +8,7 @@ import (
 
 	"fluidicl/internal/core"
 	"fluidicl/internal/device"
+	"fluidicl/internal/ocl"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -71,43 +72,44 @@ __kernel void oob(__global float* b, __global float* c, int n) {
 }
 
 // TestRunStorageRecycled: a run draws the storage of the run before it and
-// sees none of its bytes, on every topology shape. Release hands each
-// backing array to ocl.Recycle once (Recycle panics otherwise; the Polybench
-// apps are TestReleaseRecyclesEachArrayOnce's, as polybench imports sched).
+// sees none of its bytes, under every strategy (EveryStrategy). Each run
+// hands each backing array to ocl.Recycle once (Recycle panics otherwise;
+// the Polybench apps are TestReleaseRecyclesEachArrayOnce's, as polybench
+// imports sched) and none of its inputs.
 func TestRunStorageRecycled(t *testing.T) {
 	const n = 2048 // 8 KiB buffers: above ocl's recycling floor
-	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus"} {
-		topo, err := device.ParseTopology(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range EveryStrategy() {
 		// Run A leaves non-zero bytes in every buffer it releases.
-		resA, err := RunTopology(topo, testApp(n), core.Options{})
+		appA := testApp(n)
+		resA, err := s.Run(appA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkChain(t, resA, n, spec+" run A")
+		checkChain(t, resA, n, s.Name+" run A")
 		keptA := bytes.Clone(resA.Outputs["c"])
+		if ocl.Listed(appA.Inputs["a"]) {
+			t.Errorf("%s: run A put its input on the free list", s.Name)
+		}
 
 		// Run B is built on A's storage and must see none of it.
-		resB, err := RunTopology(topo, tailApp(n), core.Options{})
+		resB, err := s.Run(tailApp(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkTail(t, resB, n, spec+" run B")
+		checkTail(t, resB, n, s.Name+" run B")
 		if !bytes.Equal(resA.Outputs["c"], keptA) {
-			t.Errorf("%s: run B changed run A's outputs: they alias recycled storage", spec)
+			t.Errorf("%s: run B changed run A's outputs: they alias recycled storage", s.Name)
 		}
 
 		// A run that fails half-way returns its storage all the same.
-		if _, err := RunTopology(topo, failingApp(n), core.Options{}); err == nil {
-			t.Fatalf("%s: the out-of-bounds store went unnoticed", spec)
+		if _, err := s.Run(failingApp(n)); err == nil {
+			t.Fatalf("%s: the out-of-bounds store went unnoticed", s.Name)
 		}
-		resC, err := RunTopology(topo, tailApp(n), core.Options{})
+		resC, err := s.Run(tailApp(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkTail(t, resC, n, spec+" run after a failed one")
+		checkTail(t, resC, n, s.Name+" run after a failed one")
 	}
 }
 
