@@ -185,7 +185,43 @@ func writeDuringD2H(t *testing.T, env *sim.Env, rt *Runtime) string {
 	if bad := firstWrong("host shadow", host, want); bad != "" {
 		return bad
 	}
-	return firstWrong("CPU copy", bufOut.bufs[0].Bytes(), want)
+	if bad := pendingInvariant(rt); bad != "" {
+		return bad
+	}
+	if _, ok := rt.proto.(*twin); ok {
+		// The twin writes to every device at once (§4.1), so its CPU copy
+		// holds the write itself; N-way sends it when a chunk needs it.
+		return firstWrong("CPU copy", bufOut.bufs[0].Bytes(), want)
+	}
+	return ""
+}
+
+// pendingInvariant checks the residency invariant of every buffer of rt
+// with its queues drained: each device copy equals the host shadow outside
+// its pending set. It returns the first byte that breaks it, or "".
+func pendingInvariant(rt *Runtime) string {
+	for bi, b := range rt.bufs {
+		host, dev := make([]byte, b.Size), make([]byte, b.Size)
+		b.host.ReadAt(host, 0)
+		for di, db := range b.bufs {
+			db.ReadAt(dev, 0)
+			off := 0
+			for i := 0; i <= len(b.pend[di].spans); i++ {
+				end, next := b.Size, b.Size
+				if i < len(b.pend[di].spans) {
+					end, next = b.pend[di].spans[i].Off, b.pend[di].spans[i].End
+				}
+				for j := off; j < end; j++ {
+					if dev[j] != host[j] {
+						return fmt.Sprintf("buffer %d, device %d: byte %d = %#x outside the pending set %v, host shadow %#x",
+							bi, di, j, dev[j], b.pend[di].spans, host[j])
+					}
+				}
+				off = next
+			}
+		}
+	}
+	return ""
 }
 
 // merged is writeDuringD2H's shape: both devices computed part of scale.

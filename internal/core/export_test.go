@@ -49,3 +49,8 @@ func CoherencePrograms() (out []CoherenceProgram) {
 	}
 	return out
 }
+
+// PendingInvariant checks that every device copy of every buffer of rt equals
+// the host shadow outside its pending set; call it with the queues drained.
+// It returns the first byte that breaks the invariant, or "".
+func PendingInvariant(rt *Runtime) string { return pendingInvariant(rt) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
@@ -22,8 +23,9 @@ import (
 // device's interconnect link to the host root, narrowed by the launch's
 // certified ship windows; the host diff-merges shipped bytes against a
 // pre-kernel snapshot (§4.3's merge, rooted at the host instead of the GPU)
-// and the delta-refresh planner (planner.go) brings device copies current
-// for the next kernel.
+// and the delta-refresh planner (planner.go) books what each copy misses.
+// Data follows the work (§5.5): a device is sent pending bytes only when its
+// own chunks need them (sendInputs; read-write buffers excepted).
 //
 // The degenerate two-device machine does not go through this protocol at
 // all: package sched routes Topology.Pair() machines to the twin protocol so
@@ -33,12 +35,13 @@ import (
 // device is the runtime's app queue: outFree recycles nwayOut bookkeeping;
 // cargs keeps one reusable ocl arg slice per device (a chunk launch reads its
 // args when it starts, and the device's worker waits for the chunk to finish
-// before the next claim rewrites the slice). Both are touched only inside
-// the cooperative engine.
+// before the next claim rewrites the slice); ins backs each launch's
+// buffers. All are touched only inside the cooperative engine.
 type nway struct {
 	r       *Runtime
 	outFree []*nwayOut
 	cargs   [][]ocl.Arg
+	ins     []nwayIn
 }
 
 func newNway(r *Runtime) *nway {
@@ -54,19 +57,23 @@ func (n *nway) source(e *transformEntry, di int) string { return e.cpuSrc }
 
 func (n *nway) variantContext() *ocl.Context { return nil }
 
-// awaitHost drains every device queue. Kernel calls block until the
-// host-rooted merge completes, so the host shadow is already current (the
-// device-to-host cost was paid by the chunk ships); the drain makes a
-// readback additionally wait for input broadcasts no kernel consumed.
+// awaitHost drains every device queue: kernel calls return with the host
+// shadow current, and a readback also waits for flushes still landing.
 func (n *nway) awaitHost(p *sim.Proc, b *Buffer) { n.r.Finish(p) }
 
-// nwayOut is the merge bookkeeping for one written buffer of one launch.
-// Instances and their interval sets are pooled on the protocol; orig comes
-// from the byte pool. Merges own the buffer's host shadow and write directly
-// into it (diffing against orig unless the writes are exact), so there is no
-// separate res copy to commit — on a hard certificate error the shadow may
-// hold a partial merge, but every later call observes the deferred error, so
-// the partial state is unobservable.
+// nwayIn is a launch's buffer, its access over all its bindings and, if
+// only read, the snapshot every device's flush shares.
+type nwayIn struct {
+	b             *Buffer
+	read, written bool
+	snap          []byte
+}
+
+// nwayOut is the merge bookkeeping for one written buffer of one launch,
+// pooled on the protocol; orig comes from the byte pool. Merges write the
+// host shadow directly (diffing against orig unless the writes are exact):
+// on a hard certificate error it may hold a partial merge, but every later
+// call observes the deferred error, so the partial state is unobservable.
 type nwayOut struct {
 	b   *Buffer
 	idx int // original parameter index
@@ -76,6 +83,7 @@ type nwayOut struct {
 	// copy fast path in diffMergeChunk.
 	exact bool
 	orig  []byte // pooled pre-kernel host snapshot, nil when exact
+	src   []byte // Buffer.src at launch start
 	dirty intervalSet
 	own   []intervalSet // per-device: runs that device's chunks changed
 }
@@ -90,6 +98,7 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 		o = &nwayOut{own: make([]intervalSet, len(n.r.app))}
 	}
 	o.b, o.idx = b, idx
+	o.src, b.src = b.src, nil // the merges write the host shadow
 	o.exact = el.writes != nil && el.writes.MustCover && el.writes.Monotone()
 	o.orig = nil
 	if !o.exact {
@@ -106,7 +115,7 @@ func (n *nway) getOut(b *Buffer, idx int, el elision) *nwayOut {
 // putOut releases o's pooled resources after the post-join commit.
 func (n *nway) putOut(o *nwayOut) {
 	n.r.bp.put(o.orig)
-	o.orig, o.b = nil, nil
+	o.orig, o.b, o.src = nil, nil, nil
 	if len(n.outFree) < maxPooledBufs {
 		n.outFree = append(n.outFree, o)
 	}
@@ -122,57 +131,66 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	r, k, rep := n.r, l.k, l.rep
 	total := l.nd.TotalGroups()
 	rep.DeviceWGs = make([]int, len(r.app))
-
-	// Plan the launch's transfers: for every buffer argument, flush its
-	// stale device copies (the delta refresh), then set up merge bookkeeping
-	// for written buffers. The planner's flush tally is this protocol's.
-	var outs []*nwayOut
-	for i, param := range k.Info.Kernel.Params {
-		if !param.Ty.Ptr || total == 0 {
-			continue
-		}
-		r.ctr.RefreshDeltas += r.flushPend(l.args[i].Buf, "refresh")
-		if k.Info.ParamAccess[param.Name].Written {
-			outs = append(outs, n.getOut(l.args[i].Buf, i, l.el[i]))
-		}
-	}
-
 	if total == 0 {
 		rep.End = p.Now()
 		return nil
 	}
 
+	// Plan per buffer (a binding reads it if the front end or the summary
+	// says it may): a read-write one's stale copies are flushed now, tallied
+	// as refreshes; the others wait for claims. Written ones get merge books.
+	ins := n.ins[:0]
+	for i, param := range k.Info.Kernel.Params {
+		if !param.Ty.Ptr {
+			continue
+		}
+		a, b := k.Info.ParamAccess[param.Name], l.args[i].Buf
+		j := slices.IndexFunc(ins, func(in nwayIn) bool { return in.b == b })
+		if j < 0 {
+			j, ins = len(ins), append(ins, nwayIn{b: b})
+		}
+		ins[j].read = ins[j].read || a.Read || k.chkRead&(1<<uint(i)) != 0
+		ins[j].written = ins[j].written || a.Written
+	}
+	n.ins = ins
+	var outs []*nwayOut
+	for _, in := range ins {
+		if in.read && in.written {
+			r.ctr.RefreshDeltas += r.flushPend(in.b, "refresh")
+		}
+	}
+	for i, param := range k.Info.Kernel.Params {
+		if param.Ty.Ptr && k.Info.ParamAccess[param.Name].Written {
+			outs = append(outs, n.getOut(l.args[i].Buf, i, l.el[i]))
+		}
+	}
+
 	// The shared claim pool over flattened work-group IDs: GPU-class devices
 	// claim [lo, ...] ascending, CPU-class devices steal [..., hi] descending.
-	// Claims mutate lo/hi from worker procs that execute one at a time in the
-	// cooperative engine, so no locking is needed and the claim sequence is
-	// deterministic.
+	// Worker procs run one at a time in the cooperative engine, so claims
+	// need no locks and their sequence is deterministic.
 	lo, hi := 0, total-1
 	claim := func(kind device.Kind, want int) (int, int, bool) {
-		if lo > hi {
+		c := min(max(want, 1), hi-lo+1)
+		if c <= 0 {
 			return 0, 0, false
 		}
-		c := want
-		if c < 1 {
-			c = 1
-		}
-		if rem := hi - lo + 1; c > rem {
-			c = rem
-		}
 		if kind == device.GPU {
-			c0 := lo
 			lo += c
-			return c0, c0 + c - 1, true
+			return lo - c, lo - 1, true
 		}
-		c1 := hi
 		hi -= c
-		return c1 - c + 1, c1, true
+		return hi + 1, hi + c, true
 	}
 
 	wg := r.Env.NewWaitGroup()
 	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
 	var dyn vm.Stats // aggregate dynamic stats across every chunk launch
-	subkernels := 0
 
 	for di, q := range r.app {
 		di, q := di, q
@@ -181,14 +199,12 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 		r.Env.Go(fmt.Sprintf("topo-dev%d-k%d", di, l.kid), func(sp *sim.Proc) {
 			defer wg.Done()
 			sizer := r.newChunkSizer(total, cfg.ComputeUnits)
-			for firstErr == nil {
+			for first := true; firstErr == nil; first = false {
 				clo, chi, ok := claim(cfg.Kind, sizer.next())
 				if !ok {
 					return
 				}
-				// One reusable arg slice per device: the launch reads it
-				// when it starts, and this worker waits for the launch
-				// before rewriting it for the next chunk.
+				n.sendInputs(l, di, clo, chi, first, ins, outs)
 				cargs := lowerChunkArgs(n.cargs[di][:0], l.args, di, clo, chi)
 				n.cargs[di] = cargs
 				t0 := sp.Now()
@@ -197,9 +213,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 				})
 				sp.Wait(ev)
 				if res.Err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: device %d execution of %q: %w", di, k.Name, res.Err)
-					}
+					fail(fmt.Errorf("core: device %d execution of %q: %w", di, k.Name, res.Err))
 					return
 				}
 				dyn.Add(res.Stats)
@@ -210,15 +224,10 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 				} else {
 					rep.GPUExecuted += c
 				}
-				subkernels++
+				rep.Subkernels++
 
-				// Validate the chunk's dynamic writes against the certificate
-				// windows its ships rely on, then ship each out buffer's
-				// window over this device's link to the host root.
 				if err := n.shipChunk(l, di, clo, chi, outs, &res.Stats, wg); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
+					fail(err)
 					return
 				}
 				sizer.observe((sp.Now() - t0) / float64(c))
@@ -229,7 +238,9 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	// Blocking kernel call: join every worker and every in-flight ship, then
 	// cross-check and commit the host-rooted merge.
 	wg.Wait(p)
-	rep.Subkernels = subkernels
+	for _, in := range ins {
+		r.bp.put(in.snap)
+	}
 	rep.CPUDidAll = rep.GPUExecuted == 0
 	if firstErr == nil {
 		// The per-chunk window checks ran in shipChunk; the access masks are
@@ -247,11 +258,7 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	// missing: a device's own runs are current there (owner-skip), every
 	// other changed run joins its pending set, and a device whose pending
 	// set stayed empty remains version-current — its refresh is skipped
-	// entirely. The deltas themselves are flushed lazily by the next kernel
-	// that touches the buffer on that device, pipelined on its in-order
-	// queue ahead of the chunk launches (§5.5 generalized). The launch
-	// flushed every pending set before its first chunk, so each starts
-	// empty here.
+	// entirely. Deltas go out when a later chunk needs them (§5.5).
 	for _, o := range outs {
 		b := o.b
 		for di := range b.pend {
@@ -265,13 +272,40 @@ func (n *nway) run(p *sim.Proc, l *launch) error {
 	return nil
 }
 
+// sendInputs enqueues on device di's app queue, ahead of its chunk [lo, hi],
+// the pending bytes the chunk needs: at its first claim each read-only
+// buffer's, at every claim each write-only buffer's inside the chunk's ship
+// window, which the merge compares against orig (none if exact).
+func (n *nway) sendInputs(l *launch, di, lo, hi int, first bool, ins []nwayIn, outs []*nwayOut) {
+	r, q := n.r, n.r.app[di]
+	for i := range ins {
+		if in := &ins[i]; first && !in.written && r.flush(in.b, di, &in.snap, "refresh") {
+			r.ctr.RefreshDeltas++
+		}
+	}
+	for _, o := range outs {
+		ps := &o.b.pend[di] // empty for a read-write buffer
+		if ps.empty() {
+			continue
+		}
+		off, end := shipWindow(l.el[o.idx], o.b.Size, l.nd, lo, hi)
+		spans := ps.appendClip(nil, off, end)
+		ps.subtractRange(off, end)
+		switch {
+		case o.exact || len(spans) == 0:
+		case o.src != nil:
+			r.sendSource(o.b, di, spans, o.src)
+		default:
+			q.EnqueueWriteBufferSpansTagged(o.b.bufs[di], spans, o.orig, "refresh")
+			r.ctr.RefreshDeltas++
+		}
+	}
+}
+
 // shipChunk validates one completed chunk's dynamic writes against the
 // certificate windows and ships each out buffer's narrowed byte range from
-// device di to the host root, diff-merging on arrival. The read is enqueued
-// on the device's in-order queue (ordered after the chunk that produced the
-// data); a helper process joins the transfer and merges, so the worker never
-// blocks on its own ships. wg tracks each in-flight ship so the kernel call
-// can join them all.
+// device di to the host root, after the chunk on di's in-order queue,
+// diff-merging from the device bytes as it lands; wg joins each ship.
 func (n *nway) shipChunk(l *launch, di, lo, hi int, outs []*nwayOut, stats *vm.Stats, wg *sim.WaitGroup) error {
 	r := n.r
 	for _, o := range outs {
@@ -291,24 +325,14 @@ func (n *nway) shipChunk(l *launch, di, lo, hi int, outs []*nwayOut, stats *vm.S
 			continue
 		}
 		o := o
-		data := r.bp.get(end - off)
-		ev := r.app[di].EnqueueReadBufferAtTagged(o.b.bufs[di], off, data, "ship")
 		wg.Add(1)
-		r.Env.Go(fmt.Sprintf("topo-ship-d%d-k%d-lo%d", di, l.kid, lo), func(mp *sim.Proc) {
-			defer wg.Done()
-			mp.Wait(ev)
-			// Host-rooted diff-merge (§4.3): a word differing from the
-			// pre-kernel snapshot was computed by this chunk; equal words are
-			// either untouched or recomputed identically elsewhere. Hull
-			// over-approximation is safe: bytes inside the window that this
-			// chunk did not write still hold pre-kernel data on the device —
-			// the flush at kernel start made the device copy current — which
-			// compares equal to orig. Changed runs land directly in the host
-			// shadow and feed the delta-refresh planner's dirty/own sets;
-			// merge procs run one at a time in the cooperative engine, so no
-			// locking is needed and the merge order is deterministic.
+		r.app[di].EnqueueReadBufferFunc(o.b.bufs[di], off, end-off, "ship", func(data []byte) {
+			// Host-rooted diff-merge (§4.3): a word differing from orig was
+			// computed by this chunk; equal words are untouched (sendInputs
+			// made the window current) or recomputed identically elsewhere.
+			// Transfers land one at a time, so the merge order is fixed.
 			diffMergeChunk(data, o.orig, o.b.host.Own(true), off, o.exact, &o.dirty, &o.own[di])
-			r.bp.put(data)
+			wg.Done()
 		})
 	}
 	return nil

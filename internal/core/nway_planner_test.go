@@ -7,6 +7,7 @@ import (
 
 	"fluidicl/internal/device"
 	"fluidicl/internal/sim"
+	"fluidicl/internal/trace"
 	"fluidicl/internal/vm"
 )
 
@@ -183,5 +184,84 @@ func TestPlannerWindowViolationBlocksRefresh(t *testing.T) {
 	}
 	if c := rt.Counters(); c.RefreshDeltas != 0 {
 		t.Fatalf("delta refresh enqueued despite the violation: %d", c.RefreshDeltas)
+	}
+}
+
+// TestZeroClaimDeviceReceivesNothing: on 4gpu-bus a one-group launch is
+// claimed by one GPU. Its buffers are only read or only written, so the
+// three GPUs that claim nothing are sent nothing for it — not even the
+// host's write of the input — and keep the input pending, while the
+// claimer receives the input, by reference, ahead of its chunk.
+func TestZeroClaimDeviceReceivesNothing(t *testing.T) {
+	const n, m = 16, 3
+	env := sim.NewEnv()
+	rec := trace.NewRecorder()
+	env.Trace = rec
+	devs := device.MustParseTopology("4gpu-bus").Build(env)
+	rt, err := NewTopo(env, devs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := rt.BuildProgram(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prog.MustKernel("scale")
+	a := make([]float32, n)
+	for i := range a {
+		a[i] = float32(i) + 1
+	}
+	bufA, bufOut := rt.CreateBuffer(4*n), rt.CreateBuffer(4*n)
+	var out []byte
+	env.Go("app", func(p *sim.Proc) {
+		rt.EnqueueWriteBuffer(p, bufA, f32buf(a...))
+		if err := rt.EnqueueNDRangeKernel(p, k, vm.NewNDRange1D(n, n),
+			[]Arg{BufArg(bufA), BufArg(bufOut), IntArg(n), IntArg(m)}); err != nil {
+			t.Error(err)
+			return
+		}
+		out = rt.EnqueueReadBuffer(p, bufOut)
+	})
+	env.Run()
+	if out == nil || rt.Err() != nil {
+		t.Fatalf("app did not complete: %v", rt.Err())
+	}
+	if bad := firstWrong("out", out, func(i int) float32 { return float32(i+1) * 0.5 * m }); bad != "" {
+		t.Fatal(bad)
+	}
+	sent := map[string]int{}
+	tracks := rec.Tracks()
+	for _, e := range rec.Events() {
+		dev, ok := strings.CutSuffix(tracks[e.Track], " link")
+		if !ok || strings.HasPrefix(e.Name, "wait:") || e.Name == "ship" {
+			continue
+		}
+		for _, kv := range e.Args {
+			if kv.K == "bytes" {
+				sent[dev] += int(kv.V)
+			}
+		}
+	}
+	claimers := 0
+	for di, d := range devs {
+		if rt.Reports[0].DeviceWGs[di] > 0 {
+			claimers++
+			if got := transfers(rec, "write"); len(got) != 1 || got[0].dev != d.Cfg.Name || got[0].bytes != 4*n {
+				t.Fatalf("claimer %s: writes %+v, want the input's %d bytes", d.Cfg.Name, got, 4*n)
+			}
+			continue
+		}
+		if sent[d.Cfg.Name] != 0 {
+			t.Fatalf("%s claimed no chunk but was sent %d bytes", d.Cfg.Name, sent[d.Cfg.Name])
+		}
+		if got := bufA.pend[di].bytes(); got != bufA.Size {
+			t.Fatalf("%s claimed no chunk but has %d of the input's %d bytes pending", d.Cfg.Name, got, bufA.Size)
+		}
+	}
+	if claimers != 1 {
+		t.Fatalf("%d devices claimed the one work-group", claimers)
+	}
+	if bad := pendingInvariant(rt); bad != "" {
+		t.Fatal(bad)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"fluidicl/internal/ocl"
@@ -9,13 +10,12 @@ import (
 
 // This file is the delta-refresh transfer planner (DESIGN.md S19), the one
 // residency mechanism of both protocols. Every buffer keeps, per device, the
-// byte set that device's copy is missing (Buffer.pend), and a launch brings
-// each device's copy current — with a single scatter-write of only the
-// bytes that device is missing — before the launch's first chunk runs
-// (flushPend). The N-way merge (nway.go) books exactly which byte
-// runs each kernel changed and which device computed them; the twin protocol
-// (twin.go) books a whole stale copy: the GPU's after the CPU computed a
-// kernel alone, the CPU's when a merged result comes home.
+// byte set that device's copy is missing (Buffer.pend), and a copy is brought
+// current with one scatter-write of just those bytes (flush). The N-way merge
+// (nway.go) books exactly which byte runs each kernel changed and which
+// device computed them; the twin protocol (twin.go) books a whole stale
+// copy: the GPU's after the CPU computed a kernel alone, the CPU's when a
+// merged result comes home.
 
 // pendMaxSpans caps the fragmentation of a per-device pending set: past
 // this many intervals the set is collapsed to its hull. Collapsing is
@@ -27,15 +27,11 @@ const pendMaxSpans = 32
 const maxPooledBufs = 32
 
 // intervalSet is a set of bytes represented as sorted, disjoint,
-// non-adjacent [Off, End) spans. All mutation happens inside the
-// cooperative simulation engine, so there is no locking; the backing
-// arrays are retained across resets so steady-state operation does not
-// allocate (modeled on analysis.coverAcc, with the same O(1) ascending
-// append fast path the merge's in-order runs hit).
+// non-adjacent [Off, End) spans, mutated only inside the cooperative engine
+// (no locks). Its backing array is kept across resets, so steady-state
+// operation does not allocate.
 type intervalSet struct {
-	spans   []ocl.Span
-	scratch []ocl.Span // spare backing array for subtractSpans' rebuild
-	one     [1]ocl.Span
+	spans []ocl.Span
 }
 
 func (s *intervalSet) reset()      { s.spans = s.spans[:0] }
@@ -92,43 +88,27 @@ func (s *intervalSet) add(off, end int) {
 	s.spans = append(sp[:i+1], sp[j:]...)
 }
 
-// subtractSpans removes the given sorted disjoint spans from s, rebuilding
-// into the set's spare backing array (so repeated subtracts ping-pong two
-// arrays and never allocate once capacities stabilize).
-func (s *intervalSet) subtractSpans(o []ocl.Span) {
-	if len(s.spans) == 0 || len(o) == 0 {
-		return
-	}
-	out := s.scratch[:0]
-	oi := 0
-	for _, sp := range s.spans {
-		off := sp.Off
-		for oi < len(o) && o[oi].End <= off {
-			oi++
-		}
-		for k := oi; k < len(o) && o[k].Off < sp.End; k++ {
-			if o[k].Off > off {
-				out = append(out, ocl.Span{Off: off, End: o[k].Off})
-			}
-			if o[k].End > off {
-				off = o[k].End
-			}
-		}
-		if off < sp.End {
-			out = append(out, ocl.Span{Off: off, End: sp.End})
-		}
-	}
-	s.scratch = s.spans[:0]
-	s.spans = out
-}
-
-// subtractRange removes [off, end) from s.
+// subtractRange removes [off, end) from s, in place: the spans it touches
+// become at most their two ends outside it.
 func (s *intervalSet) subtractRange(off, end int) {
-	if off >= end {
+	sp := s.spans
+	i := sort.Search(len(sp), func(j int) bool { return sp[j].End > off })
+	j := i
+	for j < len(sp) && sp[j].Off < end {
+		j++
+	}
+	if i == j || off >= end {
 		return
 	}
-	s.one[0] = ocl.Span{Off: off, End: end}
-	s.subtractSpans(s.one[:])
+	var ends [2]ocl.Span
+	k := 0
+	if sp[i].Off < off {
+		ends[k], k = ocl.Span{Off: sp[i].Off, End: off}, k+1
+	}
+	if sp[j-1].End > end {
+		ends[k], k = ocl.Span{Off: end, End: sp[j-1].End}, k+1
+	}
+	s.spans = slices.Replace(sp, i, j, ends[:k]...)
 }
 
 // addSetMinus unions (a \ b) into s and returns the byte count of (a \ b).
@@ -168,53 +148,78 @@ func (s *intervalSet) capSpans() {
 	s.spans = append(s.spans[:0], ocl.Span{Off: s.spans[0].Off, End: s.spans[len(s.spans)-1].End})
 }
 
-// flushPend brings every stale device copy of b current: each device with
-// a non-empty pending set receives one scatter write of exactly the bytes it
-// is missing, enqueued on its in-order app queue so it lands before
-// anything queued there later — pipelined against other devices' transfers
-// and compute. The pending set's span array and a pooled host snapshot
-// travel with the transfer and return to their pools when the last flush
-// retires. It returns the number of writes enqueued.
-func (r *Runtime) flushPend(b *Buffer, label string) int64 {
-	need := 0
-	for di := range b.pend {
-		if !b.pend[di].empty() {
-			need++
-		}
+// appendClip appends to dst the set's spans clipped to [off, end).
+func (s *intervalSet) appendClip(dst []ocl.Span, off, end int) []ocl.Span {
+	sp := s.spans
+	for i := sort.Search(len(sp), func(j int) bool { return sp[j].End > off }); i < len(sp) && sp[i].Off < end; i++ {
+		dst = append(dst, ocl.Span{Off: max(sp[i].Off, off), End: min(sp[i].End, end)})
 	}
-	if need == 0 {
-		return 0
-	}
+	return dst
+}
+
+// snapPend returns a pooled host image of b holding every pending byte.
+func (r *Runtime) snapPend(b *Buffer) []byte {
 	snap := r.bp.get(b.Size)
 	for di := range b.pend {
 		for _, s := range b.pend[di].spans {
 			b.host.ReadAt(snap[s.Off:s.End], s.Off)
 		}
 	}
-	left := need
-	for di := range b.pend {
-		ps := &b.pend[di]
-		if ps.empty() {
-			continue
-		}
-		// Detach the span array into the transfer; the set continues with a
-		// pooled replacement.
-		spans := ps.spans
-		ps.spans = r.sp.get()
-		ps.scratch = ps.scratch[:0]
-		r.app[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, snap, label)
-		r.app[di].EnqueueCall(func() {
-			r.sp.put(spans)
-			if left--; left == 0 {
-				r.bp.put(snap)
-			}
-		})
-	}
-	return int64(need)
+	return snap
 }
 
-// bytePool recycles a run's scratch slices across chunks and kernels (ships,
-// orig and flush snapshots, the twin's GPU merge scratch). get returns the
+// sendSource enqueues spans of b, bytes of its last whole host write, on
+// device di's app queue from that write's source (Buffer.src): by reference
+// when they are the whole buffer, else as one scatter "write".
+func (r *Runtime) sendSource(b *Buffer, di int, spans []ocl.Span, src []byte) {
+	if spans[0] == (ocl.Span{Off: 0, End: b.Size}) {
+		r.app[di].EnqueueWriteBuffer(b.bufs[di], src)
+	} else {
+		r.app[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, src, "write")
+	}
+}
+
+// flush enqueues device di's pending bytes of b on its in-order app queue,
+// so they land before anything queued there later, and empties its set: by
+// sendSource while the host shadow shares that source, else as one label
+// scatter write from *snap, taken at the first need. It reports the latter.
+func (r *Runtime) flush(b *Buffer, di int, snap *[]byte, label string) bool {
+	spans := b.pend[di].spans
+	switch {
+	case len(spans) == 0:
+		return false
+	case b.src != nil:
+		r.sendSource(b, di, spans, b.src)
+	default:
+		if *snap == nil {
+			*snap = r.snapPend(b)
+		}
+		r.app[di].EnqueueWriteBufferSpansTagged(b.bufs[di], spans, *snap, label)
+	}
+	b.pend[di].spans = nil
+	return b.src == nil
+}
+
+// flushPend flushes every device's copy of b; the snapshot returns to the
+// pool when the last write from it retires. It returns the snapshot writes.
+func (r *Runtime) flushPend(b *Buffer, label string) int64 {
+	var snap []byte
+	left := 0
+	for di := range b.pend {
+		if r.flush(b, di, &snap, label) {
+			left++
+			r.app[di].EnqueueCall(func() {
+				if left--; left == 0 {
+					r.bp.put(snap)
+				}
+			})
+		}
+	}
+	return int64(left)
+}
+
+// bytePool recycles a run's scratch slices across chunks and kernels (orig
+// and flush snapshots, the twin's ship staging and GPU merge scratch). get returns the
 // smallest adequate free slice with stale contents — callers fill every byte
 // they read — or else storage from ocl's free list. Plain slices, no locks:
 // every touch happens inside the cooperative engine.
@@ -254,42 +259,16 @@ func (p *bytePool) put(b []byte) {
 	p.free = append(p.free, b)
 }
 
-// spanPool recycles the span slices handed to in-flight scatter transfers
-// (the transfer reads them at completion time, so the pending set's backing
-// array is detached into the transfer and replaced from this pool).
-type spanPool struct {
-	free [][]ocl.Span
-}
-
-func (p *spanPool) get() []ocl.Span {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		return s[:0]
-	}
-	return nil
-}
-
-func (p *spanPool) put(s []ocl.Span) {
-	if cap(s) == 0 || len(p.free) >= maxPooledBufs {
-		return
-	}
-	p.free = append(p.free, s)
-}
-
 // diffMergeChunk folds one shipped chunk window into the host shadow: data
 // holds the device bytes of window [off, off+len(data)), orig the pre-kernel
 // host snapshot (nil when exact), host the merge target (both full-buffer
 // indexed). A word differing from orig was computed by this chunk; equal
 // words are either untouched or recomputed identically elsewhere (§4.3's
 // merge, host-rooted). Changed runs are copied into host and recorded in
-// dirty and own, feeding the delta-refresh planner.
-//
-// The compare walks 8 bytes at a time and drills into 4-byte words only on
-// mismatch; the sub-word tail of a non-word-multiple window is merged
-// byte-wise (the original loop silently dropped it). When exact is true the
-// caller's footprint certificate proves the chunk wrote every byte of the
-// window, so the whole window is copied without comparing.
+// dirty and own, feeding the delta-refresh planner. The compare walks 8
+// bytes at a time, 4-byte words on mismatch and a sub-word tail byte-wise;
+// when exact, the footprint certificate proves the chunk wrote the whole
+// window, which is copied without comparing.
 func diffMergeChunk(data, orig, host []byte, off int, exact bool, dirty, own *intervalSet) {
 	n := len(data)
 	if n == 0 {

@@ -69,7 +69,9 @@ func TestIntervalSetSubtract(t *testing.T) {
 	var o intervalSet
 	o.add(0, 25)   // clips the first span away entirely plus nothing of the second
 	o.add(90, 200) // clips the tail
-	s.subtractSpans(o.spans)
+	for _, sp := range o.spans {
+		s.subtractRange(sp.Off, sp.End)
+	}
 	if !setEquals(&s, []ocl.Span{{Off: 30, End: 90}}) {
 		t.Fatalf("after subtract: spans = %v", spansOf(&s))
 	}
@@ -286,7 +288,9 @@ func TestMergePathZeroAllocs(t *testing.T) {
 		bp.put(data)
 		pend.reset()
 		pend.addSetMinus(&dirty, &own)
-		pend.subtractSpans(own.spans)
+		for _, sp := range own.spans {
+			pend.subtractRange(sp.Off, sp.End)
+		}
 		pend.subtractRange(600, 700)
 		pend.capSpans()
 	}

@@ -7,28 +7,22 @@
 // per device, exactly as the paper's Figure 4 shows. One substrate — a
 // buffer on every device plus a host shadow, programs and kernels compiled
 // per device, the launch prologue, §5.1 chunk sizing, certified ship windows
-// and dynamic-vs-static cross-checks (runtime.go, launch.go) — serves two
+// and dynamic-vs-static cross-checks (runtime.go, launch.go) and one
+// residency of per-device pending bytes (planner.go) — serves two
 // cooperation protocols, chosen by the constructor.
 //
-// New selects the paper's twin protocol (twin.go). For every kernel enqueue
-// it:
-//
-//   - launches the transformed kernel over the full NDRange on the GPU,
-//     whose work-groups abort when the CPU's completion status covers them;
-//   - runs a CPU scheduler thread that repeatedly launches subkernels over
-//     chunks of work-groups from the highest flattened work-group ID down,
-//     with adaptive chunk sizing (§5.1), sending computed data followed by a
-//     status message to the GPU after each subkernel (§4.2);
-//   - merges the two devices' results on the GPU with a generated
-//     diff-merge kernel (§4.3, Fig. 9) and returns the final data to the
-//     host on a dedicated device-to-host thread (§5.6);
-//   - tracks buffer versions and stale device copies so multi-kernel
-//     programs stay coherent without programmer effort (§5.3, §6.2).
+// New selects the paper's twin protocol (twin.go): the GPU runs the
+// abort-checked kernel over the full NDRange while a CPU scheduler thread
+// steals adaptively sized chunks from the top and ships their results and a
+// status message to the GPU (§4.2, §5.1); a generated diff-merge kernel
+// folds the two on the GPU (§4.3, Fig. 9), a device-to-host thread returns
+// the result (§5.6), and versions keep multi-kernel programs coherent (§5.3,
+// §6.2).
 //
 // NewTopo selects the N-way generalization for any device list (nway.go):
-// devices claim chunks from both ends of the flattened range and results
-// merge at the host. Under both protocols a launch brings the stale device
-// copies of its buffers current by delta first (planner.go).
+// devices claim chunks from both ends of the flattened range, results merge
+// at the host, and a device is sent a buffer's bytes when its chunks need
+// them.
 package core
 
 import (
@@ -115,11 +109,7 @@ type Runtime struct {
 	qs   []*ocl.CommandQueue // every runtime queue, in creation order
 	app  []*ocl.CommandQueue // per device: the queue writes and flushes go on
 
-	// The run's scratch, touched only inside the cooperative engine: bp
-	// recycles byte slices (bytePool), sp the span slices detached into
-	// in-flight flushes.
-	bp bytePool
-	sp spanPool
+	bp bytePool // the run's scratch, touched only inside the cooperative engine
 
 	opts  Options
 	proto protocol
@@ -207,11 +197,11 @@ func (r *Runtime) createQueue(di int, name string) *ocl.CommandQueue {
 // ocl.Buffer value, in a device copy's three storage states; the
 // code that writes it (the N-way merges, the twin's read-backs) owns it
 // first. pend[di] is the exact byte set device di's copy is missing: every
-// mutation keeps a device copy equal to the host shadow outside pend[di],
-// and a launch flushes the sets of its buffers before any device runs a
-// chunk (flushPend). The host shadow itself can lag only under the twin
-// protocol, whose merged results come home after the kernel call returns
-// (lag).
+// mutation keeps a device copy equal to the host shadow outside pend[di];
+// the twin flushes a launch's sets before any chunk runs (flushPend), N-way
+// as each device's chunks need them (nway.go). The host shadow itself can
+// lag only under the twin protocol, whose merged results come home after
+// the kernel call returns (lag).
 type Buffer struct {
 	rt   *Runtime
 	Size int
@@ -219,6 +209,7 @@ type Buffer struct {
 	host ocl.Buffer    // host shadow
 	pend []intervalSet // per device
 	lag  hostLag
+	src  []byte // N-way: the last whole write's source, while host shares it
 }
 
 // CreateBuffer creates a buffer on every device (paper §4.1: clCreateBuffer
@@ -267,16 +258,14 @@ func (r *Runtime) mustBeLive() {
 	}
 }
 
-// EnqueueWriteBuffer writes host data to every device (§4.1: every
-// clEnqueueWriteBuffer becomes one write per device), handing data over as
+// EnqueueWriteBuffer writes host data to the buffer, handing data over as
 // ocl's EnqueueWriteBuffer does: the caller must not change data until
-// Release. The host shadow and every device copy share a whole-buffer write
+// Release. The host shadow and device copies share a whole-buffer write
 // until a write makes their storage their own; a shorter one is copied. The
-// call returns at once; the in-order device queues sequence the transfers
-// before any later kernel on that device, so each device starts as soon as
-// its copy lands (§5.5's overlap of communication with execution), and the
-// written range leaves every pending set. The write is the newest version,
-// so it first waits for an older one still on its way home.
+// call returns at once. The twin enqueues it on every device (§4.1), and the
+// in-order queues sequence it before any later kernel there; N-way books it
+// as pending everywhere, sent when a device's chunks need it (nway.go). The
+// write is the newest version, so it waits for an older one on its way home.
 func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	r.mustBeLive()
 	if len(data) > b.Size {
@@ -284,7 +273,15 @@ func (r *Runtime) EnqueueWriteBuffer(p *sim.Proc, b *Buffer, data []byte) {
 	}
 	b.lag.await(p)
 	b.host.Store(data)
+	_, lazy := r.proto.(*nway)
+	if b.src = nil; lazy && len(data) == b.Size {
+		b.src = data
+	}
 	for di, q := range r.app {
+		if lazy {
+			b.pend[di].add(0, len(data))
+			continue
+		}
 		q.EnqueueWriteBuffer(b.bufs[di], data)
 		b.pend[di].subtractRange(0, len(data))
 	}

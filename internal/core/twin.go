@@ -627,7 +627,7 @@ func (t *twin) shipToGPU(l *launch, lo, hi int, scratches []scratchPair, slog *s
 		stages = append(stages, staged{
 			data:   data,
 			off:    off,
-			ev:     t.cpuQ.EnqueueReadBufferAtTagged(b.bufs[twinCPU], off, data, "read"),
+			ev:     t.cpuQ.EnqueueReadBufferFunc(b.bufs[twinCPU], off, len(data), "read", func(s []byte) { copy(data, s) }),
 			dst:    sc.cpuCopy,
 			primed: sc.primed,
 		})

@@ -134,7 +134,7 @@ func (s *storageRun) step(p *sim.Proc) {
 	case 4, 5: // read
 		off := s.next() * 16 % size
 		dst := make([]byte, s.next()*16%(size-off+1))
-		q.EnqueueReadBufferAtTagged(b, off, dst, "read")
+		q.EnqueueReadBufferFunc(b, off, len(dst), "read", func(d []byte) { copy(dst, d) })
 		s.reads = append(s.reads, readCheck{"read", dst, bytes.Clone(m[off : off+len(dst)])})
 	case 6: // copy to another buffer at least as large
 		j := s.next() % 3

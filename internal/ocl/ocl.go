@@ -463,19 +463,16 @@ func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, dst []byte) *sim.Event {
 	return t.Done
 }
 
-// EnqueueReadBufferAtTagged copies the device buffer's byte range
-// [off, off+len(dst)) into host bytes (clEnqueueReadBuffer with a non-zero
-// offset); label names the transfer's role in traces (FluidiCL's staging
-// reads and chunk-result reads are "read" and "ship").
-func (q *CommandQueue) EnqueueReadBufferAtTagged(b *Buffer, off int, dst []byte, label string) *sim.Event {
-	if off < 0 || off+len(dst) > b.Size {
-		panic(fmt.Sprintf("ocl: read of %d bytes at offset %d from %d-byte buffer", len(dst), off, b.Size))
+// EnqueueReadBufferFunc reads the device buffer's byte range [off, off+n)
+// (clEnqueueReadBuffer with an offset) and hands those device bytes to fn
+// when the transfer completes, instead of a copy: fn must neither keep nor
+// write the slice. label names the transfer's role in traces (FluidiCL's
+// staging reads and chunk-result reads are "read" and "ship").
+func (q *CommandQueue) EnqueueReadBufferFunc(b *Buffer, off, n int, label string, fn func([]byte)) *sim.Event {
+	if off < 0 || n < 0 || off+n > b.Size {
+		panic(fmt.Sprintf("ocl: read of %d bytes at offset %d from %d-byte buffer", n, off, b.Size))
 	}
-	t := &device.Transfer{
-		Bytes: len(dst),
-		Apply: func() { b.ReadAt(dst, off) },
-		Label: label,
-	}
+	t := &device.Transfer{Bytes: n, Apply: func() { fn(b.Bytes()[off : off+n]) }, Label: label}
 	q.q.Enqueue(t)
 	return t.Done
 }

@@ -210,38 +210,40 @@ func TestHandedOverInputsNeverWritten(t *testing.T) {
 }
 
 // TestCoopRunAllocs guards the hand-over of host writes: once a first run
-// has warmed the build and plan caches, a second GESUMMV run allocates less
-// than a quarter of its input bytes, under the twin protocol and under
-// N-way, because neither the host shadows nor the device copies of its
-// inputs copy them. The free list is emptied before the second run, so
-// storage the first run released cannot hide a copy. Not parallel:
-// TotalAlloc counts the whole process.
+// has warmed the build and plan caches, a second run allocates less than a
+// quarter of its input bytes, under the twin protocol and under N-way,
+// because neither the host shadows nor the device copies of its inputs copy
+// them. GESUMMV's inputs are read-only; ATAX's kernels also write buffers
+// they never read, which N-way sends per chunk window. The free list is
+// emptied before the second run, so storage the first run released cannot
+// hide a copy. Not parallel: TotalAlloc counts the whole process.
 func TestCoopRunAllocs(t *testing.T) {
-	b := polybench.Gesummv(768)
-	in := 0
-	for _, data := range b.App.Inputs {
-		in += len(data)
-	}
-	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu"} {
-		topo := device.MustParseTopology(spec)
-		run := func() {
-			res, err := sched.RunTopology(topo, b.App, core.Options{})
-			if err != nil {
-				t.Fatalf("%s: %v", spec, err)
-			}
-			if err := b.Verify(res.Outputs); err != nil {
-				t.Fatalf("%s: %v", spec, err)
-			}
+	for _, b := range []*polybench.Benchmark{polybench.Gesummv(768), polybench.Atax(768)} {
+		in := 0
+		for _, data := range b.App.Inputs {
+			in += len(data)
 		}
-		run()
-		ocl.Recycle(nil)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(in/4) {
-			t.Errorf("%s: a warmed-up GESUMMV run allocated %d bytes, want < %d (a quarter of its %d input bytes)",
-				spec, got, in/4, in)
+		for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus"} {
+			topo := device.MustParseTopology(spec)
+			run := func() {
+				res, err := sched.RunTopology(topo, b.App, core.Options{})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", b.Name, spec, err)
+				}
+				if err := b.Verify(res.Outputs); err != nil {
+					t.Fatalf("%s on %s: %v", b.Name, spec, err)
+				}
+			}
+			run()
+			ocl.Recycle(nil)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(in/4) {
+				t.Errorf("%s on %s: a warmed-up run allocated %d bytes, want < %d (a quarter of its %d input bytes)",
+					b.Name, spec, got, in/4, in)
+			}
 		}
 	}
 }
