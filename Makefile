@@ -262,8 +262,10 @@ DEVICE_LOC_MAX = 1308
 # EnqueueReadBufferAt folded into their labelled forms. 574 is that count
 # with EnqueueMerge, the one launch of the built-in fcl_merge, paid for by the
 # source-text rule in CreateKernel, EnqueueMarker (folded into Finish),
-# Buffer.Ctx and a Program that is its cached compilation.
-OCL_LOC_MAX = 574
+# Buffer.Ctx and a Program that is its cached compilation. 571 is that
+# count with EnqueueReadBufferAtTagged replaced by EnqueueReadBufferFunc,
+# which hands the device bytes to a callback (N-way ships merge from them).
+OCL_LOC_MAX = 571
 # internal/core runs two cooperation protocols over one substrate. 2824 was
 # the count with the twin protocol's own residency beside N-way's: location
 # flags, a stale-GPU upload, a direct CPU refresh, per-ship staging buffers
@@ -287,6 +289,10 @@ OCL_LOC_MAX = 574
 # scratch owns slices of the runtime's byte pool, and its bufferPool (with
 # the trim) and the protocols' drain are gone. 2482 is that count with the
 # twin's merge kernel, its build and hand-built launch gone (ocl.EnqueueMerge).
+# It stayed 2482 when N-way came to send bytes only where a device works
+# (host writes booked as pending, read-only buffers at first claim,
+# write-only ones per ship window), paid for by spanPool and
+# intervalSet.subtractSpans going and by ships merging in their transfer.
 CORE_LOC_MAX = 2482
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true

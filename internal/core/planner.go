@@ -180,9 +180,9 @@ func (r *Runtime) sendSource(b *Buffer, di int, spans []ocl.Span, src []byte) {
 }
 
 // flush enqueues device di's pending bytes of b on its in-order app queue,
-// so they land before anything queued there later, and empties its set: by
-// sendSource while the host shadow shares that source, else as one label
-// scatter write from *snap, taken at the first need. It reports the latter.
+// so they land before anything queued there later, and empties its set:
+// from Buffer.src while the shadow shares it (sendSource), else as one
+// label scatter write from *snap, taken at first need. It reports the latter.
 func (r *Runtime) flush(b *Buffer, di int, snap *[]byte, label string) bool {
 	spans := b.pend[di].spans
 	switch {
@@ -219,10 +219,10 @@ func (r *Runtime) flushPend(b *Buffer, label string) int64 {
 }
 
 // bytePool recycles a run's scratch slices across chunks and kernels (orig
-// and flush snapshots, the twin's ship staging and GPU merge scratch). get returns the
-// smallest adequate free slice with stale contents — callers fill every byte
-// they read — or else storage from ocl's free list. Plain slices, no locks:
-// every touch happens inside the cooperative engine.
+// and flush snapshots, the twin's ship staging and GPU merge scratch). get
+// returns the smallest adequate free slice with stale contents — callers
+// fill every byte they read — or else storage from ocl's free list. Plain
+// slices, no locks: every touch happens inside the cooperative engine.
 type bytePool struct {
 	free [][]byte
 }
