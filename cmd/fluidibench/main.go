@@ -38,7 +38,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent experiment table cells (0 = GOMAXPROCS)")
 	jsonOut := flag.String("jsonout", "", "write per-table wall-clock times as JSON to this file")
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
-	dist := flag.Bool("dist", false, "print the per-benchmark CPU/GPU work-distribution table (paper §5.5)")
+	dist := flag.Bool("dist", false, "print the per-benchmark, per-device work-distribution table (paper §5.5)")
 	topology := flag.String("topology", "", "N-device topology for -trace, -dist and hash, e.g. cpu+gpu, 2cpu+2gpu, 4gpu-bus (default: the paper's cpu+gpu machine)")
 	flag.Usage = usage
 	flag.Parse()
@@ -93,13 +93,7 @@ func main() {
 		badFlag(fmt.Errorf("unexpected arguments %q: one invocation runs one command (usage: fluidibench -h)", args[reads:]))
 	}
 	if *dist {
-		var err error
-		if *topology != "" {
-			err = runDistTopology(*quick, *csv, *topology)
-		} else {
-			err = runDist(*quick, *csv)
-		}
-		if err != nil {
+		if err := runDist(*quick, *csv, *topology); err != nil {
 			fatal(err)
 		}
 		return
@@ -357,96 +351,13 @@ func benchFor(name string, quick bool) (*polybench.Benchmark, error) {
 	return polybench.ByName(name)
 }
 
-// runDist reproduces the paper's §5.5 work-distribution reporting: for every
-// Polybench benchmark, one FluidiCL run's CPU-vs-GPU work-group split,
-// per-device busy time, link traffic and overhead, and the fraction of the
-// smaller device's compute that overlapped the other device's.
-func runDist(quick, csv bool) error {
-	benches := polybench.AllWithExtras()
-	if quick {
-		benches = polybench.AllQuick()
-	}
-	m := sched.DefaultMachine()
-	t := &harness.Table{
-		ID:    "dist",
-		Title: "FluidiCL work distribution and overhead breakdown (paper §5.5)",
-		Note: "per-benchmark FluidiCL run: work-groups executed per device (app kernels only),\n" +
-			"virtual busy and link time, bytes over the links, and compute overlap",
-		Columns: []string{"Benchmark", "CPU-WGs", "GPU-WGs", "CPU-share", "CPU-busy", "GPU-busy", "link-busy", "link-wait", "H2D-KB", "D2H-KB", "overlap", "wg-fb", "wg-reject", "wg-fused", "fuse-cov", "fuse-dyn", "time-ms"},
-	}
-	for _, b := range benches {
-		before := vm.BackendSnapshot()
-		res, err := sched.RunFluidiCL(m, b.App, core.Options{})
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		delta := vmSince(before)
-		if err := b.Verify(res.Outputs); err != nil {
-			return fmt.Errorf("%s: wrong results: %w", b.Name, err)
-		}
-		var cpuWGs, gpuWGs int64
-		for _, rep := range res.Reports {
-			cpuWGs += int64(rep.CPUWGs)
-			gpuWGs += int64(rep.GPUExecuted)
-		}
-		share := 0.0
-		if cpuWGs+gpuWGs > 0 {
-			share = float64(cpuWGs) / float64(cpuWGs+gpuWGs)
-		}
-		cpu := res.Summary.ByKind("CPU")
-		gpu := res.Summary.ByKind("GPU")
-		t.AddRow(b.Name,
-			fmt.Sprintf("%d", cpuWGs),
-			fmt.Sprintf("%d", gpuWGs),
-			fmt.Sprintf("%.0f%%", share*100),
-			fmt.Sprintf("%.2fms", cpu.Busy*1e3),
-			fmt.Sprintf("%.2fms", gpu.Busy*1e3),
-			fmt.Sprintf("%.2fms", (cpu.LinkBusy+gpu.LinkBusy)*1e3),
-			fmt.Sprintf("%.2fms", (cpu.LinkWait+gpu.LinkWait)*1e3),
-			fmt.Sprintf("%.1f", float64(cpu.BytesH2D+gpu.BytesH2D)/1024),
-			fmt.Sprintf("%.1f", float64(cpu.BytesD2H+gpu.BytesD2H)/1024),
-			fmt.Sprintf("%.0f%%", res.Summary.OverlapFrac()*100),
-			fmt.Sprintf("%d", delta.WGFallbackWGs),
-			dominantReject(delta),
-			fmt.Sprintf("%d", delta.WGFusedBlocks),
-			fusedShare(delta.WGFusedSteps, delta.WGFuseFallbackSteps),
-			fusedShare(delta.WGFusedInstrsDyn, delta.WGStepInstrsDyn),
-			fmt.Sprintf("%.3f", res.Time*1e3))
-	}
-	emit(t, csv)
-	return nil
-}
-
-// fusedShare formats fused/(fused+stepped) for the two fusion columns: fuse-cov
-// is the fraction of wg-compiled instructions absorbed into fused block
-// closures, fuse-dyn the fraction of executed block-body instructions that
-// ran through them. "-" when the run counted neither.
-func fusedShare(fused, stepped int64) string {
-	if fused+stepped == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f%%", float64(fused)/float64(fused+stepped)*100)
-}
-
-// dominantReject names the most frequent certificate rejection in a counter
-// delta, or "-" when no work-group ran in one-lane sets.
-func dominantReject(c core.Counters) string {
-	best, n := "-", int64(0)
-	for i, name := range vm.WGRejectNames() {
-		if c.WGRejects[i] > n {
-			best, n = name, c.WGRejects[i]
-		}
-	}
-	return best
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `fluidibench — regenerate the FluidiCL paper's tables and figures
 
 usage:
   fluidibench [-csv] [-quick] [-parallel N] [-jsonout F] <experiment>|all
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
-  fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
+  fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5), one row per device
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)
   fluidibench [-quick] run <benchmark>     # one benchmark under every strategy
   fluidibench [-quick] trace <benchmark>   # cooperative-execution timeline (plain text)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -152,19 +153,26 @@ func TestJSONOutMatchesTopologyMatrixGolden(t *testing.T) {
 // against testdata/dist_quick.golden, byte for byte: per device, the
 // work-group split, virtual busy and link times, and the bytes each link
 // carried (H2D, refresh, D2H), so a change to what the runtimes transfer
-// shows here even when it moves no virtual time. Regenerate with
+// shows here even when it moves no virtual time; per run, co-execution and
+// the VM's lockstep and fusion counters. The default machine's table,
+// `fluidibench -quick -dist`, must equal the cpu+gpu one: there is one
+// table. Regenerate with
 // UPDATE_GOLDEN=1 go test ./cmd/fluidibench -run TestDistTopologyGolden.
 func TestDistTopologyGolden(t *testing.T) {
-	var got []byte
-	for _, topo := range []string{"cpu+gpu", "2cpu+2gpu"} {
+	dist := func(args string) []byte {
 		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS=-quick -topology "+topo+" -dist")
+		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+args)
 		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("fluidibench -quick -topology %s -dist: %v", topo, err)
+			t.Fatalf("fluidibench %s: %v", args, err)
 		}
-		got = append(got, out...)
+		return out
 	}
+	pair := dist("-quick -topology cpu+gpu -dist")
+	if def := dist("-quick -dist"); !bytes.Equal(def, pair) {
+		t.Fatalf("fluidibench -quick -dist differs from -quick -topology cpu+gpu -dist:\n%s", def)
+	}
+	got := append(pair, dist("-quick -topology 2cpu+2gpu -dist")...)
 	golden := filepath.Join("testdata", "dist_quick.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {

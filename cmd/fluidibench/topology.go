@@ -14,6 +14,7 @@ import (
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/trace"
+	"fluidicl/internal/vm"
 )
 
 // outputHash digests a run's output buffers in name-sorted order, matching
@@ -42,10 +43,7 @@ func outputHash(outputs map[string][]byte) string {
 // identical across every topology — the CI matrix diffs them to prove it.
 // It adds every run's counters and summary to e, in run order.
 func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
-	if topoSpec == "" {
-		topoSpec = "cpu+gpu"
-	}
-	topo, err := device.ParseTopology(topoSpec)
+	topo, err := topologyFor(topoSpec)
 	if err != nil {
 		return err
 	}
@@ -56,7 +54,7 @@ func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
 	for _, b := range benches {
 		first, err := sched.RunTopology(topo, b.App, core.Options{})
 		if err != nil {
-			return fmt.Errorf("%s on %s: %w", b.Name, topoSpec, err)
+			return fmt.Errorf("%s on %s: %w", b.Name, topo, err)
 		}
 		if err := b.Verify(first.Outputs); err != nil {
 			return fmt.Errorf("%s on %s: wrong results: %w", b.Name, topoSpec, err)
@@ -81,6 +79,25 @@ func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
 	return nil
 }
 
+// topologyFor parses a -topology value; empty means the paper's cpu+gpu
+// machine, which runs the twin protocol.
+func topologyFor(spec string) (device.Topology, error) {
+	if spec == "" {
+		spec = "cpu+gpu"
+	}
+	return device.ParseTopology(spec)
+}
+
+// coExec is the fraction of a run's virtual time during which two or more
+// devices computed: unlike Summary.OverlapFrac (BothBusy over the least-busy
+// device's busy time) it stays within [0, 1] on any device count.
+func coExec(res *sched.Result) float64 {
+	if res.Time <= 0 {
+		return 0
+	}
+	return res.Summary.BothBusy / res.Time
+}
+
 // chromeTrace runs one benchmark under FluidiCL with the event recorder
 // attached and writes the recording as Chrome trace_event JSON: one compute
 // and one link track per simulated device (shared-bus contention visible as
@@ -93,11 +110,7 @@ func chromeTrace(name string, quick bool, out, topoSpec string) error {
 	if err != nil {
 		return err
 	}
-	spec := topoSpec
-	if spec == "" {
-		spec = "cpu+gpu"
-	}
-	topo, err := device.ParseTopology(spec)
+	topo, err := topologyFor(topoSpec)
 	if err != nil {
 		return err
 	}
@@ -122,23 +135,8 @@ func chromeTrace(name string, quick bool, out, topoSpec string) error {
 	}
 	fmt.Printf("wrote %s: %d events on %d tracks (open in chrome://tracing or ui.perfetto.dev)\n",
 		out, len(rec.Events()), len(rec.Tracks()))
-	if topoSpec == "" {
-		cpu, gpu := res.Summary.ByKind("CPU"), res.Summary.ByKind("GPU")
-		fmt.Printf("%s %s: %.3f ms virtual; CPU busy %.3f ms (%d wgs), GPU busy %.3f ms (%d wgs), overlap %.0f%%\n",
-			b.Name, b.InputDesc, res.Time*1e3,
-			cpu.Busy*1e3, cpu.WGsExecuted, gpu.Busy*1e3, gpu.WGsExecuted,
-			res.Summary.OverlapFrac()*100)
-		return nil
-	}
-	// OverlapFrac's pairwise ratio (BothBusy over the less-busy device) can
-	// exceed 1 on more than two devices; report co-execution as the fraction
-	// of wall time with at least two devices computing instead.
-	coexec := 0.0
-	if res.Time > 0 {
-		coexec = res.Summary.BothBusy / res.Time
-	}
 	fmt.Printf("%s %s on %s: %.3f ms virtual, co-exec %.0f%% of wall\n",
-		b.Name, b.InputDesc, topo.String(), res.Time*1e3, coexec*100)
+		b.Name, b.InputDesc, topo, res.Time*1e3, coExec(res)*100)
 	for _, d := range res.Summary.Devices {
 		fmt.Printf("  %-28s busy %8.3f ms, %5d wgs, link busy %7.3f ms, wait %7.3f ms\n",
 			d.Name, d.Busy*1e3, d.WGsExecuted, d.LinkBusy*1e3, d.LinkWait*1e3)
@@ -146,12 +144,15 @@ func chromeTrace(name string, quick bool, out, topoSpec string) error {
 	return nil
 }
 
-// runDistTopology is the -dist table on an N-device topology: one row per
-// (benchmark, device) with that device's work-group share, busy time and
-// link traffic, so the work-stealing balance across the whole device set is
-// visible at a glance.
-func runDistTopology(quick, csv bool, topoSpec string) error {
-	topo, err := device.ParseTopology(topoSpec)
+// runDist is the work-distribution table (paper §5.5) on a topology, the
+// paper's cpu+gpu machine when topoSpec is empty: one row per (benchmark,
+// device) with that device's work-group share, virtual busy and link time
+// and the bytes over its host link. A benchmark's first row also carries
+// what belongs to the whole run: the refresh bytes the planner elided,
+// co-execution, the VM's lockstep and fusion counters over the run, and the
+// virtual time.
+func runDist(quick, csv bool, topoSpec string) error {
+	topo, err := topologyFor(topoSpec)
 	if err != nil {
 		return err
 	}
@@ -161,59 +162,53 @@ func runDistTopology(quick, csv bool, topoSpec string) error {
 	}
 	t := &harness.Table{
 		ID:    "dist",
-		Title: fmt.Sprintf("FluidiCL work distribution on topology %s", topo.String()),
-		Note: "per-benchmark FluidiCL run: one row per device with its share of the\n" +
-			"work-groups, virtual busy and link time, and bytes over its host link\n" +
-			"(rf-KB: delta-refresh H2D bytes; rf-skip-KB: refresh bytes the planner elided)",
-		Columns: []string{"Benchmark", "Device", "WGs", "share", "busy", "link-busy", "link-wait", "H2D-KB", "rf-KB", "D2H-KB", "rf-skip-KB", "time-ms"},
+		Title: fmt.Sprintf("FluidiCL work distribution on topology %s (paper §5.5)", topo),
+		Note: "per-benchmark FluidiCL run: one row per device with its share of the work-groups\n" +
+			"(app kernels only), virtual busy and link time, and bytes over its host link\n" +
+			"(rf-KB: delta-refresh H2D bytes); on the first row, per run: rf-skip-KB, refresh\n" +
+			"bytes the planner elided; co-exec, the share of time two or more devices computed;\n" +
+			"the VM's one-lane-set groups, dominant certificate reject and fusion coverage",
+		Columns: []string{"Benchmark", "Device", "WGs", "share", "busy", "link-busy", "link-wait", "H2D-KB", "rf-KB", "D2H-KB",
+			"rf-skip-KB", "co-exec", "wg-fb", "wg-reject", "wg-fused", "fuse-cov", "fuse-dyn", "time-ms"},
 	}
 	for _, b := range benches {
+		before := vm.BackendSnapshot()
 		res, err := sched.RunTopology(topo, b.App, core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
+		delta := vmSince(before)
 		if err := b.Verify(res.Outputs); err != nil {
 			return fmt.Errorf("%s: wrong results: %w", b.Name, err)
 		}
 		// Work-group counts come from the kernel reports (app kernels only);
-		// busy/link figures come from the trace meter, indexed in topology
-		// device order — the same order Topology.Build registered them.
-		wgs := make([]int64, len(topo.Devices))
+		// busy/link figures come from the trace meter. Both are in the
+		// runtime's device order, the order Topology.Build registered them.
+		wgs := make([]int64, len(res.Summary.Devices))
 		var total int64
 		for _, rep := range res.Reports {
-			if rep.DeviceWGs != nil {
-				for i, n := range rep.DeviceWGs {
-					wgs[i] += int64(n)
-				}
-			} else {
-				// Twin-path reports (degenerate cpu+gpu topology): CPU is
-				// device 0, GPU is device 1.
-				wgs[0] += int64(rep.CPUWGs)
-				wgs[1] += int64(rep.GPUExecuted)
+			for i, n := range rep.DeviceWGs {
+				wgs[i] += int64(n)
+				total += int64(n)
 			}
 		}
-		for _, n := range wgs {
-			total += n
+		run := []string{
+			fmt.Sprintf("%.1f", float64(res.Counters.RefreshBytesSkipped)/1024),
+			fmt.Sprintf("%.0f%%", coExec(res)*100),
+			fmt.Sprintf("%d", delta.WGFallbackWGs),
+			dominantReject(delta),
+			fmt.Sprintf("%d", delta.WGFusedBlocks),
+			fusedShare(delta.WGFusedSteps, delta.WGFuseFallbackSteps),
+			fusedShare(delta.WGFusedInstrsDyn, delta.WGStepInstrsDyn),
+			fmt.Sprintf("%.3f", res.Time*1e3),
 		}
-		for i := range topo.Devices {
+		name := b.Name
+		for i, d := range res.Summary.Devices {
 			share := 0.0
 			if total > 0 {
 				share = float64(wgs[i]) / float64(total)
 			}
-			var d trace.DeviceMeter
-			if i < len(res.Summary.Devices) {
-				d = res.Summary.Devices[i]
-			}
-			name, timeCol, rfSkipCol := "", "", ""
-			if i == 0 {
-				name = b.Name
-				timeCol = fmt.Sprintf("%.3f", res.Time*1e3)
-				// rf-skip is benchmark-level (the planner books skips per
-				// buffer and device, not per link), so it rides the first row.
-				rfSkipCol = fmt.Sprintf("%.1f", float64(res.Counters.RefreshBytesSkipped)/1024)
-			}
-			t.AddRow(name,
-				d.Name,
+			t.AddRow(append([]string{name, d.Name,
 				fmt.Sprintf("%d", wgs[i]),
 				fmt.Sprintf("%.0f%%", share*100),
 				fmt.Sprintf("%.2fms", d.Busy*1e3),
@@ -221,11 +216,34 @@ func runDistTopology(quick, csv bool, topoSpec string) error {
 				fmt.Sprintf("%.2fms", d.LinkWait*1e3),
 				fmt.Sprintf("%.1f", float64(d.BytesH2D)/1024),
 				fmt.Sprintf("%.1f", float64(d.BytesRefresh)/1024),
-				fmt.Sprintf("%.1f", float64(d.BytesD2H)/1024),
-				rfSkipCol,
-				timeCol)
+				fmt.Sprintf("%.1f", float64(d.BytesD2H)/1024)}, run...)...)
+			// The run's figures ride the first row only.
+			name, run = "", make([]string, len(run))
 		}
 	}
 	emit(t, csv)
 	return nil
+}
+
+// fusedShare formats fused/(fused+stepped) for the two fusion columns: fuse-cov
+// is the fraction of wg-compiled instructions absorbed into fused block
+// closures, fuse-dyn the fraction of executed block-body instructions that
+// ran through them. "-" when the run counted neither.
+func fusedShare(fused, stepped int64) string {
+	if fused+stepped == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f%%", float64(fused)/float64(fused+stepped)*100)
+}
+
+// dominantReject names the most frequent certificate rejection in a counter
+// delta, or "-" when no work-group ran in one-lane sets.
+func dominantReject(c core.Counters) string {
+	best, n := "-", int64(0)
+	for i, name := range vm.WGRejectNames() {
+		if c.WGRejects[i] > n {
+			best, n = name, c.WGRejects[i]
+		}
+	}
+	return best
 }

@@ -95,8 +95,8 @@ func TestStaleCopyUploadedBeforeRelaunch(t *testing.T) {
 }
 
 // runTwice writes a = 3, runs k1 (b = 2a) twice over the same buffers,
-// reads b back and requires every word to be 6 and no upload skipped.
-// between, when set, sees b after the first launch.
+// reads b back and requires every word to be 6. between, when set, sees b
+// after the first launch.
 func runTwice(t *testing.T, env *sim.Env, rt *Runtime, n int, between func(b *Buffer)) {
 	t.Helper()
 	prog, err := rt.BuildProgram(twoKernelSrc)

@@ -209,7 +209,6 @@ func (r *Runtime) EnqueueNDRangeKernel(p *sim.Proc, k *Kernel, nd vm.NDRange, ar
 	l := &launch{k: k, kid: r.kernelSeq, nd: nd, args: args}
 	l.rep = &KernelReport{KID: l.kid, Name: k.Name, TotalWGs: nd.TotalGroups(), Start: p.Now()}
 	r.Reports = append(r.Reports, l.rep)
-	r.tracef(l.kid, "enqueue kernel %s (%d work-groups)", k.Name, nd.TotalGroups())
 
 	// Classify buffer arguments using the compile-time access analysis and
 	// derive the analyzer-driven elision plan for this launch.

@@ -91,8 +91,8 @@ type KernelReport struct {
 	Subkernels  int
 	CPUDidAll   bool
 	VariantUsed int
-	// DeviceWGs is the per-device work-group count, indexed by topology
-	// device position (N-way protocol only; nil under the twin protocol).
+	// DeviceWGs is the per-device work-group count in the runtime's device
+	// order (New: CPU, GPU; NewTopo: topology order).
 	DeviceWGs  []int
 	Start, End sim.Time
 }
@@ -116,11 +116,8 @@ type Runtime struct {
 
 	kernelSeq   int
 	deferredErr error // failure noticed after a kernel call returned
-	// narrate: the protocol reports its scheduling decisions on the
-	// recorder's RuntimeTrack (twin only).
-	narrate bool
-	fclTrk  int // RuntimeTrack's id + 1 (0 = unregistered)
-	ctr     Counters
+	fclTrk      int   // RuntimeTrack's id + 1 (0 = unregistered)
+	ctr         Counters
 
 	// What Release hands back: the storage of every buffer created.
 	bufs     []*Buffer
@@ -153,7 +150,7 @@ func (r *Runtime) Err() error { return r.deferredErr }
 // New creates a twin-protocol runtime over one CPU and one GPU device (the
 // paper's machine): device 0 is the CPU, device 1 the GPU.
 func New(env *sim.Env, cpuDev, gpuDev *device.Device, opts Options) (*Runtime, error) {
-	r := &Runtime{Env: env, opts: opts.withDefaults(), narrate: true}
+	r := &Runtime{Env: env, opts: opts.withDefaults()}
 	r.ctxs = []*ocl.Context{ocl.NewContext(env, cpuDev), ocl.NewContext(env, gpuDev)}
 	r.proto = newTwin(r)
 	return r, nil

@@ -16,7 +16,7 @@ const RuntimeTrack = "FluidiCL runtime"
 
 func (r *Runtime) tracef(kid int, format string, args ...interface{}) {
 	rec := r.Env.Trace
-	if !r.narrate || rec == nil {
+	if rec == nil {
 		return
 	}
 	if r.fclTrk == 0 {

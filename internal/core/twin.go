@@ -198,6 +198,7 @@ type scratchPair struct {
 // (§5.5).
 func (t *twin) run(p *sim.Proc, l *launch) error {
 	r, k, kid, nd, rep := t.r, l.k, l.kid, l.nd, l.rep
+	r.tracef(kid, "enqueue kernel %s (%d work-groups)", k.Name, nd.TotalGroups())
 	var scratches []scratchPair // one per written buffer
 	var argsReady []*sim.Event
 	for i, param := range k.Info.Kernel.Params {
@@ -310,6 +311,7 @@ func (t *twin) run(p *sim.Proc, l *launch) error {
 		rep.GPUExecuted = gpuRes.Executed
 		rep.GPUSkipped = gpuRes.Skipped
 		rep.GPUAborted = gpuRes.Aborted
+		rep.DeviceWGs = []int{rep.CPUWGs, rep.GPUExecuted} // core.New's device order
 		if gpuRes.Err != nil {
 			r.deferredErr = fmt.Errorf("core: GPU execution of %q: %w", k.Name, gpuRes.Err)
 		}
@@ -596,10 +598,7 @@ func (t *twin) runCPUScheduler(sp *sim.Proc, l *launch, scratches []scratchPair,
 //
 // Each buffer's ship is narrowed to its certified window for the
 // subkernel's work-groups [lo, hi] (shipWindow); earlier (higher) chunks
-// were shipped by earlier subkernels. After a skipped upload, unwritten
-// bytes inside a strided hull are promoted as the buffer's true surviving
-// value — monotone spans guarantee no lower, not-yet-executed group can own
-// a shipped byte in that case.
+// were shipped by earlier subkernels.
 //
 // Ordering across subkernels is preserved without extra synchronization:
 // staging reads serialize on the in-order CPU queue, so the helper for

@@ -18,7 +18,8 @@ import (
 // TestOneDriverBothProtocols runs one multi-kernel app through the single
 // host driver under each cooperation protocol and checks what the unified
 // surface promises: verified outputs, one report per launch with the
-// protocol's shape, and refresh-planner counters only where a planner runs.
+// protocol's shape and a work-group count per device under both protocols,
+// and refresh-planner counters only where a planner runs.
 func TestOneDriverBothProtocols(t *testing.T) {
 	for _, tc := range []struct {
 		topology string
@@ -54,11 +55,18 @@ func TestOneDriverBothProtocols(t *testing.T) {
 				if got := rep.CPUWGs + rep.GPUExecuted; got < rep.TotalWGs {
 					t.Errorf("report %d: devices executed %d of %d work-groups", i, got, rep.TotalWGs)
 				}
-				if tc.nway != (rep.DeviceWGs != nil) {
-					t.Errorf("report %d: DeviceWGs = %v under nway=%v", i, rep.DeviceWGs, tc.nway)
+				if len(rep.DeviceWGs) != len(topo.Devices) {
+					t.Fatalf("report %d: %d DeviceWGs entries for %d devices", i, len(rep.DeviceWGs), len(topo.Devices))
 				}
-				if tc.nway && len(rep.DeviceWGs) != len(topo.Devices) {
-					t.Errorf("report %d: %d DeviceWGs entries for %d devices", i, len(rep.DeviceWGs), len(topo.Devices))
+				sum := 0
+				for _, n := range rep.DeviceWGs {
+					sum += n
+				}
+				switch {
+				case !tc.nway && (rep.DeviceWGs[0] != rep.CPUWGs || rep.DeviceWGs[1] != rep.GPUExecuted):
+					t.Errorf("report %d: twin DeviceWGs = %v, want [CPUWGs %d, GPUExecuted %d]", i, rep.DeviceWGs, rep.CPUWGs, rep.GPUExecuted)
+				case tc.nway && sum != rep.TotalWGs:
+					t.Errorf("report %d: N-way DeviceWGs = %v sum to %d, want TotalWGs %d", i, rep.DeviceWGs, sum, rep.TotalWGs)
 				}
 			}
 			c := res.Counters
