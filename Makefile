@@ -4,12 +4,12 @@ GO ?= go
 
 # The fast CI gate: formatting, the internal/vm, internal/analysis,
 # internal/harness, internal/sched, internal/device, internal/ocl,
-# internal/core, internal/sim and cmd/fluidibench line ceilings, build, vet,
-# tests, kernel lint, benchmark smoke. The race-detector suite is
-# deliberately NOT in here — it reruns every experiment and takes many
-# minutes, so CI runs `make race` as a separate parallel job instead of
-# serializing it behind these fast gates. Run `make check race` locally for
-# the full gate.
+# internal/core, internal/sim, internal/trace and cmd/fluidibench line
+# ceilings, build, vet, tests, kernel lint, benchmark smoke. The
+# race-detector suite is deliberately NOT in here — it reruns every
+# experiment and takes many minutes, so CI runs `make race` as a separate
+# parallel job instead of serializing it behind these fast gates. Run
+# `make check race` locally for the full gate.
 check: fmt-check loc-check build vet test lint lint-json bench-smoke
 
 fmt-check:
@@ -225,6 +225,8 @@ ANALYSIS_LOC_MAX = 2735
 # table carrying the tally of the FluidiCL runs it counted first, summed by
 # the grid in slot order (the process-wide accumulators it replaces were in
 # core and trace, which shrank by more), and the unused Runner.All gone.
+# It stayed 878 when the tally became Runs and a trace.Summary, paid for by
+# CSV writing its header as a row.
 HARNESS_LOC_MAX = 878
 # internal/sched has one host program for its four strategies. 1047 was the
 # count with a host driver each for the cooperative runs, single devices,
@@ -239,8 +241,10 @@ HARNESS_LOC_MAX = 878
 # counters and summary travel only on its Result. 950 is that count with the
 # static split's merge launch and per-launch scratch gone (ocl.EnqueueMerge,
 # per-buffer scratch, the ship through the host shadow) and every baseline
-# releasing its storage (recycle).
-SCHED_LOC_MAX = 950
+# releasing its storage (recycle). 949 is that count with
+# RunFluidiCLTraced gone (RunTopologyTraced on cpu+gpu runs the twin) and the
+# summary's per-device work-groups filled from the kernel reports.
+SCHED_LOC_MAX = 949
 # internal/device simulates the devices and serves launches from sweep
 # records and built-in kernels. 1312 is the count with the plain record (an
 # unguarded kernel's launches over the whole grid, keyed on every argument),
@@ -248,7 +252,8 @@ SCHED_LOC_MAX = 950
 # (merge.go: the diff-merge and its Stats counted from the lanes in range and
 # the lanes that differ). 1308 is that count with no per-launch engine: a
 # launch runs on the process default, and the engine left the record's key.
-DEVICE_LOC_MAX = 1308
+# 1307 is that count with the meter told no launch counts.
+DEVICE_LOC_MAX = 1307
 # internal/ocl is the vendor-runtime API over one device. 599 is the count
 # with built-in kernel selection: a kernel created by name from a program
 # built from passes.MergeKernelSource carries device.MergeGroup. 595 is that
@@ -307,13 +312,19 @@ SIM_LOC_MAX = 480
 # columns, overlap, the VM columns) and a per-device one for -topology, and
 # a -trace summary of each kind. 694 is the count with one per-device table
 # on every machine (co-exec in place of overlap) and one -trace summary.
-FLUIDIBENCH_LOC_MAX = 694
+# 688 is that count with -dist reading the summary's work-group counts.
+FLUIDIBENCH_LOC_MAX = 688
+# internal/trace is the recorder, its Chrome export and the meter. 465 was
+# the count with the meter's launch tallies and trace.Rollup; 403 is the
+# count with trace.Summary the one aggregate and DeviceMeter.WGs filled
+# from the kernel reports.
+TRACE_LOC_MAX = 403
 # The packages loc-check holds to their ceilings, as dir:ceiling pairs.
 LOC_CEILINGS = internal/vm:$(VM_LOC_MAX) internal/analysis:$(ANALYSIS_LOC_MAX) \
 	internal/harness:$(HARNESS_LOC_MAX) internal/sched:$(SCHED_LOC_MAX) \
 	internal/device:$(DEVICE_LOC_MAX) internal/ocl:$(OCL_LOC_MAX) \
 	internal/core:$(CORE_LOC_MAX) internal/sim:$(SIM_LOC_MAX) \
-	cmd/fluidibench:$(FLUIDIBENCH_LOC_MAX)
+	internal/trace:$(TRACE_LOC_MAX) cmd/fluidibench:$(FLUIDIBENCH_LOC_MAX)
 loc-check:
 	@for dc in $(LOC_CEILINGS); do \
 		d=$${dc%:*}; max=$${dc#*:}; \

@@ -183,7 +183,7 @@ func runExperiment(r *harness.Runner, id string, csv bool) (wallEntry, error) {
 	var t *harness.Table
 	e, err := measured(id, func(e *wallEntry) (err error) {
 		if t, err = r.Run(id); err == nil {
-			e.ctr, e.sum = t.Counters, t.Rollup
+			e.runs, e.ctr, e.sum = t.Runs, t.Counters, t.Summary
 		}
 		return err
 	})
@@ -205,8 +205,9 @@ type wallEntry struct {
 	id      string
 	backend string // the engine BackendAuto resolved to while it ran
 	wall    float64
+	runs    int64
 	ctr     core.Counters
-	sum     trace.Rollup
+	sum     trace.Summary
 }
 
 // measured runs f, which fills in the runs' sums, and adds the wall clock
@@ -248,18 +249,17 @@ func (e wallEntry) MarshalJSON() ([]byte, error) {
 		fmt.Fprintf(b, ",%q:%s", key, val)
 	}
 	e.ctr.Each(func(name string, v int64) { put(name, v) })
-	s := e.sum
-	put("bytes_refresh", s.BytesRefresh)
-	put("fluidicl_runs", s.Runs)
-	put("cpu_busy_seconds", s.CPUBusy)
-	put("gpu_busy_seconds", s.GPUBusy)
-	put("both_busy_seconds", s.BothBusy)
-	put("cpu_wgs", s.CPUWGs)
-	put("gpu_wgs", s.GPUWGs)
-	put("link_busy_seconds", s.LinkBusy)
-	put("bytes_h2d", s.BytesH2D)
-	put("bytes_d2h", s.BytesD2H)
-	put("overlap_frac", s.OverlapFrac())
+	cpu, gpu := e.sum.ByKind("CPU"), e.sum.ByKind("GPU")
+	put("bytes_refresh", cpu.BytesRefresh+gpu.BytesRefresh)
+	put("fluidicl_runs", e.runs)
+	put("cpu_busy_seconds", cpu.Busy)
+	put("gpu_busy_seconds", gpu.Busy)
+	put("both_busy_seconds", e.sum.BothBusy)
+	put("cpu_wgs", cpu.WGs)
+	put("gpu_wgs", gpu.WGs)
+	put("link_busy_seconds", cpu.LinkBusy+gpu.LinkBusy)
+	put("bytes_h2d", cpu.BytesH2D+gpu.BytesH2D)
+	put("bytes_d2h", cpu.BytesD2H+gpu.BytesD2H)
 	b.WriteByte('}')
 	return b.Bytes(), nil
 }
@@ -421,8 +421,8 @@ func dumpOne(name string, quick bool) error {
 	return nil
 }
 
-// traceOne runs one benchmark under FluidiCL with a recorder attached and
-// prints the cooperative-execution timeline: the instants of the runtime's
+// traceOne runs one benchmark under FluidiCL on the paper's cpu+gpu machine
+// with a recorder attached and prints the cooperative-execution timeline: the instants of the runtime's
 // decision track, one a line, in the order (and so at the virtual times)
 // they were recorded.
 func traceOne(name string, quick bool) error {
@@ -431,7 +431,7 @@ func traceOne(name string, quick bool) error {
 		return err
 	}
 	rec := trace.NewRecorder()
-	if _, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec); err != nil {
+	if _, err := sched.RunTopologyTraced(device.MustParseTopology("cpu+gpu"), b.App, core.Options{}, rec); err != nil {
 		return err
 	}
 	fmt.Printf("cooperative-execution timeline for %s %s:\n\n", b.Name, b.InputDesc)

@@ -159,15 +159,7 @@ func TestJSONOutMatchesTopologyMatrixGolden(t *testing.T) {
 // table. Regenerate with
 // UPDATE_GOLDEN=1 go test ./cmd/fluidibench -run TestDistTopologyGolden.
 func TestDistTopologyGolden(t *testing.T) {
-	dist := func(args string) []byte {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+args)
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("fluidibench %s: %v", args, err)
-		}
-		return out
-	}
+	dist := func(args string) []byte { return fluidibench(t, args) }
 	pair := dist("-quick -topology cpu+gpu -dist")
 	if def := dist("-quick -dist"); !bytes.Equal(def, pair) {
 		t.Fatalf("fluidibench -quick -dist differs from -quick -topology cpu+gpu -dist:\n%s", def)
@@ -187,6 +179,58 @@ func TestDistTopologyGolden(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("-dist tables differ from golden %s; if the change is intentional, regenerate with UPDATE_GOLDEN=1\n--- got ---\n%s",
 			golden, got)
+	}
+}
+
+// fluidibench runs the command with args in a child process and returns
+// its standard output.
+func fluidibench(t *testing.T, args string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "FLUIDIBENCH_ARGS="+args)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("fluidibench %s: %v", args, err)
+	}
+	return out
+}
+
+// TestTraceWGsMatchDist: -trace's per-device summary and -dist's WGs column
+// print the one work-group count per device, the app groups the kernel
+// reports give it, so for SYRK they agree device by device on the pair and
+// on four devices (the meter's launch tally once read 64 on the pair's
+// Tesla, which computed 24).
+func TestTraceWGsMatchDist(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "syrk.json")
+	for _, topo := range []string{"", "-topology 2cpu+2gpu "} {
+		dist := string(fluidibench(t, "-quick "+topo+"-dist"))
+		_, syrk, _ := strings.Cut(dist, "\nSYRK ")
+		var rows []string // SYRK's rows: the first and its continuations
+		for i, line := range strings.Split(syrk, "\n") {
+			if i > 0 && !strings.HasPrefix(line, " ") {
+				break
+			}
+			rows = append(rows, line)
+		}
+		traced := 0
+		for _, line := range strings.Split(string(fluidibench(t, "-quick "+topo+"-trace "+out+" SYRK")), "\n") {
+			name, rest, ok := strings.Cut(line, " busy ")
+			if !ok {
+				continue
+			}
+			name, wgs := strings.TrimSpace(name), strings.Fields(rest)[2]
+			traced++
+			_, row, ok := strings.Cut(strings.Join(rows, "\n"), name+" ")
+			if !ok {
+				t.Fatalf("%s-dist has no SYRK row for %q:\n%s", topo, name, strings.Join(rows, "\n"))
+			}
+			if got := strings.Fields(row)[0]; got != wgs {
+				t.Errorf("%sSYRK on %s: -trace prints %s wgs, -dist %s", topo, name, wgs, got)
+			}
+		}
+		if traced != len(rows) {
+			t.Errorf("%s-trace SYRK printed %d devices, -dist %d rows", topo, traced, len(rows))
+		}
 	}
 }
 

@@ -64,6 +64,7 @@ func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
 			return fmt.Errorf("%s on %s (rerun): %w", b.Name, topoSpec, err)
 		}
 		for _, res := range []*sched.Result{first, again} {
+			e.runs++
 			e.ctr = e.ctr.Add(res.Counters)
 			e.sum.Add(res.Summary)
 		}
@@ -139,7 +140,7 @@ func chromeTrace(name string, quick bool, out, topoSpec string) error {
 		b.Name, b.InputDesc, topo, res.Time*1e3, coExec(res)*100)
 	for _, d := range res.Summary.Devices {
 		fmt.Printf("  %-28s busy %8.3f ms, %5d wgs, link busy %7.3f ms, wait %7.3f ms\n",
-			d.Name, d.Busy*1e3, d.WGsExecuted, d.LinkBusy*1e3, d.LinkWait*1e3)
+			d.Name, d.Busy*1e3, d.WGs, d.LinkBusy*1e3, d.LinkWait*1e3)
 	}
 	return nil
 }
@@ -181,16 +182,9 @@ func runDist(quick, csv bool, topoSpec string) error {
 		if err := b.Verify(res.Outputs); err != nil {
 			return fmt.Errorf("%s: wrong results: %w", b.Name, err)
 		}
-		// Work-group counts come from the kernel reports (app kernels only);
-		// busy/link figures come from the trace meter. Both are in the
-		// runtime's device order, the order Topology.Build registered them.
-		wgs := make([]int64, len(res.Summary.Devices))
 		var total int64
-		for _, rep := range res.Reports {
-			for i, n := range rep.DeviceWGs {
-				wgs[i] += int64(n)
-				total += int64(n)
-			}
+		for _, d := range res.Summary.Devices {
+			total += d.WGs
 		}
 		run := []string{
 			fmt.Sprintf("%.1f", float64(res.Counters.RefreshBytesSkipped)/1024),
@@ -203,13 +197,13 @@ func runDist(quick, csv bool, topoSpec string) error {
 			fmt.Sprintf("%.3f", res.Time*1e3),
 		}
 		name := b.Name
-		for i, d := range res.Summary.Devices {
+		for _, d := range res.Summary.Devices {
 			share := 0.0
 			if total > 0 {
-				share = float64(wgs[i]) / float64(total)
+				share = float64(d.WGs) / float64(total)
 			}
 			t.AddRow(append([]string{name, d.Name,
-				fmt.Sprintf("%d", wgs[i]),
+				fmt.Sprintf("%d", d.WGs),
 				fmt.Sprintf("%.0f%%", share*100),
 				fmt.Sprintf("%.2fms", d.Busy*1e3),
 				fmt.Sprintf("%.2fms", d.LinkBusy*1e3),

@@ -401,8 +401,7 @@ func (q *Queue) serve(p *sim.Proc) {
 			q.dev.Env.Meter.LaunchBegin(q.dev.mi, t0)
 			q.dev.runLaunch(p, c)
 			t1 := p.Now()
-			q.dev.Env.Meter.LaunchEnd(q.dev.mi, t0, t1,
-				c.Result.Executed, c.Result.Skipped, c.Result.Aborted)
+			q.dev.Env.Meter.LaunchEnd(q.dev.mi, t0, t1)
 			if rec := q.dev.Env.Trace; rec != nil {
 				q.dev.recordLaunch(rec, c, t0, t1)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -51,12 +52,12 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		if s, p := seq[i].String(), par[i].String(); s != p {
 			t.Errorf("%s: table differs between sequential and parallel cells\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", id, s, p)
 		}
-		if seq[i].Counters != par[i].Counters || seq[i].Rollup != par[i].Rollup {
-			t.Errorf("%s: tally differs between sequential and parallel cells\n--- parallel=1 ---\n%+v\n%+v\n--- parallel=4 ---\n%+v\n%+v",
-				id, seq[i].Counters, seq[i].Rollup, par[i].Counters, par[i].Rollup)
+		if seq[i].Runs != par[i].Runs || seq[i].Counters != par[i].Counters || !reflect.DeepEqual(seq[i].Summary, par[i].Summary) {
+			t.Errorf("%s: tally differs between sequential and parallel cells\n--- parallel=1 ---\n%d %+v\n%+v\n--- parallel=4 ---\n%d %+v\n%+v",
+				id, seq[i].Runs, seq[i].Counters, seq[i].Summary, par[i].Runs, par[i].Counters, par[i].Summary)
 		}
 	}
-	if seq[slices.Index(ids, "fig13")].Rollup.Runs == 0 {
+	if seq[slices.Index(ids, "fig13")].Runs == 0 {
 		t.Error("fig13 counted no FluidiCL runs: the tallies compare nothing")
 	}
 }

@@ -153,8 +153,9 @@ func (r *Runner) grid(t *Table, benches []*polybench.Benchmark, strats ...strate
 			continue
 		}
 		if _, seen := r.memo.counted.LoadOrStore(res, true); !seen {
+			t.Runs++
 			t.Counters = t.Counters.Add(res.Counters)
-			t.Rollup.Add(res.Summary)
+			t.Summary.Add(res.Summary)
 		}
 	}
 	return rs, nil

@@ -28,7 +28,7 @@ func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs13, wgs13 := fig13.Rollup.Runs, executed()-w0
+	runs13, wgs13 := fig13.Runs, executed()-w0
 	if runs13 != int64(len(benches)) {
 		t.Errorf("fig13 ran %d cooperative runs, want one per benchmark (%d)", runs13, len(benches))
 	}
@@ -47,7 +47,7 @@ func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs, wgs := fig16.Rollup.Runs, executed()-w0; runs != 0 || wgs != 0 {
+	if runs, wgs := fig16.Runs, executed()-w0; runs != 0 || wgs != 0 {
 		t.Errorf("fig16 after fig13: %d cooperative runs and %d work-groups, want 0 and 0", runs, wgs)
 	}
 
@@ -58,7 +58,7 @@ func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if runs := table3.Rollup.Runs; runs != 1 {
+		if runs := table3.Runs; runs != 1 {
 			t.Errorf("table3 #%d ran %d cooperative runs, want 1 (FCL+Pro)", i+1, runs)
 		}
 	}
@@ -72,7 +72,7 @@ func TestRunnerSimulatesEachCellOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs, wgs := again.Rollup.Runs, executed()-w0; runs != runs13 || wgs != wgs13 {
+	if runs, wgs := again.Runs, executed()-w0; runs != runs13 || wgs != wgs13 {
 		t.Errorf("fig13 on a fresh Runner: %d runs, %d work-groups; want the first Runner's %d, %d", runs, wgs, runs13, wgs13)
 	}
 }
@@ -175,15 +175,16 @@ func TestRunnerConcurrentExperiments(t *testing.T) {
 	}
 }
 
-// counted sums the tallies of tabs: the counters, and the rollup's integer
-// fields (runs, work-groups per kind, bytes each way and refreshed).
+// counted sums the tallies of tabs: the counters, the runs and the
+// summary's integer fields by kind (work-groups, bytes each way and
+// refreshed).
 func counted(tabs []*Table) (core.Counters, [6]int64) {
 	var c core.Counters
 	var n [6]int64
 	for _, tab := range tabs {
 		c = c.Add(tab.Counters)
-		g := tab.Rollup
-		for i, v := range []int64{g.Runs, g.CPUWGs, g.GPUWGs, g.BytesH2D, g.BytesD2H, g.BytesRefresh} {
+		cpu, gpu := tab.Summary.ByKind("CPU"), tab.Summary.ByKind("GPU")
+		for i, v := range []int64{tab.Runs, cpu.WGs, gpu.WGs, cpu.BytesH2D + gpu.BytesH2D, cpu.BytesD2H + gpu.BytesD2H, cpu.BytesRefresh + gpu.BytesRefresh} {
 			n[i] += v
 		}
 	}

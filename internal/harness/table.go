@@ -26,10 +26,11 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 
-	// Counters and Rollup sum the FluidiCL runs this table was the first of
-	// its Runner's tables to count (Runner.grid).
+	// Runs counts the FluidiCL runs this table was the first of its
+	// Runner's tables to count (Runner.grid); Counters and Summary sum them.
+	Runs     int64
 	Counters core.Counters
-	Rollup   trace.Rollup
+	Summary  trace.Summary
 }
 
 // AddRow appends a row.
@@ -79,9 +80,7 @@ func (t *Table) String() string {
 // CSV renders the table as comma-separated values.
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteString("\n")
-	for _, r := range t.Rows {
+	for _, r := range append([][]string{t.Columns}, t.Rows...) {
 		b.WriteString(strings.Join(r, ","))
 		b.WriteString("\n")
 	}

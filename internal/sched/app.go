@@ -109,9 +109,9 @@ type Result struct {
 	// Counters reports the transfer/merge work the FluidiCL runtime elided
 	// based on static kernel summaries (FluidiCL runs only).
 	Counters core.Counters
-	// Summary aggregates the run's trace meter: per-device busy time and
-	// work-group counts, bytes moved per link direction, and the fraction of
-	// compute that overlapped across devices.
+	// Summary aggregates the run's trace meter: per-device busy time, bytes
+	// moved per link direction and the time two or more devices computed,
+	// with each device's app work-groups from Reports (FluidiCL runs only).
 	Summary trace.Summary
 }
 
@@ -150,15 +150,6 @@ func RunFluidiCL(m Machine, app *App, opts core.Options) (*Result, error) {
 // version is fastest, §6.6).
 func RunFluidiCLRepeat(m Machine, app *App, opts core.Options, times int) (*Result, error) {
 	return runCooperative(app, times, nil, twinRuntime(m, opts))
-}
-
-// RunFluidiCLTraced is RunFluidiCL with an event recorder attached to the
-// simulation: every launch, transfer, link-contention span and FluidiCL
-// scheduling decision lands in rec for export (e.g. rec.WriteChrome).
-// Recording does not perturb the simulation, so Result is identical to an
-// untraced run.
-func RunFluidiCLTraced(m Machine, app *App, opts core.Options, rec *trace.Recorder) (*Result, error) {
-	return runCooperative(app, 1, rec, twinRuntime(m, opts))
 }
 
 // newRuntime builds the cooperative runtime for one run on a fresh
@@ -223,6 +214,14 @@ func runCooperative(app *App, times int, rec *trace.Recorder, newRT newRuntime) 
 	}
 	res.Reports = rt.Reports
 	res.Counters = rt.Counters()
+	// Reports list devices in the meter's order; one past its bound has no entry.
+	for _, rep := range rt.Reports {
+		for i, n := range rep.DeviceWGs {
+			if i < len(res.Summary.Devices) {
+				res.Summary.Devices[i].WGs += int64(n)
+			}
+		}
+	}
 	return res, nil
 }
 

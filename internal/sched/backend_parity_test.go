@@ -12,6 +12,7 @@ import (
 
 	"fluidicl/internal/clc"
 	"fluidicl/internal/core"
+	"fluidicl/internal/device"
 	"fluidicl/internal/polybench"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/trace"
@@ -68,7 +69,7 @@ func TestBackendParityFluidiCL(t *testing.T) {
 			run := func(be vm.Backend) runOut {
 				setBackend(t, be)
 				rec := trace.NewRecorder()
-				res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec)
+				res, err := sched.RunTopologyTraced(device.MustParseTopology("cpu+gpu"), b.App, core.Options{}, rec)
 				if err != nil {
 					t.Fatalf("%v backend: %v", be, err)
 				}
@@ -196,7 +197,7 @@ func TestWGFuseParityFluidiCL(t *testing.T) {
 			run := func(fuse bool) runOut {
 				vm.SetWGFuse(fuse)
 				rec := trace.NewRecorder()
-				res, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, rec)
+				res, err := sched.RunTopologyTraced(device.MustParseTopology("cpu+gpu"), b.App, core.Options{}, rec)
 				if err != nil {
 					t.Fatalf("wgfuse=%v: %v", fuse, err)
 				}

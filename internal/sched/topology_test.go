@@ -6,6 +6,7 @@ package sched_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"fluidicl/internal/core"
@@ -16,10 +17,10 @@ import (
 	"fluidicl/internal/vm"
 )
 
-// TestTopologyPairBitIdentical pins the tentpole's compatibility guarantee:
+// TestTopologyPairBitIdentical pins the compatibility guarantee:
 // RunTopology("cpu+gpu") routes through the original twin protocol, so
-// outputs, virtual time, kernel reports and the full Chrome trace are
-// byte-identical to RunFluidiCL on the default machine.
+// outputs, virtual time and kernel reports are identical to RunFluidiCL on
+// the default machine (harness.TestGoldenChromeTrace pins the pair's Chrome trace).
 func TestTopologyPairBitIdentical(t *testing.T) {
 	topo := device.MustParseTopology("cpu+gpu")
 	for _, name := range []string{"2DCONV", "BICG", "CORR"} {
@@ -27,12 +28,11 @@ func TestTopologyPairBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recTwin, recTopo := trace.NewRecorder(), trace.NewRecorder()
-		twin, err := sched.RunFluidiCLTraced(sched.DefaultMachine(), b.App, core.Options{}, recTwin)
+		twin, err := sched.RunFluidiCL(sched.DefaultMachine(), b.App, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		topoRes, err := sched.RunTopologyTraced(topo, b.App, core.Options{}, recTopo)
+		topoRes, err := sched.RunTopologyTraced(topo, b.App, core.Options{}, trace.NewRecorder())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,16 +44,47 @@ func TestTopologyPairBitIdentical(t *testing.T) {
 				t.Fatalf("%s: cpu+gpu topology output %q differs from twin run", name, out)
 			}
 		}
-		var twinTrace, topoTrace bytes.Buffer
-		if err := recTwin.WriteChrome(&twinTrace); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(twin.Reports, topoRes.Reports) {
+			t.Fatalf("%s: cpu+gpu topology kernel reports differ from twin run", name)
 		}
-		if err := recTopo.WriteChrome(&topoTrace); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(twinTrace.Bytes(), topoTrace.Bytes()) {
-			t.Fatalf("%s: cpu+gpu topology trace differs from twin trace (%d vs %d bytes)",
-				name, topoTrace.Len(), twinTrace.Len())
+	}
+}
+
+// TestSummaryWGsAreReportWGs: a run's summary carries each device's app
+// work-groups, the sum of the kernel reports' DeviceWGs, on the pair and on
+// three N-way topologies; under N-way each group is claimed by one device,
+// so the devices sum to the kernels' total. (The meter's launch tally also
+// counted the twin's merge groups and the range-guard groups of whole-row
+// chunks: 64 on quick SYRK's Tesla, which computed 24.)
+func TestSummaryWGsAreReportWGs(t *testing.T) {
+	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus", "bigcpu+gt440+gpu"} {
+		topo := device.MustParseTopology(spec)
+		_, _, twin := topo.Pair()
+		for _, b := range polybench.AllQuick() {
+			res, err := sched.RunTopology(topo, b.App, core.Options{})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", b.Name, spec, err)
+			}
+			if len(res.Summary.Devices) != len(topo.Devices) {
+				t.Fatalf("%s on %s: %d metered devices, want %d", b.Name, spec, len(res.Summary.Devices), len(topo.Devices))
+			}
+			want := make([]int64, len(topo.Devices))
+			var total, sum int64
+			for _, rep := range res.Reports {
+				for i, n := range rep.DeviceWGs {
+					want[i] += int64(n)
+				}
+				total += int64(rep.TotalWGs)
+			}
+			for i, d := range res.Summary.Devices {
+				if d.WGs != want[i] {
+					t.Errorf("%s on %s: %s has %d work-groups, its reports %d", b.Name, spec, d.Name, d.WGs, want[i])
+				}
+				sum += d.WGs
+			}
+			if !twin && sum != total {
+				t.Errorf("%s on %s: devices computed %d work-groups, the kernels have %d", b.Name, spec, sum, total)
+			}
 		}
 	}
 }

@@ -9,35 +9,32 @@ const maxDevices = 8
 // DeviceMeter accumulates per-device aggregates. All times are virtual
 // seconds; "link" fields cover the device's host interconnect.
 type DeviceMeter struct {
-	Name        string  `json:"name"`
-	Kind        string  `json:"kind"` // "CPU" or "GPU"
-	Busy        float64 `json:"busy_seconds"`
-	Launches    int64   `json:"launches"`
-	WGsExecuted int64   `json:"wgs_executed"`
-	WGsSkipped  int64   `json:"wgs_skipped"`
-	WGsAborted  int64   `json:"wgs_aborted"`
-	LinkBusy    float64 `json:"link_busy_seconds"`
-	LinkWait    float64 `json:"link_wait_seconds"`
-	BytesH2D    int64   `json:"bytes_h2d"`
-	BytesD2H    int64   `json:"bytes_d2h"`
+	Name     string  `json:"name"`
+	Kind     string  `json:"kind"` // "CPU" or "GPU"
+	Busy     float64 `json:"busy_seconds"`
+	LinkBusy float64 `json:"link_busy_seconds"`
+	LinkWait float64 `json:"link_wait_seconds"`
+	BytesH2D int64   `json:"bytes_h2d"`
+	BytesD2H int64   `json:"bytes_d2h"`
 	// BytesRefresh is the subset of BytesH2D carried by "refresh"-tagged
 	// transfers: post-kernel coherence traffic (the N-way delta refresh, or
 	// the old full rebroadcast) as opposed to input uploads and result ships.
 	BytesRefresh int64 `json:"bytes_refresh"`
+	// WGs is the app work-groups the device computed, summed from the
+	// cooperative runtime's kernel reports once the run ends (the meter
+	// itself counts no launches). Baseline runs leave it zero.
+	WGs int64 `json:"wgs"`
 }
 
 // add accumulates o's counts and times into d; the name and kind stay d's.
 func (d *DeviceMeter) add(o DeviceMeter) {
 	d.Busy += o.Busy
-	d.Launches += o.Launches
-	d.WGsExecuted += o.WGsExecuted
-	d.WGsSkipped += o.WGsSkipped
-	d.WGsAborted += o.WGsAborted
 	d.LinkBusy += o.LinkBusy
 	d.LinkWait += o.LinkWait
 	d.BytesH2D += o.BytesH2D
 	d.BytesD2H += o.BytesD2H
 	d.BytesRefresh += o.BytesRefresh
+	d.WGs += o.WGs
 }
 
 // Meter is the always-on aggregate accumulator. It lives by value inside
@@ -84,18 +81,12 @@ func (m *Meter) LaunchBegin(i int, now float64) {
 	}
 }
 
-// LaunchEnd marks device i finishing the launch begun at start, together
-// with the launch's work-group disposition.
-func (m *Meter) LaunchEnd(i int, start, end float64, executed, skipped, aborted int) {
+// LaunchEnd marks device i finishing the launch begun at start.
+func (m *Meter) LaunchEnd(i int, start, end float64) {
 	if i < 0 {
 		return
 	}
-	d := &m.dev[i]
-	d.Busy += end - start
-	d.Launches++
-	d.WGsExecuted += int64(executed)
-	d.WGsSkipped += int64(skipped)
-	d.WGsAborted += int64(aborted)
+	m.dev[i].Busy += end - start
 	if m.active == 2 {
 		m.bothBusy += end - m.bothSince
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -24,7 +25,7 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 		rec.Span(0, "x", 0, 1)
 		rec.Instant(0, "x", 0)
 		m.LaunchBegin(mi, 1)
-		m.LaunchEnd(mi, 1, 2, 3, 1, 0)
+		m.LaunchEnd(mi, 1, 2)
 		m.TransferEnd(mi, 0.1, 0.2, 64, true, false)
 	})
 	if allocs != 0 {
@@ -43,7 +44,7 @@ func BenchmarkDisabledTracing(b *testing.B) {
 		rec.Span(0, "x", 0, 1)
 		rec.Instant(0, "x", 0)
 		m.LaunchBegin(mi, 1)
-		m.LaunchEnd(mi, 1, 2, 3, 1, 0)
+		m.LaunchEnd(mi, 1, 2)
 		m.TransferEnd(mi, 0.1, 0.2, 64, false, false)
 	}
 }
@@ -145,8 +146,8 @@ func TestMeterOverlap(t *testing.T) {
 	// GPU computes [0,10]; CPU computes [2,6] entirely inside it.
 	m.LaunchBegin(gpu, 0)
 	m.LaunchBegin(cpu, 2)
-	m.LaunchEnd(cpu, 2, 6, 4, 0, 0)
-	m.LaunchEnd(gpu, 0, 10, 8, 1, 1)
+	m.LaunchEnd(cpu, 2, 6)
+	m.LaunchEnd(gpu, 0, 10)
 	s := m.Summary()
 	if s.BothBusy != 4 {
 		t.Fatalf("BothBusy = %v, want 4", s.BothBusy)
@@ -156,10 +157,10 @@ func TestMeterOverlap(t *testing.T) {
 	}
 	c := s.ByKind("CPU")
 	g := s.ByKind("GPU")
-	if c.Busy != 4 || c.WGsExecuted != 4 {
+	if c.Busy != 4 {
 		t.Fatalf("CPU rollup = %+v", c)
 	}
-	if g.Busy != 10 || g.WGsExecuted != 8 || g.WGsSkipped != 1 || g.WGsAborted != 1 {
+	if g.Busy != 10 {
 		t.Fatalf("GPU rollup = %+v", g)
 	}
 }
@@ -178,9 +179,10 @@ func TestMeterTransferDirections(t *testing.T) {
 	}
 }
 
-// TestRollupAdd: a Rollup sums runs by device kind, and its overlap is
-// over the kinds' busy totals, not over single devices.
-func TestRollupAdd(t *testing.T) {
+// TestSummaryAdd: two runs' summaries add device by device, merged by
+// kind, so two GPUs of one topology fold into one GPU entry named after the
+// first; BothBusy adds as is.
+func TestSummaryAdd(t *testing.T) {
 	var m Meter
 	cpu := m.AddDevice("cpu", "CPU")
 	gpu0 := m.AddDevice("gpu0", "GPU")
@@ -188,22 +190,26 @@ func TestRollupAdd(t *testing.T) {
 	m.LaunchBegin(cpu, 0)
 	m.LaunchBegin(gpu0, 0)
 	m.LaunchBegin(gpu1, 1)
-	m.LaunchEnd(gpu0, 0, 1, 2, 0, 0)
-	m.LaunchEnd(gpu1, 1, 2, 4, 0, 0) // two or more busy over [0, 2]
-	m.LaunchEnd(cpu, 0, 3, 6, 0, 0)
+	m.LaunchEnd(gpu0, 0, 1)
+	m.LaunchEnd(gpu1, 1, 2) // two or more busy over [0, 2]
+	m.LaunchEnd(cpu, 0, 3)
 	m.TransferEnd(gpu0, 0, 1, 4096, true, true)
-	var g Rollup
-	g.Add(m.Summary())
-	g.Add(m.Summary())
-	want := Rollup{Runs: 2, CPUBusy: 6, GPUBusy: 4, BothBusy: 4, CPUWGs: 12, GPUWGs: 12,
-		LinkBusy: 2, BytesH2D: 8192, BytesRefresh: 8192}
-	if g != want {
-		t.Fatalf("two runs add to %+v, want %+v", g, want)
+	run := m.Summary()
+	run.Devices[cpu].WGs, run.Devices[gpu0].WGs, run.Devices[gpu1].WGs = 6, 2, 4
+	var sum Summary
+	sum.Add(run)
+	sum.Add(run)
+	want := Summary{BothBusy: 4, Devices: []DeviceMeter{
+		{Name: "cpu", Kind: "CPU", Busy: 6, WGs: 12},
+		{Name: "gpu0", Kind: "GPU", Busy: 4, WGs: 12, LinkBusy: 2, BytesH2D: 8192, BytesRefresh: 8192},
+	}}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("two runs add to %+v, want %+v", sum, want)
 	}
-	if f := g.OverlapFrac(); f != 1 {
-		t.Errorf("OverlapFrac = %v, want BothBusy over the GPUs' total, 1 (a Summary's is over one GPU's, 2)", f)
+	if run.Devices[gpu0].WGs != 2 || run.Devices[gpu0].Busy != 1 {
+		t.Fatalf("adding changed the run's own summary: %+v", run.Devices[gpu0])
 	}
-	if f := (Rollup{CPUBusy: 1, BothBusy: 1}).OverlapFrac(); f != 0 {
-		t.Errorf("OverlapFrac with an idle kind = %v, want 0", f)
+	if g := sum.ByKind("GPU"); g.WGs != 12 || g.Busy != 4 {
+		t.Errorf("ByKind(GPU) = %+v, want 12 groups over 4 s", g)
 	}
 }
