@@ -422,9 +422,9 @@ func dumpOne(name string, quick bool) error {
 }
 
 // traceOne runs one benchmark under FluidiCL on the paper's cpu+gpu machine
-// with a recorder attached and prints the cooperative-execution timeline: the instants of the runtime's
-// decision track, one a line, in the order (and so at the virtual times)
-// they were recorded.
+// with a recorder attached and prints the cooperative-execution timeline:
+// the instants of the runtime's decision track, one a line, in the order
+// (and so at the virtual times) they were recorded.
 func traceOne(name string, quick bool) error {
 	b, err := benchFor(name, quick)
 	if err != nil {

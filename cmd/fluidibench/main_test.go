@@ -159,12 +159,11 @@ func TestJSONOutMatchesTopologyMatrixGolden(t *testing.T) {
 // table. Regenerate with
 // UPDATE_GOLDEN=1 go test ./cmd/fluidibench -run TestDistTopologyGolden.
 func TestDistTopologyGolden(t *testing.T) {
-	dist := func(args string) []byte { return fluidibench(t, args) }
-	pair := dist("-quick -topology cpu+gpu -dist")
-	if def := dist("-quick -dist"); !bytes.Equal(def, pair) {
+	pair := fluidibench(t, "-quick -topology cpu+gpu -dist")
+	if def := fluidibench(t, "-quick -dist"); !bytes.Equal(def, pair) {
 		t.Fatalf("fluidibench -quick -dist differs from -quick -topology cpu+gpu -dist:\n%s", def)
 	}
-	got := append(pair, dist("-quick -topology 2cpu+2gpu -dist")...)
+	got := append(pair, fluidibench(t, "-quick -topology 2cpu+2gpu -dist")...)
 	golden := filepath.Join("testdata", "dist_quick.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -198,8 +197,8 @@ func fluidibench(t *testing.T, args string) []byte {
 // TestTraceWGsMatchDist: -trace's per-device summary and -dist's WGs column
 // print the one work-group count per device, the app groups the kernel
 // reports give it, so for SYRK they agree device by device on the pair and
-// on four devices (the meter's launch tally once read 64 on the pair's
-// Tesla, which computed 24).
+// on four devices. A count of launched groups would not: it adds the twin's
+// merge groups and the range-guard groups of whole-row chunks.
 func TestTraceWGsMatchDist(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "syrk.json")
 	for _, topo := range []string{"", "-topology 2cpu+2gpu "} {

@@ -19,8 +19,9 @@ import (
 
 // TestTopologyPairBitIdentical pins the compatibility guarantee:
 // RunTopology("cpu+gpu") routes through the original twin protocol, so
-// outputs, virtual time and kernel reports are identical to RunFluidiCL on
-// the default machine (harness.TestGoldenChromeTrace pins the pair's Chrome trace).
+// outputs, virtual time, kernel reports and the meter summary are identical
+// to RunFluidiCL on the default machine (harness.TestGoldenChromeTrace pins
+// the pair's Chrome trace).
 func TestTopologyPairBitIdentical(t *testing.T) {
 	topo := device.MustParseTopology("cpu+gpu")
 	for _, name := range []string{"2DCONV", "BICG", "CORR"} {
@@ -44,8 +45,8 @@ func TestTopologyPairBitIdentical(t *testing.T) {
 				t.Fatalf("%s: cpu+gpu topology output %q differs from twin run", name, out)
 			}
 		}
-		if !reflect.DeepEqual(twin.Reports, topoRes.Reports) {
-			t.Fatalf("%s: cpu+gpu topology kernel reports differ from twin run", name)
+		if !reflect.DeepEqual(twin.Reports, topoRes.Reports) || !reflect.DeepEqual(twin.Summary, topoRes.Summary) {
+			t.Fatalf("%s: cpu+gpu topology kernel reports or summary differ from twin run", name)
 		}
 	}
 }
@@ -53,9 +54,9 @@ func TestTopologyPairBitIdentical(t *testing.T) {
 // TestSummaryWGsAreReportWGs: a run's summary carries each device's app
 // work-groups, the sum of the kernel reports' DeviceWGs, on the pair and on
 // three N-way topologies; under N-way each group is claimed by one device,
-// so the devices sum to the kernels' total. (The meter's launch tally also
-// counted the twin's merge groups and the range-guard groups of whole-row
-// chunks: 64 on quick SYRK's Tesla, which computed 24.)
+// so the devices sum to the kernels' total. A count of launched groups
+// would not: it adds the twin's merge groups and the range-guard groups of
+// whole-row chunks.
 func TestSummaryWGsAreReportWGs(t *testing.T) {
 	for _, spec := range []string{"cpu+gpu", "2cpu+2gpu", "4gpu-bus", "bigcpu+gt440+gpu"} {
 		topo := device.MustParseTopology(spec)
