@@ -4,8 +4,9 @@ GO ?= go
 
 # The fast CI gate: formatting, the internal/vm, internal/analysis,
 # internal/harness, internal/sched, internal/device, internal/ocl,
-# internal/core, internal/sim, internal/trace and cmd/fluidibench line
-# ceilings, build, vet, tests, kernel lint, benchmark smoke. The
+# internal/core, internal/sim, internal/trace, internal/passes, internal/clc
+# and cmd/fluidibench line ceilings, build, vet, tests, kernel lint,
+# benchmark smoke. The
 # race-detector suite is deliberately NOT in here — it reruns every
 # experiment and takes many minutes, so CI runs `make race` as a separate
 # parallel job instead of serializing it behind these fast gates. Run
@@ -243,8 +244,10 @@ HARNESS_LOC_MAX = 878
 # per-buffer scratch, the ship through the host shadow) and every baseline
 # releasing its storage (recycle). 949 is that count with
 # RunFluidiCLTraced gone (RunTopologyTraced on cpu+gpu runs the twin) and the
-# summary's per-device work-groups filled from the kernel reports.
-SCHED_LOC_MAX = 949
+# summary's per-device work-groups filled from the kernel reports. 898 is that
+# count with static splits launching passes.Transform's guarded form (the
+# guard cache and its own copy of the pipeline gone).
+SCHED_LOC_MAX = 898
 # internal/device simulates the devices and serves launches from sweep
 # records and built-in kernels. 1312 is the count with the plain record (an
 # unguarded kernel's launches over the whole grid, keyed on every argument),
@@ -300,8 +303,11 @@ OCL_LOC_MAX = 571
 # intervalSet.subtractSpans going and by ships merging in their transfer.
 # 2477 is that count with the twin filling KernelReport.DeviceWGs (CPU, GPU)
 # like N-way, and its "enqueue kernel" instant recorded by the twin itself,
-# so the substrate no longer asks which protocol narrates.
-CORE_LOC_MAX = 2477
+# so the substrate no longer asks which protocol narrates. 2407 is that count
+# with one source pipeline, passes.Transform: the transform cache and its
+# entry and the CPU variant's own parse, analysis and print are gone, and the
+# launch-plan cache is found by kernel summary.
+CORE_LOC_MAX = 2407
 # internal/sim is the discrete-event engine under every device and runtime.
 # 480 is the count with one wake channel per process (the engine sends true
 # to run it, shutdown closes it to unwind it) and no per-process Done event:
@@ -317,14 +323,24 @@ FLUIDIBENCH_LOC_MAX = 688
 # internal/trace is the recorder, its Chrome export and the meter. 465 was
 # the count with the meter's launch tallies and trace.Rollup; 403 is the
 # count with trace.Summary the one aggregate and DeviceMeter.WGs filled
-# from the kernel reports.
-TRACE_LOC_MAX = 403
+# from the kernel reports. 402 is that count with a stale comment gone.
+TRACE_LOC_MAX = 402
+# internal/passes is the source-to-source transforms and the one pipeline
+# over them. 479 is the count with passes.Transform, which builds every
+# transformed form once per (source, options), in place of the copies in
+# core, sched and a vm test helper.
+PASSES_LOC_MAX = 479
+# internal/clc is the MiniCL front end. 2860 is the count with one desugaring
+# of k++, ++k, k-- and --k in parseSimpleStmt (the for-loop post's own
+# prefix parser and the shallow lvalue copy gone).
+CLC_LOC_MAX = 2860
 # The packages loc-check holds to their ceilings, as dir:ceiling pairs.
 LOC_CEILINGS = internal/vm:$(VM_LOC_MAX) internal/analysis:$(ANALYSIS_LOC_MAX) \
 	internal/harness:$(HARNESS_LOC_MAX) internal/sched:$(SCHED_LOC_MAX) \
 	internal/device:$(DEVICE_LOC_MAX) internal/ocl:$(OCL_LOC_MAX) \
 	internal/core:$(CORE_LOC_MAX) internal/sim:$(SIM_LOC_MAX) \
-	internal/trace:$(TRACE_LOC_MAX) cmd/fluidibench:$(FLUIDIBENCH_LOC_MAX)
+	internal/trace:$(TRACE_LOC_MAX) cmd/fluidibench:$(FLUIDIBENCH_LOC_MAX) \
+	internal/passes:$(PASSES_LOC_MAX) internal/clc:$(CLC_LOC_MAX)
 loc-check:
 	@for dc in $(LOC_CEILINGS); do \
 		d=$${dc%:*}; max=$${dc#*:}; \

@@ -57,11 +57,11 @@ func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
 			return fmt.Errorf("%s on %s: %w", b.Name, topo, err)
 		}
 		if err := b.Verify(first.Outputs); err != nil {
-			return fmt.Errorf("%s on %s: wrong results: %w", b.Name, topoSpec, err)
+			return fmt.Errorf("%s on %s: wrong results: %w", b.Name, topo, err)
 		}
 		again, err := sched.RunTopology(topo, b.App, core.Options{})
 		if err != nil {
-			return fmt.Errorf("%s on %s (rerun): %w", b.Name, topoSpec, err)
+			return fmt.Errorf("%s on %s (rerun): %w", b.Name, topo, err)
 		}
 		for _, res := range []*sched.Result{first, again} {
 			e.runs++
@@ -70,10 +70,10 @@ func runHash(w io.Writer, quick bool, topoSpec string, e *wallEntry) error {
 		}
 		h1, h2 := outputHash(first.Outputs), outputHash(again.Outputs)
 		if h1 != h2 {
-			return fmt.Errorf("%s on %s: output hash not deterministic (%s vs %s)", b.Name, topoSpec, h1, h2)
+			return fmt.Errorf("%s on %s: output hash not deterministic (%s vs %s)", b.Name, topo, h1, h2)
 		}
 		if first.Time != again.Time {
-			return fmt.Errorf("%s on %s: virtual time not deterministic (%v vs %v)", b.Name, topoSpec, first.Time, again.Time)
+			return fmt.Errorf("%s on %s: virtual time not deterministic (%v vs %v)", b.Name, topo, first.Time, again.Time)
 		}
 		fmt.Fprintf(w, "%s %s\n", b.Name, h1)
 	}

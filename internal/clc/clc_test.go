@@ -167,6 +167,61 @@ __kernel void f(__global int* a, int n) {
 	}
 }
 
+// TestParseIncDecStatements: ++k and --k parse as statements, as k++ and k--
+// do, in a body and in a for loop's post; each becomes k = k ± 1 whose two
+// sides share no node, down to the index expression.
+func TestParseIncDecStatements(t *testing.T) {
+	src := `
+__kernel void f(__global int* a, int n) {
+    int i = 0;
+    ++i;
+    --i;
+    i++;
+    ++a[i + 1];
+    a[i * 2]--;
+    for (int j = 0; j < n; ++j) { --a[j]; }
+}
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Parse(`
+__kernel void f(__global int* a, int n) {
+    int i = 0;
+    i = i + 1;
+    i = i - 1;
+    i = i + 1;
+    a[i + 1] = a[i + 1] + 1;
+    a[i * 2] = a[i * 2] - 1;
+    for (int j = 0; j < n; j = j + 1) { a[j] = a[j] - 1; }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := Print(prog), Print(want); got != w {
+		t.Fatalf("desugared to\n%s\nwant\n%s", got, w)
+	}
+	body := prog.Kernels[0].Body.Stmts
+	for _, s := range []Stmt{body[4], body[5]} {
+		as := s.(*AssignStmt)
+		lhs := as.LHS.(*IndexExpr)
+		rhs := as.RHS.(*BinaryExpr).X.(*IndexExpr)
+		if lhs == rhs || lhs.Base == rhs.Base || lhs.Idx == rhs.Idx {
+			t.Errorf("%s: the two sides share a node", Print(prog))
+		}
+	}
+	for _, bad := range []string{"++1;", "--(i + 1);", "++i = 2;"} {
+		if _, err := Parse("__kernel void f() { int i = 0; " + bad + " }"); err == nil {
+			t.Errorf("%q parsed", bad)
+		}
+	}
+}
+
 func TestParseDanglingElse(t *testing.T) {
 	src := `
 __kernel void f(__global int* a) {

@@ -327,44 +327,51 @@ func (p *Parser) parseDecl() (Stmt, error) {
 	return d, nil
 }
 
-// parseSimpleStmt parses assignments, increments/decrements and expression
-// statements (without the trailing semicolon).
+// parseSimpleStmt parses assignments, increments/decrements (k++, ++k, k--,
+// --k) and expression statements (without the trailing semicolon).
 func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	start := p.cur().Pos
+	var step Token // the ++ or -- of an increment or decrement
+	prefix := p.cur().Kind == PLUSPLUS || p.cur().Kind == MINUSMINUS
+	if prefix {
+		step = p.next()
+	}
 	lhs, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	t := p.cur()
-	switch t.Kind {
-	case ASSIGN, PLUSEQ, MINUSEQ, STAREQ, SLASHEQ:
-		p.next()
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+	if !prefix {
+		switch t := p.cur(); t.Kind {
+		case ASSIGN, PLUSEQ, MINUSEQ, STAREQ, SLASHEQ:
+			p.next()
+			rhs, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			if err := checkLValue(lhs); err != nil {
+				return nil, err
+			}
+			return &AssignStmt{Pos: start, Op: t.Kind, LHS: lhs, RHS: rhs}, nil
+		case PLUSPLUS, MINUSMINUS:
+			step = p.next()
+		default:
+			return &ExprStmt{Pos: start, X: lhs}, nil
 		}
-		if err := checkLValue(lhs); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{Pos: start, Op: t.Kind, LHS: lhs, RHS: rhs}, nil
-	case PLUSPLUS, MINUSMINUS:
-		p.next()
-		if err := checkLValue(lhs); err != nil {
-			return nil, err
-		}
-		// Desugar k++ / k-- to k = k + 1 / k = k - 1.
-		op := PLUS
-		if t.Kind == MINUSMINUS {
-			op = MINUS
-		}
-		one := &IntLit{Val: 1}
-		one.Pos = t.Pos
-		rhs := &BinaryExpr{Op: op, X: cloneLValue(lhs), Y: one}
-		rhs.Pos = t.Pos
-		return &AssignStmt{Pos: start, Op: ASSIGN, LHS: lhs, RHS: rhs}, nil
-	default:
-		return &ExprStmt{Pos: start, X: lhs}, nil
 	}
+	if err := checkLValue(lhs); err != nil {
+		return nil, err
+	}
+	// Desugar to k = k + 1 / k = k - 1. The right side gets its own copy of
+	// k: sema and the passes rewrite nodes in place.
+	op := PLUS
+	if step.Kind == MINUSMINUS {
+		op = MINUS
+	}
+	one := &IntLit{Val: 1}
+	one.Pos = step.Pos
+	rhs := &BinaryExpr{Op: op, X: CloneExpr(lhs), Y: one}
+	rhs.Pos = step.Pos
+	return &AssignStmt{Pos: start, Op: ASSIGN, LHS: lhs, RHS: rhs}, nil
 }
 
 func checkLValue(e Expr) error {
@@ -373,43 +380,6 @@ func checkLValue(e Expr) error {
 		return nil
 	}
 	return errf(e.NodePos(), "expression is not assignable")
-}
-
-// cloneLValue shallow-copies an lvalue expression so desugared forms do not
-// alias AST nodes (passes mutate the tree in place).
-func cloneLValue(e Expr) Expr {
-	switch e := e.(type) {
-	case *Ident:
-		c := *e
-		return &c
-	case *IndexExpr:
-		c := *e
-		b := *e.Base
-		c.Base = &b
-		return &c
-	}
-	return e
-}
-
-// parsePrefixIncDec handles ++k / --k at statement level.
-func (p *Parser) parsePrefixIncDec() (Stmt, error) {
-	t := p.next() // ++ or --
-	lhs, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := checkLValue(lhs); err != nil {
-		return nil, err
-	}
-	op := PLUS
-	if t.Kind == MINUSMINUS {
-		op = MINUS
-	}
-	one := &IntLit{Val: 1}
-	one.Pos = t.Pos
-	rhs := &BinaryExpr{Op: op, X: cloneLValue(lhs), Y: one}
-	rhs.Pos = t.Pos
-	return &AssignStmt{Pos: t.Pos, Op: ASSIGN, LHS: lhs, RHS: rhs}, nil
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
@@ -480,13 +450,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 		return nil, err
 	}
 	if p.cur().Kind != RPAREN {
-		var post Stmt
-		var err error
-		if p.cur().Kind == PLUSPLUS || p.cur().Kind == MINUSMINUS {
-			post, err = p.parsePrefixIncDec()
-		} else {
-			post, err = p.parseSimpleStmt()
-		}
+		post, err := p.parseSimpleStmt()
 		if err != nil {
 			return nil, err
 		}

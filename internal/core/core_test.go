@@ -501,6 +501,9 @@ func TestAddCPUVariantValidatesSignature(t *testing.T) {
 	if err := k.AddCPUVariant(bad, "b"); err == nil {
 		t.Fatal("mismatched variant accepted")
 	}
+	if err := k.AddCPUVariant(variantCPUSrc, "missing"); err == nil {
+		t.Fatal("a variant name its source lacks accepted")
+	}
 }
 
 func TestKernelArgCountValidation(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"fluidicl/internal/analysis"
@@ -115,10 +116,11 @@ func planElisions(info *clc.KernelInfo, sum *analysis.KernelSummary, nd vm.NDRan
 var footprintEvals atomic.Int64
 
 // planCache holds one kernel's launch plans. planElisions is a pure function
-// of the kernel's summary — fixed per transformEntry, where the cache lives,
-// so it outlasts any one Runtime — and of the launch's key: full-grid
-// geometry, scalar int arguments and buffer argument sizes. Float arguments
-// and buffer identity are not in the key because planElisions reads neither.
+// of the kernel's summary — one per passes.Transform entry, and what the
+// cache is found by (plansFor), so it outlasts any one Runtime — and of the
+// launch's key: full-grid geometry, scalar int arguments and buffer argument
+// sizes. Float arguments and buffer identity are not in the key because
+// planElisions reads neither.
 // A cached plan is shared by every launch (and goroutine) that hits it and is
 // never written after it is stored: the protocols copy elisions out of it
 // and query ArgWrites only through HullRange and Monotone.
@@ -130,6 +132,15 @@ type planCache struct {
 type planEntry struct {
 	key []int64
 	el  []elision
+}
+
+// plans holds every kernel summary's plan cache.
+var plans sync.Map // *analysis.KernelSummary -> *planCache
+
+// plansFor returns the plan cache of the kernel summarized by sum.
+func plansFor(sum *analysis.KernelSummary) *planCache {
+	c, _ := plans.LoadOrStore(sum, &planCache{})
+	return c.(*planCache)
 }
 
 // planCacheCap bounds a kernel's plan cache. A kernel sees one key per

@@ -6,6 +6,7 @@ import (
 
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
+	"fluidicl/internal/passes"
 	"fluidicl/internal/sim"
 	"fluidicl/internal/vm"
 )
@@ -53,7 +54,7 @@ func newNway(r *Runtime) *nway {
 	return n
 }
 
-func (n *nway) source(e *transformEntry, di int) string { return e.cpuSrc }
+func (n *nway) source(e *passes.Program, di int) string { return e.CPUSrc }
 
 func (n *nway) variantContext() *ocl.Context { return nil }
 

@@ -27,7 +27,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"fluidicl/internal/analysis"
 	"fluidicl/internal/clc"
@@ -76,6 +75,15 @@ func (o Options) withDefaults() Options {
 		o.UnrollFactor = 4
 	}
 	return o
+}
+
+// GPUOptions are the GPU pass options o asks for.
+func (o Options) GPUOptions() passes.GPUOptions {
+	return passes.GPUOptions{
+		AbortInLoops: !o.NoAbortInLoops,
+		Unroll:       !o.NoAbortInLoops && !o.NoUnroll,
+		UnrollFactor: o.UnrollFactor,
+	}
 }
 
 // KernelReport records one cooperative kernel execution, for the
@@ -132,7 +140,7 @@ type protocol interface {
 	// awaitHost blocks until the host shadow holds b's latest contents.
 	awaitHost(p *sim.Proc, b *Buffer)
 	// source picks the transformed source device di compiles.
-	source(e *transformEntry, di int) string
+	source(e *passes.Program, di int) string
 	// variantContext is where alternate CPU kernel versions (§6.6) are
 	// built, or nil when the protocol runs the original kernel everywhere.
 	variantContext() *ocl.Context
@@ -303,111 +311,26 @@ func (r *Runtime) Finish(p *sim.Proc) {
 
 // ---- programs and kernels ----
 
-// Program is a FluidiCL program: the original source compiled once per
-// device, each through the transformation pipeline its protocol role calls
-// for.
+// Program is a FluidiCL program: the source's pipeline entry (analysis,
+// summary and transformed forms) compiled once per device, each in the form
+// its protocol role calls for.
 type Program struct {
-	rt      *Runtime
-	Source  string
-	info    *clc.ProgramInfo         // analysis of the original source
-	Summary *analysis.ProgramSummary // static kernel analyzer results
-	progs   []*ocl.Program           // per device
-	plans   map[string]*planCache    // the transformEntry's, per kernel
-	GPUSrc  string                   // abort-checked GPU transformation (for inspection)
-	CPUSrc  string                   // range-guarded CPU transformation
-}
-
-// transformEntry is one cached run of the twin transformation pipelines:
-// the original-source analysis plus the transformed GPU and CPU sources.
-// All fields are immutable once built; plans maps every kernel to its
-// (internally synchronized) launch-plan cache.
-type transformEntry struct {
-	info   *clc.ProgramInfo
-	sum    *analysis.ProgramSummary
-	gpuSrc string
-	cpuSrc string
-	plans  map[string]*planCache
-}
-
-// transformCache memoizes the pass pipeline by (source, GPU pass options).
-// Harness sweeps rebuild the same handful of benchmark programs for every
-// table cell; with this cache plus ocl's compile cache, each distinct
-// (source, options) pair is parsed, transformed and compiled exactly once
-// per process. Virtual time is unaffected — builds happen on the host.
-var transformCache struct {
-	sync.Mutex
-	m map[transformKey]*transformEntry
-}
-
-type transformKey struct {
-	src  string
-	gopt passes.GPUOptions
-}
-
-func transformProgram(src string, gopt passes.GPUOptions) (*transformEntry, error) {
-	key := transformKey{src: src, gopt: gopt}
-	transformCache.Lock()
-	defer transformCache.Unlock()
-	if e, ok := transformCache.m[key]; ok {
-		return e, nil
-	}
-	orig, err := clc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := clc.Check(orig)
-	if err != nil {
-		return nil, err
-	}
-	sum := analysis.AnalyzeProgram(orig, "")
-
-	gpuAST, err := clc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range gpuAST.Kernels {
-		if _, err := passes.TransformGPU(k, gopt); err != nil {
-			return nil, err
-		}
-	}
-
-	cpuAST, err := clc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range cpuAST.Kernels {
-		if err := passes.TransformCPUWithSummary(k, sum.Kernels[k.Name]); err != nil {
-			return nil, err
-		}
-	}
-
-	e := &transformEntry{info: info, sum: sum, gpuSrc: clc.Print(gpuAST), cpuSrc: clc.Print(cpuAST),
-		plans: make(map[string]*planCache, len(info.Kernels))}
-	for name := range info.Kernels {
-		e.plans[name] = &planCache{}
-	}
-	if transformCache.m == nil {
-		transformCache.m = map[transformKey]*transformEntry{}
-	}
-	transformCache.m[key] = e
-	return e, nil
+	*passes.Program
+	rt     *Runtime
+	Source string
+	progs  []*ocl.Program // per device
 }
 
 // BuildProgram compiles src for every device (§4.1: clBuildProgram results
 // in kernel compilation for both devices), applying the GPU abort-check and
-// CPU range-guard transformations. Transformation and compilation are
-// memoized by (source, options) across runtimes.
+// CPU range-guard transformations. Transformation (passes.Transform) and
+// compilation are memoized by (source, options) across runtimes.
 func (r *Runtime) BuildProgram(src string) (*Program, error) {
-	gopt := passes.GPUOptions{
-		AbortInLoops: !r.opts.NoAbortInLoops,
-		Unroll:       !r.opts.NoAbortInLoops && !r.opts.NoUnroll,
-		UnrollFactor: r.opts.UnrollFactor,
-	}
-	e, err := transformProgram(src, gopt)
+	e, err := passes.Transform(src, r.opts.GPUOptions())
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{rt: r, Source: src, info: e.info, Summary: e.sum, plans: e.plans, GPUSrc: e.gpuSrc, CPUSrc: e.cpuSrc}
+	p := &Program{Program: e, rt: r, Source: src}
 	p.progs = make([]*ocl.Program, len(r.ctxs))
 	for di, ctx := range r.ctxs {
 		if p.progs[di], err = ctx.BuildProgram(r.proto.source(e, di)); err != nil {
@@ -447,13 +370,13 @@ type Kernel struct {
 
 // CreateKernel creates a kernel object by name.
 func (p *Program) CreateKernel(name string) (*Kernel, error) {
-	info, ok := p.info.Kernels[name]
+	info, ok := p.Info.Kernels[name]
 	if !ok {
 		return nil, fmt.Errorf("core: kernel %q not found", name)
 	}
 	sum := p.Summary.Kernels[name]
 	k := &Kernel{
-		prog: p, Name: name, Info: info, Sum: sum, plans: p.plans[name],
+		prog: p, Name: name, Info: info, Sum: sum, plans: plansFor(sum),
 		splitOK: passes.CanSplitWithSummary(info, sum),
 	}
 	k.chkRead, k.chkWrite = accessMasks(sum)
@@ -513,31 +436,26 @@ func (k *Kernel) AddCPUVariant(src, name string) error {
 	if ctx == nil {
 		return nil
 	}
-	vinfo, err := clc.FindKernelInfo(src, name)
+	e, err := passes.Transform(src, k.prog.rt.opts.GPUOptions())
 	if err != nil {
 		return err
+	}
+	vinfo, ok := e.Info.Kernels[name]
+	if !ok {
+		return fmt.Errorf("core: CPU variant %q not found", name)
 	}
 	if err := sameSignature(k.Info, vinfo); err != nil {
 		return fmt.Errorf("core: CPU variant %q: %w", name, err)
 	}
-	ast, err := clc.Parse(src)
-	if err != nil {
-		return err
-	}
-	vk := ast.Kernel(name)
-	// The variant gets its own analysis, of the checked parse (the fresh one
-	// is only transformed): its guard-drop eligibility depends on its own
-	// stores, and the dynamic access cross-check must accept any access
+	// The variant's own analysis: its guard-drop eligibility depends on its
+	// own stores, and the dynamic access cross-check must accept any access
 	// either implementation can perform.
-	vsum := analysis.AnalyzeKernel(vinfo.Kernel, "")
+	vsum := e.Summary.Kernels[name]
 	vr, vw := accessMasks(vsum)
 	k.chkRead |= vr
 	k.chkWrite |= vw
 	k.splitOK = k.splitOK && passes.CanSplitWithSummary(vinfo, vsum)
-	if err := passes.TransformCPUWithSummary(vk, vsum); err != nil {
-		return err
-	}
-	prog, err := ctx.BuildProgram(clc.Print(ast))
+	prog, err := ctx.BuildProgram(e.CPUSrc)
 	if err != nil {
 		return err
 	}

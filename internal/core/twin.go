@@ -59,11 +59,11 @@ func newTwin(r *Runtime) *twin {
 	return t
 }
 
-func (t *twin) source(e *transformEntry, di int) string {
+func (t *twin) source(e *passes.Program, di int) string {
 	if di == twinGPU {
-		return e.gpuSrc
+		return e.GPUSrc
 	}
-	return e.cpuSrc
+	return e.CPUSrc
 }
 
 func (t *twin) variantContext() *ocl.Context { return t.r.ctxs[twinCPU] }

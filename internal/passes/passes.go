@@ -13,6 +13,10 @@
 //     may cover more groups than requested).
 //   - MergeKernel is the generated data-merge kernel (Fig. 9) that combines
 //     CPU- and GPU-computed buffers on the GPU.
+//
+// Transform (pipeline.go) is the program's one caller of the first two: it
+// parses, checks and analyzes a source and prints each transformed form,
+// once per (source, options) per process.
 package passes
 
 import (

@@ -260,30 +260,6 @@ func TestSweepOracleOverGivenRuns(t *testing.T) {
 	}
 }
 
-// TestBuildGuardedCached: the range-guard transform runs once per source;
-// repeat calls, failures included, get the first call's results.
-func TestBuildGuardedCached(t *testing.T) {
-	src := testApp(16).Source
-	g1, info1, err := buildGuarded(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, info2, err := buildGuarded(src)
-	if err != nil || g1 != g2 || info1 != info2 {
-		t.Fatalf("second transform of one source differs (err %v, same info %v)", err, info1 == info2)
-	}
-	want, wantInfo, err := transformGuarded(src)
-	if err != nil || want != g1 || len(wantInfo.Kernels) != len(info1.Kernels) {
-		t.Fatalf("cached transform differs from a fresh one (err %v)", err)
-	}
-	bad := "__kernel void k(__global float* a) { a[0] = ; }"
-	_, _, e1 := buildGuarded(bad)
-	_, _, e2 := buildGuarded(bad)
-	if e1 == nil || e1 != e2 {
-		t.Fatalf("bad source: errors %v and %v, want one error twice", e1, e2)
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if Eager.String() != "eager" || Dmda.String() != "dmda" {
 		t.Fatal("policy names wrong")

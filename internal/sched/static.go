@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"sync"
-
-	"fluidicl/internal/clc"
+	"fluidicl/internal/core"
 	"fluidicl/internal/device"
 	"fluidicl/internal/ocl"
 	"fluidicl/internal/passes"
@@ -81,16 +79,18 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 	d := newPair(env, m, app)
 	defer recycle(d.all...)
 	// Guarded program: a range-guard transform on both devices lets each
-	// execute an arbitrary flattened work-group interval.
-	guarded, info, err := buildGuarded(app.Source)
+	// execute an arbitrary flattened work-group interval. Asked for with a
+	// default FluidiCL run's options, it is the same pipeline entry as that
+	// run's, so a table that runs both transforms the app once.
+	tp, err := passes.Transform(app.Source, core.Options{}.GPUOptions())
 	if err != nil {
 		return nil, err
 	}
-	cpuProg, err := d.cpuCtx.BuildProgram(guarded)
+	cpuProg, err := d.cpuCtx.BuildProgram(tp.GuardedSrc)
 	if err != nil {
 		return nil, err
 	}
-	gpuProg, err := d.gpuCtx.BuildProgram(guarded)
+	gpuProg, err := d.gpuCtx.BuildProgram(tp.GuardedSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 			b.onCPU, b.onGPU = true, true
 		},
 		launch: func(p *sim.Proc, li int, l Launch) error {
-			ki := info.Kernels[l.Kernel]
+			ki := tp.Info.Kernels[l.Kernel]
 			total := l.ND.TotalGroups()
 			g := min(max(total*gpuPct/100, 1), total-1)
 			d.ensureArgs(p, ki, l, true, false)
@@ -142,57 +142,6 @@ func runStatic(m Machine, app *App, gpuPct int, sw *Sweep) (*Result, error) {
 		},
 		read: d.readOut,
 	})
-}
-
-// guardCache memoizes buildGuarded by source text, failures included: the
-// transform is a pure function of the text, and an oracle sweep asks for the
-// same program at every split. Entries are immutable once stored, so one can
-// back any number of concurrent runs — the pattern of core's transform cache
-// and ocl's compile cache.
-var guardCache = struct {
-	sync.Mutex
-	m map[string]*guardEntry
-}{m: map[string]*guardEntry{}}
-
-type guardEntry struct {
-	src  string
-	info *clc.ProgramInfo
-	err  error
-}
-
-// buildGuarded applies the range-guard transform to every kernel and
-// returns the transformed source plus the original-source analysis.
-func buildGuarded(src string) (string, *clc.ProgramInfo, error) {
-	guardCache.Lock()
-	defer guardCache.Unlock()
-	e, ok := guardCache.m[src]
-	if !ok {
-		e = &guardEntry{}
-		e.src, e.info, e.err = transformGuarded(src)
-		guardCache.m[src] = e
-	}
-	return e.src, e.info, e.err
-}
-
-func transformGuarded(src string) (string, *clc.ProgramInfo, error) {
-	orig, err := clc.Parse(src)
-	if err != nil {
-		return "", nil, err
-	}
-	info, err := clc.Check(orig)
-	if err != nil {
-		return "", nil, err
-	}
-	ast, err := clc.Parse(src)
-	if err != nil {
-		return "", nil, err
-	}
-	for _, k := range ast.Kernels {
-		if err := passes.TransformCPU(k); err != nil {
-			return "", nil, err
-		}
-	}
-	return clc.Print(ast), info, nil
 }
 
 // OracleResult is one static-sweep outcome.

@@ -18,8 +18,7 @@
 //     or argument list must guard on Enabled() first so those costs are only
 //     paid when recording.
 //
-// The recorder is safe for concurrent use (the host-parallel work-group
-// engine records from multiple goroutines), and recording does not perturb
+// The recorder is safe for concurrent use, and recording does not perturb
 // the simulation: no virtual time is charged, so runs with and without a
 // recorder produce identical timelines, and identical runs produce
 // byte-identical trace files (pinned by a golden test in internal/harness).

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"fluidicl/internal/analysis"
-	"fluidicl/internal/clc"
 	"fluidicl/internal/passes"
 	"fluidicl/internal/vmref"
 )
@@ -14,41 +12,19 @@ import (
 // Test-only exports shared by the in-package and the external (vm_test)
 // test files.
 
-// TransformedSources runs src through FluidiCL's source passes with the
-// runtime's default options (core.transformProgram): the GPU variant gets
-// the abort checks, unrolled inside innermost loops, and two extra
+// TransformedSources runs src through FluidiCL's source pipeline
+// (passes.Transform) with the runtime's default options: the GPU variant
+// gets the abort checks, unrolled inside innermost loops, and two extra
 // parameters (fcl_status, fcl_kid); the CPU variant the subkernel range
 // guard (unless the summary drops it) and fcl_lo, fcl_hi. These are the
 // kernels the cooperative runtimes execute — the twin GPU runs the first,
 // every other device the second.
 func TransformedSources(src string) (gpu, cpu string, err error) {
-	orig, err := clc.Parse(src)
+	p, err := passes.Transform(src, passes.GPUOptions{AbortInLoops: true, Unroll: true})
 	if err != nil {
 		return "", "", err
 	}
-	if _, err := clc.Check(orig); err != nil {
-		return "", "", err
-	}
-	sum := analysis.AnalyzeProgram(orig, "")
-	g, err := clc.Parse(src)
-	if err != nil {
-		return "", "", err
-	}
-	for _, k := range g.Kernels {
-		if _, err := passes.TransformGPU(k, passes.GPUOptions{AbortInLoops: true, Unroll: true}); err != nil {
-			return "", "", err
-		}
-	}
-	c, err := clc.Parse(src)
-	if err != nil {
-		return "", "", err
-	}
-	for _, k := range c.Kernels {
-		if err := passes.TransformCPUWithSummary(k, sum.Kernels[k.Name]); err != nil {
-			return "", "", err
-		}
-	}
-	return clc.Print(g), clc.Print(c), nil
+	return p.GPUSrc, p.CPUSrc, nil
 }
 
 // StreamSrc is the guarded one-word-per-work-item body bench/'s stream-chunks

@@ -1,37 +1,14 @@
 #!/bin/sh
-# Full CI gate: the fast checks (`make check`: formatting, build, vet,
-# tests, kernel lint, bench smoke) plus the race-detector suite
-# (`make race`). Delegates to make so this script and the Makefile cannot
-# drift; the inline fallback below exists only for environments without
-# make.
+# Full CI gate: the fast checks (`make check`: formatting, line ceilings,
+# build, vet, tests, kernel lint and its JSON reporter, bench smoke) plus the
+# race-detector suite (`make race`). The Makefile is the one definition of
+# the gate; this script only runs it, so the two cannot drift.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-if command -v make >/dev/null 2>&1; then
-    exec make check race
-fi
-
-# ---- inline fallback (no make available) ----
-set -x
-
-fmt=$(gofmt -l .)
-if [ -n "$fmt" ]; then
-    echo "gofmt: needs formatting:" >&2
-    echo "$fmt" >&2
+if ! command -v make >/dev/null 2>&1; then
+    echo "check.sh: make is required: the gate is defined in the Makefile (make check race)" >&2
     exit 1
 fi
-
-go build ./...
-go vet ./...
-# The harness package replays every experiment; it can exceed go test's
-# default 600s per-package timeout, and far exceeds it under the race
-# detector.
-go test -timeout 1800s ./...
-go test -race -timeout 1800s ./...
-
-# Lint every shipped kernel: the built-in Polybench set, the injected merge
-# kernel, and the example kernels on disk.
-go run ./cmd/fluidilint -builtin examples/quickstart/kernel.cl
-
-go test -bench 'BenchmarkOverall' -benchtime=1x -run '^$' .
+exec make check race
